@@ -12,18 +12,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::options::{CacheTiling, PipelineOptions};
-use axi4mlir_core::pipeline::CompileAndRun;
 use axi4mlir_workloads::matmul::MatMulProblem;
 
 const DIMS: i64 = 32;
 
 fn run(flow: FlowStrategy, options: PipelineOptions) {
     let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
-    let report = CompileAndRun::new(config, MatMulProblem::square(DIMS))
-        .flow(flow)
-        .options(options)
-        .execute()
+    let plan = CompilePlan::for_accelerator(config).flow(flow).options(options);
+    let report = Session::for_plan(&plan)
+        .run(&MatMulWorkload::new(MatMulProblem::square(DIMS)), &plan)
         .expect("run");
     assert!(report.verified);
 }

@@ -6,24 +6,27 @@
 //! Usage:
 //! `cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- \
 //!     [--smoke] [--workload matmul|conv|batched] [--accel v1..v4[:SIZE],...] \
-//!     [--search exhaustive|halving] [--cache PATH | --cache-dir DIR] \
-//!     [--warm-start [PATH]] \
+//!     [--search exhaustive|halving] [--cache-dir DIR] [--warm-start [DIR]] \
 //!     [--hub ADDR] [--objectives clock,traffic,transactions,occupancy] \
 //!     [--dims MxNxK] [--batch N] [--layer iHW_iC_fHW_oC_stride] \
 //!     [--base B] [--capacity WORDS] [--sweep-options] \
 //!     [--sweep-cache-tiling] [--cpu pynq_z2|zcu102|desktop,...] \
 //!     [--workers N] [--prune none|keep:N|factor:F] [--seed S] [--json DIR]`
 //!
+//! The flags become one [`JobSpec`] — the same wire-form job the hub
+//! protocol carries — and [`JobSpec::build`] is the only validation:
+//! the resulting request runs in-process, or the identical spec is
+//! submitted with `--hub`, so the two paths cannot drift.
+//!
 //! `--smoke` is the CI entry point: a tiny space that sweeps in well
 //! under a second but exercises the whole engine — enumeration, pruning,
 //! the search strategy, the parallel session pool, the result cache, and
-//! the JSON reporter. With `--cache`, results persist to a
-//! `BENCH_cache.json` (loaded before the sweep, merged and saved after),
-//! so a repeated invocation reports 0 new simulations. `--cache-dir`
-//! persists the same results sharded by workload signature instead
-//! (`DIR/<shard>.json`, order-invariant merge, dirty-shard-only saves);
-//! a legacy `BENCH_cache.json` dropped into the directory migrates
-//! losslessly on the next save.
+//! the JSON reporter. With `--cache-dir`, results persist sharded by
+//! workload signature (`DIR/<shard>.json`, loaded before the sweep,
+//! order-invariant merge, dirty-shard-only saves after), so a repeated
+//! invocation reports 0 new simulations. A pre-sharding
+//! `BENCH_cache.json` moved into the directory migrates losslessly: the
+//! next save re-shards and removes it.
 //!
 //! `--objectives` turns the sweep multi-objective: every evaluation is
 //! scored under each named objective (the first is the primary the prune
@@ -31,8 +34,8 @@
 //! `pareto` section listing the non-dominated front plus context members
 //! locating the paper's analytical pick relative to it.
 //!
-//! `--warm-start [PATH]` fits the cross-problem transfer model from a
-//! persisted result cache (`PATH` defaults to the `--cache` file) and
+//! `--warm-start [DIR]` fits the cross-problem transfer model from a
+//! persisted cache directory (`DIR` defaults to `--cache-dir`) and
 //! ranks the halving search by its calibrated clock predictions:
 //! measurements banked on *other* problem shapes cut both the proxy
 //! rungs and the full-fidelity finalist count on this one.
@@ -42,185 +45,126 @@
 //! dropped by the per-candidate legality rules).
 //!
 //! `--hub ADDR` runs the sweep on a running `axi4mlir-hub` daemon
-//! instead of in-process: the same flags become a job submitted over
-//! the `axi4mlir-hub/v1` protocol (see `docs/PROTOCOL.md`), progress
+//! instead of in-process: the job is submitted over the
+//! `axi4mlir-hub/v1` protocol (see `docs/PROTOCOL.md`), progress
 //! events stream to stdout, and the `done` event's report renders the
 //! *same* `BENCH_explore.json` the local path writes. The hub owns the
-//! result cache, so `--cache`/`--warm-start` are rejected alongside
+//! result cache, so `--cache-dir`/`--warm-start` are rejected alongside
 //! `--hub`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use axi4mlir_bench::report::{BenchEntry, BenchReport};
-use axi4mlir_config::{CacheTiling, CpuModel};
+use axi4mlir_core::explore::jobspec::parse_dims;
 use axi4mlir_core::explore::{
-    cache as result_cache, AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport,
-    Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, OptionsPoint, Prune, Search,
-    TransferModel,
+    shard, ExploreReport, ExploreRequest, Explorer, JobSpec, Objective, TransferModel,
 };
 use axi4mlir_hub::{run_resilient, HubClient};
+use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_workloads::matmul::MatMulProblem;
-use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
-use axi4mlir_workloads::BatchedMatMulProblem;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     let at = args.iter().position(|a| a == flag)?;
     args.get(at + 1).cloned()
 }
 
-fn parse_dims(text: &str) -> Option<MatMulProblem> {
-    let parts: Vec<i64> = text.split('x').map(str::parse).collect::<Result<_, _>>().ok()?;
-    match parts[..] {
-        [m, n, k] if m > 0 && n > 0 && k > 0 => Some(MatMulProblem::new(m, n, k)),
-        _ => None,
-    }
+/// `--flag V` parsed as a number.
+fn arg_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    arg_value(args, flag)
+        .map(|text| text.parse().map_err(|_| format!("invalid {flag} `{text}`")))
+        .transpose()
 }
 
-fn parse_prune(text: &str) -> Option<Prune> {
-    if text == "none" {
-        return Some(Prune::None);
-    }
-    if let Some(n) = text.strip_prefix("keep:") {
-        return n.parse().ok().map(Prune::KeepBest);
-    }
-    if let Some(f) = text.strip_prefix("factor:") {
-        return f.parse().ok().map(Prune::WithinFactor);
-    }
-    None
+/// `--flag a,b` split into trimmed tokens (absent flag: empty).
+fn arg_list(args: &[String], flag: &str) -> Vec<String> {
+    arg_value(args, flag)
+        .map(|text| text.split(',').map(|token| token.trim().to_owned()).collect())
+        .unwrap_or_default()
 }
 
-/// `v3` (size defaults to `--base`), `v4:8`, or a comma list of either.
-/// Normalizes each token to the `v4_8` preset-name form and delegates to
-/// [`AccelInstance::parse`] (which also rejects non-positive sizes).
-fn parse_accels(text: &str, default_size: i64) -> Option<Vec<AccelInstance>> {
-    let mut out = Vec::new();
-    for token in text.split(',') {
-        let label = match token.split_once(':') {
-            Some((name, size)) => format!("{name}_{size}"),
-            None => format!("{token}_{default_size}"),
-        };
-        out.push(AccelInstance::parse(&label)?);
-    }
-    (!out.is_empty()).then_some(out)
-}
+/// The smoke-scale conv layer (the Fig. 16 quick shape), also the
+/// default `--layer`.
+const QUICK_LAYER: &str = "10_64_3_16_1";
 
-/// The figure label `iHW_iC_fHW_oC_stride`, either one of the ResNet18
-/// layers or an arbitrary custom shape.
-fn parse_layer(text: &str) -> Option<ConvLayer> {
-    if let Some(layer) = resnet18_layers().into_iter().find(|l| l.label() == text) {
-        return Some(layer);
+/// The wire-form job the flags describe — a pure function of `args`.
+/// Only the *spelling* is resolved here (`--accel v3` takes its size
+/// from `--base`, `--smoke` picks small defaults); every semantic check
+/// is [`JobSpec::build`]'s, exactly as for a job submitted to a hub.
+fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let smoke = flag("--smoke");
+    let defaults = JobSpec::default();
+    let mut job = JobSpec {
+        workload: arg_value(args, "--workload").unwrap_or(defaults.workload),
+        search: arg_value(args, "--search").unwrap_or(defaults.search),
+        prune: arg_value(args, "--prune").unwrap_or(defaults.prune),
+        sweep_options: flag("--sweep-options"),
+        sweep_cache_tiling: flag("--sweep-cache-tiling"),
+        cpus: arg_list(args, "--cpu"),
+        objectives: arg_list(args, "--objectives"),
+        seed: arg_number(args, "--seed")?,
+        ..defaults
+    };
+    if job.workload == "conv" {
+        // The §IV-D accelerator is configured by the layer alone.
+        job.layer = Some(arg_value(args, "--layer").unwrap_or_else(|| QUICK_LAYER.to_owned()));
+        return Ok(job);
     }
-    let parts: Vec<usize> = text.split('_').map(str::parse).collect::<Result<_, _>>().ok()?;
-    match parts[..] {
-        [in_hw, in_channels, filter_hw, out_channels, stride]
-            if in_hw >= filter_hw && filter_hw > 0 && stride > 0 && out_channels > 0 =>
-        {
-            Some(ConvLayer { in_hw, in_channels, filter_hw, out_channels, stride })
+    let batched = job.workload == "batched";
+    job.dims = Some(match arg_value(args, "--dims") {
+        Some(text) => {
+            let p = parse_dims(&text).ok_or(format!("invalid --dims `{text}` (want MxNxK)"))?;
+            (p.m, p.n, p.k)
         }
-        _ => None,
+        None if smoke && batched => (8, 8, 8),
+        None if smoke => (16, 16, 16),
+        None => (256, 256, 256),
+    });
+    if batched {
+        job.batch = arg_number(args, "--batch")?.or(smoke.then_some(2));
     }
+    let base: i64 = arg_number(args, "--base")?.unwrap_or(if smoke { 8 } else { 16 });
+    // `v3` (size defaults to `--base`) or `v4:8`, normalized to the
+    // `v4_8` preset-name form the job carries.
+    job.accels = match arg_value(args, "--accel") {
+        Some(text) => text
+            .split(',')
+            .map(|token| match token.split_once(':') {
+                Some((name, size)) => format!("{name}_{size}"),
+                None => format!("{token}_{base}"),
+            })
+            .collect(),
+        None => vec![format!("v4_{base}")],
+    };
+    job.capacity_words = arg_number(args, "--capacity")?;
+    Ok(job)
 }
 
-/// The smoke-scale conv layer (the Fig. 16 quick shape).
-fn smoke_layer() -> ConvLayer {
-    ConvLayer { in_hw: 10, in_channels: 64, filter_hw: 3, out_channels: 16, stride: 1 }
-}
-
-enum SpaceChoice {
-    MatMul(MatMulSpace),
-    Batched(BatchedSpace),
-    Conv(ConvSpace),
-}
-
-impl SpaceChoice {
-    fn as_dyn(&self) -> &dyn DesignSpace {
-        match self {
-            SpaceChoice::MatMul(s) => s,
-            SpaceChoice::Batched(s) => s,
-            SpaceChoice::Conv(s) => s,
-        }
-    }
-}
-
-struct Request {
-    space: SpaceChoice,
-    prune: Prune,
-    search: Search,
+/// What the command line asked for: the job, plus the flags only this
+/// process acts on.
+struct Cli {
+    job: JobSpec,
     workers: usize,
-    objectives: Vec<Objective>,
-    cache: Option<PathBuf>,
-    /// Persist the cache sharded across this directory instead of one
-    /// `--cache` blob.
+    /// Load the result cache from, and persist it to, this sharded
+    /// directory.
     cache_dir: Option<PathBuf>,
-    /// Fit the cross-problem transfer model from this cache file before
-    /// the sweep.
+    /// Fit the cross-problem transfer model from this cache directory
+    /// before the sweep.
     warm_start: Option<PathBuf>,
     /// Run on this `axi4mlir-hub` daemon instead of in-process.
     hub: Option<String>,
-    /// The booleans/lists the wire job needs verbatim (the resolved
-    /// space holds their *effect*, not the flags themselves).
-    sweep_options: bool,
-    sweep_cache_tiling: bool,
-    cpus: Vec<String>,
-}
-
-impl Request {
-    /// The wire-form job equivalent to this request, built from the
-    /// *resolved* space so hub sweeps see exactly what a local sweep
-    /// would (smoke defaults included).
-    fn to_job(&self) -> JobSpec {
-        let mut job = JobSpec {
-            search: self.search.label().to_owned(),
-            prune: match self.prune {
-                Prune::None => "none".to_owned(),
-                Prune::KeepBest(n) => format!("keep:{n}"),
-                Prune::WithinFactor(f) => format!("factor:{f}"),
-            },
-            objectives: self.objectives.iter().map(|o| o.label().to_owned()).collect(),
-            sweep_options: self.sweep_options,
-            sweep_cache_tiling: self.sweep_cache_tiling,
-            cpus: self.cpus.clone(),
-            ..JobSpec::default()
-        };
-        match &self.space {
-            SpaceChoice::MatMul(s) => {
-                job.workload = "matmul".to_owned();
-                job.dims = Some((s.problem.m, s.problem.n, s.problem.k));
-                job.accels = s.accels.iter().map(AccelInstance::label).collect();
-                job.capacity_words = Some(s.capacity_words);
-                job.seed = Some(s.seed);
-            }
-            SpaceChoice::Batched(s) => {
-                job.workload = "batched".to_owned();
-                let p = &s.batch.problem;
-                job.dims = Some((p.m, p.n, p.k));
-                job.batch = Some(s.batch.batch as i64);
-                job.accels = s.accels.iter().map(AccelInstance::label).collect();
-                job.capacity_words = Some(s.capacity_words);
-                job.seed = Some(s.seed);
-            }
-            SpaceChoice::Conv(s) => {
-                job.workload = "conv".to_owned();
-                job.layer = Some(s.layer.label());
-                job.seed = Some(s.seed);
-            }
-        }
-        job
-    }
 }
 
 /// Every flag the binary understands; anything else starting with `--`
 /// is rejected so a typo (`--objective`) cannot silently fall back to a
 /// default sweep.
-const KNOWN_FLAGS: [&str; 21] = [
+const KNOWN_FLAGS: [&str; 20] = [
     "--smoke",
     "--workload",
     "--accel",
     "--search",
-    "--cache",
     "--cache-dir",
     "--warm-start",
     "--hub",
@@ -239,204 +183,68 @@ const KNOWN_FLAGS: [&str; 21] = [
     "--json",
 ];
 
-fn request_from_args(args: &[String]) -> Result<Request, String> {
+fn cli_from_args(args: &[String]) -> Result<Cli, String> {
+    if args.iter().any(|a| a == "--cache") {
+        return Err("--cache was removed: pass --cache-dir DIR (to keep an old BENCH_cache.json, \
+                    move it into DIR; the next save re-shards it)"
+            .to_owned());
+    }
     if let Some(unknown) =
         args.iter().find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
     {
         return Err(format!("unknown flag `{unknown}` (known: {})", KNOWN_FLAGS.join(" ")));
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workload = arg_value(args, "--workload").unwrap_or_else(|| "matmul".to_owned());
-    let default_workers =
-        std::thread::available_parallelism().map_or(2, |n| n.get()).min(if smoke { 2 } else { 8 });
-
-    let base = match arg_value(args, "--base") {
-        Some(text) => text.parse().map_err(|_| format!("invalid --base `{text}`"))?,
-        None if smoke => 8,
-        None => 16,
-    };
-    let accels = match arg_value(args, "--accel") {
-        Some(text) => parse_accels(&text, base)
-            .ok_or(format!("invalid --accel `{text}` (v1..v4[:SIZE],...)"))?,
-        None => vec![AccelInstance::v4(base)],
-    };
-    let sweep_options = args.iter().any(|a| a == "--sweep-options");
-    let sweep_cache_tiling = args.iter().any(|a| a == "--sweep-cache-tiling");
-    let mut options_axis =
-        if sweep_options { OptionsPoint::axis() } else { vec![OptionsPoint::default()] };
-    if sweep_cache_tiling {
-        options_axis =
-            OptionsPoint::cross_cache_tiling(&options_axis, &CacheTiling::sweep_levels());
-    }
-    let mut cpu_labels: Vec<String> = Vec::new();
-    if let Some(text) = arg_value(args, "--cpu") {
-        let cpus: Vec<CpuModel> = text
-            .split(',')
-            .map(|token| CpuModel::parse(token.trim()))
-            .collect::<Option<_>>()
-            .ok_or_else(|| {
-                let known: Vec<&str> = CpuModel::all().iter().map(CpuModel::label).collect();
-                format!("invalid --cpu `{text}` (a comma list of {})", known.join("|"))
-            })?;
-        cpu_labels = cpus.iter().map(|c| c.label().to_owned()).collect();
-        options_axis = OptionsPoint::cross_cpus(&options_axis, &cpus);
-    }
-
-    let problem = match arg_value(args, "--dims") {
-        Some(text) => parse_dims(&text).ok_or(format!("invalid --dims `{text}` (want MxNxK)"))?,
-        None if smoke => MatMulProblem::new(16, 16, 16),
-        None => MatMulProblem::new(256, 256, 256),
-    };
-
-    let mut space = match workload.as_str() {
-        "matmul" => {
-            let mut s = MatMulSpace::new(problem).accels(accels).options_axis(options_axis);
-            if let Some(text) = arg_value(args, "--capacity") {
-                s = s.capacity_words(
-                    text.parse().map_err(|_| format!("invalid --capacity `{text}`"))?,
-                );
-            }
-            SpaceChoice::MatMul(s)
-        }
-        "batched" => {
-            let batch = match arg_value(args, "--batch") {
-                Some(text) => text.parse().map_err(|_| format!("invalid --batch `{text}`"))?,
-                None => {
-                    if smoke {
-                        2
-                    } else {
-                        4
-                    }
-                }
-            };
-            let problem = if smoke && arg_value(args, "--dims").is_none() {
-                MatMulProblem::square(8)
-            } else {
-                problem
-            };
-            let mut s = BatchedSpace::new(BatchedMatMulProblem::new(problem, batch))
-                .accels(accels)
-                .options_axis(options_axis);
-            if let Some(text) = arg_value(args, "--capacity") {
-                s = s.capacity_words(
-                    text.parse().map_err(|_| format!("invalid --capacity `{text}`"))?,
-                );
-            }
-            SpaceChoice::Batched(s)
-        }
-        "conv" => {
-            for flag in ["--accel", "--dims", "--capacity", "--base", "--batch"] {
-                if arg_value(args, flag).is_some() {
-                    eprintln!(
-                        "axi4mlir-explore: note: {flag} is ignored for conv (the \u{a7}IV-D \
-                         accelerator is configured by the layer; use --layer)"
-                    );
-                }
-            }
-            if args.iter().any(|a| a == "--sweep-cache-tiling")
-                || arg_value(args, "--cpu").is_some()
-            {
+    let job = job_from_args(args)?;
+    if job.workload == "conv" {
+        for flag in ["--accel", "--dims", "--capacity", "--base", "--batch"] {
+            if arg_value(args, flag).is_some() {
                 eprintln!(
-                    "axi4mlir-explore: note: conv kernels never cache-tile; the tiling/host \
-                     axes are dropped by the conv legality rules"
+                    "axi4mlir-explore: note: {flag} is ignored for conv (the \u{a7}IV-D \
+                     accelerator is configured by the layer; use --layer)"
                 );
             }
-            let layer = match arg_value(args, "--layer") {
-                Some(text) => parse_layer(&text)
-                    .ok_or(format!("invalid --layer `{text}` (want iHW_iC_fHW_oC_stride)"))?,
-                None => smoke_layer(),
-            };
-            SpaceChoice::Conv(ConvSpace::new(layer))
         }
-        other => return Err(format!("invalid --workload `{other}` (matmul|conv|batched)")),
-    };
-
-    if let Some(text) = arg_value(args, "--seed") {
-        let seed = text.parse().map_err(|_| format!("invalid --seed `{text}`"))?;
-        match &mut space {
-            SpaceChoice::MatMul(s) => s.seed = seed,
-            SpaceChoice::Batched(s) => s.seed = seed,
-            SpaceChoice::Conv(s) => s.seed = seed,
+        if job.sweep_cache_tiling || !job.cpus.is_empty() {
+            eprintln!(
+                "axi4mlir-explore: note: conv kernels never cache-tile; the tiling/host axes \
+                 are dropped by the conv legality rules"
+            );
         }
     }
-
-    let objectives = match arg_value(args, "--objectives") {
-        Some(text) => Objective::parse_list(&text).ok_or(format!(
-            "invalid --objectives `{text}` (a comma list of clock|traffic|transactions|occupancy, \
-             no duplicates)"
-        ))?,
-        None => vec![Objective::TaskClock],
-    };
-    let search = match arg_value(args, "--search").as_deref() {
-        None | Some("exhaustive") => Search::Exhaustive,
-        // The default spec promotes by the primary (first-listed)
-        // objective automatically.
-        Some("halving") => Search::Halving(HalvingSpec::default()),
-        Some(other) => return Err(format!("invalid --search `{other}` (exhaustive|halving)")),
-    };
-    let prune = match arg_value(args, "--prune") {
-        Some(text) => {
-            parse_prune(&text).ok_or(format!("invalid --prune `{text}` (none|keep:N|factor:F)"))?
-        }
-        None => Prune::None,
-    };
-    let workers = match arg_value(args, "--workers") {
-        Some(text) => text.parse().map_err(|_| format!("invalid --workers `{text}`"))?,
-        None => default_workers,
-    };
-    let cache = arg_value(args, "--cache").map(PathBuf::from);
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let workers = arg_number(args, "--workers")?.unwrap_or_else(|| {
+        let host = std::thread::available_parallelism().map_or(2, |n| n.get());
+        host.min(if smoke { 2 } else { 8 })
+    });
     let cache_dir = arg_value(args, "--cache-dir").map(PathBuf::from);
-    if cache.is_some() && cache_dir.is_some() {
-        return Err("--cache and --cache-dir are mutually exclusive (one blob or one sharded \
-                    directory, not both)"
-            .to_owned());
-    }
-    // `--warm-start` takes an optional PATH; without one it reads the
-    // `--cache` file or `--cache-dir` directory (the common case: one
-    // persistent cache doing both jobs).
+    // `--warm-start` takes an optional DIR; without one it reads the
+    // `--cache-dir` (the common case: one persistent cache doing both
+    // jobs).
     let warm_start = match args.iter().position(|a| a == "--warm-start") {
         None => None,
         Some(at) => {
             let explicit = args.get(at + 1).filter(|v| !v.starts_with("--")).map(PathBuf::from);
-            match explicit.or_else(|| cache.clone()).or_else(|| cache_dir.clone()) {
-                Some(path) => Some(path),
-                None => {
-                    return Err("--warm-start needs a cache (give it a PATH or pass \
-                                --cache/--cache-dir)"
-                        .to_owned())
-                }
-            }
+            Some(explicit.or_else(|| cache_dir.clone()).ok_or(
+                "--warm-start needs a cache directory (give it a DIR or pass --cache-dir)",
+            )?)
         }
     };
     let hub = arg_value(args, "--hub");
-    if hub.is_some() && (cache.is_some() || cache_dir.is_some() || warm_start.is_some()) {
-        return Err("--hub is incompatible with --cache/--cache-dir/--warm-start (the hub owns \
-                    the shared cache and warm start; configure them on the daemon)"
+    if hub.is_some() && (cache_dir.is_some() || warm_start.is_some()) {
+        return Err("--hub is incompatible with --cache-dir/--warm-start (the hub owns the \
+                    shared cache and warm start; configure them on the daemon)"
             .to_owned());
     }
-    Ok(Request {
-        space,
-        prune,
-        search,
-        workers,
-        objectives,
-        cache,
-        cache_dir,
-        warm_start,
-        hub,
-        sweep_options,
-        sweep_cache_tiling,
-        cpus: cpu_labels,
-    })
+    Ok(Cli { job, workers, cache_dir, warm_start, hub })
 }
 
-/// Runs the request on a hub daemon, streaming progress to stdout, and
+/// Runs the job on a hub daemon, streaming progress to stdout, and
 /// returns the report the `done` event carried. The sweep itself goes
 /// through [`run_resilient`]: a dropped event stream is recovered by
 /// reconnecting and `follow`ing the job, so a long sweep survives the
 /// network hiccups the chaos suite injects.
-fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
-    let fail = |diag: axi4mlir_support::diag::Diagnostic| diag.message;
+fn run_on_hub(addr: &str, job: &JobSpec) -> Result<ExploreReport, String> {
+    let fail = |diag: Diagnostic| diag.message;
     {
         // A short-lived connection for the handshake banner; the job
         // runs on `run_resilient`'s own (reconnectable) connections.
@@ -448,7 +256,6 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
             client.info().queue_capacity
         );
     }
-    let job = request.to_job();
     let mut on_event = |event: &JsonValue| {
         let get = |name: &str| event.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
         match event.get("state").and_then(JsonValue::as_str) {
@@ -473,7 +280,7 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
             _ => {}
         }
     };
-    run_resilient(addr, &job, 3, &mut on_event).map_err(fail)
+    run_resilient(addr, job, 3, &mut on_event).map_err(fail)
 }
 
 /// Converts an exploration into the `BENCH_explore.json` document:
@@ -481,12 +288,12 @@ fn run_on_hub(addr: &str, request: &Request) -> Result<ExploreReport, String> {
 /// best-choice-vs-explored-optimum gap in the context block, and (since
 /// schema v2) a top-level `pareto` section with the non-dominated front
 /// under the requested objectives.
-fn to_report(request: &Request, report: &ExploreReport, front: &[usize]) -> BenchReport {
+fn to_report(workers: usize, report: &ExploreReport, front: &[usize]) -> BenchReport {
     let mut out = BenchReport::new("explore")
         .context("workload", report.workload.clone())
         .context("space", report.space.clone())
         .context("search", report.search.clone())
-        .context("workers", request.workers)
+        .context("workers", workers)
         .context("objectives", objectives_json(report))
         .context("space_size", report.space_size)
         .context("pruned_out", report.pruned_out)
@@ -615,83 +422,44 @@ fn pareto_section(report: &ExploreReport, front: &[usize]) -> JsonValue {
     ])
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let request = match request_from_args(&args) {
-        Ok(request) => request,
-        Err(message) => {
-            eprintln!("axi4mlir-explore: {message}");
-            return ExitCode::FAILURE;
+/// Loads the cache, fits the warm start, runs the sweep in-process.
+fn run_locally(
+    cli: &Cli,
+    request: &ExploreRequest,
+) -> Result<(ExploreReport, Explorer), Diagnostic> {
+    let mut explorer = match &cli.cache_dir {
+        Some(dir) => {
+            let explorer = Explorer::with_cache_dir(dir)?;
+            let shards = explorer.shard_counts();
+            println!(
+                "loaded {} cached results across {} shards from {}",
+                explorer.cache_len(),
+                shards.len(),
+                dir.display()
+            );
+            for (shard, count) in &shards {
+                println!("  shard {shard}: {count} entries");
+            }
+            explorer
         }
+        None => Explorer::new(),
     };
-
-    if let Some(addr) = &request.hub {
-        let report = match run_on_hub(addr, &request) {
-            Ok(report) => report,
-            Err(message) => {
-                eprintln!("axi4mlir-explore: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return render(&request, &report, &args, None);
-    }
-
-    let mut explorer = match (&request.cache_dir, &request.cache) {
-        (Some(dir), _) => match Explorer::with_cache_dir(dir) {
-            Ok(explorer) => {
-                let shards = explorer.shard_counts();
-                println!(
-                    "loaded {} cached results across {} shards from {}",
-                    explorer.cache_len(),
-                    shards.len(),
-                    dir.display()
-                );
-                for (shard, count) in &shards {
-                    println!("  shard {shard}: {count} entries");
-                }
-                explorer
-            }
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: {diag}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(path)) => match Explorer::with_cache_file(path) {
-            Ok(explorer) => {
-                println!("loaded {} cached results from {}", explorer.cache_len(), path.display());
-                explorer
-            }
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: {diag}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => Explorer::new(),
-    };
-    if let Some(path) = &request.warm_start {
-        // The common case points --warm-start at the --cache file (or
-        // --cache-dir) the explorer just loaded: fit from the in-memory
-        // entries instead of parsing the same documents twice.
-        let loaded_here = request.cache.as_deref() == Some(path.as_path())
-            || request.cache_dir.as_deref() == Some(path.as_path());
-        let model = if loaded_here {
+    if let Some(dir) = &cli.warm_start {
+        // The common case points --warm-start at the --cache-dir the
+        // explorer just loaded: fit from the in-memory entries instead
+        // of parsing the same shards twice.
+        let model = if cli.cache_dir.as_ref() == Some(dir) {
             explorer.transfer_model()
         } else {
-            match result_cache::load(path) {
-                Ok(entries) => TransferModel::fit(&entries),
-                Err(diag) => {
-                    eprintln!("axi4mlir-explore: {diag}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            TransferModel::fit(&shard::load_dir(dir)?.entries)
         };
         if model.is_empty() {
-            println!("warm start: no usable observations in {} (running cold)", path.display());
+            println!("warm start: no usable observations in {} (running cold)", dir.display());
         } else {
             println!(
                 "warm start: {} observations fitted from {}",
                 model.observations(),
-                path.display()
+                dir.display()
             );
             explorer.set_warm_start(model);
         }
@@ -702,24 +470,46 @@ fn main() -> ExitCode {
         "exploring {} ({} search, {} workers, prune {:?}, objectives {})\n",
         request.space.as_dyn().describe(),
         request.search.label(),
-        request.workers,
+        cli.workers,
         request.prune,
         objective_labels.join("+"),
     );
-    let report = match explorer.explore_with_objectives(
+    let report = explorer.explore_streaming(
         request.space.as_dyn(),
         request.prune,
         &request.search,
-        request.workers,
+        cli.workers,
         &request.objectives,
-    ) {
-        Ok(report) => report,
-        Err(diag) => {
-            eprintln!("axi4mlir-explore: {diag}");
+        &|_| true,
+    )?;
+    Ok((report, explorer))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match cli_from_args(&args) {
+        Ok(cli) => cli,
+        Err(message) => {
+            eprintln!("axi4mlir-explore: {message}");
             return ExitCode::FAILURE;
         }
     };
-    render(&request, &report, &args, Some(&explorer))
+    // One validation for both paths: the request runs here, or the
+    // spec it was built from goes to the hub.
+    let outcome =
+        cli.job.build().map_err(|diag| diag.to_string()).and_then(|request| match &cli.hub {
+            Some(addr) => run_on_hub(addr, &cli.job).map(|report| (report, None)),
+            None => run_locally(&cli, &request)
+                .map(|(report, explorer)| (report, Some(explorer)))
+                .map_err(|diag| diag.to_string()),
+        });
+    match outcome {
+        Ok((report, explorer)) => render(&cli, &report, &args, explorer.as_ref()),
+        Err(message) => {
+            eprintln!("axi4mlir-explore: {message}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Renders the human summary and `BENCH_explore.json`, then persists
@@ -727,12 +517,12 @@ fn main() -> ExitCode {
 /// the daemon owns the cache). Shared verbatim by the local and `--hub`
 /// paths: the output document cannot depend on where the sweep ran.
 fn render(
-    request: &Request,
+    cli: &Cli,
     report: &ExploreReport,
     args: &[String],
     explorer: Option<&Explorer>,
 ) -> ExitCode {
-    let objective_labels: Vec<&str> = request.objectives.iter().map(Objective::label).collect();
+    let objective_labels: Vec<&str> = report.objectives.iter().map(Objective::label).collect();
     // The measured space, best first.
     let mut ranked: Vec<_> = report.evaluations.iter().collect();
     ranked.sort_by(|a, b| a.task_clock_ms.total_cmp(&b.task_clock_ms));
@@ -813,11 +603,11 @@ fn render(
         _ => println!("this space has no analytical heuristic pick"),
     }
 
-    // Write the report before touching the cache file: the sweep's
+    // Write the report before touching the cache: the sweep's
     // output must survive even when cache persistence fails.
     let dir = axi4mlir_bench::report::json_dir_from_args(args.iter().cloned())
         .unwrap_or_else(|| PathBuf::from("."));
-    match to_report(request, report, &front).write_to_dir(&dir) {
+    match to_report(cli.workers, report, &front).write_to_dir(&dir) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(err) => {
             eprintln!("axi4mlir-explore: writing the report failed: {err}");
@@ -825,7 +615,7 @@ fn render(
         }
     }
 
-    if let (Some(dir), Some(explorer)) = (&request.cache_dir, explorer) {
+    if let (Some(dir), Some(explorer)) = (&cli.cache_dir, explorer) {
         match explorer.save_cache_dir(dir) {
             Ok(stats) => {
                 println!(
@@ -844,14 +634,98 @@ fn render(
                 return ExitCode::FAILURE;
             }
         }
-    } else if let (Some(path), Some(explorer)) = (&request.cache, explorer) {
-        match explorer.save_cache(path) {
-            Ok(total) => println!("cache: {total} results persisted to {}", path.display()),
-            Err(diag) => {
-                eprintln!("axi4mlir-explore: saving the cache failed: {diag}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|f| (*f).to_owned()).collect()
+    }
+
+    fn job(flags: &[&str]) -> JobSpec {
+        let job = job_from_args(&args(flags)).expect("flags parse");
+        // Whatever the flags spell travels: the hub receives exactly
+        // the job the local path would have run.
+        assert_eq!(JobSpec::from_json(&job.to_json()).expect("wire form parses"), job);
+        job
+    }
+
+    #[test]
+    fn smoke_defaults_become_job_fields() {
+        let matmul = job(&["--smoke"]);
+        assert_eq!(
+            matmul,
+            JobSpec {
+                dims: Some((16, 16, 16)),
+                accels: vec!["v4_8".to_owned()],
+                ..JobSpec::default()
+            }
+        );
+        let batched = job(&["--smoke", "--workload", "batched"]);
+        assert_eq!(
+            batched,
+            JobSpec {
+                workload: "batched".to_owned(),
+                dims: Some((8, 8, 8)),
+                batch: Some(2),
+                accels: vec!["v4_8".to_owned()],
+                ..JobSpec::default()
+            }
+        );
+        let conv = job(&["--smoke", "--workload", "conv"]);
+        assert_eq!(
+            conv,
+            JobSpec {
+                workload: "conv".to_owned(),
+                layer: Some(QUICK_LAYER.to_owned()),
+                ..JobSpec::default()
+            }
+        );
+        for spec in [matmul, batched, conv] {
+            spec.build().expect("every smoke default is a valid job");
+        }
+    }
+
+    #[test]
+    fn accel_sizes_default_to_the_base_and_seeds_carry() {
+        let spec = job(&["--dims", "32x16x16", "--base", "4", "--accel", "v3,v4:8", "--seed", "9"]);
+        assert_eq!(spec.accels, ["v3_4", "v4_8"]);
+        assert_eq!(spec.dims, Some((32, 16, 16)));
+        assert_eq!(spec.seed, Some(9));
+        // Without --smoke the size defaults to the standard base 16.
+        assert_eq!(job(&["--accel", "v3"]).accels, ["v3_16"]);
+        assert_eq!(job(&[]).dims, Some((256, 256, 256)));
+    }
+
+    #[test]
+    fn list_and_choice_flags_pass_through_for_build_to_judge() {
+        let spec = job(&[
+            "--smoke",
+            "--search",
+            "halving",
+            "--prune",
+            "keep:5",
+            "--objectives",
+            "clock, traffic",
+            "--cpu",
+            "pynq_z2,zcu102",
+            "--sweep-options",
+            "--capacity",
+            "4096",
+        ]);
+        assert_eq!((spec.search.as_str(), spec.prune.as_str()), ("halving", "keep:5"));
+        assert_eq!(spec.objectives, ["clock", "traffic"]);
+        assert_eq!(spec.cpus, ["pynq_z2", "zcu102"]);
+        assert!(spec.sweep_options && !spec.sweep_cache_tiling);
+        assert_eq!(spec.capacity_words, Some(4096));
+        // Spelling errors are the CLI's; semantic ones are `build`'s.
+        assert!(job_from_args(&args(&["--seed", "x"])).unwrap_err().contains("--seed"));
+        assert!(job_from_args(&args(&["--dims", "16x16"])).unwrap_err().contains("--dims"));
+        let err = job(&["--smoke", "--search", "binary"]).build().unwrap_err();
+        assert!(err.message.contains("search"), "{}", err.message);
+    }
 }

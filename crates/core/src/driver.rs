@@ -18,10 +18,8 @@
 //!   which amortizes per-run setup in benchmark sweeps, and the device is
 //!   only re-instantiated when a plan targets a different accelerator.
 //!
-//! The legacy entry points ([`CompileAndRun`](crate::pipeline::CompileAndRun),
-//! [`ConvCompileAndRun`](crate::pipeline::ConvCompileAndRun),
-//! [`run_cpu_matmul`](crate::pipeline::run_cpu_matmul)) are thin wrappers
-//! over a one-shot `Session`.
+//! There is no other compile-and-run: a one-off run is
+//! `Session::for_plan(&plan).run(&workload, &plan)`.
 
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
 use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
@@ -518,8 +516,8 @@ impl CompilePlan {
     }
 
     /// A plan for the §IV-D Conv2D accelerator matched to one layer, with
-    /// the conventional conv data seed (shared by the wrapper, the bench
-    /// harness, and the examples).
+    /// the conventional conv data seed (shared by the bench harness and
+    /// the examples).
     pub fn for_conv_layer(layer: ConvLayer) -> Self {
         let config = AcceleratorConfig::preset(axi4mlir_config::AcceleratorPreset::Conv2d {
             ic: layer.in_channels as i64,

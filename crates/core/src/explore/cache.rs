@@ -1,12 +1,15 @@
-//! The persistent, candidate-keyed result cache (`BENCH_cache.json`).
+//! The result-cache *document* format: what one shard file holds.
 //!
 //! Exploration results are deterministic functions of their
 //! [`CandidateKey`], so they can be shared across processes: repeated
 //! local sweeps and CI runs load the cache, serve overlapping candidates
 //! without re-simulating them, and merge-save what they measured — and
 //! the cross-problem transfer model ([`super::transfer`]) mines the same
-//! entries to warm-start sweeps of *new* problem shapes. The file is a
-//! plain `axi4mlir-support` JSON document:
+//! entries to warm-start sweeps of *new* problem shapes. Persistence is
+//! the sharded directory of [`super::shard`] (the only thing ever
+//! written); this module owns what each `<shard>.json` inside it looks
+//! like — [`render`], [`parse`], the tolerant [`load`] — a plain
+//! `axi4mlir-support` JSON document:
 //!
 //! ```json
 //! {
@@ -26,7 +29,11 @@
 //! widened options axes. `v1` documents still load: their entries were
 //! all measured under the then-implicit defaults (`auto` tiling on the
 //! `pynq_z2` host), so migration fills exactly those values and loses
-//! nothing; the next save rewrites the document as `v2`.
+//! nothing; the next save rewrites the document as `v2`. A pre-sharding
+//! single-file `BENCH_cache.json` is the same document holding every
+//! workload at once: placed in the cache directory it loads through
+//! [`super::shard::load_dir`], and the next save re-shards and removes
+//! it.
 //!
 //! Entries are written in key order, so the file diffs cleanly. Counters
 //! are exact integers and `task_clock_ms` uses Rust's shortest-roundtrip
@@ -41,10 +48,7 @@
 //! versions locally), unparseable *entries* are skipped, and a
 //! syntactically broken file loads as an empty cache with a stderr
 //! warning (it is rewritten whole on the next save); only unreadable
-//! files are reported as errors. Saves are atomic: the merged document
-//! is written to a temporary file in the same directory and renamed into
-//! place, so a crash mid-save leaves the old cache intact rather than a
-//! truncated JSON file.
+//! files are reported as errors.
 
 use std::collections::HashMap;
 use std::fs;
@@ -262,8 +266,9 @@ pub fn load(path: &Path) -> Result<HashMap<CandidateKey, CachedEval>, Diagnostic
     }
 }
 
-/// The sibling temporary path a save stages its document in before the
-/// rename (same directory, so the rename stays within one filesystem).
+/// The sibling temporary path [`super::shard::save_dir`] stages a shard
+/// document in before the rename (same directory, so the rename stays
+/// within one filesystem).
 /// Unique per process *and* per call, so concurrent saves in one
 /// process cannot interleave writes into a shared staging file.
 pub(crate) fn staging_path(path: &Path) -> std::path::PathBuf {
@@ -275,46 +280,6 @@ pub(crate) fn staging_path(path: &Path) -> std::path::PathBuf {
         std::process::id(),
         SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
     ))
-}
-
-/// Merges `entries` over whatever the file already holds and writes the
-/// result (in-memory results win, though identical keys imply identical
-/// payloads). Returns the merged entry count.
-///
-/// The write is atomic: the merged document goes to a temporary file in
-/// the same directory first and is renamed over `path`, so a process
-/// killed mid-save leaves the previous cache loadable instead of a
-/// truncated JSON file. The load/merge/rename *sequence* is still not
-/// atomic: sequential sharers (CI runs, repeated local sweeps)
-/// accumulate entries, but two processes saving concurrently can each
-/// miss the other's additions. That is acceptable for a cache — a lost
-/// entry is simply re-measured later.
-///
-/// # Errors
-///
-/// Propagates filesystem errors as [`Diagnostic`]s.
-pub fn save(path: &Path, entries: &HashMap<CandidateKey, CachedEval>) -> Result<usize, Diagnostic> {
-    // An *unreadable* existing file propagates (overwriting it would
-    // silently discard every accumulated entry); corrupt files have
-    // already warned inside `load` and are deliberately rewritten.
-    let mut merged = load(path)?;
-    merged.extend(entries.iter().map(|(k, v)| (k.clone(), v.clone())));
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::create_dir_all(dir)
-            .map_err(|err| Diagnostic::error(format!("cannot create {}: {err}", dir.display())))?;
-    }
-    let staging = staging_path(path);
-    fs::write(&staging, render(&merged))
-        .map_err(|err| Diagnostic::error(format!("cannot write {}: {err}", staging.display())))?;
-    if let Err(err) = fs::rename(&staging, path) {
-        fs::remove_file(&staging).ok();
-        return Err(Diagnostic::error(format!(
-            "cannot move {} into {}: {err}",
-            staging.display(),
-            path.display()
-        )));
-    }
-    Ok(merged.len())
 }
 
 #[cfg(test)]
@@ -438,75 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_cache_files_load_empty_and_are_rewritten_by_save() {
-        let dir =
-            std::env::temp_dir().join(format!("axi4mlir-cache-corrupt-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_cache.json");
-        // A truncated document (the old non-atomic failure mode) must not
-        // error the sweep: it loads as an empty cache...
-        fs::write(&path, "{\"schema\": \"axi4mlir-explore-cache/v1\", \"entr").unwrap();
-        assert!(load(&path).unwrap().is_empty(), "corrupt caches are disposable");
-        // ...and the next save replaces it with a valid document.
-        let mut entries = HashMap::new();
-        entries.insert(sample_key(1), sample_eval());
-        assert_eq!(save(&path, &entries).unwrap(), 1);
-        assert_eq!(load(&path).unwrap().len(), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_merges_with_the_file_on_disk() {
-        let dir = std::env::temp_dir().join(format!("axi4mlir-cache-{}", std::process::id()));
-        let path = dir.join("BENCH_cache.json");
-        let mut first = HashMap::new();
-        first.insert(sample_key(1), sample_eval());
-        assert_eq!(save(&path, &first).unwrap(), 1);
-        let mut second = HashMap::new();
-        second.insert(sample_key(2), sample_eval());
-        assert_eq!(save(&path, &second).unwrap(), 2, "old entries survive the merge");
-        assert_eq!(load(&path).unwrap().len(), 2);
-        let leftovers = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
-            .count();
-        assert_eq!(leftovers, 0, "no staging file left behind");
-        fs::remove_dir_all(&dir).ok();
-        assert!(load(&path).unwrap().is_empty(), "missing files are empty caches");
-    }
-
-    #[test]
     fn staging_paths_are_unique_per_call() {
         let path = Path::new("some/dir/BENCH_cache.json");
         let a = staging_path(path);
         let b = staging_path(path);
         assert_ne!(a, b, "concurrent saves must not share a staging file");
         assert_eq!(a.parent(), path.parent(), "staged in the same directory as the target");
-    }
-
-    #[test]
-    fn a_crash_mid_save_leaves_the_old_cache_loadable() {
-        let dir = std::env::temp_dir().join(format!("axi4mlir-cache-crash-{}", std::process::id()));
-        let path = dir.join("BENCH_cache.json");
-        let mut entries = HashMap::new();
-        entries.insert(sample_key(1), sample_eval());
-        assert_eq!(save(&path, &entries).unwrap(), 1);
-
-        // Model a process killed mid-save: the staging file holds a
-        // half-written document, the rename never happened. The real
-        // cache is untouched and still loads, and the leftover staging
-        // file bothers nobody.
-        fs::write(staging_path(&path), "{\"schema\": \"axi4mlir-explore-c").unwrap();
-        let survived = load(&path).unwrap();
-        assert_eq!(survived.len(), 1, "old contents intact after the simulated crash");
-        assert_eq!(survived[&sample_key(1)].counters, sample_eval().counters);
-
-        // A later save still merges and completes the rename.
-        let mut more = HashMap::new();
-        more.insert(sample_key(2), sample_eval());
-        assert_eq!(save(&path, &more).unwrap(), 2);
-        assert_eq!(load(&path).unwrap().len(), 2);
-        fs::remove_dir_all(&dir).ok();
+        let name = a.file_name().unwrap().to_str().unwrap();
+        assert!(name.starts_with(".BENCH_cache.json.tmp-"), "a dot-file `load_dir` skips: {name}");
     }
 }

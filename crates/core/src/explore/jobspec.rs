@@ -8,10 +8,13 @@
 //! every error reported as a [`Diagnostic`] naming the offending field,
 //! so a malformed network submission fails the *job*, never the daemon.
 //!
-//! The `axi4mlir-explore` CLI builds a `JobSpec` from its flags and then
-//! either runs it locally or submits it to a hub; both paths share this
-//! module's validation, which is what keeps the daemon's behavior
-//! flag-for-flag identical to the CLI's.
+//! This is the one request builder. The `axi4mlir-explore` CLI spells
+//! its flags as a `JobSpec`, calls [`JobSpec::build`], and either runs
+//! the resulting request in-process or submits the same spec to a hub,
+//! where the daemon — and every worker a measurement is fanned out to —
+//! calls `build` on it again. No caller validates an axis, a search, or
+//! an objective list on its own, which is what keeps the daemon's
+//! behavior flag-for-flag identical to the CLI's.
 
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_support::diag::Diagnostic;

@@ -30,7 +30,6 @@
 //! options all ride inside the candidate's key.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
+use axi4mlir_support::proto::{write_frame, write_frame_at, Connection, Frame};
 
 use crate::driver::Session;
 
@@ -461,24 +460,15 @@ impl MeasureBackend for RemotePool {
     }
 }
 
-struct Conn {
-    reader: FrameReader<BufReader<TcpStream>>,
-    writer: TcpStream,
-}
-
 fn io_err(addr: &str, what: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::error(format!("worker {addr}: {what}"))
 }
 
-fn connect(addr: &str) -> Result<Conn, Diagnostic> {
+fn connect(addr: &str) -> Result<Connection, Diagnostic> {
     let stream =
         TcpStream::connect(addr).map_err(|err| io_err(addr, format!("cannot connect: {err}")))?;
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|err| io_err(addr, format!("cannot set read timeout: {err}")))?;
-    let writer = stream.try_clone().map_err(|err| io_err(addr, err))?;
-    let mut conn = Conn { reader: FrameReader::new(BufReader::new(stream)), writer };
+    let mut conn = Connection::open(stream)
+        .map_err(|err| io_err(addr, format!("socket setup failed: {err}")))?;
     write_frame(&mut conn.writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
         .map_err(|err| io_err(addr, format!("hello failed: {err}")))?;
     let deadline = Instant::now() + HELLO_DEADLINE;
@@ -605,7 +595,7 @@ fn pump(
 /// death.
 fn serve_worker(
     addr: &str,
-    conn: &mut Conn,
+    conn: &mut Connection,
     job: &JsonValue,
     window: usize,
     queue: &MeasureQueue<'_>,

@@ -21,13 +21,18 @@
 //!   recycled-SoC [`Session`] each; results are bit-identical to fresh
 //!   runs and independent of the worker count) behind a result cache
 //!   keyed by the structured [`CandidateKey`] — and the cache persists:
-//!   [`Explorer::with_cache_file`] / [`Explorer::save_cache`] load/merge/
-//!   save a `BENCH_cache.json` so repeated sweeps and CI runs share work;
+//!   [`Explorer::with_cache_dir`] / [`Explorer::save_cache_dir`] load and
+//!   merge-save a sharded `BENCH_cache/` directory (see [`shard`]) so
+//!   repeated sweeps and CI runs share work;
 //! - an [`Objective`] set turns the sweep multi-objective:
-//!   [`Explorer::explore_with_objectives`] scores every evaluation under
-//!   each objective and the report exposes the non-dominated
+//!   [`Explorer::explore_streaming`] scores every evaluation under each
+//!   objective and the report exposes the non-dominated
 //!   [`ExploreReport::pareto_front`] plus where the paper's analytical
 //!   pick lands relative to it (see [`pareto`]).
+//!
+//! Each phase has one door: [`JobSpec::build`] validates a request into
+//! an [`ExploreRequest`], [`Explorer::explore_streaming`] runs it, and
+//! the sharded directory is the only persisted form.
 //!
 //! [`PipelineOptions`]: crate::options::PipelineOptions
 //! [`Session`]: crate::driver::Session
@@ -66,9 +71,6 @@ pub use space::{
     Fidelity, MatMulSpace, MatMulVersion, OptionsPoint, Realization,
 };
 pub use transfer::{Prediction, Tier, TransferModel};
-
-// The PR-2 MatMul-only entry points, kept as thin wrappers.
-pub use compat::ExploreSpec;
 
 /// How aggressively the analytical model prunes the space before any
 /// simulation runs.
@@ -448,7 +450,7 @@ impl SweepStats {
 /// (same [`CandidateKey`], which spells out the problem, accelerator
 /// instantiation, flow, tile, options point, and seed) are returned from
 /// the cache instead of re-simulated — within a process, and across
-/// processes via [`Explorer::with_cache_file`] / [`Explorer::save_cache`].
+/// processes via [`Explorer::with_cache_dir`] / [`Explorer::save_cache_dir`].
 pub struct Explorer {
     cache: Mutex<HashMap<CandidateKey, CachedEval>>,
     in_flight: InFlight,
@@ -494,17 +496,6 @@ impl Explorer {
     /// A fresh engine with an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An engine warmed from a persisted `BENCH_cache.json` (a missing
-    /// file or a file with a foreign schema yields an empty cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Diagnostic`] for unreadable or syntactically broken
-    /// cache files.
-    pub fn with_cache_file(path: &Path) -> Result<Self, Diagnostic> {
-        Ok(Self { cache: Mutex::new(cache::load(path)?), ..Self::default() })
     }
 
     /// An engine warmed from a sharded cache directory (see [`shard`]):
@@ -561,22 +552,9 @@ impl Explorer {
 
     /// Fits a cross-problem [`TransferModel`] from everything this
     /// engine's cache currently holds (in-memory results plus whatever
-    /// [`Explorer::with_cache_file`] loaded).
+    /// [`Explorer::with_cache_dir`] loaded).
     pub fn transfer_model(&self) -> TransferModel {
         TransferModel::fit(&self.cache.lock().expect("explorer cache poisoned"))
-    }
-
-    /// Merges this engine's results over `path` and writes the combined
-    /// cache back (load/merge/save, so *sequential* sharers accumulate
-    /// entries; concurrent savers may each miss the other's additions,
-    /// which a cache tolerates — lost entries are re-measured later).
-    /// Returns the merged entry count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as [`Diagnostic`]s.
-    pub fn save_cache(&self, path: &Path) -> Result<usize, Diagnostic> {
-        cache::save(path, &self.cache.lock().expect("explorer cache poisoned"))
     }
 
     /// Checkpoints this engine's results into the sharded cache layout
@@ -659,37 +637,12 @@ impl Explorer {
         self.cache.lock().expect("explorer cache poisoned").len()
     }
 
-    /// Runs one PR-2-style MatMul exploration (see [`ExploreSpec`]).
+    /// Runs one exploration of any space: enumerate, audit, prune,
+    /// search (measuring in parallel through the cache), and relate the
+    /// space's heuristic pick to the measured optimum — the single
+    /// entry point, shared by the CLI, the hub daemon, and the tests.
     ///
-    /// # Errors
-    ///
-    /// See [`Explorer::explore_space`].
-    pub fn explore(&self, spec: &ExploreSpec) -> Result<ExploreReport, Diagnostic> {
-        self.explore_space(&spec.space(), spec.prune, &Search::Exhaustive, spec.workers)
-    }
-
-    /// Runs one exploration of any space: enumerate, prune, search
-    /// (measuring in parallel through the cache), and relate the space's
-    /// heuristic pick to the measured optimum. Single-objective
-    /// (task-clock); see [`Explorer::explore_with_objectives`] for the
-    /// multi-objective form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enumeration diagnostics, and the first failing
-    /// candidate's [`Diagnostic`] (by measurement order, independent of
-    /// the worker count).
-    pub fn explore_space(
-        &self,
-        space: &dyn DesignSpace,
-        prune_strategy: Prune,
-        search: &Search,
-        workers: usize,
-    ) -> Result<ExploreReport, Diagnostic> {
-        self.explore_with_objectives(space, prune_strategy, search, workers, &[])
-    }
-
-    /// Runs one exploration scored under `objectives` (empty defaults to
+    /// The sweep is scored under `objectives` (empty defaults to
     /// task-clock only). The first objective is the *primary*: the
     /// analytical prune ranks by its transfer-model extractor, and a
     /// [`Search::Halving`] promotes by it too unless its
@@ -697,33 +650,20 @@ impl Explorer {
     /// contributes a coordinate to the report's
     /// [`ExploreReport::pareto_front`].
     ///
-    /// # Errors
-    ///
-    /// See [`Explorer::explore_space`].
-    pub fn explore_with_objectives(
-        &self,
-        space: &dyn DesignSpace,
-        prune_strategy: Prune,
-        search: &Search,
-        workers: usize,
-        objectives: &[Objective],
-    ) -> Result<ExploreReport, Diagnostic> {
-        self.explore_streaming(space, prune_strategy, search, workers, objectives, &|_| true)
-    }
-
-    /// [`Explorer::explore_with_objectives`] with a live progress
-    /// [`Observer`]: the callback sees a [`ProgressEvent::SpaceReady`]
-    /// once the space is enumerated and a [`ProgressEvent::RungComplete`]
-    /// after every measurement rung, and can cancel the sweep at any of
-    /// those boundaries by returning `false` (measurements already taken
-    /// stay cached). This is the hub daemon's entry point: events become
-    /// streamed client frames and rung boundaries become incremental
-    /// cache checkpoints.
+    /// The [`Observer`] sees a [`ProgressEvent::SpaceReady`] once the
+    /// space is enumerated and a [`ProgressEvent::RungComplete`] after
+    /// every measurement rung, and can cancel the sweep at any of those
+    /// boundaries by returning `false` (measurements already taken stay
+    /// cached); callers with nothing to watch pass `&|_| true`. The hub
+    /// turns events into streamed client frames and rung boundaries into
+    /// incremental cache checkpoints.
     ///
     /// # Errors
     ///
-    /// See [`Explorer::explore_space`]; additionally fails with a
-    /// [`CANCELLED`] diagnostic when the observer stops the sweep.
+    /// Propagates enumeration diagnostics and the first failing
+    /// candidate's [`Diagnostic`] (by measurement order, independent of
+    /// the worker count); fails with a [`CANCELLED`] diagnostic when the
+    /// observer stops the sweep.
     pub fn explore_streaming(
         &self,
         space: &dyn DesignSpace,
@@ -945,113 +885,17 @@ impl CachedEval {
     }
 }
 
-mod compat {
-    //! The PR-2 MatMul-only exploration request, kept as a thin facade
-    //! over [`MatMulSpace`] so existing callers and tests keep working.
-
-    use axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS;
-    use axi4mlir_config::FlowStrategy;
-    use axi4mlir_workloads::matmul::MatMulProblem;
-
-    use super::space::{AccelInstance, MatMulSpace, OptionsPoint};
-    use super::Prune;
-
-    /// One MatMul exploration request: the problem, the v4 space, and how
-    /// to run it. For multi-generation, multi-workload, or
-    /// options-swept spaces, build a
-    /// [`DesignSpace`](super::DesignSpace) directly.
-    #[derive(Clone, Debug)]
-    pub struct ExploreSpec {
-        /// The GEMM to explore.
-        pub problem: MatMulProblem,
-        /// The v4 base (divisibility) size candidate tiles are multiples of.
-        pub base: i64,
-        /// Accelerator tile-memory budget in words.
-        pub capacity_words: u64,
-        /// The dataflow strategies to consider.
-        pub flows: Vec<FlowStrategy>,
-        /// Analytical pruning applied before simulation.
-        pub prune: Prune,
-        /// Worker threads measuring candidates (clamped to at least 1).
-        pub workers: usize,
-        /// Data seed for every measurement.
-        pub seed: u64,
-    }
-
-    impl ExploreSpec {
-        /// A full-space (no pruning) exploration of `problem` on the
-        /// standard v4 accelerator, single-threaded.
-        pub fn new(problem: MatMulProblem) -> Self {
-            Self {
-                problem,
-                base: 16,
-                capacity_words: V4_CAPACITY_WORDS,
-                flows: FlowStrategy::all().to_vec(),
-                prune: Prune::None,
-                workers: 1,
-                seed: 0xD5E,
-            }
-        }
-
-        /// Overrides the base size.
-        #[must_use]
-        pub fn base(mut self, base: i64) -> Self {
-            self.base = base;
-            self
-        }
-
-        /// Overrides the capacity budget.
-        #[must_use]
-        pub fn capacity_words(mut self, capacity_words: u64) -> Self {
-            self.capacity_words = capacity_words;
-            self
-        }
-
-        /// Overrides the pruning strategy.
-        #[must_use]
-        pub fn prune(mut self, prune: Prune) -> Self {
-            self.prune = prune;
-            self
-        }
-
-        /// Overrides the worker count.
-        #[must_use]
-        pub fn workers(mut self, workers: usize) -> Self {
-            self.workers = workers;
-            self
-        }
-
-        /// Overrides the data seed.
-        #[must_use]
-        pub fn seed(mut self, seed: u64) -> Self {
-            self.seed = seed;
-            self
-        }
-
-        /// The [`MatMulSpace`] this spec describes.
-        pub fn space(&self) -> MatMulSpace {
-            let mut space = MatMulSpace::new(self.problem)
-                .accels(vec![AccelInstance::v4(self.base)])
-                .capacity_words(self.capacity_words)
-                .options_axis(vec![OptionsPoint::default()])
-                .seed(self.seed);
-            space.flows = self.flows.clone();
-            space
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use axi4mlir_workloads::matmul::MatMulProblem;
 
-    fn small_spec() -> ExploreSpec {
-        ExploreSpec::new(MatMulProblem::new(16, 16, 16)).base(8).seed(7)
+    fn small_space() -> MatMulSpace {
+        MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![AccelInstance::v4(8)]).seed(7)
     }
 
     fn small_candidates() -> Vec<Candidate> {
-        small_spec().space().enumerate().unwrap()
+        small_space().enumerate().unwrap()
     }
 
     #[test]
@@ -1062,8 +906,8 @@ mod tests {
         assert!(a.iter().zip(&b).all(|(x, y)| x == y));
         // 2 edges per dim (8, 16), 4 flows.
         assert_eq!(a.len(), 2 * 2 * 2 * 4);
-        let tight = small_spec().capacity_words(3 * 8 * 8);
-        assert_eq!(tight.space().enumerate().unwrap().len(), 4, "only the 8x8x8 tile fits");
+        let tight = small_space().capacity_words(3 * 8 * 8);
+        assert_eq!(tight.enumerate().unwrap().len(), 4, "only the 8x8x8 tile fits");
     }
 
     #[test]
@@ -1112,8 +956,10 @@ mod tests {
     #[test]
     fn empty_space_is_a_diagnostic() {
         // Capacity too small for any tile, including the degenerate one.
-        let spec = small_spec().capacity_words(1);
-        let err = Explorer::new().explore(&spec).unwrap_err();
+        let space = small_space().capacity_words(1);
+        let err = Explorer::new()
+            .explore_streaming(&space, Prune::None, &Search::Exhaustive, 1, &[], &|_| true)
+            .unwrap_err();
         assert!(err.message.contains("empty"), "{}", err.message);
     }
 }

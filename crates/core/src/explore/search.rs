@@ -53,7 +53,7 @@ pub struct HalvingSpec {
     pub start_level: u8,
     /// The objective promotion ranks by. `None` — the default — follows
     /// the sweep's *primary* objective (the first one passed to
-    /// `explore_with_objectives`), so pruning and promotion always agree
+    /// `explore_streaming`), so pruning and promotion always agree
     /// unless a caller explicitly overrides this. Under the default
     /// task-clock primary that is time per MAC.
     pub objective: Option<Objective>,

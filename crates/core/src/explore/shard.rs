@@ -1,16 +1,20 @@
-//! The sharded, mergeable cache layout (`BENCH_cache/<shard>.json`).
+//! The sharded, mergeable cache layout (`BENCH_cache/<shard>.json`) —
+//! the one persisted form of the result cache, and the only code that
+//! writes it.
 //!
-//! A single `BENCH_cache.json` blob stops scaling once many workers and
-//! CI runs append to it: every rung checkpoint rewrites every entry ever
-//! measured, and two writers cannot combine results without replaying
-//! each other's saves. This module splits the cache by *workload/shape
-//! signature* instead: every [`CandidateKey`] belongs to exactly one
-//! shard, named after its `workload` string (`matmul 16x16x16` and its
-//! proxies `matmul 8x8x8`, … land in different shards, which is what
-//! makes rung checkpoints cheap — a rung touches one fidelity's shards
-//! only). Each shard file is an ordinary [`super::cache`] document, so
-//! every robustness property of the single-file format (atomic saves,
-//! corrupt-tolerant loads, v1 migration) applies per shard.
+//! A single blob stops scaling once many workers and CI runs append to
+//! it: every rung checkpoint rewrites every entry ever measured, and
+//! two writers cannot combine results without replaying each other's
+//! saves. This module splits the cache by *workload/shape signature*
+//! instead: every [`CandidateKey`] belongs to exactly one shard, named
+//! after its `workload` string (`matmul 16x16x16` and its proxies
+//! `matmul 8x8x8`, … land in different shards, which is what makes rung
+//! checkpoints cheap — a rung touches one fidelity's shards only). Each
+//! shard file is an ordinary [`super::cache`] document (corrupt-tolerant
+//! loads, v1 migration), written atomically: [`save_dir`] stages the
+//! merged shard in a sibling temporary file and renames it into place,
+//! so a crash mid-save leaves the old shard intact rather than a
+//! truncated JSON file.
 //!
 //! Entries are content-addressed by their [`CandidateKey`] — a key fully
 //! determines its measurement, so combining caches is a plain union. The
@@ -21,7 +25,9 @@
 //! therefore combine shard directories in any order without a
 //! coordinator and converge on the same bytes.
 //!
-//! Legacy single-file caches migrate losslessly: [`load_dir`] accepts
+//! Pre-sharding single-file caches migrate losslessly (move the old
+//! `BENCH_cache.json` into the directory; the next save re-shards and
+//! removes it): [`load_dir`] accepts
 //! any `*.json` file in the directory, and a file whose entries do not
 //! all belong to the shard its name spells (e.g. a moved-in
 //! `BENCH_cache.json` blob) is treated as a legacy document — its
@@ -190,12 +196,20 @@ fn compact(entries: HashMap<CandidateKey, CachedEval>) -> HashMap<CandidateKey, 
 /// whatever its file already holds; clean shards are skipped entirely —
 /// this is what makes rung-boundary checkpoints cheap. A merged shard
 /// exceeding [`SHARD_CAP`] is compacted first (newest seed per
-/// configuration wins), with a stderr note. Each shard write is atomic
-/// (staging file + rename), exactly like [`cache::save`].
+/// configuration wins), with a stderr note. Each shard write is atomic:
+/// the merged document goes to a staging file in the same directory and
+/// is renamed over the shard, so a process killed mid-save leaves the
+/// previous shard loadable. The load/merge/rename *sequence* is not
+/// atomic — two processes saving one shard concurrently can each miss
+/// the other's additions — which a cache tolerates: a lost entry is
+/// simply re-measured later.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors as [`Diagnostic`]s.
+/// Propagates filesystem errors as [`Diagnostic`]s — including an
+/// *unreadable* existing shard (overwriting it would silently discard
+/// every accumulated entry; corrupt shards have already warned inside
+/// [`cache::load`] and are deliberately rewritten).
 pub fn save_dir(
     dir: &Path,
     entries: &HashMap<CandidateKey, CachedEval>,

@@ -45,8 +45,10 @@ use axi4mlir_heuristics::space::OptionsPoint;
 use axi4mlir_heuristics::{
     batched_matmul_transfers, conv_transfers, matmul_transfers, ConvShapeEstimate, TransferEstimate,
 };
+use axi4mlir_workloads::matmul::MatMulProblem;
 
 use super::cache::CachedEval;
+use super::jobspec::parse_dims;
 use super::space::{Candidate, CandidateKey};
 
 /// One calibration observation: where in shape space it was measured and
@@ -115,15 +117,6 @@ pub struct TransferModel {
     global: HashMap<String, Vec<f64>>,
 }
 
-/// Parses `MxNxK` into dims.
-fn parse_dims(text: &str) -> Option<(i64, i64, i64)> {
-    let parts: Vec<i64> = text.split('x').map(str::parse).collect::<Result<_, _>>().ok()?;
-    match parts[..] {
-        [m, n, k] if m > 0 && n > 0 && k > 0 => Some((m, n, k)),
-        _ => None,
-    }
-}
-
 fn log2(value: i64) -> f64 {
     (value.max(1) as f64).log2()
 }
@@ -136,7 +129,7 @@ fn log2(value: i64) -> f64 {
 fn parse_entry(key: &CandidateKey) -> Option<ParsedEntry> {
     let mut coords = [0.0; 7];
     if let Some(rest) = key.workload.strip_prefix("matmul ") {
-        let (m, n, k) = parse_dims(rest)?;
+        let MatMulProblem { m, n, k } = parse_dims(rest)?;
         let flow = FlowStrategy::from_short_name(&key.flow)?;
         let (tm, tn, tk) = key.tile;
         if tm <= 0 || tn <= 0 || tk <= 0 || m % tm != 0 || n % tn != 0 || k % tk != 0 {
@@ -150,7 +143,7 @@ fn parse_entry(key: &CandidateKey) -> Option<ParsedEntry> {
         })
     } else if let Some(rest) = key.workload.strip_prefix("batched ") {
         let (dims, batch) = rest.split_once(" x")?;
-        let (m, n, k) = parse_dims(dims)?;
+        let MatMulProblem { m, n, k } = parse_dims(dims)?;
         let batch: u64 = batch.parse().ok()?;
         let flow = FlowStrategy::from_short_name(&key.flow)?;
         let (tm, tn, tk) = key.tile;
@@ -330,10 +323,15 @@ mod tests {
     }
 
     fn candidate(workload: &str, flow: &str, tile: (i64, i64, i64)) -> Candidate {
-        let dims = parse_dims(workload.strip_prefix("matmul ").unwrap()).unwrap();
+        let MatMulProblem { m, n, k } =
+            parse_dims(workload.strip_prefix("matmul ").unwrap()).unwrap();
         Candidate {
             key: key(workload, flow, tile),
-            estimate: matmul_transfers(FlowStrategy::from_short_name(flow).unwrap(), dims, tile),
+            estimate: matmul_transfers(
+                FlowStrategy::from_short_name(flow).unwrap(),
+                (m, n, k),
+                tile,
+            ),
         }
     }
 

@@ -300,17 +300,22 @@ pub fn report_from_json(value: &JsonValue) -> Result<ExploreReport, Diagnostic> 
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ExploreSpec, Explorer, Prune};
+    use super::super::{AccelInstance, Explorer, MatMulSpace, Prune, Search};
     use super::*;
     use axi4mlir_workloads::matmul::MatMulProblem;
 
+    fn sweep(space: &MatMulSpace, prune: Prune) -> ExploreReport {
+        Explorer::new()
+            .explore_streaming(space, prune, &Search::Exhaustive, 1, &[], &|_| true)
+            .unwrap()
+    }
+
     #[test]
     fn reports_round_trip_through_the_wire() {
-        let spec = ExploreSpec::new(MatMulProblem::new(16, 16, 16))
-            .base(8)
-            .prune(Prune::KeepBest(3))
+        let space = MatMulSpace::new(MatMulProblem::new(16, 16, 16))
+            .accels(vec![AccelInstance::v4(8)])
             .seed(7);
-        let report = Explorer::new().explore(&spec).unwrap();
+        let report = sweep(&space, Prune::KeepBest(3));
         assert!(report.heuristic.is_some() && report.heuristic_eval.is_some());
 
         let wire = report_to_json(&report);
@@ -325,8 +330,7 @@ mod tests {
 
     #[test]
     fn malformed_wire_reports_are_diagnostics() {
-        let report =
-            Explorer::new().explore(&ExploreSpec::new(MatMulProblem::new(8, 8, 8))).unwrap();
+        let report = sweep(&MatMulSpace::new(MatMulProblem::new(8, 8, 8)), Prune::None);
         let wire = report_to_json(&report);
         // Drop one required member at a time; each must fail by name.
         for member in ["workload", "evaluations", "objectives", "full_sim_nanos", "measure_backend"]

@@ -38,9 +38,9 @@
 //!   bit-identical to fresh runs. It produces a [`driver::RunReport`] with
 //!   counters, verification, IR snapshots, and per-pass timings.
 //!
-//! The original one-call entry points — [`pipeline::CompileAndRun`],
-//! [`pipeline::ConvCompileAndRun`], [`pipeline::run_cpu_matmul`] — remain
-//! as thin wrappers over one-shot sessions.
+//! A [`driver::Session`] is the only compile-and-run; [`pipeline`] holds
+//! the IR module builders the workloads use and
+//! [`pipeline::instantiate_accelerator`].
 //!
 //! On top of the driver layer, [`explore`] turns the §IV-C configuration
 //! heuristics into a measured search that is generic over what it
@@ -49,9 +49,11 @@
 //! options) enumerated per workload, swept by an [`explore::Search`]
 //! strategy (exhaustive, or successive halving over the transfer-model
 //! ranking) across a pool of worker threads (one recycled SoC each),
-//! behind a candidate-keyed result cache that persists to
-//! `BENCH_cache.json`. Reports state how close the analytical pick comes
-//! to the explored optimum.
+//! behind a candidate-keyed result cache that persists to a sharded
+//! `BENCH_cache/` directory. Each phase has one door — a
+//! [`explore::JobSpec`] builds the request,
+//! [`explore::Explorer::explore_streaming`] runs it — and reports state
+//! how close the analytical pick comes to the explored optimum.
 
 pub mod annotate;
 pub mod codegen;
@@ -67,8 +69,6 @@ pub use driver::{
     Session, Workload,
 };
 pub use explore::{
-    Candidate, CandidateKey, DesignSpace, Evaluation, ExploreReport, ExploreSpec, Explorer, Prune,
-    Search,
+    Candidate, CandidateKey, DesignSpace, Evaluation, ExploreReport, Explorer, Prune, Search,
 };
 pub use options::{CacheTiling, PipelineOptions};
-pub use pipeline::CompileAndRun;

@@ -1,29 +1,22 @@
-//! IR module builders and the legacy one-shot entry points.
+//! IR module builders and accelerator-model instantiation.
 //!
 //! The compile-and-run loop itself lives in the [`crate::driver`] layer
-//! ([`Workload`](crate::driver::Workload) + [`Session`]); this module keeps
-//! the `func`/`linalg` module builders and the original one-call APIs
-//! ([`CompileAndRun`], [`ConvCompileAndRun`], [`run_cpu_matmul`]), which
-//! are now thin wrappers constructing a [`CompilePlan`] and a one-shot
-//! [`Session`]. Sweeps that want to amortize SoC setup across runs should
-//! hold a `Session` directly.
+//! ([`Workload`](crate::driver::Workload) +
+//! [`Session`](crate::driver::Session)); this module keeps the
+//! `func`/`linalg` module builders the in-tree workloads call and
+//! [`instantiate_accelerator`], which maps a configuration to its
+//! functional device model.
 
 use axi4mlir_accelerators::conv::ConvAccel;
 use axi4mlir_accelerators::matmul::{MatMulAccel, MatMulVersion};
-use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
+use axi4mlir_config::{AcceleratorConfig, KernelKind};
 use axi4mlir_dialects::{func, linalg};
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::types::{MemRefType, Type};
 use axi4mlir_sim::axi::StreamAccelerator;
-use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
-
-use crate::driver::{CompilePlan, ConvWorkload, MatMulWorkload, Session};
-use crate::options::PipelineOptions;
-
-pub use crate::driver::RunReport;
 
 /// Instantiates the functional accelerator model a configuration describes.
 ///
@@ -131,131 +124,28 @@ pub fn build_conv_module(layer: ConvLayer) -> Module {
     module
 }
 
-/// One-stop MatMul compile-and-run (wrapper over a one-shot
-/// [`Session`]).
-#[derive(Clone, Debug)]
-pub struct CompileAndRun {
-    config: AcceleratorConfig,
-    problem: MatMulProblem,
-    options: PipelineOptions,
-    cpu: CpuSpec,
-    seed: u64,
-}
-
-impl CompileAndRun {
-    /// Creates a run for the given accelerator and problem.
-    pub fn new(config: AcceleratorConfig, problem: MatMulProblem) -> Self {
-        Self {
-            config,
-            problem,
-            options: PipelineOptions::default(),
-            cpu: CpuSpec::pynq_z2(),
-            seed: 0xA41,
-        }
-    }
-
-    /// Selects one of the paper's Ns/As/Bs/Cs flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accelerator does not offer the flow.
-    #[must_use]
-    pub fn flow(mut self, flow: FlowStrategy) -> Self {
-        self.config = self.config.with_selected_flow(flow.short_name());
-        self
-    }
-
-    /// Overrides pipeline options.
-    #[must_use]
-    pub fn options(mut self, options: PipelineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Overrides the host CPU description.
-    #[must_use]
-    pub fn cpu(mut self, cpu: CpuSpec) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
-    /// Overrides the data seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Compiles, executes, and verifies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation diagnostics, interpreter errors, DMA protocol
-    /// violations, and accelerator protocol errors.
-    pub fn execute(self) -> Result<RunReport, Diagnostic> {
-        let plan = CompilePlan::for_accelerator(self.config)
-            .options(self.options)
-            .cpu_spec(self.cpu)
-            .seed(self.seed);
-        Session::for_plan(&plan).run(&MatMulWorkload::new(self.problem), &plan)
-    }
-}
-
-/// Runs the `mlir CPU` baseline for a MatMul: the tiled CPU kernel with no
-/// accelerator involved (wrapper over a one-shot CPU [`Session`]).
-pub fn run_cpu_matmul(problem: MatMulProblem, cache_tile: Option<i64>, seed: u64) -> RunReport {
-    let plan = CompilePlan::cpu().seed(seed).cpu_tile(cache_tile);
-    Session::cpu()
-        .run(&MatMulWorkload::new(problem).with_cpu_tile(cache_tile), &plan)
-        .expect("CPU baseline interprets supported ops only")
-}
-
-/// One-stop Conv2D compile-and-run against the §IV-D accelerator
-/// (wrapper over a one-shot [`Session`]).
-#[derive(Clone, Debug)]
-pub struct ConvCompileAndRun {
-    layer: ConvLayer,
-    options: PipelineOptions,
-    seed: u64,
-}
-
-impl ConvCompileAndRun {
-    /// Creates a run for one ResNet-style layer.
-    pub fn new(layer: ConvLayer) -> Self {
-        Self { layer, options: PipelineOptions::default(), seed: 0xC02 }
-    }
-
-    /// Overrides pipeline options.
-    #[must_use]
-    pub fn options(mut self, options: PipelineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Compiles, executes, and verifies.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileAndRun::execute`].
-    pub fn execute(self) -> Result<RunReport, Diagnostic> {
-        let plan = CompilePlan::for_conv_layer(self.layer).options(self.options).seed(self.seed);
-        Session::for_plan(&plan).run(&ConvWorkload::new(self.layer), &plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::CacheTiling;
-    use axi4mlir_config::AcceleratorPreset;
+    use crate::driver::{CompilePlan, ConvWorkload, MatMulWorkload, RunReport, Session};
+    use crate::options::{CacheTiling, PipelineOptions};
+    use axi4mlir_config::{AcceleratorPreset, FlowStrategy};
+
+    /// One-shot MatMul run of `plan` on the device it names.
+    fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
+        Session::for_plan(plan)
+            .run(&MatMulWorkload::new(MatMulProblem::square(dims)), plan)
+            .unwrap()
+    }
+
+    fn v3_plan(size: i64, flow: FlowStrategy) -> CompilePlan {
+        let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size });
+        CompilePlan::for_accelerator(config).flow(flow)
+    }
 
     #[test]
     fn v3_ns_flow_end_to_end() {
-        let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
-        let report = CompileAndRun::new(config, MatMulProblem::square(8))
-            .flow(FlowStrategy::NothingStationary)
-            .execute()
-            .unwrap();
+        let report = run_matmul(&v3_plan(4, FlowStrategy::NothingStationary), 8);
         assert!(report.verified, "numerics must match the oracle");
         assert!(report.counters.dma_transactions > 0);
         assert!(report.counters.accel_macs >= 8 * 8 * 8);
@@ -265,9 +155,7 @@ mod tests {
     #[test]
     fn every_v3_flow_verifies() {
         for flow in FlowStrategy::all() {
-            let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
-            let report =
-                CompileAndRun::new(config, MatMulProblem::square(8)).flow(flow).execute().unwrap();
+            let report = run_matmul(&v3_plan(4, flow), 8);
             assert!(report.verified, "{flow} must verify");
         }
     }
@@ -275,14 +163,9 @@ mod tests {
     #[test]
     fn accel_and_lowered_paths_agree() {
         let mk = |lower: bool| {
-            let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
             let options =
                 PipelineOptions { lower_to_runtime_calls: lower, ..PipelineOptions::default() };
-            CompileAndRun::new(config, MatMulProblem::square(8))
-                .flow(FlowStrategy::InputAStationary)
-                .options(options)
-                .execute()
-                .unwrap()
+            run_matmul(&v3_plan(4, FlowStrategy::InputAStationary).options(options), 8)
         };
         let lowered = mk(true);
         let direct = mk(false);
@@ -294,7 +177,9 @@ mod tests {
 
     #[test]
     fn cpu_baseline_verifies_and_uses_no_dma() {
-        let report = run_cpu_matmul(MatMulProblem::square(16), Some(8), 1);
+        let plan = CompilePlan::cpu().seed(1).cpu_tile(Some(8));
+        let workload = MatMulWorkload::new(MatMulProblem::square(16)).with_cpu_tile(Some(8));
+        let report = Session::cpu().run(&workload, &plan).unwrap();
         assert!(report.verified);
         assert_eq!(report.counters.dma_transactions, 0);
         assert_eq!(report.counters.accel_macs, 0);
@@ -307,7 +192,8 @@ mod tests {
     fn conv_pipeline_end_to_end() {
         let layer =
             ConvLayer { in_hw: 7, in_channels: 8, filter_hw: 3, out_channels: 4, stride: 1 };
-        let report = ConvCompileAndRun::new(layer).execute().unwrap();
+        let plan = CompilePlan::for_conv_layer(layer);
+        let report = Session::for_plan(&plan).run(&ConvWorkload::new(layer), &plan).unwrap();
         assert!(report.verified);
         assert!(report.counters.dma_bytes_from_accel > 0);
     }
@@ -372,12 +258,7 @@ mod tests {
     fn fixed_cache_tiling_is_reported() {
         let mut options = PipelineOptions::optimized();
         options.cache_tiling = CacheTiling::Fixed(32);
-        let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
-        let report = CompileAndRun::new(config, MatMulProblem::square(64))
-            .flow(FlowStrategy::NothingStationary)
-            .options(options)
-            .execute()
-            .unwrap();
+        let report = run_matmul(&v3_plan(8, FlowStrategy::NothingStationary).options(options), 64);
         assert!(report.verified);
         assert_eq!(report.cache_tile, Some(32));
     }

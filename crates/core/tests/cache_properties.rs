@@ -1,8 +1,10 @@
 //! Property-based tests of the persistent result cache: for *arbitrary*
 //! candidate keys — hostile workload strings included, and every point
 //! of the widened options axes (cache-tiling levels, named hosts) —
-//! `load(save(x)) == x` must hold bit-exactly, and schema-`v1` documents
-//! must migrate without losing a single entry or counter.
+//! `load(render(x)) == x` must hold bit-exactly, and schema-`v1` documents
+//! must migrate without losing a single entry or counter. (The write
+//! path — `shard::save_dir` — has its own properties in
+//! `shard_properties.rs`.)
 
 use std::collections::HashMap;
 
@@ -10,7 +12,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use axi4mlir_config::{CacheTiling, CpuModel};
-use axi4mlir_core::explore::cache::{load, parse, render, save, CachedEval, CACHE_SCHEMA_V1};
+use axi4mlir_core::explore::cache::{load, parse, render, CachedEval, CACHE_SCHEMA_V1};
 use axi4mlir_core::explore::{CandidateKey, OptionsPoint};
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::json::JsonValue;
@@ -208,17 +210,17 @@ proptest! {
 
 proptest! {
     // Filesystem cases are slower; fewer of them still covers the
-    // save/load path (atomic staging, merge) on arbitrary keys.
+    // file-load path on arbitrary keys.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The full persistence path: load(save(x)) == x through a real file.
+    /// The document through a real file: load(write(render(x))) == x.
     #[test]
     fn load_save_round_trips_through_the_filesystem(entries in entries(6), tag in 0u64..u64::MAX) {
         let dir = std::env::temp_dir()
             .join(format!("axi4mlir-cache-prop-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_cache.json");
-        save(&path, &entries).expect("save");
+        std::fs::write(&path, render(&entries)).expect("write");
         let loaded = load(&path).expect("load");
         std::fs::remove_dir_all(&dir).ok();
         assert_same(&entries, &loaded)?;

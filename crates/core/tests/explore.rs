@@ -1,26 +1,44 @@
 //! Integration tests for the design-space exploration engine: the
 //! parallel sweep must agree with a hand-rolled brute force, be
 //! bit-identical across worker counts, never re-simulate a cached
-//! configuration (in memory or via the persisted cache file), sweep
+//! configuration (in memory or via the persisted cache directory), sweep
 //! conv/batched/multi-generation spaces, and the successive-halving
 //! search must find the exhaustive optimum on a small space.
 
 use axi4mlir_config::AcceleratorConfig;
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
+use axi4mlir_core::explore::shard::shard_name;
 use axi4mlir_core::explore::{
-    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreSpec, Explorer, HalvingSpec,
+    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport, Explorer, HalvingSpec,
     MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search,
 };
 use axi4mlir_heuristics::instantiation_base;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
 
 /// A small space: (16, 16, 16) with base 8 → 2 edges per dimension,
 /// 4 flows = 32 candidates.
-fn small_spec() -> ExploreSpec {
-    ExploreSpec::new(MatMulProblem::new(16, 16, 16)).base(8).seed(7)
+fn small_space() -> MatMulSpace {
+    MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![AccelInstance::v4(8)]).seed(7)
+}
+
+/// A single-objective (task-clock) sweep nobody watches, through the
+/// engine's one entry point.
+fn sweep(
+    explorer: &Explorer,
+    space: &dyn DesignSpace,
+    prune: Prune,
+    search: &Search,
+    workers: usize,
+) -> Result<ExploreReport, Diagnostic> {
+    explorer.explore_streaming(space, prune, search, workers, &[], &|_| true)
+}
+
+/// The exhaustive, unpruned sweep of [`small_space`].
+fn small_sweep(explorer: &Explorer, workers: usize) -> ExploreReport {
+    sweep(explorer, &small_space(), Prune::None, &Search::Exhaustive, workers).expect("small sweep")
 }
 
 fn quick_layer() -> ConvLayer {
@@ -31,20 +49,20 @@ fn quick_layer() -> ConvLayer {
 fn explored_optimum_matches_brute_force() {
     // Brute force: run every candidate sequentially through one session,
     // exactly as a user would by hand.
-    let spec = small_spec();
+    let space = small_space();
     let mut session = Session::for_sweep();
     let mut brute: Option<(String, f64)> = None;
-    for candidate in spec.space().enumerate().expect("non-empty space") {
+    for candidate in space.enumerate().expect("non-empty space") {
         let (tm, tn, tk) = candidate.key.tile;
         let config = AcceleratorConfig::preset_v4_with_tile(
-            instantiation_base(spec.base, candidate.key.tile),
+            instantiation_base(8, candidate.key.tile),
             tm,
             tn,
             tk,
         )
         .with_selected_flow(&candidate.key.flow);
-        let plan = CompilePlan::for_accelerator(config).seed(spec.seed);
-        let report = session.run(&MatMulWorkload::new(spec.problem), &plan).expect("v4 run");
+        let plan = CompilePlan::for_accelerator(config).seed(space.seed);
+        let report = session.run(&MatMulWorkload::new(space.problem), &plan).expect("v4 run");
         assert!(report.verified);
         let better = match &brute {
             None => true,
@@ -57,7 +75,7 @@ fn explored_optimum_matches_brute_force() {
     let (brute_label, brute_ms) = brute.expect("non-empty space");
 
     // The multi-threaded explorer must find the same optimum.
-    let report = Explorer::new().explore(&spec.clone().workers(4)).expect("explore");
+    let report = small_sweep(&Explorer::new(), 4);
     let optimum = report.optimum().expect("an optimum");
     assert_eq!(optimum.candidate.label(), brute_label);
     assert_eq!(optimum.task_clock_ms.to_bits(), brute_ms.to_bits(), "bit-identical to brute force");
@@ -67,8 +85,8 @@ fn explored_optimum_matches_brute_force() {
 
 #[test]
 fn parallel_results_are_bit_identical_to_single_thread() {
-    let single = Explorer::new().explore(&small_spec().workers(1)).expect("1-thread sweep");
-    let parallel = Explorer::new().explore(&small_spec().workers(4)).expect("4-thread sweep");
+    let single = small_sweep(&Explorer::new(), 1);
+    let parallel = small_sweep(&Explorer::new(), 4);
     assert_eq!(single.evaluations.len(), parallel.evaluations.len());
     for (s, p) in single.evaluations.iter().zip(&parallel.evaluations) {
         assert_eq!(s.deterministic_key(), p.deterministic_key());
@@ -86,15 +104,14 @@ fn parallel_results_are_bit_identical_to_single_thread() {
 #[test]
 fn result_cache_dedups_repeat_evaluations() {
     let explorer = Explorer::new();
-    let spec = small_spec().workers(2);
-    let first = explorer.explore(&spec).expect("first sweep");
+    let first = small_sweep(&explorer, 2);
     let runs_after_first = explorer.evals_performed();
     // The 32 candidates, plus possibly the heuristic pick if pruning had
     // removed it (it did not: the full space was measured).
     assert_eq!(runs_after_first, first.evaluations.len());
     assert_eq!(first.cache_hits, 0);
 
-    let second = explorer.explore(&spec).expect("second sweep");
+    let second = small_sweep(&explorer, 2);
     assert_eq!(explorer.evals_performed(), runs_after_first, "no re-simulation");
     assert_eq!(second.cache_hits, second.evaluations.len(), "every result served from cache");
     assert!(second.evaluations.iter().all(|e| e.from_cache));
@@ -111,10 +128,9 @@ fn concurrent_sweeps_share_an_engine_without_duplicating_sims() {
     // a key being measured by one thread is awaited, not re-simulated —
     // and each sweep's report must charge only the simulations it ran.
     let explorer = Explorer::new();
-    let spec = small_spec().workers(2);
     let (first, second) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| explorer.explore(&spec).expect("sweep A"));
-        let b = scope.spawn(|| explorer.explore(&spec).expect("sweep B"));
+        let a = scope.spawn(|| small_sweep(&explorer, 2));
+        let b = scope.spawn(|| small_sweep(&explorer, 2));
         (a.join().unwrap(), b.join().unwrap())
     });
     assert_eq!(explorer.evals_performed(), 32, "each unique candidate simulated exactly once");
@@ -137,8 +153,9 @@ fn concurrent_sweeps_share_an_engine_without_duplicating_sims() {
 fn pruned_sweeps_still_measure_the_heuristic_pick() {
     // Keep only 3 candidates; the heuristic pick may or may not survive,
     // but it must always be measured so the gap is meaningful.
-    let spec = small_spec().prune(Prune::KeepBest(3)).workers(2);
-    let report = Explorer::new().explore(&spec).expect("pruned sweep");
+    let report =
+        sweep(&Explorer::new(), &small_space(), Prune::KeepBest(3), &Search::Exhaustive, 2)
+            .expect("pruned sweep");
     assert_eq!(report.evaluations.len(), 3);
     assert_eq!(report.pruned_out, report.space_size - 3);
     let heuristic = report.heuristic.as_ref().expect("a heuristic pick exists");
@@ -151,8 +168,9 @@ fn pruned_sweeps_still_measure_the_heuristic_pick() {
 fn small_problem_spaces_use_the_degenerate_fallback() {
     // 8 < base 16: the space degenerates to the whole-problem tile per
     // dimension instead of being empty (the old silent-failure mode).
-    let spec = ExploreSpec::new(MatMulProblem::new(8, 8, 8)).seed(3).workers(2);
-    let report = Explorer::new().explore(&spec).expect("degenerate space explores");
+    let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(3);
+    let report = sweep(&Explorer::new(), &space, Prune::None, &Search::Exhaustive, 2)
+        .expect("degenerate space explores");
     assert_eq!(report.space_size, 4, "one tile, four flows");
     assert!(report.evaluations.iter().all(|e| e.candidate.key.tile == (8, 8, 8)));
     assert!(report.optimum().is_some());
@@ -160,13 +178,12 @@ fn small_problem_spaces_use_the_degenerate_fallback() {
 
 #[test]
 fn halving_finds_the_exhaustive_optimum() {
-    let space = small_spec().space();
-    let exhaustive = Explorer::new()
-        .explore_space(&space, Prune::None, &Search::Exhaustive, 2)
+    let space = small_space();
+    let exhaustive = sweep(&Explorer::new(), &space, Prune::None, &Search::Exhaustive, 2)
         .expect("exhaustive sweep");
-    let halving = Explorer::new()
-        .explore_space(&space, Prune::None, &Search::Halving(HalvingSpec::default()), 2)
-        .expect("halving sweep");
+    let halving =
+        sweep(&Explorer::new(), &space, Prune::None, &Search::Halving(HalvingSpec::default()), 2)
+            .expect("halving sweep");
     assert_eq!(halving.search, "halving");
     // Halving measures only the finalists at full fidelity...
     assert!(halving.evaluations.len() <= HalvingSpec::default().finalists);
@@ -181,12 +198,12 @@ fn halving_finds_the_exhaustive_optimum() {
 #[test]
 fn halving_reuses_the_cache_across_rounds_and_runs() {
     let explorer = Explorer::new();
-    let space = small_spec().space();
+    let space = small_space();
     let search = Search::Halving(HalvingSpec::default());
-    let first = explorer.explore_space(&space, Prune::None, &search, 2).expect("first halving");
+    let first = sweep(&explorer, &space, Prune::None, &search, 2).expect("first halving");
     let sims = explorer.evals_performed();
     assert!(sims > 0);
-    let second = explorer.explore_space(&space, Prune::None, &search, 2).expect("second halving");
+    let second = sweep(&explorer, &space, Prune::None, &search, 2).expect("second halving");
     assert_eq!(explorer.evals_performed(), sims, "halving re-simulates nothing");
     assert_eq!(second.sims_performed, 0);
     assert!(second.cache_hits > 0);
@@ -198,21 +215,19 @@ fn halving_reuses_the_cache_across_rounds_and_runs() {
 #[test]
 fn persisted_cache_round_trips_with_zero_resimulation() {
     let dir = std::env::temp_dir().join(format!("axi4mlir-explore-cache-{}", std::process::id()));
-    let path = dir.join("BENCH_cache.json");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
-    let spec = small_spec().workers(2);
     let first_explorer = Explorer::new();
-    let first = first_explorer.explore(&spec).expect("first sweep");
+    let first = small_sweep(&first_explorer, 2);
     assert!(first_explorer.evals_performed() > 0);
-    let saved = first_explorer.save_cache(&path).expect("save cache");
+    let saved = first_explorer.save_cache_dir(&dir).expect("save cache").entries;
     assert_eq!(saved, first_explorer.cache_len());
 
-    // A fresh process (modelled by a fresh explorer) loads the file and
-    // serves the whole sweep from it: zero new simulations.
-    let warm = Explorer::with_cache_file(&path).expect("load cache");
+    // A fresh process (modelled by a fresh explorer) loads the directory
+    // and serves the whole sweep from it: zero new simulations.
+    let warm = Explorer::with_cache_dir(&dir).expect("load cache");
     assert_eq!(warm.cache_len(), saved);
-    let second = warm.explore(&spec).expect("warm sweep");
+    let second = small_sweep(&warm, 2);
     assert_eq!(warm.evals_performed(), 0, "everything came from the persisted cache");
     assert_eq!(second.sims_performed, 0);
     assert_eq!(second.cache_hits, second.evaluations.len());
@@ -227,9 +242,8 @@ fn persisted_cache_round_trips_with_zero_resimulation() {
 #[test]
 fn conv_space_explores_the_options_axis() {
     let space = ConvSpace::new(quick_layer()).seed(5);
-    let report = Explorer::new()
-        .explore_space(&space, Prune::None, &Search::Exhaustive, 2)
-        .expect("conv sweep");
+    let report =
+        sweep(&Explorer::new(), &space, Prune::None, &Search::Exhaustive, 2).expect("conv sweep");
     assert_eq!(report.workload, "conv");
     assert_eq!(report.space_size, 4, "the conv space is the options axis");
     assert!(report.evaluations.iter().all(|e| e.verified));
@@ -245,8 +259,7 @@ fn conv_space_explores_the_options_axis() {
 fn batched_space_explores() {
     let batch = BatchedMatMulProblem::new(MatMulProblem::square(8), 2);
     let space = BatchedSpace::new(batch).accels(vec![AccelInstance::v4(8)]).seed(9);
-    let report = Explorer::new()
-        .explore_space(&space, Prune::None, &Search::Exhaustive, 2)
+    let report = sweep(&Explorer::new(), &space, Prune::None, &Search::Exhaustive, 2)
         .expect("batched sweep");
     assert_eq!(report.workload, "batched");
     assert_eq!(report.space_size, 4, "one tile, four flows");
@@ -276,8 +289,7 @@ fn multi_generation_space_explores_v1_through_v4() {
             AccelInstance::v4(8),
         ])
         .seed(7);
-    let report = Explorer::new()
-        .explore_space(&space, Prune::None, &Search::Exhaustive, 4)
+    let report = sweep(&Explorer::new(), &space, Prune::None, &Search::Exhaustive, 4)
         .expect("multi-generation sweep");
     // v1: 1 flow; v2: 3; v3: 4 (fixed 8x8x8 tile each); v4: 8 tiles x 4.
     assert_eq!(report.space_size, 1 + 3 + 4 + 8 * 4);
@@ -305,28 +317,12 @@ fn multi_generation_space_explores_v1_through_v4() {
     assert_ne!(ns_8("v3_8"), None);
 }
 
-/// Counts the persisted cache entries measured at *full* fidelity, i.e.
-/// whose workload field names the full problem rather than a proxy.
+/// Counts the cache entries measured at *full* fidelity, i.e. whose
+/// workload field names the full problem rather than a proxy — exactly
+/// the population of the full workload's shard.
 fn full_fidelity_entries(explorer: &Explorer, full_workload: &str) -> usize {
-    let dir = std::env::temp_dir().join(format!(
-        "axi4mlir-fidelity-count-{}-{}",
-        std::process::id(),
-        explorer.cache_len()
-    ));
-    let path = dir.join("BENCH_cache.json");
-    explorer.save_cache(&path).expect("save cache for inspection");
-    let text = std::fs::read_to_string(&path).expect("read saved cache");
-    std::fs::remove_dir_all(&dir).ok();
-    let doc = JsonValue::parse(&text).expect("cache parses");
-    doc.get("entries")
-        .and_then(JsonValue::as_array)
-        .expect("entries array")
-        .iter()
-        .filter(|entry| {
-            entry.get("key").and_then(|k| k.get("workload")).and_then(JsonValue::as_str)
-                == Some(full_workload)
-        })
-        .count()
+    let shard = shard_name(full_workload);
+    explorer.shard_counts().into_iter().find(|(name, _)| *name == shard).map_or(0, |(_, n)| n)
 }
 
 #[test]
@@ -340,16 +336,14 @@ fn conv_halving_simulates_fewer_full_layers_than_exhaustive() {
     let full_workload = format!("conv {layer}");
 
     let exhaustive = Explorer::new();
-    exhaustive
-        .explore_space(&ConvSpace::new(layer), Prune::None, &Search::Exhaustive, 2)
+    sweep(&exhaustive, &ConvSpace::new(layer), Prune::None, &Search::Exhaustive, 2)
         .expect("exhaustive conv sweep");
     let exhaustive_full = full_fidelity_entries(&exhaustive, &full_workload);
     assert_eq!(exhaustive_full, 4, "exhaustive measures the whole options axis at full fidelity");
 
     let halving = Explorer::new();
     let search = Search::Halving(HalvingSpec::default().finalists(2));
-    let report = halving
-        .explore_space(&ConvSpace::new(layer), Prune::None, &search, 2)
+    let report = sweep(&halving, &ConvSpace::new(layer), Prune::None, &search, 2)
         .expect("halving conv sweep");
     let halving_full = full_fidelity_entries(&halving, &full_workload);
     assert!(
@@ -370,16 +364,15 @@ fn batched_halving_saves_full_batch_simulations() {
     let space = || BatchedSpace::new(batch).accels(vec![AccelInstance::v4(8)]).seed(9);
 
     let exhaustive = Explorer::new();
-    exhaustive
-        .explore_space(&space(), Prune::None, &Search::Exhaustive, 2)
+    sweep(&exhaustive, &space(), Prune::None, &Search::Exhaustive, 2)
         .expect("exhaustive batched sweep");
     let exhaustive_full = full_fidelity_entries(&exhaustive, &full_workload);
     assert_eq!(exhaustive_full, 32, "2 edges per dim x 4 flows");
 
     let halving = Explorer::new();
-    let report = halving
-        .explore_space(&space(), Prune::None, &Search::Halving(HalvingSpec::default()), 2)
-        .expect("halving batched sweep");
+    let report =
+        sweep(&halving, &space(), Prune::None, &Search::Halving(HalvingSpec::default()), 2)
+            .expect("halving batched sweep");
     let halving_full = full_fidelity_entries(&halving, &full_workload);
     assert!(
         halving_full < exhaustive_full,
@@ -399,7 +392,7 @@ fn warm_started_halving_spends_fewer_full_sims_within_5pct_of_optimum() {
     let donor_space =
         MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![AccelInstance::v4(8)]).seed(7);
     let donor = Explorer::new();
-    donor.explore_space(&donor_space, Prune::None, &Search::Exhaustive, 2).expect("donor sweep");
+    sweep(&donor, &donor_space, Prune::None, &Search::Exhaustive, 2).expect("donor sweep");
     let model = donor.transfer_model();
     assert!(!model.is_empty(), "the donor sweep produced observations");
 
@@ -410,19 +403,18 @@ fn warm_started_halving_spends_fewer_full_sims_within_5pct_of_optimum() {
     };
     let search = Search::Halving(HalvingSpec::default());
 
-    let exhaustive = Explorer::new()
-        .explore_space(&target(), Prune::None, &Search::Exhaustive, 2)
+    let exhaustive = sweep(&Explorer::new(), &target(), Prune::None, &Search::Exhaustive, 2)
         .expect("exhaustive target sweep");
     let optimum_ms = exhaustive.optimum().expect("an optimum").task_clock_ms;
 
     let cold_explorer = Explorer::new();
-    let cold = cold_explorer.explore_space(&target(), Prune::None, &search, 2).expect("cold");
+    let cold = sweep(&cold_explorer, &target(), Prune::None, &search, 2).expect("cold");
     assert!(!cold.warm_started);
     assert_eq!(cold.warm_informed, 0);
 
     let warm_explorer = Explorer::new().warm_started(model);
     assert!(warm_explorer.is_warm_started());
-    let warm = warm_explorer.explore_space(&target(), Prune::None, &search, 2).expect("warm");
+    let warm = sweep(&warm_explorer, &target(), Prune::None, &search, 2).expect("warm");
     assert!(warm.warm_started);
     assert!(
         warm.warm_informed * 2 >= warm.space_size,
@@ -473,8 +465,7 @@ fn every_workload_label_feeds_the_transfer_model() {
     ];
     for (label, space) in spaces {
         let explorer = Explorer::new();
-        explorer
-            .explore_space(space.as_ref(), Prune::KeepBest(2), &Search::Exhaustive, 1)
+        sweep(&explorer, space.as_ref(), Prune::KeepBest(2), &Search::Exhaustive, 1)
             .unwrap_or_else(|d| panic!("{label}: {d}"));
         let model = explorer.transfer_model();
         assert!(
@@ -497,11 +488,10 @@ fn halving_full_sims_never_exceed_exhaustive_across_workloads() {
     // broke this would silently inflate CI and local sweep cost.
     let halving = Search::Halving(HalvingSpec::default());
     let check = |label: &str, build: &dyn Fn() -> Box<dyn DesignSpace>| {
-        let exhaustive = Explorer::new()
-            .explore_space(build().as_ref(), Prune::None, &Search::Exhaustive, 2)
-            .unwrap_or_else(|d| panic!("{label} exhaustive: {d}"));
-        let halved = Explorer::new()
-            .explore_space(build().as_ref(), Prune::None, &halving, 2)
+        let exhaustive =
+            sweep(&Explorer::new(), build().as_ref(), Prune::None, &Search::Exhaustive, 2)
+                .unwrap_or_else(|d| panic!("{label} exhaustive: {d}"));
+        let halved = sweep(&Explorer::new(), build().as_ref(), Prune::None, &halving, 2)
             .unwrap_or_else(|d| panic!("{label} halving: {d}"));
         // Exhaustive measures every survivor (plus possibly the
         // heuristic pick) at full fidelity.
@@ -537,11 +527,11 @@ fn halving_full_sims_never_exceed_exhaustive_across_workloads() {
 #[test]
 fn multi_objective_front_contains_the_single_objective_optima() {
     let explorer = Explorer::new();
-    let space = small_spec().space();
+    let space = small_space();
     let objectives = [Objective::TaskClock, Objective::DmaWords];
     let search = Search::Halving(HalvingSpec::default());
     let report = explorer
-        .explore_with_objectives(&space, Prune::None, &search, 2, &objectives)
+        .explore_streaming(&space, Prune::None, &search, 2, &objectives, &|_| true)
         .expect("multi-objective halving sweep");
 
     let front = report.pareto_front();
@@ -567,7 +557,7 @@ fn multi_objective_front_contains_the_single_objective_optima() {
 
     // A second identical invocation is served entirely from the cache.
     let again = explorer
-        .explore_with_objectives(&space, Prune::None, &search, 2, &objectives)
+        .explore_streaming(&space, Prune::None, &search, 2, &objectives, &|_| true)
         .expect("cached multi-objective sweep");
     assert_eq!(again.sims_performed, 0, "0 new simulations on the cached re-run");
     assert_eq!(again.pareto_front(), front, "the front is reproducible from cache");
@@ -576,12 +566,13 @@ fn multi_objective_front_contains_the_single_objective_optima() {
 #[test]
 fn occupancy_objective_scores_the_idle_fraction() {
     let report = Explorer::new()
-        .explore_with_objectives(
-            &small_spec().space(),
+        .explore_streaming(
+            &small_space(),
             Prune::KeepBest(4),
             &Search::Exhaustive,
             2,
             &[Objective::TaskClock, Objective::Occupancy],
+            &|_| true,
         )
         .expect("occupancy-scored sweep");
     for eval in &report.evaluations {
@@ -599,12 +590,12 @@ fn halving_promotes_by_a_configurable_objective() {
     // Promoting by traffic must surface the analytic traffic minimum
     // among the finalists: DMA words are a deterministic function of the
     // candidate, and words-per-MAC ranks proxies exactly like words.
-    let space = small_spec().space();
+    let space = small_space();
     let all = space.enumerate().expect("candidates");
     let min_words = all.iter().map(|c| c.estimate.words_total()).min().unwrap();
     let search = Search::Halving(HalvingSpec::default().objective(Objective::DmaWords));
     let report = Explorer::new()
-        .explore_with_objectives(&space, Prune::None, &search, 2, &[Objective::DmaWords])
+        .explore_streaming(&space, Prune::None, &search, 2, &[Objective::DmaWords], &|_| true)
         .expect("traffic-promoted halving");
     let finalist_words: Vec<u64> =
         report.evaluations.iter().map(|e| e.candidate.estimate.words_total()).collect();
@@ -623,7 +614,7 @@ fn cache_dir_checkpoints_write_only_dirty_shards() {
     std::fs::remove_dir_all(&dir).ok();
 
     let explorer = Explorer::new();
-    explorer.explore(&small_spec().workers(2)).expect("matmul sweep");
+    small_sweep(&explorer, 2);
     let first = explorer.save_cache_dir(&dir).expect("first checkpoint");
     assert_eq!(first.written.len(), 1, "one workload, one shard written: {:?}", first.written);
     assert_eq!(first.entries, explorer.cache_len());
@@ -637,8 +628,7 @@ fn cache_dir_checkpoints_write_only_dirty_shards() {
 
     // A conv sweep dirties only the conv shard; the matmul shard file
     // must not be touched (same mtime, same bytes).
-    explorer
-        .explore_space(&ConvSpace::new(quick_layer()).seed(5), Prune::None, &Search::Exhaustive, 2)
+    sweep(&explorer, &ConvSpace::new(quick_layer()).seed(5), Prune::None, &Search::Exhaustive, 2)
         .expect("conv sweep");
     let second = explorer.save_cache_dir(&dir).expect("second checkpoint");
     assert_eq!(second.written.len(), 1, "only the conv shard is dirty: {:?}", second.written);
@@ -654,14 +644,14 @@ fn cache_dir_checkpoints_write_only_dirty_shards() {
     let reloaded = Explorer::with_cache_dir(&dir).expect("reload");
     assert_eq!(reloaded.cache_len(), explorer.cache_len());
     assert_eq!(reloaded.shard_counts(), explorer.shard_counts());
-    let warm = reloaded.explore(&small_spec().workers(2)).expect("warm sweep");
+    let warm = small_sweep(&reloaded, 2);
     assert_eq!(warm.sims_performed, 0, "everything served from the sharded cache");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn reports_carry_the_measure_backend_and_per_worker_sims() {
-    let report = Explorer::new().explore(&small_spec().workers(3)).expect("local sweep");
+    let report = small_sweep(&Explorer::new(), 3);
     assert_eq!(report.measure_backend, "local");
     // The local pool aggregates under one stable label, so the report
     // stays byte-identical across thread counts.
@@ -672,8 +662,8 @@ fn reports_carry_the_measure_backend_and_per_worker_sims() {
 
     // A fully cached re-run performed no sims anywhere.
     let explorer = Explorer::new();
-    explorer.explore(&small_spec()).expect("first");
-    let cached = explorer.explore(&small_spec()).expect("cached");
+    small_sweep(&explorer, 1);
+    let cached = small_sweep(&explorer, 1);
     assert!(cached.worker_sims.is_empty());
 }
 
@@ -689,8 +679,7 @@ fn options_axis_candidates_are_cached_separately() {
         ])
         .seed(7);
     let explorer = Explorer::new();
-    let report =
-        explorer.explore_space(&space, Prune::None, &Search::Exhaustive, 2).expect("sweep");
+    let report = sweep(&explorer, &space, Prune::None, &Search::Exhaustive, 2).expect("sweep");
     assert_eq!(report.space_size, 4 * 2, "four flows x two option points");
     assert_eq!(explorer.evals_performed(), 8, "no key collision across option points");
     assert_eq!(report.cache_hits, 0);
@@ -708,8 +697,7 @@ fn statically_illegal_candidates_are_lint_rejected_without_simulation() {
         .capacity_words(80_000)
         .seed(3);
     let explorer = Explorer::new();
-    let report = explorer
-        .explore_space(&space, Prune::KeepBest(1), &Search::Exhaustive, 2)
+    let report = sweep(&explorer, &space, Prune::KeepBest(1), &Search::Exhaustive, 2)
         .expect("mixed space explores");
     assert!(report.lint_rejected > 0, "oversized tiles must be rejected");
     assert_eq!(
@@ -733,7 +721,7 @@ fn statically_illegal_candidates_are_lint_rejected_without_simulation() {
         .accels(vec![AccelInstance::v4(256)])
         .capacity_words(80_000);
     let before = explorer.evals_performed();
-    let err = explorer.explore_space(&hopeless, Prune::None, &Search::Exhaustive, 1).unwrap_err();
+    let err = sweep(&explorer, &hopeless, Prune::None, &Search::Exhaustive, 1).unwrap_err();
     assert!(err.message.contains("plan audit"), "{}", err.message);
     assert_eq!(err.code.as_deref(), Some("lint::fifo-capacity"));
     assert_eq!(explorer.evals_performed(), before, "no simulation was spent");

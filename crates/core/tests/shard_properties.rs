@@ -3,7 +3,10 @@
 //! (hostile workload strings included), `load_dir(save_dir(x))` must be
 //! the identity per shard, and a legacy single-file `BENCH_cache.json`
 //! (schema v2) dropped into a cache directory must migrate into the
-//! sharded layout without losing a single entry or counter bit.
+//! sharded layout without losing a single entry or counter bit. The
+//! plain tests at the end pin what a save does to the file already on
+//! disk: merge with it, survive a crash beside it, replace it when it is
+//! corrupt.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
@@ -13,7 +16,9 @@ use proptest::prelude::*;
 
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_core::explore::cache::{self, CachedEval};
-use axi4mlir_core::explore::shard::{load_dir, merge, save_dir, shard_counts, shard_of};
+use axi4mlir_core::explore::shard::{
+    load_dir, merge, save_dir, shard_counts, shard_name, shard_of, shard_path,
+};
 use axi4mlir_core::explore::{CandidateKey, OptionsPoint};
 use axi4mlir_sim::counters::PerfCounters;
 
@@ -192,7 +197,7 @@ proptest! {
     fn legacy_v2_blobs_migrate_losslessly(entries in entries(8), tag in 0u64..u64::MAX) {
         let dir = scratch_dir(tag, "legacy");
         std::fs::create_dir_all(&dir).unwrap();
-        cache::save(&dir.join("BENCH_cache.json"), &entries).expect("legacy save");
+        std::fs::write(dir.join("BENCH_cache.json"), cache::render(&entries)).expect("legacy blob");
 
         let loaded = load_dir(&dir).expect("load_dir");
         assert_same(&entries, &loaded.entries)?;
@@ -213,4 +218,85 @@ proptest! {
         assert_same(&entries, &migrated.entries)?;
         prop_assert!(migrated.legacy.is_empty(), "no legacy blobs remain");
     }
+}
+
+const WORKLOAD: &str = "matmul 8x8x8";
+
+/// One entry of [`WORKLOAD`]'s shard, told apart by `seed`.
+fn one_entry(seed: u64) -> HashMap<CandidateKey, CachedEval> {
+    let key = CandidateKey {
+        workload: WORKLOAD.to_owned(),
+        accel: "v4_8".to_owned(),
+        flow: "Cs".to_owned(),
+        tile: (8, 8, 8),
+        options: OptionsPoint::default(),
+        seed,
+    };
+    let eval = CachedEval {
+        counters: PerfCounters { host_cycles: seed, ..PerfCounters::new() },
+        task_clock_ms: seed as f64,
+        verified: true,
+        pass_ms: Vec::new(),
+    };
+    [(key, eval)].into()
+}
+
+fn fresh_dir(what: &str) -> std::path::PathBuf {
+    let dir = scratch_dir(0, what);
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+#[test]
+fn save_merges_with_the_shard_on_disk() {
+    let dir = fresh_dir("merge");
+    let first = one_entry(1);
+    save_all(&dir, &first);
+    // A second saver that never saw the first one's entry.
+    let second = one_entry(2);
+    save_all(&dir, &second);
+    assert_eq!(load_dir(&dir).unwrap().entries, merge(&first, &second), "old entries survive");
+    let leftovers = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+        .count();
+    assert_eq!(leftovers, 0, "no staging file left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_crash_mid_save_leaves_the_old_shard_loadable() {
+    let dir = fresh_dir("crash");
+    let first = one_entry(1);
+    save_all(&dir, &first);
+
+    // Model a process killed mid-save: the staging file (a dot-file
+    // sibling of the shard, `.<shard>.json.tmp-<pid>-<seq>`) holds a
+    // half-written document, the rename never happened. The real shard
+    // is untouched and still loads, and the leftover bothers nobody.
+    let staging = dir.join(format!(".{}.json.tmp-4242-0", shard_name(WORKLOAD)));
+    std::fs::write(staging, "{\"schema\": \"axi4mlir-explore-c").unwrap();
+    assert_eq!(load_dir(&dir).unwrap().entries, first, "old contents intact after the crash");
+
+    // A later save still merges and completes the rename.
+    save_all(&dir, &one_entry(2));
+    assert_eq!(load_dir(&dir).unwrap().entries.len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_shards_load_empty_and_are_rewritten_by_save() {
+    let dir = fresh_dir("corrupt");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A truncated document (the non-atomic failure mode) must not error
+    // the sweep: it loads as an empty cache...
+    let shard = shard_path(&dir, &shard_name(WORKLOAD));
+    std::fs::write(shard, "{\"schema\": \"axi4mlir-explore-cache/v2\", \"entr").unwrap();
+    assert!(load_dir(&dir).unwrap().entries.is_empty(), "corrupt shards are disposable");
+    // ...and the next save replaces it with a valid document.
+    let entries = one_entry(1);
+    save_all(&dir, &entries);
+    assert_eq!(load_dir(&dir).unwrap().entries, entries);
+    std::fs::remove_dir_all(&dir).ok();
 }

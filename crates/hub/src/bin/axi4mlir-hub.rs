@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! axi4mlir-hub [--bind ADDR] [--workers N] [--sim-workers N]
-//!              [--queue N] [--cache PATH | --cache-dir DIR]
+//!              [--queue N] [--cache-dir DIR]
 //!              [--worker ADDR]... [--event-buffer N] [--faults SPEC]
 //! ```
 //!
@@ -38,21 +38,25 @@ const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-workers N] \
-                     [--queue N] [--cache PATH | --cache-dir DIR] [--worker ADDR]... \
+                     [--queue N] [--cache-dir DIR] [--worker ADDR]... \
                      [--event-buffer N] [--faults SPEC]
 
   --bind ADDR        listen address (default 127.0.0.1:0 — a free port)
   --workers N        concurrent jobs (executor threads; default 2)
   --sim-workers N    measurement threads per job (default: host parallelism, max 4)
   --queue N          job-queue capacity; submits beyond it are rejected (default 16)
-  --cache PATH       load/checkpoint the shared result cache at PATH (single file)
-  --cache-dir DIR    load/checkpoint the cache sharded across DIR (dirty shards only)
+  --cache-dir DIR    load/checkpoint the shared result cache, sharded across DIR
+                     (checkpoints rewrite dirty shards only)
   --worker ADDR      fan measurements out to an axi4mlir-worker at ADDR (repeatable;
                      default: measure in-process)
   --event-buffer N   events retained per job for `follow` replay (default 64)
   --faults SPEC      arm a deterministic fault plan, e.g.
                      'seed=7,hub.event:drop@2' (chaos testing; wins over
                      the AXI4MLIR_FAULTS environment variable)";
+
+/// What typing the removed single-file `--cache PATH` flag answers.
+const REMOVED_CACHE_FLAG: &str = "--cache was removed: pass --cache-dir DIR (to keep an old \
+                                  BENCH_cache.json, move it into DIR; the next save re-shards it)";
 
 fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
     let mut config = HubConfig { stop: Some(&STOP), ..HubConfig::default() };
@@ -78,7 +82,7 @@ fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
                 config.queue_capacity =
                     value(&mut at, flag)?.parse().map_err(|_| "--queue needs an integer")?;
             }
-            "--cache" => config.cache_path = Some(PathBuf::from(value(&mut at, flag)?)),
+            "--cache" => return Err(REMOVED_CACHE_FLAG.to_owned()),
             "--cache-dir" => config.cache_dir = Some(PathBuf::from(value(&mut at, flag)?)),
             "--worker" => config.measure_workers.push(value(&mut at, flag)?),
             "--event-buffer" => {
@@ -90,9 +94,6 @@ fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
         at += 1;
-    }
-    if config.cache_path.is_some() && config.cache_dir.is_some() {
-        return Err(format!("--cache and --cache-dir are mutually exclusive\n{USAGE}"));
     }
     Ok((config, faults))
 }

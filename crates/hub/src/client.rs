@@ -16,14 +16,13 @@
 //! terminal event — for callers like `axi4mlir-explore --hub` that
 //! should survive a hub-side connection drop.
 
-use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use axi4mlir_core::explore::{wire, ExploreReport, JobSpec};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, Frame, FrameReader};
+use axi4mlir_support::proto::{write_frame, Connection, Frame};
 
 use crate::protocol::{Request, SCHEMA};
 
@@ -43,8 +42,7 @@ pub struct HubInfo {
 
 /// One connection to a hub.
 pub struct HubClient {
-    reader: FrameReader<BufReader<TcpStream>>,
-    writer: TcpStream,
+    connection: Connection,
     info: HubInfo,
 }
 
@@ -62,10 +60,8 @@ impl HubClient {
     /// speaking a different schema.
     pub fn connect(addr: &str) -> Result<HubClient, Diagnostic> {
         let stream = TcpStream::connect(addr).map_err(connect_err)?;
-        let writer = stream.try_clone().map_err(connect_err)?;
         let mut client = HubClient {
-            reader: FrameReader::new(BufReader::new(stream)),
-            writer,
+            connection: Connection::open(stream).map_err(connect_err)?,
             info: HubInfo {
                 schema: String::new(),
                 cache_entries: 0,
@@ -98,7 +94,7 @@ impl HubClient {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), Diagnostic> {
-        write_frame(&mut self.writer, &request.to_json())
+        write_frame(&mut self.connection.writer, &request.to_json())
             .map_err(|err| connect_err(format!("send failed: {err}")))
     }
 
@@ -110,7 +106,7 @@ impl HubClient {
     /// malformed frame.
     pub fn next_frame(&mut self) -> Result<JsonValue, Diagnostic> {
         loop {
-            match self.reader.next_frame()? {
+            match self.connection.reader.next_frame()? {
                 Frame::Value(value) => return Ok(value),
                 Frame::Idle => continue,
                 Frame::Eof => return Err(connect_err("the hub closed the connection")),
@@ -319,7 +315,7 @@ impl HubClient {
     pub fn shutdown(mut self) -> Result<(), Diagnostic> {
         self.send(&Request::Shutdown)?;
         loop {
-            match self.reader.next_frame()? {
+            match self.connection.reader.next_frame()? {
                 Frame::Value(frame)
                     if frame.get("type").and_then(JsonValue::as_str) == Some("shutting_down") =>
                 {

@@ -18,22 +18,22 @@
 //! Progress events flow from executor into a per-job `EventHub` log:
 //! every event is appended to a bounded replay buffer *and* forwarded
 //! to the job's current subscriber connection, which writes it between
-//! reads (its socket reads time out every 50 ms, so events are never
-//! stalled behind an idle client). Because the buffer outlives the
-//! submitting connection, a client that loses its connection mid-job
-//! can reconnect and send `follow JOB_ID`: the hub replays the
-//! buffered events and re-attaches the live stream, ending with the
-//! terminal `done`/`failed` event exactly as the original connection
-//! would have seen it.
+//! reads (its socket reads time out every
+//! [`READ_TIMEOUT`](axi4mlir_support::proto::READ_TIMEOUT), so events
+//! are never stalled behind an idle client). Because the buffer
+//! outlives the submitting connection, a client that loses its
+//! connection mid-job can reconnect and send `follow JOB_ID`: the hub
+//! replays the buffered events and re-attaches the live stream, ending
+//! with the terminal `done`/`failed` event exactly as the original
+//! connection would have seen it.
 //!
 //! ## Durability
 //!
-//! With a `--cache` path, the hub loads the persisted cache at startup
-//! and checkpoints after every completed rung and at shutdown — each
-//! checkpoint is the PR-4 load/merge/atomic-rename path, so a `kill
-//! -TERM` at any instant leaves a loadable file. With a `--cache-dir`
-//! the same checkpoints go to the sharded layout instead, and each one
-//! rewrites only the shards dirtied since the last flush.
+//! With a `--cache-dir`, the hub loads the sharded cache directory at
+//! startup and checkpoints after every completed rung and at shutdown.
+//! Each checkpoint rewrites only the shards dirtied since the last
+//! flush, each through a load/merge/atomic-rename, so a `kill -TERM` at
+//! any instant leaves loadable files.
 //! SIGTERM/ctrl-c (via [`HubConfig::stop`]) and the `shutdown` request
 //! trigger the same graceful sequence: executors cancel their sweeps
 //! at the next rung boundary, queued jobs fail with a `shutting down`
@@ -50,8 +50,7 @@
 //! local runs (timing aside) and a lost worker only costs throughput.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -62,7 +61,7 @@ use axi4mlir_core::explore::{wire, ExploreReport, Explorer, JobSpec, ProgressEve
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
+use axi4mlir_support::proto::{self, write_frame, write_frame_at, Connection, Frame};
 
 use crate::protocol::{self, Request};
 
@@ -81,11 +80,9 @@ pub struct HubConfig {
     pub sim_workers: usize,
     /// Queue slots; a `submit` beyond this is rejected.
     pub queue_capacity: usize,
-    /// Cache file to load at startup and checkpoint into; `None` keeps
-    /// the cache purely in-memory.
-    pub cache_path: Option<PathBuf>,
-    /// Sharded cache directory; when set it wins over
-    /// [`Self::cache_path`] and checkpoints rewrite only dirty shards.
+    /// Sharded cache directory to load at startup and checkpoint into
+    /// (only dirty shards are rewritten); `None` keeps the cache purely
+    /// in-memory.
     pub cache_dir: Option<PathBuf>,
     /// `axi4mlir-worker` addresses to fan measurements out to; empty
     /// keeps the local in-process measurement pool.
@@ -106,7 +103,6 @@ impl Default for HubConfig {
             workers: 2,
             sim_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             queue_capacity: 16,
-            cache_path: None,
             cache_dir: None,
             measure_workers: Vec::new(),
             event_buffer: 64,
@@ -278,20 +274,18 @@ impl Shared {
         act(&mut self.stats.lock().expect("hub stats poisoned"))
     }
 
-    /// Checkpoints the shared cache; a hub without a cache location
-    /// reports its in-memory entry count. A `--cache-dir` flushes only
-    /// the shards dirtied since the previous checkpoint, a `--cache`
-    /// file takes the load/merge/atomic-rename path.
+    /// Checkpoints the shared cache — only the shards dirtied since the
+    /// previous checkpoint are written; a hub without a cache directory
+    /// reports its in-memory entry count.
     fn checkpoint(&self) -> Result<usize, Diagnostic> {
         if let Some(plan) = fault::active() {
             if plan.tick("hub.checkpoint") == Some(FaultAction::Fail) {
                 return Err(Diagnostic::error("injected checkpoint failure at hub.checkpoint"));
             }
         }
-        match (&self.config.cache_dir, &self.config.cache_path) {
-            (Some(dir), _) => self.explorer.save_cache_dir(dir).map(|stats| stats.entries),
-            (None, Some(path)) => self.explorer.save_cache(path),
-            (None, None) => Ok(self.explorer.cache_len()),
+        match &self.config.cache_dir {
+            Some(dir) => self.explorer.save_cache_dir(dir).map(|stats| stats.entries),
+            None => Ok(self.explorer.cache_len()),
         }
     }
 
@@ -387,23 +381,18 @@ impl Hub {
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for bind failures and unreadable cache
-    /// files.
+    /// directories.
     pub fn bind(config: HubConfig) -> Result<Hub, Diagnostic> {
-        let mut explorer = match (&config.cache_dir, &config.cache_path) {
-            (Some(dir), _) => Explorer::with_cache_dir(dir)?,
-            (None, Some(path)) => Explorer::with_cache_file(path)?,
-            (None, None) => Explorer::new(),
+        let mut explorer = match &config.cache_dir {
+            Some(dir) => Explorer::with_cache_dir(dir)?,
+            None => Explorer::new(),
         };
         if !config.measure_workers.is_empty() {
             let pool = RemotePool::new(config.measure_workers.clone())
                 .in_flight(config.sim_workers.max(1));
             explorer.set_measure_backend(Box::new(pool));
         }
-        let listener = TcpListener::bind(&config.bind)
-            .map_err(|err| Diagnostic::error(format!("cannot bind {}: {err}", config.bind)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|err| Diagnostic::error(format!("cannot resolve bound address: {err}")))?;
+        let (listener, addr) = proto::bind(&config.bind)?;
         Ok(Hub {
             listener,
             addr,
@@ -435,38 +424,26 @@ impl Hub {
     /// final cache flush. Per-connection and per-job errors are
     /// reported to the affected client, never here.
     pub fn run(self) -> Result<HubSummary, Diagnostic> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|err| Diagnostic::error(format!("cannot poll the listener: {err}")))?;
         let mut executors = Vec::new();
         for _ in 0..self.shared.config.workers {
             let shared = Arc::clone(&self.shared);
             executors.push(std::thread::spawn(move || executor_loop(&shared)));
         }
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.stopping() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    connections.push(std::thread::spawn(move || {
-                        // A connection error affects one client only;
-                        // the daemon keeps serving.
-                        let _ = serve_connection(&shared, stream);
-                    }));
-                    connections.retain(|handle| !handle.is_finished());
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(err) => {
-                    self.shared.request_stop();
-                    return Err(Diagnostic::error(format!("listener failed: {err}")));
-                }
-            }
-        }
+        let shared = Arc::clone(&self.shared);
+        let connections = proto::serve(
+            &self.listener,
+            || self.shared.stopping(),
+            move |connection| {
+                // A connection error affects one client only; the
+                // daemon keeps serving.
+                let _ = serve_connection(&shared, connection);
+            },
+        );
 
-        // Graceful drain: executors cancel at the next rung boundary...
+        // Graceful drain (also on a listener failure, so the executors
+        // exit): they cancel at the next rung boundary...
         self.shared.request_stop();
+        let connections = connections?;
         for executor in executors {
             let _ = executor.join();
         }
@@ -500,16 +477,11 @@ impl Hub {
     }
 }
 
-/// Serves one client connection. All socket writes happen here.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Diagnostic> {
-    let fail = |err: std::io::Error| Diagnostic::error(format!("connection setup failed: {err}"));
-    // The accepted socket must block (the listener polls), but with a
-    // short read timeout so queued events and the stop flag are polled
-    // between frames.
-    stream.set_nonblocking(false).map_err(fail)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50))).map_err(fail)?;
-    let mut writer = stream.try_clone().map_err(fail)?;
-    let mut reader = FrameReader::new(BufReader::new(stream));
+/// Serves one client connection. All socket writes happen here; the
+/// socket's short read timeout is what lets queued events and the stop
+/// flag be polled between frames.
+fn serve_connection(shared: &Arc<Shared>, connection: Connection) -> Result<(), Diagnostic> {
+    let Connection { mut reader, mut writer } = connection;
     let (events_tx, events_rx): (Sender<JsonValue>, Receiver<JsonValue>) = mpsc::channel();
     // Jobs this connection submitted that have not reached a terminal
     // state; the goodbye frame waits for them.

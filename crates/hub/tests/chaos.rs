@@ -165,8 +165,7 @@ fn torn_and_dropped_frames_never_change_results() {
     let torn = spawn_worker(Some("seed=3,worker.reply:torn@3"));
     let droppy = spawn_worker(Some("seed=5,worker.reply:drop@2"));
     let dir = std::env::temp_dir().join(format!("axi4mlir-chaos-torn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cache.json");
+    std::fs::remove_dir_all(&dir).ok();
     let hub = spawn_daemon(
         &hub_binary(),
         "axi4mlir-hub",
@@ -181,8 +180,8 @@ fn torn_and_dropped_frames_never_change_results() {
             &torn.addr,
             "--worker",
             &droppy.addr,
-            "--cache",
-            cache.to_str().unwrap(),
+            "--cache-dir",
+            dir.to_str().unwrap(),
             "--faults",
             "seed=11,pool.send:drop@5,hub.checkpoint:fail@1",
         ],

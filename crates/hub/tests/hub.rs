@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use axi4mlir_core::explore::{cache, JobSpec};
+use axi4mlir_core::explore::{shard, JobSpec};
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
 use axi4mlir_support::json::JsonValue;
 
@@ -140,12 +140,11 @@ fn a_full_queue_rejects_with_backpressure() {
 #[test]
 fn sigterm_mid_sweep_leaves_a_loadable_checkpoint() {
     let dir = std::env::temp_dir().join(format!("axi4mlir-hub-term-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache_path = dir.join("cache.json");
+    std::fs::remove_dir_all(&dir).ok();
     let mut child = Command::new(env!("CARGO_BIN_EXE_axi4mlir-hub"))
         .args(["--bind", "127.0.0.1:0", "--workers", "1", "--sim-workers", "1"])
-        .arg("--cache")
-        .arg(&cache_path)
+        .arg("--cache-dir")
+        .arg(&dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -190,7 +189,7 @@ fn sigterm_mid_sweep_leaves_a_loadable_checkpoint() {
 
     let status = child.wait().expect("daemon exit");
     assert!(status.success(), "graceful SIGTERM shutdown exits 0, got {status:?}");
-    let entries = cache::load(&cache_path).expect("the checkpoint must parse");
+    let entries = shard::load_dir(&dir).expect("the checkpoint must parse").entries;
     assert!(!entries.is_empty(), "the checkpoint holds the rungs measured before SIGTERM");
     std::fs::remove_dir_all(&dir).ok();
 }

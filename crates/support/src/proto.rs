@@ -1,7 +1,8 @@
-//! Newline-delimited JSON framing for wire protocols.
+//! Newline-delimited JSON framing for wire protocols, and the one TCP
+//! serve loop both daemons run.
 //!
-//! The hub daemon (and, per the ROADMAP, future remote measurement
-//! workers) speak a line protocol: every message is one [`JsonValue`]
+//! The hub daemon and the remote measurement workers speak a line
+//! protocol: every message is one [`JsonValue`]
 //! serialized *compactly* (no embedded newlines — the JSON writer escapes
 //! them inside strings) followed by `\n`. This module owns the framing so
 //! both sides agree on it:
@@ -21,8 +22,19 @@
 //! write's *fault site* so an installed [`crate::fault::FaultPlan`] can
 //! script a drop, a torn frame, or a delay at that exact write. With no
 //! plan installed it is [`write_frame`] plus one atomic load.
+//!
+//! The socket side lives here too, once: [`bind`] opens a daemon's
+//! listener, [`serve`] is the polling accept loop (one thread per
+//! connection), and [`Connection::open`] is the socket setup every
+//! protocol endpoint — accepted or dialed — goes through. The two
+//! polling floors of the stack, [`ACCEPT_POLL`] and [`READ_TIMEOUT`],
+//! are defined here and nowhere else.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::diag::Diagnostic;
 use crate::fault::{self, FaultAction};
@@ -172,10 +184,104 @@ impl<R: BufRead> FrameReader<R> {
     }
 }
 
+/// How long [`serve`] sleeps when no connection is pending before it
+/// polls the listener and its stop condition again.
+pub const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// The read timeout of every protocol socket: a reader blocked on a
+/// silent peer surfaces [`Frame::Idle`] this often, which is when
+/// daemons forward queued events and look at their stop flags.
+pub const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// One protocol connection: the framed read half and the write half of
+/// a TCP stream.
+#[derive(Debug)]
+pub struct Connection {
+    /// Frames arriving from the peer.
+    pub reader: FrameReader<BufReader<TcpStream>>,
+    /// The write half, for [`write_frame`] / [`write_frame_at`].
+    pub writer: TcpStream,
+}
+
+impl Connection {
+    /// Sets up a connected socket — accepted or dialed — for the frame
+    /// protocol: blocking reads that time out every [`READ_TIMEOUT`]
+    /// (an accepted socket inherits the polling listener's non-blocking
+    /// mode), `TCP_NODELAY` (frames are small and latency-bound), and a
+    /// cloned write half.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket-option and clone errors.
+    pub fn open(stream: TcpStream) -> io::Result<Connection> {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        stream.set_nodelay(true)?;
+        let writer = stream.try_clone()?;
+        Ok(Connection { reader: FrameReader::new(BufReader::new(stream)), writer })
+    }
+}
+
+/// Binds a daemon's listener and resolves the bound address (port 0
+/// picks a free port).
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] naming `addr` for bind failures.
+pub fn bind(addr: &str) -> Result<(TcpListener, SocketAddr), Diagnostic> {
+    let listener = TcpListener::bind(addr)
+        .map_err(|err| Diagnostic::error(format!("cannot bind {addr}: {err}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|err| Diagnostic::error(format!("cannot resolve bound address: {err}")))?;
+    Ok((listener, local))
+}
+
+/// The accept loop: until `stopping()` holds, every accepted socket is
+/// [`Connection::open`]ed and handed to `on_connection` on a thread of
+/// its own (a socket whose setup fails is dropped — that affects one
+/// peer only). Returns the handles of the connections still live, *not
+/// joined*: the caller decides what must happen before it waits for
+/// them (the hub drains its executors and fails leftover jobs first, so
+/// connections have terminal events to forward).
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] when the listener itself fails.
+pub fn serve<F>(
+    listener: &TcpListener,
+    stopping: impl Fn() -> bool,
+    on_connection: F,
+) -> Result<Vec<JoinHandle<()>>, Diagnostic>
+where
+    F: Fn(Connection) + Send + Sync + 'static,
+{
+    listener
+        .set_nonblocking(true)
+        .map_err(|err| Diagnostic::error(format!("cannot poll the listener: {err}")))?;
+    let on_connection = Arc::new(on_connection);
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    while !stopping() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let on_connection = Arc::clone(&on_connection);
+                connections.push(std::thread::spawn(move || {
+                    if let Ok(connection) = Connection::open(stream) {
+                        on_connection(connection);
+                    }
+                }));
+                connections.retain(|handle| !handle.is_finished());
+            }
+            Err(err) if err.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+            Err(err) => return Err(Diagnostic::error(format!("listener failed: {err}"))),
+        }
+    }
+    Ok(connections)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     #[test]
     fn frames_round_trip_through_a_buffer() {

@@ -25,8 +25,7 @@
 #![deny(missing_docs)]
 
 use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -36,7 +35,7 @@ use axi4mlir_core::explore::measure::{handle_measure, WORKER_SCHEMA};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, write_frame_at, Frame, FrameReader};
+use axi4mlir_support::proto::{self, write_frame, write_frame_at, Connection, Frame};
 
 /// How the daemon is set up.
 #[derive(Clone, Debug)]
@@ -92,11 +91,7 @@ impl Worker {
     ///
     /// Returns a [`Diagnostic`] for bind failures.
     pub fn bind(config: WorkerConfig) -> Result<Worker, Diagnostic> {
-        let listener = TcpListener::bind(&config.bind)
-            .map_err(|err| Diagnostic::error(format!("cannot bind {}: {err}", config.bind)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|err| Diagnostic::error(format!("cannot resolve bound address: {err}")))?;
+        let (listener, addr) = proto::bind(&config.bind)?;
         Ok(Worker { listener, addr, config })
     }
 
@@ -106,7 +101,8 @@ impl Worker {
     }
 
     /// Serves until the external stop flag is raised, then joins the
-    /// open connections (each drains its in-flight measurements).
+    /// open connections (each answers its in-flight measurements, then
+    /// hangs up at its next idle tick).
     ///
     /// # Errors
     ///
@@ -114,30 +110,16 @@ impl Worker {
     /// errors close that connection only; the scheduler requeues and
     /// reconnects.
     pub fn run(self) -> Result<WorkerSummary, Diagnostic> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|err| Diagnostic::error(format!("cannot poll the listener: {err}")))?;
         let totals = Arc::new(Totals::default());
         let slots = self.config.slots.max(1);
-        let stopping = || self.config.stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !stopping() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let totals = Arc::clone(&totals);
-                    connections.push(std::thread::spawn(move || {
-                        // A connection error affects one scheduler only;
-                        // the daemon keeps serving.
-                        let _ = serve_connection(stream, slots, &totals);
-                    }));
-                    connections.retain(|handle| !handle.is_finished());
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(err) => return Err(Diagnostic::error(format!("listener failed: {err}"))),
-            }
-        }
+        let stop = self.config.stop;
+        let stopping = move || stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
+        let served = Arc::clone(&totals);
+        let connections = proto::serve(&self.listener, stopping, move |connection| {
+            // A connection error affects one scheduler only; the daemon
+            // keeps serving.
+            let _ = serve_connection(connection, slots, &served, &stopping);
+        })?;
         for connection in connections {
             let _ = connection.join();
         }
@@ -185,15 +167,14 @@ impl Inbox {
 /// Serves one scheduler connection: one reader (this thread) feeding
 /// `slots` measurement threads, all sharing the write half (frames are
 /// written whole under the lock, so replies never interleave).
-fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<(), Diagnostic> {
-    let fail = |err: std::io::Error| Diagnostic::error(format!("connection setup failed: {err}"));
-    stream.set_nonblocking(false).map_err(fail)?;
-    stream.set_nodelay(true).ok();
-    // Short read timeouts keep the reader polling for shutdown even
-    // against an idle scheduler.
-    stream.set_read_timeout(Some(Duration::from_millis(50))).map_err(fail)?;
-    let writer = Mutex::new(stream.try_clone().map_err(fail)?);
-    let mut reader = FrameReader::new(BufReader::new(stream));
+fn serve_connection(
+    connection: Connection,
+    slots: usize,
+    totals: &Totals,
+    stopping: &dyn Fn() -> bool,
+) -> Result<(), Diagnostic> {
+    let Connection { mut reader, writer } = connection;
+    let writer = Mutex::new(writer);
     totals.connections.fetch_add(1, Ordering::Relaxed);
 
     let inbox = Inbox::default();
@@ -238,7 +219,18 @@ fn serve_connection(stream: TcpStream, slots: usize, totals: &Totals) -> Result<
         let outcome = (|| -> Result<(), Diagnostic> {
             loop {
                 match reader.next_frame() {
-                    Ok(Frame::Idle) => continue,
+                    // The socket's read timeout is what keeps this
+                    // reader polling for shutdown against a silent
+                    // scheduler: once the daemon is stopping and every
+                    // accepted measure has been answered, hang up (the
+                    // scheduler requeues nothing — nothing is open).
+                    Ok(Frame::Idle) => {
+                        if stopping()
+                            && completed.load(Ordering::Acquire) >= accepted.load(Ordering::Relaxed)
+                        {
+                            return Ok(());
+                        }
+                    }
                     Ok(Frame::Eof) => return Ok(()),
                     Ok(Frame::Value(frame)) => {
                         match frame.get("type").and_then(JsonValue::as_str) {
@@ -302,6 +294,8 @@ fn hello_frame(slots: usize) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
+
     use axi4mlir_core::explore::measure::measure_request;
     use axi4mlir_core::explore::{DesignSpace, Fidelity, MatMulSpace};
     use axi4mlir_workloads::matmul::MatMulProblem;
@@ -315,9 +309,13 @@ mod tests {
         (addr, std::thread::spawn(move || worker.run().unwrap()))
     }
 
-    fn read_value(reader: &mut FrameReader<BufReader<TcpStream>>) -> JsonValue {
+    fn connect(addr: SocketAddr) -> Connection {
+        Connection::open(TcpStream::connect(addr).unwrap()).unwrap()
+    }
+
+    fn read_value(connection: &mut Connection) -> JsonValue {
         loop {
-            match reader.next_frame().unwrap() {
+            match connection.reader.next_frame().unwrap() {
                 Frame::Idle => continue,
                 Frame::Value(value) => return value,
                 Frame::Eof => panic!("worker hung up"),
@@ -328,14 +326,11 @@ mod tests {
     #[test]
     fn a_worker_answers_hello_measure_and_drain() {
         let (addr, _serving) = start();
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(BufReader::new(stream));
+        let mut peer = connect(addr);
 
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
+        write_frame(&mut peer.writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
             .unwrap();
-        let hello = read_value(&mut reader);
+        let hello = read_value(&mut peer);
         assert_eq!(hello.get("schema").and_then(JsonValue::as_str), Some(WORKER_SCHEMA));
         assert_eq!(hello.get("slots").and_then(JsonValue::as_u64), Some(2));
 
@@ -343,14 +338,14 @@ mod tests {
         let job = space.wire_spec().unwrap().to_json();
         for (id, candidate) in space.enumerate().unwrap().iter().take(3).enumerate() {
             let request = measure_request(id as u64 + 1, &job, Fidelity::Full, candidate);
-            write_frame(&mut writer, &request).unwrap();
+            write_frame(&mut peer.writer, &request).unwrap();
         }
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "drain".into())]))
+        write_frame(&mut peer.writer, &JsonValue::object([("type".to_owned(), "drain".into())]))
             .unwrap();
 
         let mut results = 0;
         loop {
-            let frame = read_value(&mut reader);
+            let frame = read_value(&mut peer);
             match frame.get("type").and_then(JsonValue::as_str) {
                 Some("result") => {
                     assert!(frame.get("verified").and_then(JsonValue::as_bool).unwrap());
@@ -367,14 +362,11 @@ mod tests {
     #[test]
     fn unknown_frames_get_an_error_reply_and_bad_jobs_fail_cleanly() {
         let (addr, _serving) = start();
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(BufReader::new(stream));
+        let mut peer = connect(addr);
 
-        write_frame(&mut writer, &JsonValue::object([("type".to_owned(), "launch".into())]))
+        write_frame(&mut peer.writer, &JsonValue::object([("type".to_owned(), "launch".into())]))
             .unwrap();
-        let error = read_value(&mut reader);
+        let error = read_value(&mut peer);
         assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
         assert!(error.get("reason").and_then(JsonValue::as_str).unwrap().contains("launch"));
 
@@ -383,8 +375,8 @@ mod tests {
             ("type".to_owned(), "measure".into()),
             ("id".to_owned(), 7u64.into()),
         ]);
-        write_frame(&mut writer, &bad).unwrap();
-        let failed = read_value(&mut reader);
+        write_frame(&mut peer.writer, &bad).unwrap();
+        let failed = read_value(&mut peer);
         assert_eq!(failed.get("type").and_then(JsonValue::as_str), Some("failed"));
         assert_eq!(failed.get("id").and_then(JsonValue::as_u64), Some(7));
     }

@@ -5,15 +5,18 @@
 //! dedup racing identical jobs down to one isolated sweep's cost.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use axi4mlir_core::explore::{
-    ExploreSpec, Explorer, HalvingSpec, JobSpec, Objective, ProgressEvent, Prune, RemotePool,
-    Search,
+    AccelInstance, Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, ProgressEvent, Prune,
+    RemotePool, Search,
 };
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
+use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::proto::{write_frame, Connection, Frame};
 use axi4mlir_worker::{Worker, WorkerConfig};
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -44,18 +47,26 @@ fn spawn_worker_binary() -> (Child, String) {
     (child, addr)
 }
 
+/// The cubic MatMul space on a base-8 v4, seed 7.
+fn base8_space(dims: i64) -> MatMulSpace {
+    MatMulSpace::new(MatMulProblem::square(dims)).accels(vec![AccelInstance::v4(8)]).seed(7)
+}
+
 #[test]
 fn remote_sweeps_are_bit_identical_to_the_local_pool() {
     // 32 candidates, exhaustively measured: every result crosses the
     // wire, so any nondeterminism in the fan-out would show.
-    let spec = ExploreSpec::new(MatMulProblem::new(16, 16, 16)).base(8).seed(7).workers(4);
-    let local = Explorer::new().explore(&spec).expect("local sweep");
+    let space = base8_space(16);
+    let sweep = |explorer: &Explorer| {
+        explorer.explore_streaming(&space, Prune::None, &Search::Exhaustive, 4, &[], &|_| true)
+    };
+    let local = sweep(&Explorer::new()).expect("local sweep");
     assert_eq!(local.measure_backend, "local");
 
     let addrs = vec![start_worker(2), start_worker(2)];
     let mut explorer = Explorer::new();
     explorer.set_measure_backend(Box::new(RemotePool::new(addrs)));
-    let remote = explorer.explore(&spec).expect("remote sweep");
+    let remote = sweep(&explorer).expect("remote sweep");
 
     assert_eq!(remote.measure_backend, "remote:2");
     assert_eq!(local.evaluations.len(), remote.evaluations.len());
@@ -81,10 +92,10 @@ fn remote_sweeps_are_bit_identical_to_the_local_pool() {
 fn killing_a_worker_mid_sweep_only_degrades_throughput() {
     // A halving sweep with several rungs on a bigger space, so the
     // kill lands with plenty of measurements still to schedule.
-    let space = ExploreSpec::new(MatMulProblem::new(32, 32, 32)).base(8).seed(7).space();
+    let space = base8_space(32);
     let search = Search::Halving(HalvingSpec::default());
     let baseline = Explorer::new()
-        .explore_space(&space, Prune::None, &search, 2)
+        .explore_streaming(&space, Prune::None, &search, 2, &[], &|_| true)
         .expect("local baseline sweep");
     assert!(baseline.sims_performed > 0);
 
@@ -197,4 +208,31 @@ fn racing_hub_jobs_over_remote_workers_cost_one_isolated_sweep() {
     let client = HubClient::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
     hub.join().unwrap();
+}
+
+/// Regression: a connection's reader never looked at the stop flag, so
+/// one connected-but-silent scheduler kept `run()` from returning after
+/// SIGTERM.
+#[test]
+fn a_stopped_worker_hangs_up_on_a_silent_peer_and_returns() {
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let worker =
+        Worker::bind(WorkerConfig { slots: 1, stop: Some(stop), ..WorkerConfig::default() })
+            .expect("bind worker");
+    let mut peer =
+        Connection::open(TcpStream::connect(worker.local_addr()).expect("connect")).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(worker.run()).unwrap());
+    // One answered `hello` proves the connection is being served (not
+    // still sitting in the accept backlog); then say nothing.
+    write_frame(&mut peer.writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
+        .unwrap();
+    while peer.reader.next_frame().unwrap() == Frame::Idle {}
+    stop.store(true, Ordering::SeqCst);
+    let summary = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("run() must return although a peer is still connected")
+        .expect("worker run");
+    assert_eq!((summary.connections, summary.measured), (1, 0));
+    assert_eq!(peer.reader.next_frame().unwrap(), Frame::Eof, "the worker hung up");
 }

@@ -6,8 +6,8 @@
 #   --quick   reduced sweep sizes (seconds instead of minutes)
 #   OUT_DIR   where the reports land (default: bench-out)
 #   HUB=1     additionally drive the explorer sweep through a freshly
-#             started axi4mlir-hub daemon (sharing the same cache file,
-#             so it costs no extra simulations) and verify the hub-path
+#             started axi4mlir-hub daemon (sharing the same cache
+#             directory, so it costs no extra simulations) and verify the hub-path
 #             BENCH_explore.json is schema-identical to the local one
 #   WORKERS=N spawn N axi4mlir-worker daemons and start the hub with
 #             --worker flags pointing at them, so the hub-path sweep's
@@ -25,7 +25,7 @@
 # Session::run. Explorer throughput lands in every sweep's report:
 # `sims_per_sec` in the context block of BENCH_explore.json counts
 # full-fidelity simulations per second of in-simulator wall time
-# (cache hits excluded, so reruns against a warm BENCH_cache.json may
+# (cache hits excluded, so reruns against a warm bench-cache/ may
 # omit it). bench-compare gates that number — a >10% drop vs. the
 # baseline fails CI — so check it first when the gate fires. The
 # README's "Simulator performance model" section explains what keeps
@@ -55,16 +55,17 @@ done
 
 echo "== design-space explorer =="
 # The persistent result cache makes local reruns warm twice over:
-# candidates measured by a previous sweep are loaded from
-# BENCH_cache.json instead of re-simulated, and --warm-start fits the
-# cross-problem transfer model from the same file so even sweeps of NEW
-# shapes start from calibrated rankings (bench-collect knows to leave
-# the cache file out of BENCH_all.json).
-CACHE="$OUT_DIR/BENCH_cache.json"
+# candidates measured by a previous sweep are loaded from the sharded
+# bench-cache/ directory instead of re-simulated, and --warm-start fits
+# the cross-problem transfer model from the same shards so even sweeps
+# of NEW shapes start from calibrated rankings. (A BENCH_cache.json
+# from an older checkout can be moved into the directory; the next save
+# re-shards it.)
+CACHE="$OUT_DIR/bench-cache"
 if [ "${#QUICK[@]}" -gt 0 ]; then
-    cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- --smoke --objectives clock,traffic --cache "$CACHE" --warm-start --json "$OUT_DIR"
+    cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- --smoke --objectives clock,traffic --cache-dir "$CACHE" --warm-start --json "$OUT_DIR"
 else
-    cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- --objectives clock,traffic --cache "$CACHE" --warm-start --json "$OUT_DIR"
+    cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- --objectives clock,traffic --cache-dir "$CACHE" --warm-start --json "$OUT_DIR"
 fi
 
 WORKERS="${WORKERS:-0}"
@@ -92,9 +93,9 @@ if [ "${HUB:-0}" = "1" ] || [ "$WORKERS" -gt 0 ]; then
     fi
     HUB_LOG=$(mktemp)
     HUB_OUT=$(mktemp -d)
-    # The daemon owns the same cache file the local sweep just saved, so
-    # the hub-path sweep is pure cache hits.
-    cargo run --release -q -p axi4mlir-hub -- --bind 127.0.0.1:0 --cache "$CACHE" \
+    # The daemon owns the same cache directory the local sweep just
+    # saved, so the hub-path sweep is pure cache hits.
+    cargo run --release -q -p axi4mlir-hub -- --bind 127.0.0.1:0 --cache-dir "$CACHE" \
         ${WORKER_FLAGS[@]+"${WORKER_FLAGS[@]}"} >"$HUB_LOG" &
     HUB_PID=$!
     trap 'kill -TERM "$HUB_PID" ${WORKER_PIDS[@]+"${WORKER_PIDS[@]}"} 2>/dev/null || true' EXIT

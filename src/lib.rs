@@ -14,10 +14,9 @@
 //! use axi4mlir::prelude::*;
 //!
 //! let accel = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
-//! let problem = MatMulProblem::square(16);
-//! let report = CompileAndRun::new(accel, problem)
-//!     .flow(FlowStrategy::OutputStationary)
-//!     .execute()
+//! let plan = CompilePlan::for_accelerator(accel).flow(FlowStrategy::OutputStationary);
+//! let report = Session::for_plan(&plan)
+//!     .run(&MatMulWorkload::new(MatMulProblem::square(16)), &plan)
 //!     .expect("pipeline should succeed");
 //! assert!(report.verified);
 //! ```

@@ -8,7 +8,6 @@ pub use axi4mlir_core::driver::{
     Session, Workload,
 };
 pub use axi4mlir_core::options::{CacheTiling, PipelineOptions};
-pub use axi4mlir_core::pipeline::{run_cpu_matmul, CompileAndRun, ConvCompileAndRun};
 pub use axi4mlir_workloads::batched::BatchedMatMulProblem;
 pub use axi4mlir_workloads::matmul::MatMulProblem;
 pub use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};

@@ -9,6 +9,15 @@ use axi4mlir::prelude::*;
 use axi4mlir::runtime::dma_lib;
 use axi4mlir::runtime::Soc;
 use axi4mlir::sim::axi::StreamAccelerator;
+use axi4mlir::support::diag::Diagnostic;
+
+/// Compiles and runs `config` on a one-shot session, expecting failure.
+fn run_err(config: AcceleratorConfig, dims: i64) -> Diagnostic {
+    let plan = CompilePlan::for_accelerator(config);
+    Session::for_plan(&plan)
+        .run(&MatMulWorkload::new(MatMulProblem::square(dims)), &plan)
+        .unwrap_err()
+}
 
 /// An A-stationary flow with a permutation that does not legalize it must
 /// be rejected at compile time, not hang at runtime.
@@ -38,7 +47,7 @@ fn illegal_stationarity_rejected_at_compile_time() {
 #[test]
 fn non_dividing_tiles_rejected() {
     let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
-    let err = CompileAndRun::new(config, MatMulProblem::square(20)).execute().unwrap_err();
+    let err = run_err(config, 20);
     assert!(err.message.contains("must divide"), "{}", err.message);
 }
 
@@ -52,7 +61,7 @@ fn undefined_opcode_in_flow_rejected() {
          rC = [send_literal(0x24), recv(2)], reset = [send_literal(0xFF)]>",
     )
     .unwrap(); // note: no `cC`
-    let err = CompileAndRun::new(config, MatMulProblem::square(8)).execute().unwrap_err();
+    let err = run_err(config, 8);
     assert!(err.message.contains("undefined opcode `cC`"), "{}", err.message);
 }
 
@@ -65,7 +74,7 @@ fn wrong_isa_surfaces_as_protocol_error() {
     // lying about the name.
     let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
     config.name = "v1_4".to_owned(); // instantiates a v1 model
-    let err = CompileAndRun::new(config, MatMulProblem::square(8)).execute().unwrap_err();
+    let err = run_err(config, 8);
     assert!(
         err.message.contains("protocol errors") || err.message.contains("beats"),
         "{}",
@@ -100,7 +109,7 @@ fn v4_capacity_violation_detected() {
 fn staging_region_overflow_rejected() {
     let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
     config.dma.input_buffer_size = 64; // 16 words: an 8x8 tile cannot fit
-    let err = CompileAndRun::new(config, MatMulProblem::square(8)).execute().unwrap_err();
+    let err = run_err(config, 8);
     assert!(
         err.message.contains("exceeds staging region") || err.message.contains("out-of-bounds"),
         "{}",

@@ -83,26 +83,20 @@ fn dma_traffic_matches_analytical_model() {
 }
 
 /// Cache tiling preserves results bit-for-bit while changing access order.
-/// (Runs through the legacy `CompileAndRun` wrapper on purpose — the
-/// compatibility surface must keep working.)
+/// (Each side runs on its own one-shot session.)
 #[test]
 fn cache_tiling_is_semantics_preserving() {
-    let problem = MatMulProblem::square(64);
-    let config = preset(MatMulVersion::V3, 8);
-    let mut off = PipelineOptions::optimized();
-    off.cache_tiling = CacheTiling::Off;
-    let without = CompileAndRun::new(config.clone(), problem)
-        .flow(FlowStrategy::NothingStationary)
-        .options(off)
-        .execute()
-        .unwrap();
-    let mut fixed = PipelineOptions::optimized();
-    fixed.cache_tiling = CacheTiling::Fixed(32);
-    let with = CompileAndRun::new(config, problem)
-        .flow(FlowStrategy::NothingStationary)
-        .options(fixed)
-        .execute()
-        .unwrap();
+    let workload = MatMulWorkload::new(MatMulProblem::square(64));
+    let run = |cache_tiling: CacheTiling| {
+        let mut options = PipelineOptions::optimized();
+        options.cache_tiling = cache_tiling;
+        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8))
+            .flow(FlowStrategy::NothingStationary)
+            .options(options);
+        Session::for_plan(&plan).run(&workload, &plan).unwrap()
+    };
+    let without = run(CacheTiling::Off);
+    let with = run(CacheTiling::Fixed(32));
     assert_eq!(without.result, with.result);
     assert_eq!(
         without.counters.dma_bytes_to_accel, with.counters.dma_bytes_to_accel,
