@@ -7,7 +7,7 @@ use axi4mlir_bench::{fig10, fig11, fig12, fig13, fig14, fig16, fig17, report, ta
 use axi4mlir_support::fmtutil::{fmt_percent, fmt_speedup};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: all_figures [--quick] [--json [DIR]]");
 
     println!("## Table I\n");
     let table1_rows = table1::rows();

@@ -61,28 +61,10 @@ use axi4mlir_core::explore::{
     shard, ExploreReport, ExploreRequest, Explorer, JobSpec, Objective, TransferModel,
 };
 use axi4mlir_hub::{run_resilient, HubClient};
+use axi4mlir_support::args;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_support::json::JsonValue;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).cloned()
-}
-
-/// `--flag V` parsed as a number.
-fn arg_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    arg_value(args, flag)
-        .map(|text| text.parse().map_err(|_| format!("invalid {flag} `{text}`")))
-        .transpose()
-}
-
-/// `--flag a,b` split into trimmed tokens (absent flag: empty).
-fn arg_list(args: &[String], flag: &str) -> Vec<String> {
-    arg_value(args, flag)
-        .map(|text| text.split(',').map(|token| token.trim().to_owned()).collect())
-        .unwrap_or_default()
-}
 
 /// The smoke-scale conv layer (the Fig. 16 quick shape), also the
 /// default `--layer`.
@@ -93,27 +75,26 @@ const QUICK_LAYER: &str = "10_64_3_16_1";
 /// from `--base`, `--smoke` picks small defaults); every semantic check
 /// is [`JobSpec::build`]'s, exactly as for a job submitted to a hub.
 fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let smoke = flag("--smoke");
+    let smoke = args::flag(args, "--smoke");
     let defaults = JobSpec::default();
     let mut job = JobSpec {
-        workload: arg_value(args, "--workload").unwrap_or(defaults.workload),
-        search: arg_value(args, "--search").unwrap_or(defaults.search),
-        prune: arg_value(args, "--prune").unwrap_or(defaults.prune),
-        sweep_options: flag("--sweep-options"),
-        sweep_cache_tiling: flag("--sweep-cache-tiling"),
-        cpus: arg_list(args, "--cpu"),
-        objectives: arg_list(args, "--objectives"),
-        seed: arg_number(args, "--seed")?,
+        workload: args::value(args, "--workload")?.unwrap_or(defaults.workload),
+        search: args::value(args, "--search")?.unwrap_or(defaults.search),
+        prune: args::value(args, "--prune")?.unwrap_or(defaults.prune),
+        sweep_options: args::flag(args, "--sweep-options"),
+        sweep_cache_tiling: args::flag(args, "--sweep-cache-tiling"),
+        cpus: args::list(args, "--cpu")?,
+        objectives: args::list(args, "--objectives")?,
+        seed: args::number(args, "--seed")?,
         ..defaults
     };
     if job.workload == "conv" {
         // The §IV-D accelerator is configured by the layer alone.
-        job.layer = Some(arg_value(args, "--layer").unwrap_or_else(|| QUICK_LAYER.to_owned()));
+        job.layer = Some(args::value(args, "--layer")?.unwrap_or_else(|| QUICK_LAYER.to_owned()));
         return Ok(job);
     }
     let batched = job.workload == "batched";
-    job.dims = Some(match arg_value(args, "--dims") {
+    job.dims = Some(match args::value(args, "--dims")? {
         Some(text) => {
             let p = parse_dims(&text).ok_or(format!("invalid --dims `{text}` (want MxNxK)"))?;
             (p.m, p.n, p.k)
@@ -123,12 +104,12 @@ fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
         None => (256, 256, 256),
     });
     if batched {
-        job.batch = arg_number(args, "--batch")?.or(smoke.then_some(2));
+        job.batch = args::number(args, "--batch")?.or(smoke.then_some(2));
     }
-    let base: i64 = arg_number(args, "--base")?.unwrap_or(if smoke { 8 } else { 16 });
+    let base: i64 = args::number(args, "--base")?.unwrap_or(if smoke { 8 } else { 16 });
     // `v3` (size defaults to `--base`) or `v4:8`, normalized to the
     // `v4_8` preset-name form the job carries.
-    job.accels = match arg_value(args, "--accel") {
+    job.accels = match args::value(args, "--accel")? {
         Some(text) => text
             .split(',')
             .map(|token| match token.split_once(':') {
@@ -138,7 +119,7 @@ fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
             .collect(),
         None => vec![format!("v4_{base}")],
     };
-    job.capacity_words = arg_number(args, "--capacity")?;
+    job.capacity_words = args::number(args, "--capacity")?;
     Ok(job)
 }
 
@@ -184,20 +165,16 @@ const KNOWN_FLAGS: [&str; 20] = [
 ];
 
 fn cli_from_args(args: &[String]) -> Result<Cli, String> {
-    if args.iter().any(|a| a == "--cache") {
+    if args::flag(args, "--cache") {
         return Err("--cache was removed: pass --cache-dir DIR (to keep an old BENCH_cache.json, \
                     move it into DIR; the next save re-shards it)"
             .to_owned());
     }
-    if let Some(unknown) =
-        args.iter().find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
-    {
-        return Err(format!("unknown flag `{unknown}` (known: {})", KNOWN_FLAGS.join(" ")));
-    }
+    args::reject_unknown(args, &KNOWN_FLAGS, &format!("known flags: {}", KNOWN_FLAGS.join(" ")))?;
     let job = job_from_args(args)?;
     if job.workload == "conv" {
         for flag in ["--accel", "--dims", "--capacity", "--base", "--batch"] {
-            if arg_value(args, flag).is_some() {
+            if args::flag(args, flag) {
                 eprintln!(
                     "axi4mlir-explore: note: {flag} is ignored for conv (the \u{a7}IV-D \
                      accelerator is configured by the layer; use --layer)"
@@ -211,25 +188,24 @@ fn cli_from_args(args: &[String]) -> Result<Cli, String> {
             );
         }
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workers = arg_number(args, "--workers")?.unwrap_or_else(|| {
+    let smoke = args::flag(args, "--smoke");
+    let workers = args::number(args, "--workers")?.unwrap_or_else(|| {
         let host = std::thread::available_parallelism().map_or(2, |n| n.get());
         host.min(if smoke { 2 } else { 8 })
     });
-    let cache_dir = arg_value(args, "--cache-dir").map(PathBuf::from);
+    let cache_dir = args::value(args, "--cache-dir")?.map(PathBuf::from);
     // `--warm-start` takes an optional DIR; without one it reads the
     // `--cache-dir` (the common case: one persistent cache doing both
     // jobs).
-    let warm_start = match args.iter().position(|a| a == "--warm-start") {
+    let warm_start = match args::optional_value(args, "--warm-start") {
         None => None,
-        Some(at) => {
-            let explicit = args.get(at + 1).filter(|v| !v.starts_with("--")).map(PathBuf::from);
-            Some(explicit.or_else(|| cache_dir.clone()).ok_or(
+        Some(explicit) => {
+            Some(explicit.map(PathBuf::from).or_else(|| cache_dir.clone()).ok_or(
                 "--warm-start needs a cache directory (give it a DIR or pass --cache-dir)",
             )?)
         }
     };
-    let hub = arg_value(args, "--hub");
+    let hub = args::value(args, "--hub")?;
     if hub.is_some() && (cache_dir.is_some() || warm_start.is_some()) {
         return Err("--hub is incompatible with --cache-dir/--warm-start (the hub owns the \
                     shared cache and warm start; configure them on the daemon)"
@@ -257,8 +233,9 @@ fn run_on_hub(addr: &str, job: &JobSpec) -> Result<ExploreReport, String> {
         );
     }
     let mut on_event = |event: &JsonValue| {
-        let get = |name: &str| event.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
-        match event.get("state").and_then(JsonValue::as_str) {
+        let Ok(event) = event.members("hub event") else { return };
+        let get = |name: &str| event.u64(name).unwrap_or(0);
+        match event.str("state").ok() {
             Some("queued") => println!("hub: job {} queued", get("job")),
             Some("running") => println!("hub: job {} running", get("job")),
             Some("space-ready") => println!(
@@ -268,7 +245,7 @@ fn run_on_hub(addr: &str, job: &JobSpec) -> Result<ExploreReport, String> {
             ),
             Some("rung-complete") => println!(
                 "hub: rung {} complete — {} sims ({} full), {} cache hits, {} survivors",
-                event.get("fidelity").and_then(JsonValue::as_str).unwrap_or("?"),
+                event.str("fidelity").unwrap_or("?"),
                 get("sims_performed"),
                 get("full_sims_performed"),
                 get("cache_hits"),
@@ -486,7 +463,7 @@ fn run_locally(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = args::argv();
     let cli = match cli_from_args(&args) {
         Ok(cli) => cli,
         Err(message) => {

@@ -12,17 +12,26 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use axi4mlir_support::args;
 use axi4mlir_support::fmtutil::TextTable;
 use axi4mlir_support::json::JsonValue;
+
+const USAGE: &str = "usage: bench-collect [DIR]";
 
 /// The schema tag of the merged collection document.
 const COLLECTION_SCHEMA: &str = "axi4mlir-bench-collection/v1";
 
 fn main() -> ExitCode {
-    let dir = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .map_or_else(|| PathBuf::from("."), PathBuf::from);
+    let args = args::argv();
+    let dirs =
+        args::reject_unknown(&args, &[], USAGE).and_then(|()| args::positionals(&args, &[], USAGE));
+    let dir = match dirs {
+        Ok(dirs) => dirs.first().map_or_else(|| PathBuf::from("."), PathBuf::from),
+        Err(message) => {
+            eprintln!("bench-collect: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let mut files: Vec<PathBuf> = match fs::read_dir(&dir) {
         Ok(entries) => entries
@@ -71,22 +80,23 @@ fn main() -> ExitCode {
         // Only bench reports belong in the collection; sibling BENCH_*
         // files with other schemas (the explorer's persistent
         // BENCH_cache.json) are quietly left out.
-        if doc.get("schema").and_then(JsonValue::as_str) != Some(axi4mlir_bench::report::SCHEMA) {
+        let report = doc.members("bench report").ok();
+        let report = report.filter(|r| r.str("schema") == Ok(axi4mlir_bench::report::SCHEMA));
+        let Some(report) = report else {
             skipped_foreign += 1;
             continue;
-        }
-        let mut name = doc.get("name").and_then(JsonValue::as_str).unwrap_or("?").to_owned();
-        if doc.get("pareto").is_some() {
+        };
+        let mut name = report.str("name").unwrap_or("?").to_owned();
+        if report.get("pareto").is_some() {
             name.push_str(" (+pareto)");
         }
-        let entries = doc.get("entries").and_then(JsonValue::as_array).map_or(0, <[_]>::len);
+        let entries = report.array("entries").map_or(0, <[_]>::len);
         // The explorer reports its simulator throughput; other reports
         // leave the column blank.
-        let sims_per_sec = doc
-            .get("context")
-            .and_then(|c| c.get("sims_per_sec"))
-            .and_then(JsonValue::as_f64)
-            .map_or_else(String::new, |rate| format!("{rate:.1}"));
+        let sims_per_sec = report
+            .object("context")
+            .and_then(|context| context.f64("sims_per_sec"))
+            .map_or_else(|_| String::new(), |rate| format!("{rate:.1}"));
         let file = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned();
         table.row(vec![name, entries.to_string(), sims_per_sec, file]);
         reports.push(doc);

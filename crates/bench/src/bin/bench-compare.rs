@@ -21,12 +21,15 @@
 //! Exit status: 0 when clean, 1 on regressions, 2 on usage/IO errors.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use axi4mlir_bench::compare::{gate, is_rate_metric, Comparison};
+use axi4mlir_support::args;
 use axi4mlir_support::fmtutil::TextTable;
 use axi4mlir_support::json::JsonValue;
+
+const USAGE: &str = "usage: bench-compare BASELINE CURRENT [--threshold 0.10]";
 
 /// Loads a collection (`BENCH_all.json`) or single-report document.
 fn load_document(path: &Path) -> Result<JsonValue, String> {
@@ -37,30 +40,24 @@ fn load_document(path: &Path) -> Result<JsonValue, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threshold = 0.10;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threshold" {
-            let Some(value) = iter.next().and_then(|v| v.parse::<f64>().ok()) else {
-                eprintln!("bench-compare: --threshold needs a fraction (e.g. 0.10)");
-                return ExitCode::from(2);
-            };
-            threshold = value;
-        } else if arg.starts_with("--") {
-            // A typo like `--treshold 0.2` must not silently become a
-            // pair of path arguments and a baffling IO error.
-            eprintln!("bench-compare: unknown flag `{arg}` (known flags: --threshold)");
+    let args = args::argv();
+    let parsed = args::reject_unknown(&args, &["--threshold"], USAGE).and_then(|()| {
+        let threshold = args::number::<f64>(&args, "--threshold")?.unwrap_or(0.10);
+        let paths = args::positionals(&args, &["--threshold"], USAGE)?;
+        Ok((threshold, paths))
+    });
+    let (threshold, paths) = match parsed {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("bench-compare: {message}");
             return ExitCode::from(2);
-        } else {
-            paths.push(PathBuf::from(arg));
         }
-    }
+    };
     let [baseline_path, current_path] = &paths[..] else {
-        eprintln!("bench-compare: usage: bench-compare BASELINE CURRENT [--threshold 0.10]");
+        eprintln!("bench-compare: {USAGE}");
         return ExitCode::from(2);
     };
+    let (baseline_path, current_path) = (Path::new(baseline_path), Path::new(current_path));
 
     let (baseline, current) = match (load_document(baseline_path), load_document(current_path)) {
         (Ok(b), Ok(c)) => (b, c),

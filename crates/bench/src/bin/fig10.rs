@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig10, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig10 [--quick] [--json [DIR]]");
     println!("Fig. 10: Runtime characterization CPU vs. accelerator (v1, Ns flow)\n");
     let rows = fig10::rows(scale);
     println!("{}", fig10::render(&rows).render());

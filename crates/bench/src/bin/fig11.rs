@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig11, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig11 [--quick] [--json [DIR]]");
     println!("Fig. 11: Manual Ns vs. AXI4MLIR flows (element-wise copies)\n");
     let rows = fig11::rows(scale);
     println!("{}", fig11::render(&rows).render());

@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig12, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig12 [--quick] [--json [DIR]]");
     let (dims, size) = fig12::config(scale);
     println!("Fig. 12: v3_{size} vs mlir_CPU, dims == {dims} (normalized to CPU execution)\n");
     println!("(a) without the MemRef-DMA copy optimization:\n");

@@ -5,7 +5,7 @@ use axi4mlir_bench::{fig13, report, Scale};
 use axi4mlir_support::fmtutil::{fmt_percent, fmt_speedup};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig13 [--quick] [--json [DIR]]");
     println!("Fig. 13: Manual vs. AXI4MLIR driver code (optimized copies)\n");
     let rows = fig13::rows(scale);
     println!("{}", fig13::render(&rows).render());

@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig14, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig14 [--quick] [--json [DIR]]");
     println!("Fig. 14: MatMul problem permutations on the v4 accelerator\n");
     let rows = fig14::rows(scale);
     println!("{}", fig14::render(&rows).render());

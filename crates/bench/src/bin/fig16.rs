@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig16, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig16 [--quick] [--json [DIR]]");
     println!("Fig. 16: ResNet18 convolution layers, AXI4MLIR vs. manual (normalized to manual)\n");
     let rows = fig16::rows(scale);
     println!("{}", fig16::render(&rows).render());

@@ -4,7 +4,7 @@
 use axi4mlir_bench::{fig17, report, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full };
+    let scale = Scale::from_args("usage: fig17 [--quick] [--json [DIR]]");
     println!("Fig. 17: TinyBERT (batch 2) end-to-end execution time\n");
     let bars = fig17::bars(scale);
     println!("{}", fig17::render(&bars).render());

@@ -52,49 +52,50 @@ pub fn is_rate_metric(key: &str) -> bool {
 
 /// Extracts every gated sample of one report document.
 fn samples_of_report(doc: &JsonValue, out: &mut Vec<Sample>) {
-    let name = doc.get("name").and_then(JsonValue::as_str).unwrap_or("?").to_owned();
-    if let Some(context) = doc.get("context").and_then(JsonValue::as_object) {
-        for (key, value) in context {
+    // The gate is lenient by design: what a document lacks is simply not
+    // compared, so the reader's complaints are dropped.
+    let Ok(doc) = doc.members("bench report") else { return };
+    let name = doc.str("name").unwrap_or("?");
+    let mut sample = |entry: &str, metric: &str, value: f64| {
+        out.push(Sample {
+            report: name.to_owned(),
+            entry: entry.to_owned(),
+            metric: metric.to_owned(),
+            value,
+        });
+    };
+    if let Ok(context) = doc.object("context") {
+        for (key, value) in context.iter() {
             if let (true, Some(value)) = (is_rate_metric(key), value.as_f64()) {
-                out.push(Sample {
-                    report: name.clone(),
-                    entry: CONTEXT_ENTRY.to_owned(),
-                    metric: key.clone(),
-                    value,
-                });
+                sample(CONTEXT_ENTRY, key, value);
             }
         }
     }
-    for entry in doc.get("entries").and_then(JsonValue::as_array).unwrap_or(&[]) {
-        let id = entry.get("id").and_then(JsonValue::as_str).unwrap_or("?").to_owned();
-        let Some(metrics) = entry.get("metrics").and_then(JsonValue::as_object) else { continue };
-        for (key, value) in metrics {
-            if !is_gated_metric(key) {
-                continue;
-            }
-            if let Some(value) = value.as_f64() {
-                out.push(Sample {
-                    report: name.clone(),
-                    entry: id.clone(),
-                    metric: key.clone(),
-                    value,
-                });
+    for entry in doc.array("entries").unwrap_or(&[]) {
+        let Ok(entry) = entry.members("bench entry") else { continue };
+        let Ok(metrics) = entry.object("metrics") else { continue };
+        let id = entry.str("id").unwrap_or("?");
+        for (key, value) in metrics.iter() {
+            if let (true, Some(value)) = (is_gated_metric(key), value.as_f64()) {
+                sample(id, key, value);
             }
         }
     }
+}
+
+/// The reports of a collection (`BENCH_all.json`), or the document
+/// itself when it is a single report.
+fn reports_of(doc: &JsonValue) -> &[JsonValue] {
+    let collection = doc.members("bench collection").and_then(|m| m.array("reports"));
+    collection.unwrap_or(std::slice::from_ref(doc))
 }
 
 /// Flattens a collection (`BENCH_all.json`) or single-report document
 /// into its gated samples.
 pub fn samples_of(doc: &JsonValue) -> Vec<Sample> {
     let mut out = Vec::new();
-    match doc.get("reports").and_then(JsonValue::as_array) {
-        Some(reports) => {
-            for report in reports {
-                samples_of_report(report, &mut out);
-            }
-        }
-        None => samples_of_report(doc, &mut out),
+    for report in reports_of(doc) {
+        samples_of_report(report, &mut out);
     }
     out
 }
@@ -102,15 +103,11 @@ pub fn samples_of(doc: &JsonValue) -> Vec<Sample> {
 /// Names of reports in a document that carry a schema-v2 `pareto`
 /// section (compared presence-wise only, never gated).
 pub fn pareto_reports_of(doc: &JsonValue) -> Vec<String> {
-    let of_report = |report: &JsonValue| {
-        report
-            .get("pareto")
-            .map(|_| report.get("name").and_then(JsonValue::as_str).unwrap_or("?").to_owned())
+    let with_front = |report: &JsonValue| {
+        let report = report.members("bench report").ok()?;
+        report.get("pareto").map(|_| report.str("name").unwrap_or("?").to_owned())
     };
-    match doc.get("reports").and_then(JsonValue::as_array) {
-        Some(reports) => reports.iter().filter_map(of_report).collect(),
-        None => of_report(doc).into_iter().collect(),
-    }
+    reports_of(doc).iter().filter_map(with_front).collect()
 }
 
 /// One baseline-vs-current pair.

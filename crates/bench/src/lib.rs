@@ -29,6 +29,8 @@ pub mod fig17;
 pub mod report;
 pub mod table1;
 
+use axi4mlir_support::args;
+
 /// How big a sweep to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -40,6 +42,22 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses the command line every figure binary shares —
+    /// `[--quick] [--json [DIR]]` — exiting with `usage` on any other
+    /// flag, so a typo cannot silently start the minutes-long full sweep.
+    pub fn from_args(usage: &str) -> Scale {
+        let argv = args::argv();
+        if let Err(message) = args::reject_unknown(&argv, &["--quick", "--json"], usage) {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
+        if args::flag(&argv, "--quick") {
+            Scale::Quick
+        } else {
+            Scale::Full
+        }
+    }
+
     /// The square MatMul dimensions to sweep.
     pub fn matmul_dims(self) -> Vec<i64> {
         match self {

@@ -29,6 +29,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use axi4mlir_support::args;
 use axi4mlir_support::json::JsonValue;
 
 use crate::Scale;
@@ -172,7 +173,7 @@ impl BenchReport {
 ///
 /// Propagates filesystem errors from the write.
 pub fn emit_from_args(report: &BenchReport) -> io::Result<Option<PathBuf>> {
-    match json_dir_from_args(std::env::args().skip(1)) {
+    match json_dir_from_args(args::argv()) {
         Some(dir) => {
             let path = report.write_to_dir(&dir)?;
             eprintln!("wrote {}", path.display());
@@ -185,11 +186,7 @@ pub fn emit_from_args(report: &BenchReport) -> io::Result<Option<PathBuf>> {
 /// Parses the `--json [DIR]` flag out of an argument list.
 pub fn json_dir_from_args(args: impl IntoIterator<Item = String>) -> Option<PathBuf> {
     let args: Vec<String> = args.into_iter().collect();
-    let at = args.iter().position(|a| a == "--json")?;
-    match args.get(at + 1) {
-        Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-        _ => Some(PathBuf::from(".")),
-    }
+    args::optional_value(&args, "--json").map(|dir| PathBuf::from(dir.unwrap_or(".")))
 }
 
 #[cfg(test)]

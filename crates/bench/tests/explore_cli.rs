@@ -52,3 +52,30 @@ fn the_removed_cache_flag_points_at_cache_dir() {
     assert!(!scratch.join("BENCH_explore.json").exists(), "nothing ran");
     std::fs::remove_dir_all(&scratch).ok();
 }
+
+/// Regression: the figure binaries scanned argv for `--quick` and
+/// ignored everything else, so `fig10 --quik` silently ran the
+/// minutes-long full-scale sweep and `bench-collect --jsno` was ignored.
+/// Every binary now rejects an unknown flag with its usage text, before
+/// doing any work.
+#[test]
+fn a_typoed_flag_is_rejected_with_the_usage_text() {
+    for (bin, typo, usage) in [
+        (env!("CARGO_BIN_EXE_fig10"), "--quik", "usage: fig10 [--quick] [--json [DIR]]"),
+        (env!("CARGO_BIN_EXE_all_figures"), "--jsno", "usage: all_figures [--quick]"),
+        (env!("CARGO_BIN_EXE_table1"), "--jsno", "usage: table1 [--json [DIR]]"),
+        (env!("CARGO_BIN_EXE_bench-collect"), "--jsno", "usage: bench-collect [DIR]"),
+        (env!("CARGO_BIN_EXE_bench-compare"), "--treshold", "usage: bench-compare BASELINE"),
+    ] {
+        let out = Command::new(bin).arg(typo).output().expect("run the binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin} {typo} must fail");
+        assert!(stderr.contains(&format!("unknown flag `{typo}`")), "{bin}: {stderr}");
+        assert!(stderr.contains(usage), "{bin}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bin} did no work: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}

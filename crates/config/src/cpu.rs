@@ -1,7 +1,7 @@
 //! Host CPU description (the `"cpu"` entry of Fig. 5).
 
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 /// Host CPU cache information used by the tiling heuristics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,23 +31,9 @@ impl CpuSpec {
     ///
     /// Returns a [`Diagnostic`] for missing or ill-typed members.
     pub fn from_value(value: &JsonValue) -> Result<CpuSpec, Diagnostic> {
-        let levels_value = value
-            .get("cache-levels")
-            .ok_or_else(|| Diagnostic::error("cpu: missing field `cache-levels`"))?;
-        let cache_levels = crate::json::sizes_from(levels_value, "cache-levels")?;
-        let cache_types = match value.get("cache-types") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| Diagnostic::error("cpu: `cache-types` must be an array"))?
-                .iter()
-                .map(|t| {
-                    t.as_str().map(str::to_owned).ok_or_else(|| {
-                        Diagnostic::error("cpu: `cache-types` entries must be strings")
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
+        let members = value.members("cpu")?;
+        let cache_levels = crate::json::sizes_from(&members, "cache-levels")?;
+        let cache_types = members.opt("cache-types", Members::str_list)?.unwrap_or_default();
         Ok(CpuSpec { cache_levels, cache_types })
     }
 

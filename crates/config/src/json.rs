@@ -26,27 +26,25 @@
 
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 use crate::accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
 use crate::cpu::CpuSpec;
 
 /// Reads a list of sizes given as integers or `"32K"` strings.
-pub(crate) fn sizes_from(value: &JsonValue, field: &str) -> Result<Vec<u64>, Diagnostic> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| Diagnostic::error(format!("`{field}` must be an array of sizes")))?;
-    items
+pub(crate) fn sizes_from(members: &Members<'_>, field: &str) -> Result<Vec<u64>, Diagnostic> {
+    members
+        .array(field)?
         .iter()
         .map(|item| match item {
-            JsonValue::Int(_) => item
-                .as_u64()
-                .ok_or_else(|| Diagnostic::error(format!("`{field}` sizes must be non-negative"))),
+            JsonValue::Int(_) => {
+                item.as_u64().ok_or_else(|| members.invalid(field, "sizes must be non-negative"))
+            }
             JsonValue::Str(text) => parse_size(text).map_err(Diagnostic::error),
-            other => Err(Diagnostic::error(format!(
-                "`{field}` entries must be integers or size strings, found {}",
-                other.type_name()
-            ))),
+            other => Err(members.invalid(
+                field,
+                &format!("entries must be integers or size strings, found {}", other.type_name()),
+            )),
         })
         .collect()
 }
@@ -91,18 +89,10 @@ impl SystemConfig {
     pub fn from_json(text: &str) -> Result<SystemConfig, Diagnostic> {
         let doc = JsonValue::parse(text)
             .map_err(|e| Diagnostic::error(format!("configuration JSON error: {}", e.message)))?;
-        let cpu_value = doc
-            .get("cpu")
-            .ok_or_else(|| Diagnostic::error("configuration must define a `cpu` section"))?;
-        let cpu = CpuSpec::from_value(cpu_value)?;
-        let accel_values =
-            doc.get("accelerators").and_then(JsonValue::as_array).ok_or_else(|| {
-                Diagnostic::error("configuration must define an `accelerators` array")
-            })?;
-        let mut accelerators = Vec::new();
-        for value in accel_values {
-            accelerators.push(convert(value)?);
-        }
+        let doc = doc.members("configuration")?;
+        let cpu = CpuSpec::from_value(doc.require("cpu")?)?;
+        let accelerators =
+            doc.array("accelerators")?.iter().map(convert).collect::<Result<_, _>>()?;
         Ok(SystemConfig { cpu, accelerators })
     }
 
@@ -112,165 +102,66 @@ impl SystemConfig {
     }
 }
 
-fn field<'v>(value: &'v JsonValue, name: &str, accel: &str) -> Result<&'v JsonValue, Diagnostic> {
-    value
-        .get(name)
-        .ok_or_else(|| Diagnostic::error(format!("accelerator {accel}: missing field `{name}`")))
-}
-
-fn string_field(value: &JsonValue, name: &str, accel: &str) -> Result<String, Diagnostic> {
-    field(value, name, accel)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| Diagnostic::error(format!("accelerator {accel}: `{name}` must be a string")))
-}
-
-fn u64_field(value: &JsonValue, name: &str, accel: &str) -> Result<u64, Diagnostic> {
-    field(value, name, accel)?.as_u64().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {accel}: `{name}` must be a non-negative integer"))
-    })
-}
-
-fn u32_field(value: &JsonValue, name: &str, accel: &str) -> Result<u32, Diagnostic> {
-    u64_field(value, name, accel)?.try_into().map_err(|_| {
-        Diagnostic::error(format!("accelerator {accel}: `{name}` does not fit in 32 bits"))
-    })
-}
-
-fn string_list(value: &JsonValue, name: &str, accel: &str) -> Result<Vec<String>, Diagnostic> {
-    field(value, name, accel)?
-        .as_array()
-        .ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {accel}: `{name}` must be an array"))
-        })?
-        .iter()
-        .map(|v| {
-            v.as_str().map(str::to_owned).ok_or_else(|| {
-                Diagnostic::error(format!("accelerator {accel}: `{name}` entries must be strings"))
-            })
-        })
-        .collect()
-}
-
 fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
-    let name = value
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| Diagnostic::error("every accelerator needs a string `name`"))?
-        .to_owned();
+    let name = value.members("every accelerator")?.str("name")?;
+    let context = format!("accelerator {name}");
+    let blame =
+        |what: &str, d: Diagnostic| Diagnostic::error(format!("{context}: {what}{}", d.message));
+    let m = value.members(&context)?;
 
-    let kernel_name = string_field(value, "kernel", &name)?;
-    let kernel = KernelKind::from_op_name(&kernel_name).ok_or_else(|| {
+    let kernel_name = m.str("kernel")?;
+    let kernel = KernelKind::from_op_name(kernel_name).ok_or_else(|| {
         Diagnostic::error(format!(
-            "accelerator {name}: unsupported kernel `{kernel_name}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
+            "{context}: unsupported kernel `{kernel_name}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
         ))
     })?;
 
-    let dma_value = field(value, "dma_config", &name)?;
+    let dma_members = m.object("dma_config")?;
     let dma = DmaInfo {
-        id: u32_field(dma_value, "id", &name)?,
-        input_address: u64_field(dma_value, "inputAddress", &name)?,
-        input_buffer_size: u64_field(dma_value, "inputBufferSize", &name)?,
-        output_address: u64_field(dma_value, "outputAddress", &name)?,
-        output_buffer_size: u64_field(dma_value, "outputBufferSize", &name)?,
+        id: dma_members.uint("id")?,
+        input_address: dma_members.u64("inputAddress")?,
+        input_buffer_size: dma_members.u64("inputBufferSize")?,
+        output_address: dma_members.u64("outputAddress")?,
+        output_buffer_size: dma_members.u64("outputBufferSize")?,
     };
 
-    let accel_dims = field(value, "accel_size", &name)?
-        .as_array()
-        .ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: `accel_size` must be an array"))
-        })?
-        .iter()
-        .map(|v| {
-            v.as_i64().ok_or_else(|| {
-                Diagnostic::error(format!(
-                    "accelerator {name}: `accel_size` entries must be integers"
-                ))
-            })
-        })
-        .collect::<Result<Vec<i64>, _>>()?;
-
-    let data_type = match value.get("data_type") {
-        None => "int32".to_owned(),
-        Some(v) => v.as_str().map(str::to_owned).ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: `data_type` must be a string"))
-        })?,
-    };
-
-    let dims = string_list(value, "dims", &name)?;
-
-    let opcode_map_text = string_field(value, "opcode_map", &name)?;
-    let opcode_map = OpcodeMap::parse(&opcode_map_text)
-        .map_err(|d| Diagnostic::error(format!("accelerator {name}: {}", d.message)))?;
+    let opcode_map = OpcodeMap::parse(m.str("opcode_map")?).map_err(|d| blame("", d))?;
 
     let mut flows = Vec::new();
-    let flow_members = field(value, "opcode_flow_map", &name)?.as_object().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {name}: `opcode_flow_map` must be an object"))
-    })?;
-    for (flow_name, flow_value) in flow_members {
-        let text = flow_value.as_str().ok_or_else(|| {
-            Diagnostic::error(format!("accelerator {name}: flow `{flow_name}` must be a string"))
-        })?;
-        let flow = OpcodeFlow::parse(text).map_err(|d| {
-            Diagnostic::error(format!("accelerator {name}: flow `{flow_name}`: {}", d.message))
-        })?;
-        flows.push((flow_name.clone(), flow));
+    let flow_members = m.object("opcode_flow_map")?;
+    for (flow_name, _) in flow_members.iter() {
+        let flow = OpcodeFlow::parse(flow_members.str(flow_name)?)
+            .map_err(|d| blame(&format!("flow `{flow_name}`: "), d))?;
+        flows.push((flow_name.to_owned(), flow));
     }
 
     let mut data = Vec::new();
-    let data_members = field(value, "data", &name)?.as_object().ok_or_else(|| {
-        Diagnostic::error(format!("accelerator {name}: `data` must be an object"))
-    })?;
-    for (arg, dims_value) in data_members {
-        let arg_dims: Vec<String> = dims_value
-            .as_array()
-            .ok_or_else(|| {
-                Diagnostic::error(format!(
-                    "accelerator {name}: data argument {arg} must list its dimensions"
-                ))
-            })?
-            .iter()
-            .map(|v| {
-                v.as_str().map(str::to_owned).ok_or_else(|| {
-                    Diagnostic::error(format!(
-                        "accelerator {name}: data argument {arg} has a non-string dimension"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        data.push((arg.clone(), arg_dims));
+    let data_members = m.object("data")?;
+    for (arg, _) in data_members.iter() {
+        data.push((arg.to_owned(), data_members.str_list(arg)?));
     }
 
-    let selected_flow = string_field(value, "selected_flow", &name)?;
-
-    let init_opcodes = match value.get("init_opcodes") {
+    let init_opcodes = match m.get("init_opcodes") {
         None | Some(JsonValue::Null) => Vec::new(),
-        Some(v) => {
-            let text = v.as_str().ok_or_else(|| {
-                Diagnostic::error(format!("accelerator {name}: `init_opcodes` must be a string"))
-            })?;
-            OpcodeFlow::parse(text)
-                .map_err(|d| {
-                    Diagnostic::error(format!("accelerator {name}: init_opcodes: {}", d.message))
-                })?
-                .opcode_names()
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        }
+        Some(_) => OpcodeFlow::parse(m.str("init_opcodes")?)
+            .map_err(|d| blame("init_opcodes: ", d))?
+            .opcode_names()
+            .into_iter()
+            .map(str::to_owned)
+            .collect(),
     };
 
     let config = AcceleratorConfig {
-        name,
+        name: name.to_owned(),
         kernel,
         dma,
-        dims,
-        accel_dims,
+        dims: m.str_list("dims")?,
+        accel_dims: m.i64_list("accel_size")?,
         data,
-        data_type,
+        data_type: m.opt("data_type", Members::str)?.unwrap_or("int32").to_owned(),
         opcode_map,
         flows,
-        selected_flow,
+        selected_flow: m.str("selected_flow")?.to_owned(),
         init_opcodes,
     };
     config.validate()?;
@@ -361,14 +252,14 @@ mod tests {
     fn missing_fields_name_the_field() {
         let text = SAMPLE.replace("\"opcode_map\":", "\"not_opcode_map\":");
         let err = SystemConfig::from_json(&text).unwrap_err();
-        assert!(err.message.contains("missing field `opcode_map`"), "{}", err.message);
+        assert!(err.message.contains("missing `opcode_map`"), "{}", err.message);
     }
 
     #[test]
     fn out_of_range_dma_id_is_rejected() {
         let text = SAMPLE.replace("\"id\": 0", "\"id\": 4294967296");
         let err = SystemConfig::from_json(&text).unwrap_err();
-        assert!(err.message.contains("does not fit in 32 bits"), "{}", err.message);
+        assert!(err.message.contains("`dma_config.id` must fit in 32 bits"), "{}", err.message);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use axi4mlir_dialects::lint::lint_module;
 use axi4mlir_dialects::verify::verify_dialects;
 use axi4mlir_ir::parser::parse_module;
 use axi4mlir_ir::verifier::verify;
+use axi4mlir_support::args;
 use axi4mlir_support::diag::{DiagnosticEngine, Severity};
 
 fn usage() -> &'static str {
@@ -42,16 +43,13 @@ fn lint_text(text: &str) -> Result<DiagnosticEngine, String> {
 }
 
 fn run() -> Result<bool, String> {
-    let mut files = Vec::new();
-    let mut deny_warnings = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--deny-warnings" => deny_warnings = true,
-            "--help" | "-h" => return Err(usage().to_owned()),
-            other if other == "-" || !other.starts_with('-') => files.push(other.to_owned()),
-            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
-        }
+    let args = args::argv();
+    if args::wants_help(&args) {
+        return Err(usage().to_owned());
     }
+    args::reject_unknown(&args, &["--deny-warnings"], usage())?;
+    let deny_warnings = args::flag(&args, "--deny-warnings");
+    let files = args::positionals(&args, &[], usage())?;
     if files.is_empty() {
         return Err(usage().to_owned());
     }

@@ -29,6 +29,7 @@ use axi4mlir_dialects::verify::verify_dialects;
 use axi4mlir_ir::parser::parse_module;
 use axi4mlir_ir::pass::render_timings;
 use axi4mlir_ir::printer::print_op;
+use axi4mlir_support::args;
 use axi4mlir_support::diag::DiagnosticEngine;
 
 struct Options {
@@ -51,47 +52,33 @@ fn usage() -> &'static str {
      [--print-ir-after-all] [--timing] [--lint] [--verify-each]"
 }
 
+const VALUE_FLAGS: [&str; 4] = ["--config", "--accel", "--flow", "--cache-tile"];
+const SWITCHES: [&str; 6] =
+    ["--no-lower", "--coalesce", "--print-ir-after-all", "--timing", "--lint", "--verify-each"];
+
 fn parse_args() -> Result<Options, String> {
-    let mut args = std::env::args().skip(1);
-    let mut opts = Options {
-        input: String::new(),
-        config: None,
-        accel: None,
-        flow: None,
-        cache_tile: None,
-        lower: true,
-        coalesce: false,
-        print_after_all: false,
-        timing: false,
-        lint: false,
-        verify_each: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => opts.config = Some(args.next().ok_or("--config needs a file")?),
-            "--accel" => opts.accel = Some(args.next().ok_or("--accel needs a name")?),
-            "--flow" => opts.flow = Some(args.next().ok_or("--flow needs a name")?),
-            "--cache-tile" => {
-                let v = args.next().ok_or("--cache-tile needs a number")?;
-                opts.cache_tile = Some(v.parse().map_err(|_| "cache tile must be an integer")?);
-            }
-            "--no-lower" => opts.lower = false,
-            "--coalesce" => opts.coalesce = true,
-            "--print-ir-after-all" => opts.print_after_all = true,
-            "--timing" => opts.timing = true,
-            "--lint" => opts.lint = true,
-            "--verify-each" => opts.verify_each = true,
-            "--help" | "-h" => return Err(usage().to_owned()),
-            other if opts.input.is_empty() && !other.starts_with('-') || other == "-" => {
-                opts.input = other.to_owned();
-            }
-            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
-        }
-    }
-    if opts.input.is_empty() {
+    let args = args::argv();
+    if args::wants_help(&args) {
         return Err(usage().to_owned());
     }
-    Ok(opts)
+    args::reject_unknown(&args, &[VALUE_FLAGS.as_slice(), &SWITCHES].concat(), usage())?;
+    let inputs = args::positionals(&args, &VALUE_FLAGS, usage())?;
+    let [input] = &inputs[..] else {
+        return Err(usage().to_owned());
+    };
+    Ok(Options {
+        input: input.clone(),
+        config: args::value(&args, "--config")?,
+        accel: args::value(&args, "--accel")?,
+        flow: args::value(&args, "--flow")?,
+        cache_tile: args::number(&args, "--cache-tile")?,
+        lower: !args::flag(&args, "--no-lower"),
+        coalesce: args::flag(&args, "--coalesce"),
+        print_after_all: args::flag(&args, "--print-ir-after-all"),
+        timing: args::flag(&args, "--timing"),
+        lint: args::flag(&args, "--lint"),
+        verify_each: args::flag(&args, "--verify-each"),
+    })
 }
 
 fn run() -> Result<(), String> {

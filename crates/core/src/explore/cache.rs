@@ -57,7 +57,7 @@ use std::path::Path;
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 use super::space::{CandidateKey, OptionsPoint};
 
@@ -102,40 +102,47 @@ pub fn key_to_json(key: &CandidateKey) -> JsonValue {
     ])
 }
 
-/// Parses a [`CandidateKey`] from its JSON object form. With
+/// Reads a [`CandidateKey`] from its object's members. With
 /// `migrate_v1`, absent `cache_tiling`/`cpu` members fill the defaults a
-/// v1 cache document was implicitly measured under; without it they make
-/// the key unparseable (`None`).
-pub fn key_from_json(value: &JsonValue, migrate_v1: bool) -> Option<CandidateKey> {
-    let tile = value.get("tile")?.as_array()?;
-    let edge = |i: usize| tile.get(i).and_then(JsonValue::as_i64);
+/// v1 cache document was implicitly measured under; without it they are
+/// missing members like any other.
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] blaming the first missing or malformed
+/// member.
+pub fn key_from(m: &Members<'_>, migrate_v1: bool) -> Result<CandidateKey, Diagnostic> {
+    let tile = match m.i64_list("tile")?[..] {
+        [tm, tn, tk] => (tm, tn, tk),
+        _ => return Err(m.invalid("tile", "must be a [m, n, k] array of integers")),
+    };
     // The v2 members. In a v1 document they are absent by construction —
     // every measurement was implicitly taken at the defaults, which
     // migration fills. In a v2 document a missing (or malformed) member
     // is a broken entry: defaulting it would serve some other
     // configuration's measurement under the default-axes key.
-    let cache_tiling = match value.get("cache_tiling") {
+    let cache_tiling = match m.get("cache_tiling") {
         None if migrate_v1 => CacheTiling::Auto,
-        None => return None,
-        Some(tag) => CacheTiling::parse(tag.as_str()?)?,
+        _ => CacheTiling::parse(m.str("cache_tiling")?)
+            .ok_or_else(|| m.invalid("cache_tiling", "must be a cache-tiling label"))?,
     };
-    let cpu = match value.get("cpu") {
+    let cpu = match m.get("cpu") {
         None if migrate_v1 => CpuModel::PynqZ2,
-        None => return None,
-        Some(tag) => CpuModel::parse(tag.as_str()?)?,
+        _ => CpuModel::parse(m.str("cpu")?)
+            .ok_or_else(|| m.invalid("cpu", "must name a known host"))?,
     };
-    Some(CandidateKey {
-        workload: value.get("workload")?.as_str()?.to_owned(),
-        accel: value.get("accel")?.as_str()?.to_owned(),
-        flow: value.get("flow")?.as_str()?.to_owned(),
-        tile: (edge(0)?, edge(1)?, edge(2)?),
+    Ok(CandidateKey {
+        workload: m.str("workload")?.to_owned(),
+        accel: m.str("accel")?.to_owned(),
+        flow: m.str("flow")?.to_owned(),
+        tile,
         options: OptionsPoint {
-            coalesce: value.get("coalesce")?.as_bool()?,
-            specialized_copies: value.get("specialized_copies")?.as_bool()?,
+            coalesce: m.bool("coalesce")?,
+            specialized_copies: m.bool("specialized_copies")?,
             cache_tiling,
             cpu,
         },
-        seed: value.get("seed")?.as_u64()?,
+        seed: m.u64("seed")?,
     })
 }
 
@@ -174,20 +181,44 @@ pub(crate) fn payload_rank(eval: &CachedEval) -> (u64, bool, [u64; 13]) {
 
 /// Serializes the full counter set as a JSON object (one member per
 /// [`PerfCounters`] field).
-pub fn counters_to_json(counters: &PerfCounters) -> JsonValue {
+fn counters_to_json(counters: &PerfCounters) -> JsonValue {
     JsonValue::object(
         COUNTER_FIELDS.iter().map(|(name, get, _)| ((*name).to_owned(), get(counters).into())),
     )
 }
 
-/// Parses a counter set serialized by [`counters_to_json`]; every field
-/// must be present.
-pub fn counters_from_json(value: &JsonValue) -> Option<PerfCounters> {
-    let mut counters = PerfCounters::new();
-    for (name, _, set) in &COUNTER_FIELDS {
-        set(&mut counters, value.get(name)?.as_u64()?);
+/// A measurement's deterministic payload as members, in document order
+/// — the one spelling shard documents, worker `result` frames and wire
+/// reports all embed (each adds its own members around it).
+pub(crate) fn payload_members(
+    counters: &PerfCounters,
+    task_clock_ms: f64,
+    verified: bool,
+) -> [(String, JsonValue); 3] {
+    [
+        ("counters".to_owned(), counters_to_json(counters)),
+        ("task_clock_ms".to_owned(), JsonValue::Float(task_clock_ms)),
+        ("verified".to_owned(), verified.into()),
+    ]
+}
+
+impl CachedEval {
+    /// Reads the payload [`payload_members`] wrote out of
+    /// the object that embeds it; every counter must be present. Pass
+    /// timings are never serialized and come back empty.
+    pub(crate) fn from_members(m: &Members<'_>) -> Result<CachedEval, Diagnostic> {
+        let fields = m.object("counters")?;
+        let mut counters = PerfCounters::new();
+        for (name, _, set) in &COUNTER_FIELDS {
+            set(&mut counters, fields.u64(name)?);
+        }
+        Ok(CachedEval {
+            counters,
+            task_clock_ms: m.f64("task_clock_ms")?,
+            verified: m.bool("verified")?,
+            pass_ms: Vec::new(),
+        })
     }
-    Some(counters)
 }
 
 /// Serializes a cache snapshot in key order.
@@ -197,12 +228,9 @@ pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
     let entries = ordered
         .into_iter()
         .map(|(key, eval)| {
-            JsonValue::object([
-                ("key".to_owned(), key_to_json(key)),
-                ("counters".to_owned(), counters_to_json(&eval.counters)),
-                ("task_clock_ms".to_owned(), JsonValue::Float(eval.task_clock_ms)),
-                ("verified".to_owned(), eval.verified.into()),
-            ])
+            let key = ("key".to_owned(), key_to_json(key));
+            let payload = payload_members(&eval.counters, eval.task_clock_ms, eval.verified);
+            JsonValue::object(std::iter::once(key).chain(payload))
         })
         .collect();
     let mut text = JsonValue::object([
@@ -220,21 +248,21 @@ pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
 pub fn parse(text: &str) -> Result<HashMap<CandidateKey, CachedEval>, Diagnostic> {
     let doc = JsonValue::parse(text)?;
     let mut out = HashMap::new();
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
+    let Ok(doc) = doc.members("result cache") else { return Ok(out) };
+    let schema = doc.str("schema").ok();
     let migrate_v1 = schema == Some(CACHE_SCHEMA_V1);
     if schema != Some(CACHE_SCHEMA) && !migrate_v1 {
         return Ok(out);
     }
-    for entry in doc.get("entries").and_then(JsonValue::as_array).unwrap_or(&[]) {
-        let Some(key) = entry.get("key").and_then(|k| key_from_json(k, migrate_v1)) else {
-            continue;
-        };
-        let Some(counters) = entry.get("counters").and_then(counters_from_json) else { continue };
-        let Some(task_clock_ms) = entry.get("task_clock_ms").and_then(JsonValue::as_f64) else {
-            continue;
-        };
-        let Some(verified) = entry.get("verified").and_then(JsonValue::as_bool) else { continue };
-        out.insert(key, CachedEval { counters, task_clock_ms, verified, pass_ms: Vec::new() });
+    for entry in doc.array("entries").unwrap_or(&[]) {
+        // A cache is disposable: a broken entry is skipped, not fatal —
+        // the reader's complaint about it is dropped on purpose.
+        let decoded = entry.members("cache entry").and_then(|entry| {
+            Ok((key_from(&entry.object("key")?, migrate_v1)?, CachedEval::from_members(&entry)?))
+        });
+        if let Ok((key, eval)) = decoded {
+            out.insert(key, eval);
+        }
     }
     Ok(out)
 }

@@ -18,7 +18,7 @@
 
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
@@ -354,76 +354,31 @@ impl JobSpec {
     ///
     /// Returns a [`Diagnostic`] naming the malformed member.
     pub fn from_json(value: &JsonValue) -> Result<JobSpec, Diagnostic> {
-        if value.as_object().is_none() {
-            return Err(field_err("job", "must be a JSON object"));
-        }
-        let str_member = |name: &str| -> Result<Option<String>, Diagnostic> {
-            match value.get(name) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_str()
-                    .map(|s| Some(s.to_owned()))
-                    .ok_or_else(|| field_err(name, "must be a string")),
-            }
-        };
-        let str_list = |name: &str| -> Result<Vec<String>, Diagnostic> {
-            match value.get(name) {
-                None => Ok(Vec::new()),
-                Some(v) => v
-                    .as_array()
-                    .and_then(|items| items.iter().map(|i| i.as_str().map(str::to_owned)).collect())
-                    .ok_or_else(|| field_err(name, "must be an array of strings")),
-            }
-        };
-        let bool_member = |name: &str| -> Result<bool, Diagnostic> {
-            match value.get(name) {
-                None => Ok(false),
-                Some(v) => v.as_bool().ok_or_else(|| field_err(name, "must be a boolean")),
-            }
-        };
-        let dims = match value.get("dims") {
+        let m = value.members("invalid job")?;
+        let dims = match m.opt("dims", Members::i64_list)?.as_deref() {
             None => None,
-            Some(v) => {
-                let items = v.as_array().unwrap_or(&[]);
-                let edge = |i: usize| items.get(i).and_then(JsonValue::as_i64);
-                match (edge(0), edge(1), edge(2)) {
-                    (Some(m), Some(n), Some(k)) if items.len() == 3 => Some((m, n, k)),
-                    _ => return Err(field_err("dims", "must be a [M, N, K] array of integers")),
-                }
-            }
-        };
-        let batch = match value.get("batch") {
-            None => None,
-            Some(v) => Some(v.as_i64().ok_or_else(|| field_err("batch", "must be an integer"))?),
-        };
-        let capacity_words = match value.get("capacity_words") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| field_err("capacity_words", "must be a non-negative integer"))?,
-            ),
-        };
-        let seed = match value.get("seed") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64().ok_or_else(|| field_err("seed", "must be a non-negative integer"))?,
-            ),
+            Some(&[dm, dn, dk]) => Some((dm, dn, dk)),
+            Some(_) => return Err(m.invalid("dims", "must be a [M, N, K] array of integers")),
         };
         let defaults = JobSpec::default();
+        let strings = |name: &str| m.opt(name, Members::str_list).map(Option::unwrap_or_default);
+        let text = |name: &str, default: String| {
+            m.opt(name, Members::str).map(|text| text.map_or(default, str::to_owned))
+        };
         Ok(JobSpec {
-            workload: str_member("workload")?.unwrap_or(defaults.workload),
+            workload: text("workload", defaults.workload)?,
             dims,
-            batch,
-            layer: str_member("layer")?,
-            accels: str_list("accels")?,
-            capacity_words,
-            sweep_options: bool_member("sweep_options")?,
-            sweep_cache_tiling: bool_member("sweep_cache_tiling")?,
-            cpus: str_list("cpus")?,
-            search: str_member("search")?.unwrap_or(defaults.search),
-            prune: str_member("prune")?.unwrap_or(defaults.prune),
-            objectives: str_list("objectives")?,
-            seed,
+            batch: m.opt("batch", Members::i64)?,
+            layer: m.opt("layer", Members::str)?.map(str::to_owned),
+            accels: strings("accels")?,
+            capacity_words: m.opt("capacity_words", Members::u64)?,
+            sweep_options: m.opt("sweep_options", Members::bool)?.unwrap_or(false),
+            sweep_cache_tiling: m.opt("sweep_cache_tiling", Members::bool)?.unwrap_or(false),
+            cpus: strings("cpus")?,
+            search: text("search", defaults.search)?,
+            prune: text("prune", defaults.prune)?,
+            objectives: strings("objectives")?,
+            seed: m.opt("seed", Members::u64)?,
         })
     }
 }

@@ -475,14 +475,12 @@ fn connect(addr: &str) -> Result<Connection, Diagnostic> {
     loop {
         match conn.reader.next_frame() {
             Ok(Frame::Value(frame)) => {
-                let schema = frame.get("schema").and_then(JsonValue::as_str);
-                if schema != Some(WORKER_SCHEMA) {
+                let schema = frame.members("hello").and_then(|hello| hello.str("schema"));
+                let schema = schema.unwrap_or("no schema");
+                if schema != WORKER_SCHEMA {
                     return Err(io_err(
                         addr,
-                        format!(
-                            "speaks {} (expected {WORKER_SCHEMA})",
-                            schema.unwrap_or("no schema")
-                        ),
+                        format!("speaks {schema} (expected {WORKER_SCHEMA})"),
                     ));
                 }
                 return Ok(conn);
@@ -503,28 +501,22 @@ enum WorkerReply {
     Other,
 }
 
-fn parse_reply(frame: &JsonValue) -> Option<WorkerReply> {
-    match frame.get("type").and_then(JsonValue::as_str)? {
-        "result" => Some(WorkerReply::Result {
-            id: frame.get("id").and_then(JsonValue::as_u64)?,
-            eval: CachedEval {
-                counters: frame.get("counters").and_then(cache::counters_from_json)?,
-                task_clock_ms: frame.get("task_clock_ms").and_then(JsonValue::as_f64)?,
-                verified: frame.get("verified").and_then(JsonValue::as_bool)?,
-                pass_ms: Vec::new(),
-            },
-            nanos: frame.get("nanos").and_then(JsonValue::as_u64)?,
-        }),
-        "failed" => Some(WorkerReply::Failed {
-            id: frame.get("id").and_then(JsonValue::as_u64)?,
-            reason: frame
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("worker reported failure")
-                .to_owned(),
-        }),
-        _ => Some(WorkerReply::Other),
-    }
+/// Decodes a worker frame; an `Err` means the frame is malformed and the
+/// connection should be reset.
+fn parse_reply(frame: &JsonValue) -> Result<WorkerReply, Diagnostic> {
+    let m = frame.members("worker reply")?;
+    Ok(match m.str("type")? {
+        "result" => WorkerReply::Result {
+            id: m.u64("id")?,
+            eval: CachedEval::from_members(&m)?,
+            nanos: m.u64("nanos")?,
+        },
+        "failed" => WorkerReply::Failed {
+            id: m.u64("id")?,
+            reason: m.str("reason").unwrap_or("worker reported failure").to_owned(),
+        },
+        _ => WorkerReply::Other,
+    })
 }
 
 /// Why [`serve_worker`] returned.
@@ -638,18 +630,18 @@ fn serve_worker(
         match conn.reader.next_frame() {
             Ok(Frame::Idle) => continue,
             Ok(Frame::Value(frame)) => match parse_reply(&frame) {
-                Some(WorkerReply::Result { id, eval, nanos }) => {
+                Ok(WorkerReply::Result { id, eval, nanos }) => {
                     if let Some(task) = outstanding.remove(&id) {
                         queue.complete(task, Ok(eval), nanos, addr);
                     }
                 }
-                Some(WorkerReply::Failed { id, reason }) => {
+                Ok(WorkerReply::Failed { id, reason }) => {
                     if let Some(task) = outstanding.remove(&id) {
                         queue.complete(task, Err(Diagnostic::error(reason)), 0, addr);
                     }
                 }
-                Some(WorkerReply::Other) => {}
-                None => return Served::Lost, // malformed: reset the connection
+                Ok(WorkerReply::Other) => {}
+                Err(_) => return Served::Lost, // malformed: reset the connection
             },
             Ok(Frame::Eof) | Err(_) => return Served::Lost,
         }
@@ -682,14 +674,10 @@ pub fn measure_request(
 
 /// Builds the `result` frame answering measure request `id`.
 pub fn result_frame(id: u64, eval: &CachedEval, nanos: u64) -> JsonValue {
-    JsonValue::object([
-        ("type".to_owned(), "result".into()),
-        ("id".to_owned(), id.into()),
-        ("counters".to_owned(), cache::counters_to_json(&eval.counters)),
-        ("task_clock_ms".to_owned(), JsonValue::Float(eval.task_clock_ms)),
-        ("verified".to_owned(), eval.verified.into()),
-        ("nanos".to_owned(), nanos.into()),
-    ])
+    let mut members = vec![("type".to_owned(), "result".into()), ("id".to_owned(), id.into())];
+    members.extend(cache::payload_members(&eval.counters, eval.task_clock_ms, eval.verified));
+    members.push(("nanos".to_owned(), nanos.into()));
+    JsonValue::object(members)
 }
 
 /// Builds the `failed` frame answering measure request `id`.
@@ -707,7 +695,7 @@ pub fn failed_frame(id: u64, reason: &str) -> JsonValue {
 /// frame (the request `id` echoed either way). Transport never sees
 /// Rust errors: every failure becomes a `failed` frame.
 pub fn handle_measure(session: &mut Session, frame: &JsonValue) -> JsonValue {
-    let id = frame.get("id").and_then(JsonValue::as_u64).unwrap_or(0);
+    let id = frame.members("measure").and_then(|m| m.u64("id")).unwrap_or(0);
     match run_measure(session, frame) {
         Ok((eval, nanos)) => result_frame(id, &eval, nanos),
         Err(diag) => failed_frame(id, &diag.message),
@@ -715,18 +703,13 @@ pub fn handle_measure(session: &mut Session, frame: &JsonValue) -> JsonValue {
 }
 
 fn run_measure(session: &mut Session, frame: &JsonValue) -> Result<(CachedEval, u64), Diagnostic> {
-    let job = frame.get("job").ok_or_else(|| Diagnostic::error("measure requires a `job`"))?;
+    let m = frame.members("measure")?;
+    // This one message is pinned verbatim by the PROTOCOL.md transcript.
+    let job = m.get("job").ok_or_else(|| Diagnostic::error("measure requires a `job`"))?;
     let request = JobSpec::from_json(job)?.build()?;
-    let fidelity = frame
-        .get("fidelity")
-        .and_then(JsonValue::as_str)
-        .and_then(Fidelity::parse)
-        .ok_or_else(|| Diagnostic::error("measure requires a `fidelity` label"))?;
-    let candidate = wire::candidate_from_json(
-        frame
-            .get("candidate")
-            .ok_or_else(|| Diagnostic::error("measure requires a `candidate`"))?,
-    )?;
+    let fidelity = Fidelity::parse(m.str("fidelity")?)
+        .ok_or_else(|| m.invalid("fidelity", "must be a fidelity label"))?;
+    let candidate = wire::candidate_from(&m.object("candidate")?)?;
     let started = Instant::now();
     let eval = run_candidate(session, request.space.as_dyn(), &candidate, fidelity)?;
     Ok((eval, started.elapsed().as_nanos() as u64))

@@ -13,9 +13,9 @@
 
 use axi4mlir_heuristics::TransferEstimate;
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
-use super::cache::{counters_from_json, counters_to_json, key_from_json, key_to_json};
+use super::cache::{key_from, key_to_json, payload_members, CachedEval};
 use super::space::Candidate;
 use super::{Evaluation, ExploreReport, Objective};
 
@@ -36,91 +36,48 @@ pub fn candidate_to_json(candidate: &Candidate) -> JsonValue {
     ])
 }
 
-fn wire_err(what: impl std::fmt::Display) -> Diagnostic {
-    Diagnostic::error(format!("malformed wire report: {what}"))
-}
+/// The context every wire-decoding error names.
+const CONTEXT: &str = "malformed wire report";
 
-/// Parses a candidate serialized by [`candidate_to_json`].
+/// Reads a candidate serialized by [`candidate_to_json`] from its
+/// object's members.
 ///
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] for missing or malformed members.
-pub fn candidate_from_json(value: &JsonValue) -> Result<Candidate, Diagnostic> {
-    let key = value
-        .get("key")
-        .and_then(|k| key_from_json(k, false))
-        .ok_or_else(|| wire_err("bad candidate key"))?;
-    let estimate = value.get("estimate").ok_or_else(|| wire_err("missing estimate"))?;
-    let field = |name: &str| {
-        estimate
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err(format!("estimate.{name} must be a non-negative integer")))
-    };
+pub fn candidate_from(m: &Members<'_>) -> Result<Candidate, Diagnostic> {
+    let estimate = m.object("estimate")?;
     Ok(Candidate {
-        key,
+        key: key_from(&m.object("key")?, false)?,
         estimate: TransferEstimate {
-            words_to_accel: field("words_to_accel")?,
-            words_from_accel: field("words_from_accel")?,
-            transactions: field("transactions")?,
+            words_to_accel: estimate.u64("words_to_accel")?,
+            words_from_accel: estimate.u64("words_from_accel")?,
+            transactions: estimate.u64("transactions")?,
         },
     })
 }
 
 fn evaluation_to_json(eval: &Evaluation) -> JsonValue {
-    let pass_ms = eval
-        .pass_ms
-        .iter()
-        .map(|(pass, ms)| JsonValue::Array(vec![pass.clone().into(), (*ms).into()]))
-        .collect();
-    JsonValue::object([
-        ("candidate".to_owned(), candidate_to_json(&eval.candidate)),
-        ("counters".to_owned(), counters_to_json(&eval.counters)),
-        ("task_clock_ms".to_owned(), eval.task_clock_ms.into()),
-        ("verified".to_owned(), eval.verified.into()),
+    let mut members = vec![("candidate".to_owned(), candidate_to_json(&eval.candidate))];
+    members.extend(payload_members(&eval.counters, eval.task_clock_ms, eval.verified));
+    members.extend([
         ("work".to_owned(), eval.work.into()),
-        ("pass_ms".to_owned(), JsonValue::Array(pass_ms)),
+        ("pass_ms".to_owned(), JsonValue::pairs(eval.pass_ms.iter().cloned())),
         ("from_cache".to_owned(), eval.from_cache.into()),
-    ])
+    ]);
+    JsonValue::object(members)
 }
 
-fn evaluation_from_json(value: &JsonValue) -> Result<Evaluation, Diagnostic> {
-    let candidate =
-        candidate_from_json(value.get("candidate").ok_or_else(|| wire_err("missing candidate"))?)?;
-    let counters = value
-        .get("counters")
-        .and_then(counters_from_json)
-        .ok_or_else(|| wire_err("bad counters"))?;
-    let mut pass_ms = Vec::new();
-    for pair in value.get("pass_ms").and_then(JsonValue::as_array).unwrap_or(&[]) {
-        let items = pair.as_array().unwrap_or(&[]);
-        let pass = items.first().and_then(JsonValue::as_str);
-        let ms = items.get(1).and_then(JsonValue::as_f64);
-        match (pass, ms) {
-            (Some(pass), Some(ms)) if items.len() == 2 => pass_ms.push((pass.to_owned(), ms)),
-            _ => return Err(wire_err("pass_ms must hold [name, millis] pairs")),
-        }
-    }
+fn evaluation_from(m: &Members<'_>) -> Result<Evaluation, Diagnostic> {
+    let payload = CachedEval::from_members(m)?;
     Ok(Evaluation {
-        candidate,
-        counters,
-        task_clock_ms: value
-            .get("task_clock_ms")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| wire_err("missing task_clock_ms"))?,
-        verified: value
-            .get("verified")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err("missing verified"))?,
-        work: value
-            .get("work")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err("missing work"))?,
-        pass_ms,
-        from_cache: value
-            .get("from_cache")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err("missing from_cache"))?,
+        candidate: candidate_from(&m.object("candidate")?)?,
+        counters: payload.counters,
+        task_clock_ms: payload.task_clock_ms,
+        verified: payload.verified,
+        work: m.u64("work")?,
+        pass_ms: m.opt("pass_ms", |m, name| m.pairs(name, JsonValue::as_f64))?.unwrap_or_default(),
+        from_cache: m.bool("from_cache")?,
     })
 }
 
@@ -140,18 +97,7 @@ pub fn report_to_json(report: &ExploreReport) -> JsonValue {
         ("warm_started".to_owned(), report.warm_started.into()),
         ("warm_informed".to_owned(), report.warm_informed.into()),
         ("measure_backend".to_owned(), report.measure_backend.clone().into()),
-        (
-            "worker_sims".to_owned(),
-            JsonValue::Array(
-                report
-                    .worker_sims
-                    .iter()
-                    .map(|(worker, sims)| {
-                        JsonValue::Array(vec![worker.clone().into(), (*sims).into()])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("worker_sims".to_owned(), JsonValue::pairs(report.worker_sims.iter().cloned())),
         (
             "objectives".to_owned(),
             JsonValue::Array(
@@ -168,13 +114,7 @@ pub fn report_to_json(report: &ExploreReport) -> JsonValue {
     if !report.worker_reconnects.is_empty() {
         members.push((
             "worker_reconnects".to_owned(),
-            JsonValue::Array(
-                report
-                    .worker_reconnects
-                    .iter()
-                    .map(|(worker, n)| JsonValue::Array(vec![worker.clone().into(), (*n).into()]))
-                    .collect(),
-            ),
+            JsonValue::pairs(report.worker_reconnects.iter().cloned()),
         ));
     }
     if let Some(heuristic) = &report.heuristic {
@@ -192,109 +132,46 @@ pub fn report_to_json(report: &ExploreReport) -> JsonValue {
 ///
 /// Returns a [`Diagnostic`] naming the first malformed member.
 pub fn report_from_json(value: &JsonValue) -> Result<ExploreReport, Diagnostic> {
-    let text = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let count = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let flag = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| wire_err(format!("missing {name}")))
-    };
-    let objectives = value
-        .get("objectives")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| wire_err("missing objectives"))?
+    let m = value.members(CONTEXT)?;
+    let as_count = |n: &JsonValue| n.as_u64().and_then(|n| usize::try_from(n).ok());
+    let objectives = m
+        .array("objectives")?
         .iter()
         .map(|o| o.as_str().and_then(Objective::parse))
         .collect::<Option<Vec<Objective>>>()
-        .ok_or_else(|| wire_err("unknown objective label"))?;
-    let evaluations = value
-        .get("evaluations")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| wire_err("missing evaluations"))?
+        .ok_or_else(|| m.invalid("objectives", "must hold known objective labels"))?;
+    let evaluations = m
+        .array("evaluations")?
         .iter()
-        .map(evaluation_from_json)
+        .map(|e| evaluation_from(&e.members(CONTEXT)?))
         .collect::<Result<Vec<Evaluation>, Diagnostic>>()?;
     Ok(ExploreReport {
-        space: text("space")?,
-        workload: text("workload")?,
-        search: text("search")?,
-        space_size: count("space_size")?,
-        pruned_out: count("pruned_out")?,
+        space: m.str("space")?.to_owned(),
+        workload: m.str("workload")?.to_owned(),
+        search: m.str("search")?.to_owned(),
+        space_size: m.uint("space_size")?,
+        pruned_out: m.uint("pruned_out")?,
         // Absent in pre-audit wire reports; those rejected nothing.
-        lint_rejected: value
-            .get("lint_rejected")
-            .and_then(JsonValue::as_u64)
-            .map(|n| n as usize)
-            .unwrap_or(0),
-        cache_hits: count("cache_hits")?,
-        sims_performed: count("sims_performed")?,
-        full_sims_performed: count("full_sims_performed")?,
-        full_sim_nanos: value
-            .get("full_sim_nanos")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| wire_err("missing full_sim_nanos"))?,
-        warm_started: flag("warm_started")?,
-        warm_informed: count("warm_informed")?,
-        measure_backend: text("measure_backend")?,
-        worker_sims: {
-            let mut worker_sims = Vec::new();
-            for pair in value
-                .get("worker_sims")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| wire_err("missing worker_sims"))?
-            {
-                let items = pair.as_array().unwrap_or(&[]);
-                let worker = items.first().and_then(JsonValue::as_str);
-                let sims = items.get(1).and_then(JsonValue::as_u64);
-                match (worker, sims) {
-                    (Some(worker), Some(sims)) if items.len() == 2 => {
-                        worker_sims.push((worker.to_owned(), sims as usize));
-                    }
-                    _ => return Err(wire_err("worker_sims must hold [worker, sims] pairs")),
-                }
-            }
-            worker_sims
-        },
+        lint_rejected: m.opt("lint_rejected", Members::uint)?.unwrap_or(0),
+        cache_hits: m.uint("cache_hits")?,
+        sims_performed: m.uint("sims_performed")?,
+        full_sims_performed: m.uint("full_sims_performed")?,
+        full_sim_nanos: m.u64("full_sim_nanos")?,
+        warm_started: m.bool("warm_started")?,
+        warm_informed: m.uint("warm_informed")?,
+        measure_backend: m.str("measure_backend")?.to_owned(),
+        worker_sims: m.pairs("worker_sims", as_count)?,
         // Absent for fault-free sweeps and pre-reconnect wire reports.
-        worker_reconnects: {
-            let mut reconnects = Vec::new();
-            for pair in value.get("worker_reconnects").and_then(JsonValue::as_array).unwrap_or(&[])
-            {
-                let items = pair.as_array().unwrap_or(&[]);
-                let worker = items.first().and_then(JsonValue::as_str);
-                let n = items.get(1).and_then(JsonValue::as_u64);
-                match (worker, n) {
-                    (Some(worker), Some(n)) if items.len() == 2 => {
-                        reconnects.push((worker.to_owned(), n as usize));
-                    }
-                    _ => return Err(wire_err("worker_reconnects must hold [worker, count] pairs")),
-                }
-            }
-            reconnects
-        },
+        worker_reconnects: m
+            .opt("worker_reconnects", |m, name| m.pairs(name, as_count))?
+            .unwrap_or_default(),
         evaluations,
         objectives,
-        heuristic: match value.get("heuristic") {
-            None => None,
-            Some(c) => Some(candidate_from_json(c)?),
-        },
-        heuristic_eval: match value.get("heuristic_eval") {
-            None => None,
-            Some(e) => Some(evaluation_from_json(e)?),
-        },
+        heuristic: m.opt("heuristic", Members::object)?.map(|c| candidate_from(&c)).transpose()?,
+        heuristic_eval: m
+            .opt("heuristic_eval", Members::object)?
+            .map(|e| evaluation_from(&e))
+            .transpose()?,
     })
 }
 

@@ -15,27 +15,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use axi4mlir_hub::{Hub, HubConfig};
-use axi4mlir_support::fault;
-
-/// Set by the signal handler, polled by every hub loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    // Only async-signal-safe work here: one atomic store.
-    STOP.store(true, Ordering::SeqCst);
-}
-
-// `signal` comes from libc, which every Rust binary already links; an
-// inline declaration avoids a dependency the build image lacks.
-extern "C" {
-    fn signal(signum: i32, handler: usize) -> usize;
-}
-
-const SIGINT: i32 = 2;
-const SIGTERM: i32 = 15;
+use axi4mlir_support::{args, fault, signal};
 
 const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-workers N] \
                      [--queue N] [--cache-dir DIR] [--worker ADDR]... \
@@ -58,69 +40,50 @@ const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-work
 const REMOVED_CACHE_FLAG: &str = "--cache was removed: pass --cache-dir DIR (to keep an old \
                                   BENCH_cache.json, move it into DIR; the next save re-shards it)";
 
+const KNOWN_FLAGS: [&str; 8] = [
+    "--bind",
+    "--workers",
+    "--sim-workers",
+    "--queue",
+    "--cache-dir",
+    "--worker",
+    "--event-buffer",
+    "--faults",
+];
+
 fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
-    let mut config = HubConfig { stop: Some(&STOP), ..HubConfig::default() };
-    let mut faults = None;
-    let mut at = 0;
-    let value = |at: &mut usize, flag: &str| -> Result<String, String> {
-        *at += 1;
-        args.get(*at).cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while at < args.len() {
-        let flag = args[at].as_str();
-        match flag {
-            "--bind" => config.bind = value(&mut at, flag)?,
-            "--workers" => {
-                config.workers =
-                    value(&mut at, flag)?.parse().map_err(|_| "--workers needs an integer")?;
-            }
-            "--sim-workers" => {
-                config.sim_workers =
-                    value(&mut at, flag)?.parse().map_err(|_| "--sim-workers needs an integer")?;
-            }
-            "--queue" => {
-                config.queue_capacity =
-                    value(&mut at, flag)?.parse().map_err(|_| "--queue needs an integer")?;
-            }
-            "--cache" => return Err(REMOVED_CACHE_FLAG.to_owned()),
-            "--cache-dir" => config.cache_dir = Some(PathBuf::from(value(&mut at, flag)?)),
-            "--worker" => config.measure_workers.push(value(&mut at, flag)?),
-            "--event-buffer" => {
-                config.event_buffer =
-                    value(&mut at, flag)?.parse().map_err(|_| "--event-buffer needs an integer")?;
-            }
-            "--faults" => faults = Some(value(&mut at, flag)?),
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
-        at += 1;
+    if args::wants_help(args) {
+        return Err(USAGE.to_owned());
     }
-    Ok((config, faults))
+    if args::flag(args, "--cache") {
+        return Err(REMOVED_CACHE_FLAG.to_owned());
+    }
+    args::reject_unknown(args, &KNOWN_FLAGS, USAGE)?;
+    let defaults = HubConfig::default();
+    let config = HubConfig {
+        bind: args::value(args, "--bind")?.unwrap_or(defaults.bind),
+        workers: args::number(args, "--workers")?.unwrap_or(defaults.workers),
+        sim_workers: args::number(args, "--sim-workers")?.unwrap_or(defaults.sim_workers),
+        queue_capacity: args::number(args, "--queue")?.unwrap_or(defaults.queue_capacity),
+        cache_dir: args::value(args, "--cache-dir")?.map(PathBuf::from),
+        measure_workers: args::values(args, "--worker")?,
+        event_buffer: args::number(args, "--event-buffer")?.unwrap_or(defaults.event_buffer),
+        stop: Some(signal::stop_on_termination()),
+    };
+    Ok((config, args::value(args, "--faults")?))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, faults) = match parse_args(&args) {
+    let (config, faults) = match parse_args(&args::argv()) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    // `--faults` wins over AXI4MLIR_FAULTS (first install sticks).
-    let armed = match faults {
-        Some(spec) => fault::FaultPlan::parse(&spec).map(|plan| {
-            fault::install(plan);
-        }),
-        None => fault::install_from_env().map(|_| ()),
-    };
-    if let Err(err) = armed {
+    if let Err(err) = fault::install_from(faults.as_deref()) {
         eprintln!("axi4mlir-hub: {}", err.message);
         return ExitCode::FAILURE;
-    }
-    unsafe {
-        signal(SIGINT, on_signal as *const () as usize);
-        signal(SIGTERM, on_signal as *const () as usize);
     }
     let hub = match Hub::bind(config) {
         Ok(hub) => hub,

@@ -50,6 +50,16 @@ fn connect_err(what: impl std::fmt::Display) -> Diagnostic {
     Diagnostic::error(format!("cannot reach the hub: {what}"))
 }
 
+/// A frame's `type` tag, if it is an object carrying one.
+fn frame_type(frame: &JsonValue) -> Option<&str> {
+    frame.get("type")?.as_str()
+}
+
+/// A frame's `reason`, or `fallback` when it carries none.
+fn reason_of<'f>(frame: &'f JsonValue, fallback: &'f str) -> &'f str {
+    frame.get("reason").and_then(JsonValue::as_str).unwrap_or(fallback)
+}
+
 impl HubClient {
     /// Connects and performs the `hello` handshake, verifying the
     /// schema.
@@ -70,20 +80,18 @@ impl HubClient {
             },
         };
         let hello = client.request(&Request::Hello)?;
-        let schema = hello.get("schema").and_then(JsonValue::as_str).unwrap_or("");
+        let hello = hello.members("hub hello")?;
+        let schema = hello.str("schema").unwrap_or("");
         if schema != SCHEMA {
             return Err(connect_err(format!(
                 "schema mismatch: hub speaks `{schema}`, this client `{SCHEMA}`"
             )));
         }
-        let count = |name: &str| {
-            hello.get(name).and_then(JsonValue::as_u64).map(|n| n as usize).unwrap_or(0)
-        };
         client.info = HubInfo {
             schema: schema.to_owned(),
-            cache_entries: count("cache_entries"),
-            queue_capacity: count("queue_capacity"),
-            workers: count("workers"),
+            cache_entries: hello.uint("cache_entries").unwrap_or(0),
+            queue_capacity: hello.uint("queue_capacity").unwrap_or(0),
+            workers: hello.uint("workers").unwrap_or(0),
         };
         Ok(client)
     }
@@ -118,13 +126,12 @@ impl HubClient {
         self.send(request)?;
         loop {
             let reply = self.next_frame()?;
-            match reply.get("type").and_then(JsonValue::as_str) {
+            match frame_type(&reply) {
                 // Progress of already-submitted jobs may interleave
                 // ahead of the reply; replies stay in request order.
                 Some("event") => continue,
                 Some("error") => {
-                    let reason =
-                        reply.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown");
+                    let reason = reason_of(&reply, "unknown");
                     return Err(Diagnostic::error(format!("hub rejected the request: {reason}")));
                 }
                 _ => return Ok(reply),
@@ -172,13 +179,10 @@ impl HubClient {
     ) -> Result<u64, Diagnostic> {
         let reply =
             self.request(&Request::Submit { spec: Box::new(spec.clone()), priority, sim_workers })?;
-        match reply.get("type").and_then(JsonValue::as_str) {
-            Some("accepted") => reply
-                .get("job")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| connect_err("accepted reply without a job id")),
+        match frame_type(&reply) {
+            Some("accepted") => reply.members("accepted reply")?.u64("job"),
             Some("rejected") => {
-                let reason = reply.get("reason").and_then(JsonValue::as_str).unwrap_or("rejected");
+                let reason = reason_of(&reply, "rejected");
                 Err(Diagnostic::error(format!("hub rejected the job: {reason}")))
             }
             other => Err(connect_err(format!("unexpected submit reply type {other:?}"))),
@@ -236,11 +240,10 @@ impl HubClient {
                 Ok(frame) => frame,
                 Err(err) => return JobOutcome::Lost(err),
             };
-            match frame.get("type").and_then(JsonValue::as_str) {
+            match frame_type(&frame) {
                 Some("following") => break,
                 Some("error") => {
-                    let reason =
-                        frame.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown");
+                    let reason = reason_of(&frame, "unknown");
                     return JobOutcome::Failed(Diagnostic::error(format!(
                         "hub rejected the follow: {reason}"
                     )));
@@ -260,26 +263,20 @@ impl HubClient {
                 Ok(frame) => frame,
                 Err(err) => return JobOutcome::Lost(err),
             };
-            match frame.get("type").and_then(JsonValue::as_str) {
-                Some("event") if frame.get("job").and_then(JsonValue::as_u64) == Some(id) => {
+            let Ok(event) = frame.members("done event") else { continue };
+            match event.str("type").ok() {
+                Some("event") if event.u64("job") == Ok(id) => {
                     on_event(&frame);
-                    match frame.get("state").and_then(JsonValue::as_str) {
+                    match event.str("state").ok() {
                         Some("done") => {
-                            let Some(report) = frame.get("report") else {
-                                return JobOutcome::Failed(connect_err(
-                                    "done event without a report",
-                                ));
-                            };
-                            return match wire::report_from_json(report) {
+                            let report = event.require("report").and_then(wire::report_from_json);
+                            return match report {
                                 Ok(report) => JobOutcome::Done(Box::new(report)),
                                 Err(err) => JobOutcome::Failed(err),
                             };
                         }
                         Some("failed") => {
-                            let reason = frame
-                                .get("reason")
-                                .and_then(JsonValue::as_str)
-                                .unwrap_or("unknown");
+                            let reason = reason_of(&frame, "unknown");
                             return JobOutcome::Failed(Diagnostic::error(format!(
                                 "job {id} failed: {reason}"
                             )));
@@ -316,9 +313,7 @@ impl HubClient {
         self.send(&Request::Shutdown)?;
         loop {
             match self.connection.reader.next_frame()? {
-                Frame::Value(frame)
-                    if frame.get("type").and_then(JsonValue::as_str) == Some("shutting_down") =>
-                {
+                Frame::Value(frame) if frame_type(&frame) == Some("shutting_down") => {
                     return Ok(());
                 }
                 Frame::Value(_) | Frame::Idle => continue,

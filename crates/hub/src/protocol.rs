@@ -11,7 +11,7 @@
 
 use axi4mlir_core::explore::{JobSpec, ProgressEvent};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::json::{JsonValue, Members};
 
 /// The protocol schema tag, exchanged in `hello`.
 pub const SCHEMA: &str = "axi4mlir-hub/v1";
@@ -56,43 +56,24 @@ impl Request {
     /// and malformed `submit` jobs. These are *application* errors: the
     /// server replies with an `error` frame and keeps the connection.
     pub fn from_json(value: &JsonValue) -> Result<Request, Diagnostic> {
-        let kind = value
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| Diagnostic::error("request must be an object with a `type` member"))?;
-        match kind {
+        let m = value.members("request")?;
+        match m.str("type")? {
             "hello" => Ok(Request::Hello),
             "status" => Ok(Request::Status),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
-                let job = value
-                    .get("job")
-                    .ok_or_else(|| Diagnostic::error("submit requires a `job` member"))?;
-                let priority = match value.get("priority") {
-                    None => 0,
-                    Some(raw) => raw
-                        .as_i64()
-                        .ok_or_else(|| Diagnostic::error("submit `priority` must be an integer"))?,
-                };
-                let sim_workers = match value.get("sim_workers") {
-                    None => None,
-                    Some(raw) => Some(raw.as_u64().filter(|&n| n > 0).ok_or_else(|| {
-                        Diagnostic::error("submit `sim_workers` must be a positive integer")
-                    })? as usize),
+                let m = value.members("submit")?;
+                let sim_workers = match m.opt("sim_workers", Members::u64)? {
+                    Some(0) => return Err(m.invalid("sim_workers", "must be a positive integer")),
+                    budget => budget.map(|n| n as usize),
                 };
                 Ok(Request::Submit {
-                    spec: Box::new(JobSpec::from_json(job)?),
-                    priority,
+                    spec: Box::new(JobSpec::from_json(m.require("job")?)?),
+                    priority: m.opt("priority", Members::i64)?.unwrap_or(0),
                     sim_workers,
                 })
             }
-            "follow" => {
-                let job = value
-                    .get("job")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| Diagnostic::error("follow requires a numeric `job` member"))?;
-                Ok(Request::Follow { job })
-            }
+            "follow" => Ok(Request::Follow { job: value.members("follow")?.u64("job")? }),
             other => Err(Diagnostic::error(format!("unknown request type `{other}`"))),
         }
     }

@@ -193,3 +193,49 @@ fn sigterm_mid_sweep_leaves_a_loadable_checkpoint() {
     assert!(!entries.is_empty(), "the checkpoint holds the rungs measured before SIGTERM");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Sends `payload` raw on a fresh connection and returns every frame the
+/// hub answers until it hangs up.
+fn abuse(addr: &str, payload: &[u8]) -> Vec<JsonValue> {
+    use axi4mlir_support::proto::{Connection, Frame};
+    use std::io::Write as _;
+    let mut peer = Connection::open(std::net::TcpStream::connect(addr).unwrap()).unwrap();
+    peer.writer.write_all(payload).expect("the hub reads the whole payload");
+    let mut frames = Vec::new();
+    loop {
+        match peer.reader.next_frame().expect("the hub's own frames are well-formed") {
+            Frame::Value(frame) => frames.push(frame),
+            Frame::Idle => continue,
+            Frame::Eof => return frames,
+        }
+    }
+}
+
+/// Input that used to bloat the daemon (a line that never ends) or
+/// abort it outright (a frame nested deep enough to overflow the JSON
+/// parser's stack) now fails that one connection: an `error` frame,
+/// then a hang-up — and the hub keeps serving everybody else.
+#[test]
+fn oversized_and_too_deep_frames_fail_the_connection_not_the_hub() {
+    use axi4mlir_support::proto::MAX_FRAME_BYTES;
+    let (addr, hub) = start_hub(HubConfig { workers: 1, ..HubConfig::default() });
+
+    let replies = abuse(&addr, &vec![b'x'; MAX_FRAME_BYTES + 1]);
+    assert_eq!(replies.len(), 1, "one error frame, then EOF: {replies:?}");
+    let reason = replies[0].get("reason").and_then(JsonValue::as_str).unwrap();
+    assert_eq!(replies[0].get("type").and_then(JsonValue::as_str), Some("error"));
+    assert!(reason.contains("exceeds 67108864 bytes"), "{reason}");
+
+    let mut deep = "[".repeat(1_000_000).into_bytes();
+    deep.push(b'\n');
+    let replies = abuse(&addr, &deep);
+    assert_eq!(replies.len(), 1, "one error frame, then EOF: {replies:?}");
+    let reason = replies[0].get("reason").and_then(JsonValue::as_str).unwrap();
+    assert!(reason.contains("nesting deeper than 128"), "{reason}");
+
+    let mut client = HubClient::connect(&addr).expect("a fresh connection is served");
+    let status = client.status().expect("status");
+    assert_eq!(status.get("failed").and_then(JsonValue::as_u64), Some(0));
+    client.shutdown().expect("shutdown");
+    hub.join().unwrap();
+}

@@ -6,10 +6,19 @@
 //! dimensions — `affine_map<(m, n, k) -> (m, k)>` — so our maps remember
 //! their dimension names for faithful printing, while evaluation is
 //! positional.
+//!
+//! The parser keeps the affine productions (`expr`, `term`, `atom`) and
+//! lexes through the workspace's shared
+//! [`axi4mlir_support::text::Cursor`]: [`AffineMap::parse`] builds one
+//! over a stand-alone string, and the `.mlir` parser passes its own so
+//! `affine_map<…>` is read in place, with errors located in the
+//! enclosing file. Parenthesized sub-expressions count against the
+//! cursor's nesting guard.
 
 use std::fmt;
 
-use axi4mlir_support::diag::{Diagnostic, SourceLoc};
+use axi4mlir_support::diag::Diagnostic;
+use axi4mlir_support::text::{Cursor, Skip};
 
 /// An affine expression over dimensions and constants.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -187,7 +196,18 @@ impl AffineMap {
     ///
     /// Returns a [`Diagnostic`] describing the first syntax error.
     pub fn parse(text: &str) -> Result<Self, Diagnostic> {
-        Parser::new(text).parse_map()
+        let mut cur = Cursor::new(text, Skip::Unicode);
+        let map = Self::parse_in(&mut cur)?;
+        if !cur.at_end() {
+            return Err(cur.error("trailing characters after affine map"));
+        }
+        Ok(map)
+    }
+
+    /// Parses one map at `cur`, leaving the cursor after its closing `)`
+    /// — how the `.mlir` parser reads `affine_map<…>` in place.
+    pub(crate) fn parse_in(cur: &mut Cursor<'_>) -> Result<Self, Diagnostic> {
+        Parser { cur, dim_names: Vec::new() }.parse_map()
     }
 }
 
@@ -211,124 +231,54 @@ impl fmt::Display for AffineMap {
     }
 }
 
-/// Minimal recursive-descent parser for the named-dim affine syntax.
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-    dim_names: Vec<String>,
+/// The named-dim affine productions over a [`Cursor`] — the caller's
+/// own when the map is embedded in a `.mlir` attribute.
+struct Parser<'c, 'a> {
+    cur: &'c mut Cursor<'a>,
+    dim_names: Vec<&'a str>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { text, pos: 0, dim_names: Vec::new() }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> Diagnostic {
-        Diagnostic::error(msg).at(SourceLoc::new(1, self.pos as u32 + 1))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.text[self.pos..].chars().next().filter(|c| c.is_whitespace()) {
-            self.pos += c.len_utf8();
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.text[self.pos..].chars().next()
-    }
-
-    fn eat(&mut self, c: char) -> Result<(), Diagnostic> {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{c}`")))
-        }
-    }
-
-    fn eat_str(&mut self, s: &str) -> bool {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let rest = &self.text[self.pos..];
-        let len = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').count();
-        let first_ok = rest.chars().next().map(|c| c.is_alphabetic() || c == '_').unwrap_or(false);
-        if len == 0 || !first_ok {
-            return None;
-        }
-        let s: String = rest.chars().take(len).collect();
-        self.pos += s.len();
-        Some(s)
-    }
-
-    fn number(&mut self) -> Option<i64> {
-        self.skip_ws();
-        let rest = &self.text[self.pos..];
-        let neg = rest.starts_with('-');
-        let digits: String =
-            rest.chars().skip(usize::from(neg)).take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            return None;
-        }
-        self.pos += digits.len() + usize::from(neg);
-        let v: i64 = digits.parse().ok()?;
-        Some(if neg { -v } else { v })
-    }
-
-    fn parse_map(&mut self) -> Result<AffineMap, Diagnostic> {
-        self.eat('(')?;
-        if self.peek() != Some(')') {
+impl Parser<'_, '_> {
+    fn parse_map(mut self) -> Result<AffineMap, Diagnostic> {
+        self.cur.expect('(')?;
+        if self.cur.peek() != Some(')') {
             loop {
-                let name = self.ident().ok_or_else(|| self.error("expected dimension name"))?;
+                self.cur.skip_ws();
+                let at = self.cur.pos();
+                let name =
+                    self.cur.ident().ok_or_else(|| self.cur.error("expected dimension name"))?;
                 if self.dim_names.contains(&name) {
-                    return Err(self.error(format!("duplicate dimension `{name}`")));
+                    return Err(self.cur.error_at(at, format!("duplicate dimension `{name}`")));
                 }
                 self.dim_names.push(name);
-                if self.peek() == Some(',') {
-                    self.eat(',')?;
-                } else {
+                if !self.cur.eat(',') {
                     break;
                 }
             }
         }
-        self.eat(')')?;
-        if !self.eat_str("->") {
-            return Err(self.error("expected `->`"));
+        self.cur.expect(')')?;
+        if !self.cur.eat_str("->") {
+            return Err(self.cur.error("expected `->`"));
         }
-        self.eat('(')?;
+        self.cur.expect('(')?;
         let mut results = Vec::new();
-        if self.peek() != Some(')') {
+        if self.cur.peek() != Some(')') {
             loop {
                 results.push(self.expr()?);
-                if self.peek() == Some(',') {
-                    self.eat(',')?;
-                } else {
+                if !self.cur.eat(',') {
                     break;
                 }
             }
         }
-        self.eat(')')?;
-        self.skip_ws();
-        if self.pos != self.text.len() {
-            return Err(self.error("trailing characters after affine map"));
-        }
-        Ok(AffineMap { dim_names: std::mem::take(&mut self.dim_names), results })
+        self.cur.expect(')')?;
+        let dim_names = self.dim_names.into_iter().map(str::to_owned).collect();
+        Ok(AffineMap { dim_names, results })
     }
 
     /// expr := term ((`+`) term)*
     fn expr(&mut self) -> Result<AffineExpr, Diagnostic> {
         let mut lhs = self.term()?;
-        while self.peek() == Some('+') {
-            self.eat('+')?;
+        while self.cur.eat('+') {
             let rhs = self.term()?;
             lhs = AffineExpr::Add(Box::new(lhs), Box::new(rhs));
         }
@@ -339,14 +289,13 @@ impl<'a> Parser<'a> {
     fn term(&mut self) -> Result<AffineExpr, Diagnostic> {
         let mut lhs = self.atom()?;
         loop {
-            if self.peek() == Some('*') {
-                self.eat('*')?;
+            if self.cur.eat('*') {
                 let rhs = self.atom()?;
                 lhs = AffineExpr::Mul(Box::new(lhs), Box::new(rhs));
-            } else if self.eat_str("mod") {
+            } else if self.cur.eat_str("mod") {
                 let rhs = self.atom()?;
                 lhs = AffineExpr::Mod(Box::new(lhs), Box::new(rhs));
-            } else if self.eat_str("floordiv") {
+            } else if self.cur.eat_str("floordiv") {
                 let rhs = self.atom()?;
                 lhs = AffineExpr::FloorDiv(Box::new(lhs), Box::new(rhs));
             } else {
@@ -357,24 +306,25 @@ impl<'a> Parser<'a> {
     }
 
     fn atom(&mut self) -> Result<AffineExpr, Diagnostic> {
-        if self.peek() == Some('(') {
-            self.eat('(')?;
+        if self.cur.eat('(') {
+            self.cur.enter()?;
             let e = self.expr()?;
-            self.eat(')')?;
+            self.cur.leave();
+            self.cur.expect(')')?;
             return Ok(e);
         }
-        if let Some(n) = self.number() {
+        if let Some(n) = self.cur.decimal()? {
             return Ok(AffineExpr::Const(n));
         }
-        if let Some(id) = self.ident() {
-            // `d<N>` style names are accepted even if not declared (MLIR
-            // compat), but named dims must be declared.
+        let at = self.cur.pos();
+        if let Some(id) = self.cur.ident() {
+            // Named dims must be declared in the map's dimension list.
             if let Some(i) = self.dim_names.iter().position(|d| *d == id) {
                 return Ok(AffineExpr::Dim(i));
             }
-            return Err(self.error(format!("unknown dimension `{id}`")));
+            return Err(self.cur.error_at(at, format!("unknown dimension `{id}`")));
         }
-        Err(self.error("expected expression"))
+        Err(self.cur.error("expected expression"))
     }
 }
 

@@ -16,6 +16,14 @@
 //! flow_expr    ::= `(` flow_expr* `)` | bare_id
 //! ```
 //!
+//! Both grammars lex through the workspace's shared
+//! [`axi4mlir_support::text::Cursor`]. [`OpcodeMap::parse`] and
+//! [`OpcodeFlow::parse`] build one over a stand-alone string (a Fig. 5
+//! JSON member, a preset); the `.mlir` parser instead hands over its own
+//! live cursor, so the attribute is read in place and its errors carry
+//! their position in the enclosing file. Flow scopes count against the
+//! cursor's nesting guard.
+//!
 //! Note on `send_dim`: Fig. 7's grammar lists one argument, but every use in
 //! the paper (Fig. 15a: `send_dim(1,3)`, `send_dim(0,1)`) passes
 //! `(argument, dimension)`; we implement the two-argument form.
@@ -24,6 +32,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use axi4mlir_support::diag::Diagnostic;
+use axi4mlir_support::text::{Cursor, Skip};
 
 use crate::affine::AffineMap;
 use crate::types::Type;
@@ -128,36 +137,41 @@ impl OpcodeMap {
     /// Returns a [`Diagnostic`] on syntax errors, duplicate names, or empty
     /// action lists.
     pub fn parse(text: &str) -> Result<Self, Diagnostic> {
-        let inner = strip_wrapper(text, "opcode_map")?;
-        let mut p = Lex::new(inner);
+        let mut cur = Cursor::new(text, Skip::Unicode);
+        let map = Self::parse_in(&mut cur)?;
+        if !cur.at_end() {
+            return Err(cur.error(format!("trailing input in opcode_map: `{}`", cur.rest())));
+        }
+        Ok(map)
+    }
+
+    /// Parses one map at `cur` — wrapped in `opcode_map<…>` (the cursor
+    /// is left after the `>`) or bare (the entries run to the end of the
+    /// input). The `.mlir` parser reads the attribute in place this way.
+    pub(crate) fn parse_in(cur: &mut Cursor<'_>) -> Result<Self, Diagnostic> {
+        let wrapped = cur.eat_str("opcode_map");
+        if wrapped {
+            cur.expect('<')?;
+        }
         let mut entries = Vec::new();
-        loop {
-            p.skip_ws();
-            if p.at_end() {
-                break;
+        while !(cur.at_end() || wrapped && cur.peek() == Some('>')) {
+            let name =
+                if cur.peek() == Some('"') { cur.string_literal().ok() } else { cur.ident() }
+                    .ok_or_else(|| cur.error("expected opcode name in opcode_map"))?;
+            cur.expect('=')?;
+            cur.expect('[')?;
+            let mut actions = vec![parse_action(cur)?];
+            while cur.eat(',') {
+                actions.push(parse_action(cur)?);
             }
-            let name = p
-                .ident_or_string()
-                .ok_or_else(|| Diagnostic::error("expected opcode name in opcode_map"))?;
-            p.expect('=')?;
-            p.expect('[')?;
-            let mut actions = Vec::new();
-            loop {
-                actions.push(parse_action(&mut p)?);
-                if p.try_eat(',') {
-                    continue;
-                }
-                break;
-            }
-            p.expect(']')?;
-            entries.push((name, actions));
-            if !p.try_eat(',') {
+            cur.expect(']')?;
+            entries.push((name.to_owned(), actions));
+            if !cur.eat(',') {
                 break;
             }
         }
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(Diagnostic::error(format!("trailing input in opcode_map: `{}`", p.rest())));
+        if wrapped {
+            cur.expect('>')?;
         }
         Self::new(entries)
     }
@@ -183,31 +197,38 @@ impl fmt::Display for OpcodeMap {
     }
 }
 
-fn parse_action(p: &mut Lex) -> Result<OpcodeAction, Diagnostic> {
-    let kw = p.ident().ok_or_else(|| Diagnostic::error("expected opcode action"))?;
-    p.expect('(')?;
-    let action = match kw.as_str() {
-        "send" => OpcodeAction::Send { arg: p.integer()? as u32 },
-        "send_literal" => OpcodeAction::SendLiteral { value: p.integer()? as u32 },
+fn parse_action(cur: &mut Cursor<'_>) -> Result<OpcodeAction, Diagnostic> {
+    cur.skip_ws();
+    let at = cur.pos();
+    let kw = cur.ident().ok_or_else(|| cur.error("expected opcode action"))?;
+    cur.expect('(')?;
+    let int = |cur: &mut Cursor<'_>| {
+        cur.integer()?.map(|v| v as u32).ok_or_else(|| cur.error("expected integer"))
+    };
+    let action = match kw {
+        "send" => OpcodeAction::Send { arg: int(cur)? },
+        "send_literal" => OpcodeAction::SendLiteral { value: int(cur)? },
         "send_dim" => {
-            let arg = p.integer()? as u32;
-            p.expect(',')?;
-            let dim = p.integer()? as u32;
-            OpcodeAction::SendDim { arg, dim }
+            let arg = int(cur)?;
+            cur.expect(',')?;
+            OpcodeAction::SendDim { arg, dim: int(cur)? }
         }
         "send_idx" => {
-            let dim =
-                p.ident().ok_or_else(|| Diagnostic::error("send_idx expects a dimension name"))?;
-            OpcodeAction::SendIdx { dim }
+            let dim = cur.ident().ok_or_else(|| cur.error("send_idx expects a dimension name"))?;
+            OpcodeAction::SendIdx { dim: dim.to_owned() }
         }
-        "recv" => OpcodeAction::Recv { arg: p.integer()? as u32 },
+        "recv" => OpcodeAction::Recv { arg: int(cur)? },
         other => {
-            return Err(Diagnostic::error(format!(
-            "unknown opcode action `{other}` (expected send/send_literal/send_dim/send_idx/recv)"
-        )))
+            return Err(cur.error_at(
+                at,
+                format!(
+                    "unknown opcode action `{other}` \
+                     (expected send/send_literal/send_dim/send_idx/recv)"
+                ),
+            ))
         }
     };
-    p.expect(')')?;
+    cur.expect(')')?;
     Ok(action)
 }
 
@@ -273,43 +294,52 @@ impl OpcodeFlow {
     ///
     /// Returns a [`Diagnostic`] on unbalanced parentheses or empty flows.
     pub fn parse(text: &str) -> Result<Self, Diagnostic> {
-        let inner = strip_wrapper(text, "opcode_flow")?;
-        let mut p = Lex::new(inner);
-        p.skip_ws();
-        let root = parse_scope(&mut p)?;
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(Diagnostic::error(format!(
-                "trailing input in opcode_flow: `{}`",
-                p.rest()
-            )));
+        let mut cur = Cursor::new(text, Skip::Unicode);
+        let flow = Self::parse_in(&mut cur)?;
+        if !cur.at_end() {
+            return Err(cur.error(format!("trailing input in opcode_flow: `{}`", cur.rest())));
+        }
+        Ok(flow)
+    }
+
+    /// Parses one flow at `cur`, with or without the `opcode_flow<…>`
+    /// wrapper, leaving the cursor after it — how the `.mlir` parser
+    /// reads the attribute in place.
+    pub(crate) fn parse_in(cur: &mut Cursor<'_>) -> Result<Self, Diagnostic> {
+        let wrapped = cur.eat_str("opcode_flow");
+        if wrapped {
+            cur.expect('<')?;
+        }
+        let at = cur.pos();
+        let root = parse_scope(cur)?;
+        if wrapped {
+            cur.expect('>')?;
         }
         if root.is_empty() {
-            return Err(Diagnostic::error("opcode_flow must reference at least one opcode"));
+            return Err(cur.error_at(at, "opcode_flow must reference at least one opcode"));
         }
         Ok(Self { root })
     }
 }
 
-fn parse_scope(p: &mut Lex) -> Result<Vec<FlowElem>, Diagnostic> {
-    p.expect('(')?;
+fn parse_scope(cur: &mut Cursor<'_>) -> Result<Vec<FlowElem>, Diagnostic> {
+    cur.expect('(')?;
+    cur.enter()?;
     let mut elems = Vec::new();
     loop {
-        p.skip_ws();
-        match p.peek() {
-            Some(')') => {
-                p.try_eat(')');
-                return Ok(elems);
-            }
-            Some('(') => elems.push(FlowElem::Scope(parse_scope(p)?)),
+        match cur.peek() {
+            Some(')') => break,
+            Some('(') => elems.push(FlowElem::Scope(parse_scope(cur)?)),
             Some(_) => {
-                let id =
-                    p.ident().ok_or_else(|| Diagnostic::error("expected opcode name in flow"))?;
-                elems.push(FlowElem::Opcode(id));
+                let id = cur.ident().ok_or_else(|| cur.error("expected opcode name in flow"))?;
+                elems.push(FlowElem::Opcode(id.to_owned()));
             }
-            None => return Err(Diagnostic::error("unbalanced `(` in opcode_flow")),
+            None => return Err(cur.error("unbalanced `(` in opcode_flow")),
         }
     }
+    cur.leave();
+    cur.expect(')')?;
+    Ok(elems)
 }
 
 impl fmt::Display for OpcodeFlow {
@@ -334,126 +364,6 @@ impl fmt::Display for OpcodeFlow {
         walk(&self.root, f)?;
         write!(f, ")>")
     }
-}
-
-fn strip_wrapper<'a>(text: &'a str, keyword: &str) -> Result<&'a str, Diagnostic> {
-    let t = text.trim();
-    if let Some(rest) = t.strip_prefix(keyword) {
-        let rest = rest.trim_start();
-        let rest = rest
-            .strip_prefix('<')
-            .ok_or_else(|| Diagnostic::error(format!("expected `<` after `{keyword}`")))?;
-        let rest = rest
-            .strip_suffix('>')
-            .ok_or_else(|| Diagnostic::error(format!("expected closing `>` in `{keyword}`")))?;
-        Ok(rest)
-    } else {
-        Ok(t)
-    }
-}
-
-/// A tiny shared lexer for the attribute grammars.
-struct Lex<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Lex<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
-    }
-
-    fn rest(&self) -> &str {
-        &self.text[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.rest().chars().next().filter(|c| c.is_whitespace()) {
-            self.pos += c.len_utf8();
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.text.len()
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
-    }
-
-    fn try_eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), Diagnostic> {
-        if self.try_eat(c) {
-            Ok(())
-        } else {
-            Err(Diagnostic::error(format!("expected `{c}` at `{}`", truncate(self.rest()))))
-        }
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let rest = self.rest();
-        let first_ok = rest.chars().next().map(|c| c.is_alphabetic() || c == '_').unwrap_or(false);
-        if !first_ok {
-            return None;
-        }
-        let s: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-        self.pos += s.len();
-        Some(s)
-    }
-
-    fn ident_or_string(&mut self) -> Option<String> {
-        self.skip_ws();
-        if self.rest().starts_with('"') {
-            let rest = &self.rest()[1..];
-            let end = rest.find('"')?;
-            let s = rest[..end].to_owned();
-            self.pos += end + 2;
-            Some(s)
-        } else {
-            self.ident()
-        }
-    }
-
-    /// Parses a decimal or `0x` hexadecimal integer.
-    fn integer(&mut self) -> Result<i64, Diagnostic> {
-        self.skip_ws();
-        let rest = self.rest();
-        if let Some(hex) = rest.strip_prefix("0x").or_else(|| rest.strip_prefix("0X")) {
-            let digits: String = hex.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
-            if digits.is_empty() {
-                return Err(Diagnostic::error("expected hex digits after `0x`"));
-            }
-            self.pos += 2 + digits.len();
-            return i64::from_str_radix(&digits, 16)
-                .map_err(|_| Diagnostic::error(format!("hex literal `{digits}` out of range")));
-        }
-        let neg = rest.starts_with('-');
-        let digits: String =
-            rest.chars().skip(usize::from(neg)).take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            return Err(Diagnostic::error(format!("expected integer at `{}`", truncate(rest))));
-        }
-        self.pos += digits.len() + usize::from(neg);
-        let v: i64 = digits
-            .parse()
-            .map_err(|_| Diagnostic::error(format!("integer `{digits}` out of range")))?;
-        Ok(if neg { -v } else { v })
-    }
-}
-
-fn truncate(s: &str) -> String {
-    s.chars().take(24).collect()
 }
 
 /// An attribute value attached to an operation.

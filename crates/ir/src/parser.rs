@@ -1,13 +1,25 @@
 //! Parser for the generic textual form produced by [`crate::printer`].
 //!
-//! Parsing happens in two phases: a lightweight AST (`POp`/`PBlock`) is
-//! built first, then converted into [`IrCtx`] entities with a scoped
-//! `%name -> ValueId` environment, which keeps SSA bookkeeping out of the
-//! grammar code.
+//! Parsing happens in two phases: a lightweight AST (`POp`/`PBlock`,
+//! borrowing its names from the source text) is built first, then
+//! converted into [`IrCtx`] entities with a scoped `%name -> ValueId`
+//! environment, which keeps SSA bookkeeping out of the grammar code.
+//!
+//! This module holds the *productions* only. Lexing — whitespace and
+//! `//` comment skipping, `peek`/`eat`/`expect`, identifiers, integers,
+//! string literals, `line:col` on errors — is the workspace's shared
+//! [`Cursor`], and the embedded attribute grammars (`affine_map<…>`,
+//! `opcode_map<…>`, `opcode_flow<…>`) are parsed *in place* on that same
+//! cursor by [`AffineMap`], [`OpcodeMap`] and [`OpcodeFlow`], so an
+//! error inside one reports its own position. Regions and attribute
+//! arrays/dicts count against the cursor's nesting guard
+//! ([`axi4mlir_support::text::MAX_DEPTH`]): input nested deeper is a
+//! located error, never a stack overflow.
 
 use std::collections::{BTreeMap, HashMap};
 
-use axi4mlir_support::diag::{Diagnostic, SourceLoc};
+use axi4mlir_support::diag::Diagnostic;
+use axi4mlir_support::text::{Cursor, Skip};
 
 use crate::affine::AffineMap;
 use crate::attrs::{Attribute, OpcodeFlow, OpcodeMap};
@@ -21,11 +33,10 @@ use crate::types::{MemRefType, Type, DYNAMIC};
 /// Returns a [`Diagnostic`] with a line/column location on syntax errors or
 /// references to undefined values.
 pub fn parse_module(text: &str) -> Result<Module, Diagnostic> {
-    let mut p = P::new(text);
+    let mut p = P { cur: Cursor::new(text, Skip::UnicodeAndComments) };
     let op = p.parse_op()?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("trailing input after top-level operation"));
+    if !p.cur.at_end() {
+        return Err(p.cur.error("trailing input after top-level operation"));
     }
     if op.name != "builtin.module" {
         return Err(Diagnostic::error(format!(
@@ -34,8 +45,7 @@ pub fn parse_module(text: &str) -> Result<Module, Diagnostic> {
         )));
     }
     let mut ctx = IrCtx::new();
-    let mut env: HashMap<String, crate::ops::ValueId> = HashMap::new();
-    let top = build_op(&mut ctx, &op, &mut env)?;
+    let top = build_op(&mut ctx, &op, &mut Env::new())?;
     // Re-wrap into a Module without re-creating: Module::new builds its own
     // top op, so we reconstruct by stealing the built ctx.
     Ok(Module::from_parts(ctx, top))
@@ -46,274 +56,120 @@ pub fn parse_module(text: &str) -> Result<Module, Diagnostic> {
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
-struct POp {
-    results: Vec<String>,
-    name: String,
-    operands: Vec<String>,
-    regions: Vec<PRegion>,
+struct POp<'a> {
+    results: Vec<&'a str>,
+    name: &'a str,
+    operands: Vec<&'a str>,
+    regions: Vec<PRegion<'a>>,
     attrs: BTreeMap<String, Attribute>,
     result_types: Vec<Type>,
 }
 
 #[derive(Debug)]
-struct PRegion {
-    blocks: Vec<PBlock>,
+struct PRegion<'a> {
+    blocks: Vec<PBlock<'a>>,
 }
 
 #[derive(Debug)]
-struct PBlock {
-    args: Vec<(String, Type)>,
-    ops: Vec<POp>,
+struct PBlock<'a> {
+    args: Vec<(&'a str, Type)>,
+    ops: Vec<POp<'a>>,
 }
 
+/// The generic-form productions over the shared [`Cursor`].
 struct P<'a> {
-    text: &'a str,
-    pos: usize,
+    cur: Cursor<'a>,
 }
 
 impl<'a> P<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
-    }
-
-    fn loc(&self) -> SourceLoc {
-        let mut line = 1u32;
-        let mut col = 1u32;
-        for c in self.text[..self.pos].chars() {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        SourceLoc::new(line, col)
-    }
-
-    fn err(&self, msg: impl Into<String>) -> Diagnostic {
-        Diagnostic::error(msg).at(self.loc())
-    }
-
-    fn rest(&self) -> &str {
-        &self.text[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let rest = self.rest();
-            if let Some(c) = rest.chars().next().filter(|c| c.is_whitespace()) {
-                self.pos += c.len_utf8();
-            } else if rest.starts_with("//") {
-                let skip = rest.find('\n').map(|i| i + 1).unwrap_or(rest.len());
-                self.pos += skip;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.text.len()
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
-    }
-
-    fn try_eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), Diagnostic> {
-        if self.try_eat(c) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{c}`")))
-        }
-    }
-
-    fn try_eat_str(&mut self, s: &str) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string_literal(&mut self) -> Result<String, Diagnostic> {
-        self.skip_ws();
-        if !self.rest().starts_with('"') {
-            return Err(self.err("expected string literal"));
-        }
-        let rest = &self.rest()[1..];
-        let end = rest.find('"').ok_or_else(|| self.err("unterminated string literal"))?;
-        let s = rest[..end].to_owned();
-        self.pos += end + 2;
-        Ok(s)
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let rest = self.rest();
-        let first_ok = rest.chars().next().map(|c| c.is_alphabetic() || c == '_').unwrap_or(false);
-        if !first_ok {
-            return None;
-        }
-        let s: String =
-            rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '.').collect();
-        self.pos += s.len();
-        Some(s)
-    }
-
-    fn integer(&mut self) -> Option<i64> {
-        self.skip_ws();
-        let rest = self.rest();
-        if let Some(hex) = rest.strip_prefix("0x") {
-            let digits: String = hex.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
-            if digits.is_empty() {
-                return None;
-            }
-            self.pos += 2 + digits.len();
-            return i64::from_str_radix(&digits, 16).ok();
-        }
-        let neg = rest.starts_with('-');
-        let digits: String =
-            rest.chars().skip(usize::from(neg)).take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            return None;
-        }
-        self.pos += digits.len() + usize::from(neg);
-        let v: i64 = digits.parse().ok()?;
-        Some(if neg { -v } else { v })
-    }
-
     /// `%name` — returns the name without the sigil.
-    fn value_use(&mut self) -> Result<String, Diagnostic> {
-        self.skip_ws();
-        if !self.rest().starts_with('%') {
-            return Err(self.err("expected `%` value"));
+    fn value_use(&mut self) -> Result<&'a str, Diagnostic> {
+        if !self.cur.eat('%') {
+            return Err(self.cur.error("expected `%` value"));
         }
-        self.pos += 1;
-        let name: String =
-            self.rest().chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        let name = self.cur.take_while(|c| c.is_alphanumeric() || c == '_');
         if name.is_empty() {
-            return Err(self.err("expected value name after `%`"));
+            return Err(self.cur.error("expected value name after `%`"));
         }
-        self.pos += name.len();
         Ok(name)
+    }
+
+    /// `open item (, item)* close`, or `open close`; the caller has
+    /// consumed `open`.
+    fn list<T>(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<T, Diagnostic>,
+    ) -> Result<Vec<T>, Diagnostic> {
+        let mut items = Vec::new();
+        if self.cur.peek() != Some(close) {
+            loop {
+                items.push(item(self)?);
+                if !self.cur.eat(',') {
+                    break;
+                }
+            }
+        }
+        self.cur.expect(close)?;
+        Ok(items)
     }
 
     // -----------------------------------------------------------------
     // Grammar
     // -----------------------------------------------------------------
 
-    fn parse_op(&mut self) -> Result<POp, Diagnostic> {
+    fn parse_op(&mut self) -> Result<POp<'a>, Diagnostic> {
         // Optional results.
         let mut results = Vec::new();
-        let save = self.pos;
-        if self.peek() == Some('%') {
+        self.cur.skip_ws();
+        let start = self.cur.pos();
+        if self.cur.peek() == Some('%') {
             loop {
                 results.push(self.value_use()?);
-                if !self.try_eat(',') {
+                if !self.cur.eat(',') {
                     break;
                 }
             }
-            if !self.try_eat('=') {
-                // Not a result list after all (can't happen in well-formed
-                // generic form, but keep the error clear).
-                self.pos = save;
-                return Err(self.err("expected `=` after result list"));
+            if !self.cur.eat('=') {
+                return Err(self.cur.error_at(start, "expected `=` after result list"));
             }
         }
-        let name = self.string_literal()?;
-        self.expect('(')?;
-        let mut operands = Vec::new();
-        if self.peek() != Some(')') {
-            loop {
-                operands.push(self.value_use()?);
-                if !self.try_eat(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(')')?;
+        let name = self.cur.string_literal()?;
+        self.cur.expect('(')?;
+        let operands = self.list(')', Self::value_use)?;
         // Optional region list: `({ ... }, { ... })`.
         let mut regions = Vec::new();
-        let save = self.pos;
-        if self.try_eat('(') {
-            if self.peek() == Some('{') {
-                loop {
-                    regions.push(self.parse_region()?);
-                    if !self.try_eat(',') {
-                        break;
-                    }
-                }
-                self.expect(')')?;
+        let before_paren = self.cur.pos();
+        if self.cur.eat('(') {
+            if self.cur.peek() == Some('{') {
+                regions = self.list(')', Self::parse_region)?;
             } else {
-                self.pos = save;
+                self.cur.rewind(before_paren);
             }
         }
         // Optional attribute dict.
         let mut attrs = BTreeMap::new();
-        if self.try_eat('{') {
-            if self.peek() != Some('}') {
-                loop {
-                    let key = self.ident().ok_or_else(|| self.err("expected attribute name"))?;
-                    self.expect('=')?;
-                    let value = self.parse_attr()?;
-                    attrs.insert(key, value);
-                    if !self.try_eat(',') {
-                        break;
-                    }
-                }
-            }
-            self.expect('}')?;
+        if self.cur.eat('{') {
+            attrs = self.attr_entries("expected attribute name")?;
         }
         // Trailing type: `: (tys) -> (tys)`.
-        self.expect(':')?;
-        self.expect('(')?;
-        let mut operand_types = Vec::new();
-        if self.peek() != Some(')') {
-            loop {
-                operand_types.push(self.parse_type()?);
-                if !self.try_eat(',') {
-                    break;
-                }
-            }
+        self.cur.expect(':')?;
+        self.cur.expect('(')?;
+        let operand_types = self.list(')', Self::parse_type)?;
+        if !self.cur.eat_str("->") {
+            return Err(self.cur.error("expected `->` in op type"));
         }
-        self.expect(')')?;
-        if !self.try_eat_str("->") {
-            return Err(self.err("expected `->` in op type"));
-        }
-        self.expect('(')?;
-        let mut result_types = Vec::new();
-        if self.peek() != Some(')') {
-            loop {
-                result_types.push(self.parse_type()?);
-                if !self.try_eat(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(')')?;
+        self.cur.expect('(')?;
+        let result_types = self.list(')', Self::parse_type)?;
         if operand_types.len() != operands.len() {
-            return Err(self.err(format!(
+            return Err(self.cur.error(format!(
                 "op {name}: {} operands but {} operand types",
                 operands.len(),
                 operand_types.len()
             )));
         }
         if result_types.len() != results.len() {
-            return Err(self.err(format!(
+            return Err(self.cur.error(format!(
                 "op {name}: {} results but {} result types",
                 results.len(),
                 result_types.len()
@@ -322,255 +178,186 @@ impl<'a> P<'a> {
         Ok(POp { results, name, operands, regions, attrs, result_types })
     }
 
-    fn parse_region(&mut self) -> Result<PRegion, Diagnostic> {
-        self.expect('{')?;
+    /// `key = attr (, key = attr)* }` — the body of an attribute dict
+    /// whose `{` the caller consumed.
+    fn attr_entries(&mut self, expected: &str) -> Result<BTreeMap<String, Attribute>, Diagnostic> {
+        let entries = self.list('}', |p| {
+            let key = p.cur.dotted_ident().ok_or_else(|| p.cur.error(expected))?;
+            p.cur.expect('=')?;
+            Ok((key.to_owned(), p.parse_attr()?))
+        })?;
+        Ok(entries.into_iter().collect())
+    }
+
+    fn parse_region(&mut self) -> Result<PRegion<'a>, Diagnostic> {
+        self.cur.expect('{')?;
+        self.cur.enter()?;
         let mut blocks = Vec::new();
-        while self.peek() == Some('^') {
+        while self.cur.peek() == Some('^') {
             blocks.push(self.parse_block()?);
         }
-        self.expect('}')?;
+        self.cur.leave();
+        self.cur.expect('}')?;
         Ok(PRegion { blocks })
     }
 
-    fn parse_block(&mut self) -> Result<PBlock, Diagnostic> {
-        self.expect('^')?;
-        let _label = self.ident().ok_or_else(|| self.err("expected block label"))?;
-        self.expect('(')?;
-        let mut args = Vec::new();
-        if self.peek() != Some(')') {
-            loop {
-                let name = self.value_use()?;
-                self.expect(':')?;
-                let ty = self.parse_type()?;
-                args.push((name, ty));
-                if !self.try_eat(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(')')?;
-        self.expect(':')?;
+    fn parse_block(&mut self) -> Result<PBlock<'a>, Diagnostic> {
+        self.cur.expect('^')?;
+        let _label =
+            self.cur.dotted_ident().ok_or_else(|| self.cur.error("expected block label"))?;
+        self.cur.expect('(')?;
+        let args = self.list(')', |p| {
+            let name = p.value_use()?;
+            p.cur.expect(':')?;
+            Ok((name, p.parse_type()?))
+        })?;
+        self.cur.expect(':')?;
         let mut ops = Vec::new();
-        loop {
-            self.skip_ws();
-            let c = self.rest().chars().next();
-            match c {
-                Some('%') | Some('"') => ops.push(self.parse_op()?),
-                _ => break,
-            }
+        while matches!(self.cur.peek(), Some('%' | '"')) {
+            ops.push(self.parse_op()?);
         }
         Ok(PBlock { args, ops })
     }
 
     fn parse_type(&mut self) -> Result<Type, Diagnostic> {
-        self.skip_ws();
-        if self.try_eat_str("index") {
+        if self.cur.eat_str("index") {
             return Ok(Type::Index);
         }
-        if self.try_eat_str("()") {
+        if self.cur.eat_str("()") {
             return Ok(Type::Unit);
         }
-        if self.try_eat_str("memref<") {
+        if self.cur.eat_str("memref<") {
             return self.parse_memref_body();
         }
-        let rest = self.rest();
-        if let Some(width) = rest.strip_prefix('i').and_then(leading_number) {
-            self.pos += 1 + width.1;
-            return Ok(Type::Int(width.0 as u32));
+        let rest = self.cur.rest();
+        if let Some((width, len)) = rest.strip_prefix('i').and_then(leading_number) {
+            self.cur.advance(1 + len);
+            return Ok(Type::Int(width as u32));
         }
-        if let Some(width) = rest.strip_prefix('f').and_then(leading_number) {
-            self.pos += 1 + width.1;
-            return Ok(Type::Float(width.0 as u32));
+        if let Some((width, len)) = rest.strip_prefix('f').and_then(leading_number) {
+            self.cur.advance(1 + len);
+            return Ok(Type::Float(width as u32));
         }
-        Err(self.err(format!("expected type at `{}`", rest.chars().take(16).collect::<String>())))
+        let shown: String = rest.chars().take(16).collect();
+        Err(self.cur.error(format!("expected type at `{shown}`")))
     }
 
     fn parse_memref_body(&mut self) -> Result<Type, Diagnostic> {
         // shape: (`?`|int) `x` ... then element type, optional strided<..>.
         let mut shape = Vec::new();
         loop {
-            self.skip_ws();
-            if self.try_eat('?') {
+            if self.cur.eat('?') {
                 shape.push(DYNAMIC);
-            } else if let Some(n) = self.integer() {
+            } else if let Some(n) = self.cur.integer()? {
                 shape.push(n);
             } else {
-                return Err(self.err("expected memref dimension"));
+                return Err(self.cur.error("expected memref dimension"));
             }
-            self.skip_ws();
-            if !self.try_eat('x') {
-                return Err(self.err("expected `x` in memref shape"));
+            if !self.cur.eat('x') {
+                return Err(self.cur.error("expected `x` in memref shape"));
             }
             // After `x` either another dim or the element type; element
             // types start with a letter that is not a digit/?`.
-            self.skip_ws();
-            let c = self.rest().chars().next();
-            if !matches!(c, Some('0'..='9') | Some('?')) {
+            if !matches!(self.cur.peek(), Some('0'..='9' | '?')) {
                 break;
             }
         }
         let elem = self.parse_type()?;
         let mut strides = None;
-        if self.try_eat(',') {
-            if !self.try_eat_str("strided<[") {
-                return Err(self.err("expected `strided<[` in memref layout"));
+        if self.cur.eat(',') {
+            if !self.cur.eat_str("strided<[") {
+                return Err(self.cur.error("expected `strided<[` in memref layout"));
             }
-            let mut s = Vec::new();
-            if self.peek() != Some(']') {
-                loop {
-                    let v = self.integer().ok_or_else(|| self.err("expected stride"))?;
-                    s.push(v);
-                    if !self.try_eat(',') {
-                        break;
-                    }
-                }
-            }
-            self.expect(']')?;
-            self.expect('>')?;
-            strides = Some(s);
+            strides =
+                Some(self.list(']', |p| {
+                    p.cur.integer()?.ok_or_else(|| p.cur.error("expected stride"))
+                })?);
+            self.cur.expect('>')?;
         }
-        self.expect('>')?;
+        self.cur.expect('>')?;
         Ok(Type::MemRef(MemRefType { shape, elem: Box::new(elem), strides }))
     }
 
     fn parse_attr(&mut self) -> Result<Attribute, Diagnostic> {
-        self.skip_ws();
-        let rest = self.rest();
-        if rest.starts_with("affine_map<") {
-            let full = self.balanced_angle("affine_map")?;
-            let inner = full
-                .strip_prefix("affine_map<")
-                .and_then(|s| s.strip_suffix('>'))
-                .expect("balanced_angle returns wrapped text");
-            let map = AffineMap::parse(inner).map_err(|d| self.err(d.message))?;
+        self.cur.skip_ws();
+        let rest = self.cur.rest();
+        // The embedded grammars parse in place, on this cursor.
+        if self.cur.eat_str("affine_map<") {
+            let map = AffineMap::parse_in(&mut self.cur)?;
+            self.cur.expect('>')?;
             return Ok(Attribute::Map(map));
         }
         if rest.starts_with("opcode_map<") {
-            let inner = self.balanced_angle("opcode_map")?;
-            let m = OpcodeMap::parse(&inner).map_err(|d| self.err(d.message))?;
-            return Ok(Attribute::Opcodes(m));
+            return OpcodeMap::parse_in(&mut self.cur).map(Attribute::Opcodes);
         }
         if rest.starts_with("opcode_flow<") {
-            let inner = self.balanced_angle("opcode_flow")?;
-            let flow = OpcodeFlow::parse(&inner).map_err(|d| self.err(d.message))?;
-            return Ok(Attribute::Flow(flow));
+            return OpcodeFlow::parse_in(&mut self.cur).map(Attribute::Flow);
         }
-        if rest.starts_with("true") {
-            self.pos += 4;
+        if self.cur.eat_str("true") {
             return Ok(Attribute::Bool(true));
         }
-        if rest.starts_with("false") {
-            self.pos += 5;
+        if self.cur.eat_str("false") {
             return Ok(Attribute::Bool(false));
         }
         if rest.starts_with('"') {
-            return Ok(Attribute::Str(self.string_literal()?));
+            return Ok(Attribute::Str(self.cur.string_literal()?.to_owned()));
         }
         if rest.starts_with('[') {
-            self.expect('[')?;
-            let mut items = Vec::new();
-            if self.peek() != Some(']') {
-                loop {
-                    items.push(self.parse_attr()?);
-                    if !self.try_eat(',') {
-                        break;
-                    }
-                }
-            }
-            self.expect(']')?;
+            self.cur.enter()?;
+            self.cur.advance(1);
+            let items = self.list(']', Self::parse_attr)?;
+            self.cur.leave();
             return Ok(Attribute::Array(items));
         }
         if rest.starts_with('{') {
-            self.expect('{')?;
-            let mut map = BTreeMap::new();
-            if self.peek() != Some('}') {
-                loop {
-                    let key = self.ident().ok_or_else(|| self.err("expected dict key"))?;
-                    self.expect('=')?;
-                    let v = self.parse_attr()?;
-                    map.insert(key, v);
-                    if !self.try_eat(',') {
-                        break;
-                    }
-                }
-            }
-            self.expect('}')?;
+            self.cur.enter()?;
+            self.cur.advance(1);
+            let map = self.attr_entries("expected dict key")?;
+            self.cur.leave();
             return Ok(Attribute::Dict(map));
         }
         // Float: digits containing a dot.
         if let Some(f) = self.try_float() {
             return Ok(Attribute::Float(f));
         }
-        if let Some(n) = self.integer() {
+        if let Some(n) = self.cur.integer()? {
             return Ok(Attribute::Int(n));
         }
         // Types-as-attributes (i32, memref<...>, index).
         if let Ok(ty) = self.parse_type() {
             return Ok(Attribute::Type(ty));
         }
-        Err(self.err("expected attribute value"))
+        Err(self.cur.error("expected attribute value"))
     }
 
     fn try_float(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let rest = self.rest();
-        let neg = rest.starts_with('-');
-        let body = &rest[usize::from(neg)..];
-        let int_len = body.chars().take_while(|c| c.is_ascii_digit()).count();
-        if int_len == 0 || !body[int_len..].starts_with('.') {
+        let rest = self.cur.rest();
+        let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+        let sign = usize::from(rest.starts_with('-'));
+        let int_len = digits(&rest[sign..]);
+        if int_len == 0 || !rest[sign + int_len..].starts_with('.') {
             return None;
         }
-        let frac_len = body[int_len + 1..].chars().take_while(|c| c.is_ascii_digit()).count();
-        let total = usize::from(neg) + int_len + 1 + frac_len;
-        let text = &rest[..total];
-        let v: f64 = text.parse().ok()?;
-        self.pos += total;
+        let total = sign + int_len + 1 + digits(&rest[sign + int_len + 1..]);
+        let v = rest[..total].parse().ok()?;
+        self.cur.advance(total);
         Some(v)
-    }
-
-    /// Consumes `keyword<...>` with `->`-aware angle matching, returning the
-    /// full `keyword<...>` text.
-    fn balanced_angle(&mut self, keyword: &str) -> Result<String, Diagnostic> {
-        self.skip_ws();
-        let start = self.pos;
-        debug_assert!(self.rest().starts_with(keyword));
-        self.pos += keyword.len();
-        if !self.rest().starts_with('<') {
-            return Err(self.err(format!("expected `<` after {keyword}")));
-        }
-        self.pos += 1;
-        let mut prev = ' ';
-        while let Some(c) = self.rest().chars().next() {
-            if c == '>' && prev != '-' {
-                self.pos += 1;
-                return Ok(self.text[start..self.pos].to_owned());
-            }
-            prev = c;
-            self.pos += c.len_utf8();
-        }
-        Err(self.err(format!("unterminated `{keyword}<`")))
     }
 }
 
 fn leading_number(s: &str) -> Option<(i64, usize)> {
-    let digits: String = s.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    // Reject identifier continuation (e.g. `i32x` is not a type here).
-    let n: i64 = digits.parse().ok()?;
-    Some((n, digits.len()))
+    let digits = s.bytes().take_while(u8::is_ascii_digit).count();
+    Some((s[..digits].parse().ok()?, digits))
 }
 
 // ---------------------------------------------------------------------
 // Phase 2: AST -> IrCtx
 // ---------------------------------------------------------------------
 
-fn build_op(
-    ctx: &mut IrCtx,
-    op: &POp,
-    env: &mut HashMap<String, crate::ops::ValueId>,
-) -> Result<OpId, Diagnostic> {
+/// The `%name -> ValueId` scope, keyed by slices of the source text.
+type Env<'a> = HashMap<&'a str, crate::ops::ValueId>;
+
+fn build_op<'a>(ctx: &mut IrCtx, op: &POp<'a>, env: &mut Env<'a>) -> Result<OpId, Diagnostic> {
     let operands: Result<Vec<_>, Diagnostic> = op
         .operands
         .iter()
@@ -580,9 +367,9 @@ fn build_op(
                 .ok_or_else(|| Diagnostic::error(format!("use of undefined value %{name}")))
         })
         .collect();
-    let id = ctx.create_op(&op.name, operands?, op.result_types.clone(), op.attrs.clone());
+    let id = ctx.create_op(op.name, operands?, op.result_types.clone(), op.attrs.clone());
     for (name, value) in op.results.iter().zip(ctx.op(id).results.clone()) {
-        env.insert(name.clone(), value);
+        env.insert(name, value);
     }
     for region in &op.regions {
         let rid = ctx.add_region(id);
@@ -594,16 +381,16 @@ fn build_op(
     Ok(id)
 }
 
-fn build_block(
+fn build_block<'a>(
     ctx: &mut IrCtx,
     region: crate::ops::RegionId,
-    block: &PBlock,
-    env: &mut HashMap<String, crate::ops::ValueId>,
+    block: &PBlock<'a>,
+    env: &mut Env<'a>,
 ) -> Result<BlockId, Diagnostic> {
     let arg_types: Vec<Type> = block.args.iter().map(|(_, t)| t.clone()).collect();
     let bid = ctx.add_block(region, arg_types);
     for ((name, _), value) in block.args.iter().zip(ctx.block(bid).args.clone()) {
-        env.insert(name.clone(), value);
+        env.insert(name, value);
     }
     for op in &block.ops {
         let oid = build_op(ctx, op, env)?;

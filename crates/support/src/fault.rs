@@ -14,8 +14,8 @@
 //!
 //! Plans are installed process-globally, either programmatically
 //! ([`install`]) or from the `AXI4MLIR_FAULTS` environment variable
-//! ([`install_from_env`], called by the daemon binaries at startup, or
-//! their `--faults SPEC` flag), so release binaries can be driven
+//! ([`install_from`], called by the daemon binaries at startup with
+//! their `--faults SPEC` flag, which wins), so release binaries can be driven
 //! through failures by integration tests and CI without a special
 //! build. A process with no plan installed pays one atomic load per
 //! site tick.
@@ -204,7 +204,7 @@ impl FaultPlan {
     }
 }
 
-/// The environment variable [`install_from_env`] reads.
+/// The environment variable [`install_from`] falls back to.
 pub const FAULTS_ENV: &str = "AXI4MLIR_FAULTS";
 
 static PLAN: OnceLock<FaultPlan> = OnceLock::new();
@@ -219,16 +219,17 @@ pub fn install(plan: FaultPlan) -> &'static FaultPlan {
     installed
 }
 
-/// Installs the plan spelled in [`FAULTS_ENV`], if the variable is set
-/// and non-empty.
+/// Installs the plan a daemon was started with: its `--faults SPEC`
+/// flag when given, else [`FAULTS_ENV`] if that is set and non-empty.
 ///
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] for a malformed spec (the daemons refuse to
 /// start rather than run with half a plan).
-pub fn install_from_env() -> Result<Option<&'static FaultPlan>, Diagnostic> {
-    match std::env::var(FAULTS_ENV) {
-        Ok(spec) if !spec.trim().is_empty() => Ok(Some(install(FaultPlan::parse(&spec)?))),
+pub fn install_from(flag: Option<&str>) -> Result<Option<&'static FaultPlan>, Diagnostic> {
+    let spec = flag.map(str::to_owned).or_else(|| std::env::var(FAULTS_ENV).ok());
+    match spec {
+        Some(spec) if !spec.trim().is_empty() => Ok(Some(install(FaultPlan::parse(&spec)?))),
         _ => Ok(None),
     }
 }

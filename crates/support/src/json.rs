@@ -1,19 +1,38 @@
 //! A small, dependency-free JSON reader and writer.
 //!
-//! The build environment vendors no serde, so configuration files are read
-//! through this hand-rolled recursive-descent parser instead, and the
-//! `BENCH_*.json` reports are produced by the serializer below. Three
-//! properties matter to callers and are guaranteed here:
+//! The build environment vendors no serde, so every JSON document in the
+//! workspace — Fig. 5 configuration files, `BENCH_*.json` reports, cache
+//! shards, protocol frames — is read and written here. The module has
+//! three layers:
+//!
+//! - [`JsonValue::parse`]: the recursive-descent *syntax* reader. It
+//!   keeps the JSON productions and lexes through the workspace's shared
+//!   [`crate::text::Cursor`] (constructed with JSON's own whitespace
+//!   set), which is also where its nesting limit comes from: a document
+//!   nested deeper than [`crate::text::MAX_DEPTH`] is an error, not a
+//!   stack overflow. String scanning copies unescaped runs as slices, so
+//!   parsing is linear in the document.
+//! - [`Members`]: the one *typed* reader. `value.members(context)?`
+//!   then `str` / `u64` / `object` / … — every decoder in the workspace
+//!   goes through it, so a missing or ill-typed member is always
+//!   reported as ``{context}: missing `{path}` `` or
+//!   ``{context}: `{path}` must be …``.
+//! - the serializer ([`JsonValue::to_json_string`],
+//!   [`JsonValue::to_json_pretty`]).
+//!
+//! Properties callers rely on:
 //!
 //! - **object member order is preserved** (an object is a `Vec` of pairs,
 //!   not a hash map) — the `"data"` object of a Fig. 5 configuration
 //!   defines operand order by member position, and report files diff
 //!   cleanly;
-//! - errors carry `line:col` locations through [`Diagnostic`];
+//! - syntax errors carry `line:col` locations through [`Diagnostic`];
 //! - serialization round-trips: `parse(v.to_json_pretty())` yields `v`
-//!   again for every value this module can produce.
+//!   again for every value this module can produce (property-tested in
+//!   `tests/json_properties.rs`).
 
-use crate::diag::{Diagnostic, SourceLoc};
+use crate::diag::Diagnostic;
+use crate::text::{Cursor, Skip};
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,11 +63,9 @@ impl JsonValue {
     /// Returns a [`Diagnostic`] with a `line:col` location on syntax
     /// errors or trailing garbage.
     pub fn parse(text: &str) -> Result<JsonValue, Diagnostic> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
+        let mut p = Parser { cur: Cursor::new(text, Skip::Ascii) };
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos < p.bytes.len() {
+        if !p.cur.at_end() {
             return Err(p.error("trailing characters after the document"));
         }
         Ok(value)
@@ -291,67 +308,217 @@ impl From<Vec<JsonValue>> for JsonValue {
     }
 }
 
+/// A borrowed view of one JSON object's members: the one decoder every
+/// typed reader in the workspace goes through, so a missing or ill-typed
+/// member is always blamed the same way —
+/// ``{context}: missing `{path}` `` or ``{context}: `{path}` must be …``,
+/// where `path` extends with a `.` per nested [`Members::object`].
+///
+/// Each accessor reads a *required* member; [`Members::opt`] turns any of
+/// them into its optional form.
+///
+/// # Examples
+///
+/// ```
+/// use axi4mlir_support::json::{JsonValue, Members};
+///
+/// let doc = JsonValue::parse(r#"{"dma": {"id": "zero"}}"#).unwrap();
+/// let dma = doc.members("accelerator v3_8").unwrap().object("dma").unwrap();
+/// assert_eq!(dma.opt("channel", Members::u64), Ok(None));
+/// assert_eq!(
+///     dma.u64("id").unwrap_err().message,
+///     "accelerator v3_8: `dma.id` must be a non-negative integer"
+/// );
+/// ```
+#[derive(Clone, Debug)]
+pub struct Members<'v> {
+    context: &'v str,
+    /// `""` at the top, `"outer."` inside the member `outer`.
+    prefix: String,
+    members: &'v [(String, JsonValue)],
+}
+
+impl JsonValue {
+    /// Opens this value's members for typed reading; `context` names the
+    /// document in every error (`"invalid job"`, `"accelerator v3_8"`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] when the value is not an object.
+    pub fn members<'v>(&'v self, context: &'v str) -> Result<Members<'v>, Diagnostic> {
+        let members = self.as_object().ok_or_else(|| {
+            Diagnostic::error(format!("{context}: expected an object, found {}", self.type_name()))
+        })?;
+        Ok(Members { context, prefix: String::new(), members })
+    }
+
+    /// A `[[name, value], …]` pair list — the array spelling of ordered
+    /// name → number tables ([`Members::pairs`] reads it back).
+    pub fn pairs<T: Into<JsonValue>>(items: impl IntoIterator<Item = (String, T)>) -> JsonValue {
+        let pair = |(name, value): (String, T)| JsonValue::Array(vec![name.into(), value.into()]);
+        JsonValue::Array(items.into_iter().map(pair).collect())
+    }
+}
+
+/// Every accessor fails with the missing / must-be [`Diagnostic`]
+/// described on the type.
+impl<'v> Members<'v> {
+    /// The member `name`, if present.
+    pub fn get(&self, name: &str) -> Option<&'v JsonValue> {
+        self.members.iter().find(|(key, _)| key == name).map(|(_, value)| value)
+    }
+
+    /// The `(name, value)` members in source order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'v str, &'v JsonValue)> {
+        self.members.iter().map(|(name, value)| (name.as_str(), value))
+    }
+
+    /// The error blaming member `name`: ``{context}: `{path}` {must}``.
+    pub fn invalid(&self, name: &str, must: &str) -> Diagnostic {
+        Diagnostic::error(format!("{}: `{}{name}` {must}", self.context, self.prefix))
+    }
+
+    /// The member `name`, or ``{context}: missing `{path}` ``.
+    pub fn require(&self, name: &str) -> Result<&'v JsonValue, Diagnostic> {
+        self.get(name).ok_or_else(|| {
+            Diagnostic::error(format!("{}: missing `{}{name}`", self.context, self.prefix))
+        })
+    }
+
+    /// `read` (any accessor: `Members::u64`, `Members::str_list`, …)
+    /// applied to `name` if the member is present, `None` if it is not.
+    pub fn opt<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, Diagnostic>,
+    ) -> Result<Option<T>, Diagnostic> {
+        self.get(name).map(|_| read(self, name)).transpose()
+    }
+
+    fn typed<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&'v JsonValue) -> Option<T>,
+        must: &str,
+    ) -> Result<T, Diagnostic> {
+        self.require(name).and_then(|value| read(value).ok_or_else(|| self.invalid(name, must)))
+    }
+
+    /// A string member.
+    pub fn str(&self, name: &str) -> Result<&'v str, Diagnostic> {
+        self.typed(name, JsonValue::as_str, "must be a string")
+    }
+
+    /// A non-negative integer member.
+    pub fn u64(&self, name: &str) -> Result<u64, Diagnostic> {
+        self.typed(name, JsonValue::as_u64, "must be a non-negative integer")
+    }
+
+    /// A non-negative integer member narrowed to `T` (`u32` register
+    /// ids, `usize` counts): out-of-range values are blamed like
+    /// ill-typed ones, never truncated.
+    pub fn uint<T: TryFrom<u64>>(&self, name: &str) -> Result<T, Diagnostic> {
+        let bits = 8 * std::mem::size_of::<T>();
+        T::try_from(self.u64(name)?)
+            .map_err(|_| self.invalid(name, &format!("must fit in {bits} bits")))
+    }
+
+    /// An integer member.
+    pub fn i64(&self, name: &str) -> Result<i64, Diagnostic> {
+        self.typed(name, JsonValue::as_i64, "must be an integer")
+    }
+
+    /// A number member (integers convert).
+    pub fn f64(&self, name: &str) -> Result<f64, Diagnostic> {
+        self.typed(name, JsonValue::as_f64, "must be a number")
+    }
+
+    /// A boolean member.
+    pub fn bool(&self, name: &str) -> Result<bool, Diagnostic> {
+        self.typed(name, JsonValue::as_bool, "must be a boolean")
+    }
+
+    /// An array member.
+    pub fn array(&self, name: &str) -> Result<&'v [JsonValue], Diagnostic> {
+        self.typed(name, JsonValue::as_array, "must be an array")
+    }
+
+    /// An object member, opened for reading; its members' paths extend
+    /// this one's (`name.inner`).
+    pub fn object(&self, name: &str) -> Result<Members<'v>, Diagnostic> {
+        let members = self.typed(name, JsonValue::as_object, "must be an object")?;
+        Ok(Members { context: self.context, prefix: format!("{}{name}.", self.prefix), members })
+    }
+
+    /// An array-of-strings member.
+    pub fn str_list(&self, name: &str) -> Result<Vec<String>, Diagnostic> {
+        let strings = |item: &JsonValue| item.as_str().map(str::to_owned);
+        self.typed(name, |value| list_of(value, strings), "must be an array of strings")
+    }
+
+    /// An array-of-integers member.
+    pub fn i64_list(&self, name: &str) -> Result<Vec<i64>, Diagnostic> {
+        self.typed(name, |value| list_of(value, JsonValue::as_i64), "must be an array of integers")
+    }
+
+    /// A [`JsonValue::pairs`] list whose second elements `read` accepts
+    /// (`JsonValue::as_u64`, `JsonValue::as_f64`).
+    pub fn pairs<T>(
+        &self,
+        name: &str,
+        read: fn(&JsonValue) -> Option<T>,
+    ) -> Result<Vec<(String, T)>, Diagnostic> {
+        let pair = |item: &JsonValue| match item.as_array()? {
+            [name, second] => Some((name.as_str()?.to_owned(), read(second)?)),
+            _ => None,
+        };
+        self.typed(name, |value| list_of(value, pair), "must hold [name, number] pairs")
+    }
+}
+
+fn list_of<T>(value: &JsonValue, item: impl Fn(&JsonValue) -> Option<T>) -> Option<Vec<T>> {
+    value.as_array()?.iter().map(item).collect()
+}
+
+/// The JSON productions, lexed through the shared [`Cursor`] (JSON's
+/// own whitespace set, the shared nesting guard).
 struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    cur: Cursor<'a>,
 }
 
 impl Parser<'_> {
-    fn loc(&self) -> SourceLoc {
-        let mut line = 1u32;
-        let mut col = 1u32;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        SourceLoc::new(line, col)
-    }
-
+    /// JSON diagnostics carry their location inside the message.
     fn error(&self, message: impl Into<String>) -> Diagnostic {
-        let loc = self.loc();
-        Diagnostic::error(format!("{} at {loc}", message.into()))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Diagnostic> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{}`", b as char)))
-        }
+        Diagnostic::error(format!("{} at {}", message.into(), self.cur.loc()))
     }
 
     fn value(&mut self) -> Result<JsonValue, Diagnostic> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.error(format!("unexpected character `{}`", c as char))),
+        match self.cur.peek() {
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
+            Some('"') => Ok(JsonValue::Str(self.string()?)),
+            Some('t') => self.keyword("true", JsonValue::Bool(true)),
+            Some('f') => self.keyword("false", JsonValue::Bool(false)),
+            Some('n') => self.keyword("null", JsonValue::Null),
+            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
+            Some(c) => Err(self.error(format!("unexpected character `{c}`"))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
+    /// One container, counted against [`crate::text::MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, Diagnostic>,
+    ) -> Result<JsonValue, Diagnostic> {
+        self.cur.enter().map_err(|err| self.error(err.message))?;
+        let value = container(self);
+        self.cur.leave();
+        value
+    }
+
     fn keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, Diagnostic> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
+        if self.cur.eat_str(word) {
             Ok(value)
         } else {
             Err(self.error(format!("expected `{word}`")))
@@ -359,126 +526,90 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, Diagnostic> {
-        self.expect(b'{')?;
+        self.cur.advance(1); // the `{` `value` peeked
         let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.cur.eat('}') {
             return Ok(JsonValue::Object(members));
         }
         loop {
-            self.skip_ws();
             let key = self.string().map_err(|_| self.error("expected a string object key"))?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
+            if !self.cur.eat(':') {
+                return Err(self.error("expected `:`"));
+            }
+            members.push((key, self.value()?));
+            if self.cur.eat('}') {
+                return Ok(JsonValue::Object(members));
+            }
+            if !self.cur.eat(',') {
+                return Err(self.error("expected `,` or `}` in object"));
             }
         }
     }
 
     fn array(&mut self) -> Result<JsonValue, Diagnostic> {
-        self.expect(b'[')?;
+        self.cur.advance(1); // the `[` `value` peeked
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.cur.eat(']') {
             return Ok(JsonValue::Array(items));
         }
         loop {
-            self.skip_ws();
             items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
+            if self.cur.eat(']') {
+                return Ok(JsonValue::Array(items));
+            }
+            if !self.cur.eat(',') {
+                return Err(self.error("expected `,` or `]` in array"));
             }
         }
     }
 
+    /// Unescaped runs are copied as slices, so the scan is linear in the
+    /// input.
     fn string(&mut self) -> Result<String, Diagnostic> {
-        self.expect(b'"')?;
+        if !self.cur.eat('"') {
+            return Err(self.error("expected `\"`"));
+        }
         let mut out = String::new();
         loop {
-            match self.peek() {
+            out.push_str(self.cur.take_while(|c| c != '"' && c != '\\'));
+            match self.cur.bump() {
                 None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
-                    self.pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by config files.
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(self.error(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some('"') => return Ok(out),
+                Some(_) => out.push(self.escape()?),
             }
         }
+    }
+
+    /// The character a `\` (already consumed) introduces.
+    fn escape(&mut self) -> Result<char, Diagnostic> {
+        let escaped = self.cur.bump().ok_or_else(|| self.error("unterminated escape"))?;
+        Ok(match escaped {
+            '"' | '\\' | '/' => escaped,
+            'b' => '\u{0008}',
+            'f' => '\u{000C}',
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'u' => {
+                let rest = self.cur.rest();
+                if rest.len() < 4 {
+                    return Err(self.error("truncated \\u escape"));
+                }
+                let code = rest
+                    .get(..4)
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| self.error("invalid \\u escape"))?;
+                self.cur.advance(4);
+                // Surrogate pairs are not needed by config files.
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            other => return Err(self.error(format!("unknown escape `\\{other}`"))),
+        })
     }
 
     fn number(&mut self) -> Result<JsonValue, Diagnostic> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_float {
+        let text = self.cur.take_while(|c| matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'));
+        if !text.contains(['.', 'e', 'E', '+']) && !text[1..].contains('-') {
             if let Ok(v) = text.parse::<i128>() {
                 return Ok(JsonValue::Int(v));
             }

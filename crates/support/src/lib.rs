@@ -10,10 +10,16 @@
 //!   locations, severities, and a collecting [`diag::DiagnosticEngine`].
 //! - [`fmtutil`]: plain-text table rendering used by the experiment harness
 //!   to print paper-style rows.
-//! - [`json`]: a small order-preserving JSON reader used for the Fig. 5
-//!   configuration files (the build environment vendors no serde).
+//! - [`text`]: the one text cursor every grammar in the workspace lexes
+//!   through (`.mlir`, the attribute and affine grammars, JSON), with the
+//!   shared nesting guard.
+//! - [`json`]: a small order-preserving JSON reader/writer (the build
+//!   environment vendors no serde) and [`json::Members`], the one typed,
+//!   field-blaming member reader under every JSON decoder.
+//! - [`args`]: the argv helpers every binary parses its flags with.
 //! - [`proto`]: newline-delimited JSON framing shared by the hub daemon
-//!   and its clients.
+//!   and its clients, and the daemons' serve loop.
+//! - [`signal`]: SIGINT/SIGTERM as one stop flag, for the daemons.
 //! - [`fault`]: deterministic, seeded fault injection (scripted connection
 //!   drops, torn frames, delays, crashes) used to drive release binaries
 //!   through failure paths in chaos tests and CI.
@@ -30,12 +36,15 @@
 //! assert_eq!(nodes[a], "a");
 //! ```
 
+pub mod args;
 pub mod diag;
 pub mod entity;
 pub mod fault;
 pub mod fmtutil;
 pub mod json;
 pub mod proto;
+pub mod signal;
+pub mod text;
 
 pub use diag::{Diagnostic, DiagnosticEngine, Severity};
 pub use entity::{EntityId, PrimaryMap};

@@ -16,7 +16,11 @@
 //!
 //! Blank lines are ignored (a `nc` user pressing return twice should not
 //! kill the connection), and EOF with a non-empty trailing line still
-//! parses it — be liberal in what you accept.
+//! parses it — be liberal in what you accept. Liberal, not unbounded: a
+//! line may not exceed [`MAX_FRAME_BYTES`] and a frame may not nest
+//! deeper than [`crate::text::MAX_DEPTH`]; either is a [`Diagnostic`]
+//! from [`FrameReader::next_frame`], which both daemons answer with an
+//! `error` frame before hanging up on that one connection.
 //!
 //! Daemons write their frames through [`write_frame_at`], which names the
 //! write's *fault site* so an installed [`crate::fault::FaultPlan`] can
@@ -30,7 +34,7 @@
 //! polling floors of the stack, [`ACCEPT_POLL`] and [`READ_TIMEOUT`],
 //! are defined here and nowhere else.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -142,11 +146,16 @@ impl<R: BufRead> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns a [`Diagnostic`] for malformed JSON lines, invalid UTF-8,
-    /// and I/O errors other than timeouts.
+    /// Returns a [`Diagnostic`] for malformed JSON lines (including ones
+    /// nested deeper than [`crate::text::MAX_DEPTH`]), invalid UTF-8, a
+    /// line longer than [`MAX_FRAME_BYTES`] (the buffered bytes are
+    /// dropped), and I/O errors other than timeouts.
     pub fn next_frame(&mut self) -> Result<Frame, Diagnostic> {
         loop {
-            match self.inner.read_until(b'\n', &mut self.partial) {
+            // One byte of headroom tells an oversized line from one that
+            // exactly fits.
+            let room = (MAX_FRAME_BYTES + 1 - self.partial.len()) as u64;
+            match (&mut self.inner).take(room).read_until(b'\n', &mut self.partial) {
                 Ok(0) => {
                     // EOF: parse a non-empty trailing line, else done.
                     let line = std::mem::take(&mut self.partial);
@@ -157,6 +166,12 @@ impl<R: BufRead> FrameReader<R> {
                 }
                 Ok(_) => {
                     if self.partial.last() != Some(&b'\n') {
+                        if self.partial.len() > MAX_FRAME_BYTES {
+                            self.partial = Vec::new();
+                            return Err(Diagnostic::error(format!(
+                                "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+                            )));
+                        }
                         // A timeout can interrupt `read_until` after a
                         // partial read; keep accumulating.
                         continue;
@@ -183,6 +198,12 @@ impl<R: BufRead> FrameReader<R> {
         }
     }
 }
+
+/// The longest line a [`FrameReader`] buffers: a peer that streams
+/// bytes without ever sending `\n` is refused here instead of growing
+/// the daemon without limit. Three thousand times the largest frame the
+/// stack produces (a ~22 KiB `done` event carrying a full report).
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// How long [`serve`] sleeps when no connection is pending before it
 /// polls the listener and its stop condition again.

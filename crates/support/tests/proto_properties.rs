@@ -237,3 +237,32 @@ proptest! {
         }
     }
 }
+
+/// A too-deep frame aborted the reading process (stack overflow in the
+/// JSON parser) before the nesting guard; now it is one bad frame, and
+/// the reader is still usable for the next.
+#[test]
+fn too_deep_frames_are_diagnostics_and_later_frames_still_parse() {
+    let wire = format!("{}\n{{\"n\": 1}}\n", "[".repeat(1_000_000));
+    let mut reader = FrameReader::new(BufReader::new(wire.as_bytes()));
+    let err = reader.next_frame().unwrap_err();
+    assert!(err.message.contains("nesting deeper than"), "{}", err.message);
+    assert_eq!(
+        reader.next_frame().unwrap(),
+        Frame::Value(JsonValue::object([("n".to_owned(), JsonValue::Int(1))]))
+    );
+}
+
+/// The partial-line buffer is bounded: an endless newline-less stream is
+/// refused at the cap, while a line of exactly the cap is still a frame.
+#[test]
+fn a_newline_less_stream_is_refused_at_the_cap() {
+    use axi4mlir_support::proto::MAX_FRAME_BYTES;
+    let mut reader = FrameReader::new(BufReader::new(io::repeat(b'x')));
+    let err = reader.next_frame().unwrap_err();
+    assert!(err.message.contains("exceeds 67108864 bytes"), "{}", err.message);
+    let mut line = vec![b' '; MAX_FRAME_BYTES - 1];
+    line.extend_from_slice(b"1\n");
+    let mut reader = FrameReader::new(BufReader::new(line.as_slice()));
+    assert_eq!(reader.next_frame().unwrap(), Frame::Value(JsonValue::Int(1)));
+}

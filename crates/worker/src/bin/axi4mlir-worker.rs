@@ -13,27 +13,9 @@
 //! protocol.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use axi4mlir_support::fault;
+use axi4mlir_support::{args, fault, signal};
 use axi4mlir_worker::{Worker, WorkerConfig};
-
-/// Set by the signal handler, polled by the accept loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    // Only async-signal-safe work here: one atomic store.
-    STOP.store(true, Ordering::SeqCst);
-}
-
-// `signal` comes from libc, which every Rust binary already links; an
-// inline declaration avoids a dependency the build image lacks.
-extern "C" {
-    fn signal(signum: i32, handler: usize) -> usize;
-}
-
-const SIGINT: i32 = 2;
-const SIGTERM: i32 = 15;
 
 const USAGE: &str = "usage: axi4mlir-worker [--bind ADDR] [--slots N] [--faults SPEC]
 
@@ -44,53 +26,30 @@ const USAGE: &str = "usage: axi4mlir-worker [--bind ADDR] [--slots N] [--faults 
                  testing; wins over the AXI4MLIR_FAULTS environment variable)";
 
 fn parse_args(args: &[String]) -> Result<(WorkerConfig, Option<String>), String> {
-    let mut config = WorkerConfig { stop: Some(&STOP), ..WorkerConfig::default() };
-    let mut faults = None;
-    let mut at = 0;
-    let value = |at: &mut usize, flag: &str| -> Result<String, String> {
-        *at += 1;
-        args.get(*at).cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while at < args.len() {
-        let flag = args[at].as_str();
-        match flag {
-            "--bind" => config.bind = value(&mut at, flag)?,
-            "--slots" => {
-                config.slots =
-                    value(&mut at, flag)?.parse().map_err(|_| "--slots needs an integer")?;
-            }
-            "--faults" => faults = Some(value(&mut at, flag)?),
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
-        at += 1;
+    if args::wants_help(args) {
+        return Err(USAGE.to_owned());
     }
-    Ok((config, faults))
+    args::reject_unknown(args, &["--bind", "--slots", "--faults"], USAGE)?;
+    let defaults = WorkerConfig::default();
+    let config = WorkerConfig {
+        bind: args::value(args, "--bind")?.unwrap_or(defaults.bind),
+        slots: args::number(args, "--slots")?.unwrap_or(defaults.slots),
+        stop: Some(signal::stop_on_termination()),
+    };
+    Ok((config, args::value(args, "--faults")?))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, faults) = match parse_args(&args) {
+    let (config, faults) = match parse_args(&args::argv()) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    // `--faults` wins over AXI4MLIR_FAULTS (first install sticks).
-    let armed = match faults {
-        Some(spec) => fault::FaultPlan::parse(&spec).map(|plan| {
-            fault::install(plan);
-        }),
-        None => fault::install_from_env().map(|_| ()),
-    };
-    if let Err(err) = armed {
+    if let Err(err) = fault::install_from(faults.as_deref()) {
         eprintln!("axi4mlir-worker: {}", err.message);
         return ExitCode::FAILURE;
-    }
-    unsafe {
-        signal(SIGINT, on_signal as *const () as usize);
-        signal(SIGTERM, on_signal as *const () as usize);
     }
     let worker = match Worker::bind(config) {
         Ok(worker) => worker,

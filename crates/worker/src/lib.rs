@@ -264,23 +264,27 @@ fn serve_connection(
                             }
                             other => {
                                 let what = other.unwrap_or("untyped frame");
-                                send(&JsonValue::object([
-                                    ("type".to_owned(), "error".into()),
-                                    (
-                                        "reason".to_owned(),
-                                        format!("unknown request `{what}`").into(),
-                                    ),
-                                ]))?;
+                                send(&error_frame(&format!("unknown request `{what}`")))?;
                             }
                         }
                     }
-                    Err(err) => return Err(err),
+                    Err(err) => {
+                        // A framing error (bad JSON, an oversized or
+                        // too-deep frame) is fatal to this connection;
+                        // say why before hanging up, best effort.
+                        let _ = send(&error_frame(&err.message));
+                        return Err(err);
+                    }
                 }
             }
         })();
         inbox.close();
         outcome
     })
+}
+
+fn error_frame(reason: &str) -> JsonValue {
+    JsonValue::object([("type".to_owned(), "error".into()), ("reason".to_owned(), reason.into())])
 }
 
 fn hello_frame(slots: usize) -> JsonValue {

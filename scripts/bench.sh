@@ -71,41 +71,22 @@ fi
 WORKERS="${WORKERS:-0}"
 if [ "${HUB:-0}" = "1" ] || [ "$WORKERS" -gt 0 ]; then
     echo "== design-space explorer (through axi4mlir-hub, $WORKERS workers) =="
-    cargo build --release -p axi4mlir-hub
+    cargo build --release -p axi4mlir-hub -p axi4mlir-worker
+    source scripts/daemons.sh
     # WORKERS=N: spawn N measurement daemons and point the hub at them.
     WORKER_FLAGS=()
     WORKER_PIDS=()
-    if [ "$WORKERS" -gt 0 ]; then
-        cargo build --release -p axi4mlir-worker
-        for _ in $(seq "$WORKERS"); do
-            WORKER_LOG=$(mktemp)
-            cargo run --release -q -p axi4mlir-worker -- --bind 127.0.0.1:0 >"$WORKER_LOG" &
-            WORKER_PIDS+=($!)
-            WORKER_ADDR=""
-            for _ in $(seq 100); do
-                WORKER_ADDR=$(sed -n 's/^axi4mlir-worker listening on //p' "$WORKER_LOG")
-                [ -n "$WORKER_ADDR" ] && break
-                sleep 0.1
-            done
-            [ -n "$WORKER_ADDR" ] || { echo "bench.sh: axi4mlir-worker did not start" >&2; exit 1; }
-            WORKER_FLAGS+=(--worker "$WORKER_ADDR")
-        done
-    fi
-    HUB_LOG=$(mktemp)
+    trap 'kill -TERM ${HUB_PID:-} ${WORKER_PIDS[@]+"${WORKER_PIDS[@]}"} 2>/dev/null || true' EXIT
+    for _ in $(seq "$WORKERS"); do
+        start_worker
+        WORKER_PIDS+=("$WORKER_PID")
+        WORKER_FLAGS+=(--worker "$WORKER_ADDR")
+    done
     HUB_OUT=$(mktemp -d)
     # The daemon owns the same cache directory the local sweep just
     # saved, so the hub-path sweep is pure cache hits.
-    cargo run --release -q -p axi4mlir-hub -- --bind 127.0.0.1:0 --cache-dir "$CACHE" \
-        ${WORKER_FLAGS[@]+"${WORKER_FLAGS[@]}"} >"$HUB_LOG" &
-    HUB_PID=$!
-    trap 'kill -TERM "$HUB_PID" ${WORKER_PIDS[@]+"${WORKER_PIDS[@]}"} 2>/dev/null || true' EXIT
-    ADDR=""
-    for _ in $(seq 100); do
-        ADDR=$(sed -n 's/^axi4mlir-hub listening on //p' "$HUB_LOG")
-        [ -n "$ADDR" ] && break
-        sleep 0.1
-    done
-    [ -n "$ADDR" ] || { echo "bench.sh: axi4mlir-hub did not start" >&2; exit 1; }
+    start_hub --cache-dir "$CACHE" ${WORKER_FLAGS[@]+"${WORKER_FLAGS[@]}"}
+    ADDR=$HUB_ADDR
     cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- \
         ${QUICK[@]+--smoke} --objectives clock,traffic --hub "$ADDR" --json "$HUB_OUT"
     kill -TERM "$HUB_PID"

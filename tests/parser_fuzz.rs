@@ -8,12 +8,13 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use axi4mlir::ir::affine::AffineMap;
-use axi4mlir::ir::attrs::{Attribute, OpcodeMap};
+use axi4mlir::ir::attrs::{Attribute, OpcodeFlow, OpcodeMap};
 use axi4mlir::ir::builder::OpBuilder;
 use axi4mlir::ir::ops::Module;
 use axi4mlir::ir::parser::parse_module;
 use axi4mlir::ir::printer::print_op;
 use axi4mlir::ir::types::{MemRefType, Type};
+use axi4mlir::support::json::JsonValue;
 
 // ---------------------------------------------------------------------
 // Random-module generator (seeded, deterministic)
@@ -267,4 +268,141 @@ fn multibyte_whitespace_is_skipped_not_split() {
     let affine =
         AffineMap::parse(&"(m, n, k) -> (m, k)".replace(' ', "\u{00A0}")).expect("affine lexer");
     assert_eq!(affine.num_dims(), 3);
+
+    // The cursor-level form: all four grammars lex through one cursor,
+    // so a multi-byte space placed before *every* token position must be
+    // skipped whole — the parse either yields the undisturbed result or
+    // (where the space lands inside a compound token such as `->`) a
+    // clean error; it never slices a codepoint.
+    const SPACES: [&str; 3] = ["\u{00A0}", "\u{2003}", "\u{3000}"];
+    fn each_insertion<T: PartialEq + std::fmt::Debug>(
+        text: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) {
+        let undisturbed = parse(text).expect("the undisturbed text parses");
+        let tokens = tokenize(text);
+        let mut parsed = 0;
+        for at in 0..=tokens.len() {
+            for space in SPACES {
+                let spaced = [&tokens[..at].concat(), space, &tokens[at..].concat()].concat();
+                if let Some(result) = parse(&spaced) {
+                    assert_eq!(result, undisturbed, "{space:?} before token {at}: {spaced}");
+                    parsed += 1;
+                }
+            }
+        }
+        assert!(parsed * 2 > tokens.len() * SPACES.len(), "most insertions are between tokens");
+    }
+    each_insertion(&print_op(&random_module(11).ctx, random_module(11).top()), |text| {
+        parse_module(text).ok().map(|m| print_op(&m.ctx, m.top()))
+    });
+    each_insertion(
+        "opcode_map<sA = [send_literal(0x22), send(0)], \"r C\" = [send_dim(1, 3), send_idx(m)]>",
+        |text| OpcodeMap::parse(text).ok(),
+    );
+    each_insertion("opcode_flow<(sA (sB cC) rC)>", |text| OpcodeFlow::parse(text).ok());
+    each_insertion("(m, n, k) -> (m + 1, k mod 4, n floordiv 2 * 3)", |text| {
+        AffineMap::parse(text).ok()
+    });
+
+    // JSON is the counter-case: its whitespace is the four ASCII bytes,
+    // so the same spaces between tokens stay a syntax error.
+    for space in SPACES {
+        assert!(JsonValue::parse(&format!("[1,{space}2]")).is_err(), "{space:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The nesting guard and error locations
+// ---------------------------------------------------------------------
+
+/// Input nested past the cursor's guard aborted the process (stack
+/// overflow) before the guard existed; it must be a located error.
+#[test]
+fn nesting_past_the_guard_is_an_error_not_a_stack_overflow() {
+    let deep = 1_000_000;
+    let arrays = format!("\"a.b\"() {{x = {}1{}}} : () -> ()", "[".repeat(deep), "]".repeat(deep));
+    let err = parse_module(&arrays).unwrap_err();
+    assert!(err.message.contains("nesting deeper than 128"), "{}", err.message);
+    assert_eq!((err.loc.line, err.loc.col), (1, 14 + 128), "blames the first `[` too deep");
+    let dicts = format!("\"a.b\"() {{x = {}1}} : () -> ()", "{k = ".repeat(deep));
+    assert!(parse_module(&dicts).unwrap_err().message.contains("nesting deeper"));
+    let regions = "\"builtin.module\"() ({\n^bb():\n".repeat(deep);
+    assert!(parse_module(&regions).unwrap_err().message.contains("nesting deeper"));
+    let flow = format!("\"a.b\"() {{x = opcode_flow<{}>}} : () -> ()", "(".repeat(deep));
+    assert!(parse_module(&flow).unwrap_err().message.contains("nesting deeper"));
+    let affine = format!("\"a.b\"() {{x = affine_map<(d) -> ({}>}} : () -> ()", "(".repeat(deep));
+    assert!(parse_module(&affine).unwrap_err().message.contains("nesting deeper"));
+    // 100 levels of each is ordinary input.
+    let nested = format!(
+        "\"builtin.module\"() ({{\n^bb():\n  \"t.op\"() {{x = {}1{}}} : () -> ()\n}}) : () -> ()",
+        "[".repeat(100),
+        "]".repeat(100)
+    );
+    parse_module(&nested).unwrap();
+}
+
+/// The embedded grammars parse on the module's own cursor, so their
+/// errors carry their true position (they used to be pinned to the
+/// end of the attribute, after it was cut out and re-lexed).
+#[test]
+fn errors_inside_embedded_attributes_report_their_own_line_and_column() {
+    let module = |attr: &str| {
+        format!(
+            "// l1\n// l2\n\"builtin.module\"() ({{\n^bb():\n  // l5\n  // l6\n    \
+             \"t.op\"() {{a = 1, f = {attr}, z = 2}} : () -> ()\n}}) : () -> ()\n"
+        )
+    };
+    let col = |attr: &str, needle: &str| {
+        let line = module(attr).lines().nth(6).unwrap().to_owned();
+        line.find(needle).unwrap() as u32 + 1
+    };
+    let attr = "affine_map<(m, n, k) -> (m, q)>";
+    let err = parse_module(&module(attr)).unwrap_err();
+    assert_eq!(err.message, "unknown dimension `q`");
+    assert_eq!((err.loc.line, err.loc.col), (7, col(attr, "q)")));
+
+    let attr = "opcode_map<sA = [send(0)], sB = [sendx(1)]>";
+    let err = parse_module(&module(attr)).unwrap_err();
+    assert!(err.message.contains("unknown opcode action `sendx`"), "{}", err.message);
+    assert_eq!((err.loc.line, err.loc.col), (7, col(attr, "sendx")));
+
+    let attr = "opcode_flow<(sA (sB 7))>";
+    let err = parse_module(&module(attr)).unwrap_err();
+    assert_eq!(err.message, "expected opcode name in flow");
+    assert_eq!((err.loc.line, err.loc.col), (7, col(attr, "7))")));
+}
+
+#[test]
+fn flows_nested_past_the_guard_are_errors_not_stack_overflows() {
+    let err = OpcodeFlow::parse(&"(".repeat(1_000_000)).unwrap_err();
+    assert!(err.message.contains("nesting deeper than 128"), "{}", err.message);
+    let deep = format!("{}sA{}", "(".repeat(100), ")".repeat(100));
+    assert_eq!(OpcodeFlow::parse(&deep).unwrap().depth(), 100);
+}
+
+#[test]
+fn errors_are_located_in_the_attribute_text() {
+    let err = OpcodeMap::parse("opcode_map<sA = [send(0)],\n  sB = [send 1)]>").unwrap_err();
+    assert_eq!(err.message, "expected `(`");
+    assert_eq!((err.loc.line, err.loc.col), (2, 14));
+    let err = OpcodeFlow::parse("(sA (sB cC) rC) extra").unwrap_err();
+    assert_eq!(err.message, "trailing input in opcode_flow: `extra`");
+}
+
+#[test]
+fn expressions_nested_past_the_guard_are_errors_not_stack_overflows() {
+    let err = AffineMap::parse(&format!("(d) -> ({}", "(".repeat(1_000_000))).unwrap_err();
+    assert!(err.message.contains("nesting deeper than 128"), "{}", err.message);
+    let deep = format!("(d) -> ({}d + 1{})", "(".repeat(100), ")".repeat(100));
+    assert_eq!(AffineMap::parse(&deep).unwrap().eval(&[4]), vec![5]);
+}
+
+#[test]
+fn errors_point_at_the_offending_name() {
+    let err = AffineMap::parse("(m, n) ->\n  (m,  q)").unwrap_err();
+    assert_eq!(err.message, "unknown dimension `q`");
+    assert_eq!((err.loc.line, err.loc.col), (2, 8));
+    let err = AffineMap::parse("(m,  m) -> (m)").unwrap_err();
+    assert_eq!((err.message.as_str(), err.loc.col), ("duplicate dimension `m`", 6));
 }
