@@ -45,16 +45,37 @@ impl MatMulVersion {
         }
     }
 
-    /// Parses a version from its short name or a figure-style accelerator
-    /// name (`"v3"`, `"v3_16"`). Returns `None` for non-matmul names.
+    /// Parses a version from its short name (`"v3"`) or from a well-formed
+    /// instance name (`"v3_16"`, see [`Self::parse_instance`]). Returns
+    /// `None` for anything else, `"v3_banana"` included.
     pub fn parse(name: &str) -> Option<Self> {
-        match name.split('_').next().unwrap_or(name) {
+        Self::from_short_name(name)
+            .or_else(|| Self::parse_instance(name).map(|(version, _)| version))
+    }
+
+    fn from_short_name(name: &str) -> Option<Self> {
+        match name {
             "v1" => Some(MatMulVersion::V1),
             "v2" => Some(MatMulVersion::V2),
             "v3" => Some(MatMulVersion::V3),
             "v4" => Some(MatMulVersion::V4),
             _ => None,
         }
+    }
+
+    /// The figure-style name of an instance of this version, `vN_SIZE`
+    /// (e.g. `v3_16`): the one formatter of that spelling.
+    pub fn instance_name(self, size: impl std::fmt::Display) -> String {
+        format!("{}_{size}", self.as_str())
+    }
+
+    /// Parses an [`instance_name`](Self::instance_name) back into its
+    /// version and size: the one parser of that spelling. The size is
+    /// any decimal integer — a name can carry `0` or a negative number,
+    /// and whoever builds something of that size must reject it.
+    pub fn parse_instance(name: &str) -> Option<(Self, i64)> {
+        let (version, size) = name.split_once('_')?;
+        Some((Self::from_short_name(version)?, size.parse().ok()?))
     }
 
     /// `true` if this accelerator type decodes `opcode` — the instruction
@@ -163,7 +184,7 @@ impl MatMulAccel {
         let mut accel = Self {
             version,
             base_size: size,
-            name: format!("{}_{}", version.as_str(), size),
+            name: version.instance_name(size),
             tm: size,
             tn: size,
             tk: size,

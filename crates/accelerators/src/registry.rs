@@ -44,7 +44,7 @@ pub struct AcceleratorSpec {
 impl AcceleratorSpec {
     /// The figure-style name, e.g. `v3_16`.
     pub fn name(&self) -> String {
-        format!("{}_{}", self.version.as_str(), self.size)
+        self.version.instance_name(self.size)
     }
 
     /// Instantiates the functional model for this spec.

@@ -324,9 +324,8 @@ pub fn run_manual_matmul(
     problem: MatMulProblem,
     seed: u64,
 ) -> Result<ManualReport, Diagnostic> {
-    let accel = MatMulAccel::new(version, size as u32);
-    let accel_name = format!("{version}_{size}");
-    let mut soc = Soc::new(Box::new(accel));
+    let mut soc = Soc::new(Box::new(MatMulAccel::new(version, size as u32)));
+    let accel_name = soc.accel.name().to_owned();
     let (a_data, b_data) = problem.generate_inputs(seed);
     let a = MemRefDesc::alloc(&mut soc.mem, &[problem.m, problem.k], ElemType::I32);
     let b = MemRefDesc::alloc(&mut soc.mem, &[problem.k, problem.n], ElemType::I32);

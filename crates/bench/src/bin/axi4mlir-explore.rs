@@ -55,6 +55,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_bench::report::{BenchEntry, BenchReport};
 use axi4mlir_core::explore::jobspec::parse_dims;
 use axi4mlir_core::explore::{
@@ -117,7 +118,7 @@ fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
                 None => format!("{token}_{base}"),
             })
             .collect(),
-        None => vec![format!("v4_{base}")],
+        None => vec![MatMulVersion::V4.instance_name(base)],
     };
     job.capacity_words = args::number(args, "--capacity")?;
     Ok(job)
@@ -283,8 +284,7 @@ fn to_report(workers: usize, report: &ExploreReport, front: &[usize]) -> BenchRe
         .context("warm_informed", report.warm_informed)
         .context("measure_backend", report.measure_backend.clone());
     // Per-worker simulation counts (worker address -> sims), present
-    // whenever this sweep ran simulations; `bench-compare` keeps gating
-    // on the aggregate `sims_per_sec` regardless of the backend.
+    // whenever this sweep ran simulations.
     if !report.worker_sims.is_empty() {
         out = out.context(
             "worker_sims",
@@ -304,9 +304,8 @@ fn to_report(workers: usize, report: &ExploreReport, front: &[usize]) -> BenchRe
             ),
         );
     }
-    // Simulator throughput over this sweep's full-fidelity runs — the
-    // hot-path regression metric `bench-compare` gates on. Absent when
-    // every candidate came out of the cache.
+    // Simulator throughput over this sweep's full-fidelity runs (wall
+    // clock). Absent when every candidate came out of the cache.
     if let Some(rate) = report.sims_per_sec() {
         out = out.context("sims_per_sec", rate);
     }

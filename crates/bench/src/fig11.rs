@@ -10,6 +10,7 @@ use axi4mlir_baselines::run_manual_matmul;
 use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::options::PipelineOptions;
+use axi4mlir_heuristics::space::AccelInstance;
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -28,17 +29,6 @@ pub struct Fig11Row {
     pub manual_ns_ms: f64,
     /// Generated task-clock per flow `(label, ms)`.
     pub generated_ms: Vec<(String, f64)>,
-}
-
-fn flows_for(version: MatMulVersion) -> Vec<FlowStrategy> {
-    match version {
-        MatMulVersion::V2 => vec![
-            FlowStrategy::NothingStationary,
-            FlowStrategy::InputAStationary,
-            FlowStrategy::InputBStationary,
-        ],
-        _ => FlowStrategy::all().to_vec(),
-    }
 }
 
 fn preset(version: MatMulVersion, size: i64) -> AcceleratorConfig {
@@ -63,7 +53,7 @@ pub fn rows(scale: Scale) -> Vec<Fig11Row> {
                         .expect("manual Ns");
                 assert!(manual.verified);
                 let mut generated = Vec::new();
-                for flow in flows_for(version) {
+                for flow in (AccelInstance { version, size }).flows() {
                     let plan = CompilePlan::for_accelerator(preset(version, size))
                         .flow(flow)
                         .options(PipelineOptions::unoptimized_copies())

@@ -9,6 +9,7 @@ use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_baselines::run_manual_matmul;
 use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
+use axi4mlir_heuristics::space::AccelInstance;
 use axi4mlir_support::fmtutil::{fmt_ms, fmt_speedup, TextTable};
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -52,17 +53,6 @@ impl Fig13Row {
     }
 }
 
-fn flows_for(version: MatMulVersion) -> Vec<FlowStrategy> {
-    match version {
-        MatMulVersion::V2 => vec![
-            FlowStrategy::NothingStationary,
-            FlowStrategy::InputAStationary,
-            FlowStrategy::InputBStationary,
-        ],
-        _ => FlowStrategy::all().to_vec(),
-    }
-}
-
 /// Runs the full grid. The generated runs share one session across the
 /// whole sweep (SoC recycled per run, device swapped per grid point).
 pub fn rows(scale: Scale) -> Vec<Fig13Row> {
@@ -71,7 +61,7 @@ pub fn rows(scale: Scale) -> Vec<Fig13Row> {
     for dims in scale.relevant_dims() {
         for size in scale.accel_sizes() {
             for version in [MatMulVersion::V2, MatMulVersion::V3] {
-                for flow in flows_for(version) {
+                for flow in (AccelInstance { version, size }).flows() {
                     let problem = MatMulProblem::square(dims);
                     let manual =
                         run_manual_matmul(version, size, flow, problem, 13).expect("manual driver");

@@ -1,13 +1,14 @@
 //! The experiment harness: one module per table/figure of the paper.
 //!
 //! Every module exposes typed rows plus a [`axi4mlir_support::fmtutil::TextTable`]
-//! renderer, and takes a [`Scale`] so the same code serves three callers:
+//! renderer, and takes a [`Scale`] so the same code serves two callers:
 //!
 //! - the `fig*`/`table1` binaries (`Scale::Full`) that regenerate the
 //!   paper's series (run in release mode; see `EXPERIMENTS.md`),
-//! - the shape tests (`Scale::Quick`) asserting the paper's qualitative
-//!   results (who wins, where crossovers fall) at debug-friendly sizes,
-//! - the Criterion benches.
+//! - the tests (`Scale::Quick`): the shape tests asserting the paper's
+//!   qualitative results (who wins, where crossovers fall) at
+//!   debug-friendly sizes, and `tests/golden_reports.rs` pinning every
+//!   simulated number against `tests/golden/BENCH_*.json`.
 //!
 //! Sweeps run through the `axi4mlir-core` driver layer: each module holds
 //! one [`Session`](axi4mlir_core::driver::Session) per sweep and recycles
@@ -18,7 +19,6 @@
 //! machine-readable [`report::BenchReport`] (`BENCH_*.json`) that the
 //! binaries emit under `--json` and CI uploads as artifacts.
 
-pub mod compare;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

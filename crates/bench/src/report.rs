@@ -19,7 +19,7 @@
 //! Since `v2`, a report may also carry named top-level *sections* after
 //! its entries — structured documents that are not per-entry metrics,
 //! like the explorer's `pareto` front. Consumers that only understand
-//! entries (the regression gate) ignore sections they do not know.
+//! entries ignore sections they do not know.
 //!
 //! Member order is stable (insertion order), floats always carry a
 //! decimal point, and `parse(render())` round-trips — all guaranteed by

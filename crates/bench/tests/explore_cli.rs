@@ -55,7 +55,7 @@ fn the_removed_cache_flag_points_at_cache_dir() {
 
 /// Regression: the figure binaries scanned argv for `--quick` and
 /// ignored everything else, so `fig10 --quik` silently ran the
-/// minutes-long full-scale sweep and `bench-collect --jsno` was ignored.
+/// minutes-long full-scale sweep.
 /// Every binary now rejects an unknown flag with its usage text, before
 /// doing any work.
 #[test]
@@ -64,8 +64,6 @@ fn a_typoed_flag_is_rejected_with_the_usage_text() {
         (env!("CARGO_BIN_EXE_fig10"), "--quik", "usage: fig10 [--quick] [--json [DIR]]"),
         (env!("CARGO_BIN_EXE_all_figures"), "--jsno", "usage: all_figures [--quick]"),
         (env!("CARGO_BIN_EXE_table1"), "--jsno", "usage: table1 [--json [DIR]]"),
-        (env!("CARGO_BIN_EXE_bench-collect"), "--jsno", "usage: bench-collect [DIR]"),
-        (env!("CARGO_BIN_EXE_bench-compare"), "--treshold", "usage: bench-compare BASELINE"),
     ] {
         let out = Command::new(bin).arg(typo).output().expect("run the binary");
         let stderr = String::from_utf8_lossy(&out.stderr);

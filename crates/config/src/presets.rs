@@ -1,20 +1,47 @@
 //! Ready-made configurations for the paper's accelerators.
 //!
 //! Opcode literals follow Fig. 6a / Fig. 15a and the
-//! `axi4mlir-accelerators` micro-ISA. Each preset ships every flow its
-//! Table I reuse class legalizes:
-//!
-//! | preset | flows |
-//! |--------|-------|
-//! | v1     | Ns |
-//! | v2     | Ns, As, Bs |
-//! | v3     | Ns, As, Bs, Cs |
-//! | v4     | Ns, As, Bs, Cs + runtime tile configuration |
-//! | conv2d | filter+output stationary (Fig. 15a) |
+//! `axi4mlir-accelerators` micro-ISA. Each MatMul preset ships every
+//! flow its Table I reuse class legalizes — [`matmul_flows`] is that
+//! table, and the design-space enumeration reads the same one; v4 adds
+//! the runtime tile configuration, and conv2d ships the one
+//! filter+output stationary flow of Fig. 15a.
 
+use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 
 use crate::accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
+use crate::flow::FlowStrategy;
+
+/// Table I on the host side: the flows each MatMul generation's opcode
+/// set legalizes, in figure order (Ns, As, Bs, Cs), each with the
+/// `opcode_flow` its preset ships under that strategy's short name. v1
+/// fuses everything (`Ns` only), v2 adds input reuse, v3/v4 add output
+/// reuse.
+pub fn matmul_flows(version: MatMulVersion) -> &'static [(FlowStrategy, &'static str)] {
+    use FlowStrategy::{
+        InputAStationary as As, InputBStationary as Bs, NothingStationary as Ns,
+        OutputStationary as Cs,
+    };
+    match version {
+        MatMulVersion::V1 => &[(Ns, "(sAsBcCrC)")],
+        MatMulVersion::V2 => &[(Ns, "(sA sB cCrC)"), (As, "(sA (sBcCrC))"), (Bs, "(sB (sAcCrC))")],
+        MatMulVersion::V3 | MatMulVersion::V4 => &[
+            (Ns, "(sA sB cC rC)"),
+            (As, "(sA (sB cC rC))"),
+            (Bs, "(sB (sA cC rC))"),
+            (Cs, "((sA sB cC) rC)"),
+        ],
+    }
+}
+
+/// The `flows` member of a MatMul preset, parsed from [`matmul_flows`].
+fn preset_flows(version: MatMulVersion) -> Vec<(String, OpcodeFlow)> {
+    matmul_flows(version)
+        .iter()
+        .map(|(strategy, flow)| (strategy.short_name().to_owned(), parse_flow(flow)))
+        .collect()
+}
 
 /// Selects one of the paper's accelerators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,7 +111,7 @@ impl AcceleratorConfig {
 
     fn v1(size: i64) -> AcceleratorConfig {
         let cfg = AcceleratorConfig {
-            name: format!("v1_{size}"),
+            name: MatMulVersion::V1.instance_name(size),
             kernel: KernelKind::MatMul,
             dma: DmaInfo::default(),
             dims: matmul_dims(),
@@ -95,7 +122,7 @@ impl AcceleratorConfig {
                 "opcode_map<sAsBcCrC = [send_literal(0x20), send(0), send(1), recv(2)], \
                  reset = [send_literal(0xFF)]>",
             ),
-            flows: vec![("Ns".to_owned(), parse_flow("(sAsBcCrC)"))],
+            flows: preset_flows(MatMulVersion::V1),
             selected_flow: "Ns".to_owned(),
             init_opcodes: vec!["reset".to_owned()],
         };
@@ -105,7 +132,7 @@ impl AcceleratorConfig {
 
     fn v2(size: i64) -> AcceleratorConfig {
         let cfg = AcceleratorConfig {
-            name: format!("v2_{size}"),
+            name: MatMulVersion::V2.instance_name(size),
             kernel: KernelKind::MatMul,
             dma: DmaInfo::default(),
             dims: matmul_dims(),
@@ -120,11 +147,7 @@ impl AcceleratorConfig {
                  sAcCrC = [send_literal(0x26), send(0), recv(2)], \
                  reset = [send_literal(0xFF)]>",
             ),
-            flows: vec![
-                ("Ns".to_owned(), parse_flow("(sA sB cCrC)")),
-                ("As".to_owned(), parse_flow("(sA (sBcCrC))")),
-                ("Bs".to_owned(), parse_flow("(sB (sAcCrC))")),
-            ],
+            flows: preset_flows(MatMulVersion::V2),
             selected_flow: "Ns".to_owned(),
             init_opcodes: vec!["reset".to_owned()],
         };
@@ -148,19 +171,14 @@ impl AcceleratorConfig {
                  rC = [send_literal(0x24), recv(2)], \
                  reset = [send_literal(0xFF)]>",
             ),
-            flows: vec![
-                ("Ns".to_owned(), parse_flow("(sA sB cC rC)")),
-                ("As".to_owned(), parse_flow("(sA (sB cC rC))")),
-                ("Bs".to_owned(), parse_flow("(sB (sA cC rC))")),
-                ("Cs".to_owned(), parse_flow("((sA sB cC) rC)")),
-            ],
+            flows: preset_flows(MatMulVersion::V3),
             selected_flow: "Ns".to_owned(),
             init_opcodes: vec!["reset".to_owned()],
         }
     }
 
     fn v3(size: i64) -> AcceleratorConfig {
-        let cfg = Self::v3_like(format!("v3_{size}"), size);
+        let cfg = Self::v3_like(MatMulVersion::V3.instance_name(size), size);
         cfg.validate().expect("v3 preset is well-formed");
         cfg
     }
@@ -169,7 +187,7 @@ impl AcceleratorConfig {
     /// given tile shape. The tile-shape configuration instruction
     /// (`0x30 tM tN tK`) is prepended to the per-kernel `init_opcodes`.
     pub fn preset_v4_with_tile(size: i64, tm: i64, tn: i64, tk: i64) -> AcceleratorConfig {
-        let mut cfg = Self::v3_like(format!("v4_{size}"), size);
+        let mut cfg = Self::v3_like(MatMulVersion::V4.instance_name(size), size);
         cfg.accel_dims = vec![tm, tn, tk];
         let mut entries: Vec<(String, Vec<axi4mlir_ir::attrs::OpcodeAction>)> =
             cfg.opcode_map.iter().map(|(n, a)| (n.to_owned(), a.to_vec())).collect();
@@ -232,7 +250,6 @@ impl AcceleratorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowStrategy;
 
     #[test]
     fn all_presets_validate() {

@@ -42,7 +42,7 @@ use crate::annotate::MatchAndAnnotatePass;
 use crate::codegen::GenerateAccelDriverPass;
 use crate::lower::LowerAccelToRuntimePass;
 use crate::options::{CacheTiling, PipelineOptions};
-use crate::pipeline::{build_conv_module, build_matmul_module, instantiate_accelerator};
+use crate::pipeline::{build_conv_module, build_matmul_module, DeviceModel};
 
 /// What one compile-and-execute run produced.
 #[derive(Clone, Debug)]
@@ -591,11 +591,6 @@ impl CompilePlan {
         self.config.as_ref().map_or("cpu", |c| c.selected_flow.as_str())
     }
 
-    /// Key identifying the functional device this plan targets.
-    fn device_key(&self) -> String {
-        device_key(self.config.as_ref())
-    }
-
     /// The accelerator tile sizes `(tm, tn, tk)`.
     ///
     /// # Errors
@@ -626,25 +621,6 @@ impl CompilePlan {
                 .matmul_dims()
                 .and_then(|dims| axi4mlir_heuristics::select_cache_tile(&self.cpu, dims, tiles)),
         })
-    }
-}
-
-/// Identity of the functional device a configuration instantiates —
-/// mirrors exactly what [`instantiate_accelerator`] decides (including
-/// the v3 fallback for unparseable MatMul names and its
-/// `accel_dims`-derived size), so two configs share a key iff they build
-/// the same model.
-fn device_key(config: Option<&AcceleratorConfig>) -> String {
-    let Some(config) = config else { return "cpu".to_owned() };
-    match config.kernel {
-        KernelKind::Conv2dNchwFchw => "conv2d".to_owned(),
-        KernelKind::MatMul => {
-            let (version, size) = crate::pipeline::parse_matmul_name(config).unwrap_or((
-                axi4mlir_accelerators::matmul::MatMulVersion::V3,
-                config.accel_dims.first().copied().unwrap_or(4) as u32,
-            ));
-            format!("{version}_{size}")
-        }
     }
 }
 
@@ -683,7 +659,10 @@ struct CompiledModule {
 /// and the plan's compile-relevant fields.
 pub struct Session {
     soc: Soc,
-    device_key: String,
+    /// The model the SoC holds; `None` is the loopback device of a
+    /// CPU-only session (and of a pinned one, whose device no plan
+    /// describes).
+    device: Option<DeviceModel>,
     /// A user-supplied device is pinned: plans never swap it out.
     pinned: bool,
     /// Interpreter value-frame and opcode buffers, kept warm across
@@ -699,41 +678,34 @@ impl Session {
     /// session never replaces the device with the model the plan's
     /// configuration describes.
     pub fn new(accel: Box<dyn axi4mlir_sim::axi::StreamAccelerator>) -> Self {
-        let device_key = format!("pinned:{}", accel.name());
         Self {
             soc: Soc::new(accel),
-            device_key,
+            device: None,
             pinned: true,
             scratch: InterpScratch::new(),
             compiled: None,
         }
     }
 
-    /// A session targeting the device a plan's configuration describes
-    /// (or the CPU for a [`CompilePlan::cpu`] plan).
-    pub fn for_plan(plan: &CompilePlan) -> Self {
-        match &plan.config {
-            Some(config) => Self::for_config(config),
-            None => Self::cpu(),
-        }
+    /// A session for running `plan`. Like every unpinned session it
+    /// instantiates the device the plan's configuration describes on the
+    /// first [`run`](Self::run) — which is where a configuration that
+    /// describes no buildable device is reported.
+    pub fn for_plan(_plan: &CompilePlan) -> Self {
+        Self::cpu()
     }
 
-    /// A session around the functional model `config` describes.
-    pub fn for_config(config: &AcceleratorConfig) -> Self {
-        Self {
-            soc: Soc::new(instantiate_accelerator(config)),
-            device_key: device_key(Some(config)),
-            pinned: false,
-            scratch: InterpScratch::new(),
-            compiled: None,
-        }
+    /// A session for running plans over `config`; see
+    /// [`for_plan`](Self::for_plan).
+    pub fn for_config(_config: &AcceleratorConfig) -> Self {
+        Self::cpu()
     }
 
     /// A CPU-only session (loopback device; nothing is offloaded).
     pub fn cpu() -> Self {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
-            device_key: "cpu".to_owned(),
+            device: None,
             pinned: false,
             scratch: InterpScratch::new(),
             compiled: None,
@@ -755,20 +727,19 @@ impl Session {
     /// Swaps the device when the plan targets a different accelerator
     /// than the current one; keeps it (and its warm allocations) otherwise.
     /// Pinned (user-supplied) devices are never swapped.
-    fn retarget(&mut self, plan: &CompilePlan) {
+    fn retarget(&mut self, plan: &CompilePlan) -> Result<(), Diagnostic> {
         if self.pinned {
-            return;
+            return Ok(());
         }
-        let wanted = plan.device_key();
-        if self.device_key == wanted {
-            return;
+        let wanted = plan.config.as_ref().map(DeviceModel::of).transpose()?;
+        if self.device != wanted {
+            self.soc.replace_accelerator(match wanted {
+                Some(model) => model.instantiate(),
+                None => Box::new(LoopbackAccelerator::new()),
+            });
+            self.device = wanted;
         }
-        let device: Box<dyn axi4mlir_sim::axi::StreamAccelerator> = match &plan.config {
-            Some(config) => instantiate_accelerator(config),
-            None => Box::new(LoopbackAccelerator::new()),
-        };
-        self.soc.replace_accelerator(device);
-        self.device_key = wanted;
+        Ok(())
     }
 
     /// Compiles `workload` according to `plan`, executes it on this
@@ -776,7 +747,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates compilation diagnostics, interpreter errors, DMA
+    /// Propagates compilation diagnostics, a configuration that describes
+    /// no buildable device ([`DeviceModel::of`]), interpreter errors, DMA
     /// protocol violations, and accelerator protocol errors.
     pub fn run(
         &mut self,
@@ -813,7 +785,7 @@ impl Session {
         }
 
         // Execute on the recycled SoC.
-        self.retarget(plan);
+        self.retarget(plan)?;
         self.soc.recycle();
         let buffers = workload.bind(&mut self.soc, plan.seed, plan.options.verify_result);
         self.soc.reset_run_state();
@@ -869,7 +841,7 @@ impl Session {
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session").field("device", &self.device_key).finish_non_exhaustive()
+        f.debug_struct("Session").field("device", &self.soc.accel.name()).finish_non_exhaustive()
     }
 }
 

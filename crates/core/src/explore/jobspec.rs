@@ -21,7 +21,7 @@ use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
-use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
+use axi4mlir_workloads::resnet::ConvLayer;
 
 use super::space::{
     AccelInstance, BatchedSpace, ConvSpace, DesignSpace, MatMulSpace, OptionsPoint,
@@ -107,12 +107,9 @@ pub fn parse_prune(text: &str) -> Option<Prune> {
     None
 }
 
-/// Parses a conv layer: one of the ResNet18 layer labels, or an
-/// arbitrary `iHW_iC_fHW_oC_stride` shape.
+/// Parses a conv layer from its `iHW_iC_fHW_oC_stride` label (the
+/// ResNet18 layer labels are of that form).
 pub fn parse_layer(text: &str) -> Option<ConvLayer> {
-    if let Some(layer) = resnet18_layers().into_iter().find(|l| l.label() == text) {
-        return Some(layer);
-    }
     let parts: Vec<usize> = text.split('_').map(str::parse).collect::<Result<_, _>>().ok()?;
     match parts[..] {
         [in_hw, in_channels, filter_hw, out_channels, stride]

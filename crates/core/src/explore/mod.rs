@@ -227,9 +227,9 @@ pub struct ExploreReport {
 
 impl ExploreReport {
     /// Full-fidelity simulator throughput of this sweep, in simulations
-    /// per second of in-simulator wall time — the `sims_per_sec` metric
-    /// `bench-compare` gates. `None` when the sweep performed no full
-    /// sims (everything was cached).
+    /// per second of in-simulator wall time — the `sims_per_sec` member
+    /// of reports and `done` events. `None` when the sweep performed no
+    /// full sims (everything was cached).
     pub fn sims_per_sec(&self) -> Option<f64> {
         (self.full_sims_performed > 0 && self.full_sim_nanos > 0)
             .then(|| self.full_sims_performed as f64 / (self.full_sim_nanos as f64 / 1e9))

@@ -627,6 +627,19 @@ fn conv_proxy_layer(layer: ConvLayer, level: u8) -> ConvLayer {
     ConvLayer { in_hw: (out_hw - 1) * layer.stride + layer.filter_hw, out_channels, ..layer }
 }
 
+/// The shape of `layer` as the analytical traffic model sees it (batch
+/// 1): the one `ConvLayer` → [`ConvShapeEstimate`] conversion, shared by
+/// the conv space and the transfer model's reading of cached labels.
+pub(crate) fn conv_shape(layer: &ConvLayer) -> ConvShapeEstimate {
+    ConvShapeEstimate {
+        batch: 1,
+        out_channels: layer.out_channels as i64,
+        out_hw: layer.out_hw() as i64,
+        in_channels: layer.in_channels as i64,
+        filter_hw: layer.filter_hw as i64,
+    }
+}
+
 /// The Conv2D design space: one §IV-D layer. The accelerator is
 /// configured to the layer's channel/filter shape, so the geometric point
 /// is fixed and the explored axis is [`PipelineOptions`]; proxy
@@ -662,16 +675,6 @@ impl ConvSpace {
         self
     }
 
-    fn shape(&self) -> ConvShapeEstimate {
-        ConvShapeEstimate {
-            batch: 1,
-            out_channels: self.layer.out_channels as i64,
-            out_hw: self.layer.out_hw() as i64,
-            in_channels: self.layer.in_channels as i64,
-            filter_hw: self.layer.filter_hw as i64,
-        }
-    }
-
     fn workload_label(&self) -> String {
         format!("conv {}", self.layer)
     }
@@ -687,7 +690,7 @@ impl DesignSpace for ConvSpace {
     }
 
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic> {
-        let estimate = conv_point(self.shape())?;
+        let estimate = conv_point(conv_shape(&self.layer))?;
         Ok(self
             .options_axis
             .iter()

@@ -43,13 +43,13 @@ use std::collections::HashMap;
 use axi4mlir_config::FlowStrategy;
 use axi4mlir_heuristics::space::OptionsPoint;
 use axi4mlir_heuristics::{
-    batched_matmul_transfers, conv_transfers, matmul_transfers, ConvShapeEstimate, TransferEstimate,
+    batched_matmul_transfers, conv_transfers, matmul_transfers, TransferEstimate,
 };
 use axi4mlir_workloads::matmul::MatMulProblem;
 
 use super::cache::CachedEval;
-use super::jobspec::parse_dims;
-use super::space::{Candidate, CandidateKey};
+use super::jobspec::{parse_dims, parse_layer};
+use super::space::{conv_shape, Candidate, CandidateKey};
 
 /// One calibration observation: where in shape space it was measured and
 /// the correction it saw.
@@ -158,29 +158,17 @@ fn parse_entry(key: &CandidateKey) -> Option<ParsedEntry> {
             estimate: batched_matmul_transfers(flow, (m, n, k), key.tile, batch),
         })
     } else if let Some(rest) = key.workload.strip_prefix("conv ") {
-        // The `iHW_iC_fHW_oC_stride` layer label.
-        let parts: Vec<i64> = rest.split('_').map(str::parse).collect::<Result<_, _>>().ok()?;
-        let [in_hw, in_channels, filter_hw, out_channels, stride] = parts[..] else { return None };
-        if stride <= 0 || filter_hw <= 0 || in_hw < filter_hw || out_channels <= 0 {
-            return None;
-        }
-        let out_hw = (in_hw - filter_hw) / stride + 1;
+        let shape = conv_shape(&parse_layer(rest)?);
         coords[..4].copy_from_slice(&[
-            log2(out_hw),
-            log2(out_channels),
-            log2(in_channels),
-            log2(filter_hw),
+            log2(shape.out_hw),
+            log2(shape.out_channels),
+            log2(shape.in_channels),
+            log2(shape.filter_hw),
         ]);
         Some(ParsedEntry {
             kind: "conv",
             problem_coords: (coords, 4),
-            estimate: conv_transfers(ConvShapeEstimate {
-                batch: 1,
-                out_channels,
-                out_hw,
-                in_channels,
-                filter_hw,
-            }),
+            estimate: conv_transfers(shape),
         })
     } else {
         None
@@ -300,7 +288,9 @@ impl TransferModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_heuristics::ConvShapeEstimate;
     use axi4mlir_sim::counters::PerfCounters;
+    use proptest::prelude::*;
 
     fn key(workload: &str, flow: &str, tile: (i64, i64, i64)) -> CandidateKey {
         CandidateKey {
@@ -452,5 +442,40 @@ mod tests {
         let p = model.predict(&neighbor).expect("covered");
         assert_eq!(p.tier, Tier::Exact);
         assert!(p.clock_ms > 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A conv label in a cache key is read by `jobspec::parse_layer`
+        /// and `space::conv_shape`, the functions the conv space itself is
+        /// built from. Pinned against the conditions and the `out_hw`
+        /// arithmetic this module used to carry as its own copy.
+        #[test]
+        fn conv_labels_are_read_as_the_conv_space_reads_them(
+            parts in proptest::collection::vec(-2i64..40, 4..=6),
+        ) {
+            let label = parts.iter().map(i64::to_string).collect::<Vec<_>>().join("_");
+            let entry = parse_entry(&key(&format!("conv {label}"), "FOs", (0, 0, 0)));
+            let shape = match parts[..] {
+                [in_hw, in_channels, filter_hw, out_channels, stride]
+                    if in_channels >= 0
+                        && stride > 0
+                        && filter_hw > 0
+                        && in_hw >= filter_hw
+                        && out_channels > 0 =>
+                {
+                    let out_hw = (in_hw - filter_hw) / stride + 1;
+                    Some(ConvShapeEstimate { batch: 1, out_channels, out_hw, in_channels, filter_hw })
+                }
+                _ => None,
+            };
+            prop_assert_eq!(
+                entry.map(|entry| entry.estimate),
+                shape.map(conv_transfers),
+                "label {}",
+                label
+            );
+        }
     }
 }

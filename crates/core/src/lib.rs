@@ -40,7 +40,8 @@
 //!
 //! A [`driver::Session`] is the only compile-and-run; [`pipeline`] holds
 //! the IR module builders the workloads use and
-//! [`pipeline::instantiate_accelerator`].
+//! [`pipeline::DeviceModel`], the one decision of which functional
+//! device a configuration gets.
 //!
 //! On top of the driver layer, [`explore`] turns the §IV-C configuration
 //! heuristics into a measured search that is generic over what it

@@ -1,11 +1,14 @@
-//! IR module builders and accelerator-model instantiation.
+//! IR module builders and the device decision.
 //!
 //! The compile-and-run loop itself lives in the [`crate::driver`] layer
 //! ([`Workload`](crate::driver::Workload) +
 //! [`Session`](crate::driver::Session)); this module keeps the
 //! `func`/`linalg` module builders the in-tree workloads call and
-//! [`instantiate_accelerator`], which maps a configuration to its
-//! functional device model.
+//! [`DeviceModel`], the one place that decides which functional device
+//! model a configuration gets. A configuration is outside input (a
+//! Fig. 5 JSON), so the decision is fallible: a name that asks for a
+//! device of non-positive size is a [`Diagnostic`], never a panic in a
+//! model's constructor.
 
 use axi4mlir_accelerators::conv::ConvAccel;
 use axi4mlir_accelerators::matmul::{MatMulAccel, MatMulVersion};
@@ -14,38 +17,64 @@ use axi4mlir_dialects::{func, linalg};
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::types::{MemRefType, Type};
 use axi4mlir_sim::axi::StreamAccelerator;
+use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
 
-/// Instantiates the functional accelerator model a configuration describes.
-///
-/// MatMul configurations are named `v<1-4>_<size>` (Table I); anything else
-/// defaults to a v3 of the configured tile size. Conv configurations get
-/// the §IV-D Conv2D model.
-pub fn instantiate_accelerator(config: &AcceleratorConfig) -> Box<dyn StreamAccelerator> {
-    match config.kernel {
-        KernelKind::Conv2dNchwFchw => Box::new(ConvAccel::new()),
-        KernelKind::MatMul => {
-            let (version, size) = parse_matmul_name(config).unwrap_or((
-                MatMulVersion::V3,
-                config.accel_dims.first().copied().unwrap_or(4) as u32,
-            ));
-            Box::new(MatMulAccel::new(version, size))
-        }
-    }
+/// Identity of the functional device a configuration describes: two
+/// configurations get the same model iff their `DeviceModel`s are equal,
+/// which is what a [`Session`](crate::driver::Session) compares before
+/// swapping devices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeviceModel {
+    /// The §IV-D Conv2D model.
+    Conv2d,
+    /// A Table I MatMul model.
+    MatMul {
+        /// Accelerator generation.
+        version: MatMulVersion,
+        /// Base tile size (positive).
+        size: u32,
+    },
 }
 
-pub(crate) fn parse_matmul_name(config: &AcceleratorConfig) -> Option<(MatMulVersion, u32)> {
-    let (v, s) = config.name.split_once('_')?;
-    let version = match v {
-        "v1" => MatMulVersion::V1,
-        "v2" => MatMulVersion::V2,
-        "v3" => MatMulVersion::V3,
-        "v4" => MatMulVersion::V4,
-        _ => return None,
-    };
-    Some((version, s.parse().ok()?))
+impl DeviceModel {
+    /// Decides the model for `config`. Conv configurations get the
+    /// Conv2D model. MatMul configurations named `v<1-4>_<size>`
+    /// (Table I) get exactly that; a bare `v<1-4>` takes its size from
+    /// `accel_size[0]`; any other name is a v3 of `accel_size[0]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Diagnostic`] when the size so chosen is not a positive
+    /// 32-bit number (`v3_0`, `v3_-4`, or a fall-back onto a non-positive
+    /// `accel_size[0]`).
+    pub fn of(config: &AcceleratorConfig) -> Result<Self, Diagnostic> {
+        if config.kernel == KernelKind::Conv2dNchwFchw {
+            return Ok(DeviceModel::Conv2d);
+        }
+        let (version, size) = MatMulVersion::parse_instance(&config.name).unwrap_or((
+            MatMulVersion::parse(&config.name).unwrap_or(MatMulVersion::V3),
+            config.accel_dims.first().copied().unwrap_or(4),
+        ));
+        match u32::try_from(size) {
+            Ok(size) if size > 0 => Ok(DeviceModel::MatMul { version, size }),
+            _ => Err(Diagnostic::error(format!(
+                "accelerator {}: a {version} device of size {size} cannot be built \
+                 (the size must be a positive 32-bit number)",
+                config.name
+            ))),
+        }
+    }
+
+    /// Builds the model.
+    pub fn instantiate(self) -> Box<dyn StreamAccelerator> {
+        match self {
+            DeviceModel::Conv2d => Box::new(ConvAccel::new()),
+            DeviceModel::MatMul { version, size } => Box::new(MatMulAccel::new(version, size)),
+        }
+    }
 }
 
 /// Builds `func.func @matmul_call(%A, %B, %C)` containing one
@@ -198,14 +227,18 @@ mod tests {
         assert!(report.counters.dma_bytes_from_accel > 0);
     }
 
+    fn model_name(config: &AcceleratorConfig) -> String {
+        DeviceModel::of(config).unwrap().instantiate().name().to_owned()
+    }
+
     #[test]
     fn instantiates_matching_accelerators() {
         let v1 = AcceleratorConfig::preset(AcceleratorPreset::V1 { size: 8 });
-        assert_eq!(instantiate_accelerator(&v1).name(), "v1_8");
+        assert_eq!(model_name(&v1), "v1_8");
         let v4 = AcceleratorConfig::preset(AcceleratorPreset::V4 { size: 16 });
-        assert_eq!(instantiate_accelerator(&v4).name(), "v4_16");
+        assert_eq!(model_name(&v4), "v4_16");
         let conv = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 4, fhw: 1 });
-        assert_eq!(instantiate_accelerator(&conv).name(), "conv2d");
+        assert_eq!(model_name(&conv), "conv2d");
     }
 
     #[test]
@@ -217,7 +250,7 @@ mod tests {
             let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
             config.name = bad_name.to_owned();
             assert_eq!(
-                instantiate_accelerator(&config).name(),
+                model_name(&config),
                 "v3_8",
                 "`{bad_name}` must fall back to the v3 default"
             );
@@ -226,7 +259,7 @@ mod tests {
         let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
         config.name = "weird".to_owned();
         config.accel_dims = Vec::new();
-        assert_eq!(instantiate_accelerator(&config).name(), "v3_4");
+        assert_eq!(model_name(&config), "v3_4");
     }
 
     #[test]
@@ -236,7 +269,7 @@ mod tests {
         {
             let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
             config.name = name.to_owned();
-            assert_eq!(instantiate_accelerator(&config).name(), expect);
+            assert_eq!(model_name(&config), expect);
         }
     }
 

@@ -20,6 +20,7 @@
 
 use axi4mlir_accelerators::conv::{CONV_SLICE_CAPACITY, CONV_WINDOW_CAPACITY};
 use axi4mlir_accelerators::matmul::MatMulVersion;
+use axi4mlir_config::presets::matmul_flows;
 use axi4mlir_config::{CacheTiling, CpuModel, FlowStrategy};
 use axi4mlir_support::diag::Diagnostic;
 
@@ -182,41 +183,20 @@ impl AccelInstance {
 
     /// The preset name, e.g. `v3_16`.
     pub fn label(&self) -> String {
-        format!("{}_{}", self.version, self.size)
+        self.version.instance_name(self.size)
     }
 
     /// Parses a [`Self::label`]-formatted name back into an instance.
     pub fn parse(text: &str) -> Option<Self> {
-        let (version, size) = text.split_once('_')?;
-        let version = match version {
-            "v1" => MatMulVersion::V1,
-            "v2" => MatMulVersion::V2,
-            "v3" => MatMulVersion::V3,
-            "v4" => MatMulVersion::V4,
-            _ => return None,
-        };
-        let size: i64 = size.parse().ok()?;
+        let (version, size) = MatMulVersion::parse_instance(text)?;
         (size > 0).then_some(Self { version, size })
     }
 
     /// The flows this generation's opcode set legalizes (its Table I
-    /// reuse class): v1 fuses everything (`Ns` only), v2 adds input
-    /// reuse, v3/v4 add output reuse.
-    pub fn flows(&self) -> &'static [FlowStrategy] {
-        match self.version {
-            MatMulVersion::V1 => &[FlowStrategy::NothingStationary],
-            MatMulVersion::V2 => &[
-                FlowStrategy::NothingStationary,
-                FlowStrategy::InputAStationary,
-                FlowStrategy::InputBStationary,
-            ],
-            MatMulVersion::V3 | MatMulVersion::V4 => &[
-                FlowStrategy::NothingStationary,
-                FlowStrategy::InputAStationary,
-                FlowStrategy::InputBStationary,
-                FlowStrategy::OutputStationary,
-            ],
-        }
+    /// reuse class), in figure order: the ones its preset ships
+    /// ([`matmul_flows`]).
+    pub fn flows(&self) -> Vec<FlowStrategy> {
+        matmul_flows(self.version).iter().map(|&(flow, _)| flow).collect()
     }
 
     /// The legal tiles for this instance on `problem`: the flexible v4
@@ -285,8 +265,9 @@ pub fn matmul_points(
 ) -> Vec<SpacePoint> {
     let mut out = Vec::new();
     for &accel in accels {
+        let legal = accel.flows();
         for tile in accel.tiles(problem, capacity_words) {
-            for &flow in accel.flows().iter().filter(|f| flows.contains(f)) {
+            for &flow in legal.iter().filter(|f| flows.contains(f)) {
                 out.push(SpacePoint {
                     accel,
                     flow,

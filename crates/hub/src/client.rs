@@ -139,39 +139,27 @@ impl HubClient {
         }
     }
 
-    /// Submits one job at the default priority (0); returns its id once
-    /// the hub accepts it.
+    /// Submits one job at the default priority (0) with the hub's fair
+    /// share of simulation workers; returns its id once the hub accepts
+    /// it.
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for `error` (bad spec) and `rejected`
     /// (queue full) replies.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, Diagnostic> {
-        self.submit_with_priority(spec, 0)
+        self.submit_with(spec, 0, None)
     }
 
-    /// Submits one job at an explicit priority. The hub always runs the
-    /// highest-priority queued job next, FIFO within a priority.
+    /// Submits one job at an explicit priority — the hub always runs the
+    /// highest-priority queued job next, FIFO within a priority — and
+    /// with an optional per-job simulation-worker budget (`None` accepts
+    /// the hub's fair share).
     ///
     /// # Errors
     ///
     /// See [`HubClient::submit`].
-    pub fn submit_with_priority(
-        &mut self,
-        spec: &JobSpec,
-        priority: i64,
-    ) -> Result<u64, Diagnostic> {
-        self.submit_with_options(spec, priority, None)
-    }
-
-    /// Submits one job with an explicit priority and an optional
-    /// per-job simulation-worker budget (`None` accepts the hub's fair
-    /// share).
-    ///
-    /// # Errors
-    ///
-    /// See [`HubClient::submit`].
-    pub fn submit_with_options(
+    pub fn submit_with(
         &mut self,
         spec: &JobSpec,
         priority: i64,

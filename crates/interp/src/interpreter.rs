@@ -10,9 +10,11 @@
 //!   Dispatch is a jump on the enum instead of a string match, and
 //!   attribute lookups (constant values, subview sizes, callee symbols,
 //!   accel flush/dim modes) are paid once per module, not once per
-//!   executed op. Ops that fail resolution map to `OpCode::Fallback`,
-//!   which replays the original string-dispatch path so malformed IR
-//!   produces the exact historical diagnostics, lazily.
+//!   executed op. An op that fails resolution (unknown name, missing
+//!   attribute or region, unsupported type) gets `OpCode::Invalid`
+//!   holding the error; it is returned only if the op is ever executed,
+//!   so there is one definition of each op's semantics and malformed IR
+//!   is a diagnostic, never a panic.
 //! - **Dense value frames** — SSA values live in a `Vec<Option<RtValue>>`
 //!   indexed by `ValueId` instead of a `HashMap`, and error construction
 //!   sits behind `#[cold]` builders so the success path never formats a
@@ -97,10 +99,9 @@ enum OpCode {
     AccelSend { flush: bool },
     /// `accel.recv`.
     AccelRecv { accumulate: bool },
-    /// Resolution failed or the op is unknown: execution replays the
-    /// original string-dispatch path, reproducing the historical
-    /// diagnostics (and panics on malformed IR) exactly.
-    Fallback,
+    /// Resolution failed or the op is unknown: executing the op returns
+    /// this error. (Boxed so the rare case does not widen every slot.)
+    Invalid(Box<InterpError>),
 }
 
 /// Reusable interpreter buffers: the dense value frame and the opcode
@@ -183,73 +184,94 @@ fn build_table(ctx: &IrCtx, codes: &mut Vec<OpCode>) {
     codes.clear();
     codes.reserve(ctx.op_count());
     for index in 0..ctx.op_count() {
-        codes.push(resolve(ctx, OpId::from_index(index)));
+        let code = resolve(ctx, OpId::from_index(index));
+        codes.push(code.unwrap_or_else(|why| OpCode::Invalid(Box::new(why))));
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn resolve(ctx: &IrCtx, op: OpId) -> OpCode {
+/// The first result of `op`, whose type decides what the op produces.
+fn first_result(ctx: &IrCtx, op: OpId) -> Result<ValueId, InterpError> {
     let data = ctx.op(op);
-    match data.name.as_str() {
+    data.results.first().copied().ok_or_else(|| other(&format!("{} without a result", data.name)))
+}
+
+/// The only block of the only region of `op`.
+fn sole_body(ctx: &IrCtx, op: OpId) -> Result<BlockId, InterpError> {
+    let data = ctx.op(op);
+    if let [region] = data.regions[..] {
+        if let [body] = ctx.region(region).blocks[..] {
+            return Ok(body);
+        }
+    }
+    Err(other(&format!("{} must have exactly one region of exactly one block", data.name)))
+}
+
+/// Resolves `op` to its dispatch record, or to the reason it cannot be
+/// executed.
+fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
+    let data = ctx.op(op);
+    Ok(match data.name.as_str() {
         "arith.constant" => {
-            let Some(value) = ctx.attr(op, "value").and_then(Attribute::as_int) else {
-                return OpCode::Fallback;
-            };
-            let Some(&result) = data.results.first() else { return OpCode::Fallback };
-            match ctx.value_type(result) {
-                Type::Index => OpCode::Const(RtValue::Index(value)),
-                Type::Int(_) => OpCode::Const(RtValue::I32(value as i32)),
-                Type::Float(_) => OpCode::Const(RtValue::F32(value as f32)),
-                _ => OpCode::Fallback,
-            }
+            let value = ctx
+                .attr(op, "value")
+                .and_then(Attribute::as_int)
+                .ok_or_else(|| other("constant without value"))?;
+            OpCode::Const(match ctx.value_type(first_result(ctx, op)?) {
+                Type::Index => RtValue::Index(value),
+                Type::Int(_) => RtValue::I32(value as i32),
+                Type::Float(_) => RtValue::F32(value as f32),
+                ty => return Err(type_mismatch(&format!("constant of type {ty}"))),
+            })
         }
         "arith.addi" => OpCode::IntBin { add: true },
         "arith.muli" => OpCode::IntBin { add: false },
         "arith.addf" => OpCode::FloatBin { add: true },
         "arith.mulf" => OpCode::FloatBin { add: false },
-        "arith.index_cast" => {
-            let Some(&result) = data.results.first() else { return OpCode::Fallback };
-            match ctx.value_type(result) {
-                Type::Index => OpCode::CastToIndex,
-                Type::Int(_) => OpCode::CastToI32,
-                _ => OpCode::Fallback,
-            }
-        }
+        "arith.index_cast" => match ctx.value_type(first_result(ctx, op)?) {
+            Type::Index => OpCode::CastToIndex,
+            Type::Int(_) => OpCode::CastToI32,
+            ty => return Err(type_mismatch(&format!("index_cast to {ty}"))),
+        },
         "scf.for" => {
-            let [region] = data.regions[..] else { return OpCode::Fallback };
-            let [body] = ctx.region(region).blocks[..] else { return OpCode::Fallback };
-            let Some(&iv) = ctx.block(body).args.first() else { return OpCode::Fallback };
+            let body = sole_body(ctx, op)?;
+            let iv = ctx
+                .block(body)
+                .args
+                .first()
+                .copied()
+                .ok_or_else(|| other("scf.for body without an induction variable"))?;
             OpCode::For { body, iv }
         }
         "scf.yield" | "func.return" => OpCode::Nop,
         "memref.alloc" => {
-            let Some(&result) = data.results.first() else { return OpCode::Fallback };
-            let Some(m) = ctx.value_type(result).as_memref() else { return OpCode::Fallback };
-            let Ok(elem) = elem_type(&m.elem) else { return OpCode::Fallback };
+            let m = ctx
+                .value_type(first_result(ctx, op)?)
+                .as_memref()
+                .ok_or_else(|| type_mismatch("alloc result"))?;
+            let elem = elem_type(&m.elem)?;
             if m.shape.iter().any(|d| *d < 0) {
-                return OpCode::Fallback;
+                return Err(other("cannot alloc dynamic shape"));
             }
             OpCode::Alloc { shape: m.shape.clone(), elem }
         }
         "memref.subview" => {
-            let Some(sizes) = ctx
+            let sizes = ctx
                 .attr(op, "static_sizes")
                 .and_then(Attribute::as_array)
                 .map(|a| a.iter().filter_map(Attribute::as_int).collect::<Vec<_>>())
-            else {
-                return OpCode::Fallback;
-            };
+                .ok_or_else(|| other("subview without static_sizes"))?;
             OpCode::Subview { sizes }
         }
         "memref.load" => OpCode::Load,
         "memref.store" => OpCode::Store,
-        "memref.dim" => match ctx.attr(op, "dimension").and_then(Attribute::as_int) {
-            Some(dim) => OpCode::Dim(dim),
-            None => OpCode::Fallback,
-        },
+        "memref.dim" => OpCode::Dim(
+            ctx.attr(op, "dimension")
+                .and_then(Attribute::as_int)
+                .ok_or_else(|| other("memref.dim without dimension"))?,
+        ),
         "linalg.generic" | "linalg.matmul" => {
             if data.name == "linalg.generic" && !linalg::is_matmul_generic(ctx, op) {
-                return OpCode::Fallback;
+                return Err(unsupported_op("linalg.generic without the MatMul trait"));
             }
             OpCode::CpuMatMul { tile: ctx.attr(op, "cpu_tile").and_then(Attribute::as_int) }
         }
@@ -263,20 +285,21 @@ fn resolve(ctx: &IrCtx, op: OpId) -> OpCode {
             OpCode::CpuConv { stride }
         }
         "func.call" => {
-            let Some(callee) = ctx.attr(op, "callee").and_then(Attribute::as_str) else {
-                return OpCode::Fallback;
-            };
-            match callee {
-                names::DMA_INIT => OpCode::Call(RtFn::DmaInit),
-                names::WRITE_LITERAL => OpCode::Call(RtFn::WriteLiteral),
-                names::COPY_TO => OpCode::Call(RtFn::CopyTo),
-                names::START_SEND => OpCode::Call(RtFn::StartSend),
-                names::WAIT_SEND => OpCode::Call(RtFn::WaitSend),
-                names::START_RECV => OpCode::Call(RtFn::StartRecv),
-                names::WAIT_RECV => OpCode::Call(RtFn::WaitRecv),
-                names::COPY_FROM => OpCode::Call(RtFn::CopyFrom),
-                _ => OpCode::Fallback,
-            }
+            let callee = ctx
+                .attr(op, "callee")
+                .and_then(Attribute::as_str)
+                .ok_or_else(|| other("call without callee"))?;
+            OpCode::Call(match callee {
+                names::DMA_INIT => RtFn::DmaInit,
+                names::WRITE_LITERAL => RtFn::WriteLiteral,
+                names::COPY_TO => RtFn::CopyTo,
+                names::START_SEND => RtFn::StartSend,
+                names::WAIT_SEND => RtFn::WaitSend,
+                names::START_RECV => RtFn::StartRecv,
+                names::WAIT_RECV => RtFn::WaitRecv,
+                names::COPY_FROM => RtFn::CopyFrom,
+                _ => return Err(InterpError::UnknownCallee { name: callee.to_owned() }),
+            })
         }
         accel::DMA_INIT => OpCode::AccelDmaInit,
         accel::SEND_LITERAL | accel::SEND_IDX => {
@@ -287,8 +310,8 @@ fn resolve(ctx: &IrCtx, op: OpId) -> OpCode {
         }
         accel::SEND => OpCode::AccelSend { flush: accel::has_flush(ctx, op) },
         accel::RECV => OpCode::AccelRecv { accumulate: accel::recv_accumulates(ctx, op) },
-        _ => OpCode::Fallback,
-    }
+        name => return Err(unsupported_op(name)),
+    })
 }
 
 impl<'a> Interpreter<'a> {
@@ -308,16 +331,16 @@ impl<'a> Interpreter<'a> {
         self.env.clear();
         self.env.resize(ctx.value_count(), None);
 
-        let entry = ctx.sole_block(func, 0);
-        let params = &ctx.block(entry).args;
-        let result = if params.len() == args.len() {
+        let result = sole_body(ctx, func).and_then(|entry| {
+            let params = &ctx.block(entry).args;
+            if params.len() != args.len() {
+                return Err(bad_arg_count(params.len(), args.len()));
+            }
             for (p, a) in params.iter().zip(args) {
                 self.env[p.index()] = Some(a);
             }
             self.exec_block(ctx, &codes, entry)
-        } else {
-            Err(bad_arg_count(params.len(), args.len()))
-        };
+        });
         self.codes = codes;
         result
     }
@@ -615,7 +638,7 @@ impl<'a> Interpreter<'a> {
                 dma_lib::copy_from_dma_region(self.soc, &view, off, accumulate, self.copy_strategy);
                 self.set(op, ctx, 0, RtValue::I32(bytes as i32));
             }
-            OpCode::Fallback => self.exec_op_fallback(ctx, codes, op)?,
+            OpCode::Invalid(why) => return Err((**why).clone()),
         }
         Ok(())
     }
@@ -671,136 +694,6 @@ impl<'a> Interpreter<'a> {
         }
         Ok(())
     }
-
-    /// The pre-interning string-dispatch path, kept verbatim for ops
-    /// whose resolution failed. It only ever runs on malformed IR that is
-    /// about to error out (or panic), so the per-op clones here are fine.
-    #[cold]
-    #[inline(never)]
-    #[allow(clippy::too_many_lines)]
-    fn exec_op_fallback(
-        &mut self,
-        ctx: &IrCtx,
-        codes: &[OpCode],
-        op: OpId,
-    ) -> Result<(), InterpError> {
-        let name = ctx.op(op).name.as_str();
-        let operands = ctx.op(op).operands.clone();
-        match name {
-            "arith.constant" => {
-                let value = ctx.attr(op, "value").and_then(Attribute::as_int).ok_or_else(|| {
-                    InterpError::Other { message: "constant without value".into() }
-                })?;
-                let rt = match ctx.value_type(ctx.result(op, 0)) {
-                    Type::Index => RtValue::Index(value),
-                    Type::Int(_) => RtValue::I32(value as i32),
-                    Type::Float(_) => RtValue::F32(value as f32),
-                    other => {
-                        return Err(InterpError::TypeMismatch {
-                            context: format!("constant of type {other}"),
-                        })
-                    }
-                };
-                self.set(op, ctx, 0, rt);
-            }
-            "arith.index_cast" => {
-                self.soc.charge_arith(1);
-                let v = self.get_int_any(operands[0])?;
-                let rt = match ctx.value_type(ctx.result(op, 0)) {
-                    Type::Index => RtValue::Index(v),
-                    Type::Int(_) => RtValue::I32(v as i32),
-                    other => {
-                        return Err(InterpError::TypeMismatch {
-                            context: format!("index_cast to {other}"),
-                        })
-                    }
-                };
-                self.set(op, ctx, 0, rt);
-            }
-            "scf.for" => {
-                let lb = self.get_index(operands[0])?;
-                let ub = self.get_index(operands[1])?;
-                let step = self.get_index(operands[2])?;
-                if step <= 0 {
-                    return Err(InterpError::Other {
-                        message: "scf.for step must be positive".into(),
-                    });
-                }
-                let body = ctx.sole_block(op, 0);
-                let iv = ctx.block_arg(body, 0);
-                let mut i = lb;
-                while i < ub {
-                    // Compiled loop overhead: compare + increment + branch.
-                    self.soc.charge_arith(2);
-                    self.soc.charge_branch(1);
-                    self.env[iv.index()] = Some(RtValue::Index(i));
-                    self.exec_block(ctx, codes, body)?;
-                    i += step;
-                }
-            }
-            "memref.alloc" => {
-                let ty = ctx.value_type(ctx.result(op, 0));
-                let m = ty
-                    .as_memref()
-                    .ok_or_else(|| InterpError::TypeMismatch { context: "alloc result".into() })?;
-                let elem = elem_type(&m.elem)?;
-                let shape = m.shape.clone();
-                if shape.iter().any(|d| *d < 0) {
-                    return Err(InterpError::Other {
-                        message: "cannot alloc dynamic shape".into(),
-                    });
-                }
-                self.soc.charge_host_cycles(40); // allocator call
-                let desc = MemRefDesc::alloc(&mut self.soc.mem, &shape, elem);
-                self.set(op, ctx, 0, RtValue::MemRef(desc));
-            }
-            "memref.subview" => {
-                let source = self.get_memref(operands[0])?;
-                let offsets: Vec<i64> =
-                    operands[1..].iter().map(|v| self.get_index(*v)).collect::<Result<_, _>>()?;
-                let sizes = ctx
-                    .attr(op, "static_sizes")
-                    .and_then(Attribute::as_array)
-                    .map(|a| a.iter().filter_map(Attribute::as_int).collect::<Vec<_>>())
-                    .ok_or_else(|| InterpError::Other {
-                        message: "subview without static_sizes".into(),
-                    })?;
-                // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
-                self.soc.charge_arith(2 * sizes.len() as u64);
-                let view = source.subview(&offsets, &sizes);
-                self.set(op, ctx, 0, RtValue::MemRef(view));
-            }
-            "memref.dim" => {
-                let desc = self.get_memref(operands[0])?;
-                let dim =
-                    ctx.attr(op, "dimension").and_then(Attribute::as_int).ok_or_else(|| {
-                        InterpError::Other { message: "memref.dim without dimension".into() }
-                    })?;
-                let size = *desc.sizes.get(dim as usize).ok_or_else(|| InterpError::Other {
-                    message: format!("memref.dim {dim} out of range"),
-                })?;
-                self.set(op, ctx, 0, RtValue::Index(size));
-            }
-            // Only non-matmul generics fall back; matmul-trait ones are
-            // interned as `CpuMatMul`.
-            "linalg.generic" => {
-                return Err(InterpError::UnsupportedOp {
-                    name: "linalg.generic without the MatMul trait".into(),
-                });
-            }
-            // Only calls with a missing or unknown callee fall back.
-            "func.call" => {
-                let callee = ctx
-                    .attr(op, "callee")
-                    .and_then(Attribute::as_str)
-                    .ok_or_else(|| InterpError::Other { message: "call without callee".into() })?
-                    .to_owned();
-                return Err(InterpError::UnknownCallee { name: callee });
-            }
-            other => return Err(InterpError::UnsupportedOp { name: other.to_owned() }),
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -843,6 +736,12 @@ fn type_mismatch(context: &str) -> InterpError {
 #[inline(never)]
 fn other(message: &str) -> InterpError {
     InterpError::Other { message: message.to_owned() }
+}
+
+#[cold]
+#[inline(never)]
+fn unsupported_op(name: &str) -> InterpError {
+    InterpError::UnsupportedOp { name: name.to_owned() }
 }
 
 #[cold]
@@ -1052,7 +951,7 @@ mod tests {
     }
 
     /// Every op a realistic lowered module contains resolves to a real
-    /// opcode; the fallback is reserved for broken IR.
+    /// opcode; `Invalid` is reserved for broken IR.
     #[test]
     fn known_ops_do_not_fall_back() {
         let mut m = Module::new();
@@ -1077,8 +976,8 @@ mod tests {
                 continue; // containers are never executed
             }
             assert!(
-                !matches!(code, OpCode::Fallback),
-                "op `{name}` unexpectedly resolved to the fallback path"
+                !matches!(code, OpCode::Invalid(_)),
+                "op `{name}` unexpectedly failed resolution"
             );
         }
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the full figure suite plus the design-space explorer and collects
-# every BENCH_*.json report into one directory (BENCH_all.json included).
+# Runs the full figure suite plus the design-space explorer, each writing
+# its BENCH_*.json report into one directory.
 #
 # Usage: [HUB=1] [WORKERS=N] scripts/bench.sh [--quick] [OUT_DIR]
 #   --quick   reduced sweep sizes (seconds instead of minutes)
@@ -13,23 +13,17 @@
 #             --worker flags pointing at them, so the hub-path sweep's
 #             measurements run out-of-process (implies HUB=1)
 #
-# Profiling the sim
-# -----------------
-# When a sweep feels slow, measure the simulator itself before reaching
-# for a system profiler:
-#
-#   cargo bench -p axi4mlir-bench --bench sim
-#
-# prints per-iteration means for the three hot layers — the interpreter
-# loop alone, a DMA burst roundtrip, and a full compile-and-run
-# Session::run. Explorer throughput lands in every sweep's report:
-# `sims_per_sec` in the context block of BENCH_explore.json counts
-# full-fidelity simulations per second of in-simulator wall time
-# (cache hits excluded, so reruns against a warm bench-cache/ may
-# omit it). bench-compare gates that number — a >10% drop vs. the
-# baseline fails CI — so check it first when the gate fires. The
-# README's "Simulator performance model" section explains what keeps
-# the hot path fast and which equivalence tests pin its accounting.
+# Where the numbers are checked
+# ------------------------------
+# The reports hold simulated counters (deterministic: pinned exactly by
+# the goldens under crates/bench/tests/golden/) and one wall-clock
+# member, `sims_per_sec` in the context block of BENCH_explore.json:
+# full-fidelity simulations per second of in-simulator wall time (cache
+# hits excluded, so reruns against a warm bench-cache/ may omit it).
+# Wall-clock speed is measured by benchmark/ (see benchmark/README.md),
+# per workload and per layer; the README's "Simulator performance model"
+# section explains what keeps the hot path fast and which equivalence
+# tests pin its accounting.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,11 +113,9 @@ print("hub-path BENCH_explore.json is schema-identical to the local path")
 PYEOF
 fi
 
-echo "== collecting =="
-cargo run --release -p axi4mlir-bench --bin bench-collect -- "$OUT_DIR"
-
 if command -v python3 >/dev/null 2>&1; then
     echo "== pareto plot =="
     python3 scripts/plot_pareto.py "$OUT_DIR/BENCH_explore.json" -o "$OUT_DIR/pareto.svg" || true
 fi
-echo "reports in $OUT_DIR/"
+echo "== reports =="
+ls "$OUT_DIR"/BENCH_*.json

@@ -8,11 +8,10 @@ staircase the front induces; dominated candidates in blue. Pure standard
 library — no matplotlib required — so it runs anywhere the repo builds.
 
 Usage:
-    scripts/plot_pareto.py [BENCH_explore.json|BENCH_all.json] [-o OUT.svg]
+    scripts/plot_pareto.py [BENCH_explore.json] [-o OUT.svg]
 
-With a BENCH_all.json collection, the first report carrying a `pareto`
-section is plotted. Colors/typography follow a CVD-validated palette
-(blue/orange pair, ink-colored text).
+Colors/typography follow a CVD-validated palette (blue/orange pair,
+ink-colored text).
 """
 
 import argparse
@@ -36,16 +35,6 @@ MARGIN = {"left": 86, "right": 24, "top": 52, "bottom": 64}
 def fail(message: str) -> "sys.NoReturn":
     print(f"plot_pareto: {message}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def find_explore_report(doc: dict) -> dict:
-    """The report carrying a `pareto` section, in a collection or alone."""
-    reports = doc.get("reports")
-    candidates = reports if isinstance(reports, list) else [doc]
-    for report in candidates:
-        if isinstance(report, dict) and "pareto" in report:
-            return report
-    fail("no report with a `pareto` section found (run axi4mlir-explore --objectives ...)")
 
 
 def axis_metrics(pareto: dict) -> "tuple[str, str]":
@@ -207,20 +196,21 @@ def main() -> None:
         "report",
         nargs="?",
         default="BENCH_explore.json",
-        help="BENCH_explore.json or a BENCH_all.json collection (default: ./BENCH_explore.json)",
+        help="an explorer report (default: ./BENCH_explore.json)",
     )
     parser.add_argument("-o", "--out", default="pareto.svg", help="output SVG path")
     args = parser.parse_args()
 
     try:
         with open(args.report, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            report = json.load(handle)
     except OSError as err:
         fail(str(err))
     except json.JSONDecodeError as err:
         fail(f"{args.report}: {err}")
 
-    report = find_explore_report(doc)
+    if not isinstance(report, dict) or "pareto" not in report:
+        fail("the report has no `pareto` section (run axi4mlir-explore --objectives ...)")
     x_key, y_key = axis_metrics(report["pareto"])
     points = []
     for entry in report.get("entries", []):
