@@ -24,9 +24,7 @@
 //! the JSON reporter. With `--cache-dir`, results persist sharded by
 //! workload signature (`DIR/<shard>.json`, loaded before the sweep,
 //! order-invariant merge, dirty-shard-only saves after), so a repeated
-//! invocation reports 0 new simulations. A pre-sharding
-//! `BENCH_cache.json` moved into the directory migrates losslessly: the
-//! next save re-shards and removes it.
+//! invocation reports 0 new simulations.
 //!
 //! `--objectives` turns the sweep multi-objective: every evaluation is
 //! scored under each named objective (the first is the primary the prune
@@ -167,9 +165,7 @@ const KNOWN_FLAGS: [&str; 20] = [
 
 fn cli_from_args(args: &[String]) -> Result<Cli, String> {
     if args::flag(args, "--cache") {
-        return Err("--cache was removed: pass --cache-dir DIR (to keep an old BENCH_cache.json, \
-                    move it into DIR; the next save re-shards it)"
-            .to_owned());
+        return Err("--cache was removed: pass --cache-dir DIR".to_owned());
     }
     args::reject_unknown(args, &KNOWN_FLAGS, &format!("known flags: {}", KNOWN_FLAGS.join(" ")))?;
     let job = job_from_args(args)?;
@@ -333,8 +329,8 @@ fn to_report(workers: usize, report: &ExploreReport, front: &[usize]) -> BenchRe
         let pass_ms =
             JsonValue::object(eval.pass_ms.iter().map(|(p, ms)| (p.clone(), (*ms).into())));
         let mut entry = BenchEntry::new(eval.candidate.label())
-            .metric("accel", key.accel.clone())
-            .metric("flow", key.flow.clone())
+            .metric("accel", key.accel.to_string())
+            .metric("flow", key.flow.to_string())
             .metric("tile_m", key.tile.0)
             .metric("tile_n", key.tile.1)
             .metric("tile_k", key.tile.2)
@@ -427,7 +423,7 @@ fn run_locally(
         let model = if cli.cache_dir.as_ref() == Some(dir) {
             explorer.transfer_model()
         } else {
-            TransferModel::fit(&shard::load_dir(dir)?.entries)
+            TransferModel::fit(&shard::load_dir(dir)?)
         };
         if model.is_empty() {
             println!("warm start: no usable observations in {} (running cold)", dir.display());

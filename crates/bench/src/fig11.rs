@@ -113,23 +113,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pre_optimization_shapes() {
-        let rows = rows(Scale::Quick);
-        let v3 =
-            rows.iter().find(|r| r.version == MatMulVersion::V3 && r.dims == 64).expect("v3 row");
-        let ns = v3.generated_ms.iter().find(|(f, _)| f == "Ns").unwrap().1;
-        let cs = v3.generated_ms.iter().find(|(f, _)| f == "Cs").unwrap().1;
-        // Generated Ns (element-wise copies) is slower than manual Ns.
-        assert!(
-            ns > v3.manual_ns_ms,
-            "pre-optimization generated Ns ({ns:.3} ms) must lose to manual Ns ({:.3} ms)",
-            v3.manual_ns_ms
-        );
-        // Cs still improves on the generated Ns (less data movement).
-        assert!(cs < ns, "Cs ({cs:.3} ms) must beat generated Ns ({ns:.3} ms)");
-    }
-
-    #[test]
     fn v2_rows_have_three_flows() {
         let rows = rows(Scale::Quick);
         let v2 = rows.iter().find(|r| r.version == MatMulVersion::V2).unwrap();

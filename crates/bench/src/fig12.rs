@@ -62,7 +62,8 @@ pub fn rows(scale: Scale, variant: Variant) -> Vec<Fig12Row> {
     let (dims, size) = config(scale);
     let problem = MatMulProblem::square(dims);
     let workload = MatMulWorkload::new(problem);
-    let cpu = Session::cpu().run(&workload, &CompilePlan::cpu().seed(12)).expect("CPU baseline");
+    let cpu =
+        Session::for_sweep().run(&workload, &CompilePlan::cpu().seed(12)).expect("CPU baseline");
     let mut out = Vec::new();
 
     let manual =

@@ -115,21 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn best_is_never_worse_than_square() {
-        for r in rows(Scale::Quick) {
-            for (label, ms) in &r.square_ms {
-                assert!(
-                    r.best_ms <= ms * 1.02,
-                    "{}: Best {:.3} ms vs {label} {:.3} ms",
-                    r.problem.label(),
-                    r.best_ms,
-                    ms
-                );
-            }
-        }
-    }
-
-    #[test]
     fn best_flow_depends_on_problem_shape() {
         let rows = rows(Scale::Quick);
         let labels: std::collections::BTreeSet<String> =

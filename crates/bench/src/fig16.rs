@@ -105,24 +105,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wide_filters_win_pointwise_filters_do_not() {
-        let rows = rows(Scale::Quick);
-        let wide = rows.iter().find(|r| r.layer.filter_hw == 3).unwrap();
-        let pointwise = rows.iter().find(|r| r.layer.filter_hw == 1).unwrap();
-        assert!(
-            wide.clock_ratio < 1.0,
-            "fHW=3 must beat the manual driver: ratio {:.3}",
-            wide.clock_ratio
-        );
-        assert!(
-            pointwise.clock_ratio > wide.clock_ratio,
-            "fHW=1 gains less: {:.3} vs {:.3}",
-            pointwise.clock_ratio,
-            wide.clock_ratio
-        );
-    }
-
-    #[test]
     fn cache_references_drop_with_wide_filters() {
         let rows = rows(Scale::Quick);
         let wide = rows.iter().find(|r| r.layer.filter_hw == 3).unwrap();

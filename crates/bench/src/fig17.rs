@@ -87,7 +87,7 @@ fn accel_total_ms(
 pub fn bars(scale: Scale) -> Vec<Fig17Bar> {
     let inventory = inventory(scale);
     // CPU-only MatMul time.
-    let mut cpu_session = Session::cpu();
+    let mut cpu_session = Session::for_sweep();
     let cpu_plan = CompilePlan::cpu().seed(17);
     let mut cpu_matmul_ms = 0.0;
     for entry in &inventory {

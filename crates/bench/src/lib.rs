@@ -5,10 +5,12 @@
 //!
 //! - the `fig*`/`table1` binaries (`Scale::Full`) that regenerate the
 //!   paper's series (run in release mode; see `EXPERIMENTS.md`),
-//! - the tests (`Scale::Quick`): the shape tests asserting the paper's
-//!   qualitative results (who wins, where crossovers fall) at
-//!   debug-friendly sizes, and `tests/golden_reports.rs` pinning every
-//!   simulated number against `tests/golden/BENCH_*.json`.
+//! - the tests (`Scale::Quick`), at debug-friendly sizes:
+//!   `tests/golden_reports.rs` pins every simulated number against
+//!   `tests/golden/BENCH_*.json` and asserts, one table per module, every
+//!   reproduction target the module headers state (who wins, where
+//!   crossovers fall); the in-file tests cover rendering and what the
+//!   typed rows carry beyond the report.
 //!
 //! Sweeps run through the `axi4mlir-core` driver layer: each module holds
 //! one [`Session`](axi4mlir_core::driver::Session) per sweep and recycles

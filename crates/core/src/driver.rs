@@ -19,7 +19,7 @@
 //!   only re-instantiated when a plan targets a different accelerator.
 //!
 //! There is no other compile-and-run: a one-off run is
-//! `Session::for_plan(&plan).run(&workload, &plan)`.
+//! `Session::for_sweep().run(&workload, &plan)`.
 
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
 use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
@@ -687,22 +687,14 @@ impl Session {
         }
     }
 
-    /// A session for running `plan`. Like every unpinned session it
-    /// instantiates the device the plan's configuration describes on the
-    /// first [`run`](Self::run) — which is where a configuration that
-    /// describes no buildable device is reported.
-    pub fn for_plan(_plan: &CompilePlan) -> Self {
-        Self::cpu()
-    }
-
-    /// A session for running plans over `config`; see
-    /// [`for_plan`](Self::for_plan).
-    pub fn for_config(_config: &AcceleratorConfig) -> Self {
-        Self::cpu()
-    }
-
-    /// A CPU-only session (loopback device; nothing is offloaded).
-    pub fn cpu() -> Self {
+    /// An unpinned session — the one constructor for everything but a
+    /// custom device, one-off runs included. It starts on the loopback
+    /// device (a CPU-only plan offloads nothing) and instantiates, and
+    /// later swaps, the device each plan's configuration describes on
+    /// [`run`](Self::run) — which is where a configuration that describes
+    /// no buildable device is reported — while memory and cache
+    /// structures persist across runs.
+    pub fn for_sweep() -> Self {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
             device: None,
@@ -710,13 +702,6 @@ impl Session {
             scratch: InterpScratch::new(),
             compiled: None,
         }
-    }
-
-    /// A session for sweeping over accelerator configurations: the device
-    /// is instantiated (and later swapped) on demand by each plan, while
-    /// memory and cache structures persist across the whole sweep.
-    pub fn for_sweep() -> Self {
-        Self::cpu()
     }
 
     /// The simulated system (for inspecting counters or cost model).
@@ -857,7 +842,7 @@ mod tests {
     #[test]
     fn session_runs_matmul_end_to_end() {
         let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::OutputStationary);
-        let report = Session::for_plan(&plan)
+        let report = Session::for_sweep()
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
             .unwrap();
         assert!(report.verified);
@@ -869,10 +854,10 @@ mod tests {
     fn session_reuse_is_bit_identical_to_fresh_sessions() {
         let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::InputAStationary);
         let workload = MatMulWorkload::new(MatMulProblem::square(16));
-        let mut shared = Session::for_plan(&plan);
+        let mut shared = Session::for_sweep();
         let first = shared.run(&workload, &plan).unwrap();
         let second = shared.run(&workload, &plan).unwrap();
-        let fresh = Session::for_plan(&plan).run(&workload, &plan).unwrap();
+        let fresh = Session::for_sweep().run(&workload, &plan).unwrap();
         assert_eq!(first.counters, second.counters, "recycling is deterministic");
         assert_eq!(first.result, second.result);
         assert_eq!(first.counters, fresh.counters, "reuse matches a fresh session");
@@ -881,7 +866,7 @@ mod tests {
 
     #[test]
     fn session_retargets_between_devices() {
-        let mut session = Session::cpu();
+        let mut session = Session::for_sweep();
         let cpu_plan = CompilePlan::cpu();
         let workload = MatMulWorkload::new(MatMulProblem::square(8));
         let cpu = session.run(&workload, &cpu_plan).unwrap();
@@ -899,12 +884,11 @@ mod tests {
     fn batched_matmul_runs_and_verifies() {
         let batch = BatchedMatMulProblem::new(MatMulProblem::square(8), 3);
         let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::OutputStationary);
-        let report =
-            Session::for_plan(&plan).run(&BatchedMatMulWorkload::new(batch), &plan).unwrap();
+        let report = Session::for_sweep().run(&BatchedMatMulWorkload::new(batch), &plan).unwrap();
         assert!(report.verified, "all batch elements must match their references");
         assert_eq!(report.result.len(), 3 * 64);
         // The batch moves roughly batch-times the data of one element.
-        let single = Session::for_plan(&plan)
+        let single = Session::for_sweep()
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
             .unwrap();
         assert!(report.counters.dma_bytes_to_accel > 2 * single.counters.dma_bytes_to_accel);
@@ -952,7 +936,7 @@ mod tests {
         let mut config = v3(4);
         config.accel_dims = vec![4, 4];
         let plan = CompilePlan::for_accelerator(config);
-        let err = Session::for_plan(&plan)
+        let err = Session::for_sweep()
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
             .unwrap_err();
         assert!(err.message.contains("at least three dimensions"), "{}", err.message);

@@ -25,30 +25,26 @@
 //! }
 //! ```
 //!
-//! Schema `v2` added the `cache_tiling` and `cpu` key members for the
-//! widened options axes. `v1` documents still load: their entries were
-//! all measured under the then-implicit defaults (`auto` tiling on the
-//! `pynq_z2` host), so migration fills exactly those values and loses
-//! nothing; the next save rewrites the document as `v2`. A pre-sharding
-//! single-file `BENCH_cache.json` is the same document holding every
-//! workload at once: placed in the cache directory it loads through
-//! [`super::shard::load_dir`], and the next save re-shards and removes
-//! it.
+//! A document under any other schema tag loads as an empty cache. Key
+//! members are text on disk and typed in memory: [`key_from`] is the one
+//! place they are decoded (a wire frame calls the same function).
 //!
-//! Entries are written in key order, so the file diffs cleanly. Counters
-//! are exact integers and `task_clock_ms` uses Rust's shortest-roundtrip
-//! float formatting, so a loaded entry is bit-identical to the measured
-//! one. Wall-clock pass timings are *not* persisted (they are
+//! Entries are written in the order of their *rendered* key members
+//! (`v4_16` before `v4_8`, `As < Bs < Cs < Ns`), whatever the typed key
+//! compares like, so the file diffs cleanly. Counters are exact integers
+//! and `task_clock_ms` uses Rust's shortest-roundtrip float formatting,
+//! so a loaded entry is bit-identical to the measured one. Wall-clock pass timings are *not* persisted (they are
 //! host-machine noise, excluded from determinism comparisons); cache
 //! hits served from disk report empty pass timings.
 //!
 //! Robustness policy: a cache is disposable. A missing file loads as an
 //! empty cache, a file with an unknown schema tag is ignored (the CI
 //! cache key embeds the schema version, so this only happens across
-//! versions locally), unparseable *entries* are skipped, and a
-//! syntactically broken file loads as an empty cache with a stderr
-//! warning (it is rewritten whole on the next save); only unreadable
-//! files are reported as errors.
+//! versions locally), unparseable *entries* are skipped (a key that
+//! names no buildable configuration — `v3_0`, a zero MatMul tile — is
+//! one), and a syntactically broken file loads as an empty cache with a
+//! stderr warning (it is rewritten whole on the next save); only
+//! unreadable files are reported as errors.
 
 use std::collections::HashMap;
 use std::fs;
@@ -59,16 +55,11 @@ use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
 
-use super::space::{CandidateKey, OptionsPoint};
+use super::space::{CandidateKey, Flow, OptionsPoint, Problem, Target};
 
 /// The schema tag of the persistent cache document. Bump on any change
 /// to the key or payload layout (the CI cache key embeds this value).
 pub const CACHE_SCHEMA: &str = "axi4mlir-explore-cache/v2";
-
-/// The previous schema tag, still accepted by [`parse`]: `v1` keys lack
-/// the `cache_tiling`/`cpu` members and migrate to the defaults they
-/// were implicitly measured under.
-pub const CACHE_SCHEMA_V1: &str = "axi4mlir-explore-cache/v1";
 
 /// The deterministic payload a cache entry stores.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,9 +78,9 @@ pub struct CachedEval {
 /// (and the hub wire protocol, via [`super::wire`]) spells keys in.
 pub fn key_to_json(key: &CandidateKey) -> JsonValue {
     JsonValue::object([
-        ("workload".to_owned(), key.workload.clone().into()),
-        ("accel".to_owned(), key.accel.clone().into()),
-        ("flow".to_owned(), key.flow.clone().into()),
+        ("workload".to_owned(), key.workload.to_string().into()),
+        ("accel".to_owned(), key.accel.to_string().into()),
+        ("flow".to_owned(), key.flow.to_string().into()),
         (
             "tile".to_owned(),
             JsonValue::Array(vec![key.tile.0.into(), key.tile.1.into(), key.tile.2.into()]),
@@ -102,39 +93,41 @@ pub fn key_to_json(key: &CandidateKey) -> JsonValue {
     ])
 }
 
-/// Reads a [`CandidateKey`] from its object's members. With
-/// `migrate_v1`, absent `cache_tiling`/`cpu` members fill the defaults a
-/// v1 cache document was implicitly measured under; without it they are
-/// missing members like any other.
+/// A string member read through its field's one `parse`.
+fn text_member<T>(
+    m: &Members<'_>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+    must: &str,
+) -> Result<T, Diagnostic> {
+    parse(m.str(name)?).ok_or_else(|| m.invalid(name, must))
+}
+
+/// Reads a [`CandidateKey`] from its object's members — the decode
+/// boundary of shard entries and wire frames alike. No member defaults:
+/// that would serve another configuration's measurement under this key.
 ///
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] blaming the first missing or malformed
-/// member.
-pub fn key_from(m: &Members<'_>, migrate_v1: bool) -> Result<CandidateKey, Diagnostic> {
+/// member, or the one that makes the key unbuildable (the rule is stated
+/// on [`CandidateKey::at`]).
+pub fn key_from(m: &Members<'_>) -> Result<CandidateKey, Diagnostic> {
+    let workload =
+        text_member(m, "workload", Problem::parse, "must be a matmul|batched|conv problem label")?;
+    let accel = text_member(m, "accel", Target::parse, "must be a vN_SIZE instance or conv2d")?;
+    let flow = text_member(m, "flow", Flow::parse, "must be a flow name")?;
+    let cache_tiling =
+        text_member(m, "cache_tiling", CacheTiling::parse, "must be a cache-tiling label")?;
+    let cpu = text_member(m, "cpu", CpuModel::parse, "must name a known host")?;
     let tile = match m.i64_list("tile")?[..] {
         [tm, tn, tk] => (tm, tn, tk),
         _ => return Err(m.invalid("tile", "must be a [m, n, k] array of integers")),
     };
-    // The v2 members. In a v1 document they are absent by construction —
-    // every measurement was implicitly taken at the defaults, which
-    // migration fills. In a v2 document a missing (or malformed) member
-    // is a broken entry: defaulting it would serve some other
-    // configuration's measurement under the default-axes key.
-    let cache_tiling = match m.get("cache_tiling") {
-        None if migrate_v1 => CacheTiling::Auto,
-        _ => CacheTiling::parse(m.str("cache_tiling")?)
-            .ok_or_else(|| m.invalid("cache_tiling", "must be a cache-tiling label"))?,
-    };
-    let cpu = match m.get("cpu") {
-        None if migrate_v1 => CpuModel::PynqZ2,
-        _ => CpuModel::parse(m.str("cpu")?)
-            .ok_or_else(|| m.invalid("cpu", "must name a known host"))?,
-    };
-    Ok(CandidateKey {
-        workload: m.str("workload")?.to_owned(),
-        accel: m.str("accel")?.to_owned(),
-        flow: m.str("flow")?.to_owned(),
+    let key = CandidateKey {
+        workload,
+        accel,
+        flow,
         tile,
         options: OptionsPoint {
             coalesce: m.bool("coalesce")?,
@@ -143,7 +136,11 @@ pub fn key_from(m: &Members<'_>, migrate_v1: bool) -> Result<CandidateKey, Diagn
             cpu,
         },
         seed: m.u64("seed")?,
-    })
+    };
+    match key.defect() {
+        Some((member, must)) => Err(m.invalid(member, must)),
+        None => Ok(key),
+    }
 }
 
 type CounterField = (&'static str, fn(&PerfCounters) -> u64, fn(&mut PerfCounters, u64));
@@ -221,10 +218,14 @@ impl CachedEval {
     }
 }
 
-/// Serializes a cache snapshot in key order.
+/// Serializes a cache snapshot, entries ordered by their *rendered* key
+/// members — the order shard files have always been written in.
 pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
     let mut ordered: Vec<(&CandidateKey, &CachedEval)> = entries.iter().collect();
-    ordered.sort_by_key(|&(key, _)| key);
+    ordered.sort_by_cached_key(|&(key, _)| {
+        let text = (key.workload.to_string(), key.accel.to_string(), key.flow.to_string());
+        (text, key.tile, key.options, key.seed)
+    });
     let entries = ordered
         .into_iter()
         .map(|(key, eval)| {
@@ -242,23 +243,20 @@ pub fn render(entries: &HashMap<CandidateKey, CachedEval>) -> String {
     text
 }
 
-/// Parses a cache document; unknown schemas yield an empty cache, and
-/// `v1` documents migrate (absent `cache_tiling`/`cpu` key members fill
-/// in the defaults those entries were measured under).
+/// Parses a cache document; a document under any other schema tag is an
+/// empty cache.
 pub fn parse(text: &str) -> Result<HashMap<CandidateKey, CachedEval>, Diagnostic> {
     let doc = JsonValue::parse(text)?;
     let mut out = HashMap::new();
     let Ok(doc) = doc.members("result cache") else { return Ok(out) };
-    let schema = doc.str("schema").ok();
-    let migrate_v1 = schema == Some(CACHE_SCHEMA_V1);
-    if schema != Some(CACHE_SCHEMA) && !migrate_v1 {
+    if doc.str("schema").ok() != Some(CACHE_SCHEMA) {
         return Ok(out);
     }
     for entry in doc.array("entries").unwrap_or(&[]) {
         // A cache is disposable: a broken entry is skipped, not fatal —
         // the reader's complaint about it is dropped on purpose.
         let decoded = entry.members("cache entry").and_then(|entry| {
-            Ok((key_from(&entry.object("key")?, migrate_v1)?, CachedEval::from_members(&entry)?))
+            Ok((key_from(&entry.object("key")?)?, CachedEval::from_members(&entry)?))
         });
         if let Ok((key, eval)) = decoded {
             out.insert(key, eval);
@@ -316,9 +314,9 @@ mod tests {
 
     fn sample_key(seed: u64) -> CandidateKey {
         CandidateKey {
-            workload: "matmul 16x16x16".to_owned(),
-            accel: "v4_8".to_owned(),
-            flow: "Cs".to_owned(),
+            workload: Problem::parse("matmul 16x16x16").unwrap(),
+            accel: Target::parse("v4_8").unwrap(),
+            flow: Flow::parse("Cs").unwrap(),
             tile: (16, 8, 8),
             options: OptionsPoint::default(),
             seed,
@@ -376,58 +374,21 @@ mod tests {
         // Unparseable entries are skipped, not fatal.
         let text = "{\"schema\": \"axi4mlir-explore-cache/v2\", \"entries\": [ {\"key\": 5} ]}";
         assert!(parse(text).unwrap().is_empty());
-        // A malformed v2 member is a broken entry, not a v1 key.
+        // A malformed member is a broken entry.
         let text = r#"{"schema": "axi4mlir-explore-cache/v2", "entries": [ {"key": {
             "workload": "matmul 8x8x8", "accel": "v4_8", "flow": "Ns",
             "tile": [8, 8, 8], "coalesce": false, "specialized_copies": true,
             "cache_tiling": "sideways", "cpu": "pynq_z2", "seed": 1},
             "counters": {}, "task_clock_ms": 1.0, "verified": true} ]}"#;
         assert!(parse(text).unwrap().is_empty());
-        // So is an *absent* v2 member: only v1 documents migrate
-        // defaults — defaulting inside a v2 document would serve a
-        // foreign measurement under the default-axes key.
+        // So is an *absent* member: defaulting it would serve a foreign
+        // measurement under the default-axes key.
         let text = r#"{"schema": "axi4mlir-explore-cache/v2", "entries": [ {"key": {
             "workload": "matmul 8x8x8", "accel": "v4_8", "flow": "Ns",
             "tile": [8, 8, 8], "coalesce": false, "specialized_copies": true,
             "seed": 1},
             "counters": {}, "task_clock_ms": 1.0, "verified": true} ]}"#;
         assert!(parse(text).unwrap().is_empty());
-    }
-
-    #[test]
-    fn v1_documents_migrate_to_the_default_axes() {
-        // A v1 key has no cache_tiling/cpu members: its measurements were
-        // taken under the then-implicit defaults, which migration fills.
-        let v1 = r#"{
-          "schema": "axi4mlir-explore-cache/v1",
-          "entries": [
-            { "key": { "workload": "matmul 16x16x16", "accel": "v4_8",
-                       "flow": "Cs", "tile": [16, 8, 8], "coalesce": false,
-                       "specialized_copies": true, "seed": 7 },
-              "counters": { "host_cycles": 123, "device_cycles": 456,
-                            "cache_references": 0, "l1_misses": 0,
-                            "l2_misses": 0, "branch_instructions": 0,
-                            "instructions": 0, "uncached_accesses": 0,
-                            "dma_bytes_to_accel": 0, "dma_bytes_from_accel": 0,
-                            "dma_transactions": 7, "accel_compute_cycles": 0,
-                            "accel_macs": 18446744073709551615 },
-              "task_clock_ms": 0.30000000000000004, "verified": true }
-          ]
-        }"#;
-        let migrated = parse(v1).unwrap();
-        assert_eq!(migrated.len(), 1, "the v1 entry survives migration");
-        let (key, eval) = migrated.iter().next().unwrap();
-        assert_eq!(key, &sample_key(7), "migrated key equals the v2 default-axes key");
-        assert_eq!(key.options.cache_tiling, axi4mlir_config::CacheTiling::Auto);
-        assert_eq!(key.options.cpu, axi4mlir_config::CpuModel::PynqZ2);
-        assert_eq!(eval.counters, sample_eval().counters, "payload intact, bit for bit");
-        assert_eq!(eval.task_clock_ms.to_bits(), sample_eval().task_clock_ms.to_bits());
-        // Re-rendering writes the v2 schema with the axes made explicit.
-        let rendered = render(&migrated);
-        assert!(rendered.contains(CACHE_SCHEMA));
-        assert!(rendered.contains("\"cache_tiling\": \"auto\""));
-        assert!(rendered.contains("\"cpu\": \"pynq_z2\""));
-        assert_eq!(parse(&rendered).unwrap(), migrated, "migrated caches round-trip");
     }
 
     #[test]

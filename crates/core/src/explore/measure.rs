@@ -23,11 +23,11 @@
 //! The second half of this module is the `axi4mlir-worker/v1` wire
 //! vocabulary — the `measure`/`result`/`failed` frames both the remote
 //! pool and the worker daemon speak — plus [`handle_measure`], the
-//! worker-side entry point that rebuilds the space from the request's
-//! [`JobSpec`] and runs the candidate. A space can travel because
-//! realization depends only on the problem shape and data seed
-//! ([`DesignSpace::wire_spec`]); the accelerator, flow, tile, and
-//! options all ride inside the candidate's key.
+//! worker-side entry point: it rebuilds the space from the frame's
+//! [`JobSpec`] ([`DesignSpace::wire_spec`]) as the protocol documents,
+//! but what it runs is named by the candidate's key alone — decoded by
+//! [`wire::candidate_from`], which answers a key that names no buildable
+//! configuration with a `failed` frame before anything is built.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::TcpStream;
@@ -108,8 +108,9 @@ pub struct MeasureQueue<'a> {
     explorer: &'a Explorer,
     space: &'a dyn DesignSpace,
     candidates: &'a [Candidate],
-    meta: &'a [(CandidateKey, u64)],
-    is_full: &'a [bool],
+    /// Per candidate: its fidelity-adjusted key and work, and whether
+    /// measuring that key is a full-fidelity simulation.
+    meta: &'a [(CandidateKey, u64, bool)],
     fidelity: Fidelity,
     stats: &'a SweepStats,
     workers: usize,
@@ -125,8 +126,7 @@ impl<'a> MeasureQueue<'a> {
         explorer: &'a Explorer,
         space: &'a dyn DesignSpace,
         candidates: &'a [Candidate],
-        meta: &'a [(CandidateKey, u64)],
-        is_full: &'a [bool],
+        meta: &'a [(CandidateKey, u64, bool)],
         fidelity: Fidelity,
         stats: &'a SweepStats,
         workers: usize,
@@ -138,7 +138,6 @@ impl<'a> MeasureQueue<'a> {
             space,
             candidates,
             meta,
-            is_full,
             fidelity,
             stats,
             workers,
@@ -222,17 +221,13 @@ impl<'a> MeasureQueue<'a> {
     ) {
         let index = task.index;
         std::mem::forget(task); // resolved: skip the requeue-on-drop path
-        let key = &self.meta[index].0;
+        let (key, _, is_full) = &self.meta[index];
         if let Ok(eval) = &result {
-            self.explorer
-                .cache
-                .lock()
-                .expect("explorer cache poisoned")
-                .insert(key.clone(), eval.clone());
+            self.explorer.cache.lock().expect("explorer cache poisoned").insert(*key, eval.clone());
             self.explorer.mark_dirty(key);
             self.explorer.evals_performed.fetch_add(1, Ordering::Relaxed);
-            self.stats.record_sim(worker, self.is_full[index], nanos);
-            if self.is_full[index] {
+            self.stats.record_sim(worker, *is_full, nanos);
+            if *is_full {
                 self.explorer.full_evals_performed.fetch_add(1, Ordering::Relaxed);
                 self.explorer.full_sim_nanos.fetch_add(nanos, Ordering::Relaxed);
             }
@@ -320,9 +315,9 @@ impl MeasureBackend for LocalPool {
     }
 }
 
-/// Compiles and runs one realized candidate on `session`'s recycled SoC
-/// — the execution primitive both the local pool and the worker daemon
-/// share.
+/// Realizes `candidate` (the one realization a measured candidate gets)
+/// and compiles and runs it on `session`'s recycled SoC — the execution
+/// primitive both the local pool and the worker daemon share.
 ///
 /// # Errors
 ///

@@ -49,7 +49,7 @@ pub mod transfer;
 pub mod wire;
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -60,15 +60,16 @@ use axi4mlir_support::diag::Diagnostic;
 pub use audit::{audit_candidate, audit_config, audit_plan, audit_space};
 pub use axi4mlir_heuristics::objective::Objective;
 use cache::CachedEval;
-pub use cache::{CACHE_SCHEMA, CACHE_SCHEMA_V1};
+pub use cache::CACHE_SCHEMA;
 pub use jobspec::{AnySpace, ExploreRequest, JobSpec};
 pub use measure::{
     Claimed, LocalPool, MeasureBackend, MeasureQueue, MeasureTask, RemotePool, WORKER_SCHEMA,
 };
 pub use search::{HalvingSpec, Search};
 pub use space::{
-    apply_options, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace, DesignSpace,
-    Fidelity, MatMulSpace, MatMulVersion, OptionsPoint, Realization,
+    apply_options, realize, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace,
+    DesignSpace, Fidelity, Flow, MatMulSpace, MatMulVersion, OptionsPoint, Problem, Realization,
+    Target,
 };
 pub use transfer::{Prediction, Tier, TransferModel};
 
@@ -157,7 +158,7 @@ impl Evaluation {
     /// wall-clock pass timings and the cache provenance. Two sweeps of the
     /// same space must agree on this tuple regardless of worker count.
     pub fn deterministic_key(&self) -> (CandidateKey, PerfCounters, u64, bool) {
-        (self.candidate.key.clone(), self.counters, self.task_clock_ms.to_bits(), self.verified)
+        (self.candidate.key, self.counters, self.task_clock_ms.to_bits(), self.verified)
     }
 }
 
@@ -340,7 +341,7 @@ struct InFlight {
 impl InFlight {
     /// Claims `key` for simulation; `false` means someone else holds it.
     fn claim(&self, key: &CandidateKey) -> bool {
-        self.claimed.lock().expect("in-flight registry poisoned").insert(key.clone())
+        self.claimed.lock().expect("in-flight registry poisoned").insert(*key)
     }
 
     fn release(&self, key: &CandidateKey) {
@@ -463,17 +464,9 @@ pub struct Explorer {
     /// The measurement executor sweeps drain through (local pool by
     /// default; see [`Explorer::set_measure_backend`]).
     backend: Box<dyn MeasureBackend>,
-    /// Sharded-persistence bookkeeping for [`Explorer::save_cache_dir`].
-    shards: Mutex<ShardTracker>,
-}
-
-/// Which shards the next [`Explorer::save_cache_dir`] must write: the
-/// shards of every key measured since the last save, plus (once) the
-/// shards migrated out of legacy non-sharded files found at load time.
-#[derive(Default)]
-struct ShardTracker {
-    dirty: BTreeSet<String>,
-    legacy: Vec<PathBuf>,
+    /// The shards the next [`Explorer::save_cache_dir`] must write: those
+    /// of every key measured since the last save.
+    dirty_shards: Mutex<BTreeSet<String>>,
 }
 
 impl Default for Explorer {
@@ -487,7 +480,7 @@ impl Default for Explorer {
             dedup_hits: AtomicUsize::new(0),
             warm: None,
             backend: Box::new(LocalPool),
-            shards: Mutex::default(),
+            dirty_shards: Mutex::default(),
         }
     }
 }
@@ -499,22 +492,14 @@ impl Explorer {
     }
 
     /// An engine warmed from a sharded cache directory (see [`shard`]):
-    /// every `<shard>.json` in `dir` is loaded and merged, and legacy
-    /// non-sharded blobs (e.g. a `BENCH_cache.json` copied in) are
-    /// migrated into the sharded layout on the next
-    /// [`Explorer::save_cache_dir`]. A missing directory yields an empty
-    /// cache.
+    /// every `*.json` file in `dir` is loaded and merged. A missing
+    /// directory yields an empty cache.
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for unreadable files or directories.
     pub fn with_cache_dir(dir: &Path) -> Result<Self, Diagnostic> {
-        let snapshot = shard::load_dir(dir)?;
-        Ok(Self {
-            cache: Mutex::new(snapshot.entries),
-            shards: Mutex::new(ShardTracker { dirty: snapshot.dirty, legacy: snapshot.legacy }),
-            ..Self::default()
-        })
+        Ok(Self { cache: Mutex::new(shard::load_dir(dir)?), ..Self::default() })
     }
 
     /// Installs the measurement backend subsequent sweeps drain through
@@ -559,36 +544,21 @@ impl Explorer {
 
     /// Checkpoints this engine's results into the sharded cache layout
     /// under `dir`, writing **only dirty shards** — shards holding keys
-    /// measured since the last save (plus shards a legacy blob migrated
-    /// into). Each written shard is merged over its on-disk content with
-    /// the commutative [`shard::merge`], so concurrent savers combine
-    /// instead of clobbering; legacy blobs are deleted once their
-    /// entries are safely re-homed. Clean shards are not touched at all.
+    /// measured since the last save. Each written shard is merged over
+    /// its on-disk content with the commutative [`shard::merge`], so
+    /// concurrent savers combine instead of clobbering. Clean shards are
+    /// not touched at all.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors as [`Diagnostic`]s; the dirty set is
     /// preserved on failure so the next checkpoint retries.
     pub fn save_cache_dir(&self, dir: &Path) -> Result<shard::SaveStats, Diagnostic> {
-        let (dirty, legacy) = {
-            let mut tracker = self.shards.lock().expect("shard tracker poisoned");
-            (std::mem::take(&mut tracker.dirty), std::mem::take(&mut tracker.legacy))
-        };
+        let dirty = std::mem::take(&mut *self.dirty_shards.lock().expect("dirty shards poisoned"));
         let snapshot = self.cache.lock().expect("explorer cache poisoned").clone();
-        match shard::save_dir(dir, &snapshot, &dirty) {
-            Ok(stats) => {
-                for path in &legacy {
-                    std::fs::remove_file(path).ok();
-                }
-                Ok(stats)
-            }
-            Err(err) => {
-                let mut tracker = self.shards.lock().expect("shard tracker poisoned");
-                tracker.dirty.extend(dirty);
-                tracker.legacy.extend(legacy);
-                Err(err)
-            }
-        }
+        shard::save_dir(dir, &snapshot, &dirty).inspect_err(|_| {
+            self.dirty_shards.lock().expect("dirty shards poisoned").extend(dirty);
+        })
     }
 
     /// Entry counts per shard of the current in-memory cache, sorted by
@@ -601,7 +571,7 @@ impl Explorer {
 
     /// Marks `key`'s shard as needing the next [`Self::save_cache_dir`].
     fn mark_dirty(&self, key: &CandidateKey) {
-        self.shards.lock().expect("shard tracker poisoned").dirty.insert(shard::shard_of(key));
+        self.dirty_shards.lock().expect("dirty shards poisoned").insert(shard::shard_of(key));
     }
 
     /// How many simulator runs this engine has actually performed (cache
@@ -694,12 +664,11 @@ impl Explorer {
         let mut first_rejection: Option<Diagnostic> = None;
         /// Audit-verdict memo key: (accelerator, flow, tile) — the only
         /// fields the verdict depends on (options and seed do not).
-        type AuditMemoKey = (String, String, (i64, i64, i64));
+        type AuditMemoKey = (Target, Flow, (i64, i64, i64));
         let mut verdicts: HashMap<AuditMemoKey, Option<Diagnostic>> = HashMap::new();
         let mut admitted = Vec::with_capacity(all.len());
         for candidate in all {
-            let memo =
-                (candidate.key.accel.clone(), candidate.key.flow.clone(), candidate.key.tile);
+            let memo = (candidate.key.accel, candidate.key.flow, candidate.key.tile);
             let verdict = match verdicts.get(&memo) {
                 Some(verdict) => verdict.clone(),
                 None => {
@@ -803,18 +772,21 @@ impl Explorer {
         workers: usize,
         stats: &SweepStats,
     ) -> Result<Vec<Evaluation>, Diagnostic> {
-        // Resolve each candidate's fidelity-adjusted identity and work,
-        // then partition into cache hits and pending measurements.
-        let mut meta: Vec<(CandidateKey, u64)> = Vec::with_capacity(candidates.len());
+        // Derive each candidate's fidelity-adjusted identity and work,
+        // then partition into cache hits and pending measurements. A
+        // proxy whose key equals the full key has saturated: simulating
+        // it *is* a full-fidelity simulation, and the full-sims
+        // accounting must say so.
+        let mut meta: Vec<(CandidateKey, u64, bool)> = Vec::with_capacity(candidates.len());
         for candidate in candidates {
-            let realized = space.realize(candidate, fidelity)?;
-            meta.push((realized.key, realized.work));
+            let (key, work) = candidate.key.at(fidelity)?;
+            meta.push((key, work, key == candidate.key.at(Fidelity::Full)?.0));
         }
         let mut slots: Vec<Option<Evaluation>> = Vec::with_capacity(candidates.len());
         let mut pending: Vec<usize> = Vec::new();
         {
             let cache = self.cache.lock().expect("explorer cache poisoned");
-            for (i, (key, work)) in meta.iter().enumerate() {
+            for (i, (key, work, _)) in meta.iter().enumerate() {
                 match cache.get(key) {
                     Some(hit) => {
                         slots.push(Some(hit.to_evaluation(candidates[i].clone(), *work, true)));
@@ -824,18 +796,6 @@ impl Explorer {
                         pending.push(i);
                     }
                 }
-            }
-        }
-        // A proxy realization whose key equals the full realization's
-        // has saturated: simulating it *is* a full-fidelity simulation,
-        // and the full-sims accounting must say so. Resolved only for
-        // the candidates actually about to be simulated — cache hits
-        // never need the (allocation-heavy) second realization.
-        let mut is_full: Vec<bool> = vec![matches!(fidelity, Fidelity::Full); candidates.len()];
-        if matches!(fidelity, Fidelity::Proxy { .. }) {
-            for &index in &pending {
-                is_full[index] =
-                    space.realize(&candidates[index], Fidelity::Full)?.key == meta[index].0;
             }
         }
 
@@ -848,7 +808,7 @@ impl Explorer {
         if expected > 0 {
             let workers = workers.clamp(1, expected);
             let queue = MeasureQueue::new(
-                self, space, candidates, &meta, &is_full, fidelity, stats, workers, pending,
+                self, space, candidates, &meta, fidelity, stats, workers, pending,
             );
             self.backend.drain(&queue)?;
             let mut results = queue.into_done();

@@ -176,9 +176,8 @@ impl Explorer {
             if !stalled {
                 stalled = true;
                 for candidate in &survivors {
-                    let here = space.realize(candidate, Fidelity::Proxy { level })?.key;
-                    let above =
-                        space.realize(candidate, Fidelity::Proxy { level: next_level })?.key;
+                    let here = candidate.key.at(Fidelity::Proxy { level })?.0;
+                    let above = candidate.key.at(Fidelity::Proxy { level: next_level })?.0;
                     if here != above {
                         stalled = false;
                         break;

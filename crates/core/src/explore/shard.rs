@@ -7,11 +7,11 @@
 //! two writers cannot combine results without replaying each other's
 //! saves. This module splits the cache by *workload/shape signature*
 //! instead: every [`CandidateKey`] belongs to exactly one shard, named
-//! after its `workload` string (`matmul 16x16x16` and its proxies
+//! after its rendered `workload` (`matmul 16x16x16` and its proxies
 //! `matmul 8x8x8`, … land in different shards, which is what makes rung
 //! checkpoints cheap — a rung touches one fidelity's shards only). Each
 //! shard file is an ordinary [`super::cache`] document (corrupt-tolerant
-//! loads, v1 migration), written atomically: [`save_dir`] stages the
+//! loads), written atomically: [`save_dir`] stages the
 //! merged shard in a sibling temporary file and renames it into place,
 //! so a crash mid-save leaves the old shard intact rather than a
 //! truncated JSON file.
@@ -25,14 +25,10 @@
 //! therefore combine shard directories in any order without a
 //! coordinator and converge on the same bytes.
 //!
-//! Pre-sharding single-file caches migrate losslessly (move the old
-//! `BENCH_cache.json` into the directory; the next save re-shards and
-//! removes it): [`load_dir`] accepts
-//! any `*.json` file in the directory, and a file whose entries do not
-//! all belong to the shard its name spells (e.g. a moved-in
-//! `BENCH_cache.json` blob) is treated as a legacy document — its
-//! entries load, their proper shards are marked dirty, and the blob is
-//! deleted once a save has re-sharded every entry.
+//! [`load_dir`] reads every `*.json` file in the directory, whatever its
+//! name: a file that is not one of this layout's shards (copied in by
+//! hand) still contributes its entries in memory. It is never rewritten
+//! or removed — [`save_dir`] writes shard files only.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -71,7 +67,7 @@ pub fn shard_name(workload: &str) -> String {
 
 /// The shard `key` belongs to.
 pub fn shard_of(key: &CandidateKey) -> String {
-    shard_name(&key.workload)
+    shard_name(&key.workload.to_string())
 }
 
 /// The file a shard lives in.
@@ -93,7 +89,7 @@ pub fn merge(
         match out.get(key) {
             Some(ours) if cache::payload_rank(ours) <= cache::payload_rank(theirs) => {}
             _ => {
-                out.insert(key.clone(), theirs.clone());
+                out.insert(*key, theirs.clone());
             }
         }
     }
@@ -109,35 +105,18 @@ pub fn shard_counts(entries: &HashMap<CandidateKey, CachedEval>) -> BTreeMap<Str
     counts
 }
 
-/// What [`load_dir`] found in a shard directory.
-#[derive(Debug, Default)]
-pub struct DirSnapshot {
-    /// Every entry, merged across all shard and legacy files.
-    pub entries: HashMap<CandidateKey, CachedEval>,
-    /// Shards that must be written to complete a legacy migration (their
-    /// entries currently live only in a mis-named blob).
-    pub dirty: BTreeSet<String>,
-    /// Legacy (non-shard) files whose entries are covered by
-    /// [`DirSnapshot::dirty`]; delete them after a successful save.
-    pub legacy: Vec<PathBuf>,
-}
-
-/// Loads a shard directory. A missing directory is an empty cache. Every
-/// `*.json` file loads through the tolerant [`cache::load`]; a file
-/// whose entries do not all belong to the shard its name spells is a
-/// *legacy* document (typically a moved-in single-file
-/// `BENCH_cache.json`): its entries merge in, their proper shards are
-/// marked dirty, and the file is scheduled for deletion after the next
-/// save re-shards them — migration loses nothing.
+/// Loads a shard directory: every `*.json` file in it, through the
+/// tolerant [`cache::load`], merged. A missing directory is an empty
+/// cache.
 ///
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] for unreadable directories or files.
-pub fn load_dir(dir: &Path) -> Result<DirSnapshot, Diagnostic> {
-    let mut snapshot = DirSnapshot::default();
+pub fn load_dir(dir: &Path) -> Result<HashMap<CandidateKey, CachedEval>, Diagnostic> {
+    let mut entries = HashMap::new();
     let reader = match fs::read_dir(dir) {
         Ok(reader) => reader,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(snapshot),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(entries),
         Err(err) => return Err(Diagnostic::error(format!("cannot read {}: {err}", dir.display()))),
     };
     let mut files: Vec<PathBuf> = reader
@@ -151,17 +130,9 @@ pub fn load_dir(dir: &Path) -> Result<DirSnapshot, Diagnostic> {
         .collect();
     files.sort();
     for path in files {
-        let entries = cache::load(&path)?;
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("").to_owned();
-        let shards: BTreeSet<String> = entries.keys().map(shard_of).collect();
-        let native = shards.iter().all(|s| *s == stem);
-        if !native {
-            snapshot.dirty.extend(shards);
-            snapshot.legacy.push(path);
-        }
-        snapshot.entries = merge(&snapshot.entries, &entries);
+        entries = merge(&entries, &cache::load(&path)?);
     }
-    Ok(snapshot)
+    Ok(entries)
 }
 
 /// What one [`save_dir`] actually touched.
@@ -182,13 +153,13 @@ pub struct SaveStats {
 fn compact(entries: HashMap<CandidateKey, CachedEval>) -> HashMap<CandidateKey, CachedEval> {
     let mut newest: HashMap<CandidateKey, u64> = HashMap::new();
     for key in entries.keys() {
-        let base = CandidateKey { seed: 0, ..key.clone() };
+        let base = CandidateKey { seed: 0, ..*key };
         let best = newest.entry(base).or_insert(key.seed);
         *best = (*best).max(key.seed);
     }
     entries
         .into_iter()
-        .filter(|(key, _)| newest[&CandidateKey { seed: 0, ..key.clone() }] == key.seed)
+        .filter(|(key, _)| newest[&CandidateKey { seed: 0, ..*key }] == key.seed)
         .collect()
 }
 
@@ -217,7 +188,7 @@ pub fn save_dir(
 ) -> Result<SaveStats, Diagnostic> {
     let mut by_shard: BTreeMap<String, HashMap<CandidateKey, CachedEval>> = BTreeMap::new();
     for (key, eval) in entries {
-        by_shard.entry(shard_of(key)).or_default().insert(key.clone(), eval.clone());
+        by_shard.entry(shard_of(key)).or_default().insert(*key, eval.clone());
     }
     let mut stats = SaveStats { entries: entries.len(), ..SaveStats::default() };
     if dirty.is_empty() {
@@ -265,14 +236,14 @@ pub fn save_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::space::OptionsPoint;
+    use crate::explore::space::{Flow, OptionsPoint, Problem, Target};
     use axi4mlir_sim::counters::PerfCounters;
 
     fn key(workload: &str, seed: u64) -> CandidateKey {
         CandidateKey {
-            workload: workload.to_owned(),
-            accel: "v4_8".to_owned(),
-            flow: "Cs".to_owned(),
+            workload: Problem::parse(workload).unwrap(),
+            accel: Target::parse("v4_8").unwrap(),
+            flow: Flow::parse("Cs").unwrap(),
             tile: (8, 8, 8),
             options: OptionsPoint::default(),
             seed,
@@ -328,7 +299,7 @@ mod tests {
         let stats = save_dir(&dir, &entries, &all).unwrap();
         assert_eq!(stats.written.len(), 2);
         assert_eq!(stats.skipped, 0);
-        assert_eq!(load_dir(&dir).unwrap().entries, entries);
+        assert_eq!(load_dir(&dir).unwrap(), entries);
 
         // A second save with one dirty shard touches exactly one file.
         let dirty: BTreeSet<String> = [shard_name("matmul 8x8x8")].into();
@@ -336,35 +307,7 @@ mod tests {
         let stats = save_dir(&dir, &entries, &dirty).unwrap();
         assert_eq!(stats.written, vec![shard_name("matmul 8x8x8")]);
         assert_eq!(stats.skipped, 1);
-        let back = load_dir(&dir).unwrap();
-        assert_eq!(back.entries, entries);
-        assert!(back.dirty.is_empty(), "shard files are native, nothing to migrate");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_blobs_migrate_losslessly_and_mark_their_shards_dirty() {
-        let dir =
-            std::env::temp_dir().join(format!("axi4mlir-shard-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut blob = HashMap::new();
-        blob.insert(key("matmul 8x8x8", 1), eval(1.0));
-        blob.insert(key("matmul 16x16x16", 1), eval(2.0));
-        let legacy_path = dir.join("BENCH_cache.json");
-        std::fs::write(&legacy_path, cache::render(&blob)).unwrap();
-
-        let snapshot = load_dir(&dir).unwrap();
-        assert_eq!(snapshot.entries, blob, "migration is lossless");
-        assert_eq!(snapshot.dirty.len(), 2, "both shards need a rewrite");
-        assert_eq!(snapshot.legacy, vec![legacy_path.clone()]);
-
-        // A save re-shards the entries; deleting the blob then loses nothing.
-        save_dir(&dir, &snapshot.entries, &snapshot.dirty).unwrap();
-        std::fs::remove_file(&legacy_path).unwrap();
-        let after = load_dir(&dir).unwrap();
-        assert_eq!(after.entries, blob);
-        assert!(after.legacy.is_empty());
+        assert_eq!(load_dir(&dir).unwrap(), entries);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -381,7 +324,7 @@ mod tests {
         let dirty: BTreeSet<String> = [shard_name("matmul 8x8x8")].into();
         let stats = save_dir(&dir, &entries, &dirty).unwrap();
         assert_eq!(stats.compacted, SHARD_CAP);
-        let back = load_dir(&dir).unwrap().entries;
+        let back = load_dir(&dir).unwrap();
         assert_eq!(back.len(), 1);
         assert!(back.contains_key(&key("matmul 8x8x8", SHARD_CAP as u64 + 1)));
         std::fs::remove_dir_all(&dir).ok();

@@ -14,14 +14,20 @@
 //! - [`ConvSpace`]: one §IV-D layer; its geometric point is fixed by the
 //!   layer, so the space is the `PipelineOptions` axis.
 //!
-//! Candidates are identified by a structured [`CandidateKey`] — the
-//! explorer's cache key, which distinguishes every axis (including the
-//! options and the accelerator generation, which the PR-2 string key
-//! conflated) and round-trips through the persistent result cache.
+//! Candidates are identified by a typed, `Copy` [`CandidateKey`] — the
+//! explorer's cache key. Each of [`Problem`], [`Target`] and [`Flow`] has
+//! one `Display`/`parse` pair that owns its persisted spelling; text
+//! becomes a key only in [`cache::key_from`](super::cache::key_from).
+//! Realization is a function of the key: [`CandidateKey::at`] derives
+//! the fidelity-adjusted key and work, [`realize`] builds what it names,
+//! and [`DesignSpace::realize`] is that function for every space.
 //!
 //! [`candidate_edges`]: axi4mlir_heuristics::candidate_edges
 
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use std::fmt;
+
+use axi4mlir_config::presets::matmul_flows;
+use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, CacheTiling, FlowStrategy};
 use axi4mlir_heuristics::space::{batched_points, conv_point, matmul_points, SpacePoint};
 use axi4mlir_heuristics::{best_choice, instantiation_base, ConvShapeEstimate, TransferEstimate};
 use axi4mlir_support::diag::Diagnostic;
@@ -35,7 +41,7 @@ pub use axi4mlir_heuristics::space::{AccelInstance, OptionsPoint};
 use crate::driver::{BatchedMatMulWorkload, CompilePlan, ConvWorkload, MatMulWorkload, Workload};
 use crate::options::PipelineOptions;
 
-use super::jobspec::JobSpec;
+use super::jobspec::{parse_dims, parse_layer, JobSpec};
 
 /// Applies an [`OptionsPoint`] onto a compile plan: the pipeline knobs
 /// (coalescing, copy specialization, cache-tiling level) plus the named
@@ -50,20 +56,160 @@ pub fn apply_options(plan: CompilePlan, options: &OptionsPoint) -> CompilePlan {
     plan.options(pipeline).cpu_spec(options.cpu.spec())
 }
 
-/// The structured identity of one candidate — the explorer's cache key.
+/// The problem a candidate measures; renders as the key's `workload`
+/// member (`matmul 16x16x16`, `batched 8x8x8 x3`, `conv 10_64_3_16_1`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Problem {
+    /// One GEMM.
+    MatMul(MatMulProblem),
+    /// A batch of independent same-shape GEMMs.
+    Batched(BatchedMatMulProblem),
+    /// One §IV-D convolution layer.
+    Conv(ConvLayer),
+}
+
+impl Problem {
+    /// The workload kind (`matmul`, `batched`, `conv`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Problem::MatMul(_) => "matmul",
+            Problem::Batched(_) => "batched",
+            Problem::Conv(_) => "conv",
+        }
+    }
+
+    /// The (per-element) GEMM of a MatMul-shaped problem.
+    pub fn gemm(&self) -> Option<MatMulProblem> {
+        match self {
+            Problem::MatMul(problem) => Some(*problem),
+            Problem::Batched(batch) => Some(batch.problem),
+            Problem::Conv(_) => None,
+        }
+    }
+
+    /// Multiply-accumulates of the whole problem.
+    pub fn macs(&self) -> u64 {
+        match self {
+            Problem::MatMul(problem) => problem.macs(),
+            Problem::Batched(batch) => batch.macs(),
+            Problem::Conv(layer) => layer.macs(),
+        }
+    }
+
+    /// Parses the `Display` spelling back; `None` for anything else,
+    /// non-positive extents included.
+    pub fn parse(text: &str) -> Option<Problem> {
+        let (kind, shape) = text.split_once(' ')?;
+        match kind {
+            "matmul" => parse_dims(shape).map(Problem::MatMul),
+            "batched" => {
+                let (dims, batch) = shape.split_once(" x")?;
+                let batch = batch.parse().ok().filter(|&batch| batch > 0)?;
+                Some(Problem::Batched(BatchedMatMulProblem::new(parse_dims(dims)?, batch)))
+            }
+            "conv" => parse_layer(shape).map(Problem::Conv),
+            _ => None,
+        }
+    }
+
+    /// The proxy at `level` units per dimension (see [`Fidelity::Proxy`]).
+    /// A batch shrinks both axes: one element stands in for the whole
+    /// batch (the elements are independent and identically shaped, so one
+    /// preserves the ranking).
+    fn proxy(self, tile: (i64, i64, i64), level: u8) -> Problem {
+        match self {
+            Problem::MatMul(problem) => Problem::MatMul(proxy_problem(problem, tile, level)),
+            Problem::Batched(batch) => Problem::Batched(BatchedMatMulProblem::new(
+                proxy_problem(batch.problem, tile, level),
+                1,
+            )),
+            Problem::Conv(layer) => Problem::Conv(conv_proxy_layer(layer, level)),
+        }
+    }
+}
+
+impl fmt::Display for Problem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Problem::MatMul(problem) => write!(f, "matmul {problem}"),
+            Problem::Batched(batch) => write!(f, "batched {batch}"),
+            Problem::Conv(layer) => write!(f, "conv {layer}"),
+        }
+    }
+}
+
+/// The accelerator a candidate instantiates; renders as the key's
+/// `accel` member (`v4_16`, `v2_8`, `conv2d`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Target {
+    /// A Table I MatMul generation at a size.
+    MatMul(AccelInstance),
+    /// The §IV-D Conv2D unit, configured by the layer.
+    Conv2d,
+}
+
+impl Target {
+    /// Parses the `Display` spelling back (`v3_0` and `v9_8` are `None`).
+    pub fn parse(text: &str) -> Option<Target> {
+        match text {
+            "conv2d" => Some(Target::Conv2d),
+            _ => AccelInstance::parse(text).map(Target::MatMul),
+        }
+    }
+}
+
+impl fmt::Display for Target {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Target::MatMul(accel) => accel.fmt(f),
+            Target::Conv2d => f.write_str("conv2d"),
+        }
+    }
+}
+
+/// The dataflow a candidate runs; renders as the key's `flow` member
+/// (`Ns`/`As`/`Bs`/`Cs`, `FOs` for conv).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Flow {
+    /// A MatMul stationarity strategy.
+    MatMul(FlowStrategy),
+    /// The Conv2D unit's one flow: filter and output slice stationary.
+    FilterOutputStationary,
+}
+
+impl Flow {
+    /// Parses the `Display` spelling back.
+    pub fn parse(text: &str) -> Option<Flow> {
+        match text {
+            "FOs" => Some(Flow::FilterOutputStationary),
+            _ => FlowStrategy::from_short_name(text).map(Flow::MatMul),
+        }
+    }
+}
+
+impl fmt::Display for Flow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Flow::MatMul(flow) => flow.short_name(),
+            Flow::FilterOutputStationary => "FOs",
+        })
+    }
+}
+
+/// The typed identity of one candidate — the explorer's cache key.
 ///
 /// Every axis is a separate field: two candidates differing in *any* of
 /// workload (problem dims included), accelerator instantiation, flow,
-/// tile, pipeline options, or data seed get distinct keys.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// tile, pipeline options, or data seed get distinct keys. Not `Ord`:
+/// documents order entries by the *rendered* members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CandidateKey {
-    /// Workload kind and problem, e.g. `matmul 16x16x16`,
-    /// `batched 8x8x8 x3`, `conv 10_64_3_16_1`.
-    pub workload: String,
-    /// Accelerator instantiation, e.g. `v4_16`, `v2_8`, `conv2d`.
-    pub accel: String,
-    /// Dataflow short name (`Ns`/`As`/`Bs`/`Cs`, `FOs` for conv).
-    pub flow: String,
+    /// Workload kind and problem.
+    pub workload: Problem,
+    /// Accelerator instantiation.
+    pub accel: Target,
+    /// Dataflow.
+    pub flow: Flow,
     /// The `(tM, tN, tK)` tile; `(0, 0, 0)` for spaces without a tile
     /// axis (conv).
     pub tile: (i64, i64, i64),
@@ -83,6 +229,56 @@ impl CandidateKey {
             format!(" {} {} {}", self.tile.0, self.tile.1, self.tile.2)
         };
         format!("{} {}{}{}", self.accel, self.flow, tile, self.options.suffix())
+    }
+
+    /// The member that makes this key unbuildable and what it must be
+    /// (the rule is stated on [`Self::at`]).
+    pub(crate) fn defect(&self) -> Option<(&'static str, &'static str)> {
+        let (tm, tn, tk) = self.tile;
+        match (self.workload, self.accel, self.flow) {
+            (Problem::Conv(_), Target::Conv2d, Flow::FilterOutputStationary) => {
+                (self.tile != (0, 0, 0)).then_some(("tile", "must be [0, 0, 0] on the conv2d unit"))
+            }
+            (Problem::Conv(_), Target::Conv2d, _) => Some(("flow", "must be FOs on conv2d")),
+            (Problem::Conv(_), ..) => Some(("accel", "must be conv2d for a conv workload")),
+            (_, Target::Conv2d, _) => Some(("accel", "must be a vN_SIZE MatMul instance")),
+            (_, Target::MatMul(accel), Flow::MatMul(flow))
+                if matmul_flows(accel.version).iter().any(|&(offered, _)| offered == flow) =>
+            {
+                (tm <= 0 || tn <= 0 || tk <= 0)
+                    .then_some(("tile", "must be positive on a MatMul instance"))
+            }
+            _ => Some(("flow", "must be a flow the accelerator offers")),
+        }
+    }
+
+    /// The identity and work (MACs) of this candidate measured at
+    /// `fidelity`, derived without building anything: a proxy carries the
+    /// proxy problem in `workload` (a proxy covering the full problem
+    /// *is* the full key), and a fixed cache tile the realized problem
+    /// cannot run under is clamped (see `realized_options`).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending member of a key outside the closed buildable
+    /// world: a MatMul-shaped problem runs on a `vN_SIZE` instance under
+    /// a flow that generation offers with a positive tile; a conv layer
+    /// runs on `conv2d` under `FOs` with no tile.
+    pub fn at(&self, fidelity: Fidelity) -> Result<(CandidateKey, u64), Diagnostic> {
+        if let Some((member, must)) = self.defect() {
+            return Err(Diagnostic::error(format!("candidate key: `{member}` {must}")));
+        }
+        let workload = match fidelity {
+            Fidelity::Full => self.workload,
+            Fidelity::Proxy { level } => self.workload.proxy(self.tile, level),
+        };
+        let options = match (workload.gemm(), self.flow) {
+            (Some(problem), Flow::MatMul(flow)) => {
+                realized_options(self.options, problem, self.tile, flow)
+            }
+            _ => self.options,
+        };
+        Ok((CandidateKey { workload, options, ..*self }, workload.macs()))
     }
 }
 
@@ -143,9 +339,7 @@ impl Fidelity {
 
 /// A realized candidate: what the measurement engine runs.
 pub struct Realization {
-    /// Identity of the *realized* measurement (fidelity-adjusted: a proxy
-    /// realization carries the proxy problem in its `workload` field, so
-    /// proxy and full measurements cache separately).
+    /// Identity of the *realized* measurement ([`CandidateKey::at`]).
     pub key: CandidateKey,
     /// The workload to run.
     pub workload: Box<dyn Workload>,
@@ -175,14 +369,18 @@ pub trait DesignSpace: Sync {
     /// (e.g. a conv layer exceeding the device buffer capacities).
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic>;
 
-    /// Realizes one candidate at a fidelity.
+    /// [`realize`] of the candidate's key; no space overrides this.
     ///
     /// # Errors
     ///
-    /// Returns a [`Diagnostic`] for candidates that do not belong to this
-    /// space (e.g. an unparseable accelerator name from a foreign cache).
-    fn realize(&self, candidate: &Candidate, fidelity: Fidelity)
-        -> Result<Realization, Diagnostic>;
+    /// See [`realize`].
+    fn realize(
+        &self,
+        candidate: &Candidate,
+        fidelity: Fidelity,
+    ) -> Result<Realization, Diagnostic> {
+        realize(&candidate.key, fidelity)
+    }
 
     /// The analytical heuristic pick this space's cost model would make,
     /// when it has one — measured alongside the sweep so reports can
@@ -191,12 +389,10 @@ pub trait DesignSpace: Sync {
         None
     }
 
-    /// The minimal [`JobSpec`] a remote `axi4mlir-worker` rebuilds this
-    /// space from, when the space can travel. Realization depends only
-    /// on the problem shape and the data seed — the accelerator, flow,
-    /// tile, and options ride inside the candidate key — so the spec
-    /// needs neither the accelerator list nor the options axis. `None`
-    /// (the default) confines the space to local measurement.
+    /// The minimal [`JobSpec`] the `axi4mlir-worker/v1` protocol carries
+    /// beside each candidate, when the space can travel: the problem
+    /// shape and the data seed. `None` (the default) confines the space
+    /// to local measurement.
     fn wire_spec(&self) -> Option<JobSpec> {
         None
     }
@@ -269,10 +465,6 @@ impl MatMulSpace {
     fn dims(&self) -> (i64, i64, i64) {
         (self.problem.m, self.problem.n, self.problem.k)
     }
-
-    fn workload_label(problem: MatMulProblem) -> String {
-        format!("matmul {problem}")
-    }
 }
 
 /// Expands geometric points by an options axis into keyed candidates,
@@ -281,7 +473,7 @@ impl MatMulSpace {
 /// host variants that could not change the measurement.
 fn keyed(
     points: Vec<SpacePoint>,
-    workload: &str,
+    workload: Problem,
     problem: (i64, i64, i64),
     options_axis: &[OptionsPoint],
     seed: u64,
@@ -294,9 +486,9 @@ fn keyed(
             }
             out.push(Candidate {
                 key: CandidateKey {
-                    workload: workload.to_owned(),
-                    accel: point.accel.label(),
-                    flow: point.flow.short_name().to_owned(),
+                    workload,
+                    accel: Target::MatMul(point.accel),
+                    flow: Flow::MatMul(point.flow),
                     tile: point.tile,
                     options,
                     seed,
@@ -306,16 +498,6 @@ fn keyed(
         }
     }
     out
-}
-
-/// Parses the structured accelerator/flow fields of a MatMul-shaped key.
-fn matmul_key_target(key: &CandidateKey) -> Result<(AccelInstance, FlowStrategy), Diagnostic> {
-    let accel = AccelInstance::parse(&key.accel).ok_or_else(|| {
-        Diagnostic::error(format!("candidate accelerator `{}` is not a MatMul instance", key.accel))
-    })?;
-    let flow = FlowStrategy::from_short_name(&key.flow)
-        .ok_or_else(|| Diagnostic::error(format!("unknown flow `{}`", key.flow)))?;
-    Ok((accel, flow))
 }
 
 /// The accelerator configuration a MatMul candidate instantiates.
@@ -363,13 +545,37 @@ fn realized_options(
     flow: FlowStrategy,
 ) -> OptionsPoint {
     match options.cache_tiling {
-        axi4mlir_config::CacheTiling::Fixed(_)
+        CacheTiling::Fixed(_)
             if !options.legal_for_matmul((problem.m, problem.n, problem.k), tile, flow) =>
         {
-            OptionsPoint { cache_tiling: axi4mlir_config::CacheTiling::Off, ..options }
+            OptionsPoint { cache_tiling: CacheTiling::Off, ..options }
         }
         _ => options,
     }
+}
+
+/// Builds the workload and compile plan of `key.at(fidelity)`, seeded by
+/// the key — the one realization.
+///
+/// # Errors
+///
+/// See [`CandidateKey::at`].
+pub fn realize(key: &CandidateKey, fidelity: Fidelity) -> Result<Realization, Diagnostic> {
+    let (key, work) = key.at(fidelity)?;
+    let plan = match (key.workload, key.accel, key.flow) {
+        (Problem::Conv(layer), ..) => CompilePlan::for_conv_layer(layer),
+        (_, Target::MatMul(accel), Flow::MatMul(flow)) => {
+            CompilePlan::for_accelerator(matmul_config(accel, key.tile, flow))
+        }
+        _ => unreachable!("`at` admits no MatMul problem off a MatMul instance and flow"),
+    };
+    let workload: Box<dyn Workload> = match key.workload {
+        Problem::MatMul(problem) => Box::new(MatMulWorkload::new(problem)),
+        Problem::Batched(batch) => Box::new(BatchedMatMulWorkload::new(batch)),
+        Problem::Conv(layer) => Box::new(ConvWorkload::new(layer)),
+    };
+    let plan = apply_options(plan.seed(key.seed), &key.options);
+    Ok(Realization { key, workload, plan, work })
 }
 
 impl DesignSpace for MatMulSpace {
@@ -384,38 +590,8 @@ impl DesignSpace for MatMulSpace {
 
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic> {
         let points = matmul_points(self.dims(), &self.accels, self.capacity_words, &self.flows);
-        Ok(keyed(
-            points,
-            &Self::workload_label(self.problem),
-            self.dims(),
-            &self.options_axis,
-            self.seed,
-        ))
-    }
-
-    fn realize(
-        &self,
-        candidate: &Candidate,
-        fidelity: Fidelity,
-    ) -> Result<Realization, Diagnostic> {
-        let (accel, flow) = matmul_key_target(&candidate.key)?;
-        let problem = match fidelity {
-            Fidelity::Full => self.problem,
-            Fidelity::Proxy { level } => proxy_problem(self.problem, candidate.key.tile, level),
-        };
-        let options = realized_options(candidate.key.options, problem, candidate.key.tile, flow);
-        let config = matmul_config(accel, candidate.key.tile, flow);
-        let plan = apply_options(CompilePlan::for_accelerator(config).seed(self.seed), &options);
-        Ok(Realization {
-            key: CandidateKey {
-                workload: Self::workload_label(problem),
-                options,
-                ..candidate.key.clone()
-            },
-            workload: Box::new(MatMulWorkload::new(problem)),
-            plan,
-            work: problem.macs(),
-        })
+        let workload = Problem::MatMul(self.problem);
+        Ok(keyed(points, workload, self.dims(), &self.options_axis, self.seed))
     }
 
     fn heuristic(&self) -> Option<Candidate> {
@@ -423,9 +599,9 @@ impl DesignSpace for MatMulSpace {
         let choice = best_choice(self.dims(), v4.size, self.capacity_words).ok()?;
         Some(Candidate {
             key: CandidateKey {
-                workload: Self::workload_label(self.problem),
-                accel: v4.label(),
-                flow: choice.flow.short_name().to_owned(),
+                workload: Problem::MatMul(self.problem),
+                accel: Target::MatMul(*v4),
+                flow: Flow::MatMul(choice.flow),
                 tile: choice.tile,
                 options: self.options_axis.first().copied().unwrap_or_default(),
                 seed: self.seed,
@@ -506,10 +682,6 @@ impl BatchedSpace {
     fn dims(&self) -> (i64, i64, i64) {
         (self.batch.problem.m, self.batch.problem.n, self.batch.problem.k)
     }
-
-    fn workload_label(batch: BatchedMatMulProblem) -> String {
-        format!("batched {batch}")
-    }
 }
 
 impl DesignSpace for BatchedSpace {
@@ -530,48 +702,8 @@ impl DesignSpace for BatchedSpace {
             self.capacity_words,
             &self.flows,
         );
-        Ok(keyed(
-            points,
-            &Self::workload_label(self.batch),
-            self.dims(),
-            &self.options_axis,
-            self.seed,
-        ))
-    }
-
-    fn realize(
-        &self,
-        candidate: &Candidate,
-        fidelity: Fidelity,
-    ) -> Result<Realization, Diagnostic> {
-        let (accel, flow) = matmul_key_target(&candidate.key)?;
-        // The proxy shrinks both axes of the batch: the per-element
-        // problem is capped at `level` tiles per dimension, and a single
-        // element stands in for the whole batch (the elements are
-        // independent and identically shaped, so one preserves the
-        // ranking) — without this, every proxy round re-measured the
-        // full batch and halving saved nothing here.
-        let batch = match fidelity {
-            Fidelity::Full => self.batch,
-            Fidelity::Proxy { level } => BatchedMatMulProblem::new(
-                proxy_problem(self.batch.problem, candidate.key.tile, level),
-                1,
-            ),
-        };
-        let options =
-            realized_options(candidate.key.options, batch.problem, candidate.key.tile, flow);
-        let config = matmul_config(accel, candidate.key.tile, flow);
-        let plan = apply_options(CompilePlan::for_accelerator(config).seed(self.seed), &options);
-        Ok(Realization {
-            key: CandidateKey {
-                workload: Self::workload_label(batch),
-                options,
-                ..candidate.key.clone()
-            },
-            workload: Box::new(BatchedMatMulWorkload::new(batch)),
-            plan,
-            work: batch.macs(),
-        })
+        let workload = Problem::Batched(self.batch);
+        Ok(keyed(points, workload, self.dims(), &self.options_axis, self.seed))
     }
 
     fn heuristic(&self) -> Option<Candidate> {
@@ -579,9 +711,9 @@ impl DesignSpace for BatchedSpace {
         let choice = best_choice(self.dims(), v4.size, self.capacity_words).ok()?;
         Some(Candidate {
             key: CandidateKey {
-                workload: Self::workload_label(self.batch),
-                accel: v4.label(),
-                flow: choice.flow.short_name().to_owned(),
+                workload: Problem::Batched(self.batch),
+                accel: Target::MatMul(*v4),
+                flow: Flow::MatMul(choice.flow),
                 tile: choice.tile,
                 options: self.options_axis.first().copied().unwrap_or_default(),
                 seed: self.seed,
@@ -674,10 +806,6 @@ impl ConvSpace {
         self.seed = seed;
         self
     }
-
-    fn workload_label(&self) -> String {
-        format!("conv {}", self.layer)
-    }
 }
 
 impl DesignSpace for ConvSpace {
@@ -699,9 +827,9 @@ impl DesignSpace for ConvSpace {
             .filter(|options| options.legal_for_conv())
             .map(|&options| Candidate {
                 key: CandidateKey {
-                    workload: self.workload_label(),
-                    accel: "conv2d".to_owned(),
-                    flow: "FOs".to_owned(),
+                    workload: Problem::Conv(self.layer),
+                    accel: Target::Conv2d,
+                    flow: Flow::FilterOutputStationary,
                     tile: (0, 0, 0),
                     options,
                     seed: self.seed,
@@ -709,32 +837,6 @@ impl DesignSpace for ConvSpace {
                 estimate,
             })
             .collect())
-    }
-
-    fn realize(
-        &self,
-        candidate: &Candidate,
-        fidelity: Fidelity,
-    ) -> Result<Realization, Diagnostic> {
-        // The accelerator is sized to the layer's channel/filter shape,
-        // which a proxy must keep — but the *output extent* is free:
-        // proxy rounds run a reduced-output layer (fewer pixels and
-        // output channels), so halving saves real work here instead of
-        // re-measuring the full layer every round.
-        let layer = match fidelity {
-            Fidelity::Full => self.layer,
-            Fidelity::Proxy { level } => conv_proxy_layer(self.layer, level),
-        };
-        let plan = apply_options(
-            CompilePlan::for_conv_layer(layer).seed(self.seed),
-            &candidate.key.options,
-        );
-        Ok(Realization {
-            key: CandidateKey { workload: format!("conv {layer}"), ..candidate.key.clone() },
-            workload: Box::new(ConvWorkload::new(layer)),
-            plan,
-            work: layer.macs(),
-        })
     }
 
     fn heuristic(&self) -> Option<Candidate> {
@@ -793,7 +895,7 @@ mod tests {
             .options_axis(axis);
         let candidates = space.enumerate().unwrap();
         let keys: std::collections::HashSet<CandidateKey> =
-            candidates.iter().map(|c| c.key.clone()).collect();
+            candidates.iter().map(|c| c.key).collect();
         assert_eq!(keys.len(), candidates.len(), "every widened key is unique");
         let tilings: std::collections::HashSet<String> =
             candidates.iter().map(|c| c.key.options.cache_tiling.label()).collect();
@@ -835,7 +937,7 @@ mod tests {
         let full = space.realize(&candidate, Fidelity::Full).unwrap();
         assert_eq!(full.plan.options.cache_tiling, CacheTiling::Fixed(24));
         let proxy = space.realize(&candidate, Fidelity::Proxy { level: 4 }).unwrap();
-        assert!(proxy.key.workload.contains("32x32x32"), "{}", proxy.key.workload);
+        assert_eq!(proxy.key.workload, Problem::MatMul(MatMulProblem::new(32, 32, 32)));
         assert_eq!(proxy.plan.options.cache_tiling, CacheTiling::Off);
         assert_eq!(proxy.key.options.cache_tiling, CacheTiling::Off, "the key says what ran");
         // The clamped proxy actually runs (this aborted the sweep before).
@@ -889,12 +991,13 @@ mod tests {
             .options_axis(OptionsPoint::axis());
         let candidates = space.enumerate().unwrap();
         let keys: std::collections::HashSet<CandidateKey> =
-            candidates.iter().map(|c| c.key.clone()).collect();
+            candidates.iter().map(|c| c.key).collect();
         assert_eq!(keys.len(), candidates.len(), "every candidate key is unique");
         // The same (flow, tile) exists on both accelerators and under
         // several options points — only the structured key separates them.
+        let ns = Flow::MatMul(FlowStrategy::NothingStationary);
         let same_geometry: Vec<&Candidate> =
-            candidates.iter().filter(|c| c.key.flow == "Ns" && c.key.tile == (8, 8, 8)).collect();
+            candidates.iter().filter(|c| c.key.flow == ns && c.key.tile == (8, 8, 8)).collect();
         assert_eq!(same_geometry.len(), 2 * 4, "two accels x four option points");
     }
 
@@ -923,18 +1026,18 @@ mod tests {
 
     #[test]
     fn realize_targets_the_named_generation() {
-        let space = MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(vec![
-            AccelInstance { version: MatMulVersion::V2, size: 8 },
-            AccelInstance::v4(8),
-        ]);
+        let accels = [AccelInstance { version: MatMulVersion::V2, size: 8 }, AccelInstance::v4(8)];
+        let space = MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(accels.to_vec());
         let candidates = space.enumerate().unwrap();
-        let v2 = candidates.iter().find(|c| c.key.accel == "v2_8").unwrap();
+        let on = |accel| candidates.iter().find(|c| c.key.accel == Target::MatMul(accel));
+        let v2 = on(accels[0]).unwrap();
         let r = space.realize(v2, Fidelity::Full).unwrap();
         assert_eq!(r.plan.config.as_ref().unwrap().name, "v2_8");
         assert_eq!(r.work, 16 * 16 * 16);
-        let v4 = candidates.iter().find(|c| c.key.accel == "v4_8").unwrap();
+        let v4 = on(accels[1]).unwrap();
         let r = space.realize(v4, Fidelity::Proxy { level: 1 }).unwrap();
-        assert!(r.key.workload.contains("8x8x8") || r.key.workload.contains("16x"));
+        let Problem::MatMul(proxy) = r.key.workload else { panic!("{}", r.key.workload) };
+        assert_eq!((proxy.m, proxy.n, proxy.k), v4.key.tile, "one tile per dimension");
     }
 
     #[test]
@@ -998,7 +1101,8 @@ mod tests {
         assert_eq!(full.work, 3 * 32 * 32 * 32);
         assert!(proxy.work < full.work / 3, "batch of one on a reduced problem");
         assert_ne!(proxy.key, full.key);
-        assert!(proxy.key.workload.contains("x1"), "{}", proxy.key.workload);
+        let Problem::Batched(one) = proxy.key.workload else { panic!("{}", proxy.key.workload) };
+        assert_eq!(one.batch, 1);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!    rescales the analytical ranking (it adds no information but keeps
 //!    every candidate on one comparable scale).
 //!
-//! Seeds are deliberately excluded from the signatures: the simulated
+//! Signatures are tuples of the key's typed fields (nothing is parsed
+//! here). Seeds are deliberately excluded from them: the simulated
 //! timing is a function of the configuration and shape, not of the data
 //! values, so measurements taken under any seed inform all others.
 //!
@@ -40,7 +41,6 @@
 
 use std::collections::HashMap;
 
-use axi4mlir_config::FlowStrategy;
 use axi4mlir_heuristics::space::OptionsPoint;
 use axi4mlir_heuristics::{
     batched_matmul_transfers, conv_transfers, matmul_transfers, TransferEstimate,
@@ -48,8 +48,7 @@ use axi4mlir_heuristics::{
 use axi4mlir_workloads::matmul::MatMulProblem;
 
 use super::cache::CachedEval;
-use super::jobspec::{parse_dims, parse_layer};
-use super::space::{conv_shape, Candidate, CandidateKey};
+use super::space::{conv_shape, Candidate, CandidateKey, Flow, Problem, Target};
 
 /// One calibration observation: where in shape space it was measured and
 /// the correction it saw.
@@ -92,19 +91,11 @@ impl Prediction {
     }
 }
 
-/// The parsed identity of a cached measurement: workload kind, shape
-/// coordinates, and the analytical estimate recomputed for that shape.
-struct ParsedEntry {
-    kind: &'static str,
-    problem_coords: ([f64; 7], usize),
-    estimate: TransferEstimate,
-}
-
 /// The exact-tier signature: (kind, accel, flow, tile, options).
-type ExactSig = (String, String, String, (i64, i64, i64), OptionsPoint);
+type ExactSig = (&'static str, Target, Flow, (i64, i64, i64), OptionsPoint);
 /// The coarse-tier signature: (kind, accel, flow, options) — the tile is
 /// folded into the shape coordinates instead.
-type CoarseSig = (String, String, String, OptionsPoint);
+type CoarseSig = (&'static str, Target, Flow, OptionsPoint);
 
 /// The fitted cross-problem transfer model.
 #[derive(Clone, Debug, Default)]
@@ -114,64 +105,47 @@ pub struct TransferModel {
     /// Coarse-tier observations over problem + tile shapes.
     coarse: HashMap<CoarseSig, Vec<Observation>>,
     /// kind → every correction ratio seen (for the global mean).
-    global: HashMap<String, Vec<f64>>,
+    global: HashMap<&'static str, Vec<f64>>,
 }
 
 fn log2(value: i64) -> f64 {
     (value.max(1) as f64).log2()
 }
 
-/// Parses a key's workload label into kind + shape coordinates and
-/// recomputes the analytical estimate for that exact shape (the
-/// denominator of the correction). Returns `None` for labels this model
-/// cannot interpret (foreign caches) or shapes the analytical model
-/// rejects (a tile not dividing its problem).
-fn parse_entry(key: &CandidateKey) -> Option<ParsedEntry> {
+/// Where a key sits in shape space — its problem coordinates and how
+/// many are used — and the analytical estimate recomputed for that exact
+/// shape (the denominator of the correction). `None` for shapes the
+/// analytical model rejects (a tile not dividing its problem).
+fn shape_of(key: &CandidateKey) -> Option<(([f64; 7], usize), TransferEstimate)> {
     let mut coords = [0.0; 7];
-    if let Some(rest) = key.workload.strip_prefix("matmul ") {
-        let MatMulProblem { m, n, k } = parse_dims(rest)?;
-        let flow = FlowStrategy::from_short_name(&key.flow)?;
-        let (tm, tn, tk) = key.tile;
-        if tm <= 0 || tn <= 0 || tk <= 0 || m % tm != 0 || n % tn != 0 || k % tk != 0 {
-            return None;
+    match (key.workload, key.flow) {
+        (Problem::Conv(layer), _) => {
+            let shape = conv_shape(&layer);
+            coords[..4].copy_from_slice(&[
+                log2(shape.out_hw),
+                log2(shape.out_channels),
+                log2(shape.in_channels),
+                log2(shape.filter_hw),
+            ]);
+            Some(((coords, 4), conv_transfers(shape)))
         }
-        coords[..3].copy_from_slice(&[log2(m), log2(n), log2(k)]);
-        Some(ParsedEntry {
-            kind: "matmul",
-            problem_coords: (coords, 3),
-            estimate: matmul_transfers(flow, (m, n, k), key.tile),
-        })
-    } else if let Some(rest) = key.workload.strip_prefix("batched ") {
-        let (dims, batch) = rest.split_once(" x")?;
-        let MatMulProblem { m, n, k } = parse_dims(dims)?;
-        let batch: u64 = batch.parse().ok()?;
-        let flow = FlowStrategy::from_short_name(&key.flow)?;
-        let (tm, tn, tk) = key.tile;
-        if batch == 0 || tm <= 0 || tn <= 0 || tk <= 0 || m % tm != 0 || n % tn != 0 || k % tk != 0
-        {
-            return None;
+        (problem, Flow::MatMul(flow)) => {
+            let MatMulProblem { m, n, k } = problem.gemm()?;
+            let (tm, tn, tk) = key.tile;
+            if tm <= 0 || tn <= 0 || tk <= 0 || m % tm != 0 || n % tn != 0 || k % tk != 0 {
+                return None;
+            }
+            coords[..3].copy_from_slice(&[log2(m), log2(n), log2(k)]);
+            Some(match problem {
+                Problem::Batched(batch) => {
+                    coords[3] = log2(batch.batch as i64);
+                    let batch = batch.batch as u64;
+                    ((coords, 4), batched_matmul_transfers(flow, (m, n, k), key.tile, batch))
+                }
+                _ => ((coords, 3), matmul_transfers(flow, (m, n, k), key.tile)),
+            })
         }
-        coords[..4].copy_from_slice(&[log2(m), log2(n), log2(k), log2(batch as i64)]);
-        Some(ParsedEntry {
-            kind: "batched",
-            problem_coords: (coords, 4),
-            estimate: batched_matmul_transfers(flow, (m, n, k), key.tile, batch),
-        })
-    } else if let Some(rest) = key.workload.strip_prefix("conv ") {
-        let shape = conv_shape(&parse_layer(rest)?);
-        coords[..4].copy_from_slice(&[
-            log2(shape.out_hw),
-            log2(shape.out_channels),
-            log2(shape.in_channels),
-            log2(shape.filter_hw),
-        ]);
-        Some(ParsedEntry {
-            kind: "conv",
-            problem_coords: (coords, 4),
-            estimate: conv_transfers(shape),
-        })
-    } else {
-        None
+        _ => None,
     }
 }
 
@@ -202,7 +176,7 @@ fn blend(observations: &[Observation], query: &[f64; 7], dims: usize) -> Option<
 
 impl TransferModel {
     /// Fits correction factors from a cache snapshot. Unverified entries,
-    /// entries whose workload label the model cannot parse, and entries
+    /// entries whose shape the analytical model rejects, and entries
     /// with a zero analytical estimate are skipped.
     pub fn fit(entries: &HashMap<CandidateKey, CachedEval>) -> Self {
         let mut model = TransferModel::default();
@@ -210,31 +184,26 @@ impl TransferModel {
             if !eval.verified {
                 continue;
             }
-            let Some(parsed) = parse_entry(key) else { continue };
-            let words = parsed.estimate.words_total();
+            let Some((problem_coords, estimate)) = shape_of(key) else { continue };
+            let words = estimate.words_total();
             if words == 0 || !eval.task_clock_ms.is_finite() || eval.task_clock_ms < 0.0 {
                 continue;
             }
             let ratio = eval.task_clock_ms / words as f64;
-            let (shape, dims) = parsed.problem_coords;
+            let kind = key.workload.kind();
+            let (shape, dims) = problem_coords;
             model
                 .exact
-                .entry((
-                    parsed.kind.to_owned(),
-                    key.accel.clone(),
-                    key.flow.clone(),
-                    key.tile,
-                    key.options,
-                ))
+                .entry((kind, key.accel, key.flow, key.tile, key.options))
                 .or_default()
                 .push(Observation { shape, dims, ratio });
-            let (shape, dims) = with_tile_coords(parsed.problem_coords, key.tile);
+            let (shape, dims) = with_tile_coords(problem_coords, key.tile);
             model
                 .coarse
-                .entry((parsed.kind.to_owned(), key.accel.clone(), key.flow.clone(), key.options))
+                .entry((kind, key.accel, key.flow, key.options))
                 .or_default()
                 .push(Observation { shape, dims, ratio });
-            model.global.entry(parsed.kind.to_owned()).or_default().push(ratio);
+            model.global.entry(kind).or_default().push(ratio);
         }
         model
     }
@@ -252,34 +221,28 @@ impl TransferModel {
     /// Predicts a candidate's full-problem task-clock by scaling its
     /// analytical estimate with the blended correction of the most
     /// specific tier that has observations. `None` when the model has
-    /// never seen the candidate's workload kind (or cannot parse the
-    /// candidate's own shape).
+    /// never seen the candidate's workload kind (or the analytical model
+    /// rejects the candidate's own shape).
     pub fn predict(&self, candidate: &Candidate) -> Option<Prediction> {
         let key = &candidate.key;
-        let parsed = parse_entry(key)?;
+        let (problem_coords, _) = shape_of(key)?;
         let words = candidate.estimate.words_total() as f64;
-        let kind = parsed.kind.to_owned();
-        let (query, dims) = parsed.problem_coords;
-        if let Some(observations) = self.exact.get(&(
-            kind.clone(),
-            key.accel.clone(),
-            key.flow.clone(),
-            key.tile,
-            key.options,
-        )) {
+        let kind = key.workload.kind();
+        let (query, dims) = problem_coords;
+        if let Some(observations) =
+            self.exact.get(&(kind, key.accel, key.flow, key.tile, key.options))
+        {
             if let Some(ratio) = blend(observations, &query, dims) {
                 return Some(Prediction { clock_ms: ratio * words, tier: Tier::Exact });
             }
         }
-        let (query, dims) = with_tile_coords(parsed.problem_coords, key.tile);
-        if let Some(observations) =
-            self.coarse.get(&(kind.clone(), key.accel.clone(), key.flow.clone(), key.options))
-        {
+        let (query, dims) = with_tile_coords(problem_coords, key.tile);
+        if let Some(observations) = self.coarse.get(&(kind, key.accel, key.flow, key.options)) {
             if let Some(ratio) = blend(observations, &query, dims) {
                 return Some(Prediction { clock_ms: ratio * words, tier: Tier::Coarse });
             }
         }
-        let ratios = self.global.get(&kind).filter(|r| !r.is_empty())?;
+        let ratios = self.global.get(kind).filter(|r| !r.is_empty())?;
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
         Some(Prediction { clock_ms: mean * words, tier: Tier::Global })
     }
@@ -294,9 +257,9 @@ mod tests {
 
     fn key(workload: &str, flow: &str, tile: (i64, i64, i64)) -> CandidateKey {
         CandidateKey {
-            workload: workload.to_owned(),
-            accel: "v4_8".to_owned(),
-            flow: flow.to_owned(),
+            workload: Problem::parse(workload).unwrap(),
+            accel: Target::parse("v4_8").unwrap(),
+            flow: Flow::parse(flow).unwrap(),
             tile,
             options: OptionsPoint::default(),
             seed: 7,
@@ -313,15 +276,22 @@ mod tests {
     }
 
     fn candidate(workload: &str, flow: &str, tile: (i64, i64, i64)) -> Candidate {
-        let MatMulProblem { m, n, k } =
-            parse_dims(workload.strip_prefix("matmul ").unwrap()).unwrap();
-        Candidate {
-            key: key(workload, flow, tile),
-            estimate: matmul_transfers(
-                FlowStrategy::from_short_name(flow).unwrap(),
-                (m, n, k),
-                tile,
-            ),
+        let key = key(workload, flow, tile);
+        let (Some(MatMulProblem { m, n, k }), Flow::MatMul(flow)) = (key.workload.gemm(), key.flow)
+        else {
+            panic!("{workload} under {flow} is not a MatMul candidate")
+        };
+        Candidate { key, estimate: matmul_transfers(flow, (m, n, k), tile) }
+    }
+
+    fn conv_key(layer: &str) -> CandidateKey {
+        CandidateKey {
+            workload: Problem::parse(&format!("conv {layer}")).unwrap(),
+            accel: Target::Conv2d,
+            flow: Flow::FilterOutputStationary,
+            tile: (0, 0, 0),
+            options: OptionsPoint::default(),
+            seed: 1,
         }
     }
 
@@ -332,7 +302,6 @@ mod tests {
         let mut unverified = eval(1.0);
         unverified.verified = false;
         entries.insert(key("matmul 32x32x32", "Ns", (8, 8, 8)), unverified);
-        entries.insert(key("mystery 9q9", "Ns", (8, 8, 8)), eval(1.0));
         // A tile that does not divide its problem is rejected, not a panic.
         entries.insert(key("matmul 10x10x10", "Ns", (3, 4, 5)), eval(1.0));
         let model = TransferModel::fit(&entries);
@@ -347,7 +316,7 @@ mod tests {
         // over to 32^3 scaled by the analytical estimate.
         let donor = candidate("matmul 16x16x16", "Cs", (8, 8, 8));
         let mut entries = HashMap::new();
-        entries.insert(donor.key.clone(), eval(2.0));
+        entries.insert(donor.key, eval(2.0));
         let model = TransferModel::fit(&entries);
 
         let target = candidate("matmul 32x32x32", "Cs", (8, 8, 8));
@@ -367,8 +336,8 @@ mod tests {
         let near = candidate("matmul 16x16x16", "Cs", (16, 8, 8));
         let far = candidate("matmul 16x16x16", "Cs", (8, 8, 8));
         let mut entries = HashMap::new();
-        entries.insert(near.key.clone(), eval(1.0));
-        entries.insert(far.key.clone(), eval(100.0));
+        entries.insert(near.key, eval(1.0));
+        entries.insert(far.key, eval(100.0));
         let model = TransferModel::fit(&entries);
 
         let target = candidate("matmul 32x16x16", "Cs", (32, 8, 8));
@@ -396,14 +365,7 @@ mod tests {
         assert!(!p.is_informed());
         // An entirely unknown kind is uncovered.
         let conv = Candidate {
-            key: CandidateKey {
-                workload: "conv 10_64_3_16_1".to_owned(),
-                accel: "conv2d".to_owned(),
-                flow: "FOs".to_owned(),
-                tile: (0, 0, 0),
-                options: OptionsPoint::default(),
-                seed: 1,
-            },
+            key: conv_key("10_64_3_16_1"),
             estimate: TransferEstimate {
                 words_to_accel: 10,
                 words_from_accel: 10,
@@ -415,22 +377,14 @@ mod tests {
 
     #[test]
     fn conv_labels_parse_into_observations() {
-        let conv_key = CandidateKey {
-            workload: "conv 10_64_3_16_1".to_owned(),
-            accel: "conv2d".to_owned(),
-            flow: "FOs".to_owned(),
-            tile: (0, 0, 0),
-            options: OptionsPoint::default(),
-            seed: 1,
-        };
         let mut entries = HashMap::new();
-        entries.insert(conv_key.clone(), eval(3.0));
+        entries.insert(conv_key("10_64_3_16_1"), eval(3.0));
         let model = TransferModel::fit(&entries);
         assert_eq!(model.observations(), 1);
         // A neighboring layer predicts from the exact conv signature
         // (conv has one geometric point, so accel/flow/tile all match).
         let neighbor = Candidate {
-            key: CandidateKey { workload: "conv 12_64_3_16_1".to_owned(), ..conv_key },
+            key: conv_key("12_64_3_16_1"),
             estimate: conv_transfers(ConvShapeEstimate {
                 batch: 1,
                 out_channels: 16,
@@ -447,16 +401,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// A conv label in a cache key is read by `jobspec::parse_layer`
-        /// and `space::conv_shape`, the functions the conv space itself is
-        /// built from. Pinned against the conditions and the `out_hw`
-        /// arithmetic this module used to carry as its own copy.
+        /// A conv label in a cache key is read by `Problem::parse` (over
+        /// `jobspec::parse_layer`) and `space::conv_shape`, the functions
+        /// the conv space itself is built from. Pinned against the
+        /// conditions and the `out_hw` arithmetic written out here.
         #[test]
         fn conv_labels_are_read_as_the_conv_space_reads_them(
             parts in proptest::collection::vec(-2i64..40, 4..=6),
         ) {
             let label = parts.iter().map(i64::to_string).collect::<Vec<_>>().join("_");
-            let entry = parse_entry(&key(&format!("conv {label}"), "FOs", (0, 0, 0)));
+            let entry = Problem::parse(&format!("conv {label}"))
+                .and_then(|workload| shape_of(&CandidateKey { workload, ..conv_key("3_1_3_1_1") }));
             let shape = match parts[..] {
                 [in_hw, in_channels, filter_hw, out_channels, stride]
                     if in_channels >= 0
@@ -471,7 +426,7 @@ mod tests {
                 _ => None,
             };
             prop_assert_eq!(
-                entry.map(|entry| entry.estimate),
+                entry.map(|(_, estimate)| estimate),
                 shape.map(conv_transfers),
                 "label {}",
                 label

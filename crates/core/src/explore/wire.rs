@@ -40,15 +40,15 @@ pub fn candidate_to_json(candidate: &Candidate) -> JsonValue {
 const CONTEXT: &str = "malformed wire report";
 
 /// Reads a candidate serialized by [`candidate_to_json`] from its
-/// object's members.
+/// object's members — the wire's decode boundary for keys.
 ///
 /// # Errors
 ///
-/// Returns a [`Diagnostic`] for missing or malformed members.
+/// Returns a [`Diagnostic`] for missing or malformed members ([`key_from`]).
 pub fn candidate_from(m: &Members<'_>) -> Result<Candidate, Diagnostic> {
     let estimate = m.object("estimate")?;
     Ok(Candidate {
-        key: key_from(&m.object("key")?, false)?,
+        key: key_from(&m.object("key")?)?,
         estimate: TransferEstimate {
             words_to_accel: estimate.u64("words_to_accel")?,
             words_from_accel: estimate.u64("words_from_accel")?,

@@ -162,9 +162,7 @@ mod tests {
 
     /// One-shot MatMul run of `plan` on the device it names.
     fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
-        Session::for_plan(plan)
-            .run(&MatMulWorkload::new(MatMulProblem::square(dims)), plan)
-            .unwrap()
+        Session::for_sweep().run(&MatMulWorkload::new(MatMulProblem::square(dims)), plan).unwrap()
     }
 
     fn v3_plan(size: i64, flow: FlowStrategy) -> CompilePlan {
@@ -208,7 +206,7 @@ mod tests {
     fn cpu_baseline_verifies_and_uses_no_dma() {
         let plan = CompilePlan::cpu().seed(1).cpu_tile(Some(8));
         let workload = MatMulWorkload::new(MatMulProblem::square(16)).with_cpu_tile(Some(8));
-        let report = Session::cpu().run(&workload, &plan).unwrap();
+        let report = Session::for_sweep().run(&workload, &plan).unwrap();
         assert!(report.verified);
         assert_eq!(report.counters.dma_transactions, 0);
         assert_eq!(report.counters.accel_macs, 0);
@@ -222,7 +220,7 @@ mod tests {
         let layer =
             ConvLayer { in_hw: 7, in_channels: 8, filter_hw: 3, out_channels: 4, stride: 1 };
         let plan = CompilePlan::for_conv_layer(layer);
-        let report = Session::for_plan(&plan).run(&ConvWorkload::new(layer), &plan).unwrap();
+        let report = Session::for_sweep().run(&ConvWorkload::new(layer), &plan).unwrap();
         assert!(report.verified);
         assert!(report.counters.dma_bytes_from_accel > 0);
     }

@@ -66,13 +66,13 @@ fn a_name_asking_for_an_unbuildable_device_is_a_diagnostic_not_a_panic() {
         config.name = name.to_owned();
         config.validate().expect("the name alone does not fail validation");
         let plan = CompilePlan::for_accelerator(config);
-        let err = Session::for_plan(&plan).run(&workload, &plan).unwrap_err();
+        let err = Session::for_sweep().run(&workload, &plan).unwrap_err();
         assert!(err.message.contains("cannot be built"), "{name}: {}", err.message);
     }
     let mut config = v3(4);
     config.name = "v9_8".to_owned();
     let plan = CompilePlan::for_accelerator(config);
-    let mut session = Session::for_plan(&plan);
+    let mut session = Session::for_sweep();
     assert!(session.run(&workload, &plan).unwrap().verified);
     assert_eq!(session.soc().accel.name(), "v3_4", "unknown generation: v3 of accel_size[0]");
 }

@@ -5,12 +5,12 @@
 //! conv/batched/multi-generation spaces, and the successive-halving
 //! search must find the exhaustive optimum on a small space.
 
-use axi4mlir_config::AcceleratorConfig;
+use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::explore::shard::shard_name;
 use axi4mlir_core::explore::{
-    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport, Explorer, HalvingSpec,
-    MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search,
+    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport, Explorer, Flow,
+    HalvingSpec, MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search, Target,
 };
 use axi4mlir_heuristics::instantiation_base;
 use axi4mlir_support::diag::Diagnostic;
@@ -60,7 +60,7 @@ fn explored_optimum_matches_brute_force() {
             tn,
             tk,
         )
-        .with_selected_flow(&candidate.key.flow);
+        .with_selected_flow(&candidate.key.flow.to_string());
         let plan = CompilePlan::for_accelerator(config).seed(space.seed);
         let report = session.run(&MatMulWorkload::new(space.problem), &plan).expect("v4 run");
         assert!(report.verified);
@@ -294,10 +294,10 @@ fn multi_generation_space_explores_v1_through_v4() {
     // v1: 1 flow; v2: 3; v3: 4 (fixed 8x8x8 tile each); v4: 8 tiles x 4.
     assert_eq!(report.space_size, 1 + 3 + 4 + 8 * 4);
     assert!(report.evaluations.iter().all(|e| e.verified));
-    for version in ["v1_8", "v2_8", "v3_8", "v4_8"] {
+    for &accel in &space.accels {
         assert!(
-            report.evaluations.iter().any(|e| e.candidate.key.accel == version),
-            "{version} measured"
+            report.evaluations.iter().any(|e| e.candidate.key.accel == Target::MatMul(accel)),
+            "{accel} measured"
         );
     }
     // The v3 and v4 runs of the same (flow, tile) are distinct cache
@@ -307,11 +307,11 @@ fn multi_generation_space_explores_v1_through_v4() {
             .evaluations
             .iter()
             .find(|e| {
-                e.candidate.key.accel == accel
-                    && e.candidate.key.flow == "Ns"
+                e.candidate.key.accel == Target::parse(accel).unwrap()
+                    && e.candidate.key.flow == Flow::MatMul(FlowStrategy::NothingStationary)
                     && e.candidate.key.tile == (8, 8, 8)
             })
-            .map(|e| e.candidate.key.clone())
+            .map(|e| e.candidate.key)
     };
     assert_ne!(ns_8("v3_8"), ns_8("v4_8"));
     assert_ne!(ns_8("v3_8"), None);

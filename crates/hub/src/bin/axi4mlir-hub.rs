@@ -37,8 +37,7 @@ const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-work
                      the AXI4MLIR_FAULTS environment variable)";
 
 /// What typing the removed single-file `--cache PATH` flag answers.
-const REMOVED_CACHE_FLAG: &str = "--cache was removed: pass --cache-dir DIR (to keep an old \
-                                  BENCH_cache.json, move it into DIR; the next save re-shards it)";
+const REMOVED_CACHE_FLAG: &str = "--cache was removed: pass --cache-dir DIR";
 
 const KNOWN_FLAGS: [&str; 8] = [
     "--bind",

@@ -242,7 +242,7 @@ fn sigterm_mid_sweep_leaves_a_loadable_checkpoint() {
 
     let status = child.wait().expect("daemon exit");
     assert!(status.success(), "graceful SIGTERM shutdown exits 0, got {status:?}");
-    let entries = shard::load_dir(&dir).expect("the checkpoint must parse").entries;
+    let entries = shard::load_dir(&dir).expect("the checkpoint must parse");
     assert!(!entries.is_empty(), "the checkpoint holds the rungs measured before SIGTERM");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,11 +17,11 @@
 //!   functions compute result facts from operand facts (with a hook for
 //!   block arguments, where induction-variable facts are born); backward
 //!   transfer functions push facts from uses to operands.
-//! - Concrete analyses: [`Definedness`] (forward — which values are
-//!   known-defined at their uses), [`Liveness`] (backward — which values
-//!   and ops feed an observable effect), and [`IntRange`] integer-range
-//!   analysis over index arithmetic (forward — constant/interval bounds
-//!   for `arith` ops and `scf.for` induction variables).
+//! - Concrete analyses: [`Liveness`] (backward — which values and ops
+//!   feed an observable effect) and [`IntRange`] integer-range analysis
+//!   over index arithmetic (forward — constant/interval bounds for
+//!   `arith` ops and `scf.for` induction variables). (Use-before-def is
+//!   the structural verifier's check, [`crate::verifier`].)
 //!
 //! The lint suite in `axi4mlir-dialects` builds on these: dead-annotation
 //! detection uses [`Liveness`], and the DMA bounds checks use
@@ -182,74 +182,6 @@ pub fn solve_backward<A: BackwardAnalysis>(
         }
     }
     table
-}
-
-// ---------------------------------------------------------------------
-// Definedness (forward)
-// ---------------------------------------------------------------------
-
-/// Whether a value is known to be defined before use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Def {
-    /// Bottom: never reached a definition (use-before-def if used).
-    Undefined,
-    /// The value is defined whenever its block executes.
-    Defined,
-}
-
-impl Lattice for Def {
-    fn bottom() -> Self {
-        Def::Undefined
-    }
-
-    fn join_with(&mut self, other: &Self) -> bool {
-        if *self == Def::Undefined && *other == Def::Defined {
-            *self = Def::Defined;
-            return true;
-        }
-        false
-    }
-}
-
-/// The definedness analysis: block arguments are defined on entry, op
-/// results are defined once the op executes. A value whose fact stays
-/// [`Def::Undefined`] at a use site is a use-before-def.
-#[derive(Debug, Default)]
-pub struct Definedness;
-
-impl ForwardAnalysis for Definedness {
-    type Fact = Def;
-
-    fn block_arg_fact(
-        &self,
-        _ctx: &IrCtx,
-        _owner: OpId,
-        _block: BlockId,
-        _index: usize,
-        _table: &ValueTable<Def>,
-    ) -> Def {
-        Def::Defined
-    }
-
-    fn transfer(&self, ctx: &IrCtx, op: OpId, _table: &ValueTable<Def>, results: &mut Vec<Def>) {
-        results.extend(ctx.op(op).results.iter().map(|_| Def::Defined));
-    }
-}
-
-/// All `(op, operand_index)` pairs whose operand is not defined at its
-/// use — the dataflow formulation of the structural verifier's
-/// use-before-def check.
-pub fn undefined_uses(ctx: &IrCtx, root: OpId) -> Vec<(OpId, usize)> {
-    let table = solve_forward(ctx, root, &Definedness);
-    let mut out = Vec::new();
-    for op in ctx.walk(root) {
-        for (index, operand) in ctx.op(op).operands.iter().enumerate() {
-            if *table.get(*operand) == Def::Undefined {
-                out.push((op, index));
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -630,27 +562,5 @@ mod tests {
             b.insert_region_op("scf.for", vec![lb, ub, step], vec![], [], vec![Type::index()]);
         let liveness = Liveness::compute(&m.ctx, m.top());
         assert!(!liveness.op_is_live(&m.ctx, empty_for), "a loop with no effects is dead");
-    }
-
-    #[test]
-    fn definedness_flags_use_before_def() {
-        let mut m = Module::new();
-        let body = m.body();
-        // Create a constant but never attach it; its result is undefined
-        // at the use.
-        let c = m.ctx.create_op(
-            "arith.constant",
-            vec![],
-            vec![Type::index()],
-            std::collections::BTreeMap::new(),
-        );
-        let v = m.ctx.result(c, 0);
-        let u = m.ctx.create_op("test.use", vec![v], vec![], std::collections::BTreeMap::new());
-        m.ctx.append_op(body, u);
-        let undefined = undefined_uses(&m.ctx, m.top());
-        assert_eq!(undefined, vec![(u, 0)]);
-        // Attach the constant before the use: everything is defined.
-        m.ctx.insert_op(body, 0, c);
-        assert!(undefined_uses(&m.ctx, m.top()).is_empty());
     }
 }

@@ -15,7 +15,7 @@ fn main() {
     println!("== batched MatMul: {batch} on {} ==\n", config.name);
 
     let plan = CompilePlan::for_accelerator(config).flow(FlowStrategy::OutputStationary);
-    let mut session = Session::for_plan(&plan);
+    let mut session = Session::for_sweep();
 
     // One compile + one run for the whole batch.
     let batched = session.run(&BatchedMatMulWorkload::new(batch), &plan).expect("batched run");

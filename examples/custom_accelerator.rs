@@ -53,7 +53,7 @@ fn main() {
         "flow", "task-clock", "bytes to accel", "bytes from accel"
     );
     // One session serves all four flows: same device, SoC recycled per run.
-    let mut session = Session::for_config(&accel);
+    let mut session = Session::for_sweep();
     let workload = MatMulWorkload::new(problem);
     for flow in FlowStrategy::all() {
         let plan = CompilePlan::for_accelerator(accel.clone()).flow(flow);

@@ -19,7 +19,7 @@ fn main() {
     let workload = MatMulWorkload::new(problem);
     let plan =
         CompilePlan::for_accelerator(accel).flow(FlowStrategy::OutputStationary).options(options);
-    let mut session = Session::for_plan(&plan);
+    let mut session = Session::for_sweep();
     let report = session.run(&workload, &plan).expect("pipeline");
 
     for snapshot in &report.ir_after {

@@ -52,9 +52,7 @@ echo "== design-space explorer =="
 # candidates measured by a previous sweep are loaded from the sharded
 # bench-cache/ directory instead of re-simulated, and --warm-start fits
 # the cross-problem transfer model from the same shards so even sweeps
-# of NEW shapes start from calibrated rankings. (A BENCH_cache.json
-# from an older checkout can be moved into the directory; the next save
-# re-shards it.)
+# of NEW shapes start from calibrated rankings.
 CACHE="$OUT_DIR/bench-cache"
 if [ "${#QUICK[@]}" -gt 0 ]; then
     cargo run --release -p axi4mlir-bench --bin axi4mlir-explore -- --smoke --objectives clock,traffic --cache-dir "$CACHE" --warm-start --json "$OUT_DIR"

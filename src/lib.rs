@@ -15,7 +15,7 @@
 //!
 //! let accel = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
 //! let plan = CompilePlan::for_accelerator(accel).flow(FlowStrategy::OutputStationary);
-//! let report = Session::for_plan(&plan)
+//! let report = Session::for_sweep()
 //!     .run(&MatMulWorkload::new(MatMulProblem::square(16)), &plan)
 //!     .expect("pipeline should succeed");
 //! assert!(report.verified);

@@ -14,9 +14,7 @@ use axi4mlir::support::diag::Diagnostic;
 /// Compiles and runs `config` on a one-shot session, expecting failure.
 fn run_err(config: AcceleratorConfig, dims: i64) -> Diagnostic {
     let plan = CompilePlan::for_accelerator(config);
-    Session::for_plan(&plan)
-        .run(&MatMulWorkload::new(MatMulProblem::square(dims)), &plan)
-        .unwrap_err()
+    Session::for_sweep().run(&MatMulWorkload::new(MatMulProblem::square(dims)), &plan).unwrap_err()
 }
 
 /// An A-stationary flow with a permutation that does not legalize it must

@@ -93,7 +93,7 @@ fn cache_tiling_is_semantics_preserving() {
         let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8))
             .flow(FlowStrategy::NothingStationary)
             .options(options);
-        Session::for_plan(&plan).run(&workload, &plan).unwrap()
+        Session::for_sweep().run(&workload, &plan).unwrap()
     };
     let without = run(CacheTiling::Off);
     let with = run(CacheTiling::Fixed(32));
@@ -128,9 +128,8 @@ fn json_configuration_end_to_end() {
     let system = SystemConfig::from_json(json).unwrap();
     let accel = system.accelerator("v3_8").unwrap().clone();
     let plan = CompilePlan::for_accelerator(accel);
-    let report = Session::for_plan(&plan)
-        .run(&MatMulWorkload::new(MatMulProblem::square(16)), &plan)
-        .unwrap();
+    let report =
+        Session::for_sweep().run(&MatMulWorkload::new(MatMulProblem::square(16)), &plan).unwrap();
     assert!(report.verified);
     assert_eq!(report.flow, "Cs");
     assert_eq!(report.accel_name, "v3_8");
@@ -144,10 +143,10 @@ fn runs_are_deterministic() {
     let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8))
         .flow(FlowStrategy::InputBStationary);
     let workload = MatMulWorkload::new(MatMulProblem::square(24));
-    let mut session = Session::for_plan(&plan);
+    let mut session = Session::for_sweep();
     let a = session.run(&workload, &plan).unwrap();
     let b = session.run(&workload, &plan).unwrap();
-    let fresh = Session::for_plan(&plan).run(&workload, &plan).unwrap();
+    let fresh = Session::for_sweep().run(&workload, &plan).unwrap();
     assert_eq!(a.counters, b.counters);
     assert_eq!(a.result, b.result);
     assert_eq!(a.task_clock_ms, b.task_clock_ms);
@@ -175,7 +174,7 @@ fn v4_non_square_tiles_verify() {
     let problem = MatMulProblem::new(32, 16, 64);
     let config = AcceleratorConfig::preset_v4_with_tile(16, 32, 16, 64).with_selected_flow("Cs");
     let plan = CompilePlan::for_accelerator(config);
-    let report = Session::for_plan(&plan).run(&MatMulWorkload::new(problem), &plan).unwrap();
+    let report = Session::for_sweep().run(&MatMulWorkload::new(problem), &plan).unwrap();
     assert!(report.verified);
     // One tile: A, B sent once; C received once.
     assert_eq!(report.counters.dma_bytes_from_accel, 32 * 16 * 4);
@@ -218,7 +217,7 @@ fn batched_matmul_agrees_with_single_runs() {
     let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 4))
         .flow(FlowStrategy::OutputStationary)
         .seed(7);
-    let mut session = Session::for_plan(&plan);
+    let mut session = Session::for_sweep();
     let batched = session.run(&BatchedMatMulWorkload::new(batch), &plan).unwrap();
     assert!(batched.verified);
     let single = session.run(&MatMulWorkload::new(problem), &plan).unwrap();

@@ -49,7 +49,7 @@ proptest! {
             .flow(flow)
             .options(options)
             .seed(seed);
-        let report = Session::for_plan(&plan)
+        let report = Session::for_sweep()
             .run(&MatMulWorkload::new(problem), &plan)
             .map_err(|e| TestCaseError::fail(format!("{version} t{tile} {flow} {problem}: {e}")))?;
         prop_assert!(report.verified, "{} t{} {} {}", version, tile, flow, problem);
