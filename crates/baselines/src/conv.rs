@@ -1,19 +1,14 @@
 //! The manual Conv2D driver (layer-specific, as in §IV-D's baselines).
 
-use axi4mlir_accelerators::conv::ConvAccel;
 use axi4mlir_accelerators::isa;
 use axi4mlir_runtime::dma_lib::{
     copy_from_dma_region, copy_to_dma_region, dma_init, dma_start_recv, dma_start_send,
     dma_wait_recv_completion, dma_wait_send_completion, write_literal_to_dma_region,
 };
-use axi4mlir_runtime::kernels::{ref_conv2d_i32, ConvShape};
 use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
-use axi4mlir_sim::mem::ElemType;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::resnet::ConvLayer;
-
-use crate::matmul::ManualReport;
 
 /// Hand-written driver for one convolution layer on the §IV-D accelerator:
 /// filter + output stationary, one output slice per output channel.
@@ -86,72 +81,37 @@ pub fn manual_conv_drive(
     Ok(())
 }
 
-/// Builds a fresh SoC, runs the manual conv driver, and verifies.
-///
-/// # Errors
-///
-/// See [`manual_conv_drive`].
-pub fn run_manual_conv(layer: ConvLayer, seed: u64) -> Result<ManualReport, Diagnostic> {
-    let mut soc = Soc::new(Box::new(ConvAccel::new()));
-    let (i_data, w_data) = layer.generate_inputs(seed);
-    let shape = ConvShape {
-        batch: 1,
-        in_channels: layer.in_channels,
-        in_hw: layer.in_hw,
-        out_channels: layer.out_channels,
-        filter_hw: layer.filter_hw,
-        stride: layer.stride,
-    };
-    let input = MemRefDesc::alloc(
-        &mut soc.mem,
-        &[1, layer.in_channels as i64, layer.in_hw as i64, layer.in_hw as i64],
-        ElemType::I32,
-    );
-    let filter = MemRefDesc::alloc(
-        &mut soc.mem,
-        &[
-            layer.out_channels as i64,
-            layer.in_channels as i64,
-            layer.filter_hw as i64,
-            layer.filter_hw as i64,
-        ],
-        ElemType::I32,
-    );
-    let output = MemRefDesc::alloc(
-        &mut soc.mem,
-        &[1, layer.out_channels as i64, layer.out_hw() as i64, layer.out_hw() as i64],
-        ElemType::I32,
-    );
-    soc.mem.store_i32_slice(input.base, &i_data);
-    soc.mem.store_i32_slice(filter.base, &w_data);
-    soc.reset_run_state();
-    manual_conv_drive(&mut soc, &input, &filter, &output, layer)?;
-    if soc.accel.protocol_errors() > 0 {
-        return Err(Diagnostic::error("manual conv driver triggered protocol errors"));
+/// [`manual_conv_drive`] as the `drive` argument of
+/// `Session::run_manual`: the bound buffers are a convolution workload's
+/// input, filter and output, in that order.
+pub fn conv_driver(
+    layer: ConvLayer,
+) -> impl FnOnce(&mut Soc, &[MemRefDesc]) -> Result<(), Diagnostic> {
+    move |soc, buffers| match buffers {
+        [input, filter, output] => manual_conv_drive(soc, input, filter, output, layer),
+        _ => Err(crate::wrong_buffer_count("convolution", "I, W, O", buffers.len())),
     }
-    let result = soc.mem.load_i32_slice(output.base, shape.output_len());
-    let verified = result == ref_conv2d_i32(&i_data, &w_data, shape);
-    Ok(ManualReport {
-        accel_name: "conv2d".to_owned(),
-        flow: "FOs".to_owned(),
-        counters: soc.counters,
-        task_clock_ms: soc.task_clock_ms(),
-        verified,
-        result,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_core::driver::{CompilePlan, ConvWorkload, RunReport, Session};
 
     fn small_layer() -> ConvLayer {
         ConvLayer { in_hw: 7, in_channels: 4, filter_hw: 3, out_channels: 2, stride: 1 }
     }
 
+    fn run(layer: ConvLayer, seed: u64) -> RunReport {
+        let plan = CompilePlan::for_conv_layer(layer).seed(seed);
+        Session::for_sweep()
+            .run_manual(&ConvWorkload::new(layer), &plan, conv_driver(layer))
+            .unwrap()
+    }
+
     #[test]
     fn manual_conv_verifies() {
-        let r = run_manual_conv(small_layer(), 5).unwrap();
+        let r = run(small_layer(), 5);
         assert!(r.verified);
         assert!(r.counters.dma_bytes_from_accel > 0);
     }
@@ -160,8 +120,7 @@ mod tests {
     fn strided_layer_verifies() {
         let layer =
             ConvLayer { in_hw: 9, in_channels: 2, filter_hw: 3, out_channels: 2, stride: 2 };
-        let r = run_manual_conv(layer, 6).unwrap();
-        assert!(r.verified);
+        assert!(run(layer, 6).verified);
     }
 
     #[test]
@@ -169,14 +128,13 @@ mod tests {
         // The fHW == 1 case of Fig. 16 (no contiguous runs to vectorize).
         let layer =
             ConvLayer { in_hw: 6, in_channels: 8, filter_hw: 1, out_channels: 4, stride: 2 };
-        let r = run_manual_conv(layer, 7).unwrap();
-        assert!(r.verified);
+        assert!(run(layer, 7).verified);
     }
 
     #[test]
     fn window_traffic_scales_with_output_size() {
-        let small = run_manual_conv(small_layer(), 1).unwrap();
-        let bigger = run_manual_conv(ConvLayer { in_hw: 11, ..small_layer() }, 1).unwrap();
+        let small = run(small_layer(), 1);
+        let bigger = run(ConvLayer { in_hw: 11, ..small_layer() }, 1);
         assert!(bigger.counters.dma_bytes_to_accel > small.counters.dma_bytes_to_accel);
     }
 }

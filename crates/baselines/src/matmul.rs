@@ -1,37 +1,17 @@
 //! Manual MatMul drivers for the v1–v4 accelerators, one per dataflow.
 
 use axi4mlir_accelerators::isa;
-use axi4mlir_accelerators::matmul::{MatMulAccel, MatMulVersion};
+use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_config::FlowStrategy;
 use axi4mlir_runtime::copy::CopyStrategy;
 use axi4mlir_runtime::dma_lib::{
     copy_from_dma_region, copy_to_dma_region, dma_init, dma_start_recv, dma_start_send,
     dma_wait_recv_completion, dma_wait_send_completion, write_literal_to_dma_region,
 };
-use axi4mlir_runtime::kernels::ref_matmul_i32;
 use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
-use axi4mlir_sim::counters::PerfCounters;
-use axi4mlir_sim::mem::ElemType;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::matmul::MatMulProblem;
-
-/// Result of one manual-driver run.
-#[derive(Clone, Debug)]
-pub struct ManualReport {
-    /// Accelerator name.
-    pub accel_name: String,
-    /// Flow label.
-    pub flow: String,
-    /// Counters for the kernel execution.
-    pub counters: PerfCounters,
-    /// Task clock in milliseconds.
-    pub task_clock_ms: f64,
-    /// Whether the result matched the reference kernel.
-    pub verified: bool,
-    /// The computed output.
-    pub result: Vec<i32>,
-}
 
 /// One batched opcode transmission: instruction word plus an optional tile,
 /// in a single DMA transaction (what a careful manual driver does).
@@ -312,63 +292,52 @@ pub fn manual_matmul_drive(
     Ok(())
 }
 
-/// Builds a fresh SoC, runs the manual driver, and verifies the result.
-///
-/// # Errors
-///
-/// See [`manual_matmul_drive`].
-pub fn run_manual_matmul(
+/// [`manual_matmul_drive`] as the `drive` argument of
+/// `Session::run_manual`: the bound buffers are a MatMul workload's A, B
+/// and C, in that order.
+pub fn matmul_driver(
     version: MatMulVersion,
     size: i64,
     flow: FlowStrategy,
     problem: MatMulProblem,
-    seed: u64,
-) -> Result<ManualReport, Diagnostic> {
-    let mut soc = Soc::new(Box::new(MatMulAccel::new(version, size as u32)));
-    let accel_name = soc.accel.name().to_owned();
-    let (a_data, b_data) = problem.generate_inputs(seed);
-    let a = MemRefDesc::alloc(&mut soc.mem, &[problem.m, problem.k], ElemType::I32);
-    let b = MemRefDesc::alloc(&mut soc.mem, &[problem.k, problem.n], ElemType::I32);
-    let c = MemRefDesc::alloc(&mut soc.mem, &[problem.m, problem.n], ElemType::I32);
-    soc.mem.store_i32_slice(a.base, &a_data);
-    soc.mem.store_i32_slice(b.base, &b_data);
-    soc.reset_run_state();
-    manual_matmul_drive(&mut soc, version, size, flow, &a, &b, &c, problem)?;
-    if soc.accel.protocol_errors() > 0 {
-        return Err(Diagnostic::error("manual driver triggered accelerator protocol errors"));
+) -> impl FnOnce(&mut Soc, &[MemRefDesc]) -> Result<(), Diagnostic> {
+    move |soc, buffers| match buffers {
+        [a, b, c] => manual_matmul_drive(soc, version, size, flow, a, b, c, problem),
+        _ => Err(crate::wrong_buffer_count("MatMul", "A, B, C", buffers.len())),
     }
-    let result = soc.mem.load_i32_slice(c.base, (problem.m * problem.n) as usize);
-    let expect = ref_matmul_i32(
-        &a_data,
-        &b_data,
-        problem.m as usize,
-        problem.n as usize,
-        problem.k as usize,
-    );
-    Ok(ManualReport {
-        accel_name,
-        flow: flow.short_name().to_owned(),
-        counters: soc.counters,
-        task_clock_ms: soc.task_clock_ms(),
-        verified: result == expect,
-        result,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_config::AcceleratorConfig;
+    use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, RunReport, Session};
+
+    /// One manual run through the shared harness. The plan names the
+    /// device and the seed; the driver argument decides the dataflow (the
+    /// plan's flow is a report label, left at the preset default here so
+    /// flows a generation does not offer reach the driver's own check).
+    fn run(
+        version: MatMulVersion,
+        size: i64,
+        flow: FlowStrategy,
+        problem: MatMulProblem,
+        seed: u64,
+    ) -> Result<RunReport, Diagnostic> {
+        let plan =
+            CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, size)).seed(seed);
+        Session::for_sweep().run_manual(
+            &MatMulWorkload::new(problem),
+            &plan,
+            matmul_driver(version, size, flow, problem),
+        )
+    }
 
     #[test]
     fn v1_ns_verifies() {
-        let r = run_manual_matmul(
-            MatMulVersion::V1,
-            4,
-            FlowStrategy::NothingStationary,
-            MatMulProblem::square(8),
-            1,
-        )
-        .unwrap();
+        let r =
+            run(MatMulVersion::V1, 4, FlowStrategy::NothingStationary, MatMulProblem::square(8), 1)
+                .unwrap();
         assert!(r.verified);
         assert_eq!(r.accel_name, "v1_4");
     }
@@ -380,8 +349,7 @@ mod tests {
             FlowStrategy::InputAStationary,
             FlowStrategy::InputBStationary,
         ] {
-            let r =
-                run_manual_matmul(MatMulVersion::V2, 4, flow, MatMulProblem::square(8), 2).unwrap();
+            let r = run(MatMulVersion::V2, 4, flow, MatMulProblem::square(8), 2).unwrap();
             assert!(r.verified, "{flow}");
         }
     }
@@ -389,74 +357,50 @@ mod tests {
     #[test]
     fn v3_all_flows_verify() {
         for flow in FlowStrategy::all() {
-            let r =
-                run_manual_matmul(MatMulVersion::V3, 4, flow, MatMulProblem::square(8), 3).unwrap();
+            let r = run(MatMulVersion::V3, 4, flow, MatMulProblem::square(8), 3).unwrap();
             assert!(r.verified, "{flow}");
         }
     }
 
     #[test]
     fn unsupported_combinations_error() {
-        let err = run_manual_matmul(
-            MatMulVersion::V1,
-            4,
-            FlowStrategy::OutputStationary,
-            MatMulProblem::square(8),
-            0,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("does not support"));
-        let err = run_manual_matmul(
-            MatMulVersion::V2,
-            4,
-            FlowStrategy::OutputStationary,
-            MatMulProblem::square(8),
-            0,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("does not support"));
+        for version in [MatMulVersion::V1, MatMulVersion::V2] {
+            let err = run(version, 4, FlowStrategy::OutputStationary, MatMulProblem::square(8), 0)
+                .unwrap_err();
+            assert!(err.message.contains("does not support"));
+        }
     }
 
     #[test]
     fn stationary_flows_move_less_data_than_ns() {
-        let ns = run_manual_matmul(
-            MatMulVersion::V3,
-            4,
-            FlowStrategy::NothingStationary,
-            MatMulProblem::square(16),
-            4,
-        )
-        .unwrap();
-        let a_s = run_manual_matmul(
-            MatMulVersion::V3,
-            4,
-            FlowStrategy::InputAStationary,
-            MatMulProblem::square(16),
-            4,
-        )
-        .unwrap();
-        let cs = run_manual_matmul(
-            MatMulVersion::V3,
-            4,
-            FlowStrategy::OutputStationary,
-            MatMulProblem::square(16),
-            4,
-        )
-        .unwrap();
+        let v3 = |flow| run(MatMulVersion::V3, 4, flow, MatMulProblem::square(16), 4).unwrap();
+        let ns = v3(FlowStrategy::NothingStationary);
+        let a_s = v3(FlowStrategy::InputAStationary);
+        let cs = v3(FlowStrategy::OutputStationary);
         assert!(a_s.counters.dma_bytes_to_accel < ns.counters.dma_bytes_to_accel);
         assert!(cs.counters.dma_bytes_from_accel < ns.counters.dma_bytes_from_accel);
     }
 
     #[test]
     fn non_dividing_tile_is_rejected() {
-        let err = run_manual_matmul(
-            MatMulVersion::V3,
-            5,
-            FlowStrategy::NothingStationary,
-            MatMulProblem::square(8),
-            0,
-        )
-        .unwrap_err();
+        let err =
+            run(MatMulVersion::V3, 5, FlowStrategy::NothingStationary, MatMulProblem::square(8), 0)
+                .unwrap_err();
         assert!(err.message.contains("does not divide"));
+    }
+
+    #[test]
+    fn a_workload_that_binds_other_buffers_is_refused() {
+        let problem = MatMulProblem::square(8);
+        let batch = axi4mlir_workloads::batched::BatchedMatMulProblem::new(problem, 2);
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 4));
+        let err = Session::for_sweep()
+            .run_manual(
+                &axi4mlir_core::driver::BatchedMatMulWorkload::new(batch),
+                &plan,
+                matmul_driver(MatMulVersion::V3, 4, FlowStrategy::NothingStationary, problem),
+            )
+            .unwrap_err();
+        assert!(err.message.contains("found 6"), "{}", err.message);
     }
 }

@@ -7,8 +7,8 @@
 //! `accel_size >= 8`.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_baselines::run_manual_matmul;
-use axi4mlir_config::FlowStrategy;
+use axi4mlir_baselines::matmul_driver;
+use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_workloads::matmul::MatMulProblem;
@@ -36,29 +36,29 @@ pub fn sizes(scale: Scale) -> Vec<i64> {
     }
 }
 
-/// Runs the sweep. One CPU session serves every problem size (the SoC is
-/// recycled between runs instead of rebuilt).
+/// Runs the sweep. One session serves every bar: the CPU run and the
+/// manual runs of a problem size share its workload, seed and recycled
+/// SoC; only the device changes.
 pub fn rows(scale: Scale) -> Vec<Fig10Row> {
     let mut out = Vec::new();
-    let mut cpu_session = Session::for_sweep();
+    let mut session = Session::for_sweep();
     let cpu_plan = CompilePlan::cpu().seed(10);
     for dims in scale.matmul_dims() {
         let problem = MatMulProblem::square(dims);
-        let cpu = cpu_session.run(&MatMulWorkload::new(problem), &cpu_plan).expect("CPU baseline");
+        let workload = MatMulWorkload::new(problem);
+        let cpu = session.run(&workload, &cpu_plan).expect("CPU baseline");
         assert!(cpu.verified, "CPU baseline failed verification");
         out.push(Fig10Row { dims, accel_size: None, manual_ms: None, cpu_ms: cpu.task_clock_ms });
         for size in sizes(scale) {
             if dims % size != 0 || size > dims {
                 continue;
             }
-            let manual = run_manual_matmul(
-                MatMulVersion::V1,
-                size,
-                FlowStrategy::NothingStationary,
-                problem,
-                10,
-            )
-            .expect("v1 Ns manual driver");
+            let (v1, ns) = (MatMulVersion::V1, FlowStrategy::NothingStationary);
+            let plan =
+                CompilePlan::for_accelerator(AcceleratorConfig::matmul(v1, size)).flow(ns).seed(10);
+            let manual = session
+                .run_manual(&workload, &plan, matmul_driver(v1, size, ns, problem))
+                .expect("v1 Ns manual driver");
             assert!(manual.verified, "manual driver failed verification");
             out.push(Fig10Row {
                 dims,

@@ -6,8 +6,8 @@
 //! the Cs flow still provides improvements over manual Ns on v3.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_baselines::run_manual_matmul;
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use axi4mlir_baselines::matmul_driver;
+use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::options::PipelineOptions;
 use axi4mlir_heuristics::space::AccelInstance;
@@ -31,16 +31,11 @@ pub struct Fig11Row {
     pub generated_ms: Vec<(String, f64)>,
 }
 
-fn preset(version: MatMulVersion, size: i64) -> AcceleratorConfig {
-    match version {
-        MatMulVersion::V2 => AcceleratorConfig::preset(AcceleratorPreset::V2 { size }),
-        _ => AcceleratorConfig::preset(AcceleratorPreset::V3 { size }),
-    }
-}
-
 /// Runs the sweep with element-wise (pre-optimization) copies. One
-/// session serves the whole grid: the SoC is recycled per run and the
-/// device model swapped only when the (version, size) point changes.
+/// session serves the whole grid, manual and generated bars alike: each
+/// group runs one workload under one plan (only the flow changes), the
+/// SoC is recycled per run and the device model swapped only when the
+/// (version, size) point changes.
 pub fn rows(scale: Scale) -> Vec<Fig11Row> {
     let mut out = Vec::new();
     let mut session = Session::for_sweep();
@@ -48,19 +43,23 @@ pub fn rows(scale: Scale) -> Vec<Fig11Row> {
         for size in scale.accel_sizes() {
             for version in [MatMulVersion::V2, MatMulVersion::V3] {
                 let problem = MatMulProblem::square(dims);
-                let manual =
-                    run_manual_matmul(version, size, FlowStrategy::NothingStationary, problem, 11)
-                        .expect("manual Ns");
+                let workload = MatMulWorkload::new(problem);
+                let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, size))
+                    .options(PipelineOptions::unoptimized_copies())
+                    .seed(11);
+                let ns = FlowStrategy::NothingStationary;
+                let manual = session
+                    .run_manual(
+                        &workload,
+                        &plan.clone().flow(ns),
+                        matmul_driver(version, size, ns, problem),
+                    )
+                    .expect("manual Ns");
                 assert!(manual.verified);
                 let mut generated = Vec::new();
                 for flow in (AccelInstance { version, size }).flows() {
-                    let plan = CompilePlan::for_accelerator(preset(version, size))
-                        .flow(flow)
-                        .options(PipelineOptions::unoptimized_copies())
-                        .seed(11);
-                    let report = session
-                        .run(&MatMulWorkload::new(problem), &plan)
-                        .expect("generated driver");
+                    let plan = plan.clone().flow(flow);
+                    let report = session.run(&workload, &plan).expect("generated driver");
                     assert!(report.verified, "{version} {flow} must verify");
                     generated.push((flow.short_name().to_owned(), report.task_clock_ms));
                 }

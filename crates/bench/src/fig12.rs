@@ -7,8 +7,8 @@
 //! generated flows match or beat the manual driver on every metric.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_baselines::run_manual_matmul;
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use axi4mlir_baselines::matmul_driver;
+use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::options::PipelineOptions;
 use axi4mlir_sim::counters::PerfCounters;
@@ -55,20 +55,30 @@ pub fn config(scale: Scale) -> (i64, i64) {
     }
 }
 
-/// Runs one variant of the experiment (v3 accelerator). The four
-/// generated flows share one session — the same device, recycled between
-/// flows.
+/// Runs one variant of the experiment (v3 accelerator). The CPU
+/// reference, the manual driver and the four generated flows share one
+/// session, one workload and one plan (only the flow changes) — the same
+/// device, recycled between runs.
 pub fn rows(scale: Scale, variant: Variant) -> Vec<Fig12Row> {
     let (dims, size) = config(scale);
     let problem = MatMulProblem::square(dims);
     let workload = MatMulWorkload::new(problem);
-    let cpu =
-        Session::for_sweep().run(&workload, &CompilePlan::cpu().seed(12)).expect("CPU baseline");
+    let mut session = Session::for_sweep();
+    let cpu = session.run(&workload, &CompilePlan::cpu().seed(12)).expect("CPU baseline");
     let mut out = Vec::new();
 
-    let manual =
-        run_manual_matmul(MatMulVersion::V3, size, FlowStrategy::NothingStationary, problem, 12)
-            .expect("manual Ns");
+    let options = match variant {
+        Variant::A => PipelineOptions::unoptimized_copies(),
+        Variant::B => PipelineOptions::optimized(),
+    };
+    let v3 = MatMulVersion::V3;
+    let plan =
+        CompilePlan::for_accelerator(AcceleratorConfig::matmul(v3, size)).options(options).seed(12);
+    let ns = FlowStrategy::NothingStationary;
+    let manual = session
+        .run_manual(&workload, &plan.clone().flow(ns), matmul_driver(v3, size, ns, problem))
+        .expect("manual Ns");
+    assert!(manual.verified);
     let (b, c, t) =
         ratios(&manual.counters, manual.task_clock_ms, &cpu.counters, cpu.task_clock_ms);
     out.push(Fig12Row {
@@ -78,18 +88,8 @@ pub fn rows(scale: Scale, variant: Variant) -> Vec<Fig12Row> {
         clock_ratio: t,
     });
 
-    let options = match variant {
-        Variant::A => PipelineOptions::unoptimized_copies(),
-        Variant::B => PipelineOptions::optimized(),
-    };
-    let mut session = Session::for_sweep();
     for flow in FlowStrategy::all() {
-        let plan =
-            CompilePlan::for_accelerator(AcceleratorConfig::preset(AcceleratorPreset::V3 { size }))
-                .flow(flow)
-                .options(options)
-                .seed(12);
-        let report = session.run(&workload, &plan).expect("generated driver");
+        let report = session.run(&workload, &plan.clone().flow(flow)).expect("generated driver");
         assert!(report.verified);
         let (b, c, t) =
             ratios(&report.counters, report.task_clock_ms, &cpu.counters, cpu.task_clock_ms);

@@ -6,8 +6,8 @@
 //! 56% max cache-reference reduction.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_baselines::run_manual_matmul;
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use axi4mlir_baselines::matmul_driver;
+use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_heuristics::space::AccelInstance;
 use axi4mlir_support::fmtutil::{fmt_ms, fmt_speedup, TextTable};
@@ -53,8 +53,9 @@ impl Fig13Row {
     }
 }
 
-/// Runs the full grid. The generated runs share one session across the
-/// whole sweep (SoC recycled per run, device swapped per grid point).
+/// Runs the full grid. Both bars of a pair run the same workload under
+/// the same plan, and one session serves the whole sweep (SoC recycled
+/// per run, device swapped per grid point).
 pub fn rows(scale: Scale) -> Vec<Fig13Row> {
     let mut out = Vec::new();
     let mut session = Session::for_sweep();
@@ -63,19 +64,16 @@ pub fn rows(scale: Scale) -> Vec<Fig13Row> {
             for version in [MatMulVersion::V2, MatMulVersion::V3] {
                 for flow in (AccelInstance { version, size }).flows() {
                     let problem = MatMulProblem::square(dims);
-                    let manual =
-                        run_manual_matmul(version, size, flow, problem, 13).expect("manual driver");
+                    let workload = MatMulWorkload::new(problem);
+                    let plan =
+                        CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, size))
+                            .flow(flow)
+                            .seed(13);
+                    let manual = session
+                        .run_manual(&workload, &plan, matmul_driver(version, size, flow, problem))
+                        .expect("manual driver");
                     assert!(manual.verified);
-                    let preset = match version {
-                        MatMulVersion::V2 => AcceleratorPreset::V2 { size },
-                        _ => AcceleratorPreset::V3 { size },
-                    };
-                    let plan = CompilePlan::for_accelerator(AcceleratorConfig::preset(preset))
-                        .flow(flow)
-                        .seed(13);
-                    let generated = session
-                        .run(&MatMulWorkload::new(problem), &plan)
-                        .expect("generated driver");
+                    let generated = session.run(&workload, &plan).expect("generated driver");
                     assert!(generated.verified);
                     out.push(Fig13Row {
                         dims,

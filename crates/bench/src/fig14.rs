@@ -7,9 +7,9 @@
 //! is at least as fast as every square strategy.
 
 use axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS;
-use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
+use axi4mlir_config::FlowStrategy;
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
-use axi4mlir_heuristics::{best_choice, square_tile_choice, TileChoice};
+use axi4mlir_heuristics::{best_choice, square_tile_choice, AccelInstance, TileChoice};
 use axi4mlir_support::fmtutil::{fmt_ms, TextTable};
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -32,13 +32,7 @@ pub struct Fig14Row {
 pub const V4_BASE: i64 = 16;
 
 fn run_choice(session: &mut Session, problem: MatMulProblem, choice: &TileChoice) -> f64 {
-    let config = AcceleratorConfig::preset_v4_with_tile(
-        choice.instantiation_base(V4_BASE),
-        choice.tile.0,
-        choice.tile.1,
-        choice.tile.2,
-    )
-    .with_selected_flow(choice.flow.short_name());
+    let config = AccelInstance::v4(V4_BASE).config(choice.tile, choice.flow);
     let plan = CompilePlan::for_accelerator(config).seed(14);
     let report = session.run(&MatMulWorkload::new(problem), &plan).expect("v4 run");
     assert!(report.verified, "{problem} {choice:?}");

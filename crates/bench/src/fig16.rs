@@ -7,7 +7,7 @@
 //! slowdown — because windows of one element degrade to the element-wise
 //! path.
 
-use axi4mlir_baselines::run_manual_conv;
+use axi4mlir_baselines::conv_driver;
 use axi4mlir_core::driver::{CompilePlan, ConvWorkload, Session};
 use axi4mlir_support::fmtutil::{fmt_percent, TextTable};
 use axi4mlir_workloads::resnet::{resnet18_layers, ConvLayer};
@@ -41,16 +41,18 @@ pub fn layers(scale: Scale) -> Vec<ConvLayer> {
     }
 }
 
-/// Runs the per-layer comparison. All layers drive the same Conv2D device
-/// through one shared session.
+/// Runs the per-layer comparison. Both drivers of a layer run its one
+/// workload under its one plan, and all layers drive the same Conv2D
+/// device through one shared session.
 pub fn rows(scale: Scale) -> Vec<Fig16Row> {
     let mut out = Vec::new();
     let mut session = Session::for_sweep();
     for layer in layers(scale) {
-        let manual = run_manual_conv(layer, 16).expect("manual conv");
-        assert!(manual.verified, "{layer}: manual driver must verify");
+        let workload = ConvWorkload::new(layer);
         let plan = CompilePlan::for_conv_layer(layer);
-        let generated = session.run(&ConvWorkload::new(layer), &plan).expect("generated conv");
+        let manual = session.run_manual(&workload, &plan, conv_driver(layer)).expect("manual conv");
+        assert!(manual.verified, "{layer}: manual driver must verify");
+        let generated = session.run(&workload, &plan).expect("generated conv");
         assert!(generated.verified, "{layer}: generated driver must verify");
         out.push(Fig16Row {
             layer,

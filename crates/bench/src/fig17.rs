@@ -14,9 +14,9 @@
 //! `Best` ahead of `Ns-SquareTile`.
 
 use axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS;
-use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
+use axi4mlir_config::FlowStrategy;
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
-use axi4mlir_heuristics::{best_choice, square_tile_choice, TileChoice};
+use axi4mlir_heuristics::{best_choice, square_tile_choice, AccelInstance, TileChoice};
 use axi4mlir_support::fmtutil::{fmt_ms, fmt_speedup, TextTable};
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::tinybert::{tinybert_matmuls, TinyBertMatMul};
@@ -67,13 +67,7 @@ fn accel_total_ms(
     for entry in inventory {
         let choice = choose(&entry.problem)
             .unwrap_or_else(|e| panic!("no legal v4 configuration for {}: {e}", entry.problem));
-        let config = AcceleratorConfig::preset_v4_with_tile(
-            choice.instantiation_base(V4_BASE),
-            choice.tile.0,
-            choice.tile.1,
-            choice.tile.2,
-        )
-        .with_selected_flow(choice.flow.short_name());
+        let config = AccelInstance::v4(V4_BASE).config(choice.tile, choice.flow);
         let plan = CompilePlan::for_accelerator(config).seed(17);
         let report = session.run(&MatMulWorkload::new(entry.problem), &plan).expect("v4 run");
         assert!(report.verified, "{}: {:?}", entry.problem, choice);

@@ -283,10 +283,10 @@ impl AcceleratorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::AcceleratorPreset;
+    use axi4mlir_accelerators::matmul::MatMulVersion;
 
     fn v3() -> AcceleratorConfig {
-        AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 })
+        AcceleratorConfig::matmul(MatMulVersion::V3, 8)
     }
 
     #[test]
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn accel_dim_map_prints_like_paper() {
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
         assert_eq!(cfg.accel_dim_map().to_string(), "(m, n, k) -> (4, 4, 4)");
     }
 }

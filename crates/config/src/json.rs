@@ -171,6 +171,7 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_accelerators::matmul::MatMulVersion;
 
     /// A faithful Fig. 5-style document for a v3_8 accelerator.
     pub(crate) const SAMPLE: &str = r#"{
@@ -214,8 +215,7 @@ mod tests {
     fn parsed_config_equals_preset_modulo_flows() {
         let sys = SystemConfig::from_json(SAMPLE).unwrap();
         let parsed = sys.accelerator("v3_8").unwrap();
-        let preset = AcceleratorConfig::preset(crate::presets::AcceleratorPreset::V3 { size: 8 })
-            .with_selected_flow("Cs");
+        let preset = AcceleratorConfig::matmul(MatMulVersion::V3, 8).with_selected_flow("Cs");
         assert_eq!(parsed.opcode_map, preset.opcode_map);
         assert_eq!(parsed.accel_dims, preset.accel_dims);
         assert_eq!(parsed.flow("Cs"), preset.flow("Cs"));

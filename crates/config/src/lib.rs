@@ -26,5 +26,4 @@ pub use accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
 pub use cpu::{CpuModel, CpuSpec};
 pub use flow::FlowStrategy;
 pub use json::SystemConfig;
-pub use presets::AcceleratorPreset;
 pub use tiling::CacheTiling;

@@ -43,38 +43,33 @@ fn preset_flows(version: MatMulVersion) -> Vec<(String, OpcodeFlow)> {
         .collect()
 }
 
-/// Selects one of the paper's accelerators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AcceleratorPreset {
-    /// Table I v1 (no reuse) with square tile `size`.
-    V1 {
-        /// Base tile size (4, 8, or 16 in the paper).
-        size: i64,
-    },
-    /// Table I v2 (input reuse).
-    V2 {
-        /// Base tile size.
-        size: i64,
-    },
-    /// Table I v3 (input + output reuse).
-    V3 {
-        /// Base tile size.
-        size: i64,
-    },
-    /// Table I v4 (flexible tile shapes); tile defaults to square `size`,
-    /// adjustable with [`AcceleratorConfig::preset_v4_with_tile`].
-    V4 {
-        /// Base (divisibility) tile size.
-        size: i64,
-    },
-    /// The §IV-D Conv2D accelerator, configured for `ic` input channels and
-    /// a square `fhw` filter.
-    Conv2d {
-        /// Input channels per window.
-        ic: i64,
-        /// Filter height/width.
-        fhw: i64,
-    },
+/// The micro-ISA each MatMul generation decodes, as the entries of its
+/// `opcode_map` (the row beside [`matmul_flows`]): v1 one fused opcode,
+/// v2 separate sends plus fused compute-and-read variants, v3/v4 one
+/// opcode per action. v4's runtime tile configuration (`cfg`) depends on
+/// the tile and is appended by the builder.
+fn matmul_opcodes(version: MatMulVersion) -> &'static str {
+    match version {
+        MatMulVersion::V1 => {
+            "sAsBcCrC = [send_literal(0x20), send(0), send(1), recv(2)], \
+             reset = [send_literal(0xFF)]"
+        }
+        MatMulVersion::V2 => {
+            "sA = [send_literal(0x22), send(0)], \
+             sB = [send_literal(0x23), send(1)], \
+             cCrC = [send_literal(0x27), recv(2)], \
+             sBcCrC = [send_literal(0x25), send(1), recv(2)], \
+             sAcCrC = [send_literal(0x26), send(0), recv(2)], \
+             reset = [send_literal(0xFF)]"
+        }
+        MatMulVersion::V3 | MatMulVersion::V4 => {
+            "sA = [send_literal(0x22), send(0)], \
+             sB = [send_literal(0x23), send(1)], \
+             cC = [send_literal(0xF0)], \
+             rC = [send_literal(0x24), recv(2)], \
+             reset = [send_literal(0xFF)]"
+        }
+    }
 }
 
 fn parse_map(text: &str) -> OpcodeMap {
@@ -98,116 +93,53 @@ fn matmul_data() -> Vec<(String, Vec<String>)> {
 }
 
 impl AcceleratorConfig {
-    /// Builds the configuration for a preset accelerator.
-    pub fn preset(preset: AcceleratorPreset) -> AcceleratorConfig {
-        match preset {
-            AcceleratorPreset::V1 { size } => Self::v1(size),
-            AcceleratorPreset::V2 { size } => Self::v2(size),
-            AcceleratorPreset::V3 { size } => Self::v3(size),
-            AcceleratorPreset::V4 { size } => Self::preset_v4_with_tile(size, size, size, size),
-            AcceleratorPreset::Conv2d { ic, fhw } => Self::conv2d(ic, fhw),
-        }
-    }
-
-    fn v1(size: i64) -> AcceleratorConfig {
-        let cfg = AcceleratorConfig {
-            name: MatMulVersion::V1.instance_name(size),
-            kernel: KernelKind::MatMul,
-            dma: DmaInfo::default(),
-            dims: matmul_dims(),
-            accel_dims: vec![size, size, size],
-            data: matmul_data(),
-            data_type: "int32".to_owned(),
-            opcode_map: parse_map(
-                "opcode_map<sAsBcCrC = [send_literal(0x20), send(0), send(1), recv(2)], \
-                 reset = [send_literal(0xFF)]>",
-            ),
-            flows: preset_flows(MatMulVersion::V1),
-            selected_flow: "Ns".to_owned(),
-            init_opcodes: vec!["reset".to_owned()],
-        };
-        cfg.validate().expect("v1 preset is well-formed");
-        cfg
-    }
-
-    fn v2(size: i64) -> AcceleratorConfig {
-        let cfg = AcceleratorConfig {
-            name: MatMulVersion::V2.instance_name(size),
-            kernel: KernelKind::MatMul,
-            dma: DmaInfo::default(),
-            dims: matmul_dims(),
-            accel_dims: vec![size, size, size],
-            data: matmul_data(),
-            data_type: "int32".to_owned(),
-            opcode_map: parse_map(
-                "opcode_map<sA = [send_literal(0x22), send(0)], \
-                 sB = [send_literal(0x23), send(1)], \
-                 cCrC = [send_literal(0x27), recv(2)], \
-                 sBcCrC = [send_literal(0x25), send(1), recv(2)], \
-                 sAcCrC = [send_literal(0x26), send(0), recv(2)], \
-                 reset = [send_literal(0xFF)]>",
-            ),
-            flows: preset_flows(MatMulVersion::V2),
-            selected_flow: "Ns".to_owned(),
-            init_opcodes: vec!["reset".to_owned()],
-        };
-        cfg.validate().expect("v2 preset is well-formed");
-        cfg
-    }
-
-    fn v3_like(name: String, size: i64) -> AcceleratorConfig {
-        AcceleratorConfig {
-            name,
-            kernel: KernelKind::MatMul,
-            dma: DmaInfo::default(),
-            dims: matmul_dims(),
-            accel_dims: vec![size, size, size],
-            data: matmul_data(),
-            data_type: "int32".to_owned(),
-            opcode_map: parse_map(
-                "opcode_map<sA = [send_literal(0x22), send(0)], \
-                 sB = [send_literal(0x23), send(1)], \
-                 cC = [send_literal(0xF0)], \
-                 rC = [send_literal(0x24), recv(2)], \
-                 reset = [send_literal(0xFF)]>",
-            ),
-            flows: preset_flows(MatMulVersion::V3),
-            selected_flow: "Ns".to_owned(),
-            init_opcodes: vec!["reset".to_owned()],
-        }
-    }
-
-    fn v3(size: i64) -> AcceleratorConfig {
-        let cfg = Self::v3_like(MatMulVersion::V3.instance_name(size), size);
-        cfg.validate().expect("v3 preset is well-formed");
-        cfg
+    /// The Table I accelerator of generation `version` with base size
+    /// `size` (4, 8, or 16 in the paper): the fixed square tile of v1–v3,
+    /// the divisibility base — and default square tile — of v4.
+    pub fn matmul(version: MatMulVersion, size: i64) -> AcceleratorConfig {
+        Self::matmul_with_tile(version, size, (size, size, size))
     }
 
     /// A v4 accelerator with base `size` (divisibility constraint) and the
     /// given tile shape. The tile-shape configuration instruction
     /// (`0x30 tM tN tK`) is prepended to the per-kernel `init_opcodes`.
     pub fn preset_v4_with_tile(size: i64, tm: i64, tn: i64, tk: i64) -> AcceleratorConfig {
-        let mut cfg = Self::v3_like(MatMulVersion::V4.instance_name(size), size);
-        cfg.accel_dims = vec![tm, tn, tk];
-        let mut entries: Vec<(String, Vec<axi4mlir_ir::attrs::OpcodeAction>)> =
-            cfg.opcode_map.iter().map(|(n, a)| (n.to_owned(), a.to_vec())).collect();
-        entries.push((
-            "cfg".to_owned(),
-            OpcodeMap::parse(&format!(
-                "opcode_map<cfg = [send_literal(0x30), send_literal({tm}), send_literal({tn}), send_literal({tk})]>"
-            ))
-            .expect("cfg opcode parses")
-            .get("cfg")
-            .expect("cfg present")
-            .to_vec(),
-        ));
-        cfg.opcode_map = OpcodeMap::new(entries).expect("unique opcode names");
-        cfg.init_opcodes = vec!["reset".to_owned(), "cfg".to_owned()];
-        cfg.validate().expect("v4 preset is well-formed");
+        Self::matmul_with_tile(MatMulVersion::V4, size, (tm, tn, tk))
+    }
+
+    fn matmul_with_tile(
+        version: MatMulVersion,
+        size: i64,
+        (tm, tn, tk): (i64, i64, i64),
+    ) -> AcceleratorConfig {
+        let mut opcodes = matmul_opcodes(version).to_owned();
+        let mut init_opcodes = vec!["reset".to_owned()];
+        if version == MatMulVersion::V4 {
+            opcodes.push_str(&format!(
+                ", cfg = [send_literal(0x30), send_literal({tm}), send_literal({tn}), send_literal({tk})]"
+            ));
+            init_opcodes.push("cfg".to_owned());
+        }
+        let cfg = AcceleratorConfig {
+            name: version.instance_name(size),
+            kernel: KernelKind::MatMul,
+            dma: DmaInfo::default(),
+            dims: matmul_dims(),
+            accel_dims: vec![tm, tn, tk],
+            data: matmul_data(),
+            data_type: "int32".to_owned(),
+            opcode_map: parse_map(&format!("opcode_map<{opcodes}>")),
+            flows: preset_flows(version),
+            selected_flow: "Ns".to_owned(),
+            init_opcodes,
+        };
+        cfg.validate().expect("MatMul preset is well-formed");
         cfg
     }
 
-    fn conv2d(ic: i64, fhw: i64) -> AcceleratorConfig {
+    /// The §IV-D Conv2D accelerator, configured for `ic` input channels
+    /// per window and a square `fhw` filter.
+    pub fn conv2d(ic: i64, fhw: i64) -> AcceleratorConfig {
         let dims: Vec<String> =
             ["b", "h", "w", "ic", "oc", "fh", "fw"].iter().map(|s| (*s).to_owned()).collect();
         let cfg = AcceleratorConfig {
@@ -253,21 +185,20 @@ mod tests {
 
     #[test]
     fn all_presets_validate() {
-        for preset in [
-            AcceleratorPreset::V1 { size: 4 },
-            AcceleratorPreset::V2 { size: 8 },
-            AcceleratorPreset::V3 { size: 16 },
-            AcceleratorPreset::V4 { size: 16 },
-            AcceleratorPreset::Conv2d { ic: 256, fhw: 3 },
+        for cfg in [
+            AcceleratorConfig::matmul(MatMulVersion::V1, 4),
+            AcceleratorConfig::matmul(MatMulVersion::V2, 8),
+            AcceleratorConfig::matmul(MatMulVersion::V3, 16),
+            AcceleratorConfig::matmul(MatMulVersion::V4, 16),
+            AcceleratorConfig::conv2d(256, 3),
         ] {
-            let cfg = AcceleratorConfig::preset(preset);
             cfg.validate().unwrap();
         }
     }
 
     #[test]
     fn v1_offers_only_nothing_stationary() {
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V1 { size: 4 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V1, 4);
         assert_eq!(cfg.flows.len(), 1);
         assert_eq!(cfg.flows[0].0, "Ns");
         assert_eq!(cfg.name, "v1_4");
@@ -275,7 +206,7 @@ mod tests {
 
     #[test]
     fn v2_offers_input_stationary_flows() {
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V2 { size: 8 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V2, 8);
         let names: Vec<&str> = cfg.flows.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["Ns", "As", "Bs"]);
         assert_eq!(cfg.flow("As").unwrap().depth(), 2);
@@ -283,7 +214,7 @@ mod tests {
 
     #[test]
     fn v3_flows_match_paper_examples() {
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
         for s in FlowStrategy::all() {
             assert!(cfg.flow(s.short_name()).is_some(), "v3 must offer {s}");
         }
@@ -305,7 +236,7 @@ mod tests {
 
     #[test]
     fn conv_preset_matches_fig15a() {
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 256, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(256, 3);
         assert_eq!(cfg.accel_dims, vec![0, 0, 0, 256, 1, 3, 3]);
         assert_eq!(cfg.selected().to_string(), "opcode_flow<(sF (sIcO) rO)>");
         let rst = cfg.opcode_map.get("rst").unwrap();
@@ -317,7 +248,7 @@ mod tests {
     fn opcode_literals_agree_with_accelerator_isa() {
         // The preset literals must match the micro-ISA the accelerator
         // models decode, or every end-to-end run would hang.
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
         let first_action = |name: &str| cfg.opcode_map.get(name).unwrap()[0].clone();
         assert_eq!(
             first_action("sA"),
@@ -339,5 +270,54 @@ mod tests {
             first_action("reset"),
             axi4mlir_ir::attrs::OpcodeAction::SendLiteral { value: 0xFF }
         );
+    }
+
+    /// `name accel_dims opcode_map [flows] init_opcodes selected_flow`.
+    fn render(cfg: &AcceleratorConfig) -> String {
+        let flows: Vec<String> = cfg.flows.iter().map(|(n, f)| format!("{n}={f}")).collect();
+        format!(
+            "{} {:?} {} [{}] {:?} {}",
+            cfg.name,
+            cfg.accel_dims,
+            cfg.opcode_map,
+            flows.join(", "),
+            cfg.init_opcodes,
+            cfg.selected_flow
+        )
+    }
+
+    #[test]
+    fn generation_constructor_renders_what_the_preset_enum_did() {
+        // Written by the last commit that had `AcceleratorConfig::preset`:
+        // sizes 4, 8, 16 x v1..v4, then conv2d (256, 3).
+        #[rustfmt::skip]
+        let expected = [
+            r#"v1_4 [4, 4, 4] opcode_map<sAsBcCrC = [send_literal(32), send(0), send(1), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sAsBcCrC)>] ["reset"] Ns"#,
+            r#"v2_4 [4, 4, 4] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cCrC = [send_literal(39), recv(2)], sBcCrC = [send_literal(37), send(1), recv(2)], sAcCrC = [send_literal(38), send(0), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cCrC)>, As=opcode_flow<(sA (sBcCrC))>, Bs=opcode_flow<(sB (sAcCrC))>] ["reset"] Ns"#,
+            r#"v3_4 [4, 4, 4] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset"] Ns"#,
+            r#"v4_4 [4, 4, 4] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)], cfg = [send_literal(48), send_literal(4), send_literal(4), send_literal(4)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset", "cfg"] Ns"#,
+            r#"v1_8 [8, 8, 8] opcode_map<sAsBcCrC = [send_literal(32), send(0), send(1), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sAsBcCrC)>] ["reset"] Ns"#,
+            r#"v2_8 [8, 8, 8] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cCrC = [send_literal(39), recv(2)], sBcCrC = [send_literal(37), send(1), recv(2)], sAcCrC = [send_literal(38), send(0), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cCrC)>, As=opcode_flow<(sA (sBcCrC))>, Bs=opcode_flow<(sB (sAcCrC))>] ["reset"] Ns"#,
+            r#"v3_8 [8, 8, 8] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset"] Ns"#,
+            r#"v4_8 [8, 8, 8] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)], cfg = [send_literal(48), send_literal(8), send_literal(8), send_literal(8)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset", "cfg"] Ns"#,
+            r#"v1_16 [16, 16, 16] opcode_map<sAsBcCrC = [send_literal(32), send(0), send(1), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sAsBcCrC)>] ["reset"] Ns"#,
+            r#"v2_16 [16, 16, 16] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cCrC = [send_literal(39), recv(2)], sBcCrC = [send_literal(37), send(1), recv(2)], sAcCrC = [send_literal(38), send(0), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cCrC)>, As=opcode_flow<(sA (sBcCrC))>, Bs=opcode_flow<(sB (sAcCrC))>] ["reset"] Ns"#,
+            r#"v3_16 [16, 16, 16] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset"] Ns"#,
+            r#"v4_16 [16, 16, 16] opcode_map<sA = [send_literal(34), send(0)], sB = [send_literal(35), send(1)], cC = [send_literal(240)], rC = [send_literal(36), recv(2)], reset = [send_literal(255)], cfg = [send_literal(48), send_literal(16), send_literal(16), send_literal(16)]> [Ns=opcode_flow<(sA sB cC rC)>, As=opcode_flow<(sA (sB cC rC))>, Bs=opcode_flow<(sB (sA cC rC))>, Cs=opcode_flow<((sA sB cC) rC)>] ["reset", "cfg"] Ns"#,
+            r#"conv2d [0, 0, 0, 256, 1, 3, 3] opcode_map<sIcO = [send_literal(70), send(0)], sF = [send_literal(1), send(1)], rO = [send_literal(8), recv(2)], rst = [send_literal(32), send_dim(1, 3), send_literal(16), send_dim(0, 1)]> [FOs=opcode_flow<(sF (sIcO) rO)>] ["rst"] FOs"#,
+        ];
+        let mut built = Vec::new();
+        for size in [4, 8, 16] {
+            for version in
+                [MatMulVersion::V1, MatMulVersion::V2, MatMulVersion::V3, MatMulVersion::V4]
+            {
+                built.push(AcceleratorConfig::matmul(version, size));
+            }
+        }
+        built.push(AcceleratorConfig::conv2d(256, 3));
+        assert_eq!(built.len(), expected.len());
+        for (cfg, expected) in built.iter().zip(expected) {
+            assert_eq!(render(cfg), expected);
+        }
     }
 }

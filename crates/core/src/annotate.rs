@@ -90,7 +90,7 @@ impl Pass for MatchAndAnnotatePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_config::AcceleratorPreset;
+    use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_dialects::{func, memref};
     use axi4mlir_ir::pass::PassManager;
     use axi4mlir_ir::types::Type;
@@ -109,8 +109,7 @@ mod tests {
     #[test]
     fn annotates_matched_matmul() {
         let mut module = matmul_module(16);
-        let cfg =
-            AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 }).with_selected_flow("As");
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 8).with_selected_flow("As");
         let mut pass = MatchAndAnnotatePass::new(
             cfg,
             vec!["m".to_owned(), "k".to_owned(), "n".to_owned()],
@@ -136,7 +135,7 @@ mod tests {
     fn no_match_is_an_error() {
         let mut module = Module::new();
         func::func(&mut module, "empty", vec![], vec![]);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
         let mut pass = MatchAndAnnotatePass::new(cfg, vec![], None);
         let mut diags = DiagnosticEngine::new();
         let err = pass.run(&mut module, &mut diags).unwrap_err();
@@ -152,7 +151,7 @@ mod tests {
         let w = memref::alloc(&mut b, vec![64, 256, 3, 3], Type::i32());
         let o = memref::alloc(&mut b, vec![1, 64, 5, 5], Type::i32());
         linalg::conv_2d_nchw_fchw(&mut b, i, w, o, 1);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 256, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(256, 3);
         let mut pass = MatchAndAnnotatePass::new(cfg, vec![], None);
         let mut diags = DiagnosticEngine::new();
         pass.run(&mut m, &mut diags).unwrap();

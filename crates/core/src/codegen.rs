@@ -154,15 +154,7 @@ fn rewrite_one(ctx: &mut IrCtx, op: OpId, coalesce: bool) -> Result<(), Diagnost
             plan::matmul_plan((m, n, k), tiles, &perm, tr.cache_tile)?
         }
         KernelKind::Conv2dNchwFchw => {
-            let shapes: Vec<Vec<i64>> = operands
-                .iter()
-                .map(|v| {
-                    ctx.value_type(*v)
-                        .as_memref()
-                        .map(|m| m.shape.clone())
-                        .ok_or_else(|| Diagnostic::error("conv operands must be memrefs"))
-                })
-                .collect::<Result<_, _>>()?;
+            let shapes = linalg::conv_shapes(ctx, op)?;
             let stride = ctx
                 .attr(op, "strides")
                 .and_then(|a| a.as_array())
@@ -482,7 +474,8 @@ fn expand_actions(
 mod tests {
     use super::*;
     use crate::annotate::MatchAndAnnotatePass;
-    use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+    use axi4mlir_accelerators::matmul::MatMulVersion;
+    use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
     use axi4mlir_dialects::{func, verify::DialectVerifierPass};
     use axi4mlir_ir::pass::PassManager;
     use axi4mlir_ir::printer::print_op;
@@ -498,14 +491,10 @@ mod tests {
         m
     }
 
-    fn compile(
-        dims: i64,
-        preset: AcceleratorPreset,
-        flow: FlowStrategy,
-        cache_tile: Option<i64>,
-    ) -> Module {
+    fn compile(dims: i64, v3_size: i64, flow: FlowStrategy, cache_tile: Option<i64>) -> Module {
         let mut module = matmul_module(dims);
-        let cfg = AcceleratorConfig::preset(preset).with_selected_flow(flow.short_name());
+        let cfg = AcceleratorConfig::matmul(MatMulVersion::V3, v3_size)
+            .with_selected_flow(flow.short_name());
         let perm: Vec<String> = flow.matmul_permutation().iter().map(|s| (*s).to_owned()).collect();
         let mut pm = PassManager::new();
         pm.add(Box::new(MatchAndAnnotatePass::new(cfg, perm, cache_tile)));
@@ -517,8 +506,7 @@ mod tests {
 
     #[test]
     fn ns_flow_generates_three_loops_with_innermost_transfers() {
-        let m =
-            compile(16, AcceleratorPreset::V3 { size: 4 }, FlowStrategy::NothingStationary, None);
+        let m = compile(16, 4, FlowStrategy::NothingStationary, None);
         let fors = m.ctx.find_ops(m.top(), "scf.for");
         assert_eq!(fors.len(), 3);
         assert!(m.ctx.find_ops(m.top(), "linalg.generic").is_empty(), "linalg op replaced");
@@ -535,8 +523,7 @@ mod tests {
 
     #[test]
     fn as_flow_hoists_sa_out_of_innermost() {
-        let m =
-            compile(16, AcceleratorPreset::V3 { size: 4 }, FlowStrategy::InputAStationary, None);
+        let m = compile(16, 4, FlowStrategy::InputAStationary, None);
         let fors = m.ctx.find_ops(m.top(), "scf.for");
         let innermost =
             fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1).unwrap();
@@ -552,8 +539,7 @@ mod tests {
 
     #[test]
     fn cs_flow_receives_after_inner_loop() {
-        let m =
-            compile(16, AcceleratorPreset::V3 { size: 4 }, FlowStrategy::OutputStationary, None);
+        let m = compile(16, 4, FlowStrategy::OutputStationary, None);
         let fors = m.ctx.find_ops(m.top(), "scf.for");
         let innermost =
             fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1).unwrap();
@@ -570,20 +556,14 @@ mod tests {
 
     #[test]
     fn cache_tiling_adds_outer_loops() {
-        let m = compile(
-            64,
-            AcceleratorPreset::V3 { size: 8 },
-            FlowStrategy::NothingStationary,
-            Some(32),
-        );
+        let m = compile(64, 8, FlowStrategy::NothingStationary, Some(32));
         // m and n gain cache loops; the streaming dim k does not.
         assert_eq!(m.ctx.find_ops(m.top(), "scf.for").len(), 5);
     }
 
     #[test]
     fn init_opcodes_run_before_loops() {
-        let m =
-            compile(16, AcceleratorPreset::V3 { size: 4 }, FlowStrategy::NothingStationary, None);
+        let m = compile(16, 4, FlowStrategy::NothingStationary, None);
         let f = m.funcs()[0];
         let entry = m.ctx.sole_block(f, 0);
         let names: Vec<String> =
@@ -596,8 +576,7 @@ mod tests {
 
     #[test]
     fn generated_ir_round_trips_through_text() {
-        let m =
-            compile(16, AcceleratorPreset::V3 { size: 8 }, FlowStrategy::InputBStationary, None);
+        let m = compile(16, 8, FlowStrategy::InputBStationary, None);
         let printed = print_op(&m.ctx, m.top());
         let m2 = axi4mlir_ir::parser::parse_module(&printed).unwrap();
         assert_eq!(print_op(&m2.ctx, m2.top()), printed);
@@ -612,7 +591,7 @@ mod tests {
         let w = memref::alloc(&mut b, vec![64, 256, 3, 3], Type::i32());
         let o = memref::alloc(&mut b, vec![1, 64, 5, 5], Type::i32());
         linalg::conv_2d_nchw_fchw(&mut b, i, w, o, 1);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 256, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(256, 3);
         let mut pm = PassManager::new();
         pm.add(Box::new(MatchAndAnnotatePass::new(cfg, vec![], None)));
         pm.add(Box::new(GenerateAccelDriverPass::default()));
@@ -635,7 +614,7 @@ mod tests {
         let w = memref::alloc(&mut b, vec![64, 128, 3, 3], Type::i32());
         let o = memref::alloc(&mut b, vec![1, 64, 5, 5], Type::i32());
         linalg::conv_2d_nchw_fchw(&mut b, i, w, o, 1);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 256, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(256, 3);
         let mut pm = PassManager::new();
         pm.add(Box::new(MatchAndAnnotatePass::new(cfg, vec![], None)));
         pm.add(Box::new(GenerateAccelDriverPass::default()));
@@ -646,7 +625,7 @@ mod tests {
     #[test]
     fn opcode_staging_after_recv_is_rejected() {
         let mut module = matmul_module(16);
-        let mut cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+        let mut cfg = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
         // Corrupt the opcode map: stage after recv.
         let broken = OpcodeMap::parse("opcode_map<sA = [send_literal(0x22), send(0)], sB = [send_literal(0x23), send(1)], cC = [send_literal(0xF0)], rC = [recv(2), send_literal(9)], reset = [send_literal(0xFF)]>").unwrap();
         cfg.opcode_map = broken;

@@ -18,7 +18,12 @@
 //!   which amortizes per-run setup in benchmark sweeps, and the device is
 //!   only re-instantiated when a plan targets a different accelerator.
 //!
-//! There is no other compile-and-run: a one-off run is
+//! There is no other harness. [`Session::run`] and [`Session::run_manual`]
+//! are one execute body (retarget, recycle, bind, reset, drive, protocol
+//! check, read-back, verify) under two drivers: the interpreter over the
+//! compiled module, and a hand-written driver over the same bound buffers
+//! — so the `cpp MANUAL` and generated sides of a figure row differ in the
+//! driver and in nothing else. A one-off run is
 //! `Session::for_sweep().run(&workload, &plan)`.
 
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
@@ -26,7 +31,6 @@ use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::pass::{IrSnapshot, PassManager, PassTiming};
-use axi4mlir_runtime::copy::CopyStrategy;
 use axi4mlir_runtime::kernels;
 use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
@@ -44,7 +48,7 @@ use crate::lower::LowerAccelToRuntimePass;
 use crate::options::{CacheTiling, PipelineOptions};
 use crate::pipeline::{build_conv_module, build_matmul_module, DeviceModel};
 
-/// What one compile-and-execute run produced.
+/// What one measured run produced — compiled or hand-written driver.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Accelerator (or `"cpu"`) the run used.
@@ -57,11 +61,13 @@ pub struct RunReport {
     pub task_clock_ms: f64,
     /// Whether the numeric result matched the reference kernel.
     pub verified: bool,
-    /// Cache-tiling edge the compiler chose (if any).
+    /// Cache-tiling edge the compiler chose (if any; never for a
+    /// hand-written driver).
     pub cache_tile: Option<i64>,
-    /// IR snapshots (when requested).
+    /// IR snapshots (when requested; empty for a hand-written driver).
     pub ir_after: Vec<IrSnapshot>,
-    /// Wall-clock time each compiler pass took.
+    /// Wall-clock time each compiler pass took (empty for a hand-written
+    /// driver).
     pub pass_timings: Vec<PassTiming>,
     /// The computed output buffer(s), concatenated.
     pub result: Vec<i32>,
@@ -494,9 +500,6 @@ pub struct CompilePlan {
     pub cpu: CpuSpec,
     /// Data seed.
     pub seed: u64,
-    /// Overrides the copy strategy implied by `options` (the CPU baseline
-    /// pins the element-wise copy).
-    pub copy_override: Option<CopyStrategy>,
     /// Cache tile to report for pipeline-less runs (where no compiler pass
     /// chooses one).
     pub cpu_tile: Option<i64>,
@@ -505,37 +508,26 @@ pub struct CompilePlan {
 impl CompilePlan {
     /// A plan compiling for `config` with default options.
     pub fn for_accelerator(config: AcceleratorConfig) -> Self {
-        Self {
-            config: Some(config),
-            options: PipelineOptions::default(),
-            cpu: CpuSpec::pynq_z2(),
-            seed: 0xA41,
-            copy_override: None,
-            cpu_tile: None,
-        }
+        Self { config: Some(config), ..Self::cpu() }
     }
 
     /// A plan for the §IV-D Conv2D accelerator matched to one layer, with
     /// the conventional conv data seed (shared by the bench harness and
     /// the examples).
     pub fn for_conv_layer(layer: ConvLayer) -> Self {
-        let config = AcceleratorConfig::preset(axi4mlir_config::AcceleratorPreset::Conv2d {
-            ic: layer.in_channels as i64,
-            fhw: layer.filter_hw as i64,
-        });
+        let config = AcceleratorConfig::conv2d(layer.in_channels as i64, layer.filter_hw as i64);
         Self::for_accelerator(config).seed(0xC02)
     }
 
     /// A CPU-only plan: no passes run, and the interpreter executes the
-    /// `linalg` op directly with element-wise copies (the `mlir CPU`
-    /// baseline of the figures).
+    /// `linalg` op directly (the `mlir CPU` baseline of the figures) — no
+    /// `accel` op exists, so no staging copy is ever reached.
     pub fn cpu() -> Self {
         Self {
             config: None,
             options: PipelineOptions::default(),
             cpu: CpuSpec::pynq_z2(),
             seed: 0xA41,
-            copy_override: Some(CopyStrategy::ElementWise),
             cpu_tile: None,
         }
     }
@@ -769,23 +761,67 @@ impl Session {
             self.compiled = Some(CompiledModule { key, module, ir_after, pass_timings });
         }
 
-        // Execute on the recycled SoC.
+        // The driver is the interpreter over the compiled module, which
+        // leaves the session for the duration of the run.
+        let compiled = self.compiled.take().expect("compiled just above");
+        let report = self
+            .execute(workload, plan, |soc, scratch, args| {
+                let copy_strategy = plan.options.copy_strategy(&soc.cost);
+                let entry = workload.entry_func();
+                run_func_with_scratch(soc, &compiled.module, entry, args, copy_strategy, scratch)
+                    .map_err(Diagnostic::from)
+            })
+            .map(|report| RunReport {
+                cache_tile,
+                ir_after: compiled.ir_after.clone(),
+                pass_timings: compiled.pass_timings.clone(),
+                ..report
+            });
+        self.compiled = Some(compiled);
+        report
+    }
+
+    /// Runs a hand-written driver in place of compiled code: the same
+    /// measured run as [`run`](Self::run) — the device `plan` describes,
+    /// the buffers `workload` binds from `plan.seed`, counters reset after
+    /// binding, the same checks afterwards — with `drive` as the code
+    /// under measurement. `drive` receives the SoC and the bound memref
+    /// arguments in entry-signature order (A, B, C for a MatMul; I, W, O
+    /// for a convolution); nothing of `plan.options` but `verify_result`
+    /// applies to it, and the report carries no compiler output
+    /// (`cache_tile`, `ir_after`, `pass_timings` stay empty).
+    ///
+    /// # Errors
+    ///
+    /// Propagates a configuration that describes no buildable device,
+    /// whatever `drive` returns, and accelerator protocol errors.
+    pub fn run_manual(
+        &mut self,
+        workload: &dyn Workload,
+        plan: &CompilePlan,
+        drive: impl FnOnce(&mut Soc, &[MemRefDesc]) -> Result<(), Diagnostic>,
+    ) -> Result<RunReport, Diagnostic> {
+        self.execute(workload, plan, |soc, _, args| {
+            let buffers: Vec<MemRefDesc> =
+                args.iter().filter_map(RtValue::as_memref).cloned().collect();
+            drive(soc, &buffers)
+        })
+    }
+
+    /// The one measured run: retarget, recycle, bind, reset the run state,
+    /// drive, then check the device's protocol-error count, read the
+    /// outputs back and compare them with the workload's reference.
+    fn execute(
+        &mut self,
+        workload: &dyn Workload,
+        plan: &CompilePlan,
+        drive: impl FnOnce(&mut Soc, &mut InterpScratch, Vec<RtValue>) -> Result<(), Diagnostic>,
+    ) -> Result<RunReport, Diagnostic> {
         self.retarget(plan)?;
         self.soc.recycle();
         let buffers = workload.bind(&mut self.soc, plan.seed, plan.options.verify_result);
         self.soc.reset_run_state();
-        let copy_strategy =
-            plan.copy_override.unwrap_or_else(|| plan.options.copy_strategy(&self.soc.cost));
-        let compiled = self.compiled.as_ref().expect("compiled just above");
-        run_func_with_scratch(
-            &mut self.soc,
-            &compiled.module,
-            workload.entry_func(),
-            buffers.args,
-            copy_strategy,
-            &mut self.scratch,
-        )
-        .map_err(Diagnostic::from)?;
+        drive(&mut self.soc, &mut self.scratch, buffers.args)?;
         if self.soc.accel.protocol_errors() > 0 {
             return Err(Diagnostic::error(format!(
                 "accelerator {} observed {} protocol errors running {}",
@@ -795,7 +831,6 @@ impl Session {
             )));
         }
 
-        // Read back and verify.
         let mut result = Vec::new();
         for output in &buffers.outputs {
             result.extend(self.soc.mem.load_i32_slice(output.base, output.num_elements() as usize));
@@ -816,9 +851,9 @@ impl Session {
             counters: self.soc.counters,
             task_clock_ms: self.soc.task_clock_ms(),
             verified,
-            cache_tile,
-            ir_after: compiled.ir_after.clone(),
-            pass_timings: compiled.pass_timings.clone(),
+            cache_tile: None,
+            ir_after: Vec::new(),
+            pass_timings: Vec::new(),
             result,
         })
     }
@@ -833,10 +868,10 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_config::AcceleratorPreset;
+    use axi4mlir_accelerators::matmul::MatMulVersion;
 
     fn v3(size: i64) -> AcceleratorConfig {
-        AcceleratorConfig::preset(AcceleratorPreset::V3 { size })
+        AcceleratorConfig::matmul(MatMulVersion::V3, size)
     }
 
     #[test]
@@ -850,18 +885,118 @@ mod tests {
         assert!(!report.pass_timings.is_empty(), "pass timings are captured");
     }
 
+    /// A hand-written v3 `Ns` driver for a problem of exactly one
+    /// accelerator tile; `compute` is the word it sends where the compute
+    /// opcode goes.
+    fn one_tile_drive(
+        soc: &mut Soc,
+        buffers: &[MemRefDesc],
+        compute: u32,
+    ) -> Result<(), Diagnostic> {
+        use axi4mlir_accelerators::isa;
+        use axi4mlir_runtime::dma_lib::{
+            copy_from_dma_region, copy_to_dma_region, dma_init, dma_start_recv, dma_start_send,
+            dma_wait_recv_completion, dma_wait_send_completion, write_literal_to_dma_region,
+        };
+        let strategy = axi4mlir_runtime::copy::CopyStrategy::manual(&soc.cost);
+        let dma_err = |e: axi4mlir_sim::dma::DmaError| Diagnostic::error(e.to_string());
+        let [a, b, c] = buffers else { panic!("a MatMul workload binds A, B, C") };
+        dma_init(soc, 0, 0xFF00, 0xFF00);
+        let steps = [
+            (isa::OP_RESET, None),
+            (isa::OP_SEND_A, Some(a)),
+            (isa::OP_SEND_B, Some(b)),
+            (compute, None),
+            (isa::OP_READ_C, None),
+        ];
+        for (literal, tile) in steps {
+            let mut off = write_literal_to_dma_region(soc, literal, 0);
+            if let Some(tile) = tile {
+                off = copy_to_dma_region(soc, tile, off, strategy);
+            }
+            dma_start_send(soc, off, 0).map_err(dma_err)?;
+            dma_wait_send_completion(soc);
+        }
+        dma_start_recv(soc, c.num_bytes(), 0).map_err(dma_err)?;
+        dma_wait_recv_completion(soc);
+        copy_from_dma_region(soc, c, 0, true, strategy);
+        Ok(())
+    }
+
+    fn v3_drive(soc: &mut Soc, buffers: &[MemRefDesc]) -> Result<(), Diagnostic> {
+        one_tile_drive(soc, buffers, axi4mlir_accelerators::isa::OP_COMPUTE)
+    }
+
     #[test]
     fn session_reuse_is_bit_identical_to_fresh_sessions() {
-        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::InputAStationary);
-        let workload = MatMulWorkload::new(MatMulProblem::square(16));
+        // One session alternating manual, generated and CPU runs across
+        // two devices; every run must match a fresh session's.
+        #[derive(Clone, Copy)]
+        enum Kind {
+            Manual,
+            Generated,
+            Cpu,
+        }
+        let run = |session: &mut Session, kind: Kind, size: i64| {
+            let workload = MatMulWorkload::new(MatMulProblem::square(size));
+            let plan = CompilePlan::for_accelerator(v3(size)).flow(FlowStrategy::InputAStationary);
+            match kind {
+                Kind::Manual => session.run_manual(&workload, &plan, v3_drive),
+                Kind::Generated => session.run(&workload, &plan),
+                Kind::Cpu => session.run(&workload, &CompilePlan::cpu()),
+            }
+            .unwrap()
+        };
         let mut shared = Session::for_sweep();
-        let first = shared.run(&workload, &plan).unwrap();
-        let second = shared.run(&workload, &plan).unwrap();
-        let fresh = Session::for_sweep().run(&workload, &plan).unwrap();
-        assert_eq!(first.counters, second.counters, "recycling is deterministic");
-        assert_eq!(first.result, second.result);
-        assert_eq!(first.counters, fresh.counters, "reuse matches a fresh session");
-        assert_eq!(first.task_clock_ms, fresh.task_clock_ms);
+        for (kind, size) in [
+            (Kind::Manual, 4),
+            (Kind::Generated, 8),
+            (Kind::Generated, 8),
+            (Kind::Cpu, 8),
+            (Kind::Manual, 8),
+            (Kind::Generated, 4),
+            (Kind::Cpu, 4),
+            (Kind::Manual, 4),
+        ] {
+            let reused = run(&mut shared, kind, size);
+            let fresh = run(&mut Session::for_sweep(), kind, size);
+            assert!(reused.verified && fresh.verified);
+            assert_eq!(reused.counters, fresh.counters, "reuse matches a fresh session");
+            assert_eq!(reused.task_clock_ms, fresh.task_clock_ms);
+            assert_eq!(reused.result, fresh.result);
+        }
+    }
+
+    #[test]
+    fn a_manual_run_reports_through_the_same_checks() {
+        let workload = MatMulWorkload::new(MatMulProblem::square(4));
+        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::NothingStationary);
+        let mut session = Session::for_sweep();
+
+        let driven = session.run_manual(&workload, &plan, v3_drive).unwrap();
+        assert!(driven.verified);
+        assert_eq!((driven.accel_name.as_str(), driven.flow.as_str()), ("v3_4", "Ns"));
+        assert_eq!(driven.result, session.run(&workload, &plan).unwrap().result);
+        assert!(driven.pass_timings.is_empty() && driven.ir_after.is_empty());
+        assert_eq!(driven.cache_tile, None);
+
+        // A driver that does nothing leaves C unwritten: reported, not hidden.
+        let idle = session.run_manual(&workload, &plan, |_, _| Ok(())).unwrap();
+        assert!(!idle.verified);
+        assert_eq!(idle.counters.dma_transactions, 0);
+
+        // An opcode the device does not decode is the run's error.
+        let err = session
+            .run_manual(&workload, &plan, |soc, buffers| one_tile_drive(soc, buffers, 0x7B))
+            .unwrap_err();
+        assert!(err.message.contains("v3_4 observed"), "{}", err.message);
+        assert!(err.message.contains("protocol errors"), "{}", err.message);
+
+        // The driver's own diagnostic passes through.
+        let err = session
+            .run_manual(&workload, &plan, |_, _| Err(Diagnostic::error("tile does not divide")))
+            .unwrap_err();
+        assert_eq!(err.message, "tile does not divide");
     }
 
     #[test]

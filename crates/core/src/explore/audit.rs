@@ -135,20 +135,20 @@ pub fn audit_space(space: &dyn DesignSpace) -> Result<(), Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_config::AcceleratorPreset;
+    use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_workloads::matmul::MatMulProblem;
 
     use crate::explore::space::{AccelInstance, MatMulSpace};
 
     #[test]
     fn every_preset_is_audit_clean() {
-        for preset in [
-            AcceleratorPreset::V1 { size: 4 },
-            AcceleratorPreset::V2 { size: 8 },
-            AcceleratorPreset::V3 { size: 16 },
-            AcceleratorPreset::V4 { size: 16 },
+        for (version, size) in [
+            (MatMulVersion::V1, 4),
+            (MatMulVersion::V2, 8),
+            (MatMulVersion::V3, 16),
+            (MatMulVersion::V4, 16),
         ] {
-            let config = AcceleratorConfig::preset(preset);
+            let config = AcceleratorConfig::matmul(version, size);
             audit_config(&config).unwrap_or_else(|d| panic!("{}: {}", config.name, d.message));
         }
         audit_config(&AcceleratorConfig::preset_v4_with_tile(8, 16, 8, 24)).unwrap();
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn undefined_init_opcodes_fail_the_flow_audit() {
-        let mut config = AcceleratorConfig::preset(AcceleratorPreset::V4 { size: 8 });
+        let mut config = AcceleratorConfig::matmul(MatMulVersion::V4, 8);
         config.init_opcodes.push("warmup".to_owned());
         let err = audit_config(&config).unwrap_err();
         assert_eq!(err.code.as_deref(), Some(lint::LINT_FLOW_LEGAL), "{}", err.message);

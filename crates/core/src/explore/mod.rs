@@ -509,12 +509,6 @@ impl Explorer {
         self.backend = backend;
     }
 
-    /// The installed backend's label (`local`, `remote:2`, …) — what
-    /// reports carry as [`ExploreReport::measure_backend`].
-    pub fn measure_backend_label(&self) -> String {
-        self.backend.describe()
-    }
-
     /// Installs a cross-problem [`TransferModel`]: subsequent
     /// [`Search::Halving`] sweeps rank round 0 by its calibrated clock
     /// predictions and, when it covers the field, pre-cut the candidate

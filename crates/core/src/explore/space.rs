@@ -27,9 +27,9 @@
 use std::fmt;
 
 use axi4mlir_config::presets::matmul_flows;
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, CacheTiling, FlowStrategy};
+use axi4mlir_config::{CacheTiling, FlowStrategy};
 use axi4mlir_heuristics::space::{batched_points, conv_point, matmul_points, SpacePoint};
-use axi4mlir_heuristics::{best_choice, instantiation_base, ConvShapeEstimate, TransferEstimate};
+use axi4mlir_heuristics::{best_choice, ConvShapeEstimate, TransferEstimate};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
@@ -500,24 +500,6 @@ fn keyed(
     out
 }
 
-/// The accelerator configuration a MatMul candidate instantiates.
-fn matmul_config(
-    accel: AccelInstance,
-    tile: (i64, i64, i64),
-    flow: FlowStrategy,
-) -> AcceleratorConfig {
-    let (tm, tn, tk) = tile;
-    let config = match accel.version {
-        MatMulVersion::V1 => AcceleratorConfig::preset(AcceleratorPreset::V1 { size: accel.size }),
-        MatMulVersion::V2 => AcceleratorConfig::preset(AcceleratorPreset::V2 { size: accel.size }),
-        MatMulVersion::V3 => AcceleratorConfig::preset(AcceleratorPreset::V3 { size: accel.size }),
-        MatMulVersion::V4 => {
-            AcceleratorConfig::preset_v4_with_tile(instantiation_base(accel.size, tile), tm, tn, tk)
-        }
-    };
-    config.with_selected_flow(flow.short_name())
-}
-
 /// The proxy problem of a tile at `level` tiles per dimension: each
 /// dimension capped at `level * tile_edge` (a multiple of the tile, so
 /// divisibility is preserved).
@@ -565,7 +547,7 @@ pub fn realize(key: &CandidateKey, fidelity: Fidelity) -> Result<Realization, Di
     let plan = match (key.workload, key.accel, key.flow) {
         (Problem::Conv(layer), ..) => CompilePlan::for_conv_layer(layer),
         (_, Target::MatMul(accel), Flow::MatMul(flow)) => {
-            CompilePlan::for_accelerator(matmul_config(accel, key.tile, flow))
+            CompilePlan::for_accelerator(accel.config(key.tile, flow))
         }
         _ => unreachable!("`at` admits no MatMul problem off a MatMul instance and flow"),
     };

@@ -38,7 +38,9 @@
 //!   bit-identical to fresh runs. It produces a [`driver::RunReport`] with
 //!   counters, verification, IR snapshots, and per-pass timings.
 //!
-//! A [`driver::Session`] is the only compile-and-run; [`pipeline`] holds
+//! A [`driver::Session`] is the only harness — hand-written baseline
+//! drivers run through [`driver::Session::run_manual`], on the same bound
+//! buffers and under the same checks as compiled code; [`pipeline`] holds
 //! the IR module builders the workloads use and
 //! [`pipeline::DeviceModel`], the one decision of which functional
 //! device a configuration gets.

@@ -159,7 +159,8 @@ mod tests {
     use super::*;
     use crate::annotate::MatchAndAnnotatePass;
     use crate::codegen::GenerateAccelDriverPass;
-    use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+    use axi4mlir_accelerators::matmul::MatMulVersion;
+    use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
     use axi4mlir_dialects::{linalg, verify::DialectVerifierPass};
     use axi4mlir_ir::pass::PassManager;
     use axi4mlir_ir::printer::print_op;
@@ -172,8 +173,8 @@ mod tests {
         let bb = memref::alloc(&mut b, vec![16, 16], Type::i32());
         let c = memref::alloc(&mut b, vec![16, 16], Type::i32());
         linalg::generic_matmul(&mut b, a, bb, c);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 })
-            .with_selected_flow(flow.short_name());
+        let cfg =
+            AcceleratorConfig::matmul(MatMulVersion::V3, 4).with_selected_flow(flow.short_name());
         let perm: Vec<String> = flow.matmul_permutation().iter().map(|s| (*s).to_owned()).collect();
         let mut pm = PassManager::new();
         pm.add(Box::new(MatchAndAnnotatePass::new(cfg, perm, None)));
@@ -260,7 +261,7 @@ mod tests {
         let w = memref::alloc(&mut b, vec![4, 8, 3, 3], Type::i32());
         let o = memref::alloc(&mut b, vec![1, 4, 5, 5], Type::i32());
         linalg::conv_2d_nchw_fchw(&mut b, i, w, o, 1);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 8, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(8, 3);
         let mut pm = PassManager::new();
         pm.add(Box::new(MatchAndAnnotatePass::new(cfg, vec![], None)));
         pm.add(Box::new(GenerateAccelDriverPass::default()));

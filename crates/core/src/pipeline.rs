@@ -158,7 +158,8 @@ mod tests {
     use super::*;
     use crate::driver::{CompilePlan, ConvWorkload, MatMulWorkload, RunReport, Session};
     use crate::options::{CacheTiling, PipelineOptions};
-    use axi4mlir_config::{AcceleratorPreset, FlowStrategy};
+    use axi4mlir_accelerators::matmul::MatMulVersion;
+    use axi4mlir_config::FlowStrategy;
 
     /// One-shot MatMul run of `plan` on the device it names.
     fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
@@ -166,7 +167,7 @@ mod tests {
     }
 
     fn v3_plan(size: i64, flow: FlowStrategy) -> CompilePlan {
-        let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size });
+        let config = AcceleratorConfig::matmul(MatMulVersion::V3, size);
         CompilePlan::for_accelerator(config).flow(flow)
     }
 
@@ -231,11 +232,11 @@ mod tests {
 
     #[test]
     fn instantiates_matching_accelerators() {
-        let v1 = AcceleratorConfig::preset(AcceleratorPreset::V1 { size: 8 });
+        let v1 = AcceleratorConfig::matmul(MatMulVersion::V1, 8);
         assert_eq!(model_name(&v1), "v1_8");
-        let v4 = AcceleratorConfig::preset(AcceleratorPreset::V4 { size: 16 });
+        let v4 = AcceleratorConfig::matmul(MatMulVersion::V4, 16);
         assert_eq!(model_name(&v4), "v4_16");
-        let conv = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 4, fhw: 1 });
+        let conv = AcceleratorConfig::conv2d(4, 1);
         assert_eq!(model_name(&conv), "conv2d");
     }
 
@@ -245,7 +246,7 @@ mod tests {
         // `nounderscore`: no `_` separator at all. Every one falls back to
         // a v3 model sized by `accel_dims[0]`.
         for bad_name in ["v5_4", "v3_x", "nounderscore"] {
-            let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+            let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
             config.name = bad_name.to_owned();
             assert_eq!(
                 model_name(&config),
@@ -254,7 +255,7 @@ mod tests {
             );
         }
         // The fallback size itself defaults to 4 when accel_dims is empty.
-        let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+        let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
         config.name = "weird".to_owned();
         config.accel_dims = Vec::new();
         assert_eq!(model_name(&config), "v3_4");
@@ -265,7 +266,7 @@ mod tests {
         for (name, expect) in
             [("v1_4", "v1_4"), ("v2_8", "v2_8"), ("v3_16", "v3_16"), ("v4_32", "v4_32")]
         {
-            let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+            let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
             config.name = name.to_owned();
             assert_eq!(model_name(&config), expect);
         }

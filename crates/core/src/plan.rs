@@ -452,10 +452,11 @@ pub fn conv_plan(p: ConvPlanParams) -> Result<LoopPlan, Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset};
+    use axi4mlir_accelerators::matmul::MatMulVersion;
+    use axi4mlir_config::AcceleratorConfig;
 
     fn v3_map() -> OpcodeMap {
-        AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 }).opcode_map
+        AcceleratorConfig::matmul(MatMulVersion::V3, 4).opcode_map
     }
 
     fn flow(text: &str) -> OpcodeFlow {
@@ -571,7 +572,7 @@ mod tests {
         };
         let plan = conv_plan(p).unwrap();
         assert_eq!(plan.depth(), 4);
-        let cfg = AcceleratorConfig::preset(AcceleratorPreset::Conv2d { ic: 256, fhw: 3 });
+        let cfg = AcceleratorConfig::conv2d(256, 3);
         let placed = place_flow(&plan, &cfg.opcode_map, cfg.selected()).unwrap();
         let sf = placed.iter().find(|p| p.opcode == "sF").unwrap();
         assert_eq!((sf.depth, sf.position), (2, Position::Pre), "filter loads once per oc");

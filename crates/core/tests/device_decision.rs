@@ -3,14 +3,14 @@
 //! input (a Fig. 5 JSON) and must not be able to panic a run.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_config::{AcceleratorConfig, AcceleratorPreset};
+use axi4mlir_config::AcceleratorConfig;
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::pipeline::DeviceModel;
 use axi4mlir_heuristics::space::AccelInstance;
 use axi4mlir_workloads::matmul::MatMulProblem;
 
 fn v3(size: i64) -> AcceleratorConfig {
-    AcceleratorConfig::preset(AcceleratorPreset::V3 { size })
+    AcceleratorConfig::matmul(MatMulVersion::V3, size)
 }
 
 /// The three readers of an accelerator name — the version parser the

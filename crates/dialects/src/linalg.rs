@@ -6,13 +6,12 @@
 //! accelerator implements. This module provides the builders for those ops
 //! and the matching predicates.
 
-use std::collections::BTreeMap;
-
 use axi4mlir_ir::affine::AffineMap;
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
 use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
-use axi4mlir_ir::types::Type;
+use axi4mlir_ir::types::{Type, DYNAMIC};
+use axi4mlir_support::diag::Diagnostic;
 
 use crate::arith;
 
@@ -153,23 +152,39 @@ pub fn matmul_dims(ctx: &IrCtx, op: OpId) -> Option<(i64, i64, i64)> {
     Some((a.shape[0], b.shape[1], a.shape[1]))
 }
 
-/// Builds the standard MatMul problem trait attributes as a reusable dict
-/// (handy for tests and the config crate).
-pub fn matmul_trait_attrs() -> BTreeMap<String, Attribute> {
-    let mut attrs = BTreeMap::new();
-    attrs.insert(
-        "indexing_maps".to_owned(),
-        Attribute::Array(matmul_indexing_maps().into_iter().map(Attribute::Map).collect()),
-    );
-    attrs.insert(
-        "iterator_types".to_owned(),
-        Attribute::Array(vec![
-            Attribute::Str(PARALLEL.to_owned()),
-            Attribute::Str(PARALLEL.to_owned()),
-            Attribute::Str(REDUCTION.to_owned()),
-        ]),
-    );
-    attrs
+/// Static extents of a `linalg.conv_2d_nchw_fchw` op's operands, in
+/// operand order: input `[b, ic, h, w]`, filter `[oc, ic, fh, fw]`,
+/// output `[b, oc, oh, ow]`.
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] naming the operand when the op does not have
+/// exactly those three operands, or one of them is not a rank-4 memref of
+/// static extents.
+pub fn conv_shapes(ctx: &IrCtx, op: OpId) -> Result<[[i64; 4]; 3], Diagnostic> {
+    let operands = &ctx.op(op).operands;
+    let mut shapes = [[0; 4]; 3];
+    if operands.len() != shapes.len() {
+        return Err(Diagnostic::error(format!(
+            "conv expects the operands (input, filter, output), found {}",
+            operands.len()
+        )));
+    }
+    for ((shape, value), operand) in
+        shapes.iter_mut().zip(operands).zip(["input", "filter", "output"])
+    {
+        let found = ctx.value_type(*value);
+        *shape = found
+            .as_memref()
+            .and_then(|m| <[i64; 4]>::try_from(m.shape.as_slice()).ok())
+            .filter(|extents| !extents.contains(&DYNAMIC))
+            .ok_or_else(|| {
+                Diagnostic::error(format!(
+                    "conv {operand} operand must be a rank-4 memref of static extents, found {found}"
+                ))
+            })?;
+    }
+    Ok(shapes)
 }
 
 #[cfg(test)]
@@ -285,6 +300,27 @@ mod tests {
         let strides = m.ctx.attr(op, "strides").unwrap().as_array().unwrap();
         assert_eq!(strides.len(), 2);
         assert!(!is_matmul_generic(&m.ctx, op));
+        assert_eq!(
+            conv_shapes(&m.ctx, op).unwrap(),
+            [[1, 256, 7, 7], [64, 256, 3, 3], [1, 64, 5, 5]]
+        );
+    }
+
+    #[test]
+    fn conv_shapes_blames_the_operand() {
+        let mut m = Module::new();
+        let f = crate::func::func(&mut m, "f", vec![], vec![]);
+        let mut b = crate::func::entry_builder(&mut m.ctx, &f);
+        let i = memref::alloc(&mut b, vec![1, 256, 7, 7], Type::i32());
+        let w = memref::alloc(&mut b, vec![64, 256, DYNAMIC, 3], Type::i32());
+        let o = memref::alloc(&mut b, vec![64, 25], Type::i32());
+        let dynamic = conv_2d_nchw_fchw(&mut b, i, w, i, 1);
+        let err = conv_shapes(&m.ctx, dynamic).unwrap_err();
+        assert!(err.message.contains("conv filter operand"), "{}", err.message);
+        let mut b = crate::func::entry_builder(&mut m.ctx, &f);
+        let flat = conv_2d_nchw_fchw(&mut b, i, i, o, 1);
+        let err = conv_shapes(&m.ctx, flat).unwrap_err();
+        assert!(err.message.contains("conv output operand"), "{}", err.message);
     }
 
     #[test]

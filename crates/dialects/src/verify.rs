@@ -121,6 +121,11 @@ fn check_op(ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
                 None => err(diags, op, &name, "source must be a memref"),
             }
         }
+        "linalg.conv_2d_nchw_fchw" => {
+            if let Err(d) = crate::linalg::conv_shapes(ctx, op) {
+                err(diags, op, &name, &d.message);
+            }
+        }
         "linalg.generic" => {
             if let Some(maps) = ctx.attr(op, "indexing_maps").and_then(|a| a.as_array()) {
                 if maps.len() != data.operands.len() {
@@ -418,6 +423,18 @@ mod tests {
         );
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("one indexing map per operand"), "{}", e.message);
+    }
+
+    #[test]
+    fn conv_with_flat_operands_fails() {
+        let mut m = Module::new();
+        let f = func::func(&mut m, "main", vec![], vec![]);
+        let mut b = func::entry_builder(&mut m.ctx, &f);
+        let buf = memref::alloc(&mut b, vec![8, 8], Type::i32());
+        crate::linalg::conv_2d_nchw_fchw(&mut b, buf, buf, buf, 1);
+        b.insert_op("func.return", vec![], vec![], []);
+        let e = check(&m).unwrap_err();
+        assert!(e.message.contains("conv input operand"), "{}", e.message);
     }
 
     #[test]

@@ -22,20 +22,15 @@ impl TileChoice {
     pub fn label(&self) -> String {
         format!("{} {} {} {}", self.flow.short_name(), self.tile.0, self.tile.1, self.tile.2)
     }
-
-    /// The v4 base size this choice must be instantiated with; see
-    /// [`instantiation_base`].
-    pub fn instantiation_base(&self, base: i64) -> i64 {
-        instantiation_base(base, self.tile)
-    }
 }
 
 /// The v4 base size a `(tM, tN, tK)` tile must be instantiated with:
 /// `base` itself when it divides every tile edge (the common case),
 /// otherwise the largest base that does. The v4 model rejects tiles that
 /// are not multiples of its base, and the degenerate whole-dimension tiles
-/// produced for problems smaller than `base` need the correction — pass
-/// the result to `preset_v4_with_tile`, not `base`.
+/// produced for problems smaller than `base` need the correction —
+/// `AccelInstance::config` passes the result to `preset_v4_with_tile`,
+/// not `base`.
 pub fn instantiation_base(base: i64, tile: (i64, i64, i64)) -> i64 {
     let (tm, tn, tk) = tile;
     gcd(gcd(gcd(base, tm), tn), tk).max(1)
@@ -234,15 +229,10 @@ mod tests {
 
     #[test]
     fn instantiation_base_handles_degenerate_tiles() {
-        let choice = |tile| TileChoice {
-            flow: FlowStrategy::OutputStationary,
-            tile,
-            estimate: TransferEstimate::default(),
-        };
-        assert_eq!(choice((32, 16, 48)).instantiation_base(16), 16, "base kept when it divides");
-        assert_eq!(choice((8, 8, 8)).instantiation_base(16), 8, "fallback tile needs smaller base");
-        assert_eq!(choice((10, 10, 10)).instantiation_base(16), 2);
-        assert_eq!(choice((7, 7, 7)).instantiation_base(16), 1);
+        assert_eq!(instantiation_base(16, (32, 16, 48)), 16, "base kept when it divides");
+        assert_eq!(instantiation_base(16, (8, 8, 8)), 8, "fallback tile needs smaller base");
+        assert_eq!(instantiation_base(16, (10, 10, 10)), 2);
+        assert_eq!(instantiation_base(16, (7, 7, 7)), 1);
     }
 
     #[test]

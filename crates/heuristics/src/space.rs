@@ -21,10 +21,10 @@
 use axi4mlir_accelerators::conv::{CONV_SLICE_CAPACITY, CONV_WINDOW_CAPACITY};
 use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_config::presets::matmul_flows;
-use axi4mlir_config::{CacheTiling, CpuModel, FlowStrategy};
+use axi4mlir_config::{AcceleratorConfig, CacheTiling, CpuModel, FlowStrategy};
 use axi4mlir_support::diag::Diagnostic;
 
-use crate::best::{candidate_edges, tile_words};
+use crate::best::{candidate_edges, instantiation_base, tile_words};
 use crate::transfer::{
     batched_matmul_transfers, conv_transfers, matmul_transfers, ConvShapeEstimate, TransferEstimate,
 };
@@ -199,6 +199,25 @@ impl AccelInstance {
         matmul_flows(self.version).iter().map(|&(flow, _)| flow).collect()
     }
 
+    /// The configuration that instantiates this accelerator at one
+    /// `(tile, flow)` point — the one spelling of that conversion. Fixed
+    /// generations ship their square tile whatever `tile` says; v4 is
+    /// configured to `tile` at run time and instantiated with the base
+    /// that divides every tile edge ([`instantiation_base`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this generation does not offer `flow` ([`Self::flows`]).
+    pub fn config(&self, tile: (i64, i64, i64), flow: FlowStrategy) -> AcceleratorConfig {
+        let config = if self.version == MatMulVersion::V4 {
+            let (tm, tn, tk) = tile;
+            AcceleratorConfig::preset_v4_with_tile(instantiation_base(self.size, tile), tm, tn, tk)
+        } else {
+            AcceleratorConfig::matmul(self.version, self.size)
+        };
+        config.with_selected_flow(flow.short_name())
+    }
+
     /// The legal tiles for this instance on `problem`: the flexible v4
     /// search over [`candidate_edges`] multiples capacity-filtered by
     /// `capacity_words`; for fixed generations the square `size` tile when
@@ -343,6 +362,21 @@ mod tests {
         assert_eq!(AccelInstance::parse("v5_4"), None);
         assert_eq!(AccelInstance::parse("v3_x"), None);
         assert_eq!(AccelInstance::parse("v3_0"), None);
+    }
+
+    #[test]
+    fn config_names_the_device_a_point_instantiates() {
+        let v3 = AccelInstance { version: MatMulVersion::V3, size: 8 };
+        let config = v3.config((8, 8, 8), FlowStrategy::OutputStationary);
+        assert_eq!((config.name.as_str(), config.selected_flow.as_str()), ("v3_8", "Cs"));
+        assert_eq!(config.accel_dims, vec![8, 8, 8]);
+        // v4 carries the tile, and a tile the base does not divide lowers
+        // the instantiated base.
+        let config = AccelInstance::v4(16).config((32, 16, 64), FlowStrategy::InputAStationary);
+        assert_eq!((config.name.as_str(), config.selected_flow.as_str()), ("v4_16", "As"));
+        assert_eq!(config.accel_dims, vec![32, 16, 64]);
+        let config = AccelInstance::v4(16).config((8, 8, 8), FlowStrategy::NothingStationary);
+        assert_eq!(config.name, "v4_8");
     }
 
     #[test]

@@ -57,7 +57,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use axi4mlir_core::explore::{wire, ExploreReport, Explorer, JobSpec, ProgressEvent, RemotePool};
+use axi4mlir_core::explore::{
+    wire, ExploreReport, ExploreRequest, Explorer, JobSpec, ProgressEvent, RemotePool,
+};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
@@ -129,7 +131,8 @@ pub struct HubSummary {
 /// outlive the connection that submitted the job.
 struct Job {
     id: u64,
-    spec: JobSpec,
+    /// What `submit` validated the spec into — built once per job.
+    request: ExploreRequest,
     priority: i64,
     sim_workers: Option<usize>,
 }
@@ -327,9 +330,7 @@ impl Shared {
         sim_workers: Option<usize>,
         events: Sender<JsonValue>,
     ) -> Result<(u64, usize), JsonValue> {
-        if let Err(err) = spec.build() {
-            return Err(protocol::error(&err.message));
-        }
+        let request = spec.build().map_err(|err| protocol::error(&err.message))?;
         let mut queue = self.queue.lock().expect("hub queue poisoned");
         if queue.len() >= self.config.queue_capacity {
             return Err(protocol::tagged(
@@ -350,7 +351,7 @@ impl Shared {
         // first.
         self.events.register(id, events);
         self.events.publish(id, protocol::event(id, "queued", vec![]));
-        queue.push_back(Job { id, spec, priority, sim_workers });
+        queue.push_back(Job { id, request, priority, sim_workers });
         drop(queue);
         self.with_stats(|s| s.queued += 1);
         self.available.notify_one();
@@ -653,7 +654,7 @@ fn executor_loop(shared: &Arc<Shared>) {
 /// Runs one job on the shared explorer, streaming progress and
 /// checkpointing the cache at every rung boundary.
 fn run_job(shared: &Arc<Shared>, job: &Job, budget: usize) -> Result<ExploreReport, Diagnostic> {
-    let request = job.spec.build()?;
+    let request = &job.request;
     let observer = |event: &ProgressEvent| {
         shared.events.publish(job.id, protocol::progress_event(job.id, event));
         if matches!(event, ProgressEvent::RungComplete { .. }) {
@@ -680,7 +681,9 @@ mod tests {
     use super::*;
 
     fn job(id: u64, priority: i64) -> Job {
-        Job { id, spec: JobSpec::default(), priority, sim_workers: None }
+        let spec = JobSpec { dims: Some((16, 16, 16)), ..JobSpec::default() };
+        let request = spec.build().expect("a 16^3 matmul job is valid");
+        Job { id, request, priority, sim_workers: None }
     }
 
     #[test]

@@ -225,11 +225,6 @@ impl IrCtx {
         self.ops[op].attrs.insert(name.to_owned(), value);
     }
 
-    /// The operation owning `block` (via its region).
-    pub fn block_owner(&self, block: BlockId) -> Option<OpId> {
-        self.blocks[block].parent.and_then(|r| self.regions[r].parent)
-    }
-
     /// The sole block of `op`'s `index`-th region.
     ///
     /// # Panics
@@ -285,14 +280,6 @@ impl IrCtx {
         let pos = ops.iter().position(|o| *o == op).expect("op missing from parent block");
         ops.remove(pos);
         self.ops[op].parent = None;
-    }
-
-    /// Moves `op` (attached or not) to position `index` of `block`.
-    pub fn move_op(&mut self, op: OpId, block: BlockId, index: usize) {
-        if self.ops[op].parent.is_some() {
-            self.detach_op(op);
-        }
-        self.insert_op(block, index, op);
     }
 
     /// Position of `op` within its parent block.
@@ -515,7 +502,8 @@ mod tests {
         m.ctx.append_op(inner_block, send);
 
         assert_eq!(m.ctx.op(send).parent, Some(inner_block));
-        m.ctx.move_op(send, outer_block, 0);
+        m.ctx.detach_op(send);
+        m.ctx.insert_op(outer_block, 0, send);
         assert_eq!(m.ctx.op(send).parent, Some(outer_block));
         assert_eq!(m.ctx.block(outer_block).ops, vec![send, inner]);
         assert!(m.ctx.block(inner_block).ops.is_empty());
@@ -604,6 +592,5 @@ mod tests {
         let iv = ctx.block_arg(block, 0);
         assert_eq!(*ctx.value_type(iv), Type::index());
         assert_eq!(ctx.value(iv).def, ValueDef::BlockArg { block, index: 0 });
-        assert_eq!(ctx.block_owner(block), Some(op));
     }
 }

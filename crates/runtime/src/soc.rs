@@ -101,11 +101,6 @@ impl Soc {
         self.mem.write_u32(addr, value);
     }
 
-    /// Cached `i32` load.
-    pub fn cached_read_i32(&mut self, addr: SimAddr) -> i32 {
-        self.cached_read_u32(addr) as i32
-    }
-
     /// Cached `i32` store.
     pub fn cached_write_i32(&mut self, addr: SimAddr, value: i32) {
         self.cached_write_u32(addr, value as u32);
@@ -237,7 +232,7 @@ mod tests {
         let mut s = soc();
         let a = s.mem.alloc(8, 8);
         s.cached_write_i32(a, -5);
-        assert_eq!(s.cached_read_i32(a), -5);
+        assert_eq!(s.cached_read_u32(a) as i32, -5);
     }
 
     #[test]

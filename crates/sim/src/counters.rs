@@ -64,33 +64,6 @@ impl PerfCounters {
     pub fn dma_bytes_total(&self) -> u64 {
         self.dma_bytes_to_accel + self.dma_bytes_from_accel
     }
-
-    /// Difference `self - baseline`, saturating at zero; used to isolate a
-    /// region of interest between two snapshots.
-    #[must_use]
-    pub fn delta_since(&self, baseline: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            host_cycles: self.host_cycles.saturating_sub(baseline.host_cycles),
-            device_cycles: self.device_cycles.saturating_sub(baseline.device_cycles),
-            cache_references: self.cache_references.saturating_sub(baseline.cache_references),
-            l1_misses: self.l1_misses.saturating_sub(baseline.l1_misses),
-            l2_misses: self.l2_misses.saturating_sub(baseline.l2_misses),
-            branch_instructions: self
-                .branch_instructions
-                .saturating_sub(baseline.branch_instructions),
-            instructions: self.instructions.saturating_sub(baseline.instructions),
-            uncached_accesses: self.uncached_accesses.saturating_sub(baseline.uncached_accesses),
-            dma_bytes_to_accel: self.dma_bytes_to_accel.saturating_sub(baseline.dma_bytes_to_accel),
-            dma_bytes_from_accel: self
-                .dma_bytes_from_accel
-                .saturating_sub(baseline.dma_bytes_from_accel),
-            dma_transactions: self.dma_transactions.saturating_sub(baseline.dma_transactions),
-            accel_compute_cycles: self
-                .accel_compute_cycles
-                .saturating_sub(baseline.accel_compute_cycles),
-            accel_macs: self.accel_macs.saturating_sub(baseline.accel_macs),
-        }
-    }
 }
 
 impl Add for PerfCounters {
@@ -170,15 +143,6 @@ mod tests {
         assert_eq!(c.host_cycles, 11);
         assert_eq!(c.cache_references, 22);
         assert_eq!(c.accel_macs, 33);
-    }
-
-    #[test]
-    fn delta_since_isolates_region() {
-        let before = PerfCounters { host_cycles: 100, dma_transactions: 2, ..Default::default() };
-        let after = PerfCounters { host_cycles: 175, dma_transactions: 5, ..Default::default() };
-        let d = after.delta_since(&before);
-        assert_eq!(d.host_cycles, 75);
-        assert_eq!(d.dma_transactions, 3);
     }
 
     #[test]

@@ -200,26 +200,6 @@ impl SimMemory {
         self.write_bytes(addr, &value.to_le_bytes());
     }
 
-    /// Reads an `i64`.
-    pub fn read_i64(&self, addr: SimAddr) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    /// Writes an `i64`.
-    pub fn write_i64(&mut self, addr: SimAddr, value: i64) {
-        self.write_u64(addr, value as u64);
-    }
-
-    /// Reads an `f64`.
-    pub fn read_f64(&self, addr: SimAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes an `f64`.
-    pub fn write_f64(&mut self, addr: SimAddr, value: f64) {
-        self.write_u64(addr, value.to_bits());
-    }
-
     /// Copies `len` bytes from `src` to `dst` within the simulated memory.
     ///
     /// # Panics
@@ -330,12 +310,8 @@ mod tests {
         let a = mem.alloc(32, 8);
         mem.write_i32(a, -7);
         mem.write_f32(a.offset(4), 2.5);
-        mem.write_i64(a.offset(8), -1);
-        mem.write_f64(a.offset(16), 1e300);
         assert_eq!(mem.read_i32(a), -7);
         assert_eq!(mem.read_f32(a.offset(4)), 2.5);
-        assert_eq!(mem.read_i64(a.offset(8)), -1);
-        assert_eq!(mem.read_f64(a.offset(16)), 1e300);
     }
 
     #[test]

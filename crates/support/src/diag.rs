@@ -200,11 +200,6 @@ impl DiagnosticEngine {
         &self.diagnostics
     }
 
-    /// Consumes the engine, returning the diagnostics.
-    pub fn into_diagnostics(self) -> Vec<Diagnostic> {
-        self.diagnostics
-    }
-
     /// Renders all diagnostics, one per line.
     pub fn render(&self) -> String {
         self.diagnostics.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")

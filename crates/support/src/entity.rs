@@ -110,11 +110,6 @@ impl<K: EntityId, V> PrimaryMap<K, V> {
         key
     }
 
-    /// Returns the identifier the *next* `push` will produce.
-    pub fn next_key(&self) -> K {
-        K::from_index(self.values.len())
-    }
-
     /// Returns the number of entities.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -198,68 +193,6 @@ impl<K: EntityId, V> Extend<V> for PrimaryMap<K, V> {
     }
 }
 
-/// A secondary map associating additional data with existing entities.
-///
-/// Values are default-initialized on first access, mirroring cranelift's
-/// `SecondaryMap`.
-///
-/// # Examples
-///
-/// ```
-/// use axi4mlir_support::entity::{PrimaryMap, SecondaryMap};
-/// use axi4mlir_support::entity_id;
-///
-/// entity_id!(struct K, "k");
-/// let mut prim: PrimaryMap<K, &str> = PrimaryMap::new();
-/// let k = prim.push("x");
-/// let mut extra: SecondaryMap<K, u32> = SecondaryMap::new();
-/// extra[k] = 7;
-/// assert_eq!(extra[k], 7);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SecondaryMap<K: EntityId, V: Clone + Default> {
-    values: Vec<V>,
-    _marker: PhantomData<K>,
-}
-
-impl<K: EntityId, V: Clone + Default> SecondaryMap<K, V> {
-    /// Creates an empty secondary map.
-    pub fn new() -> Self {
-        Self { values: Vec::new(), _marker: PhantomData }
-    }
-
-    fn ensure(&mut self, index: usize) {
-        if index >= self.values.len() {
-            self.values.resize(index + 1, V::default());
-        }
-    }
-
-    /// Returns the value for `key`, or the default if never written.
-    pub fn get(&self, key: K) -> Option<&V> {
-        self.values.get(key.index())
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> Default for SecondaryMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> std::ops::Index<K> for SecondaryMap<K, V> {
-    type Output = V;
-    fn index(&self, key: K) -> &V {
-        &self.values[key.index()]
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> std::ops::IndexMut<K> for SecondaryMap<K, V> {
-    fn index_mut(&mut self, key: K) -> &mut V {
-        self.ensure(key.index());
-        &mut self.values[key.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,14 +209,6 @@ mod tests {
         assert_eq!(m[b], "b");
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn next_key_predicts_push() {
-        let mut m: PrimaryMap<TestId, u8> = PrimaryMap::new();
-        let predicted = m.next_key();
-        let actual = m.push(0);
-        assert_eq!(predicted, actual);
     }
 
     #[test]
@@ -319,18 +244,6 @@ mod tests {
         m.extend(3..5);
         assert_eq!(m.len(), 5);
         assert_eq!(m[TestId::from_index(4)], 4);
-    }
-
-    #[test]
-    fn secondary_map_defaults() {
-        let mut prim: PrimaryMap<TestId, ()> = PrimaryMap::new();
-        let k0 = prim.push(());
-        let k1 = prim.push(());
-        let mut sec: SecondaryMap<TestId, u32> = SecondaryMap::new();
-        sec[k1] = 9;
-        assert_eq!(sec[k1], 9);
-        // k0 was never written: reading through `get` gives the resized default.
-        assert_eq!(sec.get(k0), Some(&0));
     }
 
     #[test]

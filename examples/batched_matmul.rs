@@ -10,7 +10,7 @@ use axi4mlir::prelude::*;
 fn main() {
     let problem = MatMulProblem::square(32);
     let batch = BatchedMatMulProblem::new(problem, 8);
-    let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+    let config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
 
     println!("== batched MatMul: {batch} on {} ==\n", config.name);
 

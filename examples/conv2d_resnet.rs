@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example conv2d_resnet [--full]`
 
-use axi4mlir::baselines::run_manual_conv;
+use axi4mlir::baselines::conv_driver;
 use axi4mlir::prelude::*;
 
 fn main() {
@@ -23,13 +23,14 @@ fn main() {
 
     println!("layer [iHW_iC_fHW_oC_s]   manual [ms]   axi4mlir [ms]   speedup");
     println!("------------------------------------------------------------------");
-    // All layers drive the same Conv2D device through one session.
+    // All layers drive the same Conv2D device through one session; the
+    // two drivers of a layer share its workload and plan.
     let mut session = Session::for_sweep();
     for layer in layers {
-        let manual = run_manual_conv(layer, 7).expect("manual driver");
-        let generated = session
-            .run(&ConvWorkload::new(layer), &CompilePlan::for_conv_layer(layer))
-            .expect("generated driver");
+        let (workload, plan) = (ConvWorkload::new(layer), CompilePlan::for_conv_layer(layer));
+        let manual =
+            session.run_manual(&workload, &plan, conv_driver(layer)).expect("manual driver");
+        let generated = session.run(&workload, &plan).expect("generated driver");
         assert!(manual.verified && generated.verified, "{layer}: both must verify");
         println!(
             "{:<24} {:>10.3} {:>14.3} {:>9.2}x",

@@ -6,20 +6,13 @@
 //! Run with: `cargo run --release --example design_space_exploration`
 
 use axi4mlir::accelerators::matmul::V4_CAPACITY_WORDS;
-use axi4mlir::heuristics::{best_choice, square_tile_choice};
+use axi4mlir::heuristics::{best_choice, square_tile_choice, AccelInstance, TileChoice};
 use axi4mlir::prelude::*;
 
 const BASE: i64 = 16;
 
-fn measure(
-    session: &mut Session,
-    problem: MatMulProblem,
-    flow: FlowStrategy,
-    tile: (i64, i64, i64),
-    base: i64,
-) -> f64 {
-    let config = AcceleratorConfig::preset_v4_with_tile(base, tile.0, tile.1, tile.2)
-        .with_selected_flow(flow.short_name());
+fn measure(session: &mut Session, problem: MatMulProblem, choice: &TileChoice) -> f64 {
+    let config = AccelInstance::v4(BASE).config(choice.tile, choice.flow);
     let plan = CompilePlan::for_accelerator(config);
     let report = session.run(&MatMulWorkload::new(problem), &plan).expect("v4 run");
     assert!(report.verified);
@@ -39,13 +32,7 @@ fn main() {
             FlowStrategy::OutputStationary,
         ] {
             if let Ok(choice) = square_tile_choice(flow, dims, BASE, V4_CAPACITY_WORDS) {
-                let ms = measure(
-                    &mut session,
-                    problem,
-                    choice.flow,
-                    choice.tile,
-                    choice.instantiation_base(BASE),
-                );
+                let ms = measure(&mut session, problem, &choice);
                 println!(
                     "  {}-squareTile  T={:<3}  estimated words {:>8}  measured {:>8.3} ms",
                     flow.short_name(),
@@ -56,8 +43,7 @@ fn main() {
             }
         }
         let best = best_choice(dims, BASE, V4_CAPACITY_WORDS).expect("legal config");
-        let ms =
-            measure(&mut session, problem, best.flow, best.tile, best.instantiation_base(BASE));
+        let ms = measure(&mut session, problem, &best);
         println!(
             "  Best: {:<14} estimated words {:>8}  measured {:>8.3} ms",
             best.label(),

@@ -8,7 +8,7 @@ use axi4mlir::prelude::*;
 
 fn main() {
     let problem = MatMulProblem::square(64);
-    let accel = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 16 });
+    let accel = AcceleratorConfig::matmul(MatMulVersion::V3, 16);
 
     println!("== AXI4MLIR quickstart: {problem} on {} ==\n", accel.name);
 

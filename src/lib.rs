@@ -13,7 +13,7 @@
 //! // Compile a MatMul for a simulated v3 (size 8) accelerator and run it.
 //! use axi4mlir::prelude::*;
 //!
-//! let accel = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+//! let accel = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
 //! let plan = CompilePlan::for_accelerator(accel).flow(FlowStrategy::OutputStationary);
 //! let report = Session::for_sweep()
 //!     .run(&MatMulWorkload::new(MatMulProblem::square(16)), &plan)
@@ -30,7 +30,7 @@
 //! let mut session = Session::for_sweep();
 //! let workload = MatMulWorkload::new(MatMulProblem::square(16));
 //! for flow in FlowStrategy::all() {
-//!     let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+//!     let config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
 //!     let plan = CompilePlan::for_accelerator(config).flow(flow);
 //!     let report = session.run(&workload, &plan).expect("run");
 //!     assert!(report.verified);

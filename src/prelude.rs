@@ -1,8 +1,7 @@
 //! Convenient re-exports of the most frequently used types.
 
-pub use axi4mlir_config::{
-    AcceleratorConfig, AcceleratorPreset, CpuSpec, FlowStrategy, SystemConfig,
-};
+pub use axi4mlir_accelerators::matmul::MatMulVersion;
+pub use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, SystemConfig};
 pub use axi4mlir_core::driver::{
     BatchedMatMulWorkload, CompilePlan, ConvWorkload, MatMulWorkload, PipelineBuilder, RunReport,
     Session, Workload,

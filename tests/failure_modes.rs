@@ -21,7 +21,7 @@ fn run_err(config: AcceleratorConfig, dims: i64) -> Diagnostic {
 /// be rejected at compile time, not hang at runtime.
 #[test]
 fn illegal_stationarity_rejected_at_compile_time() {
-    let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+    let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
     // Force the As flow but sabotage the permutation by selecting As while
     // the annotate pass is given the identity permutation.
     config = config.with_selected_flow("As");
@@ -44,7 +44,7 @@ fn illegal_stationarity_rejected_at_compile_time() {
 /// Tiles that do not divide the problem are a compile-time error.
 #[test]
 fn non_dividing_tiles_rejected() {
-    let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+    let config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
     let err = run_err(config, 20);
     assert!(err.message.contains("must divide"), "{}", err.message);
 }
@@ -53,7 +53,7 @@ fn non_dividing_tiles_rejected() {
 /// configuration validation.
 #[test]
 fn undefined_opcode_in_flow_rejected() {
-    let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+    let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
     config.opcode_map = OpcodeMap::parse(
         "opcode_map<sA = [send_literal(0x22), send(0)], sB = [send_literal(0x23), send(1)], \
          rC = [send_literal(0x24), recv(2)], reset = [send_literal(0xFF)]>",
@@ -70,7 +70,7 @@ fn undefined_opcode_in_flow_rejected() {
 fn wrong_isa_surfaces_as_protocol_error() {
     // Build a v1 device but hand the pipeline a v3-style configuration by
     // lying about the name.
-    let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 });
+    let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
     config.name = "v1_4".to_owned(); // instantiates a v1 model
     let err = run_err(config, 8);
     assert!(
@@ -105,7 +105,7 @@ fn v4_capacity_violation_detected() {
 /// bigger than the DMA region cannot be staged.
 #[test]
 fn staging_region_overflow_rejected() {
-    let mut config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 8 });
+    let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
     config.dma.input_buffer_size = 64; // 16 words: an 8x8 tile cannot fit
     let err = run_err(config, 8);
     assert!(
@@ -135,4 +135,23 @@ fn json_errors_are_actionable() {
     }"#;
     let err = SystemConfig::from_json(missing_kernel).unwrap_err();
     assert!(err.message.contains("unsupported kernel"), "{}", err.message);
+}
+
+/// A pre-annotated conv whose operands cannot be a convolution's — the
+/// `tests/malformed/*.mlir` fixtures — is a diagnostic naming the
+/// operand, never an index panic in codegen.
+#[test]
+fn malformed_conv_operands_are_diagnostics() {
+    use axi4mlir::compiler::driver::PipelineBuilder;
+    use axi4mlir::ir::parser::parse_module;
+    for (fixture, blamed) in [
+        ("conv_rank2", "conv input operand must be a rank-4 memref"),
+        ("conv_two_operands", "(input, filter, output), found 2"),
+    ] {
+        let path = format!("{}/tests/malformed/{fixture}.mlir", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut module = parse_module(&text).expect("the fixture is well-formed text");
+        let err = PipelineBuilder::new().pre_annotated().build().run(&mut module).unwrap_err();
+        assert!(err.message.contains(blamed), "{fixture}: {}", err.message);
+    }
 }

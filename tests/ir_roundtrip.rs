@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 
-use axi4mlir::config::{AcceleratorConfig, AcceleratorPreset, FlowStrategy};
+use axi4mlir::accelerators::matmul::MatMulVersion;
+use axi4mlir::config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir::ir::affine::AffineMap;
 use axi4mlir::ir::attrs::{FlowElem, OpcodeAction, OpcodeFlow, OpcodeMap};
 use axi4mlir::ir::parser::parse_module;
@@ -101,7 +102,7 @@ proptest! {
         use axi4mlir::workloads::matmul::MatMulProblem;
 
         let mut module = build_matmul_module(MatMulProblem::square(16));
-        let config = AcceleratorConfig::preset(AcceleratorPreset::V3 { size })
+        let config = AcceleratorConfig::matmul(MatMulVersion::V3, size)
             .with_selected_flow(flow.short_name());
         let perm: Vec<String> =
             flow.matmul_permutation().iter().map(|s| (*s).to_owned()).collect();
@@ -128,8 +129,7 @@ fn annotated_trait_roundtrips() {
     use axi4mlir::workloads::matmul::MatMulProblem;
 
     let mut module = build_matmul_module(MatMulProblem::square(8));
-    let config =
-        AcceleratorConfig::preset(AcceleratorPreset::V3 { size: 4 }).with_selected_flow("As");
+    let config = AcceleratorConfig::matmul(MatMulVersion::V3, 4).with_selected_flow("As");
     let mut pm = PassManager::new();
     pm.add(Box::new(MatchAndAnnotatePass::new(
         config,

@@ -5,18 +5,10 @@
 //! one recycled SoC per sweep.
 
 use axi4mlir::accelerators::matmul::MatMulVersion;
-use axi4mlir::baselines::run_manual_matmul;
+use axi4mlir::baselines::{conv_driver, matmul_driver};
+use axi4mlir::config::presets::matmul_flows;
 use axi4mlir::heuristics::matmul_transfers;
 use axi4mlir::prelude::*;
-
-fn preset(version: MatMulVersion, size: i64) -> AcceleratorConfig {
-    match version {
-        MatMulVersion::V1 => AcceleratorConfig::preset(AcceleratorPreset::V1 { size }),
-        MatMulVersion::V2 => AcceleratorConfig::preset(AcceleratorPreset::V2 { size }),
-        MatMulVersion::V3 => AcceleratorConfig::preset(AcceleratorPreset::V3 { size }),
-        MatMulVersion::V4 => AcceleratorConfig::preset(AcceleratorPreset::V4 { size }),
-    }
-}
 
 fn flows_for(version: MatMulVersion) -> Vec<FlowStrategy> {
     match version {
@@ -39,7 +31,9 @@ fn full_matrix_verifies() {
         for size in [4i64, 8] {
             for flow in flows_for(version) {
                 for problem in [MatMulProblem::square(16), MatMulProblem::new(8, 24, 16)] {
-                    let plan = CompilePlan::for_accelerator(preset(version, size)).flow(flow);
+                    let plan =
+                        CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, size))
+                            .flow(flow);
                     let report = session
                         .run(&MatMulWorkload::new(problem), &plan)
                         .unwrap_or_else(|e| panic!("{version} size {size} {flow} {problem}: {e}"));
@@ -61,7 +55,7 @@ fn dma_traffic_matches_analytical_model() {
     for flow in FlowStrategy::all() {
         let mut options = PipelineOptions::optimized();
         options.cache_tiling = CacheTiling::Off;
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, tile))
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, tile))
             .flow(flow)
             .options(options);
         let report = session.run(&MatMulWorkload::new(problem), &plan).unwrap();
@@ -90,7 +84,7 @@ fn cache_tiling_is_semantics_preserving() {
     let run = |cache_tiling: CacheTiling| {
         let mut options = PipelineOptions::optimized();
         options.cache_tiling = cache_tiling;
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8))
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 8))
             .flow(FlowStrategy::NothingStationary)
             .options(options);
         Session::for_sweep().run(&workload, &plan).unwrap()
@@ -140,7 +134,7 @@ fn json_configuration_end_to_end() {
 /// reused.
 #[test]
 fn runs_are_deterministic() {
-    let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8))
+    let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 8))
         .flow(FlowStrategy::InputBStationary);
     let workload = MatMulWorkload::new(MatMulProblem::square(24));
     let mut session = Session::for_sweep();
@@ -154,17 +148,38 @@ fn runs_are_deterministic() {
     assert_eq!(a.result, fresh.result);
 }
 
-/// Manual baseline and generated driver agree numerically on every flow.
+/// Manual baseline and generated driver agree numerically on every
+/// (generation, flow) pair Table I legalizes and on a convolution layer —
+/// both sides of a pair from the same workload, plan and session.
 #[test]
 fn manual_and_generated_agree_numerically() {
     let problem = MatMulProblem::new(16, 32, 24);
+    let workload = MatMulWorkload::new(problem);
     let mut session = Session::for_sweep();
-    for flow in FlowStrategy::all() {
-        let manual = run_manual_matmul(MatMulVersion::V3, 8, flow, problem, 99).unwrap();
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8)).flow(flow).seed(99);
-        let generated = session.run(&MatMulWorkload::new(problem), &plan).unwrap();
-        assert_eq!(manual.result, generated.result, "{flow}");
+    for version in [MatMulVersion::V1, MatMulVersion::V2, MatMulVersion::V3, MatMulVersion::V4] {
+        for &(flow, _) in matmul_flows(version) {
+            let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, 8))
+                .flow(flow)
+                .seed(99);
+            let manual = session
+                .run_manual(&workload, &plan, matmul_driver(version, 8, flow, problem))
+                .unwrap_or_else(|e| panic!("manual {version} {flow}: {e}"));
+            let generated = session.run(&workload, &plan).unwrap();
+            assert!(manual.verified && generated.verified, "{version} {flow}");
+            assert_eq!(manual.result, generated.result, "{version} {flow}");
+            assert_eq!(
+                (&manual.accel_name, &manual.flow),
+                (&generated.accel_name, &generated.flow),
+                "one plan labels both sides"
+            );
+        }
     }
+    let layer = ConvLayer { in_hw: 7, in_channels: 4, filter_hw: 3, out_channels: 2, stride: 1 };
+    let (workload, plan) = (ConvWorkload::new(layer), CompilePlan::for_conv_layer(layer));
+    let manual = session.run_manual(&workload, &plan, conv_driver(layer)).unwrap();
+    let generated = session.run(&workload, &plan).unwrap();
+    assert!(manual.verified && generated.verified, "{layer}");
+    assert_eq!(manual.result, generated.result, "{layer}");
 }
 
 /// v4's runtime tile configuration: non-square tiles verify and respect
@@ -186,7 +201,8 @@ fn rectangular_problems_all_flows() {
     let problem = MatMulProblem::new(24, 8, 40);
     let mut session = Session::for_sweep();
     for flow in FlowStrategy::all() {
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 4)).flow(flow);
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 4))
+            .flow(flow);
         let report = session.run(&MatMulWorkload::new(problem), &plan).unwrap();
         assert!(report.verified, "{flow}");
     }
@@ -201,7 +217,8 @@ fn batched_matmul_matrix_verifies() {
     let workload = BatchedMatMulWorkload::new(batch);
     let mut session = Session::for_sweep();
     for flow in FlowStrategy::all() {
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 8)).flow(flow);
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 8))
+            .flow(flow);
         let report = session.run(&workload, &plan).unwrap();
         assert!(report.verified, "{flow}: all {} elements must verify", batch.batch);
         assert_eq!(report.result.len(), batch.batch * batch.output_elems());
@@ -214,7 +231,7 @@ fn batched_matmul_matrix_verifies() {
 fn batched_matmul_agrees_with_single_runs() {
     let problem = MatMulProblem::square(16);
     let batch = BatchedMatMulProblem::new(problem, 2);
-    let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 4))
+    let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 4))
         .flow(FlowStrategy::OutputStationary)
         .seed(7);
     let mut session = Session::for_sweep();
@@ -237,7 +254,7 @@ fn batched_matmul_agrees_with_single_runs() {
 #[test]
 fn coalescing_preserves_results_and_cuts_transactions() {
     let problem = MatMulProblem::square(32);
-    let config = preset(MatMulVersion::V3, 8);
+    let config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
     let mut session = Session::for_sweep();
     for flow in FlowStrategy::all() {
         let base_plan = CompilePlan::for_accelerator(config.clone()).flow(flow);
@@ -276,7 +293,7 @@ fn coalescing_agrees_across_execution_paths() {
         let mut opts = PipelineOptions::optimized();
         opts.coalesce_transfers = true;
         opts.lower_to_runtime_calls = lower;
-        let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, 4))
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 4))
             .flow(FlowStrategy::OutputStationary)
             .options(opts);
         session.run(&MatMulWorkload::new(problem), &plan).unwrap()

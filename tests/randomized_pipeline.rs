@@ -10,15 +10,6 @@ use proptest::prelude::*;
 use axi4mlir::accelerators::matmul::MatMulVersion;
 use axi4mlir::prelude::*;
 
-fn preset(version: MatMulVersion, size: i64) -> AcceleratorConfig {
-    match version {
-        MatMulVersion::V1 => AcceleratorConfig::preset(AcceleratorPreset::V1 { size }),
-        MatMulVersion::V2 => AcceleratorConfig::preset(AcceleratorPreset::V2 { size }),
-        MatMulVersion::V3 => AcceleratorConfig::preset(AcceleratorPreset::V3 { size }),
-        MatMulVersion::V4 => AcceleratorConfig::preset(AcceleratorPreset::V4 { size }),
-    }
-}
-
 /// A problem whose dims are multiples of the tile (the paper's setting).
 fn arb_case() -> impl Strategy<Value = (MatMulProblem, i64)> {
     proptest::sample::select(vec![2i64, 4, 8]).prop_flat_map(|tile| {
@@ -45,7 +36,7 @@ proptest! {
         let mut options = PipelineOptions::optimized();
         options.specialized_copies = specialized;
         options.coalesce_transfers = coalesce;
-        let plan = CompilePlan::for_accelerator(preset(version, tile))
+        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(version, tile))
             .flow(flow)
             .options(options)
             .seed(seed);
@@ -69,7 +60,7 @@ proptest! {
             let mut options = PipelineOptions::optimized();
             options.specialized_copies = specialized;
             options.coalesce_transfers = coalesce;
-            let plan = CompilePlan::for_accelerator(preset(MatMulVersion::V3, tile))
+            let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, tile))
                 .flow(flow)
                 .options(options)
                 .seed(seed);
