@@ -25,7 +25,7 @@ pub const CONV_WINDOW_CAPACITY: usize = 16_384;
 /// first-layer output of ResNet18).
 pub const CONV_SLICE_CAPACITY: usize = 16_384;
 /// MACs the vector engine retires per device cycle.
-pub const CONV_MACS_PER_CYCLE: u64 = 32;
+const CONV_MACS_PER_CYCLE: u64 = 32;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pending {
@@ -70,7 +70,6 @@ pub struct ConvAccel {
     state: Pending,
     out: AxiStreamFifo,
     protocol_errors: u64,
-    computes: u64,
 }
 
 impl ConvAccel {
@@ -86,29 +85,12 @@ impl ConvAccel {
             state: Pending::Opcode,
             out: AxiStreamFifo::new(),
             protocol_errors: 0,
-            computes: 0,
         }
     }
 
     /// Words in one filter slice / input window: `iC * fH * fW`.
-    pub fn window_words(&self) -> usize {
+    fn window_words(&self) -> usize {
         (self.ic * self.fhw * self.fhw) as usize
-    }
-
-    /// Configured `(iC, fHW)`.
-    pub fn config(&self) -> (u32, u32) {
-        (self.ic, self.fhw)
-    }
-
-    /// Protocol violations observed (unknown opcodes, oversized windows,
-    /// compute before configuration).
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors
-    }
-
-    /// Number of window inner products computed.
-    pub fn computes(&self) -> u64 {
-        self.computes
     }
 
     fn begin_opcode(&mut self, opcode: u32) {
@@ -156,7 +138,6 @@ impl ConvAccel {
         counters.accel_macs += macs;
         counters.accel_compute_cycles += cycles;
         counters.device_cycles += cycles;
-        self.computes += 1;
     }
 }
 
@@ -239,7 +220,7 @@ mod tests {
     fn configuration_roundtrip() {
         let mut acc = ConvAccel::new();
         configure(&mut acc, 256, 3);
-        assert_eq!(acc.config(), (256, 3));
+        assert_eq!((acc.ic, acc.fhw), (256, 3));
         assert_eq!(acc.window_words(), 256 * 9);
     }
 
@@ -268,7 +249,6 @@ mod tests {
         drive(&mut acc, &words);
         let out: Vec<u32> = std::iter::from_fn(|| acc.pop_output_word()).collect();
         assert_eq!(out, vec![2, 4, 6]);
-        assert_eq!(acc.computes(), 3);
     }
 
     #[test]
@@ -322,7 +302,7 @@ mod tests {
         let mut acc = ConvAccel::new();
         configure(&mut acc, 4, 3);
         acc.reset();
-        assert_eq!(acc.config(), (0, 0));
+        assert_eq!((acc.ic, acc.fhw), (0, 0));
         assert_eq!(acc.name(), "conv2d");
     }
 }

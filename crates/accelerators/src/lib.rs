@@ -25,4 +25,4 @@ pub mod registry;
 
 pub use conv::ConvAccel;
 pub use matmul::{MatMulAccel, MatMulVersion};
-pub use registry::{table1, AcceleratorSpec, ReuseKind};
+pub use registry::{table1, AcceleratorSpec};

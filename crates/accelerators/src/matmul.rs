@@ -36,7 +36,7 @@ pub enum MatMulVersion {
 
 impl MatMulVersion {
     /// Short name as used in the paper's figures (`v1`..`v4`).
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             MatMulVersion::V1 => "v1",
             MatMulVersion::V2 => "v2",
@@ -169,7 +169,6 @@ pub struct MatMulAccel {
     state: Pending,
     out: AxiStreamFifo,
     protocol_errors: u64,
-    computes: u64,
 }
 
 impl MatMulAccel {
@@ -194,7 +193,6 @@ impl MatMulAccel {
             state: Pending::Opcode,
             out: AxiStreamFifo::new(),
             protocol_errors: 0,
-            computes: 0,
         };
         accel.resize_buffers();
         accel
@@ -209,28 +207,6 @@ impl MatMulAccel {
     /// The configured tile shape `(tM, tN, tK)`.
     pub fn tile_shape(&self) -> (u32, u32, u32) {
         (self.tm, self.tn, self.tk)
-    }
-
-    /// Base (square) tile size from Table I.
-    pub fn base_size(&self) -> u32 {
-        self.base_size
-    }
-
-    /// The Table I version.
-    pub fn version(&self) -> MatMulVersion {
-        self.version
-    }
-
-    /// Number of protocol violations seen (unknown opcodes, unsupported
-    /// opcodes for this version, invalid tile shapes). On real hardware
-    /// these hang or corrupt the run; tests assert this stays zero.
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors
-    }
-
-    /// Number of compute instructions executed.
-    pub fn computes(&self) -> u64 {
-        self.computes
     }
 
     fn supports(&self, opcode: u32) -> bool {
@@ -257,7 +233,6 @@ impl MatMulAccel {
         counters.accel_macs += macs;
         counters.accel_compute_cycles += cycles;
         counters.device_cycles += cycles;
-        self.computes += 1;
         product
     }
 
@@ -341,7 +316,6 @@ impl StreamAccelerator for MatMulAccel {
         self.out.clear();
         self.state = Pending::Opcode;
         self.protocol_errors = 0;
-        self.computes = 0;
     }
 
     fn consume_word(&mut self, word: u32, counters: &mut PerfCounters) {
@@ -477,7 +451,6 @@ mod tests {
         let out = drain(&mut acc);
         assert_eq!(&out[..4], &b1);
         assert_eq!(&out[4..], &b2);
-        assert_eq!(acc.computes(), 2);
     }
 
     #[test]
@@ -630,8 +603,7 @@ mod tests {
     fn name_reflects_version_and_size() {
         let acc = MatMulAccel::new(MatMulVersion::V2, 8);
         assert_eq!(acc.name(), "v2_8");
-        assert_eq!(acc.version(), MatMulVersion::V2);
-        assert_eq!(acc.base_size(), 8);
+        assert_eq!((acc.version, acc.base_size), (MatMulVersion::V2, 8));
         assert_eq!(MatMulVersion::V4.to_string(), "v4");
     }
 }

@@ -59,7 +59,7 @@ impl AcceleratorSpec {
 /// configurations; other sizes interpolate on the MAC-array area `size^2`
 /// scaled by the same efficiency trend, which only matters for tests that
 /// probe non-paper sizes.
-pub fn ops_per_cycle_for_size(size: u32) -> u32 {
+pub(crate) fn ops_per_cycle_for_size(size: u32) -> u32 {
     match size {
         4 => 10,
         8 => 60,
@@ -69,7 +69,7 @@ pub fn ops_per_cycle_for_size(size: u32) -> u32 {
 }
 
 /// The reuse kind of each Table I type.
-pub fn reuse_for_version(version: MatMulVersion) -> ReuseKind {
+fn reuse_for_version(version: MatMulVersion) -> ReuseKind {
     match version {
         MatMulVersion::V1 => ReuseKind::Nothing,
         MatMulVersion::V2 => ReuseKind::Inputs,
@@ -79,7 +79,7 @@ pub fn reuse_for_version(version: MatMulVersion) -> ReuseKind {
 }
 
 /// The opcode mnemonics of each Table I type.
-pub fn opcodes_for_version(version: MatMulVersion) -> &'static [&'static str] {
+fn opcodes_for_version(version: MatMulVersion) -> &'static [&'static str] {
     match version {
         MatMulVersion::V1 => &["sAsBcCrC"],
         MatMulVersion::V2 => &["sA", "sB", "cCrC"],
@@ -110,6 +110,7 @@ pub fn table1() -> Vec<AcceleratorSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_sim::axi::StreamAccelerator;
 
     #[test]
     fn table1_has_all_configurations() {
@@ -139,8 +140,8 @@ mod tests {
     fn instantiate_builds_matching_model() {
         let spec = &table1()[0];
         let model = spec.instantiate();
-        assert_eq!(model.base_size(), spec.size);
-        assert_eq!(model.version(), spec.version);
+        assert_eq!(model.tile_shape(), (spec.size, spec.size, spec.size));
+        assert_eq!(model.name(), spec.name());
     }
 
     #[test]

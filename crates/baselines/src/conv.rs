@@ -17,7 +17,7 @@ use axi4mlir_workloads::resnet::ConvLayer;
 ///
 /// Propagates DMA failures as diagnostics.
 #[allow(clippy::too_many_lines)]
-pub fn manual_conv_drive(
+fn manual_conv_drive(
     soc: &mut Soc,
     input: &MemRefDesc,
     filter: &MemRefDesc,
@@ -81,7 +81,7 @@ pub fn manual_conv_drive(
     Ok(())
 }
 
-/// [`manual_conv_drive`] as the `drive` argument of
+/// `manual_conv_drive` as the `drive` argument of
 /// `Session::run_manual`: the bound buffers are a convolution workload's
 /// input, filter and output, in that order.
 pub fn conv_driver(

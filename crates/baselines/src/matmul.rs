@@ -56,7 +56,7 @@ fn tile(soc: &mut Soc, buf: &MemRefDesc, offsets: [i64; 2], sizes: [i64; 2]) -> 
 /// Returns a [`Diagnostic`] for unsupported version/flow combinations
 /// (e.g. Cs on a v2 accelerator) or non-dividing tiles.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub fn manual_matmul_drive(
+fn manual_matmul_drive(
     soc: &mut Soc,
     version: MatMulVersion,
     size: i64,
@@ -292,7 +292,7 @@ pub fn manual_matmul_drive(
     Ok(())
 }
 
-/// [`manual_matmul_drive`] as the `drive` argument of
+/// `manual_matmul_drive` as the `drive` argument of
 /// `Session::run_manual`: the bound buffers are a MatMul workload's A, B
 /// and C, in that order.
 pub fn matmul_driver(

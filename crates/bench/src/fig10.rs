@@ -29,7 +29,7 @@ pub struct Fig10Row {
 }
 
 /// The accelerator sizes swept per problem size.
-pub fn sizes(scale: Scale) -> Vec<i64> {
+fn sizes(scale: Scale) -> Vec<i64> {
     match scale {
         Scale::Quick => vec![4, 8],
         Scale::Full => vec![4, 8, 16],

@@ -38,17 +38,17 @@ pub struct Fig13Row {
 
 impl Fig13Row {
     /// Manual / generated runtime ratio (>1 means AXI4MLIR wins).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.manual_ms / self.generated_ms
     }
 
     /// Fractional cache-reference reduction (positive means fewer).
-    pub fn cache_reduction(&self) -> f64 {
+    fn cache_reduction(&self) -> f64 {
         1.0 - self.generated_refs as f64 / self.manual_refs as f64
     }
 
     /// Figure x-axis label.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         format!("({}, {}, {}, {})", self.dims, self.size, self.version, self.flow.short_name())
     }
 }

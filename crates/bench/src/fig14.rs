@@ -29,7 +29,7 @@ pub struct Fig14Row {
 }
 
 /// The base (divisibility) size of the v4 accelerator used.
-pub const V4_BASE: i64 = 16;
+const V4_BASE: i64 = 16;
 
 fn run_choice(session: &mut Session, problem: MatMulProblem, choice: &TileChoice) -> f64 {
     let config = AccelInstance::v4(V4_BASE).config(choice.tile, choice.flow);
@@ -40,7 +40,7 @@ fn run_choice(session: &mut Session, problem: MatMulProblem, choice: &TileChoice
 }
 
 /// The problems at each scale (full = permutations of [32, 256, 512]).
-pub fn problems(scale: Scale) -> Vec<MatMulProblem> {
+fn problems(scale: Scale) -> Vec<MatMulProblem> {
     match scale {
         Scale::Quick => MatMulProblem::permutations_of(32, 64, 128),
         Scale::Full => MatMulProblem::permutations_of(32, 256, 512),

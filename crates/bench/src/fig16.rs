@@ -29,7 +29,7 @@ pub struct Fig16Row {
 
 /// Layers per scale: the full eleven, or a reduced set spanning both the
 /// `fHW = 3` win case and the `fHW = 1` no-win case.
-pub fn layers(scale: Scale) -> Vec<ConvLayer> {
+fn layers(scale: Scale) -> Vec<ConvLayer> {
     match scale {
         Scale::Full => resnet18_layers(),
         Scale::Quick => vec![

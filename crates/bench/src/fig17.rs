@@ -24,7 +24,7 @@ use axi4mlir_workloads::tinybert::{tinybert_matmuls, TinyBertMatMul};
 use crate::Scale;
 
 /// The v4 base size used for the end-to-end experiment.
-pub const V4_BASE: i64 = 16;
+const V4_BASE: i64 = 16;
 
 /// One compilation approach's totals.
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ impl Fig17Bar {
 }
 
 /// The MatMul inventory at each scale.
-pub fn inventory(scale: Scale) -> Vec<TinyBertMatMul> {
+fn inventory(scale: Scale) -> Vec<TinyBertMatMul> {
     match scale {
         Scale::Full => tinybert_matmuls(),
         // One layer's worth, shrunk: keeps every role but divides counts

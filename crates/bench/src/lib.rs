@@ -61,7 +61,7 @@ impl Scale {
     }
 
     /// The square MatMul dimensions to sweep.
-    pub fn matmul_dims(self) -> Vec<i64> {
+    fn matmul_dims(self) -> Vec<i64> {
         match self {
             Scale::Quick => vec![16, 32, 64],
             Scale::Full => vec![16, 32, 64, 128, 256],
@@ -69,7 +69,7 @@ impl Scale {
     }
 
     /// The "relevant" dims (>= 64) used by Figs. 11-13.
-    pub fn relevant_dims(self) -> Vec<i64> {
+    fn relevant_dims(self) -> Vec<i64> {
         match self {
             Scale::Quick => vec![64],
             Scale::Full => vec![64, 128, 256],
@@ -77,7 +77,7 @@ impl Scale {
     }
 
     /// Accelerator sizes for Figs. 11-13.
-    pub fn accel_sizes(self) -> Vec<i64> {
+    fn accel_sizes(self) -> Vec<i64> {
         match self {
             Scale::Quick => vec![8],
             Scale::Full => vec![8, 16],

@@ -36,7 +36,7 @@ use crate::Scale;
 
 /// The schema tag every report file carries. `v2` added free-form
 /// top-level sections (e.g. the explorer's `pareto` block).
-pub const SCHEMA: &str = "axi4mlir-bench/v2";
+const SCHEMA: &str = "axi4mlir-bench/v2";
 
 /// One measured record: an identifier plus named metrics.
 #[derive(Clone, Debug)]
@@ -91,7 +91,7 @@ impl BenchReport {
 
     /// Records the [`Scale`] a sweep ran at.
     #[must_use]
-    pub fn scale(self, scale: Scale) -> Self {
+    pub(crate) fn scale(self, scale: Scale) -> Self {
         self.context("scale", if scale == Scale::Full { "full" } else { "quick" })
     }
 
@@ -115,16 +115,6 @@ impl BenchReport {
         &self.name
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the report has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The canonical file name, `BENCH_<name>.json`.
     pub fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.name)
@@ -146,7 +136,7 @@ impl BenchReport {
     }
 
     /// Pretty-printed document text (with a trailing newline).
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut text = self.to_json().to_json_pretty();
         text.push('\n');
         text

@@ -1,6 +1,6 @@
 //! The validated accelerator description.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use axi4mlir_ir::affine::{AffineExpr, AffineMap};
 use axi4mlir_ir::attrs::{Attribute, FlowElem, OpcodeAction, OpcodeFlow, OpcodeMap};
@@ -25,7 +25,7 @@ impl KernelKind {
     }
 
     /// Parses the `"kernel"` field.
-    pub fn from_op_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_op_name(name: &str) -> Option<Self> {
         match name {
             "linalg.matmul" => Some(KernelKind::MatMul),
             "linalg.conv_2d_nchw_fchw" => Some(KernelKind::Conv2dNchwFchw),
@@ -118,32 +118,6 @@ impl AcceleratorConfig {
         self
     }
 
-    /// Index of a data argument by name.
-    pub fn arg_index(&self, name: &str) -> Option<usize> {
-        self.data.iter().position(|(n, _)| n == name)
-    }
-
-    /// The set of loop dimensions an opcode's data arguments touch; used by
-    /// flow placement to decide the loop depth of each opcode.
-    pub fn opcode_dims(&self, opcode: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        let Some(actions) = self.opcode_map.get(opcode) else { return out };
-        for action in actions {
-            match action {
-                OpcodeAction::Send { arg } | OpcodeAction::Recv { arg } => {
-                    if let Some((_, dims)) = self.data.get(*arg as usize) {
-                        out.extend(dims.iter().cloned());
-                    }
-                }
-                OpcodeAction::SendIdx { dim } => {
-                    out.insert(dim.clone());
-                }
-                OpcodeAction::SendLiteral { .. } | OpcodeAction::SendDim { .. } => {}
-            }
-        }
-        out
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -226,7 +200,7 @@ impl AcceleratorConfig {
 
     /// The `accel_dim` affine map of Fig. 6a:
     /// `map<(m, n, k) -> (4, 4, 4)>`.
-    pub fn accel_dim_map(&self) -> AffineMap {
+    fn accel_dim_map(&self) -> AffineMap {
         AffineMap::new(
             self.dims.clone(),
             self.accel_dims.iter().map(|t| AffineExpr::Const(*t)).collect(),
@@ -300,16 +274,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         v3().validate().unwrap();
-    }
-
-    #[test]
-    fn opcode_dims_union_argument_dims() {
-        let cfg = v3();
-        let sa = cfg.opcode_dims("sA");
-        assert_eq!(sa, BTreeSet::from(["m".to_owned(), "k".to_owned()]));
-        let rc = cfg.opcode_dims("rC");
-        assert_eq!(rc, BTreeSet::from(["m".to_owned(), "n".to_owned()]));
-        assert!(cfg.opcode_dims("cC").is_empty(), "compute-only opcode touches no data dims");
     }
 
     #[test]

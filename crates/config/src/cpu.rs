@@ -30,20 +30,11 @@ impl CpuSpec {
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for missing or ill-typed members.
-    pub fn from_value(value: &JsonValue) -> Result<CpuSpec, Diagnostic> {
+    pub(crate) fn from_value(value: &JsonValue) -> Result<CpuSpec, Diagnostic> {
         let members = value.members("cpu")?;
         let cache_levels = crate::json::sizes_from(&members, "cache-levels")?;
         let cache_types = members.opt("cache-types", Members::str_list)?.unwrap_or_default();
         Ok(CpuSpec { cache_levels, cache_types })
-    }
-
-    /// Parses a stand-alone `"cpu"` JSON object.
-    ///
-    /// # Errors
-    ///
-    /// See [`CpuSpec::from_value`]; JSON syntax errors are also reported.
-    pub fn from_json(text: &str) -> Result<CpuSpec, Diagnostic> {
-        Self::from_value(&JsonValue::parse(text)?)
     }
 
     /// L1 data-cache capacity in bytes.
@@ -140,10 +131,10 @@ mod tests {
     #[test]
     fn json_parsing_with_size_suffixes() {
         let json = r#"{"cache-levels": ["32K", "512K"], "cache-types": ["data", "shared"]}"#;
-        let c = CpuSpec::from_json(json).unwrap();
+        let c = CpuSpec::from_value(&JsonValue::parse(json).unwrap()).unwrap();
         assert_eq!(c, CpuSpec::pynq_z2());
         let numeric = r#"{"cache-levels": [32768, 524288]}"#;
-        let c2 = CpuSpec::from_json(numeric).unwrap();
+        let c2 = CpuSpec::from_value(&JsonValue::parse(numeric).unwrap()).unwrap();
         assert_eq!(c2.l1_bytes(), 32768);
         assert!(c2.cache_types.is_empty());
     }
@@ -162,8 +153,12 @@ mod tests {
 
     #[test]
     fn bad_documents_are_rejected() {
-        assert!(CpuSpec::from_json(r#"{"cache-types": ["data"]}"#).is_err());
-        assert!(CpuSpec::from_json(r#"{"cache-levels": ["huge"]}"#).is_err());
-        assert!(CpuSpec::from_json(r#"{"cache-levels": 32768}"#).is_err());
+        for bad in [
+            r#"{"cache-types": ["data"]}"#,
+            r#"{"cache-levels": ["huge"]}"#,
+            r#"{"cache-levels": 32768}"#,
+        ] {
+            assert!(CpuSpec::from_value(&JsonValue::parse(bad).unwrap()).is_err(), "{bad}");
+        }
     }
 }

@@ -54,7 +54,7 @@ pub(crate) fn sizes_from(members: &Members<'_>, field: &str) -> Result<Vec<u64>,
 /// # Errors
 ///
 /// Returns a message if the string is not a size.
-pub fn parse_size(text: &str) -> Result<u64, String> {
+fn parse_size(text: &str) -> Result<u64, String> {
     let t = text.trim();
     let (digits, multiplier) = match t.chars().last() {
         Some('k') | Some('K') => (&t[..t.len() - 1], 1024),
@@ -206,9 +206,8 @@ mod tests {
         assert_eq!(acc.dma.input_buffer_size, 65280);
         assert_eq!(acc.init_opcodes, vec!["reset"]);
         // Operand order follows the JSON member order.
-        assert_eq!(acc.arg_index("A"), Some(0));
-        assert_eq!(acc.arg_index("B"), Some(1));
-        assert_eq!(acc.arg_index("C"), Some(2));
+        let operands: Vec<&str> = acc.data.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(operands, ["A", "B", "C"]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod json;
 pub mod presets;
 pub mod tiling;
 
-pub use accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
+pub use accelerator::{AcceleratorConfig, KernelKind};
 pub use cpu::{CpuModel, CpuSpec};
 pub use flow::FlowStrategy;
 pub use json::SystemConfig;

@@ -21,7 +21,6 @@ pub struct MatchAndAnnotatePass {
     permutation: Vec<String>,
     /// Optional cache-tiling edge to record on the op (consumed by codegen).
     cache_tile: Option<i64>,
-    annotated: Vec<OpId>,
 }
 
 impl MatchAndAnnotatePass {
@@ -31,12 +30,7 @@ impl MatchAndAnnotatePass {
         permutation: Vec<String>,
         cache_tile: Option<i64>,
     ) -> Self {
-        Self { config, permutation, cache_tile, annotated: Vec::new() }
-    }
-
-    /// Ops annotated by the last run.
-    pub fn annotated(&self) -> &[OpId] {
-        &self.annotated
+        Self { config, permutation, cache_tile }
     }
 
     fn matches(&self, module: &Module, op: OpId) -> bool {
@@ -58,7 +52,6 @@ impl Pass for MatchAndAnnotatePass {
         _diags: &mut DiagnosticEngine,
     ) -> Result<(), Diagnostic> {
         self.config.validate()?;
-        self.annotated.clear();
         // Named matmuls become generics first (compiler flow box "convert
         // named ops to linalg.generic").
         let top = module.top();
@@ -81,7 +74,6 @@ impl Pass for MatchAndAnnotatePass {
             if let Some(tile) = self.cache_tile {
                 module.ctx.set_attr(op, "cache_tile", Attribute::Int(tile));
             }
-            self.annotated.push(op);
         }
         Ok(())
     }
@@ -128,7 +120,6 @@ mod tests {
         assert_eq!(module.ctx.attr(op, "cache_tile").and_then(|a| a.as_int()), Some(16));
         let perm = module.ctx.attr(op, "permutation_map").unwrap().as_map().unwrap();
         assert_eq!(perm.as_permutation(), Some(vec![0, 2, 1]));
-        assert_eq!(pass.annotated().len(), 1);
     }
 
     #[test]

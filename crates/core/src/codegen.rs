@@ -31,7 +31,7 @@ pub struct GenerateAccelDriverPass {
 
 impl GenerateAccelDriverPass {
     /// Creates the pass; `coalesce` batches same-site transfers.
-    pub fn new(coalesce: bool) -> Self {
+    pub(crate) fn new(coalesce: bool) -> Self {
         Self { coalesce }
     }
 }

@@ -28,7 +28,6 @@
 
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
 use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
-use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::pass::{IrSnapshot, PassManager, PassTiming};
 use axi4mlir_runtime::kernels;
@@ -120,9 +119,7 @@ pub trait Workload {
     /// back-to-back runs of the same workload and plan. The default
     /// (`None`) opts out: every run recompiles. Implementations whose
     /// built module is a pure function of printable state should return
-    /// that state here — and must include *all* of it (the in-tree
-    /// workloads fold in fields their display name omits, like the CPU
-    /// tile request).
+    /// that state here — and must include *all* of it.
     fn module_fingerprint(&self) -> Option<String> {
         None
     }
@@ -136,21 +133,12 @@ pub trait Workload {
 #[derive(Clone, Copy, Debug)]
 pub struct MatMulWorkload {
     problem: MatMulProblem,
-    cpu_tile: Option<i64>,
 }
 
 impl MatMulWorkload {
     /// A workload for one GEMM.
     pub fn new(problem: MatMulProblem) -> Self {
-        Self { problem, cpu_tile: None }
-    }
-
-    /// Requests CPU-kernel tiling (only meaningful for pipeline-less CPU
-    /// execution, where no compiler pass decides the tiling).
-    #[must_use]
-    pub fn with_cpu_tile(mut self, cpu_tile: Option<i64>) -> Self {
-        self.cpu_tile = cpu_tile;
-        self
+        Self { problem }
     }
 }
 
@@ -164,14 +152,7 @@ impl Workload for MatMulWorkload {
     }
 
     fn build_module(&self) -> Module {
-        let mut module = build_matmul_module(self.problem);
-        if let Some(tile) = self.cpu_tile {
-            let top = module.top();
-            for generic in module.ctx.find_ops(top, "linalg.generic") {
-                module.ctx.set_attr(generic, "cpu_tile", Attribute::Int(tile));
-            }
-        }
-        module
+        build_matmul_module(self.problem)
     }
 
     fn bind(&self, soc: &mut Soc, seed: u64, want_reference: bool) -> BoundBuffers {
@@ -202,9 +183,7 @@ impl Workload for MatMulWorkload {
     }
 
     fn module_fingerprint(&self) -> Option<String> {
-        // `name()` omits the CPU tile, which changes the built module's
-        // `cpu_tile` attributes — fold it in.
-        Some(format!("matmul {} cpu_tile={:?}", self.problem, self.cpu_tile))
+        Some(self.name())
     }
 }
 
@@ -416,13 +395,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Overrides the loop permutation (dimension names, outermost first).
-    #[must_use]
-    pub fn permutation(mut self, permutation: Vec<String>) -> Self {
-        self.permutation = permutation;
-        self
-    }
-
     /// Records the cache-tiling edge on annotated ops.
     #[must_use]
     pub fn cache_tile(mut self, cache_tile: Option<i64>) -> Self {
@@ -500,9 +472,6 @@ pub struct CompilePlan {
     pub cpu: CpuSpec,
     /// Data seed.
     pub seed: u64,
-    /// Cache tile to report for pipeline-less runs (where no compiler pass
-    /// chooses one).
-    pub cpu_tile: Option<i64>,
 }
 
 impl CompilePlan {
@@ -528,7 +497,6 @@ impl CompilePlan {
             options: PipelineOptions::default(),
             cpu: CpuSpec::pynq_z2(),
             seed: 0xA41,
-            cpu_tile: None,
         }
     }
 
@@ -554,7 +522,7 @@ impl CompilePlan {
 
     /// Overrides the host CPU description.
     #[must_use]
-    pub fn cpu_spec(mut self, cpu: CpuSpec) -> Self {
+    pub(crate) fn cpu_spec(mut self, cpu: CpuSpec) -> Self {
         self.cpu = cpu;
         self
     }
@@ -566,20 +534,13 @@ impl CompilePlan {
         self
     }
 
-    /// Records the CPU tile reported for pipeline-less runs.
-    #[must_use]
-    pub fn cpu_tile(mut self, cpu_tile: Option<i64>) -> Self {
-        self.cpu_tile = cpu_tile;
-        self
-    }
-
     /// The name reported as `accel_name`.
-    pub fn target_name(&self) -> &str {
+    fn target_name(&self) -> &str {
         self.config.as_ref().map_or("cpu", |c| c.name.as_str())
     }
 
     /// The flow label reported in the run report.
-    pub fn flow_name(&self) -> &str {
+    fn flow_name(&self) -> &str {
         self.config.as_ref().map_or("cpu", |c| c.selected_flow.as_str())
     }
 
@@ -601,7 +562,7 @@ impl CompilePlan {
 
     /// Resolves the cache-tiling edge for a workload.
     fn resolve_cache_tile(&self, workload: &dyn Workload) -> Result<Option<i64>, Diagnostic> {
-        let Some(config) = &self.config else { return Ok(self.cpu_tile) };
+        let Some(config) = &self.config else { return Ok(None) };
         if config.kernel != KernelKind::MatMul {
             return Ok(None);
         }
@@ -652,11 +613,8 @@ struct CompiledModule {
 pub struct Session {
     soc: Soc,
     /// The model the SoC holds; `None` is the loopback device of a
-    /// CPU-only session (and of a pinned one, whose device no plan
-    /// describes).
+    /// CPU-only session.
     device: Option<DeviceModel>,
-    /// A user-supplied device is pinned: plans never swap it out.
-    pinned: bool,
     /// Interpreter value-frame and opcode buffers, kept warm across
     /// `Soc::recycle` so steady-state sweep runs allocate nothing there.
     scratch: InterpScratch,
@@ -665,32 +623,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session around an already-built (possibly custom) device. The
-    /// device is **pinned**: plans drive compilation as usual, but the
-    /// session never replaces the device with the model the plan's
-    /// configuration describes.
-    pub fn new(accel: Box<dyn axi4mlir_sim::axi::StreamAccelerator>) -> Self {
-        Self {
-            soc: Soc::new(accel),
-            device: None,
-            pinned: true,
-            scratch: InterpScratch::new(),
-            compiled: None,
-        }
-    }
-
-    /// An unpinned session — the one constructor for everything but a
-    /// custom device, one-off runs included. It starts on the loopback
-    /// device (a CPU-only plan offloads nothing) and instantiates, and
-    /// later swaps, the device each plan's configuration describes on
-    /// [`run`](Self::run) — which is where a configuration that describes
-    /// no buildable device is reported — while memory and cache
-    /// structures persist across runs.
+    /// The one constructor, one-off runs included. The session starts on
+    /// the loopback device (a CPU-only plan offloads nothing) and
+    /// instantiates, and later swaps, the device each plan's configuration
+    /// describes on [`run`](Self::run) — which is where a configuration
+    /// that describes no buildable device is reported — while memory and
+    /// cache structures persist across runs.
     pub fn for_sweep() -> Self {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
             device: None,
-            pinned: false,
             scratch: InterpScratch::new(),
             compiled: None,
         }
@@ -703,11 +645,7 @@ impl Session {
 
     /// Swaps the device when the plan targets a different accelerator
     /// than the current one; keeps it (and its warm allocations) otherwise.
-    /// Pinned (user-supplied) devices are never swapped.
     fn retarget(&mut self, plan: &CompilePlan) -> Result<(), Diagnostic> {
-        if self.pinned {
-            return Ok(());
-        }
         let wanted = plan.config.as_ref().map(DeviceModel::of).transpose()?;
         if self.device != wanted {
             self.soc.replace_accelerator(match wanted {
@@ -1027,24 +965,6 @@ mod tests {
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
             .unwrap();
         assert!(report.counters.dma_bytes_to_accel > 2 * single.counters.dma_bytes_to_accel);
-    }
-
-    #[test]
-    fn custom_devices_are_pinned() {
-        // A hand-built v3 model under a session created with `new` must
-        // not be swapped out by a plan whose config names the same model.
-        let mut session = Session::new(Box::new(axi4mlir_accelerators::matmul::MatMulAccel::new(
-            axi4mlir_accelerators::matmul::MatMulVersion::V3,
-            4,
-        )));
-        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::NothingStationary);
-        let report = session.run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan).unwrap();
-        assert!(report.verified);
-        assert_eq!(session.soc().accel.name(), "v3_4", "the pinned device still serves the run");
-        // Even a CPU plan keeps the pinned device in place.
-        let cpu = session.run(&MatMulWorkload::new(MatMulProblem::square(8)), &CompilePlan::cpu());
-        assert!(cpu.unwrap().verified);
-        assert_eq!(session.soc().accel.name(), "v3_4");
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn operand_footprints(config: &AcceleratorConfig) -> Vec<Option<i64>> {
 ///
 /// Returns the first finding as a [`Diagnostic`] carrying its `lint::*`
 /// code.
-pub fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
+fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
     let mut findings = lint::check_isa(&config.name, &config.opcode_map);
     if let Some(flow) = config.flow(&config.selected_flow) {
         let what = format!("flow `{}`", config.selected_flow);
@@ -87,7 +87,7 @@ pub fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
 /// # Errors
 ///
 /// See [`audit_config`].
-pub fn audit_plan(plan: &CompilePlan) -> Result<(), Diagnostic> {
+fn audit_plan(plan: &CompilePlan) -> Result<(), Diagnostic> {
     match &plan.config {
         Some(config) => audit_config(config),
         None => Ok(()),
@@ -117,7 +117,7 @@ pub fn audit_candidate(space: &dyn DesignSpace, candidate: &Candidate) -> Result
 ///
 /// Returns the first candidate's lint [`Diagnostic`] when no candidate
 /// survives the audit.
-pub fn audit_space(space: &dyn DesignSpace) -> Result<(), Diagnostic> {
+pub(crate) fn audit_space(space: &dyn DesignSpace) -> Result<(), Diagnostic> {
     let Ok(candidates) = space.enumerate() else { return Ok(()) };
     let mut first = None;
     for candidate in &candidates {

@@ -17,6 +17,7 @@
 //! behavior flag-for-flag identical to the CLI's.
 
 use axi4mlir_config::{CacheTiling, CpuModel};
+use axi4mlir_heuristics::space::conv_point;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
@@ -24,7 +25,7 @@ use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
 
 use super::space::{
-    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, MatMulSpace, OptionsPoint,
+    conv_shape, AccelInstance, BatchedSpace, ConvSpace, DesignSpace, MatMulSpace, OptionsPoint,
 };
 use super::{HalvingSpec, Objective, Prune, Search};
 
@@ -94,7 +95,7 @@ pub fn parse_dims(text: &str) -> Option<MatMulProblem> {
 }
 
 /// Parses a [`Prune`] spelling: `none`, `keep:N`, or `factor:F`.
-pub fn parse_prune(text: &str) -> Option<Prune> {
+fn parse_prune(text: &str) -> Option<Prune> {
     if text == "none" {
         return Some(Prune::None);
     }
@@ -113,7 +114,11 @@ pub fn parse_layer(text: &str) -> Option<ConvLayer> {
     let parts: Vec<usize> = text.split('_').map(str::parse).collect::<Result<_, _>>().ok()?;
     match parts[..] {
         [in_hw, in_channels, filter_hw, out_channels, stride]
-            if in_hw >= filter_hw && filter_hw > 0 && stride > 0 && out_channels > 0 =>
+            if in_hw >= filter_hw
+                && in_channels > 0
+                && filter_hw > 0
+                && stride > 0
+                && out_channels > 0 =>
         {
             Some(ConvLayer { in_hw, in_channels, filter_hw, out_channels, stride })
         }
@@ -234,6 +239,7 @@ impl JobSpec {
                 let layer = parse_layer(label).ok_or_else(|| {
                     field_err("layer", "must be iHW_iC_fHW_oC_stride or a ResNet18 label")
                 })?;
+                conv_point(conv_shape(&layer)).map_err(|e| field_err("layer", e.message))?;
                 AnySpace::Conv(ConvSpace::new(layer))
             }
             other => {
@@ -434,6 +440,10 @@ mod tests {
         assert_eq!(batched.build().unwrap().space.as_dyn().workload_kind(), "batched");
     }
 
+    fn conv_spec(layer: &str) -> JobSpec {
+        JobSpec { workload: "conv".to_owned(), layer: Some(layer.to_owned()), ..JobSpec::default() }
+    }
+
     #[test]
     fn build_rejects_bad_fields_by_name() {
         let cases: Vec<(JobSpec, &str)> = vec![
@@ -468,6 +478,10 @@ mod tests {
                 "accels",
             ),
             (JobSpec { workload: "conv".to_owned(), ..JobSpec::default() }, "layer"),
+            // An output slice past i64 and an empty window: both used to reach
+            // `conv_point` (overflow panic; "window of 0 words … exceeds").
+            (conv_spec("4294967296_1_1_1_1"), "layer"),
+            (conv_spec("10_0_3_16_1"), "layer"),
         ];
         for (spec, field) in cases {
             let err = spec.build().unwrap_err();

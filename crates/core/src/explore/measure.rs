@@ -6,7 +6,7 @@
 //! and index-ordered error reporting. What it delegates is only the
 //! *execution* of a claimed measurement, through [`MeasureBackend`]:
 //!
-//! - [`LocalPool`] is the original recycled-session thread pool: `N`
+//! - `LocalPool` is the original recycled-session thread pool: `N`
 //!   worker threads, one [`Session`] each, pulling claims until the
 //!   queue drains;
 //! - [`RemotePool`] fans claims out to `axi4mlir-worker` daemons over
@@ -49,10 +49,11 @@ use super::{wire, Explorer, JobSpec, SweepStats};
 /// whether it was served from the cache by a concurrent claim.
 pub(crate) type Done = (usize, Result<CachedEval, Diagnostic>, bool);
 
-/// Executes the measurements a [`MeasureQueue`] hands out. Implementors
-/// claim tasks with [`MeasureQueue::try_claim`] and must resolve every
-/// claim through [`MeasureQueue::complete`] (or put it back with
-/// [`MeasureQueue::requeue`] / by dropping it).
+/// Executes the measurements a [`MeasureQueue`] hands out. The two
+/// implementors live in this module (the queue's claim methods are
+/// crate-private): they claim tasks with `MeasureQueue::try_claim` and
+/// resolve every claim through `MeasureQueue::complete` (or put it back
+/// by dropping it).
 pub trait MeasureBackend: Send + Sync {
     /// The backend label reports carry (`local`, `remote:2`, …).
     fn describe(&self) -> String;
@@ -70,16 +71,9 @@ pub trait MeasureBackend: Send + Sync {
 /// One claimed measurement. Dropping a task without completing it
 /// releases the claim and requeues the candidate, so an unwinding or
 /// disconnected worker can never strand a measurement.
-pub struct MeasureTask<'q, 'a> {
+struct MeasureTask<'q, 'a> {
     queue: &'q MeasureQueue<'a>,
     index: usize,
-}
-
-impl MeasureTask<'_, '_> {
-    /// The candidate index this task measures (stable across requeues).
-    pub fn index(&self) -> usize {
-        self.index
-    }
 }
 
 impl Drop for MeasureTask<'_, '_> {
@@ -89,7 +83,7 @@ impl Drop for MeasureTask<'_, '_> {
 }
 
 /// What [`MeasureQueue::try_claim`] found.
-pub enum Claimed<'q, 'a> {
+enum Claimed<'q, 'a> {
     /// A candidate to measure.
     Task(MeasureTask<'q, 'a>),
     /// Work remains, but every pending key is currently claimed by a
@@ -149,34 +143,34 @@ impl<'a> MeasureQueue<'a> {
     }
 
     /// The fidelity this rung measures at.
-    pub fn fidelity(&self) -> Fidelity {
+    fn fidelity(&self) -> Fidelity {
         self.fidelity
     }
 
     /// The requested local worker-thread count (already clamped to the
     /// pending size). Remote backends may ignore it.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.workers
     }
 
     /// The candidate a task measures.
-    pub fn candidate(&self, task: &MeasureTask<'_, 'a>) -> &'a Candidate {
+    fn candidate(&self, task: &MeasureTask<'_, 'a>) -> &'a Candidate {
         &self.candidates[task.index]
     }
 
     /// The wire recipe remote workers rebuild the space from, if this
     /// space can travel.
-    pub fn wire_spec(&self) -> Option<JobSpec> {
+    fn wire_spec(&self) -> Option<JobSpec> {
         self.space.wire_spec()
     }
 
     /// The space description, for diagnostics.
-    pub fn describe_space(&self) -> String {
+    fn describe_space(&self) -> String {
         self.space.describe()
     }
 
     /// Whether every pending candidate has been completed.
-    pub fn is_drained(&self) -> bool {
+    fn is_drained(&self) -> bool {
         self.completed.load(Ordering::Acquire) == self.total
     }
 
@@ -184,7 +178,7 @@ impl<'a> MeasureQueue<'a> {
     /// already cached (a concurrent sweep landed it first) are resolved
     /// inline as dedup hits; candidates whose key is claimed elsewhere
     /// are cycled to the back of the queue.
-    pub fn try_claim<'q>(&'q self) -> Claimed<'q, 'a> {
+    fn try_claim<'q>(&'q self) -> Claimed<'q, 'a> {
         let mut pending = self.pending.lock().expect("measure queue poisoned");
         let mut cycled = 0;
         while let Some(index) = pending.pop_front() {
@@ -212,7 +206,7 @@ impl<'a> MeasureQueue<'a> {
     /// shared cache *before* releasing the claim (so concurrent waiters
     /// find it), performs all sweep and engine accounting, and records
     /// the measuring `worker` for the report's per-worker sim counts.
-    pub fn complete(
+    fn complete(
         &self,
         task: MeasureTask<'_, 'a>,
         result: Result<CachedEval, Diagnostic>,
@@ -227,24 +221,14 @@ impl<'a> MeasureQueue<'a> {
             self.explorer.mark_dirty(key);
             self.explorer.evals_performed.fetch_add(1, Ordering::Relaxed);
             self.stats.record_sim(worker, *is_full, nanos);
-            if *is_full {
-                self.explorer.full_evals_performed.fetch_add(1, Ordering::Relaxed);
-                self.explorer.full_sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-            }
         }
         self.explorer.in_flight.release(key);
         self.push_done(index, result, false);
     }
 
-    /// Releases a claim and puts the candidate back in the queue (used
-    /// when a remote worker dies with the measurement outstanding).
-    pub fn requeue(&self, task: MeasureTask<'_, 'a>) {
-        drop(task); // the drop handler is exactly the requeue path
-    }
-
     /// Records that `worker` came back after its connection was lost —
     /// surfaced as `worker_reconnects` in the sweep report.
-    pub fn record_reconnect(&self, worker: &str) {
+    fn record_reconnect(&self, worker: &str) {
         self.stats.record_reconnect(worker);
     }
 
@@ -255,7 +239,7 @@ impl<'a> MeasureQueue<'a> {
 
     /// Parks briefly (≤10ms) until some in-flight claim releases — the
     /// polite way to wait out [`Claimed::Busy`].
-    pub fn wait_for_progress(&self) {
+    fn wait_for_progress(&self) {
         self.explorer.in_flight.wait_release_timeout(Duration::from_millis(10));
     }
 
@@ -276,10 +260,10 @@ impl<'a> MeasureQueue<'a> {
 /// The in-process measurement pool: `queue.workers()` threads, each
 /// owning one recycled-SoC [`Session`] for the rung.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LocalPool;
+pub(crate) struct LocalPool;
 
 /// The worker label local measurements are recorded under.
-pub const LOCAL_WORKER: &str = "local";
+const LOCAL_WORKER: &str = "local";
 
 impl MeasureBackend for LocalPool {
     fn describe(&self) -> String {
@@ -668,7 +652,7 @@ pub fn measure_request(
 }
 
 /// Builds the `result` frame answering measure request `id`.
-pub fn result_frame(id: u64, eval: &CachedEval, nanos: u64) -> JsonValue {
+fn result_frame(id: u64, eval: &CachedEval, nanos: u64) -> JsonValue {
     let mut members = vec![("type".to_owned(), "result".into()), ("id".to_owned(), id.into())];
     members.extend(cache::payload_members(&eval.counters, eval.task_clock_ms, eval.verified));
     members.push(("nanos".to_owned(), nanos.into()));
@@ -676,7 +660,7 @@ pub fn result_frame(id: u64, eval: &CachedEval, nanos: u64) -> JsonValue {
 }
 
 /// Builds the `failed` frame answering measure request `id`.
-pub fn failed_frame(id: u64, reason: &str) -> JsonValue {
+fn failed_frame(id: u64, reason: &str) -> JsonValue {
     JsonValue::object([
         ("type".to_owned(), "failed".into()),
         ("id".to_owned(), id.into()),

@@ -57,21 +57,19 @@ use std::time::Duration;
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
 
-pub use audit::{audit_candidate, audit_config, audit_plan, audit_space};
+pub use audit::audit_candidate;
 pub use axi4mlir_heuristics::objective::Objective;
 use cache::CachedEval;
 pub use cache::CACHE_SCHEMA;
 pub use jobspec::{AnySpace, ExploreRequest, JobSpec};
-pub use measure::{
-    Claimed, LocalPool, MeasureBackend, MeasureQueue, MeasureTask, RemotePool, WORKER_SCHEMA,
-};
+use measure::{LocalPool, MeasureBackend, MeasureQueue};
+pub use measure::{RemotePool, WORKER_SCHEMA};
 pub use search::{HalvingSpec, Search};
 pub use space::{
-    apply_options, realize, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace,
-    DesignSpace, Fidelity, Flow, MatMulSpace, MatMulVersion, OptionsPoint, Problem, Realization,
-    Target,
+    realize, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace, DesignSpace,
+    Fidelity, Flow, MatMulSpace, MatMulVersion, OptionsPoint, Problem, Target,
 };
-pub use transfer::{Prediction, Tier, TransferModel};
+pub use transfer::TransferModel;
 
 /// How aggressively the analytical model prunes the space before any
 /// simulation runs.
@@ -273,16 +271,10 @@ impl ExploreReport {
         let h = self.heuristic_eval.as_ref()?;
         Some(pareto::dominated_by_count(h, &self.evaluations, &self.objectives))
     }
-
-    /// Whether the heuristic pick is non-dominated relative to the
-    /// measured front.
-    pub fn heuristic_on_front(&self) -> Option<bool> {
-        self.heuristic_dominated_by().map(|n| n == 0)
-    }
 }
 
 /// A live progress signal from an in-flight exploration, delivered to
-/// the [`Observer`] of [`Explorer::explore_streaming`] on the exploring
+/// the `Observer` of [`Explorer::explore_streaming`] on the exploring
 /// thread. The hub daemon forwards these to its clients as `event`
 /// frames and checkpoints the shared cache between rungs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -315,10 +307,10 @@ pub enum ProgressEvent {
 /// whether the exploration should continue. Returning `false` cancels
 /// the sweep at the next rung boundary with a [`CANCELLED`] diagnostic —
 /// measurements already taken stay in the cache.
-pub type Observer<'a> = &'a dyn Fn(&ProgressEvent) -> bool;
+type Observer<'a> = &'a dyn Fn(&ProgressEvent) -> bool;
 
 /// The diagnostic message an observer-cancelled exploration fails with.
-pub const CANCELLED: &str = "exploration cancelled by the observer";
+const CANCELLED: &str = "exploration cancelled by the observer";
 
 fn notify(observer: Observer, event: ProgressEvent) -> Result<(), Diagnostic> {
     if observer(&event) {
@@ -456,8 +448,6 @@ pub struct Explorer {
     cache: Mutex<HashMap<CandidateKey, CachedEval>>,
     in_flight: InFlight,
     evals_performed: AtomicUsize,
-    full_evals_performed: AtomicUsize,
-    full_sim_nanos: AtomicU64,
     dedup_hits: AtomicUsize,
     /// The cross-problem transfer model a warm-started search ranks by.
     warm: Option<TransferModel>,
@@ -475,8 +465,6 @@ impl Default for Explorer {
             cache: Mutex::default(),
             in_flight: InFlight::default(),
             evals_performed: AtomicUsize::new(0),
-            full_evals_performed: AtomicUsize::new(0),
-            full_sim_nanos: AtomicU64::new(0),
             dedup_hits: AtomicUsize::new(0),
             warm: None,
             backend: Box::new(LocalPool),
@@ -503,7 +491,7 @@ impl Explorer {
     }
 
     /// Installs the measurement backend subsequent sweeps drain through
-    /// (a [`LocalPool`] by default; a [`RemotePool`] fans out to
+    /// (a `LocalPool` by default; a [`RemotePool`] fans out to
     /// `axi4mlir-worker` daemons).
     pub fn set_measure_backend(&mut self, backend: Box<dyn MeasureBackend>) {
         self.backend = backend;
@@ -574,20 +562,6 @@ impl Explorer {
         self.evals_performed.load(Ordering::Relaxed)
     }
 
-    /// How many of those runs simulated a candidate at *full* fidelity —
-    /// including proxy rungs whose proxy already covered the whole
-    /// problem (they realize the full workload under the full key). This
-    /// is the expensive count warm-starting and halving exist to shrink.
-    pub fn full_evals_performed(&self) -> usize {
-        self.full_evals_performed.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds spent inside full-fidelity simulator runs
-    /// so far (the denominator of the `sims_per_sec` benchmark metric).
-    pub fn full_sim_nanos(&self) -> u64 {
-        self.full_sim_nanos.load(Ordering::Relaxed)
-    }
-
     /// How many measurements were served from the cache *because of
     /// concurrency*: a pending candidate turned out to be already
     /// measured (or in flight) under a concurrent sweep sharing this
@@ -614,7 +588,7 @@ impl Explorer {
     /// contributes a coordinate to the report's
     /// [`ExploreReport::pareto_front`].
     ///
-    /// The [`Observer`] sees a [`ProgressEvent::SpaceReady`] once the
+    /// The `Observer` sees a [`ProgressEvent::SpaceReady`] once the
     /// space is enumerated and a [`ProgressEvent::RungComplete`] after
     /// every measurement rung, and can cancel the sweep at any of those
     /// boundaries by returning `false` (measurements already taken stay
@@ -626,7 +600,7 @@ impl Explorer {
     ///
     /// Propagates enumeration diagnostics and the first failing
     /// candidate's [`Diagnostic`] (by measurement order, independent of
-    /// the worker count); fails with a [`CANCELLED`] diagnostic when the
+    /// the worker count); fails with a `CANCELLED` diagnostic when the
     /// observer stops the sweep.
     pub fn explore_streaming(
         &self,

@@ -50,7 +50,7 @@ impl Evaluation {
     /// The ranking score halving promotes by: extensive objectives are
     /// normalized per MAC so proxy measurements of differently-sized
     /// proxies race fairly; intensive ones (occupancy) compare as-is.
-    pub fn rank_value(&self, objective: Objective) -> f64 {
+    pub(crate) fn rank_value(&self, objective: Objective) -> f64 {
         let value = self.objective_value(objective);
         if objective.is_extensive() {
             value / self.work.max(1) as f64
@@ -85,7 +85,7 @@ pub fn front_indices(points: &[Vec<f64>]) -> Vec<usize> {
 /// Indices (into `evaluations`) of the Pareto front under `objectives`,
 /// in evaluation order. A single objective degenerates to the set of
 /// evaluations attaining its minimum.
-pub fn pareto_front(evaluations: &[Evaluation], objectives: &[Objective]) -> Vec<usize> {
+pub(crate) fn pareto_front(evaluations: &[Evaluation], objectives: &[Objective]) -> Vec<usize> {
     let points: Vec<Vec<f64>> =
         evaluations.iter().map(|e| e.objective_vector(objectives)).collect();
     front_indices(&points)
@@ -93,7 +93,7 @@ pub fn pareto_front(evaluations: &[Evaluation], objectives: &[Objective]) -> Vec
 
 /// How many of `evaluations` dominate `eval` under `objectives` — zero
 /// means `eval` would sit on (or extend) the front.
-pub fn dominated_by_count(
+pub(crate) fn dominated_by_count(
     eval: &Evaluation,
     evaluations: &[Evaluation],
     objectives: &[Objective],

@@ -41,7 +41,7 @@ use super::space::CandidateKey;
 
 /// Per-shard entry cap: a save that would exceed it compacts the shard
 /// first, keeping the newest (highest) seed per seed-less configuration.
-pub const SHARD_CAP: usize = 1024;
+const SHARD_CAP: usize = 1024;
 
 /// The shard a workload signature belongs to: a filesystem-safe slug of
 /// the workload string plus a 32-bit FNV-1a tag of the *exact* string,
@@ -166,7 +166,7 @@ fn compact(entries: HashMap<CandidateKey, CachedEval>) -> HashMap<CandidateKey, 
 /// Writes the *dirty* shards of `entries` into `dir`, merging each with
 /// whatever its file already holds; clean shards are skipped entirely —
 /// this is what makes rung-boundary checkpoints cheap. A merged shard
-/// exceeding [`SHARD_CAP`] is compacted first (newest seed per
+/// exceeding `SHARD_CAP` is compacted first (newest seed per
 /// configuration wins), with a stderr note. Each shard write is atomic:
 /// the merged document goes to a staging file in the same directory and
 /// is renamed over the shard, so a process killed mid-save leaves the

@@ -8,7 +8,7 @@
 //!
 //! - [`MatMulSpace`]: the §IV-C space, generalized from "v4 tiles only"
 //!   to any mix of Table I generations (v1–v3 contribute their fixed
-//!   square tile, v4 the full [`candidate_edges`] search);
+//!   square tile, v4 the full `candidate_edges` search);
 //! - [`BatchedSpace`]: the MatMul space applied to a batch of independent
 //!   GEMMs;
 //! - [`ConvSpace`]: one §IV-D layer; its geometric point is fixed by the
@@ -21,8 +21,6 @@
 //! Realization is a function of the key: [`CandidateKey::at`] derives
 //! the fidelity-adjusted key and work, [`realize`] builds what it names,
 //! and [`DesignSpace::realize`] is that function for every space.
-//!
-//! [`candidate_edges`]: axi4mlir_heuristics::candidate_edges
 
 use std::fmt;
 
@@ -46,7 +44,7 @@ use super::jobspec::{parse_dims, parse_layer, JobSpec};
 /// Applies an [`OptionsPoint`] onto a compile plan: the pipeline knobs
 /// (coalescing, copy specialization, cache-tiling level) plus the named
 /// host whose cache sizes the `Auto` tiling heuristic reads.
-pub fn apply_options(plan: CompilePlan, options: &OptionsPoint) -> CompilePlan {
+fn apply_options(plan: CompilePlan, options: &OptionsPoint) -> CompilePlan {
     let pipeline = PipelineOptions {
         coalesce_transfers: options.coalesce,
         specialized_copies: options.specialized_copies,
@@ -70,7 +68,7 @@ pub enum Problem {
 
 impl Problem {
     /// The workload kind (`matmul`, `batched`, `conv`).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Problem::MatMul(_) => "matmul",
             Problem::Batched(_) => "batched",
@@ -79,7 +77,7 @@ impl Problem {
     }
 
     /// The (per-element) GEMM of a MatMul-shaped problem.
-    pub fn gemm(&self) -> Option<MatMulProblem> {
+    pub(crate) fn gemm(&self) -> Option<MatMulProblem> {
         match self {
             Problem::MatMul(problem) => Some(*problem),
             Problem::Batched(batch) => Some(batch.problem),
@@ -88,7 +86,7 @@ impl Problem {
     }
 
     /// Multiply-accumulates of the whole problem.
-    pub fn macs(&self) -> u64 {
+    fn macs(&self) -> u64 {
         match self {
             Problem::MatMul(problem) => problem.macs(),
             Problem::Batched(batch) => batch.macs(),
@@ -222,7 +220,7 @@ pub struct CandidateKey {
 impl CandidateKey {
     /// The per-space entry label: accelerator, flow, tile (when the space
     /// has a tile axis), and any non-default options.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         let tile = if self.tile == (0, 0, 0) {
             String::new()
         } else {
@@ -293,7 +291,7 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// The entry label (see [`CandidateKey::label`]).
+    /// The entry label (see `CandidateKey::label`).
     pub fn label(&self) -> String {
         self.key.label()
     }
@@ -328,7 +326,7 @@ impl Fidelity {
 
     /// Parses a [`Fidelity::label`] spelling back (`None` for anything
     /// else).
-    pub fn parse(label: &str) -> Option<Fidelity> {
+    pub(crate) fn parse(label: &str) -> Option<Fidelity> {
         if label == "full" {
             return Some(Fidelity::Full);
         }
@@ -642,7 +640,7 @@ impl BatchedSpace {
 
     /// Overrides the capacity budget.
     #[must_use]
-    pub fn capacity_words(mut self, capacity_words: u64) -> Self {
+    pub(crate) fn capacity_words(mut self, capacity_words: u64) -> Self {
         self.capacity_words = capacity_words;
         self
     }
@@ -745,12 +743,14 @@ fn conv_proxy_layer(layer: ConvLayer, level: u8) -> ConvLayer {
 /// 1): the one `ConvLayer` → [`ConvShapeEstimate`] conversion, shared by
 /// the conv space and the transfer model's reading of cached labels.
 pub(crate) fn conv_shape(layer: &ConvLayer) -> ConvShapeEstimate {
+    // An extent past `i64` saturates; `conv_point` reads it as over capacity.
+    let extent = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
     ConvShapeEstimate {
         batch: 1,
-        out_channels: layer.out_channels as i64,
-        out_hw: layer.out_hw() as i64,
-        in_channels: layer.in_channels as i64,
-        filter_hw: layer.filter_hw as i64,
+        out_channels: extent(layer.out_channels),
+        out_hw: extent(layer.out_hw()),
+        in_channels: extent(layer.in_channels),
+        filter_hw: extent(layer.filter_hw),
     }
 }
 
@@ -762,24 +762,14 @@ pub(crate) fn conv_shape(layer: &ConvLayer) -> ConvShapeEstimate {
 pub struct ConvSpace {
     /// The layer to explore.
     pub layer: ConvLayer,
-    /// Pipeline-options points to consider.
-    pub options_axis: Vec<OptionsPoint>,
     /// Data seed for every measurement.
     pub seed: u64,
 }
 
 impl ConvSpace {
-    /// The standard conv space: the full options axis, the conventional
-    /// conv data seed.
+    /// The standard conv space: the conventional conv data seed.
     pub fn new(layer: ConvLayer) -> Self {
-        Self { layer, options_axis: OptionsPoint::axis(), seed: 0xC02 }
-    }
-
-    /// Overrides the options axis.
-    #[must_use]
-    pub fn options_axis(mut self, options_axis: Vec<OptionsPoint>) -> Self {
-        self.options_axis = options_axis;
-        self
+        Self { layer, seed: 0xC02 }
     }
 
     /// Overrides the data seed.
@@ -801,13 +791,11 @@ impl DesignSpace for ConvSpace {
 
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic> {
         let estimate = conv_point(conv_shape(&self.layer))?;
-        Ok(self
-            .options_axis
-            .iter()
-            // Conv kernels never cache-tile: the tiling/host axes are
-            // dropped here (their points would duplicate measurements).
-            .filter(|options| options.legal_for_conv())
-            .map(|&options| Candidate {
+        // Conv kernels never cache-tile, so the explored axis is the
+        // copy/coalesce one at the default tiling level and host.
+        Ok(OptionsPoint::axis()
+            .into_iter()
+            .map(|options| Candidate {
                 key: CandidateKey {
                     workload: Problem::Conv(self.layer),
                     accel: Target::Conv2d,

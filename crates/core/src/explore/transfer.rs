@@ -86,7 +86,7 @@ pub struct Prediction {
 impl Prediction {
     /// Whether the prediction carries configuration-specific information
     /// (exact or coarse tier) rather than a global rescale.
-    pub fn is_informed(&self) -> bool {
+    pub(crate) fn is_informed(&self) -> bool {
         self.tier != Tier::Global
     }
 }
@@ -414,7 +414,7 @@ mod tests {
                 .and_then(|workload| shape_of(&CandidateKey { workload, ..conv_key("3_1_3_1_1") }));
             let shape = match parts[..] {
                 [in_hw, in_channels, filter_hw, out_channels, stride]
-                    if in_channels >= 0
+                    if in_channels > 0
                         && stride > 0
                         && filter_hw > 0
                         && in_hw >= filter_hw

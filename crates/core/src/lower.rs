@@ -149,11 +149,6 @@ fn lower_one(ctx: &mut IrCtx, top: OpId, op: OpId) -> Result<(), Diagnostic> {
     Ok(())
 }
 
-/// Convenience: `true` if no accel ops remain under `root`.
-pub fn fully_lowered(ctx: &IrCtx, root: OpId) -> bool {
-    ctx.walk(root).into_iter().all(|op| !accel::is_accel_op(ctx, op))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn lowering_removes_all_accel_ops() {
         let m = lowered_module(FlowStrategy::NothingStationary);
-        assert!(fully_lowered(&m.ctx, m.top()));
+        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !accel::is_accel_op(&m.ctx, op)));
         let printed = print_op(&m.ctx, m.top());
         for callee in [
             callees::DMA_INIT,
@@ -267,7 +262,7 @@ mod tests {
         pm.add(Box::new(GenerateAccelDriverPass::default()));
         pm.add(Box::new(LowerAccelToRuntimePass));
         pm.run(&mut m).unwrap();
-        assert!(fully_lowered(&m.ctx, m.top()));
+        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !accel::is_accel_op(&m.ctx, op)));
         assert_eq!(m.ctx.find_ops(m.top(), "memref.dim").len(), 2, "fH and iC");
         assert!(!m.ctx.find_ops(m.top(), "arith.index_cast").is_empty());
     }

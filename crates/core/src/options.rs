@@ -50,7 +50,7 @@ impl PipelineOptions {
     }
 
     /// The copy strategy implied by `specialized_copies`.
-    pub fn copy_strategy(&self, cost: &CostModel) -> CopyStrategy {
+    pub(crate) fn copy_strategy(&self, cost: &CostModel) -> CopyStrategy {
         if self.specialized_copies {
             CopyStrategy::specialized(cost)
         } else {

@@ -69,7 +69,7 @@ impl DeviceModel {
     }
 
     /// Builds the model.
-    pub fn instantiate(self) -> Box<dyn StreamAccelerator> {
+    pub(crate) fn instantiate(self) -> Box<dyn StreamAccelerator> {
         match self {
             DeviceModel::Conv2d => Box::new(ConvAccel::new()),
             DeviceModel::MatMul { version, size } => Box::new(MatMulAccel::new(version, size)),
@@ -97,7 +97,7 @@ pub fn build_matmul_module(problem: MatMulProblem) -> Module {
 /// one matmul-traited `linalg.generic` per batch element. All generics
 /// match the same accelerator trait, so the standard passes annotate and
 /// rewrite every element of the batch.
-pub fn build_batched_matmul_module(batch: BatchedMatMulProblem) -> Module {
+pub(crate) fn build_batched_matmul_module(batch: BatchedMatMulProblem) -> Module {
     let p = batch.problem;
     let mut module = Module::new();
     let a_ty = Type::MemRef(MemRefType::contiguous(vec![p.m, p.k], Type::i32()));
@@ -125,7 +125,7 @@ pub fn build_batched_matmul_module(batch: BatchedMatMulProblem) -> Module {
 
 /// Builds `func.func @conv_call(%I, %W, %O)` containing one
 /// `linalg.conv_2d_nchw_fchw`.
-pub fn build_conv_module(layer: ConvLayer) -> Module {
+pub(crate) fn build_conv_module(layer: ConvLayer) -> Module {
     let mut module = Module::new();
     let i_ty = Type::MemRef(MemRefType::contiguous(
         vec![1, layer.in_channels as i64, layer.in_hw as i64, layer.in_hw as i64],
@@ -205,13 +205,11 @@ mod tests {
 
     #[test]
     fn cpu_baseline_verifies_and_uses_no_dma() {
-        let plan = CompilePlan::cpu().seed(1).cpu_tile(Some(8));
-        let workload = MatMulWorkload::new(MatMulProblem::square(16)).with_cpu_tile(Some(8));
-        let report = Session::for_sweep().run(&workload, &plan).unwrap();
+        let report = run_matmul(&CompilePlan::cpu().seed(1), 16);
         assert!(report.verified);
         assert_eq!(report.counters.dma_transactions, 0);
         assert_eq!(report.counters.accel_macs, 0);
-        assert_eq!(report.cache_tile, Some(8), "the requested CPU tile is reported");
+        assert_eq!(report.cache_tile, None, "no compiler pass chose a tile");
         assert_eq!(report.accel_name, "cpu");
         assert_eq!(report.flow, "cpu");
     }

@@ -1,11 +1,11 @@
 //! Loop planning and flow-directed opcode placement (steps 4 & 5a).
 //!
-//! A [`LoopPlan`] describes the tiled loop nest for one offloaded op:
+//! A `LoopPlan` describes the tiled loop nest for one offloaded op:
 //! ordered loop levels (optional cache-tiling loops wrapping the
 //! accelerator-tile loops, in permuted order) and, per data argument, how
 //! its tile subview is addressed from the loop induction variables.
 //!
-//! [`place_flow`] then maps the `opcode_flow` onto that nest: opcodes in
+//! `place_flow` then maps the `opcode_flow` onto that nest: opcodes in
 //! the *deepest* flow scope run in the innermost loop; opcodes in enclosing
 //! scopes are **hoisted** to the shallowest loop their data allows (the
 //! stationary optimization of §III-C), positioned before or after the
@@ -18,7 +18,7 @@ use axi4mlir_support::diag::Diagnostic;
 
 /// How one dimension of a tile subview is offset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OffsetExpr {
+pub(crate) enum OffsetExpr {
     /// Offset 0 (the dimension is consumed whole).
     Zero,
     /// `iv(level) * scale` — `scale` is 1 for matmul tiles (the induction
@@ -34,7 +34,7 @@ pub enum OffsetExpr {
 
 /// One loop of the generated nest, outermost first.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoopLevel {
+pub(crate) struct LoopLevel {
     /// The iteration-space dimension this loop walks.
     pub dim: String,
     /// Trip extent in elements (upper bound when `base` is `None`).
@@ -51,7 +51,7 @@ pub struct LoopLevel {
 
 /// Per-argument tiling information.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArgPlan {
+pub(crate) struct ArgPlan {
     /// Argument name from the configuration (`A`, `B`, `C`, `I`, ...).
     pub name: String,
     /// Offset expression per memref dimension.
@@ -65,7 +65,7 @@ pub struct ArgPlan {
 impl ArgPlan {
     /// 1-based depth of the deepest loop this argument's subview reads;
     /// 0 when the tile is loop-invariant.
-    pub fn ready_depth(&self) -> usize {
+    pub(crate) fn ready_depth(&self) -> usize {
         self.dim_offsets
             .iter()
             .map(|o| match o {
@@ -79,7 +79,7 @@ impl ArgPlan {
 
 /// The full tiled-loop plan for one offloaded operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoopPlan {
+pub(crate) struct LoopPlan {
     /// Loops, outermost first.
     pub levels: Vec<LoopLevel>,
     /// Data arguments in operand order.
@@ -88,23 +88,19 @@ pub struct LoopPlan {
 
 impl LoopPlan {
     /// Number of loops.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.levels.len()
     }
 
     /// 1-based depth of the accelerator loop walking `dim` (cache levels
     /// are skipped).
-    pub fn accel_loop_depth(&self, dim: &str) -> Option<usize> {
+    fn accel_loop_depth(&self, dim: &str) -> Option<usize> {
         self.levels.iter().position(|l| !l.is_cache_level && l.dim == dim).map(|i| i + 1)
     }
 
     /// The loop depth an opcode requires: the deepest loop feeding any
     /// subview it sends/receives, or any `send_idx` dimension it streams.
-    pub fn required_depth(
-        &self,
-        opcode_map: &OpcodeMap,
-        opcode: &str,
-    ) -> Result<usize, Diagnostic> {
+    fn required_depth(&self, opcode_map: &OpcodeMap, opcode: &str) -> Result<usize, Diagnostic> {
         let actions = opcode_map.get(opcode).ok_or_else(|| {
             Diagnostic::error(format!("flow references undefined opcode `{opcode}`"))
         })?;
@@ -134,7 +130,7 @@ impl LoopPlan {
 
 /// Where an opcode sits relative to the nested loop of its depth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Position {
+pub(crate) enum Position {
     /// Before the nested loop (transfers feeding deeper iterations).
     Pre,
     /// After the nested loop (results collected once the loop finishes).
@@ -143,7 +139,7 @@ pub enum Position {
 
 /// One opcode assigned to a loop depth.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlacedOpcode {
+pub(crate) struct PlacedOpcode {
     /// Opcode name (an `opcode_map` key).
     pub opcode: String,
     /// 1-based loop depth (1 = outermost).
@@ -160,7 +156,7 @@ pub struct PlacedOpcode {
 /// opcodes whose data needs a deeper loop than their scope allows (an
 /// illegal stationarity for the chosen permutation), and references to
 /// unknown opcodes.
-pub fn place_flow(
+pub(crate) fn place_flow(
     plan: &LoopPlan,
     opcode_map: &OpcodeMap,
     flow: &OpcodeFlow,
@@ -263,7 +259,7 @@ fn place_scope(
 /// Requires every tile to divide its dimension, and the cache tile (when
 /// present and smaller than the dimension) to be a multiple of the
 /// accelerator tile and a divisor of the dimension.
-pub fn matmul_plan(
+pub(crate) fn matmul_plan(
     dims: (i64, i64, i64),
     tiles: (i64, i64, i64),
     permutation: &[usize; 3],
@@ -359,7 +355,7 @@ pub fn matmul_plan(
 
 /// Shape parameters for the convolution plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConvPlanParams {
+pub(crate) struct ConvPlanParams {
     /// Batch size.
     pub batch: i64,
     /// Output channels.
@@ -377,7 +373,7 @@ pub struct ConvPlanParams {
 /// Builds the Conv2D loop plan of Fig. 15b: loops `(b, oc, oh, ow)`,
 /// filter slice at `oc`, input window at `(oh, ow)` (scaled by the spatial
 /// stride), output slice at `(b, oc)`.
-pub fn conv_plan(p: ConvPlanParams) -> Result<LoopPlan, Diagnostic> {
+pub(crate) fn conv_plan(p: ConvPlanParams) -> Result<LoopPlan, Diagnostic> {
     if p.batch <= 0 || p.out_channels <= 0 || p.out_hw <= 0 {
         return Err(Diagnostic::error("convolution plan requires positive extents"));
     }

@@ -2,7 +2,7 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
-use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
+use axi4mlir_ir::ops::ValueId;
 use axi4mlir_ir::types::Type;
 
 /// Builds `arith.constant` with an integer `value` of type `ty`.
@@ -38,12 +38,12 @@ pub fn muli(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
 }
 
 /// Builds `arith.addf`.
-pub fn addf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub(crate) fn addf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
     binary(b, "arith.addf", lhs, rhs)
 }
 
 /// Builds `arith.mulf`.
-pub fn mulf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub(crate) fn mulf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
     binary(b, "arith.mulf", lhs, rhs)
 }
 
@@ -51,22 +51,6 @@ pub fn mulf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
 pub fn index_cast(b: &mut OpBuilder<'_>, value: ValueId, to: Type) -> ValueId {
     let op = b.insert_op("arith.index_cast", vec![value], vec![to], []);
     b.result(op)
-}
-
-/// Reads the integer payload of an `arith.constant`.
-pub fn const_value(ctx: &IrCtx, op: OpId) -> Option<i64> {
-    if ctx.op(op).name != "arith.constant" {
-        return None;
-    }
-    ctx.attr(op, "value").and_then(|a| a.as_int())
-}
-
-/// If `value` is produced by an `arith.constant`, returns its payload.
-pub fn as_const(ctx: &IrCtx, value: ValueId) -> Option<i64> {
-    match ctx.value(value).def {
-        axi4mlir_ir::ops::ValueDef::OpResult { op, .. } => const_value(ctx, op),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +65,8 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let v = const_index(&mut b, 42);
         assert_eq!(*m.ctx.value_type(v), Type::index());
-        assert_eq!(as_const(&m.ctx, v), Some(42));
+        let constant = m.ctx.find_ops(m.top(), "arith.constant")[0];
+        assert_eq!(m.ctx.attr(constant, "value").and_then(|a| a.as_int()), Some(42));
     }
 
     #[test]
@@ -95,7 +80,6 @@ mod tests {
         let prod = muli(&mut b, x, y);
         assert_eq!(*m.ctx.value_type(sum), Type::i32());
         assert_eq!(*m.ctx.value_type(prod), Type::i32());
-        assert_eq!(as_const(&m.ctx, sum), None, "addi is not a constant");
     }
 
     #[test]

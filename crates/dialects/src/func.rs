@@ -71,14 +71,6 @@ pub fn callee(ctx: &IrCtx, op: OpId) -> Option<&str> {
     ctx.attr(op, "callee").and_then(|a| a.as_str())
 }
 
-/// The symbol name of a `func.func`.
-pub fn name(ctx: &IrCtx, op: OpId) -> Option<&str> {
-    if ctx.op(op).name != "func.func" {
-        return None;
-    }
-    ctx.attr(op, "sym_name").and_then(|a| a.as_str())
-}
-
 /// The `index`-th argument value of a `func.func`.
 ///
 /// # Panics
@@ -101,7 +93,6 @@ mod tests {
         let mut m = Module::new();
         let mr = Type::MemRef(MemRefType::contiguous(vec![4, 4], Type::i32()));
         let f = func(&mut m, "matmul_call", vec![mr.clone(), mr.clone(), mr], vec![]);
-        assert_eq!(name(&m.ctx, f.op), Some("matmul_call"));
         assert_eq!(m.ctx.block(f.entry).args.len(), 3);
         assert_eq!(m.func_named("matmul_call"), Some(f.op));
         assert!(verify_ok(&m.ctx, m.top()).is_ok());
@@ -127,6 +118,5 @@ mod tests {
         let mut b = entry_builder(&mut m.ctx, &f);
         let c = call(&mut b, "dma_wait_send_completion", vec![], vec![]);
         assert_eq!(callee(&m.ctx, c), Some("dma_wait_send_completion"));
-        assert_eq!(name(&m.ctx, c), None, "name() only answers for func.func");
     }
 }

@@ -16,12 +16,12 @@ use axi4mlir_support::diag::Diagnostic;
 use crate::arith;
 
 /// Iterator kind names used in `iterator_types`.
-pub const PARALLEL: &str = "parallel";
+const PARALLEL: &str = "parallel";
 /// Reduction iterator kind.
-pub const REDUCTION: &str = "reduction";
+const REDUCTION: &str = "reduction";
 
 /// The canonical MatMul indexing maps `(m, n, k) -> (m, k) / (k, n) / (m, n)`.
-pub fn matmul_indexing_maps() -> Vec<AffineMap> {
+fn matmul_indexing_maps() -> Vec<AffineMap> {
     let names: Vec<String> = ["m", "n", "k"].iter().map(|s| (*s).to_owned()).collect();
     vec![
         AffineMap::projection(names.clone(), &[0, 2]),
@@ -111,13 +111,13 @@ pub fn convert_named_to_generic(ctx: &mut IrCtx, root: OpId) -> usize {
 }
 
 /// The `indexing_maps` attribute of a linalg op.
-pub fn indexing_maps(ctx: &IrCtx, op: OpId) -> Option<Vec<AffineMap>> {
+fn indexing_maps(ctx: &IrCtx, op: OpId) -> Option<Vec<AffineMap>> {
     let arr = ctx.attr(op, "indexing_maps")?.as_array()?;
     arr.iter().map(|a| a.as_map().cloned()).collect()
 }
 
 /// The `iterator_types` attribute of a linalg op.
-pub fn iterator_types(ctx: &IrCtx, op: OpId) -> Option<Vec<String>> {
+fn iterator_types(ctx: &IrCtx, op: OpId) -> Option<Vec<String>> {
     let arr = ctx.attr(op, "iterator_types")?.as_array()?;
     arr.iter().map(|a| a.as_str().map(str::to_owned)).collect()
 }

@@ -23,8 +23,7 @@ use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_ir::affine::AffineExpr;
 use axi4mlir_ir::analysis::{integer_ranges, IntRange, Liveness, ValueTable};
 use axi4mlir_ir::attrs::{Attribute, OpcodeAction, OpcodeFlow, OpcodeMap};
-use axi4mlir_ir::ops::{IrCtx, Module, OpId};
-use axi4mlir_ir::pass::Pass;
+use axi4mlir_ir::ops::{IrCtx, OpId};
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 
 /// Instruction literal not decoded by the named accelerator generation.
@@ -43,7 +42,7 @@ pub const LINT_SHAPE_TILE: &str = "lint::shape-tile";
 /// A `/`-separated path from the root to `op`, e.g.
 /// `func.func(matmul_call)/scf.for#1/linalg.generic#0`. Symbol-carrying ops
 /// show their name; others show their position in the parent block.
-pub fn op_path(ctx: &IrCtx, op: OpId) -> String {
+fn op_path(ctx: &IrCtx, op: OpId) -> String {
     let mut segments = Vec::new();
     let mut cursor = Some(op);
     while let Some(current) = cursor {
@@ -460,25 +459,12 @@ pub fn lint_module(
     diags.result()
 }
 
-/// A [`Pass`] wrapper so `--lint` can run inside a pipeline.
-#[derive(Debug, Default)]
-pub struct LintPass;
-
-impl Pass for LintPass {
-    fn name(&self) -> &str {
-        "lint"
-    }
-
-    fn run(&mut self, module: &mut Module, diags: &mut DiagnosticEngine) -> Result<(), Diagnostic> {
-        lint_module(&module.ctx, module.top(), diags)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{arith, func, linalg, memref};
     use axi4mlir_ir::affine::AffineMap;
+    use axi4mlir_ir::ops::Module;
     use axi4mlir_ir::types::Type;
     use std::collections::BTreeMap;
 
@@ -656,18 +642,5 @@ mod tests {
         let (m, op) = annotated_matmul(8, 4, "v1_4", V1_MAP);
         let path = op_path(&m.ctx, op);
         assert_eq!(path, "func.func(matmul_call)/linalg.generic#3");
-    }
-
-    #[test]
-    fn lint_pass_runs_in_a_pipeline() {
-        use axi4mlir_ir::pass::PassManager;
-        let (mut m, _) = annotated_matmul(8, 4, "v1_4", V1_MAP);
-        let mut pm = PassManager::new();
-        pm.add(Box::new(LintPass));
-        assert!(pm.run(&mut m).is_ok());
-        let (mut bad, _) = annotated_matmul(8, 3, "v1_4", V1_MAP);
-        let mut pm = PassManager::new();
-        pm.add(Box::new(LintPass));
-        assert!(pm.run(&mut bad).is_err());
     }
 }

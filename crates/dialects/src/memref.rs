@@ -2,11 +2,11 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
-use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
+use axi4mlir_ir::ops::{OpId, ValueId};
 use axi4mlir_ir::types::{MemRefType, Type};
 
 /// Row-major strides for a static shape.
-pub fn row_major_strides(shape: &[i64]) -> Vec<i64> {
+fn row_major_strides(shape: &[i64]) -> Vec<i64> {
     let mut strides = vec![1i64; shape.len()];
     for i in (0..shape.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * shape[i + 1];
@@ -89,14 +89,6 @@ pub fn dim(b: &mut OpBuilder<'_>, source: ValueId, dimension: i64) -> ValueId {
     b.result(op)
 }
 
-/// The static sizes attribute of a `memref.subview`.
-pub fn subview_sizes(ctx: &IrCtx, op: OpId) -> Option<Vec<i64>> {
-    if ctx.op(op).name != "memref.subview" {
-        return None;
-    }
-    ctx.attr(op, "static_sizes")?.as_array().map(|a| a.iter().filter_map(|x| x.as_int()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +155,10 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let parent = alloc(&mut b, vec![60, 80], Type::i32());
         let z = arith::const_index(&mut b, 0);
-        let tile = subview(&mut b, parent, vec![z, z], vec![4, 8]);
-        let op = match m.ctx.value(tile).def {
-            axi4mlir_ir::ops::ValueDef::OpResult { op, .. } => op,
-            _ => unreachable!(),
-        };
-        assert_eq!(subview_sizes(&m.ctx, op), Some(vec![4, 8]));
+        subview(&mut b, parent, vec![z, z], vec![4, 8]);
+        let op = m.ctx.find_ops(m.top(), "memref.subview")[0];
+        let sizes = m.ctx.attr(op, "static_sizes").and_then(|a| a.as_array()).unwrap();
+        assert_eq!(sizes.iter().filter_map(|x| x.as_int()).collect::<Vec<_>>(), [4, 8]);
     }
 
     #[test]

@@ -38,28 +38,6 @@ pub fn body_builder<'a>(ctx: &'a mut IrCtx, loop_: &ForLoop) -> OpBuilder<'a> {
     OpBuilder::at(ctx, loop_.body, len - 1)
 }
 
-/// The `(lb, ub, step)` operands of an `scf.for`.
-///
-/// # Panics
-///
-/// Panics if `op` is not an `scf.for`.
-pub fn for_bounds(ctx: &IrCtx, op: OpId) -> (ValueId, ValueId, ValueId) {
-    assert_eq!(ctx.op(op).name, "scf.for", "expected scf.for");
-    let operands = &ctx.op(op).operands;
-    (operands[0], operands[1], operands[2])
-}
-
-/// The induction variable of an `scf.for`.
-///
-/// # Panics
-///
-/// Panics if `op` is not an `scf.for`.
-pub fn for_iv(ctx: &IrCtx, op: OpId) -> ValueId {
-    assert_eq!(ctx.op(op).name, "scf.for", "expected scf.for");
-    let body = ctx.sole_block(op, 0);
-    ctx.block_arg(body, 0)
-}
-
 /// The body block of an `scf.for`.
 ///
 /// # Panics
@@ -88,8 +66,8 @@ mod tests {
         let step = arith::const_index(&mut b, 4);
         let l = for_loop(&mut b, lb, ub, step);
         assert_eq!(m.ctx.op(l.op).name, "scf.for");
-        assert_eq!(for_bounds(&m.ctx, l.op), (lb, ub, step));
-        assert_eq!(for_iv(&m.ctx, l.op), l.iv);
+        assert_eq!(m.ctx.op(l.op).operands, [lb, ub, step]);
+        assert_eq!(m.ctx.block_arg(l.body, 0), l.iv);
         let ops = &m.ctx.block(l.body).ops;
         assert_eq!(ops.len(), 1);
         assert_eq!(m.ctx.op(ops[0]).name, "scf.yield");

@@ -57,7 +57,7 @@ pub fn tile_words(tile: (i64, i64, i64)) -> u64 {
 /// silently come up empty; instead this degenerates to the whole
 /// dimension as a single tile, so small or prime-sized problems still
 /// have exactly one legal (if untiled) edge.
-pub fn candidate_edges(dim: i64, base: i64) -> Vec<i64> {
+pub(crate) fn candidate_edges(dim: i64, base: i64) -> Vec<i64> {
     let edges: Vec<i64> = (1..=dim / base).map(|q| q * base).filter(|t| dim % t == 0).collect();
     if edges.is_empty() && dim > 0 {
         return vec![dim];

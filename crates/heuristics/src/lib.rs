@@ -23,9 +23,7 @@ pub mod objective;
 pub mod space;
 pub mod transfer;
 
-pub use best::{
-    best_choice, candidate_edges, instantiation_base, square_tile_choice, tile_words, TileChoice,
-};
+pub use best::{best_choice, instantiation_base, square_tile_choice, tile_words, TileChoice};
 pub use cache::select_cache_tile;
 pub use objective::Objective;
 pub use space::{

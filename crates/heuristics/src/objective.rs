@@ -29,16 +29,6 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// Every objective, in report order.
-    pub fn all() -> [Objective; 4] {
-        [
-            Objective::TaskClock,
-            Objective::DmaWords,
-            Objective::DmaTransactions,
-            Objective::Occupancy,
-        ]
-    }
-
     /// The short CLI/report name (`clock`, `traffic`, `transactions`,
     /// `occupancy`).
     pub fn label(&self) -> &'static str {
@@ -76,20 +66,6 @@ impl Objective {
         }
     }
 
-    /// Parses a comma-separated objective list, rejecting empty lists,
-    /// unknown names, and duplicates.
-    pub fn parse_list(text: &str) -> Option<Vec<Objective>> {
-        let mut out: Vec<Objective> = Vec::new();
-        for token in text.split(',') {
-            let objective = Objective::parse(token.trim())?;
-            if out.contains(&objective) {
-                return None;
-            }
-            out.push(objective);
-        }
-        (!out.is_empty()).then_some(out)
-    }
-
     /// The analytical score the transfer model assigns this objective,
     /// when it has one: traffic objectives are estimable before any
     /// simulation runs; task-clock and occupancy are not.
@@ -122,25 +98,11 @@ mod tests {
 
     #[test]
     fn labels_parse_back() {
-        for objective in Objective::all() {
+        use Objective::{DmaTransactions, DmaWords, Occupancy, TaskClock};
+        for objective in [TaskClock, DmaWords, DmaTransactions, Occupancy] {
             assert_eq!(Objective::parse(objective.label()), Some(objective));
         }
         assert_eq!(Objective::parse("latency"), None);
-    }
-
-    #[test]
-    fn lists_reject_duplicates_and_unknowns() {
-        assert_eq!(
-            Objective::parse_list("clock,traffic"),
-            Some(vec![Objective::TaskClock, Objective::DmaWords])
-        );
-        assert_eq!(
-            Objective::parse_list(" clock , occupancy "),
-            Some(vec![Objective::TaskClock, Objective::Occupancy])
-        );
-        assert_eq!(Objective::parse_list("clock,clock"), None, "duplicates");
-        assert_eq!(Objective::parse_list("clock,latency"), None, "unknown name");
-        assert_eq!(Objective::parse_list(""), None, "empty list");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! and tiles are legal for a problem — out of the exploration engine so
 //! every workload gets its own enumerator with its own legality rules:
 //!
-//! - [`matmul_points`]: reuses [`candidate_edges`] for flexible (v4)
+//! - [`matmul_points`]: reuses `candidate_edges` for flexible (v4)
 //!   accelerators and contributes the fixed square tile for v1–v3
 //!   generations, filtering flows by each generation's Table I reuse
 //!   class and tiles by the v4 memory capacity;
@@ -138,13 +138,6 @@ impl OptionsPoint {
         }
     }
 
-    /// Whether this point is meaningful for a Conv2D candidate: conv
-    /// kernels never cache-tile, so only the default tiling level and
-    /// host avoid duplicate measurements.
-    pub fn legal_for_conv(&self) -> bool {
-        self.cache_tiling == CacheTiling::Auto && self.cpu == CpuModel::default()
-    }
-
     /// Label suffix: empty for the default point, otherwise the deviating
     /// knobs (`+co` coalescing on, `-sc` specialized copies off, `ct:off`
     /// / `ct:fixed:32` non-default tiling, `cpu:zcu102` non-default host).
@@ -223,7 +216,7 @@ impl AccelInstance {
     /// `capacity_words`; for fixed generations the square `size` tile when
     /// it divides every dimension (their buffers are sized to the tile, so
     /// no separate capacity check applies).
-    pub fn tiles(&self, problem: (i64, i64, i64), capacity_words: u64) -> Vec<(i64, i64, i64)> {
+    fn tiles(&self, problem: (i64, i64, i64), capacity_words: u64) -> Vec<(i64, i64, i64)> {
         let (m, n, k) = problem;
         match self.version {
             MatMulVersion::V4 => {
@@ -325,20 +318,26 @@ pub fn batched_points(
 ///
 /// Returns a [`Diagnostic`] naming the violated capacity.
 pub fn conv_point(shape: ConvShapeEstimate) -> Result<TransferEstimate, Diagnostic> {
-    let window = (shape.in_channels * shape.filter_hw * shape.filter_hw) as usize;
-    if window == 0 || window > CONV_WINDOW_CAPACITY {
+    let ConvShapeEstimate { in_channels, filter_hw, out_hw, .. } = shape;
+    if in_channels <= 0 || filter_hw <= 0 || out_hw <= 0 {
         return Err(Diagnostic::error(format!(
-            "conv window of {window} words ({} channels x {}x{} filter) exceeds the device \
-             window capacity of {CONV_WINDOW_CAPACITY} words",
-            shape.in_channels, shape.filter_hw, shape.filter_hw
+            "conv layer is empty: {in_channels} channels x {filter_hw}x{filter_hw} filter, \
+             {out_hw}x{out_hw} output"
         )));
     }
-    let slice = (shape.out_hw * shape.out_hw) as usize;
-    if slice == 0 || slice > CONV_SLICE_CAPACITY {
+    // A product that overflows is over any capacity.
+    let fits = |words: Option<i64>, capacity: usize| words.is_some_and(|w| w <= capacity as i64);
+    let window = in_channels.checked_mul(filter_hw).and_then(|w| w.checked_mul(filter_hw));
+    if !fits(window, CONV_WINDOW_CAPACITY) {
         return Err(Diagnostic::error(format!(
-            "conv output slice of {slice} words ({0}x{0}) exceeds the device slice capacity \
-             of {CONV_SLICE_CAPACITY} words",
-            shape.out_hw
+            "conv window ({in_channels} channels x {filter_hw}x{filter_hw} filter) exceeds the \
+             device window capacity of {CONV_WINDOW_CAPACITY} words"
+        )));
+    }
+    if !fits(out_hw.checked_mul(out_hw), CONV_SLICE_CAPACITY) {
+        return Err(Diagnostic::error(format!(
+            "conv output slice ({out_hw}x{out_hw}) exceeds the device slice capacity of \
+             {CONV_SLICE_CAPACITY} words"
         )));
     }
     Ok(conv_transfers(shape))
@@ -502,10 +501,6 @@ mod tests {
             (8, 8, 8),
             FlowStrategy::NothingStationary
         ));
-        // Conv never cache-tiles: only the default tiling level and host.
-        assert!(base.legal_for_conv());
-        assert!(!fixed(32).legal_for_conv());
-        assert!(!desktop_auto.legal_for_conv());
     }
 
     #[test]
@@ -524,5 +519,13 @@ mod tests {
         let slice_too_big = ConvShapeEstimate { out_hw: 200, ..fits };
         let err = conv_point(slice_too_big).unwrap_err();
         assert!(err.message.contains("slice"), "{}", err.message);
+        // A product past i64 is over capacity, not a panic or a wrapped 0.
+        let overflowing = ConvShapeEstimate { out_hw: 1 << 32, ..fits };
+        let err = conv_point(overflowing).unwrap_err();
+        assert!(err.message.contains("slice capacity"), "{}", err.message);
+        let err = conv_point(ConvShapeEstimate { in_channels: i64::MAX, ..fits }).unwrap_err();
+        assert!(err.message.contains("window capacity"), "{}", err.message);
+        let err = conv_point(ConvShapeEstimate { in_channels: 0, ..fits }).unwrap_err();
+        assert!(err.message.contains("empty"), "{}", err.message);
     }
 }

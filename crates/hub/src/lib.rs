@@ -33,6 +33,6 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{run_resilient, HubClient, HubInfo};
-pub use protocol::{Request, SCHEMA};
+pub use client::{run_resilient, HubClient};
+pub use protocol::SCHEMA;
 pub use server::{Hub, HubConfig, HubSummary};

@@ -2,7 +2,7 @@
 //!
 //! Every message is one JSON object per line (see
 //! [`axi4mlir_support::proto`] for the framing), discriminated by its
-//! `type` member. Clients send [`Request`]s; the server answers with
+//! `type` member. Clients send `Request`s; the server answers with
 //! reply frames (`hello`, `accepted`, `rejected`, `error`, `status`,
 //! `shutting_down`) and streams `event` frames for submitted jobs. The
 //! full protocol, field by field, is documented in `docs/PROTOCOL.md` —
@@ -18,7 +18,7 @@ pub const SCHEMA: &str = "axi4mlir-hub/v1";
 
 /// One client request.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub(crate) enum Request {
     /// Identify the hub: schema, cache size, queue capacity, workers.
     Hello,
     /// Queue one exploration job at a priority (default 0; higher runs
@@ -55,7 +55,7 @@ impl Request {
     /// Returns a [`Diagnostic`] for non-objects, unknown `type` tags,
     /// and malformed `submit` jobs. These are *application* errors: the
     /// server replies with an `error` frame and keeps the connection.
-    pub fn from_json(value: &JsonValue) -> Result<Request, Diagnostic> {
+    pub(crate) fn from_json(value: &JsonValue) -> Result<Request, Diagnostic> {
         let m = value.members("request")?;
         match m.str("type")? {
             "hello" => Ok(Request::Hello),
@@ -79,7 +79,7 @@ impl Request {
     }
 
     /// Serializes the request (the client side of [`Request::from_json`]).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         match self {
             Request::Hello => tagged("hello", vec![]),
             Request::Status => tagged("status", vec![]),
@@ -103,19 +103,19 @@ impl Request {
 }
 
 /// Builds a `{"type": tag, ...members}` frame.
-pub fn tagged(tag: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
+pub(crate) fn tagged(tag: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
     let mut all = vec![("type".to_owned(), tag.into())];
     all.extend(members);
     JsonValue::object(all)
 }
 
 /// Builds an `error` reply.
-pub fn error(reason: &str) -> JsonValue {
+pub(crate) fn error(reason: &str) -> JsonValue {
     tagged("error", vec![("reason".to_owned(), reason.into())])
 }
 
 /// Builds a job `event` frame in state `state` with extra members.
-pub fn event(job: u64, state: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
+pub(crate) fn event(job: u64, state: &str, members: Vec<(String, JsonValue)>) -> JsonValue {
     let mut all = vec![("job".to_owned(), job.into()), ("state".to_owned(), state.into())];
     all.extend(members);
     tagged("event", all)

@@ -18,9 +18,8 @@
 //! Progress events flow from executor into a per-job `EventHub` log:
 //! every event is appended to a bounded replay buffer *and* forwarded
 //! to the job's current subscriber connection, which writes it between
-//! reads (its socket reads time out every
-//! [`READ_TIMEOUT`](axi4mlir_support::proto::READ_TIMEOUT), so events
-//! are never stalled behind an idle client). Because the buffer
+//! reads (its socket reads time out every `proto::READ_TIMEOUT`, so
+//! events are never stalled behind an idle client). Because the buffer
 //! outlives the submitting connection, a client that loses its
 //! connection mid-job can reconnect and send `follow JOB_ID`: the hub
 //! replays the buffered events and re-attaches the live stream, ending

@@ -190,6 +190,28 @@ fn a_full_queue_rejects_with_backpressure() {
     assert_eq!(summary.failed, 1);
 }
 
+/// A conv `layer` label is outside input. One whose output slice
+/// overflows `i64` used to panic the connection thread in
+/// `heuristics::conv_point` (debug arithmetic); it is an `error` frame
+/// naming the field, and the same connection keeps being served.
+#[test]
+fn an_oversized_conv_layer_is_refused_and_the_connection_keeps_serving() {
+    let (addr, hub) = start_hub(HubConfig { workers: 0, ..HubConfig::default() });
+    let mut client = HubClient::connect(&addr).expect("connect");
+    let oversized = JobSpec {
+        workload: "conv".to_owned(),
+        layer: Some("4294967296_1_1_1_1".to_owned()),
+        ..JobSpec::default()
+    };
+    let err = client.submit(&oversized).expect_err("refused at submit");
+    assert!(err.message.contains("layer"), "{}", err.message);
+    assert!(err.message.contains("slice capacity"), "{}", err.message);
+    let status = client.status().expect("the connection still answers");
+    assert_eq!(status.get("queued").and_then(JsonValue::as_u64), Some(0));
+    client.shutdown().expect("shutdown");
+    assert_eq!(hub.join().unwrap().failed, 0);
+}
+
 #[test]
 fn sigterm_mid_sweep_leaves_a_loadable_checkpoint() {
     let dir = std::env::temp_dir().join(format!("axi4mlir-hub-term-{}", std::process::id()));

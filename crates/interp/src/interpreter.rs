@@ -84,7 +84,7 @@ enum OpCode {
     /// `memref.dim` with its `dimension` attribute.
     Dim(i64),
     /// `linalg.matmul` / matmul-trait `linalg.generic`.
-    CpuMatMul { tile: Option<i64> },
+    CpuMatMul,
     /// `linalg.conv_2d_nchw_fchw`.
     CpuConv { stride: usize },
     /// `func.call` to a known runtime-library symbol.
@@ -122,7 +122,7 @@ impl InterpScratch {
 }
 
 /// Interprets one function of a module against a simulated SoC.
-pub struct Interpreter<'a> {
+struct Interpreter<'a> {
     /// The system everything executes against.
     pub soc: &'a mut Soc,
     /// Staging copy strategy for DMA-library calls (the Fig. 12 toggle).
@@ -273,7 +273,7 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
             if data.name == "linalg.generic" && !linalg::is_matmul_generic(ctx, op) {
                 return Err(unsupported_op("linalg.generic without the MatMul trait"));
             }
-            OpCode::CpuMatMul { tile: ctx.attr(op, "cpu_tile").and_then(Attribute::as_int) }
+            OpCode::CpuMatMul
         }
         "linalg.conv_2d_nchw_fchw" => {
             let stride = ctx
@@ -315,17 +315,12 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
 }
 
 impl<'a> Interpreter<'a> {
-    /// Creates an interpreter.
-    pub fn new(soc: &'a mut Soc, copy_strategy: CopyStrategy) -> Self {
-        Self { soc, copy_strategy, env: Vec::new(), codes: Vec::new() }
-    }
-
     /// Executes a `func.func` op with the given arguments.
     ///
     /// # Errors
     ///
     /// See [`run_func`].
-    pub fn run(&mut self, ctx: &IrCtx, func: OpId, args: Vec<RtValue>) -> Result<(), InterpError> {
+    fn run(&mut self, ctx: &IrCtx, func: OpId, args: Vec<RtValue>) -> Result<(), InterpError> {
         let mut codes = std::mem::take(&mut self.codes);
         build_table(ctx, &mut codes);
         self.env.clear();
@@ -551,13 +546,12 @@ impl<'a> Interpreter<'a> {
                 };
                 self.set(op, ctx, 0, RtValue::Index(size));
             }
-            OpCode::CpuMatMul { tile } => {
-                let tile = *tile;
+            OpCode::CpuMatMul => {
                 let operands = &ctx.op(op).operands;
                 let a = self.get_memref(operands[0])?;
                 let b = self.get_memref(operands[1])?;
                 let c = self.get_memref(operands[2])?;
-                kernels::cpu_matmul_i32(self.soc, &a, &b, &c, tile);
+                kernels::cpu_matmul_i32(self.soc, &a, &b, &c, None);
             }
             OpCode::CpuConv { stride } => {
                 let stride = *stride;

@@ -18,5 +18,5 @@ pub mod interpreter;
 pub mod value;
 
 pub use error::InterpError;
-pub use interpreter::{run_func, run_func_with_scratch, InterpScratch, Interpreter};
+pub use interpreter::{run_func, run_func_with_scratch, InterpScratch};
 pub use value::RtValue;

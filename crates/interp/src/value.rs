@@ -19,23 +19,15 @@ pub enum RtValue {
 
 impl RtValue {
     /// The index payload.
-    pub fn as_index(&self) -> Option<i64> {
+    pub(crate) fn as_index(&self) -> Option<i64> {
         match self {
             RtValue::Index(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The i32 payload.
-    pub fn as_i32(&self) -> Option<i32> {
-        match self {
-            RtValue::I32(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Any integer payload widened to i64.
-    pub fn as_int_any(&self) -> Option<i64> {
+    pub(crate) fn as_int_any(&self) -> Option<i64> {
         match self {
             RtValue::Index(v) => Some(*v),
             RtValue::I32(v) => Some(i64::from(*v)),
@@ -59,10 +51,9 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(RtValue::Index(3).as_index(), Some(3));
-        assert_eq!(RtValue::I32(-2).as_i32(), Some(-2));
         assert_eq!(RtValue::I32(-2).as_int_any(), Some(-2));
         assert_eq!(RtValue::Index(9).as_int_any(), Some(9));
         assert!(RtValue::Unit.as_index().is_none());
-        assert!(RtValue::F32(1.0).as_i32().is_none());
+        assert!(RtValue::F32(1.0).as_int_any().is_none());
     }
 }

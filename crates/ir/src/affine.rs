@@ -44,7 +44,7 @@ impl AffineExpr {
     /// # Panics
     ///
     /// Panics if a dimension index is out of range or on division by zero.
-    pub fn eval(&self, dims: &[i64]) -> i64 {
+    fn eval(&self, dims: &[i64]) -> i64 {
         match self {
             AffineExpr::Dim(i) => dims[*i],
             AffineExpr::Const(c) => *c,
@@ -52,25 +52,6 @@ impl AffineExpr {
             AffineExpr::Mul(a, b) => a.eval(dims) * b.eval(dims),
             AffineExpr::Mod(a, b) => a.eval(dims).rem_euclid(b.eval(dims)),
             AffineExpr::FloorDiv(a, b) => a.eval(dims).div_euclid(b.eval(dims)),
-        }
-    }
-
-    /// Collects the dimensions this expression reads.
-    pub fn collect_dims(&self, out: &mut Vec<usize>) {
-        match self {
-            AffineExpr::Dim(i) => {
-                if !out.contains(i) {
-                    out.push(*i);
-                }
-            }
-            AffineExpr::Const(_) => {}
-            AffineExpr::Add(a, b)
-            | AffineExpr::Mul(a, b)
-            | AffineExpr::Mod(a, b)
-            | AffineExpr::FloorDiv(a, b) => {
-                a.collect_dims(out);
-                b.collect_dims(out);
-            }
         }
     }
 
@@ -121,14 +102,6 @@ impl AffineMap {
     /// Builds a map from dimension names and results.
     pub fn new(dim_names: Vec<String>, results: Vec<AffineExpr>) -> Self {
         Self { dim_names, results }
-    }
-
-    /// The identity map over `n` dimensions named `d0..dn`.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            dim_names: (0..n).map(|i| format!("d{i}")).collect(),
-            results: (0..n).map(AffineExpr::Dim).collect(),
-        }
     }
 
     /// A projection map selecting `dims` (by index) from `n` named inputs.
@@ -398,17 +371,7 @@ mod tests {
 
     #[test]
     fn identity_and_projection_constructors() {
-        let id = AffineMap::identity(3);
-        assert_eq!(id.as_permutation(), Some(vec![0, 1, 2]));
         let pr = AffineMap::projection(vec!["m".into(), "n".into(), "k".into()], &[2, 1]);
         assert_eq!(pr.eval(&[1, 2, 3]), vec![3, 2]);
-    }
-
-    #[test]
-    fn collect_dims_dedups() {
-        let m = AffineMap::parse("(a, b) -> (a + a + b)").unwrap();
-        let mut dims = Vec::new();
-        m.results[0].collect_dims(&mut dims);
-        assert_eq!(dims, vec![0, 1]);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! - [`Lattice`] + [`ValueTable`]: a fact per SSA value, stored densely by
 //!   value index, joined monotonically.
-//! - [`ForwardAnalysis`] / [`BackwardAnalysis`] + [`solve_forward`] /
-//!   [`solve_backward`]: the generic fixpoint engines. Forward transfer
+//! - `ForwardAnalysis` / `BackwardAnalysis` + `solve_forward` /
+//!   `solve_backward`: the generic fixpoint engines. Forward transfer
 //!   functions compute result facts from operand facts (with a hook for
 //!   block arguments, where induction-variable facts are born); backward
 //!   transfer functions push facts from uses to operands.
@@ -54,7 +54,7 @@ pub struct ValueTable<L> {
 
 impl<L: Lattice> ValueTable<L> {
     /// A table of `len` bottom facts.
-    pub fn new(len: usize) -> Self {
+    fn new(len: usize) -> Self {
         Self { facts: vec![L::bottom(); len] }
     }
 
@@ -64,7 +64,7 @@ impl<L: Lattice> ValueTable<L> {
     }
 
     /// Joins `fact` into the entry for `value`; returns `true` on change.
-    pub fn join(&mut self, value: ValueId, fact: &L) -> bool {
+    fn join(&mut self, value: ValueId, fact: &L) -> bool {
         self.facts[value.index()].join_with(fact)
     }
 }
@@ -76,7 +76,7 @@ impl<L: Lattice> ValueTable<L> {
 const MAX_PASSES: usize = 64;
 
 /// A forward dataflow analysis: facts flow from operands to results.
-pub trait ForwardAnalysis {
+trait ForwardAnalysis {
     /// The fact domain.
     type Fact: Lattice;
 
@@ -105,11 +105,7 @@ pub trait ForwardAnalysis {
 }
 
 /// Runs `analysis` to a fixpoint over the subtree rooted at `root`.
-pub fn solve_forward<A: ForwardAnalysis>(
-    ctx: &IrCtx,
-    root: OpId,
-    analysis: &A,
-) -> ValueTable<A::Fact> {
+fn solve_forward<A: ForwardAnalysis>(ctx: &IrCtx, root: OpId, analysis: &A) -> ValueTable<A::Fact> {
     let mut table = ValueTable::new(ctx.value_count());
     // Pre-order: an op precedes its nested regions, and block ops appear
     // in execution order — so operand facts are usually ready when a use
@@ -143,7 +139,7 @@ pub fn solve_forward<A: ForwardAnalysis>(
 }
 
 /// A backward dataflow analysis: facts flow from uses to operands.
-pub trait BackwardAnalysis {
+trait BackwardAnalysis {
     /// The fact domain.
     type Fact: Lattice;
 
@@ -159,7 +155,7 @@ pub trait BackwardAnalysis {
 }
 
 /// Runs `analysis` to a fixpoint, visiting ops in reverse execution order.
-pub fn solve_backward<A: BackwardAnalysis>(
+fn solve_backward<A: BackwardAnalysis>(
     ctx: &IrCtx,
     root: OpId,
     analysis: &A,
@@ -190,7 +186,7 @@ pub fn solve_backward<A: BackwardAnalysis>(
 
 /// Liveness fact: `Live(true)` once some observable effect needs the value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Live(pub bool);
+struct Live(pub bool);
 
 impl Lattice for Live {
     fn bottom() -> Self {
@@ -272,7 +268,7 @@ impl Liveness {
     }
 
     /// `true` if `value` feeds an observable effect.
-    pub fn value_is_live(&self, value: ValueId) -> bool {
+    fn value_is_live(&self, value: ValueId) -> bool {
         self.values.get(value).0
     }
 
@@ -304,19 +300,11 @@ pub enum IntRange {
 
 impl IntRange {
     /// The full (unknown) range.
-    pub const FULL: IntRange = IntRange::Range { lo: i64::MIN, hi: i64::MAX };
+    const FULL: IntRange = IntRange::Range { lo: i64::MIN, hi: i64::MAX };
 
     /// The singleton range `[v, v]`.
-    pub fn exact(v: i64) -> Self {
+    fn exact(v: i64) -> Self {
         IntRange::Range { lo: v, hi: v }
-    }
-
-    /// The constant value, if the range is a singleton.
-    pub fn as_const(&self) -> Option<i64> {
-        match self {
-            IntRange::Range { lo, hi } if lo == hi => Some(*lo),
-            _ => None,
-        }
     }
 
     /// The bounds, if reached and not fully unknown on both sides.
@@ -383,7 +371,7 @@ impl Lattice for IntRange {
 /// lower/upper bound facts (`[lb.lo, ub.hi - 1]` — the canonical positive
 /// step). Everything else is the full range.
 #[derive(Debug, Default)]
-pub struct IntRangeAnalysis;
+struct IntRangeAnalysis;
 
 impl ForwardAnalysis for IntRangeAnalysis {
     type Fact = IntRange;
@@ -468,8 +456,8 @@ mod tests {
         let prod_op = b.insert_op("arith.muli", vec![x, y], vec![Type::index()], []);
         let prod = b.result(prod_op);
         let ranges = integer_ranges(&m.ctx, m.top());
-        assert_eq!(ranges.get(sum).as_const(), Some(13));
-        assert_eq!(ranges.get(prod).as_const(), Some(42));
+        assert_eq!(ranges.get(sum).bounds(), Some((13, 13)));
+        assert_eq!(ranges.get(prod).bounds(), Some((42, 42)));
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod types;
 pub mod verifier;
 
 pub use affine::{AffineExpr, AffineMap};
-pub use analysis::{IntRange, Lattice, Liveness, ValueTable};
+pub use analysis::{IntRange, Liveness, ValueTable};
 pub use attrs::{Attribute, FlowElem, OpcodeAction, OpcodeFlow, OpcodeMap};
 pub use builder::OpBuilder;
-pub use ops::{BlockId, IrCtx, OpId, RegionId, ValueId};
+pub use ops::{BlockId, IrCtx, OpId, ValueId};
 pub use types::{MemRefType, Type};

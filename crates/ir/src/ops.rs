@@ -104,7 +104,7 @@ pub struct IrCtx {
 
 impl IrCtx {
     /// Creates an empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -261,7 +261,7 @@ impl IrCtx {
     /// # Panics
     ///
     /// Panics if the op is already attached or `index` is out of range.
-    pub fn insert_op(&mut self, block: BlockId, index: usize, op: OpId) {
+    pub(crate) fn insert_op(&mut self, block: BlockId, index: usize, op: OpId) {
         assert!(self.ops[op].parent.is_none(), "op {op} is already attached");
         assert!(!self.ops[op].dead, "op {op} is erased");
         self.blocks[block].ops.insert(index, op);
@@ -274,7 +274,7 @@ impl IrCtx {
     /// # Panics
     ///
     /// Panics if the op is not attached.
-    pub fn detach_op(&mut self, op: OpId) {
+    fn detach_op(&mut self, op: OpId) {
         let block = self.ops[op].parent.expect("op is not attached");
         let ops = &mut self.blocks[block].ops;
         let pos = ops.iter().position(|o| *o == op).expect("op missing from parent block");
@@ -389,7 +389,7 @@ impl Module {
     /// # Panics
     ///
     /// Panics unless `top` is a `builtin.module` op in `ctx`.
-    pub fn from_parts(ctx: IrCtx, top: OpId) -> Self {
+    pub(crate) fn from_parts(ctx: IrCtx, top: OpId) -> Self {
         assert_eq!(ctx.op(top).name, "builtin.module", "top op must be builtin.module");
         Self { ctx, top }
     }

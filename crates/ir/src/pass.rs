@@ -1,10 +1,9 @@
 //! The pass manager.
 //!
 //! Mirrors MLIR's pass infrastructure at the scale this project needs:
-//! passes transform a [`Module`], the manager optionally verifies after
-//! each pass and can capture IR snapshots (the `--print-ir-after-all`
-//! debugging workflow, used by the quickstart example to show each
-//! AXI4MLIR stage).
+//! passes transform a [`Module`], the manager verifies after each pass and
+//! can capture IR snapshots (the `--print-ir-after-all` debugging
+//! workflow, used by the quickstart example to show each AXI4MLIR stage).
 
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 
@@ -56,31 +55,24 @@ pub fn render_timings(timings: &[PassTiming]) -> String {
     out
 }
 
-/// An extra per-pass check run alongside the structural verifier when
-/// `verify_each` is on. This is how dialect-level verification (which lives
-/// in a crate above this one) plugs into the blame-the-pass loop.
-pub type ExtraVerifier = Box<dyn Fn(&Module) -> Result<(), Diagnostic>>;
+/// An extra per-pass check run alongside the structural verifier. This is
+/// how dialect-level verification (which lives in a crate above this one)
+/// plugs into the blame-the-pass loop.
+type ExtraVerifier = Box<dyn Fn(&Module) -> Result<(), Diagnostic>>;
 
-/// Runs a pipeline of passes with optional verification and IR capture.
+/// Runs a pipeline of passes, verifying after each, with optional IR capture.
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    verify_each: bool,
     extra_verifiers: Vec<ExtraVerifier>,
     capture_ir: bool,
     timings: Vec<PassTiming>,
 }
 
 impl PassManager {
-    /// Creates an empty manager with per-pass verification enabled.
+    /// Creates an empty manager.
     pub fn new() -> Self {
-        Self {
-            passes: Vec::new(),
-            verify_each: true,
-            extra_verifiers: Vec::new(),
-            capture_ir: false,
-            timings: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Adds a pass to the end of the pipeline.
@@ -89,15 +81,9 @@ impl PassManager {
         self
     }
 
-    /// Enables or disables verification after each pass.
-    pub fn verify_each(&mut self, on: bool) -> &mut Self {
-        self.verify_each = on;
-        self
-    }
-
-    /// Registers an extra verifier run after every pass (when `verify_each`
-    /// is on), in registration order, after the structural verifier. A
-    /// failure is blamed on the pass that just ran.
+    /// Registers an extra verifier run after every pass, in registration
+    /// order, after the structural verifier. A failure is blamed on the pass
+    /// that just ran.
     pub fn add_verifier(&mut self, verifier: ExtraVerifier) -> &mut Self {
         self.extra_verifiers.push(verifier);
         self
@@ -146,23 +132,21 @@ impl PassManager {
                     diags.render()
                 )));
             }
-            if self.verify_each {
-                verifier::verify_ok(&module.ctx, module.top()).map_err(|d| {
+            verifier::verify_ok(&module.ctx, module.top()).map_err(|d| {
+                Diagnostic::error(format!(
+                    "verification failed after pass `{}`: {}",
+                    pass.name(),
+                    d.message
+                ))
+            })?;
+            for extra in &self.extra_verifiers {
+                extra(module).map_err(|d| {
                     Diagnostic::error(format!(
                         "verification failed after pass `{}`: {}",
                         pass.name(),
                         d.message
                     ))
                 })?;
-                for extra in &self.extra_verifiers {
-                    extra(module).map_err(|d| {
-                        Diagnostic::error(format!(
-                            "verification failed after pass `{}`: {}",
-                            pass.name(),
-                            d.message
-                        ))
-                    })?;
-                }
             }
             self.timings.push(PassTiming {
                 pass: pass.name().to_owned(),
@@ -279,15 +263,6 @@ mod tests {
         pm.add(Box::new(Corrupting));
         let err = pm.run(&mut module).unwrap_err();
         assert!(err.message.contains("verification failed after pass `test-corrupting`"));
-    }
-
-    #[test]
-    fn verification_can_be_disabled() {
-        let mut module = Module::new();
-        let mut pm = PassManager::new();
-        pm.verify_each(false);
-        pm.add(Box::new(Corrupting));
-        assert!(pm.run(&mut module).is_ok());
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Type {
         Type::Int(32)
     }
 
-    /// Shorthand for `i64`.
-    pub fn i64() -> Type {
-        Type::Int(64)
-    }
-
     /// Shorthand for `f32`.
     pub fn f32() -> Type {
         Type::Float(32)
@@ -78,11 +73,6 @@ impl Type {
     /// Shorthand for `index`.
     pub fn index() -> Type {
         Type::Index
-    }
-
-    /// `true` for integer, float, and index types.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Type::Int(_) | Type::Float(_) | Type::Index)
     }
 
     /// The memref payload if this is a memref type.
@@ -134,7 +124,7 @@ mod tests {
     #[test]
     fn scalar_display() {
         assert_eq!(Type::i32().to_string(), "i32");
-        assert_eq!(Type::i64().to_string(), "i64");
+        assert_eq!(Type::Int(64).to_string(), "i64");
         assert_eq!(Type::f32().to_string(), "f32");
         assert_eq!(Type::index().to_string(), "index");
         assert_eq!(Type::Unit.to_string(), "()");
@@ -163,9 +153,6 @@ mod tests {
 
     #[test]
     fn scalar_predicate() {
-        assert!(Type::i32().is_scalar());
-        assert!(Type::index().is_scalar());
-        assert!(!Type::MemRef(MemRefType::contiguous(vec![1], Type::i32())).is_scalar());
         assert!(Type::MemRef(MemRefType::contiguous(vec![1], Type::i32())).as_memref().is_some());
         assert!(Type::i32().as_memref().is_none());
     }

@@ -58,23 +58,18 @@ impl ConvShape {
     }
 
     /// Elements in the input tensor.
-    pub fn input_len(&self) -> usize {
+    fn input_len(&self) -> usize {
         self.batch * self.in_channels * self.in_hw * self.in_hw
     }
 
     /// Elements in the filter tensor.
-    pub fn filter_len(&self) -> usize {
+    fn filter_len(&self) -> usize {
         self.out_channels * self.in_channels * self.filter_hw * self.filter_hw
     }
 
     /// Elements in the output tensor.
-    pub fn output_len(&self) -> usize {
+    fn output_len(&self) -> usize {
         self.batch * self.out_channels * self.out_hw() * self.out_hw()
-    }
-
-    /// Total multiply-accumulates.
-    pub fn macs(&self) -> u64 {
-        (self.output_len() * self.in_channels * self.filter_hw * self.filter_hw) as u64
     }
 }
 
@@ -341,7 +336,7 @@ mod tests {
             stride: 2,
         };
         assert_eq!(s.out_hw(), 112);
-        assert_eq!(s.macs(), (64 * 112 * 112 * 3 * 49) as u64);
+        assert_eq!(s.output_len(), 64 * 112 * 112);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl MemRefDesc {
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.sizes.len()
     }
 
@@ -96,14 +96,14 @@ impl MemRefDesc {
 
     /// `true` when the innermost dimension is unit-stride — the condition
     /// under which the paper's specialized copy applies.
-    pub fn unit_innermost_stride(&self) -> bool {
+    pub(crate) fn unit_innermost_stride(&self) -> bool {
         self.strides.last().copied() == Some(1)
     }
 
     /// Length (in elements) of the longest contiguous run starting at any
     /// innermost position: the product of trailing dimensions whose layout
     /// is packed. A fully contiguous view returns `num_elements`.
-    pub fn contiguous_run_elems(&self) -> i64 {
+    pub(crate) fn contiguous_run_elems(&self) -> i64 {
         if !self.unit_innermost_stride() {
             return 1;
         }
@@ -130,7 +130,7 @@ impl MemRefDesc {
 }
 
 /// Row-major strides for a shape.
-pub fn row_major_strides(shape: &[i64]) -> Vec<i64> {
+fn row_major_strides(shape: &[i64]) -> Vec<i64> {
     let mut strides = vec![1i64; shape.len()];
     for i in (0..shape.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * shape[i + 1];

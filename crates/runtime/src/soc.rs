@@ -45,7 +45,7 @@ impl Soc {
     }
 
     /// Builds a system with a custom cost model (used by ablation benches).
-    pub fn with_cost(accel: Box<dyn StreamAccelerator>, cost: CostModel) -> Self {
+    fn with_cost(accel: Box<dyn StreamAccelerator>, cost: CostModel) -> Self {
         Self {
             mem: SimMemory::new(),
             cache: CacheHierarchy::cortex_a9(),
@@ -89,68 +89,26 @@ impl Soc {
             + outcome.l2_misses * self.cost.l2_miss_penalty;
     }
 
-    /// Cached 32-bit load: accounting plus the actual data.
-    pub fn cached_read_u32(&mut self, addr: SimAddr) -> u32 {
-        self.cached_access(addr, 4, AccessKind::Read);
-        self.mem.read_u32(addr)
-    }
-
-    /// Cached 32-bit store.
-    pub fn cached_write_u32(&mut self, addr: SimAddr, value: u32) {
-        self.cached_access(addr, 4, AccessKind::Write);
-        self.mem.write_u32(addr, value);
-    }
-
-    /// Cached `i32` store.
-    pub fn cached_write_i32(&mut self, addr: SimAddr, value: i32) {
-        self.cached_write_u32(addr, value as u32);
-    }
-
     /// Uncached 32-bit store into a DMA staging region (write-combined on
     /// the real board; bypasses the cache hierarchy).
-    pub fn uncached_write_u32(&mut self, addr: SimAddr, value: u32) {
+    pub(crate) fn uncached_write_u32(&mut self, addr: SimAddr, value: u32) {
         self.counters.uncached_accesses += 1;
         self.counters.instructions += 1;
         self.counters.host_cycles += self.cost.uncached_write_cycles;
         self.mem.write_u32(addr, value);
-    }
-
-    /// Uncached 32-bit load from a DMA staging region.
-    pub fn uncached_read_u32(&mut self, addr: SimAddr) -> u32 {
-        self.counters.uncached_accesses += 1;
-        self.counters.instructions += 1;
-        self.counters.host_cycles += self.cost.uncached_read_cycles;
-        self.mem.read_u32(addr)
-    }
-
-    /// Charges an uncached *chunked* store of `bytes` (one write-combined
-    /// beat), without touching data (the caller moves data separately).
-    pub fn charge_uncached_write_chunk(&mut self, _bytes: u64) {
-        self.counters.uncached_accesses += 1;
-        self.counters.instructions += 1;
-        self.counters.host_cycles += self.cost.uncached_write_cycles;
-    }
-
-    /// Charges an uncached chunked load of `bytes`.
-    pub fn charge_uncached_read_chunk(&mut self, _bytes: u64) {
-        self.counters.uncached_accesses += 1;
-        self.counters.instructions += 1;
-        self.counters.host_cycles += self.cost.uncached_read_cycles;
     }
 
     /// Charges `n` write-combined beats at once — the bulk equivalent of
-    /// `n` [`Soc::uncached_write_u32`] / [`Soc::charge_uncached_write_chunk`]
-    /// calls (without moving data).
-    pub fn charge_uncached_writes(&mut self, n: u64) {
+    /// `n` [`Soc::uncached_write_u32`] calls (without moving data).
+    pub(crate) fn charge_uncached_writes(&mut self, n: u64) {
         self.counters.uncached_accesses += n;
         self.counters.instructions += n;
         self.counters.host_cycles += n * self.cost.uncached_write_cycles;
     }
 
-    /// Charges `n` uncached reads at once — the bulk equivalent of `n`
-    /// [`Soc::uncached_read_u32`] / [`Soc::charge_uncached_read_chunk`]
-    /// calls (without moving data).
-    pub fn charge_uncached_reads(&mut self, n: u64) {
+    /// Charges `n` uncached loads from a DMA staging region at once
+    /// (without moving data).
+    pub(crate) fn charge_uncached_reads(&mut self, n: u64) {
         self.counters.uncached_accesses += n;
         self.counters.instructions += n;
         self.counters.host_cycles += n * self.cost.uncached_read_cycles;
@@ -228,19 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_rw_moves_data() {
-        let mut s = soc();
-        let a = s.mem.alloc(8, 8);
-        s.cached_write_i32(a, -5);
-        assert_eq!(s.cached_read_u32(a) as i32, -5);
-    }
-
-    #[test]
     fn uncached_accesses_do_not_touch_cache_counters() {
         let mut s = soc();
         let a = s.mem.alloc(8, 8);
         s.uncached_write_u32(a, 77);
-        assert_eq!(s.uncached_read_u32(a), 77);
+        s.charge_uncached_reads(1);
+        assert_eq!(s.mem.read_u32(a), 77);
         assert_eq!(s.counters.cache_references, 0);
         assert_eq!(s.counters.uncached_accesses, 2);
     }
@@ -260,7 +211,8 @@ mod tests {
     fn recycle_restores_the_just_built_state() {
         let mut s = soc();
         let a = s.mem.alloc(64, 64);
-        s.cached_write_i32(a, 9);
+        s.cached_access(a, 4, AccessKind::Write);
+        s.mem.write_i32(a, 9);
         s.charge_arith(5);
         s.recycle();
         assert_eq!(s.counters, PerfCounters::new());
@@ -284,7 +236,8 @@ mod tests {
     fn reset_run_state_clears_counters_and_cache() {
         let mut s = soc();
         let a = s.mem.alloc(64, 64);
-        s.cached_write_i32(a, 9);
+        s.cached_access(a, 4, AccessKind::Write);
+        s.mem.write_i32(a, 9);
         s.reset_run_state();
         assert_eq!(s.counters, PerfCounters::new());
         // Memory survives, cache does not.

@@ -137,8 +137,6 @@ impl std::error::Error for DmaError {}
 #[derive(Clone, Debug, Default)]
 pub struct DmaEngine {
     config: Option<DmaConfig>,
-    send_in_flight: bool,
-    recv_in_flight: bool,
 }
 
 impl DmaEngine {
@@ -151,8 +149,6 @@ impl DmaEngine {
     /// library); charges `dma_init_host_cycles`.
     pub fn init(&mut self, config: DmaConfig, counters: &mut PerfCounters, cost: &CostModel) {
         self.config = Some(config);
-        self.send_in_flight = false;
-        self.recv_in_flight = false;
         counters.host_cycles += cost.dma_init_host_cycles;
         counters.instructions += 1;
     }
@@ -213,7 +209,6 @@ impl DmaEngine {
         // One bounds-checked burst instead of per-beat reads; the
         // accelerator still decodes beat by beat (see `consume_burst`).
         accel.consume_burst(mem.read_bytes(base, len), counters);
-        self.send_in_flight = true;
         Ok(())
     }
 
@@ -222,7 +217,6 @@ impl DmaEngine {
         counters.host_cycles += cost.dma_wait_host_cycles;
         counters.instructions += 1;
         counters.branch_instructions += 2; // poll loop
-        self.send_in_flight = false;
     }
 
     /// Drains `len` bytes of accelerator output into the output staging
@@ -260,7 +254,6 @@ impl DmaEngine {
         let base = config.output_base.offset(offset);
         // One bounds-checked burst write instead of per-beat writes.
         accel.produce_burst(mem.bytes_mut(base, len));
-        self.recv_in_flight = true;
         Ok(())
     }
 
@@ -269,17 +262,6 @@ impl DmaEngine {
         counters.host_cycles += cost.dma_wait_host_cycles;
         counters.instructions += 1;
         counters.branch_instructions += 2;
-        self.recv_in_flight = false;
-    }
-
-    /// `true` while a send has been started but not waited on.
-    pub fn send_in_flight(&self) -> bool {
-        self.send_in_flight
-    }
-
-    /// `true` while a recv has been started but not waited on.
-    pub fn recv_in_flight(&self) -> bool {
-        self.recv_in_flight
     }
 }
 
@@ -380,14 +362,5 @@ mod tests {
         dma.start_send(&mut mem, &mut accel, 0, 128, &mut counters, &cost).unwrap();
         let d2 = counters.device_cycles - before;
         assert_eq!(d2 - d1, 16, "64 extra bytes = 16 extra beats");
-    }
-
-    #[test]
-    fn in_flight_flags_track_waits() {
-        let (mut mem, mut dma, mut counters, cost, mut accel) = setup();
-        dma.start_send(&mut mem, &mut accel, 0, 4, &mut counters, &cost).unwrap();
-        assert!(dma.send_in_flight());
-        dma.wait_send_completion(&mut counters, &cost);
-        assert!(!dma.send_in_flight());
     }
 }

@@ -155,7 +155,7 @@ impl SimMemory {
     }
 
     /// Writes `bytes` starting at `addr`.
-    pub fn write_bytes(&mut self, addr: SimAddr, bytes: &[u8]) {
+    fn write_bytes(&mut self, addr: SimAddr, bytes: &[u8]) {
         let i = self.index(addr, bytes.len() as u64);
         self.data[i..i + bytes.len()].copy_from_slice(bytes);
     }
@@ -185,21 +185,6 @@ impl SimMemory {
         f32::from_bits(self.read_u32(addr))
     }
 
-    /// Writes an `f32` as its bit pattern.
-    pub fn write_f32(&mut self, addr: SimAddr, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&self, addr: SimAddr) -> u64 {
-        u64::from_le_bytes(self.read_bytes(addr, 8).try_into().expect("8 bytes"))
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn write_u64(&mut self, addr: SimAddr, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
     /// Copies `len` bytes from `src` to `dst` within the simulated memory.
     ///
     /// # Panics
@@ -219,14 +204,9 @@ impl SimMemory {
 
     /// Mutable view of `len` bytes starting at `addr` — the zero-copy
     /// write path for bulk transfers.
-    pub fn bytes_mut(&mut self, addr: SimAddr, len: u64) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self, addr: SimAddr, len: u64) -> &mut [u8] {
         let i = self.index(addr, len);
         &mut self.data[i..i + len as usize]
-    }
-
-    /// Convenience: allocates a buffer of `n` elements of `elem` type.
-    pub fn alloc_elems(&mut self, n: u64, elem: ElemType) -> SimAddr {
-        self.alloc(n * elem.byte_width(), 64)
     }
 
     /// Fills an i32 buffer from a slice (single bounds check, bulk write).
@@ -309,7 +289,7 @@ mod tests {
         let mut mem = SimMemory::new();
         let a = mem.alloc(32, 8);
         mem.write_i32(a, -7);
-        mem.write_f32(a.offset(4), 2.5);
+        mem.store_f32_slice(a.offset(4), &[2.5]);
         assert_eq!(mem.read_i32(a), -7);
         assert_eq!(mem.read_f32(a.offset(4)), 2.5);
     }
@@ -317,10 +297,10 @@ mod tests {
     #[test]
     fn slice_roundtrip() {
         let mut mem = SimMemory::new();
-        let a = mem.alloc_elems(5, ElemType::I32);
+        let a = mem.alloc(5 * ElemType::I32.byte_width(), 64);
         mem.store_i32_slice(a, &[1, 2, 3, 4, 5]);
         assert_eq!(mem.load_i32_slice(a, 5), vec![1, 2, 3, 4, 5]);
-        let b = mem.alloc_elems(3, ElemType::F32);
+        let b = mem.alloc(3 * ElemType::F32.byte_width(), 64);
         mem.store_f32_slice(b, &[0.5, -1.0, 3.25]);
         assert_eq!(mem.load_f32_slice(b, 3), vec![0.5, -1.0, 3.25]);
     }
@@ -340,7 +320,7 @@ mod tests {
     fn out_of_bounds_read_panics() {
         let mut mem = SimMemory::new();
         let a = mem.alloc(4, 4);
-        let _ = mem.read_u64(a);
+        let _ = mem.read_bytes(a, 8);
     }
 
     #[test]

@@ -9,8 +9,6 @@ use std::fmt;
 /// Severity of a [`Diagnostic`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Informational note attached to another diagnostic or emitted alone.
-    Note,
     /// Something suspicious that does not stop compilation.
     Warning,
     /// A hard error; the producing stage failed.
@@ -20,7 +18,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Severity::Note => write!(f, "note"),
             Severity::Warning => write!(f, "warning"),
             Severity::Error => write!(f, "error"),
         }
@@ -43,12 +40,12 @@ impl SourceLoc {
     }
 
     /// The unknown location.
-    pub fn unknown() -> Self {
+    fn unknown() -> Self {
         Self::default()
     }
 
     /// Returns `true` if this is the unknown location.
-    pub fn is_unknown(&self) -> bool {
+    fn is_unknown(&self) -> bool {
         self.line == 0
     }
 }
@@ -102,19 +99,8 @@ impl Diagnostic {
         }
     }
 
-    /// Creates a note diagnostic with no location.
-    pub fn note(message: impl Into<String>) -> Self {
-        Self {
-            severity: Severity::Note,
-            message: message.into(),
-            loc: SourceLoc::unknown(),
-            notes: Vec::new(),
-            code: None,
-        }
-    }
-
     /// Attaches a source location.
-    pub fn at(mut self, loc: SourceLoc) -> Self {
+    pub(crate) fn at(mut self, loc: SourceLoc) -> Self {
         self.loc = loc;
         self
     }
@@ -185,11 +171,6 @@ impl DiagnosticEngine {
         self.emit(Diagnostic::error(message));
     }
 
-    /// Shorthand for emitting a [`Severity::Warning`].
-    pub fn warning(&mut self, message: impl Into<String>) {
-        self.emit(Diagnostic::warning(message));
-    }
-
     /// Returns `true` if any error-severity diagnostic was recorded.
     pub fn has_errors(&self) -> bool {
         self.diagnostics.iter().any(|d| d.severity == Severity::Error)
@@ -205,21 +186,10 @@ impl DiagnosticEngine {
         self.diagnostics.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
     }
 
-    /// Returns `Err` with rendered diagnostics if any errors were recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error diagnostic (with all messages rendered into
-    /// its notes) when [`DiagnosticEngine::has_errors`] is true.
-    pub fn into_result(self) -> Result<(), Diagnostic> {
-        self.result()
-    }
-
-    /// Non-consuming form of [`DiagnosticEngine::into_result`]: summarizes
-    /// the recorded diagnostics into a `Result` while leaving them in the
-    /// engine for the caller to inspect. Verifiers use this to collect into
-    /// a caller-supplied engine *and* return a `Result` from the same
-    /// engine, without cloning everything into a second one.
+    /// Summarizes the recorded diagnostics into a `Result` while leaving
+    /// them in the engine for the caller to inspect. Verifiers use this to
+    /// collect into a caller-supplied engine *and* return a `Result` from
+    /// the same engine, without cloning everything into a second one.
     ///
     /// # Errors
     ///
@@ -244,7 +214,6 @@ mod tests {
 
     #[test]
     fn severity_ordering() {
-        assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
     }
 
@@ -266,11 +235,10 @@ mod tests {
     fn engine_collects_and_reports() {
         let mut e = DiagnosticEngine::new();
         assert!(!e.has_errors());
-        e.warning("w");
+        e.emit(Diagnostic::warning("w"));
         e.error("e");
-        e.emit(Diagnostic::note("n"));
         assert!(e.has_errors());
-        assert_eq!(e.diagnostics().len(), 3);
+        assert_eq!(e.diagnostics().len(), 2);
         let rendered = e.render();
         assert!(rendered.contains("warning: w"));
         assert!(rendered.contains("error: e"));
@@ -279,16 +247,16 @@ mod tests {
     #[test]
     fn into_result_ok_without_errors() {
         let mut e = DiagnosticEngine::new();
-        e.warning("only a warning");
-        assert!(e.into_result().is_ok());
+        e.emit(Diagnostic::warning("only a warning"));
+        assert!(e.result().is_ok());
     }
 
     #[test]
     fn into_result_err_with_errors() {
         let mut e = DiagnosticEngine::new();
-        e.warning("context");
+        e.emit(Diagnostic::warning("context"));
         e.error("boom");
-        let err = e.into_result().unwrap_err();
+        let err = e.result().unwrap_err();
         assert_eq!(err.message, "boom");
         assert!(err.notes.iter().any(|n| n.contains("context")));
     }
@@ -307,7 +275,7 @@ mod tests {
     #[test]
     fn result_leaves_the_engine_intact() {
         let mut e = DiagnosticEngine::new();
-        e.warning("context");
+        e.emit(Diagnostic::warning("context"));
         e.error("boom");
         let err = e.result().unwrap_err();
         assert_eq!(err.message, "boom");

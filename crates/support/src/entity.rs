@@ -98,11 +98,6 @@ impl<K: EntityId, V> PrimaryMap<K, V> {
         Self { values: Vec::new(), _marker: PhantomData }
     }
 
-    /// Creates an empty map with space for `capacity` entities.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { values: Vec::with_capacity(capacity), _marker: PhantomData }
-    }
-
     /// Inserts a value and returns its freshly minted identifier.
     pub fn push(&mut self, value: V) -> K {
         let key = K::from_index(self.values.len());
@@ -120,34 +115,9 @@ impl<K: EntityId, V> PrimaryMap<K, V> {
         self.values.is_empty()
     }
 
-    /// Returns a reference to the value for `key`, if in range.
-    pub fn get(&self, key: K) -> Option<&V> {
-        self.values.get(key.index())
-    }
-
-    /// Returns a mutable reference to the value for `key`, if in range.
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.values.get_mut(key.index())
-    }
-
-    /// Returns `true` if `key` indexes a live entity.
-    pub fn contains_key(&self, key: K) -> bool {
-        key.index() < self.values.len()
-    }
-
     /// Iterates over `(key, &value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.values.iter().enumerate().map(|(i, v)| (K::from_index(i), v))
-    }
-
-    /// Iterates over `(key, &mut value)` pairs in insertion order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
-        self.values.iter_mut().enumerate().map(|(i, v)| (K::from_index(i), v))
-    }
-
-    /// Iterates over all identifiers.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        (0..self.values.len()).map(K::from_index)
     }
 
     /// Iterates over all values.
@@ -212,22 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn get_out_of_range_is_none() {
-        let m: PrimaryMap<TestId, u8> = PrimaryMap::new();
-        assert!(m.get(TestId::from_index(0)).is_none());
-        assert!(!m.contains_key(TestId::from_index(0)));
-    }
-
-    #[test]
     fn iter_in_insertion_order() {
         let mut m: PrimaryMap<TestId, u32> = PrimaryMap::new();
         for i in 0..10 {
             m.push(i * 2);
         }
-        let collected: Vec<u32> = m.iter().map(|(_, v)| *v).collect();
-        assert_eq!(collected, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        let keys: Vec<usize> = m.keys().map(|k| k.index()).collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
+        let collected: Vec<(usize, u32)> = m.iter().map(|(k, v)| (k.index(), *v)).collect();
+        assert_eq!(collected, (0..10).map(|i| (i as usize, i * 2)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -244,14 +205,5 @@ mod tests {
         m.extend(3..5);
         assert_eq!(m.len(), 5);
         assert_eq!(m[TestId::from_index(4)], 4);
-    }
-
-    #[test]
-    fn iter_mut_updates_values() {
-        let mut m: PrimaryMap<TestId, u32> = (0..4).collect();
-        for (_, v) in m.iter_mut() {
-            *v += 1;
-        }
-        assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 }

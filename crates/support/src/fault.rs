@@ -13,7 +13,7 @@
 //! invariant that faults degrade throughput, never results.
 //!
 //! Plans are installed process-globally, either programmatically
-//! ([`install`]) or from the `AXI4MLIR_FAULTS` environment variable
+//! (`install`) or from the `AXI4MLIR_FAULTS` environment variable
 //! ([`install_from`], called by the daemon binaries at startup with
 //! their `--faults SPEC` flag, which wins), so release binaries can be driven
 //! through failures by integration tests and CI without a special
@@ -79,7 +79,7 @@ pub enum FaultAction {
 /// One scripted event: `site:kind@N` — fire `action` on the `at`-th
 /// tick of `site` (1-based).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
+struct FaultEvent {
     /// The injection point this event arms.
     pub site: String,
     /// What happens when it fires.
@@ -107,7 +107,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] naming the first malformed entry.
-    pub fn parse(spec: &str) -> Result<FaultPlan, Diagnostic> {
+    pub(crate) fn parse(spec: &str) -> Result<FaultPlan, Diagnostic> {
         let mut plan = FaultPlan::default();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             if let Some(seed) = entry.strip_prefix("seed=") {
@@ -153,12 +153,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Whether the plan scripts any event (a pure `seed=` spec does
-    /// not).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Ticks `site` and returns the scripted action for this tick, if
     /// any. Fired events are recorded for [`FaultPlan::fired`].
     pub fn tick(&self, site: &str) -> Option<FaultAction> {
@@ -180,7 +174,7 @@ impl FaultPlan {
     /// current tick: a deterministic function of the plan seed, in
     /// `1..len` (so at least one byte goes out and at least one is
     /// withheld; full frames of length ≤ 1 split at 0).
-    pub fn split_point(&self, site: &str, len: usize) -> usize {
+    pub(crate) fn split_point(&self, site: &str, len: usize) -> usize {
         if len < 2 {
             return 0;
         }
@@ -205,7 +199,7 @@ impl FaultPlan {
 }
 
 /// The environment variable [`install_from`] falls back to.
-pub const FAULTS_ENV: &str = "AXI4MLIR_FAULTS";
+const FAULTS_ENV: &str = "AXI4MLIR_FAULTS";
 
 static PLAN: OnceLock<FaultPlan> = OnceLock::new();
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -213,14 +207,14 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// Installs `plan` process-globally. The first install wins (the plan
 /// drives the whole process's lifetime); later calls return the
 /// already-installed plan.
-pub fn install(plan: FaultPlan) -> &'static FaultPlan {
+fn install(plan: FaultPlan) -> &'static FaultPlan {
     let installed = PLAN.get_or_init(|| plan);
     ARMED.store(true, Ordering::Release);
     installed
 }
 
 /// Installs the plan a daemon was started with: its `--faults SPEC`
-/// flag when given, else [`FAULTS_ENV`] if that is set and non-empty.
+/// flag when given, else `FAULTS_ENV` if that is set and non-empty.
 ///
 /// # Errors
 ///
@@ -260,8 +254,8 @@ mod tests {
         );
         assert_eq!(plan.events[1].action, FaultAction::Drop);
         assert_eq!(plan.events[2].action, FaultAction::Delay(Duration::from_millis(250)));
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse("seed=1").unwrap().is_empty());
+        assert!(FaultPlan::parse("").unwrap().events.is_empty());
+        assert!(FaultPlan::parse("seed=1").unwrap().events.is_empty());
     }
 
     #[test]

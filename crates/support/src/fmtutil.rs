@@ -42,16 +42,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a header separator line.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -155,15 +145,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new(vec!["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn len_and_is_empty() {
-        let mut t = TextTable::new(vec!["a"]);
-        assert!(t.is_empty());
-        t.row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! listener, [`serve`] is the polling accept loop (one thread per
 //! connection), and [`Connection::open`] is the socket setup every
 //! protocol endpoint — accepted or dialed — goes through. The two
-//! polling floors of the stack, [`ACCEPT_POLL`] and [`READ_TIMEOUT`],
+//! polling floors of the stack, `ACCEPT_POLL` and `READ_TIMEOUT`,
 //! are defined here and nowhere else.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -207,12 +207,12 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// How long [`serve`] sleeps when no connection is pending before it
 /// polls the listener and its stop condition again.
-pub const ACCEPT_POLL: Duration = Duration::from_millis(25);
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// The read timeout of every protocol socket: a reader blocked on a
 /// silent peer surfaces [`Frame::Idle`] this often, which is when
 /// daemons forward queued events and look at their stop flags.
-pub const READ_TIMEOUT: Duration = Duration::from_millis(50);
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// One protocol connection: the framed read half and the write half of
 /// a TCP stream.
@@ -226,7 +226,7 @@ pub struct Connection {
 
 impl Connection {
     /// Sets up a connected socket — accepted or dialed — for the frame
-    /// protocol: blocking reads that time out every [`READ_TIMEOUT`]
+    /// protocol: blocking reads that time out every `READ_TIMEOUT`
     /// (an accepted socket inherits the polling listener's non-blocking
     /// mode), `TCP_NODELAY` (frames are small and latency-bound), and a
     /// cloned write half.

@@ -237,7 +237,7 @@ impl<'a> Cursor<'a> {
 
     /// The 1-based `line:col` of byte offset `pos`, columns counted in
     /// characters. Linear in `pos` — call it on the error path only.
-    pub fn loc_at(&self, pos: usize) -> SourceLoc {
+    fn loc_at(&self, pos: usize) -> SourceLoc {
         let before = &self.text[..pos];
         let line_start = before.rfind('\n').map_or(0, |newline| newline + 1);
         let line = before.bytes().filter(|&b| b == b'\n').count() + 1;

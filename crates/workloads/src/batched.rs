@@ -29,11 +29,6 @@ impl BatchedMatMulProblem {
         self.problem.macs() * self.batch as u64
     }
 
-    /// The figure-style label `M_N_K.xB`.
-    pub fn label(&self) -> String {
-        format!("{}x{}", self.problem.label(), self.batch)
-    }
-
     /// Deterministic `(A, B)` data for one batch element. Elements get
     /// decorrelated streams derived from the run seed.
     pub fn generate_inputs(&self, seed: u64, index: usize) -> (Vec<i32>, Vec<i32>) {
@@ -60,7 +55,6 @@ mod tests {
     fn labels_and_macs_scale_with_batch() {
         let b = BatchedMatMulProblem::new(MatMulProblem::new(8, 16, 4), 3);
         assert_eq!(b.macs(), 3 * 8 * 16 * 4);
-        assert_eq!(b.label(), "8_16_4x3");
         assert_eq!(b.to_string(), "8x16x4 x3");
         assert_eq!(b.output_elems(), 8 * 16);
     }

@@ -15,21 +15,21 @@
 use crate::matmul::MatMulProblem;
 
 /// Number of transformer layers.
-pub const LAYERS: usize = 4;
+const LAYERS: usize = 4;
 /// Hidden size after padding (312 -> 320).
-pub const HIDDEN: i64 = 320;
+const HIDDEN: i64 = 320;
 /// FFN intermediate size (1200 -> 1216).
-pub const FFN: i64 = 1216;
+const FFN: i64 = 1216;
 /// Attention heads.
-pub const HEADS: i64 = 12;
+const HEADS: i64 = 12;
 /// Per-head size after padding (26 -> 32).
-pub const HEAD_DIM: i64 = 32;
+const HEAD_DIM: i64 = 32;
 /// Batch size (Fig. 17 caption).
-pub const BATCH: i64 = 2;
+const BATCH: i64 = 2;
 /// Sequence length.
-pub const SEQ: i64 = 128;
+const SEQ: i64 = 128;
 /// Tokens processed per pass.
-pub const TOKENS: i64 = BATCH * SEQ;
+const TOKENS: i64 = BATCH * SEQ;
 
 /// One MatMul of the model, with its multiplicity per forward pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,11 +84,6 @@ pub fn tinybert_matmuls() -> Vec<TinyBertMatMul> {
     ]
 }
 
-/// Total MatMul MACs of one forward pass.
-pub fn total_macs() -> u64 {
-    tinybert_matmuls().iter().map(|m| m.problem.macs() * m.count).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +110,7 @@ mod tests {
     #[test]
     fn total_macs_is_gemm_scale() {
         // Order of magnitude: a few hundred MMACs for the padded model.
-        let macs = total_macs();
+        let macs: u64 = tinybert_matmuls().iter().map(|m| m.problem.macs() * m.count).sum();
         assert!(macs > 100_000_000, "{macs}");
         assert!(macs < 5_000_000_000, "{macs}");
     }
