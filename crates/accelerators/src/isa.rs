@@ -46,7 +46,7 @@ pub const CONV_OP_SET_FILTER_SIZE: u32 = 32;
 pub const CONV_OP_SET_IN_CHANNELS: u32 = 16;
 
 /// `true` if the Conv2D accelerator decodes `opcode`.
-pub fn conv_supports_opcode(opcode: u32) -> bool {
+pub(crate) fn conv_supports_opcode(opcode: u32) -> bool {
     matches!(
         opcode,
         CONV_OP_SEND_INPUT_COMPUTE

@@ -13,16 +13,20 @@
 //! - [`conv`]: the Conv2D accelerator of Fig. 15 — computes one output
 //!   channel slice per iteration, with configurable `iC` and `fHW`.
 //! - [`registry`]: Table I as data (type, reuse, opcodes, size, OPs/cycle).
+//! - [`device`]: [`Device`], the one value an accelerator *name* becomes —
+//!   its parser, its spelling, the model it instantiates, what it decodes.
 //!
 //! All models perform real `i32` arithmetic so end-to-end results can be
 //! verified against reference kernels, and charge compute cycles at the
 //! Table I throughput (OPs/cycle at 200 MHz).
 
 pub mod conv;
+pub mod device;
 pub mod isa;
 pub mod matmul;
 pub mod registry;
 
 pub use conv::ConvAccel;
+pub use device::Device;
 pub use matmul::{MatMulAccel, MatMulVersion};
 pub use registry::{table1, AcceleratorSpec};

@@ -18,6 +18,7 @@
 use axi4mlir_sim::axi::{AxiStreamFifo, StreamAccelerator};
 use axi4mlir_sim::counters::PerfCounters;
 
+use crate::device::Device;
 use crate::isa;
 use crate::registry::ops_per_cycle_for_size;
 
@@ -35,53 +36,10 @@ pub enum MatMulVersion {
 }
 
 impl MatMulVersion {
-    /// Short name as used in the paper's figures (`v1`..`v4`).
-    fn as_str(self) -> &'static str {
-        match self {
-            MatMulVersion::V1 => "v1",
-            MatMulVersion::V2 => "v2",
-            MatMulVersion::V3 => "v3",
-            MatMulVersion::V4 => "v4",
-        }
-    }
-
-    /// Parses a version from its short name (`"v3"`) or from a well-formed
-    /// instance name (`"v3_16"`, see [`Self::parse_instance`]). Returns
-    /// `None` for anything else, `"v3_banana"` included.
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::from_short_name(name)
-            .or_else(|| Self::parse_instance(name).map(|(version, _)| version))
-    }
-
-    fn from_short_name(name: &str) -> Option<Self> {
-        match name {
-            "v1" => Some(MatMulVersion::V1),
-            "v2" => Some(MatMulVersion::V2),
-            "v3" => Some(MatMulVersion::V3),
-            "v4" => Some(MatMulVersion::V4),
-            _ => None,
-        }
-    }
-
-    /// The figure-style name of an instance of this version, `vN_SIZE`
-    /// (e.g. `v3_16`): the one formatter of that spelling.
-    pub fn instance_name(self, size: impl std::fmt::Display) -> String {
-        format!("{}_{size}", self.as_str())
-    }
-
-    /// Parses an [`instance_name`](Self::instance_name) back into its
-    /// version and size: the one parser of that spelling. The size is
-    /// any decimal integer — a name can carry `0` or a negative number,
-    /// and whoever builds something of that size must reject it.
-    pub fn parse_instance(name: &str) -> Option<(Self, i64)> {
-        let (version, size) = name.split_once('_')?;
-        Some((Self::from_short_name(version)?, size.parse().ok()?))
-    }
-
     /// `true` if this accelerator type decodes `opcode` — the instruction
     /// words each Table I version implements. This is the authoritative
-    /// legality check the functional models and the IR lint share.
-    pub fn supports_opcode(self, opcode: u32) -> bool {
+    /// legality check behind [`Device::decodes`](crate::Device::decodes).
+    pub(crate) fn supports_opcode(self, opcode: u32) -> bool {
         use MatMulVersion::*;
         match opcode {
             isa::OP_RESET => true,
@@ -98,8 +56,14 @@ impl MatMulVersion {
 }
 
 impl std::fmt::Display for MatMulVersion {
+    /// The short name used in the paper's figures (`v1`..`v4`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            MatMulVersion::V1 => "v1",
+            MatMulVersion::V2 => "v2",
+            MatMulVersion::V3 => "v3",
+            MatMulVersion::V4 => "v4",
+        })
     }
 }
 
@@ -179,11 +143,11 @@ impl MatMulAccel {
     ///
     /// Panics if `size` is zero.
     pub fn new(version: MatMulVersion, size: u32) -> Self {
-        assert!(size > 0, "tile size must be positive");
+        let device = Device::matmul(version, i64::from(size)).expect("tile size must be positive");
         let mut accel = Self {
             version,
             base_size: size,
-            name: version.instance_name(size),
+            name: device.to_string(),
             tm: size,
             tn: size,
             tk: size,
@@ -207,10 +171,6 @@ impl MatMulAccel {
     /// The configured tile shape `(tM, tN, tK)`.
     pub fn tile_shape(&self) -> (u32, u32, u32) {
         (self.tm, self.tn, self.tk)
-    }
-
-    fn supports(&self, opcode: u32) -> bool {
-        self.version.supports_opcode(opcode)
     }
 
     /// Performs `product = A x B`; charges cycles; returns the product.
@@ -251,7 +211,7 @@ impl MatMulAccel {
     }
 
     fn begin_opcode(&mut self, opcode: u32, counters: &mut PerfCounters) {
-        if !self.supports(opcode) {
+        if !self.version.supports_opcode(opcode) {
             self.protocol_errors += 1;
             return;
         }

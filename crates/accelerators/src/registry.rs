@@ -1,6 +1,7 @@
 //! Table I as data: the accelerator inventory used by the experiments.
 
-use crate::matmul::{MatMulAccel, MatMulVersion};
+use crate::device::Device;
+use crate::matmul::MatMulVersion;
 
 /// What a Table I accelerator can keep stationary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,14 +43,9 @@ pub struct AcceleratorSpec {
 }
 
 impl AcceleratorSpec {
-    /// The figure-style name, e.g. `v3_16`.
-    pub fn name(&self) -> String {
-        self.version.instance_name(self.size)
-    }
-
-    /// Instantiates the functional model for this spec.
-    pub fn instantiate(&self) -> MatMulAccel {
-        MatMulAccel::new(self.version, self.size)
+    /// The device this row describes (displayed as `v3_16`).
+    pub fn device(&self) -> Device {
+        Device::matmul(self.version, i64::from(self.size)).expect("Table I sizes are positive")
     }
 }
 
@@ -110,15 +106,15 @@ pub fn table1() -> Vec<AcceleratorSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axi4mlir_sim::axi::StreamAccelerator;
 
     #[test]
     fn table1_has_all_configurations() {
         let t = table1();
         assert_eq!(t.len(), 12);
-        assert!(t.iter().any(|s| s.name() == "v1_4" && s.ops_per_cycle == 10));
-        assert!(t.iter().any(|s| s.name() == "v3_8" && s.ops_per_cycle == 60));
-        assert!(t.iter().any(|s| s.name() == "v4_16" && s.ops_per_cycle == 112));
+        let has = |name: &str, ops| {
+            t.iter().any(|s| s.device().to_string() == name && s.ops_per_cycle == ops)
+        };
+        assert!(has("v1_4", 10) && has("v3_8", 60) && has("v4_16", 112));
     }
 
     #[test]
@@ -139,9 +135,9 @@ mod tests {
     #[test]
     fn instantiate_builds_matching_model() {
         let spec = &table1()[0];
-        let model = spec.instantiate();
-        assert_eq!(model.tile_shape(), (spec.size, spec.size, spec.size));
-        assert_eq!(model.name(), spec.name());
+        let model = spec.device().instantiate();
+        assert_eq!(model.name(), "v1_4");
+        assert_eq!(model.name(), spec.device().to_string());
     }
 
     #[test]

@@ -53,7 +53,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_bench::report::{BenchEntry, BenchReport};
 use axi4mlir_core::explore::jobspec::parse_dims;
 use axi4mlir_core::explore::{
@@ -116,7 +115,7 @@ fn job_from_args(args: &[String]) -> Result<JobSpec, String> {
                 None => format!("{token}_{base}"),
             })
             .collect(),
-        None => vec![MatMulVersion::V4.instance_name(base)],
+        None => vec![format!("v4_{base}")],
     };
     job.capacity_words = args::number(args, "--capacity")?;
     Ok(job)

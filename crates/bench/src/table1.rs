@@ -7,7 +7,6 @@
 
 use axi4mlir_accelerators::isa;
 use axi4mlir_accelerators::registry::{table1, AcceleratorSpec};
-use axi4mlir_sim::axi::StreamAccelerator;
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::fmtutil::TextTable;
 
@@ -22,7 +21,7 @@ pub struct Table1Row {
 
 /// Drives one full tile product through the model and measures OPs/cycle.
 fn probe(spec: &AcceleratorSpec) -> f64 {
-    let mut accel = spec.instantiate();
+    let mut accel = spec.device().instantiate();
     let mut counters = PerfCounters::new();
     let n = (spec.size * spec.size) as usize;
     let mut words = Vec::new();
@@ -93,7 +92,7 @@ pub fn report(rows: &[Table1Row]) -> crate::report::BenchReport {
     let mut r = BenchReport::new("table1");
     for row in rows {
         r.push(
-            BenchEntry::new(row.spec.name())
+            BenchEntry::new(row.spec.device().to_string())
                 .metric("size", u64::from(row.spec.size))
                 .metric("nominal_ops_per_cycle", u64::from(row.spec.ops_per_cycle))
                 .metric("measured_ops_per_cycle", row.measured_ops_per_cycle),
@@ -116,7 +115,7 @@ mod tests {
             assert!(
                 (0.9..=1.1).contains(&ratio),
                 "{}: measured {:.1} vs nominal {nominal}",
-                r.spec.name(),
+                r.spec.device(),
                 r.measured_ops_per_cycle
             );
         }

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use axi4mlir_accelerators::Device;
 use axi4mlir_ir::affine::{AffineExpr, AffineMap};
 use axi4mlir_ir::attrs::{Attribute, FlowElem, OpcodeAction, OpcodeFlow, OpcodeMap};
 use axi4mlir_support::diag::Diagnostic;
@@ -66,10 +67,9 @@ impl Default for DmaInfo {
 /// Fig. 5 `"accelerators"` array.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AcceleratorConfig {
-    /// Accelerator name (`v3_16`, `conv2d`, ...).
-    pub name: String,
-    /// Which kernel it implements.
-    pub kernel: KernelKind,
+    /// The device it describes; its `Display` (`v3_16`, `conv2d`) is the
+    /// accelerator's name in diagnostics, reports and `accel_name`.
+    pub device: Device,
     /// DMA configuration.
     pub dma: DmaInfo,
     /// Loop dimension names, outermost problem order (e.g. `m, n, k`).
@@ -92,6 +92,14 @@ pub struct AcceleratorConfig {
 }
 
 impl AcceleratorConfig {
+    /// Which kernel the device implements.
+    pub fn kernel(&self) -> KernelKind {
+        match self.device {
+            Device::MatMul { .. } => KernelKind::MatMul,
+            Device::Conv2d => KernelKind::Conv2dNchwFchw,
+        }
+    }
+
     /// The flow selected by `selected_flow`.
     ///
     /// # Panics
@@ -113,7 +121,7 @@ impl AcceleratorConfig {
     /// Panics if the flow is not defined.
     #[must_use]
     pub fn with_selected_flow(mut self, name: &str) -> Self {
-        assert!(self.flow(name).is_some(), "flow `{name}` is not defined for {}", self.name);
+        assert!(self.flow(name).is_some(), "flow `{name}` is not defined for {}", self.device);
         self.selected_flow = name.to_owned();
         self
     }
@@ -130,7 +138,7 @@ impl AcceleratorConfig {
         if self.dims.len() != self.accel_dims.len() {
             return Err(Diagnostic::error(format!(
                 "accelerator {}: {} dims but {} accel_dim entries",
-                self.name,
+                self.device,
                 self.dims.len(),
                 self.accel_dims.len()
             )));
@@ -140,7 +148,7 @@ impl AcceleratorConfig {
                 if !self.dims.contains(d) {
                     return Err(Diagnostic::error(format!(
                         "accelerator {}: data argument {arg} uses unknown dim `{d}`",
-                        self.name
+                        self.device
                     )));
                 }
             }
@@ -154,7 +162,7 @@ impl AcceleratorConfig {
                         if *arg as usize >= self.data.len() {
                             return Err(Diagnostic::error(format!(
                                 "accelerator {}: action {action} references argument {arg} but only {} data arguments exist",
-                                self.name,
+                                self.device,
                                 self.data.len()
                             )));
                         }
@@ -163,7 +171,7 @@ impl AcceleratorConfig {
                         if !self.dims.contains(dim) {
                             return Err(Diagnostic::error(format!(
                                 "accelerator {}: send_idx references unknown dim `{dim}`",
-                                self.name
+                                self.device
                             )));
                         }
                     }
@@ -176,7 +184,7 @@ impl AcceleratorConfig {
                 if self.opcode_map.get(opcode).is_none() {
                     return Err(Diagnostic::error(format!(
                         "accelerator {}: flow `{flow_name}` references undefined opcode `{opcode}`",
-                        self.name
+                        self.device
                     )));
                 }
             }
@@ -184,14 +192,14 @@ impl AcceleratorConfig {
         if self.flow(&self.selected_flow).is_none() {
             return Err(Diagnostic::error(format!(
                 "accelerator {}: selected_flow `{}` is not defined",
-                self.name, self.selected_flow
+                self.device, self.selected_flow
             )));
         }
         for opcode in &self.init_opcodes {
             if self.opcode_map.get(opcode).is_none() {
                 return Err(Diagnostic::error(format!(
                     "accelerator {}: init opcode `{opcode}` is not defined",
-                    self.name
+                    self.device
                 )));
             }
         }
@@ -249,7 +257,7 @@ impl AcceleratorConfig {
         }
         attrs.insert("opcode_map".to_owned(), Attribute::Opcodes(self.opcode_map.clone()));
         attrs.insert("opcode_flow".to_owned(), Attribute::Flow(self.selected().clone()));
-        attrs.insert("accel_name".to_owned(), Attribute::Str(self.name.clone()));
+        attrs.insert("accel_name".to_owned(), Attribute::Str(self.device.to_string()));
         attrs
     }
 }

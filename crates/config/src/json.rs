@@ -24,6 +24,7 @@
 //! object's member order defines the operand order (A = argument 0, ...),
 //! which the order-preserving [`JsonValue`] object representation keeps.
 
+use axi4mlir_accelerators::Device;
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
@@ -98,7 +99,7 @@ impl SystemConfig {
 
     /// The accelerator with the given name.
     pub fn accelerator(&self, name: &str) -> Option<&AcceleratorConfig> {
-        self.accelerators.iter().find(|a| a.name == name)
+        self.accelerators.iter().find(|a| a.device.to_string() == name)
     }
 }
 
@@ -115,6 +116,16 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
             "{context}: unsupported kernel `{kernel_name}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
         ))
     })?;
+    // Where a Fig. 5 `name` becomes a device, or is refused: nothing
+    // downstream reads the text again.
+    let no_device = || {
+        Diagnostic::error(format!(
+            "{context}: `{name}` is no device this simulator models for kernel `{kernel_name}` \
+             (it models v1_SIZE, v2_SIZE, v3_SIZE, v4_SIZE — SIZE a positive integer — for \
+             linalg.matmul, and conv2d for linalg.conv_2d_nchw_fchw)"
+        ))
+    };
+    let device = Device::parse(name).ok_or_else(no_device)?;
 
     let dma_members = m.object("dma_config")?;
     let dma = DmaInfo {
@@ -152,8 +163,7 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
     };
 
     let config = AcceleratorConfig {
-        name: name.to_owned(),
-        kernel,
+        device,
         dma,
         dims: m.str_list("dims")?,
         accel_dims: m.i64_list("accel_size")?,
@@ -164,6 +174,9 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
         selected_flow: m.str("selected_flow")?.to_owned(),
         init_opcodes,
     };
+    if config.kernel() != kernel {
+        return Err(no_device());
+    }
     config.validate()?;
     Ok(config)
 }
@@ -200,7 +213,7 @@ mod tests {
         assert_eq!(sys.cpu.l1_bytes(), 32 * 1024);
         assert_eq!(sys.accelerators.len(), 1);
         let acc = sys.accelerator("v3_8").unwrap();
-        assert_eq!(acc.kernel, KernelKind::MatMul);
+        assert_eq!(acc.kernel(), KernelKind::MatMul);
         assert_eq!(acc.accel_dims, vec![8, 8, 8]);
         assert_eq!(acc.selected_flow, "Cs");
         assert_eq!(acc.dma.input_buffer_size, 65280);

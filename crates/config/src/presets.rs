@@ -8,9 +8,10 @@
 //! filter+output stationary flow of Fig. 15a.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
+use axi4mlir_accelerators::Device;
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 
-use crate::accelerator::{AcceleratorConfig, DmaInfo, KernelKind};
+use crate::accelerator::{AcceleratorConfig, DmaInfo};
 use crate::flow::FlowStrategy;
 
 /// Table I on the host side: the flows each MatMul generation's opcode
@@ -96,6 +97,11 @@ impl AcceleratorConfig {
     /// The Table I accelerator of generation `version` with base size
     /// `size` (4, 8, or 16 in the paper): the fixed square tile of v1–v3,
     /// the divisibility base — and default square tile — of v4.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `size` is a positive 32-bit number (a preset is built
+    /// in code; a size read from text goes through `Device::parse`).
     pub fn matmul(version: MatMulVersion, size: i64) -> AcceleratorConfig {
         Self::matmul_with_tile(version, size, (size, size, size))
     }
@@ -121,8 +127,7 @@ impl AcceleratorConfig {
             init_opcodes.push("cfg".to_owned());
         }
         let cfg = AcceleratorConfig {
-            name: version.instance_name(size),
-            kernel: KernelKind::MatMul,
+            device: Device::matmul(version, size).expect("a preset's size is positive"),
             dma: DmaInfo::default(),
             dims: matmul_dims(),
             accel_dims: vec![tm, tn, tk],
@@ -143,8 +148,7 @@ impl AcceleratorConfig {
         let dims: Vec<String> =
             ["b", "h", "w", "ic", "oc", "fh", "fw"].iter().map(|s| (*s).to_owned()).collect();
         let cfg = AcceleratorConfig {
-            name: "conv2d".to_owned(),
-            kernel: KernelKind::Conv2dNchwFchw,
+            device: Device::Conv2d,
             dma: DmaInfo::default(),
             dims,
             // Fig. 15a: (B,H,W,iC,oC,fH,fW) -> (0,0,0,ic,1,fhw,fhw).
@@ -201,7 +205,7 @@ mod tests {
         let cfg = AcceleratorConfig::matmul(MatMulVersion::V1, 4);
         assert_eq!(cfg.flows.len(), 1);
         assert_eq!(cfg.flows[0].0, "Ns");
-        assert_eq!(cfg.name, "v1_4");
+        assert_eq!(cfg.device.to_string(), "v1_4");
     }
 
     #[test]
@@ -277,7 +281,7 @@ mod tests {
         let flows: Vec<String> = cfg.flows.iter().map(|(n, f)| format!("{n}={f}")).collect();
         format!(
             "{} {:?} {} [{}] {:?} {}",
-            cfg.name,
+            cfg.device,
             cfg.accel_dims,
             cfg.opcode_map,
             flows.join(", "),

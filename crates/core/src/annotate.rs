@@ -34,7 +34,7 @@ impl MatchAndAnnotatePass {
     }
 
     fn matches(&self, module: &Module, op: OpId) -> bool {
-        match self.config.kernel {
+        match self.config.kernel() {
             KernelKind::MatMul => linalg::is_matmul_generic(&module.ctx, op),
             KernelKind::Conv2dNchwFchw => module.ctx.op(op).name == "linalg.conv_2d_nchw_fchw",
         }
@@ -61,8 +61,8 @@ impl Pass for MatchAndAnnotatePass {
         if candidates.is_empty() {
             return Err(Diagnostic::error(format!(
                 "no operation matches accelerator {} (kernel {})",
-                self.config.name,
-                self.config.kernel.op_name()
+                self.config.device,
+                self.config.kernel().op_name()
             )));
         }
         let perm: Vec<&str> = self.permutation.iter().map(String::as_str).collect();

@@ -128,7 +128,7 @@ fn run() -> Result<(), String> {
                 let offered: Vec<&str> = accel.flows.iter().map(|(n, _)| n.as_str()).collect();
                 return Err(format!(
                     "accelerator {} does not offer flow `{flow}` (offers: {})",
-                    accel.name,
+                    accel.device,
                     offered.join(", ")
                 ));
             }

@@ -26,6 +26,7 @@
 //! driver and in nothing else. A one-off run is
 //! `Session::for_sweep().run(&workload, &plan)`.
 
+use axi4mlir_accelerators::Device;
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
 use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
 use axi4mlir_ir::ops::Module;
@@ -45,7 +46,7 @@ use crate::annotate::MatchAndAnnotatePass;
 use crate::codegen::GenerateAccelDriverPass;
 use crate::lower::LowerAccelToRuntimePass;
 use crate::options::{CacheTiling, PipelineOptions};
-use crate::pipeline::{build_conv_module, build_matmul_module, DeviceModel};
+use crate::pipeline::{build_conv_module, build_matmul_module};
 
 /// What one measured run produced — compiled or hand-written driver.
 #[derive(Clone, Debug)]
@@ -535,8 +536,8 @@ impl CompilePlan {
     }
 
     /// The name reported as `accel_name`.
-    fn target_name(&self) -> &str {
-        self.config.as_ref().map_or("cpu", |c| c.name.as_str())
+    fn target_name(&self) -> String {
+        self.config.as_ref().map_or_else(|| "cpu".to_owned(), |c| c.device.to_string())
     }
 
     /// The flow label reported in the run report.
@@ -555,7 +556,7 @@ impl CompilePlan {
             [tm, tn, tk, ..] => Ok((tm, tn, tk)),
             _ => Err(Diagnostic::error(format!(
                 "accelerator {}: accel_size must list at least three dimensions (m, n, k), got {:?}",
-                config.name, config.accel_dims
+                config.device, config.accel_dims
             ))),
         }
     }
@@ -563,7 +564,7 @@ impl CompilePlan {
     /// Resolves the cache-tiling edge for a workload.
     fn resolve_cache_tile(&self, workload: &dyn Workload) -> Result<Option<i64>, Diagnostic> {
         let Some(config) = &self.config else { return Ok(None) };
-        if config.kernel != KernelKind::MatMul {
+        if config.kernel() != KernelKind::MatMul {
             return Ok(None);
         }
         let tiles = Self::accel_tiles(config)?;
@@ -614,7 +615,7 @@ pub struct Session {
     soc: Soc,
     /// The model the SoC holds; `None` is the loopback device of a
     /// CPU-only session.
-    device: Option<DeviceModel>,
+    device: Option<Device>,
     /// Interpreter value-frame and opcode buffers, kept warm across
     /// `Soc::recycle` so steady-state sweep runs allocate nothing there.
     scratch: InterpScratch,
@@ -626,9 +627,8 @@ impl Session {
     /// The one constructor, one-off runs included. The session starts on
     /// the loopback device (a CPU-only plan offloads nothing) and
     /// instantiates, and later swaps, the device each plan's configuration
-    /// describes on [`run`](Self::run) — which is where a configuration
-    /// that describes no buildable device is reported — while memory and
-    /// cache structures persist across runs.
+    /// carries on [`run`](Self::run), while memory and cache structures
+    /// persist across runs.
     pub fn for_sweep() -> Self {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
@@ -645,16 +645,15 @@ impl Session {
 
     /// Swaps the device when the plan targets a different accelerator
     /// than the current one; keeps it (and its warm allocations) otherwise.
-    fn retarget(&mut self, plan: &CompilePlan) -> Result<(), Diagnostic> {
-        let wanted = plan.config.as_ref().map(DeviceModel::of).transpose()?;
+    fn retarget(&mut self, plan: &CompilePlan) {
+        let wanted = plan.config.as_ref().map(|config| config.device);
         if self.device != wanted {
             self.soc.replace_accelerator(match wanted {
-                Some(model) => model.instantiate(),
+                Some(device) => device.instantiate(),
                 None => Box::new(LoopbackAccelerator::new()),
             });
             self.device = wanted;
         }
-        Ok(())
     }
 
     /// Compiles `workload` according to `plan`, executes it on this
@@ -662,8 +661,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates compilation diagnostics, a configuration that describes
-    /// no buildable device ([`DeviceModel::of`]), interpreter errors, DMA
+    /// Propagates compilation diagnostics, interpreter errors, DMA
     /// protocol violations, and accelerator protocol errors.
     pub fn run(
         &mut self,
@@ -731,8 +729,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates a configuration that describes no buildable device,
-    /// whatever `drive` returns, and accelerator protocol errors.
+    /// Propagates whatever `drive` returns, and accelerator protocol errors.
     pub fn run_manual(
         &mut self,
         workload: &dyn Workload,
@@ -755,7 +752,7 @@ impl Session {
         plan: &CompilePlan,
         drive: impl FnOnce(&mut Soc, &mut InterpScratch, Vec<RtValue>) -> Result<(), Diagnostic>,
     ) -> Result<RunReport, Diagnostic> {
-        self.retarget(plan)?;
+        self.retarget(plan);
         self.soc.recycle();
         let buffers = workload.bind(&mut self.soc, plan.seed, plan.options.verify_result);
         self.soc.reset_run_state();
@@ -784,7 +781,7 @@ impl Session {
             (_, false) => true,
         };
         Ok(RunReport {
-            accel_name: plan.target_name().to_owned(),
+            accel_name: plan.target_name(),
             flow: plan.flow_name().to_owned(),
             counters: self.soc.counters,
             task_clock_ms: self.soc.task_clock_ms(),
@@ -965,25 +962,6 @@ mod tests {
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
             .unwrap();
         assert!(report.counters.dma_bytes_to_accel > 2 * single.counters.dma_bytes_to_accel);
-    }
-
-    #[test]
-    fn fallback_named_configs_retarget_on_dims_change() {
-        // Two configs with the same unparseable name but different
-        // accel_dims instantiate different v3 sizes; the session must
-        // swap devices between them.
-        let mut small = v3(4);
-        small.name = "custom_accel".to_owned();
-        let mut large = v3(8);
-        large.name = "custom_accel".to_owned();
-        let mut session = Session::for_sweep();
-        let a = CompilePlan::for_accelerator(small).flow(FlowStrategy::NothingStationary);
-        session.run(&MatMulWorkload::new(MatMulProblem::square(8)), &a).unwrap();
-        assert_eq!(session.soc().accel.name(), "v3_4");
-        let b = CompilePlan::for_accelerator(large).flow(FlowStrategy::NothingStationary);
-        let report = session.run(&MatMulWorkload::new(MatMulProblem::square(8)), &b).unwrap();
-        assert!(report.verified);
-        assert_eq!(session.soc().accel.name(), "v3_8", "dims change must re-instantiate");
     }
 
     #[test]

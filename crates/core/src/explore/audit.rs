@@ -54,7 +54,7 @@ fn operand_footprints(config: &AcceleratorConfig) -> Vec<Option<i64>> {
 /// Returns the first finding as a [`Diagnostic`] carrying its `lint::*`
 /// code.
 fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
-    let mut findings = lint::check_isa(&config.name, &config.opcode_map);
+    let mut findings = lint::check_isa(config.device, &config.opcode_map);
     if let Some(flow) = config.flow(&config.selected_flow) {
         let what = format!("flow `{}`", config.selected_flow);
         findings.extend(lint::check_flow_refs(&config.opcode_map, flow, &what));
@@ -74,7 +74,7 @@ fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
         config.dma.input_buffer_size,
         config.dma.output_buffer_size,
     ));
-    findings.extend(lint::check_tile_memory(&config.name, &footprints));
+    findings.extend(lint::check_tile_memory(config.device, &footprints));
     match findings.into_iter().next() {
         Some(first) => Err(first),
         None => Ok(()),
@@ -149,7 +149,7 @@ mod tests {
             (MatMulVersion::V4, 16),
         ] {
             let config = AcceleratorConfig::matmul(version, size);
-            audit_config(&config).unwrap_or_else(|d| panic!("{}: {}", config.name, d.message));
+            audit_config(&config).unwrap_or_else(|d| panic!("{}: {}", config.device, d.message));
         }
         audit_config(&AcceleratorConfig::preset_v4_with_tile(8, 16, 8, 24)).unwrap();
     }

@@ -41,10 +41,10 @@
 //! empty cache, a file with an unknown schema tag is ignored (the CI
 //! cache key embeds the schema version, so this only happens across
 //! versions locally), unparseable *entries* are skipped (a key that
-//! names no buildable configuration — `v3_0`, a zero MatMul tile — is
-//! one), and a syntactically broken file loads as an empty cache with a
-//! stderr warning (it is rewritten whole on the next save); only
-//! unreadable files are reported as errors.
+//! names no buildable configuration — `v3_0`, a zero MatMul tile, a conv
+//! layer past the unit's buffers — is one), and a syntactically broken
+//! file loads as an empty cache with a stderr warning (it is rewritten
+//! whole on the next save); only unreadable files are reported as errors.
 
 use std::collections::HashMap;
 use std::fs;
@@ -55,7 +55,7 @@ use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
 
-use super::space::{CandidateKey, Flow, OptionsPoint, Problem, Target};
+use super::space::{CandidateKey, Device, Flow, OptionsPoint, Problem};
 
 /// The schema tag of the persistent cache document. Bump on any change
 /// to the key or payload layout (the CI cache key embeds this value).
@@ -115,7 +115,7 @@ fn text_member<T>(
 pub fn key_from(m: &Members<'_>) -> Result<CandidateKey, Diagnostic> {
     let workload =
         text_member(m, "workload", Problem::parse, "must be a matmul|batched|conv problem label")?;
-    let accel = text_member(m, "accel", Target::parse, "must be a vN_SIZE instance or conv2d")?;
+    let accel = text_member(m, "accel", Device::parse, "must be a vN_SIZE instance or conv2d")?;
     let flow = text_member(m, "flow", Flow::parse, "must be a flow name")?;
     let cache_tiling =
         text_member(m, "cache_tiling", CacheTiling::parse, "must be a cache-tiling label")?;
@@ -315,7 +315,7 @@ mod tests {
     fn sample_key(seed: u64) -> CandidateKey {
         CandidateKey {
             workload: Problem::parse("matmul 16x16x16").unwrap(),
-            accel: Target::parse("v4_8").unwrap(),
+            accel: Device::parse("v4_8").unwrap(),
             flow: Flow::parse("Cs").unwrap(),
             tile: (16, 8, 8),
             options: OptionsPoint::default(),

@@ -66,8 +66,8 @@ use measure::{LocalPool, MeasureBackend, MeasureQueue};
 pub use measure::{RemotePool, WORKER_SCHEMA};
 pub use search::{HalvingSpec, Search};
 pub use space::{
-    realize, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace, DesignSpace,
-    Fidelity, Flow, MatMulSpace, MatMulVersion, OptionsPoint, Problem, Target,
+    realize, AccelInstance, BatchedSpace, Candidate, CandidateKey, ConvSpace, DesignSpace, Device,
+    Fidelity, Flow, MatMulSpace, MatMulVersion, OptionsPoint, Problem,
 };
 pub use transfer::TransferModel;
 
@@ -505,13 +505,6 @@ impl Explorer {
         self.warm = (!model.is_empty()).then_some(model);
     }
 
-    /// Builder form of [`Explorer::set_warm_start`].
-    #[must_use]
-    pub fn warm_started(mut self, model: TransferModel) -> Self {
-        self.set_warm_start(model);
-        self
-    }
-
     /// Whether a (non-empty) transfer model is installed.
     pub fn is_warm_started(&self) -> bool {
         self.warm.is_some()
@@ -632,7 +625,7 @@ impl Explorer {
         let mut first_rejection: Option<Diagnostic> = None;
         /// Audit-verdict memo key: (accelerator, flow, tile) — the only
         /// fields the verdict depends on (options and seed do not).
-        type AuditMemoKey = (Target, Flow, (i64, i64, i64));
+        type AuditMemoKey = (Device, Flow, (i64, i64, i64));
         let mut verdicts: HashMap<AuditMemoKey, Option<Diagnostic>> = HashMap::new();
         let mut admitted = Vec::with_capacity(all.len());
         for candidate in all {

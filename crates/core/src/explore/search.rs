@@ -5,7 +5,7 @@
 //! multi-generation sweeps. Successive halving spends most measurements
 //! on cheap *proxy* problems instead: candidates are ranked by the
 //! analytical transfer model, then promoted through rounds in which the
-//! surviving fraction shrinks by `1/eta` while the measurement fidelity
+//! surviving fraction halves while the measurement fidelity
 //! (the proxy problem size) doubles, until only the finalists are
 //! measured on the full problem. Promotion ranks by a configurable
 //! [`Objective`]; extensive objectives (time, traffic) are normalized
@@ -39,18 +39,19 @@ use axi4mlir_support::diag::Diagnostic;
 use super::space::{Candidate, DesignSpace, Fidelity};
 use super::{estimate_rank, notify, Evaluation, Explorer, Observer, ProgressEvent, SweepStats};
 
+/// Divisor of the survivor count per round: each round keeps `1/ETA`.
+const ETA: usize = 2;
+
+/// Proxy fidelity of the first measured round, in tiles per dimension;
+/// doubles every round.
+const START_LEVEL: u8 = 2;
+
 /// Parameters of the successive-halving search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HalvingSpec {
-    /// Divisor of the survivor count per round: each round keeps `1/eta`
-    /// of the field (so `eta = 2` halves it). Clamped to ≥ 2.
-    pub eta: usize,
     /// Candidates promoted to the final full-fidelity round (the search
     /// stops cutting once the field is this small); clamped to ≥ 1.
     pub finalists: usize,
-    /// Proxy fidelity of the first measured round, in tiles per
-    /// dimension; doubles every round. Clamped to ≥ 1.
-    pub start_level: u8,
     /// The objective promotion ranks by. `None` — the default — follows
     /// the sweep's *primary* objective (the first one passed to
     /// `explore_streaming`), so pruning and promotion always agree
@@ -61,7 +62,7 @@ pub struct HalvingSpec {
 
 impl Default for HalvingSpec {
     fn default() -> Self {
-        Self { eta: 2, finalists: 4, start_level: 2, objective: None }
+        Self { finalists: 4, objective: None }
     }
 }
 
@@ -116,7 +117,6 @@ impl Explorer {
         observer: Observer,
         stats: &SweepStats,
     ) -> Result<(Vec<Evaluation>, usize, usize), Diagnostic> {
-        let eta = spec.eta.max(2);
         let mut finalists = spec.finalists.max(1);
         let objective = spec.objective.unwrap_or(primary);
         // Round 0 is free. Cold: rank by the analytical transfer model
@@ -155,7 +155,7 @@ impl Explorer {
                 });
                 survivors = order.into_iter().map(|i| survivors[i].clone()).collect();
                 if warm_informed * 2 >= survivors.len() && !survivors.is_empty() {
-                    let keep = finalists.max(survivors.len().div_ceil(eta));
+                    let keep = finalists.max(survivors.len().div_ceil(ETA));
                     survivors.truncate(keep);
                     finalists = finalists.div_ceil(2);
                 }
@@ -163,7 +163,7 @@ impl Explorer {
             _ => survivors.sort_by_key(|c| estimate_rank(c, objective)),
         }
 
-        let mut level = spec.start_level.max(1);
+        let mut level = START_LEVEL;
         let mut proxy_hits = 0;
         while survivors.len() > finalists {
             // A proxy level is *stalled* when raising it changes no
@@ -199,7 +199,7 @@ impl Explorer {
                 rank(&evals[a]).total_cmp(&rank(&evals[b])).then(a.cmp(&b))
             });
             let keep =
-                if stalled { finalists } else { finalists.max(survivors.len().div_ceil(eta)) };
+                if stalled { finalists } else { finalists.max(survivors.len().div_ceil(ETA)) };
             order.truncate(keep);
             survivors = order.into_iter().map(|i| survivors[i].clone()).collect();
             notify(

@@ -236,13 +236,13 @@ pub fn save_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::space::{Flow, OptionsPoint, Problem, Target};
+    use crate::explore::space::{Device, Flow, OptionsPoint, Problem};
     use axi4mlir_sim::counters::PerfCounters;
 
     fn key(workload: &str, seed: u64) -> CandidateKey {
         CandidateKey {
             workload: Problem::parse(workload).unwrap(),
-            accel: Target::parse("v4_8").unwrap(),
+            accel: Device::parse("v4_8").unwrap(),
             flow: Flow::parse("Cs").unwrap(),
             tile: (8, 8, 8),
             options: OptionsPoint::default(),

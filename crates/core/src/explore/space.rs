@@ -15,9 +15,11 @@
 //!   layer, so the space is the `PipelineOptions` axis.
 //!
 //! Candidates are identified by a typed, `Copy` [`CandidateKey`] — the
-//! explorer's cache key. Each of [`Problem`], [`Target`] and [`Flow`] has
+//! explorer's cache key. Each of [`Problem`], [`Device`] and [`Flow`] has
 //! one `Display`/`parse` pair that owns its persisted spelling; text
-//! becomes a key only in [`cache::key_from`](super::cache::key_from).
+//! becomes a key only in [`cache::key_from`](super::cache::key_from), and
+//! a key is buildable iff its device accepts its problem
+//! ([`CandidateKey::at`]).
 //! Realization is a function of the key: [`CandidateKey::at`] derives
 //! the fidelity-adjusted key and work, [`realize`] builds what it names,
 //! and [`DesignSpace::realize`] is that function for every space.
@@ -34,6 +36,7 @@ use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
 
 pub use axi4mlir_accelerators::matmul::MatMulVersion;
+pub use axi4mlir_accelerators::Device;
 pub use axi4mlir_heuristics::space::{AccelInstance, OptionsPoint};
 
 use crate::driver::{BatchedMatMulWorkload, CompilePlan, ConvWorkload, MatMulWorkload, Workload};
@@ -85,12 +88,23 @@ impl Problem {
         }
     }
 
-    /// Multiply-accumulates of the whole problem.
-    fn macs(&self) -> u64 {
+    /// Multiply-accumulates of the whole problem — the workload types'
+    /// `macs()` with checked products: `None` when the count does not fit
+    /// `u64` (the extents of a key are outside input).
+    fn macs(&self) -> Option<u64> {
+        fn product<T: TryInto<u64>>(extents: impl IntoIterator<Item = T>) -> Option<u64> {
+            extents.into_iter().try_fold(1u64, |acc, e| acc.checked_mul(e.try_into().ok()?))
+        }
         match self {
-            Problem::MatMul(problem) => problem.macs(),
-            Problem::Batched(batch) => batch.macs(),
-            Problem::Conv(layer) => layer.macs(),
+            Problem::MatMul(p) => product([p.m, p.n, p.k]),
+            Problem::Batched(batch) => {
+                let p = batch.problem;
+                product([p.m, p.n, p.k])?.checked_mul(batch.batch.try_into().ok()?)
+            }
+            Problem::Conv(l) => {
+                let (hw, f) = (l.out_hw(), l.filter_hw);
+                product([l.out_channels, hw, hw, l.in_channels, f, f])
+            }
         }
     }
 
@@ -136,35 +150,6 @@ impl fmt::Display for Problem {
     }
 }
 
-/// The accelerator a candidate instantiates; renders as the key's
-/// `accel` member (`v4_16`, `v2_8`, `conv2d`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Target {
-    /// A Table I MatMul generation at a size.
-    MatMul(AccelInstance),
-    /// The §IV-D Conv2D unit, configured by the layer.
-    Conv2d,
-}
-
-impl Target {
-    /// Parses the `Display` spelling back (`v3_0` and `v9_8` are `None`).
-    pub fn parse(text: &str) -> Option<Target> {
-        match text {
-            "conv2d" => Some(Target::Conv2d),
-            _ => AccelInstance::parse(text).map(Target::MatMul),
-        }
-    }
-}
-
-impl fmt::Display for Target {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Target::MatMul(accel) => accel.fmt(f),
-            Target::Conv2d => f.write_str("conv2d"),
-        }
-    }
-}
-
 /// The dataflow a candidate runs; renders as the key's `flow` member
 /// (`Ns`/`As`/`Bs`/`Cs`, `FOs` for conv).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -204,8 +189,8 @@ impl fmt::Display for Flow {
 pub struct CandidateKey {
     /// Workload kind and problem.
     pub workload: Problem,
-    /// Accelerator instantiation.
-    pub accel: Target,
+    /// The device it runs on (the `accel` member: `v4_16`, `conv2d`).
+    pub accel: Device,
     /// Dataflow.
     pub flow: Flow,
     /// The `(tM, tN, tK)` tile; `(0, 0, 0)` for spaces without a tile
@@ -233,21 +218,32 @@ impl CandidateKey {
     /// (the rule is stated on [`Self::at`]).
     pub(crate) fn defect(&self) -> Option<(&'static str, &'static str)> {
         let (tm, tn, tk) = self.tile;
-        match (self.workload, self.accel, self.flow) {
-            (Problem::Conv(_), Target::Conv2d, Flow::FilterOutputStationary) => {
+        let shape = match (self.workload, self.accel, self.flow) {
+            (Problem::Conv(_), Device::Conv2d, Flow::FilterOutputStationary) => {
                 (self.tile != (0, 0, 0)).then_some(("tile", "must be [0, 0, 0] on the conv2d unit"))
             }
-            (Problem::Conv(_), Target::Conv2d, _) => Some(("flow", "must be FOs on conv2d")),
+            (Problem::Conv(_), Device::Conv2d, _) => Some(("flow", "must be FOs on conv2d")),
             (Problem::Conv(_), ..) => Some(("accel", "must be conv2d for a conv workload")),
-            (_, Target::Conv2d, _) => Some(("accel", "must be a vN_SIZE MatMul instance")),
-            (_, Target::MatMul(accel), Flow::MatMul(flow))
-                if matmul_flows(accel.version).iter().any(|&(offered, _)| offered == flow) =>
+            (_, Device::Conv2d, _) => Some(("accel", "must be a vN_SIZE MatMul instance")),
+            (_, Device::MatMul { version, .. }, Flow::MatMul(flow))
+                if matmul_flows(version).iter().any(|&(offered, _)| offered == flow) =>
             {
                 (tm <= 0 || tn <= 0 || tk <= 0)
                     .then_some(("tile", "must be positive on a MatMul instance"))
             }
             _ => Some(("flow", "must be a flow the accelerator offers")),
-        }
+        };
+        // The device must accept the problem: the rule a `JobSpec` is
+        // refused by, asked before anything is built or allocated.
+        shape.or(match self.workload {
+            Problem::Conv(layer) if conv_point(conv_shape(&layer)).is_err() => {
+                Some(("workload", "must fit the conv2d unit's window and output-slice buffers"))
+            }
+            problem if problem.macs().is_none() => {
+                Some(("workload", "must have a multiply-accumulate count that fits 64 bits"))
+            }
+            _ => None,
+        })
     }
 
     /// The identity and work (MACs) of this candidate measured at
@@ -261,7 +257,9 @@ impl CandidateKey {
     /// Names the offending member of a key outside the closed buildable
     /// world: a MatMul-shaped problem runs on a `vN_SIZE` instance under
     /// a flow that generation offers with a positive tile; a conv layer
-    /// runs on `conv2d` under `FOs` with no tile.
+    /// runs on `conv2d` under `FOs` with no tile; and the device accepts
+    /// the problem — a conv layer passes `conv_point` (the rule
+    /// `JobSpec::build` applies) and any MAC count fits `u64`.
     pub fn at(&self, fidelity: Fidelity) -> Result<(CandidateKey, u64), Diagnostic> {
         if let Some((member, must)) = self.defect() {
             return Err(Diagnostic::error(format!("candidate key: `{member}` {must}")));
@@ -276,7 +274,8 @@ impl CandidateKey {
             }
             _ => self.options,
         };
-        Ok((CandidateKey { workload, options, ..*self }, workload.macs()))
+        let work = workload.macs().expect("no larger than the problem `defect` admitted");
+        Ok((CandidateKey { workload, options, ..*self }, work))
     }
 }
 
@@ -485,7 +484,7 @@ fn keyed(
             out.push(Candidate {
                 key: CandidateKey {
                     workload,
-                    accel: Target::MatMul(point.accel),
+                    accel: point.accel.into(),
                     flow: Flow::MatMul(point.flow),
                     tile: point.tile,
                     options,
@@ -544,7 +543,8 @@ pub fn realize(key: &CandidateKey, fidelity: Fidelity) -> Result<Realization, Di
     let (key, work) = key.at(fidelity)?;
     let plan = match (key.workload, key.accel, key.flow) {
         (Problem::Conv(layer), ..) => CompilePlan::for_conv_layer(layer),
-        (_, Target::MatMul(accel), Flow::MatMul(flow)) => {
+        (_, Device::MatMul { version, size }, Flow::MatMul(flow)) => {
+            let accel = AccelInstance { version, size: size.get().into() };
             CompilePlan::for_accelerator(accel.config(key.tile, flow))
         }
         _ => unreachable!("`at` admits no MatMul problem off a MatMul instance and flow"),
@@ -560,7 +560,7 @@ pub fn realize(key: &CandidateKey, fidelity: Fidelity) -> Result<Realization, Di
 
 impl DesignSpace for MatMulSpace {
     fn describe(&self) -> String {
-        let accels: Vec<String> = self.accels.iter().map(AccelInstance::label).collect();
+        let accels: Vec<String> = self.accels.iter().map(AccelInstance::to_string).collect();
         format!("matmul {} on {}", self.problem, accels.join("+"))
     }
 
@@ -580,7 +580,7 @@ impl DesignSpace for MatMulSpace {
         Some(Candidate {
             key: CandidateKey {
                 workload: Problem::MatMul(self.problem),
-                accel: Target::MatMul(*v4),
+                accel: (*v4).into(),
                 flow: Flow::MatMul(choice.flow),
                 tile: choice.tile,
                 options: self.options_axis.first().copied().unwrap_or_default(),
@@ -666,7 +666,7 @@ impl BatchedSpace {
 
 impl DesignSpace for BatchedSpace {
     fn describe(&self) -> String {
-        let accels: Vec<String> = self.accels.iter().map(AccelInstance::label).collect();
+        let accels: Vec<String> = self.accels.iter().map(AccelInstance::to_string).collect();
         format!("batched {} on {}", self.batch, accels.join("+"))
     }
 
@@ -692,7 +692,7 @@ impl DesignSpace for BatchedSpace {
         Some(Candidate {
             key: CandidateKey {
                 workload: Problem::Batched(self.batch),
-                accel: Target::MatMul(*v4),
+                accel: (*v4).into(),
                 flow: Flow::MatMul(choice.flow),
                 tile: choice.tile,
                 options: self.options_axis.first().copied().unwrap_or_default(),
@@ -798,7 +798,7 @@ impl DesignSpace for ConvSpace {
             .map(|options| Candidate {
                 key: CandidateKey {
                     workload: Problem::Conv(self.layer),
-                    accel: Target::Conv2d,
+                    accel: Device::Conv2d,
                     flow: Flow::FilterOutputStationary,
                     tile: (0, 0, 0),
                     options,
@@ -999,10 +999,10 @@ mod tests {
         let accels = [AccelInstance { version: MatMulVersion::V2, size: 8 }, AccelInstance::v4(8)];
         let space = MatMulSpace::new(MatMulProblem::new(16, 16, 16)).accels(accels.to_vec());
         let candidates = space.enumerate().unwrap();
-        let on = |accel| candidates.iter().find(|c| c.key.accel == Target::MatMul(accel));
+        let on = |accel: AccelInstance| candidates.iter().find(|c| c.key.accel == accel.into());
         let v2 = on(accels[0]).unwrap();
         let r = space.realize(v2, Fidelity::Full).unwrap();
-        assert_eq!(r.plan.config.as_ref().unwrap().name, "v2_8");
+        assert_eq!(r.plan.config.as_ref().unwrap().device, v2.key.accel);
         assert_eq!(r.work, 16 * 16 * 16);
         let v4 = on(accels[1]).unwrap();
         let r = space.realize(v4, Fidelity::Proxy { level: 1 }).unwrap();
@@ -1029,11 +1029,11 @@ mod tests {
         // The proxy is a genuinely smaller problem under its own cache key.
         assert!(proxy.work < full.work, "{} !< {}", proxy.work, full.work);
         assert_ne!(proxy.key, full.key);
-        // Its accelerator configuration is the layer's (same preset name),
-        // so the proxy measures the same device the full layer targets.
+        // Its accelerator configuration is the layer's, so the proxy
+        // measures the same device the full layer targets.
         assert_eq!(
-            proxy.plan.config.as_ref().unwrap().name,
-            full.plan.config.as_ref().unwrap().name
+            proxy.plan.config.as_ref().unwrap().device,
+            full.plan.config.as_ref().unwrap().device
         );
         // Doubling the level grows the proxy toward the layer, and a
         // covering level realizes the layer itself under the full key.

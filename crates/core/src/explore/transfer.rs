@@ -48,7 +48,7 @@ use axi4mlir_heuristics::{
 use axi4mlir_workloads::matmul::MatMulProblem;
 
 use super::cache::CachedEval;
-use super::space::{conv_shape, Candidate, CandidateKey, Flow, Problem, Target};
+use super::space::{conv_shape, Candidate, CandidateKey, Device, Flow, Problem};
 
 /// One calibration observation: where in shape space it was measured and
 /// the correction it saw.
@@ -92,10 +92,10 @@ impl Prediction {
 }
 
 /// The exact-tier signature: (kind, accel, flow, tile, options).
-type ExactSig = (&'static str, Target, Flow, (i64, i64, i64), OptionsPoint);
+type ExactSig = (&'static str, Device, Flow, (i64, i64, i64), OptionsPoint);
 /// The coarse-tier signature: (kind, accel, flow, options) — the tile is
 /// folded into the shape coordinates instead.
-type CoarseSig = (&'static str, Target, Flow, OptionsPoint);
+type CoarseSig = (&'static str, Device, Flow, OptionsPoint);
 
 /// The fitted cross-problem transfer model.
 #[derive(Clone, Debug, Default)]
@@ -258,7 +258,7 @@ mod tests {
     fn key(workload: &str, flow: &str, tile: (i64, i64, i64)) -> CandidateKey {
         CandidateKey {
             workload: Problem::parse(workload).unwrap(),
-            accel: Target::parse("v4_8").unwrap(),
+            accel: Device::parse("v4_8").unwrap(),
             flow: Flow::parse(flow).unwrap(),
             tile,
             options: OptionsPoint::default(),
@@ -287,7 +287,7 @@ mod tests {
     fn conv_key(layer: &str) -> CandidateKey {
         CandidateKey {
             workload: Problem::parse(&format!("conv {layer}")).unwrap(),
-            accel: Target::Conv2d,
+            accel: Device::Conv2d,
             flow: Flow::FilterOutputStationary,
             tile: (0, 0, 0),
             options: OptionsPoint::default(),

@@ -41,9 +41,10 @@
 //! A [`driver::Session`] is the only harness — hand-written baseline
 //! drivers run through [`driver::Session::run_manual`], on the same bound
 //! buffers and under the same checks as compiled code; [`pipeline`] holds
-//! the IR module builders the workloads use and
-//! [`pipeline::DeviceModel`], the one decision of which functional
-//! device a configuration gets.
+//! the IR module builders the workloads use. Which functional device a
+//! run gets is not decided here: a configuration carries a typed
+//! [`Device`](axi4mlir_accelerators::Device), parsed from its name where
+//! the text entered, and the session instantiates exactly that.
 //!
 //! On top of the driver layer, [`explore`] turns the §IV-C configuration
 //! heuristics into a measured search that is generic over what it

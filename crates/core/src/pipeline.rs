@@ -1,81 +1,16 @@
-//! IR module builders and the device decision.
+//! IR module builders.
 //!
 //! The compile-and-run loop itself lives in the [`crate::driver`] layer
 //! ([`Workload`](crate::driver::Workload) +
 //! [`Session`](crate::driver::Session)); this module keeps the
-//! `func`/`linalg` module builders the in-tree workloads call and
-//! [`DeviceModel`], the one place that decides which functional device
-//! model a configuration gets. A configuration is outside input (a
-//! Fig. 5 JSON), so the decision is fallible: a name that asks for a
-//! device of non-positive size is a [`Diagnostic`], never a panic in a
-//! model's constructor.
+//! `func`/`linalg` module builders the in-tree workloads call.
 
-use axi4mlir_accelerators::conv::ConvAccel;
-use axi4mlir_accelerators::matmul::{MatMulAccel, MatMulVersion};
-use axi4mlir_config::{AcceleratorConfig, KernelKind};
 use axi4mlir_dialects::{func, linalg};
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::types::{MemRefType, Type};
-use axi4mlir_sim::axi::StreamAccelerator;
-use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
 use axi4mlir_workloads::matmul::MatMulProblem;
 use axi4mlir_workloads::resnet::ConvLayer;
-
-/// Identity of the functional device a configuration describes: two
-/// configurations get the same model iff their `DeviceModel`s are equal,
-/// which is what a [`Session`](crate::driver::Session) compares before
-/// swapping devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeviceModel {
-    /// The §IV-D Conv2D model.
-    Conv2d,
-    /// A Table I MatMul model.
-    MatMul {
-        /// Accelerator generation.
-        version: MatMulVersion,
-        /// Base tile size (positive).
-        size: u32,
-    },
-}
-
-impl DeviceModel {
-    /// Decides the model for `config`. Conv configurations get the
-    /// Conv2D model. MatMul configurations named `v<1-4>_<size>`
-    /// (Table I) get exactly that; a bare `v<1-4>` takes its size from
-    /// `accel_size[0]`; any other name is a v3 of `accel_size[0]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Diagnostic`] when the size so chosen is not a positive
-    /// 32-bit number (`v3_0`, `v3_-4`, or a fall-back onto a non-positive
-    /// `accel_size[0]`).
-    pub fn of(config: &AcceleratorConfig) -> Result<Self, Diagnostic> {
-        if config.kernel == KernelKind::Conv2dNchwFchw {
-            return Ok(DeviceModel::Conv2d);
-        }
-        let (version, size) = MatMulVersion::parse_instance(&config.name).unwrap_or((
-            MatMulVersion::parse(&config.name).unwrap_or(MatMulVersion::V3),
-            config.accel_dims.first().copied().unwrap_or(4),
-        ));
-        match u32::try_from(size) {
-            Ok(size) if size > 0 => Ok(DeviceModel::MatMul { version, size }),
-            _ => Err(Diagnostic::error(format!(
-                "accelerator {}: a {version} device of size {size} cannot be built \
-                 (the size must be a positive 32-bit number)",
-                config.name
-            ))),
-        }
-    }
-
-    /// Builds the model.
-    pub(crate) fn instantiate(self) -> Box<dyn StreamAccelerator> {
-        match self {
-            DeviceModel::Conv2d => Box::new(ConvAccel::new()),
-            DeviceModel::MatMul { version, size } => Box::new(MatMulAccel::new(version, size)),
-        }
-    }
-}
 
 /// Builds `func.func @matmul_call(%A, %B, %C)` containing one
 /// matmul-traited `linalg.generic`.
@@ -159,7 +94,7 @@ mod tests {
     use crate::driver::{CompilePlan, ConvWorkload, MatMulWorkload, RunReport, Session};
     use crate::options::{CacheTiling, PipelineOptions};
     use axi4mlir_accelerators::matmul::MatMulVersion;
-    use axi4mlir_config::FlowStrategy;
+    use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 
     /// One-shot MatMul run of `plan` on the device it names.
     fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
@@ -224,50 +159,12 @@ mod tests {
         assert!(report.counters.dma_bytes_from_accel > 0);
     }
 
-    fn model_name(config: &AcceleratorConfig) -> String {
-        DeviceModel::of(config).unwrap().instantiate().name().to_owned()
-    }
-
     #[test]
     fn instantiates_matching_accelerators() {
-        let v1 = AcceleratorConfig::matmul(MatMulVersion::V1, 8);
-        assert_eq!(model_name(&v1), "v1_8");
-        let v4 = AcceleratorConfig::matmul(MatMulVersion::V4, 16);
-        assert_eq!(model_name(&v4), "v4_16");
-        let conv = AcceleratorConfig::conv2d(4, 1);
-        assert_eq!(model_name(&conv), "conv2d");
-    }
-
-    #[test]
-    fn malformed_names_fall_back_to_v3_of_the_configured_size() {
-        // `v5_4`: unknown version prefix. `v3_x`: unparseable size.
-        // `nounderscore`: no `_` separator at all. Every one falls back to
-        // a v3 model sized by `accel_dims[0]`.
-        for bad_name in ["v5_4", "v3_x", "nounderscore"] {
-            let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
-            config.name = bad_name.to_owned();
-            assert_eq!(
-                model_name(&config),
-                "v3_8",
-                "`{bad_name}` must fall back to the v3 default"
-            );
-        }
-        // The fallback size itself defaults to 4 when accel_dims is empty.
-        let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
-        config.name = "weird".to_owned();
-        config.accel_dims = Vec::new();
-        assert_eq!(model_name(&config), "v3_4");
-    }
-
-    #[test]
-    fn well_formed_names_choose_every_version() {
-        for (name, expect) in
-            [("v1_4", "v1_4"), ("v2_8", "v2_8"), ("v3_16", "v3_16"), ("v4_32", "v4_32")]
-        {
-            let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
-            config.name = name.to_owned();
-            assert_eq!(model_name(&config), expect);
-        }
+        let model_name = |config: AcceleratorConfig| config.device.instantiate().name().to_owned();
+        assert_eq!(model_name(AcceleratorConfig::matmul(MatMulVersion::V1, 8)), "v1_8");
+        assert_eq!(model_name(AcceleratorConfig::matmul(MatMulVersion::V4, 16)), "v4_16");
+        assert_eq!(model_name(AcceleratorConfig::conv2d(4, 1)), "conv2d");
     }
 
     #[test]

@@ -14,8 +14,8 @@ use axi4mlir_config::FlowStrategy;
 use axi4mlir_core::explore::cache::{self, key_from, key_to_json};
 use axi4mlir_core::explore::wire::{candidate_from, candidate_to_json};
 use axi4mlir_core::explore::{
-    AccelInstance, BatchedSpace, CandidateKey, ConvSpace, DesignSpace, Fidelity, Flow, MatMulSpace,
-    MatMulVersion, Problem, Target,
+    AccelInstance, BatchedSpace, CandidateKey, ConvSpace, DesignSpace, Device, Fidelity, Flow,
+    JobSpec, MatMulSpace, MatMulVersion, Problem,
 };
 use axi4mlir_support::json::JsonValue;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
@@ -41,11 +41,11 @@ proptest! {
     #[test]
     fn every_field_round_trips_through_its_codec(
         problem in common::problem(),
-        target in common::target(),
+        device in common::device(),
         flow in common::flow(),
     ) {
         prop_assert_eq!(Problem::parse(&problem.to_string()), Some(problem));
-        prop_assert_eq!(Target::parse(&target.to_string()), Some(target));
+        prop_assert_eq!(Device::parse(&device.to_string()), Some(device));
         prop_assert_eq!(Flow::parse(&flow.to_string()), Some(flow));
     }
 
@@ -64,13 +64,13 @@ fn fields_render_the_persisted_spellings() {
     assert_eq!(Problem::MatMul(gemm).to_string(), "matmul 16x16x16");
     assert_eq!(Problem::Batched(batch).to_string(), "batched 8x8x8 x3");
     assert_eq!(Problem::Conv(quick_layer()).to_string(), "conv 10_64_3_16_1");
-    assert_eq!(Target::Conv2d.to_string(), "conv2d");
+    assert_eq!(Device::Conv2d.to_string(), "conv2d");
     assert_eq!(Flow::FilterOutputStationary.to_string(), "FOs");
     let versions = [MatMulVersion::V1, MatMulVersion::V2, MatMulVersion::V3, MatMulVersion::V4];
     for (n, version) in versions.into_iter().enumerate() {
         for size in [4, 8, 16] {
-            let target = Target::MatMul(AccelInstance { version, size });
-            assert_eq!(target.to_string(), format!("v{}_{size}", n + 1));
+            let device = Device::from(AccelInstance { version, size });
+            assert_eq!(device.to_string(), format!("v{}_{size}", n + 1));
         }
     }
     for (flow, name) in FlowStrategy::all().into_iter().zip(["Ns", "As", "Bs", "Cs"]) {
@@ -81,7 +81,7 @@ fn fields_render_the_persisted_spellings() {
         assert_eq!(Problem::parse(text), None, "{text:?}");
     }
     for text in ["v3_0", "v9_8", "v3_banana", "conv3d"] {
-        assert_eq!(Target::parse(text), None, "{text:?}");
+        assert_eq!(Device::parse(text), None, "{text:?}");
     }
     assert_eq!(Flow::parse("Ds"), None);
 }
@@ -182,6 +182,15 @@ fn both_boundaries_refuse_keys_that_name_no_buildable_configuration() {
         ("zero MatMul tile", &matmul, ("tile", tile(0, 0, 0)), "tile"),
         ("negative MatMul tile", &matmul, ("tile", tile(8, -8, 8)), "tile"),
         ("a conv key with a tile", &conv, ("tile", tile(8, 8, 8)), "tile"),
+        // The device must accept the problem (both panicked a worker slot).
+        ("a window past the unit", &conv, ("workload", "conv 10_4096_3_4_1".into()), "workload"),
+        ("an overflowing slice", &conv, ("workload", "conv 4294967296_1_1_1_1".into()), "workload"),
+        (
+            "a MAC count past u64",
+            &matmul,
+            ("workload", "matmul 4294967296x4294967296x4294967296".into()),
+            "workload",
+        ),
     ];
     for (what, candidate, edit, blamed) in cases {
         let wire = candidate_to_json(candidate);
@@ -212,6 +221,26 @@ fn both_boundaries_refuse_keys_that_name_no_buildable_configuration() {
     }
 }
 
+/// A conv key is buildable iff `conv_point` — and therefore
+/// `JobSpec::build` — accepts its layer.
+#[test]
+fn a_conv_key_is_buildable_iff_its_layer_is_a_valid_job() {
+    let base = ConvSpace::new(quick_layer()).enumerate().unwrap()[0].key;
+    let labels = axi4mlir_workloads::resnet::resnet18_layers().into_iter().map(|l| l.label());
+    let mut refused = 0;
+    for label in labels.chain(["10_4096_3_4_1".to_owned(), "4294967296_1_1_1_1".to_owned()]) {
+        let workload = Problem::parse(&format!("conv {label}")).expect("a layer label");
+        let key = CandidateKey { workload, ..base };
+        let job = JobSpec { workload: "conv".to_owned(), layer: Some(label), ..JobSpec::default() };
+        assert_eq!(key.at(Fidelity::Full).is_ok(), job.build().is_ok(), "{workload}");
+        if let Err(err) = key.at(Fidelity::Full) {
+            assert!(err.message.contains("`workload`"), "{}", err.message);
+            refused += 1;
+        }
+    }
+    assert!(refused >= 2, "the two hand-built labels are refused");
+}
+
 #[test]
 fn shard_documents_order_entries_by_their_rendered_members() {
     // Lexical, not numeric or declaration order: `v4_16` sorts before
@@ -222,7 +251,7 @@ fn shard_documents_order_entries_by_their_rendered_members() {
     for size in [8, 16] {
         for flow in FlowStrategy::all() {
             let key = CandidateKey {
-                accel: Target::MatMul(AccelInstance::v4(size)),
+                accel: AccelInstance::v4(size).into(),
                 flow: Flow::MatMul(flow),
                 ..base
             };

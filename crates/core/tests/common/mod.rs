@@ -10,10 +10,11 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use axi4mlir_accelerators::conv::CONV_WINDOW_CAPACITY;
 use axi4mlir_config::{CacheTiling, CpuModel, FlowStrategy};
 use axi4mlir_core::explore::cache::CachedEval;
 use axi4mlir_core::explore::{
-    AccelInstance, CandidateKey, Flow, MatMulVersion, OptionsPoint, Problem, Target,
+    AccelInstance, CandidateKey, Device, Flow, MatMulVersion, OptionsPoint, Problem,
 };
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_workloads::batched::BatchedMatMulProblem;
@@ -73,8 +74,8 @@ pub fn accel_instance() -> impl Strategy<Value = AccelInstance> {
     (version, 1i64..=1024).prop_map(|(version, size)| AccelInstance { version, size })
 }
 
-pub fn target() -> impl Strategy<Value = Target> {
-    prop_oneof![Just(Target::Conv2d), accel_instance().prop_map(Target::MatMul)]
+pub fn device() -> impl Strategy<Value = Device> {
+    prop_oneof![Just(Device::Conv2d), accel_instance().prop_map(Device::from)]
 }
 
 pub fn flow() -> impl Strategy<Value = Flow> {
@@ -84,15 +85,21 @@ pub fn flow() -> impl Strategy<Value = Flow> {
     ]
 }
 
-/// Whole keys that name a buildable configuration: a conv layer on the
-/// conv2d unit, or a GEMM on an instance under one of its own flows.
+/// Whole keys that name a buildable configuration: a conv layer the
+/// conv2d unit can hold (channels clamped until the window fits), or a
+/// GEMM on an instance under one of its own flows.
 pub fn candidate_key() -> impl Strategy<Value = CandidateKey> {
     let tile = (1i64..=256, 1i64..=256, 1i64..=256);
     (problem(), accel_instance(), any::<usize>(), tile, options_point(), any::<u64>()).prop_map(
         |(workload, accel, pick, tile, options, seed)| match workload {
-            Problem::Conv(_) => CandidateKey {
-                workload,
-                accel: Target::Conv2d,
+            Problem::Conv(layer) => CandidateKey {
+                workload: Problem::Conv(ConvLayer {
+                    in_channels: layer
+                        .in_channels
+                        .clamp(1, CONV_WINDOW_CAPACITY / (layer.filter_hw * layer.filter_hw)),
+                    ..layer
+                }),
+                accel: Device::Conv2d,
                 flow: Flow::FilterOutputStationary,
                 tile: (0, 0, 0),
                 options,
@@ -101,7 +108,7 @@ pub fn candidate_key() -> impl Strategy<Value = CandidateKey> {
             _ => {
                 let flows = accel.flows();
                 let flow = Flow::MatMul(flows[pick % flows.len()]);
-                CandidateKey { workload, accel: Target::MatMul(accel), flow, tile, options, seed }
+                CandidateKey { workload, accel: accel.into(), flow, tile, options, seed }
             }
         },
     )

@@ -1,78 +1,98 @@
-//! The device decision ([`DeviceModel::of`]): which functional model a
-//! configuration gets, decided once and fallibly — a name is outside
-//! input (a Fig. 5 JSON) and must not be able to panic a run.
+//! The one device decision ([`Device::parse`]): an accelerator name is
+//! read in one place, and what it parsed to is what the lint checks
+//! opcodes against, what the session instantiates and what the report
+//! names. The two text boundaries — a Fig. 5 JSON `name`, an `accel_name`
+//! attribute in a parsed `.mlir` — refuse every other spelling.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
-use axi4mlir_config::AcceleratorConfig;
+use axi4mlir_accelerators::Device;
+use axi4mlir_config::SystemConfig;
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
-use axi4mlir_core::pipeline::DeviceModel;
+use axi4mlir_dialects::lint::{check_isa, lint_module, LINT_ISA_OPCODE};
 use axi4mlir_heuristics::space::AccelInstance;
+use axi4mlir_ir::parser::parse_module;
+use axi4mlir_support::diag::DiagnosticEngine;
 use axi4mlir_workloads::matmul::MatMulProblem;
 
-fn v3(size: i64) -> AcceleratorConfig {
-    AcceleratorConfig::matmul(MatMulVersion::V3, size)
+/// The `tests/malformed/unknown_device.json` description — a valid
+/// v1-opcode MatMul accelerator but for its name — renamed and resized.
+fn v1_opcode_document(name: &str, size: u32) -> String {
+    include_str!("../../../tests/malformed/unknown_device.json")
+        .replace("\"mine\"", &format!("\"{name}\""))
+        .replace("[4, 4, 4]", &format!("[{size}, {size}, {size}]"))
 }
 
-/// The three readers of an accelerator name — the version parser the
-/// lint trusts, the instance parser the explorer uses, and the device
-/// decision — must tell one story.
+/// The parser's table, and one story downstream of it: for a v1-opcode
+/// configuration under every spelling the parser accepts, the device the
+/// lint judges the opcodes by, the device the session builds and the
+/// name the report carries are the same [`Device`].
 #[test]
 fn the_name_parsers_and_the_device_decision_agree() {
     use MatMulVersion::{V1, V2, V3, V4};
-    // (name, version parser, instance parser, device for accel_size[0] = 8)
-    let v3_of_dims = Some((V3, 8));
-    let table = [
-        ("v1_4", Some(V1), Some((V1, 4)), Some((V1, 4))),
-        ("v2_8", Some(V2), Some((V2, 8)), Some((V2, 8))),
-        ("v3_16", Some(V3), Some((V3, 16)), Some((V3, 16))),
-        ("v4_16", Some(V4), Some((V4, 16)), Some((V4, 16))),
-        ("v3", Some(V3), None, v3_of_dims),
-        ("v2", Some(V2), None, Some((V2, 8))),
-        ("v3_banana", None, None, v3_of_dims),
-        ("v3_0", Some(V3), None, None),
-        ("conv2d", None, None, v3_of_dims),
-        ("mine", None, None, v3_of_dims),
-    ];
-    for (name, version, instance, device) in table {
-        assert_eq!(MatMulVersion::parse(name), version, "version parser on `{name}`");
-        let parsed = AccelInstance::parse(name).map(|a| (a.version, a.size));
-        assert_eq!(parsed, instance, "instance parser on `{name}`");
-        let mut config = v3(8);
-        config.name = name.to_owned();
-        let decided = match DeviceModel::of(&config) {
-            Ok(DeviceModel::MatMul { version, size }) => Some((version, i64::from(size))),
-            Ok(DeviceModel::Conv2d) => panic!("`{name}`: a MatMul kernel got the conv model"),
-            Err(_) => None,
-        };
-        assert_eq!(decided, device, "device decision on `{name}`");
-        // Whatever generation the lint checks opcodes against is the
-        // generation of the device that will decode them.
-        if let (Some(version), Some((built, _))) = (version, decided) {
-            assert_eq!(version, built, "`{name}`");
+    let workload = MatMulWorkload::new(MatMulProblem::square(16));
+    for (version, n) in [(V1, 1), (V2, 2), (V3, 3), (V4, 4)] {
+        for size in [4u32, 8, 16] {
+            let name = format!("v{n}_{size}");
+            let device = Device::parse(&name).unwrap_or_else(|| panic!("`{name}` is a device"));
+            assert_eq!(device, Device::MatMul { version, size: size.try_into().unwrap() });
+            assert_eq!(device.to_string(), name, "Display is the spelling parse reads");
+            let instance = AccelInstance::parse(&name).expect("the enumerators' handle agrees");
+            assert_eq!(Device::from(instance), device);
+
+            let system = SystemConfig::from_json(&v1_opcode_document(&name, size)).unwrap();
+            let config = system.accelerator(&name).expect("found under its spelling").clone();
+            assert_eq!(config.device, device, "the JSON boundary parsed `{name}`");
+            let decodes_v1 = check_isa(config.device, &config.opcode_map).is_empty();
+            assert_eq!(decodes_v1, version == V1, "the lint judges `{name}` by its generation");
+
+            let mut session = Session::for_sweep();
+            let outcome = session.run(&workload, &CompilePlan::for_accelerator(config));
+            assert_eq!(session.soc().accel.name(), name, "the session built that device");
+            match outcome {
+                Ok(report) => {
+                    assert!(version == V1 && report.verified, "`{name}` ran v1 opcodes");
+                    assert_eq!(report.accel_name, name);
+                }
+                Err(err) => assert!(version != V1, "`{name}`: {}", err.message),
+            }
         }
+    }
+    assert_eq!(Device::parse("conv2d"), Some(Device::Conv2d));
+    assert_eq!(Device::Conv2d.to_string(), "conv2d");
+    assert_eq!(AccelInstance::parse("conv2d"), None, "no MatMul instance");
+    for text in ["v3_0", "v3_-4", "v9_8", "v3", "v3_banana", "conv", "mine", "v3_08", "V3_8", ""] {
+        assert_eq!(Device::parse(text), None, "`{text}`");
+        assert_eq!(AccelInstance::parse(text), None, "`{text}`");
     }
 }
 
-/// Regression: a configuration named `v3_0` passed `validate()` and
-/// then panicked the process in `MatMulAccel::new` from inside
-/// `Session::run`. A name is outside input: a device it describes
-/// that cannot be built is a diagnostic, and an unknown generation
-/// still falls back to a v3 of `accel_size[0]`.
+/// A name is outside input at two boundaries. A Fig. 5 document whose
+/// `name` is no device (or not one for its `kernel`) is refused by name —
+/// `v3_0` once passed validation and panicked in the model's constructor,
+/// `mine` ran on a `v3_4` after a lint that checked nothing — and an
+/// `accel_name` attribute that names no device is a `lint::isa-opcode`
+/// error, not a switch that turns the ISA check off.
 #[test]
 fn a_name_asking_for_an_unbuildable_device_is_a_diagnostic_not_a_panic() {
-    let workload = MatMulWorkload::new(MatMulProblem::square(8));
-    for name in ["v3_0", "v3_-4"] {
-        let mut config = v3(4);
-        config.name = name.to_owned();
-        config.validate().expect("the name alone does not fail validation");
-        let plan = CompilePlan::for_accelerator(config);
-        let err = Session::for_sweep().run(&workload, &plan).unwrap_err();
-        assert!(err.message.contains("cannot be built"), "{name}: {}", err.message);
+    for name in ["mine", "conv_like", "v3", "v3_0", "v3_-4", "v9_8", "conv2d"] {
+        let err = SystemConfig::from_json(&v1_opcode_document(name, 4)).unwrap_err();
+        assert!(err.message.contains(&format!("accelerator {name}:")), "{name}: {}", err.message);
     }
-    let mut config = v3(4);
-    config.name = "v9_8".to_owned();
-    let plan = CompilePlan::for_accelerator(config);
-    let mut session = Session::for_sweep();
-    assert!(session.run(&workload, &plan).unwrap().verified);
-    assert_eq!(session.soc().accel.name(), "v3_4", "unknown generation: v3 of accel_size[0]");
+
+    let fixture = include_str!("../../../tests/lint/isa_opcode.mlir");
+    for (accel_name, unchecked) in [("v1_4", false), ("mine", true)] {
+        let text =
+            fixture.replace("accel_name = \"v1_4\"", &format!("accel_name = \"{accel_name}\""));
+        let module = parse_module(&text).expect("the fixture is well-formed text");
+        let mut diags = DiagnosticEngine::new();
+        lint_module(&module.ctx, module.top(), &mut diags).expect_err("an undecodable opcode");
+        let isa: Vec<_> = diags
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code.as_deref() == Some(LINT_ISA_OPCODE))
+            .collect();
+        assert!(!isa.is_empty(), "`{accel_name}`: {}", diags.render());
+        let says_unchecked = isa.iter().any(|d| d.message.contains("names no modelled device"));
+        assert_eq!(says_unchecked, unchecked, "`{accel_name}`: {}", diags.render());
+    }
 }

@@ -9,8 +9,8 @@ use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
 use axi4mlir_core::explore::shard::shard_name;
 use axi4mlir_core::explore::{
-    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, ExploreReport, Explorer, Flow,
-    HalvingSpec, MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search, Target,
+    AccelInstance, BatchedSpace, ConvSpace, DesignSpace, Device, ExploreReport, Explorer, Flow,
+    HalvingSpec, MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search,
 };
 use axi4mlir_heuristics::instantiation_base;
 use axi4mlir_support::diag::Diagnostic;
@@ -296,7 +296,7 @@ fn multi_generation_space_explores_v1_through_v4() {
     assert!(report.evaluations.iter().all(|e| e.verified));
     for &accel in &space.accels {
         assert!(
-            report.evaluations.iter().any(|e| e.candidate.key.accel == Target::MatMul(accel)),
+            report.evaluations.iter().any(|e| e.candidate.key.accel == Device::from(accel)),
             "{accel} measured"
         );
     }
@@ -307,7 +307,7 @@ fn multi_generation_space_explores_v1_through_v4() {
             .evaluations
             .iter()
             .find(|e| {
-                e.candidate.key.accel == Target::parse(accel).unwrap()
+                e.candidate.key.accel == Device::parse(accel).unwrap()
                     && e.candidate.key.flow == Flow::MatMul(FlowStrategy::NothingStationary)
                     && e.candidate.key.tile == (8, 8, 8)
             })
@@ -412,7 +412,8 @@ fn warm_started_halving_spends_fewer_full_sims_within_5pct_of_optimum() {
     assert!(!cold.warm_started);
     assert_eq!(cold.warm_informed, 0);
 
-    let warm_explorer = Explorer::new().warm_started(model);
+    let mut warm_explorer = Explorer::new();
+    warm_explorer.set_warm_start(model);
     assert!(warm_explorer.is_warm_started());
     let warm = sweep(&warm_explorer, &target(), Prune::None, &search, 2).expect("warm");
     assert!(warm.warm_started);

@@ -18,7 +18,7 @@ use axi4mlir_core::explore::cache::{self, CachedEval};
 use axi4mlir_core::explore::shard::{
     load_dir, merge, save_dir, shard_counts, shard_name, shard_of, shard_path,
 };
-use axi4mlir_core::explore::{CandidateKey, Flow, OptionsPoint, Problem, Target};
+use axi4mlir_core::explore::{CandidateKey, Device, Flow, OptionsPoint, Problem};
 use axi4mlir_sim::counters::PerfCounters;
 use common::{assert_same, entries};
 
@@ -113,7 +113,7 @@ const WORKLOAD: &str = "matmul 8x8x8";
 fn one_entry(seed: u64) -> HashMap<CandidateKey, CachedEval> {
     let key = CandidateKey {
         workload: Problem::parse(WORKLOAD).unwrap(),
-        accel: Target::parse("v4_8").unwrap(),
+        accel: Device::parse("v4_8").unwrap(),
         flow: Flow::parse("Cs").unwrap(),
         tile: (8, 8, 8),
         options: OptionsPoint::default(),

@@ -6,7 +6,7 @@
 //!
 //! | code | checks |
 //! |------|--------|
-//! | [`LINT_ISA_OPCODE`] | `opcode_map` instruction literals are decoded by the named accelerator generation |
+//! | [`LINT_ISA_OPCODE`] | `accel_name` names a modelled device and that device decodes every `opcode_map` instruction literal |
 //! | [`LINT_FLOW_LEGAL`] | `opcode_flow`/`init_opcodes` reference only defined opcodes |
 //! | [`LINT_DMA_BOUNDS`] | subview extents stay inside the source memref (integer-range analysis over the offsets) |
 //! | [`LINT_FIFO_CAPACITY`] | per-opcode staged bytes fit the DMA staging regions |
@@ -18,15 +18,14 @@
 //! tooling — the explorer's plan audit, the hub's `submit` validation — can
 //! key on the violation class without parsing prose.
 
-use axi4mlir_accelerators::isa;
-use axi4mlir_accelerators::matmul::MatMulVersion;
+use axi4mlir_accelerators::Device;
 use axi4mlir_ir::affine::AffineExpr;
 use axi4mlir_ir::analysis::{integer_ranges, IntRange, Liveness, ValueTable};
 use axi4mlir_ir::attrs::{Attribute, OpcodeAction, OpcodeFlow, OpcodeMap};
 use axi4mlir_ir::ops::{IrCtx, OpId};
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 
-/// Instruction literal not decoded by the named accelerator generation.
+/// Instruction literal the named device does not decode, or no such device.
 pub const LINT_ISA_OPCODE: &str = "lint::isa-opcode";
 /// Flow or `init_opcodes` references an opcode the map does not define.
 pub const LINT_FLOW_LEGAL: &str = "lint::flow-legal";
@@ -80,33 +79,18 @@ fn lint_warn(diags: &mut DiagnosticEngine, code: &str, path: &str, msg: impl Int
 // ---------------------------------------------------------------------
 
 /// Checks every opcode's instruction literal (the leading `send_literal`)
-/// against what the accelerator named `accel_name` decodes. Names outside
-/// the known generations (`v1`..`v4`, `conv*`) are skipped — the CPU
-/// baseline has no ISA.
-pub fn check_isa(accel_name: &str, map: &OpcodeMap) -> Vec<Diagnostic> {
-    enum Decoder {
-        MatMul(MatMulVersion),
-        Conv,
-    }
-    let decoder = match MatMulVersion::parse(accel_name) {
-        Some(version) => Decoder::MatMul(version),
-        None if accel_name.starts_with("conv") => Decoder::Conv,
-        None => return Vec::new(),
-    };
+/// against what `device` decodes.
+pub fn check_isa(device: Device, map: &OpcodeMap) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (name, actions) in map.iter() {
         let Some(OpcodeAction::SendLiteral { value }) = actions.first() else {
             continue;
         };
-        let supported = match &decoder {
-            Decoder::MatMul(version) => version.supports_opcode(*value),
-            Decoder::Conv => isa::conv_supports_opcode(*value),
-        };
-        if !supported {
+        if !device.decodes(*value) {
             out.push(
                 Diagnostic::error(format!(
                     "opcode `{name}` sends instruction literal {value:#x} which accelerator \
-                     `{accel_name}` does not decode"
+                     `{device}` does not decode"
                 ))
                 .with_code(LINT_ISA_OPCODE),
             );
@@ -186,26 +170,24 @@ pub fn check_fifo(
     out
 }
 
-/// Checks the total tile footprint against the accelerator's on-chip
-/// tile memory. Only the flexible `v4` generation takes a runtime tile:
-/// its device rejects a `cfg_dims` whose operand tiles sum past
-/// [`V4_CAPACITY_WORDS`](axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS)
-/// and keeps the previous tile, after which the host's transfer sizes no
-/// longer match what the device produces. Unknown footprints and other
-/// generations (fixed tiles sized with their buffers) are skipped.
-pub fn check_tile_memory(accel_name: &str, footprints: &[Option<i64>]) -> Vec<Diagnostic> {
-    if MatMulVersion::parse(accel_name) != Some(MatMulVersion::V4) {
+/// Checks the total tile footprint against the device's on-chip tile
+/// memory ([`Device::tile_memory_words`]). Only the flexible `v4` takes a
+/// runtime tile: it rejects a `cfg_dims` whose operand tiles sum past its
+/// capacity and keeps the previous tile, after which the host's transfer
+/// sizes no longer match what the device produces. Unknown footprints
+/// are skipped.
+pub fn check_tile_memory(device: Device, footprints: &[Option<i64>]) -> Vec<Diagnostic> {
+    let Some(capacity) = device.tile_memory_words() else {
         return Vec::new();
-    }
+    };
     let Some(words) = footprints.iter().copied().sum::<Option<i64>>() else {
         return Vec::new();
     };
-    let capacity = axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS;
     if words as u64 <= capacity {
         return Vec::new();
     }
     vec![Diagnostic::error(format!(
-        "tile footprint is {words} words but accelerator `{accel_name}` holds {capacity} \
+        "tile footprint is {words} words but accelerator `{device}` holds {capacity} \
              words of tile memory; the device would reject the tile configuration"
     ))
     .with_code(LINT_FIFO_CAPACITY)]
@@ -281,7 +263,17 @@ fn lint_annotated_op(ctx: &IrCtx, op: OpId, liveness: &Liveness, diags: &mut Dia
     let map = ctx.attr(op, "opcode_map").and_then(Attribute::as_opcodes);
     let flow = ctx.attr(op, "opcode_flow").and_then(Attribute::as_flow);
     let init = ctx.attr(op, "init_opcodes").and_then(Attribute::as_flow);
+    // Where an `accel_name` attribute becomes a device, or is refused.
     let name = ctx.attr(op, "accel_name").and_then(Attribute::as_str);
+    let device = name.and_then(Device::parse);
+    if let (Some(name), None) = (name, device) {
+        lint_err(
+            diags,
+            LINT_ISA_OPCODE,
+            &path,
+            format!("accelerator `{name}` names no modelled device, its opcodes cannot be checked"),
+        );
+    }
 
     if let Some(map) = map {
         // Flow legality: every reference resolves.
@@ -296,8 +288,8 @@ fn lint_annotated_op(ctx: &IrCtx, op: OpId, liveness: &Liveness, diags: &mut Dia
             }
         }
         // ISA legality of the instruction literals.
-        if let Some(name) = name {
-            for d in check_isa(name, map) {
+        if let Some(device) = device {
+            for d in check_isa(device, map) {
                 diags.emit(prefix_path(d, &path));
             }
         }
@@ -336,8 +328,8 @@ fn lint_annotated_op(ctx: &IrCtx, op: OpId, liveness: &Liveness, diags: &mut Dia
     }
 
     // Device tile memory vs. the summed operand footprints.
-    if let Some(name) = name {
-        for d in check_tile_memory(name, &footprints) {
+    if let Some(device) = device {
+        for d in check_tile_memory(device, &footprints) {
             diags.emit(prefix_path(d, &path));
         }
     }

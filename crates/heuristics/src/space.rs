@@ -20,6 +20,7 @@
 
 use axi4mlir_accelerators::conv::{CONV_SLICE_CAPACITY, CONV_WINDOW_CAPACITY};
 use axi4mlir_accelerators::matmul::MatMulVersion;
+use axi4mlir_accelerators::Device;
 use axi4mlir_config::presets::matmul_flows;
 use axi4mlir_config::{AcceleratorConfig, CacheTiling, CpuModel, FlowStrategy};
 use axi4mlir_support::diag::Diagnostic;
@@ -159,7 +160,8 @@ impl OptionsPoint {
     }
 }
 
-/// One MatMul accelerator instantiation a candidate can target.
+/// One MatMul accelerator instantiation a candidate can target: the
+/// enumerators' handle on a MatMul [`Device`], sized in tile arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AccelInstance {
     /// Table I generation.
@@ -174,15 +176,11 @@ impl AccelInstance {
         Self { version: MatMulVersion::V4, size: base }
     }
 
-    /// The preset name, e.g. `v3_16`.
-    pub fn label(&self) -> String {
-        self.version.instance_name(self.size)
-    }
-
-    /// Parses a [`Self::label`]-formatted name back into an instance.
+    /// The MatMul instance `text` names ([`Device::parse`]); `None` for
+    /// anything else, `conv2d` included.
     pub fn parse(text: &str) -> Option<Self> {
-        let (version, size) = MatMulVersion::parse_instance(text)?;
-        (size > 0).then_some(Self { version, size })
+        let Device::MatMul { version, size } = Device::parse(text)? else { return None };
+        Some(Self { version, size: size.get().into() })
     }
 
     /// The flows this generation's opcode set legalizes (its Table I
@@ -248,7 +246,18 @@ impl AccelInstance {
 
 impl std::fmt::Display for AccelInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
+        Device::from(*self).fmt(f)
+    }
+}
+
+impl From<AccelInstance> for Device {
+    /// # Panics
+    ///
+    /// Panics unless `size` is a positive 32-bit number (an instance is
+    /// written in code or parsed, never taken straight from input).
+    fn from(accel: AccelInstance) -> Device {
+        Device::matmul(accel.version, accel.size)
+            .unwrap_or_else(|| panic!("{}_{} is no device", accel.version, accel.size))
     }
 }
 
@@ -356,7 +365,7 @@ mod tests {
             AccelInstance { version: MatMulVersion::V3, size: 16 },
             AccelInstance::v4(16),
         ] {
-            assert_eq!(AccelInstance::parse(&accel.label()), Some(accel));
+            assert_eq!(AccelInstance::parse(&accel.to_string()), Some(accel));
         }
         assert_eq!(AccelInstance::parse("v5_4"), None);
         assert_eq!(AccelInstance::parse("v3_x"), None);
@@ -367,15 +376,18 @@ mod tests {
     fn config_names_the_device_a_point_instantiates() {
         let v3 = AccelInstance { version: MatMulVersion::V3, size: 8 };
         let config = v3.config((8, 8, 8), FlowStrategy::OutputStationary);
-        assert_eq!((config.name.as_str(), config.selected_flow.as_str()), ("v3_8", "Cs"));
+        assert_eq!((config.device, config.selected_flow.as_str()), (v3.into(), "Cs"));
         assert_eq!(config.accel_dims, vec![8, 8, 8]);
         // v4 carries the tile, and a tile the base does not divide lowers
         // the instantiated base.
         let config = AccelInstance::v4(16).config((32, 16, 64), FlowStrategy::InputAStationary);
-        assert_eq!((config.name.as_str(), config.selected_flow.as_str()), ("v4_16", "As"));
+        assert_eq!(
+            (config.device, config.selected_flow.as_str()),
+            (AccelInstance::v4(16).into(), "As")
+        );
         assert_eq!(config.accel_dims, vec![32, 16, 64]);
         let config = AccelInstance::v4(16).config((8, 8, 8), FlowStrategy::NothingStationary);
-        assert_eq!(config.name, "v4_8");
+        assert_eq!(config.device.to_string(), "v4_8");
     }
 
     #[test]

@@ -10,15 +10,18 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use axi4mlir_core::explore::measure::measure_request;
 use axi4mlir_core::explore::{
-    AccelInstance, Explorer, HalvingSpec, JobSpec, MatMulSpace, Objective, ProgressEvent, Prune,
-    RemotePool, Search,
+    AccelInstance, Candidate, CandidateKey, ConvSpace, DesignSpace, Explorer, Fidelity,
+    HalvingSpec, JobSpec, MatMulSpace, Objective, Problem, ProgressEvent, Prune, RemotePool,
+    Search,
 };
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
 use axi4mlir_support::json::JsonValue;
 use axi4mlir_support::proto::{write_frame, Connection, Frame};
 use axi4mlir_worker::{Worker, WorkerConfig};
 use axi4mlir_workloads::matmul::MatMulProblem;
+use axi4mlir_workloads::resnet::ConvLayer;
 
 /// Starts an in-process worker daemon on a free port; it serves until
 /// the test process exits (the stop flag is never raised).
@@ -208,6 +211,58 @@ fn racing_hub_jobs_over_remote_workers_cost_one_isolated_sweep() {
     let client = HubClient::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
     hub.join().unwrap();
+}
+
+/// Regression: three well-formed `measure` frames whose key names a
+/// problem its device cannot hold — a conv window past the unit's buffer,
+/// an output slice and a MAC count past 64 bits — each panicked the slot
+/// thread that built them (an out-of-bounds simulated access, two
+/// multiply overflows), and with one slot the connection never answered
+/// again. They are `failed` replies blaming `workload`, and the next
+/// frame is served.
+#[test]
+fn keys_no_device_can_hold_are_failed_replies_and_the_slot_survives() {
+    let addr = start_worker(1);
+    let mut peer = Connection::open(TcpStream::connect(&addr).expect("connect")).unwrap();
+    let mut reply_to = |frame: &JsonValue| {
+        write_frame(&mut peer.writer, frame).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            match peer.reader.next_frame().unwrap() {
+                Frame::Value(reply) => return reply,
+                Frame::Idle if std::time::Instant::now() < deadline => {}
+                other => panic!("no reply to {}: {other:?}", frame.to_json_string()),
+            }
+        }
+    };
+    let text = |reply: &JsonValue, member: &str| {
+        reply.get(member).and_then(JsonValue::as_str).unwrap_or_default().to_owned()
+    };
+
+    let space = base8_space(8);
+    let job = space.wire_spec().unwrap().to_json();
+    let good = space.enumerate().unwrap().remove(0);
+    let layer = ConvLayer { in_hw: 10, in_channels: 64, filter_hw: 3, out_channels: 16, stride: 1 };
+    let conv = ConvSpace::new(layer).enumerate().unwrap().remove(0);
+    let with_workload = |base: &Candidate, label: &str| Candidate {
+        key: CandidateKey { workload: Problem::parse(label).expect(label), ..base.key },
+        estimate: base.estimate,
+    };
+    let unholdable = [
+        with_workload(&conv, "conv 10_4096_3_4_1"),
+        with_workload(&conv, "conv 4294967296_1_1_1_1"),
+        with_workload(&good, "matmul 4294967296x4294967296x4294967296"),
+    ];
+    for (id, candidate) in (10u64..).zip(&unholdable) {
+        let reply = reply_to(&measure_request(id, &job, Fidelity::Full, candidate));
+        assert_eq!(text(&reply, "type"), "failed", "{}", reply.to_json_string());
+        assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(id));
+        let reason = text(&reply, "reason");
+        assert!(reason.contains("`candidate.key.workload`"), "{reason}");
+    }
+    let reply = reply_to(&measure_request(13, &job, Fidelity::Full, &good));
+    assert_eq!(text(&reply, "type"), "result", "{}", reply.to_json_string());
+    assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(13));
 }
 
 /// Regression: a connection's reader never looked at the stop flag, so

@@ -12,7 +12,7 @@ fn main() {
     let batch = BatchedMatMulProblem::new(problem, 8);
     let config = AcceleratorConfig::matmul(MatMulVersion::V3, 8);
 
-    println!("== batched MatMul: {batch} on {} ==\n", config.name);
+    println!("== batched MatMul: {batch} on {} ==\n", config.device);
 
     let plan = CompilePlan::for_accelerator(config).flow(FlowStrategy::OutputStationary);
     let mut session = Session::for_sweep();

@@ -42,7 +42,7 @@ fn main() {
     let accel = system.accelerator("v3_8").expect("accelerator present").clone();
     println!(
         "accelerator {} offering flows: {:?}\n",
-        accel.name,
+        accel.device,
         accel.flows.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
     );
 

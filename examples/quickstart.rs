@@ -10,7 +10,7 @@ fn main() {
     let problem = MatMulProblem::square(64);
     let accel = AcceleratorConfig::matmul(MatMulVersion::V3, 16);
 
-    println!("== AXI4MLIR quickstart: {problem} on {} ==\n", accel.name);
+    println!("== AXI4MLIR quickstart: {problem} on {} ==\n", accel.device);
 
     // Capture the IR after each pass so we can show the pipeline working.
     let mut options = PipelineOptions::optimized();

@@ -69,9 +69,9 @@ fn undefined_opcode_in_flow_rejected() {
 #[test]
 fn wrong_isa_surfaces_as_protocol_error() {
     // Build a v1 device but hand the pipeline a v3-style configuration by
-    // lying about the name.
+    // lying about the device.
     let mut config = AcceleratorConfig::matmul(MatMulVersion::V3, 4);
-    config.name = "v1_4".to_owned(); // instantiates a v1 model
+    config.device = AcceleratorConfig::matmul(MatMulVersion::V1, 4).device;
     let err = run_err(config, 8);
     assert!(
         err.message.contains("protocol errors") || err.message.contains("beats"),
@@ -135,6 +135,20 @@ fn json_errors_are_actionable() {
     }"#;
     let err = SystemConfig::from_json(missing_kernel).unwrap_err();
     assert!(err.message.contains("unsupported kernel"), "{}", err.message);
+
+    // A `name` that is no device, or not one for its `kernel`, is refused
+    // by name with what would have been accepted.
+    let unknown = include_str!("malformed/unknown_device.json");
+    let mismatch = include_str!("malformed/name_kernel_mismatch.json");
+    for (document, blamed, says) in [
+        (unknown.to_owned(), "accelerator mine:", "`mine` is no device this simulator models"),
+        (unknown.replace("\"mine\"", "\"v3_0\""), "accelerator v3_0:", "v4_SIZE"),
+        (mismatch.to_owned(), "accelerator conv2d:", "for kernel `linalg.matmul`"),
+    ] {
+        let err = SystemConfig::from_json(&document).unwrap_err();
+        assert!(err.message.contains(blamed), "{}", err.message);
+        assert!(err.message.contains(says), "{}", err.message);
+    }
 }
 
 /// A pre-annotated conv whose operands cannot be a convolution's — the
