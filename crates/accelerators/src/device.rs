@@ -2,7 +2,7 @@
 //! becomes a [`Device`] in [`Device::parse`] and nowhere else; the lint's
 //! ISA check, the session's device swap and the explorer's cache key all
 //! carry the value, so they cannot disagree about which hardware a
-//! configuration describes.
+//! configuration describes, what it decodes or which tiles it runs.
 
 use std::fmt;
 use std::num::NonZeroU32;
@@ -69,14 +69,21 @@ impl Device {
         }
     }
 
-    /// Words of tile memory a runtime tile configuration must fit; only
-    /// the flexible v4 takes one (fixed generations size their buffers
-    /// with their tile).
-    pub fn tile_memory_words(self) -> Option<u64> {
-        match self {
-            Device::MatMul { version: MatMulVersion::V4, .. } => Some(V4_CAPACITY_WORDS),
-            _ => None,
+    /// The one statement of which tile (`accel_size`, `accel_dim`, a key's
+    /// `tile`) this device runs — `None`, or what the member must be — for the
+    /// v4 model's `cfg` decoder and every reader of a description alike.
+    pub fn tile_defect(self, tile: &[i64]) -> Option<&'static str> {
+        let Device::MatMul { version, size } = self else { return None }; // conv: no tile
+        let size = i64::from(size.get());
+        if version != MatMulVersion::V4 {
+            return (tile != [size; 3]).then_some("must be the device's own [SIZE, SIZE, SIZE]");
         }
+        // Edges within the capacity first: no product of two can overflow.
+        let cap = V4_CAPACITY_WORDS as i64;
+        let legal = matches!(*tile, [tm, tn, tk]
+            if tile.iter().all(|t| (1..=cap).contains(t) && t % size == 0)
+                && tm * tk + tk * tn + tm * tn <= cap);
+        (!legal).then_some("must be multiples of SIZE whose A, B, C tiles fit the v4's tile memory")
     }
 }
 

@@ -121,7 +121,7 @@ enum Pending {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MatMulAccel {
-    version: MatMulVersion,
+    device: Device,
     base_size: u32,
     name: String,
     tm: u32,
@@ -145,7 +145,7 @@ impl MatMulAccel {
     pub fn new(version: MatMulVersion, size: u32) -> Self {
         let device = Device::matmul(version, i64::from(size)).expect("tile size must be positive");
         let mut accel = Self {
-            version,
+            device,
             base_size: size,
             name: device.to_string(),
             tm: size,
@@ -211,7 +211,7 @@ impl MatMulAccel {
     }
 
     fn begin_opcode(&mut self, opcode: u32, counters: &mut PerfCounters) {
-        if !self.version.supports_opcode(opcode) {
+        if !self.device.decodes(opcode) {
             self.protocol_errors += 1;
             return;
         }
@@ -246,16 +246,13 @@ impl MatMulAccel {
         }
     }
 
+    /// Takes a `cfg` tile iff [`Device::tile_defect`] has nothing against it.
     fn apply_cfg(&mut self, dims: [u32; 3]) {
-        let [tm, tn, tk] = dims;
-        let words = u64::from(tm) * u64::from(tk)
-            + u64::from(tk) * u64::from(tn)
-            + u64::from(tm) * u64::from(tn);
-        let divisible = [tm, tn, tk].iter().all(|d| *d > 0 && d % self.base_size == 0);
-        if !divisible || words > V4_CAPACITY_WORDS {
+        if self.device.tile_defect(&dims.map(i64::from)).is_some() {
             self.protocol_errors += 1;
             return;
         }
+        let [tm, tn, tk] = dims;
         self.tm = tm;
         self.tn = tn;
         self.tk = tk;
@@ -563,7 +560,7 @@ mod tests {
     fn name_reflects_version_and_size() {
         let acc = MatMulAccel::new(MatMulVersion::V2, 8);
         assert_eq!(acc.name(), "v2_8");
-        assert_eq!((acc.version, acc.base_size), (MatMulVersion::V2, 8));
+        assert_eq!((acc.device, acc.base_size), (Device::parse("v2_8").unwrap(), 8));
         assert_eq!(MatMulVersion::V4.to_string(), "v4");
     }
 }

@@ -163,9 +163,6 @@ const KNOWN_FLAGS: [&str; 20] = [
 ];
 
 fn cli_from_args(args: &[String]) -> Result<Cli, String> {
-    if args::flag(args, "--cache") {
-        return Err("--cache was removed: pass --cache-dir DIR".to_owned());
-    }
     args::reject_unknown(args, &KNOWN_FLAGS, &format!("known flags: {}", KNOWN_FLAGS.join(" ")))?;
     let job = job_from_args(args)?;
     if job.workload == "conv" {

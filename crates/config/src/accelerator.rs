@@ -79,13 +79,11 @@ pub struct AcceleratorConfig {
     /// Data arguments in operand order: `(name, dims each uses)`
     /// (Fig. 5: `"data": {"A": [m,k], "B": [k,n], "C": [m,n]}`).
     pub data: Vec<(String, Vec<String>)>,
-    /// Element type name (`"int32"`).
-    pub data_type: String,
     /// The micro-ISA description.
     pub opcode_map: OpcodeMap,
     /// Named legal flows (Fig. 5 `opcode_flow_map`).
     pub flows: Vec<(String, OpcodeFlow)>,
-    /// Key into `flows` to use.
+    /// Key into `flows` to use (a free name: the flow decides the order).
     pub selected_flow: String,
     /// Opcodes sent once per kernel launch (Fig. 6a `init_opcodes`).
     pub init_opcodes: Vec<String>,
@@ -112,6 +110,31 @@ impl AcceleratorConfig {
     /// Looks up a flow by name.
     pub fn flow(&self, name: &str) -> Option<&OpcodeFlow> {
         self.flows.iter().find(|(n, _)| n == name).map(|(_, f)| f)
+    }
+
+    /// The loop order (outermost first) `plan::place_flow` accepts `flow`
+    /// under: the dims of the operands that opcodes in *enclosing* scopes
+    /// send or receive first, scope by scope, the rest in configuration
+    /// order — `(sA (sB cC rC))` keeps `A[m, k]`, so it runs `(m, k, n)`.
+    pub fn loop_order(&self, flow: &OpcodeFlow) -> Vec<String> {
+        let (mut outer, mut scope) = (Vec::new(), &flow.root);
+        // Down the scope chain (`place_flow` refuses sibling scopes).
+        while let Some(FlowElem::Scope(inner)) =
+            scope.iter().find(|elem| matches!(elem, FlowElem::Scope(_)))
+        {
+            let opcodes = scope.iter().filter_map(|elem| match elem {
+                FlowElem::Opcode(name) => self.opcode_map.get(name),
+                FlowElem::Scope(_) => None,
+            });
+            for action in opcodes.flatten() {
+                if let OpcodeAction::Send { arg } | OpcodeAction::Recv { arg } = action {
+                    let operand = self.data.get(*arg as usize);
+                    outer.extend(operand.iter().flat_map(|(_, dims)| dims.iter().cloned()));
+                }
+            }
+            scope = inner;
+        }
+        crate::flow::outer_first(&self.dims, &outer)
     }
 
     /// Selects a different flow (builder style).

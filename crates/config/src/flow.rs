@@ -1,6 +1,22 @@
-//! Dataflow (stationarity) strategies.
+//! Dataflow (stationarity) strategies, and the rule behind the one
+//! loop-order decision (`AcceleratorConfig::loop_order`): a function of a
+//! flow's structure, never of the name it is filed under.
 
 use std::fmt;
+
+/// The MatMul iteration space and operand table (Fig. 5 `dims`, `data`).
+pub(crate) const MATMUL_DIMS: [&str; 3] = ["m", "n", "k"];
+pub(crate) const MATMUL_DATA: [(&str, [&str; 2]); 3] =
+    [("A", ["m", "k"]), ("B", ["k", "n"]), ("C", ["m", "n"])];
+
+/// `dims` with those of `outer` first, in `outer`'s order: a transfer
+/// hoisted out of the inner loops is addressed by the outer loops only.
+pub(crate) fn outer_first<T: PartialEq + Clone>(dims: &[T], outer: &[T]) -> Vec<T> {
+    let mut order = dims.to_vec();
+    // Stable: the dims `outer` does not name keep configuration order.
+    order.sort_by_key(|dim| outer.iter().position(|o| o == dim).unwrap_or(usize::MAX));
+    order
+}
 
 /// Which operand stays resident in the accelerator across inner-loop
 /// iterations — the paper's Ns / As / Bs / Cs strategies.
@@ -42,22 +58,19 @@ impl FlowStrategy {
         Self::all().into_iter().find(|s| s.short_name() == name)
     }
 
-    /// The MatMul loop permutation that makes this strategy legal: the
-    /// stationary operand's dimensions must not be iterated by the
-    /// innermost loop(s).
+    /// The MatMul loop permutation that makes this strategy legal —
+    /// `loop_order` of a flow hoisting the stationary operand's transfer:
+    /// its dimensions must not be iterated by the innermost loop(s).
     ///
     /// Returns dimension names outermost-first over `(m, n, k)`.
     pub fn matmul_permutation(self) -> [&'static str; 3] {
-        match self {
-            // Ns: any order works; keep the natural (m, n, k).
-            FlowStrategy::NothingStationary => ["m", "n", "k"],
-            // As: A[m,k] stationary => innermost loop must be n.
-            FlowStrategy::InputAStationary => ["m", "k", "n"],
-            // Bs: B[k,n] stationary => innermost loop must be m.
-            FlowStrategy::InputBStationary => ["k", "n", "m"],
-            // Cs: C[m,n] stationary => innermost loop must be k.
-            FlowStrategy::OutputStationary => ["m", "n", "k"],
-        }
+        let stationary: &[&str] = match self {
+            FlowStrategy::NothingStationary => &[],
+            FlowStrategy::InputAStationary => &MATMUL_DATA[0].1,
+            FlowStrategy::InputBStationary => &MATMUL_DATA[1].1,
+            FlowStrategy::OutputStationary => &MATMUL_DATA[2].1,
+        };
+        outer_first(&MATMUL_DIMS, stationary).try_into().expect("a reordering of (m, n, k)")
     }
 }
 

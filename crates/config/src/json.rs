@@ -162,13 +162,16 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
             .collect(),
     };
 
+    // The simulator models `int32` only: a member that decides nothing.
+    if m.opt("data_type", Members::str)?.is_some_and(|ty| ty != "int32") {
+        return Err(m.invalid("data_type", "must be \"int32\", the one element type modelled"));
+    }
     let config = AcceleratorConfig {
         device,
         dma,
         dims: m.str_list("dims")?,
         accel_dims: m.i64_list("accel_size")?,
         data,
-        data_type: m.opt("data_type", Members::str)?.unwrap_or("int32").to_owned(),
         opcode_map,
         flows,
         selected_flow: m.str("selected_flow")?.to_owned(),
@@ -176,6 +179,9 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
     };
     if config.kernel() != kernel {
         return Err(no_device());
+    }
+    if let Some(must) = device.tile_defect(&config.accel_dims) {
+        return Err(m.invalid("accel_size", must));
     }
     config.validate()?;
     Ok(config)

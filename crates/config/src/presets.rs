@@ -12,7 +12,7 @@ use axi4mlir_accelerators::Device;
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
 
 use crate::accelerator::{AcceleratorConfig, DmaInfo};
-use crate::flow::FlowStrategy;
+use crate::flow::{FlowStrategy, MATMUL_DATA, MATMUL_DIMS};
 
 /// Table I on the host side: the flows each MatMul generation's opcode
 /// set legalizes, in figure order (Ns, As, Bs, Cs), each with the
@@ -81,18 +81,6 @@ fn parse_flow(text: &str) -> OpcodeFlow {
     OpcodeFlow::parse(text).expect("preset opcode_flow must parse")
 }
 
-fn matmul_dims() -> Vec<String> {
-    vec!["m".to_owned(), "n".to_owned(), "k".to_owned()]
-}
-
-fn matmul_data() -> Vec<(String, Vec<String>)> {
-    vec![
-        ("A".to_owned(), vec!["m".to_owned(), "k".to_owned()]),
-        ("B".to_owned(), vec!["k".to_owned(), "n".to_owned()]),
-        ("C".to_owned(), vec!["m".to_owned(), "n".to_owned()]),
-    ]
-}
-
 impl AcceleratorConfig {
     /// The Table I accelerator of generation `version` with base size
     /// `size` (4, 8, or 16 in the paper): the fixed square tile of v1–v3,
@@ -106,14 +94,10 @@ impl AcceleratorConfig {
         Self::matmul_with_tile(version, size, (size, size, size))
     }
 
-    /// A v4 accelerator with base `size` (divisibility constraint) and the
-    /// given tile shape. The tile-shape configuration instruction
-    /// (`0x30 tM tN tK`) is prepended to the per-kernel `init_opcodes`.
-    pub fn preset_v4_with_tile(size: i64, tm: i64, tn: i64, tk: i64) -> AcceleratorConfig {
-        Self::matmul_with_tile(MatMulVersion::V4, size, (tm, tn, tk))
-    }
-
-    fn matmul_with_tile(
+    /// [`Self::matmul`] described as running `tile` (`Device::tile_defect`
+    /// says whether it does). A v4's tile-shape configuration instruction
+    /// (`0x30 tM tN tK`) joins the per-kernel `init_opcodes`.
+    pub fn matmul_with_tile(
         version: MatMulVersion,
         size: i64,
         (tm, tn, tk): (i64, i64, i64),
@@ -129,10 +113,11 @@ impl AcceleratorConfig {
         let cfg = AcceleratorConfig {
             device: Device::matmul(version, size).expect("a preset's size is positive"),
             dma: DmaInfo::default(),
-            dims: matmul_dims(),
+            dims: MATMUL_DIMS.map(str::to_owned).to_vec(),
             accel_dims: vec![tm, tn, tk],
-            data: matmul_data(),
-            data_type: "int32".to_owned(),
+            data: MATMUL_DATA
+                .map(|(arg, dims)| (arg.to_owned(), dims.map(str::to_owned).to_vec()))
+                .to_vec(),
             opcode_map: parse_map(&format!("opcode_map<{opcodes}>")),
             flows: preset_flows(version),
             selected_flow: "Ns".to_owned(),
@@ -167,7 +152,6 @@ impl AcceleratorConfig {
                     vec!["b".to_owned(), "oc".to_owned(), "h".to_owned(), "w".to_owned()],
                 ),
             ],
-            data_type: "int32".to_owned(),
             opcode_map: parse_map(
                 "opcode_map<sIcO = [send_literal(70), send(0)], \
                  sF = [send_literal(1), send(1)], \
@@ -230,7 +214,7 @@ mod tests {
 
     #[test]
     fn v4_tile_configuration_lands_in_init_opcodes() {
-        let cfg = AcceleratorConfig::preset_v4_with_tile(16, 32, 16, 64);
+        let cfg = AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, 16, (32, 16, 64));
         assert_eq!(cfg.accel_dims, vec![32, 16, 64]);
         assert_eq!(cfg.init_opcodes, vec!["reset", "cfg"]);
         let actions = cfg.opcode_map.get("cfg").unwrap();

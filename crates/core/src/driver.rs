@@ -355,7 +355,6 @@ enum PipelineInput {
 #[derive(Clone, Debug)]
 pub struct PipelineBuilder {
     input: PipelineInput,
-    permutation: Vec<String>,
     cache_tile: Option<i64>,
     coalesce: bool,
     lower: bool,
@@ -368,7 +367,6 @@ impl PipelineBuilder {
     pub fn new() -> Self {
         Self {
             input: PipelineInput::CpuOnly,
-            permutation: Vec::new(),
             cache_tile: None,
             coalesce: false,
             lower: true,
@@ -376,14 +374,11 @@ impl PipelineBuilder {
         }
     }
 
-    /// Targets an accelerator: enables the annotate pass and derives the
-    /// loop permutation from the configuration's selected flow (when that
-    /// flow is one of the paper's MatMul strategies).
+    /// Targets an accelerator: enables the annotate pass, given the MatMul
+    /// loop permutation the selected flow's *structure* asks for
+    /// ([`AcceleratorConfig::loop_order`]; its key is a free name).
     #[must_use]
     pub fn accelerator(mut self, config: AcceleratorConfig) -> Self {
-        self.permutation = FlowStrategy::from_short_name(&config.selected_flow)
-            .map(|s| s.matmul_permutation().iter().map(|d| (*d).to_owned()).collect())
-            .unwrap_or_default();
         self.input = PipelineInput::Accelerator(Box::new(config));
         self
     }
@@ -433,11 +428,12 @@ impl PipelineBuilder {
             PipelineInput::CpuOnly => return pm,
             PipelineInput::PreAnnotated => {}
             PipelineInput::Accelerator(config) => {
-                pm.add(Box::new(MatchAndAnnotatePass::new(
-                    *config,
-                    self.permutation,
-                    self.cache_tile,
-                )));
+                let permutation = match (config.kernel(), config.flow(&config.selected_flow)) {
+                    (KernelKind::MatMul, Some(flow)) => config.loop_order(flow),
+                    // Conv's nest is fixed; a missing flow is `validate`'s to report.
+                    _ => Vec::new(),
+                };
+                pm.add(Box::new(MatchAndAnnotatePass::new(*config, permutation, self.cache_tile)));
             }
         }
         pm.add(Box::new(GenerateAccelDriverPass::new(self.coalesce)));

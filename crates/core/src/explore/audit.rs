@@ -5,8 +5,8 @@
 //! measure; a candidate whose realized accelerator configuration is
 //! *statically* broken — an opcode its generation does not decode, a
 //! flow referencing an undefined opcode, a tile whose staged transfer
-//! overflows the DMA staging regions or whose footprint exceeds the
-//! device's tile memory — would abort the simulator mid-sweep. The audit runs the reusable lint checks from
+//! overflows the DMA staging regions or is not one its device runs —
+//! would abort the simulator mid-sweep. The audit runs the reusable lint checks from
 //! [`axi4mlir_dialects::lint`] over the realized [`CompilePlan`] before
 //! a candidate is admitted to the measure queue, so such candidates are
 //! rejected up front with a `lint::*` code and **zero** simulations
@@ -47,7 +47,7 @@ fn operand_footprints(config: &AcceleratorConfig) -> Vec<Option<i64>> {
 /// Audits one accelerator configuration: ISA legality of its opcode
 /// map, opcode references of the selected flow and the init opcodes,
 /// per-opcode staged transfer sizes against the DMA staging regions,
-/// and the summed tile footprint against the device's tile memory.
+/// and the tile against what the device runs.
 ///
 /// # Errors
 ///
@@ -74,7 +74,7 @@ fn audit_config(config: &AcceleratorConfig) -> Result<(), Diagnostic> {
         config.dma.input_buffer_size,
         config.dma.output_buffer_size,
     ));
-    findings.extend(lint::check_tile_memory(config.device, &footprints));
+    findings.extend(lint::check_tile(config.device, &config.accel_dims));
     match findings.into_iter().next() {
         Some(first) => Err(first),
         None => Ok(()),
@@ -104,6 +104,11 @@ fn audit_plan(plan: &CompilePlan) -> Result<(), Diagnostic> {
 /// or the first lint finding (with its `lint::*` code) for candidates
 /// whose plan is statically broken.
 pub fn audit_candidate(space: &dyn DesignSpace, candidate: &Candidate) -> Result<(), Diagnostic> {
+    // Enumerated under a user-set budget: this audit's finding, not a foreign key.
+    if let Some(("tile", must)) = candidate.key.defect() {
+        let finding = format!("{}: tile {must}", candidate.label());
+        return Err(Diagnostic::error(finding).with_code(lint::LINT_FIFO_CAPACITY));
+    }
     audit_plan(&space.realize(candidate, Fidelity::Full)?.plan)
 }
 
@@ -151,14 +156,15 @@ mod tests {
             let config = AcceleratorConfig::matmul(version, size);
             audit_config(&config).unwrap_or_else(|d| panic!("{}: {}", config.device, d.message));
         }
-        audit_config(&AcceleratorConfig::preset_v4_with_tile(8, 16, 8, 24)).unwrap();
+        audit_config(&AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, 8, (16, 8, 24)))
+            .unwrap();
     }
 
     #[test]
     fn oversized_tiles_fail_the_fifo_audit() {
         // A 256x8x256 tile stages 256*256 = 65536 words = 262144 bytes
         // of A per `sA`, far past the 0xFF00-byte staging region.
-        let config = AcceleratorConfig::preset_v4_with_tile(256, 256, 8, 256);
+        let config = AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, 256, (256, 8, 256));
         let err = audit_config(&config).unwrap_err();
         assert_eq!(err.code.as_deref(), Some(lint::LINT_FIFO_CAPACITY), "{}", err.message);
         assert!(err.message.contains("staging region"), "{}", err.message);
@@ -170,7 +176,7 @@ mod tests {
         // staging regions — but the three together need 12288 words, past
         // the v4 device's 10240-word tile memory, so `cfg_dims` would be
         // rejected and the sweep would hang the bus.
-        let config = AcceleratorConfig::preset_v4_with_tile(16, 64, 64, 64);
+        let config = AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, 16, (64, 64, 64));
         let err = audit_config(&config).unwrap_err();
         assert_eq!(err.code.as_deref(), Some(lint::LINT_FIFO_CAPACITY), "{}", err.message);
         assert!(err.message.contains("tile memory"), "{}", err.message);

@@ -174,30 +174,31 @@ impl<'a> MeasureQueue<'a> {
         self.completed.load(Ordering::Acquire) == self.total
     }
 
-    /// Claims the next measurable candidate. Candidates whose key is
-    /// already cached (a concurrent sweep landed it first) are resolved
-    /// inline as dedup hits; candidates whose key is claimed elsewhere
-    /// are cycled to the back of the queue.
+    /// Claims the next measurable candidate. A key claimed elsewhere is
+    /// cycled to the back of the queue; a key already cached (a concurrent
+    /// sweep landed it first) is resolved inline as a dedup hit — *under* the
+    /// claim: `complete` publishes before it releases, so a held claim sees it.
     fn try_claim<'q>(&'q self) -> Claimed<'q, 'a> {
         let mut pending = self.pending.lock().expect("measure queue poisoned");
         let mut cycled = 0;
         while let Some(index) = pending.pop_front() {
             let key = &self.meta[index].0;
-            let hit =
-                self.explorer.cache.lock().expect("explorer cache poisoned").get(key).cloned();
-            if let Some(hit) = hit {
-                self.explorer.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                self.push_done(index, Ok(hit), true);
+            if !self.explorer.in_flight.claim(key) {
+                pending.push_back(index);
+                cycled += 1;
+                if cycled >= pending.len() {
+                    return Claimed::Busy;
+                }
                 continue;
             }
-            if self.explorer.in_flight.claim(key) {
+            let hit =
+                self.explorer.cache.lock().expect("explorer cache poisoned").get(key).cloned();
+            let Some(hit) = hit else {
                 return Claimed::Task(MeasureTask { queue: self, index });
-            }
-            pending.push_back(index);
-            cycled += 1;
-            if cycled >= pending.len() {
-                return Claimed::Busy;
-            }
+            };
+            self.explorer.in_flight.release(key);
+            self.explorer.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            self.push_done(index, Ok(hit), true);
         }
         Claimed::Empty
     }

@@ -18,8 +18,8 @@
 //! explorer's cache key. Each of [`Problem`], [`Device`] and [`Flow`] has
 //! one `Display`/`parse` pair that owns its persisted spelling; text
 //! becomes a key only in [`cache::key_from`](super::cache::key_from), and
-//! a key is buildable iff its device accepts its problem
-//! ([`CandidateKey::at`]).
+//! a key is buildable iff its device runs its tile and accepts its
+//! problem ([`CandidateKey::at`]).
 //! Realization is a function of the key: [`CandidateKey::at`] derives
 //! the fidelity-adjusted key and work, [`realize`] builds what it names,
 //! and [`DesignSpace::realize`] is that function for every space.
@@ -217,7 +217,6 @@ impl CandidateKey {
     /// The member that makes this key unbuildable and what it must be
     /// (the rule is stated on [`Self::at`]).
     pub(crate) fn defect(&self) -> Option<(&'static str, &'static str)> {
-        let (tm, tn, tk) = self.tile;
         let shape = match (self.workload, self.accel, self.flow) {
             (Problem::Conv(_), Device::Conv2d, Flow::FilterOutputStationary) => {
                 (self.tile != (0, 0, 0)).then_some(("tile", "must be [0, 0, 0] on the conv2d unit"))
@@ -225,11 +224,13 @@ impl CandidateKey {
             (Problem::Conv(_), Device::Conv2d, _) => Some(("flow", "must be FOs on conv2d")),
             (Problem::Conv(_), ..) => Some(("accel", "must be conv2d for a conv workload")),
             (_, Device::Conv2d, _) => Some(("accel", "must be a vN_SIZE MatMul instance")),
-            (_, Device::MatMul { version, .. }, Flow::MatMul(flow))
+            (_, Device::MatMul { version, size }, Flow::MatMul(flow))
                 if matmul_flows(version).iter().any(|&(offered, _)| offered == flow) =>
             {
-                (tm <= 0 || tn <= 0 || tk <= 0)
-                    .then_some(("tile", "must be positive on a MatMul instance"))
+                // Asked of the device `realize` instantiates for this tile.
+                let accel = AccelInstance { version, size: size.get().into() };
+                let device = Device::from(accel.instantiated(self.tile));
+                device.tile_defect(&<[i64; 3]>::from(self.tile)).map(|must| ("tile", must))
             }
             _ => Some(("flow", "must be a flow the accelerator offers")),
         };
@@ -256,10 +257,10 @@ impl CandidateKey {
     ///
     /// Names the offending member of a key outside the closed buildable
     /// world: a MatMul-shaped problem runs on a `vN_SIZE` instance under
-    /// a flow that generation offers with a positive tile; a conv layer
-    /// runs on `conv2d` under `FOs` with no tile; and the device accepts
-    /// the problem — a conv layer passes `conv_point` (the rule
-    /// `JobSpec::build` applies) and any MAC count fits `u64`.
+    /// a flow that generation offers with a tile it runs
+    /// ([`Device::tile_defect`]); a conv layer runs on `conv2d` under `FOs`
+    /// with no tile; and the device accepts the problem — a conv layer passes
+    /// `conv_point` (the rule `JobSpec::build` applies), any MAC count fits `u64`.
     pub fn at(&self, fidelity: Fidelity) -> Result<(CandidateKey, u64), Diagnostic> {
         if let Some((member, must)) = self.defect() {
             return Err(Diagnostic::error(format!("candidate key: `{member}` {must}")));

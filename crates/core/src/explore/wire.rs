@@ -151,8 +151,7 @@ pub fn report_from_json(value: &JsonValue) -> Result<ExploreReport, Diagnostic> 
         search: m.str("search")?.to_owned(),
         space_size: m.uint("space_size")?,
         pruned_out: m.uint("pruned_out")?,
-        // Absent in pre-audit wire reports; those rejected nothing.
-        lint_rejected: m.opt("lint_rejected", Members::uint)?.unwrap_or(0),
+        lint_rejected: m.uint("lint_rejected")?,
         cache_hits: m.uint("cache_hits")?,
         sims_performed: m.uint("sims_performed")?,
         full_sims_performed: m.uint("full_sims_performed")?,

@@ -533,6 +533,27 @@ mod tests {
         assert_eq!(cc.depth, 3);
     }
 
+    /// For every flow every MatMul generation ships, the order derived
+    /// from the flow's structure is the strategy's hand-named one — and
+    /// the one `place_flow` accepts (the rule `loop_order` inverts).
+    #[test]
+    fn the_derived_loop_order_is_the_strategys_and_place_flow_accepts_it() {
+        use axi4mlir_config::presets::matmul_flows;
+        use MatMulVersion::{V1, V2, V3, V4};
+        for version in [V1, V2, V3, V4] {
+            let config = AcceleratorConfig::matmul(version, 4);
+            for &(strategy, text) in matmul_flows(version) {
+                let order = config.loop_order(&flow(text));
+                assert_eq!(order, strategy.matmul_permutation(), "{version} {strategy}");
+                let index = |dim: &String| config.dims.iter().position(|d| d == dim).unwrap();
+                let permutation = [index(&order[0]), index(&order[1]), index(&order[2])];
+                let plan = matmul_plan((16, 16, 16), (4, 4, 4), &permutation, None).unwrap();
+                place_flow(&plan, &config.opcode_map, &flow(text))
+                    .unwrap_or_else(|d| panic!("{version} {strategy}: {}", d.message));
+            }
+        }
+    }
+
     #[test]
     fn illegal_stationarity_is_rejected() {
         // As flow with identity permutation (m, n, k): sA needs the k loop

@@ -166,6 +166,11 @@ fn both_boundaries_refuse_keys_that_name_no_buildable_configuration() {
         .enumerate()
         .unwrap()[0]
         .clone();
+    let v3_4 = MatMulSpace::new(MatMulProblem::new(16, 16, 16))
+        .accels(vec![AccelInstance { version: MatMulVersion::V3, size: 4 }])
+        .enumerate()
+        .unwrap()[0]
+        .clone();
     let tile = |m: i64, n: i64, k: i64| JsonValue::Array(vec![m.into(), n.into(), k.into()]);
     // (the closed-world case, a valid candidate, the edit, the blamed member)
     let cases = [
@@ -182,6 +187,11 @@ fn both_boundaries_refuse_keys_that_name_no_buildable_configuration() {
         ("zero MatMul tile", &matmul, ("tile", tile(0, 0, 0)), "tile"),
         ("negative MatMul tile", &matmul, ("tile", tile(8, -8, 8)), "tile"),
         ("a conv key with a tile", &conv, ("tile", tile(8, 8, 8)), "tile"),
+        // The device must run the tile: `v3_4 Ns 8 8 8` was realized as a
+        // 4x4x4 run and cached under the 8x8x8 identity; 3 x 64^2 words
+        // are past the v4's 10 240.
+        ("a tile a fixed device does not run", &v3_4, ("tile", tile(8, 8, 8)), "tile"),
+        ("a tile past the v4's memory", &matmul, ("tile", tile(64, 64, 64)), "tile"),
         // The device must accept the problem (both panicked a worker slot).
         ("a window past the unit", &conv, ("workload", "conv 10_4096_3_4_1".into()), "workload"),
         ("an overflowing slice", &conv, ("workload", "conv 4294967296_1_1_1_1".into()), "workload"),
@@ -219,6 +229,14 @@ fn both_boundaries_refuse_keys_that_name_no_buildable_configuration() {
         ]);
         assert_eq!(cache::parse(&doc.to_json_string()).unwrap(), good, "{what}");
     }
+
+    // Still inside: the whole-dimension tile of a problem smaller than
+    // the v4's base, which the default space enumerates (`v4_16 Ns 8 8 8`
+    // is instantiated with base 8).
+    let small = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).enumerate().unwrap()[0].clone();
+    assert_eq!(small.label(), "v4_16 Ns 8 8 8");
+    let wire = candidate_to_json(&small);
+    assert_eq!(candidate_from(&wire.members("frame").unwrap()).unwrap().key, small.key);
 }
 
 /// A conv key is buildable iff `conv_point` — and therefore

@@ -87,9 +87,11 @@ pub fn flow() -> impl Strategy<Value = Flow> {
 
 /// Whole keys that name a buildable configuration: a conv layer the
 /// conv2d unit can hold (channels clamped until the window fits), or a
-/// GEMM on an instance under one of its own flows.
+/// GEMM on an instance under one of its own flows with a tile that
+/// device runs (a fixed generation's own square tile; on a v4 any edges
+/// whose three operand tiles fit its 10 240 words — 3 x 58^2 does).
 pub fn candidate_key() -> impl Strategy<Value = CandidateKey> {
-    let tile = (1i64..=256, 1i64..=256, 1i64..=256);
+    let tile = (1i64..=58, 1i64..=58, 1i64..=58);
     (problem(), accel_instance(), any::<usize>(), tile, options_point(), any::<u64>()).prop_map(
         |(workload, accel, pick, tile, options, seed)| match workload {
             Problem::Conv(layer) => CandidateKey {
@@ -108,6 +110,10 @@ pub fn candidate_key() -> impl Strategy<Value = CandidateKey> {
             _ => {
                 let flows = accel.flows();
                 let flow = Flow::MatMul(flows[pick % flows.len()]);
+                let tile = match accel.version {
+                    MatMulVersion::V4 => tile,
+                    _ => (accel.size, accel.size, accel.size),
+                };
                 CandidateKey { workload, accel: accel.into(), flow, tile, options, seed }
             }
         },

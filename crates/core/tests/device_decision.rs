@@ -1,16 +1,23 @@
-//! The one device decision ([`Device::parse`]): an accelerator name is
-//! read in one place, and what it parsed to is what the lint checks
-//! opcodes against, what the session instantiates and what the report
-//! names. The two text boundaries — a Fig. 5 JSON `name`, an `accel_name`
-//! attribute in a parsed `.mlir` — refuse every other spelling.
+//! The description's decisions, each made in one place. The device
+//! ([`Device::parse`]): an accelerator name is read once, and what it
+//! parsed to is what the lint checks opcodes against, what the session
+//! instantiates and what the report names; the two text boundaries — a
+//! Fig. 5 JSON `name`, an `accel_name` attribute in a parsed `.mlir` —
+//! refuse every other spelling. The loop order
+//! (`AcceleratorConfig::loop_order`): a function of the selected flow's
+//! structure, whatever key `opcode_flow_map` files it under. The tile
+//! ([`Device::tile_defect`]): the named device's to accept or refuse.
 
 use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_accelerators::Device;
+use axi4mlir_config::presets::matmul_flows;
 use axi4mlir_config::SystemConfig;
-use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
-use axi4mlir_dialects::lint::{check_isa, lint_module, LINT_ISA_OPCODE};
+use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, PipelineBuilder, Session};
+use axi4mlir_core::pipeline::build_matmul_module;
+use axi4mlir_dialects::lint::{check_isa, lint_module, LINT_FIFO_CAPACITY, LINT_ISA_OPCODE};
 use axi4mlir_heuristics::space::AccelInstance;
 use axi4mlir_ir::parser::parse_module;
+use axi4mlir_ir::printer::print_op;
 use axi4mlir_support::diag::DiagnosticEngine;
 use axi4mlir_workloads::matmul::MatMulProblem;
 
@@ -94,5 +101,69 @@ fn a_name_asking_for_an_unbuildable_device_is_a_diagnostic_not_a_panic() {
         assert!(!isa.is_empty(), "`{accel_name}`: {}", diags.render());
         let says_unchecked = isa.iter().any(|d| d.message.contains("names no modelled device"));
         assert_eq!(says_unchecked, unchecked, "`{accel_name}`: {}", diags.render());
+    }
+}
+
+/// The `tests/malformed/tile_device_mismatch.json` description — valid v3
+/// opcodes — as a v3_4 (so its tile is right) offering one flow, `flow`,
+/// filed under `key`.
+fn v3_4_document(key: &str, flow: &str) -> String {
+    include_str!("../../../tests/malformed/tile_device_mismatch.json")
+        .replace("\"v3_8\"", "\"v3_4\"")
+        .replace("\"Ns\"", &format!("\"{key}\""))
+        .replace("(sA sB cC rC)", flow)
+}
+
+/// An `opcode_flow_map` key is a free name: each v3 flow compiles to the
+/// same bytes (the `axi4mlir-opt --config` path) and runs to the same
+/// counters under its own strategy's name, under names no strategy has,
+/// and under *another* strategy's name. At the parent the key chose the
+/// loop order, so `(sA (sB cC rC))` keyed `keepA` or `zz` was a compile
+/// error ("the permutation does not legalize this stationarity"), a
+/// B-stationary flow keyed `As` likewise, and `(sA sB cC rC)` keyed `Bs`
+/// printed a (k, n, m) nest instead of `Ns`'s (m, n, k).
+#[test]
+fn a_flow_key_is_a_free_name_the_flow_decides_the_loop_order() {
+    let problem = MatMulProblem::square(8);
+    let compile_and_run = |key: &str, flow: &str| {
+        let system = SystemConfig::from_json(&v3_4_document(key, flow)).expect(key);
+        let config = system.accelerators[0].clone();
+        let mut module = build_matmul_module(problem);
+        let mut pipeline = PipelineBuilder::new().accelerator(config.clone()).build();
+        pipeline.run(&mut module).unwrap_or_else(|d| panic!("{flow} keyed {key}: {}", d.message));
+        let plan = CompilePlan::for_accelerator(config);
+        let report = Session::for_sweep().run(&MatMulWorkload::new(problem), &plan).expect(key);
+        assert!(report.verified, "{flow} keyed {key}");
+        (print_op(&module.ctx, module.top()), report.counters)
+    };
+    for &(strategy, flow) in matmul_flows(MatMulVersion::V3) {
+        let own = compile_and_run(strategy.short_name(), flow);
+        for key in ["keepA", "zz", "Ns", "As", "Bs", "Cs"] {
+            assert!(
+                own == compile_and_run(key, flow),
+                "{flow}: keyed {key} differs from {strategy}"
+            );
+        }
+    }
+}
+
+/// An `accel_dim` the `accel_name` device does not run is a lint error —
+/// the parent printed `ok` for this input and the run it describes died
+/// on the bus (`recv requested 16 beats but accelerator produced 0`).
+#[test]
+fn a_tile_its_device_does_not_run_is_a_lint_error() {
+    let golden = include_str!("../../../tests/golden/matmul16_v3_as_tiled.mlir");
+    for (accel_name, refused) in [("v3_4", false), ("v3_8", true), ("v4_4", false), ("v4_8", true)]
+    {
+        let text =
+            golden.replace("accel_name = \"v3_4\"", &format!("accel_name = \"{accel_name}\""));
+        let module = parse_module(&text).expect("the golden is well-formed text");
+        let mut diags = DiagnosticEngine::new();
+        let verdict = lint_module(&module.ctx, module.top(), &mut diags);
+        assert_eq!(verdict.is_err(), refused, "`{accel_name}`: {}", diags.render());
+        let blames_the_tile = diags.diagnostics().iter().any(|d| {
+            d.code.as_deref() == Some(LINT_FIFO_CAPACITY) && d.message.contains("`accel_dim`")
+        });
+        assert_eq!(blames_the_tile, refused, "`{accel_name}`: {}", diags.render());
     }
 }

@@ -53,14 +53,10 @@ fn explored_optimum_matches_brute_force() {
     let mut session = Session::for_sweep();
     let mut brute: Option<(String, f64)> = None;
     for candidate in space.enumerate().expect("non-empty space") {
-        let (tm, tn, tk) = candidate.key.tile;
-        let config = AcceleratorConfig::preset_v4_with_tile(
-            instantiation_base(8, candidate.key.tile),
-            tm,
-            tn,
-            tk,
-        )
-        .with_selected_flow(&candidate.key.flow.to_string());
+        let base = instantiation_base(8, candidate.key.tile);
+        let config =
+            AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, base, candidate.key.tile)
+                .with_selected_flow(&candidate.key.flow.to_string());
         let plan = CompilePlan::for_accelerator(config).seed(space.seed);
         let report = session.run(&MatMulWorkload::new(space.problem), &plan).expect("v4 run");
         assert!(report.verified);
@@ -147,6 +143,41 @@ fn concurrent_sweeps_share_an_engine_without_duplicating_sims() {
         first.optimum().unwrap().deterministic_key(),
         second.optimum().unwrap().deterministic_key()
     );
+}
+
+/// The same two-job race, repeated on a fresh engine for about two
+/// seconds: whatever the interleaving, every simulation lands one new
+/// cache entry. At the parent (`eabe144`) `try_claim` looked a key up in
+/// the cache, dropped that lock and only then claimed it, so a sweep that
+/// published and released in between left the other simulating a key
+/// already cached — 2 duplicate simulations in 24 000 iterations (960 000
+/// shared keys) of this loop on a 2-core host.
+#[test]
+fn concurrent_identical_sweeps_never_simulate_a_cached_key() {
+    // 8x8x8 on v1_4 + v2_4 + v3_4 (their fixed tile under 1 + 3 + 4
+    // flows) and v4_4 (8 tiles x 4 flows): 40 shared keys per iteration.
+    let fixed = |version| AccelInstance { version, size: 4 };
+    let (v1, v2, v3) = (MatMulVersion::V1, MatMulVersion::V2, MatMulVersion::V3);
+    let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8))
+        .accels(vec![fixed(v1), fixed(v2), fixed(v3), AccelInstance::v4(4)])
+        .seed(7);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let mut iteration = 0;
+    while std::time::Instant::now() < deadline {
+        let explorer = Explorer::new();
+        let run = || sweep(&explorer, &space, Prune::None, &Search::Exhaustive, 2).expect("sweep");
+        let (first, second) = std::thread::scope(|scope| {
+            let (a, b) = (scope.spawn(run), scope.spawn(run));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(explorer.cache_len(), 40);
+        assert_eq!(
+            first.sims_performed + second.sims_performed,
+            explorer.cache_len(),
+            "iteration {iteration}: a cached key was simulated again"
+        );
+        iteration += 1;
+    }
 }
 
 #[test]

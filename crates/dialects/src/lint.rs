@@ -9,7 +9,7 @@
 //! | [`LINT_ISA_OPCODE`] | `accel_name` names a modelled device and that device decodes every `opcode_map` instruction literal |
 //! | [`LINT_FLOW_LEGAL`] | `opcode_flow`/`init_opcodes` reference only defined opcodes |
 //! | [`LINT_DMA_BOUNDS`] | subview extents stay inside the source memref (integer-range analysis over the offsets) |
-//! | [`LINT_FIFO_CAPACITY`] | per-opcode staged bytes fit the DMA staging regions |
+//! | [`LINT_FIFO_CAPACITY`] | per-opcode staged bytes fit the DMA staging regions, and `accel_dim` is a tile the `accel_name` device runs ([`Device::tile_defect`]) |
 //! | [`LINT_DEAD_ANNOTATION`] | accelerator annotations sit on live ops and form a complete, fully-referenced set |
 //! | [`LINT_SHAPE_TILE`] | `accel_dim` tiles divide the `linalg` operand shapes they tile |
 //!
@@ -31,7 +31,7 @@ pub const LINT_ISA_OPCODE: &str = "lint::isa-opcode";
 pub const LINT_FLOW_LEGAL: &str = "lint::flow-legal";
 /// Statically-known out-of-range or underflow DMA burst.
 pub const LINT_DMA_BOUNDS: &str = "lint::dma-bounds";
-/// Per-opcode staged transfer exceeds a DMA staging region.
+/// Staged transfer past a DMA staging region, or a tile the device does not run.
 pub const LINT_FIFO_CAPACITY: &str = "lint::fifo-capacity";
 /// Accelerator annotation that can never drive codegen.
 pub const LINT_DEAD_ANNOTATION: &str = "lint::dead-annotation";
@@ -170,27 +170,13 @@ pub fn check_fifo(
     out
 }
 
-/// Checks the total tile footprint against the device's on-chip tile
-/// memory ([`Device::tile_memory_words`]). Only the flexible `v4` takes a
-/// runtime tile: it rejects a `cfg_dims` whose operand tiles sum past its
-/// capacity and keeps the previous tile, after which the host's transfer
-/// sizes no longer match what the device produces. Unknown footprints
-/// are skipped.
-pub fn check_tile_memory(device: Device, footprints: &[Option<i64>]) -> Vec<Diagnostic> {
-    let Some(capacity) = device.tile_memory_words() else {
-        return Vec::new();
-    };
-    let Some(words) = footprints.iter().copied().sum::<Option<i64>>() else {
-        return Vec::new();
-    };
-    if words as u64 <= capacity {
-        return Vec::new();
-    }
-    vec![Diagnostic::error(format!(
-        "tile footprint is {words} words but accelerator `{device}` holds {capacity} \
-             words of tile memory; the device would reject the tile configuration"
-    ))
-    .with_code(LINT_FIFO_CAPACITY)]
+/// Checks an `accel_dim` tile against what `device` runs
+/// ([`Device::tile_defect`]): handed any other, it keeps the tile it has
+/// (v4 rejects the `cfg_dims`) and the host's transfers hang the bus.
+pub fn check_tile(device: Device, tile: &[i64]) -> Option<Diagnostic> {
+    let finding =
+        format!("`accel_dim` {tile:?} {} (accelerator `{device}`)", device.tile_defect(tile)?);
+    Some(Diagnostic::error(finding).with_code(LINT_FIFO_CAPACITY))
 }
 
 // ---------------------------------------------------------------------
@@ -327,11 +313,9 @@ fn lint_annotated_op(ctx: &IrCtx, op: OpId, liveness: &Liveness, diags: &mut Dia
         }
     }
 
-    // Device tile memory vs. the summed operand footprints.
-    if let Some(device) = device {
-        for d in check_tile_memory(device, &footprints) {
-            diags.emit(prefix_path(d, &path));
-        }
+    // The tile vs. what the named device runs.
+    if let Some(d) = device.and_then(|device| check_tile(device, &tiles)) {
+        diags.emit(prefix_path(d, &path));
     }
 
     // Shape compatibility: each tiled dimension must divide the operand

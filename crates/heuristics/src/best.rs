@@ -29,7 +29,7 @@ impl TileChoice {
 /// otherwise the largest base that does. The v4 model rejects tiles that
 /// are not multiples of its base, and the degenerate whole-dimension tiles
 /// produced for problems smaller than `base` need the correction —
-/// `AccelInstance::config` passes the result to `preset_v4_with_tile`,
+/// `AccelInstance::config` passes the result to `matmul_with_tile`,
 /// not `base`.
 pub fn instantiation_base(base: i64, tile: (i64, i64, i64)) -> i64 {
     let (tm, tn, tk) = tile;

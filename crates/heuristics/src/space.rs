@@ -190,23 +190,28 @@ impl AccelInstance {
         matmul_flows(self.version).iter().map(|&(flow, _)| flow).collect()
     }
 
+    /// The instance [`Self::config`] instantiates to run `tile`: a v4 gets
+    /// the base that divides every tile edge ([`instantiation_base`]).
+    pub fn instantiated(&self, tile: (i64, i64, i64)) -> AccelInstance {
+        match self.version {
+            MatMulVersion::V4 => Self::v4(instantiation_base(self.size, tile)),
+            _ => *self,
+        }
+    }
+
     /// The configuration that instantiates this accelerator at one
-    /// `(tile, flow)` point — the one spelling of that conversion. Fixed
-    /// generations ship their square tile whatever `tile` says; v4 is
-    /// configured to `tile` at run time and instantiated with the base
-    /// that divides every tile edge ([`instantiation_base`]).
+    /// `(tile, flow)` point — the one spelling of that conversion:
+    /// [`Self::instantiated`] described as running `tile`. Whether it does
+    /// is the device's to say ([`Device::tile_defect`]: keys, the lint and
+    /// the plan audit ask); what [`matmul_points`] yields, it does.
     ///
     /// # Panics
     ///
     /// Panics if this generation does not offer `flow` ([`Self::flows`]).
     pub fn config(&self, tile: (i64, i64, i64), flow: FlowStrategy) -> AcceleratorConfig {
-        let config = if self.version == MatMulVersion::V4 {
-            let (tm, tn, tk) = tile;
-            AcceleratorConfig::preset_v4_with_tile(instantiation_base(self.size, tile), tm, tn, tk)
-        } else {
-            AcceleratorConfig::matmul(self.version, self.size)
-        };
-        config.with_selected_flow(flow.short_name())
+        let Self { version, size } = self.instantiated(tile);
+        AcceleratorConfig::matmul_with_tile(version, size, tile)
+            .with_selected_flow(flow.short_name())
     }
 
     /// The legal tiles for this instance on `problem`: the flexible v4

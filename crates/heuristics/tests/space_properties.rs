@@ -10,7 +10,7 @@ use axi4mlir_heuristics::space::{batched_points, conv_point, matmul_points, Acce
 use axi4mlir_heuristics::{tile_words, ConvShapeEstimate};
 
 use axi4mlir_accelerators::conv::{CONV_SLICE_CAPACITY, CONV_WINDOW_CAPACITY};
-use axi4mlir_accelerators::matmul::MatMulVersion;
+use axi4mlir_accelerators::matmul::{MatMulVersion, V4_CAPACITY_WORDS};
 
 fn all_generations(size: i64) -> Vec<AccelInstance> {
     vec![
@@ -58,6 +58,29 @@ proptest! {
         // Enumeration is deterministic.
         let again = matmul_points((m, n, k), &all_generations(size), capacity, &FlowStrategy::all());
         prop_assert_eq!(points, again);
+    }
+
+    /// Which tile a device runs is the device's to say
+    /// (`Device::tile_defect`); the enumerators generate tiles their own
+    /// way, and under the device's own memory budget everything they
+    /// yield is a tile the device `AccelInstance::config` instantiates
+    /// accepts — described as enumerated, whole-dimension tiles of
+    /// problems smaller than the base included.
+    #[test]
+    fn every_enumerated_tile_is_one_its_device_runs(
+        m in 1i64..64,
+        n in 1i64..64,
+        k in 1i64..64,
+        size in 1i64..24,
+    ) {
+        // Every generation offers Ns; the tile does not depend on the flow.
+        let ns = [FlowStrategy::NothingStationary];
+        for p in matmul_points((m, n, k), &all_generations(size), V4_CAPACITY_WORDS, &ns) {
+            let config = p.accel.config(p.tile, p.flow);
+            prop_assert_eq!(config.device, p.accel.instantiated(p.tile).into());
+            prop_assert_eq!(&config.accel_dims, &[p.tile.0, p.tile.1, p.tile.2]);
+            prop_assert_eq!(config.device.tile_defect(&config.accel_dims), None, "{:?}", p);
+        }
     }
 
     /// Batched candidates share the MatMul legality rules, and their

@@ -3,7 +3,7 @@
 //! ```text
 //! axi4mlir-hub [--bind ADDR] [--workers N] [--sim-workers N]
 //!              [--queue N] [--cache-dir DIR]
-//!              [--worker ADDR]... [--event-buffer N] [--faults SPEC]
+//!              [--worker ADDR]... [--faults SPEC]
 //! ```
 //!
 //! Binds, prints `axi4mlir-hub listening on ADDR` (port 0 in `--bind`
@@ -20,8 +20,7 @@ use axi4mlir_hub::{Hub, HubConfig};
 use axi4mlir_support::{args, fault, signal};
 
 const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-workers N] \
-                     [--queue N] [--cache-dir DIR] [--worker ADDR]... \
-                     [--event-buffer N] [--faults SPEC]
+                     [--queue N] [--cache-dir DIR] [--worker ADDR]... [--faults SPEC]
 
   --bind ADDR        listen address (default 127.0.0.1:0 — a free port)
   --workers N        concurrent jobs (executor threads; default 2)
@@ -31,31 +30,16 @@ const USAGE: &str = "usage: axi4mlir-hub [--bind ADDR] [--workers N] [--sim-work
                      (checkpoints rewrite dirty shards only)
   --worker ADDR      fan measurements out to an axi4mlir-worker at ADDR (repeatable;
                      default: measure in-process)
-  --event-buffer N   events retained per job for `follow` replay (default 64)
   --faults SPEC      arm a deterministic fault plan, e.g.
                      'seed=7,hub.event:drop@2' (chaos testing; wins over
                      the AXI4MLIR_FAULTS environment variable)";
 
-/// What typing the removed single-file `--cache PATH` flag answers.
-const REMOVED_CACHE_FLAG: &str = "--cache was removed: pass --cache-dir DIR";
-
-const KNOWN_FLAGS: [&str; 8] = [
-    "--bind",
-    "--workers",
-    "--sim-workers",
-    "--queue",
-    "--cache-dir",
-    "--worker",
-    "--event-buffer",
-    "--faults",
-];
+const KNOWN_FLAGS: [&str; 7] =
+    ["--bind", "--workers", "--sim-workers", "--queue", "--cache-dir", "--worker", "--faults"];
 
 fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
     if args::wants_help(args) {
         return Err(USAGE.to_owned());
-    }
-    if args::flag(args, "--cache") {
-        return Err(REMOVED_CACHE_FLAG.to_owned());
     }
     args::reject_unknown(args, &KNOWN_FLAGS, USAGE)?;
     let defaults = HubConfig::default();
@@ -66,7 +50,6 @@ fn parse_args(args: &[String]) -> Result<(HubConfig, Option<String>), String> {
         queue_capacity: args::number(args, "--queue")?.unwrap_or(defaults.queue_capacity),
         cache_dir: args::value(args, "--cache-dir")?.map(PathBuf::from),
         measure_workers: args::values(args, "--worker")?,
-        event_buffer: args::number(args, "--event-buffer")?.unwrap_or(defaults.event_buffer),
         stop: Some(signal::stop_on_termination()),
     };
     Ok((config, args::value(args, "--faults")?))

@@ -88,10 +88,6 @@ pub struct HubConfig {
     /// `axi4mlir-worker` addresses to fan measurements out to; empty
     /// keeps the local in-process measurement pool.
     pub measure_workers: Vec<String>,
-    /// Events retained per job for `follow` replay (the newest N;
-    /// older events are evicted, the terminal event is always last and
-    /// therefore always replayable for a retained job).
-    pub event_buffer: usize,
     /// An external stop flag (the binary's signal handler sets it);
     /// polled alongside the internal one.
     pub stop: Option<&'static AtomicBool>,
@@ -106,7 +102,6 @@ impl Default for HubConfig {
             queue_capacity: 16,
             cache_dir: None,
             measure_workers: Vec::new(),
-            event_buffer: 64,
             stop: None,
         }
     }
@@ -139,6 +134,10 @@ struct Job {
 /// Jobs already terminal whose event logs are retained for late
 /// `follow` requests; older finished jobs are evicted.
 const RETAINED_FINISHED: usize = 16;
+
+/// Events retained per job for `follow` replay: the newest N (the terminal
+/// event is always last, so always replayable for a retained job).
+const EVENT_BUFFER: usize = 64;
 
 /// One job's event log: the bounded replay buffer plus the connection
 /// currently subscribed to the live stream.
@@ -398,7 +397,7 @@ impl Hub {
             addr,
             shared: Arc::new(Shared {
                 explorer,
-                events: EventHub::new(config.event_buffer),
+                events: EventHub::new(EVENT_BUFFER),
                 config,
                 queue: Mutex::new(VecDeque::new()),
                 available: Condvar::new(),

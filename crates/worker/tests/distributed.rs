@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use axi4mlir_core::explore::measure::measure_request;
 use axi4mlir_core::explore::{
-    AccelInstance, Candidate, CandidateKey, ConvSpace, DesignSpace, Explorer, Fidelity,
+    AccelInstance, Candidate, CandidateKey, ConvSpace, DesignSpace, Device, Explorer, Fidelity,
     HalvingSpec, JobSpec, MatMulSpace, Objective, Problem, ProgressEvent, Prune, RemotePool,
     Search,
 };
@@ -218,8 +218,9 @@ fn racing_hub_jobs_over_remote_workers_cost_one_isolated_sweep() {
 /// an output slice and a MAC count past 64 bits — each panicked the slot
 /// thread that built them (an out-of-bounds simulated access, two
 /// multiply overflows), and with one slot the connection never answered
-/// again. They are `failed` replies blaming `workload`, and the next
-/// frame is served.
+/// again. They are `failed` replies blaming `workload` — as a tile the
+/// key's device does not run is one blaming `tile` — and the next frame
+/// is served.
 #[test]
 fn keys_no_device_can_hold_are_failed_replies_and_the_slot_survives() {
     let addr = start_worker(1);
@@ -248,21 +249,34 @@ fn keys_no_device_can_hold_are_failed_replies_and_the_slot_survives() {
         key: CandidateKey { workload: Problem::parse(label).expect(label), ..base.key },
         estimate: base.estimate,
     };
+    // Nor can a device run every tile: `v3_4 Ns 8 8 8` used to be
+    // answered `verified:true` by a 4x4x4 run, and 3 x 64^2 words are past
+    // the v4's tile memory.
+    let with_tile = |accel: &str, edge: i64| Candidate {
+        key: CandidateKey {
+            accel: Device::parse(accel).expect(accel),
+            tile: (edge, edge, edge),
+            ..good.key
+        },
+        estimate: good.estimate,
+    };
     let unholdable = [
-        with_workload(&conv, "conv 10_4096_3_4_1"),
-        with_workload(&conv, "conv 4294967296_1_1_1_1"),
-        with_workload(&good, "matmul 4294967296x4294967296x4294967296"),
+        (with_workload(&conv, "conv 10_4096_3_4_1"), "workload"),
+        (with_workload(&conv, "conv 4294967296_1_1_1_1"), "workload"),
+        (with_workload(&good, "matmul 4294967296x4294967296x4294967296"), "workload"),
+        (with_tile("v3_4", 8), "tile"),
+        (with_tile("v4_16", 64), "tile"),
     ];
-    for (id, candidate) in (10u64..).zip(&unholdable) {
+    for (id, (candidate, blamed)) in (10u64..).zip(&unholdable) {
         let reply = reply_to(&measure_request(id, &job, Fidelity::Full, candidate));
         assert_eq!(text(&reply, "type"), "failed", "{}", reply.to_json_string());
         assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(id));
         let reason = text(&reply, "reason");
-        assert!(reason.contains("`candidate.key.workload`"), "{reason}");
+        assert!(reason.contains(&format!("`candidate.key.{blamed}`")), "{reason}");
     }
-    let reply = reply_to(&measure_request(13, &job, Fidelity::Full, &good));
+    let reply = reply_to(&measure_request(15, &job, Fidelity::Full, &good));
     assert_eq!(text(&reply, "type"), "result", "{}", reply.to_json_string());
-    assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(13));
+    assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(15));
 }
 
 /// Regression: a connection's reader never looked at the stop flag, so

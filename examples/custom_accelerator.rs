@@ -1,7 +1,10 @@
 //! Integrating a *custom* accelerator the way the paper's §III-B
 //! describes: write the Fig. 5 JSON configuration (CPU caches, opcode_map,
 //! legal opcode_flows), parse + validate it, then let AXI4MLIR generate a
-//! driver for each flow and compare them.
+//! driver for each flow and compare them. The `opcode_flow_map` keys are
+//! free names — each flow's own structure decides its loop order — spelt
+//! here as the paper's strategy labels so `CompilePlan::flow` finds them;
+//! `accel_size` must be a tile the named device runs.
 //!
 //! Run with: `cargo run --release --example custom_accelerator`
 

@@ -149,6 +149,30 @@ fn json_errors_are_actionable() {
         assert!(err.message.contains(blamed), "{}", err.message);
         assert!(err.message.contains(says), "{}", err.message);
     }
+
+    // An `accel_size` the named device does not run, or a `data_type` the
+    // simulator does not model, is refused naming the accelerator and the
+    // member (the first used to die at run time on a hung bus, the second
+    // ran as int32).
+    let tile = include_str!("malformed/tile_device_mismatch.json");
+    let float = include_str!("malformed/float_data.json");
+    let retiled = |name: &str, size: &str| {
+        tile.replace("\"v3_8\"", &format!("\"{name}\"")).replace("[4, 4, 4]", size)
+    };
+    for (document, accelerator, member, says) in [
+        (tile.to_owned(), "v3_8", "`accel_size`", "the device's own [SIZE, SIZE, SIZE]"),
+        (retiled("v3_4", "[8, 8, 8]"), "v3_4", "`accel_size`", "the device's own"),
+        (retiled("v4_8", "[12, 8, 8]"), "v4_8", "`accel_size`", "multiples of SIZE"),
+        (retiled("v4_16", "[64, 64, 64]"), "v4_16", "`accel_size`", "tile memory"),
+        (float.to_owned(), "v1_4", "`data_type`", "int32"),
+    ] {
+        let err = SystemConfig::from_json(&document).unwrap_err();
+        assert!(err.message.contains(&format!("accelerator {accelerator}:")), "{}", err.message);
+        assert!(err.message.contains(member), "{}", err.message);
+        assert!(err.message.contains(says), "{}", err.message);
+    }
+    SystemConfig::from_json(&retiled("v3_4", "[4, 4, 4]")).expect("its own tile");
+    SystemConfig::from_json(&retiled("v4_8", "[16, 8, 24]")).expect("base multiples in capacity");
 }
 
 /// A pre-annotated conv whose operands cannot be a convolution's — the

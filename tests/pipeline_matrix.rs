@@ -187,7 +187,8 @@ fn manual_and_generated_agree_numerically() {
 #[test]
 fn v4_non_square_tiles_verify() {
     let problem = MatMulProblem::new(32, 16, 64);
-    let config = AcceleratorConfig::preset_v4_with_tile(16, 32, 16, 64).with_selected_flow("Cs");
+    let config = AcceleratorConfig::matmul_with_tile(MatMulVersion::V4, 16, (32, 16, 64))
+        .with_selected_flow("Cs");
     let plan = CompilePlan::for_accelerator(config);
     let report = Session::for_sweep().run(&MatMulWorkload::new(problem), &plan).unwrap();
     assert!(report.verified);
