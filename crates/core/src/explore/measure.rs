@@ -1,24 +1,30 @@
-//! Pluggable measurement execution behind the [`Explorer`] scheduler.
+//! Measurement execution behind the [`Explorer`] scheduler.
 //!
-//! `Explorer::measure_set` owns everything that makes reports
-//! deterministic and concurrent sweeps cheap — the cache partition, the
-//! proxy-saturation accounting, the cross-job in-flight deduplication,
-//! and index-ordered error reporting. What it delegates is only the
-//! *execution* of a claimed measurement, through [`MeasureBackend`]:
+//! `Explorer::measure_set` partitions a rung into cache hits and pending
+//! candidates and hands the pending ones to `drain`, which runs them on
+//! one of two pools over the same `MeasureQueue`:
 //!
-//! - `LocalPool` is the original recycled-session thread pool: `N`
-//!   worker threads, one [`Session`] each, pulling claims until the
-//!   queue drains;
-//! - [`RemotePool`] fans claims out to `axi4mlir-worker` daemons over
+//! - the local pool: `N` threads, one recycled-SoC [`Session`] each,
+//!   pulling claims until the queue drains;
+//! - a [`RemotePool`]: claims fanned out to `axi4mlir-worker` daemons over
 //!   the [`axi4mlir_support::proto`] NDJSON framing, with a per-worker
 //!   in-flight window. A worker that dies mid-rung has its outstanding
 //!   claims requeued and its connection retried; the sweep fails only if
-//!   *every* worker is gone with work remaining, so a lost worker
-//!   degrades throughput instead of failing the sweep.
+//!   *every* worker is gone with work remaining.
 //!
-//! Both backends publish through the same [`MeasureQueue`], so a report
-//! produced through a remote pool is bit-identical (excluding wall-clock
-//! timing fields) to the local pool's at any worker count.
+//! Both resolve claims through the same queue, so a report produced
+//! through a remote pool is bit-identical (excluding wall-clock timing
+//! fields) to the local pool's at any worker count.
+//!
+//! What the locks guard is the "Shared state" table of
+//! `docs/ARCHITECTURE.md`. The ordering rule, stated here once: lock the
+//! queue before the engine; park holding neither; and make every change a
+//! parked worker can be waiting for — a key released, an index requeued by
+//! a dropped `MeasureTask`, a result pushed, an inline dedup hit — visible
+//! *before* `Explorer::announce` moves the epoch, under that same engine
+//! lock. A worker that found nothing to claim holds the epoch it saw under
+//! the lock it looked with, so `Explorer::wait_for_progress` needs no
+//! timer: any later change has moved the epoch by the time it is checked.
 //!
 //! The second half of this module is the `axi4mlir-worker/v1` wire
 //! vocabulary — the `measure`/`result`/`failed` frames both the remote
@@ -31,8 +37,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use axi4mlir_support::diag::Diagnostic;
@@ -43,29 +48,63 @@ use crate::driver::Session;
 
 use super::cache::{self, CachedEval};
 use super::space::{Candidate, CandidateKey, DesignSpace, Fidelity};
-use super::{wire, Explorer, JobSpec, SweepStats};
+use super::{wire, Explorer, JobSpec};
 
-/// One backend worker's result for one candidate index: the outcome plus
-/// whether it was served from the cache by a concurrent claim.
-pub(crate) type Done = (usize, Result<CachedEval, Diagnostic>, bool);
+/// One resolved candidate of a rung.
+pub(super) struct Done<'a> {
+    pub(super) index: usize,
+    pub(super) result: Result<CachedEval, Diagnostic>,
+    /// The worker that simulated it and the nanoseconds that took; `None`
+    /// when a concurrent claim landed it in the cache first.
+    pub(super) measured: Option<(&'a str, u64)>,
+}
 
-/// Executes the measurements a [`MeasureQueue`] hands out. The two
-/// implementors live in this module (the queue's claim methods are
-/// crate-private): they claim tasks with `MeasureQueue::try_claim` and
-/// resolve every claim through `MeasureQueue::complete` (or put it back
-/// by dropping it).
-pub trait MeasureBackend: Send + Sync {
-    /// The backend label reports carry (`local`, `remote:2`, …).
-    fn describe(&self) -> String;
+/// What a drained rung hands back to the sweep that owns it.
+pub(super) struct Drained<'a> {
+    /// Every pending candidate's outcome, in candidate order.
+    pub(super) done: Vec<Done<'a>>,
+    /// One entry per re-registration of a lost remote worker.
+    pub(super) reconnects: Vec<&'a str>,
+}
 
-    /// Drains `queue`: returns once every pending candidate has been
-    /// completed (measured, failed, or deduplicated).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Diagnostic`] when the backend cannot finish the queue
-    /// (e.g. every remote worker died with work remaining).
-    fn drain(&self, queue: &MeasureQueue<'_>) -> Result<(), Diagnostic>;
+/// The report label of the pool sweeps measure on.
+pub(super) fn describe_pool(remote: Option<&RemotePool>) -> String {
+    remote.map_or_else(|| LOCAL_WORKER.to_owned(), |pool| format!("remote:{}", pool.addrs.len()))
+}
+
+/// Measures the `pending` candidates (indices into `candidates`/`meta`)
+/// on `explorer`'s pool and returns once every one is resolved: measured,
+/// failed, or deduplicated against a concurrent sweep.
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] when the pool cannot finish the rung (e.g.
+/// every remote worker died with work remaining).
+pub(super) fn drain<'a>(
+    explorer: &'a Explorer,
+    space: &'a dyn DesignSpace,
+    candidates: &'a [Candidate],
+    meta: &'a [(CandidateKey, u64, bool)],
+    fidelity: Fidelity,
+    workers: usize,
+    pending: Vec<usize>,
+) -> Result<Drained<'a>, Diagnostic> {
+    let queue = MeasureQueue::new(explorer, space, candidates, meta, fidelity, workers, pending);
+    match &explorer.remote {
+        None => drain_local(&queue),
+        Some(pool) => pool.drain(&queue)?,
+    }
+    let QueueState { mut done, reconnects, .. } =
+        queue.state.into_inner().expect("measure queue poisoned");
+    if done.len() != queue.total {
+        return Err(Diagnostic::error(format!(
+            "measurement pool resolved {} of {} candidates",
+            done.len(),
+            queue.total
+        )));
+    }
+    done.sort_by_key(|done| done.index);
+    Ok(Drained { done, reconnects })
 }
 
 /// One claimed measurement. Dropping a task without completing it
@@ -82,23 +121,33 @@ impl Drop for MeasureTask<'_, '_> {
     }
 }
 
-/// What [`MeasureQueue::try_claim`] found.
+/// What [`MeasureQueue::try_claim`] found. The two empty-handed answers
+/// carry the engine epoch they were decided at, for
+/// `Explorer::wait_for_progress`.
 enum Claimed<'q, 'a> {
     /// A candidate to measure.
     Task(MeasureTask<'q, 'a>),
     /// Work remains, but every pending key is currently claimed by a
-    /// concurrent sweep (or another backend worker). Wait and retry.
-    Busy,
-    /// The pending queue is empty. Other workers may still hold tasks —
-    /// poll [`MeasureQueue::is_drained`] to learn whether the rung is
-    /// truly finished.
-    Empty,
+    /// concurrent sweep (or another worker of this pool).
+    Busy(u64),
+    /// Nothing is pending. Other workers may still hold tasks — ask
+    /// [`MeasureQueue::is_drained`] whether the rung is truly finished.
+    Empty(u64),
+}
+
+/// What one rung's workers share under the queue's lock. At every unlock
+/// an index is in exactly one place: `pending`, a live [`MeasureTask`],
+/// or `done`.
+struct QueueState<'a> {
+    pending: VecDeque<usize>,
+    done: Vec<Done<'a>>,
+    reconnects: Vec<&'a str>,
 }
 
 /// The work-distribution state for one `measure_set` rung: the pending
 /// candidates, the claim/dedup logic shared with concurrent sweeps, and
-/// the accounting every completed measurement flows through.
-pub struct MeasureQueue<'a> {
+/// the outcomes the owning sweep folds into its report.
+struct MeasureQueue<'a> {
     explorer: &'a Explorer,
     space: &'a dyn DesignSpace,
     candidates: &'a [Candidate],
@@ -106,151 +155,124 @@ pub struct MeasureQueue<'a> {
     /// measuring that key is a full-fidelity simulation.
     meta: &'a [(CandidateKey, u64, bool)],
     fidelity: Fidelity,
-    stats: &'a SweepStats,
+    /// The sweep's worker budget (already clamped to the pending size):
+    /// local threads, or the cap on each remote worker's window.
     workers: usize,
     total: usize,
-    pending: Mutex<VecDeque<usize>>,
-    completed: AtomicUsize,
-    done: Mutex<Vec<Done>>,
+    state: Mutex<QueueState<'a>>,
 }
 
 impl<'a> MeasureQueue<'a> {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor mirroring measure_set's locals
-    pub(crate) fn new(
+    fn new(
         explorer: &'a Explorer,
         space: &'a dyn DesignSpace,
         candidates: &'a [Candidate],
         meta: &'a [(CandidateKey, u64, bool)],
         fidelity: Fidelity,
-        stats: &'a SweepStats,
         workers: usize,
         pending: Vec<usize>,
     ) -> Self {
         let total = pending.len();
+        let state = QueueState {
+            pending: pending.into(),
+            done: Vec::with_capacity(total),
+            reconnects: Vec::new(),
+        };
         Self {
             explorer,
             space,
             candidates,
             meta,
             fidelity,
-            stats,
             workers,
             total,
-            pending: Mutex::new(pending.into()),
-            completed: AtomicUsize::new(0),
-            done: Mutex::new(Vec::with_capacity(total)),
+            state: Mutex::new(state),
         }
     }
 
-    /// The fidelity this rung measures at.
-    fn fidelity(&self) -> Fidelity {
-        self.fidelity
+    fn state(&self) -> MutexGuard<'_, QueueState<'a>> {
+        self.state.lock().expect("measure queue poisoned")
     }
 
-    /// The requested local worker-thread count (already clamped to the
-    /// pending size). Remote backends may ignore it.
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The candidate a task measures.
-    fn candidate(&self, task: &MeasureTask<'_, 'a>) -> &'a Candidate {
-        &self.candidates[task.index]
-    }
-
-    /// The wire recipe remote workers rebuild the space from, if this
-    /// space can travel.
-    fn wire_spec(&self) -> Option<JobSpec> {
-        self.space.wire_spec()
-    }
-
-    /// The space description, for diagnostics.
-    fn describe_space(&self) -> String {
-        self.space.describe()
-    }
-
-    /// Whether every pending candidate has been completed.
+    /// Whether every pending candidate has been resolved.
     fn is_drained(&self) -> bool {
-        self.completed.load(Ordering::Acquire) == self.total
+        self.state().done.len() == self.total
     }
 
-    /// Claims the next measurable candidate. A key claimed elsewhere is
-    /// cycled to the back of the queue; a key already cached (a concurrent
-    /// sweep landed it first) is resolved inline as a dedup hit — *under* the
-    /// claim: `complete` publishes before it releases, so a held claim sees it.
+    /// Claims the next measurable candidate, looking at each pending index
+    /// once. A key claimed elsewhere is cycled to the back of the queue; a
+    /// key already cached (a concurrent sweep landed it first) is resolved
+    /// inline as a dedup hit. Claim and lookup are one step under the
+    /// engine lock, and `complete` publishes and releases under it too, so
+    /// no key is ever simulated while cached.
     fn try_claim<'q>(&'q self) -> Claimed<'q, 'a> {
-        let mut pending = self.pending.lock().expect("measure queue poisoned");
-        let mut cycled = 0;
-        while let Some(index) = pending.pop_front() {
+        let mut state = self.state();
+        let mut engine = self.explorer.engine();
+        let mut claimed = None;
+        let mut served = false;
+        for _ in 0..state.pending.len() {
+            let index = state.pending.pop_front().expect("one pop per pending index");
             let key = &self.meta[index].0;
-            if !self.explorer.in_flight.claim(key) {
-                pending.push_back(index);
-                cycled += 1;
-                if cycled >= pending.len() {
-                    return Claimed::Busy;
-                }
-                continue;
+            if let Some(hit) = engine.cache.get(key) {
+                state.done.push(Done { index, result: Ok(hit.clone()), measured: None });
+                engine.dedup_hits += 1;
+                served = true;
+            } else if engine.claimed.insert(*key) {
+                claimed = Some(index);
+                break;
+            } else {
+                state.pending.push_back(index);
             }
-            let hit =
-                self.explorer.cache.lock().expect("explorer cache poisoned").get(key).cloned();
-            let Some(hit) = hit else {
-                return Claimed::Task(MeasureTask { queue: self, index });
-            };
-            self.explorer.in_flight.release(key);
-            self.explorer.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            self.push_done(index, Ok(hit), true);
         }
-        Claimed::Empty
+        if served {
+            self.explorer.announce(&mut engine);
+        }
+        match claimed {
+            Some(index) => Claimed::Task(MeasureTask { queue: self, index }),
+            None if state.pending.is_empty() => Claimed::Empty(engine.epoch),
+            None => Claimed::Busy(engine.epoch),
+        }
     }
 
-    /// Resolves a claim: publishes a successful measurement to the
-    /// shared cache *before* releasing the claim (so concurrent waiters
-    /// find it), performs all sweep and engine accounting, and records
-    /// the measuring `worker` for the report's per-worker sim counts.
+    /// Resolves a claim: publishes a successful measurement to the shared
+    /// cache, releases the claim and records the outcome — with the
+    /// measuring `worker`, for the report's per-worker sim counts — as one
+    /// step, then announces it.
     fn complete(
         &self,
         task: MeasureTask<'_, 'a>,
         result: Result<CachedEval, Diagnostic>,
         nanos: u64,
-        worker: &str,
+        worker: &'a str,
     ) {
         let index = task.index;
         std::mem::forget(task); // resolved: skip the requeue-on-drop path
-        let (key, _, is_full) = &self.meta[index];
-        if let Ok(eval) = &result {
-            self.explorer.cache.lock().expect("explorer cache poisoned").insert(*key, eval.clone());
-            self.explorer.mark_dirty(key);
-            self.explorer.evals_performed.fetch_add(1, Ordering::Relaxed);
-            self.stats.record_sim(worker, *is_full, nanos);
+        let key = self.meta[index].0;
+        let published = result.as_ref().ok().cloned();
+        let mut state = self.state();
+        let mut engine = self.explorer.engine();
+        if let Some(eval) = published {
+            engine.cache.insert(key, eval);
+            engine.dirty.insert(key.workload);
+            engine.evals_performed += 1;
         }
-        self.explorer.in_flight.release(key);
-        self.push_done(index, result, false);
+        engine.claimed.remove(&key);
+        state.done.push(Done { index, result, measured: Some((worker, nanos)) });
+        self.explorer.announce(&mut engine);
     }
 
     /// Records that `worker` came back after its connection was lost —
     /// surfaced as `worker_reconnects` in the sweep report.
-    fn record_reconnect(&self, worker: &str) {
-        self.stats.record_reconnect(worker);
+    fn record_reconnect(&self, worker: &'a str) {
+        self.state().reconnects.push(worker);
     }
 
     fn abandon(&self, index: usize) {
-        self.explorer.in_flight.release(&self.meta[index].0);
-        self.pending.lock().expect("measure queue poisoned").push_back(index);
-    }
-
-    /// Parks briefly (≤10ms) until some in-flight claim releases — the
-    /// polite way to wait out [`Claimed::Busy`].
-    fn wait_for_progress(&self) {
-        self.explorer.in_flight.wait_release_timeout(Duration::from_millis(10));
-    }
-
-    fn push_done(&self, index: usize, result: Result<CachedEval, Diagnostic>, served: bool) {
-        self.done.lock().expect("result sink poisoned").push((index, result, served));
-        self.completed.fetch_add(1, Ordering::Release);
-    }
-
-    pub(crate) fn into_done(self) -> Vec<Done> {
-        self.done.into_inner().expect("result sink poisoned")
+        let mut state = self.state();
+        let mut engine = self.explorer.engine();
+        engine.claimed.remove(&self.meta[index].0);
+        state.pending.push_back(index);
+        self.explorer.announce(&mut engine);
     }
 }
 
@@ -258,46 +280,33 @@ impl<'a> MeasureQueue<'a> {
 // Local pool
 // ---------------------------------------------------------------------
 
-/// The in-process measurement pool: `queue.workers()` threads, each
-/// owning one recycled-SoC [`Session`] for the rung.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LocalPool;
-
 /// The worker label local measurements are recorded under.
 const LOCAL_WORKER: &str = "local";
 
-impl MeasureBackend for LocalPool {
-    fn describe(&self) -> String {
-        LOCAL_WORKER.to_owned()
-    }
-
-    fn drain(&self, queue: &MeasureQueue<'_>) -> Result<(), Diagnostic> {
-        std::thread::scope(|scope| {
-            for _ in 0..queue.workers() {
-                scope.spawn(|| {
-                    let mut session = Session::for_sweep();
-                    loop {
-                        match queue.try_claim() {
-                            Claimed::Task(task) => {
-                                let started = Instant::now();
-                                let result = run_candidate(
-                                    &mut session,
-                                    queue.space,
-                                    queue.candidate(&task),
-                                    queue.fidelity(),
-                                );
-                                let nanos = started.elapsed().as_nanos() as u64;
-                                queue.complete(task, result, nanos, LOCAL_WORKER);
-                            }
-                            Claimed::Busy => queue.wait_for_progress(),
-                            Claimed::Empty => break,
+/// The in-process measurement pool: `queue.workers` threads, each owning
+/// one recycled-SoC [`Session`] for the rung.
+fn drain_local(queue: &MeasureQueue<'_>) {
+    std::thread::scope(|scope| {
+        for _ in 0..queue.workers {
+            scope.spawn(|| {
+                let mut session = Session::for_sweep();
+                loop {
+                    match queue.try_claim() {
+                        Claimed::Task(task) => {
+                            let started = Instant::now();
+                            let candidate = &queue.candidates[task.index];
+                            let result =
+                                run_candidate(&mut session, queue.space, candidate, queue.fidelity);
+                            let nanos = started.elapsed().as_nanos() as u64;
+                            queue.complete(task, result, nanos, LOCAL_WORKER);
                         }
+                        Claimed::Busy(epoch) => queue.explorer.wait_for_progress(epoch),
+                        Claimed::Empty(_) => break,
                     }
-                });
-            }
-        });
-        Ok(())
-    }
+                }
+            });
+        }
+    });
 }
 
 /// Realizes `candidate` (the one realization a measured candidate gets)
@@ -361,30 +370,30 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(5);
 /// a pump abandons its address only when the whole pool is unreachable.
 /// Re-registrations are recorded on the queue and surface as
 /// `worker_reconnects` in the report.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RemotePool {
     addrs: Vec<String>,
     window: usize,
-    state: Arc<PoolState>,
+    state: Mutex<PoolState>,
 }
 
-/// Liveness shared by a pool's pumps across connections and drains.
+/// Liveness shared by a pool's pumps across connections and rungs.
 #[derive(Debug, Default)]
 struct PoolState {
     /// Pumps currently holding a healthy worker connection.
-    connected: AtomicUsize,
+    connected: usize,
     /// Addresses whose last connection was lost. The flag outlives the
     /// rung that observed the loss, so a worker that dies late in one
     /// rung and comes back during a later one is still recorded as a
     /// re-registration.
-    lost: Mutex<HashSet<String>>,
+    lost: HashSet<String>,
 }
 
 impl RemotePool {
     /// A pool over `addrs` with the default in-flight window of 4
     /// requests per worker.
     pub fn new(addrs: Vec<String>) -> Self {
-        Self { addrs, window: 4, state: Arc::default() }
+        Self { addrs, window: 4, state: Mutex::default() }
     }
 
     /// Overrides the per-worker in-flight window (clamped to ≥ 1).
@@ -393,36 +402,32 @@ impl RemotePool {
         self.window = window.max(1);
         self
     }
-}
 
-impl MeasureBackend for RemotePool {
-    fn describe(&self) -> String {
-        format!("remote:{}", self.addrs.len())
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool state poisoned")
     }
 
-    fn drain(&self, queue: &MeasureQueue<'_>) -> Result<(), Diagnostic> {
+    fn drain<'a>(&'a self, queue: &MeasureQueue<'a>) -> Result<(), Diagnostic> {
         if self.addrs.is_empty() {
             return Err(Diagnostic::error("remote measurement pool has no workers"));
         }
-        let Some(spec) = queue.wire_spec() else {
+        let Some(spec) = queue.space.wire_spec() else {
             return Err(Diagnostic::error(format!(
                 "space {} cannot be measured remotely (no wire form)",
-                queue.describe_space()
+                queue.space.describe()
             )));
         };
         let job = spec.to_json();
-        // The per-job worker budget (threaded through `queue.workers()`)
-        // caps each pump's in-flight window, so one huge job cannot
-        // monopolize the pool's slots across rungs.
-        let window = self.window.min(queue.workers().max(1));
+        // The per-job worker budget caps each pump's in-flight window, so
+        // one huge job cannot monopolize the pool's slots across rungs.
+        let window = self.window.min(queue.workers.max(1));
         let failures: Vec<Diagnostic> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .addrs
                 .iter()
                 .map(|addr| {
                     let job = &job;
-                    let state = &self.state;
-                    scope.spawn(move || pump(addr, job, window, queue, state))
+                    scope.spawn(move || self.pump(addr, job, window, queue))
                 })
                 .collect();
             handles
@@ -437,6 +442,64 @@ impl MeasureBackend for RemotePool {
         Err(failures.into_iter().next().unwrap_or_else(|| {
             Diagnostic::error("remote measurement workers lost with work remaining")
         }))
+    }
+
+    /// Drives one worker address for the life of the rung. A lost
+    /// connection requeues its outstanding claims (by drop) and is retried
+    /// with exponential backoff; a successful reconnect after a loss
+    /// re-registers the worker via [`MeasureQueue::record_reconnect`]. The
+    /// pump abandons the address only once [`RECONNECT_ATTEMPTS`]
+    /// consecutive connects failed *and* no other pump in the pool is
+    /// connected — while any peer is serving the queue, a dead worker's
+    /// address keeps being retried so it can rejoin whenever it comes back.
+    fn pump<'a>(
+        &'a self,
+        addr: &'a str,
+        job: &JsonValue,
+        window: usize,
+        queue: &MeasureQueue<'a>,
+    ) -> Result<(), Diagnostic> {
+        let mut failures = 0usize;
+        loop {
+            if queue.is_drained() {
+                return Ok(());
+            }
+            let mut conn = match connect(addr) {
+                Ok(conn) => conn,
+                Err(err) => {
+                    failures += 1;
+                    if failures >= RECONNECT_ATTEMPTS && self.state().connected == 0 {
+                        return Err(err);
+                    }
+                    let backoff = RECONNECT_BACKOFF
+                        .saturating_mul(1 << (failures - 1).min(4) as u32)
+                        .min(RECONNECT_BACKOFF_CAP);
+                    std::thread::sleep(backoff);
+                    continue;
+                }
+            };
+            failures = 0;
+            let rejoined = {
+                let mut state = self.state();
+                state.connected += 1;
+                // The loss flag lives on the pool, not this pump: a worker
+                // that died in an earlier rung and reconnects here is still
+                // a re-registration.
+                state.lost.remove(addr)
+            };
+            if rejoined {
+                queue.record_reconnect(addr);
+            }
+            let served = serve_worker(addr, &mut conn, job, window, queue);
+            let mut state = self.state();
+            state.connected -= 1;
+            match served {
+                Served::Drained => return Ok(()),
+                Served::Lost => {
+                    state.lost.insert(addr.to_owned());
+                }
+            }
+        }
     }
 }
 
@@ -508,80 +571,27 @@ enum Served {
     Lost,
 }
 
-/// Drives one worker address for the life of the rung. A lost connection
-/// requeues its outstanding claims (by drop) and is retried with
-/// exponential backoff; a successful reconnect after a loss re-registers
-/// the worker via [`MeasureQueue::record_reconnect`]. The pump abandons
-/// the address only once [`RECONNECT_ATTEMPTS`] consecutive connects
-/// failed *and* no other pump in the pool is connected — while any peer
-/// is serving the queue, a dead worker's address keeps being retried so
-/// it can rejoin whenever it comes back.
-fn pump(
-    addr: &str,
-    job: &JsonValue,
-    window: usize,
-    queue: &MeasureQueue<'_>,
-    state: &PoolState,
-) -> Result<(), Diagnostic> {
-    let mut failures = 0usize;
-    loop {
-        if queue.is_drained() {
-            return Ok(());
-        }
-        let mut conn = match connect(addr) {
-            Ok(conn) => conn,
-            Err(err) => {
-                failures += 1;
-                if failures >= RECONNECT_ATTEMPTS && state.connected.load(Ordering::Acquire) == 0 {
-                    return Err(err);
-                }
-                let backoff = RECONNECT_BACKOFF
-                    .saturating_mul(1 << (failures - 1).min(4) as u32)
-                    .min(RECONNECT_BACKOFF_CAP);
-                std::thread::sleep(backoff);
-                continue;
-            }
-        };
-        failures = 0;
-        // The loss flag lives on the pool, not this pump: a worker
-        // that died in an earlier rung and reconnects here is still a
-        // re-registration.
-        if state.lost.lock().expect("pool state poisoned").remove(addr) {
-            queue.record_reconnect(addr);
-        }
-        state.connected.fetch_add(1, Ordering::AcqRel);
-        let served = serve_worker(addr, &mut conn, job, window, queue);
-        state.connected.fetch_sub(1, Ordering::AcqRel);
-        match served {
-            Served::Drained => return Ok(()),
-            Served::Lost => {
-                state.lost.lock().expect("pool state poisoned").insert(addr.to_owned());
-            }
-        }
-    }
-}
-
 /// Runs one healthy connection until the queue drains or the connection
 /// dies. Outstanding claims are requeued (by drop) on every exit path
 /// that loses the connection, so no candidate is ever lost to a worker
 /// death.
-fn serve_worker(
-    addr: &str,
+fn serve_worker<'a>(
+    addr: &'a str,
     conn: &mut Connection,
     job: &JsonValue,
     window: usize,
-    queue: &MeasureQueue<'_>,
+    queue: &MeasureQueue<'a>,
 ) -> Served {
     let mut next_id: u64 = 1;
     let mut outstanding = HashMap::new();
     loop {
         // Keep the in-flight window full.
-        let mut starved = false;
+        let mut starved = None;
         while outstanding.len() < window {
             match queue.try_claim() {
                 Claimed::Task(task) => {
-                    let frame =
-                        measure_request(next_id, job, queue.fidelity(), queue.candidate(&task));
+                    let candidate = &queue.candidates[task.index];
+                    let frame = measure_request(next_id, job, queue.fidelity, candidate);
                     if write_frame_at("pool.send", &mut conn.writer, &frame).is_err() {
                         // `task` and `outstanding` requeue on drop.
                         return Served::Lost;
@@ -589,8 +599,8 @@ fn serve_worker(
                     outstanding.insert(next_id, task);
                     next_id += 1;
                 }
-                Claimed::Busy | Claimed::Empty => {
-                    starved = true;
+                Claimed::Busy(epoch) | Claimed::Empty(epoch) => {
+                    starved = Some(epoch);
                     break;
                 }
             }
@@ -599,11 +609,12 @@ fn serve_worker(
             if queue.is_drained() {
                 return Served::Drained;
             }
-            if starved {
-                // Work remains, but none is claimable by us right
-                // now (held by concurrent sweeps or other pumps
-                // whose death would requeue it). Stay alive.
-                queue.wait_for_progress();
+            if let Some(epoch) = starved {
+                // Work remains, but none is claimable by us right now
+                // (held by concurrent sweeps or other pumps whose death
+                // would requeue it). Stay alive until something moves:
+                // the epoch predates the `is_drained` answer above.
+                queue.explorer.wait_for_progress(epoch);
                 continue;
             }
         }
@@ -698,7 +709,173 @@ fn run_measure(session: &mut Session, frame: &JsonValue) -> Result<(CachedEval, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi4mlir_sim::counters::PerfCounters;
     use axi4mlir_workloads::matmul::MatMulProblem;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use super::super::MatMulSpace;
+
+    /// Runs `scenario` on a thread of its own under a hard deadline, so a
+    /// lost wake-up fails the test instead of hanging the suite.
+    fn within_deadline(scenario: impl FnOnce() + Send + 'static) {
+        let (finished_tx, finished_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            scenario();
+            let _ = finished_tx.send(());
+        });
+        finished_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the scenario finishes (a lost wake-up parks a worker forever)");
+    }
+
+    /// The 8x8x8 space and what `measure_set` derives from it for a
+    /// full-fidelity rung.
+    fn rung() -> (MatMulSpace, Vec<Candidate>, Vec<(CandidateKey, u64, bool)>) {
+        let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(7);
+        let candidates = space.enumerate().unwrap();
+        let meta = candidates
+            .iter()
+            .map(|candidate| {
+                let (key, work) = candidate.key.at(Fidelity::Full).unwrap();
+                (key, work, true)
+            })
+            .collect();
+        (space, candidates, meta)
+    }
+
+    fn eval() -> CachedEval {
+        CachedEval {
+            counters: PerfCounters::new(),
+            task_clock_ms: 1.0,
+            verified: true,
+            pass_ms: Vec::new(),
+        }
+    }
+
+    /// Two sweeps on one engine want the same key. The worker that finds
+    /// it `Busy` reports so *before* the holder drops its task (the channel
+    /// forces that order); whether the drop then lands before or after the
+    /// worker parks, the epoch it holds predates it, so it must wake, claim
+    /// the key and measure it — and the holder's requeued candidate is then
+    /// a dedup hit.
+    #[test]
+    fn a_dropped_foreign_task_wakes_a_worker_parked_on_busy() {
+        within_deadline(|| {
+            let (space, candidates, meta) = rung();
+            let explorer = Explorer::new();
+            let queue = |pending| {
+                MeasureQueue::new(&explorer, &space, &candidates, &meta, Fidelity::Full, 1, pending)
+            };
+            let (foreign, ours) = (queue(vec![0]), queue(vec![0]));
+            let Claimed::Task(held) = foreign.try_claim() else { panic!("an unclaimed key") };
+            let (saw_busy_tx, saw_busy_rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    let Claimed::Busy(epoch) = ours.try_claim() else {
+                        panic!("the key is held by the foreign sweep")
+                    };
+                    saw_busy_tx.send(()).unwrap();
+                    explorer.wait_for_progress(epoch);
+                    let Claimed::Task(task) = ours.try_claim() else {
+                        panic!("the dropped key is claimable")
+                    };
+                    ours.complete(task, Ok(eval()), 1, LOCAL_WORKER);
+                });
+                saw_busy_rx.recv().unwrap();
+                drop(held); // what an unwinding or disconnected worker does
+                worker.join().unwrap();
+            });
+            assert!(ours.is_drained());
+            assert!(matches!(foreign.try_claim(), Claimed::Empty(_)), "requeued, then served");
+            assert!(foreign.is_drained());
+            assert_eq!((explorer.evals_performed(), explorer.dedup_hits()), (1, 1));
+        });
+    }
+
+    fn next_value(conn: &mut Connection) -> JsonValue {
+        loop {
+            match conn.reader.next_frame().unwrap() {
+                Frame::Value(value) => return value,
+                Frame::Idle => continue,
+                Frame::Eof => panic!("the pump hung up"),
+            }
+        }
+    }
+
+    /// The result-before-release ordering the 10 ms timer used to paper
+    /// over: a pump whose own claim is answered finds the queue `Empty`
+    /// while another worker still holds the rung's last task, and has
+    /// nothing to read from its socket. The holder's `complete` must make
+    /// it return `Drained`. First the hazardous order on one thread —
+    /// `Empty` seen, then the complete, then the wait, which must not park
+    /// — then a real pump over a loopback socket, where the complete may
+    /// land before or after the pump parks; nothing outside the pump can
+    /// see which, so that scenario repeats.
+    #[test]
+    fn a_pump_that_saw_empty_is_drained_by_the_last_foreign_complete() {
+        within_deadline(|| {
+            let (space, candidates, meta) = rung();
+            {
+                let explorer = Explorer::new();
+                let queue = MeasureQueue::new(
+                    &explorer,
+                    &space,
+                    &candidates,
+                    &meta,
+                    Fidelity::Full,
+                    1,
+                    vec![0],
+                );
+                let Claimed::Task(held) = queue.try_claim() else { panic!("an unclaimed key") };
+                let Claimed::Empty(epoch) = queue.try_claim() else { panic!("nothing pending") };
+                assert!(!queue.is_drained());
+                queue.complete(held, Ok(eval()), 7, "another pump");
+                explorer.wait_for_progress(epoch);
+                assert!(queue.is_drained());
+            }
+            let job = space.wire_spec().unwrap().to_json();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            for _ in 0..25 {
+                let explorer = Explorer::new();
+                let queue = MeasureQueue::new(
+                    &explorer,
+                    &space,
+                    &candidates,
+                    &meta,
+                    Fidelity::Full,
+                    1,
+                    vec![0, 1],
+                );
+                let Claimed::Task(held) = queue.try_claim() else { panic!("an unclaimed key") };
+                std::thread::scope(|scope| {
+                    let pump = scope.spawn(|| {
+                        let stream = TcpStream::connect(&addr).unwrap();
+                        let mut conn = Connection::open(stream).unwrap();
+                        serve_worker(&addr, &mut conn, &job, 1, &queue)
+                    });
+                    // The worker end: answer the pump's one claim.
+                    let mut peer = Connection::open(listener.accept().unwrap().0).unwrap();
+                    let request = next_value(&mut peer);
+                    let id = request.get("id").and_then(JsonValue::as_u64).unwrap();
+                    write_frame(&mut peer.writer, &result_frame(id, &eval(), 5)).unwrap();
+                    // Once that result is in, the pump is on its way to
+                    // `Empty` with the rung one short of drained.
+                    loop {
+                        let epoch = explorer.engine().epoch;
+                        if queue.state().done.len() == 1 {
+                            break;
+                        }
+                        explorer.wait_for_progress(epoch);
+                    }
+                    queue.complete(held, Ok(eval()), 7, "another pump");
+                    assert!(matches!(pump.join().unwrap(), Served::Drained));
+                });
+                assert!(queue.is_drained());
+            }
+        });
+    }
 
     #[test]
     fn measure_frames_round_trip_through_the_worker_entry_point() {

@@ -48,11 +48,9 @@ pub mod space;
 pub mod transfer;
 pub mod wire;
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_support::diag::Diagnostic;
@@ -62,7 +60,6 @@ pub use axi4mlir_heuristics::objective::Objective;
 use cache::CachedEval;
 pub use cache::CACHE_SCHEMA;
 pub use jobspec::{AnySpace, ExploreRequest, JobSpec};
-use measure::{LocalPool, MeasureBackend, MeasureQueue};
 pub use measure::{RemotePool, WORKER_SCHEMA};
 pub use search::{HalvingSpec, Search};
 pub use space::{
@@ -197,9 +194,9 @@ pub struct ExploreReport {
     /// specific (exact/coarse tier) observations at round 0; zero for
     /// exhaustive searches.
     pub warm_informed: usize,
-    /// The measurement backend that executed the sweep's simulations
-    /// ([`MeasureBackend::describe`]: `local`, `remote:2`, …). Context
-    /// only — results are bit-identical across backends.
+    /// The measurement pool that executed the sweep's simulations
+    /// (`local`, or `remote:N` for a [`RemotePool`] over N workers).
+    /// Context only — results are bit-identical across pools.
     pub measure_backend: String,
     /// Simulations performed per measuring worker, sorted by worker
     /// label (`local` for the in-process pool, worker addresses for a
@@ -320,120 +317,63 @@ fn notify(observer: Observer, event: ProgressEvent) -> Result<(), Diagnostic> {
     }
 }
 
-/// The cross-job in-flight registry: candidates currently being
-/// simulated, by key. Concurrent sweeps (hub jobs) that want the same
-/// measurement wait for the first simulation instead of duplicating it,
-/// then serve the result from the shared cache.
-#[derive(Default)]
-struct InFlight {
-    claimed: Mutex<HashSet<CandidateKey>>,
-    released: Condvar,
-}
-
-impl InFlight {
-    /// Claims `key` for simulation; `false` means someone else holds it.
-    fn claim(&self, key: &CandidateKey) -> bool {
-        self.claimed.lock().expect("in-flight registry poisoned").insert(*key)
-    }
-
-    fn release(&self, key: &CandidateKey) {
-        self.claimed.lock().expect("in-flight registry poisoned").remove(key);
-        self.released.notify_all();
-    }
-
-    /// Parks until *some* claim releases, or `timeout` elapses — the
-    /// backends' backoff while every pending key is held elsewhere.
-    /// Returns immediately when nothing is claimed (there is nothing to
-    /// wait out, and a release notification may already be behind us).
-    fn wait_release_timeout(&self, timeout: Duration) {
-        let set = self.claimed.lock().expect("in-flight registry poisoned");
-        if set.is_empty() {
-            return;
-        }
-        let _ = self.released.wait_timeout(set, timeout).expect("in-flight registry poisoned");
-    }
-}
-
-/// Simulation counters for one sweep. The engine-wide atomics on
-/// [`Explorer`] keep counting everything the engine ever did, but a
-/// report must charge a sweep only for the simulations *it* ran —
-/// deltas of the global counters double-count when sweeps run
-/// concurrently (each sees the other's window).
+/// Simulation counters for one sweep, owned by the thread running it and
+/// folded from what each drained rung returns. A report must charge a
+/// sweep only for the simulations *it* ran — deltas of the engine-wide
+/// counters double-count when sweeps run concurrently (each sees the
+/// other's window).
 #[derive(Default)]
 pub(crate) struct SweepStats {
-    sims: AtomicUsize,
-    full_sims: AtomicUsize,
-    full_sim_nanos: AtomicU64,
+    pub(crate) sims: usize,
+    pub(crate) full_sims: usize,
+    full_sim_nanos: u64,
     /// Simulations per measuring worker (`local` for the in-process
     /// pool, the worker's address for a remote pool) — the report's
     /// load-balance context.
-    worker_sims: Mutex<HashMap<String, usize>>,
+    worker_sims: BTreeMap<String, usize>,
     /// Re-registrations per remote worker — the report's worker-health
     /// context.
-    reconnects: Mutex<HashMap<String, usize>>,
+    worker_reconnects: BTreeMap<String, usize>,
 }
 
 impl SweepStats {
     /// Accounts one performed simulation to `worker`.
-    pub(crate) fn record_sim(&self, worker: &str, is_full: bool, nanos: u64) {
-        self.sims.fetch_add(1, Ordering::Relaxed);
+    fn record_sim(&mut self, worker: &str, is_full: bool, nanos: u64) {
+        self.sims += 1;
         if is_full {
-            self.full_sims.fetch_add(1, Ordering::Relaxed);
-            self.full_sim_nanos.fetch_add(nanos, Ordering::Relaxed);
+            self.full_sims += 1;
+            self.full_sim_nanos += nanos;
         }
-        *self
-            .worker_sims
-            .lock()
-            .expect("sweep stats poisoned")
-            .entry(worker.to_owned())
-            .or_insert(0) += 1;
+        tally(&mut self.worker_sims, worker);
     }
+}
 
-    pub(crate) fn sims(&self) -> usize {
-        self.sims.load(Ordering::Relaxed)
+fn tally(counts: &mut BTreeMap<String, usize>, worker: &str) {
+    match counts.get_mut(worker) {
+        Some(count) => *count += 1,
+        None => {
+            counts.insert(worker.to_owned(), 1);
+        }
     }
+}
 
-    pub(crate) fn full_sims(&self) -> usize {
-        self.full_sims.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn full_sim_nanos(&self) -> u64 {
-        self.full_sim_nanos.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn worker_sims(&self) -> Vec<(String, usize)> {
-        let mut sims: Vec<(String, usize)> = self
-            .worker_sims
-            .lock()
-            .expect("sweep stats poisoned")
-            .iter()
-            .map(|(worker, sims)| (worker.clone(), *sims))
-            .collect();
-        sims.sort();
-        sims
-    }
-
-    /// Accounts one re-registration of a lost remote worker.
-    pub(crate) fn record_reconnect(&self, worker: &str) {
-        *self
-            .reconnects
-            .lock()
-            .expect("sweep stats poisoned")
-            .entry(worker.to_owned())
-            .or_insert(0) += 1;
-    }
-
-    pub(crate) fn worker_reconnects(&self) -> Vec<(String, usize)> {
-        let mut reconnects: Vec<(String, usize)> = self
-            .reconnects
-            .lock()
-            .expect("sweep stats poisoned")
-            .iter()
-            .map(|(worker, n)| (worker.clone(), *n))
-            .collect();
-        reconnects.sort();
-        reconnects
-    }
+/// Everything concurrent sweeps on one [`Explorer`] share, under its one
+/// lock (the "Shared state" table of `docs/ARCHITECTURE.md` has the
+/// invariants): a key is in `cache` or in `claimed`, never both.
+#[derive(Default)]
+struct Engine {
+    cache: HashMap<CandidateKey, CachedEval>,
+    /// Keys being simulated right now, by any sweep: a concurrent sweep
+    /// that wants one waits for it instead of simulating it again.
+    claimed: HashSet<CandidateKey>,
+    /// Workloads measured since the last [`Explorer::save_cache_dir`]:
+    /// their shards are the ones the next save must write.
+    dirty: HashSet<Problem>,
+    evals_performed: usize,
+    dedup_hits: usize,
+    /// Moves after every change a parked backend worker can be waiting
+    /// for (see [`measure`]).
+    epoch: u64,
 }
 
 /// A reusable exploration engine with a cross-sweep, persistable result
@@ -444,39 +384,42 @@ impl SweepStats {
 /// instantiation, flow, tile, options point, and seed) are returned from
 /// the cache instead of re-simulated — within a process, and across
 /// processes via [`Explorer::with_cache_dir`] / [`Explorer::save_cache_dir`].
+#[derive(Default)]
 pub struct Explorer {
-    cache: Mutex<HashMap<CandidateKey, CachedEval>>,
-    in_flight: InFlight,
-    evals_performed: AtomicUsize,
-    dedup_hits: AtomicUsize,
+    engine: Mutex<Engine>,
+    /// Notified whenever `Engine::epoch` moves.
+    progress: Condvar,
     /// The cross-problem transfer model a warm-started search ranks by.
     warm: Option<TransferModel>,
-    /// The measurement executor sweeps drain through (local pool by
-    /// default; see [`Explorer::set_measure_backend`]).
-    backend: Box<dyn MeasureBackend>,
-    /// The shards the next [`Explorer::save_cache_dir`] must write: those
-    /// of every key measured since the last save.
-    dirty_shards: Mutex<BTreeSet<String>>,
-}
-
-impl Default for Explorer {
-    fn default() -> Self {
-        Self {
-            cache: Mutex::default(),
-            in_flight: InFlight::default(),
-            evals_performed: AtomicUsize::new(0),
-            dedup_hits: AtomicUsize::new(0),
-            warm: None,
-            backend: Box::new(LocalPool),
-            dirty_shards: Mutex::default(),
-        }
-    }
+    /// Where sweeps measure: `axi4mlir-worker` daemons when set, the
+    /// in-process thread pool otherwise.
+    remote: Option<RemotePool>,
 }
 
 impl Explorer {
     /// A fresh engine with an empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn engine(&self) -> MutexGuard<'_, Engine> {
+        self.engine.lock().expect("explorer engine poisoned")
+    }
+
+    /// Moves the epoch and wakes every parked backend worker. Called with
+    /// the engine locked, *after* the change being announced is visible.
+    fn announce(&self, engine: &mut Engine) {
+        engine.epoch += 1;
+        self.progress.notify_all();
+    }
+
+    /// Parks until the epoch is no longer `seen` — the one an empty-handed
+    /// `try_claim` reported.
+    fn wait_for_progress(&self, seen: u64) {
+        let mut engine = self.engine();
+        while engine.epoch == seen {
+            engine = self.progress.wait(engine).expect("explorer engine poisoned");
+        }
     }
 
     /// An engine warmed from a sharded cache directory (see [`shard`]):
@@ -487,14 +430,14 @@ impl Explorer {
     ///
     /// Returns a [`Diagnostic`] for unreadable files or directories.
     pub fn with_cache_dir(dir: &Path) -> Result<Self, Diagnostic> {
-        Ok(Self { cache: Mutex::new(shard::load_dir(dir)?), ..Self::default() })
+        let engine = Engine { cache: shard::load_dir(dir)?, ..Engine::default() };
+        Ok(Self { engine: Mutex::new(engine), ..Self::default() })
     }
 
-    /// Installs the measurement backend subsequent sweeps drain through
-    /// (a `LocalPool` by default; a [`RemotePool`] fans out to
-    /// `axi4mlir-worker` daemons).
-    pub fn set_measure_backend(&mut self, backend: Box<dyn MeasureBackend>) {
-        self.backend = backend;
+    /// Makes subsequent sweeps measure on `pool`'s `axi4mlir-worker`
+    /// daemons instead of the in-process thread pool.
+    pub fn set_remote_pool(&mut self, pool: RemotePool) {
+        self.remote = Some(pool);
     }
 
     /// Installs a cross-problem [`TransferModel`]: subsequent
@@ -514,45 +457,57 @@ impl Explorer {
     /// engine's cache currently holds (in-memory results plus whatever
     /// [`Explorer::with_cache_dir`] loaded).
     pub fn transfer_model(&self) -> TransferModel {
-        TransferModel::fit(&self.cache.lock().expect("explorer cache poisoned"))
+        TransferModel::fit(&self.engine().cache)
     }
 
     /// Checkpoints this engine's results into the sharded cache layout
     /// under `dir`, writing **only dirty shards** — shards holding keys
-    /// measured since the last save. Each written shard is merged over
-    /// its on-disk content with the commutative [`shard::merge`], so
-    /// concurrent savers combine instead of clobbering. Clean shards are
-    /// not touched at all.
+    /// measured since the last save — and copying only their entries out
+    /// of the engine. Each written shard is merged over its on-disk
+    /// content with the commutative [`shard::merge`], so concurrent
+    /// savers combine instead of clobbering. Clean shards are not touched
+    /// at all.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors as [`Diagnostic`]s; the dirty set is
     /// preserved on failure so the next checkpoint retries.
     pub fn save_cache_dir(&self, dir: &Path) -> Result<shard::SaveStats, Diagnostic> {
-        let dirty = std::mem::take(&mut *self.dirty_shards.lock().expect("dirty shards poisoned"));
-        let snapshot = self.cache.lock().expect("explorer cache poisoned").clone();
-        shard::save_dir(dir, &snapshot, &dirty).inspect_err(|_| {
-            self.dirty_shards.lock().expect("dirty shards poisoned").extend(dirty);
-        })
+        let mut fresh = HashMap::new();
+        let mut clean: HashSet<Problem> = HashSet::new();
+        let (dirty, entries) = {
+            let mut engine = self.engine();
+            let dirty = std::mem::take(&mut engine.dirty);
+            for (key, eval) in &engine.cache {
+                if dirty.contains(&key.workload) {
+                    fresh.insert(*key, eval.clone());
+                } else {
+                    clean.insert(key.workload);
+                }
+            }
+            (dirty, engine.cache.len())
+        };
+        let shards: BTreeSet<String> =
+            dirty.iter().map(|workload| shard::shard_name(&workload.to_string())).collect();
+        match shard::save_dir(dir, &fresh, &shards) {
+            Ok(stats) => Ok(shard::SaveStats { skipped: clean.len(), entries, ..stats }),
+            Err(err) => {
+                self.engine().dirty.extend(dirty);
+                Err(err)
+            }
+        }
     }
 
     /// Entry counts per shard of the current in-memory cache, sorted by
     /// shard name (the `--cache-dir` verbose listing).
     pub fn shard_counts(&self) -> Vec<(String, usize)> {
-        shard::shard_counts(&self.cache.lock().expect("explorer cache poisoned"))
-            .into_iter()
-            .collect()
-    }
-
-    /// Marks `key`'s shard as needing the next [`Self::save_cache_dir`].
-    fn mark_dirty(&self, key: &CandidateKey) {
-        self.dirty_shards.lock().expect("dirty shards poisoned").insert(shard::shard_of(key));
+        shard::shard_counts(&self.engine().cache).into_iter().collect()
     }
 
     /// How many simulator runs this engine has actually performed (cache
     /// hits excluded).
     pub fn evals_performed(&self) -> usize {
-        self.evals_performed.load(Ordering::Relaxed)
+        self.engine().evals_performed
     }
 
     /// How many measurements were served from the cache *because of
@@ -560,12 +515,12 @@ impl Explorer {
     /// measured (or in flight) under a concurrent sweep sharing this
     /// engine, so it was not simulated again. Zero for a lone sweep.
     pub fn dedup_hits(&self) -> usize {
-        self.dedup_hits.load(Ordering::Relaxed)
+        self.engine().dedup_hits
     }
 
     /// How many results the cache currently holds.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("explorer cache poisoned").len()
+        self.engine().cache.len()
     }
 
     /// Runs one exploration of any space: enumerate, audit, prune,
@@ -660,27 +615,27 @@ impl Explorer {
         let (candidates, pruned_out) = prune(admitted, prune_strategy, primary);
         // Sweep-local accounting: concurrent sweeps on this engine share
         // its cache and counters, so the report cannot use global deltas.
-        let stats = SweepStats::default();
+        let mut stats = SweepStats::default();
         notify(observer, ProgressEvent::SpaceReady { space_size, survivors: candidates.len() })?;
 
         let (evaluations, proxy_hits, warm_informed) = match search {
             Search::Exhaustive => {
                 let evals =
-                    self.measure_set(space, &candidates, Fidelity::Full, workers, &stats)?;
+                    self.measure_set(space, &candidates, Fidelity::Full, workers, &mut stats)?;
                 notify(
                     observer,
                     ProgressEvent::RungComplete {
                         fidelity: Fidelity::Full,
                         survivors: evals.len(),
-                        sims_performed: stats.sims(),
+                        sims_performed: stats.sims,
                         cache_hits: evals.iter().filter(|e| e.from_cache).count(),
-                        full_sims_performed: stats.full_sims(),
+                        full_sims_performed: stats.full_sims,
                     },
                 )?;
                 (evals, 0, 0)
             }
             Search::Halving(spec) => {
-                self.run_halving(space, candidates, spec, workers, primary, observer, &stats)?
+                self.run_halving(space, candidates, spec, workers, primary, observer, &mut stats)?
             }
         };
         let cache_hits = proxy_hits + evaluations.iter().filter(|e| e.from_cache).count();
@@ -694,7 +649,7 @@ impl Explorer {
             // sweep's candidates: a statically-broken pick is reported
             // unmeasured rather than simulated.
             Some(choice) if audit::audit_candidate(space, choice).is_ok() => self
-                .measure_set(space, std::slice::from_ref(choice), Fidelity::Full, 1, &stats)?
+                .measure_set(space, std::slice::from_ref(choice), Fidelity::Full, 1, &mut stats)?
                 .into_iter()
                 .next(),
             _ => None,
@@ -708,14 +663,14 @@ impl Explorer {
             pruned_out,
             lint_rejected,
             cache_hits,
-            sims_performed: stats.sims(),
-            full_sims_performed: stats.full_sims(),
-            full_sim_nanos: stats.full_sim_nanos(),
+            sims_performed: stats.sims,
+            full_sims_performed: stats.full_sims,
+            full_sim_nanos: stats.full_sim_nanos,
             warm_started: self.warm.is_some(),
             warm_informed,
-            measure_backend: self.backend.describe(),
-            worker_sims: stats.worker_sims(),
-            worker_reconnects: stats.worker_reconnects(),
+            measure_backend: measure::describe_pool(self.remote.as_ref()),
+            worker_sims: stats.worker_sims.into_iter().collect(),
+            worker_reconnects: stats.worker_reconnects.into_iter().collect(),
             evaluations,
             objectives,
             heuristic,
@@ -731,7 +686,7 @@ impl Explorer {
         candidates: &[Candidate],
         fidelity: Fidelity,
         workers: usize,
-        stats: &SweepStats,
+        stats: &mut SweepStats,
     ) -> Result<Vec<Evaluation>, Diagnostic> {
         // Derive each candidate's fidelity-adjusted identity and work,
         // then partition into cache hits and pending measurements. A
@@ -746,9 +701,9 @@ impl Explorer {
         let mut slots: Vec<Option<Evaluation>> = Vec::with_capacity(candidates.len());
         let mut pending: Vec<usize> = Vec::new();
         {
-            let cache = self.cache.lock().expect("explorer cache poisoned");
+            let engine = self.engine();
             for (i, (key, work, _)) in meta.iter().enumerate() {
-                match cache.get(key) {
+                match engine.cache.get(key) {
                     Some(hit) => {
                         slots.push(Some(hit.to_evaluation(candidates[i].clone(), *work, true)));
                     }
@@ -760,32 +715,28 @@ impl Explorer {
             }
         }
 
-        // Measure the pending candidates through the installed backend.
-        // The queue owns everything that keeps reports deterministic —
-        // cross-sweep claim deduplication, publish-before-release, and
-        // per-worker accounting — so a [`LocalPool`] and a [`RemotePool`]
-        // produce identical results at any worker count.
-        let expected = pending.len();
-        if expected > 0 {
-            let workers = workers.clamp(1, expected);
-            let queue = MeasureQueue::new(
-                self, space, candidates, &meta, fidelity, stats, workers, pending,
-            );
-            self.backend.drain(&queue)?;
-            let mut results = queue.into_done();
-            if results.len() != expected {
-                return Err(Diagnostic::error(format!(
-                    "measurement backend resolved {} of {expected} candidates",
-                    results.len()
-                )));
+        // Measure the pending candidates on the installed pool. The queue
+        // owns everything that keeps reports deterministic — cross-sweep
+        // claim deduplication, publish-before-release — so the local and
+        // the remote pool produce identical results at any worker count.
+        if !pending.is_empty() {
+            let workers = workers.clamp(1, pending.len());
+            let drained =
+                measure::drain(self, space, candidates, &meta, fidelity, workers, pending)?;
+            for worker in drained.reconnects {
+                tally(&mut stats.worker_reconnects, worker);
             }
-            results.sort_by_key(|(index, _, _)| *index);
-            for (index, result, served) in results {
-                // On error, report the earliest failing candidate (the
-                // sort above makes this independent of scheduling).
-                let eval = result?;
-                let work = meta[index].1;
-                slots[index] = Some(eval.to_evaluation(candidates[index].clone(), work, served));
+            // `done` is in candidate order, so the error reported is the
+            // earliest failing candidate's, independent of scheduling.
+            for done in drained.done {
+                let eval = done.result?;
+                let (_, work, is_full) = meta[done.index];
+                if let Some((worker, nanos)) = done.measured {
+                    stats.record_sim(worker, is_full, nanos);
+                }
+                let served = done.measured.is_none();
+                slots[done.index] =
+                    Some(eval.to_evaluation(candidates[done.index].clone(), work, served));
             }
         }
         Ok(slots.into_iter().map(|s| s.expect("every slot filled")).collect())

@@ -115,7 +115,7 @@ impl Explorer {
         workers: usize,
         primary: Objective,
         observer: Observer,
-        stats: &SweepStats,
+        stats: &mut SweepStats,
     ) -> Result<(Vec<Evaluation>, usize, usize), Diagnostic> {
         let mut finalists = spec.finalists.max(1);
         let objective = spec.objective.unwrap_or(primary);
@@ -185,8 +185,8 @@ impl Explorer {
                 }
             }
 
-            let sims_before = stats.sims();
-            let full_before = stats.full_sims();
+            let sims_before = stats.sims;
+            let full_before = stats.full_sims;
             let evals =
                 self.measure_set(space, &survivors, Fidelity::Proxy { level }, workers, stats)?;
             let round_hits = evals.iter().filter(|e| e.from_cache).count();
@@ -207,9 +207,9 @@ impl Explorer {
                 ProgressEvent::RungComplete {
                     fidelity: Fidelity::Proxy { level },
                     survivors: survivors.len(),
-                    sims_performed: stats.sims() - sims_before,
+                    sims_performed: stats.sims - sims_before,
                     cache_hits: round_hits,
-                    full_sims_performed: stats.full_sims() - full_before,
+                    full_sims_performed: stats.full_sims - full_before,
                 },
             )?;
             if stalled {
@@ -218,17 +218,17 @@ impl Explorer {
             level = next_level;
         }
 
-        let sims_before = stats.sims();
-        let full_before = stats.full_sims();
+        let sims_before = stats.sims;
+        let full_before = stats.full_sims;
         let finals = self.measure_set(space, &survivors, Fidelity::Full, workers, stats)?;
         notify(
             observer,
             ProgressEvent::RungComplete {
                 fidelity: Fidelity::Full,
                 survivors: finals.len(),
-                sims_performed: stats.sims() - sims_before,
+                sims_performed: stats.sims - sims_before,
                 cache_hits: finals.iter().filter(|e| e.from_cache).count(),
-                full_sims_performed: stats.full_sims() - full_before,
+                full_sims_performed: stats.full_sims - full_before,
             },
         )?;
         Ok((finals, proxy_hits, warm_informed))

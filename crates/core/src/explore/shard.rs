@@ -85,7 +85,17 @@ pub fn merge(
     b: &HashMap<CandidateKey, CachedEval>,
 ) -> HashMap<CandidateKey, CachedEval> {
     let mut out = a.clone();
-    for (key, theirs) in b {
+    merge_into(&mut out, b);
+    out
+}
+
+/// [`merge`] in place: folds `fresh` into `out`, copying only the entries
+/// that win.
+fn merge_into<'a>(
+    out: &mut HashMap<CandidateKey, CachedEval>,
+    fresh: impl IntoIterator<Item = (&'a CandidateKey, &'a CachedEval)>,
+) {
+    for (key, theirs) in fresh {
         match out.get(key) {
             Some(ours) if cache::payload_rank(ours) <= cache::payload_rank(theirs) => {}
             _ => {
@@ -93,7 +103,6 @@ pub fn merge(
             }
         }
     }
-    out
 }
 
 /// Entry counts per shard, in shard order.
@@ -186,9 +195,9 @@ pub fn save_dir(
     entries: &HashMap<CandidateKey, CachedEval>,
     dirty: &BTreeSet<String>,
 ) -> Result<SaveStats, Diagnostic> {
-    let mut by_shard: BTreeMap<String, HashMap<CandidateKey, CachedEval>> = BTreeMap::new();
-    for (key, eval) in entries {
-        by_shard.entry(shard_of(key)).or_default().insert(*key, eval.clone());
+    let mut by_shard: BTreeMap<String, Vec<(&CandidateKey, &CachedEval)>> = BTreeMap::new();
+    for entry in entries {
+        by_shard.entry(shard_of(entry.0)).or_default().push(entry);
     }
     let mut stats = SaveStats { entries: entries.len(), ..SaveStats::default() };
     if dirty.is_empty() {
@@ -203,7 +212,8 @@ pub fn save_dir(
             continue;
         }
         let path = shard_path(dir, shard);
-        let mut merged = merge(&cache::load(&path)?, fresh);
+        let mut merged = cache::load(&path)?;
+        merge_into(&mut merged, fresh.iter().copied());
         if merged.len() > SHARD_CAP {
             let before = merged.len();
             merged = compact(merged);

@@ -11,9 +11,13 @@
 //! through
 //! [`Explorer::explore_streaming`](axi4mlir_core::explore::Explorer::explore_streaming)
 //! on the shared engine. Sharing the engine is the whole point: every
-//! job reads and feeds the same result cache, and the engine's
-//! in-flight registry guarantees a candidate wanted by two concurrent
-//! jobs is simulated exactly once.
+//! job reads and feeds the same result cache, and the engine's claim
+//! set guarantees a candidate wanted by two concurrent jobs is
+//! simulated exactly once.
+//!
+//! What each lock here guards is the "Shared state" table of
+//! `docs/ARCHITECTURE.md`; the order, where both are held, is
+//! `Shared::jobs` → `EventHub::inner`.
 //!
 //! Progress events flow from executor into a per-job `EventHub` log:
 //! every event is appended to a bounded replay buffer *and* forwarded
@@ -51,10 +55,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use axi4mlir_core::explore::{
     wire, ExploreReport, ExploreRequest, Explorer, JobSpec, ProgressEvent, RemotePool,
@@ -169,9 +173,13 @@ impl EventHub {
         Self { capacity: capacity.max(1), inner: Mutex::new(EventLog::default()) }
     }
 
+    fn log(&self) -> MutexGuard<'_, EventLog> {
+        self.inner.lock().expect("event hub poisoned")
+    }
+
     /// Starts a job's log with `subscriber` attached.
     fn register(&self, id: u64, subscriber: Sender<JsonValue>) {
-        let mut inner = self.inner.lock().expect("event hub poisoned");
+        let mut inner = self.log();
         inner.jobs.insert(
             id,
             JobLog { events: VecDeque::new(), subscriber: Some(subscriber), terminal: false },
@@ -183,7 +191,7 @@ impl EventHub {
     /// buffer is what a future `follow` replays). A `done`/`failed`
     /// event marks the log terminal and starts its retention clock.
     fn publish(&self, id: u64, event: JsonValue) {
-        let mut inner = self.inner.lock().expect("event hub poisoned");
+        let mut inner = self.log();
         let newly_terminal = {
             let Some(log) = inner.jobs.get_mut(&id) else { return };
             if log.events.len() >= self.capacity {
@@ -217,7 +225,7 @@ impl EventHub {
     /// the buffered events are returned for replay. `Err` carries the
     /// `error` frame for an unknown or evicted job.
     fn follow(&self, id: u64, subscriber: Sender<JsonValue>) -> Result<Vec<JsonValue>, JsonValue> {
-        let mut inner = self.inner.lock().expect("event hub poisoned");
+        let mut inner = self.log();
         let Some(log) = inner.jobs.get_mut(&id) else {
             return Err(protocol::error(&format!(
                 "follow `job` {id} is unknown (never submitted, or its events were evicted)"
@@ -230,49 +238,63 @@ impl EventHub {
     }
 }
 
-/// Pops the job to run next: highest priority first, FIFO (lowest id)
-/// within a priority.
-fn take_next(queue: &mut VecDeque<Job>) -> Option<Job> {
-    let (at, _) = queue
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, job)| (job.priority, std::cmp::Reverse(job.id)))?;
-    queue.remove(at)
-}
-
+/// Every job the hub has accepted, under one lock: the ones waiting, and
+/// how many are running or finished. At every unlock `queue.len() +
+/// running + completed + failed` is the number of jobs accepted so far
+/// (`next_id - 1`), which is what makes a `status` reply add up.
 #[derive(Default)]
-struct Stats {
-    queued: usize,
+struct Jobs {
+    queue: VecDeque<Job>,
+    next_id: u64,
     running: usize,
     completed: usize,
     failed: usize,
+}
+
+impl Jobs {
+    /// Pops the job to run next: highest priority first, FIFO (lowest
+    /// id) within a priority.
+    fn take_next(&mut self) -> Option<Job> {
+        let (at, _) = self
+            .queue
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, job)| (job.priority, std::cmp::Reverse(job.id)))?;
+        let job = self.queue.remove(at)?;
+        self.running += 1;
+        Some(job)
+    }
 }
 
 /// State shared by the listener, connection threads, and executors.
 struct Shared {
     explorer: Explorer,
     config: HubConfig,
-    queue: Mutex<VecDeque<Job>>,
+    jobs: Mutex<Jobs>,
+    /// Notified, with `jobs` locked, when a job is queued or a stop is
+    /// requested — the two things an idle executor waits for.
     available: Condvar,
-    stats: Mutex<Stats>,
     events: EventHub,
-    next_job: AtomicU64,
     stop: AtomicBool,
 }
 
 impl Shared {
+    fn jobs(&self) -> MutexGuard<'_, Jobs> {
+        self.jobs.lock().expect("hub jobs poisoned")
+    }
+
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
             || self.config.stop.is_some_and(|flag| flag.load(Ordering::SeqCst))
     }
 
+    /// Raises the stop flag under the jobs lock, so an executor is either
+    /// before its check (and sees the flag) or already waiting (and is
+    /// woken) — never in between.
     fn request_stop(&self) {
+        let _jobs = self.jobs();
         self.stop.store(true, Ordering::SeqCst);
         self.available.notify_all();
-    }
-
-    fn with_stats<T>(&self, act: impl FnOnce(&mut Stats) -> T) -> T {
-        act(&mut self.stats.lock().expect("hub stats poisoned"))
     }
 
     /// Checkpoints the shared cache — only the shards dirtied since the
@@ -303,8 +325,10 @@ impl Shared {
     }
 
     fn status(&self) -> JsonValue {
-        let (queued, running, completed, failed) =
-            self.with_stats(|s| (s.queued, s.running, s.completed, s.failed));
+        let (queued, running, completed, failed) = {
+            let jobs = self.jobs();
+            (jobs.queue.len(), jobs.running, jobs.completed, jobs.failed)
+        };
         protocol::tagged(
             "status",
             vec![
@@ -329,29 +353,28 @@ impl Shared {
         events: Sender<JsonValue>,
     ) -> Result<(u64, usize), JsonValue> {
         let request = spec.build().map_err(|err| protocol::error(&err.message))?;
-        let mut queue = self.queue.lock().expect("hub queue poisoned");
-        if queue.len() >= self.config.queue_capacity {
+        let mut jobs = self.jobs();
+        if jobs.queue.len() >= self.config.queue_capacity {
             return Err(protocol::tagged(
                 "rejected",
                 vec![
                     ("reason".to_owned(), "queue full".into()),
-                    ("queued".to_owned(), queue.len().into()),
+                    ("queued".to_owned(), jobs.queue.len().into()),
                     ("queue_capacity".to_owned(), self.config.queue_capacity.into()),
                 ],
             ));
         }
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
+        let id = jobs.next_id;
+        jobs.next_id += 1;
         // How many queued jobs would run before this one under the
         // priority-then-FIFO discipline.
-        let ahead = queue.iter().filter(|job| job.priority >= priority).count();
+        let ahead = jobs.queue.iter().filter(|job| job.priority >= priority).count();
         // Register and publish `queued` *before* the queue push (still
-        // under the queue lock), so no executor can publish `running`
+        // under the jobs lock), so no executor can publish `running`
         // first.
         self.events.register(id, events);
         self.events.publish(id, protocol::event(id, "queued", vec![]));
-        queue.push_back(Job { id, request, priority, sim_workers });
-        drop(queue);
-        self.with_stats(|s| s.queued += 1);
+        jobs.queue.push_back(Job { id, request, priority, sim_workers });
         self.available.notify_one();
         Ok((id, ahead))
     }
@@ -389,7 +412,7 @@ impl Hub {
         if !config.measure_workers.is_empty() {
             let pool = RemotePool::new(config.measure_workers.clone())
                 .in_flight(config.sim_workers.max(1));
-            explorer.set_measure_backend(Box::new(pool));
+            explorer.set_remote_pool(pool);
         }
         let (listener, addr) = proto::bind(&config.bind)?;
         Ok(Hub {
@@ -399,10 +422,8 @@ impl Hub {
                 explorer,
                 events: EventHub::new(EVENT_BUFFER),
                 config,
-                queue: Mutex::new(VecDeque::new()),
+                jobs: Mutex::new(Jobs { next_id: 1, ..Jobs::default() }),
                 available: Condvar::new(),
-                stats: Mutex::new(Stats::default()),
-                next_job: AtomicU64::new(1),
                 stop: AtomicBool::new(false),
             }),
         })
@@ -448,14 +469,11 @@ impl Hub {
         }
         // ...jobs still queued fail explicitly...
         let leftover: Vec<Job> = {
-            let mut queue = self.shared.queue.lock().expect("hub queue poisoned");
-            queue.drain(..).collect()
+            let mut jobs = self.shared.jobs();
+            jobs.failed += jobs.queue.len();
+            jobs.queue.drain(..).collect()
         };
         for job in leftover {
-            self.shared.with_stats(|s| {
-                s.queued -= 1;
-                s.failed += 1;
-            });
             self.shared.events.publish(
                 job.id,
                 protocol::event(
@@ -471,8 +489,8 @@ impl Hub {
             let _ = connection.join();
         }
         let cache_entries = self.shared.checkpoint()?;
-        let (completed, failed) = self.shared.with_stats(|s| (s.completed, s.failed));
-        Ok(HubSummary { completed, failed, cache_entries })
+        let jobs = self.shared.jobs();
+        Ok(HubSummary { completed: jobs.completed, failed: jobs.failed, cache_entries })
     }
 }
 
@@ -579,27 +597,18 @@ fn serve_connection(shared: &Arc<Shared>, connection: Connection) -> Result<(), 
 /// One executor: drains the queue until the hub stops.
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("hub queue poisoned");
+        let (job, running) = {
+            let mut jobs = shared.jobs();
             loop {
                 if shared.stopping() {
                     return;
                 }
-                if let Some(job) = take_next(&mut queue) {
-                    break job;
+                if let Some(job) = jobs.take_next() {
+                    break (job, jobs.running);
                 }
-                let (reacquired, _) = shared
-                    .available
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("hub queue poisoned");
-                queue = reacquired;
+                jobs = shared.available.wait(jobs).expect("hub jobs poisoned");
             }
         };
-        let running = shared.with_stats(|s| {
-            s.queued -= 1;
-            s.running += 1;
-            s.running
-        });
         let budget = job_budget(shared.config.sim_workers, job.sim_workers, running);
         shared.events.publish(
             job.id,
@@ -608,44 +617,34 @@ fn executor_loop(shared: &Arc<Shared>) {
         let started = Instant::now();
         let outcome = run_job(shared, &job, budget);
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match outcome {
-            Ok(report) => {
-                shared.with_stats(|s| {
-                    s.running -= 1;
-                    s.completed += 1;
-                });
-                shared.events.publish(
-                    job.id,
-                    protocol::event(
-                        job.id,
-                        "done",
-                        vec![
-                            ("full_sims_performed".to_owned(), report.full_sims_performed.into()),
-                            (
-                                "sims_per_sec".to_owned(),
-                                report.sims_per_sec().map_or(JsonValue::Null, JsonValue::from),
-                            ),
-                            ("elapsed_ms".to_owned(), elapsed_ms.into()),
-                            ("report".to_owned(), wire::report_to_json(&report)),
-                        ],
-                    ),
-                );
-            }
-            Err(err) => {
-                shared.with_stats(|s| {
-                    s.running -= 1;
-                    s.failed += 1;
-                });
-                shared.events.publish(
-                    job.id,
-                    protocol::event(
-                        job.id,
-                        "failed",
-                        vec![("reason".to_owned(), err.message.into())],
-                    ),
-                );
+        {
+            let mut jobs = shared.jobs();
+            jobs.running -= 1;
+            if outcome.is_ok() {
+                jobs.completed += 1;
+            } else {
+                jobs.failed += 1;
             }
         }
+        let event = match outcome {
+            Ok(report) => protocol::event(
+                job.id,
+                "done",
+                vec![
+                    ("full_sims_performed".to_owned(), report.full_sims_performed.into()),
+                    (
+                        "sims_per_sec".to_owned(),
+                        report.sims_per_sec().map_or(JsonValue::Null, JsonValue::from),
+                    ),
+                    ("elapsed_ms".to_owned(), elapsed_ms.into()),
+                    ("report".to_owned(), wire::report_to_json(&report)),
+                ],
+            ),
+            Err(err) => {
+                protocol::event(job.id, "failed", vec![("reason".to_owned(), err.message.into())])
+            }
+        };
+        shared.events.publish(job.id, event);
     }
 }
 
@@ -686,14 +685,14 @@ mod tests {
 
     #[test]
     fn the_queue_pops_priority_first_then_fifo() {
-        let mut queue: VecDeque<Job> = VecDeque::new();
+        let mut jobs = Jobs::default();
         for (id, priority) in [(1, 0), (2, 5), (3, 5), (4, -1), (5, 0)] {
-            queue.push_back(job(id, priority));
+            jobs.queue.push_back(job(id, priority));
         }
-        let order: Vec<u64> =
-            std::iter::from_fn(|| take_next(&mut queue).map(|job| job.id)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| jobs.take_next().map(|job| job.id)).collect();
         assert_eq!(order, [2, 3, 1, 5, 4]);
-        assert!(take_next(&mut queue).is_none());
+        assert!(jobs.take_next().is_none());
+        assert_eq!(jobs.running, 5, "a taken job is running in the same step");
     }
 
     #[test]

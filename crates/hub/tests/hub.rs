@@ -4,7 +4,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use axi4mlir_core::explore::{shard, JobSpec};
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
@@ -110,6 +110,112 @@ fn concurrent_identical_jobs_simulate_each_candidate_once() {
     let mut client = HubClient::connect(&addr).expect("connect");
     let status = client.status().expect("status");
     assert_eq!(status.get("completed").and_then(JsonValue::as_u64), Some(2));
+    client.shutdown().expect("shutdown");
+    hub.join().unwrap();
+}
+
+/// Every job the hub has accepted is counted in exactly one of `queued`,
+/// `running`, `completed`, `failed` in every `status` reply, however the
+/// reply interleaves with submits and executors. Job ids are dense from 1,
+/// so the highest id any client has been told bounds "accepted so far"
+/// from below and the submits sent bound it from above. (With the counts
+/// kept beside the queue under a second lock, a reply could miss a job
+/// already pushed but not yet counted — and an executor could take that
+/// job and decrement `queued` before its submitter incremented it: at
+/// `aea3024` this test dies of that underflow in about one run in six.)
+#[test]
+fn status_counts_always_add_up() {
+    const CLIENTS: usize = 4;
+    const JOBS_EACH: usize = 25;
+    const CAPACITY: usize = 2;
+    let (addr, hub) = start_hub(HubConfig {
+        workers: 4,
+        sim_workers: 1,
+        queue_capacity: CAPACITY,
+        ..HubConfig::default()
+    });
+    let spec = JobSpec {
+        dims: Some((8, 8, 8)),
+        accels: vec!["v4_8".to_owned()],
+        seed: Some(7),
+        ..JobSpec::default()
+    };
+    // Job 1 fills the cache, so the jobs under test are all dispatch.
+    HubClient::connect(&addr).expect("connect").run(&spec, &mut |_| ()).expect("warm-up job");
+
+    let sent = AtomicUsize::new(1);
+    let accepted_through = AtomicU64::new(1);
+    let submitting = AtomicBool::new(true);
+    let count = |status: &JsonValue, member: &str| {
+        status.get(member).and_then(JsonValue::as_u64).expect("a status count") as usize
+    };
+    let polls = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = HubClient::connect(&addr).expect("connect");
+                    let mut finished = 0;
+                    while finished < JOBS_EACH {
+                        sent.fetch_add(1, Ordering::SeqCst);
+                        let job = match client.submit(&spec) {
+                            Ok(job) => job,
+                            Err(err) => {
+                                assert!(err.message.contains("queue full"), "{}", err.message);
+                                sent.fetch_sub(1, Ordering::SeqCst);
+                                continue;
+                            }
+                        };
+                        accepted_through.fetch_max(job, Ordering::SeqCst);
+                        loop {
+                            let frame = client.next_frame().expect("job events");
+                            match frame.get("state").and_then(JsonValue::as_str) {
+                                Some("done") => break,
+                                Some("failed") => panic!("job {job} failed: {frame:?}"),
+                                _ => {}
+                            }
+                        }
+                        finished += 1;
+                    }
+                })
+            })
+            .collect();
+        let poller = scope.spawn(|| {
+            let mut client = HubClient::connect(&addr).expect("connect");
+            let mut polls = 0usize;
+            while submitting.load(Ordering::SeqCst) {
+                let at_least = accepted_through.load(Ordering::SeqCst) as usize;
+                let status = client.status().expect("status");
+                let at_most = sent.load(Ordering::SeqCst);
+                let total: usize = ["queued", "running", "completed", "failed"]
+                    .iter()
+                    .map(|member| count(&status, member))
+                    .sum();
+                assert!(
+                    (at_least..=at_most).contains(&total),
+                    "{total} jobs counted, {at_least}..={at_most} accepted: {status:?}"
+                );
+                assert!(count(&status, "queued") <= CAPACITY, "{status:?}");
+                polls += 1;
+            }
+            polls
+        });
+        // Stop the poller before looking at any outcome, so a failed
+        // client fails the test instead of leaving it polling forever.
+        let clients: Vec<_> = clients.into_iter().map(|client| client.join()).collect();
+        submitting.store(false, Ordering::SeqCst);
+        let polls = poller.join();
+        clients.into_iter().for_each(|client| client.expect("a client thread failed"));
+        polls.expect("a status reply did not add up")
+    });
+    assert!(polls > CLIENTS * JOBS_EACH, "only {polls} status replies raced the jobs");
+
+    let mut client = HubClient::connect(&addr).expect("connect");
+    let status = client.status().expect("status");
+    assert_eq!(count(&status, "completed"), 1 + CLIENTS * JOBS_EACH, "{status:?}");
+    assert_eq!(
+        (count(&status, "queued"), count(&status, "running"), count(&status, "failed")),
+        (0, 0, 0)
+    );
     client.shutdown().expect("shutdown");
     hub.join().unwrap();
 }

@@ -3,7 +3,7 @@
 //!
 //! A worker is deliberately dumb. It holds no cache, no queue of its
 //! own, and no knowledge of the sweep: it accepts connections from a
-//! scheduler (an [`Explorer`] whose backend is a `RemotePool` — usually
+//! scheduler (an [`Explorer`] with a `RemotePool` installed — usually
 //! inside an `axi4mlir-hub` started with `--worker ADDR`), answers
 //! `hello` with its protocol schema and slot count, and turns each
 //! `measure` frame into one simulator run on a recycled-SoC
@@ -17,7 +17,9 @@
 //! The framing is the NDJSON [`axi4mlir_support::proto`] transport and
 //! the frame vocabulary lives in
 //! [`axi4mlir_core::explore::measure`] (`axi4mlir-worker/v1`); see
-//! `docs/PROTOCOL.md` for field tables and a worked transcript.
+//! `docs/PROTOCOL.md` for field tables and a worked transcript. The
+//! per-connection `Inbox` is the one lock; its row is in the "Shared
+//! state" table of `docs/ARCHITECTURE.md`.
 //!
 //! [`Explorer`]: axi4mlir_core::explore::Explorer
 //! [`Session`]: axi4mlir_core::driver::Session
@@ -27,8 +29,7 @@
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use axi4mlir_core::driver::Session;
 use axi4mlir_core::explore::measure::{handle_measure, WORKER_SCHEMA};
@@ -131,32 +132,46 @@ impl Worker {
 }
 
 /// The per-connection measurement queue: `measure` frames the reader
-/// accepted, waiting for a slot thread.
+/// accepted, waiting for a slot thread. At every unlock `unanswered` is
+/// the number of accepted frames no slot has replied to yet.
 #[derive(Default)]
 struct Inbox {
-    frames: Mutex<(VecDeque<JsonValue>, bool)>, // (queue, closed)
+    state: Mutex<InboxState>,
     ready: Condvar,
 }
 
+#[derive(Default)]
+struct InboxState {
+    frames: VecDeque<JsonValue>,
+    closed: bool,
+    unanswered: usize,
+}
+
 impl Inbox {
+    fn state(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().expect("worker inbox poisoned")
+    }
+
     fn push(&self, frame: JsonValue) {
-        self.frames.lock().expect("worker inbox poisoned").0.push_back(frame);
+        let mut state = self.state();
+        state.frames.push_back(frame);
+        state.unanswered += 1;
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        self.frames.lock().expect("worker inbox poisoned").1 = true;
+        self.state().closed = true;
         self.ready.notify_all();
     }
 
     /// Blocks for the next frame; `None` once closed and empty.
     fn pop(&self) -> Option<JsonValue> {
-        let mut state = self.frames.lock().expect("worker inbox poisoned");
+        let mut state = self.state();
         loop {
-            if let Some(frame) = state.0.pop_front() {
+            if let Some(frame) = state.frames.pop_front() {
                 return Some(frame);
             }
-            if state.1 {
+            if state.closed {
                 return None;
             }
             state = self.ready.wait(state).expect("worker inbox poisoned");
@@ -178,18 +193,15 @@ fn serve_connection(
     totals.connections.fetch_add(1, Ordering::Relaxed);
 
     let inbox = Inbox::default();
-    let accepted = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let send = |frame: &JsonValue| -> Result<(), Diagnostic> {
-        write_frame(&mut *writer.lock().expect("worker writer poisoned"), frame)
-            .map_err(|err| Diagnostic::error(format!("connection write failed: {err}")))
-    };
+    let write_failed =
+        |err: std::io::Error| Diagnostic::error(format!("connection write failed: {err}"));
+    let socket = || writer.lock().expect("worker writer poisoned");
+    let send = |frame: &JsonValue| write_frame(&mut *socket(), frame).map_err(write_failed);
     // Measurement replies carry the `worker.reply` fault site, so a
     // chaos plan can tear or drop a result frame without touching the
-    // hello/drained control traffic.
-    let send_reply = |frame: &JsonValue| -> Result<(), Diagnostic> {
-        write_frame_at("worker.reply", &mut *writer.lock().expect("worker writer poisoned"), frame)
-            .map_err(|err| Diagnostic::error(format!("connection write failed: {err}")))
+    // hello control traffic.
+    let send_reply = |frame: &JsonValue| {
+        write_frame_at("worker.reply", &mut *socket(), frame).map_err(write_failed)
     };
 
     std::thread::scope(|scope| {
@@ -199,20 +211,17 @@ fn serve_connection(
                 while let Some(frame) = inbox.pop() {
                     let reply = handle_measure(&mut session, &frame);
                     totals.measured.fetch_add(1, Ordering::Relaxed);
-                    // Count the completion even if the scheduler hung
-                    // up mid-measure — `drain` must never wedge.
                     if send_reply(&reply).is_err() {
                         // An undeliverable reply (real breakage or an
                         // injected drop/tear) would leave the scheduler
                         // waiting on a frame that never comes: reset
                         // the connection so it requeues and reconnects
                         // instead.
-                        let _ = writer
-                            .lock()
-                            .expect("worker writer poisoned")
-                            .shutdown(std::net::Shutdown::Both);
+                        let _ = socket().shutdown(std::net::Shutdown::Both);
                     }
-                    completed.fetch_add(1, Ordering::Release);
+                    // Answered even if the scheduler hung up mid-measure:
+                    // a stopping daemon must never wait on this frame.
+                    inbox.state().unanswered -= 1;
                 }
             });
         }
@@ -225,9 +234,7 @@ fn serve_connection(
                     // accepted measure has been answered, hang up (the
                     // scheduler requeues nothing — nothing is open).
                     Ok(Frame::Idle) => {
-                        if stopping()
-                            && completed.load(Ordering::Acquire) >= accepted.load(Ordering::Relaxed)
-                        {
+                        if stopping() && inbox.state().unanswered == 0 {
                             return Ok(());
                         }
                     }
@@ -248,19 +255,7 @@ fn serve_connection(
                                         _ => {}
                                     }
                                 }
-                                accepted.fetch_add(1, Ordering::Relaxed);
                                 inbox.push(frame);
-                            }
-                            Some("drain") => {
-                                // Barrier: every accepted measure has
-                                // been answered before `drained` goes
-                                // out.
-                                while completed.load(Ordering::Acquire)
-                                    < accepted.load(Ordering::Relaxed)
-                                {
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                                send(&JsonValue::object([("type".to_owned(), "drained".into())]))?;
                             }
                             other => {
                                 let what = other.unwrap_or("untyped frame");
@@ -344,23 +339,25 @@ mod tests {
             let request = measure_request(id as u64 + 1, &job, Fidelity::Full, candidate);
             write_frame(&mut peer.writer, &request).unwrap();
         }
+
+        let mut answered = Vec::new();
+        for _ in 0..3 {
+            let frame = read_value(&mut peer);
+            assert_eq!(frame.get("type").and_then(JsonValue::as_str), Some("result"));
+            assert!(frame.get("verified").and_then(JsonValue::as_bool).unwrap());
+            assert!(frame.get("nanos").and_then(JsonValue::as_u64).unwrap() > 0);
+            answered.push(frame.get("id").and_then(JsonValue::as_u64).unwrap());
+        }
+        answered.sort_unstable();
+        assert_eq!(answered, [1, 2, 3], "one result per measure, correlated by id");
+
+        // No scheduler ever sent `drain` (claims resolve by reply id); it
+        // is an unknown request like any other.
         write_frame(&mut peer.writer, &JsonValue::object([("type".to_owned(), "drain".into())]))
             .unwrap();
-
-        let mut results = 0;
-        loop {
-            let frame = read_value(&mut peer);
-            match frame.get("type").and_then(JsonValue::as_str) {
-                Some("result") => {
-                    assert!(frame.get("verified").and_then(JsonValue::as_bool).unwrap());
-                    assert!(frame.get("nanos").and_then(JsonValue::as_u64).unwrap() > 0);
-                    results += 1;
-                }
-                Some("drained") => break,
-                other => panic!("unexpected frame type {other:?}"),
-            }
-        }
-        assert_eq!(results, 3, "drained arrived only after every result");
+        let error = read_value(&mut peer);
+        assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
+        assert!(error.get("reason").and_then(JsonValue::as_str).unwrap().contains("`drain`"));
     }
 
     #[test]

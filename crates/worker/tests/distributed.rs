@@ -68,7 +68,7 @@ fn remote_sweeps_are_bit_identical_to_the_local_pool() {
 
     let addrs = vec![start_worker(2), start_worker(2)];
     let mut explorer = Explorer::new();
-    explorer.set_measure_backend(Box::new(RemotePool::new(addrs)));
+    explorer.set_remote_pool(RemotePool::new(addrs));
     let remote = sweep(&explorer).expect("remote sweep");
 
     assert_eq!(remote.measure_backend, "remote:2");
@@ -105,8 +105,7 @@ fn killing_a_worker_mid_sweep_only_degrades_throughput() {
     let (victim, victim_addr) = spawn_worker_binary();
     let (mut survivor, survivor_addr) = spawn_worker_binary();
     let mut explorer = Explorer::new();
-    explorer
-        .set_measure_backend(Box::new(RemotePool::new(vec![victim_addr, survivor_addr.clone()])));
+    explorer.set_remote_pool(RemotePool::new(vec![victim_addr, survivor_addr.clone()]));
 
     let victim = Mutex::new(Some(victim));
     let rungs = AtomicUsize::new(0);
