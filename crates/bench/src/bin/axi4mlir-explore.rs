@@ -44,7 +44,7 @@
 //!
 //! `--hub ADDR` runs the sweep on a running `axi4mlir-hub` daemon
 //! instead of in-process: the job is submitted over the
-//! `axi4mlir-hub/v1` protocol (see `docs/PROTOCOL.md`), progress
+//! `axi4mlir-hub/v2` protocol (see `docs/PROTOCOL.md`), progress
 //! events stream to stdout, and the `done` event's report renders the
 //! *same* `BENCH_explore.json` the local path writes. The hub owns the
 //! result cache, so `--cache-dir`/`--warm-start` are rejected alongside

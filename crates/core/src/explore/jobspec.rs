@@ -11,10 +11,11 @@
 //! This is the one request builder. The `axi4mlir-explore` CLI spells
 //! its flags as a `JobSpec`, calls [`JobSpec::build`], and either runs
 //! the resulting request in-process or submits the same spec to a hub,
-//! where the daemon — and every worker a measurement is fanned out to —
-//! calls `build` on it again. No caller validates an axis, a search, or
-//! an objective list on its own, which is what keeps the daemon's
-//! behavior flag-for-flag identical to the CLI's.
+//! where the daemon calls `build` on it again (a worker a measurement is
+//! fanned out to receives only the candidate's key, never the job). No
+//! caller validates an axis, a search, or an objective list on its own,
+//! which is what keeps the daemon's behavior flag-for-flag identical to
+//! the CLI's.
 
 use axi4mlir_config::{CacheTiling, CpuModel};
 use axi4mlir_heuristics::space::conv_point;

@@ -26,14 +26,14 @@
 //! the lock it looked with, so `Explorer::wait_for_progress` needs no
 //! timer: any later change has moved the epoch by the time it is checked.
 //!
-//! The second half of this module is the `axi4mlir-worker/v1` wire
+//! The second half of this module is the `axi4mlir-worker/v2` wire
 //! vocabulary — the `measure`/`result`/`failed` frames both the remote
 //! pool and the worker daemon speak — plus [`handle_measure`], the
-//! worker-side entry point: it rebuilds the space from the frame's
-//! [`JobSpec`] ([`DesignSpace::wire_spec`]) as the protocol documents,
-//! but what it runs is named by the candidate's key alone — decoded by
-//! [`wire::candidate_from`], which answers a key that names no buildable
-//! configuration with a `failed` frame before anything is built.
+//! worker-side entry point. A `measure` frame carries a candidate key and
+//! a fidelity, nothing else: the worker decodes the key with
+//! [`cache::key_from`], which answers a key that names no buildable
+//! configuration with a `failed` frame before anything is built, and runs
+//! it through `run_key`, the primitive the local pool runs too.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::TcpStream;
@@ -47,8 +47,8 @@ use axi4mlir_support::proto::{write_frame, write_frame_at, Connection, Frame};
 use crate::driver::Session;
 
 use super::cache::{self, CachedEval};
-use super::space::{Candidate, CandidateKey, DesignSpace, Fidelity};
-use super::{wire, Explorer, JobSpec};
+use super::space::{realize, Candidate, CandidateKey, DesignSpace, Fidelity};
+use super::Explorer;
 
 /// One resolved candidate of a rung.
 pub(super) struct Done<'a> {
@@ -82,14 +82,13 @@ pub(super) fn describe_pool(remote: Option<&RemotePool>) -> String {
 /// every remote worker died with work remaining).
 pub(super) fn drain<'a>(
     explorer: &'a Explorer,
-    space: &'a dyn DesignSpace,
     candidates: &'a [Candidate],
     meta: &'a [(CandidateKey, u64, bool)],
     fidelity: Fidelity,
     workers: usize,
     pending: Vec<usize>,
 ) -> Result<Drained<'a>, Diagnostic> {
-    let queue = MeasureQueue::new(explorer, space, candidates, meta, fidelity, workers, pending);
+    let queue = MeasureQueue::new(explorer, candidates, meta, fidelity, workers, pending);
     match &explorer.remote {
         None => drain_local(&queue),
         Some(pool) => pool.drain(&queue)?,
@@ -149,14 +148,13 @@ struct QueueState<'a> {
 /// the outcomes the owning sweep folds into its report.
 struct MeasureQueue<'a> {
     explorer: &'a Explorer,
-    space: &'a dyn DesignSpace,
     candidates: &'a [Candidate],
     /// Per candidate: its fidelity-adjusted key and work, and whether
     /// measuring that key is a full-fidelity simulation.
     meta: &'a [(CandidateKey, u64, bool)],
     fidelity: Fidelity,
     /// The sweep's worker budget (already clamped to the pending size):
-    /// local threads, or the cap on each remote worker's window.
+    /// local threads, or each remote worker's in-flight window.
     workers: usize,
     total: usize,
     state: Mutex<QueueState<'a>>,
@@ -165,7 +163,6 @@ struct MeasureQueue<'a> {
 impl<'a> MeasureQueue<'a> {
     fn new(
         explorer: &'a Explorer,
-        space: &'a dyn DesignSpace,
         candidates: &'a [Candidate],
         meta: &'a [(CandidateKey, u64, bool)],
         fidelity: Fidelity,
@@ -178,16 +175,7 @@ impl<'a> MeasureQueue<'a> {
             done: Vec::with_capacity(total),
             reconnects: Vec::new(),
         };
-        Self {
-            explorer,
-            space,
-            candidates,
-            meta,
-            fidelity,
-            workers,
-            total,
-            state: Mutex::new(state),
-        }
+        Self { explorer, candidates, meta, fidelity, workers, total, state: Mutex::new(state) }
     }
 
     fn state(&self) -> MutexGuard<'_, QueueState<'a>> {
@@ -294,9 +282,8 @@ fn drain_local(queue: &MeasureQueue<'_>) {
                     match queue.try_claim() {
                         Claimed::Task(task) => {
                             let started = Instant::now();
-                            let candidate = &queue.candidates[task.index];
-                            let result =
-                                run_candidate(&mut session, queue.space, candidate, queue.fidelity);
+                            let key = &queue.candidates[task.index].key;
+                            let result = run_key(&mut session, key, queue.fidelity);
                             let nanos = started.elapsed().as_nanos() as u64;
                             queue.complete(task, result, nanos, LOCAL_WORKER);
                         }
@@ -309,26 +296,25 @@ fn drain_local(queue: &MeasureQueue<'_>) {
     });
 }
 
-/// Realizes `candidate` (the one realization a measured candidate gets)
-/// and compiles and runs it on `session`'s recycled SoC — the execution
-/// primitive both the local pool and the worker daemon share.
+/// Realizes `key` at `fidelity` (the one realization a measured candidate
+/// gets) and compiles and runs it on `session`'s recycled SoC — the
+/// execution primitive both the local pool and the worker daemon share.
 ///
 /// # Errors
 ///
 /// Propagates realization and simulation diagnostics; a run that fails
 /// verification is an error naming the candidate.
-pub fn run_candidate(
+fn run_key(
     session: &mut Session,
-    space: &dyn DesignSpace,
-    candidate: &Candidate,
+    key: &CandidateKey,
     fidelity: Fidelity,
 ) -> Result<CachedEval, Diagnostic> {
-    let realized = space.realize(candidate, fidelity)?;
+    let realized = realize(key, fidelity)?;
     let report = session.run(realized.workload.as_ref(), &realized.plan)?;
     if !report.verified {
         return Err(Diagnostic::error(format!(
             "candidate {} failed verification on {}",
-            candidate.label(),
+            key.label(),
             realized.key.workload
         )));
     }
@@ -338,6 +324,24 @@ pub fn run_candidate(
         verified: report.verified,
         pass_ms: report.pass_timings.iter().map(|t| (t.pass.clone(), t.millis)).collect(),
     })
+}
+
+/// Measures `candidate`'s key at `fidelity` on `session`, exactly as the
+/// local pool and the worker daemon do. Kept with this signature only for
+/// the frozen benchmark's layer replay (`benchmark/src/layers.rs`);
+/// `space` is ignored — the key names everything a run needs.
+///
+/// # Errors
+///
+/// Propagates realization and simulation diagnostics; a run that fails
+/// verification is an error naming the candidate.
+pub fn run_candidate(
+    session: &mut Session,
+    _space: &dyn DesignSpace,
+    candidate: &Candidate,
+    fidelity: Fidelity,
+) -> Result<CachedEval, Diagnostic> {
+    run_key(session, &candidate.key, fidelity)
 }
 
 // ---------------------------------------------------------------------
@@ -363,17 +367,16 @@ const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(800);
 const HELLO_DEADLINE: Duration = Duration::from_secs(5);
 
 /// The measurement pool that fans claims out to `axi4mlir-worker`
-/// daemons. One pump thread per worker keeps up to
-/// [`RemotePool::in_flight`] requests outstanding; a worker that dies
-/// has its claims requeued (served by the surviving workers) and its
-/// address retried with exponential backoff until it re-registers —
-/// a pump abandons its address only when the whole pool is unreachable.
-/// Re-registrations are recorded on the queue and surface as
-/// `worker_reconnects` in the report.
+/// daemons. One pump thread per worker keeps up to the sweep's worker
+/// budget of requests outstanding, so one huge job cannot monopolize the
+/// workers' slots; a worker that dies has its claims requeued (served by
+/// the surviving workers) and its address retried with exponential
+/// backoff until it re-registers — a pump abandons its address only when
+/// the whole pool is unreachable. Re-registrations are recorded on the
+/// queue and surface as `worker_reconnects` in the report.
 #[derive(Debug)]
 pub struct RemotePool {
     addrs: Vec<String>,
-    window: usize,
     state: Mutex<PoolState>,
 }
 
@@ -390,17 +393,9 @@ struct PoolState {
 }
 
 impl RemotePool {
-    /// A pool over `addrs` with the default in-flight window of 4
-    /// requests per worker.
+    /// A pool over the worker daemons at `addrs`.
     pub fn new(addrs: Vec<String>) -> Self {
-        Self { addrs, window: 4, state: Mutex::default() }
-    }
-
-    /// Overrides the per-worker in-flight window (clamped to ≥ 1).
-    #[must_use]
-    pub fn in_flight(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
+        Self { addrs, state: Mutex::default() }
     }
 
     fn state(&self) -> MutexGuard<'_, PoolState> {
@@ -411,25 +406,9 @@ impl RemotePool {
         if self.addrs.is_empty() {
             return Err(Diagnostic::error("remote measurement pool has no workers"));
         }
-        let Some(spec) = queue.space.wire_spec() else {
-            return Err(Diagnostic::error(format!(
-                "space {} cannot be measured remotely (no wire form)",
-                queue.space.describe()
-            )));
-        };
-        let job = spec.to_json();
-        // The per-job worker budget caps each pump's in-flight window, so
-        // one huge job cannot monopolize the pool's slots across rungs.
-        let window = self.window.min(queue.workers.max(1));
         let failures: Vec<Diagnostic> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .addrs
-                .iter()
-                .map(|addr| {
-                    let job = &job;
-                    scope.spawn(move || self.pump(addr, job, window, queue))
-                })
-                .collect();
+            let handles: Vec<_> =
+                self.addrs.iter().map(|addr| scope.spawn(move || self.pump(addr, queue))).collect();
             handles
                 .into_iter()
                 .filter_map(|handle| handle.join().expect("worker pump panicked").err())
@@ -452,13 +431,7 @@ impl RemotePool {
     /// consecutive connects failed *and* no other pump in the pool is
     /// connected — while any peer is serving the queue, a dead worker's
     /// address keeps being retried so it can rejoin whenever it comes back.
-    fn pump<'a>(
-        &'a self,
-        addr: &'a str,
-        job: &JsonValue,
-        window: usize,
-        queue: &MeasureQueue<'a>,
-    ) -> Result<(), Diagnostic> {
+    fn pump<'a>(&'a self, addr: &'a str, queue: &MeasureQueue<'a>) -> Result<(), Diagnostic> {
         let mut failures = 0usize;
         loop {
             if queue.is_drained() {
@@ -490,7 +463,7 @@ impl RemotePool {
             if rejoined {
                 queue.record_reconnect(addr);
             }
-            let served = serve_worker(addr, &mut conn, job, window, queue);
+            let served = serve_worker(addr, &mut conn, queue);
             let mut state = self.state();
             state.connected -= 1;
             match served {
@@ -575,23 +548,17 @@ enum Served {
 /// dies. Outstanding claims are requeued (by drop) on every exit path
 /// that loses the connection, so no candidate is ever lost to a worker
 /// death.
-fn serve_worker<'a>(
-    addr: &'a str,
-    conn: &mut Connection,
-    job: &JsonValue,
-    window: usize,
-    queue: &MeasureQueue<'a>,
-) -> Served {
+fn serve_worker<'a>(addr: &'a str, conn: &mut Connection, queue: &MeasureQueue<'a>) -> Served {
     let mut next_id: u64 = 1;
     let mut outstanding = HashMap::new();
     loop {
-        // Keep the in-flight window full.
+        // Keep the in-flight window — the sweep's worker budget — full.
         let mut starved = None;
-        while outstanding.len() < window {
+        while outstanding.len() < queue.workers {
             match queue.try_claim() {
                 Claimed::Task(task) => {
-                    let candidate = &queue.candidates[task.index];
-                    let frame = measure_request(next_id, job, queue.fidelity, candidate);
+                    let key = &queue.candidates[task.index].key;
+                    let frame = measure_frame(next_id, queue.fidelity, key);
                     if write_frame_at("pool.send", &mut conn.writer, &frame).is_err() {
                         // `task` and `outstanding` requeue on drop.
                         return Served::Lost;
@@ -640,27 +607,33 @@ fn serve_worker<'a>(
 }
 
 // ---------------------------------------------------------------------
-// The axi4mlir-worker/v1 wire vocabulary
+// The axi4mlir-worker/v2 wire vocabulary
 // ---------------------------------------------------------------------
 
 /// The worker protocol schema tag, exchanged in `hello`.
-pub const WORKER_SCHEMA: &str = "axi4mlir-worker/v1";
+pub const WORKER_SCHEMA: &str = "axi4mlir-worker/v2";
 
-/// Builds a `measure` request: measure `candidate` at `fidelity` in the
-/// space rebuilt from `job` (a [`JobSpec`] in JSON form).
-pub fn measure_request(
-    id: u64,
-    job: &JsonValue,
-    fidelity: Fidelity,
-    candidate: &Candidate,
-) -> JsonValue {
+/// Builds a `measure` request: measure `key` at `fidelity`.
+fn measure_frame(id: u64, fidelity: Fidelity, key: &CandidateKey) -> JsonValue {
     JsonValue::object([
         ("type".to_owned(), "measure".into()),
         ("id".to_owned(), id.into()),
-        ("job".to_owned(), job.clone()),
         ("fidelity".to_owned(), fidelity.label().into()),
-        ("candidate".to_owned(), wire::candidate_to_json(candidate)),
+        ("key".to_owned(), cache::key_to_json(key)),
     ])
+}
+
+/// Builds the `measure` request for `candidate`'s key at `fidelity`.
+/// Kept with this signature only for the frozen benchmark's worker replay
+/// (`benchmark/src/layers.rs`); `job` is ignored — the frame carries the
+/// key, and a key names everything a run needs.
+pub fn measure_request(
+    id: u64,
+    _job: &JsonValue,
+    fidelity: Fidelity,
+    candidate: &Candidate,
+) -> JsonValue {
+    measure_frame(id, fidelity, &candidate.key)
 }
 
 /// Builds the `result` frame answering measure request `id`.
@@ -680,11 +653,11 @@ fn failed_frame(id: u64, reason: &str) -> JsonValue {
     ])
 }
 
-/// The worker-side execution of one `measure` frame: rebuild the space
-/// from the embedded job spec, realize the candidate at the requested
-/// fidelity, run it on `session`, and answer with a `result` or `failed`
-/// frame (the request `id` echoed either way). Transport never sees
-/// Rust errors: every failure becomes a `failed` frame.
+/// The worker-side execution of one `measure` frame: decode the key,
+/// realize it at the requested fidelity, run it on `session`, and answer
+/// with a `result` or `failed` frame (the request `id` echoed either
+/// way). Transport never sees Rust errors: every failure becomes a
+/// `failed` frame.
 pub fn handle_measure(session: &mut Session, frame: &JsonValue) -> JsonValue {
     let id = frame.members("measure").and_then(|m| m.u64("id")).unwrap_or(0);
     match run_measure(session, frame) {
@@ -695,14 +668,11 @@ pub fn handle_measure(session: &mut Session, frame: &JsonValue) -> JsonValue {
 
 fn run_measure(session: &mut Session, frame: &JsonValue) -> Result<(CachedEval, u64), Diagnostic> {
     let m = frame.members("measure")?;
-    // This one message is pinned verbatim by the PROTOCOL.md transcript.
-    let job = m.get("job").ok_or_else(|| Diagnostic::error("measure requires a `job`"))?;
-    let request = JobSpec::from_json(job)?.build()?;
+    let key = cache::key_from(&m.object("key")?)?;
     let fidelity = Fidelity::parse(m.str("fidelity")?)
         .ok_or_else(|| m.invalid("fidelity", "must be a fidelity label"))?;
-    let candidate = wire::candidate_from(&m.object("candidate")?)?;
     let started = Instant::now();
-    let eval = run_candidate(session, request.space.as_dyn(), &candidate, fidelity)?;
+    let eval = run_key(session, &key, fidelity)?;
     Ok((eval, started.elapsed().as_nanos() as u64))
 }
 
@@ -714,7 +684,7 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::mpsc;
 
-    use super::super::MatMulSpace;
+    use super::super::{MatMulSpace, Prune, Search};
 
     /// Runs `scenario` on a thread of its own under a hard deadline, so a
     /// lost wake-up fails the test instead of hanging the suite.
@@ -729,11 +699,14 @@ mod tests {
             .expect("the scenario finishes (a lost wake-up parks a worker forever)");
     }
 
-    /// The 8x8x8 space and what `measure_set` derives from it for a
-    /// full-fidelity rung.
-    fn rung() -> (MatMulSpace, Vec<Candidate>, Vec<(CandidateKey, u64, bool)>) {
-        let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(7);
-        let candidates = space.enumerate().unwrap();
+    fn space() -> MatMulSpace {
+        MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(7)
+    }
+
+    /// The 8x8x8 space's candidates and what `measure_set` derives from
+    /// them for a full-fidelity rung.
+    fn rung() -> (Vec<Candidate>, Vec<(CandidateKey, u64, bool)>) {
+        let candidates = space().enumerate().unwrap();
         let meta = candidates
             .iter()
             .map(|candidate| {
@@ -741,7 +714,7 @@ mod tests {
                 (key, work, true)
             })
             .collect();
-        (space, candidates, meta)
+        (candidates, meta)
     }
 
     fn eval() -> CachedEval {
@@ -762,10 +735,10 @@ mod tests {
     #[test]
     fn a_dropped_foreign_task_wakes_a_worker_parked_on_busy() {
         within_deadline(|| {
-            let (space, candidates, meta) = rung();
+            let (candidates, meta) = rung();
             let explorer = Explorer::new();
             let queue = |pending| {
-                MeasureQueue::new(&explorer, &space, &candidates, &meta, Fidelity::Full, 1, pending)
+                MeasureQueue::new(&explorer, &candidates, &meta, Fidelity::Full, 1, pending)
             };
             let (foreign, ours) = (queue(vec![0]), queue(vec![0]));
             let Claimed::Task(held) = foreign.try_claim() else { panic!("an unclaimed key") };
@@ -815,18 +788,11 @@ mod tests {
     #[test]
     fn a_pump_that_saw_empty_is_drained_by_the_last_foreign_complete() {
         within_deadline(|| {
-            let (space, candidates, meta) = rung();
+            let (candidates, meta) = rung();
             {
                 let explorer = Explorer::new();
-                let queue = MeasureQueue::new(
-                    &explorer,
-                    &space,
-                    &candidates,
-                    &meta,
-                    Fidelity::Full,
-                    1,
-                    vec![0],
-                );
+                let queue =
+                    MeasureQueue::new(&explorer, &candidates, &meta, Fidelity::Full, 1, vec![0]);
                 let Claimed::Task(held) = queue.try_claim() else { panic!("an unclaimed key") };
                 let Claimed::Empty(epoch) = queue.try_claim() else { panic!("nothing pending") };
                 assert!(!queue.is_drained());
@@ -834,26 +800,18 @@ mod tests {
                 explorer.wait_for_progress(epoch);
                 assert!(queue.is_drained());
             }
-            let job = space.wire_spec().unwrap().to_json();
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             for _ in 0..25 {
                 let explorer = Explorer::new();
-                let queue = MeasureQueue::new(
-                    &explorer,
-                    &space,
-                    &candidates,
-                    &meta,
-                    Fidelity::Full,
-                    1,
-                    vec![0, 1],
-                );
+                let queue =
+                    MeasureQueue::new(&explorer, &candidates, &meta, Fidelity::Full, 1, vec![0, 1]);
                 let Claimed::Task(held) = queue.try_claim() else { panic!("an unclaimed key") };
                 std::thread::scope(|scope| {
                     let pump = scope.spawn(|| {
                         let stream = TcpStream::connect(&addr).unwrap();
                         let mut conn = Connection::open(stream).unwrap();
-                        serve_worker(&addr, &mut conn, &job, 1, &queue)
+                        serve_worker(&addr, &mut conn, &queue)
                     });
                     // The worker end: answer the pump's one claim.
                     let mut peer = Connection::open(listener.accept().unwrap().0).unwrap();
@@ -877,12 +835,47 @@ mod tests {
         });
     }
 
+    /// A worker that answers `hello` with another schema is refused at the
+    /// handshake, and a sweep whose only worker speaks it fails with that
+    /// diagnostic instead of sending it a frame it would misread.
+    #[test]
+    fn a_worker_speaking_another_schema_is_refused_at_hello() {
+        within_deadline(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            // One direct handshake, then the pump's RECONNECT_ATTEMPTS.
+            let fake_worker = std::thread::spawn(move || {
+                for stream in listener.incoming().take(1 + RECONNECT_ATTEMPTS) {
+                    let mut peer = Connection::open(stream.unwrap()).unwrap();
+                    let hello = next_value(&mut peer);
+                    assert_eq!(hello.get("type").and_then(JsonValue::as_str), Some("hello"));
+                    let reply = r#"{"type":"hello","schema":"axi4mlir-worker/v1","slots":1}"#;
+                    write_frame(&mut peer.writer, &JsonValue::parse(reply).unwrap()).unwrap();
+                }
+            });
+            let refusal = "speaks axi4mlir-worker/v1 (expected axi4mlir-worker/v2)";
+            let Err(err) = connect(&addr) else { panic!("a v1 worker is refused") };
+            assert_eq!(err.message, format!("worker {addr}: {refusal}"));
+
+            let mut explorer = Explorer::new();
+            explorer.set_remote_pool(RemotePool::new(vec![addr]));
+            let err = explorer
+                .explore_streaming(&space(), Prune::None, &Search::Exhaustive, 1, &[], &|_| true)
+                .expect_err("no worker speaks the protocol");
+            assert!(err.message.contains(refusal), "{}", err.message);
+            fake_worker.join().expect("the fake worker saw only hellos");
+        });
+    }
+
     #[test]
     fn measure_frames_round_trip_through_the_worker_entry_point() {
-        let space = super::super::MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(7);
+        let space = space();
         let candidate = space.enumerate().unwrap().into_iter().next().unwrap();
-        let job = space.wire_spec().unwrap().to_json();
-        let request = measure_request(42, &job, Fidelity::Full, &candidate);
+        // The `job` argument is ignored: the frame is the key and fidelity.
+        let request = measure_request(42, &JsonValue::Null, Fidelity::Full, &candidate);
+        let members: Vec<&str> =
+            request.as_object().unwrap().iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(members, ["type", "id", "fidelity", "key"]);
         let mut session = Session::for_sweep();
         let reply = handle_measure(&mut session, &request);
         assert_eq!(reply.get("type").and_then(JsonValue::as_str), Some("result"));
@@ -909,6 +902,7 @@ mod tests {
         let reply = handle_measure(&mut session, &bad);
         assert_eq!(reply.get("type").and_then(JsonValue::as_str), Some("failed"));
         assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(9));
-        assert!(reply.get("reason").and_then(JsonValue::as_str).unwrap().contains("job"));
+        let reason = reply.get("reason").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(reason, "measure: missing `key`");
     }
 }

@@ -531,8 +531,7 @@ impl Explorer {
     /// The sweep is scored under `objectives` (empty defaults to
     /// task-clock only). The first objective is the *primary*: the
     /// analytical prune ranks by its transfer-model extractor, and a
-    /// [`Search::Halving`] promotes by it too unless its
-    /// [`HalvingSpec::objective`] pins something else. Every objective
+    /// [`Search::Halving`] promotes by it too. Every objective
     /// contributes a coordinate to the report's
     /// [`ExploreReport::pareto_front`].
     ///
@@ -620,8 +619,7 @@ impl Explorer {
 
         let (evaluations, proxy_hits, warm_informed) = match search {
             Search::Exhaustive => {
-                let evals =
-                    self.measure_set(space, &candidates, Fidelity::Full, workers, &mut stats)?;
+                let evals = self.measure_set(&candidates, Fidelity::Full, workers, &mut stats)?;
                 notify(
                     observer,
                     ProgressEvent::RungComplete {
@@ -635,7 +633,7 @@ impl Explorer {
                 (evals, 0, 0)
             }
             Search::Halving(spec) => {
-                self.run_halving(space, candidates, spec, workers, primary, observer, &mut stats)?
+                self.run_halving(candidates, spec, workers, primary, observer, &mut stats)?
             }
         };
         let cache_hits = proxy_hits + evaluations.iter().filter(|e| e.from_cache).count();
@@ -649,7 +647,7 @@ impl Explorer {
             // sweep's candidates: a statically-broken pick is reported
             // unmeasured rather than simulated.
             Some(choice) if audit::audit_candidate(space, choice).is_ok() => self
-                .measure_set(space, std::slice::from_ref(choice), Fidelity::Full, 1, &mut stats)?
+                .measure_set(std::slice::from_ref(choice), Fidelity::Full, 1, &mut stats)?
                 .into_iter()
                 .next(),
             _ => None,
@@ -682,7 +680,6 @@ impl Explorer {
     /// over `workers` threads. Results come back in candidate order.
     pub(crate) fn measure_set(
         &self,
-        space: &dyn DesignSpace,
         candidates: &[Candidate],
         fidelity: Fidelity,
         workers: usize,
@@ -721,8 +718,7 @@ impl Explorer {
         // the remote pool produce identical results at any worker count.
         if !pending.is_empty() {
             let workers = workers.clamp(1, pending.len());
-            let drained =
-                measure::drain(self, space, candidates, &meta, fidelity, workers, pending)?;
+            let drained = measure::drain(self, candidates, &meta, fidelity, workers, pending)?;
             for worker in drained.reconnects {
                 tally(&mut stats.worker_reconnects, worker);
             }

@@ -7,10 +7,10 @@
 //! analytical transfer model, then promoted through rounds in which the
 //! surviving fraction halves while the measurement fidelity
 //! (the proxy problem size) doubles, until only the finalists are
-//! measured on the full problem. Promotion ranks by a configurable
-//! [`Objective`]; extensive objectives (time, traffic) are normalized
-//! *per MAC* so proxies of different sizes race fairly — time per MAC is
-//! the default.
+//! measured on the full problem. Promotion ranks by the sweep's primary
+//! [`Objective`] — the one the prune ranks by; extensive objectives
+//! (time, traffic) are normalized *per MAC* so proxies of different sizes
+//! race fairly — under the default task-clock primary, time per MAC.
 //!
 //! Every proxy measurement flows through the same candidate-keyed cache
 //! as full measurements (proxy realizations carry their proxy problem in
@@ -36,7 +36,7 @@
 use axi4mlir_heuristics::objective::Objective;
 use axi4mlir_support::diag::Diagnostic;
 
-use super::space::{Candidate, DesignSpace, Fidelity};
+use super::space::{Candidate, Fidelity};
 use super::{estimate_rank, notify, Evaluation, Explorer, Observer, ProgressEvent, SweepStats};
 
 /// Divisor of the survivor count per round: each round keeps `1/ETA`.
@@ -52,29 +52,15 @@ pub struct HalvingSpec {
     /// Candidates promoted to the final full-fidelity round (the search
     /// stops cutting once the field is this small); clamped to ≥ 1.
     pub finalists: usize,
-    /// The objective promotion ranks by. `None` — the default — follows
-    /// the sweep's *primary* objective (the first one passed to
-    /// `explore_streaming`), so pruning and promotion always agree
-    /// unless a caller explicitly overrides this. Under the default
-    /// task-clock primary that is time per MAC.
-    pub objective: Option<Objective>,
 }
 
 impl Default for HalvingSpec {
     fn default() -> Self {
-        Self { finalists: 4, objective: None }
+        Self { finalists: 4 }
     }
 }
 
 impl HalvingSpec {
-    /// Pins the promotion objective, decoupling it from the sweep's
-    /// primary.
-    #[must_use]
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = Some(objective);
-        self
-    }
-
     /// Overrides the finalist count.
     #[must_use]
     pub fn finalists(mut self, finalists: usize) -> Self {
@@ -103,22 +89,20 @@ impl Search {
 }
 
 impl Explorer {
-    /// Runs the successive-halving search; returns the full-fidelity
-    /// finalist evaluations, the number of proxy-round cache hits, and
-    /// how many candidates the warm-start model was informed about.
-    #[allow(clippy::too_many_arguments)] // internal: mirrors explore_streaming's parameters
+    /// Runs the successive-halving search, promoting by `objective` (the
+    /// sweep's primary); returns the full-fidelity finalist evaluations,
+    /// the number of proxy-round cache hits, and how many candidates the
+    /// warm-start model was informed about.
     pub(crate) fn run_halving(
         &self,
-        space: &dyn DesignSpace,
         mut survivors: Vec<Candidate>,
         spec: &HalvingSpec,
         workers: usize,
-        primary: Objective,
+        objective: Objective,
         observer: Observer,
         stats: &mut SweepStats,
     ) -> Result<(Vec<Evaluation>, usize, usize), Diagnostic> {
         let mut finalists = spec.finalists.max(1);
-        let objective = spec.objective.unwrap_or(primary);
         // Round 0 is free. Cold: rank by the analytical transfer model
         // under the promotion objective (stable, so enumeration order
         // breaks ties). Warm: rank by the cross-problem model's
@@ -187,8 +171,7 @@ impl Explorer {
 
             let sims_before = stats.sims;
             let full_before = stats.full_sims;
-            let evals =
-                self.measure_set(space, &survivors, Fidelity::Proxy { level }, workers, stats)?;
+            let evals = self.measure_set(&survivors, Fidelity::Proxy { level }, workers, stats)?;
             let round_hits = evals.iter().filter(|e| e.from_cache).count();
             proxy_hits += round_hits;
             // Promote by the objective's work-normalized score (proxies
@@ -220,7 +203,7 @@ impl Explorer {
 
         let sims_before = stats.sims;
         let full_before = stats.full_sims;
-        let finals = self.measure_set(space, &survivors, Fidelity::Full, workers, stats)?;
+        let finals = self.measure_set(&survivors, Fidelity::Full, workers, stats)?;
         notify(
             observer,
             ProgressEvent::RungComplete {

@@ -205,7 +205,7 @@ pub struct CandidateKey {
 impl CandidateKey {
     /// The per-space entry label: accelerator, flow, tile (when the space
     /// has a tile axis), and any non-default options.
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let tile = if self.tile == (0, 0, 0) {
             String::new()
         } else {
@@ -387,10 +387,10 @@ pub trait DesignSpace: Sync {
         None
     }
 
-    /// The minimal [`JobSpec`] the `axi4mlir-worker/v1` protocol carries
-    /// beside each candidate, when the space can travel: the problem
-    /// shape and the data seed. `None` (the default) confines the space
-    /// to local measurement.
+    /// The minimal [`JobSpec`] naming this space's problem shape and data
+    /// seed. Kept only for the frozen benchmark's worker replay
+    /// (`benchmark/src/layers.rs`), which passes it to `measure_request`
+    /// as the ignored `job`; nothing in the measurement path calls it.
     fn wire_spec(&self) -> Option<JobSpec> {
         None
     }
@@ -410,8 +410,6 @@ pub struct MatMulSpace {
     pub accels: Vec<AccelInstance>,
     /// Tile-memory budget for flexible (v4) candidates, in words.
     pub capacity_words: u64,
-    /// Flows to consider (intersected with each generation's legal set).
-    pub flows: Vec<FlowStrategy>,
     /// Pipeline-options points to consider.
     pub options_axis: Vec<OptionsPoint>,
     /// Data seed for every measurement.
@@ -419,14 +417,13 @@ pub struct MatMulSpace {
 }
 
 impl MatMulSpace {
-    /// The standard space: the flexible v4 accelerator with base 16, all
-    /// flows, default options.
+    /// The standard space: the flexible v4 accelerator with base 16, every
+    /// flow it offers, default options.
     pub fn new(problem: MatMulProblem) -> Self {
         Self {
             problem,
             accels: vec![AccelInstance::v4(16)],
             capacity_words: axi4mlir_accelerators::matmul::V4_CAPACITY_WORDS,
-            flows: FlowStrategy::all().to_vec(),
             options_axis: vec![OptionsPoint::default()],
             seed: 0xD5E,
         }
@@ -570,7 +567,7 @@ impl DesignSpace for MatMulSpace {
     }
 
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic> {
-        let points = matmul_points(self.dims(), &self.accels, self.capacity_words, &self.flows);
+        let points = matmul_points(self.dims(), &self.accels, self.capacity_words);
         let workload = Problem::MatMul(self.problem);
         Ok(keyed(points, workload, self.dims(), &self.options_axis, self.seed))
     }
@@ -610,8 +607,6 @@ pub struct BatchedSpace {
     pub accels: Vec<AccelInstance>,
     /// Tile-memory budget for flexible (v4) candidates, in words.
     pub capacity_words: u64,
-    /// Flows to consider.
-    pub flows: Vec<FlowStrategy>,
     /// Pipeline-options points to consider.
     pub options_axis: Vec<OptionsPoint>,
     /// Data seed for every measurement.
@@ -626,7 +621,6 @@ impl BatchedSpace {
             batch,
             accels: base.accels,
             capacity_words: base.capacity_words,
-            flows: base.flows,
             options_axis: base.options_axis,
             seed: base.seed,
         }
@@ -676,13 +670,8 @@ impl DesignSpace for BatchedSpace {
     }
 
     fn enumerate(&self) -> Result<Vec<Candidate>, Diagnostic> {
-        let points = batched_points(
-            self.dims(),
-            self.batch.batch as u64,
-            &self.accels,
-            self.capacity_words,
-            &self.flows,
-        );
+        let points =
+            batched_points(self.dims(), self.batch.batch as u64, &self.accels, self.capacity_words);
         let workload = Problem::Batched(self.batch);
         Ok(keyed(points, workload, self.dims(), &self.options_axis, self.seed))
     }

@@ -618,14 +618,14 @@ fn occupancy_objective_scores_the_idle_fraction() {
 }
 
 #[test]
-fn halving_promotes_by_a_configurable_objective() {
-    // Promoting by traffic must surface the analytic traffic minimum
-    // among the finalists: DMA words are a deterministic function of the
-    // candidate, and words-per-MAC ranks proxies exactly like words.
+fn halving_promotes_by_the_primary_objective() {
+    // Promoting by a traffic primary must surface the analytic traffic
+    // minimum among the finalists: DMA words are a deterministic function
+    // of the candidate, and words-per-MAC ranks proxies exactly like words.
     let space = small_space();
     let all = space.enumerate().expect("candidates");
     let min_words = all.iter().map(|c| c.estimate.words_total()).min().unwrap();
-    let search = Search::Halving(HalvingSpec::default().objective(Objective::DmaWords));
+    let search = Search::Halving(HalvingSpec::default());
     let report = Explorer::new()
         .explore_streaming(&space, Prune::None, &search, 2, &[Objective::DmaWords], &|_| true)
         .expect("traffic-promoted halving");

@@ -281,19 +281,18 @@ pub struct SpacePoint {
 
 /// Enumerates every legal `(accelerator, flow, tile)` point for a MatMul
 /// problem in a fixed, deterministic order: accelerators in the given
-/// order, tiles ascending per dimension, flows in figure order filtered
-/// to each generation's legal set (and to `flows`).
+/// order, tiles ascending per dimension, each generation's legal flows in
+/// figure order.
 pub fn matmul_points(
     problem: (i64, i64, i64),
     accels: &[AccelInstance],
     capacity_words: u64,
-    flows: &[FlowStrategy],
 ) -> Vec<SpacePoint> {
     let mut out = Vec::new();
     for &accel in accels {
         let legal = accel.flows();
         for tile in accel.tiles(problem, capacity_words) {
-            for &flow in legal.iter().filter(|f| flows.contains(f)) {
+            for &flow in &legal {
                 out.push(SpacePoint {
                     accel,
                     flow,
@@ -314,9 +313,8 @@ pub fn batched_points(
     batch: u64,
     accels: &[AccelInstance],
     capacity_words: u64,
-    flows: &[FlowStrategy],
 ) -> Vec<SpacePoint> {
-    let mut out = matmul_points(problem, accels, capacity_words, flows);
+    let mut out = matmul_points(problem, accels, capacity_words);
     for point in &mut out {
         point.estimate = batched_matmul_transfers(point.flow, problem, point.tile, batch);
     }
@@ -418,11 +416,10 @@ mod tests {
             AccelInstance { version: MatMulVersion::V2, size: 8 },
             AccelInstance::v4(8),
         ];
-        let all = FlowStrategy::all();
-        let points = matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS, &all);
+        let points = matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS);
         // v1: 1 tile x 1 flow; v2: 1 tile x 3 flows; v4: 8 tiles x 4 flows.
         assert_eq!(points.len(), 1 + 3 + 8 * 4);
-        assert_eq!(points, matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS, &all));
+        assert_eq!(points, matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS));
         for p in &points {
             assert!(p.accel.flows().contains(&p.flow), "{p:?}");
             let (m, n, k) = (16i64, 16, 16);
@@ -436,9 +433,8 @@ mod tests {
     #[test]
     fn batched_points_scale_estimates() {
         let accels = [AccelInstance::v4(8)];
-        let all = FlowStrategy::all();
-        let single = matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS, &all);
-        let batched = batched_points((16, 16, 16), 3, &accels, V4_CAPACITY_WORDS, &all);
+        let single = matmul_points((16, 16, 16), &accels, V4_CAPACITY_WORDS);
+        let batched = batched_points((16, 16, 16), 3, &accels, V4_CAPACITY_WORDS);
         assert_eq!(single.len(), batched.len());
         for (s, b) in single.iter().zip(&batched) {
             assert_eq!((s.accel, s.flow, s.tile), (b.accel, b.flow, b.tile));

@@ -53,10 +53,10 @@ proptest! {
         size in 1i64..24,
         capacity in 1u64..20_000,
     ) {
-        let points = matmul_points((m, n, k), &all_generations(size), capacity, &FlowStrategy::all());
+        let points = matmul_points((m, n, k), &all_generations(size), capacity);
         check_invariants(&points, (m, n, k), capacity);
         // Enumeration is deterministic.
-        let again = matmul_points((m, n, k), &all_generations(size), capacity, &FlowStrategy::all());
+        let again = matmul_points((m, n, k), &all_generations(size), capacity);
         prop_assert_eq!(points, again);
     }
 
@@ -74,8 +74,8 @@ proptest! {
         size in 1i64..24,
     ) {
         // Every generation offers Ns; the tile does not depend on the flow.
-        let ns = [FlowStrategy::NothingStationary];
-        for p in matmul_points((m, n, k), &all_generations(size), V4_CAPACITY_WORDS, &ns) {
+        let points = matmul_points((m, n, k), &all_generations(size), V4_CAPACITY_WORDS);
+        for p in points.into_iter().filter(|p| p.flow == FlowStrategy::NothingStationary) {
             let config = p.accel.config(p.tile, p.flow);
             prop_assert_eq!(config.device, p.accel.instantiated(p.tile).into());
             prop_assert_eq!(&config.accel_dims, &[p.tile.0, p.tile.1, p.tile.2]);
@@ -95,10 +95,9 @@ proptest! {
     ) {
         let accels = all_generations(size);
         let capacity = 10_240u64;
-        let flows = FlowStrategy::all();
-        let batched = batched_points((m, n, k), batch, &accels, capacity, &flows);
+        let batched = batched_points((m, n, k), batch, &accels, capacity);
         check_invariants(&batched, (m, n, k), capacity);
-        let single = matmul_points((m, n, k), &accels, capacity, &flows);
+        let single = matmul_points((m, n, k), &accels, capacity);
         prop_assert_eq!(single.len(), batched.len());
         for (s, b) in single.iter().zip(&batched) {
             prop_assert_eq!(b.estimate.words_to_accel, batch * s.estimate.words_to_accel);

@@ -8,7 +8,7 @@
 //!
 //! Binds, prints `axi4mlir-hub listening on ADDR` (port 0 in `--bind`
 //! resolves to a free port — scripts parse this line), and serves the
-//! `axi4mlir-hub/v1` protocol until SIGTERM/ctrl-c or a client
+//! `axi4mlir-hub/v2` protocol until SIGTERM/ctrl-c or a client
 //! `shutdown` request; either path drains gracefully and flushes the
 //! cache. See `docs/PROTOCOL.md` for the wire protocol and
 //! `docs/ARCHITECTURE.md` for where the hub sits in the stack.

@@ -139,34 +139,14 @@ impl HubClient {
         }
     }
 
-    /// Submits one job at the default priority (0) with the hub's fair
-    /// share of simulation workers; returns its id once the hub accepts
-    /// it.
+    /// Submits one job; returns its id once the hub accepts it.
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] for `error` (bad spec) and `rejected`
     /// (queue full) replies.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, Diagnostic> {
-        self.submit_with(spec, 0, None)
-    }
-
-    /// Submits one job at an explicit priority — the hub always runs the
-    /// highest-priority queued job next, FIFO within a priority — and
-    /// with an optional per-job simulation-worker budget (`None` accepts
-    /// the hub's fair share).
-    ///
-    /// # Errors
-    ///
-    /// See [`HubClient::submit`].
-    pub fn submit_with(
-        &mut self,
-        spec: &JobSpec,
-        priority: i64,
-        sim_workers: Option<usize>,
-    ) -> Result<u64, Diagnostic> {
-        let reply =
-            self.request(&Request::Submit { spec: Box::new(spec.clone()), priority, sim_workers })?;
+        let reply = self.request(&Request::Submit { spec: Box::new(spec.clone()) })?;
         match frame_type(&reply) {
             Some("accepted") => reply.members("accepted reply")?.u64("job"),
             Some("rejected") => {

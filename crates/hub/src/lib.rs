@@ -10,7 +10,7 @@
 //! [`Explorer`](axi4mlir_core::explore::Explorer) (shared result cache,
 //! in-flight dedup registry, warm-start transfer model) and clients
 //! submit exploration *jobs* over a newline-delimited JSON protocol
-//! (`axi4mlir-hub/v1`, see `docs/PROTOCOL.md`), watching queued →
+//! (`axi4mlir-hub/v2`, see `docs/PROTOCOL.md`), watching queued →
 //! running → rung-complete → done progress events stream back.
 //!
 //! The crate splits into:

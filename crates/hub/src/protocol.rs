@@ -1,4 +1,4 @@
-//! The `axi4mlir-hub/v1` wire vocabulary.
+//! The `axi4mlir-hub/v2` wire vocabulary.
 //!
 //! Every message is one JSON object per line (see
 //! [`axi4mlir_support::proto`] for the framing), discriminated by its
@@ -11,28 +11,20 @@
 
 use axi4mlir_core::explore::{JobSpec, ProgressEvent};
 use axi4mlir_support::diag::Diagnostic;
-use axi4mlir_support::json::{JsonValue, Members};
+use axi4mlir_support::json::JsonValue;
 
 /// The protocol schema tag, exchanged in `hello`.
-pub const SCHEMA: &str = "axi4mlir-hub/v1";
+pub const SCHEMA: &str = "axi4mlir-hub/v2";
 
 /// One client request.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Request {
     /// Identify the hub: schema, cache size, queue capacity, workers.
     Hello,
-    /// Queue one exploration job at a priority (default 0; higher runs
-    /// first, ties run in submission order).
+    /// Queue one exploration job; jobs run in submission order.
     Submit {
         /// The job to queue.
         spec: Box<JobSpec>,
-        /// Scheduling priority; the executor pool always takes the
-        /// highest-priority queued job, FIFO within a priority.
-        priority: i64,
-        /// Requested per-job simulation-worker budget. `None` accepts
-        /// the hub's fair share; `Some(n)` caps this job at `n` workers
-        /// (further clamped to the hub's `--sim-workers`).
-        sim_workers: Option<usize>,
     },
     /// Resume a job's event stream on this connection: replay the
     /// buffered events, then stream live ones (the reconnect path for a
@@ -62,16 +54,8 @@ impl Request {
             "status" => Ok(Request::Status),
             "shutdown" => Ok(Request::Shutdown),
             "submit" => {
-                let m = value.members("submit")?;
-                let sim_workers = match m.opt("sim_workers", Members::u64)? {
-                    Some(0) => return Err(m.invalid("sim_workers", "must be a positive integer")),
-                    budget => budget.map(|n| n as usize),
-                };
-                Ok(Request::Submit {
-                    spec: Box::new(JobSpec::from_json(m.require("job")?)?),
-                    priority: m.opt("priority", Members::i64)?.unwrap_or(0),
-                    sim_workers,
-                })
+                let job = value.members("submit")?.require("job")?;
+                Ok(Request::Submit { spec: Box::new(JobSpec::from_json(job)?) })
             }
             "follow" => Ok(Request::Follow { job: value.members("follow")?.u64("job")? }),
             other => Err(Diagnostic::error(format!("unknown request type `{other}`"))),
@@ -84,19 +68,7 @@ impl Request {
             Request::Hello => tagged("hello", vec![]),
             Request::Status => tagged("status", vec![]),
             Request::Shutdown => tagged("shutdown", vec![]),
-            Request::Submit { spec, priority, sim_workers } => {
-                let mut members = vec![("job".to_owned(), spec.to_json())];
-                // Priority 0 is the default; omitting it keeps the
-                // frame identical to a pre-priority client's. Likewise
-                // an unset worker budget stays off the wire.
-                if *priority != 0 {
-                    members.push(("priority".to_owned(), (*priority).into()));
-                }
-                if let Some(budget) = sim_workers {
-                    members.push(("sim_workers".to_owned(), (*budget).into()));
-                }
-                tagged("submit", members)
-            }
+            Request::Submit { spec } => tagged("submit", vec![("job".to_owned(), spec.to_json())]),
             Request::Follow { job } => tagged("follow", vec![("job".to_owned(), (*job).into())]),
         }
     }
@@ -159,37 +131,19 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let spec = JobSpec { dims: Some((8, 8, 8)), ..JobSpec::default() };
+        let submit = Request::Submit { spec: Box::new(spec) };
+        let members: Vec<String> =
+            submit.to_json().as_object().unwrap().iter().map(|(name, _)| name.clone()).collect();
+        assert_eq!(members, ["type", "job"], "a submit carries its job and nothing else");
         for request in [
             Request::Hello,
             Request::Status,
             Request::Shutdown,
             Request::Follow { job: 12 },
-            Request::Submit { spec: Box::new(spec.clone()), priority: 0, sim_workers: None },
-            Request::Submit { spec: Box::new(spec.clone()), priority: -3, sim_workers: None },
-            Request::Submit { spec: Box::new(spec), priority: 0, sim_workers: Some(2) },
+            submit,
         ] {
             assert_eq!(Request::from_json(&request.to_json()).unwrap(), request);
         }
-    }
-
-    #[test]
-    fn default_priority_stays_off_the_wire() {
-        let spec = JobSpec { dims: Some((8, 8, 8)), ..JobSpec::default() };
-        let plain =
-            Request::Submit { spec: Box::new(spec.clone()), priority: 0, sim_workers: None }
-                .to_json();
-        assert!(plain.get("priority").is_none(), "priority 0 is implicit");
-        assert!(plain.get("sim_workers").is_none(), "unset budget is implicit");
-        let urgent =
-            Request::Submit { spec: Box::new(spec), priority: 7, sim_workers: Some(3) }.to_json();
-        assert_eq!(urgent.get("priority").unwrap().as_i64(), Some(7));
-        assert_eq!(urgent.get("sim_workers").unwrap().as_u64(), Some(3));
-        let fractional = JsonValue::parse(r#"{"type": "submit", "job": {}, "priority": 1.5}"#);
-        let err = Request::from_json(&fractional.unwrap()).unwrap_err();
-        assert!(err.message.contains("integer"));
-        let zero = JsonValue::parse(r#"{"type": "submit", "job": {}, "sim_workers": 0}"#);
-        let err = Request::from_json(&zero.unwrap()).unwrap_err();
-        assert!(err.message.contains("sim_workers"));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! One listener thread accepts connections; each connection gets a
 //! serving thread that parses requests and *owns all writes* to its
 //! socket (replies and events never interleave mid-frame). Submitted
-//! jobs land in a bounded queue drained highest-priority-first (FIFO
-//! within a priority) by a pool of executor threads, running each job
-//! through
+//! jobs land in a bounded FIFO queue drained by a pool of executor
+//! threads, running each job through
 //! [`Explorer::explore_streaming`](axi4mlir_core::explore::Explorer::explore_streaming)
 //! on the shared engine. Sharing the engine is the whole point: every
 //! job reads and feeds the same result cache, and the engine's claim
@@ -81,7 +80,8 @@ pub struct HubConfig {
     /// integration tests use it to exercise backpressure.
     pub workers: usize,
     /// Measurement threads *per job* (the `workers` argument of each
-    /// job's `explore_streaming` call).
+    /// job's `explore_streaming` call), divided fairly among the jobs
+    /// running at once; with remote workers, each one's in-flight window.
     pub sim_workers: usize,
     /// Queue slots; a `submit` beyond this is rejected.
     pub queue_capacity: usize,
@@ -123,16 +123,13 @@ pub struct HubSummary {
     pub cache_entries: usize,
 }
 
-/// One queued job: its id, spec, priority, and requested worker
-/// budget. Events reach the submitting (or following) connection
-/// through the [`EventHub`], not a field here — the event stream must
-/// outlive the connection that submitted the job.
+/// One queued job: its id and spec. Events reach the submitting (or
+/// following) connection through the [`EventHub`], not a field here —
+/// the event stream must outlive the connection that submitted the job.
 struct Job {
     id: u64,
     /// What `submit` validated the spec into — built once per job.
     request: ExploreRequest,
-    priority: i64,
-    sim_workers: Option<usize>,
 }
 
 /// Jobs already terminal whose event logs are retained for late
@@ -252,15 +249,10 @@ struct Jobs {
 }
 
 impl Jobs {
-    /// Pops the job to run next: highest priority first, FIFO (lowest
-    /// id) within a priority.
+    /// Pops the job to run next, the oldest queued one, and counts it
+    /// running in the same step.
     fn take_next(&mut self) -> Option<Job> {
-        let (at, _) = self
-            .queue
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, job)| (job.priority, std::cmp::Reverse(job.id)))?;
-        let job = self.queue.remove(at)?;
+        let job = self.queue.pop_front()?;
         self.running += 1;
         Some(job)
     }
@@ -345,13 +337,7 @@ impl Shared {
     /// Validates and enqueues one job. `Err` carries the reply frame to
     /// send instead of `accepted` (an `error` for a bad spec, a
     /// `rejected` for a full queue).
-    fn submit(
-        &self,
-        spec: JobSpec,
-        priority: i64,
-        sim_workers: Option<usize>,
-        events: Sender<JsonValue>,
-    ) -> Result<(u64, usize), JsonValue> {
+    fn submit(&self, spec: JobSpec, events: Sender<JsonValue>) -> Result<(u64, usize), JsonValue> {
         let request = spec.build().map_err(|err| protocol::error(&err.message))?;
         let mut jobs = self.jobs();
         if jobs.queue.len() >= self.config.queue_capacity {
@@ -366,28 +352,24 @@ impl Shared {
         }
         let id = jobs.next_id;
         jobs.next_id += 1;
-        // How many queued jobs would run before this one under the
-        // priority-then-FIFO discipline.
-        let ahead = jobs.queue.iter().filter(|job| job.priority >= priority).count();
+        // Every queued job runs before this one.
+        let ahead = jobs.queue.len();
         // Register and publish `queued` *before* the queue push (still
         // under the jobs lock), so no executor can publish `running`
         // first.
         self.events.register(id, events);
         self.events.publish(id, protocol::event(id, "queued", vec![]));
-        jobs.queue.push_back(Job { id, request, priority, sim_workers });
+        jobs.queue.push_back(Job { id, request });
         self.available.notify_one();
         Ok((id, ahead))
     }
 }
 
-/// The simulation-worker budget one job actually gets: its requested
-/// cap (default: everything), clamped to the hub's `--sim-workers` and
-/// to a fair share of it across the jobs running right now — so one
-/// huge job cannot monopolize the pool across rungs.
-fn job_budget(total: usize, requested: Option<usize>, running: usize) -> usize {
-    let total = total.max(1);
-    let fair = (total / running.max(1)).max(1);
-    requested.unwrap_or(total).clamp(1, total).min(fair)
+/// The simulation-worker budget one job gets: a fair share of the hub's
+/// `--sim-workers` across the jobs running right now, at least one — so
+/// one huge job cannot monopolize the pool across rungs.
+fn job_budget(total: usize, running: usize) -> usize {
+    (total / running.max(1)).max(1)
 }
 
 /// A running hub, bound but not yet serving.
@@ -410,9 +392,7 @@ impl Hub {
             None => Explorer::new(),
         };
         if !config.measure_workers.is_empty() {
-            let pool = RemotePool::new(config.measure_workers.clone())
-                .in_flight(config.sim_workers.max(1));
-            explorer.set_remote_pool(pool);
+            explorer.set_remote_pool(RemotePool::new(config.measure_workers.clone()));
         }
         let (listener, addr) = proto::bind(&config.bind)?;
         Ok(Hub {
@@ -537,8 +517,8 @@ fn serve_connection(shared: &Arc<Shared>, connection: Connection) -> Result<(), 
                         // connection's jobs drain.
                         continue;
                     }
-                    Ok(Request::Submit { spec, priority, sim_workers }) => {
-                        match shared.submit(*spec, priority, sim_workers, events_tx.clone()) {
+                    Ok(Request::Submit { spec }) => {
+                        match shared.submit(*spec, events_tx.clone()) {
                             Err(reply) => reply,
                             Ok((id, ahead)) => {
                                 active += 1;
@@ -609,7 +589,7 @@ fn executor_loop(shared: &Arc<Shared>) {
                 jobs = shared.available.wait(jobs).expect("hub jobs poisoned");
             }
         };
-        let budget = job_budget(shared.config.sim_workers, job.sim_workers, running);
+        let budget = job_budget(shared.config.sim_workers, running);
         shared.events.publish(
             job.id,
             protocol::event(job.id, "running", vec![("sim_workers".to_owned(), budget.into())]),
@@ -677,36 +657,29 @@ fn run_job(shared: &Arc<Shared>, job: &Job, budget: usize) -> Result<ExploreRepo
 mod tests {
     use super::*;
 
-    fn job(id: u64, priority: i64) -> Job {
+    #[test]
+    fn the_queue_pops_in_submission_order() {
         let spec = JobSpec { dims: Some((16, 16, 16)), ..JobSpec::default() };
         let request = spec.build().expect("a 16^3 matmul job is valid");
-        Job { id, request, priority, sim_workers: None }
-    }
-
-    #[test]
-    fn the_queue_pops_priority_first_then_fifo() {
         let mut jobs = Jobs::default();
-        for (id, priority) in [(1, 0), (2, 5), (3, 5), (4, -1), (5, 0)] {
-            jobs.queue.push_back(job(id, priority));
+        for id in 1..=5 {
+            jobs.queue.push_back(Job { id, request: request.clone() });
         }
         let order: Vec<u64> = std::iter::from_fn(|| jobs.take_next().map(|job| job.id)).collect();
-        assert_eq!(order, [2, 3, 1, 5, 4]);
+        assert_eq!(order, [1, 2, 3, 4, 5]);
         assert!(jobs.take_next().is_none());
         assert_eq!(jobs.running, 5, "a taken job is running in the same step");
     }
 
     #[test]
-    fn budgets_are_a_fair_share_capped_by_the_request() {
-        // A lone job gets the whole pool unless it asked for less.
-        assert_eq!(job_budget(8, None, 1), 8);
-        assert_eq!(job_budget(8, Some(2), 1), 2);
-        // Concurrent jobs split the pool; a request cannot exceed the
-        // fair share, and the floor is always one worker.
-        assert_eq!(job_budget(8, None, 2), 4);
-        assert_eq!(job_budget(8, Some(6), 2), 4);
-        assert_eq!(job_budget(8, Some(3), 2), 3);
-        assert_eq!(job_budget(2, None, 5), 1);
-        assert_eq!(job_budget(0, Some(9), 1), 1);
+    fn budgets_are_a_fair_share_of_the_pool() {
+        // A lone job gets the whole pool; concurrent jobs split it, and
+        // the floor is always one worker.
+        assert_eq!(job_budget(8, 1), 8);
+        assert_eq!(job_budget(8, 2), 4);
+        assert_eq!(job_budget(8, 3), 2);
+        assert_eq!(job_budget(2, 5), 1);
+        assert_eq!(job_budget(0, 1), 1);
     }
 
     #[test]

@@ -220,59 +220,6 @@ fn status_counts_always_add_up() {
     hub.join().unwrap();
 }
 
-/// Priorities and per-job budgets through the client (`submit_with` is
-/// their only door): with the one executor busy, a later high-priority
-/// job overtakes an earlier default-priority one, and a requested
-/// `sim_workers` comes back as the granted budget.
-#[test]
-fn a_high_priority_submit_overtakes_and_its_budget_is_granted() {
-    let (addr, hub) = start_hub(HubConfig { workers: 1, sim_workers: 2, ..HubConfig::default() });
-    let mut client = HubClient::connect(&addr).expect("connect");
-    let state_of = |frame: &JsonValue| {
-        let job = frame.get("job").and_then(JsonValue::as_u64);
-        let state = frame.get("state").and_then(JsonValue::as_str).map(str::to_owned);
-        job.zip(state)
-    };
-
-    // Occupy the executor: a sweep three orders of magnitude longer than
-    // the three requests below, followed until it is `running`.
-    let blocker =
-        JobSpec { dims: Some((64, 64, 64)), accels: vec!["v4_8".to_owned()], ..JobSpec::default() };
-    let blocker = client.submit_with(&blocker, 0, Some(1)).expect("blocker accepted");
-    while state_of(&client.next_frame().expect("blocker events"))
-        != Some((blocker, "running".to_owned()))
-    {}
-
-    let plain = client.submit(&halving_spec()).expect("default priority accepted");
-    let urgent = client.submit_with(&halving_spec(), 5, Some(1)).expect("high priority accepted");
-    // The interleaving under test, observed rather than slept for: both
-    // jobs sat in the queue together behind the running blocker.
-    let status = client.status().expect("status");
-    assert_eq!(status.get("running").and_then(JsonValue::as_u64), Some(1), "{status:?}");
-    assert_eq!(status.get("queued").and_then(JsonValue::as_u64), Some(2), "{status:?}");
-
-    let mut started = Vec::new();
-    let mut finished = 0;
-    while finished < 2 {
-        let frame = client.next_frame().expect("job events");
-        match state_of(&frame) {
-            Some((job, state)) if job != blocker && state == "running" => {
-                started.push((job, frame.get("sim_workers").and_then(JsonValue::as_u64)));
-            }
-            Some((job, state)) if job != blocker && state == "done" => finished += 1,
-            _ => {}
-        }
-    }
-    assert_eq!(
-        started,
-        [(urgent, Some(1)), (plain, Some(2))],
-        "priority 5 runs first with the one worker it asked for; the default job gets the hub's two"
-    );
-
-    client.shutdown().expect("shutdown");
-    assert_eq!(hub.join().unwrap().completed, 3);
-}
-
 #[test]
 fn a_full_queue_rejects_with_backpressure() {
     // No executors: submitted jobs stay queued forever, so the queue

@@ -6,7 +6,7 @@
 //!
 //! Binds, prints `axi4mlir-worker listening on ADDR` (port 0 in
 //! `--bind` resolves to a free port — scripts parse this line), and
-//! serves the `axi4mlir-worker/v1` measurement protocol until
+//! serves the `axi4mlir-worker/v2` measurement protocol until
 //! SIGTERM/ctrl-c. A worker holds no state a sweep depends on: killing
 //! one mid-sweep only makes the scheduler requeue its outstanding
 //! measurements elsewhere. See `docs/PROTOCOL.md` for the wire

@@ -6,8 +6,9 @@
 //! scheduler (an [`Explorer`] with a `RemotePool` installed — usually
 //! inside an `axi4mlir-hub` started with `--worker ADDR`), answers
 //! `hello` with its protocol schema and slot count, and turns each
-//! `measure` frame into one simulator run on a recycled-SoC
-//! [`Session`], replying `result` (bit-identical counters plus its own
+//! `measure` frame — a candidate key and a fidelity — into one simulator
+//! run on a recycled-SoC [`Session`], replying `result` (bit-identical
+//! counters plus its own
 //! measured wall-clock nanos) or `failed`. All deduplication, caching,
 //! ordering, and retry policy stay scheduler-side — which is what
 //! keeps reports bit-identical to local runs at any worker count, and
@@ -16,7 +17,7 @@
 //!
 //! The framing is the NDJSON [`axi4mlir_support::proto`] transport and
 //! the frame vocabulary lives in
-//! [`axi4mlir_core::explore::measure`] (`axi4mlir-worker/v1`); see
+//! [`axi4mlir_core::explore::measure`] (`axi4mlir-worker/v2`); see
 //! `docs/PROTOCOL.md` for field tables and a worked transcript. The
 //! per-connection `Inbox` is the one lock; its row is in the "Shared
 //! state" table of `docs/ARCHITECTURE.md`.
@@ -295,8 +296,8 @@ mod tests {
     use super::*;
     use std::net::TcpStream;
 
-    use axi4mlir_core::explore::measure::measure_request;
-    use axi4mlir_core::explore::{DesignSpace, Fidelity, MatMulSpace};
+    use axi4mlir_core::explore::cache::key_to_json;
+    use axi4mlir_core::explore::{DesignSpace, MatMulSpace};
     use axi4mlir_workloads::matmul::MatMulProblem;
 
     fn start() -> (SocketAddr, std::thread::JoinHandle<WorkerSummary>) {
@@ -334,9 +335,13 @@ mod tests {
         assert_eq!(hello.get("slots").and_then(JsonValue::as_u64), Some(2));
 
         let space = MatMulSpace::new(MatMulProblem::new(8, 8, 8)).seed(3);
-        let job = space.wire_spec().unwrap().to_json();
-        for (id, candidate) in space.enumerate().unwrap().iter().take(3).enumerate() {
-            let request = measure_request(id as u64 + 1, &job, Fidelity::Full, candidate);
+        for (id, candidate) in (1u64..).zip(space.enumerate().unwrap().iter().take(3)) {
+            let request = JsonValue::object([
+                ("type".to_owned(), "measure".into()),
+                ("id".to_owned(), id.into()),
+                ("fidelity".to_owned(), "full".into()),
+                ("key".to_owned(), key_to_json(&candidate.key)),
+            ]);
             write_frame(&mut peer.writer, &request).unwrap();
         }
 
@@ -371,7 +376,7 @@ mod tests {
         assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
         assert!(error.get("reason").and_then(JsonValue::as_str).unwrap().contains("launch"));
 
-        // A measure with a broken job spec answers `failed`, not a hangup.
+        // A measure without a key answers `failed`, not a hangup.
         let bad = JsonValue::object([
             ("type".to_owned(), "measure".into()),
             ("id".to_owned(), 7u64.into()),

@@ -10,11 +10,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use axi4mlir_core::explore::measure::measure_request;
+use axi4mlir_core::explore::cache::key_to_json;
 use axi4mlir_core::explore::{
-    AccelInstance, Candidate, CandidateKey, ConvSpace, DesignSpace, Device, Explorer, Fidelity,
-    HalvingSpec, JobSpec, MatMulSpace, Objective, Problem, ProgressEvent, Prune, RemotePool,
-    Search,
+    AccelInstance, CandidateKey, ConvSpace, DesignSpace, Device, Explorer, HalvingSpec, JobSpec,
+    MatMulSpace, Objective, Problem, ProgressEvent, Prune, RemotePool, Search,
 };
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
 use axi4mlir_support::json::JsonValue;
@@ -239,25 +238,29 @@ fn keys_no_device_can_hold_are_failed_replies_and_the_slot_survives() {
         reply.get(member).and_then(JsonValue::as_str).unwrap_or_default().to_owned()
     };
 
-    let space = base8_space(8);
-    let job = space.wire_spec().unwrap().to_json();
-    let good = space.enumerate().unwrap().remove(0);
+    let measure = |id: u64, key: &CandidateKey| {
+        JsonValue::object([
+            ("type".to_owned(), "measure".into()),
+            ("id".to_owned(), id.into()),
+            ("fidelity".to_owned(), "full".into()),
+            ("key".to_owned(), key_to_json(key)),
+        ])
+    };
+
+    let good = base8_space(8).enumerate().unwrap().remove(0).key;
     let layer = ConvLayer { in_hw: 10, in_channels: 64, filter_hw: 3, out_channels: 16, stride: 1 };
-    let conv = ConvSpace::new(layer).enumerate().unwrap().remove(0);
-    let with_workload = |base: &Candidate, label: &str| Candidate {
-        key: CandidateKey { workload: Problem::parse(label).expect(label), ..base.key },
-        estimate: base.estimate,
+    let conv = ConvSpace::new(layer).enumerate().unwrap().remove(0).key;
+    let with_workload = |base: &CandidateKey, label: &str| CandidateKey {
+        workload: Problem::parse(label).expect(label),
+        ..*base
     };
     // Nor can a device run every tile: `v3_4 Ns 8 8 8` used to be
     // answered `verified:true` by a 4x4x4 run, and 3 x 64^2 words are past
     // the v4's tile memory.
-    let with_tile = |accel: &str, edge: i64| Candidate {
-        key: CandidateKey {
-            accel: Device::parse(accel).expect(accel),
-            tile: (edge, edge, edge),
-            ..good.key
-        },
-        estimate: good.estimate,
+    let with_tile = |accel: &str, edge: i64| CandidateKey {
+        accel: Device::parse(accel).expect(accel),
+        tile: (edge, edge, edge),
+        ..good
     };
     let unholdable = [
         (with_workload(&conv, "conv 10_4096_3_4_1"), "workload"),
@@ -266,14 +269,14 @@ fn keys_no_device_can_hold_are_failed_replies_and_the_slot_survives() {
         (with_tile("v3_4", 8), "tile"),
         (with_tile("v4_16", 64), "tile"),
     ];
-    for (id, (candidate, blamed)) in (10u64..).zip(&unholdable) {
-        let reply = reply_to(&measure_request(id, &job, Fidelity::Full, candidate));
+    for (id, (key, blamed)) in (10u64..).zip(&unholdable) {
+        let reply = reply_to(&measure(id, key));
         assert_eq!(text(&reply, "type"), "failed", "{}", reply.to_json_string());
         assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(id));
         let reason = text(&reply, "reason");
-        assert!(reason.contains(&format!("`candidate.key.{blamed}`")), "{reason}");
+        assert!(reason.contains(&format!("`key.{blamed}`")), "{reason}");
     }
-    let reply = reply_to(&measure_request(15, &job, Fidelity::Full, &good));
+    let reply = reply_to(&measure(15, &good));
     assert_eq!(text(&reply, "type"), "result", "{}", reply.to_json_string());
     assert_eq!(reply.get("id").and_then(JsonValue::as_u64), Some(15));
 }

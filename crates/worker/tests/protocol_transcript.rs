@@ -1,4 +1,4 @@
-//! Replays the worked `axi4mlir-worker/v1` transcript from
+//! Replays the worked `axi4mlir-worker/v2` transcript from
 //! `docs/PROTOCOL.md` against a live in-process worker, so the
 //! documented measurement protocol cannot drift from the
 //! implementation. `>` lines are sent verbatim; each `<` line must
