@@ -88,9 +88,10 @@ impl ConvAccel {
         }
     }
 
-    /// Words in one filter slice / input window: `iC * fH * fW`.
+    /// Words in one filter slice / input window: `iC * fH * fW`
+    /// (saturating, so an absurd configuration is refused, not a panic).
     fn window_words(&self) -> usize {
-        (self.ic * self.fhw * self.fhw) as usize
+        (self.ic as usize).saturating_mul(self.fhw as usize).saturating_mul(self.fhw as usize)
     }
 
     fn begin_opcode(&mut self, opcode: u32) {
@@ -101,7 +102,8 @@ impl ConvAccel {
                 if self.window_words() == 0 || self.window_words() > CONV_WINDOW_CAPACITY {
                     self.protocol_errors += 1;
                 } else {
-                    self.filter = vec![0; self.window_words()];
+                    // Every word is overwritten before the filter is read.
+                    self.filter.resize(self.window_words(), 0);
                     self.state = Pending::FillFilter { index: 0 };
                 }
             }
@@ -109,14 +111,12 @@ impl ConvAccel {
                 if self.filter.len() != self.window_words() || self.window_words() == 0 {
                     self.protocol_errors += 1;
                 } else {
-                    self.window = vec![0; self.window_words()];
+                    self.window.resize(self.window_words(), 0);
                     self.state = Pending::FillWindow { index: 0 };
                 }
             }
             isa::CONV_OP_READ_OUTPUT => {
-                for v in &self.slice {
-                    self.out.push(*v as u32);
-                }
+                self.out.extend(self.slice.iter().map(|&v| v as u32));
                 self.slice.clear();
             }
             _ => self.protocol_errors += 1,
@@ -138,6 +138,33 @@ impl ConvAccel {
         counters.accel_macs += macs;
         counters.accel_compute_cycles += cycles;
         counters.device_cycles += cycles;
+    }
+
+    /// In a `FillFilter`/`FillWindow` state: copies as many leading beats
+    /// of `bytes` as the buffer still takes, then acts on a completed
+    /// fill. Returns the bytes taken — at least one beat when `bytes`
+    /// holds one.
+    fn fill(&mut self, bytes: &[u8], counters: &mut PerfCounters) -> usize {
+        let (buffer, index, window) = match self.state {
+            Pending::FillFilter { index } => (&mut self.filter, index, false),
+            Pending::FillWindow { index } => (&mut self.window, index, true),
+            Pending::Opcode | Pending::SetFilterSize | Pending::SetInChannels => {
+                unreachable!("not filling")
+            }
+        };
+        let taken = (buffer.len() - index).min(bytes.len() / 4);
+        crate::copy_beats(&mut buffer[index..index + taken], bytes);
+        let index = index + taken;
+        if index < buffer.len() {
+            self.state =
+                if window { Pending::FillWindow { index } } else { Pending::FillFilter { index } };
+            return taken * 4;
+        }
+        self.state = Pending::Opcode;
+        if window {
+            self.compute_window(counters);
+        }
+        taken * 4
     }
 }
 
@@ -167,28 +194,35 @@ impl StreamAccelerator for ConvAccel {
                 self.ic = word;
                 self.state = Pending::Opcode;
             }
-            Pending::FillFilter { index } => {
-                self.filter[index] = word as i32;
-                self.state = if index + 1 == self.filter.len() {
-                    Pending::Opcode
-                } else {
-                    Pending::FillFilter { index: index + 1 }
-                };
+            Pending::FillFilter { .. } | Pending::FillWindow { .. } => {
+                self.fill(&word.to_le_bytes(), counters);
             }
-            Pending::FillWindow { index } => {
-                self.window[index] = word as i32;
-                if index + 1 == self.window.len() {
-                    self.state = Pending::Opcode;
-                    self.compute_window(counters);
-                } else {
-                    self.state = Pending::FillWindow { index: index + 1 };
+        }
+    }
+
+    /// A fill takes its whole run of beats in one slice copy; every other
+    /// beat goes through [`consume_word`](Self::consume_word).
+    fn consume_burst(&mut self, mut bytes: &[u8], counters: &mut PerfCounters) {
+        while let Some(beat) = bytes.first_chunk::<4>() {
+            let taken = match self.state {
+                Pending::FillFilter { .. } | Pending::FillWindow { .. } => {
+                    self.fill(bytes, counters)
                 }
-            }
+                Pending::Opcode | Pending::SetFilterSize | Pending::SetInChannels => {
+                    self.consume_word(u32::from_le_bytes(*beat), counters);
+                    4
+                }
+            };
+            bytes = &bytes[taken..];
         }
     }
 
     fn pop_output_word(&mut self) -> Option<u32> {
         self.out.pop()
+    }
+
+    fn produce_burst(&mut self, out: &mut [u8]) {
+        self.out.pop_le_bytes(out);
     }
 
     fn output_len(&self) -> usize {

@@ -30,3 +30,12 @@ pub use conv::ConvAccel;
 pub use device::Device;
 pub use matmul::{MatMulAccel, MatMulVersion};
 pub use registry::{table1, AcceleratorSpec};
+
+/// Copies little-endian AXI-Stream beats into `dst`, one per 4-byte chunk
+/// of `bytes`, as far as the shorter of the two reaches: a device's burst
+/// fill of a tile buffer.
+fn copy_beats(dst: &mut [i32], bytes: &[u8]) {
+    for (slot, beat) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+        *slot = i32::from_le_bytes(beat.try_into().expect("4-byte beat"));
+    }
+}

@@ -82,6 +82,8 @@ enum AfterFill {
     Idle,
     /// Compute `A x B` and stream the product (v2 fused forms).
     ComputeStream,
+    /// Receive B, then compute and stream (v1 fused `sAsBcCrC`).
+    ThenB,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,8 +94,6 @@ enum Pending {
     FillA { index: usize, after: AfterFill },
     /// Receiving words into the B buffer.
     FillB { index: usize, after: AfterFill },
-    /// v1 fused: receiving A then B, then compute + stream.
-    FusedFill { index: usize },
     /// v4: receiving the three tile-shape words.
     CfgDims { index: usize, dims: [u32; 3] },
 }
@@ -130,9 +130,26 @@ pub struct MatMulAccel {
     a: Vec<i32>,
     b: Vec<i32>,
     c: Vec<i32>,
+    /// `A x B` of the last streaming compute; kept so computes allocate
+    /// nothing.
+    product: Vec<i32>,
     state: Pending,
     out: AxiStreamFifo,
     protocol_errors: u64,
+}
+
+/// `acc += A x B` for a row-major `tM x tK` tile `a` and `tK x tN` tile
+/// `b` into a row-major `tM x tN` tile `acc`, walking every operand by
+/// rows. Wrapping `i32` arithmetic is exact mod 2^32, so the summation
+/// order does not change the result.
+fn mac_into(acc: &mut [i32], a: &[i32], b: &[i32], tn: usize, tk: usize) {
+    for (acc_row, a_row) in acc.chunks_exact_mut(tn).zip(a.chunks_exact(tk)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(tn)) {
+            for (slot, &bv) in acc_row.iter_mut().zip(b_row) {
+                *slot = slot.wrapping_add(av.wrapping_mul(bv));
+            }
+        }
+    }
 }
 
 impl MatMulAccel {
@@ -154,6 +171,7 @@ impl MatMulAccel {
             a: Vec::new(),
             b: Vec::new(),
             c: Vec::new(),
+            product: Vec::new(),
             state: Pending::Opcode,
             out: AxiStreamFifo::new(),
             protocol_errors: 0,
@@ -173,41 +191,29 @@ impl MatMulAccel {
         (self.tm, self.tn, self.tk)
     }
 
-    /// Performs `product = A x B`; charges cycles; returns the product.
-    fn multiply(&mut self, counters: &mut PerfCounters) -> Vec<i32> {
-        let (tm, tn, tk) = (self.tm as usize, self.tn as usize, self.tk as usize);
-        let mut product = vec![0i32; tm * tn];
-        for m in 0..tm {
-            for n in 0..tn {
-                let mut acc = 0i32;
-                for k in 0..tk {
-                    acc = acc.wrapping_add(self.a[m * tk + k].wrapping_mul(self.b[k * tn + n]));
-                }
-                product[m * tn + n] = acc;
-            }
-        }
-        let macs = (tm * tn * tk) as u64;
+    /// Charges one `tM x tN x tK` tile product: cycles and MACs follow
+    /// from the shape alone.
+    fn charge_multiply(&self, counters: &mut PerfCounters) {
+        let macs = u64::from(self.tm) * u64::from(self.tn) * u64::from(self.tk);
         let ops = macs * 2;
         let throughput = u64::from(ops_per_cycle_for_size(self.base_size));
         let cycles = ops.div_ceil(throughput);
         counters.accel_macs += macs;
         counters.accel_compute_cycles += cycles;
         counters.device_cycles += cycles;
-        product
     }
 
     fn compute_stream(&mut self, counters: &mut PerfCounters) {
-        let product = self.multiply(counters);
-        for v in &product {
-            self.out.push(*v as u32);
-        }
+        self.product.clear();
+        self.product.resize(self.c.len(), 0);
+        mac_into(&mut self.product, &self.a, &self.b, self.tn as usize, self.tk as usize);
+        self.charge_multiply(counters);
+        self.out.extend(self.product.iter().map(|&v| v as u32));
     }
 
     fn compute_accumulate(&mut self, counters: &mut PerfCounters) {
-        let product = self.multiply(counters);
-        for (c, p) in self.c.iter_mut().zip(&product) {
-            *c = c.wrapping_add(*p);
-        }
+        mac_into(&mut self.c, &self.a, &self.b, self.tn as usize, self.tk as usize);
+        self.charge_multiply(counters);
     }
 
     fn begin_opcode(&mut self, opcode: u32, counters: &mut PerfCounters) {
@@ -231,15 +237,12 @@ impl MatMulAccel {
             isa::OP_SEND_B_COMPUTE_READ => {
                 self.state = Pending::FillB { index: 0, after: AfterFill::ComputeStream }
             }
-            isa::OP_FUSED_SABC => self.state = Pending::FusedFill { index: 0 },
+            isa::OP_FUSED_SABC => self.state = Pending::FillA { index: 0, after: AfterFill::ThenB },
             isa::OP_COMPUTE => self.compute_accumulate(counters),
             isa::OP_COMPUTE_READ => self.compute_stream(counters),
             isa::OP_READ_C => {
-                let len = self.c.len();
-                for i in 0..len {
-                    self.out.push(self.c[i] as u32);
-                }
-                self.c = vec![0; len];
+                self.out.extend(self.c.iter().map(|&v| v as u32));
+                self.c.fill(0);
             }
             isa::OP_CFG_DIMS => self.state = Pending::CfgDims { index: 0, dims: [0; 3] },
             _ => unreachable!("supports() filtered unknown opcodes"),
@@ -257,6 +260,36 @@ impl MatMulAccel {
         self.tn = tn;
         self.tk = tk;
         self.resize_buffers();
+    }
+
+    /// In a `FillA`/`FillB` state: copies as many leading beats of `bytes`
+    /// as the buffer still takes, then acts on a completed fill. Returns
+    /// the bytes taken — at least one beat when `bytes` holds one.
+    fn fill(&mut self, bytes: &[u8], counters: &mut PerfCounters) -> usize {
+        let (buffer, index, after) = match self.state {
+            Pending::FillA { index, after } => (&mut self.a, index, after),
+            Pending::FillB { index, after } => (&mut self.b, index, after),
+            Pending::Opcode | Pending::CfgDims { .. } => unreachable!("not filling"),
+        };
+        let taken = (buffer.len() - index).min(bytes.len() / 4);
+        crate::copy_beats(&mut buffer[index..index + taken], bytes);
+        let index = index + taken;
+        if index < buffer.len() {
+            self.state = match self.state {
+                Pending::FillA { .. } => Pending::FillA { index, after },
+                _ => Pending::FillB { index, after },
+            };
+            return taken * 4;
+        }
+        self.state = Pending::Opcode;
+        match after {
+            AfterFill::Idle => {}
+            AfterFill::ComputeStream => self.compute_stream(counters),
+            AfterFill::ThenB => {
+                self.state = Pending::FillB { index: 0, after: AfterFill::ComputeStream }
+            }
+        }
+        taken * 4
     }
 }
 
@@ -278,42 +311,8 @@ impl StreamAccelerator for MatMulAccel {
     fn consume_word(&mut self, word: u32, counters: &mut PerfCounters) {
         match self.state {
             Pending::Opcode => self.begin_opcode(word, counters),
-            Pending::FillA { index, after } => {
-                self.a[index] = word as i32;
-                if index + 1 == self.a.len() {
-                    self.state = Pending::Opcode;
-                    if after == AfterFill::ComputeStream {
-                        self.compute_stream(counters);
-                    }
-                } else {
-                    self.state = Pending::FillA { index: index + 1, after };
-                }
-            }
-            Pending::FillB { index, after } => {
-                self.b[index] = word as i32;
-                if index + 1 == self.b.len() {
-                    self.state = Pending::Opcode;
-                    if after == AfterFill::ComputeStream {
-                        self.compute_stream(counters);
-                    }
-                } else {
-                    self.state = Pending::FillB { index: index + 1, after };
-                }
-            }
-            Pending::FusedFill { index } => {
-                let a_len = self.a.len();
-                let total = a_len + self.b.len();
-                if index < a_len {
-                    self.a[index] = word as i32;
-                } else {
-                    self.b[index - a_len] = word as i32;
-                }
-                if index + 1 == total {
-                    self.state = Pending::Opcode;
-                    self.compute_stream(counters);
-                } else {
-                    self.state = Pending::FusedFill { index: index + 1 };
-                }
+            Pending::FillA { .. } | Pending::FillB { .. } => {
+                self.fill(&word.to_le_bytes(), counters);
             }
             Pending::CfgDims { index, mut dims } => {
                 dims[index] = word;
@@ -327,8 +326,27 @@ impl StreamAccelerator for MatMulAccel {
         }
     }
 
+    /// A fill takes its whole run of beats in one slice copy; every other
+    /// beat goes through [`consume_word`](Self::consume_word).
+    fn consume_burst(&mut self, mut bytes: &[u8], counters: &mut PerfCounters) {
+        while let Some(beat) = bytes.first_chunk::<4>() {
+            let taken = match self.state {
+                Pending::FillA { .. } | Pending::FillB { .. } => self.fill(bytes, counters),
+                Pending::Opcode | Pending::CfgDims { .. } => {
+                    self.consume_word(u32::from_le_bytes(*beat), counters);
+                    4
+                }
+            };
+            bytes = &bytes[taken..];
+        }
+    }
+
     fn pop_output_word(&mut self) -> Option<u32> {
         self.out.pop()
+    }
+
+    fn produce_burst(&mut self, out: &mut [u8]) {
+        self.out.pop_le_bytes(out);
     }
 
     fn output_len(&self) -> usize {

@@ -6,9 +6,9 @@
 //! reference kernel. This module factors that loop into three pieces so a
 //! new kernel is one `Workload` implementation instead of a new monolith:
 //!
-//! - [`Workload`]: what varies per kernel — module construction, buffer
-//!   binding, the entry function, and the reference result. Implemented
-//!   here for MatMul, Conv2D, and batched MatMul.
+//! - [`Workload`]: what varies per kernel — module construction, input
+//!   data, the reference result, buffer binding, and the entry function.
+//!   Implemented here for MatMul, Conv2D, and batched MatMul.
 //! - [`CompilePlan`] + [`PipelineBuilder`]: what varies per compilation —
 //!   the accelerator configuration (or none, for CPU-only execution), the
 //!   selected flow, and [`PipelineOptions`].
@@ -17,6 +17,9 @@
 //!   recycled (bit-identically to a fresh build) instead of reallocated,
 //!   which amortizes per-run setup in benchmark sweeps, and the device is
 //!   only re-instantiated when a plan targets a different accelerator.
+//!   It also keeps the inputs and reference of the last few problems, so
+//!   the candidates of one sweep, which share a `(problem, seed)`, compute
+//!   the reference once.
 //!
 //! There is no other harness. [`Session::run`] and [`Session::run_manual`]
 //! are one execute body (retarget, recycle, bind, reset, drive, protocol
@@ -25,6 +28,8 @@
 //! — so the `cpp MANUAL` and generated sides of a figure row differ in the
 //! driver and in nothing else. A one-off run is
 //! `Session::for_sweep().run(&workload, &plan)`.
+
+use std::collections::VecDeque;
 
 use axi4mlir_accelerators::Device;
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
@@ -80,21 +85,16 @@ pub struct BoundBuffers {
     pub args: Vec<RtValue>,
     /// Output buffers, read back contiguously and concatenated.
     pub outputs: Vec<MemRefDesc>,
-    /// The reference result the concatenated outputs must equal. Filled
-    /// when the session asked for it (`want_reference`), computed from the
-    /// same generated inputs that seeded the buffers — data is generated
-    /// once per run.
-    pub expected: Option<Vec<i32>>,
 }
 
 /// One kernel the driver layer can compile and run.
 ///
 /// Implementations describe everything kernel-specific; [`Session`]
 /// supplies everything execution-specific. The contract between the two:
-/// [`Workload::bind`] is called on a freshly recycled SoC, and when
-/// `want_reference` is `true` the concatenated contents of
-/// [`BoundBuffers::outputs`] after execution must equal
-/// [`BoundBuffers::expected`].
+/// [`Workload::inputs`] is a pure function of the seed, [`Workload::bind`]
+/// is called on a freshly recycled SoC with those inputs, and after a
+/// correct run the concatenated contents of [`BoundBuffers::outputs`]
+/// equal [`Workload::reference`] of the same inputs.
 pub trait Workload {
     /// Human-readable description for diagnostics.
     fn name(&self) -> String;
@@ -105,9 +105,18 @@ pub trait Workload {
     /// Builds the IR module containing the kernel(s).
     fn build_module(&self) -> Module;
 
-    /// Allocates and seeds SoC buffers for one run; computes the
-    /// reference result from the same data when `want_reference` is set.
-    fn bind(&self, soc: &mut Soc, seed: u64, want_reference: bool) -> BoundBuffers;
+    /// The input data a run with `seed` binds: the entry function's input
+    /// operands in signature order (A, B for a MatMul; I, W for a
+    /// convolution; A, B per element of a batch), each row-major.
+    fn inputs(&self, seed: u64) -> Vec<Vec<i32>>;
+
+    /// The result a correct run over `inputs` leaves in the concatenated
+    /// [`BoundBuffers::outputs`].
+    fn reference(&self, inputs: &[Vec<i32>]) -> Vec<i32>;
+
+    /// Allocates the entry function's buffers on `soc` and stores `inputs`
+    /// into them.
+    fn bind(&self, soc: &mut Soc, inputs: &[Vec<i32>]) -> BoundBuffers;
 
     /// GEMM dimensions `(m, n, k)` if this workload is MatMul-shaped —
     /// consumed by the cache-tiling heuristic.
@@ -120,7 +129,10 @@ pub trait Workload {
     /// back-to-back runs of the same workload and plan. The default
     /// (`None`) opts out: every run recompiles. Implementations whose
     /// built module is a pure function of printable state should return
-    /// that state here — and must include *all* of it.
+    /// that state here — and must include *all* of it. The session also
+    /// keys its memo of [`Workload::inputs`] and [`Workload::reference`]
+    /// by the fingerprint and the seed, so the fingerprint must determine
+    /// those too.
     fn module_fingerprint(&self) -> Option<String> {
         None
     }
@@ -156,26 +168,27 @@ impl Workload for MatMulWorkload {
         build_matmul_module(self.problem)
     }
 
-    fn bind(&self, soc: &mut Soc, seed: u64, want_reference: bool) -> BoundBuffers {
-        let (a_data, b_data) = self.problem.generate_inputs(seed);
+    fn inputs(&self, seed: u64) -> Vec<Vec<i32>> {
+        let (a, b) = self.problem.generate_inputs(seed);
+        vec![a, b]
+    }
+
+    fn reference(&self, inputs: &[Vec<i32>]) -> Vec<i32> {
+        let [a, b] = inputs else { panic!("a MatMul has two inputs") };
+        let p = self.problem;
+        kernels::ref_matmul_i32(a, b, p.m as usize, p.n as usize, p.k as usize)
+    }
+
+    fn bind(&self, soc: &mut Soc, inputs: &[Vec<i32>]) -> BoundBuffers {
+        let [a_data, b_data] = inputs else { panic!("a MatMul has two inputs") };
         let a = MemRefDesc::alloc(&mut soc.mem, &[self.problem.m, self.problem.k], ElemType::I32);
         let b = MemRefDesc::alloc(&mut soc.mem, &[self.problem.k, self.problem.n], ElemType::I32);
         let c = MemRefDesc::alloc(&mut soc.mem, &[self.problem.m, self.problem.n], ElemType::I32);
-        soc.mem.store_i32_slice(a.base, &a_data);
-        soc.mem.store_i32_slice(b.base, &b_data);
-        let expected = want_reference.then(|| {
-            kernels::ref_matmul_i32(
-                &a_data,
-                &b_data,
-                self.problem.m as usize,
-                self.problem.n as usize,
-                self.problem.k as usize,
-            )
-        });
+        soc.mem.store_i32_slice(a.base, a_data);
+        soc.mem.store_i32_slice(b.base, b_data);
         BoundBuffers {
             args: vec![RtValue::MemRef(a), RtValue::MemRef(b), RtValue::MemRef(c.clone())],
             outputs: vec![c],
-            expected,
         }
     }
 
@@ -225,9 +238,19 @@ impl Workload for ConvWorkload {
         build_conv_module(self.layer)
     }
 
-    fn bind(&self, soc: &mut Soc, seed: u64, want_reference: bool) -> BoundBuffers {
+    fn inputs(&self, seed: u64) -> Vec<Vec<i32>> {
+        let (input, filter) = self.layer.generate_inputs(seed);
+        vec![input, filter]
+    }
+
+    fn reference(&self, inputs: &[Vec<i32>]) -> Vec<i32> {
+        let [input, filter] = inputs else { panic!("a convolution has two inputs") };
+        kernels::ref_conv2d_i32(input, filter, self.shape())
+    }
+
+    fn bind(&self, soc: &mut Soc, inputs: &[Vec<i32>]) -> BoundBuffers {
+        let [i_data, w_data] = inputs else { panic!("a convolution has two inputs") };
         let shape = self.shape();
-        let (i_data, w_data) = self.layer.generate_inputs(seed);
         let i = MemRefDesc::alloc(
             &mut soc.mem,
             &[1, shape.in_channels as i64, shape.in_hw as i64, shape.in_hw as i64],
@@ -248,13 +271,11 @@ impl Workload for ConvWorkload {
             &[1, shape.out_channels as i64, shape.out_hw() as i64, shape.out_hw() as i64],
             ElemType::I32,
         );
-        soc.mem.store_i32_slice(i.base, &i_data);
-        soc.mem.store_i32_slice(w.base, &w_data);
-        let expected = want_reference.then(|| kernels::ref_conv2d_i32(&i_data, &w_data, shape));
+        soc.mem.store_i32_slice(i.base, i_data);
+        soc.mem.store_i32_slice(w.base, w_data);
         BoundBuffers {
             args: vec![RtValue::MemRef(i), RtValue::MemRef(w), RtValue::MemRef(o.clone())],
             outputs: vec![o],
-            expected,
         }
     }
 
@@ -293,34 +314,41 @@ impl Workload for BatchedMatMulWorkload {
         crate::pipeline::build_batched_matmul_module(self.batch)
     }
 
-    fn bind(&self, soc: &mut Soc, seed: u64, want_reference: bool) -> BoundBuffers {
+    fn inputs(&self, seed: u64) -> Vec<Vec<i32>> {
+        let mut inputs = Vec::with_capacity(2 * self.batch.batch);
+        for index in 0..self.batch.batch {
+            let (a, b) = self.batch.generate_inputs(seed, index);
+            inputs.extend([a, b]);
+        }
+        inputs
+    }
+
+    fn reference(&self, inputs: &[Vec<i32>]) -> Vec<i32> {
+        let p = self.batch.problem;
+        let mut expected = Vec::with_capacity(self.batch.batch * self.batch.output_elems());
+        for pair in inputs.chunks_exact(2) {
+            let (m, n, k) = (p.m as usize, p.n as usize, p.k as usize);
+            expected.extend(kernels::ref_matmul_i32(&pair[0], &pair[1], m, n, k));
+        }
+        expected
+    }
+
+    fn bind(&self, soc: &mut Soc, inputs: &[Vec<i32>]) -> BoundBuffers {
         let p = self.batch.problem;
         let mut args = Vec::new();
         let mut outputs = Vec::new();
-        let mut expected = want_reference
-            .then(|| Vec::with_capacity(self.batch.batch * self.batch.output_elems()));
-        for index in 0..self.batch.batch {
-            let (a_data, b_data) = self.batch.generate_inputs(seed, index);
+        for pair in inputs.chunks_exact(2) {
             let a = MemRefDesc::alloc(&mut soc.mem, &[p.m, p.k], ElemType::I32);
             let b = MemRefDesc::alloc(&mut soc.mem, &[p.k, p.n], ElemType::I32);
             let c = MemRefDesc::alloc(&mut soc.mem, &[p.m, p.n], ElemType::I32);
-            soc.mem.store_i32_slice(a.base, &a_data);
-            soc.mem.store_i32_slice(b.base, &b_data);
+            soc.mem.store_i32_slice(a.base, &pair[0]);
+            soc.mem.store_i32_slice(b.base, &pair[1]);
             args.push(RtValue::MemRef(a));
             args.push(RtValue::MemRef(b));
             args.push(RtValue::MemRef(c.clone()));
             outputs.push(c);
-            if let Some(expect) = &mut expected {
-                expect.extend(kernels::ref_matmul_i32(
-                    &a_data,
-                    &b_data,
-                    p.m as usize,
-                    p.n as usize,
-                    p.k as usize,
-                ));
-            }
         }
-        BoundBuffers { args, outputs, expected }
+        BoundBuffers { args, outputs }
     }
 
     fn matmul_dims(&self) -> Option<(i64, i64, i64)> {
@@ -599,6 +627,47 @@ struct CompiledModule {
     pass_timings: Vec<PassTiming>,
 }
 
+/// Problems whose data a [`Session`] keeps: proxy rungs alternate problem
+/// sizes, so one entry would be recomputed on every other run.
+const KEPT_PROBLEMS: usize = 4;
+
+/// One problem's data kept inside a [`Session`], keyed by
+/// `(module fingerprint, seed)`.
+struct ProblemData {
+    inputs: Vec<Vec<i32>>,
+    /// [`Workload::reference`] of `inputs`, from the first verifying run.
+    expected: Option<Vec<i32>>,
+}
+
+impl ProblemData {
+    /// The data of `workload`'s problem under `seed`: kept in `kept` when
+    /// the workload has a fingerprint (the oldest entry leaves past
+    /// [`KEPT_PROBLEMS`]), generated into `unkept` for this run otherwise.
+    fn of<'a>(
+        kept: &'a mut VecDeque<((String, u64), ProblemData)>,
+        unkept: &'a mut Option<ProblemData>,
+        workload: &dyn Workload,
+        seed: u64,
+    ) -> &'a mut ProblemData {
+        let generate = || ProblemData { inputs: workload.inputs(seed), expected: None };
+        let Some(fingerprint) = workload.module_fingerprint() else {
+            return unkept.insert(generate());
+        };
+        let key = (fingerprint, seed);
+        let at = match kept.iter().position(|(kept_key, _)| *kept_key == key) {
+            Some(at) => at,
+            None => {
+                if kept.len() == KEPT_PROBLEMS {
+                    kept.pop_front();
+                }
+                kept.push_back((key, generate()));
+                kept.len() - 1
+            }
+        };
+        &mut kept[at].1
+    }
+}
+
 /// A reusable executor: one simulated SoC that compiles and runs
 /// workloads. Successive [`Session::run`] calls recycle the SoC (memory
 /// capacity and device instance are kept) instead of rebuilding it, so
@@ -606,7 +675,8 @@ struct CompiledModule {
 /// using a fresh `Session` per run. Re-running the same workload under
 /// the same plan also skips recompilation entirely: the session caches
 /// the last compiled module keyed by [`Workload::module_fingerprint`]
-/// and the plan's compile-relevant fields.
+/// and the plan's compile-relevant fields, and the inputs and reference
+/// of the last few problems keyed by the fingerprint and the seed.
 pub struct Session {
     soc: Soc,
     /// The model the SoC holds; `None` is the loopback device of a
@@ -617,6 +687,9 @@ pub struct Session {
     scratch: InterpScratch,
     /// Last compiled module, reused when the compile key matches.
     compiled: Option<CompiledModule>,
+    /// Inputs and references of the last [`KEPT_PROBLEMS`] problems, by
+    /// `(module fingerprint, seed)`, oldest first.
+    problems: VecDeque<((String, u64), ProblemData)>,
 }
 
 impl Session {
@@ -631,6 +704,7 @@ impl Session {
             device: None,
             scratch: InterpScratch::new(),
             compiled: None,
+            problems: VecDeque::new(),
         }
     }
 
@@ -741,7 +815,9 @@ impl Session {
 
     /// The one measured run: retarget, recycle, bind, reset the run state,
     /// drive, then check the device's protocol-error count, read the
-    /// outputs back and compare them with the workload's reference.
+    /// outputs back and compare them with the workload's reference. Inputs
+    /// and reference come from the session's memo when the problem is in
+    /// it; the run's buffers are copies, so no driver can change either.
     fn execute(
         &mut self,
         workload: &dyn Workload,
@@ -750,7 +826,9 @@ impl Session {
     ) -> Result<RunReport, Diagnostic> {
         self.retarget(plan);
         self.soc.recycle();
-        let buffers = workload.bind(&mut self.soc, plan.seed, plan.options.verify_result);
+        let mut unkept = None;
+        let problem = ProblemData::of(&mut self.problems, &mut unkept, workload, plan.seed);
+        let buffers = workload.bind(&mut self.soc, &problem.inputs);
         self.soc.reset_run_state();
         drive(&mut self.soc, &mut self.scratch, buffers.args)?;
         if self.soc.accel.protocol_errors() > 0 {
@@ -762,19 +840,17 @@ impl Session {
             )));
         }
 
-        let mut result = Vec::new();
+        let elements = |output: &MemRefDesc| output.num_elements() as usize;
+        let mut result = Vec::with_capacity(buffers.outputs.iter().map(elements).sum());
         for output in &buffers.outputs {
-            result.extend(self.soc.mem.load_i32_slice(output.base, output.num_elements() as usize));
+            let bytes = self.soc.mem.read_bytes(output.base, 4 * elements(output) as u64);
+            result.extend(bytes.chunks_exact(4).map(|word| {
+                i32::from_le_bytes(word.try_into().expect("chunks_exact(4) yields 4 bytes"))
+            }));
         }
-        let verified = match (&buffers.expected, plan.options.verify_result) {
-            (Some(expected), true) => result == *expected,
-            (None, true) => {
-                return Err(Diagnostic::error(format!(
-                    "workload {} did not produce a reference result although verification was requested",
-                    workload.name()
-                )))
-            }
-            (_, false) => true,
+        let verified = !plan.options.verify_result || {
+            let ProblemData { inputs, expected } = problem;
+            result == *expected.get_or_insert_with(|| workload.reference(inputs))
         };
         Ok(RunReport {
             accel_name: plan.target_name(),
@@ -928,6 +1004,86 @@ mod tests {
             .run_manual(&workload, &plan, |_, _| Err(Diagnostic::error("tile does not divide")))
             .unwrap_err();
         assert_eq!(err.message, "tile does not divide");
+    }
+
+    /// Writes A over with sevens, then drives: a wrong product, made
+    /// after the session bound the run's inputs.
+    fn corrupting_drive(soc: &mut Soc, buffers: &[MemRefDesc]) -> Result<(), Diagnostic> {
+        soc.mem.store_i32_slice(buffers[0].base, &vec![7; buffers[0].num_elements() as usize]);
+        v3_drive(soc, buffers)
+    }
+
+    #[test]
+    fn the_problem_memo_cannot_mask_a_wrong_answer() {
+        let workload = MatMulWorkload::new(MatMulProblem::square(4));
+        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::NothingStationary);
+        let mut session = Session::for_sweep();
+        for _ in 0..2 {
+            let run = session.run_manual(&workload, &plan, corrupting_drive).unwrap();
+            assert!(!run.verified, "a corrupted result never verifies");
+        }
+        assert_eq!(session.problems.len(), 1, "both runs were one problem");
+        // The corruption reached the SoC's copy only.
+        assert!(session.run_manual(&workload, &plan, v3_drive).unwrap().verified);
+        assert!(!session.run_manual(&workload, &plan, corrupting_drive).unwrap().verified);
+    }
+
+    #[test]
+    fn an_unverified_run_defers_the_reference_to_the_first_verifying_one() {
+        let workload = MatMulWorkload::new(MatMulProblem::square(8));
+        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::OutputStationary);
+        let unverified =
+            plan.clone().options(PipelineOptions { verify_result: false, ..plan.options });
+        let mut session = Session::for_sweep();
+        assert!(session.run(&workload, &unverified).unwrap().verified);
+        assert!(session.problems[0].1.expected.is_none(), "no reference without a check");
+        assert!(session.run(&workload, &plan).unwrap().verified);
+        assert!(session.problems[0].1.expected.is_some());
+        assert!(!session.run_manual(&workload, &plan, |_, _| Ok(())).unwrap().verified);
+    }
+
+    #[test]
+    fn the_problem_memo_keeps_the_newest_problems_of_fingerprinted_workloads() {
+        /// A MatMul that opts out of fingerprinting.
+        struct Unnamed(MatMulWorkload);
+        impl Workload for Unnamed {
+            fn name(&self) -> String {
+                self.0.name()
+            }
+            fn entry_func(&self) -> &str {
+                self.0.entry_func()
+            }
+            fn build_module(&self) -> Module {
+                self.0.build_module()
+            }
+            fn inputs(&self, seed: u64) -> Vec<Vec<i32>> {
+                self.0.inputs(seed)
+            }
+            fn reference(&self, inputs: &[Vec<i32>]) -> Vec<i32> {
+                self.0.reference(inputs)
+            }
+            fn bind(&self, soc: &mut Soc, inputs: &[Vec<i32>]) -> BoundBuffers {
+                self.0.bind(soc, inputs)
+            }
+        }
+        let square = |size: usize| MatMulWorkload::new(MatMulProblem::square(size as i64));
+        let mut session = Session::for_sweep();
+        assert!(session.run(&Unnamed(square(2)), &CompilePlan::cpu()).unwrap().verified);
+        assert!(session.problems.is_empty(), "an unfingerprinted workload is never kept");
+
+        for size in 1..=KEPT_PROBLEMS + 1 {
+            assert!(session.run(&square(size), &CompilePlan::cpu()).unwrap().verified);
+        }
+        let kept: Vec<String> =
+            session.problems.iter().map(|((name, _), _)| name.clone()).collect();
+        let expect: Vec<String> = (2..=KEPT_PROBLEMS + 1).map(|size| square(size).name()).collect();
+        assert_eq!(kept, expect, "one problem past the bound evicts the oldest");
+
+        // The seed is half of the key.
+        let reseeded = CompilePlan::cpu().seed(7);
+        assert!(session.run(&square(KEPT_PROBLEMS + 1), &reseeded).unwrap().verified);
+        assert_eq!(session.problems.back().map(|(key, _)| key.1), Some(7));
+        assert_eq!(session.problems.len(), KEPT_PROBLEMS);
     }
 
     #[test]

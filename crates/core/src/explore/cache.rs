@@ -70,7 +70,8 @@ pub struct CachedEval {
     pub task_clock_ms: f64,
     /// Whether the run matched the reference kernel.
     pub verified: bool,
-    /// Wall-clock pass timings; informational, never persisted.
+    /// Wall-clock pass timings of the run that measured; informational,
+    /// never persisted and not kept in an engine's cache.
     pub pass_ms: Vec<(String, f64)>,
 }
 

@@ -236,7 +236,15 @@ impl<'a> MeasureQueue<'a> {
         let index = task.index;
         std::mem::forget(task); // resolved: skip the requeue-on-drop path
         let key = self.meta[index].0;
-        let published = result.as_ref().ok().cloned();
+        // The cached copy keeps no pass timings: they are this run's wall
+        // clock, which a later hit does not repeat, and over a long-lived
+        // hub they were most of an entry's memory.
+        let published = result.as_ref().ok().map(|eval| CachedEval {
+            counters: eval.counters,
+            task_clock_ms: eval.task_clock_ms,
+            verified: eval.verified,
+            pass_ms: Vec::new(),
+        });
         let mut state = self.state();
         let mut engine = self.explorer.engine();
         if let Some(eval) = published {

@@ -142,7 +142,7 @@ pub struct Evaluation {
     pub work: u64,
     /// Wall-clock compile time per pass (informational: host wall-clock,
     /// not simulated, and excluded from determinism comparisons; empty
-    /// for results served from a persisted cache).
+    /// for results served from a cache, which compiled nothing).
     pub pass_ms: Vec<(String, f64)>,
     /// Whether this result came out of the explorer's cache.
     pub from_cache: bool,

@@ -111,6 +111,8 @@ fn result_cache_dedups_repeat_evaluations() {
     assert_eq!(explorer.evals_performed(), runs_after_first, "no re-simulation");
     assert_eq!(second.cache_hits, second.evaluations.len(), "every result served from cache");
     assert!(second.evaluations.iter().all(|e| e.from_cache));
+    assert!(first.evaluations.iter().all(|e| !e.pass_ms.is_empty()), "a measurement compiles");
+    assert!(second.evaluations.iter().all(|e| e.pass_ms.is_empty()), "a hit compiles nothing");
     for (a, b) in first.evaluations.iter().zip(&second.evaluations) {
         assert_eq!(a.deterministic_key(), b.deterministic_key());
     }

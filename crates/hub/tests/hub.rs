@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 
 use axi4mlir_core::explore::{shard, JobSpec};
 use axi4mlir_hub::{Hub, HubClient, HubConfig};
@@ -114,50 +115,36 @@ fn concurrent_identical_jobs_simulate_each_candidate_once() {
     hub.join().unwrap();
 }
 
-/// Every job the hub has accepted is counted in exactly one of `queued`,
-/// `running`, `completed`, `failed` in every `status` reply, however the
-/// reply interleaves with submits and executors. Job ids are dense from 1,
-/// so the highest id any client has been told bounds "accepted so far"
-/// from below and the submits sent bound it from above. (With the counts
-/// kept beside the queue under a second lock, a reply could miss a job
-/// already pushed but not yet counted — and an executor could take that
-/// job and decrement `queued` before its submitter incremented it: at
-/// `aea3024` this test dies of that underflow in about one run in six.)
-#[test]
-fn status_counts_always_add_up() {
-    const CLIENTS: usize = 4;
-    const JOBS_EACH: usize = 25;
-    const CAPACITY: usize = 2;
-    let (addr, hub) = start_hub(HubConfig {
-        workers: 4,
-        sim_workers: 1,
-        queue_capacity: CAPACITY,
-        ..HubConfig::default()
-    });
-    let spec = JobSpec {
-        dims: Some((8, 8, 8)),
-        accels: vec!["v4_8".to_owned()],
-        seed: Some(7),
-        ..JobSpec::default()
-    };
-    // Job 1 fills the cache, so the jobs under test are all dispatch.
-    HubClient::connect(&addr).expect("connect").run(&spec, &mut |_| ()).expect("warm-up job");
+/// [`status_counts_always_add_up`]'s racing clients, the jobs each runs,
+/// and the hub's queue capacity.
+const CLIENTS: usize = 4;
+const JOBS_EACH: usize = 25;
+const CAPACITY: usize = 2;
+/// How long those clients may take: far beyond the few seconds a healthy
+/// run needs.
+const RACE_DEADLINE: std::time::Duration = std::time::Duration::from_secs(120);
 
+/// A status count of a `status` reply.
+fn count(status: &JsonValue, member: &str) -> usize {
+    status.get(member).and_then(JsonValue::as_u64).expect("a status count") as usize
+}
+
+/// `CLIENTS` clients each run `JOBS_EACH` jobs of `spec` against the hub at
+/// `addr` while one more polls `status`, asserting every reply adds up;
+/// returns the number of replies.
+fn race_status_against_submits(addr: &str, spec: &JobSpec) -> usize {
     let sent = AtomicUsize::new(1);
     let accepted_through = AtomicU64::new(1);
     let submitting = AtomicBool::new(true);
-    let count = |status: &JsonValue, member: &str| {
-        status.get(member).and_then(JsonValue::as_u64).expect("a status count") as usize
-    };
-    let polls = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut client = HubClient::connect(&addr).expect("connect");
+                    let mut client = HubClient::connect(addr).expect("connect");
                     let mut finished = 0;
                     while finished < JOBS_EACH {
                         sent.fetch_add(1, Ordering::SeqCst);
-                        let job = match client.submit(&spec) {
+                        let job = match client.submit(spec) {
                             Ok(job) => job,
                             Err(err) => {
                                 assert!(err.message.contains("queue full"), "{}", err.message);
@@ -180,7 +167,7 @@ fn status_counts_always_add_up() {
             })
             .collect();
         let poller = scope.spawn(|| {
-            let mut client = HubClient::connect(&addr).expect("connect");
+            let mut client = HubClient::connect(addr).expect("connect");
             let mut polls = 0usize;
             while submitting.load(Ordering::SeqCst) {
                 let at_least = accepted_through.load(Ordering::SeqCst) as usize;
@@ -206,7 +193,59 @@ fn status_counts_always_add_up() {
         let polls = poller.join();
         clients.into_iter().for_each(|client| client.expect("a client thread failed"));
         polls.expect("a status reply did not add up")
+    })
+}
+
+/// Every job the hub has accepted is counted in exactly one of `queued`,
+/// `running`, `completed`, `failed` in every `status` reply, however the
+/// reply interleaves with submits and executors. Job ids are dense from 1,
+/// so the highest id any client has been told bounds "accepted so far"
+/// from below and the submits sent bound it from above. (With the counts
+/// kept beside the queue under a second lock, a reply could miss a job
+/// already pushed but not yet counted — and an executor could take that
+/// job and decrement `queued` before its submitter incremented it: at
+/// `aea3024` this test dies of that underflow in about one run in six.)
+#[test]
+fn status_counts_always_add_up() {
+    let (addr, hub) = start_hub(HubConfig {
+        workers: 4,
+        sim_workers: 1,
+        queue_capacity: CAPACITY,
+        ..HubConfig::default()
     });
+    let spec = JobSpec {
+        dims: Some((8, 8, 8)),
+        accels: vec!["v4_8".to_owned()],
+        seed: Some(7),
+        ..JobSpec::default()
+    };
+    // Job 1 fills the cache, so the jobs under test are all dispatch.
+    HubClient::connect(&addr).expect("connect").run(&spec, &mut |_| ()).expect("warm-up job");
+
+    // The race runs on its own thread so that a wedged client or hub
+    // fails the test at a deadline instead of hanging it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let race = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            // The receiver is gone only once the deadline has failed the test.
+            let _ = done_tx.send(race_status_against_submits(&addr, &spec));
+        })
+    };
+    let polls = match done_rx.recv_timeout(RACE_DEADLINE) {
+        Ok(polls) => {
+            race.join().expect("the race thread returns right after sending");
+            polls
+        }
+        // The race thread panicked: report its panic.
+        Err(RecvTimeoutError::Disconnected) => match race.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the race thread sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("the clients did not finish within {RACE_DEADLINE:?}: a client or the hub is wedged")
+        }
+    };
     assert!(polls > CLIENTS * JOBS_EACH, "only {polls} status replies raced the jobs");
 
     let mut client = HubClient::connect(&addr).expect("connect");

@@ -18,16 +18,19 @@ use crate::memref::MemRefDesc;
 use crate::soc::Soc;
 
 /// Pure reference MatMul: `C = A(MxK) x B(KxN)` with wrapping `i32`
-/// arithmetic (matching the accelerator models).
+/// arithmetic (matching the accelerator models), walking every operand by
+/// rows. Zero extents give an all-zero (possibly empty) `C`.
 pub fn ref_matmul_i32(a: &[i32], b: &[i32], m: usize, n: usize, k: usize) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     let mut c = vec![0i32; m * n];
-    for mi in 0..m {
-        for ki in 0..k {
-            let av = a[mi * k + ki];
-            for ni in 0..n {
-                c[mi * n + ni] = c[mi * n + ni].wrapping_add(av.wrapping_mul(b[ki * n + ni]));
+    if n == 0 || k == 0 {
+        return c; // `chunks_exact` takes no zero-width rows
+    }
+    for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (slot, &bv) in c_row.iter_mut().zip(b_row) {
+                *slot = slot.wrapping_add(av.wrapping_mul(bv));
             }
         }
     }
@@ -248,6 +251,20 @@ mod tests {
         // 1x3 times 3x2.
         let c = ref_matmul_i32(&[1, 2, 3], &[1, 2, 3, 4, 5, 6], 1, 2, 3);
         assert_eq!(c, vec![22, 28]);
+    }
+
+    #[test]
+    fn ref_matmul_zero_extents_are_zeros() {
+        assert_eq!(ref_matmul_i32(&[1, 2], &[], 2, 0, 1), Vec::<i32>::new());
+        assert_eq!(ref_matmul_i32(&[], &[], 2, 3, 0), vec![0; 6]);
+        assert_eq!(ref_matmul_i32(&[], &[4, 5], 0, 1, 2), Vec::<i32>::new());
+        assert_eq!(ref_matmul_i32(&[], &[], 0, 0, 0), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn ref_matmul_wraps_like_the_devices() {
+        let c = ref_matmul_i32(&[i32::MAX, i32::MAX], &[2, i32::MAX], 1, 1, 2);
+        assert_eq!(c, vec![i32::MAX.wrapping_mul(2).wrapping_add(i32::MAX.wrapping_mul(i32::MAX))]);
     }
 
     #[test]

@@ -40,9 +40,28 @@ impl AxiStreamFifo {
         self.words.push_back(word);
     }
 
+    /// Enqueues beats in order.
+    pub fn extend(&mut self, words: impl IntoIterator<Item = u32>) {
+        self.words.extend(words);
+    }
+
     /// Dequeues the oldest beat.
     pub fn pop(&mut self) -> Option<u32> {
         self.words.pop_front()
+    }
+
+    /// Dequeues one beat per 4-byte chunk of `out`, little-endian, oldest
+    /// first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer beats are queued than `out` has chunks.
+    pub fn pop_le_bytes(&mut self, out: &mut [u8]) {
+        let words = out.len() / 4;
+        assert!(words <= self.words.len(), "output FIFO underflow");
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.words.drain(..words)) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
     }
 
     /// Number of queued beats.
@@ -83,10 +102,11 @@ pub trait StreamAccelerator {
 
     /// Feeds a whole DMA burst of little-endian beats.
     ///
-    /// The default forwards each word to [`Self::consume_word`], so FSM
-    /// decoding and cycle charging are beat-identical to per-word
-    /// streaming; devices with word-oblivious input paths may override it
-    /// with a bulk FIFO append.
+    /// The default forwards each word to [`Self::consume_word`]. A device
+    /// may override it — an FSM device too, e.g. to copy a tile fill in one
+    /// slice copy — as long as every split of a stream into bursts leaves
+    /// the same outputs, counters and protocol errors as feeding it word by
+    /// word.
     fn consume_burst(&mut self, bytes: &[u8], counters: &mut PerfCounters) {
         for chunk in bytes.chunks_exact(4) {
             let word = u32::from_le_bytes(chunk.try_into().expect("4-byte beat"));
@@ -101,7 +121,8 @@ pub trait StreamAccelerator {
     ///
     /// The caller guarantees [`Self::output_len`] covers the burst (the
     /// DMA engine's underflow check). The default pops word by word;
-    /// devices may override it with a bulk FIFO drain.
+    /// devices may override it with a bulk FIFO drain
+    /// ([`AxiStreamFifo::pop_le_bytes`]).
     ///
     /// # Panics
     ///
@@ -182,6 +203,17 @@ mod tests {
         assert_eq!(f.pop(), Some(2));
         assert_eq!(f.pop(), Some(3));
         assert_eq!(f.pop(), None);
+    }
+
+    #[test]
+    fn fifo_bulk_moves_keep_order() {
+        let mut f = AxiStreamFifo::new();
+        f.extend([1u32, 0x0102_0304, 3]);
+        let mut out = [0u8; 8];
+        f.pop_le_bytes(&mut out);
+        assert_eq!(out, [1, 0, 0, 0, 4, 3, 2, 1]);
+        assert_eq!(f.pop(), Some(3));
+        assert!(f.is_empty());
     }
 
     #[test]

@@ -206,8 +206,9 @@ impl DmaEngine {
         counters.dma_bytes_to_accel += len;
         counters.device_cycles += cost.stream_device_cycles(len);
         let base = config.input_base.offset(offset);
-        // One bounds-checked burst instead of per-beat reads; the
-        // accelerator still decodes beat by beat (see `consume_burst`).
+        // One bounds-checked burst instead of per-beat reads; the device
+        // takes it whole, identically to beat-by-beat decoding (see
+        // `StreamAccelerator::consume_burst`).
         accel.consume_burst(mem.read_bytes(base, len), counters);
         Ok(())
     }
