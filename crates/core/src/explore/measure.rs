@@ -248,9 +248,7 @@ impl<'a> MeasureQueue<'a> {
         let mut state = self.state();
         let mut engine = self.explorer.engine();
         if let Some(eval) = published {
-            engine.cache.insert(key, eval);
-            engine.dirty.insert(key.workload);
-            engine.evals_performed += 1;
+            engine.record(key, eval);
         }
         engine.claimed.remove(&key);
         state.done.push(Done { index, result, measured: Some((worker, nanos)) });

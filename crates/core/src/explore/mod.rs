@@ -48,7 +48,7 @@ pub mod space;
 pub mod transfer;
 pub mod wire;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -357,6 +357,12 @@ fn tally(counts: &mut BTreeMap<String, usize>, worker: &str) {
     }
 }
 
+/// How many seeds of one problem an engine keeps the measurements of:
+/// when a problem gains one more, the entries of its oldest measured seed
+/// leave the cache. This bounds what a long-lived hub holds by the seeds
+/// its clients sweep at once, not by the jobs it has run.
+const KEPT_SEEDS: usize = 8;
+
 /// Everything concurrent sweeps on one [`Explorer`] share, under its one
 /// lock (the "Shared state" table of `docs/ARCHITECTURE.md` has the
 /// invariants): a key is in `cache` or in `claimed`, never both.
@@ -369,11 +375,53 @@ struct Engine {
     /// Workloads measured since the last [`Explorer::save_cache_dir`]:
     /// their shards are the ones the next save must write.
     dirty: HashSet<Problem>,
+    /// Per problem, the seeds this engine measured, in first-measured
+    /// order.
+    measured: HashMap<Problem, VecDeque<u64>>,
+    /// The seeds of each problem [`Explorer::with_cache_dir`] loaded
+    /// entries for: they are never evicted.
+    loaded: HashSet<(Problem, u64)>,
+    /// Whether a checkpoint must write a measured entry before it may be
+    /// evicted (an engine built by [`Explorer::with_cache_dir`]).
+    checkpointed: bool,
     evals_performed: usize,
     dedup_hits: usize,
     /// Moves after every change a parked backend worker can be waiting
     /// for (see [`measure`]).
     epoch: u64,
+}
+
+impl Engine {
+    /// Publishes a measurement of a claimed key: into the cache, its
+    /// workload dirty, its seed measured — then evicts what the bound
+    /// says.
+    fn record(&mut self, key: CandidateKey, eval: CachedEval) {
+        self.cache.insert(key, eval);
+        self.dirty.insert(key.workload);
+        self.evals_performed += 1;
+        let seeds = self.measured.entry(key.workload).or_default();
+        if !seeds.contains(&key.seed) {
+            seeds.push_back(key.seed);
+            self.evict(key.workload);
+        }
+    }
+
+    /// Drops the entries of `problem`'s oldest measured seeds beyond the
+    /// newest [`KEPT_SEEDS`] — unless the problem is dirty on a
+    /// checkpointed engine, whose next save must write them first. A
+    /// loaded seed leaves the order but keeps its entries.
+    fn evict(&mut self, problem: Problem) {
+        if self.checkpointed && self.dirty.contains(&problem) {
+            return;
+        }
+        let Some(seeds) = self.measured.get_mut(&problem) else { return };
+        while seeds.len() > KEPT_SEEDS {
+            let oldest = seeds.pop_front().expect("more seeds than kept");
+            if !self.loaded.contains(&(problem, oldest)) {
+                self.cache.retain(|key, _| key.workload != problem || key.seed != oldest);
+            }
+        }
+    }
 }
 
 /// A reusable exploration engine with a cross-sweep, persistable result
@@ -384,6 +432,10 @@ struct Engine {
 /// instantiation, flow, tile, options point, and seed) are returned from
 /// the cache instead of re-simulated — within a process, and across
 /// processes via [`Explorer::with_cache_dir`] / [`Explorer::save_cache_dir`].
+/// In memory, a problem keeps the measurements of the newest eight seeds
+/// this engine measured; a seed it loaded entries for from a directory
+/// always stays, and an engine built by [`Explorer::with_cache_dir`]
+/// evicts nothing before a save has written it.
 #[derive(Default)]
 pub struct Explorer {
     engine: Mutex<Engine>,
@@ -430,7 +482,9 @@ impl Explorer {
     ///
     /// Returns a [`Diagnostic`] for unreadable files or directories.
     pub fn with_cache_dir(dir: &Path) -> Result<Self, Diagnostic> {
-        let engine = Engine { cache: shard::load_dir(dir)?, ..Engine::default() };
+        let cache = shard::load_dir(dir)?;
+        let loaded = cache.keys().map(|key| (key.workload, key.seed)).collect();
+        let engine = Engine { cache, loaded, checkpointed: true, ..Engine::default() };
         Ok(Self { engine: Mutex::new(engine), ..Self::default() })
     }
 
@@ -490,7 +544,15 @@ impl Explorer {
         let shards: BTreeSet<String> =
             dirty.iter().map(|workload| shard::shard_name(&workload.to_string())).collect();
         match shard::save_dir(dir, &fresh, &shards) {
-            Ok(stats) => Ok(shard::SaveStats { skipped: clean.len(), entries, ..stats }),
+            Ok(stats) => {
+                // A workload not dirtied again since the copy above had
+                // every entry written: its old seeds may go now.
+                let mut engine = self.engine();
+                for workload in dirty {
+                    engine.evict(workload);
+                }
+                Ok(shard::SaveStats { skipped: clean.len(), entries, ..stats })
+            }
             Err(err) => {
                 self.engine().dirty.extend(dirty);
                 Err(err)

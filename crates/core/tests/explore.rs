@@ -7,7 +7,7 @@
 
 use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
 use axi4mlir_core::driver::{CompilePlan, MatMulWorkload, Session};
-use axi4mlir_core::explore::shard::shard_name;
+use axi4mlir_core::explore::shard::{load_dir, shard_name};
 use axi4mlir_core::explore::{
     AccelInstance, BatchedSpace, ConvSpace, DesignSpace, Device, ExploreReport, Explorer, Flow,
     HalvingSpec, MatMulSpace, MatMulVersion, Objective, OptionsPoint, Prune, Search,
@@ -759,4 +759,84 @@ fn statically_illegal_candidates_are_lint_rejected_without_simulation() {
     assert!(err.message.contains("plan audit"), "{}", err.message);
     assert_eq!(err.code.as_deref(), Some("lint::fifo-capacity"));
     assert_eq!(explorer.evals_performed(), before, "no simulation was spent");
+}
+
+/// The engine's private seed bound (`KEPT_SEEDS` in `core::explore`).
+const KEPT_SEEDS: usize = 8;
+
+/// [`small_space`] at `seed`, pruned to its four best candidates (the
+/// heuristic pick may add a fifth measurement): cheap enough to sweep
+/// a dozen seeds.
+fn seeded_sweep(explorer: &Explorer, seed: u64) -> ExploreReport {
+    let space = small_space().seed(seed);
+    sweep(explorer, &space, Prune::KeepBest(4), &Search::Exhaustive, 2).expect("seeded sweep")
+}
+
+/// An engine keeps the measurements of a problem's newest `KEPT_SEEDS`
+/// seeds: one more seed evicts the oldest one's entries, so the cache is
+/// bounded by seeds in use, not by sweeps run.
+#[test]
+fn the_cache_keeps_the_newest_seeds_of_a_problem() {
+    let explorer = Explorer::new();
+    seeded_sweep(&explorer, 1);
+    let per_seed = explorer.cache_len();
+    assert!(per_seed > 0);
+    let seeds = 1..=(KEPT_SEEDS as u64 + 2);
+    for seed in seeds.clone().skip(1) {
+        seeded_sweep(&explorer, seed);
+        assert!(explorer.cache_len() <= KEPT_SEEDS * per_seed, "after seed {seed}");
+    }
+    assert_eq!(explorer.cache_len(), KEPT_SEEDS * per_seed);
+    let measured = explorer.evals_performed();
+    for seed in seeds.clone().skip(2) {
+        assert_eq!(seeded_sweep(&explorer, seed).sims_performed, 0, "seed {seed} is kept");
+    }
+    assert_eq!(explorer.evals_performed(), measured, "the newest seeds cost no simulation");
+    let oldest = seeded_sweep(&explorer, 1);
+    assert_eq!(oldest.sims_performed, per_seed, "the oldest seed was evicted and simulates again");
+}
+
+/// On an engine that checkpoints into a directory, eviction waits for the
+/// save: every measured seed reaches the shard. A seed the engine loaded
+/// entries for is never evicted, even once it is the oldest it measured.
+#[test]
+fn a_checkpointed_cache_saves_every_seed_and_keeps_what_it_loaded() {
+    let dir = std::env::temp_dir().join(format!("axi4mlir-explore-kept-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let donor = Explorer::new();
+    seeded_sweep(&donor, 1000);
+    let per_seed = donor.save_cache_dir(&dir).expect("save the donor").entries;
+
+    let explorer = Explorer::with_cache_dir(&dir).expect("load");
+    // The loaded seed, measured further: the oldest seed this engine
+    // measures.
+    let wide = sweep(&explorer, &small_space().seed(1000), Prune::None, &Search::Exhaustive, 2)
+        .expect("the whole space at the loaded seed");
+    assert!(wide.sims_performed > 0);
+    let loaded_seed = explorer.cache_len();
+    let seeds = 1..=(KEPT_SEEDS as u64 + 1);
+    // Unsaved, nothing may leave: the next save has to write it all.
+    for seed in seeds.clone() {
+        seeded_sweep(&explorer, seed);
+    }
+    assert_eq!(explorer.cache_len(), loaded_seed + seeds.clone().count() * per_seed);
+    explorer.save_cache_dir(&dir).expect("checkpoint");
+    let on_disk = load_dir(&dir).expect("reload");
+    assert_eq!(on_disk.keys().filter(|key| key.seed == 1000).count(), loaded_seed);
+    for seed in seeds.clone() {
+        assert_eq!(
+            on_disk.keys().filter(|key| key.seed == seed).count(),
+            per_seed,
+            "seed {seed} reached the shard"
+        );
+    }
+    // Saved, the oldest measured seeds leave memory — seed 1 — but not
+    // the loaded one.
+    assert_eq!(explorer.cache_len(), loaded_seed + KEPT_SEEDS * per_seed);
+    let measured = explorer.evals_performed();
+    sweep(&explorer, &small_space().seed(1000), Prune::None, &Search::Exhaustive, 2)
+        .expect("the loaded seed again");
+    assert_eq!(explorer.evals_performed(), measured, "the loaded seed survives");
+    assert_eq!(seeded_sweep(&explorer, 1).sims_performed, per_seed, "seed 1 was evicted");
+    std::fs::remove_dir_all(&dir).ok();
 }

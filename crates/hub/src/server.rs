@@ -3,9 +3,11 @@
 //!
 //! ## Shape
 //!
-//! One listener thread accepts connections; each connection gets a
-//! serving thread that parses requests and *owns all writes* to its
-//! socket (replies and events never interleave mid-frame). Submitted
+//! One listener thread accepts connections. Each connection gets a
+//! reader (its serving thread, blocked on the socket with no timeout)
+//! and a writer thread that owns all writes to the socket, draining the
+//! connection's one ordered outbox: replies and events go out in the
+//! order they were decided and never interleave mid-frame. Submitted
 //! jobs land in a bounded FIFO queue drained by a pool of executor
 //! threads, running each job through
 //! [`Explorer::explore_streaming`](axi4mlir_core::explore::Explorer::explore_streaming)
@@ -15,19 +17,19 @@
 //! simulated exactly once.
 //!
 //! What each lock here guards is the "Shared state" table of
-//! `docs/ARCHITECTURE.md`; the order, where both are held, is
-//! `Shared::jobs` → `EventHub::inner`.
+//! `docs/ARCHITECTURE.md`; the order, where several are held, is
+//! `Shared::jobs` → `EventHub::inner` → `Outbox::state`.
 //!
 //! Progress events flow from executor into a per-job `EventHub` log:
-//! every event is appended to a bounded replay buffer *and* forwarded
-//! to the job's current subscriber connection, which writes it between
-//! reads (its socket reads time out every `proto::READ_TIMEOUT`, so
-//! events are never stalled behind an idle client). Because the buffer
-//! outlives the submitting connection, a client that loses its
-//! connection mid-job can reconnect and send `follow JOB_ID`: the hub
-//! replays the buffered events and re-attaches the live stream, ending
-//! with the terminal `done`/`failed` event exactly as the original
-//! connection would have seen it.
+//! every event is appended to a bounded replay buffer *and* queued on
+//! the outbox of the job's current subscriber connection, whose writer
+//! wakes and sends it at once. Because the buffer outlives the
+//! submitting connection, a client that loses its connection mid-job can
+//! reconnect and send `follow JOB_ID`: the hub replays the buffered
+//! events and re-attaches the live stream, ending with the terminal
+//! `done`/`failed` event exactly as the original connection would have
+//! seen it. A stop wakes every writer; each says goodbye once its jobs
+//! drain and shuts its socket down, which ends its reader.
 //!
 //! ## Durability
 //!
@@ -52,11 +54,11 @@
 //! local runs (timing aside) and a lost worker only costs throughput.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener};
+use std::io::BufRead;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 use axi4mlir_core::explore::{
@@ -65,7 +67,7 @@ use axi4mlir_core::explore::{
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{self, write_frame, write_frame_at, Connection, Frame};
+use axi4mlir_support::proto::{self, write_frame, write_frame_at, Connection, Frame, FrameReader};
 
 use crate::protocol::{self, Request};
 
@@ -140,19 +142,91 @@ const RETAINED_FINISHED: usize = 16;
 /// event is always last, so always replayable for a retained job).
 const EVENT_BUFFER: usize = 64;
 
+/// What a connection's writer sends: a reply to one of its requests, or
+/// an event of a job it follows. Only event writes pass the `hub.event`
+/// fault site.
+enum Outgoing {
+    Reply(JsonValue),
+    Event(JsonValue),
+}
+
+/// Whether `event` ends a connection's interest in its job: the job's
+/// terminal `done`/`failed`, or the synthetic `detached` a `follow` from
+/// another connection sends the previous subscriber.
+fn releases_goodbye(event: &JsonValue) -> bool {
+    matches!(
+        event.get("state").and_then(JsonValue::as_str),
+        Some("done") | Some("failed") | Some("detached")
+    )
+}
+
+/// One connection's ordered outbox, drained by the connection's writer
+/// thread.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Notified, with `state` locked, when a frame is queued, the outbox
+    /// closes, or the hub stops — the three things an idle writer waits
+    /// for.
+    ready: Condvar,
+}
+
+/// At every unlock: `frames` holds what the writer has yet to send, in
+/// the order it was decided; `active` is the number of jobs this
+/// connection submitted or follows whose terminal (or `detached`) event
+/// is not yet queued, and the goodbye waits for it to reach zero. A
+/// closed outbox queues nothing more.
+#[derive(Default)]
+struct OutboxState {
+    frames: VecDeque<Outgoing>,
+    active: usize,
+    closed: bool,
+}
+
+impl OutboxState {
+    fn push(&mut self, frame: Outgoing) {
+        if let Outgoing::Event(event) = &frame {
+            if releases_goodbye(event) {
+                self.active = self.active.saturating_sub(1);
+            }
+        }
+        if !self.closed {
+            self.frames.push_back(frame);
+        }
+    }
+}
+
+impl Outbox {
+    fn state(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("hub outbox poisoned")
+    }
+
+    /// Queues frames through `fill`, in order, and wakes the writer.
+    fn queue(&self, fill: impl FnOnce(&mut OutboxState)) {
+        fill(&mut self.state());
+        self.ready.notify_one();
+    }
+
+    /// Nothing more will be written: the reader or the writer has ended.
+    fn close(&self) {
+        self.queue(|state| state.closed = true);
+    }
+}
+
 /// One job's event log: the bounded replay buffer plus the connection
 /// currently subscribed to the live stream.
 struct JobLog {
     events: VecDeque<JsonValue>,
-    subscriber: Option<Sender<JsonValue>>,
+    subscriber: Option<Arc<Outbox>>,
     terminal: bool,
 }
 
 /// The per-job event fan-out: every published event lands in the job's
-/// bounded replay buffer and is forwarded to its current subscriber.
+/// bounded replay buffer and on its current subscriber's outbox.
 /// `follow` swaps the subscriber and replays the buffer, which is what
 /// lets a reconnecting client resume a live (or recently finished)
-/// job's stream.
+/// job's stream. It also knows every connection's outbox, so that a stop
+/// can wake all their writers.
 struct EventHub {
     capacity: usize,
     inner: Mutex<EventLog>,
@@ -163,6 +237,9 @@ struct EventLog {
     jobs: HashMap<u64, JobLog>,
     /// Terminal jobs in finishing order, for bounded retention.
     finished: VecDeque<u64>,
+    /// The outbox of every connection, for [`EventHub::wake_all`]; a
+    /// dropped one is pruned on the next `connect`.
+    connections: Vec<Weak<Outbox>>,
 }
 
 impl EventHub {
@@ -174,17 +251,37 @@ impl EventHub {
         self.inner.lock().expect("event hub poisoned")
     }
 
+    /// Registers a new connection's outbox for [`EventHub::wake_all`].
+    fn connect(&self, outbox: &Arc<Outbox>) {
+        let mut inner = self.log();
+        inner.connections.retain(|known| known.strong_count() > 0);
+        inner.connections.push(Arc::downgrade(outbox));
+    }
+
+    /// Wakes every connection's writer (the hub is stopping). Each takes
+    /// its outbox lock to notify, so no writer is between its look at the
+    /// stop flag and its wait.
+    fn wake_all(&self) {
+        for outbox in self.log().connections.iter().filter_map(Weak::upgrade) {
+            outbox.queue(|_| ());
+        }
+    }
+
     /// Starts a job's log with `subscriber` attached.
-    fn register(&self, id: u64, subscriber: Sender<JsonValue>) {
+    fn register(&self, id: u64, subscriber: &Arc<Outbox>) {
         let mut inner = self.log();
         inner.jobs.insert(
             id,
-            JobLog { events: VecDeque::new(), subscriber: Some(subscriber), terminal: false },
+            JobLog {
+                events: VecDeque::new(),
+                subscriber: Some(Arc::clone(subscriber)),
+                terminal: false,
+            },
         );
     }
 
-    /// Appends `event` to the job's replay buffer and forwards it to
-    /// the current subscriber (a dead subscriber is ignored — the
+    /// Appends `event` to the job's replay buffer and queues it on the
+    /// current subscriber's outbox (a closed outbox drops it — the
     /// buffer is what a future `follow` replays). A `done`/`failed`
     /// event marks the log terminal and starts its retention clock.
     fn publish(&self, id: u64, event: JsonValue) {
@@ -200,7 +297,7 @@ impl EventHub {
             );
             log.events.push_back(event.clone());
             if let Some(subscriber) = &log.subscriber {
-                let _ = subscriber.send(event);
+                subscriber.queue(|state| state.push(Outgoing::Event(event)));
             }
             let newly = terminal && !log.terminal;
             log.terminal |= terminal;
@@ -216,22 +313,38 @@ impl EventHub {
         }
     }
 
-    /// Re-attaches a job's stream to `subscriber`: the previous
-    /// subscriber (if any) receives a synthetic `detached` event (not
-    /// buffered — it describes the old connection, not the job), and
-    /// the buffered events are returned for replay. `Err` carries the
-    /// `error` frame for an unknown or evicted job.
-    fn follow(&self, id: u64, subscriber: Sender<JsonValue>) -> Result<Vec<JsonValue>, JsonValue> {
+    /// Re-attaches a job's stream to `subscriber`: its outbox gets the
+    /// `following` reply and the buffered events, and holds its goodbye
+    /// until the job's terminal event (a replayed one releases it at
+    /// once); only then does the previous subscriber (if any) get a
+    /// synthetic `detached` event (not buffered — it describes the old
+    /// connection, not the job). `Err` carries the `error` frame for an
+    /// unknown or evicted job.
+    fn follow(&self, id: u64, subscriber: &Arc<Outbox>) -> Result<(), JsonValue> {
         let mut inner = self.log();
         let Some(log) = inner.jobs.get_mut(&id) else {
             return Err(protocol::error(&format!(
                 "follow `job` {id} is unknown (never submitted, or its events were evicted)"
             )));
         };
-        if let Some(previous) = log.subscriber.replace(subscriber) {
-            let _ = previous.send(protocol::event(id, "detached", vec![]));
+        subscriber.queue(|state| {
+            state.active += 1;
+            state.push(Outgoing::Reply(protocol::tagged(
+                "following",
+                vec![
+                    ("job".to_owned(), id.into()),
+                    ("replayed".to_owned(), log.events.len().into()),
+                ],
+            )));
+            for event in &log.events {
+                state.push(Outgoing::Event(event.clone()));
+            }
+        });
+        if let Some(previous) = log.subscriber.replace(Arc::clone(subscriber)) {
+            let detached = protocol::event(id, "detached", vec![]);
+            previous.queue(|state| state.push(Outgoing::Event(detached)));
         }
-        Ok(log.events.iter().cloned().collect())
+        Ok(())
     }
 }
 
@@ -282,11 +395,13 @@ impl Shared {
 
     /// Raises the stop flag under the jobs lock, so an executor is either
     /// before its check (and sees the flag) or already waiting (and is
-    /// woken) — never in between.
+    /// woken) — never in between — and wakes every connection's writer
+    /// the same way, under its outbox lock.
     fn request_stop(&self) {
         let _jobs = self.jobs();
         self.stop.store(true, Ordering::SeqCst);
         self.available.notify_all();
+        self.events.wake_all();
     }
 
     /// Checkpoints the shared cache — only the shards dirtied since the
@@ -334,10 +449,12 @@ impl Shared {
         )
     }
 
-    /// Validates and enqueues one job. `Err` carries the reply frame to
-    /// send instead of `accepted` (an `error` for a bad spec, a
-    /// `rejected` for a full queue).
-    fn submit(&self, spec: JobSpec, events: Sender<JsonValue>) -> Result<(u64, usize), JsonValue> {
+    /// Validates and enqueues one job, queuing its `accepted` reply on
+    /// `outbox` — under the jobs lock and before `queued` is published, so
+    /// no event of the job can overtake the reply. `Err` carries the reply
+    /// frame to send instead (an `error` for a bad spec, a `rejected` for
+    /// a full queue).
+    fn submit(&self, spec: JobSpec, outbox: &Arc<Outbox>) -> Result<(), JsonValue> {
         let request = spec.build().map_err(|err| protocol::error(&err.message))?;
         let mut jobs = self.jobs();
         if jobs.queue.len() >= self.config.queue_capacity {
@@ -354,14 +471,22 @@ impl Shared {
         jobs.next_id += 1;
         // Every queued job runs before this one.
         let ahead = jobs.queue.len();
+        outbox.queue(|state| {
+            // The goodbye waits for this job's terminal event.
+            state.active += 1;
+            state.push(Outgoing::Reply(protocol::tagged(
+                "accepted",
+                vec![("job".to_owned(), id.into()), ("queued_ahead".to_owned(), ahead.into())],
+            )));
+        });
         // Register and publish `queued` *before* the queue push (still
         // under the jobs lock), so no executor can publish `running`
         // first.
-        self.events.register(id, events);
+        self.events.register(id, outbox);
         self.events.publish(id, protocol::event(id, "queued", vec![]));
         jobs.queue.push_back(Job { id, request });
         self.available.notify_one();
-        Ok((id, ahead))
+        Ok(())
     }
 }
 
@@ -433,11 +558,9 @@ impl Hub {
         let connections = proto::serve(
             &self.listener,
             || self.shared.stopping(),
-            move |connection| {
-                // A connection error affects one client only; the
-                // daemon keeps serving.
-                let _ = serve_connection(&shared, connection);
-            },
+            // A connection error affects one client only; the daemon
+            // keeps serving.
+            move |connection| serve_connection(&shared, connection),
         );
 
         // Graceful drain (also on a listener failure, so the executors
@@ -474,104 +597,102 @@ impl Hub {
     }
 }
 
-/// Serves one client connection. All socket writes happen here; the
-/// socket's short read timeout is what lets queued events and the stop
-/// flag be polled between frames.
-fn serve_connection(shared: &Arc<Shared>, connection: Connection) -> Result<(), Diagnostic> {
-    let Connection { mut reader, mut writer } = connection;
-    let (events_tx, events_rx): (Sender<JsonValue>, Receiver<JsonValue>) = mpsc::channel();
-    // Jobs this connection submitted that have not reached a terminal
-    // state; the goodbye frame waits for them.
-    let mut active = 0usize;
-    let io = |err: std::io::Error| Diagnostic::error(format!("connection write failed: {err}"));
+/// Serves one client connection: this thread reads requests, blocked on
+/// the socket with no timeout, and a writer thread sends what they and
+/// the connection's jobs queue on its outbox.
+fn serve_connection(shared: &Arc<Shared>, connection: Connection) {
+    let Connection { mut reader, writer } = connection;
+    // Nothing here waits on a read timeout: a stop reaches this reader
+    // as the writer's shutdown of the socket.
+    if writer.set_read_timeout(None).is_err() {
+        return;
+    }
+    let outbox = Arc::new(Outbox::default());
+    shared.events.connect(&outbox);
+    std::thread::scope(|scope| {
+        scope.spawn(|| write_outbox(shared, &outbox, writer));
+        read_requests(shared, &outbox, &mut reader);
+        outbox.close();
+    });
+}
+
+/// Answers requests until the peer hangs up (or the writer shut the
+/// socket down). A framing or JSON error is fatal to the connection; its
+/// `error` reply is the last frame queued.
+fn read_requests(shared: &Shared, outbox: &Arc<Outbox>, reader: &mut FrameReader<impl BufRead>) {
+    let reply = |frame: JsonValue| outbox.queue(|state| state.push(Outgoing::Reply(frame)));
     loop {
-        while let Ok(event) = events_rx.try_recv() {
-            let state = event.get("state").and_then(JsonValue::as_str);
-            if matches!(state, Some("done") | Some("failed") | Some("detached")) {
-                // `detached`: another connection took over this job's
-                // stream via `follow`; it no longer holds our goodbye.
-                active = active.saturating_sub(1);
+        let value = match reader.next_frame() {
+            Ok(Frame::Value(value)) => value,
+            // End of stream: with no read timeout, nothing else returns.
+            Ok(_) => return,
+            Err(err) => return reply(protocol::error(&err.message)),
+        };
+        match Request::from_json(&value) {
+            Err(err) => reply(protocol::error(&err.message)),
+            Ok(Request::Hello) => reply(shared.hello()),
+            Ok(Request::Status) => reply(shared.status()),
+            // The writer says goodbye once this connection's jobs drain.
+            Ok(Request::Shutdown) => shared.request_stop(),
+            Ok(Request::Submit { spec }) => {
+                if let Err(refusal) = shared.submit(*spec, outbox) {
+                    reply(refusal);
+                }
             }
-            write_frame_at("hub.event", &mut writer, &event).map_err(io)?;
-        }
-        if shared.stopping() && active == 0 {
-            let _ = write_frame(&mut writer, &protocol::tagged("shutting_down", vec![]));
-            return Ok(());
-        }
-        let frame = reader.next_frame().inspect_err(|err| {
-            // Framing/JSON errors are fatal to the connection; say why
-            // before hanging up (best effort — the peer may be gone).
-            let _ = write_frame(&mut writer, &protocol::error(&err.message));
-        })?;
-        match frame {
-            Frame::Idle => continue,
-            Frame::Eof => return Ok(()),
-            Frame::Value(value) => {
-                let reply = match Request::from_json(&value) {
-                    Err(err) => protocol::error(&err.message),
-                    Ok(Request::Hello) => shared.hello(),
-                    Ok(Request::Status) => shared.status(),
-                    Ok(Request::Shutdown) => {
-                        shared.request_stop();
-                        // The goodbye frame is sent (above) once this
-                        // connection's jobs drain.
-                        continue;
-                    }
-                    Ok(Request::Submit { spec }) => {
-                        match shared.submit(*spec, events_tx.clone()) {
-                            Err(reply) => reply,
-                            Ok((id, ahead)) => {
-                                active += 1;
-                                let accepted = protocol::tagged(
-                                    "accepted",
-                                    vec![
-                                        ("job".to_owned(), id.into()),
-                                        ("queued_ahead".to_owned(), ahead.into()),
-                                    ],
-                                );
-                                write_frame(&mut writer, &accepted).map_err(io)?;
-                                // The `queued` event (already published)
-                                // arrives through the events channel.
-                                continue;
-                            }
-                        }
-                    }
-                    Ok(Request::Follow { job }) => {
-                        match shared.events.follow(job, events_tx.clone()) {
-                            Err(reply) => reply,
-                            Ok(replay) => {
-                                let replayed_terminal = replay.iter().any(|event| {
-                                    matches!(
-                                        event.get("state").and_then(JsonValue::as_str),
-                                        Some("done") | Some("failed")
-                                    )
-                                });
-                                if !replayed_terminal {
-                                    // A live job: its terminal event will
-                                    // arrive on our channel; hold the
-                                    // goodbye for it.
-                                    active += 1;
-                                }
-                                let following = protocol::tagged(
-                                    "following",
-                                    vec![
-                                        ("job".to_owned(), job.into()),
-                                        ("replayed".to_owned(), replay.len().into()),
-                                    ],
-                                );
-                                write_frame(&mut writer, &following).map_err(io)?;
-                                for event in &replay {
-                                    write_frame_at("hub.event", &mut writer, event).map_err(io)?;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                write_frame(&mut writer, &reply).map_err(io)?;
+            Ok(Request::Follow { job }) => {
+                if let Err(refusal) = shared.events.follow(job, outbox) {
+                    reply(refusal);
+                }
             }
         }
     }
+}
+
+/// What a connection's writer does next.
+enum Next {
+    Send(Outgoing),
+    /// The hub is stopping and this connection's jobs have drained.
+    Goodbye,
+    /// The outbox closed and is empty.
+    Hangup,
+}
+
+/// The connection's writer: sends the outbox's frames as they are queued.
+/// It ends after the goodbye, once the outbox closes, or on a failed
+/// write — and always shuts the socket down, so the reader and the peer
+/// both see the hang-up.
+fn write_outbox(shared: &Shared, outbox: &Outbox, mut socket: TcpStream) {
+    loop {
+        let next = {
+            let mut state = outbox.state();
+            loop {
+                if let Some(frame) = state.frames.pop_front() {
+                    break Next::Send(frame);
+                }
+                if state.closed {
+                    break Next::Hangup;
+                }
+                if state.active == 0 && shared.stopping() {
+                    break Next::Goodbye;
+                }
+                state = outbox.ready.wait(state).expect("hub outbox poisoned");
+            }
+        };
+        let written = match next {
+            Next::Send(Outgoing::Reply(frame)) => write_frame(&mut socket, &frame),
+            Next::Send(Outgoing::Event(frame)) => write_frame_at("hub.event", &mut socket, &frame),
+            Next::Goodbye => {
+                let _ = write_frame(&mut socket, &protocol::tagged("shutting_down", vec![]));
+                break;
+            }
+            Next::Hangup => break,
+        };
+        if written.is_err() {
+            break;
+        }
+    }
+    outbox.close();
+    let _ = socket.shutdown(Shutdown::Both);
 }
 
 /// One executor: drains the queue until the hub stops.
@@ -682,47 +803,109 @@ mod tests {
         assert_eq!(job_budget(0, 1), 1);
     }
 
+    /// Takes every frame queued on `outbox`, as (is an event, frame).
+    fn sent(outbox: &Outbox) -> Vec<(bool, JsonValue)> {
+        let frames = std::mem::take(&mut outbox.state().frames);
+        frames
+            .into_iter()
+            .map(|frame| match frame {
+                Outgoing::Reply(frame) => (false, frame),
+                Outgoing::Event(frame) => (true, frame),
+            })
+            .collect()
+    }
+
+    fn state_of(frame: &JsonValue) -> Option<&str> {
+        frame.get("state").and_then(JsonValue::as_str)
+    }
+
     #[test]
     fn event_logs_replay_bounded_and_fail_unknown_follows() {
         let hub = EventHub::new(3);
-        let (tx, rx) = mpsc::channel();
-        hub.register(7, tx);
+        let first = Arc::new(Outbox::default());
+        hub.register(7, &first);
         for n in 0..5u64 {
             hub.publish(7, protocol::event(7, "progress", vec![("n".to_owned(), n.into())]));
         }
         // The live subscriber saw everything…
-        assert_eq!(rx.try_iter().count(), 5);
-        // …but the replay buffer keeps only the newest 3.
-        let (tx2, rx2) = mpsc::channel();
-        let replay = hub.follow(7, tx2).unwrap();
-        assert_eq!(replay.len(), 3);
-        assert_eq!(replay[0].get("n").and_then(JsonValue::as_u64), Some(2));
+        assert_eq!(sent(&first).len(), 5);
+        // …but the replay buffer keeps only the newest 3, behind the
+        // `following` reply.
+        let second = Arc::new(Outbox::default());
+        hub.follow(7, &second).unwrap();
+        let replay = sent(&second);
+        assert_eq!(replay.len(), 4);
+        assert_eq!(replay[0].1.get("type").and_then(JsonValue::as_str), Some("following"));
+        assert_eq!(replay[0].1.get("replayed").and_then(JsonValue::as_u64), Some(3));
+        assert!(replay[1..].iter().all(|(event, _)| *event), "a replay is events");
+        assert_eq!(replay[1].1.get("n").and_then(JsonValue::as_u64), Some(2));
         // The old subscriber was told it lost the stream (not buffered).
-        assert_eq!(rx.try_iter().count(), 1);
-        // New events reach the new subscriber only.
+        let told = sent(&first);
+        assert_eq!(told.len(), 1);
+        assert_eq!(state_of(&told[0].1), Some("detached"));
+        // New events reach the new subscriber only; the terminal one
+        // releases the goodbye the follow held.
+        assert_eq!(second.state().active, 1);
         hub.publish(7, protocol::event(7, "done", vec![]));
-        assert_eq!(rx2.try_iter().count(), 1);
-        assert_eq!(rx.try_iter().count(), 0);
-        // A terminal job stays followable; an unknown one blames `job`.
-        let (tx3, _rx3) = mpsc::channel();
-        assert!(hub.follow(7, tx3).is_ok());
-        let (tx4, _rx4) = mpsc::channel();
-        let err = hub.follow(99, tx4).unwrap_err();
+        assert_eq!(sent(&second).len(), 1);
+        assert_eq!(second.state().active, 0);
+        assert!(sent(&first).is_empty());
+        // A terminal job stays followable, and its replayed terminal
+        // event holds no goodbye; an unknown one blames `job`.
+        let third = Arc::new(Outbox::default());
+        assert!(hub.follow(7, &third).is_ok());
+        assert_eq!(third.state().active, 0);
+        let err = hub.follow(99, &Arc::new(Outbox::default())).unwrap_err();
         assert_eq!(err.get("type").and_then(JsonValue::as_str), Some("error"));
         assert!(err.get("reason").and_then(JsonValue::as_str).unwrap().contains("job"));
+    }
+
+    /// A connection that follows its own job gets the `following` reply
+    /// and the replay before the `detached` event that ends its first
+    /// subscription.
+    #[test]
+    fn a_follow_replays_before_it_detaches() {
+        let hub = EventHub::new(8);
+        let outbox = Arc::new(Outbox::default());
+        outbox.state().active = 1; // what `submit` holds
+        hub.register(3, &outbox);
+        hub.publish(3, protocol::event(3, "queued", vec![]));
+        sent(&outbox);
+        hub.follow(3, &outbox).unwrap();
+        let frames = sent(&outbox);
+        let order: Vec<&str> = frames
+            .iter()
+            .map(|(_, frame)| {
+                state_of(frame).or(frame.get("type").and_then(JsonValue::as_str)).unwrap()
+            })
+            .collect();
+        assert_eq!(order, ["following", "queued", "detached"]);
+        assert_eq!(outbox.state().active, 1, "still waiting for the job's terminal event");
+    }
+
+    #[test]
+    fn a_closed_outbox_queues_nothing() {
+        let hub = EventHub::new(4);
+        let outbox = Arc::new(Outbox::default());
+        hub.register(1, &outbox);
+        outbox.close();
+        hub.publish(1, protocol::event(1, "queued", vec![]));
+        assert!(sent(&outbox).is_empty());
+        // The replay buffer still has it, for a `follow`.
+        let late = Arc::new(Outbox::default());
+        hub.follow(1, &late).unwrap();
+        assert_eq!(sent(&late).len(), 2);
     }
 
     #[test]
     fn finished_job_logs_are_evicted_beyond_the_retention_window() {
         let hub = EventHub::new(4);
         for id in 0..(RETAINED_FINISHED as u64 + 5) {
-            let (tx, _rx) = mpsc::channel();
-            hub.register(id, tx);
+            hub.register(id, &Arc::new(Outbox::default()));
             hub.publish(id, protocol::event(id, "done", vec![]));
         }
-        let (tx, _rx) = mpsc::channel();
-        assert!(hub.follow(0, tx).is_err(), "oldest finished job evicted");
-        let (tx, _rx) = mpsc::channel();
-        assert!(hub.follow(RETAINED_FINISHED as u64 + 4, tx).is_ok(), "newest retained");
+        let outbox = Arc::new(Outbox::default());
+        assert!(hub.follow(0, &outbox).is_err(), "oldest finished job evicted");
+        assert!(hub.follow(RETAINED_FINISHED as u64 + 4, &outbox).is_ok(), "newest retained");
     }
 }

@@ -406,3 +406,69 @@ fn oversized_and_too_deep_frames_fail_the_connection_not_the_hub() {
     client.shutdown().expect("shutdown");
     hub.join().unwrap();
 }
+
+/// A hub job costs its work, not a timer: a job served wholly from the
+/// cache reaches `done` as soon as its events are published. (Events
+/// used to go out only between 50 ms socket reads, so every job took at
+/// least that long.)
+#[test]
+fn a_cached_job_is_done_without_waiting_on_a_timer() {
+    let (addr, hub) = start_hub(HubConfig { workers: 1, sim_workers: 1, ..HubConfig::default() });
+    let spec = JobSpec {
+        dims: Some((8, 8, 8)),
+        accels: vec!["v4_8".to_owned()],
+        seed: Some(7),
+        ..JobSpec::default()
+    };
+    let mut client = HubClient::connect(&addr).expect("connect");
+    client.run(&spec, &mut |_| ()).expect("the job that fills the cache");
+    let mut samples: Vec<std::time::Duration> = (0..10)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let report = client.run(&spec, &mut |_| ()).expect("repeat job");
+            assert_eq!(report.sims_performed, 0, "a repeat is all cache hits");
+            started.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(25),
+        "submit to done took {median:?} in the median: {samples:?}"
+    );
+    client.shutdown().expect("shutdown");
+    hub.join().unwrap();
+}
+
+/// The engine's private seed bound (`KEPT_SEEDS` in `core::explore`).
+const KEPT_SEEDS: usize = 8;
+
+/// A long-lived hub holds the seeds its clients sweep, not every job it
+/// has run: fresh-seed jobs past the bound evict the oldest seed's
+/// entries, and the newest seeds stay cached.
+#[test]
+fn fresh_seed_jobs_leave_the_cache_bounded() {
+    let (addr, hub) = start_hub(HubConfig { workers: 1, sim_workers: 1, ..HubConfig::default() });
+    let spec = |seed| JobSpec {
+        dims: Some((8, 8, 8)),
+        accels: vec!["v4_8".to_owned()],
+        seed: Some(seed),
+        ..JobSpec::default()
+    };
+    let mut client = HubClient::connect(&addr).expect("connect");
+    let entries =
+        |client: &mut HubClient| count(&client.status().expect("status"), "cache_entries");
+    client.run(&spec(1), &mut |_| ()).expect("first job");
+    let per_seed = entries(&mut client);
+    assert!(per_seed > 0);
+    let jobs = 3 * KEPT_SEEDS as u64;
+    for seed in 2..=jobs {
+        client.run(&spec(seed), &mut |_| ()).expect("fresh-seed job");
+        assert!(entries(&mut client) <= KEPT_SEEDS * per_seed, "after seed {seed}");
+    }
+    assert_eq!(entries(&mut client), KEPT_SEEDS * per_seed);
+    let newest = client.run(&spec(jobs), &mut |_| ()).expect("the newest seed again");
+    assert_eq!(newest.sims_performed, 0, "the newest seeds stay cached");
+    client.shutdown().expect("shutdown");
+    hub.join().unwrap();
+}

@@ -11,8 +11,8 @@
 //! - [`FrameReader`] accumulates bytes from any [`BufRead`] into frames,
 //!   tolerating *timeouts*: a socket with a read timeout surfaces
 //!   [`Frame::Idle`] instead of an error, and a partially received line
-//!   stays buffered until the rest arrives. That is what lets a server
-//!   poll a shutdown flag between reads without dropping bytes.
+//!   stays buffered until the rest arrives. That is what lets a worker
+//!   notice a stop against a silent peer without dropping bytes.
 //!
 //! Blank lines are ignored (a `nc` user pressing return twice should not
 //! kill the connection), and EOF with a non-empty trailing line still
@@ -28,14 +28,17 @@
 //! plan installed it is [`write_frame`] plus one atomic load.
 //!
 //! The socket side lives here too, once: [`bind`] opens a daemon's
-//! listener, [`serve`] is the polling accept loop (one thread per
-//! connection), and [`Connection::open`] is the socket setup every
-//! protocol endpoint — accepted or dialed — goes through. The two
-//! polling floors of the stack, `ACCEPT_POLL` and `READ_TIMEOUT`,
-//! are defined here and nowhere else.
+//! listener, [`serve`] is the accept loop (one thread per connection),
+//! and [`Connection::open`] is the socket setup every protocol endpoint
+//! — accepted or dialed — goes through. Nothing on a request's path
+//! waits on a timer: `serve` blocks until a connection arrives, and a
+//! read returns when its frame does. The one deadline here,
+//! `STOP_DEADLINE`, bounds only how late a bare stop-flag store is
+//! noticed by an idle listener or a worker's silent peer.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -205,14 +208,14 @@ impl<R: BufRead> FrameReader<R> {
 /// stack produces (a ~22 KiB `done` event carrying a full report).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// How long [`serve`] sleeps when no connection is pending before it
-/// polls the listener and its stop condition again.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// The read timeout of every protocol socket: a reader blocked on a
-/// silent peer surfaces [`Frame::Idle`] this often, which is when
-/// daemons forward queued events and look at their stop flags.
-const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// How late a bare store to a stop flag may be noticed: the longest an
+/// idle [`serve`] waits for a connection before it looks at its stop
+/// condition again, and the read timeout of every protocol socket, after
+/// which a reader blocked on a silent peer surfaces [`Frame::Idle`]. A
+/// connection or a frame that arrives is handled at once; this deadline
+/// never delays one. (The hub clears the timeout on its connections: its
+/// stop shuts their sockets down.)
+const STOP_DEADLINE: Duration = Duration::from_millis(50);
 
 /// One protocol connection: the framed read half and the write half of
 /// a TCP stream.
@@ -226,17 +229,15 @@ pub struct Connection {
 
 impl Connection {
     /// Sets up a connected socket — accepted or dialed — for the frame
-    /// protocol: blocking reads that time out every `READ_TIMEOUT`
-    /// (an accepted socket inherits the polling listener's non-blocking
-    /// mode), `TCP_NODELAY` (frames are small and latency-bound), and a
-    /// cloned write half.
+    /// protocol: blocking reads that time out every `STOP_DEADLINE`,
+    /// `TCP_NODELAY` (frames are small and latency-bound), and a cloned
+    /// write half.
     ///
     /// # Errors
     ///
     /// Propagates the socket-option and clone errors.
     pub fn open(stream: TcpStream) -> io::Result<Connection> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        stream.set_read_timeout(Some(STOP_DEADLINE))?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Connection { reader: FrameReader::new(BufReader::new(stream)), writer })
@@ -258,13 +259,56 @@ pub fn bind(addr: &str) -> Result<(TcpListener, SocketAddr), Diagnostic> {
     Ok((listener, local))
 }
 
+/// `poll(2)`'s descriptor record.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 1;
+
+// `poll` comes from libc, which every Rust binary already links; an
+// inline declaration avoids a dependency the build image lacks.
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+}
+
+/// Blocks until `listener` has a connection to accept (`true`) or
+/// `timeout` passes (`false`).
+fn wait_readable(listener: &TcpListener, timeout: Duration) -> io::Result<bool> {
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    // SAFETY: `poll` is the C library's, declared with its ABI; it reads
+    // and writes exactly the one `PollFd` it is given, which lives
+    // across the call, and `fd` stays open because `listener` is
+    // borrowed for it.
+    let ready = unsafe { poll(&mut fd, 1, timeout.as_millis() as i32) };
+    match ready {
+        -1 => {
+            let err = io::Error::last_os_error();
+            // A signal (SIGTERM) landed: the caller looks at its stop
+            // condition sooner, which is what the signal asked for.
+            if err.kind() == io::ErrorKind::Interrupted {
+                Ok(false)
+            } else {
+                Err(err)
+            }
+        }
+        0 => Ok(false),
+        _ => Ok(true),
+    }
+}
+
 /// The accept loop: until `stopping()` holds, every accepted socket is
 /// [`Connection::open`]ed and handed to `on_connection` on a thread of
 /// its own (a socket whose setup fails is dropped — that affects one
-/// peer only). Returns the handles of the connections still live, *not
-/// joined*: the caller decides what must happen before it waits for
-/// them (the hub drains its executors and fails leftover jobs first, so
-/// connections have terminal events to forward).
+/// peer only). A connection is accepted the moment it arrives; an idle
+/// loop looks at `stopping()` every `STOP_DEADLINE`. Returns the
+/// handles of the connections still live, *not joined*: the caller
+/// decides what must happen before it waits for them (the hub drains its
+/// executors and fails leftover jobs first, so connections have terminal
+/// events to forward).
 ///
 /// # Errors
 ///
@@ -277,25 +321,25 @@ pub fn serve<F>(
 where
     F: Fn(Connection) + Send + Sync + 'static,
 {
-    listener
-        .set_nonblocking(true)
-        .map_err(|err| Diagnostic::error(format!("cannot poll the listener: {err}")))?;
+    let failed = |err: io::Error| Diagnostic::error(format!("listener failed: {err}"));
     let on_connection = Arc::new(on_connection);
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !stopping() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let on_connection = Arc::clone(&on_connection);
-                connections.push(std::thread::spawn(move || {
-                    if let Ok(connection) = Connection::open(stream) {
-                        on_connection(connection);
-                    }
-                }));
-                connections.retain(|handle| !handle.is_finished());
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(err) => return Err(Diagnostic::error(format!("listener failed: {err}"))),
+        if !wait_readable(listener, STOP_DEADLINE).map_err(failed)? {
+            continue;
         }
+        let (stream, _) = match listener.accept() {
+            Ok(accepted) => accepted,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(failed(err)),
+        };
+        let on_connection = Arc::clone(&on_connection);
+        connections.push(std::thread::spawn(move || {
+            if let Ok(connection) = Connection::open(stream) {
+                on_connection(connection);
+            }
+        }));
+        connections.retain(|handle| !handle.is_finished());
     }
     Ok(connections)
 }

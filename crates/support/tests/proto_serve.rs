@@ -38,7 +38,7 @@ fn serve_hands_connections_out_and_live_handles_back() {
     write_frame(&mut peer.writer, &ping).unwrap();
     let echoed = loop {
         match peer.reader.next_frame().unwrap() {
-            Frame::Idle => continue, // READ_TIMEOUT ticks, never an error
+            Frame::Idle => continue, // STOP_DEADLINE ticks, never an error
             frame => break frame,
         }
     };
@@ -108,4 +108,84 @@ fn a_newline_less_stream_is_refused_and_the_loop_keeps_serving() {
     for handle in serving.join().unwrap().unwrap() {
         handle.join().unwrap();
     }
+}
+
+/// Starts [`proto::serve`] with a frame-echoing handler; returns the
+/// bound address, the stop flag, and the serving thread.
+fn echo_server() -> (
+    std::net::SocketAddr,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>,
+) {
+    let (listener, addr) = proto::bind("127.0.0.1:0").unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let polled = Arc::clone(&stop);
+    let serving = std::thread::spawn(move || {
+        proto::serve(
+            &listener,
+            || polled.load(Ordering::SeqCst),
+            |mut connection| loop {
+                match connection.reader.next_frame() {
+                    Ok(Frame::Value(value)) => {
+                        if write_frame(&mut connection.writer, &value).is_err() {
+                            return;
+                        }
+                    }
+                    Ok(Frame::Idle) => continue,
+                    Ok(Frame::Eof) | Err(_) => return,
+                }
+            },
+        )
+        .unwrap()
+    });
+    (addr, stop, serving)
+}
+
+/// A connection is accepted the moment it arrives: no accept loop sleeps
+/// between looks at the listener. (With a 25 ms sleep between polls, the
+/// median connect-to-first-echo was about half of it.)
+#[test]
+fn a_fresh_connection_is_served_without_waiting_on_a_timer() {
+    let (addr, stop, serving) = echo_server();
+    let ping = JsonValue::object([("n".to_owned(), 3u64.into())]);
+    let mut samples: Vec<std::time::Duration> = (0..10)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let mut peer = Connection::open(TcpStream::connect(addr).unwrap()).unwrap();
+            write_frame(&mut peer.writer, &ping).unwrap();
+            loop {
+                match peer.reader.next_frame().unwrap() {
+                    Frame::Idle => continue,
+                    frame => break assert_eq!(frame, Frame::Value(ping.clone())),
+                }
+            }
+            started.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "connect to first echo took {median:?} in the median: {samples:?}"
+    );
+    stop.store(true, Ordering::SeqCst);
+    for handle in serving.join().unwrap() {
+        handle.join().unwrap();
+    }
+}
+
+/// The stop flag is a bare store nothing notifies (a signal handler sets
+/// it): an idle `serve` still notices it within its bounded wait, with no
+/// connection arriving to wake it.
+#[test]
+fn serve_returns_after_a_bare_flag_store_with_no_connection() {
+    let (_addr, stop, serving) = echo_server();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    stop.store(true, Ordering::SeqCst);
+    let (returned_tx, returned_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || returned_tx.send(serving.join().unwrap()).unwrap());
+    let live = returned_rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("serve returns within its stop deadline after the flag is raised");
+    assert!(live.is_empty(), "no connection was ever accepted");
 }
