@@ -14,6 +14,12 @@
 //! The models perform real wrapping `i32` arithmetic and charge compute
 //! cycles at the Table I throughput (OPs/cycle), where one MAC counts as two
 //! OPs (multiply + add), matching how the paper reports `OPs/Cycle`.
+//!
+//! The tile product (`mac_into`) is the simulator's own hot loop, so it is
+//! register-blocked by columns and its one body is compiled twice: portable,
+//! and with AVX2 enabled. Each product asks `is_x86_feature_detected!`
+//! (a cached flag) which to call; that call is this crate's one `unsafe`.
+//! Wrapping arithmetic makes both — and any summation order — exact.
 
 use axi4mlir_sim::axi::{AxiStreamFifo, StreamAccelerator};
 use axi4mlir_sim::counters::PerfCounters;
@@ -139,16 +145,67 @@ pub struct MatMulAccel {
 }
 
 /// `acc += A x B` for a row-major `tM x tK` tile `a` and `tK x tN` tile
-/// `b` into a row-major `tM x tN` tile `acc`, walking every operand by
-/// rows. Wrapping `i32` arithmetic is exact mod 2^32, so the summation
-/// order does not change the result.
+/// `b` into a row-major `tM x tN` tile `acc`. Wrapping `i32` arithmetic is
+/// exact mod 2^32, so the summation order does not change the result.
+///
+/// One body, [`mac_body`], compiled twice: portable, and — on an x86-64
+/// host that has AVX2, checked once per call — with 256-bit vectors.
 fn mac_into(acc: &mut [i32], a: &[i32], b: &[i32], tn: usize, tk: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `mac_avx2` needs only AVX2, which this CPU was just found to have.
+        return unsafe { mac_avx2(acc, a, b, tn, tk) };
+    }
+    mac_body(acc, a, b, tn, tk);
+}
+
+/// [`mac_body`] compiled for AVX2; calling it is sound only on a CPU
+/// that has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mac_avx2(acc: &mut [i32], a: &[i32], b: &[i32], tn: usize, tk: usize) {
+    mac_body(acc, a, b, tn, tk);
+}
+
+/// Register-blocked product: each row of `acc` is built in column blocks
+/// of 16, then 8, then 4, then single columns (the remainder), so any `tN`
+/// works. A block's sums stay in registers for the whole `k` loop, so each
+/// `acc` word is loaded and stored once per product rather than once per
+/// `k`.
+#[inline(always)]
+fn mac_body(acc: &mut [i32], a: &[i32], b: &[i32], tn: usize, tk: usize) {
     for (acc_row, a_row) in acc.chunks_exact_mut(tn).zip(a.chunks_exact(tk)) {
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(tn)) {
-            for (slot, &bv) in acc_row.iter_mut().zip(b_row) {
-                *slot = slot.wrapping_add(av.wrapping_mul(bv));
-            }
+        let mut col = 0;
+        while col + 16 <= tn {
+            mac_block::<16>(acc_row, a_row, b, tn, col);
+            col += 16;
         }
+        if col + 8 <= tn {
+            mac_block::<8>(acc_row, a_row, b, tn, col);
+            col += 8;
+        }
+        if col + 4 <= tn {
+            mac_block::<4>(acc_row, a_row, b, tn, col);
+            col += 4;
+        }
+        for col in col..tn {
+            mac_block::<1>(acc_row, a_row, b, tn, col);
+        }
+    }
+}
+
+/// `acc_row[col..col + W] += a_row x b[.., col..col + W]`.
+#[inline(always)]
+fn mac_block<const W: usize>(acc_row: &mut [i32], a_row: &[i32], b: &[i32], tn: usize, col: usize) {
+    let mut sums = [0i32; W];
+    for (&av, b_row) in a_row.iter().zip(b.chunks_exact(tn)) {
+        let b_block: &[i32; W] = b_row[col..col + W].try_into().expect("W columns");
+        for (sum, &bv) in sums.iter_mut().zip(b_block) {
+            *sum = sum.wrapping_add(av.wrapping_mul(bv));
+        }
+    }
+    for (slot, sum) in acc_row[col..col + W].iter_mut().zip(sums) {
+        *slot = slot.wrapping_add(sum);
     }
 }
 
@@ -386,6 +443,53 @@ mod tests {
             }
         }
         c
+    }
+
+    /// Deterministic words spanning the whole `i32` range, so products wrap.
+    fn words(rng: &mut proptest::TestRng, n: usize) -> Vec<i32> {
+        (0..n).map(|_| rng.next_u64() as i32).collect()
+    }
+
+    /// `mac_into` (the dispatching entry) and `mac_body` (the portable
+    /// body) both equal `acc + ref_matmul` for the given shape.
+    fn check_mac(tm: usize, tn: usize, tk: usize, seed: u64) {
+        let mut rng = proptest::TestRng::new(seed);
+        let (a, b, acc) =
+            (words(&mut rng, tm * tk), words(&mut rng, tk * tn), words(&mut rng, tm * tn));
+        let product = ref_matmul(&a, &b, tm, tn, tk);
+        let want: Vec<i32> = acc.iter().zip(&product).map(|(x, p)| x.wrapping_add(*p)).collect();
+        let mut dispatched = acc.clone();
+        mac_into(&mut dispatched, &a, &b, tn, tk);
+        assert_eq!(dispatched, want, "mac_into at {tm}x{tn}x{tk}");
+        let mut portable = acc;
+        mac_body(&mut portable, &a, &b, tn, tk);
+        assert_eq!(portable, want, "mac_body at {tm}x{tn}x{tk}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any tile the v4 holds: `tN` mostly off the 16/8/4 block widths.
+        #[test]
+        fn mac_matches_naive_product(
+            tm in 1usize..=96,
+            tn in 1usize..=96,
+            tk in 1usize..=64,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            proptest::prop_assume!(
+                (tm * tk + tk * tn + tm * tn) as u64 <= V4_CAPACITY_WORDS
+            );
+            check_mac(tm, tn, tk, seed);
+        }
+    }
+
+    #[test]
+    fn mac_covers_every_remainder_width() {
+        for tn in 1..=40 {
+            check_mac(3, tn, 5, tn as u64);
+        }
+        check_mac(128, 32, 32, 1); // the Fig. 14 `Best` shape, at capacity
     }
 
     #[test]

@@ -19,9 +19,15 @@
 //!   indexed by `ValueId` instead of a `HashMap`, and error construction
 //!   sits behind `#[cold]` builders so the success path never formats a
 //!   string.
+//! - **Borrowed operands** — ops read memref descriptors in place from
+//!   the frame while they charge the SoC, and a `memref.subview` writes
+//!   over its result slot's previous descriptor, reusing its buffers.
 //! - **Reusable scratch** — [`InterpScratch`] owns the frame and opcode
 //!   buffers so a driver `Session` can keep their capacity warm across
-//!   `Soc::recycle`; steady-state sweep runs allocate nothing here.
+//!   `Soc::recycle`. A steady-state sweep run allocates here once per
+//!   `memref.alloc` and on a subview's first execution, never per loop
+//!   iteration: a warm run allocates as often at 64³ as at 32³
+//!   (`crates/core/tests/run_allocations.rs`).
 
 use axi4mlir_dialects::{accel, linalg};
 use axi4mlir_ir::attrs::Attribute;
@@ -109,7 +115,7 @@ enum OpCode {
 /// their capacity warm so steady-state sweeps allocate nothing per run.
 #[derive(Debug, Default)]
 pub struct InterpScratch {
-    slots: Vec<Option<RtValue>>,
+    frame: Frame,
     codes: Vec<OpCode>,
 }
 
@@ -127,8 +133,16 @@ struct Interpreter<'a> {
     pub soc: &'a mut Soc,
     /// Staging copy strategy for DMA-library calls (the Fig. 12 toggle).
     pub copy_strategy: CopyStrategy,
-    env: Vec<Option<RtValue>>,
+    env: Frame,
     codes: Vec<OpCode>,
+}
+
+/// The dense value frame: one slot per `ValueId` of the module. Its
+/// accessors borrow from the frame alone, so an op can hold an operand's
+/// descriptor while it charges the SoC.
+#[derive(Debug, Default)]
+struct Frame {
+    slots: Vec<Option<RtValue>>,
 }
 
 /// Runs `func_name` from `module` with the given arguments.
@@ -167,11 +181,11 @@ pub fn run_func_with_scratch(
     let mut interp = Interpreter {
         soc,
         copy_strategy,
-        env: std::mem::take(&mut scratch.slots),
+        env: std::mem::take(&mut scratch.frame),
         codes: std::mem::take(&mut scratch.codes),
     };
     let result = interp.run(&module.ctx, func, args);
-    scratch.slots = std::mem::take(&mut interp.env);
+    scratch.frame = std::mem::take(&mut interp.env);
     scratch.codes = std::mem::take(&mut interp.codes);
     result
 }
@@ -314,62 +328,33 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
     })
 }
 
-impl<'a> Interpreter<'a> {
-    /// Executes a `func.func` op with the given arguments.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_func`].
-    fn run(&mut self, ctx: &IrCtx, func: OpId, args: Vec<RtValue>) -> Result<(), InterpError> {
-        let mut codes = std::mem::take(&mut self.codes);
-        build_table(ctx, &mut codes);
-        self.env.clear();
-        self.env.resize(ctx.value_count(), None);
-
-        let result = sole_body(ctx, func).and_then(|entry| {
-            let params = &ctx.block(entry).args;
-            if params.len() != args.len() {
-                return Err(bad_arg_count(params.len(), args.len()));
-            }
-            for (p, a) in params.iter().zip(args) {
-                self.env[p.index()] = Some(a);
-            }
-            self.exec_block(ctx, &codes, entry)
-        });
-        self.codes = codes;
-        result
-    }
-
+impl Frame {
     fn get(&self, v: ValueId) -> Result<&RtValue, InterpError> {
-        match self.env.get(v.index()) {
+        match self.slots.get(v.index()) {
             Some(Some(value)) => Ok(value),
             _ => Err(undefined_value(v)),
         }
     }
 
-    fn get_index(&self, v: ValueId) -> Result<i64, InterpError> {
+    fn index(&self, v: ValueId) -> Result<i64, InterpError> {
         match self.get(v)?.as_index() {
             Some(i) => Ok(i),
             None => Err(not_a(v, "an index")),
         }
     }
 
-    fn get_int_any(&self, v: ValueId) -> Result<i64, InterpError> {
+    fn int_any(&self, v: ValueId) -> Result<i64, InterpError> {
         match self.get(v)?.as_int_any() {
             Some(i) => Ok(i),
             None => Err(not_a(v, "an integer")),
         }
     }
 
-    fn get_memref(&self, v: ValueId) -> Result<MemRefDesc, InterpError> {
+    fn memref(&self, v: ValueId) -> Result<&MemRefDesc, InterpError> {
         match self.get(v)?.as_memref() {
-            Some(d) => Ok(d.clone()),
+            Some(d) => Ok(d),
             None => Err(not_a(v, "a memref")),
         }
-    }
-
-    fn set(&mut self, op: OpId, ctx: &IrCtx, index: usize, value: RtValue) {
-        self.env[ctx.result(op, index).index()] = Some(value);
     }
 
     /// Resolves `memref[indices...]` without cloning the descriptor:
@@ -379,21 +364,50 @@ impl<'a> Interpreter<'a> {
         memref: ValueId,
         index_operands: &[ValueId],
     ) -> Result<(SimAddr, ElemType), InterpError> {
-        let Some(desc) = self.get(memref)?.as_memref() else {
-            return Err(not_a(memref, "a memref"));
-        };
+        let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
         if index_operands.len() <= MAX_RANK {
             let n = index_operands.len();
             for (slot, v) in buf[..n].iter_mut().zip(index_operands) {
-                *slot = self.get_index(*v)?;
+                *slot = self.index(*v)?;
             }
             Ok((desc.elem_addr(&buf[..n]), desc.elem))
         } else {
             let indices: Vec<i64> =
-                index_operands.iter().map(|v| self.get_index(*v)).collect::<Result<_, _>>()?;
+                index_operands.iter().map(|v| self.index(*v)).collect::<Result<_, _>>()?;
             Ok((desc.elem_addr(&indices), desc.elem))
         }
+    }
+}
+
+impl<'a> Interpreter<'a> {
+    /// Executes a `func.func` op with the given arguments.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_func`].
+    fn run(&mut self, ctx: &IrCtx, func: OpId, args: Vec<RtValue>) -> Result<(), InterpError> {
+        let mut codes = std::mem::take(&mut self.codes);
+        build_table(ctx, &mut codes);
+        self.env.slots.clear();
+        self.env.slots.resize(ctx.value_count(), None);
+
+        let result = sole_body(ctx, func).and_then(|entry| {
+            let params = &ctx.block(entry).args;
+            if params.len() != args.len() {
+                return Err(bad_arg_count(params.len(), args.len()));
+            }
+            for (p, a) in params.iter().zip(args) {
+                self.env.slots[p.index()] = Some(a);
+            }
+            self.exec_block(ctx, &codes, entry)
+        });
+        self.codes = codes;
+        result
+    }
+
+    fn set(&mut self, op: OpId, ctx: &IrCtx, index: usize, value: RtValue) {
+        self.env.slots[ctx.result(op, index).index()] = Some(value);
     }
 
     fn exec_block(
@@ -422,7 +436,7 @@ impl<'a> Interpreter<'a> {
                 let add = *add;
                 self.soc.charge_arith(1);
                 let operands = &ctx.op(op).operands;
-                let rt = match (self.get(operands[0])?, self.get(operands[1])?) {
+                let rt = match (self.env.get(operands[0])?, self.env.get(operands[1])?) {
                     (RtValue::Index(a), RtValue::Index(b)) => {
                         RtValue::Index(if add { a + b } else { a * b })
                     }
@@ -437,11 +451,11 @@ impl<'a> Interpreter<'a> {
                 let add = *add;
                 self.soc.charge_arith(1);
                 let operands = &ctx.op(op).operands;
-                let a = match self.get(operands[0])? {
+                let a = match self.env.get(operands[0])? {
                     RtValue::F32(v) => *v,
                     _ => return Err(type_mismatch("addf lhs")),
                 };
-                let b = match self.get(operands[1])? {
+                let b = match self.env.get(operands[1])? {
                     RtValue::F32(v) => *v,
                     _ => return Err(type_mismatch("addf rhs")),
                 };
@@ -449,20 +463,20 @@ impl<'a> Interpreter<'a> {
             }
             OpCode::CastToIndex => {
                 self.soc.charge_arith(1);
-                let v = self.get_int_any(ctx.op(op).operands[0])?;
+                let v = self.env.int_any(ctx.op(op).operands[0])?;
                 self.set(op, ctx, 0, RtValue::Index(v));
             }
             OpCode::CastToI32 => {
                 self.soc.charge_arith(1);
-                let v = self.get_int_any(ctx.op(op).operands[0])?;
+                let v = self.env.int_any(ctx.op(op).operands[0])?;
                 self.set(op, ctx, 0, RtValue::I32(v as i32));
             }
             OpCode::For { body, iv } => {
                 let (body, iv) = (*body, *iv);
                 let operands = &ctx.op(op).operands;
-                let lb = self.get_index(operands[0])?;
-                let ub = self.get_index(operands[1])?;
-                let step = self.get_index(operands[2])?;
+                let lb = self.env.index(operands[0])?;
+                let ub = self.env.index(operands[1])?;
+                let step = self.env.index(operands[2])?;
                 if step <= 0 {
                     return Err(other("scf.for step must be positive"));
                 }
@@ -471,7 +485,7 @@ impl<'a> Interpreter<'a> {
                     // Compiled loop overhead: compare + increment + branch.
                     self.soc.charge_arith(2);
                     self.soc.charge_branch(1);
-                    self.env[iv.index()] = Some(RtValue::Index(i));
+                    self.env.slots[iv.index()] = Some(RtValue::Index(i));
                     self.exec_block(ctx, codes, body)?;
                     i += step;
                 }
@@ -485,32 +499,41 @@ impl<'a> Interpreter<'a> {
             }
             OpCode::Subview { sizes } => {
                 let operands = &ctx.op(op).operands;
-                let view = {
-                    let Some(source) = self.get(operands[0])?.as_memref() else {
-                        return Err(not_a(operands[0], "a memref"));
-                    };
-                    let mut buf = [0i64; MAX_RANK];
-                    if operands.len() - 1 <= MAX_RANK {
-                        let n = operands.len() - 1;
-                        for (slot, v) in buf[..n].iter_mut().zip(&operands[1..]) {
-                            *slot = self.get_index(*v)?;
-                        }
-                        source.subview(&buf[..n], sizes)
-                    } else {
-                        let offsets: Vec<i64> = operands[1..]
-                            .iter()
-                            .map(|v| self.get_index(*v))
-                            .collect::<Result<_, _>>()?;
-                        source.subview(&offsets, sizes)
-                    }
+                // The result slot's last descriptor lends its buffers, so a
+                // subview re-taken in a loop allocates nothing.
+                let result = ctx.result(op, 0).index();
+                let mut view = match self.env.slots[result].take() {
+                    Some(RtValue::MemRef(view)) => view,
+                    _ => MemRefDesc {
+                        base: SimAddr(0),
+                        offset: 0,
+                        sizes: Vec::new(),
+                        strides: Vec::new(),
+                        elem: ElemType::I32,
+                    },
                 };
+                let source = self.env.memref(operands[0])?;
+                let mut buf = [0i64; MAX_RANK];
+                if operands.len() - 1 <= MAX_RANK {
+                    let n = operands.len() - 1;
+                    for (slot, v) in buf[..n].iter_mut().zip(&operands[1..]) {
+                        *slot = self.env.index(*v)?;
+                    }
+                    source.subview_into(&buf[..n], sizes, &mut view);
+                } else {
+                    let offsets: Vec<i64> = operands[1..]
+                        .iter()
+                        .map(|v| self.env.index(*v))
+                        .collect::<Result<_, _>>()?;
+                    source.subview_into(&offsets, sizes, &mut view);
+                }
                 // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
                 self.soc.charge_arith(2 * sizes.len() as u64);
-                self.set(op, ctx, 0, RtValue::MemRef(view));
+                self.env.slots[result] = Some(RtValue::MemRef(view));
             }
             OpCode::Load => {
                 let operands = &ctx.op(op).operands;
-                let (addr, elem) = self.addressed_elem(operands[0], &operands[1..])?;
+                let (addr, elem) = self.env.addressed_elem(operands[0], &operands[1..])?;
                 self.soc.charge_arith((operands.len() - 1) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Read);
                 let rt = match elem {
@@ -521,10 +544,10 @@ impl<'a> Interpreter<'a> {
             }
             OpCode::Store => {
                 let operands = &ctx.op(op).operands;
-                let (addr, _) = self.addressed_elem(operands[1], &operands[2..])?;
+                let (addr, _) = self.env.addressed_elem(operands[1], &operands[2..])?;
                 self.soc.charge_arith((operands.len() - 2) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Write);
-                let word = match self.get(operands[0])? {
+                let word = match self.env.get(operands[0])? {
                     RtValue::I32(v) => *v as u32,
                     RtValue::F32(v) => v.to_bits(),
                     RtValue::Index(v) => *v as i32 as u32,
@@ -535,30 +558,24 @@ impl<'a> Interpreter<'a> {
             OpCode::Dim(dim) => {
                 let dim = *dim;
                 let operands = &ctx.op(op).operands;
-                let size = {
-                    let Some(desc) = self.get(operands[0])?.as_memref() else {
-                        return Err(not_a(operands[0], "a memref"));
-                    };
-                    match desc.sizes.get(dim as usize) {
-                        Some(size) => *size,
-                        None => return Err(dim_out_of_range(dim)),
-                    }
+                let Some(&size) = self.env.memref(operands[0])?.sizes.get(dim as usize) else {
+                    return Err(dim_out_of_range(dim));
                 };
                 self.set(op, ctx, 0, RtValue::Index(size));
             }
             OpCode::CpuMatMul => {
                 let operands = &ctx.op(op).operands;
-                let a = self.get_memref(operands[0])?;
-                let b = self.get_memref(operands[1])?;
-                let c = self.get_memref(operands[2])?;
-                kernels::cpu_matmul_i32(self.soc, &a, &b, &c, None);
+                let a = self.env.memref(operands[0])?;
+                let b = self.env.memref(operands[1])?;
+                let c = self.env.memref(operands[2])?;
+                kernels::cpu_matmul_i32(self.soc, a, b, c, None);
             }
             OpCode::CpuConv { stride } => {
                 let stride = *stride;
                 let operands = &ctx.op(op).operands;
-                let input = self.get_memref(operands[0])?;
-                let filter = self.get_memref(operands[1])?;
-                let output = self.get_memref(operands[2])?;
+                let input = self.env.memref(operands[0])?;
+                let filter = self.env.memref(operands[1])?;
+                let output = self.env.memref(operands[2])?;
                 let shape = ConvShape {
                     batch: input.sizes[0] as usize,
                     in_channels: input.sizes[1] as usize,
@@ -567,7 +584,7 @@ impl<'a> Interpreter<'a> {
                     filter_hw: filter.sizes[2] as usize,
                     stride,
                 };
-                kernels::cpu_conv2d_i32(self.soc, &input, &filter, &output, shape);
+                kernels::cpu_conv2d_i32(self.soc, input, filter, output, shape);
             }
             OpCode::Call(callee) => {
                 let callee = *callee;
@@ -576,14 +593,14 @@ impl<'a> Interpreter<'a> {
             OpCode::AccelDmaInit => {
                 let operands = &ctx.op(op).operands;
                 let vals: Vec<i64> =
-                    operands.iter().map(|v| self.get_int_any(*v)).collect::<Result<_, _>>()?;
+                    operands.iter().map(|v| self.env.int_any(*v)).collect::<Result<_, _>>()?;
                 dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
             }
             OpCode::AccelSendLiteral { flush } => {
                 let flush = *flush;
                 let operands = &ctx.op(op).operands;
-                let word = self.get_int_any(operands[0])? as u32;
-                let off = self.get_int_any(operands[1])? as u64;
+                let word = self.env.int_any(operands[0])? as u32;
+                let off = self.env.int_any(operands[1])? as u64;
                 let new = dma_lib::write_literal_to_dma_region(self.soc, word, off);
                 if flush {
                     dma_lib::dma_start_send(self.soc, new, 0)?;
@@ -594,8 +611,8 @@ impl<'a> Interpreter<'a> {
             OpCode::AccelSendDim { flush, dim } => {
                 let (flush, dim) = (*flush, *dim);
                 let operands = &ctx.op(op).operands;
-                let view = self.get_memref(operands[0])?;
-                let off = self.get_int_any(operands[1])? as u64;
+                let view = self.env.memref(operands[0])?;
+                let off = self.env.int_any(operands[1])? as u64;
                 let Some(dim) = dim else { return Err(other("sendDim without dim")) };
                 let Some(&size) = view.sizes.get(dim as usize) else {
                     return Err(send_dim_out_of_range(dim));
@@ -612,9 +629,9 @@ impl<'a> Interpreter<'a> {
             OpCode::AccelSend { flush } => {
                 let flush = *flush;
                 let operands = &ctx.op(op).operands;
-                let view = self.get_memref(operands[0])?;
-                let off = self.get_int_any(operands[1])? as u64;
-                let new = dma_lib::copy_to_dma_region(self.soc, &view, off, self.copy_strategy);
+                let view = self.env.memref(operands[0])?;
+                let off = self.env.int_any(operands[1])? as u64;
+                let new = dma_lib::copy_to_dma_region(self.soc, view, off, self.copy_strategy);
                 if flush {
                     dma_lib::dma_start_send(self.soc, new, 0)?;
                     dma_lib::dma_wait_send_completion(self.soc);
@@ -624,12 +641,12 @@ impl<'a> Interpreter<'a> {
             OpCode::AccelRecv { accumulate } => {
                 let accumulate = *accumulate;
                 let operands = &ctx.op(op).operands;
-                let view = self.get_memref(operands[0])?;
-                let off = self.get_int_any(operands[1])? as u64;
+                let view = self.env.memref(operands[0])?;
+                let off = self.env.int_any(operands[1])? as u64;
                 let bytes = view.num_bytes();
                 dma_lib::dma_start_recv(self.soc, bytes, off)?;
                 dma_lib::dma_wait_recv_completion(self.soc);
-                dma_lib::copy_from_dma_region(self.soc, &view, off, accumulate, self.copy_strategy);
+                dma_lib::copy_from_dma_region(self.soc, view, off, accumulate, self.copy_strategy);
                 self.set(op, ctx, 0, RtValue::I32(bytes as i32));
             }
             OpCode::Invalid(why) => return Err((**why).clone()),
@@ -642,43 +659,43 @@ impl<'a> Interpreter<'a> {
         match callee {
             RtFn::DmaInit => {
                 let vals: Vec<i64> =
-                    operands.iter().map(|v| self.get_int_any(*v)).collect::<Result<_, _>>()?;
+                    operands.iter().map(|v| self.env.int_any(*v)).collect::<Result<_, _>>()?;
                 if vals.len() != 5 {
                     return Err(bad_arguments("dma_init expects 5 scalars"));
                 }
                 dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
             }
             RtFn::WriteLiteral => {
-                let word = self.get_int_any(operands[0])? as u32;
-                let off = self.get_int_any(operands[1])? as u64;
+                let word = self.env.int_any(operands[0])? as u32;
+                let off = self.env.int_any(operands[1])? as u64;
                 let new = dma_lib::write_literal_to_dma_region(self.soc, word, off);
                 self.set(op, ctx, 0, RtValue::I32(new as i32));
             }
             RtFn::CopyTo => {
-                let view = self.get_memref(operands[0])?;
-                let off = self.get_int_any(operands[1])? as u64;
-                let new = dma_lib::copy_to_dma_region(self.soc, &view, off, self.copy_strategy);
+                let view = self.env.memref(operands[0])?;
+                let off = self.env.int_any(operands[1])? as u64;
+                let new = dma_lib::copy_to_dma_region(self.soc, view, off, self.copy_strategy);
                 self.set(op, ctx, 0, RtValue::I32(new as i32));
             }
             RtFn::StartSend => {
-                let len = self.get_int_any(operands[0])? as u64;
-                let off = self.get_int_any(operands[1])? as u64;
+                let len = self.env.int_any(operands[0])? as u64;
+                let off = self.env.int_any(operands[1])? as u64;
                 dma_lib::dma_start_send(self.soc, len, off)?;
             }
             RtFn::WaitSend => dma_lib::dma_wait_send_completion(self.soc),
             RtFn::StartRecv => {
-                let len = self.get_int_any(operands[0])? as u64;
-                let off = self.get_int_any(operands[1])? as u64;
+                let len = self.env.int_any(operands[0])? as u64;
+                let off = self.env.int_any(operands[1])? as u64;
                 dma_lib::dma_start_recv(self.soc, len, off)?;
             }
             RtFn::WaitRecv => dma_lib::dma_wait_recv_completion(self.soc),
             RtFn::CopyFrom => {
-                let view = self.get_memref(operands[0])?;
-                let off = self.get_int_any(operands[1])? as u64;
-                let accumulate = self.get_int_any(operands[2])? != 0;
+                let view = self.env.memref(operands[0])?;
+                let off = self.env.int_any(operands[1])? as u64;
+                let accumulate = self.env.int_any(operands[2])? != 0;
                 let bytes = dma_lib::copy_from_dma_region(
                     self.soc,
-                    &view,
+                    view,
                     off,
                     accumulate,
                     self.copy_strategy,

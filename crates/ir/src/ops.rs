@@ -409,11 +409,15 @@ impl Module {
         self.ctx.find_ops(self.top, "func.func")
     }
 
-    /// Finds a function by its `sym_name` attribute.
+    /// Finds a module-level function by its `sym_name` attribute, without
+    /// walking (or allocating for) function bodies.
     pub fn func_named(&self, name: &str) -> Option<OpId> {
-        self.funcs()
-            .into_iter()
-            .find(|f| self.ctx.attr(*f, "sym_name").and_then(|a| a.as_str()) == Some(name))
+        let top = self.ctx.op(self.top);
+        let blocks = top.regions.iter().flat_map(|r| &self.ctx.region(*r).blocks);
+        blocks.flat_map(|b| &self.ctx.block(*b).ops).copied().find(|&f| {
+            self.ctx.op(f).name == "func.func"
+                && self.ctx.attr(f, "sym_name").and_then(|a| a.as_str()) == Some(name)
+        })
     }
 }
 

@@ -101,13 +101,31 @@ fn effective(strategy: CopyStrategy, view: &MemRefDesc) -> CopyStrategy {
     }
 }
 
-fn combine(elem: ElemType, old: u32, add: u32) -> u32 {
+/// `dst += src` word by word over little-endian 32-bit words: the
+/// `accumulate` store of a received run.
+fn accumulate_into(dst: &mut [u8], src: &[u8], elem: ElemType) {
+    let words = dst.chunks_exact_mut(4).zip(src.chunks_exact(4));
+    let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
     match elem {
-        ElemType::I32 => (old as i32).wrapping_add(add as i32) as u32,
-        ElemType::F32 => (f32::from_bits(old) + f32::from_bits(add)).to_bits(),
+        ElemType::I32 => {
+            for (d, s) in words {
+                let sum = (word(d) as i32).wrapping_add(word(s) as i32);
+                d.copy_from_slice(&sum.to_le_bytes());
+            }
+        }
+        ElemType::F32 => {
+            for (d, s) in words {
+                let sum = f32::from_bits(word(d)) + f32::from_bits(word(s));
+                d.copy_from_slice(&sum.to_le_bytes());
+            }
+        }
         ElemType::I64 | ElemType::F64 => unreachable!("copy paths are 32-bit only"),
     }
 }
+
+/// Odometer digits live on the stack up to this rank; a deeper view
+/// spills them to the heap.
+const STACK_RANK: usize = 8;
 
 /// Row-major walk over the element addresses an index space selects: the
 /// odometer pattern, advancing a linear offset by stride deltas instead of
@@ -119,7 +137,10 @@ struct AddrWalk<'a> {
     byte_width: u64,
     sizes: &'a [i64],
     strides: &'a [i64],
-    idx: Vec<i64>,
+    idx: [i64; STACK_RANK],
+    /// The digits of a view deeper than [`STACK_RANK`]; empty (and so
+    /// unallocated) otherwise.
+    spill: Vec<i64>,
     linear: i64,
     remaining: i64,
 }
@@ -137,7 +158,8 @@ impl<'a> AddrWalk<'a> {
             byte_width,
             sizes,
             strides,
-            idx: vec![0; sizes.len()],
+            idx: [0; STACK_RANK],
+            spill: if sizes.len() > STACK_RANK { vec![0; sizes.len()] } else { Vec::new() },
             linear: offset,
             // An empty (rank-0) space selects exactly one element.
             remaining: sizes.iter().product::<i64>().max(0),
@@ -158,17 +180,32 @@ impl Iterator for AddrWalk<'_> {
         }
         self.remaining -= 1;
         let addr = self.base.offset(self.linear as u64 * self.byte_width);
-        for d in (0..self.idx.len()).rev() {
-            self.idx[d] += 1;
+        let idx = if self.spill.is_empty() {
+            &mut self.idx[..self.sizes.len()]
+        } else {
+            &mut self.spill[..]
+        };
+        for d in (0..idx.len()).rev() {
+            idx[d] += 1;
             self.linear += self.strides[d];
-            if self.idx[d] < self.sizes[d] {
+            if idx[d] < self.sizes[d] {
                 break;
             }
             self.linear -= self.sizes[d] * self.strides[d];
-            self.idx[d] = 0;
+            idx[d] = 0;
         }
         Some(addr)
     }
+}
+
+/// The bytes from a non-empty view's first element to the end of its
+/// last: the one range its element-wise copies borrow. (Strides are never
+/// negative: views are row-major allocations and their subviews.)
+fn byte_span(view: &MemRefDesc) -> (SimAddr, u64) {
+    let width = view.elem.byte_width();
+    let last: i64 =
+        view.sizes.iter().zip(&view.strides).map(|(size, stride)| (size - 1) * stride).sum();
+    (view.base.offset(view.offset as u64 * width), (last + 1) as u64 * width)
 }
 
 fn copy_to_elementwise(soc: &mut Soc, view: &MemRefDesc, dst: SimAddr) -> u64 {
@@ -178,14 +215,20 @@ fn copy_to_elementwise(soc: &mut Soc, view: &MemRefDesc, dst: SimAddr) -> u64 {
     soc.charge_arith(n * soc.cost.elementwise_index_cycles);
     soc.charge_branch(n);
     soc.charge_uncached_writes(n);
-    let mut out = dst;
+    // The cache sees one load per element, in walk order; the data then
+    // moves between two borrowed ranges.
     for src_addr in AddrWalk::over(view) {
         soc.cached_access(src_addr, 4, AccessKind::Read);
-        let word = soc.mem.read_u32(src_addr);
-        soc.mem.write_u32(out, word);
-        out = out.offset(4);
     }
-    out.0 - dst.0
+    if n > 0 {
+        let (span_at, span_len) = byte_span(view);
+        let (staged, span) = soc.mem.split_pair(dst, 4 * n, span_at, span_len);
+        for (beat, addr) in staged.chunks_exact_mut(4).zip(AddrWalk::over(view)) {
+            let at = (addr.0 - span_at.0) as usize;
+            beat.copy_from_slice(&span[at..at + 4]);
+        }
+    }
+    4 * n
 }
 
 fn copy_from_elementwise(soc: &mut Soc, view: &MemRefDesc, src: SimAddr, accumulate: bool) -> u64 {
@@ -194,21 +237,26 @@ fn copy_from_elementwise(soc: &mut Soc, view: &MemRefDesc, src: SimAddr, accumul
     soc.charge_arith(n * soc.cost.elementwise_index_cycles + if accumulate { n } else { 0 });
     soc.charge_branch(n);
     soc.charge_uncached_reads(n);
-    let mut input = src;
     for dst_addr in AddrWalk::over(view) {
-        let word = soc.mem.read_u32(input);
         if accumulate {
             soc.cached_access(dst_addr, 4, AccessKind::Read);
-            let old = soc.mem.read_u32(dst_addr);
-            soc.cached_access(dst_addr, 4, AccessKind::Write);
-            soc.mem.write_u32(dst_addr, combine(view.elem, old, word));
-        } else {
-            soc.cached_access(dst_addr, 4, AccessKind::Write);
-            soc.mem.write_u32(dst_addr, word);
         }
-        input = input.offset(4);
+        soc.cached_access(dst_addr, 4, AccessKind::Write);
     }
-    input.0 - src.0
+    if n > 0 {
+        let (span_at, span_len) = byte_span(view);
+        let (span, staged) = soc.mem.split_pair(span_at, span_len, src, 4 * n);
+        for (beat, addr) in staged.chunks_exact(4).zip(AddrWalk::over(view)) {
+            let at = (addr.0 - span_at.0) as usize;
+            let slot = &mut span[at..at + 4];
+            if accumulate {
+                accumulate_into(slot, beat, view.elem);
+            } else {
+                slot.copy_from_slice(beat);
+            }
+        }
+    }
+    4 * n
 }
 
 /// Splits off the leading (non-run) dimensions of a view whose trailing
@@ -238,12 +286,7 @@ fn copy_to_chunked(soc: &mut Soc, view: &MemRefDesc, dst: SimAddr, chunk_bytes: 
     for src_base in AddrWalk::new(view.base, view.offset, 4, lead_sizes, lead_strides) {
         // Cache lookups stay per chunk (the cache model is stateful);
         // the data moves as one memmove per run.
-        let mut moved = 0u64;
-        while moved < run_bytes {
-            let step = chunk_bytes.min(run_bytes - moved);
-            soc.cached_access(src_base.offset(moved), step, AccessKind::Read);
-            moved += step;
-        }
+        soc.cached_chunks(src_base, run_bytes, chunk_bytes, &[AccessKind::Read]);
         soc.mem.copy(out, src_base, run_bytes);
         out = out.offset(run_bytes);
     }
@@ -269,24 +312,13 @@ fn copy_from_chunked(
     soc.charge_uncached_reads(chunks);
     let mut input = src;
     for dst_base in AddrWalk::new(view.base, view.offset, 4, lead_sizes, lead_strides) {
-        let mut moved = 0u64;
-        while moved < run_bytes {
-            let step = chunk_bytes.min(run_bytes - moved);
-            if accumulate {
-                // Vector load + add + store of the destination chunk.
-                soc.cached_access(dst_base.offset(moved), step, AccessKind::Read);
-                soc.cached_access(dst_base.offset(moved), step, AccessKind::Write);
-            } else {
-                soc.cached_access(dst_base.offset(moved), step, AccessKind::Write);
-            }
-            moved += step;
-        }
+        // Accumulating is a vector load + add + store per chunk.
+        let kinds: &[AccessKind] =
+            if accumulate { &[AccessKind::Read, AccessKind::Write] } else { &[AccessKind::Write] };
+        soc.cached_chunks(dst_base, run_bytes, chunk_bytes, kinds);
         if accumulate {
-            for b in (0..run_bytes).step_by(4) {
-                let add = soc.mem.read_u32(input.offset(b));
-                let old = soc.mem.read_u32(dst_base.offset(b));
-                soc.mem.write_u32(dst_base.offset(b), combine(view.elem, old, add));
-            }
+            let (run, staged) = soc.mem.split_pair(dst_base, run_bytes, input, run_bytes);
+            accumulate_into(run, staged, view.elem);
         } else {
             soc.mem.copy(dst_base, input, run_bytes);
         }

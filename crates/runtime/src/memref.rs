@@ -72,6 +72,19 @@ impl MemRefDesc {
     ///
     /// Panics if the subview does not fit inside the parent view.
     pub fn subview(&self, offsets: &[i64], sizes: &[i64]) -> MemRefDesc {
+        let mut view = MemRefDesc { sizes: Vec::new(), strides: Vec::new(), ..*self };
+        self.subview_into(offsets, sizes, &mut view);
+        view
+    }
+
+    /// [`subview`](Self::subview) written over `view`, whose `sizes` and
+    /// `strides` buffers are reused: a subview re-taken in a loop
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the subview does not fit inside the parent view.
+    pub fn subview_into(&self, offsets: &[i64], sizes: &[i64], view: &mut MemRefDesc) {
         assert_eq!(offsets.len(), self.rank(), "subview offsets rank mismatch");
         assert_eq!(sizes.len(), self.rank(), "subview sizes rank mismatch");
         let mut offset = self.offset;
@@ -85,13 +98,13 @@ impl MemRefDesc {
             );
             offset += offsets[i] * self.strides[i];
         }
-        MemRefDesc {
-            base: self.base,
-            offset,
-            sizes: sizes.to_vec(),
-            strides: self.strides.clone(),
-            elem: self.elem,
-        }
+        view.base = self.base;
+        view.offset = offset;
+        view.sizes.clear();
+        view.sizes.extend_from_slice(sizes);
+        view.strides.clear();
+        view.strides.extend_from_slice(&self.strides);
+        view.elem = self.elem;
     }
 
     /// `true` when the innermost dimension is unit-stride — the condition

@@ -7,7 +7,7 @@
 //! compared exactly as the paper compares `perf` profiles.
 
 use axi4mlir_sim::axi::StreamAccelerator;
-use axi4mlir_sim::cache::{AccessKind, CacheHierarchy};
+use axi4mlir_sim::cache::{AccessKind, AccessOutcome, CacheHierarchy};
 use axi4mlir_sim::cost::CostModel;
 use axi4mlir_sim::counters::PerfCounters;
 use axi4mlir_sim::dma::DmaEngine;
@@ -80,10 +80,41 @@ impl Soc {
     /// miss cycles.
     pub fn cached_access(&mut self, addr: SimAddr, bytes: u64, kind: AccessKind) {
         let outcome = self.cache.access(addr.0, bytes, kind);
+        self.charge_cached(outcome, 1);
+    }
+
+    /// [`Soc::cached_access`] for each `chunk`-byte step of the `bytes`
+    /// at `addr`, each step presented once per entry of `kinds` (a load,
+    /// a store, or a load then a store): the same cache state and counters
+    /// as those calls one by one, charged once.
+    pub(crate) fn cached_chunks(
+        &mut self,
+        addr: SimAddr,
+        bytes: u64,
+        chunk: u64,
+        kinds: &[AccessKind],
+    ) {
+        let mut total = AccessOutcome::default();
+        let mut moved = 0;
+        while moved < bytes {
+            let step = chunk.min(bytes - moved);
+            for &kind in kinds {
+                let outcome = self.cache.access(addr.0 + moved, step, kind);
+                total.l1_lookups += outcome.l1_lookups;
+                total.l1_misses += outcome.l1_misses;
+                total.l2_misses += outcome.l2_misses;
+            }
+            moved += step;
+        }
+        self.charge_cached(total, bytes.div_ceil(chunk) * kinds.len() as u64);
+    }
+
+    /// Charges `accesses` cached accesses whose lookups sum to `outcome`.
+    fn charge_cached(&mut self, outcome: AccessOutcome, accesses: u64) {
         self.counters.cache_references += outcome.l1_lookups;
         self.counters.l1_misses += outcome.l1_misses;
         self.counters.l2_misses += outcome.l2_misses;
-        self.counters.instructions += 1;
+        self.counters.instructions += accesses;
         self.counters.host_cycles += outcome.l1_lookups * self.cost.mem_cycles
             + outcome.l1_misses * self.cost.l1_miss_penalty
             + outcome.l2_misses * self.cost.l2_miss_penalty;

@@ -59,9 +59,16 @@ impl AxiStreamFifo {
     pub fn pop_le_bytes(&mut self, out: &mut [u8]) {
         let words = out.len() / 4;
         assert!(words <= self.words.len(), "output FIFO underflow");
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.words.drain(..words)) {
+        // The queue's two contiguous halves, each copied as one slice.
+        let (front, back) = self.words.as_slices();
+        let (out_front, out_back) = out.split_at_mut(4 * front.len().min(words));
+        for (chunk, word) in out_front.chunks_exact_mut(4).zip(front) {
             chunk.copy_from_slice(&word.to_le_bytes());
         }
+        for (chunk, word) in out_back.chunks_exact_mut(4).zip(back) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        self.words.drain(..words);
     }
 
     /// Number of queued beats.

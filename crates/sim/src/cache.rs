@@ -7,6 +7,15 @@
 //! Only *cached* CPU accesses flow through here; the DMA staging regions are
 //! mapped uncached on the real board and bypass the hierarchy (see
 //! [`crate::dma`]).
+//!
+//! Replacement is kept as an order: each set holds its tags most recently
+//! used first, invalid ways at the back. A hit moves its way to the front;
+//! a miss drops the last way and inserts at the front. The back is an
+//! invalid way while one is left and otherwise the valid way used longest
+//! ago — the victim per-way timestamps would pick — so every access hits or
+//! misses as under timestamped true LRU (`tests/cache_oracle.rs` compares
+//! the two). Geometry is all powers of two: set and tag are a mask and a
+//! shift.
 
 use std::fmt;
 
@@ -79,11 +88,11 @@ pub struct CacheLevelStats {
 #[derive(Clone)]
 struct CacheLevel {
     config: CacheConfig,
-    /// `sets[set][way]` = tag, or `u64::MAX` when invalid.
+    /// `ways` tags per set, most recently used first; `INVALID_TAG` marks
+    /// an empty way, and empty ways sit at the back of their set.
     tags: Vec<u64>,
-    /// LRU ordering: lower value = more recently used; per (set, way).
-    stamps: Vec<u64>,
-    tick: u64,
+    /// log2 of the set count: the line address's low bits pick the set.
+    set_bits: u32,
     stats: CacheLevelStats,
 }
 
@@ -91,54 +100,42 @@ const INVALID_TAG: u64 = u64::MAX;
 
 impl CacheLevel {
     fn new(config: CacheConfig) -> Self {
-        let entries = (config.num_sets() * u64::from(config.ways)) as usize;
+        let sets = config.num_sets();
         Self {
             config,
-            tags: vec![INVALID_TAG; entries],
-            stamps: vec![0; entries],
-            tick: 0,
+            tags: vec![INVALID_TAG; (sets * u64::from(config.ways)) as usize],
+            set_bits: sets.trailing_zeros(),
             stats: CacheLevelStats::default(),
         }
     }
 
     /// Looks up a line address; on miss, fills it (evicting LRU). Returns hit.
+    #[inline]
     fn access_line(&mut self, line_addr: u64) -> bool {
-        self.tick += 1;
-        let sets = self.config.num_sets();
-        let set = (line_addr % sets) as usize;
-        let tag = line_addr / sets;
-        let ways = self.config.ways as usize;
-        let base = set * ways;
+        let n = self.config.ways as usize;
+        let set = (line_addr & ((1 << self.set_bits) - 1)) as usize;
+        let tag = line_addr >> self.set_bits;
+        let ways = &mut self.tags[set * n..set * n + n];
         self.stats.accesses += 1;
-        for w in 0..ways {
-            if self.tags[base + w] == tag {
-                self.stamps[base + w] = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
+        if ways[0] == tag {
+            self.stats.hits += 1;
+            return true;
         }
-        self.stats.misses += 1;
-        // Fill: choose invalid way or LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..ways {
-            if self.tags[base + w] == INVALID_TAG {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
+        let found = ways.iter().position(|&t| t == tag);
+        self.stats.hits += u64::from(found.is_some());
+        self.stats.misses += u64::from(found.is_none());
+        // A hit moves its way to the front; a miss shifts the last way out.
+        let mut w = found.unwrap_or(n - 1);
+        while w > 0 {
+            ways[w] = ways[w - 1];
+            w -= 1;
         }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.tick;
-        false
+        ways[0] = tag;
+        found.is_some()
     }
 
     fn flush(&mut self) {
         self.tags.fill(INVALID_TAG);
-        self.stamps.fill(0);
     }
 }
 
@@ -202,22 +199,18 @@ impl CacheHierarchy {
 
     /// Presents an access of `bytes` bytes at `addr`; spans are split into
     /// line-sized lookups. Returns per-level miss counts for cost accounting.
+    #[inline]
     pub fn access(&mut self, addr: u64, bytes: u64, _kind: AccessKind) -> AccessOutcome {
-        let line = self.l1.config.line_bytes;
-        let first = addr / line;
-        let last = (addr + bytes.max(1) - 1) / line;
+        let line_bits = self.l1.config.line_bytes.trailing_zeros();
+        let first = addr >> line_bits;
+        let last = (addr + bytes.max(1) - 1) >> line_bits;
         let mut outcome = AccessOutcome::default();
         for line_addr in first..=last {
             outcome.l1_lookups += 1;
             if !self.l1.access_line(line_addr) {
                 outcome.l1_misses += 1;
-                if let Some(l2) = &mut self.l2 {
-                    if !l2.access_line(line_addr) {
-                        outcome.l2_misses += 1;
-                    }
-                } else {
-                    outcome.l2_misses += 1;
-                }
+                let l2_hit = self.l2.as_mut().is_some_and(|l2| l2.access_line(line_addr));
+                outcome.l2_misses += u64::from(!l2_hit);
             }
         }
         outcome

@@ -14,8 +14,8 @@
 //! - Fig. 13: cache-aware tiling converts L2 misses into hits, giving the
 //!   generated code its 1.1-1.7x advantage at large problem sizes.
 //!
-//! The shape assertions live in `crates/bench/tests/shape_tests.rs`; when
-//! touching a constant, run those.
+//! The shape assertions live in `crates/bench/tests/golden_reports.rs`;
+//! when touching a constant, run those.
 
 /// Cycle cost constants for the simulated Zynq-7000 SoC.
 #[derive(Clone, Copy, Debug, PartialEq)]

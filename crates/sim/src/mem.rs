@@ -191,15 +191,34 @@ impl SimMemory {
     ///
     /// Panics if the ranges overlap or are out of bounds.
     pub fn copy(&mut self, dst: SimAddr, src: SimAddr, len: u64) {
-        let si = self.index(src, len);
-        let di = self.index(dst, len);
-        assert!(
-            si + len as usize <= di || di + len as usize <= si || len == 0,
-            "overlapping copy is not supported"
-        );
-        // Zero-copy: no temporary buffer, `copy_within` is a single
-        // memmove over the backing storage.
-        self.data.copy_within(si..si + len as usize, di);
+        let (to, from) = self.split_pair(dst, len, src, len);
+        to.copy_from_slice(from);
+    }
+
+    /// Borrows two disjoint ranges at once — `a_len` bytes at `a` to write,
+    /// `b_len` bytes at `b` to read — so a bulk transfer between them pays
+    /// one bounds check per range rather than one per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ranges overlap or are out of bounds.
+    pub fn split_pair(
+        &mut self,
+        a: SimAddr,
+        a_len: u64,
+        b: SimAddr,
+        b_len: u64,
+    ) -> (&mut [u8], &[u8]) {
+        let (ai, bi) = (self.index(a, a_len), self.index(b, b_len));
+        let (a_len, b_len) = (a_len as usize, b_len as usize);
+        assert!(ai + a_len <= bi || bi + b_len <= ai, "overlapping copy is not supported");
+        if ai + a_len <= bi {
+            let (low, high) = self.data.split_at_mut(bi);
+            (&mut low[ai..ai + a_len], &high[..b_len])
+        } else {
+            let (low, high) = self.data.split_at_mut(ai);
+            (&mut high[..a_len], &low[bi..bi + b_len])
+        }
     }
 
     /// Mutable view of `len` bytes starting at `addr` — the zero-copy
@@ -313,6 +332,29 @@ mod tests {
         mem.store_i32_slice(a, &[10, 20, 30, 40]);
         mem.copy(b, a, 16);
         assert_eq!(mem.load_i32_slice(b, 4), vec![10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn split_pair_borrows_either_order() {
+        let mut mem = SimMemory::new();
+        let a = mem.alloc(8, 4);
+        let b = mem.alloc(8, 4);
+        mem.store_i32_slice(a, &[1, 2]);
+        mem.store_i32_slice(b, &[3, 4]);
+        for (to, from) in [(a, b), (b, a)] {
+            let (write, read) = mem.split_pair(to, 4, from.offset(4), 4);
+            write.copy_from_slice(read);
+        }
+        assert_eq!(mem.load_i32_slice(a, 2), vec![4, 2]);
+        assert_eq!(mem.load_i32_slice(b, 2), vec![2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping")]
+    fn split_pair_refuses_overlap() {
+        let mut mem = SimMemory::new();
+        let a = mem.alloc(16, 4);
+        let _ = mem.split_pair(a, 8, a.offset(4), 8);
     }
 
     #[test]
