@@ -36,13 +36,12 @@
 //! it through `run_key`, the primitive the local pool runs too.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, write_frame_at, Connection, Frame};
+use axi4mlir_support::proto::{self, write_frame_at, Connection, Frame};
 
 use crate::driver::Session;
 
@@ -368,10 +367,6 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(100);
 /// Ceiling for the exponential reconnect backoff.
 const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(800);
 
-/// How long a connection handshake may take before the worker is
-/// declared unreachable.
-const HELLO_DEADLINE: Duration = Duration::from_secs(5);
-
 /// The measurement pool that fans claims out to `axi4mlir-worker`
 /// daemons. One pump thread per worker keeps up to the sweep's worker
 /// budget of requests outstanding, so one huge job cannot monopolize the
@@ -487,33 +482,13 @@ fn io_err(addr: &str, what: impl std::fmt::Display) -> Diagnostic {
 }
 
 fn connect(addr: &str) -> Result<Connection, Diagnostic> {
-    let stream =
-        TcpStream::connect(addr).map_err(|err| io_err(addr, format!("cannot connect: {err}")))?;
-    let mut conn = Connection::open(stream)
-        .map_err(|err| io_err(addr, format!("socket setup failed: {err}")))?;
-    write_frame(&mut conn.writer, &JsonValue::object([("type".to_owned(), "hello".into())]))
-        .map_err(|err| io_err(addr, format!("hello failed: {err}")))?;
-    let deadline = Instant::now() + HELLO_DEADLINE;
-    loop {
-        match conn.reader.next_frame() {
-            Ok(Frame::Value(frame)) => {
-                let schema = frame.members("hello").and_then(|hello| hello.str("schema"));
-                let schema = schema.unwrap_or("no schema");
-                if schema != WORKER_SCHEMA {
-                    return Err(io_err(
-                        addr,
-                        format!("speaks {schema} (expected {WORKER_SCHEMA})"),
-                    ));
-                }
-                return Ok(conn);
-            }
-            Ok(Frame::Idle) if Instant::now() < deadline => continue,
-            Ok(Frame::Idle) | Ok(Frame::Eof) => {
-                return Err(io_err(addr, "closed during handshake"))
-            }
-            Err(err) => return Err(io_err(addr, err.message)),
-        }
+    let (conn, hello) = proto::dial(addr).map_err(|err| io_err(addr, err.message))?;
+    let schema = hello.members("hello").and_then(|hello| hello.str("schema"));
+    let schema = schema.unwrap_or("no schema");
+    if schema != WORKER_SCHEMA {
+        return Err(io_err(addr, format!("speaks {schema} (expected {WORKER_SCHEMA})")));
     }
+    Ok(conn)
 }
 
 /// One worker's reply to a `measure` frame.
@@ -592,7 +567,6 @@ fn serve_worker<'a>(addr: &'a str, conn: &mut Connection, queue: &MeasureQueue<'
             }
         }
         match conn.reader.next_frame() {
-            Ok(Frame::Idle) => continue,
             Ok(Frame::Value(frame)) => match parse_reply(&frame) {
                 Ok(WorkerReply::Result { id, eval, nanos }) => {
                     if let Some(task) = outstanding.remove(&id) {
@@ -607,7 +581,9 @@ fn serve_worker<'a>(addr: &'a str, conn: &mut Connection, queue: &MeasureQueue<'
                 Ok(WorkerReply::Other) => {}
                 Err(_) => return Served::Lost, // malformed: reset the connection
             },
-            Ok(Frame::Eof) | Err(_) => return Served::Lost,
+            // End of stream or a broken one: with no read timeout,
+            // nothing else returns.
+            Ok(_) | Err(_) => return Served::Lost,
         }
     }
 }
@@ -686,8 +662,9 @@ fn run_measure(session: &mut Session, frame: &JsonValue) -> Result<(CachedEval, 
 mod tests {
     use super::*;
     use axi4mlir_sim::counters::PerfCounters;
+    use axi4mlir_support::proto::write_frame;
     use axi4mlir_workloads::matmul::MatMulProblem;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::sync::mpsc;
 
     use super::super::{MatMulSpace, Prune, Search};
@@ -773,12 +750,9 @@ mod tests {
     }
 
     fn next_value(conn: &mut Connection) -> JsonValue {
-        loop {
-            match conn.reader.next_frame().unwrap() {
-                Frame::Value(value) => return value,
-                Frame::Idle => continue,
-                Frame::Eof => panic!("the pump hung up"),
-            }
+        match conn.reader.next_frame().unwrap() {
+            Frame::Value(value) => value,
+            other => panic!("the pump hung up: {other:?}"),
         }
     }
 
@@ -870,6 +844,32 @@ mod tests {
                 .expect_err("no worker speaks the protocol");
             assert!(err.message.contains(refusal), "{}", err.message);
             fake_worker.join().expect("the fake worker saw only hellos");
+        });
+    }
+
+    /// A worker that accepts the connection and never answers `hello` is
+    /// refused once `HELLO_DEADLINE` has passed: the handshake is the one
+    /// timed protocol read, so a pump never hangs on a silent peer.
+    #[test]
+    fn a_worker_that_never_answers_hello_is_refused_at_the_deadline() {
+        within_deadline(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let silent = std::thread::spawn(move || listener.accept().unwrap());
+            let started = Instant::now();
+            let Err(err) = connect(&addr) else { panic!("a silent worker is refused") };
+            let waited = started.elapsed();
+            assert!(
+                err.message.starts_with(&format!("worker {addr}: no hello reply")),
+                "{}",
+                err.message
+            );
+            assert!(
+                waited >= proto::HELLO_DEADLINE
+                    && waited < proto::HELLO_DEADLINE + Duration::from_secs(2),
+                "refused after {waited:?}"
+            );
+            drop(silent.join().unwrap());
         });
     }
 

@@ -16,13 +16,12 @@
 //! terminal event — for callers like `axi4mlir-explore --hub` that
 //! should survive a hub-side connection drop.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use axi4mlir_core::explore::{wire, ExploreReport, JobSpec};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::JsonValue;
-use axi4mlir_support::proto::{write_frame, Connection, Frame};
+use axi4mlir_support::proto::{self, write_frame, Connection, Frame};
 
 use crate::protocol::{Request, SCHEMA};
 
@@ -69,17 +68,7 @@ impl HubClient {
     /// Returns a [`Diagnostic`] for connection failures and for a hub
     /// speaking a different schema.
     pub fn connect(addr: &str) -> Result<HubClient, Diagnostic> {
-        let stream = TcpStream::connect(addr).map_err(connect_err)?;
-        let mut client = HubClient {
-            connection: Connection::open(stream).map_err(connect_err)?,
-            info: HubInfo {
-                schema: String::new(),
-                cache_entries: 0,
-                queue_capacity: 0,
-                workers: 0,
-            },
-        };
-        let hello = client.request(&Request::Hello)?;
+        let (connection, hello) = proto::dial(addr).map_err(|err| connect_err(err.message))?;
         let hello = hello.members("hub hello")?;
         let schema = hello.str("schema").unwrap_or("");
         if schema != SCHEMA {
@@ -87,13 +76,13 @@ impl HubClient {
                 "schema mismatch: hub speaks `{schema}`, this client `{SCHEMA}`"
             )));
         }
-        client.info = HubInfo {
+        let info = HubInfo {
             schema: schema.to_owned(),
             cache_entries: hello.uint("cache_entries").unwrap_or(0),
             queue_capacity: hello.uint("queue_capacity").unwrap_or(0),
             workers: hello.uint("workers").unwrap_or(0),
         };
-        Ok(client)
+        Ok(HubClient { connection, info })
     }
 
     /// The `hello` handshake's answers.
@@ -113,12 +102,10 @@ impl HubClient {
     /// Returns a [`Diagnostic`] if the hub hangs up or sends a
     /// malformed frame.
     pub fn next_frame(&mut self) -> Result<JsonValue, Diagnostic> {
-        loop {
-            match self.connection.reader.next_frame()? {
-                Frame::Value(value) => return Ok(value),
-                Frame::Idle => continue,
-                Frame::Eof => return Err(connect_err("the hub closed the connection")),
-            }
+        match self.connection.reader.next_frame()? {
+            Frame::Value(value) => Ok(value),
+            // End of stream: with no read timeout, nothing else returns.
+            _ => Err(connect_err("the hub closed the connection")),
         }
     }
 
@@ -284,8 +271,8 @@ impl HubClient {
                 Frame::Value(frame) if frame_type(&frame) == Some("shutting_down") => {
                     return Ok(());
                 }
-                Frame::Value(_) | Frame::Idle => continue,
-                Frame::Eof => return Ok(()),
+                Frame::Value(_) => continue,
+                _ => return Ok(()),
             }
         }
     }

@@ -453,10 +453,19 @@ impl Shared {
     /// `outbox` — under the jobs lock and before `queued` is published, so
     /// no event of the job can overtake the reply. `Err` carries the reply
     /// frame to send instead (an `error` for a bad spec, a `rejected` for
-    /// a full queue).
+    /// a full queue or a stopping hub).
     fn submit(&self, spec: JobSpec, outbox: &Arc<Outbox>) -> Result<(), JsonValue> {
         let request = spec.build().map_err(|err| protocol::error(&err.message))?;
         let mut jobs = self.jobs();
+        // `request_stop` raises the flag under this lock, so a job is
+        // either queued before `Hub::run` fails the leftover queue or
+        // refused here: none is accepted and never run.
+        if self.stopping() {
+            return Err(protocol::tagged(
+                "rejected",
+                vec![("reason".to_owned(), "hub shutting down".into())],
+            ));
+        }
         if jobs.queue.len() >= self.config.queue_capacity {
             return Err(protocol::tagged(
                 "rejected",
@@ -588,7 +597,7 @@ impl Hub {
         }
         // ...connections forward those terminal events, say goodbye,
         // and hang up.
-        for connection in connections {
+        for (connection, _) in connections {
             let _ = connection.join();
         }
         let cache_entries = self.shared.checkpoint()?;
@@ -599,14 +608,10 @@ impl Hub {
 
 /// Serves one client connection: this thread reads requests, blocked on
 /// the socket with no timeout, and a writer thread sends what they and
-/// the connection's jobs queue on its outbox.
+/// the connection's jobs queue on its outbox. A stop reaches the reader
+/// as the writer's shutdown of the socket.
 fn serve_connection(shared: &Arc<Shared>, connection: Connection) {
     let Connection { mut reader, writer } = connection;
-    // Nothing here waits on a read timeout: a stop reaches this reader
-    // as the writer's shutdown of the socket.
-    if writer.set_read_timeout(None).is_err() {
-        return;
-    }
     let outbox = Arc::new(Outbox::default());
     shared.events.connect(&outbox);
     std::thread::scope(|scope| {

@@ -19,6 +19,7 @@ use std::time::Duration;
 use axi4mlir_core::explore::{ExploreReport, JobSpec};
 use axi4mlir_hub::{run_resilient, Hub, HubClient, HubConfig};
 use axi4mlir_support::json::JsonValue;
+use axi4mlir_support::proto::HELLO_DEADLINE;
 
 /// How long one scenario may take: far beyond the seconds a healthy run
 /// needs.
@@ -343,5 +344,26 @@ fn a_dropped_event_stream_is_recovered_by_follow() {
         // An unknown job id gets a field-blaming error, not a hangup.
         let err = late.follow(999, &mut |_| ()).expect_err("unknown jobs are refused");
         assert!(err.message.contains("follow") && err.message.contains("job"), "{}", err.message);
+    });
+}
+
+/// A peer that accepts the connection and never answers `hello` is
+/// refused once `HELLO_DEADLINE` has passed: the handshake is the one
+/// timed protocol read, so a client never hangs on a silent peer.
+#[test]
+fn a_hub_that_never_answers_hello_is_refused_at_the_deadline() {
+    within_deadline(|| {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let silent = std::thread::spawn(move || listener.accept().unwrap());
+        let started = std::time::Instant::now();
+        let Err(err) = HubClient::connect(&addr) else { panic!("a silent hub is refused") };
+        let waited = started.elapsed();
+        assert!(err.message.starts_with("cannot reach the hub: no hello reply"), "{}", err.message);
+        assert!(
+            waited >= HELLO_DEADLINE && waited < HELLO_DEADLINE + Duration::from_secs(2),
+            "refused after {waited:?}"
+        );
+        drop(silent.join().unwrap());
     });
 }

@@ -472,3 +472,41 @@ fn fresh_seed_jobs_leave_the_cache_bounded() {
     client.shutdown().expect("shutdown");
     hub.join().unwrap();
 }
+
+/// A `submit` read once a stop is requested is refused. It used to be
+/// accepted: a job queued after `Hub::run` had failed the leftover queue
+/// never ran, and its `active` count kept the connection's goodbye, and
+/// so `Hub::run`, waiting.
+#[test]
+fn a_submit_after_shutdown_is_refused_and_the_hub_returns() {
+    // No executors: the first job stays queued, so it holds this
+    // connection's goodbye until the stop fails it, and the late
+    // submit's reply goes out before the goodbye.
+    let (addr, hub) = start_hub(HubConfig { workers: 0, ..HubConfig::default() });
+    let submit = JsonValue::object([
+        ("type".to_owned(), "submit".into()),
+        ("job".to_owned(), halving_spec().to_json()),
+    ])
+    .to_json_string();
+    let payload = format!("{submit}\n{{\"type\":\"shutdown\"}}\n{submit}\n");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let frames = abuse(&addr, payload.as_bytes());
+        let _ = done_tx.send((frames, hub.join().unwrap()));
+    });
+    let (frames, summary) = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the hub says goodbye and `Hub::run` returns");
+    fn type_of(frame: &JsonValue) -> Option<&str> {
+        frame.get("type").and_then(JsonValue::as_str)
+    }
+    let accepted = frames.iter().filter(|frame| type_of(frame) == Some("accepted")).count();
+    assert_eq!(accepted, 1, "only the submit before the shutdown is accepted: {frames:?}");
+    let refusal = frames
+        .iter()
+        .find(|frame| type_of(frame) == Some("rejected"))
+        .unwrap_or_else(|| panic!("the late submit is refused: {frames:?}"));
+    assert_eq!(refusal.get("reason").and_then(JsonValue::as_str), Some("hub shutting down"));
+    assert_eq!(frames.last().and_then(type_of), Some("shutting_down"), "{frames:?}");
+    assert_eq!((summary.completed, summary.failed), (0, 1), "the queued job fails at the stop");
+}

@@ -1,5 +1,5 @@
-//! Newline-delimited JSON framing for wire protocols, and the one TCP
-//! serve loop both daemons run.
+//! Newline-delimited JSON framing for wire protocols, the one TCP serve
+//! loop both daemons run, and the one handshake their clients dial.
 //!
 //! The hub daemon and the remote measurement workers speak a line
 //! protocol: every message is one [`JsonValue`]
@@ -8,11 +8,10 @@
 //! both sides agree on it:
 //!
 //! - [`write_frame`] serializes and flushes one message;
-//! - [`FrameReader`] accumulates bytes from any [`BufRead`] into frames,
-//!   tolerating *timeouts*: a socket with a read timeout surfaces
-//!   [`Frame::Idle`] instead of an error, and a partially received line
-//!   stays buffered until the rest arrives. That is what lets a worker
-//!   notice a stop against a silent peer without dropping bytes.
+//! - [`FrameReader`] accumulates bytes from any [`BufRead`] into frames.
+//!   A partially received line stays buffered until the rest arrives,
+//!   also across a read timeout (which surfaces as [`Frame::Idle`]), so
+//!   no byte is lost wherever a read is cut short.
 //!
 //! Blank lines are ignored (a `nc` user pressing return twice should not
 //! kill the connection), and EOF with a non-empty trailing line still
@@ -29,15 +28,17 @@
 //!
 //! The socket side lives here too, once: [`bind`] opens a daemon's
 //! listener, [`serve`] is the accept loop (one thread per connection),
-//! and [`Connection::open`] is the socket setup every protocol endpoint
-//! — accepted or dialed — goes through. Nothing on a request's path
-//! waits on a timer: `serve` blocks until a connection arrives, and a
-//! read returns when its frame does. The one deadline here,
-//! `STOP_DEADLINE`, bounds only how late a bare stop-flag store is
-//! noticed by an idle listener or a worker's silent peer.
+//! [`Connection::open`] is the socket setup every protocol endpoint —
+//! accepted or dialed — goes through, and [`dial`] is the one client
+//! handshake. Every protocol read blocks until a frame arrives or the
+//! peer hangs up; a daemon that stops wakes its own reads by shutting
+//! their sockets down. The one timed read is `dial`'s wait for the
+//! `hello` reply, bounded by [`HELLO_DEADLINE`]; the one other deadline,
+//! `STOP_DEADLINE`, bounds how late an idle listener notices its stop
+//! condition.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -111,7 +112,8 @@ pub enum Frame {
     /// empty or already returned).
     Eof,
     /// The read timed out before a full line arrived; received bytes stay
-    /// buffered. Only surfaces on streams with a read timeout.
+    /// buffered. Only surfaces on a stream with a read timeout, which
+    /// among protocol sockets is [`dial`]'s handshake alone.
     Idle,
 }
 
@@ -210,12 +212,13 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// How late a bare store to a stop flag may be noticed: the longest an
 /// idle [`serve`] waits for a connection before it looks at its stop
-/// condition again, and the read timeout of every protocol socket, after
-/// which a reader blocked on a silent peer surfaces [`Frame::Idle`]. A
-/// connection or a frame that arrives is handled at once; this deadline
-/// never delays one. (The hub clears the timeout on its connections: its
-/// stop shuts their sockets down.)
+/// condition again. A connection that arrives is accepted at once; this
+/// deadline never delays one.
 const STOP_DEADLINE: Duration = Duration::from_millis(50);
+
+/// How long [`dial`] waits for the peer's `hello` reply before it
+/// declares the peer unreachable.
+pub const HELLO_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One protocol connection: the framed read half and the write half of
 /// a TCP stream.
@@ -229,19 +232,51 @@ pub struct Connection {
 
 impl Connection {
     /// Sets up a connected socket — accepted or dialed — for the frame
-    /// protocol: blocking reads that time out every `STOP_DEADLINE`,
-    /// `TCP_NODELAY` (frames are small and latency-bound), and a cloned
-    /// write half.
+    /// protocol: blocking reads with no timeout, `TCP_NODELAY` (frames
+    /// are small and latency-bound), and a cloned write half.
     ///
     /// # Errors
     ///
     /// Propagates the socket-option and clone errors.
     pub fn open(stream: TcpStream) -> io::Result<Connection> {
-        stream.set_read_timeout(Some(STOP_DEADLINE))?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Connection { reader: FrameReader::new(BufReader::new(stream)), writer })
     }
+}
+
+/// Dials a protocol peer and performs the `hello` handshake: connects,
+/// [`Connection::open`]s the socket, sends `{"type":"hello"}`, and
+/// returns the connection with the peer's first frame, its reply. That
+/// read is the one protocol read with a timer: a peer that sends nothing
+/// for [`HELLO_DEADLINE`] is refused, and the timeout is cleared before
+/// the connection is handed over. Checking the reply is the caller's,
+/// since each protocol has its own schema.
+///
+/// # Errors
+///
+/// Returns a [`Diagnostic`] saying what failed: the connect, the socket
+/// setup, the `hello` write, a peer that hangs up or stays silent, or a
+/// malformed reply.
+pub fn dial(addr: &str) -> Result<(Connection, JsonValue), Diagnostic> {
+    let failed = |what: &str, err: io::Error| Diagnostic::error(format!("{what}: {err}"));
+    let stream = TcpStream::connect(addr).map_err(|err| failed("cannot connect", err))?;
+    let setup = |err| failed("socket setup failed", err);
+    stream.set_read_timeout(Some(HELLO_DEADLINE)).map_err(setup)?;
+    let mut connection = Connection::open(stream).map_err(setup)?;
+    let hello = JsonValue::object([("type".to_owned(), "hello".into())]);
+    write_frame(&mut connection.writer, &hello).map_err(|err| failed("hello failed", err))?;
+    let reply = match connection.reader.next_frame()? {
+        Frame::Value(reply) => reply,
+        Frame::Eof => return Err(Diagnostic::error("closed during handshake")),
+        Frame::Idle => {
+            return Err(Diagnostic::error(format!("no hello reply within {HELLO_DEADLINE:?}")))
+        }
+    };
+    // A socket option: clearing it through the write half's clone
+    // clears it for the read half too.
+    connection.writer.set_read_timeout(None).map_err(setup)?;
+    Ok((connection, reply))
 }
 
 /// Binds a daemon's listener and resolves the bound address (port 0
@@ -300,15 +335,21 @@ fn wait_readable(listener: &TcpListener, timeout: Duration) -> io::Result<bool> 
     }
 }
 
+/// A connection [`serve`] handed to a thread of its own: the thread, not
+/// joined, and a handle on the connection's socket.
+pub type Live = (JoinHandle<()>, Arc<TcpStream>);
+
 /// The accept loop: until `stopping()` holds, every accepted socket is
 /// [`Connection::open`]ed and handed to `on_connection` on a thread of
 /// its own (a socket whose setup fails is dropped — that affects one
-/// peer only). A connection is accepted the moment it arrives; an idle
-/// loop looks at `stopping()` every `STOP_DEADLINE`. Returns the
-/// handles of the connections still live, *not joined*: the caller
+/// peer only), which shuts the socket down once `on_connection` returns.
+/// A connection is accepted the moment it arrives; an idle loop looks at
+/// `stopping()` every `STOP_DEADLINE`. Returns the connections still
+/// live, *not joined*, each with a handle on its socket: the caller
 /// decides what must happen before it waits for them (the hub drains its
 /// executors and fails leftover jobs first, so connections have terminal
-/// events to forward).
+/// events to forward; the worker shuts their read halves, which wakes
+/// its slots blocked in a read).
 ///
 /// # Errors
 ///
@@ -317,13 +358,13 @@ pub fn serve<F>(
     listener: &TcpListener,
     stopping: impl Fn() -> bool,
     on_connection: F,
-) -> Result<Vec<JoinHandle<()>>, Diagnostic>
+) -> Result<Vec<Live>, Diagnostic>
 where
     F: Fn(Connection) + Send + Sync + 'static,
 {
     let failed = |err: io::Error| Diagnostic::error(format!("listener failed: {err}"));
     let on_connection = Arc::new(on_connection);
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    let mut connections: Vec<Live> = Vec::new();
     while !stopping() {
         if !wait_readable(listener, STOP_DEADLINE).map_err(failed)? {
             continue;
@@ -333,13 +374,19 @@ where
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
             Err(err) => return Err(failed(err)),
         };
+        let Ok(socket) = stream.try_clone().map(Arc::new) else { continue };
         let on_connection = Arc::clone(&on_connection);
-        connections.push(std::thread::spawn(move || {
+        let own = Arc::clone(&socket);
+        let thread = std::thread::spawn(move || {
             if let Ok(connection) = Connection::open(stream) {
                 on_connection(connection);
             }
-        }));
-        connections.retain(|handle| !handle.is_finished());
+            // The peer sees the hang-up now, not when `serve` lets go of
+            // its handle.
+            let _ = own.shutdown(Shutdown::Both);
+        });
+        connections.push((thread, socket));
+        connections.retain(|(thread, _)| !thread.is_finished());
     }
     Ok(connections)
 }

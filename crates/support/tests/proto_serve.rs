@@ -36,13 +36,8 @@ fn serve_hands_connections_out_and_live_handles_back() {
     assert!(peer.writer.nodelay().unwrap(), "every protocol socket sets TCP_NODELAY");
     let ping = JsonValue::object([("n".to_owned(), 1u64.into())]);
     write_frame(&mut peer.writer, &ping).unwrap();
-    let echoed = loop {
-        match peer.reader.next_frame().unwrap() {
-            Frame::Idle => continue, // STOP_DEADLINE ticks, never an error
-            frame => break frame,
-        }
-    };
-    assert_eq!(echoed, Frame::Value(ping));
+    // The read blocks until the echo arrives: no socket carries a timer.
+    assert_eq!(peer.reader.next_frame().unwrap(), Frame::Value(ping));
 
     // Stopping returns the still-open connection unjoined; it ends when
     // its peer does.
@@ -50,7 +45,7 @@ fn serve_hands_connections_out_and_live_handles_back() {
     let live = serving.join().unwrap().unwrap();
     assert_eq!(live.len(), 1);
     drop(peer);
-    for handle in live {
+    for (handle, _) in live {
         handle.join().unwrap();
     }
 }
@@ -105,18 +100,15 @@ fn a_newline_less_stream_is_refused_and_the_loop_keeps_serving() {
 
     stop.store(true, Ordering::SeqCst);
     drop(peer);
-    for handle in serving.join().unwrap().unwrap() {
+    for (handle, _) in serving.join().unwrap().unwrap() {
         handle.join().unwrap();
     }
 }
 
 /// Starts [`proto::serve`] with a frame-echoing handler; returns the
 /// bound address, the stop flag, and the serving thread.
-fn echo_server() -> (
-    std::net::SocketAddr,
-    Arc<AtomicBool>,
-    std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>,
-) {
+fn echo_server(
+) -> (std::net::SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<Vec<proto::Live>>) {
     let (listener, addr) = proto::bind("127.0.0.1:0").unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let polled = Arc::clone(&stop);
@@ -169,7 +161,7 @@ fn a_fresh_connection_is_served_without_waiting_on_a_timer() {
         "connect to first echo took {median:?} in the median: {samples:?}"
     );
     stop.store(true, Ordering::SeqCst);
-    for handle in serving.join().unwrap() {
+    for (handle, _) in serving.join().unwrap() {
         handle.join().unwrap();
     }
 }

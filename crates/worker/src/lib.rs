@@ -18,19 +18,22 @@
 //! The framing is the NDJSON [`axi4mlir_support::proto`] transport and
 //! the frame vocabulary lives in
 //! [`axi4mlir_core::explore::measure`] (`axi4mlir-worker/v2`); see
-//! `docs/PROTOCOL.md` for field tables and a worked transcript. The
-//! per-connection `Inbox` is the one lock; its row is in the "Shared
-//! state" table of `docs/ARCHITECTURE.md`.
+//! `docs/PROTOCOL.md` for field tables and a worked transcript.
+//!
+//! A connection is its `slots` threads and nothing else: they take turns
+//! reading it (the read turn's row is in the "Shared state" table of
+//! `docs/ARCHITECTURE.md`) and each measures what it read. A read blocks
+//! until a frame arrives or the peer hangs up; a stopping worker shuts
+//! the read halves down, so a slot never waits on a timer.
 //!
 //! [`Explorer`]: axi4mlir_core::explore::Explorer
 //! [`Session`]: axi4mlir_core::driver::Session
 
 #![deny(missing_docs)]
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use axi4mlir_core::driver::Session;
 use axi4mlir_core::explore::measure::{handle_measure, WORKER_SCHEMA};
@@ -102,9 +105,9 @@ impl Worker {
         self.addr
     }
 
-    /// Serves until the external stop flag is raised, then joins the
-    /// open connections (each answers its in-flight measurements, then
-    /// hangs up at its next idle tick).
+    /// Serves until the external stop flag is raised, then shuts the
+    /// read half of every open connection and joins them: each answers
+    /// the frames its slots have read, then hangs up.
     ///
     /// # Errors
     ///
@@ -118,11 +121,15 @@ impl Worker {
         let stopping = move || stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
         let served = Arc::clone(&totals);
         let connections = proto::serve(&self.listener, stopping, move |connection| {
-            // A connection error affects one scheduler only; the daemon
-            // keeps serving.
-            let _ = serve_connection(connection, slots, &served, &stopping);
+            serve_connection(connection, slots, &served, &stopping);
         })?;
-        for connection in connections {
+        // Wake the slots blocked in a read: each sees the end of its
+        // stream. (Linux still hands out bytes that arrived before the
+        // shutdown, so a slot also takes no new turn once stopping.)
+        for (_, socket) in &connections {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (connection, _) in connections {
             let _ = connection.join();
         }
         Ok(WorkerSummary {
@@ -132,151 +139,95 @@ impl Worker {
     }
 }
 
-/// The per-connection measurement queue: `measure` frames the reader
-/// accepted, waiting for a slot thread. At every unlock `unanswered` is
-/// the number of accepted frames no slot has replied to yet.
-#[derive(Default)]
-struct Inbox {
-    state: Mutex<InboxState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct InboxState {
-    frames: VecDeque<JsonValue>,
-    closed: bool,
-    unanswered: usize,
-}
-
-impl Inbox {
-    fn state(&self) -> MutexGuard<'_, InboxState> {
-        self.state.lock().expect("worker inbox poisoned")
-    }
-
-    fn push(&self, frame: JsonValue) {
-        let mut state = self.state();
-        state.frames.push_back(frame);
-        state.unanswered += 1;
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.state().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks for the next frame; `None` once closed and empty.
-    fn pop(&self) -> Option<JsonValue> {
-        let mut state = self.state();
-        loop {
-            if let Some(frame) = state.frames.pop_front() {
-                return Some(frame);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).expect("worker inbox poisoned");
-        }
-    }
-}
-
-/// Serves one scheduler connection: one reader (this thread) feeding
-/// `slots` measurement threads, all sharing the write half (frames are
-/// written whole under the lock, so replies never interleave).
+/// Serves one scheduler connection on `slots` threads: this one and
+/// `slots - 1` more. The slots take turns on the read half; the holder
+/// reads one frame and answers a control frame before it gives the turn
+/// up, so those replies keep request order, and a `measure` frame is
+/// measured after. All slots share the write half (frames are written
+/// whole under its lock, so replies never interleave). Once the worker
+/// is stopping a slot takes no new turn: what the slots have read is
+/// answered, and then the connection closes.
 fn serve_connection(
     connection: Connection,
     slots: usize,
     totals: &Totals,
-    stopping: &dyn Fn() -> bool,
-) -> Result<(), Diagnostic> {
-    let Connection { mut reader, writer } = connection;
+    stopping: &(dyn Fn() -> bool + Sync),
+) {
+    let Connection { reader, writer } = connection;
+    // The read turn; `None` once the stream has ended, so no slot reads
+    // past a framing error.
+    let turn = Mutex::new(Some(reader));
     let writer = Mutex::new(writer);
+    let socket = || writer.lock().expect("worker writer poisoned");
     totals.connections.fetch_add(1, Ordering::Relaxed);
 
-    let inbox = Inbox::default();
-    let write_failed =
-        |err: std::io::Error| Diagnostic::error(format!("connection write failed: {err}"));
-    let socket = || writer.lock().expect("worker writer poisoned");
-    let send = |frame: &JsonValue| write_frame(&mut *socket(), frame).map_err(write_failed);
-    // Measurement replies carry the `worker.reply` fault site, so a
-    // chaos plan can tear or drop a result frame without touching the
-    // hello control traffic.
-    let send_reply = |frame: &JsonValue| {
-        write_frame_at("worker.reply", &mut *socket(), frame).map_err(write_failed)
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..slots {
-            scope.spawn(|| {
-                let mut session = Session::for_sweep();
-                while let Some(frame) = inbox.pop() {
-                    let reply = handle_measure(&mut session, &frame);
-                    totals.measured.fetch_add(1, Ordering::Relaxed);
-                    if send_reply(&reply).is_err() {
-                        // An undeliverable reply (real breakage or an
-                        // injected drop/tear) would leave the scheduler
-                        // waiting on a frame that never comes: reset
-                        // the connection so it requeues and reconnects
-                        // instead.
-                        let _ = socket().shutdown(std::net::Shutdown::Both);
-                    }
-                    // Answered even if the scheduler hung up mid-measure:
-                    // a stopping daemon must never wait on this frame.
-                    inbox.state().unanswered -= 1;
+    // One turn: the next `measure` frame, or `None` once this slot is
+    // done (the worker is stopping, or the stream ended).
+    let next_measure = || -> Option<JsonValue> {
+        let mut turn = turn.lock().expect("worker read turn poisoned");
+        while !stopping() {
+            let frame = match turn.as_mut()?.next_frame() {
+                Ok(Frame::Value(frame)) => frame,
+                // End of stream: with no read timeout, nothing else returns.
+                Ok(_) => break,
+                Err(err) => {
+                    // A framing error (bad JSON, an oversized or too-deep
+                    // frame) is fatal to this connection; say why before
+                    // hanging up, best effort.
+                    let _ = write_frame(&mut *socket(), &error_frame(&err.message));
+                    break;
                 }
-            });
-        }
-        let outcome = (|| -> Result<(), Diagnostic> {
-            loop {
-                match reader.next_frame() {
-                    // The socket's read timeout is what keeps this
-                    // reader polling for shutdown against a silent
-                    // scheduler: once the daemon is stopping and every
-                    // accepted measure has been answered, hang up (the
-                    // scheduler requeues nothing — nothing is open).
-                    Ok(Frame::Idle) => {
-                        if stopping() && inbox.state().unanswered == 0 {
-                            return Ok(());
+            };
+            let reply = match frame.get("type").and_then(JsonValue::as_str) {
+                Some("measure") => {
+                    // The `worker.measure` site counts accepted measures;
+                    // a scripted crash here models a worker dying
+                    // mid-sweep with claims open.
+                    if let Some(plan) = fault::active() {
+                        match plan.tick("worker.measure") {
+                            Some(FaultAction::Crash(code)) => std::process::exit(code),
+                            Some(FaultAction::Delay(pause)) => std::thread::sleep(pause),
+                            _ => {}
                         }
                     }
-                    Ok(Frame::Eof) => return Ok(()),
-                    Ok(Frame::Value(frame)) => {
-                        match frame.get("type").and_then(JsonValue::as_str) {
-                            Some("hello") => send(&hello_frame(slots))?,
-                            Some("measure") => {
-                                // The `worker.measure` site counts accepted
-                                // measures; a scripted crash here models a
-                                // worker dying mid-sweep with claims open.
-                                if let Some(plan) = fault::active() {
-                                    match plan.tick("worker.measure") {
-                                        Some(FaultAction::Crash(code)) => std::process::exit(code),
-                                        Some(FaultAction::Delay(pause)) => {
-                                            std::thread::sleep(pause);
-                                        }
-                                        _ => {}
-                                    }
-                                }
-                                inbox.push(frame);
-                            }
-                            other => {
-                                let what = other.unwrap_or("untyped frame");
-                                send(&error_frame(&format!("unknown request `{what}`")))?;
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        // A framing error (bad JSON, an oversized or
-                        // too-deep frame) is fatal to this connection;
-                        // say why before hanging up, best effort.
-                        let _ = send(&error_frame(&err.message));
-                        return Err(err);
-                    }
+                    return Some(frame);
                 }
+                Some("hello") => hello_frame(slots),
+                other => {
+                    let what = other.unwrap_or("untyped frame");
+                    error_frame(&format!("unknown request `{what}`"))
+                }
+            };
+            if write_frame(&mut *socket(), &reply).is_err() {
+                break;
             }
-        })();
-        inbox.close();
-        outcome
-    })
+        }
+        *turn = None;
+        None
+    };
+    let slot = || {
+        let mut session = Session::for_sweep();
+        while let Some(frame) = next_measure() {
+            let reply = handle_measure(&mut session, &frame);
+            totals.measured.fetch_add(1, Ordering::Relaxed);
+            // Measurement replies carry the `worker.reply` fault site, so
+            // a chaos plan can tear or drop a result frame without
+            // touching the hello control traffic.
+            if write_frame_at("worker.reply", &mut *socket(), &reply).is_err() {
+                // An undeliverable reply (real breakage or an injected
+                // drop/tear) would leave the scheduler waiting on a frame
+                // that never comes: reset the connection so it requeues
+                // and reconnects instead.
+                let _ = socket().shutdown(Shutdown::Both);
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..slots {
+            scope.spawn(slot);
+        }
+        slot();
+    });
 }
 
 fn error_frame(reason: &str) -> JsonValue {
@@ -314,12 +265,9 @@ mod tests {
     }
 
     fn read_value(connection: &mut Connection) -> JsonValue {
-        loop {
-            match connection.reader.next_frame().unwrap() {
-                Frame::Idle => continue,
-                Frame::Value(value) => return value,
-                Frame::Eof => panic!("worker hung up"),
-            }
+        match connection.reader.next_frame().unwrap() {
+            Frame::Value(value) => value,
+            other => panic!("worker hung up: {other:?}"),
         }
     }
 

@@ -307,3 +307,76 @@ fn a_stopped_worker_hangs_up_on_a_silent_peer_and_returns() {
     assert_eq!((summary.connections, summary.measured), (1, 0));
     assert_eq!(peer.reader.next_frame().unwrap(), Frame::Eof, "the worker hung up");
 }
+
+/// Regression: a stop raised while a scheduler keeps every slot busy. The
+/// worker's reader looked at the stop flag only in a 50 ms gap in the
+/// traffic, which a full in-flight window never leaves, so `run()`
+/// waited for the scheduler to hang up. A stopping worker answers what
+/// its slots have read and hangs up.
+#[test]
+fn a_stopped_worker_hangs_up_on_a_busy_peer_and_returns() {
+    const WINDOW: u64 = 8;
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let worker =
+        Worker::bind(WorkerConfig { slots: 2, stop: Some(stop), ..WorkerConfig::default() })
+            .expect("bind worker");
+    let mut peer =
+        Connection::open(TcpStream::connect(worker.local_addr()).expect("connect")).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(worker.run()).unwrap());
+
+    let key = key_to_json(&base8_space(8).enumerate().unwrap().remove(0).key);
+    let measure = move |id: u64| {
+        JsonValue::object([
+            ("type".to_owned(), "measure".into()),
+            ("id".to_owned(), id.into()),
+            ("fidelity".to_owned(), "full".into()),
+            ("key".to_owned(), key.clone()),
+        ])
+    };
+    // The peer keeps WINDOW measures in flight, sending the next one on
+    // every reply, until the worker hangs up.
+    let (answered_tx, answered_rx) = std::sync::mpsc::channel();
+    let busy = std::thread::spawn(move || {
+        for id in 0..WINDOW {
+            write_frame(&mut peer.writer, &measure(id)).unwrap();
+        }
+        let mut sent = WINDOW;
+        let mut replies = Vec::new();
+        loop {
+            match peer.reader.next_frame() {
+                Ok(Frame::Value(reply)) => {
+                    replies.push(reply);
+                    let _ = answered_tx.send(());
+                    // A refused send is the worker's hang-up arriving.
+                    let _ = write_frame(&mut peer.writer, &measure(sent));
+                    sent += 1;
+                }
+                // EOF or a reset: the worker hung up.
+                _ => return (replies, sent),
+            }
+        }
+    });
+    for _ in 0..3 * WINDOW {
+        answered_rx.recv_timeout(std::time::Duration::from_secs(60)).expect("the worker answers");
+    }
+    stop.store(true, Ordering::SeqCst);
+    let summary = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("run() must return although its peer keeps every slot busy")
+        .expect("worker run");
+    assert_eq!(summary.connections, 1);
+
+    let (replies, sent) = busy.join().expect("the peer sees the hang-up");
+    assert!(replies.len() as u64 >= 3 * WINDOW);
+    let mut ids = Vec::new();
+    for reply in &replies {
+        assert_eq!(reply.get("type").and_then(JsonValue::as_str), Some("result"), "{reply:?}");
+        assert_eq!(reply.get("verified").and_then(JsonValue::as_bool), Some(true), "{reply:?}");
+        ids.push(reply.get("id").and_then(JsonValue::as_u64).expect("an id"));
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), replies.len(), "one reply per measure");
+    assert!(ids.iter().all(|&id| id < sent), "every reply answers a measure the peer sent");
+}
