@@ -433,7 +433,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Lowers `accel` ops to the DMA runtime calls of Fig. 9.
+    /// Lowers `accel` ops to the DMA runtime calls of Fig. 9, the only
+    /// form the interpreter runs; `false` compiles for printing only.
     #[must_use]
     pub fn lower(mut self, lower: bool) -> Self {
         self.lower = lower;

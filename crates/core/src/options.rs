@@ -16,9 +16,9 @@ pub struct PipelineOptions {
     /// Use the specialized (`memcpy`-style) staging copies. `false`
     /// reproduces the pre-optimization AXI4MLIR of Fig. 12a.
     pub specialized_copies: bool,
-    /// Lower `accel` ops to DMA library calls before execution. `false`
-    /// executes the `accel` dialect directly (both paths are tested to
-    /// agree).
+    /// Lower `accel` ops to DMA library calls. `false` leaves them in the
+    /// module, which then can be printed but not run: the interpreter
+    /// executes only the lowered calls (`axi4mlir-opt --no-lower`).
     pub lower_to_runtime_calls: bool,
     /// Batch same-site transfers into one DMA transaction per receive
     /// boundary — the coalescing optimization the paper lists as future

@@ -91,10 +91,13 @@ pub(crate) fn build_conv_module(layer: ConvLayer) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CompilePlan, ConvWorkload, MatMulWorkload, RunReport, Session};
+    use crate::driver::{
+        CompilePlan, ConvWorkload, MatMulWorkload, PipelineBuilder, RunReport, Session,
+    };
     use crate::options::{CacheTiling, PipelineOptions};
     use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
+    use axi4mlir_dialects::accel;
 
     /// One-shot MatMul run of `plan` on the device it names.
     fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
@@ -123,19 +126,24 @@ mod tests {
         }
     }
 
+    /// A plan that does not lower compiles, and its module keeps its
+    /// `accel` ops; running it is an error naming the first of them, since
+    /// the interpreter executes only lowered runtime calls.
     #[test]
-    fn accel_and_lowered_paths_agree() {
-        let mk = |lower: bool| {
-            let options =
-                PipelineOptions { lower_to_runtime_calls: lower, ..PipelineOptions::default() };
-            run_matmul(&v3_plan(4, FlowStrategy::InputAStationary).options(options), 8)
-        };
-        let lowered = mk(true);
-        let direct = mk(false);
-        assert_eq!(lowered.result, direct.result);
-        assert_eq!(lowered.counters.dma_bytes_to_accel, direct.counters.dma_bytes_to_accel);
-        assert_eq!(lowered.counters.dma_transactions, direct.counters.dma_transactions);
-        assert_eq!(lowered.counters.cache_references, direct.counters.cache_references);
+    fn an_unlowered_plan_compiles_but_does_not_run() {
+        let options =
+            PipelineOptions { lower_to_runtime_calls: false, ..PipelineOptions::default() };
+        let plan = v3_plan(4, FlowStrategy::InputAStationary).options(options);
+        let config = plan.config.clone().expect("an accelerator plan");
+        let mut module = build_matmul_module(MatMulProblem::square(8));
+        PipelineBuilder::new().accelerator(config).lower(false).build().run(&mut module).unwrap();
+        let ops = module.ctx.walk(module.top());
+        assert!(ops.into_iter().any(|op| accel::is_accel_op(&module.ctx, op)), "accel ops kept");
+
+        let err = Session::for_sweep()
+            .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)
+            .unwrap_err();
+        assert!(err.message.contains("`accel.dma_init` must be lowered"), "{}", err.message);
     }
 
     #[test]

@@ -1,17 +1,27 @@
-//! Execution-level tests of the direct (unlowered) `accel` path, including
-//! the actions no matmul preset exercises: `accel.sendIdx` and
-//! `accel.sendDim` inside loops.
+//! Execution tests of `accel` IR written directly rather than generated
+//! from a preset, including the actions no preset emits: `accel.sendIdx`
+//! and `accel.sendDim` inside loops. Each module runs the way every host
+//! driver runs: lowered by `LowerAccelToRuntimePass`, the one definition
+//! of what an `accel` op does, then interpreted.
 
+use axi4mlir_core::lower::LowerAccelToRuntimePass;
 use axi4mlir_dialects::{accel, arith, func, memref, scf};
 use axi4mlir_interp::run_func;
 use axi4mlir_ir::ops::Module;
+use axi4mlir_ir::pass::PassManager;
 use axi4mlir_ir::types::Type;
 use axi4mlir_runtime::copy::CopyStrategy;
 use axi4mlir_runtime::soc::Soc;
 use axi4mlir_sim::axi::LoopbackAccelerator;
 
-fn soc() -> Soc {
-    Soc::new(Box::new(LoopbackAccelerator::new()))
+/// Lowers `m` to runtime calls and runs its `main` on a loopback SoC.
+fn run_lowered(mut m: Module) -> Soc {
+    let mut pm = PassManager::new();
+    pm.add(Box::new(LowerAccelToRuntimePass));
+    pm.run(&mut m).expect("the module lowers");
+    let mut s = Soc::new(Box::new(LoopbackAccelerator::new()));
+    run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
+    s
 }
 
 /// Emits `accel.dma_init` with the standard test staging sizes.
@@ -41,8 +51,7 @@ fn send_idx_streams_loop_indices() {
     let idx = arith::index_cast(&mut bb, l.iv, Type::i32());
     accel::send_idx(&mut bb, idx, off0, true);
 
-    let mut s = soc();
-    run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
+    let mut s = run_lowered(m);
     // The loopback echoes every beat; 5 iterations staged one word each.
     let echoed: Vec<u32> = std::iter::from_fn(|| s.accel.pop_output_word()).collect();
     assert_eq!(echoed, vec![0, 2, 4, 6, 8]);
@@ -64,8 +73,7 @@ fn send_dim_streams_tile_dimension() {
     let off1 = accel::send_dim(&mut b, tile, 0, off0, false);
     accel::send_dim(&mut b, tile, 1, off1, true);
 
-    let mut s = soc();
-    run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
+    let mut s = run_lowered(m);
     let echoed: Vec<u32> = std::iter::from_fn(|| s.accel.pop_output_word()).collect();
     assert_eq!(echoed, vec![8, 16], "tile dims, not parent dims");
     assert_eq!(s.counters.dma_transactions, 1, "both words batched into one send");
@@ -87,8 +95,7 @@ fn literal_batching_is_one_transaction() {
     let off2 = accel::send_literal(&mut b, w2, off1, false);
     accel::send_literal(&mut b, w3, off2, true);
 
-    let mut s = soc();
-    run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
+    let mut s = run_lowered(m);
     let echoed: Vec<u32> = std::iter::from_fn(|| s.accel.pop_output_word()).collect();
     assert_eq!(echoed, vec![0xAA, 0xBB, 0xCC]);
     assert_eq!(s.counters.dma_transactions, 1);
@@ -110,9 +117,7 @@ fn counters_are_data_independent() {
         memref::store(&mut b, v, buf, vec![z, z]);
         let off0 = arith::const_i32(&mut b, 0);
         accel::send(&mut b, buf, off0, true);
-        let mut s = soc();
-        run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
-        s.counters
+        run_lowered(m).counters
     };
     assert_eq!(run(1), run(-999));
 }

@@ -8,13 +8,14 @@
 //! - **Interned opcodes** — before execution, every op in the [`IrCtx`] is
 //!   resolved once into a dense `OpCode` side-table indexed by `OpId`.
 //!   Dispatch is a jump on the enum instead of a string match, and
-//!   attribute lookups (constant values, subview sizes, callee symbols,
-//!   accel flush/dim modes) are paid once per module, not once per
-//!   executed op. An op that fails resolution (unknown name, missing
-//!   attribute or region, unsupported type) gets `OpCode::Invalid`
-//!   holding the error; it is returned only if the op is ever executed,
-//!   so there is one definition of each op's semantics and malformed IR
-//!   is a diagnostic, never a panic.
+//!   attribute lookups (constant values, subview sizes, callee symbols)
+//!   and operand-count and rank checks are paid once per module, not
+//!   once per executed op. An op that fails resolution (unknown name,
+//!   missing attribute, region, operand or result, unsupported type, an
+//!   `accel` op not yet lowered) gets `OpCode::Invalid` holding the
+//!   error; it is returned only if the op is ever executed, so there is
+//!   one definition of each op's semantics and malformed IR is a
+//!   diagnostic, never a panic.
 //! - **Dense value frames** — SSA values live in a `Vec<Option<RtValue>>`
 //!   indexed by `ValueId` instead of a `HashMap`, and error construction
 //!   sits behind `#[cold]` builders so the success path never formats a
@@ -45,8 +46,8 @@ use axi4mlir_support::entity::EntityId;
 use crate::error::InterpError;
 use crate::value::RtValue;
 
-/// Highest memref rank the stack-allocated index buffer covers; larger
-/// ranks take a heap path.
+/// Highest memref rank an op may index: its indices gather into a stack
+/// buffer of this size.
 const MAX_RANK: usize = 8;
 
 /// A runtime-library callee, resolved from the `callee` attribute once.
@@ -95,16 +96,6 @@ enum OpCode {
     CpuConv { stride: usize },
     /// `func.call` to a known runtime-library symbol.
     Call(RtFn),
-    /// `accel.dma_init`.
-    AccelDmaInit,
-    /// `accel.sendLiteral` / `accel.sendIdx`.
-    AccelSendLiteral { flush: bool },
-    /// `accel.sendDim`.
-    AccelSendDim { flush: bool, dim: Option<i64> },
-    /// `accel.send`.
-    AccelSend { flush: bool },
-    /// `accel.recv`.
-    AccelRecv { accumulate: bool },
     /// Resolution failed or the op is unknown: executing the op returns
     /// this error. (Boxed so the rare case does not widen every slot.)
     Invalid(Box<InterpError>),
@@ -221,10 +212,11 @@ fn sole_body(ctx: &IrCtx, op: OpId) -> Result<BlockId, InterpError> {
 }
 
 /// Resolves `op` to its dispatch record, or to the reason it cannot be
-/// executed.
+/// executed. The `accel` dialect has no record: `LowerAccelToRuntimePass`
+/// alone says what its ops do, so one reaches here only unlowered.
 fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
     let data = ctx.op(op);
-    Ok(match data.name.as_str() {
+    let code = match data.name.as_str() {
         "arith.constant" => {
             let value = ctx
                 .attr(op, "value")
@@ -315,17 +307,50 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
                 _ => return Err(InterpError::UnknownCallee { name: callee.to_owned() }),
             })
         }
-        accel::DMA_INIT => OpCode::AccelDmaInit,
-        accel::SEND_LITERAL | accel::SEND_IDX => {
-            OpCode::AccelSendLiteral { flush: accel::has_flush(ctx, op) }
-        }
-        accel::SEND_DIM => {
-            OpCode::AccelSendDim { flush: accel::has_flush(ctx, op), dim: accel::dim_of(ctx, op) }
-        }
-        accel::SEND => OpCode::AccelSend { flush: accel::has_flush(ctx, op) },
-        accel::RECV => OpCode::AccelRecv { accumulate: accel::recv_accumulates(ctx, op) },
+        name if accel::is_accel_op(ctx, op) => return Err(unlowered(name)),
         name => return Err(unsupported_op(name)),
-    })
+    };
+    check_signature(ctx, op, &code)?;
+    Ok(code)
+}
+
+/// Checks that `op` has every operand and result `code` reads or writes,
+/// and that its memrefs have the rank `code` indexes, so execution can
+/// index them unchecked.
+fn check_signature(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpError> {
+    let data = ctx.op(op);
+    // The static rank of operand `i`; 0 for no memref, which execution
+    // then refuses by type.
+    let rank = |i: usize| {
+        let memref = data.operands.get(i).and_then(|v| ctx.value_type(*v).as_memref());
+        memref.map_or(0, |m| m.shape.len())
+    };
+    let kernel = |want: usize| (0..3).all(|i| rank(i) == want);
+    // (operands, or `None` where none is read; results; ranks agree)
+    let (operands, results, ranked) = match code {
+        OpCode::Const(_) | OpCode::Alloc { .. } => (None, 1, true),
+        OpCode::Nop | OpCode::Invalid(_) => (None, 0, true),
+        OpCode::IntBin { .. } | OpCode::FloatBin { .. } => (Some(2), 1, true),
+        OpCode::CastToIndex | OpCode::CastToI32 | OpCode::Dim(_) => (Some(1), 1, true),
+        OpCode::For { .. } => (Some(3), 0, true),
+        OpCode::Subview { sizes } => {
+            (Some(1 + sizes.len()), 1, rank(0) == sizes.len() && sizes.len() <= MAX_RANK)
+        }
+        OpCode::Load => (Some(1 + rank(0)), 1, rank(0) <= MAX_RANK),
+        OpCode::Store => (Some(2 + rank(1)), 0, rank(1) <= MAX_RANK),
+        OpCode::CpuMatMul => (Some(3), 0, kernel(2)),
+        OpCode::CpuConv { .. } => (Some(3), 0, kernel(4)),
+        OpCode::Call(RtFn::WaitSend | RtFn::WaitRecv) => (Some(0), 0, true),
+        OpCode::Call(RtFn::StartSend | RtFn::StartRecv) => (Some(2), 0, true),
+        OpCode::Call(RtFn::WriteLiteral | RtFn::CopyTo) => (Some(2), 1, true),
+        OpCode::Call(RtFn::CopyFrom) => (Some(3), 1, true),
+        OpCode::Call(RtFn::DmaInit) => (Some(5), 0, true),
+    };
+    let found = (data.operands.len(), data.results.len());
+    if !ranked || operands.is_some_and(|n| n != found.0) || found.1 < results {
+        return Err(bad_signature(&data.name, operands.unwrap_or(found.0), results, found));
+    }
+    Ok(())
 }
 
 impl Frame {
@@ -357,8 +382,20 @@ impl Frame {
         }
     }
 
-    /// Resolves `memref[indices...]` without cloning the descriptor:
-    /// indices gather into a stack buffer (heap only past [`MAX_RANK`]).
+    /// Gathers index operands into a stack buffer; resolution caps
+    /// their number at [`MAX_RANK`].
+    fn indices<'b>(
+        &self,
+        operands: &[ValueId],
+        buf: &'b mut [i64; MAX_RANK],
+    ) -> Result<&'b [i64], InterpError> {
+        for (slot, v) in buf.iter_mut().zip(operands) {
+            *slot = self.index(*v)?;
+        }
+        Ok(&buf[..operands.len()])
+    }
+
+    /// Resolves `memref[indices...]` without cloning the descriptor.
     fn addressed_elem(
         &self,
         memref: ValueId,
@@ -366,17 +403,7 @@ impl Frame {
     ) -> Result<(SimAddr, ElemType), InterpError> {
         let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
-        if index_operands.len() <= MAX_RANK {
-            let n = index_operands.len();
-            for (slot, v) in buf[..n].iter_mut().zip(index_operands) {
-                *slot = self.index(*v)?;
-            }
-            Ok((desc.elem_addr(&buf[..n]), desc.elem))
-        } else {
-            let indices: Vec<i64> =
-                index_operands.iter().map(|v| self.index(*v)).collect::<Result<_, _>>()?;
-            Ok((desc.elem_addr(&indices), desc.elem))
-        }
+        Ok((desc.elem_addr(self.indices(index_operands, &mut buf)?), desc.elem))
     }
 }
 
@@ -433,33 +460,29 @@ impl<'a> Interpreter<'a> {
                 self.set(op, ctx, 0, value);
             }
             OpCode::IntBin { add } => {
-                let add = *add;
                 self.soc.charge_arith(1);
                 let operands = &ctx.op(op).operands;
                 let rt = match (self.env.get(operands[0])?, self.env.get(operands[1])?) {
                     (RtValue::Index(a), RtValue::Index(b)) => {
-                        RtValue::Index(if add { a + b } else { a * b })
+                        RtValue::Index(if *add { a + b } else { a * b })
                     }
                     (RtValue::I32(a), RtValue::I32(b)) => {
-                        RtValue::I32(if add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
+                        RtValue::I32(if *add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
                     }
                     _ => return Err(int_bin_mismatch(&ctx.op(op).name)),
                 };
                 self.set(op, ctx, 0, rt);
             }
             OpCode::FloatBin { add } => {
-                let add = *add;
                 self.soc.charge_arith(1);
                 let operands = &ctx.op(op).operands;
-                let a = match self.env.get(operands[0])? {
-                    RtValue::F32(v) => *v,
-                    _ => return Err(type_mismatch("addf lhs")),
+                let (RtValue::F32(a), RtValue::F32(b)) =
+                    (self.env.get(operands[0])?, self.env.get(operands[1])?)
+                else {
+                    return Err(type_mismatch("float operands"));
                 };
-                let b = match self.env.get(operands[1])? {
-                    RtValue::F32(v) => *v,
-                    _ => return Err(type_mismatch("addf rhs")),
-                };
-                self.set(op, ctx, 0, RtValue::F32(if add { a + b } else { a * b }));
+                let rt = RtValue::F32(if *add { a + b } else { a * b });
+                self.set(op, ctx, 0, rt);
             }
             OpCode::CastToIndex => {
                 self.soc.charge_arith(1);
@@ -472,7 +495,6 @@ impl<'a> Interpreter<'a> {
                 self.set(op, ctx, 0, RtValue::I32(v as i32));
             }
             OpCode::For { body, iv } => {
-                let (body, iv) = (*body, *iv);
                 let operands = &ctx.op(op).operands;
                 let lb = self.env.index(operands[0])?;
                 let ub = self.env.index(operands[1])?;
@@ -486,15 +508,14 @@ impl<'a> Interpreter<'a> {
                     self.soc.charge_arith(2);
                     self.soc.charge_branch(1);
                     self.env.slots[iv.index()] = Some(RtValue::Index(i));
-                    self.exec_block(ctx, codes, body)?;
+                    self.exec_block(ctx, codes, *body)?;
                     i += step;
                 }
             }
             OpCode::Nop => {}
             OpCode::Alloc { shape, elem } => {
-                let elem = *elem;
                 self.soc.charge_host_cycles(40); // allocator call
-                let desc = MemRefDesc::alloc(&mut self.soc.mem, shape, elem);
+                let desc = MemRefDesc::alloc(&mut self.soc.mem, shape, *elem);
                 self.set(op, ctx, 0, RtValue::MemRef(desc));
             }
             OpCode::Subview { sizes } => {
@@ -504,29 +525,11 @@ impl<'a> Interpreter<'a> {
                 let result = ctx.result(op, 0).index();
                 let mut view = match self.env.slots[result].take() {
                     Some(RtValue::MemRef(view)) => view,
-                    _ => MemRefDesc {
-                        base: SimAddr(0),
-                        offset: 0,
-                        sizes: Vec::new(),
-                        strides: Vec::new(),
-                        elem: ElemType::I32,
-                    },
+                    _ => self.env.memref(operands[0])?.clone(),
                 };
-                let source = self.env.memref(operands[0])?;
                 let mut buf = [0i64; MAX_RANK];
-                if operands.len() - 1 <= MAX_RANK {
-                    let n = operands.len() - 1;
-                    for (slot, v) in buf[..n].iter_mut().zip(&operands[1..]) {
-                        *slot = self.env.index(*v)?;
-                    }
-                    source.subview_into(&buf[..n], sizes, &mut view);
-                } else {
-                    let offsets: Vec<i64> = operands[1..]
-                        .iter()
-                        .map(|v| self.env.index(*v))
-                        .collect::<Result<_, _>>()?;
-                    source.subview_into(&offsets, sizes, &mut view);
-                }
+                let offsets = self.env.indices(&operands[1..], &mut buf)?;
+                self.env.memref(operands[0])?.subview_into(offsets, sizes, &mut view);
                 // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
                 self.soc.charge_arith(2 * sizes.len() as u64);
                 self.env.slots[result] = Some(RtValue::MemRef(view));
@@ -556,10 +559,9 @@ impl<'a> Interpreter<'a> {
                 self.soc.mem.write_u32(addr, word);
             }
             OpCode::Dim(dim) => {
-                let dim = *dim;
                 let operands = &ctx.op(op).operands;
-                let Some(&size) = self.env.memref(operands[0])?.sizes.get(dim as usize) else {
-                    return Err(dim_out_of_range(dim));
+                let Some(&size) = self.env.memref(operands[0])?.sizes.get(*dim as usize) else {
+                    return Err(dim_out_of_range(*dim));
                 };
                 self.set(op, ctx, 0, RtValue::Index(size));
             }
@@ -571,7 +573,6 @@ impl<'a> Interpreter<'a> {
                 kernels::cpu_matmul_i32(self.soc, a, b, c, None);
             }
             OpCode::CpuConv { stride } => {
-                let stride = *stride;
                 let operands = &ctx.op(op).operands;
                 let input = self.env.memref(operands[0])?;
                 let filter = self.env.memref(operands[1])?;
@@ -582,73 +583,11 @@ impl<'a> Interpreter<'a> {
                     in_hw: input.sizes[2] as usize,
                     out_channels: filter.sizes[0] as usize,
                     filter_hw: filter.sizes[2] as usize,
-                    stride,
+                    stride: *stride,
                 };
                 kernels::cpu_conv2d_i32(self.soc, input, filter, output, shape);
             }
-            OpCode::Call(callee) => {
-                let callee = *callee;
-                self.exec_call(ctx, op, callee)?;
-            }
-            OpCode::AccelDmaInit => {
-                let operands = &ctx.op(op).operands;
-                let vals: Vec<i64> =
-                    operands.iter().map(|v| self.env.int_any(*v)).collect::<Result<_, _>>()?;
-                dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
-            }
-            OpCode::AccelSendLiteral { flush } => {
-                let flush = *flush;
-                let operands = &ctx.op(op).operands;
-                let word = self.env.int_any(operands[0])? as u32;
-                let off = self.env.int_any(operands[1])? as u64;
-                let new = dma_lib::write_literal_to_dma_region(self.soc, word, off);
-                if flush {
-                    dma_lib::dma_start_send(self.soc, new, 0)?;
-                    dma_lib::dma_wait_send_completion(self.soc);
-                }
-                self.set(op, ctx, 0, RtValue::I32(new as i32));
-            }
-            OpCode::AccelSendDim { flush, dim } => {
-                let (flush, dim) = (*flush, *dim);
-                let operands = &ctx.op(op).operands;
-                let view = self.env.memref(operands[0])?;
-                let off = self.env.int_any(operands[1])? as u64;
-                let Some(dim) = dim else { return Err(other("sendDim without dim")) };
-                let Some(&size) = view.sizes.get(dim as usize) else {
-                    return Err(send_dim_out_of_range(dim));
-                };
-                // memref.dim + cast cost.
-                self.soc.charge_arith(2);
-                let new = dma_lib::write_literal_to_dma_region(self.soc, size as u32, off);
-                if flush {
-                    dma_lib::dma_start_send(self.soc, new, 0)?;
-                    dma_lib::dma_wait_send_completion(self.soc);
-                }
-                self.set(op, ctx, 0, RtValue::I32(new as i32));
-            }
-            OpCode::AccelSend { flush } => {
-                let flush = *flush;
-                let operands = &ctx.op(op).operands;
-                let view = self.env.memref(operands[0])?;
-                let off = self.env.int_any(operands[1])? as u64;
-                let new = dma_lib::copy_to_dma_region(self.soc, view, off, self.copy_strategy);
-                if flush {
-                    dma_lib::dma_start_send(self.soc, new, 0)?;
-                    dma_lib::dma_wait_send_completion(self.soc);
-                }
-                self.set(op, ctx, 0, RtValue::I32(new as i32));
-            }
-            OpCode::AccelRecv { accumulate } => {
-                let accumulate = *accumulate;
-                let operands = &ctx.op(op).operands;
-                let view = self.env.memref(operands[0])?;
-                let off = self.env.int_any(operands[1])? as u64;
-                let bytes = view.num_bytes();
-                dma_lib::dma_start_recv(self.soc, bytes, off)?;
-                dma_lib::dma_wait_recv_completion(self.soc);
-                dma_lib::copy_from_dma_region(self.soc, view, off, accumulate, self.copy_strategy);
-                self.set(op, ctx, 0, RtValue::I32(bytes as i32));
-            }
+            OpCode::Call(callee) => self.exec_call(ctx, op, *callee)?,
             OpCode::Invalid(why) => return Err((**why).clone()),
         }
         Ok(())
@@ -660,9 +599,6 @@ impl<'a> Interpreter<'a> {
             RtFn::DmaInit => {
                 let vals: Vec<i64> =
                     operands.iter().map(|v| self.env.int_any(*v)).collect::<Result<_, _>>()?;
-                if vals.len() != 5 {
-                    return Err(bad_arguments("dma_init expects 5 scalars"));
-                }
                 dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
             }
             RtFn::WriteLiteral => {
@@ -757,8 +693,27 @@ fn unsupported_op(name: &str) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn bad_arguments(context: &str) -> InterpError {
-    InterpError::BadArguments { context: context.to_owned() }
+fn unlowered(name: &str) -> InterpError {
+    InterpError::Other {
+        message: format!("`{name}` must be lowered to runtime calls before it runs"),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_signature(
+    name: &str,
+    operands: usize,
+    results: usize,
+    found: (usize, usize),
+) -> InterpError {
+    InterpError::Other {
+        message: format!(
+            "{name} takes {operands} operands and {results} results, with memrefs of the rank \
+             it indexes (at most {MAX_RANK}); found {} operands and {} results",
+            found.0, found.1
+        ),
+    }
 }
 
 #[cold]
@@ -777,12 +732,6 @@ fn cannot_store(value: &RtValue) -> InterpError {
 #[inline(never)]
 fn dim_out_of_range(dim: i64) -> InterpError {
     InterpError::Other { message: format!("memref.dim {dim} out of range") }
-}
-
-#[cold]
-#[inline(never)]
-fn send_dim_out_of_range(dim: i64) -> InterpError {
-    InterpError::Other { message: format!("sendDim dim {dim} out of range") }
 }
 
 fn elem_type(ty: &Type) -> Result<ElemType, InterpError> {

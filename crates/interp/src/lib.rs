@@ -5,9 +5,10 @@
 //! equivalent is interpreting the IR against [`axi4mlir_runtime::Soc`],
 //! charging for each operation what the compiled code would pay (arithmetic
 //! cycles, cache-modelled loads/stores, loop branches) and dispatching the
-//! DMA library `func.call`s — or, pre-lowering, the `accel` ops directly —
-//! to `axi4mlir_runtime::dma_lib`. Both representations are supported and
-//! tested to produce identical results and DMA traffic.
+//! DMA library `func.call`s to `axi4mlir_runtime::dma_lib`. The `accel`
+//! ops reach it only in that lowered form: `LowerAccelToRuntimePass` (in
+//! `axi4mlir-core`) is their one definition, and an unlowered `accel` op
+//! is an error naming it.
 //!
 //! `linalg` ops that were *not* offloaded execute through the instrumented
 //! native CPU kernels (`axi4mlir_runtime::kernels`), which model the

@@ -1,15 +1,17 @@
 //! Malformed IR is an [`InterpError`] from [`run_func`], never a panic:
-//! an op whose resolution fails (missing region, attribute or result,
-//! unsupported type, unknown callee) carries the reason in its opcode
-//! slot and returns it when executed.
+//! an op whose resolution fails (missing region, attribute, operand or
+//! result, a memref of the wrong rank, unsupported type, unknown callee,
+//! an `accel` op not lowered) carries the reason in its opcode slot and
+//! returns it when executed.
 
-use axi4mlir_dialects::{arith, func};
+use axi4mlir_dialects::{accel, arith, func, memref};
 use axi4mlir_interp::{run_func, InterpError};
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
 use axi4mlir_ir::ops::{Module, ValueId};
 use axi4mlir_ir::types::{MemRefType, Type, DYNAMIC};
 use axi4mlir_runtime::copy::CopyStrategy;
+use axi4mlir_runtime::dma_lib::names;
 use axi4mlir_runtime::soc::Soc;
 use axi4mlir_sim::axi::LoopbackAccelerator;
 
@@ -82,4 +84,72 @@ fn a_parsed_region_less_loop_is_an_error() {
     let m = axi4mlir_ir::parser::parse_module(text).expect("the module parses");
     let err = run_func(&mut soc(), &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
     assert!(matches!(err, InterpError::Other { .. }), "{err}");
+}
+
+/// A call to the runtime library named `callee` with `operands`.
+fn call(b: &mut OpBuilder<'_>, callee: &str, operands: Vec<ValueId>, results: Vec<Type>) {
+    b.insert_op("func.call", operands, results, [("callee", Attribute::Str(callee.into()))]);
+}
+
+/// Ops without an operand or result that execution reads, or whose
+/// memrefs lack the rank it indexes, are refused at resolution by name.
+/// The first eight used to panic indexing past the op's operands, its
+/// results or a descriptor's sizes. `dma_init`'s count was checked on
+/// every run instead, and a load past rank 8 used to take a heap path
+/// for its indices that no module needed.
+#[test]
+fn missing_operands_and_results_are_errors_not_panics() {
+    type Build = fn(&mut OpBuilder<'_>, ValueId);
+    let cases: [(&str, Build); 10] = [
+        ("arith.addi", |b, c1| {
+            b.insert_op("arith.addi", vec![c1], vec![Type::Index], []);
+        }),
+        ("arith.addi", |b, c1| {
+            b.insert_op("arith.addi", vec![c1, c1], vec![], []);
+        }),
+        ("memref.load", |b, _| {
+            b.insert_op("memref.load", vec![], vec![Type::i32()], []);
+        }),
+        ("memref.store", |b, c1| {
+            b.insert_op("memref.store", vec![c1], vec![], []);
+        }),
+        ("memref.subview", |b, _| {
+            let view = Type::MemRef(MemRefType::contiguous(vec![1], Type::i32()));
+            let sizes = ("static_sizes", Attribute::Array(vec![Attribute::Int(1)]));
+            b.insert_op("memref.subview", vec![], vec![view], [sizes]);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            let m = memref::alloc(b, vec![4, 4], Type::i32());
+            b.insert_op("linalg.conv_2d_nchw_fchw", vec![m, m, m], vec![], []);
+        }),
+        ("func.call", |b, _| call(b, names::WRITE_LITERAL, vec![], vec![Type::i32()])),
+        ("func.call", |b, c1| {
+            let m = memref::alloc(b, vec![4], Type::i32());
+            call(b, names::COPY_FROM, vec![m, c1], vec![Type::i32()]);
+        }),
+        ("func.call", |b, c1| call(b, names::DMA_INIT, vec![c1; 4], vec![])),
+        ("memref.load", |b, c1| {
+            let m = memref::alloc(b, vec![1; 9], Type::i32());
+            let mut operands = vec![m];
+            operands.extend([c1; 9]);
+            b.insert_op("memref.load", operands, vec![Type::i32()], []);
+        }),
+    ];
+    for (name, build) in cases {
+        let err = run_malformed(build);
+        let InterpError::Other { message } = &err else { panic!("{name}: {err:?}") };
+        assert!(message.starts_with(&format!("{name} takes ")), "{name}: {message}");
+    }
+}
+
+/// An `accel` op has no meaning in the interpreter: it must be lowered
+/// to runtime calls first, and run unlowered it is an error naming it.
+#[test]
+fn an_unlowered_accel_op_is_an_error() {
+    let err = run_malformed(|b, _| {
+        let word = arith::const_i32(b, 0);
+        accel::dma_init(b, word, word, word, word, word);
+    });
+    let message = "`accel.dma_init` must be lowered to runtime calls before it runs";
+    assert_eq!(err, InterpError::Other { message: message.into() });
 }

@@ -5,8 +5,13 @@
 //! calibrated so that the *shapes* of the paper's figures reproduce:
 //!
 //! - Fig. 10: accelerator offload only beats the CPU for `dims >= 64` and
-//!   `accel_size >= 8` — driven by `dma_setup_host_cycles` dominating small
-//!   tiles and cache misses slowing the CPU at large dims.
+//!   `accel_size >= 8` — driven by the per-transfer host costs that
+//!   dominate small tiles (`dma_init_host_cycles`, `dma_start_host_cycles`,
+//!   `uncached_read_cycles`), by the host's `arith_cycles` and
+//!   `mem_cycles`, by `stream_beat_device_cycles`, and by cache misses
+//!   slowing the CPU at large dims. Scaling any of these (×10 for the DMA
+//!   and uncached costs, ×3 for the host ones, ×4 for the beat) breaks
+//!   the figure's claims.
 //! - Fig. 12: the specialized `memcpy` copy (16-byte NEON chunks) reduces
 //!   cache references and branches about 3x vs the element-wise recursive
 //!   copy; the manual baseline's compiler-autovectorized copy sits between

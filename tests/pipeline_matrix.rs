@@ -284,23 +284,3 @@ fn coalescing_preserves_results_and_cuts_transactions() {
         );
     }
 }
-
-/// Coalescing works through the direct (unlowered) accel path too.
-#[test]
-fn coalescing_agrees_across_execution_paths() {
-    let problem = MatMulProblem::square(16);
-    let mut session = Session::for_sweep();
-    let mut mk = |lower: bool| {
-        let mut opts = PipelineOptions::optimized();
-        opts.coalesce_transfers = true;
-        opts.lower_to_runtime_calls = lower;
-        let plan = CompilePlan::for_accelerator(AcceleratorConfig::matmul(MatMulVersion::V3, 4))
-            .flow(FlowStrategy::OutputStationary)
-            .options(opts);
-        session.run(&MatMulWorkload::new(problem), &plan).unwrap()
-    };
-    let lowered = mk(true);
-    let direct = mk(false);
-    assert_eq!(lowered.result, direct.result);
-    assert_eq!(lowered.counters.dma_transactions, direct.counters.dma_transactions);
-}
