@@ -7,9 +7,11 @@
 //! the runtime tile configuration, and conv2d ships the one
 //! filter+output stationary flow of Fig. 15a.
 
+use std::sync::OnceLock;
+
 use axi4mlir_accelerators::matmul::MatMulVersion;
 use axi4mlir_accelerators::Device;
-use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
+use axi4mlir_ir::attrs::{OpcodeAction, OpcodeFlow, OpcodeMap};
 
 use crate::accelerator::{AcceleratorConfig, DmaInfo};
 use crate::flow::{FlowStrategy, MATMUL_DATA, MATMUL_DIMS};
@@ -34,14 +36,6 @@ pub fn matmul_flows(version: MatMulVersion) -> &'static [(FlowStrategy, &'static
             (Cs, "((sA sB cC) rC)"),
         ],
     }
-}
-
-/// The `flows` member of a MatMul preset, parsed from [`matmul_flows`].
-fn preset_flows(version: MatMulVersion) -> Vec<(String, OpcodeFlow)> {
-    matmul_flows(version)
-        .iter()
-        .map(|(strategy, flow)| (strategy.short_name().to_owned(), parse_flow(flow)))
-        .collect()
 }
 
 /// The micro-ISA each MatMul generation decodes, as the entries of its
@@ -73,6 +67,32 @@ fn matmul_opcodes(version: MatMulVersion) -> &'static str {
     }
 }
 
+/// A MatMul generation's `opcode_map` (without v4's `cfg`) and `flows`,
+/// parsed from [`matmul_opcodes`] and [`matmul_flows`].
+struct MatMulTables {
+    opcode_map: OpcodeMap,
+    flows: Vec<(String, OpcodeFlow)>,
+}
+
+/// The tables of `version`, parsed on first use and shared by every
+/// preset of the generation after that (v3 and v4 share one).
+fn matmul_tables(version: MatMulVersion) -> &'static MatMulTables {
+    static TABLES: [OnceLock<MatMulTables>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let slot = match version {
+        MatMulVersion::V1 => 0,
+        MatMulVersion::V2 => 1,
+        MatMulVersion::V3 | MatMulVersion::V4 => 2,
+    };
+    TABLES[slot].get_or_init(|| MatMulTables {
+        opcode_map: parse_map(matmul_opcodes(version)),
+        flows: matmul_flows(version)
+            .iter()
+            .map(|(strategy, flow)| (strategy.short_name().to_owned(), parse_flow(flow)))
+            .collect(),
+    })
+}
+
 fn parse_map(text: &str) -> OpcodeMap {
     OpcodeMap::parse(text).expect("preset opcode_map must parse")
 }
@@ -102,12 +122,15 @@ impl AcceleratorConfig {
         size: i64,
         (tm, tn, tk): (i64, i64, i64),
     ) -> AcceleratorConfig {
-        let mut opcodes = matmul_opcodes(version).to_owned();
+        let tables = matmul_tables(version);
+        let mut opcode_map = tables.opcode_map.clone();
         let mut init_opcodes = vec!["reset".to_owned()];
         if version == MatMulVersion::V4 {
-            opcodes.push_str(&format!(
-                ", cfg = [send_literal(0x30), send_literal({tm}), send_literal({tn}), send_literal({tk})]"
-            ));
+            // `cfg = [send_literal(0x30), send_literal(tM), ...]`, each
+            // word truncated to 32 bits as the text's parser does.
+            let cfg =
+                [0x30, tm, tn, tk].map(|word| OpcodeAction::SendLiteral { value: word as u32 });
+            opcode_map.push("cfg".to_owned(), cfg.to_vec()).expect("`cfg` is a new opcode");
             init_opcodes.push("cfg".to_owned());
         }
         let cfg = AcceleratorConfig {
@@ -118,8 +141,8 @@ impl AcceleratorConfig {
             data: MATMUL_DATA
                 .map(|(arg, dims)| (arg.to_owned(), dims.map(str::to_owned).to_vec()))
                 .to_vec(),
-            opcode_map: parse_map(&format!("opcode_map<{opcodes}>")),
-            flows: preset_flows(version),
+            opcode_map,
+            flows: tables.flows.clone(),
             selected_flow: "Ns".to_owned(),
             init_opcodes,
         };
@@ -258,6 +281,77 @@ mod tests {
             first_action("reset"),
             axi4mlir_ir::attrs::OpcodeAction::SendLiteral { value: 0xFF }
         );
+    }
+
+    /// A MatMul preset built the way every build made it before the
+    /// tables were parsed once: its whole `opcode_map` text, v4's `cfg`
+    /// included, and each flow parsed anew.
+    fn parsed_from_text(
+        version: MatMulVersion,
+        size: i64,
+        (tm, tn, tk): (i64, i64, i64),
+    ) -> AcceleratorConfig {
+        let mut opcodes = matmul_opcodes(version).to_owned();
+        let mut init_opcodes = vec!["reset".to_owned()];
+        if version == MatMulVersion::V4 {
+            opcodes.push_str(&format!(
+                ", cfg = [send_literal(0x30), send_literal({tm}), send_literal({tn}), send_literal({tk})]"
+            ));
+            init_opcodes.push("cfg".to_owned());
+        }
+        AcceleratorConfig {
+            device: Device::matmul(version, size).unwrap(),
+            dma: DmaInfo::default(),
+            dims: MATMUL_DIMS.map(str::to_owned).to_vec(),
+            accel_dims: vec![tm, tn, tk],
+            data: MATMUL_DATA
+                .map(|(arg, dims)| (arg.to_owned(), dims.map(str::to_owned).to_vec()))
+                .to_vec(),
+            opcode_map: parse_map(&format!("opcode_map<{opcodes}>")),
+            flows: matmul_flows(version)
+                .iter()
+                .map(|(strategy, flow)| (strategy.short_name().to_owned(), parse_flow(flow)))
+                .collect(),
+            selected_flow: "Ns".to_owned(),
+            init_opcodes,
+        }
+    }
+
+    #[test]
+    fn a_preset_equals_its_text_parsed() {
+        let mut cases = Vec::new();
+        for size in [4, 8, 16] {
+            for version in
+                [MatMulVersion::V1, MatMulVersion::V2, MatMulVersion::V3, MatMulVersion::V4]
+            {
+                cases.push((version, size, (size, size, size)));
+            }
+        }
+        for (size, tile) in [
+            (4, (8, 4, 12)),
+            (8, (16, 8, 24)),
+            (16, (32, 16, 64)),
+            (16, (64, 64, 64)),
+            (256, (256, 8, 256)),
+        ] {
+            cases.push((MatMulVersion::V4, size, tile));
+        }
+        for (version, size, tile) in cases {
+            let built = AcceleratorConfig::matmul_with_tile(version, size, tile);
+            let parsed = parsed_from_text(version, size, tile);
+            assert_eq!(built, parsed, "{version:?} {size} {tile:?}");
+            let printed =
+                |cfg: &AcceleratorConfig| cfg.to_trait_attrs(None)["opcode_map"].to_string();
+            assert_eq!(printed(&built), printed(&parsed), "{version:?} {size} {tile:?}");
+        }
+    }
+
+    #[test]
+    fn each_generation_is_parsed_once() {
+        let v3 = matmul_tables(MatMulVersion::V3);
+        assert!(std::ptr::eq(v3, matmul_tables(MatMulVersion::V3)));
+        assert!(std::ptr::eq(v3, matmul_tables(MatMulVersion::V4)), "v3 and v4 share a table");
+        assert!(!std::ptr::eq(v3, matmul_tables(MatMulVersion::V2)));
     }
 
     /// `name accel_dims opcode_map [flows] init_opcodes selected_flow`.

@@ -287,8 +287,9 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
                 .and_then(Attribute::as_array)
                 .and_then(|a| a.first())
                 .and_then(Attribute::as_int)
-                .unwrap_or(1) as usize;
-            OpCode::CpuConv { stride }
+                .unwrap_or(1);
+            // A negative stride becomes 0, which the signature check refuses.
+            OpCode::CpuConv { stride: usize::try_from(stride).unwrap_or(0) }
         }
         "func.call" => {
             let callee = ctx
@@ -315,8 +316,9 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
 }
 
 /// Checks that `op` has every operand and result `code` reads or writes,
-/// and that its memrefs have the rank `code` indexes, so execution can
-/// index them unchecked.
+/// that its memrefs have the rank `code` indexes, and that a CPU kernel's
+/// memrefs have the shapes it indexes, so execution can index them
+/// unchecked.
 fn check_signature(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpError> {
     let data = ctx.op(op);
     // The static rank of operand `i`; 0 for no memref, which execution
@@ -350,7 +352,49 @@ fn check_signature(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpErr
     if !ranked || operands.is_some_and(|n| n != found.0) || found.1 < results {
         return Err(bad_signature(&data.name, operands.unwrap_or(found.0), results, found));
     }
-    Ok(())
+    check_kernel_shapes(ctx, op, code)
+}
+
+/// Checks that a CPU kernel's three memrefs have static extents that
+/// agree: `A[m, k]`, `B[k, n]`, `C[m, n]` for a MatMul; for a Conv2D a
+/// square NCHW input, a square FCHW filter no larger than it, and the
+/// output they make at the op's (positive) stride.
+fn check_kernel_shapes(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpError> {
+    let data = ctx.op(op);
+    let shape = |i: usize| {
+        let memref = data.operands.get(i).and_then(|v| ctx.value_type(*v).as_memref());
+        memref.map_or(&[][..], |m| m.shape.as_slice())
+    };
+    let shapes = (shape(0), shape(1), shape(2));
+    let fixed = [shapes.0, shapes.1, shapes.2].iter().all(|s| s.iter().all(|&e| e >= 0));
+    let (agree, rule) = match (code, shapes) {
+        (OpCode::CpuMatMul, (&[m, k], &[k2, n], &[m2, n2])) => {
+            (k == k2 && m == m2 && n == n2, "A[m, k], B[k, n], C[m, n]".to_owned())
+        }
+        (&OpCode::CpuConv { stride }, (&[b, ic, h, w], &[oc, ic2, f, f2], &[b2, oc2, o, o2])) => (
+            fixed
+                && stride > 0
+                && (h, f, ic, b, oc, o) == (w, f2, ic2, b2, oc2, o2)
+                && f <= h
+                && o == ((h - f) as usize / stride + 1) as i64,
+            format!(
+                "input[b, c, h, h], filter[oc, c, f, f], output[b, oc, o, o] with f <= h \
+                 and o = (h - f) / {stride} + 1"
+            ),
+        ),
+        _ => return Ok(()),
+    };
+    if fixed && agree {
+        return Ok(());
+    }
+    let found = data.operands.iter().map(|v| ctx.value_type(*v).to_string());
+    Err(InterpError::Other {
+        message: format!(
+            "{} operands must be memrefs {rule} of static extents; found {}",
+            data.name,
+            found.collect::<Vec<_>>().join(", ")
+        ),
+    })
 }
 
 impl Frame {

@@ -1,10 +1,10 @@
 //! Malformed IR is an [`InterpError`] from [`run_func`], never a panic:
 //! an op whose resolution fails (missing region, attribute, operand or
-//! result, a memref of the wrong rank, unsupported type, unknown callee,
-//! an `accel` op not lowered) carries the reason in its opcode slot and
-//! returns it when executed.
+//! result, a memref of the wrong rank, CPU-kernel operands whose shapes
+//! disagree, unsupported type, unknown callee, an `accel` op not lowered)
+//! carries the reason in its opcode slot and returns it when executed.
 
-use axi4mlir_dialects::{accel, arith, func, memref};
+use axi4mlir_dialects::{accel, arith, func, linalg, memref};
 use axi4mlir_interp::{run_func, InterpError};
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
@@ -140,6 +140,63 @@ fn missing_operands_and_results_are_errors_not_panics() {
         let InterpError::Other { message } = &err else { panic!("{name}: {err:?}") };
         assert!(message.starts_with(&format!("{name} takes ")), "{name}: {message}");
     }
+}
+
+/// A CPU kernel whose memrefs have the rank it indexes but shapes that
+/// do not agree is refused at resolution by name. Each of these used to
+/// panic: on the kernels' shape asserts, on an index past the input, or
+/// (stride 0) on a division by zero.
+#[test]
+fn kernel_shapes_that_disagree_are_errors_not_panics() {
+    type Build = fn(&mut OpBuilder<'_>, ValueId);
+    fn conv(b: &mut OpBuilder<'_>, shapes: [[i64; 4]; 3], stride: i64) {
+        let [input, filter, output] = shapes.map(|s| memref::alloc(b, s.to_vec(), Type::i32()));
+        linalg::conv_2d_nchw_fchw(b, input, filter, output, stride);
+    }
+    let cases: [(&str, Build); 8] = [
+        ("linalg.matmul", |b, _| {
+            let a = memref::alloc(b, vec![4, 8], Type::i32());
+            let c = memref::alloc(b, vec![4, 4], Type::i32());
+            linalg::named_matmul(b, a, c, a);
+        }),
+        ("linalg.generic", |b, _| {
+            let a = memref::alloc(b, vec![4, 4], Type::i32());
+            let bb = memref::alloc(b, vec![8, 8], Type::i32());
+            linalg::generic_matmul(b, a, bb, a);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[1, 3, 8, 8], [2, 4, 3, 3], [1, 2, 6, 6]], 1);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[1, 1, 8, 6], [1, 1, 3, 3], [1, 1, 6, 4]], 1);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[1, 1, 2, 2], [1, 1, 3, 3], [1, 1, 1, 1]], 1);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[1, 1, 8, 8], [1, 1, 3, 3], [1, 1, 6, 6]], 2);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[2, 1, 8, 8], [1, 1, 3, 3], [1, 1, 6, 6]], 1);
+        }),
+        ("linalg.conv_2d_nchw_fchw", |b, _| {
+            conv(b, [[1, 1, 8, 8], [1, 1, 3, 3], [1, 1, 6, 6]], 0);
+        }),
+    ];
+    for (name, build) in cases {
+        let err = run_malformed(build);
+        let InterpError::Other { message } = &err else { panic!("{name}: {err:?}") };
+        let expected = format!("{name} operands must be memrefs ");
+        assert!(message.starts_with(&expected), "{name}: {message}");
+    }
+    let err = run_malformed(|b, _| {
+        let a = memref::alloc(b, vec![4, 4], Type::i32());
+        let bb = memref::alloc(b, vec![8, 8], Type::i32());
+        linalg::named_matmul(b, a, bb, a);
+    });
+    let message = "linalg.matmul operands must be memrefs A[m, k], B[k, n], C[m, n] of static \
+                   extents; found memref<4x4xi32>, memref<8x8xi32>, memref<4x4xi32>";
+    assert_eq!(err, InterpError::Other { message: message.into() });
 }
 
 /// An `accel` op has no meaning in the interpreter: it must be lowered

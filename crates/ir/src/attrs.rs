@@ -99,14 +99,21 @@ impl OpcodeMap {
     pub fn new(entries: Vec<(String, Vec<OpcodeAction>)>) -> Result<Self, Diagnostic> {
         let mut seen = std::collections::BTreeSet::new();
         for (name, actions) in &entries {
-            if !seen.insert(name.clone()) {
-                return Err(Diagnostic::error(format!("duplicate opcode `{name}` in opcode_map")));
-            }
-            if actions.is_empty() {
-                return Err(Diagnostic::error(format!("opcode `{name}` has an empty action list")));
-            }
+            check_entry(name, actions, !seen.insert(name.as_str()))?;
         }
         Ok(Self { entries })
+    }
+
+    /// Appends one opcode after the others.
+    ///
+    /// # Errors
+    ///
+    /// Rejects what [`OpcodeMap::new`] rejects: a name already defined,
+    /// or an empty action list.
+    pub fn push(&mut self, name: String, actions: Vec<OpcodeAction>) -> Result<(), Diagnostic> {
+        check_entry(&name, &actions, self.get(&name).is_some())?;
+        self.entries.push((name, actions));
+        Ok(())
     }
 
     /// Looks up an opcode's actions.
@@ -175,6 +182,17 @@ impl OpcodeMap {
         }
         Self::new(entries)
     }
+}
+
+/// Refuses an `opcode_map` entry that repeats a name or has no actions.
+fn check_entry(name: &str, actions: &[OpcodeAction], duplicate: bool) -> Result<(), Diagnostic> {
+    if duplicate {
+        return Err(Diagnostic::error(format!("duplicate opcode `{name}` in opcode_map")));
+    }
+    if actions.is_empty() {
+        return Err(Diagnostic::error(format!("opcode `{name}` has an empty action list")));
+    }
+    Ok(())
 }
 
 impl fmt::Display for OpcodeMap {

@@ -10,16 +10,19 @@
 //!   optimization (Fig. 12a).
 //! - [`CopyStrategy::Chunked`] — the specialized copy used when
 //!   `strides[N-1] == 1`: contiguous runs are moved in vector-register
-//!   chunks (`std::memcpy` inlined to NEON on the board), one cache lookup
-//!   and one write-combined beat per chunk (Fig. 12b). The manual C++
-//!   baseline's compiler-autovectorized copies are the same shape with a
-//!   narrower chunk.
+//!   chunks (`std::memcpy` inlined to NEON on the board), one cache
+//!   reference and one write-combined beat per chunk (Fig. 12b). The
+//!   manual C++ baseline's compiler-autovectorized copies are the same
+//!   shape with a narrower chunk.
 //!
 //! When a view's innermost stride is not 1 (e.g. the `fHW == 1` ResNet layer
 //! of Fig. 16), the chunked strategy *degrades to element-wise*, exactly as
 //! the paper describes.
+//!
+//! Both strategies hand the cache model one contiguous run at a time
+//! (`Soc::cached_chunks`): every element or chunk is still a reference,
+//! but one to the line just looked up is counted, not looked up again.
 
-use axi4mlir_sim::cache::AccessKind;
 use axi4mlir_sim::cost::CostModel;
 use axi4mlir_sim::mem::{ElemType, SimAddr};
 
@@ -64,10 +67,40 @@ pub fn copy_view_to_region(
     strategy: CopyStrategy,
 ) -> u64 {
     assert_eq!(view.elem.byte_width(), 4, "AXI-S staging requires 32-bit elements");
-    match effective(strategy, view) {
-        CopyStrategy::ElementWise => copy_to_elementwise(soc, view, dst),
-        CopyStrategy::Chunked { chunk_bytes } => copy_to_chunked(soc, view, dst, chunk_bytes),
+    let runs = Runs::of(view);
+    // Per-element index arithmetic, loop branch and write-combined beat,
+    // or per-run loop control / address computation and per-chunk beats,
+    // charged in bulk: the sums equal charging each separately.
+    let step = match effective(strategy, view) {
+        CopyStrategy::ElementWise => {
+            let n = view.num_elements() as u64;
+            soc.charge_arith(n * soc.cost.elementwise_index_cycles);
+            soc.charge_branch(n);
+            soc.charge_uncached_writes(n);
+            4
+        }
+        CopyStrategy::Chunked { chunk_bytes } => {
+            soc.charge_branch(runs.count);
+            soc.charge_arith(2 * runs.count);
+            soc.charge_uncached_writes(runs.count * runs.bytes.div_ceil(chunk_bytes));
+            chunk_bytes
+        }
+    };
+    // The cache sees one load per element or chunk, in walk order, one
+    // run at a time; the data then moves between two borrowed ranges.
+    for origin in runs.origins() {
+        soc.cached_chunks(origin, runs.bytes, step, 1);
     }
+    let len = runs.count * runs.bytes;
+    if len > 0 {
+        let (span_at, span_len) = byte_span(view);
+        let (staged, span) = soc.mem.split_pair(dst, len, span_at, span_len);
+        for (beats, origin) in staged.chunks_exact_mut(runs.bytes as usize).zip(runs.origins()) {
+            let at = (origin.0 - span_at.0) as usize;
+            beats.copy_from_slice(&span[at..at + beats.len()]);
+        }
+    }
+    len
 }
 
 /// Copies from a staging region at `src` into a `memref` view, optionally
@@ -84,12 +117,46 @@ pub fn copy_region_to_view(
     strategy: CopyStrategy,
 ) -> u64 {
     assert_eq!(view.elem.byte_width(), 4, "AXI-S staging requires 32-bit elements");
-    match effective(strategy, view) {
-        CopyStrategy::ElementWise => copy_from_elementwise(soc, view, src, accumulate),
+    let runs = Runs::of(view);
+    // The accumulate path pays one extra add per element, or one vector
+    // add per chunk.
+    let step = match effective(strategy, view) {
+        CopyStrategy::ElementWise => {
+            let n = view.num_elements() as u64;
+            soc.charge_arith(
+                n * soc.cost.elementwise_index_cycles + if accumulate { n } else { 0 },
+            );
+            soc.charge_branch(n);
+            soc.charge_uncached_reads(n);
+            4
+        }
         CopyStrategy::Chunked { chunk_bytes } => {
-            copy_from_chunked(soc, view, src, accumulate, chunk_bytes)
+            let chunks = runs.count * runs.bytes.div_ceil(chunk_bytes);
+            soc.charge_branch(runs.count);
+            soc.charge_arith(2 * runs.count + if accumulate { chunks } else { 0 });
+            soc.charge_uncached_reads(chunks);
+            chunk_bytes
+        }
+    };
+    // Accumulating is a load then a store of each element or chunk.
+    for origin in runs.origins() {
+        soc.cached_chunks(origin, runs.bytes, step, 1 + u64::from(accumulate));
+    }
+    let len = runs.count * runs.bytes;
+    if len > 0 {
+        let (span_at, span_len) = byte_span(view);
+        let (span, staged) = soc.mem.split_pair(span_at, span_len, src, len);
+        for (beats, origin) in staged.chunks_exact(runs.bytes as usize).zip(runs.origins()) {
+            let at = (origin.0 - span_at.0) as usize;
+            let slots = &mut span[at..at + beats.len()];
+            if accumulate {
+                accumulate_into(slots, beats, view.elem);
+            } else {
+                slots.copy_from_slice(beats);
+            }
         }
     }
+    len
 }
 
 /// The chunked strategy only applies to unit-stride innermost dimensions;
@@ -129,12 +196,9 @@ const STACK_RANK: usize = 8;
 
 /// Row-major walk over the element addresses an index space selects: the
 /// odometer pattern, advancing a linear offset by stride deltas instead of
-/// materializing an index vector per element. Walking a view's full index
-/// space visits exactly the addresses `view.elem_addr` would produce for
-/// `view.indices()`, in the same order.
+/// materializing an index vector per element.
 struct AddrWalk<'a> {
     base: SimAddr,
-    byte_width: u64,
     sizes: &'a [i64],
     strides: &'a [i64],
     idx: [i64; STACK_RANK],
@@ -146,16 +210,9 @@ struct AddrWalk<'a> {
 }
 
 impl<'a> AddrWalk<'a> {
-    fn new(
-        base: SimAddr,
-        offset: i64,
-        byte_width: u64,
-        sizes: &'a [i64],
-        strides: &'a [i64],
-    ) -> Self {
+    fn new(base: SimAddr, offset: i64, sizes: &'a [i64], strides: &'a [i64]) -> Self {
         Self {
             base,
-            byte_width,
             sizes,
             strides,
             idx: [0; STACK_RANK],
@@ -164,10 +221,6 @@ impl<'a> AddrWalk<'a> {
             // An empty (rank-0) space selects exactly one element.
             remaining: sizes.iter().product::<i64>().max(0),
         }
-    }
-
-    fn over(view: &'a MemRefDesc) -> Self {
-        Self::new(view.base, view.offset, view.elem.byte_width(), &view.sizes, &view.strides)
     }
 }
 
@@ -179,7 +232,7 @@ impl Iterator for AddrWalk<'_> {
             return None;
         }
         self.remaining -= 1;
-        let addr = self.base.offset(self.linear as u64 * self.byte_width);
+        let addr = self.base.offset(self.linear as u64 * 4);
         let idx = if self.spill.is_empty() {
             &mut self.idx[..self.sizes.len()]
         } else {
@@ -198,133 +251,49 @@ impl Iterator for AddrWalk<'_> {
     }
 }
 
+/// A 32-bit view as the contiguous runs both strategies copy: the
+/// longest packed trailing block where the innermost stride is 1 (whole
+/// rows, or more), single elements otherwise. Walking every run's
+/// elements in order visits exactly the addresses `view.elem_addr` would
+/// produce for `view.indices()`, in the same order.
+struct Runs<'a> {
+    view: &'a MemRefDesc,
+    /// The leading (non-run) dimensions, whose index space the run
+    /// origins walk.
+    lead: usize,
+    /// Number of runs.
+    count: u64,
+    /// Bytes per run.
+    bytes: u64,
+}
+
+impl<'a> Runs<'a> {
+    fn of(view: &'a MemRefDesc) -> Self {
+        let run_elems = view.contiguous_run_elems();
+        let mut covered = 1i64;
+        let mut lead = view.rank();
+        while lead > 0 && covered < run_elems {
+            lead -= 1;
+            covered *= view.sizes[lead];
+        }
+        let count = view.sizes[..lead].iter().product::<i64>().max(0) as u64;
+        Self { view, lead, count, bytes: run_elems.max(0) as u64 * 4 }
+    }
+
+    /// The address of each run's first element, in walk order.
+    fn origins(&self) -> AddrWalk<'a> {
+        let v = self.view;
+        AddrWalk::new(v.base, v.offset, &v.sizes[..self.lead], &v.strides[..self.lead])
+    }
+}
+
 /// The bytes from a non-empty view's first element to the end of its
-/// last: the one range its element-wise copies borrow. (Strides are never
-/// negative: views are row-major allocations and their subviews.)
+/// last: the one range its copies borrow. (Strides are never negative:
+/// views are row-major allocations and their subviews.)
 fn byte_span(view: &MemRefDesc) -> (SimAddr, u64) {
-    let width = view.elem.byte_width();
     let last: i64 =
         view.sizes.iter().zip(&view.strides).map(|(size, stride)| (size - 1) * stride).sum();
-    (view.base.offset(view.offset as u64 * width), (last + 1) as u64 * width)
-}
-
-fn copy_to_elementwise(soc: &mut Soc, view: &MemRefDesc, dst: SimAddr) -> u64 {
-    // Per-element index arithmetic, loop branch, and write-combined beat,
-    // charged in bulk: the sums equal charging each element separately.
-    let n = view.num_elements() as u64;
-    soc.charge_arith(n * soc.cost.elementwise_index_cycles);
-    soc.charge_branch(n);
-    soc.charge_uncached_writes(n);
-    // The cache sees one load per element, in walk order; the data then
-    // moves between two borrowed ranges.
-    for src_addr in AddrWalk::over(view) {
-        soc.cached_access(src_addr, 4, AccessKind::Read);
-    }
-    if n > 0 {
-        let (span_at, span_len) = byte_span(view);
-        let (staged, span) = soc.mem.split_pair(dst, 4 * n, span_at, span_len);
-        for (beat, addr) in staged.chunks_exact_mut(4).zip(AddrWalk::over(view)) {
-            let at = (addr.0 - span_at.0) as usize;
-            beat.copy_from_slice(&span[at..at + 4]);
-        }
-    }
-    4 * n
-}
-
-fn copy_from_elementwise(soc: &mut Soc, view: &MemRefDesc, src: SimAddr, accumulate: bool) -> u64 {
-    let n = view.num_elements() as u64;
-    // The accumulate path pays one extra add per element.
-    soc.charge_arith(n * soc.cost.elementwise_index_cycles + if accumulate { n } else { 0 });
-    soc.charge_branch(n);
-    soc.charge_uncached_reads(n);
-    for dst_addr in AddrWalk::over(view) {
-        if accumulate {
-            soc.cached_access(dst_addr, 4, AccessKind::Read);
-        }
-        soc.cached_access(dst_addr, 4, AccessKind::Write);
-    }
-    if n > 0 {
-        let (span_at, span_len) = byte_span(view);
-        let (span, staged) = soc.mem.split_pair(span_at, span_len, src, 4 * n);
-        for (beat, addr) in staged.chunks_exact(4).zip(AddrWalk::over(view)) {
-            let at = (addr.0 - span_at.0) as usize;
-            let slot = &mut span[at..at + 4];
-            if accumulate {
-                accumulate_into(slot, beat, view.elem);
-            } else {
-                slot.copy_from_slice(beat);
-            }
-        }
-    }
-    4 * n
-}
-
-/// Splits off the leading (non-run) dimensions of a view whose trailing
-/// dimensions form contiguous runs of `run_elems` elements.
-fn lead_dims(view: &MemRefDesc, run_elems: i64) -> (&[i64], &[i64]) {
-    let mut covered = 1i64;
-    let mut first_run_dim = view.rank();
-    while first_run_dim > 0 && covered < run_elems {
-        first_run_dim -= 1;
-        covered *= view.sizes[first_run_dim];
-    }
-    (&view.sizes[..first_run_dim], &view.strides[..first_run_dim])
-}
-
-fn copy_to_chunked(soc: &mut Soc, view: &MemRefDesc, dst: SimAddr, chunk_bytes: u64) -> u64 {
-    let run_elems = view.contiguous_run_elems();
-    let run_bytes = run_elems as u64 * 4;
-    let (lead_sizes, lead_strides) = lead_dims(view, run_elems);
-    let origins = lead_sizes.iter().product::<i64>().max(0) as u64;
-    let chunks_per_run = if run_bytes == 0 { 0 } else { run_bytes.div_ceil(chunk_bytes) };
-    // Per-run loop control / address computation and per-chunk
-    // write-combined beats, charged in bulk.
-    soc.charge_branch(origins);
-    soc.charge_arith(2 * origins);
-    soc.charge_uncached_writes(origins * chunks_per_run);
-    let mut out = dst;
-    for src_base in AddrWalk::new(view.base, view.offset, 4, lead_sizes, lead_strides) {
-        // Cache lookups stay per chunk (the cache model is stateful);
-        // the data moves as one memmove per run.
-        soc.cached_chunks(src_base, run_bytes, chunk_bytes, &[AccessKind::Read]);
-        soc.mem.copy(out, src_base, run_bytes);
-        out = out.offset(run_bytes);
-    }
-    out.0 - dst.0
-}
-
-fn copy_from_chunked(
-    soc: &mut Soc,
-    view: &MemRefDesc,
-    src: SimAddr,
-    accumulate: bool,
-    chunk_bytes: u64,
-) -> u64 {
-    let run_elems = view.contiguous_run_elems();
-    let run_bytes = run_elems as u64 * 4;
-    let (lead_sizes, lead_strides) = lead_dims(view, run_elems);
-    let origins = lead_sizes.iter().product::<i64>().max(0) as u64;
-    let chunks_per_run = if run_bytes == 0 { 0 } else { run_bytes.div_ceil(chunk_bytes) };
-    let chunks = origins * chunks_per_run;
-    soc.charge_branch(origins);
-    // The accumulate path pays one vector add per chunk.
-    soc.charge_arith(2 * origins + if accumulate { chunks } else { 0 });
-    soc.charge_uncached_reads(chunks);
-    let mut input = src;
-    for dst_base in AddrWalk::new(view.base, view.offset, 4, lead_sizes, lead_strides) {
-        // Accumulating is a vector load + add + store per chunk.
-        let kinds: &[AccessKind] =
-            if accumulate { &[AccessKind::Read, AccessKind::Write] } else { &[AccessKind::Write] };
-        soc.cached_chunks(dst_base, run_bytes, chunk_bytes, kinds);
-        if accumulate {
-            let (run, staged) = soc.mem.split_pair(dst_base, run_bytes, input, run_bytes);
-            accumulate_into(run, staged, view.elem);
-        } else {
-            soc.mem.copy(dst_base, input, run_bytes);
-        }
-        input = input.offset(run_bytes);
-    }
-    input.0 - src.0
+    (view.base.offset(view.offset as u64 * 4), (last + 1) as u64 * 4)
 }
 
 #[cfg(test)]

@@ -83,30 +83,15 @@ impl Soc {
         self.charge_cached(outcome, 1);
     }
 
-    /// [`Soc::cached_access`] for each `chunk`-byte step of the `bytes`
-    /// at `addr`, each step presented once per entry of `kinds` (a load,
-    /// a store, or a load then a store): the same cache state and counters
-    /// as those calls one by one, charged once.
-    pub(crate) fn cached_chunks(
-        &mut self,
-        addr: SimAddr,
-        bytes: u64,
-        chunk: u64,
-        kinds: &[AccessKind],
-    ) {
-        let mut total = AccessOutcome::default();
-        let mut moved = 0;
-        while moved < bytes {
-            let step = chunk.min(bytes - moved);
-            for &kind in kinds {
-                let outcome = self.cache.access(addr.0 + moved, step, kind);
-                total.l1_lookups += outcome.l1_lookups;
-                total.l1_misses += outcome.l1_misses;
-                total.l2_misses += outcome.l2_misses;
-            }
-            moved += step;
-        }
-        self.charge_cached(total, bytes.div_ceil(chunk) * kinds.len() as u64);
+    /// [`Soc::cached_access`] `repeats` times for each `chunk`-byte step
+    /// of the `bytes` at `addr` (a load, a store, or a load then a store
+    /// per step): the same cache state and counters as those calls one by
+    /// one, charged once. The cache model takes the run whole
+    /// ([`CacheHierarchy::access_run`]), so aligned chunks and elements
+    /// cost one real lookup per line, not one per step.
+    pub(crate) fn cached_chunks(&mut self, addr: SimAddr, bytes: u64, chunk: u64, repeats: u64) {
+        let outcome = self.cache.access_run(addr.0, bytes, chunk, repeats);
+        self.charge_cached(outcome, bytes.div_ceil(chunk) * repeats);
     }
 
     /// Charges `accesses` cached accesses whose lookups sum to `outcome`.

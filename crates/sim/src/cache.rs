@@ -110,7 +110,8 @@ impl CacheLevel {
     }
 
     /// Looks up a line address; on miss, fills it (evicting LRU). Returns hit.
-    #[inline]
+    // Forced: otherwise a run's loop keeps one call per line it looks up.
+    #[inline(always)]
     fn access_line(&mut self, line_addr: u64) -> bool {
         let n = self.config.ways as usize;
         let set = (line_addr & ((1 << self.set_bits) - 1)) as usize;
@@ -206,14 +207,70 @@ impl CacheHierarchy {
         let last = (addr + bytes.max(1) - 1) >> line_bits;
         let mut outcome = AccessOutcome::default();
         for line_addr in first..=last {
-            outcome.l1_lookups += 1;
-            if !self.l1.access_line(line_addr) {
-                outcome.l1_misses += 1;
-                let l2_hit = self.l2.as_mut().is_some_and(|l2| l2.access_line(line_addr));
-                outcome.l2_misses += u64::from(!l2_hit);
-            }
+            self.lookup(line_addr, &mut outcome);
         }
         outcome
+    }
+
+    /// Presents `repeats` accesses of each `step`-byte piece of the
+    /// `bytes` at `addr`, piece after piece (the last may be shorter): the
+    /// same outcome, state and statistics as those [`CacheHierarchy::access`]
+    /// calls one by one, summed.
+    ///
+    /// A lookup of the line the lookup before it found is a hit in the MRU
+    /// way of its set and reorders nothing, so it is only counted, as an
+    /// L1 access and hit; every other lookup is performed. When each piece
+    /// lies inside one line (aligned chunks and elements no longer than a
+    /// line), a run costs one real lookup per line it covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is zero.
+    pub fn access_run(&mut self, addr: u64, bytes: u64, step: u64, repeats: u64) -> AccessOutcome {
+        assert!(step > 0, "a run's step must be positive");
+        let line_bits = self.l1.config.line_bytes.trailing_zeros();
+        let end = addr + bytes;
+        let mut outcome = AccessOutcome::default();
+        let lookups = if bytes == 0 || repeats == 0 {
+            0
+        } else if self.l1.config.line_bytes.is_multiple_of(step) && addr.is_multiple_of(step) {
+            for line_addr in addr >> line_bits..=(end - 1) >> line_bits {
+                self.lookup(line_addr, &mut outcome);
+            }
+            bytes.div_ceil(step) * repeats
+        } else {
+            let (mut lookups, mut last_looked_up) = (0, None);
+            for at in (addr..end).step_by(step as usize) {
+                let lines = at >> line_bits..=((at + step).min(end) - 1) >> line_bits;
+                for _ in 0..repeats {
+                    for line_addr in lines.clone() {
+                        if last_looked_up != Some(line_addr) {
+                            self.lookup(line_addr, &mut outcome);
+                            last_looked_up = Some(line_addr);
+                        }
+                    }
+                }
+                lookups += lines.count() as u64 * repeats;
+            }
+            lookups
+        };
+        let repeated = lookups - outcome.l1_lookups;
+        self.l1.stats.accesses += repeated;
+        self.l1.stats.hits += repeated;
+        outcome.l1_lookups = lookups;
+        outcome
+    }
+
+    /// Looks `line_addr` up in L1, and in L2 on an L1 miss, adding to
+    /// `outcome`.
+    #[inline]
+    fn lookup(&mut self, line_addr: u64, outcome: &mut AccessOutcome) {
+        outcome.l1_lookups += 1;
+        if !self.l1.access_line(line_addr) {
+            outcome.l1_misses += 1;
+            let l2_hit = self.l2.as_mut().is_some_and(|l2| l2.access_line(line_addr));
+            outcome.l2_misses += u64::from(!l2_hit);
+        }
     }
 
     /// L1 statistics.
@@ -279,6 +336,20 @@ mod tests {
         let o = h.access(0x2_0000 + 30, 4, AccessKind::Read);
         assert_eq!(o.l1_lookups, 2);
         assert_eq!(o.l1_misses, 2);
+    }
+
+    #[test]
+    fn a_run_counts_every_step_and_looks_up_each_line_once() {
+        let mut h = CacheHierarchy::cortex_a9();
+        // 64 aligned bytes in 4-byte loads then stores: 32 references on
+        // two lines, so two misses and 30 hits.
+        let o = h.access_run(0x2_0000, 64, 4, 2);
+        assert_eq!(o, AccessOutcome { l1_lookups: 32, l1_misses: 2, l2_misses: 2 });
+        let s = h.l1_stats();
+        assert_eq!((s.accesses, s.hits, s.misses), (32, 30, 2));
+        // A 64-byte step spans two lines; unaligned, the last is short.
+        let o = h.access_run(0x2_0010, 100, 64, 1);
+        assert_eq!(o, AccessOutcome { l1_lookups: 5, l1_misses: 2, l2_misses: 2 });
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! set's LRU state as a most-recently-used-first order, and must hit and
 //! miss exactly as the timestamped true-LRU model it replaced. That model
 //! is kept here, verbatim in its replacement logic, as the reference.
+//! A run (`CacheHierarchy::access_run`), which only counts the lookups
+//! that repeat the one before, must agree with the reference taking every
+//! step of it as its own access.
 
 use proptest::prelude::*;
 
@@ -87,6 +90,20 @@ impl StampHierarchy {
         Self { l1: StampLevel::new(levels[0]), l2: levels.get(1).map(|c| StampLevel::new(*c)) }
     }
 
+    /// `repeats` accesses of each `step`-byte piece of the span, one by one.
+    fn access_run(&mut self, addr: u64, bytes: u64, step: u64, repeats: u64) -> AccessOutcome {
+        let mut total = AccessOutcome::default();
+        for at in (addr..addr + bytes).step_by(step as usize) {
+            for _ in 0..repeats {
+                let outcome = self.access(at, step.min(addr + bytes - at));
+                total.l1_lookups += outcome.l1_lookups;
+                total.l1_misses += outcome.l1_misses;
+                total.l2_misses += outcome.l2_misses;
+            }
+        }
+        total
+    }
+
     fn access(&mut self, addr: u64, bytes: u64) -> AccessOutcome {
         let line = self.l1.config.line_bytes;
         let mut outcome = AccessOutcome::default();
@@ -113,10 +130,13 @@ impl StampHierarchy {
     }
 }
 
-/// One step of a trace: an access `(pool index, bytes, kind)` or a flush.
+/// One step of a trace: an access `(pool index, bytes, kind)`, a run
+/// `(pool index, aligned, bytes, step, repeats)` — from the pool address,
+/// or from it rounded down to a multiple of `step` — or a flush.
 #[derive(Clone, Debug)]
 enum Step {
     Access(usize, u64, AccessKind),
+    Run(usize, bool, u64, u64, u64),
     Flush,
 }
 
@@ -136,13 +156,22 @@ fn pool(levels: &[CacheConfig]) -> Vec<u64> {
     addrs
 }
 
+/// Steps ∈ {4, 8, 16, 32, 64}: inside a line, a whole line, and (64, or
+/// any step over the tiny hierarchy's 16-byte lines) more than one.
 fn steps(pool_len: usize) -> impl Strategy<Value = Vec<Step>> {
-    let step = (0..pool_len, 1u64..=64, 0u32..40).prop_map(|(i, bytes, roll)| match roll {
-        0 => Step::Flush,
-        r if r % 2 == 0 => Step::Access(i, bytes, AccessKind::Read),
-        _ => Step::Access(i, bytes, AccessKind::Write),
-    });
-    proptest::collection::vec(step, 1..600)
+    let access = (0..pool_len, 1u64..=64, 0u32..40)
+        .prop_map(|(i, bytes, roll)| match roll {
+            0 => Step::Flush,
+            r if r % 2 == 0 => Step::Access(i, bytes, AccessKind::Read),
+            _ => Step::Access(i, bytes, AccessKind::Write),
+        })
+        .boxed();
+    let run = (0..pool_len, 0u32..2, 0u64..=200, 2u32..=6, 1u64..=2).prop_map(
+        |(i, aligned, bytes, log_step, repeats)| {
+            Step::Run(i, aligned == 1, bytes, 1 << log_step, repeats)
+        },
+    );
+    proptest::collection::vec(prop_oneof![access.clone(), access, run], 1..600)
 }
 
 /// Replays `trace` on `model` and on the reference built from `levels`,
@@ -159,6 +188,12 @@ fn agree(
             Step::Access(i, bytes, kind) => {
                 let got = model.access(addrs[i], bytes, kind);
                 let want = oracle.access(addrs[i], bytes);
+                prop_assert_eq!(got, want, "step {} ({:?})", n, step);
+            }
+            Step::Run(i, aligned, bytes, piece, repeats) => {
+                let addr = if aligned { addrs[i] / piece * piece } else { addrs[i] };
+                let got = model.access_run(addr, bytes, piece, repeats);
+                let want = oracle.access_run(addr, bytes, piece, repeats);
                 prop_assert_eq!(got, want, "step {} ({:?})", n, step);
             }
             Step::Flush => {
