@@ -242,7 +242,10 @@ impl AcceleratorConfig {
     /// `linalg` op with (compiler flow step 3), including the selected flow
     /// and a `permutation_map` if `permutation` is given (outermost-first
     /// dim names).
-    pub fn to_trait_attrs(&self, permutation: Option<&[&str]>) -> BTreeMap<String, Attribute> {
+    pub fn to_trait_attrs(
+        &self,
+        permutation: Option<&[&str]>,
+    ) -> BTreeMap<&'static str, Attribute> {
         let mut attrs = BTreeMap::new();
         let mut dma = BTreeMap::new();
         dma.insert("id".to_owned(), Attribute::Int(i64::from(self.dma.id)));
@@ -253,14 +256,14 @@ impl AcceleratorConfig {
             "outputBufferSize".to_owned(),
             Attribute::Int(self.dma.output_buffer_size as i64),
         );
-        attrs.insert("dma_init_config".to_owned(), Attribute::Dict(dma));
+        attrs.insert("dma_init_config", Attribute::Dict(dma));
         attrs.insert(
-            "init_opcodes".to_owned(),
+            "init_opcodes",
             Attribute::Flow(OpcodeFlow::new(
                 self.init_opcodes.iter().map(|n| FlowElem::Opcode(n.clone())).collect(),
             )),
         );
-        attrs.insert("accel_dim".to_owned(), Attribute::Map(self.accel_dim_map()));
+        attrs.insert("accel_dim", Attribute::Map(self.accel_dim_map()));
         if let Some(perm) = permutation {
             let results = perm
                 .iter()
@@ -274,13 +277,13 @@ impl AcceleratorConfig {
                 })
                 .collect();
             attrs.insert(
-                "permutation_map".to_owned(),
+                "permutation_map",
                 Attribute::Map(AffineMap::new(self.dims.clone(), results)),
             );
         }
-        attrs.insert("opcode_map".to_owned(), Attribute::Opcodes(self.opcode_map.clone()));
-        attrs.insert("opcode_flow".to_owned(), Attribute::Flow(self.selected().clone()));
-        attrs.insert("accel_name".to_owned(), Attribute::Str(self.device.to_string()));
+        attrs.insert("opcode_map", Attribute::Opcodes(self.opcode_map.clone()));
+        attrs.insert("opcode_flow", Attribute::Flow(self.selected().clone()));
+        attrs.insert("accel_name", Attribute::Str(self.device.to_string()));
         attrs
     }
 }

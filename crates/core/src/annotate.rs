@@ -68,7 +68,7 @@ impl Pass for MatchAndAnnotatePass {
         let perm: Vec<&str> = self.permutation.iter().map(String::as_str).collect();
         let attrs = self.config.to_trait_attrs(if perm.is_empty() { None } else { Some(&perm) });
         for op in candidates {
-            for (k, v) in &attrs {
+            for (&k, v) in &attrs {
                 module.ctx.set_attr(op, k, v.clone());
             }
             if let Some(tile) = self.cache_tile {

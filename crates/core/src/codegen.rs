@@ -566,11 +566,10 @@ mod tests {
         let m = compile(16, 4, FlowStrategy::NothingStationary, None);
         let f = m.funcs()[0];
         let entry = m.ctx.sole_block(f, 0);
-        let names: Vec<String> =
-            m.ctx.block(entry).ops.iter().map(|o| m.ctx.op(*o).name.clone()).collect();
-        let init_pos = names.iter().position(|n| n == accel::DMA_INIT).unwrap();
-        let reset_pos = names.iter().position(|n| n == accel::SEND_LITERAL).unwrap();
-        let loop_pos = names.iter().position(|n| n == "scf.for").unwrap();
+        let names: Vec<&str> = m.ctx.block(entry).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
+        let init_pos = names.iter().position(|n| *n == accel::DMA_INIT).unwrap();
+        let reset_pos = names.iter().position(|n| *n == accel::SEND_LITERAL).unwrap();
+        let loop_pos = names.iter().position(|n| *n == "scf.for").unwrap();
         assert!(init_pos < reset_pos && reset_pos < loop_pos);
     }
 

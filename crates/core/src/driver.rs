@@ -608,14 +608,19 @@ impl CompilePlan {
 // ---------------------------------------------------------------------
 
 /// Everything that determines the compiled module a `(workload, plan)`
-/// pair produces. Two runs whose keys compare equal would compile the
-/// exact same module, so [`Session`] reuses the first run's output.
+/// pair produces, and nothing else. Two runs whose keys compare equal
+/// would compile the exact same module, so [`Session`] reuses the first
+/// run's output. The run-only options (`specialized_copies` picks the
+/// interpreter's copy strategy, `verify_result` the check after it) and
+/// `cache_tiling` (resolved into `cache_tile`) never reach the pipeline.
 #[derive(Clone, Debug, PartialEq)]
 struct CompileKey {
     workload: String,
     config: Option<AcceleratorConfig>,
-    options: PipelineOptions,
     cache_tile: Option<i64>,
+    coalesce_transfers: bool,
+    lower_to_runtime_calls: bool,
+    capture_ir: bool,
 }
 
 /// One compiled module cached inside a [`Session`]. `key == None` marks
@@ -626,6 +631,30 @@ struct CompiledModule {
     module: Module,
     ir_after: Vec<IrSnapshot>,
     pass_timings: Vec<PassTiming>,
+}
+
+impl CompiledModule {
+    /// Runs `plan`'s pipeline over a fresh build of `workload`'s module.
+    fn compile(
+        workload: &dyn Workload,
+        plan: &CompilePlan,
+        cache_tile: Option<i64>,
+        key: Option<CompileKey>,
+    ) -> Result<Self, Diagnostic> {
+        let mut builder = PipelineBuilder::new()
+            .cache_tile(cache_tile)
+            .coalesce(plan.options.coalesce_transfers)
+            .lower(plan.options.lower_to_runtime_calls)
+            .capture_ir(plan.options.capture_ir);
+        if let Some(config) = &plan.config {
+            builder = builder.accelerator(config.clone());
+        }
+        let mut module = workload.build_module();
+        let mut pm = builder.build();
+        let ir_after = pm.run(&mut module)?;
+        let pass_timings = pm.timings().to_vec();
+        Ok(Self { key, module, ir_after, pass_timings })
+    }
 }
 
 /// Problems whose data a [`Session`] keeps: proxy rungs alternate problem
@@ -741,31 +770,21 @@ impl Session {
     ) -> Result<RunReport, Diagnostic> {
         // Compile — unless this session just compiled the identical
         // module (same workload fingerprint, accelerator configuration,
-        // options, and resolved cache tile), in which case the cached
-        // module is reused verbatim. Execution never mutates the module,
-        // so a cache hit is bit-identical to recompiling.
+        // resolved cache tile, and pipeline options), in which case the
+        // cached module is reused verbatim. Execution never mutates the
+        // module, so a cache hit is bit-identical to recompiling.
         let cache_tile = plan.resolve_cache_tile(workload)?;
         let key = workload.module_fingerprint().map(|workload| CompileKey {
             workload,
             config: plan.config.clone(),
-            options: plan.options,
             cache_tile,
+            coalesce_transfers: plan.options.coalesce_transfers,
+            lower_to_runtime_calls: plan.options.lower_to_runtime_calls,
+            capture_ir: plan.options.capture_ir,
         });
         let reuse = key.is_some() && self.compiled.as_ref().is_some_and(|cached| cached.key == key);
         if !reuse {
-            let mut builder = PipelineBuilder::new()
-                .cache_tile(cache_tile)
-                .coalesce(plan.options.coalesce_transfers)
-                .lower(plan.options.lower_to_runtime_calls)
-                .capture_ir(plan.options.capture_ir);
-            if let Some(config) = &plan.config {
-                builder = builder.accelerator(config.clone());
-            }
-            let mut module = workload.build_module();
-            let mut pm = builder.build();
-            let ir_after = pm.run(&mut module)?;
-            let pass_timings = pm.timings().to_vec();
-            self.compiled = Some(CompiledModule { key, module, ir_after, pass_timings });
+            self.compiled = Some(CompiledModule::compile(workload, plan, cache_tile, key)?);
         }
 
         // The driver is the interpreter over the compiled module, which
@@ -968,6 +987,93 @@ mod tests {
         ] {
             let reused = run(&mut shared, kind, size);
             let fresh = run(&mut Session::for_sweep(), kind, size);
+            assert!(reused.verified && fresh.verified);
+            assert_eq!(reused.counters, fresh.counters, "reuse matches a fresh session");
+            assert_eq!(reused.task_clock_ms, fresh.task_clock_ms);
+            assert_eq!(reused.result, fresh.result);
+        }
+    }
+
+    /// `plan` with a run-only option flipped: the copy strategy, the
+    /// result check, and both.
+    fn run_only_flips(plan: &CompilePlan) -> Vec<CompilePlan> {
+        let options = plan.options;
+        [(true, false), (false, true), (true, true)]
+            .into_iter()
+            .map(|(copies, verify)| {
+                plan.clone().options(PipelineOptions {
+                    specialized_copies: options.specialized_copies != copies,
+                    verify_result: options.verify_result != verify,
+                    ..options
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_only_options_leave_the_compiled_module_byte_identical() {
+        // The compile key's premise, over every candidate of a small mixed
+        // sweep: a 16^3 matmul on v1-v4 across the options axis, a batched
+        // space, and a conv layer across the options axis.
+        use crate::explore::{realize, Fidelity, JobSpec};
+        use axi4mlir_ir::printer::print_op;
+        let labels = |accels: &[&str]| accels.iter().map(|a| (*a).to_owned()).collect();
+        let specs = [
+            JobSpec {
+                dims: Some((16, 16, 16)),
+                accels: labels(&["v1_8", "v2_8", "v3_8", "v4_8"]),
+                sweep_options: true,
+                ..JobSpec::default()
+            },
+            JobSpec {
+                workload: "batched".to_owned(),
+                dims: Some((16, 16, 16)),
+                batch: Some(4),
+                accels: labels(&["v3_8", "v4_8"]),
+                ..JobSpec::default()
+            },
+            JobSpec {
+                workload: "conv".to_owned(),
+                layer: Some("8_64_3_8_1".to_owned()),
+                sweep_options: true,
+                ..JobSpec::default()
+            },
+        ];
+        let mut candidates = 0;
+        for spec in specs {
+            for candidate in spec.build().unwrap().space.as_dyn().enumerate().unwrap() {
+                let realized = realize(&candidate.key, Fidelity::Full).unwrap();
+                let workload = &*realized.workload;
+                let printed = |plan: &CompilePlan| {
+                    let cache_tile = plan.resolve_cache_tile(workload).unwrap();
+                    let compiled =
+                        CompiledModule::compile(workload, plan, cache_tile, None).unwrap();
+                    print_op(&compiled.module.ctx, compiled.module.top())
+                };
+                let module = printed(&realized.plan);
+                for flipped in run_only_flips(&realized.plan) {
+                    assert_eq!(printed(&flipped), module, "{:?}", candidate.key);
+                }
+                candidates += 1;
+            }
+        }
+        assert!(candidates > 160 + 4, "{candidates} candidates");
+    }
+
+    #[test]
+    fn a_run_only_option_flip_reuses_the_compiled_module() {
+        let workload = MatMulWorkload::new(MatMulProblem::square(8));
+        let plan = CompilePlan::for_accelerator(v3(4)).flow(FlowStrategy::OutputStationary);
+        // Wall-clock pass timings repeat bit for bit only when no pass ran.
+        let timings = |report: &RunReport| -> Vec<(String, u64)> {
+            report.pass_timings.iter().map(|t| (t.pass.clone(), t.millis.to_bits())).collect()
+        };
+        let mut session = Session::for_sweep();
+        let first = session.run(&workload, &plan).unwrap();
+        for flipped in run_only_flips(&plan) {
+            let reused = session.run(&workload, &flipped).unwrap();
+            assert_eq!(timings(&reused), timings(&first), "the module was reused");
+            let fresh = Session::for_sweep().run(&workload, &flipped).unwrap();
             assert!(reused.verified && fresh.verified);
             assert_eq!(reused.counters, fresh.counters, "reuse matches a fresh session");
             assert_eq!(reused.task_clock_ms, fresh.task_clock_ms);

@@ -19,6 +19,7 @@ use axi4mlir_ir::ops::{IrCtx, Module, OpId, ValueId};
 use axi4mlir_ir::pass::Pass;
 use axi4mlir_ir::types::Type;
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
+use axi4mlir_support::entity::EntityId;
 
 /// Runtime library entry-point names (defined by the DMA library itself;
 /// the interpreter dispatches on the same constants).
@@ -47,8 +48,21 @@ impl Pass for LowerAccelToRuntimePass {
             .into_iter()
             .filter(|op| accel::is_accel_op(&module.ctx, *op))
             .collect();
+        // The value standing in for each erased `accel` result, by value
+        // index. Later ops (and their replacements) still name the erased
+        // results until the one rewrite walk below.
+        let mut replaced: Vec<Option<ValueId>> = vec![None; module.ctx.value_count()];
         for op in accel_ops {
-            lower_one(&mut module.ctx, top, op)?;
+            if let Some((old, new)) = lower_one(&mut module.ctx, op)? {
+                replaced[old.index()] = Some(new);
+            }
+        }
+        for op in module.ctx.walk(top) {
+            for operand in &mut module.ctx.op_mut(op).operands {
+                if let Some(&Some(new)) = replaced.get(operand.index()) {
+                    *operand = new;
+                }
+            }
         }
         Ok(())
     }
@@ -60,16 +74,18 @@ fn emit_flush(b: &mut OpBuilder<'_>, total_len: ValueId) {
     func::call(b, callees::WAIT_SEND, vec![], vec![]);
 }
 
-fn lower_one(ctx: &mut IrCtx, top: OpId, op: OpId) -> Result<(), Diagnostic> {
+/// Replaces `op` by its runtime calls and erases it. Returns the erased
+/// result and the value that now stands for it, if the op had one.
+fn lower_one(ctx: &mut IrCtx, op: OpId) -> Result<Option<(ValueId, ValueId)>, Diagnostic> {
     let name = ctx.op(op).name.clone();
     let operands = ctx.op(op).operands.clone();
-    let results = ctx.op(op).results.clone();
+    let result = ctx.op(op).results.first().copied();
     let flush = accel::has_flush(ctx, op);
     let block = ctx.op(op).parent.ok_or_else(|| Diagnostic::error("accel op must be attached"))?;
     let index = ctx.position_in_block(op).expect("attached");
     // Build replacements *before* the op, then erase it.
     let mut b = OpBuilder::at(ctx, block, index);
-    let replacement: Option<ValueId> = match name.as_str() {
+    let replacement: Option<ValueId> = match &*name {
         accel::DMA_INIT => {
             func::call(&mut b, callees::DMA_INIT, operands.clone(), vec![]);
             None
@@ -142,11 +158,8 @@ fn lower_one(ctx: &mut IrCtx, top: OpId, op: OpId) -> Result<(), Diagnostic> {
         }
         other => return Err(Diagnostic::error(format!("unknown accel op `{other}`"))),
     };
-    if let (Some(new_value), Some(old_result)) = (replacement, results.first()) {
-        ctx.replace_uses_in(top, *old_result, new_value);
-    }
     ctx.erase_op(op);
-    Ok(())
+    Ok(result.zip(replacement))
 }
 
 #[cfg(test)]

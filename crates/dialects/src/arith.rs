@@ -21,7 +21,7 @@ pub fn const_i32(b: &mut OpBuilder<'_>, value: i32) -> ValueId {
     constant(b, i64::from(value), Type::i32())
 }
 
-fn binary(b: &mut OpBuilder<'_>, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+fn binary(b: &mut OpBuilder<'_>, name: &'static str, lhs: ValueId, rhs: ValueId) -> ValueId {
     let ty = b.ctx_ref().value_type(lhs).clone();
     let op = b.insert_op(name, vec![lhs, rhs], vec![ty], []);
     b.result(op)

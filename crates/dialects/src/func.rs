@@ -106,8 +106,8 @@ mod tests {
         let f = func(&mut m, "f", vec![], vec![]);
         let mut b = entry_builder(&mut m.ctx, &f);
         crate::arith::const_index(&mut b, 5);
-        let names: Vec<String> =
-            m.ctx.block(f.entry).ops.iter().map(|o| m.ctx.op(*o).name.clone()).collect();
+        let names: Vec<&str> =
+            m.ctx.block(f.entry).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
         assert_eq!(names, vec!["arith.constant", "func.return"]);
     }
 

@@ -57,7 +57,7 @@ fn op_path(ctx: &IrCtx, op: OpId) -> String {
                     let pos = ops.iter().position(|o| *o == current).unwrap_or(0);
                     format!("{}#{pos}", data.name)
                 }
-                None => data.name.clone(),
+                None => data.name.to_string(),
             },
         };
         segments.push(segment);

@@ -83,8 +83,8 @@ mod tests {
         let l = for_loop(&mut b, c, c, c);
         let mut bb = body_builder(&mut m.ctx, &l);
         arith::const_index(&mut bb, 7);
-        let names: Vec<String> =
-            m.ctx.block(l.body).ops.iter().map(|o| m.ctx.op(*o).name.clone()).collect();
+        let names: Vec<&str> =
+            m.ctx.block(l.body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
         assert_eq!(names, vec!["arith.constant", "scf.yield"]);
     }
 

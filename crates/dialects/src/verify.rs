@@ -29,107 +29,107 @@ fn err(diags: &mut DiagnosticEngine, op: OpId, name: &str, msg: &str) {
 
 fn check_op(ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
     let data = ctx.op(op);
-    let name = data.name.clone();
-    match name.as_str() {
+    let name: &str = &data.name;
+    match name {
         "scf.for" => {
             if data.operands.len() != 3 {
-                err(diags, op, &name, "expects exactly (lb, ub, step) operands");
+                err(diags, op, name, "expects exactly (lb, ub, step) operands");
             }
             for o in &data.operands {
                 if *ctx.value_type(*o) != Type::Index {
-                    err(diags, op, &name, "loop bounds must have index type");
+                    err(diags, op, name, "loop bounds must have index type");
                 }
             }
             if data.regions.len() != 1 {
-                err(diags, op, &name, "expects exactly one region");
+                err(diags, op, name, "expects exactly one region");
                 return;
             }
             let blocks = &ctx.region(data.regions[0]).blocks;
             if blocks.len() != 1 {
-                err(diags, op, &name, "expects exactly one block");
+                err(diags, op, name, "expects exactly one block");
                 return;
             }
             let block = ctx.block(blocks[0]);
             if block.args.len() != 1 || *ctx.value_type(block.args[0]) != Type::Index {
-                err(diags, op, &name, "body must have a single index argument");
+                err(diags, op, name, "body must have a single index argument");
             }
             match block.ops.last() {
                 Some(last) if ctx.op(*last).name == "scf.yield" => {}
-                _ => err(diags, op, &name, "body must terminate with scf.yield"),
+                _ => err(diags, op, name, "body must terminate with scf.yield"),
             }
         }
         "func.func" => {
             if ctx.attr(op, "sym_name").and_then(|a| a.as_str()).is_none() {
-                err(diags, op, &name, "missing sym_name attribute");
+                err(diags, op, name, "missing sym_name attribute");
             }
             if data.regions.len() != 1 || ctx.region(data.regions[0]).blocks.len() != 1 {
-                err(diags, op, &name, "expects one region with one block");
+                err(diags, op, name, "expects one region with one block");
                 return;
             }
             let block = ctx.block(ctx.region(data.regions[0]).blocks[0]);
             match block.ops.last() {
                 Some(last) if ctx.op(*last).name == "func.return" => {}
-                _ => err(diags, op, &name, "body must terminate with func.return"),
+                _ => err(diags, op, name, "body must terminate with func.return"),
             }
         }
         "func.call" if ctx.attr(op, "callee").and_then(|a| a.as_str()).is_none() => {
-            err(diags, op, &name, "missing callee attribute");
+            err(diags, op, name, "missing callee attribute");
         }
         "memref.load" => {
             let Some(m) = data.operands.first().map(|v| ctx.value_type(*v)) else {
-                err(diags, op, &name, "missing memref operand");
+                err(diags, op, name, "missing memref operand");
                 return;
             };
             match m.as_memref() {
                 Some(mr) => {
                     if data.operands.len() != 1 + mr.rank() {
-                        err(diags, op, &name, "index count must equal memref rank");
+                        err(diags, op, name, "index count must equal memref rank");
                     }
                 }
-                None => err(diags, op, &name, "first operand must be a memref"),
+                None => err(diags, op, name, "first operand must be a memref"),
             }
         }
         "memref.store" => {
             let Some(m) = data.operands.get(1).map(|v| ctx.value_type(*v)) else {
-                err(diags, op, &name, "missing memref operand");
+                err(diags, op, name, "missing memref operand");
                 return;
             };
             match m.as_memref() {
                 Some(mr) => {
                     if data.operands.len() != 2 + mr.rank() {
-                        err(diags, op, &name, "index count must equal memref rank");
+                        err(diags, op, name, "index count must equal memref rank");
                     }
                 }
-                None => err(diags, op, &name, "second operand must be a memref"),
+                None => err(diags, op, name, "second operand must be a memref"),
             }
         }
         "memref.subview" => {
             let Some(m) = data.operands.first().map(|v| ctx.value_type(*v)) else {
-                err(diags, op, &name, "missing source operand");
+                err(diags, op, name, "missing source operand");
                 return;
             };
             match m.as_memref() {
                 Some(mr) => {
                     if data.operands.len() != 1 + mr.rank() {
-                        err(diags, op, &name, "offset count must equal source rank");
+                        err(diags, op, name, "offset count must equal source rank");
                     }
                     match ctx.attr(op, "static_sizes").and_then(|a| a.as_array()) {
                         Some(sizes) if sizes.len() == mr.rank() => {}
-                        _ => err(diags, op, &name, "static_sizes must list one size per dimension"),
+                        _ => err(diags, op, name, "static_sizes must list one size per dimension"),
                     }
                 }
-                None => err(diags, op, &name, "source must be a memref"),
+                None => err(diags, op, name, "source must be a memref"),
             }
         }
         "linalg.conv_2d_nchw_fchw" => {
             if let Err(d) = crate::linalg::conv_shapes(ctx, op) {
-                err(diags, op, &name, &d.message);
+                err(diags, op, name, &d.message);
             }
         }
         "linalg.generic" => {
             if let Some(maps) = ctx.attr(op, "indexing_maps").and_then(|a| a.as_array()) {
                 if maps.len() != data.operands.len() {
-                    err(diags, op, &name, "one indexing map per operand required");
+                    err(diags, op, name, "one indexing map per operand required");
                 }
                 let dim_count = maps
                     .first()
@@ -142,7 +142,7 @@ fn check_op(ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
                         err(
                             diags,
                             op,
-                            &name,
+                            name,
                             "iterator_types length must equal map dimension count",
                         );
                     }
@@ -150,47 +150,47 @@ fn check_op(ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
             }
         }
         "arith.constant" if ctx.attr(op, "value").is_none() => {
-            err(diags, op, &name, "missing value attribute");
+            err(diags, op, name, "missing value attribute");
         }
         "arith.addi" | "arith.muli" | "arith.addf" | "arith.mulf" => {
             if data.operands.len() != 2 {
-                err(diags, op, &name, "expects two operands");
+                err(diags, op, name, "expects two operands");
             } else {
                 let lhs = ctx.value_type(data.operands[0]);
                 let rhs = ctx.value_type(data.operands[1]);
                 if lhs != rhs {
-                    err(diags, op, &name, "operand types must match");
+                    err(diags, op, name, "operand types must match");
                 }
             }
         }
         accel::SEND | accel::RECV => {
             if data.operands.len() != 2 {
-                err(diags, op, &name, "expects (memref, offset) operands");
+                err(diags, op, name, "expects (memref, offset) operands");
             } else if ctx.value_type(data.operands[0]).as_memref().is_none() {
-                err(diags, op, &name, "first operand must be a memref");
+                err(diags, op, name, "first operand must be a memref");
             }
             if name == accel::RECV {
                 match ctx.attr(op, "mode").and_then(|a| a.as_str()) {
                     Some("accumulate") | Some("overwrite") | None => {}
                     Some(other) => {
-                        err(diags, op, &name, &format!("unknown recv mode `{other}`"));
+                        err(diags, op, name, &format!("unknown recv mode `{other}`"));
                     }
                 }
             }
         }
         accel::SEND_LITERAL | accel::SEND_IDX if data.operands.len() != 2 => {
-            err(diags, op, &name, "expects (value, offset) operands");
+            err(diags, op, name, "expects (value, offset) operands");
         }
         accel::SEND_DIM => {
             if data.operands.len() != 2 {
-                err(diags, op, &name, "expects (memref, offset) operands");
+                err(diags, op, name, "expects (memref, offset) operands");
             }
             if accel::dim_of(ctx, op).is_none() {
-                err(diags, op, &name, "missing dim attribute");
+                err(diags, op, name, "missing dim attribute");
             }
         }
         accel::DMA_INIT if data.operands.len() != 5 => {
-            err(diags, op, &name, "expects (id, inAddr, inSize, outAddr, outSize)");
+            err(diags, op, name, "expects (id, inAddr, inSize, outAddr, outSize)");
         }
         _ => {}
     }

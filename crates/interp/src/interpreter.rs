@@ -216,7 +216,7 @@ fn sole_body(ctx: &IrCtx, op: OpId) -> Result<BlockId, InterpError> {
 /// alone says what its ops do, so one reaches here only unlowered.
 fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
     let data = ctx.op(op);
-    let code = match data.name.as_str() {
+    let code = match &*data.name {
         "arith.constant" => {
             let value = ctx
                 .attr(op, "value")
@@ -439,15 +439,23 @@ impl Frame {
         Ok(&buf[..operands.len()])
     }
 
-    /// Resolves `memref[indices...]` without cloning the descriptor.
+    /// Resolves `memref[indices...]` for the op `name` without cloning
+    /// the descriptor; an index outside the view is that op's error.
     fn addressed_elem(
         &self,
+        name: &str,
         memref: ValueId,
         index_operands: &[ValueId],
     ) -> Result<(SimAddr, ElemType), InterpError> {
         let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
-        Ok((desc.elem_addr(self.indices(index_operands, &mut buf)?), desc.elem))
+        let indices = self.indices(index_operands, &mut buf)?;
+        let inside = indices.len() == desc.sizes.len()
+            && indices.iter().zip(&desc.sizes).all(|(index, size)| (0..*size).contains(index));
+        if !inside {
+            return Err(outside_view(name, indices, &desc.sizes));
+        }
+        Ok((desc.elem_addr(indices), desc.elem))
     }
 }
 
@@ -573,14 +581,18 @@ impl<'a> Interpreter<'a> {
                 };
                 let mut buf = [0i64; MAX_RANK];
                 let offsets = self.env.indices(&operands[1..], &mut buf)?;
-                self.env.memref(operands[0])?.subview_into(offsets, sizes, &mut view);
+                self.env
+                    .memref(operands[0])?
+                    .subview_into(offsets, sizes, &mut view)
+                    .map_err(|e| InterpError::Other { message: format!("memref.subview {e}") })?;
                 // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
                 self.soc.charge_arith(2 * sizes.len() as u64);
                 self.env.slots[result] = Some(RtValue::MemRef(view));
             }
             OpCode::Load => {
                 let operands = &ctx.op(op).operands;
-                let (addr, elem) = self.env.addressed_elem(operands[0], &operands[1..])?;
+                let (addr, elem) =
+                    self.env.addressed_elem("memref.load", operands[0], &operands[1..])?;
                 self.soc.charge_arith((operands.len() - 1) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Read);
                 let rt = match elem {
@@ -591,7 +603,8 @@ impl<'a> Interpreter<'a> {
             }
             OpCode::Store => {
                 let operands = &ctx.op(op).operands;
-                let (addr, _) = self.env.addressed_elem(operands[1], &operands[2..])?;
+                let (addr, _) =
+                    self.env.addressed_elem("memref.store", operands[1], &operands[2..])?;
                 self.soc.charge_arith((operands.len() - 2) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Write);
                 let word = match self.env.get(operands[0])? {
@@ -727,6 +740,14 @@ fn type_mismatch(context: &str) -> InterpError {
 #[inline(never)]
 fn other(message: &str) -> InterpError {
     InterpError::Other { message: message.to_owned() }
+}
+
+#[cold]
+#[inline(never)]
+fn outside_view(name: &str, indices: &[i64], sizes: &[i64]) -> InterpError {
+    InterpError::Other {
+        message: format!("{name} index {indices:?} is outside its view {sizes:?}"),
+    }
 }
 
 #[cold]
@@ -975,7 +996,7 @@ mod tests {
         build_table(&m.ctx, &mut codes);
         for (index, code) in codes.iter().enumerate() {
             let op = OpId::from_index(index);
-            let name = m.ctx.op(op).name.as_str();
+            let name = &*m.ctx.op(op).name;
             if matches!(name, "builtin.module" | "func.func") {
                 continue; // containers are never executed
             }

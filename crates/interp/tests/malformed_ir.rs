@@ -199,6 +199,39 @@ fn kernel_shapes_that_disagree_are_errors_not_panics() {
     assert_eq!(err, InterpError::Other { message: message.into() });
 }
 
+/// A subview whose offsets leave its parent view, and a load or store
+/// whose indices leave its view, are errors naming the op. The subview
+/// used to panic on `subview_into`'s bounds assert; the load and store
+/// were only debug-asserted, then hit the simulated memory's bounds
+/// panic (or, in range of it, a neighbouring element).
+#[test]
+fn out_of_view_accesses_are_errors_not_panics() {
+    let err = run_malformed(|b, c1| {
+        let m = memref::alloc(b, vec![4, 4], Type::i32());
+        let c3 = arith::const_index(b, 3);
+        memref::subview(b, m, vec![c3, c1], vec![2, 2]);
+    });
+    let message = "memref.subview subview [3; +2) exceeds dim 0 of size 4";
+    assert_eq!(err, InterpError::Other { message: message.into() });
+
+    let err = run_malformed(|b, c1| {
+        let m = memref::alloc(b, vec![4, 4], Type::i32());
+        let far = arith::const_index(b, 1 << 40);
+        memref::load(b, m, vec![c1, far]);
+    });
+    let message = "memref.load index [1, 1099511627776] is outside its view [4, 4]";
+    assert_eq!(err, InterpError::Other { message: message.into() });
+
+    let err = run_malformed(|b, c1| {
+        let m = memref::alloc(b, vec![4, 4], Type::i32());
+        let word = arith::const_i32(b, 7);
+        let below = arith::const_index(b, -1);
+        memref::store(b, word, m, vec![below, c1]);
+    });
+    let message = "memref.store index [-1, 1] is outside its view [4, 4]";
+    assert_eq!(err, InterpError::Other { message: message.into() });
+}
+
 /// An `accel` op has no meaning in the interpreter: it must be lowered
 /// to runtime calls first, and run unlowered it is an error naming it.
 #[test]

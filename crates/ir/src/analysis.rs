@@ -409,7 +409,7 @@ impl ForwardAnalysis for IntRangeAnalysis {
             return;
         }
         let operand = |i: usize| *table.get(data.operands[i]);
-        let fact = match data.name.as_str() {
+        let fact = match &*data.name {
             "arith.constant" => match ctx.attr(op, "value") {
                 Some(Attribute::Int(v)) => IntRange::exact(*v),
                 _ => IntRange::FULL,

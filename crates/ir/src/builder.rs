@@ -3,10 +3,10 @@
 //! [`OpBuilder`] wraps an [`IrCtx`] with a current insertion point (a block
 //! and position). Dialect crates layer typed constructors on top.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use crate::attrs::Attribute;
-use crate::ops::{BlockId, IrCtx, OpId, ValueId};
+use crate::ops::{AttrDict, BlockId, IrCtx, OpId, ValueId};
 use crate::types::Type;
 
 /// A builder that inserts operations at a movable insertion point.
@@ -74,7 +74,7 @@ impl<'a> OpBuilder<'a> {
     /// point past it. Returns the new op.
     pub fn insert_op<A>(
         &mut self,
-        name: &str,
+        name: &'static str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: A,
@@ -82,8 +82,7 @@ impl<'a> OpBuilder<'a> {
     where
         A: IntoIterator<Item = (&'static str, Attribute)>,
     {
-        let attrs: BTreeMap<String, Attribute> =
-            attrs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        let attrs: AttrDict = attrs.into_iter().map(|(k, v)| (Cow::Borrowed(k), v)).collect();
         let op = self.ctx.create_op(name, operands, result_types, attrs);
         self.ctx.insert_op(self.block, self.index, op);
         self.index += 1;
@@ -95,7 +94,7 @@ impl<'a> OpBuilder<'a> {
     /// The insertion point stays in the *outer* block, after the op.
     pub fn insert_region_op<A>(
         &mut self,
-        name: &str,
+        name: &'static str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: A,
@@ -128,8 +127,7 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         b.insert_op("a.x", vec![], vec![], []);
         b.insert_op("a.y", vec![], vec![], []);
-        let names: Vec<String> =
-            m.ctx.block(body).ops.iter().map(|o| m.ctx.op(*o).name.clone()).collect();
+        let names: Vec<&str> = m.ctx.block(body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
         assert_eq!(names, vec!["a.x", "a.y"]);
     }
 
@@ -145,8 +143,7 @@ mod tests {
             let mut b = OpBuilder::at(&mut m.ctx, body, 0);
             b.insert_op("a.first", vec![], vec![], []);
         }
-        let names: Vec<String> =
-            m.ctx.block(body).ops.iter().map(|o| m.ctx.op(*o).name.clone()).collect();
+        let names: Vec<&str> = m.ctx.block(body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
         assert_eq!(names, vec!["a.first", "a.second"]);
     }
 

@@ -13,6 +13,7 @@
 //!     └── results: Values                     └── arguments: Values
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use axi4mlir_support::entity::PrimaryMap;
@@ -25,6 +26,14 @@ entity_id!(pub struct OpId, "op");
 entity_id!(pub struct BlockId, "bb");
 entity_id!(pub struct RegionId, "region");
 entity_id!(pub struct ValueId, "v");
+
+/// An op name or attribute key: borrowed when a builder passes a literal
+/// (every dialect constructor does), owned when the parser read it from
+/// text — so building IR copies no names.
+pub type Name = Cow<'static, str>;
+
+/// An op's attribute dictionary, printed in key order.
+pub type AttrDict = BTreeMap<Name, Attribute>;
 
 /// Where a value comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,13 +67,13 @@ pub struct ValueData {
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpData {
     /// Fully qualified name, e.g. `"scf.for"` or `"accel.send"`.
-    pub name: String,
+    pub name: Name,
     /// SSA operands.
     pub operands: Vec<ValueId>,
     /// SSA results.
     pub results: Vec<ValueId>,
     /// Attribute dictionary.
-    pub attrs: BTreeMap<String, Attribute>,
+    pub attrs: AttrDict,
     /// Nested regions.
     pub regions: Vec<RegionId>,
     /// Owning block, if attached.
@@ -115,13 +124,13 @@ impl IrCtx {
     /// Creates a detached operation with fresh result values.
     pub fn create_op(
         &mut self,
-        name: &str,
+        name: impl Into<Name>,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: AttrDict,
     ) -> OpId {
         let op = self.ops.push(OpData {
-            name: name.to_owned(),
+            name: name.into(),
             operands,
             results: Vec::new(),
             attrs,
@@ -221,8 +230,8 @@ impl IrCtx {
     }
 
     /// Sets (or replaces) an attribute.
-    pub fn set_attr(&mut self, op: OpId, name: &str, value: Attribute) {
-        self.ops[op].attrs.insert(name.to_owned(), value);
+    pub fn set_attr(&mut self, op: OpId, name: impl Into<Name>, value: Attribute) {
+        self.ops[op].attrs.insert(name.into(), value);
     }
 
     /// The sole block of `op`'s `index`-th region.
@@ -296,20 +305,9 @@ impl IrCtx {
         let mut stack = vec![op];
         while let Some(current) = stack.pop() {
             self.ops[current].dead = true;
-            for region in self.ops[current].regions.clone() {
-                for block in self.regions[region].blocks.clone() {
-                    stack.extend(self.blocks[block].ops.iter().copied());
-                }
-            }
-        }
-    }
-
-    /// Replaces every use of `from` with `to` inside `root` (inclusive).
-    pub fn replace_uses_in(&mut self, root: OpId, from: ValueId, to: ValueId) {
-        for op in self.walk(root) {
-            for operand in &mut self.ops[op].operands {
-                if *operand == from {
-                    *operand = to;
+            for region in &self.ops[current].regions {
+                for block in &self.regions[*region].blocks {
+                    stack.extend(self.blocks[*block].ops.iter().copied());
                 }
             }
         }
@@ -328,15 +326,11 @@ impl IrCtx {
                 continue;
             }
             out.push(op);
-            // Push nested ops in reverse so the walk stays pre-order.
-            let mut nested = Vec::new();
-            for region in &self.ops[op].regions {
-                for block in &self.regions[*region].blocks {
-                    nested.extend(self.blocks[*block].ops.iter().copied());
+            // Push nested ops last-first so the walk stays pre-order.
+            for region in self.ops[op].regions.iter().rev() {
+                for block in self.regions[*region].blocks.iter().rev() {
+                    stack.extend(self.blocks[*block].ops.iter().rev().copied());
                 }
-            }
-            for op in nested.into_iter().rev() {
-                stack.push(op);
             }
         }
         out
@@ -433,7 +427,7 @@ mod tests {
 
     fn const_op(ctx: &mut IrCtx, value: i64) -> OpId {
         let mut attrs = BTreeMap::new();
-        attrs.insert("value".to_owned(), Attribute::Int(value));
+        attrs.insert("value".into(), Attribute::Int(value));
         ctx.create_op("arith.constant", vec![], vec![Type::index()], attrs)
     }
 
@@ -542,8 +536,7 @@ mod tests {
         m.ctx.append_op(body, f);
         let b = const_op(&mut m.ctx, 2);
         m.ctx.append_op(block, b);
-        let names: Vec<&str> =
-            m.ctx.walk(m.top()).iter().map(|o| m.ctx.op(*o).name.as_str()).collect();
+        let names: Vec<&str> = m.ctx.walk(m.top()).iter().map(|o| &*m.ctx.op(*o).name).collect();
         assert_eq!(names, vec!["builtin.module", "arith.constant", "scf.for", "arith.constant"]);
     }
 
@@ -560,27 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn replace_uses_rewrites_operands() {
-        let mut m = Module::new();
-        let body = m.body();
-        let a = const_op(&mut m.ctx, 1);
-        let b = const_op(&mut m.ctx, 2);
-        m.ctx.append_op(body, a);
-        m.ctx.append_op(body, b);
-        let va = m.ctx.result(a, 0);
-        let vb = m.ctx.result(b, 0);
-        let add = m.ctx.create_op("arith.addi", vec![va, va], vec![Type::index()], BTreeMap::new());
-        m.ctx.append_op(body, add);
-        m.ctx.replace_uses_in(m.top(), va, vb);
-        assert_eq!(m.ctx.op(add).operands, vec![vb, vb]);
-    }
-
-    #[test]
     fn func_named_lookup() {
         let mut m = Module::new();
         let body = m.body();
         let mut attrs = BTreeMap::new();
-        attrs.insert("sym_name".to_owned(), Attribute::Str("matmul_call".to_owned()));
+        attrs.insert("sym_name".into(), Attribute::Str("matmul_call".to_owned()));
         let f = m.ctx.create_op("func.func", vec![], vec![], attrs);
         m.ctx.append_op(body, f);
         assert_eq!(m.func_named("matmul_call"), Some(f));

@@ -23,7 +23,7 @@ use axi4mlir_support::text::{Cursor, Skip};
 
 use crate::affine::AffineMap;
 use crate::attrs::{Attribute, OpcodeFlow, OpcodeMap};
-use crate::ops::{BlockId, IrCtx, Module, OpId};
+use crate::ops::{AttrDict, BlockId, IrCtx, Module, OpId};
 use crate::types::{MemRefType, Type, DYNAMIC};
 
 /// Parses a module from its generic textual form.
@@ -61,7 +61,7 @@ struct POp<'a> {
     name: &'a str,
     operands: Vec<&'a str>,
     regions: Vec<PRegion<'a>>,
-    attrs: BTreeMap<String, Attribute>,
+    attrs: AttrDict,
     result_types: Vec<Type>,
 }
 
@@ -180,11 +180,14 @@ impl<'a> P<'a> {
 
     /// `key = attr (, key = attr)* }` — the body of an attribute dict
     /// whose `{` the caller consumed.
-    fn attr_entries(&mut self, expected: &str) -> Result<BTreeMap<String, Attribute>, Diagnostic> {
+    fn attr_entries<K: From<String> + Ord>(
+        &mut self,
+        expected: &str,
+    ) -> Result<BTreeMap<K, Attribute>, Diagnostic> {
         let entries = self.list('}', |p| {
             let key = p.cur.dotted_ident().ok_or_else(|| p.cur.error(expected))?;
             p.cur.expect('=')?;
-            Ok((key.to_owned(), p.parse_attr()?))
+            Ok((K::from(key.to_owned()), p.parse_attr()?))
         })?;
         Ok(entries.into_iter().collect())
     }
@@ -367,7 +370,8 @@ fn build_op<'a>(ctx: &mut IrCtx, op: &POp<'a>, env: &mut Env<'a>) -> Result<OpId
                 .ok_or_else(|| Diagnostic::error(format!("use of undefined value %{name}")))
         })
         .collect();
-    let id = ctx.create_op(op.name, operands?, op.result_types.clone(), op.attrs.clone());
+    let id =
+        ctx.create_op(op.name.to_owned(), operands?, op.result_types.clone(), op.attrs.clone());
     for (name, value) in op.results.iter().zip(ctx.op(id).results.clone()) {
         env.insert(name, value);
     }

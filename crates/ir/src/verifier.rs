@@ -11,11 +11,10 @@
 //! Dialect-specific rules (e.g. "`scf.for` takes three `index` operands")
 //! live in `axi4mlir-dialects`; the pass manager runs both.
 
-use std::collections::HashSet;
-
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
+use axi4mlir_support::entity::EntityId;
 
-use crate::ops::{BlockId, IrCtx, OpId, ValueId};
+use crate::ops::{BlockId, IrCtx, OpId, RegionId, ValueId};
 
 /// Verifies the subtree rooted at `root`.
 ///
@@ -23,8 +22,8 @@ use crate::ops::{BlockId, IrCtx, OpId, ValueId};
 ///
 /// Returns the first violation (all violations are recorded in `diags`).
 pub fn verify(ctx: &IrCtx, root: OpId, diags: &mut DiagnosticEngine) -> Result<(), Diagnostic> {
-    let mut visible: HashSet<ValueId> = HashSet::new();
-    verify_op(ctx, root, &mut visible, diags);
+    let mut scope = Scope { visible: vec![false; ctx.value_count()], defined: Vec::new() };
+    scope.verify_op(ctx, root, diags);
     diags.result()
 }
 
@@ -38,73 +37,92 @@ pub fn verify_ok(ctx: &IrCtx, root: OpId) -> Result<(), Diagnostic> {
     verify(ctx, root, &mut diags)
 }
 
-fn verify_op(ctx: &IrCtx, op: OpId, visible: &mut HashSet<ValueId>, diags: &mut DiagnosticEngine) {
-    let data = ctx.op(op);
-    if data.dead {
-        diags.error(format!("reachable op {op} ({}) is marked dead", data.name));
-        return;
-    }
-    for (i, operand) in data.operands.iter().enumerate() {
-        if !visible.contains(operand) {
-            diags.error(format!(
-                "op {op} ({}) operand #{i} ({operand}) is not visible at its use (use-before-def or cross-region leak)",
-                data.name
-            ));
-        }
-    }
-    // Results become visible to subsequent ops *and* to nested regions
-    // (which may capture values from enclosing scopes).
-    for r in &data.results {
-        visible.insert(*r);
-    }
-    for region in &data.regions {
-        let rdata = ctx.region(*region);
-        if rdata.parent != Some(op) {
-            diags.error(format!("region {region} parent link does not point to op {op}"));
-        }
-        for block in &rdata.blocks {
-            verify_block(ctx, *block, *region, visible, diags);
-        }
-    }
+/// The values visible at the current point of the walk: a flag per value
+/// slot of the arena, plus the values each open block made visible, so
+/// leaving a block hides exactly those.
+struct Scope {
+    visible: Vec<bool>,
+    /// Values to hide again, innermost open block last.
+    defined: Vec<ValueId>,
 }
 
-fn verify_block(
-    ctx: &IrCtx,
-    block: BlockId,
-    region: crate::ops::RegionId,
-    visible: &mut HashSet<ValueId>,
-    diags: &mut DiagnosticEngine,
-) {
-    let bdata = ctx.block(block);
-    if bdata.parent != Some(region) {
-        diags.error(format!("block {block} parent link does not point to region {region}"));
+impl Scope {
+    fn is_visible(&self, value: ValueId) -> bool {
+        self.visible.get(value.index()).copied().unwrap_or(false)
     }
-    // Block args are visible inside the block (and its nested regions) only:
-    // track what we add so we can remove it on exit.
-    let mut added: Vec<ValueId> = Vec::new();
-    for arg in &bdata.args {
-        if visible.insert(*arg) {
-            added.push(*arg);
+
+    /// Marks `value` visible; `false` when it already was.
+    fn insert(&mut self, value: ValueId) -> bool {
+        !std::mem::replace(&mut self.visible[value.index()], true)
+    }
+
+    fn verify_op(&mut self, ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
+        let data = ctx.op(op);
+        if data.dead {
+            diags.error(format!("reachable op {op} ({}) is marked dead", data.name));
+            return;
+        }
+        for (i, operand) in data.operands.iter().enumerate() {
+            if !self.is_visible(*operand) {
+                diags.error(format!(
+                    "op {op} ({}) operand #{i} ({operand}) is not visible at its use (use-before-def or cross-region leak)",
+                    data.name
+                ));
+            }
+        }
+        // Results become visible to subsequent ops *and* to nested regions
+        // (which may capture values from enclosing scopes).
+        for r in &data.results {
+            self.insert(*r);
+        }
+        for region in &data.regions {
+            let rdata = ctx.region(*region);
+            if rdata.parent != Some(op) {
+                diags.error(format!("region {region} parent link does not point to op {op}"));
+            }
+            for block in &rdata.blocks {
+                self.verify_block(ctx, *block, *region, diags);
+            }
         }
     }
-    for op in &bdata.ops {
-        let odata = ctx.op(*op);
-        if odata.parent != Some(block) {
-            diags.error(format!(
-                "op {op} ({}) parent link does not point to block {block}",
-                odata.name
-            ));
+
+    fn verify_block(
+        &mut self,
+        ctx: &IrCtx,
+        block: BlockId,
+        region: RegionId,
+        diags: &mut DiagnosticEngine,
+    ) {
+        let bdata = ctx.block(block);
+        if bdata.parent != Some(region) {
+            diags.error(format!("block {block} parent link does not point to region {region}"));
         }
-        let before: Vec<ValueId> = odata.results.clone();
-        verify_op(ctx, *op, visible, diags);
-        for r in before {
-            visible.insert(r);
-            added.push(r);
+        // Block args are visible inside the block (and its nested regions)
+        // only: track what we add so we can remove it on exit.
+        let opened = self.defined.len();
+        for arg in &bdata.args {
+            if self.insert(*arg) {
+                self.defined.push(*arg);
+            }
         }
-    }
-    // Values defined in this block stop being visible outside it.
-    for v in added {
-        visible.remove(&v);
+        for op in &bdata.ops {
+            let odata = ctx.op(*op);
+            if odata.parent != Some(block) {
+                diags.error(format!(
+                    "op {op} ({}) parent link does not point to block {block}",
+                    odata.name
+                ));
+            }
+            self.verify_op(ctx, *op, diags);
+            for r in &odata.results {
+                self.insert(*r);
+                self.defined.push(*r);
+            }
+        }
+        // Values defined in this block stop being visible outside it.
+        for v in self.defined.drain(opened..) {
+            self.visible[v.index()] = false;
+        }
     }
 }
 

@@ -20,6 +20,10 @@ use crate::soc::Soc;
 /// Pure reference MatMul: `C = A(MxK) x B(KxN)` with wrapping `i32`
 /// arithmetic (matching the accelerator models), walking every operand by
 /// rows. Zero extents give an all-zero (possibly empty) `C`.
+///
+/// One loop, `ref_body`, compiled twice: portable, and — on an x86-64
+/// host that has AVX2, checked once per call — with 256-bit vectors. It
+/// shares no code with the device models it checks.
 pub fn ref_matmul_i32(a: &[i32], b: &[i32], m: usize, n: usize, k: usize) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
@@ -27,6 +31,28 @@ pub fn ref_matmul_i32(a: &[i32], b: &[i32], m: usize, n: usize, k: usize) -> Vec
     if n == 0 || k == 0 {
         return c; // `chunks_exact` takes no zero-width rows
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `ref_avx2` needs only AVX2, which this CPU was just found to have.
+        unsafe { ref_avx2(&mut c, a, b, n, k) };
+        return c;
+    }
+    ref_body(&mut c, a, b, n, k);
+    c
+}
+
+/// [`ref_body`] compiled for AVX2; calling it is sound only on a CPU that
+/// has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn ref_avx2(c: &mut [i32], a: &[i32], b: &[i32], n: usize, k: usize) {
+    ref_body(c, a, b, n, k);
+}
+
+/// `c += a x b` row by row: each `A` element scales one row of `B` into
+/// the matching row of `C`.
+#[inline(always)]
+fn ref_body(c: &mut [i32], a: &[i32], b: &[i32], n: usize, k: usize) {
     for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
         for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
             for (slot, &bv) in c_row.iter_mut().zip(b_row) {
@@ -34,7 +60,6 @@ pub fn ref_matmul_i32(a: &[i32], b: &[i32], m: usize, n: usize, k: usize) -> Vec
             }
         }
     }
-    c
 }
 
 /// Shape of a padding-free, NCHW/FCHW strided 2-D convolution.
@@ -265,6 +290,30 @@ mod tests {
     fn ref_matmul_wraps_like_the_devices() {
         let c = ref_matmul_i32(&[i32::MAX, i32::MAX], &[2, i32::MAX], 1, 1, 2);
         assert_eq!(c, vec![i32::MAX.wrapping_mul(2).wrapping_add(i32::MAX.wrapping_mul(i32::MAX))]);
+    }
+
+    /// The dispatching entry (AVX2 on a host that has it) and the
+    /// portable body agree with a naive triple loop, wrapping included,
+    /// at widths that leave vector remainders.
+    #[test]
+    fn ref_matmul_dispatch_and_portable_body_match_a_naive_product() {
+        for (m, n, k) in [(1, 1, 1), (3, 17, 5), (9, 33, 7), (16, 16, 16)] {
+            let a: Vec<i32> = (0..m * k).map(|i| (i as i32).wrapping_mul(0x2F1D_7A53)).collect();
+            let b: Vec<i32> = (0..k * n).map(|i| (i as i32).wrapping_mul(-0x51C3_E9B7)).collect();
+            let mut naive = vec![0i32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        let term = a[i * k + p].wrapping_mul(b[p * n + j]);
+                        naive[i * n + j] = naive[i * n + j].wrapping_add(term);
+                    }
+                }
+            }
+            assert_eq!(ref_matmul_i32(&a, &b, m, n, k), naive, "dispatch at {m}x{n}x{k}");
+            let mut portable = vec![0i32; m * n];
+            ref_body(&mut portable, &a, &b, n, k);
+            assert_eq!(portable, naive, "ref_body at {m}x{n}x{k}");
+        }
     }
 
     #[test]

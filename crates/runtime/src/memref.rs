@@ -73,7 +73,9 @@ impl MemRefDesc {
     /// Panics if the subview does not fit inside the parent view.
     pub fn subview(&self, offsets: &[i64], sizes: &[i64]) -> MemRefDesc {
         let mut view = MemRefDesc { sizes: Vec::new(), strides: Vec::new(), ..*self };
-        self.subview_into(offsets, sizes, &mut view);
+        if let Err(e) = self.subview_into(offsets, sizes, &mut view) {
+            panic!("{e}");
+        }
         view
     }
 
@@ -81,21 +83,30 @@ impl MemRefDesc {
     /// `strides` buffers are reused: a subview re-taken in a loop
     /// allocates nothing.
     ///
+    /// # Errors
+    ///
+    /// Names the first dimension the subview leaves; `view` is untouched.
+    ///
     /// # Panics
     ///
-    /// Panics if the subview does not fit inside the parent view.
-    pub fn subview_into(&self, offsets: &[i64], sizes: &[i64], view: &mut MemRefDesc) {
+    /// Panics if `offsets` or `sizes` does not have the view's rank.
+    pub fn subview_into(
+        &self,
+        offsets: &[i64],
+        sizes: &[i64],
+        view: &mut MemRefDesc,
+    ) -> Result<(), String> {
         assert_eq!(offsets.len(), self.rank(), "subview offsets rank mismatch");
         assert_eq!(sizes.len(), self.rank(), "subview sizes rank mismatch");
         let mut offset = self.offset;
         for i in 0..self.rank() {
-            assert!(
-                offsets[i] >= 0 && offsets[i] + sizes[i] <= self.sizes[i],
-                "subview [{}; {}) exceeds dim {i} of size {}",
-                offsets[i],
-                offsets[i] + sizes[i],
-                self.sizes[i]
-            );
+            let end = offsets[i].checked_add(sizes[i]);
+            if offsets[i] < 0 || end.is_none_or(|end| end > self.sizes[i]) {
+                return Err(format!(
+                    "subview [{}; +{}) exceeds dim {i} of size {}",
+                    offsets[i], sizes[i], self.sizes[i]
+                ));
+            }
             offset += offsets[i] * self.strides[i];
         }
         view.base = self.base;
@@ -105,6 +116,7 @@ impl MemRefDesc {
         view.strides.clear();
         view.strides.extend_from_slice(&self.strides);
         view.elem = self.elem;
+        Ok(())
     }
 
     /// `true` when the innermost dimension is unit-stride — the condition
