@@ -155,12 +155,7 @@ fn rewrite_one(ctx: &mut IrCtx, op: OpId, coalesce: bool) -> Result<(), Diagnost
         }
         KernelKind::Conv2dNchwFchw => {
             let shapes = linalg::conv_shapes(ctx, op)?;
-            let stride = ctx
-                .attr(op, "strides")
-                .and_then(|a| a.as_array())
-                .and_then(|a| a.first())
-                .and_then(Attribute::as_int)
-                .unwrap_or(1);
+            let stride = linalg::conv_stride(ctx, op);
             // accel_dim = (B,H,W,iC,oC,fH,fW) -> (0,0,0,ic,1,fhw,fhw).
             if tr.accel_dims.len() != 7 {
                 return Err(Diagnostic::error("conv accel_dim must have seven results"));
@@ -547,7 +542,7 @@ mod tests {
         // The recv lives in the depth-2 loop, after the inner loop.
         let depth2 =
             fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 2).unwrap();
-        let body = scf::for_body(&m.ctx, depth2);
+        let body = m.ctx.sole_block(depth2, 0);
         let ops = &m.ctx.block(body).ops;
         let recv_pos = ops.iter().position(|o| m.ctx.op(*o).name == accel::RECV);
         let for_pos = ops.iter().position(|o| m.ctx.op(*o).name == "scf.for");

@@ -10,7 +10,7 @@ use axi4mlir_ir::affine::AffineMap;
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
 use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
-use axi4mlir_ir::types::{Type, DYNAMIC};
+use axi4mlir_ir::types::Type;
 use axi4mlir_support::diag::Diagnostic;
 
 use crate::arith;
@@ -152,6 +152,17 @@ pub fn matmul_dims(ctx: &IrCtx, op: OpId) -> Option<(i64, i64, i64)> {
     Some((a.shape[0], b.shape[1], a.shape[1]))
 }
 
+/// The spatial stride of a `linalg.conv_2d_nchw_fchw` op: the first
+/// entry of its `strides` attribute, 1 without one. The dialect verifier
+/// refuses one that is not positive.
+pub fn conv_stride(ctx: &IrCtx, op: OpId) -> i64 {
+    ctx.attr(op, "strides")
+        .and_then(Attribute::as_array)
+        .and_then(|strides| strides.first())
+        .and_then(Attribute::as_int)
+        .unwrap_or(1)
+}
+
 /// Static extents of a `linalg.conv_2d_nchw_fchw` op's operands, in
 /// operand order: input `[b, ic, h, w]`, filter `[oc, ic, fh, fw]`,
 /// output `[b, oc, oh, ow]`.
@@ -177,7 +188,7 @@ pub fn conv_shapes(ctx: &IrCtx, op: OpId) -> Result<[[i64; 4]; 3], Diagnostic> {
         *shape = found
             .as_memref()
             .and_then(|m| <[i64; 4]>::try_from(m.shape.as_slice()).ok())
-            .filter(|extents| !extents.contains(&DYNAMIC))
+            .filter(|extents| extents.iter().all(|&extent| extent >= 0))
             .ok_or_else(|| {
                 Diagnostic::error(format!(
                     "conv {operand} operand must be a rank-4 memref of static extents, found {found}"
@@ -193,6 +204,7 @@ mod tests {
     use crate::memref;
     use axi4mlir_ir::ops::Module;
     use axi4mlir_ir::printer::print_op;
+    use axi4mlir_ir::types::DYNAMIC;
     use axi4mlir_ir::verifier::verify_ok;
 
     fn matmul_module(m_dim: i64, n_dim: i64, k_dim: i64) -> (Module, OpId) {

@@ -38,16 +38,6 @@ pub fn body_builder<'a>(ctx: &'a mut IrCtx, loop_: &ForLoop) -> OpBuilder<'a> {
     OpBuilder::at(ctx, loop_.body, len - 1)
 }
 
-/// The body block of an `scf.for`.
-///
-/// # Panics
-///
-/// Panics if `op` is not an `scf.for`.
-pub fn for_body(ctx: &IrCtx, op: OpId) -> BlockId {
-    assert_eq!(ctx.op(op).name, "scf.for", "expected scf.for");
-    ctx.sole_block(op, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,6 +25,13 @@ pub enum InterpError {
     },
     /// The DMA engine rejected a transfer (driver-generation bug).
     Dma(DmaError),
+    /// The module breaks a rule of the dialect verifier, which the
+    /// interpreter checks for each op before it resolves it: the module
+    /// could not have run whatever its inputs.
+    Unverified {
+        /// The verifier's message, naming the op.
+        message: String,
+    },
     /// The function was called with the wrong arguments.
     BadArguments {
         /// What went wrong.
@@ -44,6 +51,7 @@ impl fmt::Display for InterpError {
             InterpError::UnknownCallee { name } => write!(f, "unknown runtime callee `{name}`"),
             InterpError::TypeMismatch { context } => write!(f, "type mismatch: {context}"),
             InterpError::Dma(e) => write!(f, "dma error: {e}"),
+            InterpError::Unverified { message } => write!(f, "unverified module: {message}"),
             InterpError::BadArguments { context } => write!(f, "bad arguments: {context}"),
             InterpError::Other { message } => f.write_str(message),
         }

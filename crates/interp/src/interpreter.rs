@@ -1,5 +1,23 @@
 //! The tree-walking interpreter.
 //!
+//! # What it refuses
+//!
+//! A module's own rules have one owner, the dialect verifier: resolution
+//! runs its per-op check (`axi4mlir_dialects::verify::check_op`) first
+//! and returns a broken rule as [`InterpError::Unverified`]. What is left
+//! here is what the verifier cannot know:
+//!
+//! - *Capabilities*: an unknown op, an unlowered `accel` op, a
+//!   `linalg.generic` without the MatMul trait, an element type the
+//!   simulator does not model, and a runtime-library callee and its arity
+//!   (the library's ABI, one table: `RT_FNS`).
+//! - *Arguments*: each must fit its parameter's type, so a memref
+//!   descriptor's shape is always its static type, which the CPU kernels
+//!   index unchecked.
+//! - *Run-time values*: an undefined value or one of the wrong kind, an
+//!   index or subview outside its view, an `scf.for` step that is not
+//!   positive, DMA errors, and more indices than `MAX_RANK`.
+//!
 //! # Hot-path design
 //!
 //! A sweep executes the same few dozen ops millions of times, so the
@@ -8,14 +26,11 @@
 //! - **Interned opcodes** — before execution, every op in the [`IrCtx`] is
 //!   resolved once into a dense `OpCode` side-table indexed by `OpId`.
 //!   Dispatch is a jump on the enum instead of a string match, and
-//!   attribute lookups (constant values, subview sizes, callee symbols)
-//!   and operand-count and rank checks are paid once per module, not
-//!   once per executed op. An op that fails resolution (unknown name,
-//!   missing attribute, region, operand or result, unsupported type, an
-//!   `accel` op not yet lowered) gets `OpCode::Invalid` holding the
-//!   error; it is returned only if the op is ever executed, so there is
-//!   one definition of each op's semantics and malformed IR is a
-//!   diagnostic, never a panic.
+//!   attribute lookups and the checks that need no run-time value are
+//!   paid once per module, not once per executed op. An op that fails
+//!   resolution gets `OpCode::Invalid` holding the error; it is returned
+//!   only if the op is ever executed, so there is one definition of each
+//!   op's semantics and malformed IR is a diagnostic, never a panic.
 //! - **Dense value frames** — SSA values live in a `Vec<Option<RtValue>>`
 //!   indexed by `ValueId` instead of a `HashMap`, and error construction
 //!   sits behind `#[cold]` builders so the success path never formats a
@@ -30,16 +45,17 @@
 //!   iteration: a warm run allocates as often at 64³ as at 32³
 //!   (`crates/core/tests/run_allocations.rs`).
 
-use axi4mlir_dialects::{accel, linalg};
+use axi4mlir_dialects::{accel, func, linalg, verify};
 use axi4mlir_ir::attrs::Attribute;
-use axi4mlir_ir::ops::{BlockId, IrCtx, Module, OpId, ValueId};
-use axi4mlir_ir::types::Type;
+use axi4mlir_ir::ops::{BlockId, IrCtx, Module, OpData, OpId, ValueId};
+use axi4mlir_ir::types::{Type, DYNAMIC};
 use axi4mlir_runtime::copy::CopyStrategy;
 use axi4mlir_runtime::dma_lib::{self, names};
 use axi4mlir_runtime::kernels::{self, ConvShape};
 use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
 use axi4mlir_sim::cache::AccessKind;
+use axi4mlir_sim::dma::Direction;
 use axi4mlir_sim::mem::{ElemType, SimAddr};
 use axi4mlir_support::entity::EntityId;
 
@@ -49,6 +65,10 @@ use crate::value::RtValue;
 /// Highest memref rank an op may index: its indices gather into a stack
 /// buffer of this size.
 const MAX_RANK: usize = 8;
+
+/// Why resolution may read what it reads unchecked: `resolve` runs the
+/// dialect verifier's rules for the op first.
+const VERIFIED: &str = "the dialect verifier checked this op";
 
 /// A runtime-library callee, resolved from the `callee` attribute once.
 #[derive(Clone, Copy, Debug)]
@@ -62,6 +82,19 @@ enum RtFn {
     WaitRecv,
     CopyFrom,
 }
+
+/// The runtime library's ABI: each callee's symbol, its record, and the
+/// operands and results a call to it has.
+const RT_FNS: [(&str, RtFn, usize, usize); 8] = [
+    (names::DMA_INIT, RtFn::DmaInit, 5, 0),
+    (names::WRITE_LITERAL, RtFn::WriteLiteral, 2, 1),
+    (names::COPY_TO, RtFn::CopyTo, 2, 1),
+    (names::START_SEND, RtFn::StartSend, 2, 0),
+    (names::WAIT_SEND, RtFn::WaitSend, 0, 0),
+    (names::START_RECV, RtFn::StartRecv, 2, 0),
+    (names::WAIT_RECV, RtFn::WaitRecv, 0, 0),
+    (names::COPY_FROM, RtFn::CopyFrom, 3, 1),
+];
 
 /// One op's pre-resolved dispatch record (see module docs).
 #[derive(Clone, Debug)]
@@ -82,14 +115,14 @@ enum OpCode {
     Nop,
     /// `memref.alloc` with its static shape.
     Alloc { shape: Vec<i64>, elem: ElemType },
-    /// `memref.subview` with its `static_sizes`.
+    /// `memref.subview` with its result shape, which is its `static_sizes`.
     Subview { sizes: Vec<i64> },
     /// `memref.load`.
     Load,
     /// `memref.store`.
     Store,
     /// `memref.dim` with its `dimension` attribute.
-    Dim(i64),
+    Dim(usize),
     /// `linalg.matmul` / matmul-trait `linalg.generic`.
     CpuMatMul,
     /// `linalg.conv_2d_nchw_fchw`.
@@ -189,250 +222,110 @@ fn build_table(ctx: &IrCtx, codes: &mut Vec<OpCode>) {
     codes.clear();
     codes.reserve(ctx.op_count());
     for index in 0..ctx.op_count() {
-        let code = resolve(ctx, OpId::from_index(index));
+        let op = OpId::from_index(index);
+        // An erased op is in no block, so it never runs.
+        let code = if ctx.op(op).dead { Ok(OpCode::Nop) } else { resolve(ctx, op) };
         codes.push(code.unwrap_or_else(|why| OpCode::Invalid(Box::new(why))));
     }
 }
 
-/// The first result of `op`, whose type decides what the op produces.
-fn first_result(ctx: &IrCtx, op: OpId) -> Result<ValueId, InterpError> {
-    let data = ctx.op(op);
-    data.results.first().copied().ok_or_else(|| other(&format!("{} without a result", data.name)))
-}
-
-/// The only block of the only region of `op`.
-fn sole_body(ctx: &IrCtx, op: OpId) -> Result<BlockId, InterpError> {
-    let data = ctx.op(op);
-    if let [region] = data.regions[..] {
-        if let [body] = ctx.region(region).blocks[..] {
-            return Ok(body);
-        }
-    }
-    Err(other(&format!("{} must have exactly one region of exactly one block", data.name)))
-}
-
 /// Resolves `op` to its dispatch record, or to the reason it cannot be
-/// executed. The `accel` dialect has no record: `LowerAccelToRuntimePass`
-/// alone says what its ops do, so one reaches here only unlowered.
+/// executed. The dialect verifier's rules come first, so the arms below
+/// read every operand, result, region and attribute those rules require
+/// without checking for it again. The `accel` dialect has no record:
+/// `LowerAccelToRuntimePass` alone says what its ops do, so one reaches
+/// here only unlowered.
 fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
+    verify::check_op(ctx, op).map_err(unverified)?;
     let data = ctx.op(op);
-    let code = match &*data.name {
+    let result_type = || ctx.value_type(ctx.result(op, 0));
+    Ok(match &*data.name {
         "arith.constant" => {
-            let value = ctx
-                .attr(op, "value")
-                .and_then(Attribute::as_int)
-                .ok_or_else(|| other("constant without value"))?;
-            OpCode::Const(match ctx.value_type(first_result(ctx, op)?) {
+            let value = ctx.attr(op, "value").and_then(Attribute::as_int).expect(VERIFIED);
+            OpCode::Const(match result_type() {
                 Type::Index => RtValue::Index(value),
-                Type::Int(_) => RtValue::I32(value as i32),
                 Type::Float(_) => RtValue::F32(value as f32),
-                ty => return Err(type_mismatch(&format!("constant of type {ty}"))),
+                _ => RtValue::I32(value as i32),
             })
         }
         "arith.addi" => OpCode::IntBin { add: true },
         "arith.muli" => OpCode::IntBin { add: false },
         "arith.addf" => OpCode::FloatBin { add: true },
         "arith.mulf" => OpCode::FloatBin { add: false },
-        "arith.index_cast" => match ctx.value_type(first_result(ctx, op)?) {
+        "arith.index_cast" => match result_type() {
             Type::Index => OpCode::CastToIndex,
-            Type::Int(_) => OpCode::CastToI32,
-            ty => return Err(type_mismatch(&format!("index_cast to {ty}"))),
+            _ => OpCode::CastToI32,
         },
         "scf.for" => {
-            let body = sole_body(ctx, op)?;
-            let iv = ctx
-                .block(body)
-                .args
-                .first()
-                .copied()
-                .ok_or_else(|| other("scf.for body without an induction variable"))?;
-            OpCode::For { body, iv }
+            let body = ctx.sole_block(op, 0);
+            OpCode::For { body, iv: ctx.block_arg(body, 0) }
         }
         "scf.yield" | "func.return" => OpCode::Nop,
         "memref.alloc" => {
-            let m = ctx
-                .value_type(first_result(ctx, op)?)
-                .as_memref()
-                .ok_or_else(|| type_mismatch("alloc result"))?;
-            let elem = elem_type(&m.elem)?;
-            if m.shape.iter().any(|d| *d < 0) {
-                return Err(other("cannot alloc dynamic shape"));
-            }
-            OpCode::Alloc { shape: m.shape.clone(), elem }
+            let m = result_type().as_memref().expect(VERIFIED);
+            OpCode::Alloc { shape: m.shape.clone(), elem: elem_type(&m.elem)? }
         }
         "memref.subview" => {
-            let sizes = ctx
-                .attr(op, "static_sizes")
-                .and_then(Attribute::as_array)
-                .map(|a| a.iter().filter_map(Attribute::as_int).collect::<Vec<_>>())
-                .ok_or_else(|| other("subview without static_sizes"))?;
-            OpCode::Subview { sizes }
+            OpCode::Subview { sizes: result_type().as_memref().expect(VERIFIED).shape.clone() }
         }
         "memref.load" => OpCode::Load,
         "memref.store" => OpCode::Store,
-        "memref.dim" => OpCode::Dim(
-            ctx.attr(op, "dimension")
-                .and_then(Attribute::as_int)
-                .ok_or_else(|| other("memref.dim without dimension"))?,
-        ),
-        "linalg.generic" | "linalg.matmul" => {
-            if data.name == "linalg.generic" && !linalg::is_matmul_generic(ctx, op) {
-                return Err(unsupported_op("linalg.generic without the MatMul trait"));
-            }
-            OpCode::CpuMatMul
+        "memref.dim" => {
+            let dim = ctx.attr(op, "dimension").and_then(Attribute::as_int).expect(VERIFIED);
+            OpCode::Dim(dim as usize)
         }
+        "linalg.generic" if !linalg::is_matmul_generic(ctx, op) => {
+            return Err(unsupported_op("linalg.generic without the MatMul trait"));
+        }
+        "linalg.generic" | "linalg.matmul" => OpCode::CpuMatMul,
         "linalg.conv_2d_nchw_fchw" => {
-            let stride = ctx
-                .attr(op, "strides")
-                .and_then(Attribute::as_array)
-                .and_then(|a| a.first())
-                .and_then(Attribute::as_int)
-                .unwrap_or(1);
-            // A negative stride becomes 0, which the signature check refuses.
-            OpCode::CpuConv { stride: usize::try_from(stride).unwrap_or(0) }
+            OpCode::CpuConv { stride: linalg::conv_stride(ctx, op) as usize }
         }
         "func.call" => {
-            let callee = ctx
-                .attr(op, "callee")
-                .and_then(Attribute::as_str)
-                .ok_or_else(|| other("call without callee"))?;
-            OpCode::Call(match callee {
-                names::DMA_INIT => RtFn::DmaInit,
-                names::WRITE_LITERAL => RtFn::WriteLiteral,
-                names::COPY_TO => RtFn::CopyTo,
-                names::START_SEND => RtFn::StartSend,
-                names::WAIT_SEND => RtFn::WaitSend,
-                names::START_RECV => RtFn::StartRecv,
-                names::WAIT_RECV => RtFn::WaitRecv,
-                names::COPY_FROM => RtFn::CopyFrom,
-                _ => return Err(InterpError::UnknownCallee { name: callee.to_owned() }),
-            })
+            let callee = func::callee(ctx, op).expect(VERIFIED);
+            let Some(&(_, rt, operands, results)) =
+                RT_FNS.iter().find(|(name, ..)| *name == callee)
+            else {
+                return Err(InterpError::UnknownCallee { name: callee.to_owned() });
+            };
+            if (data.operands.len(), data.results.len()) != (operands, results) {
+                return Err(bad_call(callee, (operands, results), data));
+            }
+            OpCode::Call(rt)
         }
         name if accel::is_accel_op(ctx, op) => return Err(unlowered(name)),
         name => return Err(unsupported_op(name)),
-    };
-    check_signature(ctx, op, &code)?;
-    Ok(code)
-}
-
-/// Checks that `op` has every operand and result `code` reads or writes,
-/// that its memrefs have the rank `code` indexes, and that a CPU kernel's
-/// memrefs have the shapes it indexes, so execution can index them
-/// unchecked.
-fn check_signature(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpError> {
-    let data = ctx.op(op);
-    // The static rank of operand `i`; 0 for no memref, which execution
-    // then refuses by type.
-    let rank = |i: usize| {
-        let memref = data.operands.get(i).and_then(|v| ctx.value_type(*v).as_memref());
-        memref.map_or(0, |m| m.shape.len())
-    };
-    let kernel = |want: usize| (0..3).all(|i| rank(i) == want);
-    // (operands, or `None` where none is read; results; ranks agree)
-    let (operands, results, ranked) = match code {
-        OpCode::Const(_) | OpCode::Alloc { .. } => (None, 1, true),
-        OpCode::Nop | OpCode::Invalid(_) => (None, 0, true),
-        OpCode::IntBin { .. } | OpCode::FloatBin { .. } => (Some(2), 1, true),
-        OpCode::CastToIndex | OpCode::CastToI32 | OpCode::Dim(_) => (Some(1), 1, true),
-        OpCode::For { .. } => (Some(3), 0, true),
-        OpCode::Subview { sizes } => {
-            (Some(1 + sizes.len()), 1, rank(0) == sizes.len() && sizes.len() <= MAX_RANK)
-        }
-        OpCode::Load => (Some(1 + rank(0)), 1, rank(0) <= MAX_RANK),
-        OpCode::Store => (Some(2 + rank(1)), 0, rank(1) <= MAX_RANK),
-        OpCode::CpuMatMul => (Some(3), 0, kernel(2)),
-        OpCode::CpuConv { .. } => (Some(3), 0, kernel(4)),
-        OpCode::Call(RtFn::WaitSend | RtFn::WaitRecv) => (Some(0), 0, true),
-        OpCode::Call(RtFn::StartSend | RtFn::StartRecv) => (Some(2), 0, true),
-        OpCode::Call(RtFn::WriteLiteral | RtFn::CopyTo) => (Some(2), 1, true),
-        OpCode::Call(RtFn::CopyFrom) => (Some(3), 1, true),
-        OpCode::Call(RtFn::DmaInit) => (Some(5), 0, true),
-    };
-    let found = (data.operands.len(), data.results.len());
-    if !ranked || operands.is_some_and(|n| n != found.0) || found.1 < results {
-        return Err(bad_signature(&data.name, operands.unwrap_or(found.0), results, found));
-    }
-    check_kernel_shapes(ctx, op, code)
-}
-
-/// Checks that a CPU kernel's three memrefs have static extents that
-/// agree: `A[m, k]`, `B[k, n]`, `C[m, n]` for a MatMul; for a Conv2D a
-/// square NCHW input, a square FCHW filter no larger than it, and the
-/// output they make at the op's (positive) stride.
-fn check_kernel_shapes(ctx: &IrCtx, op: OpId, code: &OpCode) -> Result<(), InterpError> {
-    let data = ctx.op(op);
-    let shape = |i: usize| {
-        let memref = data.operands.get(i).and_then(|v| ctx.value_type(*v).as_memref());
-        memref.map_or(&[][..], |m| m.shape.as_slice())
-    };
-    let shapes = (shape(0), shape(1), shape(2));
-    let fixed = [shapes.0, shapes.1, shapes.2].iter().all(|s| s.iter().all(|&e| e >= 0));
-    let (agree, rule) = match (code, shapes) {
-        (OpCode::CpuMatMul, (&[m, k], &[k2, n], &[m2, n2])) => {
-            (k == k2 && m == m2 && n == n2, "A[m, k], B[k, n], C[m, n]".to_owned())
-        }
-        (&OpCode::CpuConv { stride }, (&[b, ic, h, w], &[oc, ic2, f, f2], &[b2, oc2, o, o2])) => (
-            fixed
-                && stride > 0
-                && (h, f, ic, b, oc, o) == (w, f2, ic2, b2, oc2, o2)
-                && f <= h
-                && o == ((h - f) as usize / stride + 1) as i64,
-            format!(
-                "input[b, c, h, h], filter[oc, c, f, f], output[b, oc, o, o] with f <= h \
-                 and o = (h - f) / {stride} + 1"
-            ),
-        ),
-        _ => return Ok(()),
-    };
-    if fixed && agree {
-        return Ok(());
-    }
-    let found = data.operands.iter().map(|v| ctx.value_type(*v).to_string());
-    Err(InterpError::Other {
-        message: format!(
-            "{} operands must be memrefs {rule} of static extents; found {}",
-            data.name,
-            found.collect::<Vec<_>>().join(", ")
-        ),
     })
 }
 
 impl Frame {
     fn get(&self, v: ValueId) -> Result<&RtValue, InterpError> {
-        match self.slots.get(v.index()) {
-            Some(Some(value)) => Ok(value),
-            _ => Err(undefined_value(v)),
-        }
+        self.slots.get(v.index()).and_then(Option::as_ref).ok_or_else(|| undefined_value(v))
     }
 
     fn index(&self, v: ValueId) -> Result<i64, InterpError> {
-        match self.get(v)?.as_index() {
-            Some(i) => Ok(i),
-            None => Err(not_a(v, "an index")),
-        }
+        self.get(v)?.as_index().ok_or_else(|| not_a(v, "an index"))
     }
 
     fn int_any(&self, v: ValueId) -> Result<i64, InterpError> {
-        match self.get(v)?.as_int_any() {
-            Some(i) => Ok(i),
-            None => Err(not_a(v, "an integer")),
-        }
+        self.get(v)?.as_int_any().ok_or_else(|| not_a(v, "an integer"))
     }
 
     fn memref(&self, v: ValueId) -> Result<&MemRefDesc, InterpError> {
-        match self.get(v)?.as_memref() {
-            Some(d) => Ok(d),
-            None => Err(not_a(v, "a memref")),
-        }
+        self.get(v)?.as_memref().ok_or_else(|| not_a(v, "a memref"))
     }
 
-    /// Gathers index operands into a stack buffer; resolution caps
-    /// their number at [`MAX_RANK`].
+    /// Gathers the op `name`'s index operands into a stack buffer;
+    /// more than [`MAX_RANK`] of them is that op's error.
     fn indices<'b>(
         &self,
+        name: &str,
         operands: &[ValueId],
         buf: &'b mut [i64; MAX_RANK],
     ) -> Result<&'b [i64], InterpError> {
+        if operands.len() > MAX_RANK {
+            return Err(too_many_indices(name, operands.len()));
+        }
         for (slot, v) in buf.iter_mut().zip(operands) {
             *slot = self.index(*v)?;
         }
@@ -449,7 +342,7 @@ impl Frame {
     ) -> Result<(SimAddr, ElemType), InterpError> {
         let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
-        let indices = self.indices(index_operands, &mut buf)?;
+        let indices = self.indices(name, index_operands, &mut buf)?;
         let inside = indices.len() == desc.sizes.len()
             && indices.iter().zip(&desc.sizes).all(|(index, size)| (0..*size).contains(index));
         if !inside {
@@ -471,12 +364,17 @@ impl<'a> Interpreter<'a> {
         self.env.slots.clear();
         self.env.slots.resize(ctx.value_count(), None);
 
-        let result = sole_body(ctx, func).and_then(|entry| {
+        let result = verify::check_op(ctx, func).map_err(unverified).and_then(|()| {
+            let entry = ctx.sole_block(func, 0);
             let params = &ctx.block(entry).args;
             if params.len() != args.len() {
                 return Err(bad_arg_count(params.len(), args.len()));
             }
-            for (p, a) in params.iter().zip(args) {
+            for (index, (p, a)) in params.iter().zip(args).enumerate() {
+                let ty = ctx.value_type(*p);
+                if !fits(ty, &a) {
+                    return Err(bad_argument(index, ty, &a));
+                }
                 self.env.slots[p.index()] = Some(a);
             }
             self.exec_block(ctx, &codes, entry)
@@ -552,7 +450,7 @@ impl<'a> Interpreter<'a> {
                 let ub = self.env.index(operands[1])?;
                 let step = self.env.index(operands[2])?;
                 if step <= 0 {
-                    return Err(other("scf.for step must be positive"));
+                    return Err(not_positive(step));
                 }
                 let mut i = lb;
                 while i < ub {
@@ -580,7 +478,7 @@ impl<'a> Interpreter<'a> {
                     _ => self.env.memref(operands[0])?.clone(),
                 };
                 let mut buf = [0i64; MAX_RANK];
-                let offsets = self.env.indices(&operands[1..], &mut buf)?;
+                let offsets = self.env.indices("memref.subview", &operands[1..], &mut buf)?;
                 self.env
                     .memref(operands[0])?
                     .subview_into(offsets, sizes, &mut view)
@@ -616,10 +514,7 @@ impl<'a> Interpreter<'a> {
                 self.soc.mem.write_u32(addr, word);
             }
             OpCode::Dim(dim) => {
-                let operands = &ctx.op(op).operands;
-                let Some(&size) = self.env.memref(operands[0])?.sizes.get(*dim as usize) else {
-                    return Err(dim_out_of_range(*dim));
-                };
+                let size = self.env.memref(ctx.op(op).operands[0])?.sizes[*dim];
                 self.set(op, ctx, 0, RtValue::Index(size));
             }
             OpCode::CpuMatMul => {
@@ -661,12 +556,14 @@ impl<'a> Interpreter<'a> {
             RtFn::WriteLiteral => {
                 let word = self.env.int_any(operands[0])? as u32;
                 let off = self.env.int_any(operands[1])? as u64;
+                self.soc.dma.check(Direction::Send, off, 4)?;
                 let new = dma_lib::write_literal_to_dma_region(self.soc, word, off);
                 self.set(op, ctx, 0, RtValue::I32(new as i32));
             }
             RtFn::CopyTo => {
-                let view = self.env.memref(operands[0])?;
+                let view = staged(self.env.memref(operands[0])?)?;
                 let off = self.env.int_any(operands[1])? as u64;
+                self.soc.dma.check(Direction::Send, off, view.num_bytes())?;
                 let new = dma_lib::copy_to_dma_region(self.soc, view, off, self.copy_strategy);
                 self.set(op, ctx, 0, RtValue::I32(new as i32));
             }
@@ -683,8 +580,9 @@ impl<'a> Interpreter<'a> {
             }
             RtFn::WaitRecv => dma_lib::dma_wait_recv_completion(self.soc),
             RtFn::CopyFrom => {
-                let view = self.env.memref(operands[0])?;
+                let view = staged(self.env.memref(operands[0])?)?;
                 let off = self.env.int_any(operands[1])? as u64;
+                self.soc.dma.check(Direction::Recv, off, view.num_bytes())?;
                 let accumulate = self.env.int_any(operands[2])? != 0;
                 let bytes = dma_lib::copy_from_dma_region(
                     self.soc,
@@ -738,8 +636,8 @@ fn type_mismatch(context: &str) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn other(message: &str) -> InterpError {
-    InterpError::Other { message: message.to_owned() }
+fn not_positive(step: i64) -> InterpError {
+    InterpError::Other { message: format!("scf.for step must be positive, found {step}") }
 }
 
 #[cold]
@@ -766,18 +664,35 @@ fn unlowered(name: &str) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn bad_signature(
-    name: &str,
-    operands: usize,
-    results: usize,
-    found: (usize, usize),
-) -> InterpError {
+fn unverified(message: String) -> InterpError {
+    InterpError::Unverified { message }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_call(callee: &str, (operands, results): (usize, usize), data: &OpData) -> InterpError {
     InterpError::Other {
         message: format!(
-            "{name} takes {operands} operands and {results} results, with memrefs of the rank \
-             it indexes (at most {MAX_RANK}); found {} operands and {} results",
-            found.0, found.1
+            "func.call @{callee} takes {operands} operands and {results} results; found {} and {}",
+            data.operands.len(),
+            data.results.len()
         ),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn too_many_indices(name: &str, count: usize) -> InterpError {
+    InterpError::Other {
+        message: format!("{name} indexes {count} dimensions; at most {MAX_RANK} are supported"),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_argument(index: usize, ty: &Type, value: &RtValue) -> InterpError {
+    InterpError::BadArguments {
+        context: format!("argument {index} of type {ty} cannot be {value:?}"),
     }
 }
 
@@ -793,10 +708,29 @@ fn cannot_store(value: &RtValue) -> InterpError {
     InterpError::TypeMismatch { context: format!("cannot store {value:?}") }
 }
 
-#[cold]
-#[inline(never)]
-fn dim_out_of_range(dim: i64) -> InterpError {
-    InterpError::Other { message: format!("memref.dim {dim} out of range") }
+/// Whether an argument `value` can bind a parameter of type `ty`: the
+/// same kind of scalar, or a memref descriptor of the type's element
+/// type, rank and static extents.
+fn fits(ty: &Type, value: &RtValue) -> bool {
+    match (ty, value) {
+        (Type::Index, RtValue::Index(_))
+        | (Type::Int(_), RtValue::I32(_))
+        | (Type::Float(_), RtValue::F32(_)) => true,
+        (Type::MemRef(m), RtValue::MemRef(desc)) => {
+            elem_type(&m.elem).is_ok_and(|elem| elem == desc.elem)
+                && m.shape.len() == desc.sizes.len()
+                && m.shape.iter().zip(&desc.sizes).all(|(&s, &d)| s == DYNAMIC || s == d)
+        }
+        _ => false,
+    }
+}
+
+/// `view`, if the 32-bit AXI stream can stage its elements.
+fn staged(view: &MemRefDesc) -> Result<&MemRefDesc, InterpError> {
+    if view.elem.byte_width() == 4 {
+        return Ok(view);
+    }
+    Err(type_mismatch(&format!("cannot stage {} elements in 32-bit beats", view.elem)))
 }
 
 fn elem_type(ty: &Type) -> Result<ElemType, InterpError> {

@@ -13,8 +13,6 @@ pub enum RtValue {
     F32(f32),
     /// A memref descriptor (Fig. 3).
     MemRef(MemRefDesc),
-    /// No value (zero-result ops).
-    Unit,
 }
 
 impl RtValue {
@@ -53,7 +51,7 @@ mod tests {
         assert_eq!(RtValue::Index(3).as_index(), Some(3));
         assert_eq!(RtValue::I32(-2).as_int_any(), Some(-2));
         assert_eq!(RtValue::Index(9).as_int_any(), Some(9));
-        assert!(RtValue::Unit.as_index().is_none());
+        assert!(RtValue::I32(1).as_index().is_none());
         assert!(RtValue::F32(1.0).as_int_any().is_none());
     }
 }

@@ -163,13 +163,20 @@ impl DmaEngine {
         self.config.is_some()
     }
 
-    fn checked(
-        config: Option<&DmaConfig>,
+    /// Checks that `len` bytes at `offset` lie inside the staging region
+    /// a transfer in `direction` uses, in whole beats. A staging copy
+    /// into or out of a region is checked the same way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmaError`] if uninitialized, unaligned, or out of range.
+    pub fn check(
+        &self,
         direction: Direction,
         offset: u64,
         len: u64,
     ) -> Result<DmaConfig, DmaError> {
-        let config = config.ok_or(DmaError::NotInitialized)?;
+        let config = self.config.ok_or(DmaError::NotInitialized)?;
         if !len.is_multiple_of(4) {
             return Err(DmaError::UnalignedLength { len });
         }
@@ -177,10 +184,10 @@ impl DmaEngine {
             Direction::Send => config.input_size,
             Direction::Recv => config.output_size,
         };
-        if offset + len > capacity {
+        if offset.checked_add(len).is_none_or(|end| end > capacity) {
             return Err(DmaError::OutOfRange { direction, offset, len, capacity });
         }
-        Ok(*config)
+        Ok(config)
     }
 
     /// Streams `len` bytes starting at `offset` within the input staging
@@ -198,7 +205,7 @@ impl DmaEngine {
         counters: &mut PerfCounters,
         cost: &CostModel,
     ) -> Result<(), DmaError> {
-        let config = Self::checked(self.config.as_ref(), Direction::Send, offset, len)?;
+        let config = self.check(Direction::Send, offset, len)?;
         counters.host_cycles += cost.dma_start_host_cycles;
         counters.instructions += 1;
         counters.branch_instructions += 1; // the MMIO call
@@ -237,7 +244,7 @@ impl DmaEngine {
         counters: &mut PerfCounters,
         cost: &CostModel,
     ) -> Result<(), DmaError> {
-        let config = Self::checked(self.config.as_ref(), Direction::Recv, offset, len)?;
+        let config = self.check(Direction::Recv, offset, len)?;
         let words = len / 4;
         let available = accel.output_len() as u64;
         if available < words {
