@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use axi4mlir_accelerators::Device;
 use axi4mlir_ir::affine::{AffineExpr, AffineMap};
 use axi4mlir_ir::attrs::{Attribute, FlowElem, OpcodeAction, OpcodeFlow, OpcodeMap};
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_support::diag::Diagnostic;
 
 /// Kernels AXI4MLIR can offload.
@@ -17,19 +18,19 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// The MLIR op name the configuration's `"kernel"` field uses.
-    pub fn op_name(self) -> &'static str {
+    /// The op the configuration's `"kernel"` field names.
+    pub fn op_kind(self) -> OpKind {
         match self {
-            KernelKind::MatMul => "linalg.matmul",
-            KernelKind::Conv2dNchwFchw => "linalg.conv_2d_nchw_fchw",
+            KernelKind::MatMul => OpKind::LinalgMatmul,
+            KernelKind::Conv2dNchwFchw => OpKind::LinalgConv2dNchwFchw,
         }
     }
 
-    /// Parses the `"kernel"` field.
-    pub(crate) fn from_op_name(name: &str) -> Option<Self> {
-        match name {
-            "linalg.matmul" => Some(KernelKind::MatMul),
-            "linalg.conv_2d_nchw_fchw" => Some(KernelKind::Conv2dNchwFchw),
+    /// The kernel a `"kernel"` field's op names, if it names one.
+    pub fn from_op_kind(kind: &OpKind) -> Option<Self> {
+        match kind {
+            OpKind::LinalgMatmul => Some(KernelKind::MatMul),
+            OpKind::LinalgConv2dNchwFchw => Some(KernelKind::Conv2dNchwFchw),
             _ => None,
         }
     }
@@ -300,9 +301,11 @@ mod tests {
     #[test]
     fn kernel_names_roundtrip() {
         for k in [KernelKind::MatMul, KernelKind::Conv2dNchwFchw] {
-            assert_eq!(KernelKind::from_op_name(k.op_name()), Some(k));
+            assert_eq!(KernelKind::from_op_kind(&OpKind::parse(k.op_kind().name())), Some(k));
         }
-        assert_eq!(KernelKind::from_op_name("linalg.fill"), None);
+        for other in ["linalg.fill", "linalg.generic"] {
+            assert_eq!(KernelKind::from_op_kind(&OpKind::parse(other)), None);
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use axi4mlir_accelerators::Device;
 use axi4mlir_ir::attrs::{OpcodeFlow, OpcodeMap};
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::json::{JsonValue, Members};
 
@@ -110,10 +111,11 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
         |what: &str, d: Diagnostic| Diagnostic::error(format!("{context}: {what}{}", d.message));
     let m = value.members(&context)?;
 
+    let (matmul, conv) = (KernelKind::MatMul.op_kind(), KernelKind::Conv2dNchwFchw.op_kind());
     let kernel_name = m.str("kernel")?;
-    let kernel = KernelKind::from_op_name(kernel_name).ok_or_else(|| {
+    let kernel = KernelKind::from_op_kind(&OpKind::parse(kernel_name)).ok_or_else(|| {
         Diagnostic::error(format!(
-            "{context}: unsupported kernel `{kernel_name}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
+            "{context}: unsupported kernel `{kernel_name}` (expected {matmul} or {conv})"
         ))
     })?;
     // Where a Fig. 5 `name` becomes a device, or is refused: nothing
@@ -122,7 +124,7 @@ fn convert(value: &JsonValue) -> Result<AcceleratorConfig, Diagnostic> {
         Diagnostic::error(format!(
             "{context}: `{name}` is no device this simulator models for kernel `{kernel_name}` \
              (it models v1_SIZE, v2_SIZE, v3_SIZE, v4_SIZE — SIZE a positive integer — for \
-             linalg.matmul, and conv2d for linalg.conv_2d_nchw_fchw)"
+             {matmul}, and conv2d for {conv})"
         ))
     };
     let device = Device::parse(name).ok_or_else(no_device)?;
@@ -241,9 +243,14 @@ mod tests {
 
     #[test]
     fn bad_kernel_is_rejected() {
-        let text = SAMPLE.replace("linalg.matmul", "linalg.fill");
-        let err = SystemConfig::from_json(&text).unwrap_err();
-        assert!(err.message.contains("unsupported kernel"));
+        for kernel in ["linalg.fill", "linalg.generic", "test.op"] {
+            let text = SAMPLE.replace("linalg.matmul", kernel);
+            let err = SystemConfig::from_json(&text).unwrap_err();
+            let expected = format!(
+                "unsupported kernel `{kernel}` (expected linalg.matmul or linalg.conv_2d_nchw_fchw)"
+            );
+            assert!(err.message.ends_with(&expected), "{}", err.message);
+        }
     }
 
     #[test]

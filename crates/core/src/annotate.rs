@@ -36,7 +36,7 @@ impl MatchAndAnnotatePass {
     fn matches(&self, module: &Module, op: OpId) -> bool {
         match self.config.kernel() {
             KernelKind::MatMul => linalg::is_matmul_generic(&module.ctx, op),
-            KernelKind::Conv2dNchwFchw => module.ctx.op(op).name == "linalg.conv_2d_nchw_fchw",
+            kernel @ KernelKind::Conv2dNchwFchw => module.ctx.op(op).kind == kernel.op_kind(),
         }
     }
 }
@@ -62,7 +62,7 @@ impl Pass for MatchAndAnnotatePass {
             return Err(Diagnostic::error(format!(
                 "no operation matches accelerator {} (kernel {})",
                 self.config.device,
-                self.config.kernel().op_name()
+                self.config.kernel().op_kind()
             )));
         }
         let perm: Vec<&str> = self.permutation.iter().map(String::as_str).collect();
@@ -84,6 +84,7 @@ mod tests {
     use super::*;
     use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_dialects::{func, memref};
+    use axi4mlir_ir::kind::OpKind;
     use axi4mlir_ir::pass::PassManager;
     use axi4mlir_ir::types::Type;
 
@@ -111,7 +112,7 @@ mod tests {
         let mut diags = DiagnosticEngine::new();
         pass.run(&mut module, &mut diags).unwrap();
         let _ = pm;
-        let generics = module.ctx.find_ops(module.top(), "linalg.generic");
+        let generics = module.ctx.find_ops(module.top(), OpKind::LinalgGeneric);
         assert_eq!(generics.len(), 1);
         let op = generics[0];
         assert!(module.ctx.attr(op, "opcode_map").is_some());
@@ -146,7 +147,7 @@ mod tests {
         let mut pass = MatchAndAnnotatePass::new(cfg, vec![], None);
         let mut diags = DiagnosticEngine::new();
         pass.run(&mut m, &mut diags).unwrap();
-        let op = m.ctx.find_ops(m.top(), "linalg.conv_2d_nchw_fchw")[0];
+        let op = m.ctx.find_ops(m.top(), OpKind::LinalgConv2dNchwFchw)[0];
         assert!(m.ctx.attr(op, "opcode_flow").is_some());
         assert!(m.ctx.attr(op, "permutation_map").is_none(), "no permutation requested");
     }

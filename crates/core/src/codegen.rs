@@ -52,8 +52,7 @@ impl Pass for GenerateAccelDriverPass {
             .walk(top)
             .into_iter()
             .filter(|op| {
-                module.ctx.op(*op).name.starts_with("linalg.")
-                    && module.ctx.attr(*op, "opcode_flow").is_some()
+                module.ctx.op(*op).kind.is_linalg() && module.ctx.attr(*op, "opcode_flow").is_some()
             })
             .collect();
         if annotated.is_empty() {
@@ -132,11 +131,8 @@ fn read_trait(ctx: &IrCtx, op: OpId) -> Result<Trait, Diagnostic> {
 fn rewrite_one(ctx: &mut IrCtx, op: OpId, coalesce: bool) -> Result<(), Diagnostic> {
     let tr = read_trait(ctx, op)?;
     let operands = ctx.op(op).operands.clone();
-    let kernel = if ctx.op(op).name == "linalg.conv_2d_nchw_fchw" {
-        KernelKind::Conv2dNchwFchw
-    } else {
-        KernelKind::MatMul
-    };
+    // A MatMul is annotated as a `linalg.generic`, which names no kernel.
+    let kernel = KernelKind::from_op_kind(&ctx.op(op).kind).unwrap_or(KernelKind::MatMul);
     let plan = match kernel {
         KernelKind::MatMul => {
             let (m, n, k) = linalg::matmul_dims(ctx, op).ok_or_else(|| {
@@ -472,6 +468,7 @@ mod tests {
     use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
     use axi4mlir_dialects::{func, verify::DialectVerifierPass};
+    use axi4mlir_ir::kind::OpKind;
     use axi4mlir_ir::pass::PassManager;
     use axi4mlir_ir::printer::print_op;
 
@@ -502,28 +499,28 @@ mod tests {
     #[test]
     fn ns_flow_generates_three_loops_with_innermost_transfers() {
         let m = compile(16, 4, FlowStrategy::NothingStationary, None);
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         assert_eq!(fors.len(), 3);
-        assert!(m.ctx.find_ops(m.top(), "linalg.generic").is_empty(), "linalg op replaced");
-        assert_eq!(m.ctx.find_ops(m.top(), accel::DMA_INIT).len(), 1);
+        assert!(m.ctx.find_ops(m.top(), OpKind::LinalgGeneric).is_empty(), "linalg op replaced");
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::AccelDmaInit).len(), 1);
         // All sends/recvs sit in the innermost loop.
         let innermost = fors
             .iter()
             .copied()
-            .find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1)
+            .find(|f| m.ctx.find_ops(*f, OpKind::ScfFor).len() == 1)
             .expect("innermost loop");
-        assert_eq!(m.ctx.find_ops(innermost, accel::SEND).len(), 2, "sA and sB");
-        assert_eq!(m.ctx.find_ops(innermost, accel::RECV).len(), 1, "rC");
+        assert_eq!(m.ctx.find_ops(innermost, OpKind::AccelSend).len(), 2, "sA and sB");
+        assert_eq!(m.ctx.find_ops(innermost, OpKind::AccelRecv).len(), 1, "rC");
     }
 
     #[test]
     fn as_flow_hoists_sa_out_of_innermost() {
         let m = compile(16, 4, FlowStrategy::InputAStationary, None);
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         let innermost =
-            fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1).unwrap();
+            fors.iter().copied().find(|f| m.ctx.find_ops(*f, OpKind::ScfFor).len() == 1).unwrap();
         // Only sB inside the innermost loop; sA was hoisted one level up.
-        assert_eq!(m.ctx.find_ops(innermost, accel::SEND).len(), 1);
+        assert_eq!(m.ctx.find_ops(innermost, OpKind::AccelSend).len(), 1);
         let printed = print_op(&m.ctx, m.top());
         assert_eq!(
             printed.matches("accel.send\"").count(),
@@ -535,17 +532,20 @@ mod tests {
     #[test]
     fn cs_flow_receives_after_inner_loop() {
         let m = compile(16, 4, FlowStrategy::OutputStationary, None);
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         let innermost =
-            fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1).unwrap();
-        assert!(m.ctx.find_ops(innermost, accel::RECV).is_empty(), "recv hoisted out of k loop");
+            fors.iter().copied().find(|f| m.ctx.find_ops(*f, OpKind::ScfFor).len() == 1).unwrap();
+        assert!(
+            m.ctx.find_ops(innermost, OpKind::AccelRecv).is_empty(),
+            "recv hoisted out of k loop"
+        );
         // The recv lives in the depth-2 loop, after the inner loop.
         let depth2 =
-            fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 2).unwrap();
+            fors.iter().copied().find(|f| m.ctx.find_ops(*f, OpKind::ScfFor).len() == 2).unwrap();
         let body = m.ctx.sole_block(depth2, 0);
         let ops = &m.ctx.block(body).ops;
-        let recv_pos = ops.iter().position(|o| m.ctx.op(*o).name == accel::RECV);
-        let for_pos = ops.iter().position(|o| m.ctx.op(*o).name == "scf.for");
+        let recv_pos = ops.iter().position(|o| m.ctx.op(*o).kind == OpKind::AccelRecv);
+        let for_pos = ops.iter().position(|o| m.ctx.op(*o).kind == OpKind::ScfFor);
         assert!(recv_pos.unwrap() > for_pos.unwrap(), "recv must follow the k loop");
     }
 
@@ -553,7 +553,7 @@ mod tests {
     fn cache_tiling_adds_outer_loops() {
         let m = compile(64, 8, FlowStrategy::NothingStationary, Some(32));
         // m and n gain cache loops; the streaming dim k does not.
-        assert_eq!(m.ctx.find_ops(m.top(), "scf.for").len(), 5);
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::ScfFor).len(), 5);
     }
 
     #[test]
@@ -561,10 +561,12 @@ mod tests {
         let m = compile(16, 4, FlowStrategy::NothingStationary, None);
         let f = m.funcs()[0];
         let entry = m.ctx.sole_block(f, 0);
-        let names: Vec<&str> = m.ctx.block(entry).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
-        let init_pos = names.iter().position(|n| *n == accel::DMA_INIT).unwrap();
-        let reset_pos = names.iter().position(|n| *n == accel::SEND_LITERAL).unwrap();
-        let loop_pos = names.iter().position(|n| *n == "scf.for").unwrap();
+        let kinds: Vec<&OpKind> =
+            m.ctx.block(entry).ops.iter().map(|o| &m.ctx.op(*o).kind).collect();
+        let position = |kind: OpKind| kinds.iter().position(|k| **k == kind).unwrap();
+        let init_pos = position(OpKind::AccelDmaInit);
+        let reset_pos = position(OpKind::AccelSendLiteral);
+        let loop_pos = position(OpKind::ScfFor);
         assert!(init_pos < reset_pos && reset_pos < loop_pos);
     }
 
@@ -592,9 +594,9 @@ mod tests {
         pm.add(Box::new(DialectVerifierPass));
         pm.run(&mut m).unwrap();
         // Four loops: b, oc, oh, ow.
-        assert_eq!(m.ctx.find_ops(m.top(), "scf.for").len(), 4);
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::ScfFor).len(), 4);
         // Init opcodes use sendDim for fH and iC.
-        assert_eq!(m.ctx.find_ops(m.top(), accel::SEND_DIM).len(), 2);
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::AccelSendDim).len(), 2);
         let printed = print_op(&m.ctx, m.top());
         assert!(printed.contains("accel.recv"));
     }

@@ -15,17 +15,13 @@
 
 use axi4mlir_dialects::{accel, arith, func, memref};
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{IrCtx, Module, OpId, ValueId};
 use axi4mlir_ir::pass::Pass;
 use axi4mlir_ir::types::Type;
+use axi4mlir_runtime::dma_lib::names;
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 use axi4mlir_support::entity::EntityId;
-
-/// Runtime library entry-point names (defined by the DMA library itself;
-/// the interpreter dispatches on the same constants).
-pub mod callees {
-    pub use axi4mlir_runtime::dma_lib::names::*;
-}
 
 /// Lowers every `accel` op under the module to runtime calls.
 #[derive(Debug, Default)]
@@ -46,7 +42,7 @@ impl Pass for LowerAccelToRuntimePass {
             .ctx
             .walk(top)
             .into_iter()
-            .filter(|op| accel::is_accel_op(&module.ctx, *op))
+            .filter(|op| module.ctx.op(*op).kind.is_accel())
             .collect();
         // The value standing in for each erased `accel` result, by value
         // index. Later ops (and their replacements) still name the erased
@@ -70,14 +66,25 @@ impl Pass for LowerAccelToRuntimePass {
 
 fn emit_flush(b: &mut OpBuilder<'_>, total_len: ValueId) {
     let zero = arith::const_i32(b, 0);
-    func::call(b, callees::START_SEND, vec![total_len, zero], vec![]);
-    func::call(b, callees::WAIT_SEND, vec![], vec![]);
+    func::call(b, names::START_SEND, vec![total_len, zero], vec![]);
+    func::call(b, names::WAIT_SEND, vec![], vec![]);
+}
+
+/// Stages through the runtime `callee`, which returns the next free
+/// offset, and flushes the staged prefix after it when `flush` is set.
+fn stage(b: &mut OpBuilder<'_>, callee: &str, operands: Vec<ValueId>, flush: bool) -> ValueId {
+    let call = func::call(b, callee, operands, vec![Type::i32()]);
+    let new_off = b.ctx_ref().result(call, 0);
+    if flush {
+        emit_flush(b, new_off);
+    }
+    new_off
 }
 
 /// Replaces `op` by its runtime calls and erases it. Returns the erased
 /// result and the value that now stands for it, if the op had one.
 fn lower_one(ctx: &mut IrCtx, op: OpId) -> Result<Option<(ValueId, ValueId)>, Diagnostic> {
-    let name = ctx.op(op).name.clone();
+    let kind = ctx.op(op).kind.clone();
     let operands = ctx.op(op).operands.clone();
     let result = ctx.op(op).results.first().copied();
     let flush = accel::has_flush(ctx, op);
@@ -85,72 +92,39 @@ fn lower_one(ctx: &mut IrCtx, op: OpId) -> Result<Option<(ValueId, ValueId)>, Di
     let index = ctx.position_in_block(op).expect("attached");
     // Build replacements *before* the op, then erase it.
     let mut b = OpBuilder::at(ctx, block, index);
-    let replacement: Option<ValueId> = match &*name {
-        accel::DMA_INIT => {
-            func::call(&mut b, callees::DMA_INIT, operands.clone(), vec![]);
+    let replacement: Option<ValueId> = match kind {
+        OpKind::AccelDmaInit => {
+            func::call(&mut b, names::DMA_INIT, operands, vec![]);
             None
         }
-        accel::SEND_LITERAL => {
-            let call =
-                func::call(&mut b, callees::WRITE_LITERAL, operands.clone(), vec![Type::i32()]);
-            let new_off = b.ctx_ref().result(call, 0);
-            if flush {
-                emit_flush(&mut b, new_off);
-            }
-            Some(new_off)
+        OpKind::AccelSendLiteral | OpKind::AccelSendIdx => {
+            Some(stage(&mut b, names::WRITE_LITERAL, operands, flush))
         }
-        accel::SEND_IDX => {
-            let call =
-                func::call(&mut b, callees::WRITE_LITERAL, operands.clone(), vec![Type::i32()]);
-            let new_off = b.ctx_ref().result(call, 0);
-            if flush {
-                emit_flush(&mut b, new_off);
-            }
-            Some(new_off)
-        }
-        accel::SEND_DIM => {
+        OpKind::AccelSendDim => {
             let dim = accel::dim_of(b.ctx_ref(), op)
-                .ok_or_else(|| Diagnostic::error("accel.sendDim without dim attribute"))?;
+                .ok_or_else(|| Diagnostic::error(format!("{kind} without dim attribute")))?;
             let d = memref::dim(&mut b, operands[0], dim);
             let word = arith::index_cast(&mut b, d, Type::i32());
-            let call = func::call(
-                &mut b,
-                callees::WRITE_LITERAL,
-                vec![word, operands[1]],
-                vec![Type::i32()],
-            );
-            let new_off = b.ctx_ref().result(call, 0);
-            if flush {
-                emit_flush(&mut b, new_off);
-            }
-            Some(new_off)
+            Some(stage(&mut b, names::WRITE_LITERAL, vec![word, operands[1]], flush))
         }
-        accel::SEND => {
-            let call = func::call(&mut b, callees::COPY_TO, operands.clone(), vec![Type::i32()]);
-            let new_off = b.ctx_ref().result(call, 0);
-            if flush {
-                emit_flush(&mut b, new_off);
-            }
-            Some(new_off)
-        }
-        accel::RECV => {
+        OpKind::AccelSend => Some(stage(&mut b, names::COPY_TO, operands, flush)),
+        OpKind::AccelRecv => {
             let view_ty = b
                 .ctx_ref()
                 .value_type(operands[0])
                 .as_memref()
-                .ok_or_else(|| Diagnostic::error("accel.recv expects a memref view"))?;
-            let bytes = view_ty
-                .num_elements()
-                .ok_or_else(|| Diagnostic::error("accel.recv view must have a static shape"))?
-                * 4;
+                .ok_or_else(|| Diagnostic::error(format!("{kind} expects a memref view")))?;
+            let bytes = view_ty.num_elements().ok_or_else(|| {
+                Diagnostic::error(format!("{kind} view must have a static shape"))
+            })? * 4;
             let accumulate = accel::recv_accumulates(b.ctx_ref(), op);
             let len = arith::const_i32(&mut b, bytes as i32);
-            func::call(&mut b, callees::START_RECV, vec![len, operands[1]], vec![]);
-            func::call(&mut b, callees::WAIT_RECV, vec![], vec![]);
+            func::call(&mut b, names::START_RECV, vec![len, operands[1]], vec![]);
+            func::call(&mut b, names::WAIT_RECV, vec![], vec![]);
             let acc = arith::const_i32(&mut b, i64::from(accumulate) as i32);
             let call = func::call(
                 &mut b,
-                callees::COPY_FROM,
+                names::COPY_FROM,
                 vec![operands[0], operands[1], acc],
                 vec![Type::i32()],
             );
@@ -196,17 +170,17 @@ mod tests {
     #[test]
     fn lowering_removes_all_accel_ops() {
         let m = lowered_module(FlowStrategy::NothingStationary);
-        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !accel::is_accel_op(&m.ctx, op)));
+        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !m.ctx.op(op).kind.is_accel()));
         let printed = print_op(&m.ctx, m.top());
         for callee in [
-            callees::DMA_INIT,
-            callees::COPY_TO,
-            callees::WRITE_LITERAL,
-            callees::START_SEND,
-            callees::WAIT_SEND,
-            callees::START_RECV,
-            callees::WAIT_RECV,
-            callees::COPY_FROM,
+            names::DMA_INIT,
+            names::COPY_TO,
+            names::WRITE_LITERAL,
+            names::START_SEND,
+            names::WAIT_SEND,
+            names::START_RECV,
+            names::WAIT_RECV,
+            names::COPY_FROM,
         ] {
             assert!(
                 printed.contains(&format!("callee = {callee:?}")),
@@ -220,21 +194,21 @@ mod tests {
         // Ns with v3: four opcodes per innermost iteration (sA, sB, cC, rC)
         // means exactly four start_send calls inside the innermost loop.
         let m = lowered_module(FlowStrategy::NothingStationary);
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         let innermost =
-            fors.iter().copied().find(|f| m.ctx.find_ops(*f, "scf.for").len() == 1).unwrap();
+            fors.iter().copied().find(|f| m.ctx.find_ops(*f, OpKind::ScfFor).len() == 1).unwrap();
         let starts = m
             .ctx
-            .find_ops(innermost, "func.call")
+            .find_ops(innermost, OpKind::FuncCall)
             .into_iter()
-            .filter(|c| func::callee(&m.ctx, *c) == Some(callees::START_SEND))
+            .filter(|c| func::callee(&m.ctx, *c) == Some(names::START_SEND))
             .count();
         assert_eq!(starts, 4);
         let waits = m
             .ctx
-            .find_ops(innermost, "func.call")
+            .find_ops(innermost, OpKind::FuncCall)
             .into_iter()
-            .filter(|c| func::callee(&m.ctx, *c) == Some(callees::WAIT_SEND))
+            .filter(|c| func::callee(&m.ctx, *c) == Some(names::WAIT_SEND))
             .count();
         assert_eq!(waits, 4, "every start_send pairs with a wait");
     }
@@ -242,11 +216,11 @@ mod tests {
     #[test]
     fn recv_lowers_to_start_wait_copy() {
         let m = lowered_module(FlowStrategy::OutputStationary);
-        let calls = m.ctx.find_ops(m.top(), "func.call");
+        let calls = m.ctx.find_ops(m.top(), OpKind::FuncCall);
         let recv_start =
-            calls.iter().filter(|c| func::callee(&m.ctx, **c) == Some(callees::START_RECV)).count();
+            calls.iter().filter(|c| func::callee(&m.ctx, **c) == Some(names::START_RECV)).count();
         let copy_from =
-            calls.iter().filter(|c| func::callee(&m.ctx, **c) == Some(callees::COPY_FROM)).count();
+            calls.iter().filter(|c| func::callee(&m.ctx, **c) == Some(names::COPY_FROM)).count();
         assert_eq!(recv_start, 1, "Cs flow receives once per (m, n) tile — one call site");
         assert_eq!(copy_from, 1);
     }
@@ -275,8 +249,8 @@ mod tests {
         pm.add(Box::new(GenerateAccelDriverPass::default()));
         pm.add(Box::new(LowerAccelToRuntimePass));
         pm.run(&mut m).unwrap();
-        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !accel::is_accel_op(&m.ctx, op)));
-        assert_eq!(m.ctx.find_ops(m.top(), "memref.dim").len(), 2, "fH and iC");
-        assert!(!m.ctx.find_ops(m.top(), "arith.index_cast").is_empty());
+        assert!(m.ctx.walk(m.top()).into_iter().all(|op| !m.ctx.op(op).kind.is_accel()));
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::MemrefDim).len(), 2, "fH and iC");
+        assert!(!m.ctx.find_ops(m.top(), OpKind::ArithIndexCast).is_empty());
     }
 }

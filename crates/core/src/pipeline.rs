@@ -97,7 +97,6 @@ mod tests {
     use crate::options::{CacheTiling, PipelineOptions};
     use axi4mlir_accelerators::matmul::MatMulVersion;
     use axi4mlir_config::{AcceleratorConfig, FlowStrategy};
-    use axi4mlir_dialects::accel;
 
     /// One-shot MatMul run of `plan` on the device it names.
     fn run_matmul(plan: &CompilePlan, dims: i64) -> RunReport {
@@ -138,7 +137,7 @@ mod tests {
         let mut module = build_matmul_module(MatMulProblem::square(8));
         PipelineBuilder::new().accelerator(config).lower(false).build().run(&mut module).unwrap();
         let ops = module.ctx.walk(module.top());
-        assert!(ops.into_iter().any(|op| accel::is_accel_op(&module.ctx, op)), "accel ops kept");
+        assert!(ops.into_iter().any(|op| module.ctx.op(op).kind.is_accel()), "accel ops kept");
 
         let err = Session::for_sweep()
             .run(&MatMulWorkload::new(MatMulProblem::square(8)), &plan)

@@ -24,21 +24,9 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
 use axi4mlir_ir::types::Type;
-
-/// Op name: `accel.dma_init`.
-pub const DMA_INIT: &str = "accel.dma_init";
-/// Op name: `accel.sendLiteral` (paper spelling, Fig. 6b).
-pub const SEND_LITERAL: &str = "accel.sendLiteral";
-/// Op name: `accel.send`.
-pub const SEND: &str = "accel.send";
-/// Op name: `accel.sendDim`.
-pub const SEND_DIM: &str = "accel.sendDim";
-/// Op name: `accel.sendIdx`.
-pub const SEND_IDX: &str = "accel.sendIdx";
-/// Op name: `accel.recv`.
-pub const RECV: &str = "accel.recv";
 
 /// Builds `accel.dma_init(%id, %inAddr, %inSize, %outAddr, %outSize)`.
 pub fn dma_init(
@@ -49,7 +37,12 @@ pub fn dma_init(
     output_addr: ValueId,
     output_size: ValueId,
 ) -> OpId {
-    b.insert_op(DMA_INIT, vec![id, input_addr, input_size, output_addr, output_size], vec![], [])
+    b.insert_op(
+        OpKind::AccelDmaInit,
+        vec![id, input_addr, input_size, output_addr, output_size],
+        vec![],
+        [],
+    )
 }
 
 /// Builds `%next = accel.sendLiteral(%literal, %offset)`.
@@ -64,7 +57,7 @@ pub fn send_literal(
 ) -> ValueId {
     let attrs: Vec<(&'static str, Attribute)> =
         if flush { vec![("flush", Attribute::Bool(true))] } else { vec![] };
-    let op = b.insert_op(SEND_LITERAL, vec![literal, offset], vec![Type::i32()], attrs);
+    let op = b.insert_op(OpKind::AccelSendLiteral, vec![literal, offset], vec![Type::i32()], attrs);
     b.result(op)
 }
 
@@ -74,7 +67,7 @@ pub fn send_literal(
 pub fn send(b: &mut OpBuilder<'_>, view: ValueId, offset: ValueId, flush: bool) -> ValueId {
     let attrs: Vec<(&'static str, Attribute)> =
         if flush { vec![("flush", Attribute::Bool(true))] } else { vec![] };
-    let op = b.insert_op(SEND, vec![view, offset], vec![Type::i32()], attrs);
+    let op = b.insert_op(OpKind::AccelSend, vec![view, offset], vec![Type::i32()], attrs);
     b.result(op)
 }
 
@@ -91,7 +84,7 @@ pub fn send_dim(
     if flush {
         attrs.push(("flush", Attribute::Bool(true)));
     }
-    let op = b.insert_op(SEND_DIM, vec![view, offset], vec![Type::i32()], attrs);
+    let op = b.insert_op(OpKind::AccelSendDim, vec![view, offset], vec![Type::i32()], attrs);
     b.result(op)
 }
 
@@ -99,7 +92,7 @@ pub fn send_dim(
 pub fn send_idx(b: &mut OpBuilder<'_>, index: ValueId, offset: ValueId, flush: bool) -> ValueId {
     let attrs: Vec<(&'static str, Attribute)> =
         if flush { vec![("flush", Attribute::Bool(true))] } else { vec![] };
-    let op = b.insert_op(SEND_IDX, vec![index, offset], vec![Type::i32()], attrs);
+    let op = b.insert_op(OpKind::AccelSendIdx, vec![index, offset], vec![Type::i32()], attrs);
     b.result(op)
 }
 
@@ -107,17 +100,12 @@ pub fn send_idx(b: &mut OpBuilder<'_>, index: ValueId, offset: ValueId, flush: b
 pub fn recv(b: &mut OpBuilder<'_>, view: ValueId, offset: ValueId, accumulate: bool) -> ValueId {
     let mode = if accumulate { "accumulate" } else { "overwrite" };
     let op = b.insert_op(
-        RECV,
+        OpKind::AccelRecv,
         vec![view, offset],
         vec![Type::i32()],
         [("mode", Attribute::Str(mode.to_owned()))],
     );
     b.result(op)
-}
-
-/// `true` if `op` belongs to the `accel` dialect.
-pub fn is_accel_op(ctx: &IrCtx, op: OpId) -> bool {
-    ctx.op(op).name.starts_with("accel.")
 }
 
 /// `true` if this staging op carries `flush = true`.
@@ -183,7 +171,7 @@ mod tests {
         let off = arith::const_i32(&mut b, 0);
         send_literal(&mut b, lit, off, true);
         send_literal(&mut b, lit, off, false);
-        let sends = m.ctx.find_ops(m.top(), SEND_LITERAL);
+        let sends = m.ctx.find_ops(m.top(), OpKind::AccelSendLiteral);
         assert!(has_flush(&m.ctx, sends[0]));
         assert!(!has_flush(&m.ctx, sends[1]));
     }
@@ -196,9 +184,9 @@ mod tests {
         let w = memref::alloc(&mut b, vec![64, 256, 3, 3], Type::i32());
         let off = arith::const_i32(&mut b, 0);
         send_dim(&mut b, w, 3, off, false);
-        let op = m.ctx.find_ops(m.top(), SEND_DIM)[0];
+        let op = m.ctx.find_ops(m.top(), OpKind::AccelSendDim)[0];
         assert_eq!(dim_of(&m.ctx, op), Some(3));
-        assert!(is_accel_op(&m.ctx, op));
+        assert!(m.ctx.op(op).kind.is_accel());
     }
 
     #[test]
@@ -210,7 +198,7 @@ mod tests {
         let off = arith::const_i32(&mut b, 0);
         recv(&mut b, c, off, true);
         recv(&mut b, c, off, false);
-        let recvs = m.ctx.find_ops(m.top(), RECV);
+        let recvs = m.ctx.find_ops(m.top(), OpKind::AccelRecv);
         assert!(recv_accumulates(&m.ctx, recvs[0]));
         assert!(!recv_accumulates(&m.ctx, recvs[1]));
     }

@@ -2,12 +2,14 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::ValueId;
 use axi4mlir_ir::types::Type;
 
 /// Builds `arith.constant` with an integer `value` of type `ty`.
 pub fn constant(b: &mut OpBuilder<'_>, value: i64, ty: Type) -> ValueId {
-    let op = b.insert_op("arith.constant", vec![], vec![ty], [("value", Attribute::Int(value))]);
+    let op =
+        b.insert_op(OpKind::ArithConstant, vec![], vec![ty], [("value", Attribute::Int(value))]);
     b.result(op)
 }
 
@@ -21,35 +23,35 @@ pub fn const_i32(b: &mut OpBuilder<'_>, value: i32) -> ValueId {
     constant(b, i64::from(value), Type::i32())
 }
 
-fn binary(b: &mut OpBuilder<'_>, name: &'static str, lhs: ValueId, rhs: ValueId) -> ValueId {
+fn binary(b: &mut OpBuilder<'_>, kind: OpKind, lhs: ValueId, rhs: ValueId) -> ValueId {
     let ty = b.ctx_ref().value_type(lhs).clone();
-    let op = b.insert_op(name, vec![lhs, rhs], vec![ty], []);
+    let op = b.insert_op(kind, vec![lhs, rhs], vec![ty], []);
     b.result(op)
 }
 
 /// Builds `arith.addi`.
 pub fn addi(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
-    binary(b, "arith.addi", lhs, rhs)
+    binary(b, OpKind::ArithAddi, lhs, rhs)
 }
 
 /// Builds `arith.muli`.
 pub fn muli(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
-    binary(b, "arith.muli", lhs, rhs)
+    binary(b, OpKind::ArithMuli, lhs, rhs)
 }
 
 /// Builds `arith.addf`.
 pub(crate) fn addf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
-    binary(b, "arith.addf", lhs, rhs)
+    binary(b, OpKind::ArithAddf, lhs, rhs)
 }
 
 /// Builds `arith.mulf`.
 pub(crate) fn mulf(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
-    binary(b, "arith.mulf", lhs, rhs)
+    binary(b, OpKind::ArithMulf, lhs, rhs)
 }
 
 /// Builds `arith.index_cast` converting between `index` and integer types.
 pub fn index_cast(b: &mut OpBuilder<'_>, value: ValueId, to: Type) -> ValueId {
-    let op = b.insert_op("arith.index_cast", vec![value], vec![to], []);
+    let op = b.insert_op(OpKind::ArithIndexCast, vec![value], vec![to], []);
     b.result(op)
 }
 
@@ -65,7 +67,7 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let v = const_index(&mut b, 42);
         assert_eq!(*m.ctx.value_type(v), Type::index());
-        let constant = m.ctx.find_ops(m.top(), "arith.constant")[0];
+        let constant = m.ctx.find_ops(m.top(), OpKind::ArithConstant)[0];
         assert_eq!(m.ctx.attr(constant, "value").and_then(|a| a.as_int()), Some(42));
     }
 

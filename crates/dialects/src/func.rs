@@ -2,6 +2,7 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{BlockId, IrCtx, Module, OpId, ValueId};
 use axi4mlir_ir::types::Type;
 
@@ -26,7 +27,7 @@ pub fn func(
     let body = module.body();
     let mut b = OpBuilder::at_end(&mut module.ctx, body);
     let (op, entry) = b.insert_region_op(
-        "func.func",
+        OpKind::FuncFunc,
         vec![],
         vec![],
         [
@@ -42,7 +43,7 @@ pub fn func(
         ],
         arg_types,
     );
-    let ret = module.ctx.create_op("func.return", vec![], vec![], Default::default());
+    let ret = module.ctx.create_op(OpKind::FuncReturn, vec![], vec![], Default::default());
     module.ctx.append_op(entry, ret);
     Func { op, entry }
 }
@@ -60,12 +61,17 @@ pub fn call(
     args: Vec<ValueId>,
     result_types: Vec<Type>,
 ) -> OpId {
-    b.insert_op("func.call", args, result_types, [("callee", Attribute::Str(callee.to_owned()))])
+    b.insert_op(
+        OpKind::FuncCall,
+        args,
+        result_types,
+        [("callee", Attribute::Str(callee.to_owned()))],
+    )
 }
 
 /// The callee symbol of a `func.call`.
 pub fn callee(ctx: &IrCtx, op: OpId) -> Option<&str> {
-    if ctx.op(op).name != "func.call" {
+    if ctx.op(op).kind != OpKind::FuncCall {
         return None;
     }
     ctx.attr(op, "callee").and_then(|a| a.as_str())
@@ -77,7 +83,7 @@ pub fn callee(ctx: &IrCtx, op: OpId) -> Option<&str> {
 ///
 /// Panics if out of range or not a func.
 pub fn arg(ctx: &IrCtx, f: OpId, index: usize) -> ValueId {
-    assert_eq!(ctx.op(f).name, "func.func");
+    assert_eq!(ctx.op(f).kind, OpKind::FuncFunc);
     let entry = ctx.sole_block(f, 0);
     ctx.block_arg(entry, index)
 }
@@ -107,7 +113,7 @@ mod tests {
         let mut b = entry_builder(&mut m.ctx, &f);
         crate::arith::const_index(&mut b, 5);
         let names: Vec<&str> =
-            m.ctx.block(f.entry).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
+            m.ctx.block(f.entry).ops.iter().map(|o| m.ctx.op(*o).kind.name()).collect();
         assert_eq!(names, vec!["arith.constant", "func.return"]);
     }
 

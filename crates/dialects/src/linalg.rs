@@ -9,6 +9,7 @@
 use axi4mlir_ir::affine::AffineMap;
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{IrCtx, OpId, ValueId};
 use axi4mlir_ir::types::Type;
 use axi4mlir_support::diag::Diagnostic;
@@ -44,7 +45,7 @@ pub fn generic_matmul(b: &mut OpBuilder<'_>, a: ValueId, b_val: ValueId, c: Valu
         Attribute::Str(REDUCTION.to_owned()),
     ];
     let op = b.insert_op(
-        "linalg.generic",
+        OpKind::LinalgGeneric,
         vec![a, b_val, c],
         vec![],
         [
@@ -64,13 +65,18 @@ pub fn generic_matmul(b: &mut OpBuilder<'_>, a: ValueId, b_val: ValueId, c: Valu
     let prod = if is_float { arith::mulf(&mut bb, ae, be) } else { arith::muli(&mut bb, ae, be) };
     let sum =
         if is_float { arith::addf(&mut bb, ce, prod) } else { arith::addi(&mut bb, ce, prod) };
-    bb.insert_op("linalg.yield", vec![sum], vec![], []);
+    bb.insert_op(OpKind::LinalgYield, vec![sum], vec![], []);
     op
 }
 
 /// Builds the named op `linalg.matmul ins(%a, %b) outs(%c)`.
 pub fn named_matmul(b: &mut OpBuilder<'_>, a: ValueId, b_val: ValueId, c: ValueId) -> OpId {
-    b.insert_op("linalg.matmul", vec![a, b_val, c], vec![], [("num_inputs", Attribute::Int(2))])
+    b.insert_op(
+        OpKind::LinalgMatmul,
+        vec![a, b_val, c],
+        vec![],
+        [("num_inputs", Attribute::Int(2))],
+    )
 }
 
 /// Builds `linalg.conv_2d_nchw_fchw ins(%input, %filter) outs(%output)`
@@ -83,7 +89,7 @@ pub fn conv_2d_nchw_fchw(
     stride: i64,
 ) -> OpId {
     b.insert_op(
-        "linalg.conv_2d_nchw_fchw",
+        OpKind::LinalgConv2dNchwFchw,
         vec![input, filter, output],
         vec![],
         [
@@ -97,7 +103,7 @@ pub fn conv_2d_nchw_fchw(
 /// `linalg.generic` (AXI4MLIR flow step: "convert named ops to
 /// linalg.generic"). Returns how many ops were converted.
 pub fn convert_named_to_generic(ctx: &mut IrCtx, root: OpId) -> usize {
-    let named = ctx.find_ops(root, "linalg.matmul");
+    let named = ctx.find_ops(root, OpKind::LinalgMatmul);
     let count = named.len();
     for op in named {
         let block = ctx.op(op).parent.expect("matmul must be attached");
@@ -125,7 +131,7 @@ fn iterator_types(ctx: &IrCtx, op: OpId) -> Option<Vec<String>> {
 /// Whether `op` is a `linalg.generic` carrying the MatMul trait — the
 /// predicate AXI4MLIR's match step applies.
 pub fn is_matmul_generic(ctx: &IrCtx, op: OpId) -> bool {
-    if ctx.op(op).name != "linalg.generic" {
+    if ctx.op(op).kind != OpKind::LinalgGeneric {
         return false;
     }
     let Some(maps) = indexing_maps(ctx, op) else { return false };
@@ -250,7 +256,7 @@ mod tests {
         let f = crate::func::func(&mut m, "f", vec![], vec![]);
         let mut b = crate::func::entry_builder(&mut m.ctx, &f);
         let a = memref::alloc(&mut b, vec![4, 4], Type::i32());
-        let op = b.insert_op("linalg.generic", vec![a, a, a], vec![], []);
+        let op = b.insert_op(OpKind::LinalgGeneric, vec![a, a, a], vec![], []);
         // A transposed-B variant must not match either.
         let names: Vec<String> = ["m", "n", "k"].iter().map(|s| (*s).to_owned()).collect();
         let wrong_maps = vec![
@@ -259,7 +265,7 @@ mod tests {
             AffineMap::projection(names, &[0, 1]),
         ];
         let op2 = b.insert_op(
-            "linalg.generic",
+            OpKind::LinalgGeneric,
             vec![a, a, a],
             vec![],
             [
@@ -293,8 +299,8 @@ mod tests {
         let top = m.top();
         let converted = convert_named_to_generic(&mut m.ctx, top);
         assert_eq!(converted, 1);
-        assert!(m.ctx.find_ops(m.top(), "linalg.matmul").is_empty());
-        let generics = m.ctx.find_ops(m.top(), "linalg.generic");
+        assert!(m.ctx.find_ops(m.top(), OpKind::LinalgMatmul).is_empty());
+        let generics = m.ctx.find_ops(m.top(), OpKind::LinalgGeneric);
         assert_eq!(generics.len(), 1);
         assert!(is_matmul_generic(&m.ctx, generics[0]));
         assert!(verify_ok(&m.ctx, m.top()).is_ok());
@@ -340,7 +346,7 @@ mod tests {
         let (m, _) = matmul_module(16, 16, 16);
         let printed = print_op(&m.ctx, m.top());
         let m2 = axi4mlir_ir::parser::parse_module(&printed).unwrap();
-        let generics = m2.ctx.find_ops(m2.top(), "linalg.generic");
+        let generics = m2.ctx.find_ops(m2.top(), OpKind::LinalgGeneric);
         assert_eq!(generics.len(), 1);
         assert!(is_matmul_generic(&m2.ctx, generics[0]), "trait must survive round-trip");
         assert_eq!(matmul_dims(&m2.ctx, generics[0]), Some((16, 16, 16)));

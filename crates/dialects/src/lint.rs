@@ -22,6 +22,7 @@ use axi4mlir_accelerators::Device;
 use axi4mlir_ir::affine::AffineExpr;
 use axi4mlir_ir::analysis::{integer_ranges, IntRange, Liveness, ValueTable};
 use axi4mlir_ir::attrs::{Attribute, OpcodeAction, OpcodeFlow, OpcodeMap};
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{IrCtx, OpId};
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 
@@ -47,17 +48,17 @@ fn op_path(ctx: &IrCtx, op: OpId) -> String {
     while let Some(current) = cursor {
         let data = ctx.op(current);
         cursor = data.parent.and_then(|b| ctx.block(b).parent).and_then(|r| ctx.region(r).parent);
-        if cursor.is_none() && data.name == "builtin.module" {
+        if cursor.is_none() && data.kind == OpKind::BuiltinModule {
             break;
         }
         let segment = match ctx.attr(current, "sym_name").and_then(|a| a.as_str()) {
-            Some(sym) => format!("{}({sym})", data.name),
+            Some(sym) => format!("{}({sym})", data.kind),
             None => match data.parent.map(|b| &ctx.block(b).ops) {
                 Some(ops) => {
                     let pos = ops.iter().position(|o| *o == current).unwrap_or(0);
-                    format!("{}#{pos}", data.name)
+                    format!("{}#{pos}", data.kind)
                 }
-                None => data.name.to_string(),
+                None => data.kind.to_string(),
             },
         };
         segments.push(segment);
@@ -428,7 +429,7 @@ pub fn lint_module(
         if annotated {
             lint_annotated_op(ctx, op, &liveness, diags);
         }
-        if ctx.op(op).name == "memref.subview" {
+        if ctx.op(op).kind == OpKind::MemrefSubview {
             lint_subview(ctx, op, &ranges, diags);
         }
     }
@@ -540,7 +541,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let x = arith::const_i32(&mut b, 1);
         let y = arith::const_i32(&mut b, 2);
-        let dead = b.insert_op("arith.addi", vec![x, y], vec![Type::i32()], []);
+        let dead = b.insert_op(OpKind::ArithAddi, vec![x, y], vec![Type::i32()], []);
         annotate(&mut m, dead, "v1_4", V1_MAP, 4);
         let diags = lint(&m);
         assert!(codes(&diags).contains(&LINT_DEAD_ANNOTATION), "{}", diags.render());

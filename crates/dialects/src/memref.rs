@@ -2,6 +2,7 @@
 
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{OpId, ValueId};
 use axi4mlir_ir::types::{MemRefType, Type};
 
@@ -17,7 +18,7 @@ fn row_major_strides(shape: &[i64]) -> Vec<i64> {
 /// Builds `memref.alloc` of a contiguous row-major buffer.
 pub fn alloc(b: &mut OpBuilder<'_>, shape: Vec<i64>, elem: Type) -> ValueId {
     let ty = Type::MemRef(MemRefType::contiguous(shape, elem));
-    let op = b.insert_op("memref.alloc", vec![], vec![ty], []);
+    let op = b.insert_op(OpKind::MemrefAlloc, vec![], vec![ty], []);
     b.result(op)
 }
 
@@ -50,7 +51,7 @@ pub fn subview(
     let mut operands = vec![source];
     operands.extend(offsets);
     let op = b.insert_op(
-        "memref.subview",
+        OpKind::MemrefSubview,
         operands,
         vec![result_ty],
         [("static_sizes", Attribute::Array(sizes.into_iter().map(Attribute::Int).collect()))],
@@ -66,7 +67,7 @@ pub fn load(b: &mut OpBuilder<'_>, source: ValueId, indices: Vec<ValueId>) -> Va
     };
     let mut operands = vec![source];
     operands.extend(indices);
-    let op = b.insert_op("memref.load", operands, vec![elem], []);
+    let op = b.insert_op(OpKind::MemrefLoad, operands, vec![elem], []);
     b.result(op)
 }
 
@@ -74,14 +75,14 @@ pub fn load(b: &mut OpBuilder<'_>, source: ValueId, indices: Vec<ValueId>) -> Va
 pub fn store(b: &mut OpBuilder<'_>, value: ValueId, dest: ValueId, indices: Vec<ValueId>) -> OpId {
     let mut operands = vec![value, dest];
     operands.extend(indices);
-    b.insert_op("memref.store", operands, vec![], [])
+    b.insert_op(OpKind::MemrefStore, operands, vec![], [])
 }
 
 /// Builds `memref.dim %source` with a static dimension attribute, returning
 /// an `index` value (used by `accel.sendDim` lowering).
 pub fn dim(b: &mut OpBuilder<'_>, source: ValueId, dimension: i64) -> ValueId {
     let op = b.insert_op(
-        "memref.dim",
+        OpKind::MemrefDim,
         vec![source],
         vec![Type::index()],
         [("dimension", Attribute::Int(dimension))],
@@ -156,7 +157,7 @@ mod tests {
         let parent = alloc(&mut b, vec![60, 80], Type::i32());
         let z = arith::const_index(&mut b, 0);
         subview(&mut b, parent, vec![z, z], vec![4, 8]);
-        let op = m.ctx.find_ops(m.top(), "memref.subview")[0];
+        let op = m.ctx.find_ops(m.top(), OpKind::MemrefSubview)[0];
         let sizes = m.ctx.attr(op, "static_sizes").and_then(|a| a.as_array()).unwrap();
         assert_eq!(sizes.iter().filter_map(|x| x.as_int()).collect::<Vec<_>>(), [4, 8]);
     }

@@ -1,6 +1,7 @@
 //! The `scf` dialect: structured control flow (`scf.for`, `scf.yield`).
 
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{BlockId, IrCtx, OpId, ValueId};
 use axi4mlir_ir::types::Type;
 
@@ -20,12 +21,12 @@ pub struct ForLoop {
 /// the enclosing block; use [`body_builder`] to fill the body.
 pub fn for_loop(b: &mut OpBuilder<'_>, lb: ValueId, ub: ValueId, step: ValueId) -> ForLoop {
     let (op, body) =
-        b.insert_region_op("scf.for", vec![lb, ub, step], vec![], [], vec![Type::index()]);
+        b.insert_region_op(OpKind::ScfFor, vec![lb, ub, step], vec![], [], vec![Type::index()]);
     let iv = b.ctx_ref().block_arg(body, 0);
     // Terminate.
     {
         let ctx = b.ctx();
-        let yield_op = ctx.create_op("scf.yield", vec![], vec![], Default::default());
+        let yield_op = ctx.create_op(OpKind::ScfYield, vec![], vec![], Default::default());
         ctx.append_op(body, yield_op);
     }
     ForLoop { op, body, iv }
@@ -55,12 +56,12 @@ mod tests {
         let ub = arith::const_index(&mut b, 60);
         let step = arith::const_index(&mut b, 4);
         let l = for_loop(&mut b, lb, ub, step);
-        assert_eq!(m.ctx.op(l.op).name, "scf.for");
+        assert_eq!(m.ctx.op(l.op).kind, OpKind::ScfFor);
         assert_eq!(m.ctx.op(l.op).operands, [lb, ub, step]);
         assert_eq!(m.ctx.block_arg(l.body, 0), l.iv);
         let ops = &m.ctx.block(l.body).ops;
         assert_eq!(ops.len(), 1);
-        assert_eq!(m.ctx.op(ops[0]).name, "scf.yield");
+        assert_eq!(m.ctx.op(ops[0]).kind, OpKind::ScfYield);
         assert!(verify_ok(&m.ctx, m.top()).is_ok());
     }
 
@@ -74,7 +75,7 @@ mod tests {
         let mut bb = body_builder(&mut m.ctx, &l);
         arith::const_index(&mut bb, 7);
         let names: Vec<&str> =
-            m.ctx.block(l.body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
+            m.ctx.block(l.body).ops.iter().map(|o| m.ctx.op(*o).kind.name()).collect();
         assert_eq!(names, vec!["arith.constant", "scf.yield"]);
     }
 

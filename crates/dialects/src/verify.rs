@@ -11,9 +11,11 @@ use std::borrow::Cow;
 
 use axi4mlir_ir::affine::AffineMap;
 use axi4mlir_ir::attrs::Attribute;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{BlockData, IrCtx, Module, OpData, OpId};
 use axi4mlir_ir::pass::Pass;
 use axi4mlir_ir::types::{MemRefType, Type};
+use axi4mlir_sim::mem::CAPACITY;
 use axi4mlir_support::diag::{Diagnostic, DiagnosticEngine};
 
 use crate::{accel, linalg};
@@ -43,7 +45,7 @@ pub fn verify_dialects(
 ///
 /// Returns the first rule `op` breaks, as `"{name} ({op}): {rule}"`.
 pub fn check_op(ctx: &IrCtx, op: OpId) -> Result<(), String> {
-    rule(ctx, op).map_err(|defect| format!("{} ({op}): {defect}", ctx.op(op).name))
+    rule(ctx, op).map_err(|defect| format!("{} ({op}): {defect}", ctx.op(op).kind))
 }
 
 /// A broken rule, formatted only when one is.
@@ -75,9 +77,9 @@ fn sole_block<'a>(ctx: &'a IrCtx, data: &OpData) -> Result<&'a BlockData, &'stat
     Err("expects one region with one block")
 }
 
-/// Whether `block` ends in an op named `name`.
-fn ends_in(ctx: &IrCtx, block: &BlockData, name: &str) -> bool {
-    block.ops.last().is_some_and(|op| ctx.op(*op).name == name)
+/// Whether `block` ends in an op of `kind`.
+fn ends_in(ctx: &IrCtx, block: &BlockData, kind: OpKind) -> bool {
+    block.ops.last().is_some_and(|op| ctx.op(*op).kind == kind)
 }
 
 /// Whether every extent of `m` is static.
@@ -85,13 +87,23 @@ fn is_static(m: &MemRefType) -> bool {
     m.shape.iter().all(|&extent| extent >= 0)
 }
 
+/// Bytes a buffer of static type `m` occupies, `None` past `u64`.
+fn byte_size(m: &MemRefType) -> Option<u64> {
+    let width = match *m.elem {
+        Type::Int(bits) | Type::Float(bits) => u64::from(bits).div_ceil(8),
+        _ => 8,
+    };
+    m.shape.iter().try_fold(width, |bytes, &extent| bytes.checked_mul(extent as u64))
+}
+
 fn rule(ctx: &IrCtx, op: OpId) -> Rule {
     let data = ctx.op(op);
     let memref = |i: usize| data.operands.get(i).and_then(|v| ctx.value_type(*v).as_memref());
     let result = |i: usize| data.results.get(i).map(|v| ctx.value_type(*v));
     let index = |ty: &Type| *ty == Type::Index;
-    match &*data.name {
-        "scf.for" => {
+    use OpKind::*;
+    match data.kind {
+        ScfFor => {
             ensure(data.operands.len() == 3, "expects exactly (lb, ub, step) operands")?;
             let bounds = data.operands.iter().all(|v| index(ctx.value_type(*v)));
             ensure(bounds, "loop bounds must have index type")?;
@@ -99,34 +111,36 @@ fn rule(ctx: &IrCtx, op: OpId) -> Rule {
             let body = sole_block(ctx, data)?;
             let iv = matches!(body.args[..], [iv] if index(ctx.value_type(iv)));
             ensure(iv, "body must have a single index argument")?;
-            ensure(ends_in(ctx, body, "scf.yield"), "body must terminate with scf.yield")
+            ensure(ends_in(ctx, body, ScfYield), "body must terminate with scf.yield")
         }
-        "func.func" => {
+        FuncFunc => {
             let named = ctx.attr(op, "sym_name").and_then(Attribute::as_str).is_some();
             ensure(named, "missing sym_name attribute")?;
-            let returns = ends_in(ctx, sole_block(ctx, data)?, "func.return");
+            let returns = ends_in(ctx, sole_block(ctx, data)?, FuncReturn);
             ensure(returns, "body must terminate with func.return")
         }
         // The callee's arity is the runtime library's ABI, which the
         // interpreter owns.
-        "func.call" => {
+        FuncCall => {
             let callee = ctx.attr(op, "callee").and_then(Attribute::as_str);
             ensure(callee.is_some(), "missing callee attribute")
         }
-        "memref.alloc" => {
+        MemrefAlloc => {
             counts(data, Some(0), 1)?;
-            let fixed = result(0).and_then(Type::as_memref).is_some_and(is_static);
-            ensure(fixed, "result must be a memref of static extents")
+            let buffer = result(0).and_then(Type::as_memref).filter(|m| is_static(m));
+            let buffer = buffer.ok_or("result must be a memref of static extents")?;
+            let fits = byte_size(buffer).is_some_and(|bytes| bytes <= CAPACITY);
+            ensure(fits, "result must fit the simulated memory's capacity")
         }
-        "memref.load" | "memref.store" => {
+        MemrefLoad | MemrefStore => {
             // A store's value comes before the memref; indices follow it.
-            let (at, results) = if data.name == "memref.load" { (0, 1) } else { (1, 0) };
+            let (at, results) = if data.kind == MemrefLoad { (0, 1) } else { (1, 0) };
             ensure(data.operands.len() > at, "missing memref operand")?;
             let rank = memref(at).ok_or("the indexed operand must be a memref")?.rank();
             ensure(data.operands.len() == at + 1 + rank, "index count must equal memref rank")?;
             counts(data, None, results)
         }
-        "memref.subview" => {
+        MemrefSubview => {
             let source = memref(0).ok_or("source must be a memref")?;
             let rank = source.rank();
             ensure(data.operands.len() == 1 + rank, "offset count must equal source rank")?;
@@ -143,16 +157,16 @@ fn rule(ctx: &IrCtx, op: OpId) -> Rule {
             });
             ensure(view.is_some(), "result must be static_sizes of the source's element type")
         }
-        "memref.dim" => {
+        MemrefDim => {
             counts(data, Some(1), 1)?;
             let rank = memref(0).map_or(0, MemRefType::rank);
             let dim = ctx.attr(op, "dimension").and_then(Attribute::as_int);
             let named = dim.and_then(|dim| usize::try_from(dim).ok()).is_some_and(|dim| dim < rank);
             ensure(named, "dimension must name a dimension of a memref operand")
         }
-        "linalg.matmul" => matmul_shapes(ctx, data),
-        "linalg.generic" if linalg::is_matmul_generic(ctx, op) => matmul_shapes(ctx, data),
-        "linalg.generic" => {
+        LinalgMatmul => matmul_shapes(ctx, data),
+        LinalgGeneric if linalg::is_matmul_generic(ctx, op) => matmul_shapes(ctx, data),
+        LinalgGeneric => {
             if let Some(maps) = ctx.attr(op, "indexing_maps").and_then(Attribute::as_array) {
                 ensure(maps.len() == data.operands.len(), "one indexing map per operand required")?;
                 let dims = maps.first().and_then(Attribute::as_map).map(AffineMap::num_dims);
@@ -162,45 +176,45 @@ fn rule(ctx: &IrCtx, op: OpId) -> Rule {
             }
             Ok(())
         }
-        "linalg.conv_2d_nchw_fchw" => conv_geometry(ctx, op),
-        "arith.constant" => {
+        LinalgConv2dNchwFchw => conv_geometry(ctx, op),
+        ArithConstant => {
             let value = ctx.attr(op, "value").ok_or("missing value attribute")?;
             ensure(value.as_int().is_some(), "value must be an integer")?;
             counts(data, Some(0), 1)?;
             let scalar = matches!(result(0), Some(Type::Index | Type::Int(_) | Type::Float(_)));
             ensure(scalar, "result must be an index, an integer or a float")
         }
-        "arith.addi" | "arith.muli" | "arith.addf" | "arith.mulf" => {
+        ArithAddi | ArithMuli | ArithAddf | ArithMulf => {
             ensure(data.operands.len() == 2, "expects two operands")?;
             let (lhs, rhs) = (data.operands[0], data.operands[1]);
             ensure(ctx.value_type(lhs) == ctx.value_type(rhs), "operand types must match")?;
             counts(data, None, 1)
         }
-        "arith.index_cast" => {
+        ArithIndexCast => {
             counts(data, Some(1), 1)?;
             let integral = matches!(result(0), Some(Type::Index | Type::Int(_)));
             ensure(integral, "result must be an index or an integer")
         }
-        accel::SEND | accel::RECV => {
+        AccelSend | AccelRecv => {
             ensure(data.operands.len() == 2, "expects (memref, offset) operands")?;
             ensure(memref(0).is_some(), "first operand must be a memref")?;
             match ctx.attr(op, "mode").and_then(Attribute::as_str) {
                 Some(mode)
-                    if data.name == accel::RECV && !matches!(mode, "accumulate" | "overwrite") =>
+                    if data.kind == AccelRecv && !matches!(mode, "accumulate" | "overwrite") =>
                 {
                     Err(format!("unknown recv mode `{mode}`").into())
                 }
                 _ => Ok(()),
             }
         }
-        accel::SEND_LITERAL | accel::SEND_IDX => {
+        AccelSendLiteral | AccelSendIdx => {
             ensure(data.operands.len() == 2, "expects (value, offset) operands")
         }
-        accel::SEND_DIM => {
+        AccelSendDim => {
             ensure(data.operands.len() == 2, "expects (memref, offset) operands")?;
             ensure(accel::dim_of(ctx, op).is_some(), "missing dim attribute")
         }
-        accel::DMA_INIT => {
+        AccelDmaInit => {
             ensure(data.operands.len() == 5, "expects (id, inAddr, inSize, outAddr, outSize)")
         }
         _ => Ok(()),
@@ -296,8 +310,8 @@ mod tests {
         let c = arith::const_i32(&mut b, 0);
         // Hand-roll a malformed scf.for with i32 bounds.
         let (op, body) =
-            b.insert_region_op("scf.for", vec![c, c, c], vec![], [], vec![Type::index()]);
-        let y = m.ctx.create_op("scf.yield", vec![], vec![], Default::default());
+            b.insert_region_op(OpKind::ScfFor, vec![c, c, c], vec![], [], vec![Type::index()]);
+        let y = m.ctx.create_op(OpKind::ScfYield, vec![], vec![], Default::default());
         m.ctx.append_op(body, y);
         let _ = op;
         let e = check(&m).unwrap_err();
@@ -310,7 +324,7 @@ mod tests {
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let c = arith::const_index(&mut b, 0);
-        b.insert_region_op("scf.for", vec![c, c, c], vec![], [], vec![Type::index()]);
+        b.insert_region_op(OpKind::ScfFor, vec![c, c, c], vec![], [], vec![Type::index()]);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("scf.yield"));
     }
@@ -322,7 +336,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let buf = memref::alloc(&mut b, vec![8, 8], Type::i32());
         let i = arith::const_index(&mut b, 0);
-        b.insert_op("memref.load", vec![buf, i], vec![Type::i32()], []);
+        b.insert_op(OpKind::MemrefLoad, vec![buf, i], vec![Type::i32()], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("rank"));
     }
@@ -335,7 +349,7 @@ mod tests {
         let buf = memref::alloc(&mut b, vec![4, 4], Type::i32());
         let off = arith::const_i32(&mut b, 0);
         b.insert_op(
-            "accel.recv",
+            OpKind::AccelRecv,
             vec![buf, off],
             vec![Type::i32()],
             [("mode", axi4mlir_ir::attrs::Attribute::Str("bogus".into()))],
@@ -351,7 +365,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let x = arith::const_i32(&mut b, 1);
         let y = arith::const_index(&mut b, 2);
-        b.insert_op("arith.addi", vec![x, y], vec![Type::i32()], []);
+        b.insert_op(OpKind::ArithAddi, vec![x, y], vec![Type::i32()], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("operand types must match"));
     }
@@ -372,7 +386,7 @@ mod tests {
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let c = arith::const_i32(&mut b, 0);
-        b.insert_op("accel.dma_init", vec![c, c], vec![], []);
+        b.insert_op(OpKind::AccelDmaInit, vec![c, c], vec![], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("expects (id"));
     }
@@ -384,8 +398,9 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let c = arith::const_index(&mut b, 0);
         // Only (lb, ub) — the step is missing.
-        let (_, body) = b.insert_region_op("scf.for", vec![c, c], vec![], [], vec![Type::index()]);
-        let y = m.ctx.create_op("scf.yield", vec![], vec![], Default::default());
+        let (_, body) =
+            b.insert_region_op(OpKind::ScfFor, vec![c, c], vec![], [], vec![Type::index()]);
+        let y = m.ctx.create_op(OpKind::ScfYield, vec![], vec![], Default::default());
         m.ctx.append_op(body, y);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("(lb, ub, step)"), "{}", e.message);
@@ -397,7 +412,7 @@ mod tests {
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let buf = memref::alloc(&mut b, vec![4, 4], Type::i32());
-        b.insert_op("accel.send", vec![buf], vec![Type::i32()], []);
+        b.insert_op(OpKind::AccelSend, vec![buf], vec![Type::i32()], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("(memref, offset)"), "{}", e.message);
     }
@@ -409,7 +424,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let x = arith::const_i32(&mut b, 7);
         let off = arith::const_i32(&mut b, 0);
-        b.insert_op("accel.send", vec![x, off], vec![Type::i32()], []);
+        b.insert_op(OpKind::AccelSend, vec![x, off], vec![Type::i32()], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("must be a memref"), "{}", e.message);
     }
@@ -421,7 +436,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let buf = memref::alloc(&mut b, vec![4, 4], Type::i32());
         let off = arith::const_i32(&mut b, 0);
-        b.insert_op("accel.sendDim", vec![buf, off], vec![Type::i32()], []);
+        b.insert_op(OpKind::AccelSendDim, vec![buf, off], vec![Type::i32()], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("dim attribute"), "{}", e.message);
     }
@@ -433,7 +448,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let v = arith::const_i32(&mut b, 1);
         let not_a_buf = arith::const_i32(&mut b, 2);
-        b.insert_op("memref.store", vec![v, not_a_buf], vec![], []);
+        b.insert_op(OpKind::MemrefStore, vec![v, not_a_buf], vec![], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("must be a memref"), "{}", e.message);
     }
@@ -446,7 +461,7 @@ mod tests {
         let buf = memref::alloc(&mut b, vec![8, 8], Type::i32());
         let i = arith::const_index(&mut b, 0);
         b.insert_op(
-            "memref.subview",
+            OpKind::MemrefSubview,
             vec![buf, i, i],
             vec![Type::MemRef(axi4mlir_ir::types::MemRefType::contiguous(vec![4, 4], Type::i32()))],
             [],
@@ -466,7 +481,7 @@ mod tests {
         // Two operands, one indexing map.
         let map = AffineMap::projection(vec!["m".to_owned(), "n".to_owned()], &[0, 1]);
         b.insert_op(
-            "linalg.generic",
+            OpKind::LinalgGeneric,
             vec![buf, buf],
             vec![],
             [("indexing_maps", Attribute::Array(vec![Attribute::Map(map)]))],
@@ -482,7 +497,7 @@ mod tests {
         let mut b = func::entry_builder(&mut m.ctx, &f);
         let buf = memref::alloc(&mut b, vec![8, 8], Type::i32());
         crate::linalg::conv_2d_nchw_fchw(&mut b, buf, buf, buf, 1);
-        b.insert_op("func.return", vec![], vec![], []);
+        b.insert_op(OpKind::FuncReturn, vec![], vec![], []);
         let e = check(&m).unwrap_err();
         assert!(e.message.contains("conv input operand"), "{}", e.message);
     }
@@ -494,7 +509,7 @@ mod tests {
         let mut b = axi4mlir_ir::builder::OpBuilder::at_end(&mut m.ctx, body);
         use axi4mlir_ir::attrs::Attribute;
         let (_, entry) = b.insert_region_op(
-            "func.func",
+            OpKind::FuncFunc,
             vec![],
             vec![],
             [("sym_name", Attribute::Str("broken".into()))],

@@ -16,7 +16,10 @@
 //!   index unchecked.
 //! - *Run-time values*: an undefined value or one of the wrong kind, an
 //!   index or subview outside its view, an `scf.for` step that is not
-//!   positive, DMA errors, and more indices than `MAX_RANK`.
+//!   positive, DMA errors, more indices than `MAX_RANK`, and `dma_init`
+//!   regions that are negative or past the room left in the simulated
+//!   memory (`axi4mlir_sim::mem::CAPACITY`, which the verifier applies
+//!   to a `memref.alloc`, whose size is static).
 //!
 //! # Hot-path design
 //!
@@ -45,9 +48,10 @@
 //!   iteration: a warm run allocates as often at 64³ as at 32³
 //!   (`crates/core/tests/run_allocations.rs`).
 
-use axi4mlir_dialects::{accel, func, linalg, verify};
+use axi4mlir_dialects::{func, linalg, verify};
 use axi4mlir_ir::attrs::Attribute;
-use axi4mlir_ir::ops::{BlockId, IrCtx, Module, OpData, OpId, ValueId};
+use axi4mlir_ir::kind::OpKind;
+use axi4mlir_ir::ops::{BlockId, IrCtx, Module, OpId, ValueId};
 use axi4mlir_ir::types::{Type, DYNAMIC};
 use axi4mlir_runtime::copy::CopyStrategy;
 use axi4mlir_runtime::dma_lib::{self, names};
@@ -56,7 +60,7 @@ use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
 use axi4mlir_sim::cache::AccessKind;
 use axi4mlir_sim::dma::Direction;
-use axi4mlir_sim::mem::{ElemType, SimAddr};
+use axi4mlir_sim::mem::{ElemType, SimAddr, CAPACITY};
 use axi4mlir_support::entity::EntityId;
 
 use crate::error::InterpError;
@@ -237,10 +241,11 @@ fn build_table(ctx: &IrCtx, codes: &mut Vec<OpCode>) {
 /// here only unlowered.
 fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
     verify::check_op(ctx, op).map_err(unverified)?;
+    use OpKind::*;
     let data = ctx.op(op);
     let result_type = || ctx.value_type(ctx.result(op, 0));
-    Ok(match &*data.name {
-        "arith.constant" => {
+    Ok(match &data.kind {
+        ArithConstant => {
             let value = ctx.attr(op, "value").and_then(Attribute::as_int).expect(VERIFIED);
             OpCode::Const(match result_type() {
                 Type::Index => RtValue::Index(value),
@@ -248,40 +253,40 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
                 _ => RtValue::I32(value as i32),
             })
         }
-        "arith.addi" => OpCode::IntBin { add: true },
-        "arith.muli" => OpCode::IntBin { add: false },
-        "arith.addf" => OpCode::FloatBin { add: true },
-        "arith.mulf" => OpCode::FloatBin { add: false },
-        "arith.index_cast" => match result_type() {
+        ArithAddi => OpCode::IntBin { add: true },
+        ArithMuli => OpCode::IntBin { add: false },
+        ArithAddf => OpCode::FloatBin { add: true },
+        ArithMulf => OpCode::FloatBin { add: false },
+        ArithIndexCast => match result_type() {
             Type::Index => OpCode::CastToIndex,
             _ => OpCode::CastToI32,
         },
-        "scf.for" => {
+        ScfFor => {
             let body = ctx.sole_block(op, 0);
             OpCode::For { body, iv: ctx.block_arg(body, 0) }
         }
-        "scf.yield" | "func.return" => OpCode::Nop,
-        "memref.alloc" => {
+        ScfYield | FuncReturn => OpCode::Nop,
+        MemrefAlloc => {
             let m = result_type().as_memref().expect(VERIFIED);
             OpCode::Alloc { shape: m.shape.clone(), elem: elem_type(&m.elem)? }
         }
-        "memref.subview" => {
+        MemrefSubview => {
             OpCode::Subview { sizes: result_type().as_memref().expect(VERIFIED).shape.clone() }
         }
-        "memref.load" => OpCode::Load,
-        "memref.store" => OpCode::Store,
-        "memref.dim" => {
+        MemrefLoad => OpCode::Load,
+        MemrefStore => OpCode::Store,
+        MemrefDim => {
             let dim = ctx.attr(op, "dimension").and_then(Attribute::as_int).expect(VERIFIED);
             OpCode::Dim(dim as usize)
         }
-        "linalg.generic" if !linalg::is_matmul_generic(ctx, op) => {
-            return Err(unsupported_op("linalg.generic without the MatMul trait"));
+        kind @ LinalgGeneric if !linalg::is_matmul_generic(ctx, op) => {
+            return Err(InterpError::UnsupportedOp {
+                name: format!("{kind} without the MatMul trait"),
+            });
         }
-        "linalg.generic" | "linalg.matmul" => OpCode::CpuMatMul,
-        "linalg.conv_2d_nchw_fchw" => {
-            OpCode::CpuConv { stride: linalg::conv_stride(ctx, op) as usize }
-        }
-        "func.call" => {
+        LinalgGeneric | LinalgMatmul => OpCode::CpuMatMul,
+        LinalgConv2dNchwFchw => OpCode::CpuConv { stride: linalg::conv_stride(ctx, op) as usize },
+        FuncCall => {
             let callee = func::callee(ctx, op).expect(VERIFIED);
             let Some(&(_, rt, operands, results)) =
                 RT_FNS.iter().find(|(name, ..)| *name == callee)
@@ -289,12 +294,20 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
                 return Err(InterpError::UnknownCallee { name: callee.to_owned() });
             };
             if (data.operands.len(), data.results.len()) != (operands, results) {
-                return Err(bad_call(callee, (operands, results), data));
+                let (o, r) = (data.operands.len(), data.results.len());
+                let message = format!(
+                    "{kind} @{callee} takes {operands} operands and {results} results; found {o} and {r}",
+                    kind = data.kind
+                );
+                return Err(InterpError::Other { message });
             }
             OpCode::Call(rt)
         }
-        name if accel::is_accel_op(ctx, op) => return Err(unlowered(name)),
-        name => return Err(unsupported_op(name)),
+        kind if kind.is_accel() => {
+            let message = format!("`{kind}` must be lowered to runtime calls before it runs");
+            return Err(InterpError::Other { message });
+        }
+        kind => return Err(InterpError::UnsupportedOp { name: kind.to_string() }),
     })
 }
 
@@ -319,12 +332,12 @@ impl Frame {
     /// more than [`MAX_RANK`] of them is that op's error.
     fn indices<'b>(
         &self,
-        name: &str,
+        kind: &OpKind,
         operands: &[ValueId],
         buf: &'b mut [i64; MAX_RANK],
     ) -> Result<&'b [i64], InterpError> {
         if operands.len() > MAX_RANK {
-            return Err(too_many_indices(name, operands.len()));
+            return Err(too_many_indices(kind, operands.len()));
         }
         for (slot, v) in buf.iter_mut().zip(operands) {
             *slot = self.index(*v)?;
@@ -332,21 +345,21 @@ impl Frame {
         Ok(&buf[..operands.len()])
     }
 
-    /// Resolves `memref[indices...]` for the op `name` without cloning
+    /// Resolves `memref[indices...]` for an op of `kind` without cloning
     /// the descriptor; an index outside the view is that op's error.
     fn addressed_elem(
         &self,
-        name: &str,
+        kind: &OpKind,
         memref: ValueId,
         index_operands: &[ValueId],
     ) -> Result<(SimAddr, ElemType), InterpError> {
         let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
-        let indices = self.indices(name, index_operands, &mut buf)?;
+        let indices = self.indices(kind, index_operands, &mut buf)?;
         let inside = indices.len() == desc.sizes.len()
             && indices.iter().zip(&desc.sizes).all(|(index, size)| (0..*size).contains(index));
         if !inside {
-            return Err(outside_view(name, indices, &desc.sizes));
+            return Err(outside_view(kind, indices, &desc.sizes));
         }
         Ok((desc.elem_addr(indices), desc.elem))
     }
@@ -419,7 +432,7 @@ impl<'a> Interpreter<'a> {
                     (RtValue::I32(a), RtValue::I32(b)) => {
                         RtValue::I32(if *add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
                     }
-                    _ => return Err(int_bin_mismatch(&ctx.op(op).name)),
+                    _ => return Err(int_bin_mismatch(&ctx.op(op).kind)),
                 };
                 self.set(op, ctx, 0, rt);
             }
@@ -478,11 +491,10 @@ impl<'a> Interpreter<'a> {
                     _ => self.env.memref(operands[0])?.clone(),
                 };
                 let mut buf = [0i64; MAX_RANK];
-                let offsets = self.env.indices("memref.subview", &operands[1..], &mut buf)?;
-                self.env
-                    .memref(operands[0])?
-                    .subview_into(offsets, sizes, &mut view)
-                    .map_err(|e| InterpError::Other { message: format!("memref.subview {e}") })?;
+                let offsets = self.env.indices(&OpKind::MemrefSubview, &operands[1..], &mut buf)?;
+                self.env.memref(operands[0])?.subview_into(offsets, sizes, &mut view).map_err(
+                    |e| InterpError::Other { message: format!("{} {e}", OpKind::MemrefSubview) },
+                )?;
                 // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
                 self.soc.charge_arith(2 * sizes.len() as u64);
                 self.env.slots[result] = Some(RtValue::MemRef(view));
@@ -490,7 +502,7 @@ impl<'a> Interpreter<'a> {
             OpCode::Load => {
                 let operands = &ctx.op(op).operands;
                 let (addr, elem) =
-                    self.env.addressed_elem("memref.load", operands[0], &operands[1..])?;
+                    self.env.addressed_elem(&OpKind::MemrefLoad, operands[0], &operands[1..])?;
                 self.soc.charge_arith((operands.len() - 1) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Read);
                 let rt = match elem {
@@ -502,7 +514,7 @@ impl<'a> Interpreter<'a> {
             OpCode::Store => {
                 let operands = &ctx.op(op).operands;
                 let (addr, _) =
-                    self.env.addressed_elem("memref.store", operands[1], &operands[2..])?;
+                    self.env.addressed_elem(&OpKind::MemrefStore, operands[1], &operands[2..])?;
                 self.soc.charge_arith((operands.len() - 2) as u64);
                 self.soc.cached_access(addr, 4, AccessKind::Write);
                 let word = match self.env.get(operands[0])? {
@@ -551,6 +563,18 @@ impl<'a> Interpreter<'a> {
             RtFn::DmaInit => {
                 let vals: Vec<i64> =
                     operands.iter().map(|v| self.env.int_any(*v)).collect::<Result<_, _>>()?;
+                let room = self.soc.mem.room();
+                let sizes = u64::try_from(vals[2]).ok().zip(u64::try_from(vals[4]).ok());
+                if sizes.is_none_or(|(input, output)| input.saturating_add(output) > room) {
+                    let message = format!(
+                        "{} @{}: byte sizes {:?} must be non-negative and fit the {room} of \
+                         {CAPACITY} simulated bytes left",
+                        ctx.op(op).kind,
+                        names::DMA_INIT,
+                        [vals[2], vals[4]]
+                    );
+                    return Err(InterpError::Other { message });
+                }
                 dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
             }
             RtFn::WriteLiteral => {
@@ -637,28 +661,16 @@ fn type_mismatch(context: &str) -> InterpError {
 #[cold]
 #[inline(never)]
 fn not_positive(step: i64) -> InterpError {
-    InterpError::Other { message: format!("scf.for step must be positive, found {step}") }
-}
-
-#[cold]
-#[inline(never)]
-fn outside_view(name: &str, indices: &[i64], sizes: &[i64]) -> InterpError {
     InterpError::Other {
-        message: format!("{name} index {indices:?} is outside its view {sizes:?}"),
+        message: format!("{} step must be positive, found {step}", OpKind::ScfFor),
     }
 }
 
 #[cold]
 #[inline(never)]
-fn unsupported_op(name: &str) -> InterpError {
-    InterpError::UnsupportedOp { name: name.to_owned() }
-}
-
-#[cold]
-#[inline(never)]
-fn unlowered(name: &str) -> InterpError {
+fn outside_view(kind: &OpKind, indices: &[i64], sizes: &[i64]) -> InterpError {
     InterpError::Other {
-        message: format!("`{name}` must be lowered to runtime calls before it runs"),
+        message: format!("{kind} index {indices:?} is outside its view {sizes:?}"),
     }
 }
 
@@ -670,21 +682,9 @@ fn unverified(message: String) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn bad_call(callee: &str, (operands, results): (usize, usize), data: &OpData) -> InterpError {
+fn too_many_indices(kind: &OpKind, count: usize) -> InterpError {
     InterpError::Other {
-        message: format!(
-            "func.call @{callee} takes {operands} operands and {results} results; found {} and {}",
-            data.operands.len(),
-            data.results.len()
-        ),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn too_many_indices(name: &str, count: usize) -> InterpError {
-    InterpError::Other {
-        message: format!("{name} indexes {count} dimensions; at most {MAX_RANK} are supported"),
+        message: format!("{kind} indexes {count} dimensions; at most {MAX_RANK} are supported"),
     }
 }
 
@@ -698,8 +698,8 @@ fn bad_argument(index: usize, ty: &Type, value: &RtValue) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn int_bin_mismatch(name: &str) -> InterpError {
-    InterpError::TypeMismatch { context: format!("{name} operands must both be index or both i32") }
+fn int_bin_mismatch(kind: &OpKind) -> InterpError {
+    InterpError::TypeMismatch { context: format!("{kind} operands must both be index or both i32") }
 }
 
 #[cold]
@@ -825,7 +825,7 @@ mod tests {
         let mut m = Module::new();
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
-        b.insert_op("test.mystery", vec![], vec![], []);
+        b.insert_op(OpKind::parse("test.mystery"), vec![], vec![], []);
         let mut s = soc();
         let err = run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
         assert_eq!(err, InterpError::UnsupportedOp { name: "test.mystery".into() });
@@ -930,13 +930,13 @@ mod tests {
         build_table(&m.ctx, &mut codes);
         for (index, code) in codes.iter().enumerate() {
             let op = OpId::from_index(index);
-            let name = &*m.ctx.op(op).name;
-            if matches!(name, "builtin.module" | "func.func") {
+            let kind = &m.ctx.op(op).kind;
+            if matches!(kind, OpKind::BuiltinModule | OpKind::FuncFunc) {
                 continue; // containers are never executed
             }
             assert!(
                 !matches!(code, OpCode::Invalid(_)),
-                "op `{name}` unexpectedly failed resolution"
+                "op `{kind}` unexpectedly failed resolution"
             );
         }
     }

@@ -9,14 +9,16 @@
 //! interpreter, each with its own variant or message: an unknown callee
 //! or a call with the wrong arity for the runtime library, an `accel` op
 //! not lowered, an op indexing more dimensions than its index buffer
-//! holds, arguments that do not fit the entry's parameters, and indices
-//! or subviews that leave their view at run time.
+//! holds, arguments that do not fit the entry's parameters, indices or
+//! subviews that leave their view at run time, and `dma_init` regions
+//! the simulated memory cannot hold.
 
 use axi4mlir_dialects::verify::verify_dialects;
 use axi4mlir_dialects::{accel, arith, func, linalg, memref};
 use axi4mlir_interp::{run_func, InterpError, RtValue};
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
+use axi4mlir_ir::kind::OpKind;
 use axi4mlir_ir::ops::{Module, ValueId};
 use axi4mlir_ir::types::{MemRefType, Type, DYNAMIC};
 use axi4mlir_runtime::copy::CopyStrategy;
@@ -24,7 +26,7 @@ use axi4mlir_runtime::dma_lib::names;
 use axi4mlir_runtime::memref::MemRefDesc;
 use axi4mlir_runtime::soc::Soc;
 use axi4mlir_sim::axi::LoopbackAccelerator;
-use axi4mlir_sim::mem::ElemType;
+use axi4mlir_sim::mem::{ElemType, CAPACITY};
 use axi4mlir_support::diag::DiagnosticEngine;
 
 fn soc() -> Soc {
@@ -71,13 +73,13 @@ fn assert_interp_refuses(m: &Module) -> InterpError {
 #[test]
 fn malformed_ops_are_errors_not_panics() {
     let m = module(|b, c1| {
-        b.insert_op("scf.for", vec![c1, c1, c1], vec![], []);
+        b.insert_op(OpKind::ScfFor, vec![c1, c1, c1], vec![], []);
     });
     assert!(assert_refused("scf.for", &m).ends_with("expects one region with one block"));
 
     let m = module(|b, c1| {
         let (op, _) =
-            b.insert_region_op("scf.for", vec![c1, c1, c1], vec![], [], vec![Type::Index]);
+            b.insert_region_op(OpKind::ScfFor, vec![c1, c1, c1], vec![], [], vec![Type::Index]);
         let region = b.ctx_ref().op(op).regions[0];
         b.ctx().add_block(region, vec![]);
     });
@@ -85,17 +87,17 @@ fn malformed_ops_are_errors_not_panics() {
 
     let m = module(|b, _| {
         let dynamic = MemRefType::contiguous(vec![DYNAMIC], Type::i32());
-        b.insert_op("memref.alloc", vec![], vec![Type::MemRef(dynamic)], []);
+        b.insert_op(OpKind::MemrefAlloc, vec![], vec![Type::MemRef(dynamic)], []);
     });
     assert!(assert_refused("memref.alloc", &m).ends_with("a memref of static extents"));
 
     let m = module(|b, _| {
-        b.insert_op("arith.constant", vec![], vec![Type::Index], []);
+        b.insert_op(OpKind::ArithConstant, vec![], vec![Type::Index], []);
     });
     assert!(assert_refused("arith.constant", &m).ends_with("missing value attribute"));
 
     let m = module(|b, _| {
-        b.insert_op("func.call", vec![], vec![], [("callee", Attribute::Str("nope".into()))]);
+        b.insert_op(OpKind::FuncCall, vec![], vec![], [("callee", Attribute::Str("nope".into()))]);
     });
     assert_eq!(assert_interp_refuses(&m), InterpError::UnknownCallee { name: "nope".into() });
 }
@@ -120,7 +122,7 @@ fn a_parsed_region_less_loop_is_an_error() {
 
 /// A call to the runtime library named `callee` with `operands`.
 fn call(b: &mut OpBuilder<'_>, callee: &str, operands: Vec<ValueId>, results: Vec<Type>) {
-    b.insert_op("func.call", operands, results, [("callee", Attribute::Str(callee.into()))]);
+    b.insert_op(OpKind::FuncCall, operands, results, [("callee", Attribute::Str(callee.into()))]);
 }
 
 /// Ops without an operand or result that execution reads, or whose
@@ -135,25 +137,25 @@ fn missing_operands_and_results_are_errors_not_panics() {
     type Build = fn(&mut OpBuilder<'_>, ValueId);
     let verifier: [(&str, Build); 6] = [
         ("arith.addi", |b, c1| {
-            b.insert_op("arith.addi", vec![c1], vec![Type::Index], []);
+            b.insert_op(OpKind::ArithAddi, vec![c1], vec![Type::Index], []);
         }),
         ("arith.addi", |b, c1| {
-            b.insert_op("arith.addi", vec![c1, c1], vec![], []);
+            b.insert_op(OpKind::ArithAddi, vec![c1, c1], vec![], []);
         }),
         ("memref.load", |b, _| {
-            b.insert_op("memref.load", vec![], vec![Type::i32()], []);
+            b.insert_op(OpKind::MemrefLoad, vec![], vec![Type::i32()], []);
         }),
         ("memref.store", |b, c1| {
-            b.insert_op("memref.store", vec![c1], vec![], []);
+            b.insert_op(OpKind::MemrefStore, vec![c1], vec![], []);
         }),
         ("memref.subview", |b, _| {
             let view = Type::MemRef(MemRefType::contiguous(vec![1], Type::i32()));
             let sizes = ("static_sizes", Attribute::Array(vec![Attribute::Int(1)]));
-            b.insert_op("memref.subview", vec![], vec![view], [sizes]);
+            b.insert_op(OpKind::MemrefSubview, vec![], vec![view], [sizes]);
         }),
         ("linalg.conv_2d_nchw_fchw", |b, _| {
             let m = memref::alloc(b, vec![4, 4], Type::i32());
-            b.insert_op("linalg.conv_2d_nchw_fchw", vec![m, m, m], vec![], []);
+            b.insert_op(OpKind::LinalgConv2dNchwFchw, vec![m, m, m], vec![], []);
         }),
     ];
     for (name, build) in verifier {
@@ -178,7 +180,7 @@ fn missing_operands_and_results_are_errors_not_panics() {
         let m = memref::alloc(b, vec![1; 9], Type::i32());
         let mut operands = vec![m];
         operands.extend([c1; 9]);
-        b.insert_op("memref.load", operands, vec![Type::i32()], []);
+        b.insert_op(OpKind::MemrefLoad, operands, vec![Type::i32()], []);
     }));
     let message = "memref.load indexes 9 dimensions; at most 8 are supported";
     assert_eq!(err, InterpError::Other { message: message.into() });
@@ -253,8 +255,12 @@ fn a_subview_typed_unlike_its_sizes_is_refused() {
     fn subview(b: &mut OpBuilder<'_>, c1: ValueId, sizes: [i64; 2], view: Type) -> ValueId {
         let buf = memref::alloc(b, vec![8, 8], Type::i32());
         let sizes = Attribute::Array(sizes.map(Attribute::Int).to_vec());
-        let op =
-            b.insert_op("memref.subview", vec![buf, c1, c1], vec![view], [("static_sizes", sizes)]);
+        let op = b.insert_op(
+            OpKind::MemrefSubview,
+            vec![buf, c1, c1],
+            vec![view],
+            [("static_sizes", sizes)],
+        );
         b.result(op)
     }
     let strided = |elem: Type| Type::MemRef(MemRefType::strided(vec![4, 4], elem, vec![8, 1]));
@@ -289,7 +295,7 @@ fn attributes_and_result_types_are_the_verifiers() {
         }),
         ("arith.constant", "an integer", |b, _| {
             b.insert_op(
-                "arith.constant",
+                OpKind::ArithConstant,
                 vec![],
                 vec![Type::f32()],
                 [("value", Attribute::Float(0.5))],
@@ -297,7 +303,7 @@ fn attributes_and_result_types_are_the_verifiers() {
         }),
         ("arith.constant", "result must be", |b, _| {
             let ty = Type::MemRef(MemRefType::contiguous(vec![4], Type::i32()));
-            b.insert_op("arith.constant", vec![], vec![ty], [("value", Attribute::Int(0))]);
+            b.insert_op(OpKind::ArithConstant, vec![], vec![ty], [("value", Attribute::Int(0))]);
         }),
         ("arith.index_cast", "result must be", |b, c1| {
             arith::index_cast(b, c1, Type::f32());
@@ -386,4 +392,43 @@ fn an_unlowered_accel_op_is_an_error() {
     }));
     let message = "`accel.dma_init` must be lowered to runtime calls before it runs";
     assert_eq!(err, InterpError::Other { message: message.into() });
+}
+
+/// A buffer or DMA region the simulated memory cannot hold is refused
+/// before any of it is allocated: a `dma_init` size when the call runs,
+/// a static `memref.alloc` by the verifier. Each case used to panic: a
+/// negative size overflowed the bump allocator, an `i64::MAX`-byte
+/// region or a 2^61-element buffer overflowed the backing `Vec`'s
+/// capacity, and a 2^64-element shape overflowed its element count.
+/// (A region or buffer past the capacity but short of those overflows
+/// was worse: the host allocated, and zeroed, every byte of it.)
+#[test]
+fn sizes_past_the_simulated_memory_are_refused_before_allocation() {
+    for sizes in [[-1, 0], [0, -1], [1, i64::MAX]] {
+        let m = module(|b, c1| {
+            let [input, output] = sizes.map(|size| arith::const_index(b, size));
+            call(b, names::DMA_INIT, vec![c1, c1, input, c1, output], vec![]);
+        });
+        let mut diags = DiagnosticEngine::new();
+        verify_dialects(&m.ctx, m.top(), &mut diags).expect("the dialect rules hold");
+        let mut soc = soc();
+        let err = run_func(&mut soc, &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
+        let message = format!(
+            "func.call @dma_init: byte sizes {sizes:?} must be non-negative and fit the \
+             {CAPACITY} of {CAPACITY} simulated bytes left"
+        );
+        assert_eq!(err, InterpError::Other { message });
+        assert_eq!(soc.mem.allocated_bytes(), 0, "{sizes:?}");
+    }
+
+    for shape in [vec![1 << 32, 1 << 32], vec![1 << 61]] {
+        let m = module(|b, _| {
+            memref::alloc(b, shape.clone(), Type::i32());
+        });
+        let message = assert_refused("memref.alloc", &m);
+        assert!(message.ends_with("must fit the simulated memory's capacity"), "{message}");
+        let mut soc = soc();
+        run_func(&mut soc, &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
+        assert_eq!(soc.mem.allocated_bytes(), 0, "{shape:?}");
+    }
 }

@@ -1,27 +1,20 @@
-//! Reusable dataflow analysis over the structured-control-flow IR.
+//! Dataflow analysis over the structured-control-flow IR.
 //!
 //! The IR has no unstructured CFG: control flow is region nesting
 //! (`scf.for` bodies, function bodies), every block executes straight
 //! through, and SSA visibility follows the region tree. That makes
 //! dataflow simple but not trivial — loop induction variables couple a
-//! block argument to the facts of the enclosing op's operands, so the
-//! solvers here iterate the whole region tree to a fixpoint instead of
-//! assuming one pass suffices.
+//! block argument to the facts of the enclosing op's operands, so each
+//! analysis iterates the whole region tree to a fixpoint instead of
+//! assuming one pass suffices. There are two, each a fact per SSA value
+//! stored densely by value index and joined monotonically:
 //!
-//! Three layers:
-//!
-//! - [`Lattice`] + [`ValueTable`]: a fact per SSA value, stored densely by
-//!   value index, joined monotonically.
-//! - `ForwardAnalysis` / `BackwardAnalysis` + `solve_forward` /
-//!   `solve_backward`: the generic fixpoint engines. Forward transfer
-//!   functions compute result facts from operand facts (with a hook for
-//!   block arguments, where induction-variable facts are born); backward
-//!   transfer functions push facts from uses to operands.
-//! - Concrete analyses: [`Liveness`] (backward — which values and ops
-//!   feed an observable effect) and [`IntRange`] integer-range analysis
-//!   over index arithmetic (forward — constant/interval bounds for
-//!   `arith` ops and `scf.for` induction variables). (Use-before-def is
-//!   the structural verifier's check, [`crate::verifier`].)
+//! - [`Liveness`] (backward): which values and ops feed an observable
+//!   effect.
+//! - [`integer_ranges`] (forward): [`IntRange`] bounds for index
+//!   arithmetic — constants, `arith` ops and `scf.for` induction
+//!   variables. (Use-before-def is the structural verifier's check,
+//!   [`crate::verifier`].)
 //!
 //! The lint suite in `axi4mlir-dialects` builds on these: dead-annotation
 //! detection uses [`Liveness`], and the DMA bounds checks use
@@ -32,19 +25,8 @@ use std::collections::HashSet;
 use axi4mlir_support::entity::EntityId;
 
 use crate::attrs::Attribute;
-use crate::ops::{BlockId, IrCtx, OpId, ValueId};
-
-/// A join-semilattice of dataflow facts.
-///
-/// `bottom` is the "no information yet / unreached" element; joining must
-/// be monotone (facts only ever move up) so the fixpoint terminates.
-pub trait Lattice: Clone + PartialEq {
-    /// The least element (unreached / undefined).
-    fn bottom() -> Self;
-
-    /// Joins `other` into `self`; returns `true` if `self` changed.
-    fn join_with(&mut self, other: &Self) -> bool;
-}
+use crate::kind::OpKind;
+use crate::ops::{IrCtx, OpId, ValueId};
 
 /// A dense table of one fact per SSA value.
 #[derive(Clone, Debug)]
@@ -52,20 +34,10 @@ pub struct ValueTable<L> {
     facts: Vec<L>,
 }
 
-impl<L: Lattice> ValueTable<L> {
-    /// A table of `len` bottom facts.
-    fn new(len: usize) -> Self {
-        Self { facts: vec![L::bottom(); len] }
-    }
-
+impl<L> ValueTable<L> {
     /// The fact for `value`.
     pub fn get(&self, value: ValueId) -> &L {
         &self.facts[value.index()]
-    }
-
-    /// Joins `fact` into the entry for `value`; returns `true` on change.
-    fn join(&mut self, value: ValueId, fact: &L) -> bool {
-        self.facts[value.index()].join_with(fact)
     }
 }
 
@@ -75,172 +47,28 @@ impl<L: Lattice> ValueTable<L> {
 /// non-monotone analysis looping forever.
 const MAX_PASSES: usize = 64;
 
-/// A forward dataflow analysis: facts flow from operands to results.
-trait ForwardAnalysis {
-    /// The fact domain.
-    type Fact: Lattice;
-
-    /// The fact for block argument `index` of `block`, whose region is
-    /// owned by `owner`. This is where facts enter a region: an `scf.for`
-    /// induction variable derives its fact from the loop-bound operands
-    /// (available in `table`), a function argument gets a boundary fact.
-    fn block_arg_fact(
-        &self,
-        ctx: &IrCtx,
-        owner: OpId,
-        block: BlockId,
-        index: usize,
-        table: &ValueTable<Self::Fact>,
-    ) -> Self::Fact;
-
-    /// Pushes one fact per result of `op`, given the operand facts in
-    /// `table`.
-    fn transfer(
-        &self,
-        ctx: &IrCtx,
-        op: OpId,
-        table: &ValueTable<Self::Fact>,
-        results: &mut Vec<Self::Fact>,
-    );
-}
-
-/// Runs `analysis` to a fixpoint over the subtree rooted at `root`.
-fn solve_forward<A: ForwardAnalysis>(ctx: &IrCtx, root: OpId, analysis: &A) -> ValueTable<A::Fact> {
-    let mut table = ValueTable::new(ctx.value_count());
-    // Pre-order: an op precedes its nested regions, and block ops appear
-    // in execution order — so operand facts are usually ready when a use
-    // is visited, and the fixpoint loop mops up the rest.
-    let order = ctx.walk(root);
-    let mut results = Vec::new();
-    for _ in 0..MAX_PASSES {
-        let mut changed = false;
-        for &op in &order {
-            for &region in &ctx.op(op).regions {
-                for &block in &ctx.region(region).blocks {
-                    for index in 0..ctx.block(block).args.len() {
-                        let fact = analysis.block_arg_fact(ctx, op, block, index, &table);
-                        let arg = ctx.block(block).args[index];
-                        changed |= table.join(arg, &fact);
-                    }
-                }
-            }
-            results.clear();
-            analysis.transfer(ctx, op, &table, &mut results);
-            for (index, fact) in results.iter().enumerate() {
-                let value = ctx.op(op).results[index];
-                changed |= table.join(value, fact);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    table
-}
-
-/// A backward dataflow analysis: facts flow from uses to operands.
-trait BackwardAnalysis {
-    /// The fact domain.
-    type Fact: Lattice;
-
-    /// Pushes facts onto arbitrary values (typically `op`'s operands),
-    /// given the facts currently in `table`.
-    fn transfer(
-        &self,
-        ctx: &IrCtx,
-        op: OpId,
-        table: &ValueTable<Self::Fact>,
-        out: &mut Vec<(ValueId, Self::Fact)>,
-    );
-}
-
-/// Runs `analysis` to a fixpoint, visiting ops in reverse execution order.
-fn solve_backward<A: BackwardAnalysis>(
-    ctx: &IrCtx,
-    root: OpId,
-    analysis: &A,
-) -> ValueTable<A::Fact> {
-    let mut table = ValueTable::new(ctx.value_count());
-    let mut order = ctx.walk(root);
-    order.reverse();
-    let mut out = Vec::new();
-    for _ in 0..MAX_PASSES {
-        let mut changed = false;
-        for &op in &order {
-            out.clear();
-            analysis.transfer(ctx, op, &table, &mut out);
-            for (value, fact) in &out {
-                changed |= table.join(*value, fact);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    table
-}
-
 // ---------------------------------------------------------------------
 // Liveness (backward)
 // ---------------------------------------------------------------------
-
-/// Liveness fact: `Live(true)` once some observable effect needs the value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Live(pub bool);
-
-impl Lattice for Live {
-    fn bottom() -> Self {
-        Live(false)
-    }
-
-    fn join_with(&mut self, other: &Self) -> bool {
-        if !self.0 && other.0 {
-            self.0 = true;
-            return true;
-        }
-        false
-    }
-}
 
 /// `true` for ops whose execution is observable regardless of whether
 /// their results are used (stores, `accel` traffic, calls, terminators,
 /// and anything we don't recognize — unknown ops are conservatively
 /// effectful).
-fn has_side_effects(name: &str) -> bool {
-    let pure = name.starts_with("arith.")
-        || matches!(name, "memref.load" | "memref.subview" | "memref.alloc" | "memref.alloca");
+fn has_side_effects(kind: &OpKind) -> bool {
+    use OpKind::{MemrefAlloc, MemrefAlloca, MemrefLoad, MemrefSubview};
+    let pure =
+        kind.is_arith() || matches!(kind, MemrefLoad | MemrefSubview | MemrefAlloc | MemrefAlloca);
     !pure
-}
-
-struct LivenessAnalysis<'a> {
-    /// Ops that are live by themselves: side-effecting, or (for
-    /// region-owning ops) transitively containing a side-effecting op.
-    rooted: &'a HashSet<OpId>,
-}
-
-impl BackwardAnalysis for LivenessAnalysis<'_> {
-    type Fact = Live;
-
-    fn transfer(
-        &self,
-        ctx: &IrCtx,
-        op: OpId,
-        table: &ValueTable<Live>,
-        out: &mut Vec<(ValueId, Live)>,
-    ) {
-        let data = ctx.op(op);
-        let live = self.rooted.contains(&op) || data.results.iter().any(|r| table.get(*r).0);
-        if live {
-            out.extend(data.operands.iter().map(|o| (*o, Live(true))));
-        }
-    }
 }
 
 /// The computed liveness of a subtree: per-value facts plus the op-level
 /// root set.
 #[derive(Debug)]
 pub struct Liveness {
-    values: ValueTable<Live>,
+    live: Vec<bool>,
+    /// Ops that are live by themselves: side-effecting, or (for
+    /// region-owning ops) transitively containing a side-effecting op.
     rooted: HashSet<OpId>,
 }
 
@@ -259,23 +87,33 @@ impl Liveness {
                     .iter()
                     .any(|b| ctx.block(*b).ops.iter().any(|o| rooted.contains(o)))
             });
-            if nested_rooted || (data.regions.is_empty() && has_side_effects(&data.name)) {
+            if nested_rooted || (data.regions.is_empty() && has_side_effects(&data.kind)) {
                 rooted.insert(op);
             }
         }
-        let values = solve_backward(ctx, root, &LivenessAnalysis { rooted: &rooted });
-        Self { values, rooted }
-    }
-
-    /// `true` if `value` feeds an observable effect.
-    fn value_is_live(&self, value: ValueId) -> bool {
-        self.values.get(value).0
+        // A live op makes its operands live; visit uses before defs.
+        let mut live = vec![false; ctx.value_count()];
+        for _ in 0..MAX_PASSES {
+            let mut changed = false;
+            for &op in order.iter().rev() {
+                let data = ctx.op(op);
+                if rooted.contains(&op) || data.results.iter().any(|r| live[r.index()]) {
+                    for operand in &data.operands {
+                        changed |= !std::mem::replace(&mut live[operand.index()], true);
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Self { live, rooted }
     }
 
     /// `true` if `op` must execute: it is side-effecting (directly or via
     /// a nested op) or produces a live value.
     pub fn op_is_live(&self, ctx: &IrCtx, op: OpId) -> bool {
-        self.rooted.contains(&op) || ctx.op(op).results.iter().any(|r| self.value_is_live(*r))
+        self.rooted.contains(&op) || ctx.op(op).results.iter().any(|r| self.live[r.index()])
     }
 }
 
@@ -341,90 +179,89 @@ impl IntRange {
             _ => IntRange::Unreached,
         }
     }
-}
 
-impl Lattice for IntRange {
-    fn bottom() -> Self {
-        IntRange::Unreached
-    }
-
-    fn join_with(&mut self, other: &Self) -> bool {
-        match (*self, *other) {
-            (_, IntRange::Unreached) => false,
-            (IntRange::Unreached, r) => {
-                *self = r;
-                true
-            }
+    /// Joins `other` into `self` (the interval hull); `true` on change.
+    fn join_with(&mut self, other: Self) -> bool {
+        let joined = match (*self, other) {
+            (joined, IntRange::Unreached) | (IntRange::Unreached, joined) => joined,
             (IntRange::Range { lo: a, hi: b }, IntRange::Range { lo: c, hi: d }) => {
-                let joined = IntRange::Range { lo: a.min(c), hi: b.max(d) };
-                let changed = joined != *self;
-                *self = joined;
-                changed
+                IntRange::Range { lo: a.min(c), hi: b.max(d) }
             }
-        }
-    }
-}
-
-/// Integer-range analysis over index arithmetic: `arith.constant` pins a
-/// singleton, `arith.addi`/`arith.muli` propagate interval arithmetic,
-/// and an `scf.for` induction variable is bounded by the loop's
-/// lower/upper bound facts (`[lb.lo, ub.hi - 1]` — the canonical positive
-/// step). Everything else is the full range.
-#[derive(Debug, Default)]
-struct IntRangeAnalysis;
-
-impl ForwardAnalysis for IntRangeAnalysis {
-    type Fact = IntRange;
-
-    fn block_arg_fact(
-        &self,
-        ctx: &IrCtx,
-        owner: OpId,
-        _block: BlockId,
-        index: usize,
-        table: &ValueTable<IntRange>,
-    ) -> IntRange {
-        let data = ctx.op(owner);
-        if data.name == "scf.for" && index == 0 && data.operands.len() == 3 {
-            let lb = *table.get(data.operands[0]);
-            let ub = *table.get(data.operands[1]);
-            if let (IntRange::Range { lo, .. }, IntRange::Range { hi, .. }) = (lb, ub) {
-                let hi = if hi == i64::MAX { hi } else { hi.saturating_sub(1) };
-                return IntRange::Range { lo, hi: hi.max(lo) };
-            }
-            return IntRange::Unreached;
-        }
-        IntRange::FULL
-    }
-
-    fn transfer(
-        &self,
-        ctx: &IrCtx,
-        op: OpId,
-        table: &ValueTable<IntRange>,
-        results: &mut Vec<IntRange>,
-    ) {
-        let data = ctx.op(op);
-        if data.results.is_empty() {
-            return;
-        }
-        let operand = |i: usize| *table.get(data.operands[i]);
-        let fact = match &*data.name {
-            "arith.constant" => match ctx.attr(op, "value") {
-                Some(Attribute::Int(v)) => IntRange::exact(*v),
-                _ => IntRange::FULL,
-            },
-            "arith.addi" if data.operands.len() == 2 => operand(0).add(operand(1)),
-            "arith.muli" if data.operands.len() == 2 => operand(0).mul(operand(1)),
-            _ => IntRange::FULL,
         };
-        results.extend(data.results.iter().map(|_| fact));
+        joined != std::mem::replace(self, joined)
     }
 }
 
-/// Convenience wrapper: the integer-range table for a subtree.
+/// The range of block argument `index` of a region of `owner`: an
+/// `scf.for` induction variable lies in `[lb.lo, ub.hi - 1]` (the
+/// canonical positive step); any other argument is unknown.
+fn block_arg_range(
+    ctx: &IrCtx,
+    owner: OpId,
+    index: usize,
+    table: &ValueTable<IntRange>,
+) -> IntRange {
+    let data = ctx.op(owner);
+    if data.kind != OpKind::ScfFor || index != 0 || data.operands.len() != 3 {
+        return IntRange::FULL;
+    }
+    match (*table.get(data.operands[0]), *table.get(data.operands[1])) {
+        (IntRange::Range { lo, .. }, IntRange::Range { hi, .. }) => {
+            let hi = if hi == i64::MAX { hi } else { hi.saturating_sub(1) };
+            IntRange::Range { lo, hi: hi.max(lo) }
+        }
+        _ => IntRange::Unreached,
+    }
+}
+
+/// The range of every result of `op`: `arith.constant` pins a singleton,
+/// `arith.addi`/`arith.muli` propagate interval arithmetic, and anything
+/// else is the full range.
+fn result_range(ctx: &IrCtx, op: OpId, table: &ValueTable<IntRange>) -> IntRange {
+    let data = ctx.op(op);
+    let operand = |i: usize| *table.get(data.operands[i]);
+    match data.kind {
+        OpKind::ArithConstant => match ctx.attr(op, "value") {
+            Some(Attribute::Int(v)) => IntRange::exact(*v),
+            _ => IntRange::FULL,
+        },
+        OpKind::ArithAddi if data.operands.len() == 2 => operand(0).add(operand(1)),
+        OpKind::ArithMuli if data.operands.len() == 2 => operand(0).mul(operand(1)),
+        _ => IntRange::FULL,
+    }
+}
+
+/// The integer-range table for a subtree, solved forward to a fixpoint.
 pub fn integer_ranges(ctx: &IrCtx, root: OpId) -> ValueTable<IntRange> {
-    solve_forward(ctx, root, &IntRangeAnalysis)
+    let mut table = ValueTable { facts: vec![IntRange::Unreached; ctx.value_count()] };
+    // Pre-order: an op precedes its nested regions, and block ops appear
+    // in execution order — so operand facts are usually ready when a use
+    // is visited, and the fixpoint loop mops up the rest.
+    let order = ctx.walk(root);
+    for _ in 0..MAX_PASSES {
+        let mut changed = false;
+        for &op in &order {
+            let data = ctx.op(op);
+            for &region in &data.regions {
+                for &block in &ctx.region(region).blocks {
+                    for (index, arg) in ctx.block(block).args.iter().enumerate() {
+                        let fact = block_arg_range(ctx, op, index, &table);
+                        changed |= table.facts[arg.index()].join_with(fact);
+                    }
+                }
+            }
+            if !data.results.is_empty() {
+                let fact = result_range(ctx, op, &table);
+                for result in &data.results {
+                    changed |= table.facts[result.index()].join_with(fact);
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    table
 }
 
 #[cfg(test)]
@@ -436,7 +273,7 @@ mod tests {
 
     fn const_index(b: &mut OpBuilder, v: i64) -> ValueId {
         let op = b.insert_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::index()],
             [("value", Attribute::Int(v))],
@@ -451,9 +288,9 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let x = const_index(&mut b, 6);
         let y = const_index(&mut b, 7);
-        let sum_op = b.insert_op("arith.addi", vec![x, y], vec![Type::index()], []);
+        let sum_op = b.insert_op(OpKind::ArithAddi, vec![x, y], vec![Type::index()], []);
         let sum = b.result(sum_op);
-        let prod_op = b.insert_op("arith.muli", vec![x, y], vec![Type::index()], []);
+        let prod_op = b.insert_op(OpKind::ArithMuli, vec![x, y], vec![Type::index()], []);
         let prod = b.result(prod_op);
         let ranges = integer_ranges(&m.ctx, m.top());
         assert_eq!(ranges.get(sum).bounds(), Some((13, 13)));
@@ -469,12 +306,12 @@ mod tests {
         let ub = const_index(&mut b, 64);
         let step = const_index(&mut b, 8);
         let (_, inner) =
-            b.insert_region_op("scf.for", vec![lb, ub, step], vec![], [], vec![Type::index()]);
+            b.insert_region_op(OpKind::ScfFor, vec![lb, ub, step], vec![], [], vec![Type::index()]);
         let iv = m.ctx.block_arg(inner, 0);
         // iv * 4 inside the body.
         let mut b = OpBuilder::at_end(&mut m.ctx, inner);
         let scale = const_index(&mut b, 4);
-        let scaled_op = b.insert_op("arith.muli", vec![iv, scale], vec![Type::index()], []);
+        let scaled_op = b.insert_op(OpKind::ArithMuli, vec![iv, scale], vec![Type::index()], []);
         let scaled = b.result(scaled_op);
         let ranges = integer_ranges(&m.ctx, m.top());
         assert_eq!(ranges.get(iv).bounds(), Some((0, 63)));
@@ -486,7 +323,7 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let op = b.insert_op("test.opaque", vec![], vec![Type::index()], []);
+        let op = b.insert_op(OpKind::parse("test.opaque"), vec![], vec![Type::index()], []);
         let v = b.result(op);
         let ranges = integer_ranges(&m.ctx, m.top());
         assert_eq!(*ranges.get(v), IntRange::FULL);
@@ -500,11 +337,11 @@ mod tests {
         // Dead chain: two constants feeding an unused add.
         let d0 = const_index(&mut b, 1);
         let d1 = const_index(&mut b, 2);
-        let dead_add = b.insert_op("arith.addi", vec![d0, d1], vec![Type::index()], []);
+        let dead_add = b.insert_op(OpKind::ArithAddi, vec![d0, d1], vec![Type::index()], []);
         let dead = b.result(dead_add);
         // Live chain: a value stored to memory.
         let buf_op = b.insert_op(
-            "memref.alloc",
+            OpKind::MemrefAlloc,
             vec![],
             vec![Type::MemRef(crate::types::MemRefType::contiguous(vec![4], Type::index()))],
             [],
@@ -512,12 +349,12 @@ mod tests {
         let buf = b.result(buf_op);
         let idx = const_index(&mut b, 0);
         let live = const_index(&mut b, 9);
-        b.insert_op("memref.store", vec![live, buf, idx], vec![], []);
+        b.insert_op(OpKind::MemrefStore, vec![live, buf, idx], vec![], []);
         let liveness = Liveness::compute(&m.ctx, m.top());
-        assert!(!liveness.value_is_live(dead));
+        assert!(!liveness.live[dead.index()]);
         assert!(!liveness.op_is_live(&m.ctx, dead_add));
-        assert!(liveness.value_is_live(live));
-        assert!(liveness.value_is_live(buf));
+        assert!(liveness.live[live.index()]);
+        assert!(liveness.live[buf.index()]);
         assert!(liveness.op_is_live(&m.ctx, buf_op));
     }
 
@@ -530,24 +367,24 @@ mod tests {
         let ub = const_index(&mut b, 8);
         let step = const_index(&mut b, 1);
         let (for_op, inner) =
-            b.insert_region_op("scf.for", vec![lb, ub, step], vec![], [], vec![Type::index()]);
+            b.insert_region_op(OpKind::ScfFor, vec![lb, ub, step], vec![], [], vec![Type::index()]);
         let iv = m.ctx.block_arg(inner, 0);
         let mut b = OpBuilder::at_end(&mut m.ctx, inner);
         let buf_op = b.insert_op(
-            "memref.alloc",
+            OpKind::MemrefAlloc,
             vec![],
             vec![Type::MemRef(crate::types::MemRefType::contiguous(vec![8], Type::index()))],
             [],
         );
         let buf = b.result(buf_op);
-        b.insert_op("memref.store", vec![iv, buf, iv], vec![], []);
+        b.insert_op(OpKind::MemrefStore, vec![iv, buf, iv], vec![], []);
         let liveness = Liveness::compute(&m.ctx, m.top());
         assert!(liveness.op_is_live(&m.ctx, for_op), "the loop body has effects");
-        assert!(liveness.value_is_live(ub), "loop bounds feed a live loop");
+        assert!(liveness.live[ub.index()], "loop bounds feed a live loop");
         // An empty sibling loop is dead.
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let (empty_for, _) =
-            b.insert_region_op("scf.for", vec![lb, ub, step], vec![], [], vec![Type::index()]);
+            b.insert_region_op(OpKind::ScfFor, vec![lb, ub, step], vec![], [], vec![Type::index()]);
         let liveness = Liveness::compute(&m.ctx, m.top());
         assert!(!liveness.op_is_live(&m.ctx, empty_for), "a loop with no effects is dead");
     }

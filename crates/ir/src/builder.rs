@@ -6,6 +6,7 @@
 use std::borrow::Cow;
 
 use crate::attrs::Attribute;
+use crate::kind::OpKind;
 use crate::ops::{AttrDict, BlockId, IrCtx, OpId, ValueId};
 use crate::types::Type;
 
@@ -18,11 +19,12 @@ use crate::types::Type;
 /// use axi4mlir_ir::ops::Module;
 /// use axi4mlir_ir::types::Type;
 /// use axi4mlir_ir::attrs::Attribute;
+/// use axi4mlir_ir::kind::OpKind;
 ///
 /// let mut module = Module::new();
 /// let body = module.body();
 /// let mut b = OpBuilder::at_end(&mut module.ctx, body);
-/// let op = b.insert_op("arith.constant", vec![], vec![Type::index()], [("value", Attribute::Int(4))]);
+/// let op = b.insert_op(OpKind::ArithConstant, vec![], vec![Type::index()], [("value", Attribute::Int(4))]);
 /// let _result = b.ctx().result(op, 0);
 /// assert_eq!(module.ctx.block(body).ops.len(), 1);
 /// ```
@@ -74,7 +76,7 @@ impl<'a> OpBuilder<'a> {
     /// point past it. Returns the new op.
     pub fn insert_op<A>(
         &mut self,
-        name: &'static str,
+        kind: OpKind,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: A,
@@ -83,7 +85,7 @@ impl<'a> OpBuilder<'a> {
         A: IntoIterator<Item = (&'static str, Attribute)>,
     {
         let attrs: AttrDict = attrs.into_iter().map(|(k, v)| (Cow::Borrowed(k), v)).collect();
-        let op = self.ctx.create_op(name, operands, result_types, attrs);
+        let op = self.ctx.create_op(kind, operands, result_types, attrs);
         self.ctx.insert_op(self.block, self.index, op);
         self.index += 1;
         op
@@ -94,7 +96,7 @@ impl<'a> OpBuilder<'a> {
     /// The insertion point stays in the *outer* block, after the op.
     pub fn insert_region_op<A>(
         &mut self,
-        name: &'static str,
+        kind: OpKind,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: A,
@@ -103,7 +105,7 @@ impl<'a> OpBuilder<'a> {
     where
         A: IntoIterator<Item = (&'static str, Attribute)>,
     {
-        let op = self.insert_op(name, operands, result_types, attrs);
+        let op = self.insert_op(kind, operands, result_types, attrs);
         let region = self.ctx.add_region(op);
         let block = self.ctx.add_block(region, block_arg_types);
         (op, block)
@@ -125,10 +127,11 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        b.insert_op("a.x", vec![], vec![], []);
-        b.insert_op("a.y", vec![], vec![], []);
-        let names: Vec<&str> = m.ctx.block(body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
-        assert_eq!(names, vec!["a.x", "a.y"]);
+        b.insert_op(OpKind::ArithAddi, vec![], vec![], []);
+        b.insert_op(OpKind::ArithMuli, vec![], vec![], []);
+        let kinds: Vec<&OpKind> =
+            m.ctx.block(body).ops.iter().map(|o| &m.ctx.op(*o).kind).collect();
+        assert_eq!(kinds, [&OpKind::ArithAddi, &OpKind::ArithMuli]);
     }
 
     #[test]
@@ -137,14 +140,15 @@ mod tests {
         let body = m.body();
         {
             let mut b = OpBuilder::at_end(&mut m.ctx, body);
-            b.insert_op("a.second", vec![], vec![], []);
+            b.insert_op(OpKind::ScfYield, vec![], vec![], []);
         }
         {
             let mut b = OpBuilder::at(&mut m.ctx, body, 0);
-            b.insert_op("a.first", vec![], vec![], []);
+            b.insert_op(OpKind::ScfFor, vec![], vec![], []);
         }
-        let names: Vec<&str> = m.ctx.block(body).ops.iter().map(|o| &*m.ctx.op(*o).name).collect();
-        assert_eq!(names, vec!["a.first", "a.second"]);
+        let kinds: Vec<&OpKind> =
+            m.ctx.block(body).ops.iter().map(|o| &m.ctx.op(*o).kind).collect();
+        assert_eq!(kinds, [&OpKind::ScfFor, &OpKind::ScfYield]);
     }
 
     #[test]
@@ -152,7 +156,8 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let (op, block) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
+        let (op, block) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
         assert_eq!(m.ctx.op(op).regions.len(), 1);
         assert_eq!(m.ctx.block(block).args.len(), 1);
         assert_eq!(m.ctx.sole_block(op, 0), block);
@@ -163,9 +168,10 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let (_, inner) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
+        let (_, inner) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
         b.set_insertion_end(inner);
-        b.insert_op("a.inside", vec![], vec![], []);
+        b.insert_op(OpKind::MemrefLoad, vec![], vec![], []);
         assert_eq!(m.ctx.block(inner).ops.len(), 1);
         assert_eq!(m.ctx.block(body).ops.len(), 1);
     }

@@ -11,6 +11,8 @@
 //! - [`attrs`]: attributes, including the two *new attribute kinds the paper
 //!   contributes*: `opcode_map` (Fig. 7) and `opcode_flow` (Fig. 8), with
 //!   parsers for their textual grammars.
+//! - [`kind`]: the op registry — [`kind::OpKind`], one variant per op a consumer
+//!   matches, and the one table that spells each.
 //! - [`ops`]: arena-based SSA IR — operations, regions, blocks, values —
 //!   with insertion, erasure, and op-motion primitives (the `accel`-op
 //!   hoisting transformation relies on these).
@@ -20,16 +22,18 @@
 //! - [`verifier`]: structural invariants (SSA dominance in structured
 //!   control flow, parent links, type sanity).
 //! - [`pass`]: a pass manager with per-pass verification.
-//! - [`analysis`]: a forward/backward dataflow framework (definedness,
-//!   liveness, integer ranges) the lint layer builds on.
+//! - [`analysis`]: the liveness and integer-range dataflow analyses the
+//!   lint layer builds on.
 //!
-//! Dialect-specific operation builders and semantics live in the
-//! `axi4mlir-dialects` crate; this crate is dialect-agnostic.
+//! This crate holds the op table, so it names every registered op; the
+//! dialect-specific builders and semantics live in the
+//! `axi4mlir-dialects` crate.
 
 pub mod affine;
 pub mod analysis;
 pub mod attrs;
 pub mod builder;
+pub mod kind;
 pub mod ops;
 pub mod parser;
 pub mod pass;

@@ -20,6 +20,7 @@ use axi4mlir_support::entity::PrimaryMap;
 use axi4mlir_support::entity_id;
 
 use crate::attrs::Attribute;
+use crate::kind::OpKind;
 use crate::types::Type;
 
 entity_id!(pub struct OpId, "op");
@@ -27,9 +28,10 @@ entity_id!(pub struct BlockId, "bb");
 entity_id!(pub struct RegionId, "region");
 entity_id!(pub struct ValueId, "v");
 
-/// An op name or attribute key: borrowed when a builder passes a literal
-/// (every dialect constructor does), owned when the parser read it from
-/// text — so building IR copies no names.
+/// An attribute key or an unregistered op's name: borrowed when a builder
+/// passes a literal (every dialect constructor does), owned when the
+/// parser read it from text — so building IR copies no names. A
+/// registered op's name is its [`OpKind`], spelled from the table.
 pub type Name = Cow<'static, str>;
 
 /// An op's attribute dictionary, printed in key order.
@@ -63,11 +65,11 @@ pub struct ValueData {
     pub def: ValueDef,
 }
 
-/// An operation: name, operands, results, attributes, nested regions.
+/// An operation: kind, operands, results, attributes, nested regions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpData {
-    /// Fully qualified name, e.g. `"scf.for"` or `"accel.send"`.
-    pub name: Name,
+    /// What the op is, e.g. [`OpKind::ScfFor`]; set when it is created.
+    pub kind: OpKind,
     /// SSA operands.
     pub operands: Vec<ValueId>,
     /// SSA results.
@@ -124,13 +126,13 @@ impl IrCtx {
     /// Creates a detached operation with fresh result values.
     pub fn create_op(
         &mut self,
-        name: impl Into<Name>,
+        kind: OpKind,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: AttrDict,
     ) -> OpId {
         let op = self.ops.push(OpData {
-            name: name.into(),
+            kind,
             operands,
             results: Vec::new(),
             attrs,
@@ -246,7 +248,7 @@ impl IrCtx {
             blocks.len(),
             1,
             "expected exactly one block in region {index} of {}",
-            self.ops[op].name
+            self.ops[op].kind
         );
         blocks[0]
     }
@@ -336,9 +338,9 @@ impl IrCtx {
         out
     }
 
-    /// All live ops under `root` with the given name.
-    pub fn find_ops(&self, root: OpId, name: &str) -> Vec<OpId> {
-        self.walk(root).into_iter().filter(|op| self.ops[*op].name == name).collect()
+    /// All live ops under `root` of the given kind.
+    pub fn find_ops(&self, root: OpId, kind: OpKind) -> Vec<OpId> {
+        self.walk(root).into_iter().filter(|op| self.ops[*op].kind == kind).collect()
     }
 
     /// Number of live operations in the arena (for tests/metrics).
@@ -371,7 +373,7 @@ impl Module {
     /// Creates an empty `builtin.module` with one region and one block.
     pub fn new() -> Self {
         let mut ctx = IrCtx::new();
-        let top = ctx.create_op("builtin.module", vec![], vec![], BTreeMap::new());
+        let top = ctx.create_op(OpKind::BuiltinModule, vec![], vec![], BTreeMap::new());
         let region = ctx.add_region(top);
         ctx.add_block(region, vec![]);
         Self { ctx, top }
@@ -384,7 +386,7 @@ impl Module {
     ///
     /// Panics unless `top` is a `builtin.module` op in `ctx`.
     pub(crate) fn from_parts(ctx: IrCtx, top: OpId) -> Self {
-        assert_eq!(ctx.op(top).name, "builtin.module", "top op must be builtin.module");
+        assert_eq!(ctx.op(top).kind, OpKind::BuiltinModule, "top op must be builtin.module");
         Self { ctx, top }
     }
 
@@ -400,7 +402,7 @@ impl Module {
 
     /// All `func.func` ops in the module.
     pub fn funcs(&self) -> Vec<OpId> {
-        self.ctx.find_ops(self.top, "func.func")
+        self.ctx.find_ops(self.top, OpKind::FuncFunc)
     }
 
     /// Finds a module-level function by its `sym_name` attribute, without
@@ -409,7 +411,7 @@ impl Module {
         let top = self.ctx.op(self.top);
         let blocks = top.regions.iter().flat_map(|r| &self.ctx.region(*r).blocks);
         blocks.flat_map(|b| &self.ctx.block(*b).ops).copied().find(|&f| {
-            self.ctx.op(f).name == "func.func"
+            self.ctx.op(f).kind == OpKind::FuncFunc
                 && self.ctx.attr(f, "sym_name").and_then(|a| a.as_str()) == Some(name)
         })
     }
@@ -428,14 +430,14 @@ mod tests {
     fn const_op(ctx: &mut IrCtx, value: i64) -> OpId {
         let mut attrs = BTreeMap::new();
         attrs.insert("value".into(), Attribute::Int(value));
-        ctx.create_op("arith.constant", vec![], vec![Type::index()], attrs)
+        ctx.create_op(OpKind::ArithConstant, vec![], vec![Type::index()], attrs)
     }
 
     #[test]
     fn create_and_query_op() {
         let mut ctx = IrCtx::new();
         let c = const_op(&mut ctx, 4);
-        assert_eq!(ctx.op(c).name, "arith.constant");
+        assert_eq!(ctx.op(c).kind, OpKind::ArithConstant);
         assert_eq!(ctx.op(c).results.len(), 1);
         let r = ctx.result(c, 0);
         assert_eq!(*ctx.value_type(r), Type::index());
@@ -446,7 +448,7 @@ mod tests {
     #[test]
     fn module_structure() {
         let m = Module::new();
-        assert_eq!(m.ctx.op(m.top()).name, "builtin.module");
+        assert_eq!(m.ctx.op(m.top()).kind, OpKind::BuiltinModule);
         assert_eq!(m.ctx.block(m.body()).ops.len(), 0);
         assert!(m.funcs().is_empty());
     }
@@ -488,15 +490,15 @@ mod tests {
         // inner block to the outer block.
         let mut m = Module::new();
         let body = m.body();
-        let outer = m.ctx.create_op("scf.for", vec![], vec![], BTreeMap::new());
+        let outer = m.ctx.create_op(OpKind::ScfFor, vec![], vec![], BTreeMap::new());
         let outer_region = m.ctx.add_region(outer);
         let outer_block = m.ctx.add_block(outer_region, vec![Type::index()]);
         m.ctx.append_op(body, outer);
-        let inner = m.ctx.create_op("scf.for", vec![], vec![], BTreeMap::new());
+        let inner = m.ctx.create_op(OpKind::ScfFor, vec![], vec![], BTreeMap::new());
         let inner_region = m.ctx.add_region(inner);
         let inner_block = m.ctx.add_block(inner_region, vec![Type::index()]);
         m.ctx.append_op(outer_block, inner);
-        let send = m.ctx.create_op("accel.send", vec![], vec![], BTreeMap::new());
+        let send = m.ctx.create_op(OpKind::AccelSend, vec![], vec![], BTreeMap::new());
         m.ctx.append_op(inner_block, send);
 
         assert_eq!(m.ctx.op(send).parent, Some(inner_block));
@@ -511,7 +513,7 @@ mod tests {
     fn erase_is_recursive() {
         let mut m = Module::new();
         let body = m.body();
-        let outer = m.ctx.create_op("scf.for", vec![], vec![], BTreeMap::new());
+        let outer = m.ctx.create_op(OpKind::ScfFor, vec![], vec![], BTreeMap::new());
         let region = m.ctx.add_region(outer);
         let block = m.ctx.add_block(region, vec![]);
         m.ctx.append_op(body, outer);
@@ -530,14 +532,15 @@ mod tests {
         let body = m.body();
         let a = const_op(&mut m.ctx, 1);
         m.ctx.append_op(body, a);
-        let f = m.ctx.create_op("scf.for", vec![], vec![], BTreeMap::new());
+        let f = m.ctx.create_op(OpKind::ScfFor, vec![], vec![], BTreeMap::new());
         let region = m.ctx.add_region(f);
         let block = m.ctx.add_block(region, vec![]);
         m.ctx.append_op(body, f);
         let b = const_op(&mut m.ctx, 2);
         m.ctx.append_op(block, b);
-        let names: Vec<&str> = m.ctx.walk(m.top()).iter().map(|o| &*m.ctx.op(*o).name).collect();
-        assert_eq!(names, vec!["builtin.module", "arith.constant", "scf.for", "arith.constant"]);
+        let kinds: Vec<&OpKind> = m.ctx.walk(m.top()).iter().map(|o| &m.ctx.op(*o).kind).collect();
+        use OpKind::{ArithConstant, BuiltinModule, ScfFor};
+        assert_eq!(kinds, [&BuiltinModule, &ArithConstant, &ScfFor, &ArithConstant]);
     }
 
     #[test]
@@ -548,8 +551,8 @@ mod tests {
             let op = const_op(&mut m.ctx, v);
             m.ctx.append_op(body, op);
         }
-        assert_eq!(m.ctx.find_ops(m.top(), "arith.constant").len(), 3);
-        assert!(m.ctx.find_ops(m.top(), "scf.for").is_empty());
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::ArithConstant).len(), 3);
+        assert!(m.ctx.find_ops(m.top(), OpKind::ScfFor).is_empty());
     }
 
     #[test]
@@ -558,7 +561,7 @@ mod tests {
         let body = m.body();
         let mut attrs = BTreeMap::new();
         attrs.insert("sym_name".into(), Attribute::Str("matmul_call".to_owned()));
-        let f = m.ctx.create_op("func.func", vec![], vec![], attrs);
+        let f = m.ctx.create_op(OpKind::FuncFunc, vec![], vec![], attrs);
         m.ctx.append_op(body, f);
         assert_eq!(m.func_named("matmul_call"), Some(f));
         assert_eq!(m.func_named("missing"), None);
@@ -567,7 +570,7 @@ mod tests {
     #[test]
     fn block_args_define_values() {
         let mut ctx = IrCtx::new();
-        let op = ctx.create_op("scf.for", vec![], vec![], BTreeMap::new());
+        let op = ctx.create_op(OpKind::ScfFor, vec![], vec![], BTreeMap::new());
         let region = ctx.add_region(op);
         let block = ctx.add_block(region, vec![Type::index(), Type::i32()]);
         let iv = ctx.block_arg(block, 0);

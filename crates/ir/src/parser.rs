@@ -1,7 +1,8 @@
 //! Parser for the generic textual form produced by [`crate::printer`].
 //!
 //! Parsing happens in two phases: a lightweight AST (`POp`/`PBlock`,
-//! borrowing its names from the source text) is built first, then
+//! borrowing its value names from the source text, each op's name looked
+//! up once in the [`OpKind`] table) is built first, then
 //! converted into [`IrCtx`] entities with a scoped `%name -> ValueId`
 //! environment, which keeps SSA bookkeeping out of the grammar code.
 //!
@@ -23,6 +24,7 @@ use axi4mlir_support::text::{Cursor, Skip};
 
 use crate::affine::AffineMap;
 use crate::attrs::{Attribute, OpcodeFlow, OpcodeMap};
+use crate::kind::OpKind;
 use crate::ops::{AttrDict, BlockId, IrCtx, Module, OpId};
 use crate::types::{MemRefType, Type, DYNAMIC};
 
@@ -38,14 +40,15 @@ pub fn parse_module(text: &str) -> Result<Module, Diagnostic> {
     if !p.cur.at_end() {
         return Err(p.cur.error("trailing input after top-level operation"));
     }
-    if op.name != "builtin.module" {
+    if op.kind != OpKind::BuiltinModule {
         return Err(Diagnostic::error(format!(
-            "expected builtin.module at top level, found {}",
-            op.name
+            "expected {} at top level, found {}",
+            OpKind::BuiltinModule,
+            op.kind
         )));
     }
     let mut ctx = IrCtx::new();
-    let top = build_op(&mut ctx, &op, &mut Env::new())?;
+    let top = build_op(&mut ctx, op, &mut Env::new())?;
     // Re-wrap into a Module without re-creating: Module::new builds its own
     // top op, so we reconstruct by stealing the built ctx.
     Ok(Module::from_parts(ctx, top))
@@ -58,7 +61,7 @@ pub fn parse_module(text: &str) -> Result<Module, Diagnostic> {
 #[derive(Debug)]
 struct POp<'a> {
     results: Vec<&'a str>,
-    name: &'a str,
+    kind: OpKind,
     operands: Vec<&'a str>,
     regions: Vec<PRegion<'a>>,
     attrs: AttrDict,
@@ -175,7 +178,7 @@ impl<'a> P<'a> {
                 result_types.len()
             )));
         }
-        Ok(POp { results, name, operands, regions, attrs, result_types })
+        Ok(POp { results, kind: OpKind::parse(name), operands, regions, attrs, result_types })
     }
 
     /// `key = attr (, key = attr)* }` — the body of an attribute dict
@@ -360,7 +363,7 @@ fn leading_number(s: &str) -> Option<(i64, usize)> {
 /// The `%name -> ValueId` scope, keyed by slices of the source text.
 type Env<'a> = HashMap<&'a str, crate::ops::ValueId>;
 
-fn build_op<'a>(ctx: &mut IrCtx, op: &POp<'a>, env: &mut Env<'a>) -> Result<OpId, Diagnostic> {
+fn build_op<'a>(ctx: &mut IrCtx, op: POp<'a>, env: &mut Env<'a>) -> Result<OpId, Diagnostic> {
     let operands: Result<Vec<_>, Diagnostic> = op
         .operands
         .iter()
@@ -370,16 +373,14 @@ fn build_op<'a>(ctx: &mut IrCtx, op: &POp<'a>, env: &mut Env<'a>) -> Result<OpId
                 .ok_or_else(|| Diagnostic::error(format!("use of undefined value %{name}")))
         })
         .collect();
-    let id =
-        ctx.create_op(op.name.to_owned(), operands?, op.result_types.clone(), op.attrs.clone());
-    for (name, value) in op.results.iter().zip(ctx.op(id).results.clone()) {
-        env.insert(name, value);
+    let id = ctx.create_op(op.kind, operands?, op.result_types, op.attrs);
+    for (name, value) in op.results.into_iter().zip(&ctx.op(id).results) {
+        env.insert(name, *value);
     }
-    for region in &op.regions {
+    for region in op.regions {
         let rid = ctx.add_region(id);
-        for block in &region.blocks {
-            let bid = build_block(ctx, rid, block, env)?;
-            let _ = bid;
+        for block in region.blocks {
+            build_block(ctx, rid, block, env)?;
         }
     }
     Ok(id)
@@ -388,15 +389,15 @@ fn build_op<'a>(ctx: &mut IrCtx, op: &POp<'a>, env: &mut Env<'a>) -> Result<OpId
 fn build_block<'a>(
     ctx: &mut IrCtx,
     region: crate::ops::RegionId,
-    block: &PBlock<'a>,
+    block: PBlock<'a>,
     env: &mut Env<'a>,
 ) -> Result<BlockId, Diagnostic> {
-    let arg_types: Vec<Type> = block.args.iter().map(|(_, t)| t.clone()).collect();
+    let (names, arg_types): (Vec<&'a str>, Vec<Type>) = block.args.into_iter().unzip();
     let bid = ctx.add_block(region, arg_types);
-    for ((name, _), value) in block.args.iter().zip(ctx.block(bid).args.clone()) {
-        env.insert(name, value);
+    for (name, value) in names.into_iter().zip(&ctx.block(bid).args) {
+        env.insert(name, *value);
     }
-    for op in &block.ops {
+    for op in block.ops {
         let oid = build_op(ctx, op, env)?;
         ctx.append_op(bid, oid);
     }
@@ -418,7 +419,7 @@ mod tests {
     fn parse_minimal_module() {
         let text = "\"builtin.module\"() ({\n^bb():\n}) : () -> ()\n";
         let m = parse_module(text).unwrap();
-        assert_eq!(m.ctx.op(m.top()).name, "builtin.module");
+        assert_eq!(m.ctx.op(m.top()).kind, OpKind::BuiltinModule);
     }
 
     #[test]
@@ -435,7 +436,7 @@ mod tests {
     fn roundtrip_region_with_block_args() {
         let text = "\"builtin.module\"() ({\n^bb():\n  \"scf.for\"() ({\n    ^bb(%0: index):\n      \"scf.yield\"() : () -> ()\n  }) : () -> ()\n}) : () -> ()\n";
         let m = parse_module(text).unwrap();
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         assert_eq!(fors.len(), 1);
         let block = m.ctx.sole_block(fors[0], 0);
         assert_eq!(m.ctx.block(block).args.len(), 1);
@@ -447,9 +448,10 @@ mod tests {
 
     #[test]
     fn parse_attributes_of_every_kind() {
-        let text = "\"builtin.module\"() ({\n^bb():\n  \"test.op\"() {a = 1, b = \"s\", c = true, d = [1, 2], e = {x = 3}, f = affine_map<(m, n, k) -> (m, k)>, g = opcode_map<sA = [send_literal(34), send(0)]>, h = opcode_flow<(sA (sB))>, i = 2.5, j = i32} : () -> ()\n}) : () -> ()\n";
+        let text = "\"builtin.module\"() ({\n  ^bb():\n    \"test.op\"() {a = 1, b = \"s\", c = true, d = [1, 2], e = {x = 3}, f = affine_map<(m, n, k) -> (m, k)>, g = opcode_map<sA = [send_literal(34), send(0)]>, h = opcode_flow<(sA (sB))>, i = 2.5, j = i32} : () -> ()\n}) : () -> ()\n";
         let m = parse_module(text).unwrap();
-        let op = m.ctx.find_ops(m.top(), "test.op")[0];
+        let op = m.ctx.find_ops(m.top(), OpKind::parse("test.op"))[0];
+        assert_eq!(m.ctx.op(op).kind, OpKind::Unregistered("test.op".into()));
         assert_eq!(m.ctx.attr(op, "a").unwrap().as_int(), Some(1));
         assert_eq!(m.ctx.attr(op, "b").unwrap().as_str(), Some("s"));
         assert_eq!(m.ctx.attr(op, "c").unwrap().as_bool(), Some(true));
@@ -463,8 +465,9 @@ mod tests {
         assert_eq!(flow.depth(), 2);
         assert!(matches!(m.ctx.attr(op, "i").unwrap(), Attribute::Float(v) if *v == 2.5));
         assert!(matches!(m.ctx.attr(op, "j").unwrap(), Attribute::Type(Type::Int(32))));
-        // Full roundtrip.
+        // Full roundtrip: the unregistered op prints back byte for byte.
         let printed = print_op(&m.ctx, m.top());
+        assert_eq!(printed, text);
         let m2 = parse_module(&printed).unwrap();
         assert_eq!(print_op(&m2.ctx, m2.top()), printed);
     }
@@ -473,7 +476,7 @@ mod tests {
     fn parse_memref_types_with_strides() {
         let text = "\"builtin.module\"() ({\n^bb():\n  %0 = \"memref.alloc\"() : () -> (memref<4x?xi32, strided<[80, 1]>>)\n}) : () -> ()\n";
         let m = parse_module(text).unwrap();
-        let op = m.ctx.find_ops(m.top(), "memref.alloc")[0];
+        let op = m.ctx.find_ops(m.top(), OpKind::MemrefAlloc)[0];
         let ty = m.ctx.value_type(m.ctx.result(op, 0));
         let mr = ty.as_memref().unwrap();
         assert_eq!(mr.shape, vec![4, DYNAMIC]);
@@ -500,7 +503,7 @@ mod tests {
     fn comments_are_skipped() {
         let text = "// header comment\n\"builtin.module\"() ({\n^bb():\n  // inner comment\n  %0 = \"arith.constant\"() {value = 1} : () -> (i32)\n}) : () -> ()\n";
         let m = parse_module(text).unwrap();
-        assert_eq!(m.ctx.find_ops(m.top(), "arith.constant").len(), 1);
+        assert_eq!(m.ctx.find_ops(m.top(), OpKind::ArithConstant).len(), 1);
     }
 
     #[test]
@@ -509,16 +512,16 @@ mod tests {
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let c = b.insert_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::index()],
             [("value", Attribute::Int(42))],
         );
         let v = b.result(c);
         let (_, inner) =
-            b.insert_region_op("scf.for", vec![v, v, v], vec![], [], vec![Type::index()]);
+            b.insert_region_op(OpKind::ScfFor, vec![v, v, v], vec![], [], vec![Type::index()]);
         b.set_insertion_end(inner);
-        b.insert_op("scf.yield", vec![], vec![], []);
+        b.insert_op(OpKind::ScfYield, vec![], vec![], []);
         let printed = print_op(&m.ctx, m.top());
         let m2 = parse_module(&printed).unwrap();
         assert_eq!(print_op(&m2.ctx, m2.top()), printed);

@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::attrs::Attribute;
     use crate::builder::OpBuilder;
+    use crate::kind::OpKind;
     use crate::types::Type;
 
     struct AddConstant(i64);
@@ -184,7 +185,7 @@ mod tests {
             let body = module.body();
             let mut b = OpBuilder::at_end(&mut module.ctx, body);
             b.insert_op(
-                "arith.constant",
+                OpKind::ArithConstant,
                 vec![],
                 vec![Type::index()],
                 [("value", Attribute::Int(self.0))],
@@ -218,13 +219,18 @@ mod tests {
             // Create a use of a value that is never defined in scope.
             let body = module.body();
             let c = module.ctx.create_op(
-                "arith.constant",
+                OpKind::ArithConstant,
                 vec![],
                 vec![Type::index()],
                 Default::default(),
             );
             let v = module.ctx.result(c, 0);
-            let u = module.ctx.create_op("test.use", vec![v], vec![], Default::default());
+            let u = module.ctx.create_op(
+                OpKind::parse("test.use"),
+                vec![v],
+                vec![],
+                Default::default(),
+            );
             module.ctx.append_op(body, u);
             Ok(())
         }
@@ -251,7 +257,7 @@ mod tests {
         let err = pm.run(&mut module).unwrap_err();
         assert!(err.message.contains("test-failing"));
         assert!(
-            module.ctx.find_ops(module.top(), "arith.constant").is_empty(),
+            module.ctx.find_ops(module.top(), OpKind::ArithConstant).is_empty(),
             "later pass must not run"
         );
     }
@@ -270,7 +276,7 @@ mod tests {
         let mut module = Module::new();
         let mut pm = PassManager::new();
         pm.add_verifier(Box::new(|m: &Module| {
-            if m.ctx.find_ops(m.top(), "test.use").is_empty() {
+            if m.ctx.find_ops(m.top(), OpKind::parse("test.use")).is_empty() {
                 Ok(())
             } else {
                 Err(Diagnostic::error("test.use is forbidden here"))
@@ -285,7 +291,8 @@ mod tests {
             }
             fn run(&mut self, m: &mut Module, _d: &mut DiagnosticEngine) -> Result<(), Diagnostic> {
                 let body = m.body();
-                let u = m.ctx.create_op("test.use", vec![], vec![], Default::default());
+                let u =
+                    m.ctx.create_op(OpKind::parse("test.use"), vec![], vec![], Default::default());
                 m.ctx.append_op(body, u);
                 Ok(())
             }

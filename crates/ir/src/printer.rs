@@ -59,7 +59,7 @@ impl<'a> Printer<'a> {
             }
             self.out.push_str(" = ");
         }
-        let _ = write!(self.out, "{:?}(", data.name);
+        let _ = write!(self.out, "{:?}(", data.kind.name());
         for (i, operand) in data.operands.clone().iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
@@ -131,6 +131,7 @@ mod tests {
     use super::*;
     use crate::attrs::Attribute;
     use crate::builder::OpBuilder;
+    use crate::kind::OpKind;
     use crate::ops::Module;
     use crate::types::{MemRefType, Type};
 
@@ -139,7 +140,12 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        b.insert_op("arith.constant", vec![], vec![Type::index()], [("value", Attribute::Int(4))]);
+        b.insert_op(
+            OpKind::ArithConstant,
+            vec![],
+            vec![Type::index()],
+            [("value", Attribute::Int(4))],
+        );
         let text = print_op(&m.ctx, m.top());
         assert!(text.contains("%0 = \"arith.constant\"() {value = 4} : () -> (index)"), "{text}");
     }
@@ -150,13 +156,13 @@ mod tests {
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let c = b.insert_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::i32()],
             [("value", Attribute::Int(1))],
         );
         let v = b.result(c);
-        b.insert_op("test.pair", vec![v, v], vec![Type::i32(), Type::i32()], []);
+        b.insert_op(OpKind::parse("test.pair"), vec![v, v], vec![Type::i32(), Type::i32()], []);
         let text = print_op(&m.ctx, m.top());
         assert!(text.contains("%1, %2 = \"test.pair\"(%0, %0)"), "{text}");
         assert!(text.contains(": (i32, i32) -> (i32, i32)"), "{text}");
@@ -167,9 +173,10 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let (_, inner) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
+        let (_, inner) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
         b.set_insertion_end(inner);
-        b.insert_op("scf.yield", vec![], vec![], []);
+        b.insert_op(OpKind::ScfYield, vec![], vec![], []);
         let text = print_op(&m.ctx, m.top());
         assert!(text.contains("\"scf.for\"() ({"), "{text}");
         assert!(text.contains("^bb(%0: index):"), "{text}");
@@ -182,7 +189,7 @@ mod tests {
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let ty = Type::MemRef(MemRefType::contiguous(vec![60, 80], Type::f32()));
-        b.insert_op("memref.alloc", vec![], vec![ty], []);
+        b.insert_op(OpKind::MemrefAlloc, vec![], vec![ty], []);
         let text = print_op(&m.ctx, m.top());
         assert!(text.contains("() -> (memref<60x80xf32>)"), "{text}");
     }
@@ -192,7 +199,7 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let op = b.insert_op("test.dead", vec![], vec![], []);
+        let op = b.insert_op(OpKind::parse("test.dead"), vec![], vec![], []);
         m.ctx.erase_op(op);
         let text = print_op(&m.ctx, m.top());
         assert!(!text.contains("test.dead"));

@@ -59,14 +59,14 @@ impl Scope {
     fn verify_op(&mut self, ctx: &IrCtx, op: OpId, diags: &mut DiagnosticEngine) {
         let data = ctx.op(op);
         if data.dead {
-            diags.error(format!("reachable op {op} ({}) is marked dead", data.name));
+            diags.error(format!("reachable op {op} ({}) is marked dead", data.kind));
             return;
         }
         for (i, operand) in data.operands.iter().enumerate() {
             if !self.is_visible(*operand) {
                 diags.error(format!(
                     "op {op} ({}) operand #{i} ({operand}) is not visible at its use (use-before-def or cross-region leak)",
-                    data.name
+                    data.kind
                 ));
             }
         }
@@ -110,7 +110,7 @@ impl Scope {
             if odata.parent != Some(block) {
                 diags.error(format!(
                     "op {op} ({}) parent link does not point to block {block}",
-                    odata.name
+                    odata.kind
                 ));
             }
             self.verify_op(ctx, *op, diags);
@@ -131,6 +131,7 @@ mod tests {
     use super::*;
     use crate::attrs::Attribute;
     use crate::builder::OpBuilder;
+    use crate::kind::OpKind;
     use crate::ops::Module;
     use crate::types::Type;
 
@@ -139,17 +140,17 @@ mod tests {
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
         let c = b.insert_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::index()],
             [("value", Attribute::Int(1))],
         );
         let v = b.result(c);
         let (_, inner) =
-            b.insert_region_op("scf.for", vec![v, v, v], vec![], [], vec![Type::index()]);
+            b.insert_region_op(OpKind::ScfFor, vec![v, v, v], vec![], [], vec![Type::index()]);
         b.set_insertion_end(inner);
         // Captures `v` from the enclosing scope: legal.
-        b.insert_op("test.use", vec![v], vec![], []);
+        b.insert_op(OpKind::parse("test.use"), vec![v], vec![], []);
         m
     }
 
@@ -165,14 +166,18 @@ mod tests {
         let body = m.body();
         // Create the constant but insert the use *before* it.
         let c = m.ctx.create_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::index()],
             std::collections::BTreeMap::new(),
         );
         let v = m.ctx.result(c, 0);
-        let use_op =
-            m.ctx.create_op("test.use", vec![v], vec![], std::collections::BTreeMap::new());
+        let use_op = m.ctx.create_op(
+            OpKind::parse("test.use"),
+            vec![v],
+            vec![],
+            std::collections::BTreeMap::new(),
+        );
         m.ctx.append_op(body, use_op);
         m.ctx.append_op(body, c);
         let err = verify_ok(&m.ctx, m.top()).unwrap_err();
@@ -185,18 +190,20 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let (_, block1) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
-        let (_, block2) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
+        let (_, block1) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
+        let (_, block2) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
         b.set_insertion_end(block1);
         let c = b.insert_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::i32()],
             [("value", Attribute::Int(0))],
         );
         let leaked = b.result(c);
         b.set_insertion_end(block2);
-        b.insert_op("test.use", vec![leaked], vec![], []);
+        b.insert_op(OpKind::parse("test.use"), vec![leaked], vec![], []);
         let err = verify_ok(&m.ctx, m.top()).unwrap_err();
         assert!(err.message.contains("not visible"));
     }
@@ -206,10 +213,11 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        let (_, inner) = b.insert_region_op("scf.for", vec![], vec![], [], vec![Type::index()]);
+        let (_, inner) =
+            b.insert_region_op(OpKind::ScfFor, vec![], vec![], [], vec![Type::index()]);
         let iv = m.ctx.block_arg(inner, 0);
         let mut b = OpBuilder::at_end(&mut m.ctx, body);
-        b.insert_op("test.use", vec![iv], vec![], []);
+        b.insert_op(OpKind::parse("test.use"), vec![iv], vec![], []);
         let err = verify_ok(&m.ctx, m.top()).unwrap_err();
         assert!(err.message.contains("not visible"));
     }
@@ -217,7 +225,7 @@ mod tests {
     #[test]
     fn broken_parent_link_is_caught() {
         let mut m = well_formed_module();
-        let fors = m.ctx.find_ops(m.top(), "scf.for");
+        let fors = m.ctx.find_ops(m.top(), OpKind::ScfFor);
         m.ctx.op_mut(fors[0]).parent = None;
         let err = verify_ok(&m.ctx, m.top()).unwrap_err();
         assert!(err.message.contains("parent link"));
@@ -228,7 +236,7 @@ mod tests {
         let mut m = Module::new();
         let body = m.body();
         let c = m.ctx.create_op(
-            "arith.constant",
+            OpKind::ArithConstant,
             vec![],
             vec![Type::index()],
             std::collections::BTreeMap::new(),
@@ -236,7 +244,12 @@ mod tests {
         let v = m.ctx.result(c, 0);
         // Two uses of an undefined-at-use value (constant is never attached).
         for _ in 0..2 {
-            let u = m.ctx.create_op("test.use", vec![v], vec![], std::collections::BTreeMap::new());
+            let u = m.ctx.create_op(
+                OpKind::parse("test.use"),
+                vec![v],
+                vec![],
+                std::collections::BTreeMap::new(),
+            );
             m.ctx.append_op(body, u);
         }
         let mut diags = DiagnosticEngine::new();

@@ -14,6 +14,18 @@ use std::fmt;
 /// cache-set indices are exercised realistically.
 pub const BASE_ADDR: u64 = 0x1_0000;
 
+/// Bytes the simulated memory may hold: 256 MiB, half the modelled
+/// board's 512 MiB of DRAM.
+///
+/// Every simulated byte is a host byte, so what a module asks for must
+/// fit before it is allocated: the dialect verifier refuses a static
+/// `memref.alloc` past this, and the interpreter a `dma_init` region
+/// past [`SimMemory::room`]. The largest full-scale figure run
+/// (`all_figures` without `--quick`) holds at most 9,833,984 bytes
+/// (9.4 MiB) in one memory: the bound sits 27× above any modelled
+/// workload and refuses only input no board could run.
+pub const CAPACITY: u64 = 256 << 20;
+
 /// A physical address in the simulated memory.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimAddr(pub u64);
@@ -129,6 +141,11 @@ impl SimMemory {
     /// Total bytes allocated so far.
     pub fn allocated_bytes(&self) -> u64 {
         self.next - BASE_ADDR
+    }
+
+    /// Bytes still free under [`CAPACITY`], before alignment padding.
+    pub fn room(&self) -> u64 {
+        CAPACITY.saturating_sub(self.allocated_bytes())
     }
 
     /// Frees every allocation and zeroes contents, keeping the backing

@@ -10,6 +10,7 @@ use proptest::TestRng;
 use axi4mlir::ir::affine::AffineMap;
 use axi4mlir::ir::attrs::{Attribute, OpcodeFlow, OpcodeMap};
 use axi4mlir::ir::builder::OpBuilder;
+use axi4mlir::ir::kind::OpKind;
 use axi4mlir::ir::ops::Module;
 use axi4mlir::ir::parser::parse_module;
 use axi4mlir::ir::printer::print_op;
@@ -70,7 +71,8 @@ fn random_ops(
         if depth > 0 && rng.below(4) == 0 {
             let arg_types: Vec<Type> = (0..rng.below(3)).map(|_| random_type(rng)).collect();
             let attrs = random_attrs(rng);
-            let (_, inner) = b.insert_region_op("t.region", operands, vec![], attrs, arg_types);
+            let (_, inner) =
+                b.insert_region_op(OpKind::parse("t.region"), operands, vec![], attrs, arg_types);
             let outer = b.block();
             let mut scope = values.clone();
             let args = b.ctx_ref().block(inner).args.clone();
@@ -82,7 +84,7 @@ fn random_ops(
             let result_types: Vec<Type> = (0..rng.below(3)).map(|_| random_type(rng)).collect();
             let attrs = random_attrs(rng);
             let n = result_types.len();
-            let op = b.insert_op("t.op", operands, result_types, attrs);
+            let op = b.insert_op(OpKind::parse("t.op"), operands, result_types, attrs);
             for i in 0..n {
                 let v = b.ctx().result(op, i);
                 values.push(v);

@@ -13,7 +13,6 @@
 //! allocated from the entry's parameter types, and each module drives
 //! the device it was compiled for.
 
-use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 
 use axi4mlir::accelerators::device::Device;
@@ -22,6 +21,7 @@ use axi4mlir::compiler::explore::{realize, Fidelity, JobSpec};
 use axi4mlir::dialects::verify::verify_dialects;
 use axi4mlir::interp::{run_func, InterpError, RtValue};
 use axi4mlir::ir::attrs::Attribute;
+use axi4mlir::ir::kind::OpKind;
 use axi4mlir::ir::ops::{Module, OpId};
 use axi4mlir::ir::parser::parse_module;
 use axi4mlir::ir::printer::print_op;
@@ -37,26 +37,22 @@ use axi4mlir::support::diag::DiagnosticEngine;
 /// Mutants drawn per corpus module.
 const MUTANTS_PER_MODULE: usize = 120;
 
-/// Op names a rename may pick: every op the interpreter executes.
-const KNOWN_OPS: [&str; 17] = [
-    "arith.constant",
-    "arith.addi",
-    "arith.muli",
-    "arith.addf",
-    "arith.mulf",
-    "arith.index_cast",
-    "scf.for",
-    "scf.yield",
-    "func.return",
-    "func.call",
-    "memref.alloc",
-    "memref.subview",
-    "memref.load",
-    "memref.store",
-    "memref.dim",
-    "linalg.matmul",
-    "linalg.conv_2d_nchw_fchw",
+/// Registered kinds the interpreter does not execute: containers, an
+/// op it does not model, a generic whose trait decides, a terminator of
+/// that generic's body, and the `accel` ops (it runs them only lowered).
+const NOT_EXECUTED: [OpKind; 5] = [
+    OpKind::BuiltinModule,
+    OpKind::FuncFunc,
+    OpKind::MemrefAlloca,
+    OpKind::LinalgGeneric,
+    OpKind::LinalgYield,
 ];
+
+/// Kinds a rename may pick: every op the interpreter executes.
+fn known_ops() -> Vec<OpKind> {
+    let executed = |kind: &&OpKind| !kind.is_accel() && !NOT_EXECUTED.contains(kind);
+    OpKind::REGISTERED.iter().filter(executed).cloned().collect()
+}
 
 /// A corpus module and the device it drives, if any.
 struct Subject {
@@ -72,7 +68,7 @@ enum Mutation {
     DuplicateOperand(OpId, usize),
     Constant(OpId, i64),
     StaticSize(OpId, usize, i64),
-    Rename(OpId, &'static str),
+    Rename(OpId, OpKind),
     /// Extent `dim` of the `nth` memref type in the printed module.
     Extent {
         nth: usize,
@@ -175,6 +171,7 @@ fn smoke_subjects() -> Vec<Subject> {
 
 /// Every mutation of `m` this test knows how to make.
 fn mutations(m: &Module) -> Vec<Mutation> {
+    let known = known_ops();
     let mut all = Vec::new();
     for op in m.ctx.walk(m.top()) {
         let data = m.ctx.op(op);
@@ -182,20 +179,19 @@ fn mutations(m: &Module) -> Vec<Mutation> {
             all.extend([Mutation::DropOperand(op, i), Mutation::DuplicateOperand(op, i)]);
         }
         if let Some(v) = m.ctx.attr(op, "value").and_then(Attribute::as_int) {
-            all.extend([v - 1, v + 1, 0, 2 * v].map(|value| Mutation::Constant(op, value)));
+            // A negative value too, but no huge one: as an `scf.for`
+            // bound that would run for ever.
+            let values = [v - 1, v + 1, 0, 2 * v, -v - 1];
+            all.extend(values.map(|value| Mutation::Constant(op, value)));
         }
         if let Some(sizes) = m.ctx.attr(op, "static_sizes").and_then(Attribute::as_array) {
             for (i, size) in sizes.iter().filter_map(Attribute::as_int).enumerate() {
                 all.extend([size - 1, size + 1, 0].map(|v| Mutation::StaticSize(op, i, v)));
             }
         }
-        if KNOWN_OPS.contains(&&*data.name) {
-            all.extend(
-                KNOWN_OPS
-                    .iter()
-                    .filter(|&&name| name != data.name)
-                    .map(|&name| Mutation::Rename(op, name)),
-            );
+        if known.contains(&data.kind) {
+            let others = known.iter().filter(|&kind| *kind != data.kind);
+            all.extend(others.map(|kind| Mutation::Rename(op, kind.clone())));
         }
     }
     let text = print_op(&m.ctx, m.top());
@@ -226,7 +222,7 @@ fn mutate(m: &Module, mutation: &Mutation) -> Option<Module> {
             sizes[i] = Attribute::Int(value);
             m.ctx.set_attr(op, "static_sizes", Attribute::Array(sizes));
         }
-        Mutation::Rename(op, name) => m.ctx.op_mut(op).name = Cow::Borrowed(name),
+        Mutation::Rename(op, ref kind) => m.ctx.op_mut(op).kind = kind.clone(),
         Mutation::Extent { nth, dim, value } => {
             let text = print_op(&m.ctx, m.top());
             let (at, _) = text.match_indices("memref<").nth(nth)?;
