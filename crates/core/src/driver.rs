@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 
 use axi4mlir_accelerators::Device;
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
-use axi4mlir_interp::{run_func_with_scratch, InterpScratch, RtValue};
+use axi4mlir_interp::{Program, RtValue};
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::pass::{IrSnapshot, PassManager, PassTiming};
 use axi4mlir_runtime::kernels;
@@ -623,38 +623,36 @@ struct CompileKey {
     capture_ir: bool,
 }
 
-/// One compiled module cached inside a [`Session`]. `key == None` marks
-/// a module from an unfingerprintable workload: kept only for the run
-/// that compiled it, never reused.
+/// One compiled module cached inside a [`Session`]: the program of its
+/// entry function, which is all a run needs of it. `key == None` marks a
+/// module from an unfingerprintable workload: kept only for the run that
+/// compiled it, never reused.
 struct CompiledModule {
     key: Option<CompileKey>,
-    module: Module,
+    program: Program,
     ir_after: Vec<IrSnapshot>,
     pass_timings: Vec<PassTiming>,
 }
 
-impl CompiledModule {
-    /// Runs `plan`'s pipeline over a fresh build of `workload`'s module.
-    fn compile(
-        workload: &dyn Workload,
-        plan: &CompilePlan,
-        cache_tile: Option<i64>,
-        key: Option<CompileKey>,
-    ) -> Result<Self, Diagnostic> {
-        let mut builder = PipelineBuilder::new()
-            .cache_tile(cache_tile)
-            .coalesce(plan.options.coalesce_transfers)
-            .lower(plan.options.lower_to_runtime_calls)
-            .capture_ir(plan.options.capture_ir);
-        if let Some(config) = &plan.config {
-            builder = builder.accelerator(config.clone());
-        }
-        let mut module = workload.build_module();
-        let mut pm = builder.build();
-        let ir_after = pm.run(&mut module)?;
-        let pass_timings = pm.timings().to_vec();
-        Ok(Self { key, module, ir_after, pass_timings })
+/// Runs `plan`'s pipeline over a fresh build of `workload`'s module;
+/// returns the module with the pipeline's IR snapshots and pass timings.
+fn lowered_module(
+    workload: &dyn Workload,
+    plan: &CompilePlan,
+    cache_tile: Option<i64>,
+) -> Result<(Module, Vec<IrSnapshot>, Vec<PassTiming>), Diagnostic> {
+    let mut builder = PipelineBuilder::new()
+        .cache_tile(cache_tile)
+        .coalesce(plan.options.coalesce_transfers)
+        .lower(plan.options.lower_to_runtime_calls)
+        .capture_ir(plan.options.capture_ir);
+    if let Some(config) = &plan.config {
+        builder = builder.accelerator(config.clone());
     }
+    let mut module = workload.build_module();
+    let mut pm = builder.build();
+    let ir_after = pm.run(&mut module)?;
+    Ok((module, ir_after, pm.timings().to_vec()))
 }
 
 /// Problems whose data a [`Session`] keeps: proxy rungs alternate problem
@@ -704,7 +702,7 @@ impl ProblemData {
 /// sweeps pay allocation once; results and counters are bit-identical to
 /// using a fresh `Session` per run. Re-running the same workload under
 /// the same plan also skips recompilation entirely: the session caches
-/// the last compiled module keyed by [`Workload::module_fingerprint`]
+/// the last compiled program keyed by [`Workload::module_fingerprint`]
 /// and the plan's compile-relevant fields, and the inputs and reference
 /// of the last few problems keyed by the fingerprint and the seed.
 pub struct Session {
@@ -712,9 +710,6 @@ pub struct Session {
     /// The model the SoC holds; `None` is the loopback device of a
     /// CPU-only session.
     device: Option<Device>,
-    /// Interpreter value-frame and opcode buffers, kept warm across
-    /// `Soc::recycle` so steady-state sweep runs allocate nothing there.
-    scratch: InterpScratch,
     /// Last compiled module, reused when the compile key matches.
     compiled: Option<CompiledModule>,
     /// Inputs and references of the last [`KEPT_PROBLEMS`] problems, by
@@ -732,7 +727,6 @@ impl Session {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
             device: None,
-            scratch: InterpScratch::new(),
             compiled: None,
             problems: VecDeque::new(),
         }
@@ -770,9 +764,10 @@ impl Session {
     ) -> Result<RunReport, Diagnostic> {
         // Compile — unless this session just compiled the identical
         // module (same workload fingerprint, accelerator configuration,
-        // resolved cache tile, and pipeline options), in which case the
-        // cached module is reused verbatim. Execution never mutates the
-        // module, so a cache hit is bit-identical to recompiling.
+        // resolved cache tile, and pipeline options), in which case its
+        // program is reused as it is. A run changes nothing of a program
+        // but its value frame, which the next run clears, so a cache hit
+        // is bit-identical to recompiling.
         let cache_tile = plan.resolve_cache_tile(workload)?;
         let key = workload.module_fingerprint().map(|workload| CompileKey {
             workload,
@@ -784,18 +779,18 @@ impl Session {
         });
         let reuse = key.is_some() && self.compiled.as_ref().is_some_and(|cached| cached.key == key);
         if !reuse {
-            self.compiled = Some(CompiledModule::compile(workload, plan, cache_tile, key)?);
+            let (module, ir_after, pass_timings) = lowered_module(workload, plan, cache_tile)?;
+            let program = Program::compile(&module, workload.entry_func())?;
+            self.compiled = Some(CompiledModule { key, program, ir_after, pass_timings });
         }
 
-        // The driver is the interpreter over the compiled module, which
-        // leaves the session for the duration of the run.
-        let compiled = self.compiled.take().expect("compiled just above");
+        // The driver is the compiled program, which leaves the session for
+        // the duration of the run.
+        let mut compiled = self.compiled.take().expect("compiled just above");
         let report = self
-            .execute(workload, plan, |soc, scratch, args| {
+            .execute(workload, plan, |soc, args| {
                 let copy_strategy = plan.options.copy_strategy(&soc.cost);
-                let entry = workload.entry_func();
-                run_func_with_scratch(soc, &compiled.module, entry, args, copy_strategy, scratch)
-                    .map_err(Diagnostic::from)
+                compiled.program.run(soc, args, copy_strategy).map_err(Diagnostic::from)
             })
             .map(|report| RunReport {
                 cache_tile,
@@ -826,7 +821,7 @@ impl Session {
         plan: &CompilePlan,
         drive: impl FnOnce(&mut Soc, &[MemRefDesc]) -> Result<(), Diagnostic>,
     ) -> Result<RunReport, Diagnostic> {
-        self.execute(workload, plan, |soc, _, args| {
+        self.execute(workload, plan, |soc, args| {
             let buffers: Vec<MemRefDesc> =
                 args.iter().filter_map(RtValue::as_memref).cloned().collect();
             drive(soc, &buffers)
@@ -842,7 +837,7 @@ impl Session {
         &mut self,
         workload: &dyn Workload,
         plan: &CompilePlan,
-        drive: impl FnOnce(&mut Soc, &mut InterpScratch, Vec<RtValue>) -> Result<(), Diagnostic>,
+        drive: impl FnOnce(&mut Soc, Vec<RtValue>) -> Result<(), Diagnostic>,
     ) -> Result<RunReport, Diagnostic> {
         self.retarget(plan);
         self.soc.recycle();
@@ -850,7 +845,7 @@ impl Session {
         let problem = ProblemData::of(&mut self.problems, &mut unkept, workload, plan.seed);
         let buffers = workload.bind(&mut self.soc, &problem.inputs);
         self.soc.reset_run_state();
-        drive(&mut self.soc, &mut self.scratch, buffers.args)?;
+        drive(&mut self.soc, buffers.args)?;
         if self.soc.accel.protocol_errors() > 0 {
             return Err(Diagnostic::error(format!(
                 "accelerator {} observed {} protocol errors running {}",
@@ -1046,9 +1041,8 @@ mod tests {
                 let workload = &*realized.workload;
                 let printed = |plan: &CompilePlan| {
                     let cache_tile = plan.resolve_cache_tile(workload).unwrap();
-                    let compiled =
-                        CompiledModule::compile(workload, plan, cache_tile, None).unwrap();
-                    print_op(&compiled.module.ctx, compiled.module.top())
+                    let (module, ..) = lowered_module(workload, plan, cache_tile).unwrap();
+                    print_op(&module.ctx, module.top())
                 };
                 let module = printed(&realized.plan);
                 for flipped in run_only_flips(&realized.plan) {

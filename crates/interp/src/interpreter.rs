@@ -1,52 +1,55 @@
-//! The tree-walking interpreter.
+//! The interpreter: a function compiled once to a flat [`Program`], then
+//! run as often as asked.
 //!
-//! # What it refuses
+//! [`Program::compile`] walks the function's entry block, and the body of
+//! each `scf.for` in it, once and in execution order. Each op becomes one
+//! instruction carrying its opcode, its operands (a range of the program's
+//! one pool) and its result; a loop's body is the contiguous range after
+//! its `For`, which execution recurses over. `scf.yield` and `func.return`
+//! emit nothing. [`Program::run`] binds the arguments and runs the array
+//! against a [`Soc`], reading no IR; [`run_func`] is both in one call. A
+//! driver `Session` keeps the program it compiled and reruns it on a hit.
 //!
-//! A module's own rules have one owner, the dialect verifier: resolution
-//! runs its per-op check (`axi4mlir_dialects::verify::check_op`) first
-//! and returns a broken rule as [`InterpError::Unverified`]. What is left
-//! here is what the verifier cannot know:
+//! # What it refuses, and where
 //!
-//! - *Capabilities*: an unknown op, an unlowered `accel` op, a
-//!   `linalg.generic` without the MatMul trait, an element type the
-//!   simulator does not model, and a runtime-library callee and its arity
-//!   (the library's ABI, one table: `RT_FNS`).
-//! - *Arguments*: each must fit its parameter's type, so a memref
-//!   descriptor's shape is always its static type, which the CPU kernels
-//!   index unchecked.
-//! - *Run-time values*: an undefined value or one of the wrong kind, an
-//!   index or subview outside its view, an `scf.for` step that is not
-//!   positive, DMA errors, more indices than `MAX_RANK`, and `dma_init`
-//!   regions that are negative or past the room left in the simulated
-//!   memory (`axi4mlir_sim::mem::CAPACITY`, which the verifier applies
-//!   to a `memref.alloc`, whose size is static).
+//! A module's own rules have one owner, the dialect verifier: the compile
+//! runs its per-op check (`axi4mlir_dialects::verify::check_op`) on the
+//! function and each op it emits, and returns a broken rule as
+//! [`InterpError::Unverified`]. What is left here is what the verifier
+//! cannot know.
+//!
+//! - *Capabilities*, refused by the compile: an unknown op, an unlowered
+//!   `accel` op, a `linalg.generic` without the MatMul trait, an element
+//!   type the simulator does not model, a runtime-library callee and its
+//!   arity (the library's ABI, one table: `RT_FNS`), and more indices than
+//!   `MAX_RANK`. A program holds no instruction that cannot run, so such
+//!   an op is refused even inside a loop of zero trips.
+//! - *Arguments*, refused by the run: each must fit its parameter's type,
+//!   so a memref descriptor's shape is always its static type, which the
+//!   CPU kernels index unchecked.
+//! - *Run-time values*, refused by the run: an undefined value or one of
+//!   the wrong kind, an index or subview outside its view, an `scf.for`
+//!   step that is not positive, DMA errors, and a `dma_init` region or a
+//!   `memref.alloc` past the room left in the simulated memory
+//!   (`axi4mlir_sim::mem::CAPACITY`; the verifier bounds one static
+//!   buffer, but a loop may allocate it on every trip).
 //!
 //! # Hot-path design
 //!
-//! A sweep executes the same few dozen ops millions of times, so the
-//! interpreter avoids per-executed-op allocation entirely:
-//!
-//! - **Interned opcodes** — before execution, every op in the [`IrCtx`] is
-//!   resolved once into a dense `OpCode` side-table indexed by `OpId`.
-//!   Dispatch is a jump on the enum instead of a string match, and
-//!   attribute lookups and the checks that need no run-time value are
-//!   paid once per module, not once per executed op. An op that fails
-//!   resolution gets `OpCode::Invalid` holding the error; it is returned
-//!   only if the op is ever executed, so there is one definition of each
-//!   op's semantics and malformed IR is a diagnostic, never a panic.
-//! - **Dense value frames** — SSA values live in a `Vec<Option<RtValue>>`
-//!   indexed by `ValueId` instead of a `HashMap`, and error construction
-//!   sits behind `#[cold]` builders so the success path never formats a
-//!   string.
-//! - **Borrowed operands** — ops read memref descriptors in place from
-//!   the frame while they charge the SoC, and a `memref.subview` writes
-//!   over its result slot's previous descriptor, reusing its buffers.
-//! - **Reusable scratch** — [`InterpScratch`] owns the frame and opcode
-//!   buffers so a driver `Session` can keep their capacity warm across
-//!   `Soc::recycle`. A steady-state sweep run allocates here once per
-//!   `memref.alloc` and on a subview's first execution, never per loop
-//!   iteration: a warm run allocates as often at 64³ as at 32³
-//!   (`crates/core/tests/run_allocations.rs`).
+//! A sweep executes the same few dozen instructions millions of times.
+//! Dispatch is a jump on the opcode; attribute lookups and the checks
+//! that need no run-time value are paid once per compile. SSA values live
+//! in a dense frame indexed by `ValueId` that the program keeps across
+//! runs, and errors are built in `#[cold]` functions, so the success path
+//! never formats a string. Ops read memref descriptors in place while
+//! they charge the SoC, and a `memref.subview` writes over its result
+//! slot's previous descriptor, reusing its buffers. A steady-state run
+//! allocates here once per `memref.alloc` and on a subview's first
+//! execution, never per loop iteration: a warm run allocates as often at
+//! 64³ as at 32³ (`crates/core/tests/run_allocations.rs`).
+
+use std::fmt;
+use std::ops::Range;
 
 use axi4mlir_dialects::{func, linalg, verify};
 use axi4mlir_ir::attrs::Attribute;
@@ -70,8 +73,8 @@ use crate::value::RtValue;
 /// buffer of this size.
 const MAX_RANK: usize = 8;
 
-/// Why resolution may read what it reads unchecked: `resolve` runs the
-/// dialect verifier's rules for the op first.
+/// Why the compile and the run may read what they read unchecked: the
+/// compile runs the dialect verifier's rules for each op first.
 const VERIFIED: &str = "the dialect verifier checked this op";
 
 /// A runtime-library callee, resolved from the `callee` attribute once.
@@ -100,8 +103,8 @@ const RT_FNS: [(&str, RtFn, usize, usize); 8] = [
     (names::COPY_FROM, RtFn::CopyFrom, 3, 1),
 ];
 
-/// One op's pre-resolved dispatch record (see module docs).
-#[derive(Clone, Debug)]
+/// What one instruction does (see module docs).
+#[derive(Debug)]
 enum OpCode {
     /// `arith.constant`, folded to its runtime value.
     Const(RtValue),
@@ -113,12 +116,11 @@ enum OpCode {
     CastToIndex,
     /// `arith.index_cast` producing an integer.
     CastToI32,
-    /// `scf.for` with its body block and induction variable.
-    For { body: BlockId, iv: ValueId },
-    /// `scf.yield` / `func.return`.
-    Nop,
-    /// `memref.alloc` with its static shape.
-    Alloc { shape: Vec<i64>, elem: ElemType },
+    /// `scf.for` with its induction variable; its body is the
+    /// instructions from the next one up to `end`.
+    For { iv: ValueId, end: usize },
+    /// `memref.alloc` with its static shape and size in bytes.
+    Alloc { shape: Vec<i64>, elem: ElemType, bytes: u64 },
     /// `memref.subview` with its result shape, which is its `static_sizes`.
     Subview { sizes: Vec<i64> },
     /// `memref.load`.
@@ -133,47 +135,41 @@ enum OpCode {
     CpuConv { stride: usize },
     /// `func.call` to a known runtime-library symbol.
     Call(RtFn),
-    /// Resolution failed or the op is unknown: executing the op returns
-    /// this error. (Boxed so the rare case does not widen every slot.)
-    Invalid(Box<InterpError>),
 }
 
-/// Reusable interpreter buffers: the dense value frame and the opcode
-/// side-table. Owning one across runs (the driver `Session` does) keeps
-/// their capacity warm so steady-state sweeps allocate nothing per run.
-#[derive(Debug, Default)]
-pub struct InterpScratch {
+/// One executable op.
+#[derive(Debug)]
+struct Instr {
+    code: OpCode,
+    /// The op's operands, as a range of [`Program::operands`].
+    operands: Range<u32>,
+    /// The op's result, for an op that has one.
+    result: Option<ValueId>,
+}
+
+/// One function of a verified module, resolved once into a flat
+/// instruction array that runs without the IR.
+#[derive(Debug)]
+pub struct Program {
+    code: Vec<Instr>,
+    /// Every instruction's operands, back to back.
+    operands: Vec<ValueId>,
+    /// The entry block's parameters with their types.
+    params: Vec<(ValueId, Type)>,
+    /// The value frame, kept across runs.
     frame: Frame,
-    codes: Vec<OpCode>,
-}
-
-impl InterpScratch {
-    /// Creates empty scratch buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Interprets one function of a module against a simulated SoC.
-struct Interpreter<'a> {
-    /// The system everything executes against.
-    pub soc: &'a mut Soc,
-    /// Staging copy strategy for DMA-library calls (the Fig. 12 toggle).
-    pub copy_strategy: CopyStrategy,
-    env: Frame,
-    codes: Vec<OpCode>,
 }
 
 /// The dense value frame: one slot per `ValueId` of the module. Its
 /// accessors borrow from the frame alone, so an op can hold an operand's
 /// descriptor while it charges the SoC.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Frame {
     slots: Vec<Option<RtValue>>,
 }
 
-/// Runs `func_name` from `module` with the given arguments.
+/// Runs `func_name` from `module` with the given arguments: compiles it
+/// to a [`Program`] and runs that once.
 ///
 /// # Errors
 ///
@@ -186,65 +182,110 @@ pub fn run_func(
     args: Vec<RtValue>,
     copy_strategy: CopyStrategy,
 ) -> Result<(), InterpError> {
-    let mut scratch = InterpScratch::new();
-    run_func_with_scratch(soc, module, func_name, args, copy_strategy, &mut scratch)
+    Program::compile(module, func_name)?.run(soc, args, copy_strategy)
 }
 
-/// [`run_func`] with caller-owned scratch buffers, reused across runs.
-///
-/// # Errors
-///
-/// See [`run_func`].
-pub fn run_func_with_scratch(
-    soc: &mut Soc,
-    module: &Module,
-    func_name: &str,
-    args: Vec<RtValue>,
-    copy_strategy: CopyStrategy,
-    scratch: &mut InterpScratch,
-) -> Result<(), InterpError> {
-    let Some(func) = module.func_named(func_name) else {
-        return Err(no_such_function(func_name));
-    };
-    let mut interp = Interpreter {
-        soc,
-        copy_strategy,
-        env: std::mem::take(&mut scratch.frame),
-        codes: std::mem::take(&mut scratch.codes),
-    };
-    let result = interp.run(&module.ctx, func, args);
-    scratch.frame = std::mem::take(&mut interp.env);
-    scratch.codes = std::mem::take(&mut interp.codes);
-    result
-}
+impl Program {
+    /// Compiles the function `func_name` of `module`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterpError`] for a missing function, a broken dialect
+    /// rule, or an op the interpreter cannot run (see module docs).
+    pub fn compile(module: &Module, func_name: &str) -> Result<Self, InterpError> {
+        let Some(func) = module.func_named(func_name) else {
+            let context = format!("no function named {func_name}");
+            return Err(InterpError::BadArguments { context });
+        };
+        let ctx = &module.ctx;
+        verify::check_op(ctx, func).map_err(unverified)?;
+        let entry = ctx.sole_block(func, 0);
+        let params = ctx.block(entry).args.iter().map(|p| (*p, ctx.value_type(*p).clone()));
+        let mut program = Self {
+            code: Vec::new(),
+            operands: Vec::new(),
+            params: params.collect(),
+            frame: Frame { slots: vec![None; ctx.value_count()] },
+        };
+        program.emit(ctx, entry)?;
+        Ok(program)
+    }
 
-// ---------------------------------------------------------------------
-// Opcode resolution (once per module)
-// ---------------------------------------------------------------------
+    /// Appends the instructions of `block`'s ops, loop bodies inline.
+    fn emit(&mut self, ctx: &IrCtx, block: BlockId) -> Result<(), InterpError> {
+        for &op in &ctx.block(block).ops {
+            let Some(code) = resolve(ctx, op)? else { continue };
+            let data = ctx.op(op);
+            let start = self.operands.len() as u32;
+            self.operands.extend(&data.operands);
+            let operands = start..self.operands.len() as u32;
+            let at = self.code.len();
+            self.code.push(Instr { code, operands, result: data.results.first().copied() });
+            if let OpCode::For { .. } = self.code[at].code {
+                self.emit(ctx, ctx.sole_block(op, 0))?;
+                let body_end = self.code.len();
+                if let OpCode::For { end, .. } = &mut self.code[at].code {
+                    *end = body_end;
+                }
+            }
+        }
+        Ok(())
+    }
 
-fn build_table(ctx: &IrCtx, codes: &mut Vec<OpCode>) {
-    codes.clear();
-    codes.reserve(ctx.op_count());
-    for index in 0..ctx.op_count() {
-        let op = OpId::from_index(index);
-        // An erased op is in no block, so it never runs.
-        let code = if ctx.op(op).dead { Ok(OpCode::Nop) } else { resolve(ctx, op) };
-        codes.push(code.unwrap_or_else(|why| OpCode::Invalid(Box::new(why))));
+    /// Runs the program on `soc` with the given arguments.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterpError`] for arguments that do not fit the
+    /// function's parameters, and for the run-time errors of the module
+    /// docs.
+    pub fn run(
+        &mut self,
+        soc: &mut Soc,
+        args: Vec<RtValue>,
+        copy_strategy: CopyStrategy,
+    ) -> Result<(), InterpError> {
+        let Self { code, operands, params, frame } = self;
+        frame.slots.fill(None);
+        if params.len() != args.len() {
+            let context =
+                format!("function expects {} arguments, got {}", params.len(), args.len());
+            return Err(InterpError::BadArguments { context });
+        }
+        for (index, ((param, ty), arg)) in params.iter().zip(args).enumerate() {
+            if !fits(ty, &arg) {
+                let context = format!("argument {index} of type {ty} cannot be {arg:?}");
+                return Err(InterpError::BadArguments { context });
+            }
+            frame.slots[param.index()] = Some(arg);
+        }
+        Exec { soc, copy_strategy, code, operands, env: frame }.exec(0..code.len())
     }
 }
 
-/// Resolves `op` to its dispatch record, or to the reason it cannot be
-/// executed. The dialect verifier's rules come first, so the arms below
-/// read every operand, result, region and attribute those rules require
-/// without checking for it again. The `accel` dialect has no record:
-/// `LowerAccelToRuntimePass` alone says what its ops do, so one reaches
-/// here only unlowered.
-fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
+/// Resolves `op` to its instruction's opcode (`None` for one that emits
+/// nothing), or to the reason it cannot run. The dialect verifier's rules
+/// come first, so the arms below read every operand, result, region and
+/// attribute those rules require without checking for it again. The
+/// `accel` dialect has no opcode: `LowerAccelToRuntimePass` alone says
+/// what its ops do, so one reaches here only unlowered.
+fn resolve(ctx: &IrCtx, op: OpId) -> Result<Option<OpCode>, InterpError> {
     verify::check_op(ctx, op).map_err(unverified)?;
     use OpKind::*;
     let data = ctx.op(op);
     let result_type = || ctx.value_type(ctx.result(op, 0));
-    Ok(match &data.kind {
+    let indexed = |first: usize| {
+        let count = data.operands.len().saturating_sub(first);
+        if count > MAX_RANK {
+            let message = format!(
+                "{} indexes {count} dimensions; at most {MAX_RANK} are supported",
+                data.kind
+            );
+            return Err(InterpError::Other { message });
+        }
+        Ok(())
+    };
+    Ok(Some(match &data.kind {
         ArithConstant => {
             let value = ctx.attr(op, "value").and_then(Attribute::as_int).expect(VERIFIED);
             OpCode::Const(match result_type() {
@@ -261,20 +302,20 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
             Type::Index => OpCode::CastToIndex,
             _ => OpCode::CastToI32,
         },
-        ScfFor => {
-            let body = ctx.sole_block(op, 0);
-            OpCode::For { body, iv: ctx.block_arg(body, 0) }
-        }
-        ScfYield | FuncReturn => OpCode::Nop,
+        ScfFor => OpCode::For { iv: ctx.block_arg(ctx.sole_block(op, 0), 0), end: 0 },
+        ScfYield | FuncReturn => return Ok(None),
         MemrefAlloc => {
             let m = result_type().as_memref().expect(VERIFIED);
-            OpCode::Alloc { shape: m.shape.clone(), elem: elem_type(&m.elem)? }
+            let elem = elem_type(&m.elem)?;
+            let bytes = m.shape.iter().product::<i64>().max(1) as u64 * elem.byte_width();
+            OpCode::Alloc { shape: m.shape.clone(), elem, bytes }
         }
         MemrefSubview => {
+            indexed(1)?;
             OpCode::Subview { sizes: result_type().as_memref().expect(VERIFIED).shape.clone() }
         }
-        MemrefLoad => OpCode::Load,
-        MemrefStore => OpCode::Store,
+        MemrefLoad => indexed(1).map(|()| OpCode::Load)?,
+        MemrefStore => indexed(2).map(|()| OpCode::Store)?,
         MemrefDim => {
             let dim = ctx.attr(op, "dimension").and_then(Attribute::as_int).expect(VERIFIED);
             OpCode::Dim(dim as usize)
@@ -308,7 +349,7 @@ fn resolve(ctx: &IrCtx, op: OpId) -> Result<OpCode, InterpError> {
             return Err(InterpError::Other { message });
         }
         kind => return Err(InterpError::UnsupportedOp { name: kind.to_string() }),
-    })
+    }))
 }
 
 impl Frame {
@@ -328,21 +369,18 @@ impl Frame {
         self.get(v)?.as_memref().ok_or_else(|| not_a(v, "a memref"))
     }
 
-    /// Gathers the op `name`'s index operands into a stack buffer;
-    /// more than [`MAX_RANK`] of them is that op's error.
+    /// Gathers index operands into a stack buffer; the compile bounds
+    /// their count by [`MAX_RANK`].
     fn indices<'b>(
         &self,
-        kind: &OpKind,
         operands: &[ValueId],
         buf: &'b mut [i64; MAX_RANK],
     ) -> Result<&'b [i64], InterpError> {
-        if operands.len() > MAX_RANK {
-            return Err(too_many_indices(kind, operands.len()));
-        }
-        for (slot, v) in buf.iter_mut().zip(operands) {
+        let indices = &mut buf[..operands.len()];
+        for (slot, v) in indices.iter_mut().zip(operands) {
             *slot = self.index(*v)?;
         }
-        Ok(&buf[..operands.len()])
+        Ok(indices)
     }
 
     /// Resolves `memref[indices...]` for an op of `kind` without cloning
@@ -355,7 +393,7 @@ impl Frame {
     ) -> Result<(SimAddr, ElemType), InterpError> {
         let desc = self.memref(memref)?;
         let mut buf = [0i64; MAX_RANK];
-        let indices = self.indices(kind, index_operands, &mut buf)?;
+        let indices = self.indices(index_operands, &mut buf)?;
         let inside = indices.len() == desc.sizes.len()
             && indices.iter().zip(&desc.sizes).all(|(index, size)| (0..*size).contains(index));
         if !inside {
@@ -365,200 +403,180 @@ impl Frame {
     }
 }
 
-impl<'a> Interpreter<'a> {
-    /// Executes a `func.func` op with the given arguments.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_func`].
-    fn run(&mut self, ctx: &IrCtx, func: OpId, args: Vec<RtValue>) -> Result<(), InterpError> {
-        let mut codes = std::mem::take(&mut self.codes);
-        build_table(ctx, &mut codes);
-        self.env.slots.clear();
-        self.env.slots.resize(ctx.value_count(), None);
+/// One run of a program: its instructions and operand pool, the frame,
+/// and the system everything executes against.
+struct Exec<'a> {
+    soc: &'a mut Soc,
+    /// Staging copy strategy for DMA-library calls (the Fig. 12 toggle).
+    copy_strategy: CopyStrategy,
+    code: &'a [Instr],
+    operands: &'a [ValueId],
+    env: &'a mut Frame,
+}
 
-        let result = verify::check_op(ctx, func).map_err(unverified).and_then(|()| {
-            let entry = ctx.sole_block(func, 0);
-            let params = &ctx.block(entry).args;
-            if params.len() != args.len() {
-                return Err(bad_arg_count(params.len(), args.len()));
-            }
-            for (index, (p, a)) in params.iter().zip(args).enumerate() {
-                let ty = ctx.value_type(*p);
-                if !fits(ty, &a) {
-                    return Err(bad_argument(index, ty, &a));
-                }
-                self.env.slots[p.index()] = Some(a);
-            }
-            self.exec_block(ctx, &codes, entry)
-        });
-        self.codes = codes;
-        result
+impl Exec<'_> {
+    fn set(&mut self, instr: &Instr, value: RtValue) {
+        self.env.slots[instr.result.expect(VERIFIED).index()] = Some(value);
     }
 
-    fn set(&mut self, op: OpId, ctx: &IrCtx, index: usize, value: RtValue) {
-        self.env.slots[ctx.result(op, index).index()] = Some(value);
-    }
-
-    fn exec_block(
-        &mut self,
-        ctx: &IrCtx,
-        codes: &[OpCode],
-        block: BlockId,
-    ) -> Result<(), InterpError> {
-        // No clone of the op list: `ctx` is never mutated during
-        // execution, so its blocks can be iterated alongside `&mut self`.
-        for &op in &ctx.block(block).ops {
-            self.exec_op(ctx, codes, op)?;
-        }
-        Ok(())
-    }
-
+    /// Executes the instructions in `range`, a loop body's with each trip.
     #[allow(clippy::too_many_lines)]
-    fn exec_op(&mut self, ctx: &IrCtx, codes: &[OpCode], op: OpId) -> Result<(), InterpError> {
-        match &codes[op.index()] {
-            // Constants fold into compiled code: free.
-            OpCode::Const(value) => {
-                let value = value.clone();
-                self.set(op, ctx, 0, value);
-            }
-            OpCode::IntBin { add } => {
-                self.soc.charge_arith(1);
-                let operands = &ctx.op(op).operands;
-                let rt = match (self.env.get(operands[0])?, self.env.get(operands[1])?) {
-                    (RtValue::Index(a), RtValue::Index(b)) => {
-                        RtValue::Index(if *add { a + b } else { a * b })
-                    }
-                    (RtValue::I32(a), RtValue::I32(b)) => {
-                        RtValue::I32(if *add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
-                    }
-                    _ => return Err(int_bin_mismatch(&ctx.op(op).kind)),
-                };
-                self.set(op, ctx, 0, rt);
-            }
-            OpCode::FloatBin { add } => {
-                self.soc.charge_arith(1);
-                let operands = &ctx.op(op).operands;
-                let (RtValue::F32(a), RtValue::F32(b)) =
-                    (self.env.get(operands[0])?, self.env.get(operands[1])?)
-                else {
-                    return Err(type_mismatch("float operands"));
-                };
-                let rt = RtValue::F32(if *add { a + b } else { a * b });
-                self.set(op, ctx, 0, rt);
-            }
-            OpCode::CastToIndex => {
-                self.soc.charge_arith(1);
-                let v = self.env.int_any(ctx.op(op).operands[0])?;
-                self.set(op, ctx, 0, RtValue::Index(v));
-            }
-            OpCode::CastToI32 => {
-                self.soc.charge_arith(1);
-                let v = self.env.int_any(ctx.op(op).operands[0])?;
-                self.set(op, ctx, 0, RtValue::I32(v as i32));
-            }
-            OpCode::For { body, iv } => {
-                let operands = &ctx.op(op).operands;
-                let lb = self.env.index(operands[0])?;
-                let ub = self.env.index(operands[1])?;
-                let step = self.env.index(operands[2])?;
-                if step <= 0 {
-                    return Err(not_positive(step));
+    fn exec(&mut self, range: Range<usize>) -> Result<(), InterpError> {
+        let (code, pool) = (self.code, self.operands);
+        let mut pc = range.start;
+        while pc < range.end {
+            let instr = &code[pc];
+            pc += 1;
+            let operands = &pool[instr.operands.start as usize..instr.operands.end as usize];
+            match &instr.code {
+                // Constants fold into compiled code: free.
+                OpCode::Const(value) => self.set(instr, value.clone()),
+                OpCode::IntBin { add } => {
+                    self.soc.charge_arith(1);
+                    let rt = match (self.env.get(operands[0])?, self.env.get(operands[1])?) {
+                        (RtValue::Index(a), RtValue::Index(b)) => {
+                            RtValue::Index(if *add { a + b } else { a * b })
+                        }
+                        (RtValue::I32(a), RtValue::I32(b)) => {
+                            RtValue::I32(if *add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
+                        }
+                        _ => return Err(int_bin_mismatch(*add)),
+                    };
+                    self.set(instr, rt);
                 }
-                let mut i = lb;
-                while i < ub {
-                    // Compiled loop overhead: compare + increment + branch.
-                    self.soc.charge_arith(2);
-                    self.soc.charge_branch(1);
-                    self.env.slots[iv.index()] = Some(RtValue::Index(i));
-                    self.exec_block(ctx, codes, *body)?;
-                    i += step;
+                OpCode::FloatBin { add } => {
+                    self.soc.charge_arith(1);
+                    let (RtValue::F32(a), RtValue::F32(b)) =
+                        (self.env.get(operands[0])?, self.env.get(operands[1])?)
+                    else {
+                        return Err(type_mismatch("float operands"));
+                    };
+                    let rt = RtValue::F32(if *add { a + b } else { a * b });
+                    self.set(instr, rt);
                 }
+                OpCode::CastToIndex => {
+                    self.soc.charge_arith(1);
+                    let v = self.env.int_any(operands[0])?;
+                    self.set(instr, RtValue::Index(v));
+                }
+                OpCode::CastToI32 => {
+                    self.soc.charge_arith(1);
+                    let v = self.env.int_any(operands[0])?;
+                    self.set(instr, RtValue::I32(v as i32));
+                }
+                OpCode::For { iv, end } => {
+                    let lb = self.env.index(operands[0])?;
+                    let ub = self.env.index(operands[1])?;
+                    let step = self.env.index(operands[2])?;
+                    if step <= 0 {
+                        return Err(not_positive(step));
+                    }
+                    let mut i = lb;
+                    while i < ub {
+                        // Compiled loop overhead: compare + increment + branch.
+                        self.soc.charge_arith(2);
+                        self.soc.charge_branch(1);
+                        self.env.slots[iv.index()] = Some(RtValue::Index(i));
+                        self.exec(pc..*end)?;
+                        i += step;
+                    }
+                    pc = *end;
+                }
+                OpCode::Alloc { shape, elem, bytes } => {
+                    let room = self.soc.mem.room();
+                    if *bytes > room {
+                        let what = format_args!("{} of {bytes} bytes must", OpKind::MemrefAlloc);
+                        return Err(no_room(what, room));
+                    }
+                    self.soc.charge_host_cycles(40); // allocator call
+                    let desc = MemRefDesc::alloc(&mut self.soc.mem, shape, *elem);
+                    self.set(instr, RtValue::MemRef(desc));
+                }
+                OpCode::Subview { sizes } => {
+                    // The result slot's last descriptor lends its buffers, so a
+                    // subview re-taken in a loop allocates nothing.
+                    let result = instr.result.expect(VERIFIED).index();
+                    let mut view = match self.env.slots[result].take() {
+                        Some(RtValue::MemRef(view)) => view,
+                        _ => self.env.memref(operands[0])?.clone(),
+                    };
+                    let mut buf = [0i64; MAX_RANK];
+                    let offsets = self.env.indices(&operands[1..], &mut buf)?;
+                    self.env.memref(operands[0])?.subview_into(offsets, sizes, &mut view).map_err(
+                        |e| InterpError::Other {
+                            message: format!("{} {e}", OpKind::MemrefSubview),
+                        },
+                    )?;
+                    // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
+                    self.soc.charge_arith(2 * sizes.len() as u64);
+                    self.env.slots[result] = Some(RtValue::MemRef(view));
+                }
+                OpCode::Load => {
+                    let (addr, elem) = self.env.addressed_elem(
+                        &OpKind::MemrefLoad,
+                        operands[0],
+                        &operands[1..],
+                    )?;
+                    self.soc.charge_arith((operands.len() - 1) as u64);
+                    self.soc.cached_access(addr, 4, AccessKind::Read);
+                    let rt = match elem {
+                        ElemType::F32 => RtValue::F32(self.soc.mem.read_f32(addr)),
+                        _ => RtValue::I32(self.soc.mem.read_i32(addr)),
+                    };
+                    self.set(instr, rt);
+                }
+                OpCode::Store => {
+                    let (addr, _) = self.env.addressed_elem(
+                        &OpKind::MemrefStore,
+                        operands[1],
+                        &operands[2..],
+                    )?;
+                    self.soc.charge_arith((operands.len() - 2) as u64);
+                    self.soc.cached_access(addr, 4, AccessKind::Write);
+                    let word = match self.env.get(operands[0])? {
+                        RtValue::I32(v) => *v as u32,
+                        RtValue::F32(v) => v.to_bits(),
+                        RtValue::Index(v) => *v as i32 as u32,
+                        other => return Err(cannot_store(other)),
+                    };
+                    self.soc.mem.write_u32(addr, word);
+                }
+                OpCode::Dim(dim) => {
+                    let size = self.env.memref(operands[0])?.sizes[*dim];
+                    self.set(instr, RtValue::Index(size));
+                }
+                OpCode::CpuMatMul => {
+                    let a = self.env.memref(operands[0])?;
+                    let b = self.env.memref(operands[1])?;
+                    let c = self.env.memref(operands[2])?;
+                    kernels::cpu_matmul_i32(self.soc, a, b, c, None);
+                }
+                OpCode::CpuConv { stride } => {
+                    let input = self.env.memref(operands[0])?;
+                    let filter = self.env.memref(operands[1])?;
+                    let output = self.env.memref(operands[2])?;
+                    let shape = ConvShape {
+                        batch: input.sizes[0] as usize,
+                        in_channels: input.sizes[1] as usize,
+                        in_hw: input.sizes[2] as usize,
+                        out_channels: filter.sizes[0] as usize,
+                        filter_hw: filter.sizes[2] as usize,
+                        stride: *stride,
+                    };
+                    kernels::cpu_conv2d_i32(self.soc, input, filter, output, shape);
+                }
+                OpCode::Call(callee) => self.call(instr, operands, *callee)?,
             }
-            OpCode::Nop => {}
-            OpCode::Alloc { shape, elem } => {
-                self.soc.charge_host_cycles(40); // allocator call
-                let desc = MemRefDesc::alloc(&mut self.soc.mem, shape, *elem);
-                self.set(op, ctx, 0, RtValue::MemRef(desc));
-            }
-            OpCode::Subview { sizes } => {
-                let operands = &ctx.op(op).operands;
-                // The result slot's last descriptor lends its buffers, so a
-                // subview re-taken in a loop allocates nothing.
-                let result = ctx.result(op, 0).index();
-                let mut view = match self.env.slots[result].take() {
-                    Some(RtValue::MemRef(view)) => view,
-                    _ => self.env.memref(operands[0])?.clone(),
-                };
-                let mut buf = [0i64; MAX_RANK];
-                let offsets = self.env.indices(&OpKind::MemrefSubview, &operands[1..], &mut buf)?;
-                self.env.memref(operands[0])?.subview_into(offsets, sizes, &mut view).map_err(
-                    |e| InterpError::Other { message: format!("{} {e}", OpKind::MemrefSubview) },
-                )?;
-                // Descriptor arithmetic (Fig. 3): one multiply-add per dim.
-                self.soc.charge_arith(2 * sizes.len() as u64);
-                self.env.slots[result] = Some(RtValue::MemRef(view));
-            }
-            OpCode::Load => {
-                let operands = &ctx.op(op).operands;
-                let (addr, elem) =
-                    self.env.addressed_elem(&OpKind::MemrefLoad, operands[0], &operands[1..])?;
-                self.soc.charge_arith((operands.len() - 1) as u64);
-                self.soc.cached_access(addr, 4, AccessKind::Read);
-                let rt = match elem {
-                    ElemType::F32 => RtValue::F32(self.soc.mem.read_f32(addr)),
-                    _ => RtValue::I32(self.soc.mem.read_i32(addr)),
-                };
-                self.set(op, ctx, 0, rt);
-            }
-            OpCode::Store => {
-                let operands = &ctx.op(op).operands;
-                let (addr, _) =
-                    self.env.addressed_elem(&OpKind::MemrefStore, operands[1], &operands[2..])?;
-                self.soc.charge_arith((operands.len() - 2) as u64);
-                self.soc.cached_access(addr, 4, AccessKind::Write);
-                let word = match self.env.get(operands[0])? {
-                    RtValue::I32(v) => *v as u32,
-                    RtValue::F32(v) => v.to_bits(),
-                    RtValue::Index(v) => *v as i32 as u32,
-                    other => return Err(cannot_store(other)),
-                };
-                self.soc.mem.write_u32(addr, word);
-            }
-            OpCode::Dim(dim) => {
-                let size = self.env.memref(ctx.op(op).operands[0])?.sizes[*dim];
-                self.set(op, ctx, 0, RtValue::Index(size));
-            }
-            OpCode::CpuMatMul => {
-                let operands = &ctx.op(op).operands;
-                let a = self.env.memref(operands[0])?;
-                let b = self.env.memref(operands[1])?;
-                let c = self.env.memref(operands[2])?;
-                kernels::cpu_matmul_i32(self.soc, a, b, c, None);
-            }
-            OpCode::CpuConv { stride } => {
-                let operands = &ctx.op(op).operands;
-                let input = self.env.memref(operands[0])?;
-                let filter = self.env.memref(operands[1])?;
-                let output = self.env.memref(operands[2])?;
-                let shape = ConvShape {
-                    batch: input.sizes[0] as usize,
-                    in_channels: input.sizes[1] as usize,
-                    in_hw: input.sizes[2] as usize,
-                    out_channels: filter.sizes[0] as usize,
-                    filter_hw: filter.sizes[2] as usize,
-                    stride: *stride,
-                };
-                kernels::cpu_conv2d_i32(self.soc, input, filter, output, shape);
-            }
-            OpCode::Call(callee) => self.exec_call(ctx, op, *callee)?,
-            OpCode::Invalid(why) => return Err((**why).clone()),
         }
         Ok(())
     }
 
-    fn exec_call(&mut self, ctx: &IrCtx, op: OpId, callee: RtFn) -> Result<(), InterpError> {
-        let operands = &ctx.op(op).operands;
+    fn call(
+        &mut self,
+        instr: &Instr,
+        operands: &[ValueId],
+        callee: RtFn,
+    ) -> Result<(), InterpError> {
         match callee {
             RtFn::DmaInit => {
                 let vals: Vec<i64> =
@@ -566,14 +584,12 @@ impl<'a> Interpreter<'a> {
                 let room = self.soc.mem.room();
                 let sizes = u64::try_from(vals[2]).ok().zip(u64::try_from(vals[4]).ok());
                 if sizes.is_none_or(|(input, output)| input.saturating_add(output) > room) {
-                    let message = format!(
-                        "{} @{}: byte sizes {:?} must be non-negative and fit the {room} of \
-                         {CAPACITY} simulated bytes left",
-                        ctx.op(op).kind,
-                        names::DMA_INIT,
-                        [vals[2], vals[4]]
+                    let sizes = [vals[2], vals[4]];
+                    let (call, callee) = (OpKind::FuncCall, names::DMA_INIT);
+                    let what = format_args!(
+                        "{call} @{callee}: byte sizes {sizes:?} must be non-negative and"
                     );
-                    return Err(InterpError::Other { message });
+                    return Err(no_room(what, room));
                 }
                 dma_lib::dma_init(self.soc, vals[0] as u32, vals[2] as u64, vals[4] as u64);
             }
@@ -582,14 +598,14 @@ impl<'a> Interpreter<'a> {
                 let off = self.env.int_any(operands[1])? as u64;
                 self.soc.dma.check(Direction::Send, off, 4)?;
                 let new = dma_lib::write_literal_to_dma_region(self.soc, word, off);
-                self.set(op, ctx, 0, RtValue::I32(new as i32));
+                self.set(instr, RtValue::I32(new as i32));
             }
             RtFn::CopyTo => {
                 let view = staged(self.env.memref(operands[0])?)?;
                 let off = self.env.int_any(operands[1])? as u64;
                 self.soc.dma.check(Direction::Send, off, view.num_bytes())?;
                 let new = dma_lib::copy_to_dma_region(self.soc, view, off, self.copy_strategy);
-                self.set(op, ctx, 0, RtValue::I32(new as i32));
+                self.set(instr, RtValue::I32(new as i32));
             }
             RtFn::StartSend => {
                 let len = self.env.int_any(operands[0])? as u64;
@@ -615,7 +631,7 @@ impl<'a> Interpreter<'a> {
                     accumulate,
                     self.copy_strategy,
                 );
-                self.set(op, ctx, 0, RtValue::I32(bytes as i32));
+                self.set(instr, RtValue::I32(bytes as i32));
             }
         }
         Ok(())
@@ -625,20 +641,6 @@ impl<'a> Interpreter<'a> {
 // ---------------------------------------------------------------------
 // Cold error builders: the hot path never formats a string.
 // ---------------------------------------------------------------------
-
-#[cold]
-#[inline(never)]
-fn no_such_function(func_name: &str) -> InterpError {
-    InterpError::BadArguments { context: format!("no function named {func_name}") }
-}
-
-#[cold]
-#[inline(never)]
-fn bad_arg_count(expected: usize, got: usize) -> InterpError {
-    InterpError::BadArguments {
-        context: format!("function expects {expected} arguments, got {got}"),
-    }
-}
 
 #[cold]
 #[inline(never)]
@@ -674,6 +676,15 @@ fn outside_view(kind: &OpKind, indices: &[i64], sizes: &[i64]) -> InterpError {
     }
 }
 
+/// `what` bytes do not fit the `room` left in the simulated memory.
+#[cold]
+#[inline(never)]
+fn no_room(what: fmt::Arguments<'_>, room: u64) -> InterpError {
+    InterpError::Other {
+        message: format!("{what} fit the {room} of {CAPACITY} simulated bytes left"),
+    }
+}
+
 #[cold]
 #[inline(never)]
 fn unverified(message: String) -> InterpError {
@@ -682,23 +693,8 @@ fn unverified(message: String) -> InterpError {
 
 #[cold]
 #[inline(never)]
-fn too_many_indices(kind: &OpKind, count: usize) -> InterpError {
-    InterpError::Other {
-        message: format!("{kind} indexes {count} dimensions; at most {MAX_RANK} are supported"),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn bad_argument(index: usize, ty: &Type, value: &RtValue) -> InterpError {
-    InterpError::BadArguments {
-        context: format!("argument {index} of type {ty} cannot be {value:?}"),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn int_bin_mismatch(kind: &OpKind) -> InterpError {
+fn int_bin_mismatch(add: bool) -> InterpError {
+    let kind = if add { OpKind::ArithAddi } else { OpKind::ArithMuli };
     InterpError::TypeMismatch { context: format!("{kind} operands must both be index or both i32") }
 }
 
@@ -779,8 +775,6 @@ mod tests {
         assert_eq!(s.counters.branch_instructions, 10, "one back-edge per iteration");
         // 10 loads + 10 stores.
         assert_eq!(s.counters.cache_references, 20);
-        let base = axi4mlir_sim::mem::BASE_ADDR;
-        let _ = base;
     }
 
     #[test]
@@ -862,8 +856,6 @@ mod tests {
         let mut s = soc();
         run_func(&mut s, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
         // The store landed at flat index 2*8+3 = 19 of the 8x8 buffer.
-        let base = s.mem.load_i32_slice(axi4mlir_sim::mem::SimAddr(0x1_0000), 0);
-        let _ = base;
         // Locate the buffer through a fresh descriptor with the same
         // deterministic allocation order: first alloc starts at the arena
         // base (64-aligned).
@@ -871,10 +863,10 @@ mod tests {
         assert_eq!(s.mem.read_i32(addr.offset(19 * 4)), 9);
     }
 
-    /// Reusing one scratch across recycled runs must be bit-identical to
-    /// fresh per-run scratch.
+    /// A program compiled once and run again on a recycled system is
+    /// bit-identical to a fresh compile-and-run.
     #[test]
-    fn scratch_reuse_is_bit_identical() {
+    fn a_program_reruns_bit_identically() {
         let mut m = Module::new();
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
@@ -893,26 +885,21 @@ mod tests {
         run_func(&mut fresh, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
 
         let mut reused = soc();
-        let mut scratch = InterpScratch::new();
+        let mut program = Program::compile(&m, "main").unwrap();
         for _ in 0..3 {
             reused.recycle();
-            run_func_with_scratch(
-                &mut reused,
-                &m,
-                "main",
-                vec![],
-                CopyStrategy::ElementWise,
-                &mut scratch,
-            )
-            .unwrap();
+            program.run(&mut reused, vec![], CopyStrategy::ElementWise).unwrap();
+            assert_eq!(reused.counters, fresh.counters, "a rerun must not change counters");
         }
-        assert_eq!(reused.counters, fresh.counters, "scratch reuse must not change counters");
+        let cell = axi4mlir_sim::mem::SimAddr(0x1_0000);
+        assert_eq!(reused.mem.read_i32(cell), fresh.mem.read_i32(cell));
     }
 
-    /// Every op a realistic lowered module contains resolves to a real
-    /// opcode; `Invalid` is reserved for broken IR.
+    /// Every op of a realistic module compiles to exactly one
+    /// instruction, a loop's body inline after it; its `scf.yield` and
+    /// the function's `func.return` compile to none.
     #[test]
-    fn known_ops_do_not_fall_back() {
+    fn each_executed_op_is_one_instruction() {
         let mut m = Module::new();
         let f = func::func(&mut m, "main", vec![], vec![]);
         let mut b = func::entry_builder(&mut m.ctx, &f);
@@ -926,18 +913,23 @@ mod tests {
         let doubled = arith::addi(&mut bb, v, v);
         memref::store(&mut bb, doubled, buf, vec![l.iv, c0]);
 
-        let mut codes = Vec::new();
-        build_table(&m.ctx, &mut codes);
-        for (index, code) in codes.iter().enumerate() {
-            let op = OpId::from_index(index);
-            let kind = &m.ctx.op(op).kind;
-            if matches!(kind, OpKind::BuiltinModule | OpKind::FuncFunc) {
-                continue; // containers are never executed
-            }
-            assert!(
-                !matches!(code, OpCode::Invalid(_)),
-                "op `{kind}` unexpectedly failed resolution"
-            );
-        }
+        let program = Program::compile(&m, "main").unwrap();
+        let codes: Vec<&OpCode> = program.code.iter().map(|instr| &instr.code).collect();
+        assert!(
+            matches!(
+                codes[..],
+                [
+                    OpCode::Alloc { .. },
+                    OpCode::Const(_),
+                    OpCode::Const(_),
+                    OpCode::Const(_),
+                    OpCode::For { end: 8, .. },
+                    OpCode::Load,
+                    OpCode::IntBin { add: true },
+                    OpCode::Store,
+                ]
+            ),
+            "{codes:?}"
+        );
     }
 }

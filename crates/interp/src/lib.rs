@@ -1,11 +1,12 @@
 //! The host-code interpreter: executes compiled modules on the simulated
 //! SoC.
 //!
-//! The paper compiles the generated host code to an ARM binary; here the
-//! equivalent is interpreting the IR against [`axi4mlir_runtime::Soc`],
-//! charging for each operation what the compiled code would pay (arithmetic
-//! cycles, cache-modelled loads/stores, loop branches) and dispatching the
-//! DMA library `func.call`s to `axi4mlir_runtime::dma_lib`. The `accel`
+//! The paper compiles the generated host code to an ARM binary once; here
+//! a function compiles once to a flat [`Program`] that runs against
+//! [`axi4mlir_runtime::Soc`], charging for each operation what the
+//! compiled code would pay (arithmetic cycles, cache-modelled
+//! loads/stores, loop branches) and dispatching the DMA library
+//! `func.call`s to `axi4mlir_runtime::dma_lib`. The `accel`
 //! ops reach it only in that lowered form: `LowerAccelToRuntimePass` (in
 //! `axi4mlir-core`) is their one definition, and an unlowered `accel` op
 //! is an error naming it.
@@ -19,5 +20,5 @@ pub mod interpreter;
 pub mod value;
 
 pub use error::InterpError;
-pub use interpreter::{run_func, run_func_with_scratch, InterpScratch};
+pub use interpreter::{run_func, Program};
 pub use value::RtValue;

@@ -4,17 +4,18 @@
 //! operand or result, a memref of the wrong rank, CPU-kernel operands
 //! whose shapes disagree, a subview whose type is not its sizes) is
 //! refused by `verify_dialects` naming the op, and running it returns
-//! that same message as [`InterpError::Unverified`]: resolution runs the
-//! verifier's per-op check. What the verifier cannot know stays with the
-//! interpreter, each with its own variant or message: an unknown callee
-//! or a call with the wrong arity for the runtime library, an `accel` op
-//! not lowered, an op indexing more dimensions than its index buffer
-//! holds, arguments that do not fit the entry's parameters, indices or
-//! subviews that leave their view at run time, and `dma_init` regions
-//! the simulated memory cannot hold.
+//! that same message as [`InterpError::Unverified`]: the compile to a
+//! program runs the verifier's per-op check. What the verifier cannot
+//! know stays with the interpreter, each with its own variant or message.
+//! The compile refuses an unknown callee or a call with the wrong arity
+//! for the runtime library, an `accel` op not lowered, and an op indexing
+//! more dimensions than its index buffer holds, wherever the op sits. The
+//! run refuses arguments that do not fit the entry's parameters, indices
+//! or subviews that leave their view, and `dma_init` regions or
+//! `memref.alloc`s the simulated memory cannot hold.
 
 use axi4mlir_dialects::verify::verify_dialects;
-use axi4mlir_dialects::{accel, arith, func, linalg, memref};
+use axi4mlir_dialects::{accel, arith, func, linalg, memref, scf};
 use axi4mlir_interp::{run_func, InterpError, RtValue};
 use axi4mlir_ir::attrs::Attribute;
 use axi4mlir_ir::builder::OpBuilder;
@@ -431,4 +432,40 @@ fn sizes_past_the_simulated_memory_are_refused_before_allocation() {
         run_func(&mut soc, &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
         assert_eq!(soc.mem.allocated_bytes(), 0, "{shape:?}");
     }
+}
+
+/// A `memref.alloc` in a loop allocates on every trip, and the simulated
+/// memory frees nothing within a run: the verifier bounds one buffer, the
+/// run refuses the allocation that would pass the capacity. Five 64 MiB
+/// buffers used to return `Ok` holding 320 MiB.
+#[test]
+fn allocations_repeated_in_a_loop_stop_at_the_capacity() {
+    let m = module(|b, c1| {
+        let c0 = arith::const_index(b, 0);
+        let c5 = arith::const_index(b, 5);
+        let l = scf::for_loop(b, c0, c5, c1);
+        memref::alloc(&mut scf::body_builder(b.ctx(), &l), vec![16_777_216], Type::i32());
+    });
+    let mut soc = soc();
+    let err = run_func(&mut soc, &m, "main", vec![], CopyStrategy::ElementWise).unwrap_err();
+    let message =
+        format!("memref.alloc of 67108864 bytes must fit the 0 of {CAPACITY} simulated bytes left");
+    assert_eq!(err, InterpError::Other { message });
+    assert!(soc.mem.allocated_bytes() <= CAPACITY, "{}", soc.mem.allocated_bytes());
+}
+
+/// An op that cannot run is the compile's refusal wherever it sits: in a
+/// loop of zero trips it used to be skipped.
+#[test]
+fn an_op_that_cannot_run_is_refused_in_a_loop_that_never_runs() {
+    let m = module(|b, c1| {
+        let c0 = arith::const_index(b, 0);
+        let l = scf::for_loop(b, c1, c0, c1);
+        let mut body = scf::body_builder(b.ctx(), &l);
+        body.insert_op(OpKind::parse("test.mystery"), vec![], vec![], []);
+    });
+    assert_eq!(
+        assert_interp_refuses(&m),
+        InterpError::UnsupportedOp { name: "test.mystery".into() }
+    );
 }

@@ -348,12 +348,6 @@ impl IrCtx {
         self.ops.values().filter(|o| !o.dead).count()
     }
 
-    /// Total number of operation slots ever minted (live or dead) — the
-    /// bound for dense `OpId`-indexed side tables.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Total number of value slots ever minted — the bound for dense
     /// `ValueId`-indexed side tables (e.g. interpreter value frames).
     pub fn value_count(&self) -> usize {

@@ -19,7 +19,7 @@ use axi4mlir::accelerators::device::Device;
 use axi4mlir::compiler::driver::{PipelineBuilder, Session};
 use axi4mlir::compiler::explore::{realize, Fidelity, JobSpec};
 use axi4mlir::dialects::verify::verify_dialects;
-use axi4mlir::interp::{run_func, InterpError, RtValue};
+use axi4mlir::interp::{run_func, InterpError, Program, RtValue};
 use axi4mlir::ir::attrs::Attribute;
 use axi4mlir::ir::kind::OpKind;
 use axi4mlir::ir::ops::{Module, OpId};
@@ -31,7 +31,7 @@ use axi4mlir::runtime::copy::CopyStrategy;
 use axi4mlir::runtime::memref::MemRefDesc;
 use axi4mlir::runtime::soc::Soc;
 use axi4mlir::sim::axi::LoopbackAccelerator;
-use axi4mlir::sim::mem::ElemType;
+use axi4mlir::sim::mem::{ElemType, SimAddr, BASE_ADDR};
 use axi4mlir::support::diag::DiagnosticEngine;
 
 /// Mutants drawn per corpus module.
@@ -275,12 +275,15 @@ fn arguments(soc: &mut Soc, m: &Module) -> Option<(String, Vec<RtValue>)> {
     Some((name, args))
 }
 
+/// A system driving `device`, or the loopback device.
+fn soc(device: Option<Device>) -> Soc {
+    Soc::new(device.map_or_else(|| Box::new(LoopbackAccelerator::new()) as _, Device::instantiate))
+}
+
 /// Runs `m` on `device`: `None` when it ended as a verified module may,
 /// else what went wrong.
 fn run(m: &Module, device: Option<Device>) -> Option<String> {
-    let accel =
-        device.map_or_else(|| Box::new(LoopbackAccelerator::new()) as _, Device::instantiate);
-    let mut soc = Soc::new(accel);
+    let mut soc = soc(device);
     let (func, args) = arguments(&mut soc, m)?;
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         run_func(&mut soc, m, &func, args, CopyStrategy::ElementWise)
@@ -332,4 +335,37 @@ fn every_verified_mutant_runs_to_a_result_or_a_run_time_error() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// A program compiled once runs again after `Soc::recycle` exactly as a
+/// fresh compile-and-run does: the same counters, and the same bytes in
+/// the simulated memory. So a `Session` that keeps a program need not
+/// recompile it.
+#[test]
+fn a_compiled_program_reruns_like_a_fresh_run() {
+    let mut subjects = golden_subjects();
+    subjects.extend(smoke_subjects());
+    let memory =
+        |soc: &Soc| soc.mem.read_bytes(SimAddr(BASE_ADDR), soc.mem.allocated_bytes()).to_vec();
+    let mut compared = 0;
+    for subject in &subjects {
+        let m = &subject.module;
+        let mut fresh = soc(subject.device);
+        let Some((func, args)) = arguments(&mut fresh, m) else { continue };
+        if run_func(&mut fresh, m, &func, args, CopyStrategy::ElementWise).is_err() {
+            continue;
+        }
+        let mut rerun = soc(subject.device);
+        let mut program = Program::compile(m, &func).expect("the module ran");
+        for _ in 0..2 {
+            rerun.recycle();
+            let (_, args) = arguments(&mut rerun, m).expect("the module ran");
+            program.run(&mut rerun, args, CopyStrategy::ElementWise).expect("the module ran");
+        }
+        assert_eq!(rerun.counters, fresh.counters, "{}", subject.name);
+        assert!(memory(&rerun) == memory(&fresh), "{}: memory differs", subject.name);
+        compared += 1;
+    }
+    // Two malformed fixtures end in a run-time error.
+    assert!(compared + 2 >= subjects.len(), "only {compared} corpus modules ran");
 }
