@@ -37,7 +37,7 @@ impl KernelKind {
 }
 
 /// The `dma_config` entry (Fig. 6a `dma_init_config`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DmaInfo {
     /// DMA engine id.
     pub id: u32,
@@ -66,7 +66,7 @@ impl Default for DmaInfo {
 
 /// A fully described accelerator: the in-memory form of one entry of the
 /// Fig. 5 `"accelerators"` array.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AcceleratorConfig {
     /// The device it describes; its `Display` (`v3_16`, `conv2d`) is the
     /// accelerator's name in diagnostics, reports and `accel_name`.

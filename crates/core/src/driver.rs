@@ -20,6 +20,11 @@
 //!   It also keeps the inputs and reference of the last few problems, so
 //!   the candidates of one sweep, which share a `(problem, seed)`, compute
 //!   the reference once.
+//! - [`ProgramMemo`]: compiled modules by what determines them, which
+//!   leaves the data seed out. A session compiles through one: its own
+//!   one-entry memo ([`Session::for_sweep`]), or one that many sessions
+//!   share ([`Session::with_programs`]), as a worker's slots do, so a
+//!   module is compiled once however many seeds and jobs run it.
 //!
 //! There is no other harness. [`Session::run`] and [`Session::run_manual`]
 //! are one execute body (retarget, recycle, bind, reset, drive, protocol
@@ -29,11 +34,14 @@
 //! driver and in nothing else. A one-off run is
 //! `Session::for_sweep().run(&workload, &plan)`.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use axi4mlir_accelerators::Device;
 use axi4mlir_config::{AcceleratorConfig, CpuSpec, FlowStrategy, KernelKind};
-use axi4mlir_interp::{Program, RtValue};
+use axi4mlir_interp::{Frame, Program, RtValue};
 use axi4mlir_ir::ops::Module;
 use axi4mlir_ir::pass::{IrSnapshot, PassManager, PassTiming};
 use axi4mlir_runtime::kernels;
@@ -126,8 +134,8 @@ pub trait Workload {
 
     /// Stable identity of the module [`Workload::build_module`] would
     /// return, used by [`Session`] to reuse the compiled module across
-    /// back-to-back runs of the same workload and plan. The default
-    /// (`None`) opts out: every run recompiles. Implementations whose
+    /// runs of the same workload and plan (see [`ProgramMemo`]). The
+    /// default (`None`) opts out: every run recompiles. Implementations whose
     /// built module is a pure function of printable state should return
     /// that state here — and must include *all* of it. The session also
     /// keys its memo of [`Workload::inputs`] and [`Workload::reference`]
@@ -609,29 +617,155 @@ impl CompilePlan {
 
 /// Everything that determines the compiled module a `(workload, plan)`
 /// pair produces, and nothing else. Two runs whose keys compare equal
-/// would compile the exact same module, so [`Session`] reuses the first
-/// run's output. The run-only options (`specialized_copies` picks the
-/// interpreter's copy strategy, `verify_result` the check after it) and
-/// `cache_tiling` (resolved into `cache_tile`) never reach the pipeline.
-#[derive(Clone, Debug, PartialEq)]
-struct CompileKey {
+/// would compile the exact same module, so a [`ProgramMemo`] hands the
+/// second the first one's program. The run-only options
+/// (`specialized_copies` picks the interpreter's copy strategy,
+/// `verify_result` the check after it), `cache_tiling` (resolved into
+/// `cache_tile`) and the data seed never reach the pipeline. A run's key
+/// borrows the plan's configuration; the memo owns a copy of it only for
+/// a module it keeps.
+#[derive(PartialEq, Eq, Hash)]
+struct CompileKey<'a> {
     workload: String,
-    config: Option<AcceleratorConfig>,
+    config: Option<Cow<'a, AcceleratorConfig>>,
     cache_tile: Option<i64>,
     coalesce_transfers: bool,
     lower_to_runtime_calls: bool,
     capture_ir: bool,
 }
 
-/// One compiled module cached inside a [`Session`]: the program of its
-/// entry function, which is all a run needs of it. `key == None` marks a
-/// module from an unfingerprintable workload: kept only for the run that
-/// compiled it, never reused.
+impl CompileKey<'_> {
+    fn into_owned(self) -> CompileKey<'static> {
+        CompileKey {
+            workload: self.workload,
+            config: self.config.map(|config| Cow::Owned(config.into_owned())),
+            cache_tile: self.cache_tile,
+            coalesce_transfers: self.coalesce_transfers,
+            lower_to_runtime_calls: self.lower_to_runtime_calls,
+            capture_ir: self.capture_ir,
+        }
+    }
+}
+
+/// One compiled module: the program of its entry function, which is all
+/// a run needs of it, and the pipeline's output that every report of it
+/// carries. It never changes once compiled.
 struct CompiledModule {
-    key: Option<CompileKey>,
     program: Program,
     ir_after: Vec<IrSnapshot>,
     pass_timings: Vec<PassTiming>,
+}
+
+/// Modules a worker keeps compiled ([`ProgramMemo::new`]'s capacity for
+/// the memo its slots share). A sweep measures a few dozen modules (32
+/// for a 16³ MatMul on one v4, 24 for a 128³ one pruned to 24), so a
+/// worker that serves the same space again compiles nothing. A kept
+/// MatMul module holds about 15 KB (its program, key and pass timings), so
+/// a full memo holds about 1 MB.
+pub const KEPT_PROGRAMS: usize = 64;
+
+/// Compiled modules by what determines them (the workload fingerprint,
+/// the configuration, the resolved cache tile and the coalesce, lower and
+/// capture options; never the seed), the least recently used leaving past
+/// the memo's capacity. Sessions share one through an `Arc`
+/// ([`Session::with_programs`]); each session keeps its own value frame.
+///
+/// A lookup hashes the key once and compares hashes; only an entry whose
+/// hash matches is compared in full, and a hit clones no part of the key.
+/// The compile itself runs outside the lock, so two sessions that miss the
+/// same key at once both compile it, and the first to insert it is kept:
+/// the output is the same module either way, and no session waits on
+/// another's compile. The lock's invariant, true at every unlock, is that
+/// each entry is a complete compile of its key; a session that panicked
+/// while holding it left nothing half-written, so the next lock recovers
+/// the state.
+pub struct ProgramMemo {
+    capacity: usize,
+    /// Fixed per memo, so a key hashes the same for every lookup.
+    hasher: RandomState,
+    state: Mutex<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    /// Kept modules, in no order.
+    kept: Vec<KeptModule>,
+    /// Stamps each lookup, so the smallest `used` is the least recent.
+    clock: u64,
+    /// Modules compiled through the memo over its lifetime.
+    compiled: usize,
+}
+
+impl MemoState {
+    /// The kept module of `key` (whose hash is `hash`), stamped as the
+    /// most recently used.
+    fn hit(&mut self, hash: u64, key: &CompileKey<'_>) -> Option<Arc<CompiledModule>> {
+        self.clock += 1;
+        let used = self.clock;
+        let kept = self.kept.iter_mut().find(|kept| kept.hash == hash && kept.key == *key)?;
+        kept.used = used;
+        Some(Arc::clone(&kept.module))
+    }
+}
+
+struct KeptModule {
+    hash: u64,
+    key: CompileKey<'static>,
+    module: Arc<CompiledModule>,
+    used: u64,
+}
+
+impl ProgramMemo {
+    /// An empty memo keeping at most `capacity` (at least one) modules.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            capacity: capacity.max(1),
+            hasher: RandomState::new(),
+            state: Mutex::new(MemoState::default()),
+        }
+    }
+
+    /// Modules compiled through this memo so far: each miss that
+    /// compiled, hits excluded.
+    pub fn compiled(&self) -> usize {
+        self.state().compiled
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The module `key` names: the kept one, or `compile`'s, which is
+    /// kept in place of the least recently used past the capacity.
+    fn module(
+        &self,
+        key: CompileKey<'_>,
+        compile: impl FnOnce() -> Result<CompiledModule, Diagnostic>,
+    ) -> Result<Arc<CompiledModule>, Diagnostic> {
+        let hash = self.hasher.hash_one(&key);
+        if let Some(module) = self.state().hit(hash, &key) {
+            return Ok(module);
+        }
+        let module = Arc::new(compile()?);
+        let mut state = self.state();
+        state.compiled += 1;
+        // Another session may have kept the same module meanwhile.
+        if let Some(kept) = state.hit(hash, &key) {
+            return Ok(kept);
+        }
+        let kept = KeptModule {
+            hash,
+            key: key.into_owned(),
+            module: Arc::clone(&module),
+            used: state.clock,
+        };
+        if state.kept.len() < self.capacity {
+            state.kept.push(kept);
+        } else if let Some(oldest) = state.kept.iter_mut().min_by_key(|kept| kept.used) {
+            *oldest = kept;
+        }
+        Ok(module)
+    }
 }
 
 /// Runs `plan`'s pipeline over a fresh build of `workload`'s module;
@@ -700,34 +834,44 @@ impl ProblemData {
 /// workloads. Successive [`Session::run`] calls recycle the SoC (memory
 /// capacity and device instance are kept) instead of rebuilding it, so
 /// sweeps pay allocation once; results and counters are bit-identical to
-/// using a fresh `Session` per run. Re-running the same workload under
-/// the same plan also skips recompilation entirely: the session caches
-/// the last compiled program keyed by [`Workload::module_fingerprint`]
-/// and the plan's compile-relevant fields, and the inputs and reference
-/// of the last few problems keyed by the fingerprint and the seed.
+/// using a fresh `Session` per run. A run whose module was compiled
+/// before skips recompilation entirely: the session compiles through a
+/// [`ProgramMemo`] keyed by [`Workload::module_fingerprint`] and the
+/// plan's compile-relevant fields, and keeps the inputs and reference of
+/// the last few problems keyed by the fingerprint and the seed.
 pub struct Session {
     soc: Soc,
     /// The model the SoC holds; `None` is the loopback device of a
     /// CPU-only session.
     device: Option<Device>,
-    /// Last compiled module, reused when the compile key matches.
-    compiled: Option<CompiledModule>,
+    /// Where compiled modules come from, and stay.
+    programs: Arc<ProgramMemo>,
+    /// The value frame every run of this session's programs uses.
+    frame: Frame,
     /// Inputs and references of the last [`KEPT_PROBLEMS`] problems, by
     /// `(module fingerprint, seed)`, oldest first.
     problems: VecDeque<((String, u64), ProblemData)>,
 }
 
 impl Session {
-    /// The one constructor, one-off runs included. The session starts on
-    /// the loopback device (a CPU-only plan offloads nothing) and
-    /// instantiates, and later swaps, the device each plan's configuration
-    /// carries on [`run`](Self::run), while memory and cache structures
-    /// persist across runs.
+    /// A session of its own, one-off runs included: its memo keeps the
+    /// last compiled module. The session starts on the loopback device (a
+    /// CPU-only plan offloads nothing) and instantiates, and later swaps,
+    /// the device each plan's configuration carries on [`run`](Self::run),
+    /// while memory and cache structures persist across runs.
     pub fn for_sweep() -> Self {
+        Self::with_programs(Arc::new(ProgramMemo::new(1)))
+    }
+
+    /// A session that compiles through `programs`, which other sessions
+    /// may share (on other threads too): a module any of them compiled is
+    /// not compiled again while the memo keeps it.
+    pub fn with_programs(programs: Arc<ProgramMemo>) -> Self {
         Self {
             soc: Soc::new(Box::new(LoopbackAccelerator::new())),
             device: None,
-            compiled: None,
+            programs,
+            frame: Frame::default(),
             problems: VecDeque::new(),
         }
     }
@@ -762,35 +906,38 @@ impl Session {
         workload: &dyn Workload,
         plan: &CompilePlan,
     ) -> Result<RunReport, Diagnostic> {
-        // Compile — unless this session just compiled the identical
-        // module (same workload fingerprint, accelerator configuration,
-        // resolved cache tile, and pipeline options), in which case its
-        // program is reused as it is. A run changes nothing of a program
-        // but its value frame, which the next run clears, so a cache hit
-        // is bit-identical to recompiling.
+        // Compile — unless the memo holds the identical module (same
+        // workload fingerprint, accelerator configuration, resolved cache
+        // tile, and pipeline options), in which case its program is run as
+        // it is. A run changes nothing of a program, and the frame it uses
+        // is cleared first, so a hit is bit-identical to recompiling.
         let cache_tile = plan.resolve_cache_tile(workload)?;
-        let key = workload.module_fingerprint().map(|workload| CompileKey {
-            workload,
-            config: plan.config.clone(),
-            cache_tile,
-            coalesce_transfers: plan.options.coalesce_transfers,
-            lower_to_runtime_calls: plan.options.lower_to_runtime_calls,
-            capture_ir: plan.options.capture_ir,
-        });
-        let reuse = key.is_some() && self.compiled.as_ref().is_some_and(|cached| cached.key == key);
-        if !reuse {
+        let compile = || {
             let (module, ir_after, pass_timings) = lowered_module(workload, plan, cache_tile)?;
             let program = Program::compile(&module, workload.entry_func())?;
-            self.compiled = Some(CompiledModule { key, program, ir_after, pass_timings });
-        }
+            Ok(CompiledModule { program, ir_after, pass_timings })
+        };
+        let compiled = match workload.module_fingerprint() {
+            Some(fingerprint) => {
+                let key = CompileKey {
+                    workload: fingerprint,
+                    config: plan.config.as_ref().map(Cow::Borrowed),
+                    cache_tile,
+                    coalesce_transfers: plan.options.coalesce_transfers,
+                    lower_to_runtime_calls: plan.options.lower_to_runtime_calls,
+                    capture_ir: plan.options.capture_ir,
+                };
+                self.programs.module(key, compile)?
+            }
+            None => Arc::new(compile()?),
+        };
 
-        // The driver is the compiled program, which leaves the session for
-        // the duration of the run.
-        let mut compiled = self.compiled.take().expect("compiled just above");
+        // The frame leaves the session for the duration of the run.
+        let mut frame = std::mem::take(&mut self.frame);
         let report = self
             .execute(workload, plan, |soc, args| {
                 let copy_strategy = plan.options.copy_strategy(&soc.cost);
-                compiled.program.run(soc, args, copy_strategy).map_err(Diagnostic::from)
+                compiled.program.run(soc, &mut frame, args, copy_strategy).map_err(Diagnostic::from)
             })
             .map(|report| RunReport {
                 cache_tile,
@@ -798,7 +945,7 @@ impl Session {
                 pass_timings: compiled.pass_timings.clone(),
                 ..report
             });
-        self.compiled = Some(compiled);
+        self.frame = frame;
         report
     }
 

@@ -6,9 +6,12 @@
 //! instruction carrying its opcode, its operands (a range of the program's
 //! one pool) and its result; a loop's body is the contiguous range after
 //! its `For`, which execution recurses over. `scf.yield` and `func.return`
-//! emit nothing. [`Program::run`] binds the arguments and runs the array
-//! against a [`Soc`], reading no IR; [`run_func`] is both in one call. A
-//! driver `Session` keeps the program it compiled and reruns it on a hit.
+//! emit nothing. [`Program::run`] binds the arguments into a caller's
+//! [`Frame`] and runs the array against a [`Soc`], reading no IR;
+//! [`run_func`] is both in one call. A program never changes after its
+//! compile, so one `Arc`-shared program runs on any number of threads at
+//! once, each with its own frame and system: a driver `Session` keeps its
+//! frame, and takes programs from a memo that other sessions may share.
 //!
 //! # What it refuses, and where
 //!
@@ -28,8 +31,9 @@
 //!   so a memref descriptor's shape is always its static type, which the
 //!   CPU kernels index unchecked.
 //! - *Run-time values*, refused by the run: an undefined value or one of
-//!   the wrong kind, an index or subview outside its view, an `scf.for`
-//!   step that is not positive, DMA errors, and a `dma_init` region or a
+//!   the wrong kind, an index or subview outside its view, `index`
+//!   arithmetic that overflows `i64`, an `scf.for` step that is not
+//!   positive, DMA errors, and a `dma_init` region or a
 //!   `memref.alloc` past the room left in the simulated memory
 //!   (`axi4mlir_sim::mem::CAPACITY`; the verifier bounds one static
 //!   buffer, but a loop may allocate it on every trip).
@@ -39,7 +43,7 @@
 //! A sweep executes the same few dozen instructions millions of times.
 //! Dispatch is a jump on the opcode; attribute lookups and the checks
 //! that need no run-time value are paid once per compile. SSA values live
-//! in a dense frame indexed by `ValueId` that the program keeps across
+//! in a dense frame indexed by `ValueId` that the caller keeps across
 //! runs, and errors are built in `#[cold]` functions, so the success path
 //! never formats a string. Ops read memref descriptors in place while
 //! they charge the SoC, and a `memref.subview` writes over its result
@@ -148,7 +152,9 @@ struct Instr {
 }
 
 /// One function of a verified module, resolved once into a flat
-/// instruction array that runs without the IR.
+/// instruction array that runs without the IR. It is immutable after its
+/// compile, and so `Send + Sync`: runs share it and bring their own
+/// [`Frame`].
 #[derive(Debug)]
 pub struct Program {
     code: Vec<Instr>,
@@ -156,15 +162,17 @@ pub struct Program {
     operands: Vec<ValueId>,
     /// The entry block's parameters with their types.
     params: Vec<(ValueId, Type)>,
-    /// The value frame, kept across runs.
-    frame: Frame,
+    /// The module's value count: the slots a run's frame needs.
+    values: usize,
 }
 
-/// The dense value frame: one slot per `ValueId` of the module. Its
-/// accessors borrow from the frame alone, so an op can hold an operand's
-/// descriptor while it charges the SoC.
-#[derive(Debug)]
-struct Frame {
+/// The dense value frame of a run: one slot per `ValueId` of the
+/// program's module. A caller keeps one across runs of any programs, so
+/// its slots are allocated once. Its accessors borrow from the frame
+/// alone, so an op can hold an operand's descriptor while it charges the
+/// SoC.
+#[derive(Debug, Default)]
+pub struct Frame {
     slots: Vec<Option<RtValue>>,
 }
 
@@ -182,7 +190,7 @@ pub fn run_func(
     args: Vec<RtValue>,
     copy_strategy: CopyStrategy,
 ) -> Result<(), InterpError> {
-    Program::compile(module, func_name)?.run(soc, args, copy_strategy)
+    Program::compile(module, func_name)?.run(soc, &mut Frame::default(), args, copy_strategy)
 }
 
 impl Program {
@@ -205,7 +213,7 @@ impl Program {
             code: Vec::new(),
             operands: Vec::new(),
             params: params.collect(),
-            frame: Frame { slots: vec![None; ctx.value_count()] },
+            values: ctx.value_count(),
         };
         program.emit(ctx, entry)?;
         Ok(program)
@@ -232,7 +240,8 @@ impl Program {
         Ok(())
     }
 
-    /// Runs the program on `soc` with the given arguments.
+    /// Runs the program on `soc` with the given arguments, its values in
+    /// `frame` (cleared first, so any frame will do).
     ///
     /// # Errors
     ///
@@ -240,13 +249,15 @@ impl Program {
     /// function's parameters, and for the run-time errors of the module
     /// docs.
     pub fn run(
-        &mut self,
+        &self,
         soc: &mut Soc,
+        frame: &mut Frame,
         args: Vec<RtValue>,
         copy_strategy: CopyStrategy,
     ) -> Result<(), InterpError> {
-        let Self { code, operands, params, frame } = self;
-        frame.slots.fill(None);
+        let Self { code, operands, params, values } = self;
+        frame.slots.clear();
+        frame.slots.resize(*values, None);
         if params.len() != args.len() {
             let context =
                 format!("function expects {} arguments, got {}", params.len(), args.len());
@@ -435,7 +446,8 @@ impl Exec<'_> {
                     self.soc.charge_arith(1);
                     let rt = match (self.env.get(operands[0])?, self.env.get(operands[1])?) {
                         (RtValue::Index(a), RtValue::Index(b)) => {
-                            RtValue::Index(if *add { a + b } else { a * b })
+                            let value = if *add { a.checked_add(*b) } else { a.checked_mul(*b) };
+                            RtValue::Index(value.ok_or_else(|| index_overflow(*add, *a, *b))?)
                         }
                         (RtValue::I32(a), RtValue::I32(b)) => {
                             RtValue::I32(if *add { a.wrapping_add(*b) } else { a.wrapping_mul(*b) })
@@ -478,7 +490,10 @@ impl Exec<'_> {
                         self.soc.charge_branch(1);
                         self.env.slots[iv.index()] = Some(RtValue::Index(i));
                         self.exec(pc..*end)?;
-                        i += step;
+                        // An increment past `i64::MAX` is past `ub` too: the
+                        // loop is done.
+                        let Some(next) = i.checked_add(step) else { break };
+                        i = next;
                     }
                     pc = *end;
                 }
@@ -700,6 +715,13 @@ fn int_bin_mismatch(add: bool) -> InterpError {
 
 #[cold]
 #[inline(never)]
+fn index_overflow(add: bool, a: i64, b: i64) -> InterpError {
+    let (kind, op) = if add { (OpKind::ArithAddi, '+') } else { (OpKind::ArithMuli, '*') };
+    InterpError::Other { message: format!("{kind} overflows index: {a} {op} {b}") }
+}
+
+#[cold]
+#[inline(never)]
 fn cannot_store(value: &RtValue) -> InterpError {
     InterpError::TypeMismatch { context: format!("cannot store {value:?}") }
 }
@@ -885,10 +907,10 @@ mod tests {
         run_func(&mut fresh, &m, "main", vec![], CopyStrategy::ElementWise).unwrap();
 
         let mut reused = soc();
-        let mut program = Program::compile(&m, "main").unwrap();
+        let (program, mut frame) = (Program::compile(&m, "main").unwrap(), Frame::default());
         for _ in 0..3 {
             reused.recycle();
-            program.run(&mut reused, vec![], CopyStrategy::ElementWise).unwrap();
+            program.run(&mut reused, &mut frame, vec![], CopyStrategy::ElementWise).unwrap();
             assert_eq!(reused.counters, fresh.counters, "a rerun must not change counters");
         }
         let cell = axi4mlir_sim::mem::SimAddr(0x1_0000);

@@ -20,5 +20,5 @@ pub mod interpreter;
 pub mod value;
 
 pub use error::InterpError;
-pub use interpreter::{run_func, Program};
+pub use interpreter::{run_func, Frame, Program};
 pub use value::RtValue;

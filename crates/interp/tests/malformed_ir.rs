@@ -469,3 +469,34 @@ fn an_op_that_cannot_run_is_refused_in_a_loop_that_never_runs() {
         InterpError::UnsupportedOp { name: "test.mystery".into() }
     );
 }
+
+/// `index` arithmetic is `i64`, and an overflow is an error naming the op
+/// in every build profile: `arith.addi` or `arith.muli` of two `i64::MAX`
+/// constants used to panic in a debug build and wrap in a release one. An
+/// `scf.for` increment that passes `i64::MAX` has passed the bound too, so
+/// the loop ends: from `i64::MAX - 1` to `i64::MAX` by 2 used to panic in a
+/// debug build and run about 2^63 trips in a release one.
+#[test]
+fn index_overflow_is_an_error_and_ends_a_loop() {
+    for (kind, op) in [(OpKind::ArithAddi, '+'), (OpKind::ArithMuli, '*')] {
+        let err = assert_interp_refuses(&module(|b, _| {
+            let max = arith::const_index(b, i64::MAX);
+            match kind {
+                OpKind::ArithAddi => arith::addi(b, max, max),
+                _ => arith::muli(b, max, max),
+            };
+        }));
+        let message = format!("{kind} overflows index: {max} {op} {max}", max = i64::MAX);
+        assert_eq!(err, InterpError::Other { message });
+    }
+
+    let m = module(|b, _| {
+        let lb = arith::const_index(b, i64::MAX - 1);
+        let ub = arith::const_index(b, i64::MAX);
+        let c2 = arith::const_index(b, 2);
+        scf::for_loop(b, lb, ub, c2);
+    });
+    let mut soc = soc();
+    run_func(&mut soc, &m, "main", vec![], CopyStrategy::ElementWise).expect("the loop ends");
+    assert_eq!(soc.counters.branch_instructions, 1, "one trip: the increment passes the bound");
+}

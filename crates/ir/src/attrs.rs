@@ -85,7 +85,7 @@ impl fmt::Display for OpcodeAction {
 ///
 /// Entry order is preserved (it is part of the attribute's identity for
 /// printing round-trips).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct OpcodeMap {
     entries: Vec<(String, Vec<OpcodeAction>)>,
 }
@@ -252,7 +252,7 @@ fn parse_action(cur: &mut Cursor<'_>) -> Result<OpcodeAction, Diagnostic> {
 
 /// One element of an `opcode_flow`: either an opcode reference or a nested
 /// scope (a deeper loop level).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FlowElem {
     /// A reference to an `opcode_map` entry.
     Opcode(String),
@@ -263,7 +263,7 @@ pub enum FlowElem {
 /// The `opcode_flow` attribute: the nesting structure of opcode emissions
 /// (Fig. 8). `(sA (sB cC rC))` means `sA` sits one loop level above the
 /// `sB cC rC` group.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct OpcodeFlow {
     /// Top-level scope elements.
     pub root: Vec<FlowElem>,

@@ -7,9 +7,10 @@
 //! Binds, prints `axi4mlir-worker listening on ADDR` (port 0 in
 //! `--bind` resolves to a free port — scripts parse this line), and
 //! serves the `axi4mlir-worker/v2` measurement protocol until
-//! SIGTERM/ctrl-c. A worker holds no state a sweep depends on: killing
-//! one mid-sweep only makes the scheduler requeue its outstanding
-//! measurements elsewhere. See `docs/PROTOCOL.md` for the wire
+//! SIGTERM/ctrl-c, then prints what it served, measured and compiled. A
+//! worker holds no state a sweep depends on (it keeps compiled programs,
+//! never results): killing one mid-sweep only makes the scheduler requeue
+//! its outstanding measurements elsewhere. See `docs/PROTOCOL.md` for the wire
 //! protocol.
 
 use std::process::ExitCode;
@@ -64,8 +65,8 @@ fn main() -> ExitCode {
     match worker.run() {
         Ok(summary) => {
             println!(
-                "axi4mlir-worker: served {} connections, measured {} candidates",
-                summary.connections, summary.measured
+                "axi4mlir-worker: served {} connections, measured {} candidates, compiled {} modules",
+                summary.connections, summary.measured, summary.compiled
             );
             ExitCode::SUCCESS
         }

@@ -1,7 +1,7 @@
 //! The `axi4mlir-worker` measurement daemon: remote simulation slots
 //! for distributed design-space exploration.
 //!
-//! A worker is deliberately dumb. It holds no cache, no queue of its
+//! A worker is deliberately dumb. It keeps no results, no queue of its
 //! own, and no knowledge of the sweep: it accepts connections from a
 //! scheduler (an [`Explorer`] with a `RemotePool` installed — usually
 //! inside an `axi4mlir-hub` started with `--worker ADDR`), answers
@@ -9,11 +9,18 @@
 //! `measure` frame — a candidate key and a fidelity — into one simulator
 //! run on a recycled-SoC [`Session`], replying `result` (bit-identical
 //! counters plus its own
-//! measured wall-clock nanos) or `failed`. All deduplication, caching,
-//! ordering, and retry policy stay scheduler-side — which is what
-//! keeps reports bit-identical to local runs at any worker count, and
-//! makes killing a worker mid-sweep safe (the scheduler requeues its
+//! measured wall-clock nanos) or `failed`. All deduplication, result
+//! caching, ordering, and retry policy stay scheduler-side — which is
+//! what keeps reports bit-identical to local runs at any worker count,
+//! and makes killing a worker mid-sweep safe (the scheduler requeues its
 //! outstanding claims elsewhere).
+//!
+//! What a worker does keep is compiled programs: one [`ProgramMemo`] of
+//! [`KEPT_PROGRAMS`] modules for its whole lifetime, which every slot of
+//! every connection compiles through. A module depends on the key but
+//! not on its data seed, so a new seed or a new job over the same space
+//! runs programs compiled for an earlier one; a program is immutable, so
+//! that is bit-identical to compiling again.
 //!
 //! The framing is the NDJSON [`axi4mlir_support::proto`] transport and
 //! the frame vocabulary lives in
@@ -28,6 +35,8 @@
 //!
 //! [`Explorer`]: axi4mlir_core::explore::Explorer
 //! [`Session`]: axi4mlir_core::driver::Session
+//! [`ProgramMemo`]: axi4mlir_core::driver::ProgramMemo
+//! [`KEPT_PROGRAMS`]: axi4mlir_core::driver::KEPT_PROGRAMS
 
 #![deny(missing_docs)]
 
@@ -35,7 +44,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use axi4mlir_core::driver::Session;
+use axi4mlir_core::driver::{ProgramMemo, Session, KEPT_PROGRAMS};
 use axi4mlir_core::explore::measure::{handle_measure, WORKER_SCHEMA};
 use axi4mlir_support::diag::Diagnostic;
 use axi4mlir_support::fault::{self, FaultAction};
@@ -49,7 +58,8 @@ pub struct WorkerConfig {
     /// address is on [`Worker::local_addr`]).
     pub bind: String,
     /// Concurrent measurement slots per connection (each owns one
-    /// recycled-SoC session), advertised in the `hello` reply.
+    /// recycled-SoC session over the worker's compiled programs),
+    /// advertised in the `hello` reply.
     pub slots: usize,
     /// An external stop flag (the binary's signal handler sets it);
     /// polled alongside the internal accept loop.
@@ -73,6 +83,9 @@ pub struct WorkerSummary {
     pub connections: usize,
     /// `measure` frames executed (successes and failures alike).
     pub measured: usize,
+    /// Modules compiled: each distinct module once while the worker's
+    /// memo keeps it, however many measures ran it.
+    pub compiled: usize,
 }
 
 /// Totals shared by every connection thread.
@@ -116,12 +129,13 @@ impl Worker {
     /// reconnects.
     pub fn run(self) -> Result<WorkerSummary, Diagnostic> {
         let totals = Arc::new(Totals::default());
+        let programs = Arc::new(ProgramMemo::new(KEPT_PROGRAMS));
         let slots = self.config.slots.max(1);
         let stop = self.config.stop;
         let stopping = move || stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
-        let served = Arc::clone(&totals);
+        let (served, compiling) = (Arc::clone(&totals), Arc::clone(&programs));
         let connections = proto::serve(&self.listener, stopping, move |connection| {
-            serve_connection(connection, slots, &served, &stopping);
+            serve_connection(connection, slots, &served, &compiling, &stopping);
         })?;
         // Wake the slots blocked in a read: each sees the end of its
         // stream. (Linux still hands out bytes that arrived before the
@@ -135,6 +149,7 @@ impl Worker {
         Ok(WorkerSummary {
             connections: totals.connections.load(Ordering::Relaxed),
             measured: totals.measured.load(Ordering::Relaxed),
+            compiled: programs.compiled(),
         })
     }
 }
@@ -143,7 +158,8 @@ impl Worker {
 /// `slots - 1` more. The slots take turns on the read half; the holder
 /// reads one frame and answers a control frame before it gives the turn
 /// up, so those replies keep request order, and a `measure` frame is
-/// measured after. All slots share the write half (frames are written
+/// measured after, on the slot's session over `programs`. All slots share
+/// the write half (frames are written
 /// whole under its lock, so replies never interleave). Once the worker
 /// is stopping a slot takes no new turn: what the slots have read is
 /// answered, and then the connection closes.
@@ -151,6 +167,7 @@ fn serve_connection(
     connection: Connection,
     slots: usize,
     totals: &Totals,
+    programs: &Arc<ProgramMemo>,
     stopping: &(dyn Fn() -> bool + Sync),
 ) {
     let Connection { reader, writer } = connection;
@@ -206,7 +223,7 @@ fn serve_connection(
         None
     };
     let slot = || {
-        let mut session = Session::for_sweep();
+        let mut session = Session::with_programs(Arc::clone(programs));
         while let Some(frame) = next_measure() {
             let reply = handle_measure(&mut session, &frame);
             totals.measured.fetch_add(1, Ordering::Relaxed);

@@ -14,12 +14,13 @@
 //! the device it was compiled for.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 use axi4mlir::accelerators::device::Device;
 use axi4mlir::compiler::driver::{PipelineBuilder, Session};
 use axi4mlir::compiler::explore::{realize, Fidelity, JobSpec};
 use axi4mlir::dialects::verify::verify_dialects;
-use axi4mlir::interp::{run_func, InterpError, Program, RtValue};
+use axi4mlir::interp::{run_func, Frame, InterpError, Program, RtValue};
 use axi4mlir::ir::attrs::Attribute;
 use axi4mlir::ir::kind::OpKind;
 use axi4mlir::ir::ops::{Module, OpId};
@@ -337,10 +338,17 @@ fn every_verified_mutant_runs_to_a_result_or_a_run_time_error() {
     );
 }
 
+/// A compiled program is immutable: threads share it as it is.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Program>();
+};
+
 /// A program compiled once runs again after `Soc::recycle` exactly as a
-/// fresh compile-and-run does: the same counters, and the same bytes in
-/// the simulated memory. So a `Session` that keeps a program need not
-/// recompile it.
+/// fresh compile-and-run does, and so does one `Arc`-shared program on two
+/// threads at once, each with its own system and frame: the same
+/// counters, and the same bytes in the simulated memory. So sessions that
+/// share a memo of programs need not recompile them.
 #[test]
 fn a_compiled_program_reruns_like_a_fresh_run() {
     let mut subjects = golden_subjects();
@@ -355,15 +363,30 @@ fn a_compiled_program_reruns_like_a_fresh_run() {
         if run_func(&mut fresh, m, &func, args, CopyStrategy::ElementWise).is_err() {
             continue;
         }
-        let mut rerun = soc(subject.device);
-        let mut program = Program::compile(m, &func).expect("the module ran");
-        for _ in 0..2 {
-            rerun.recycle();
-            let (_, args) = arguments(&mut rerun, m).expect("the module ran");
-            program.run(&mut rerun, args, CopyStrategy::ElementWise).expect("the module ran");
+        let program = Arc::new(Program::compile(m, &func).expect("the module ran"));
+        let rerun = |program: Arc<Program>| {
+            let (mut rerun, mut frame) = (soc(subject.device), Frame::default());
+            for _ in 0..2 {
+                rerun.recycle();
+                let (_, args) = arguments(&mut rerun, m).expect("the module ran");
+                let copies = CopyStrategy::ElementWise;
+                program.run(&mut rerun, &mut frame, args, copies).expect("the module ran");
+            }
+            (rerun.counters, memory(&rerun))
+        };
+        let reruns: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    let program = Arc::clone(&program);
+                    scope.spawn(move || rerun(program))
+                })
+                .collect();
+            threads.into_iter().map(|thread| thread.join().expect("the rerun ran")).collect()
+        });
+        for (counters, bytes) in reruns {
+            assert_eq!(counters, fresh.counters, "{}", subject.name);
+            assert!(bytes == memory(&fresh), "{}: memory differs", subject.name);
         }
-        assert_eq!(rerun.counters, fresh.counters, "{}", subject.name);
-        assert!(memory(&rerun) == memory(&fresh), "{}: memory differs", subject.name);
         compared += 1;
     }
     // Two malformed fixtures end in a run-time error.
